@@ -129,4 +129,4 @@ __all__ = [
     "__version__",
 ]
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

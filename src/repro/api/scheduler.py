@@ -133,10 +133,7 @@ class CooperativeScheduler:
         """Count one abandoned kernel turn of a suspended rank (qos metrics)."""
         delivery = self.runtime.delivery
         if delivery is not None:
-            delivery.metrics.count("suspended_steps", ctx.rank)
-            self.runtime.cluster.metrics.incr(
-                "qos.suspended_steps", rank=ctx.rank
-            )
+            delivery.count("suspended_steps", ctx.rank)
 
     def _perform(self, kind: Collective) -> None:
         """Execute one collective on the shared runtime."""

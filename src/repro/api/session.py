@@ -612,8 +612,7 @@ class Job:
             )
             if version is not None:
                 RecoveryProtocol._restore_rank(runtime, store, version, rank)
-            delivery.metrics.count("repairs", rank)
-            self.cluster.metrics.incr("qos.repairs", rank=rank)
+            delivery.count("repairs", rank)
 
     def _step_boundary_hook(self) -> None:
         """Bookkeeping at the end of every completed step.

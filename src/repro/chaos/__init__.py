@@ -10,11 +10,10 @@ or recovering.  The layers:
   generalize :class:`~repro.ft.inject.KillPlan` (independent Poisson kills,
   correlated node failures, cascading multi-rank failures, a flaky-then-dead
   rank), registry-resolved like backends/stores/recovery;
-* :mod:`repro.chaos.monitor` — chaos monitors: a
-  :class:`~repro.api.session.SessionObserver` plus an injector listener that
-  timestamps every ``failure_initiated`` / ``failure_detected`` /
-  ``recovery_started`` / ``recovery_completed`` / ``service_restored``
-  transition in virtual time and streams them as JSONL;
+* :mod:`repro.chaos.monitor` — chaos monitors: reducers over the job's
+  trace bus that timestamp every ``failure_initiated`` /
+  ``failure_detected`` / ``recovery_started`` / ``recovery_completed`` /
+  ``service_restored`` transition in virtual time and stream them as JSONL;
 * :mod:`repro.chaos.soak` — the soak driver: one long session under a
   compressed :class:`~repro.simulator.costs.CostModel` (time fields scaled by
   e.g. 10,000x), a scenario-generated kill plan, and the countermeasure seam

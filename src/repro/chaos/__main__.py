@@ -26,7 +26,6 @@ fails.
 from __future__ import annotations
 
 import argparse
-import json
 
 from repro.chaos.metrics import write_events
 from repro.chaos.report import (
@@ -35,16 +34,8 @@ from repro.chaos.report import (
     render_markdown,
     report_json,
 )
-from repro.chaos.soak import SoakSpec, run_comparison
-from repro.cli import (
-    add_common_arguments,
-    add_report_arguments,
-    csv,
-    handle_list,
-    run_gates,
-    trace_run,
-    write_outputs,
-)
+from repro.chaos.soak import SoakResult, SoakSpec, run_comparison
+from repro.cli import add_common_arguments, add_report_arguments, csv, engine_main
 from repro.registry import available
 
 __all__ = ["main"]
@@ -123,10 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if handle_list(args):
-        return 0
+def _run(args: argparse.Namespace) -> list[SoakResult]:
     if args.quick:
         base = quick_spec()
     else:
@@ -143,29 +131,33 @@ def main(argv: list[str] | None = None) -> int:
             nprocs=args.nprocs,
             procs_per_node=args.procs_per_node,
         )
-    with trace_run(args):
-        results = run_comparison(
-            base,
-            countermeasures=args.countermeasures,
-            backends=args.backends,
-            stores=args.stores,
-            executor=args.executor,
-        )
+    return run_comparison(
+        base,
+        countermeasures=args.countermeasures,
+        backends=args.backends,
+        stores=args.stores,
+        executor=args.executor,
+    )
 
-    json_text = report_json(results)
-    write_outputs(args, render_markdown(results), json_text)
+
+def _write_event_log(args: argparse.Namespace, results: list[SoakResult]) -> None:
     if args.events:
         write_events(results[0].events, args.events)
         print(f"event log written to {args.events}")
-    return run_gates(
-        args,
-        check_invariants=lambda: check_chaos_invariants(results),
+
+
+def main(argv: list[str] | None = None) -> int:
+    return engine_main(
+        build_parser().parse_args(argv),
+        run=_run,
+        render=render_markdown,
+        to_json=report_json,
+        invariants=check_chaos_invariants,
         invariants_message=(
             "invariants hold (replay MTTR < rollback; excise availability > both)"
         ),
-        check_baseline=lambda baseline, ratio: check_against_baseline(
-            json.loads(json_text), baseline, max_ratio=ratio
-        ),
+        gate=check_against_baseline,
+        artifacts=_write_event_log,
     )
 
 

@@ -24,10 +24,11 @@ on every backend, executor and machine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
+from repro.errors import ChaosError
 from repro.stats import latency_percentiles
+from repro.trace.events import event_line, load_jsonl, write_jsonl
 
 __all__ = [
     "ChaosMetrics",
@@ -176,23 +177,30 @@ def compute_metrics(events: list[dict]) -> ChaosMetrics:
 
 
 # ----------------------------------------------------------------------
-# Streaming JSONL log
+# Streaming JSONL log (the codec is :mod:`repro.trace.events`)
 # ----------------------------------------------------------------------
+def _validate_event(event: dict) -> None:
+    """The log's schema: a JSON object with a known ``type`` and a numeric ``t``."""
+    if not isinstance(event, dict):
+        raise ChaosError("event must be a JSON object")
+    if event.get("type") not in EVENT_TYPES:
+        raise ChaosError(f"unknown event type {event.get('type')!r}")
+    if not isinstance(event.get("t"), (int, float)):
+        raise ChaosError("event is missing a numeric 't'")
+
+
 def event_lines(events: list[dict]):
     """Canonical JSONL lines for ``events`` (sorted keys, no whitespace).
 
     Canonical serialization is what makes the *log file* — not just the
     in-memory stream — byte-identical across re-runs and backends.
     """
-    for event in events:
-        yield json.dumps(event, sort_keys=True, separators=(",", ":"))
+    return (event_line(event) for event in events)
 
 
 def write_events(events: list[dict], path: str) -> None:
     """Stream ``events`` to ``path`` as one canonical JSON object per line."""
-    with open(path, "w") as fh:
-        for line in event_lines(events):
-            fh.write(line + "\n")
+    write_jsonl(events, path, _validate_event)
 
 
 def load_events(path: str) -> list[dict]:
@@ -201,25 +209,4 @@ def load_events(path: str) -> list[dict]:
     Validates the schema: every line must be a JSON object with a known
     ``type`` and a numeric ``t``.
     """
-    from repro.errors import ChaosError
-
-    events = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ChaosError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if not isinstance(event, dict):
-                raise ChaosError(f"{path}:{lineno}: event must be a JSON object")
-            if event.get("type") not in EVENT_TYPES:
-                raise ChaosError(
-                    f"{path}:{lineno}: unknown event type {event.get('type')!r}"
-                )
-            if not isinstance(event.get("t"), (int, float)):
-                raise ChaosError(f"{path}:{lineno}: event is missing a numeric 't'")
-            events.append(event)
-    return events
+    return load_jsonl(path, _validate_event, ChaosError)

@@ -1,10 +1,8 @@
 """Chaos monitors — virtual-time failure/recovery transition detectors.
 
-A monitor consumes the trace event bus (``tracer.subscribe(monitor.consume)``
-— how the soak driver wires it) or, equivalently, plugs in directly as a
-:class:`~repro.api.session.SessionObserver` plus a
-:class:`~repro.ft.inject.FaultInjector` listener; either way it sees both
-halves of every outage:
+A monitor is a reducer over the trace event bus — the soak driver wires it
+with ``tracer.subscribe(monitor.consume)`` — and sees both halves of every
+outage:
 
 * ``failure_initiated`` — the injector lands a kill (SIGKILL on ``proc``,
   simulated fail-stop elsewhere), *before* the control plane notices;
@@ -21,8 +19,8 @@ halves of every outage:
   accounting is exactly what makes the protocols' recovery-time trade-off
   visible.
 
-Every timestamp is the cluster's **virtual** ``elapsed()`` — no wall clock —
-so the event stream of a seeded soak is byte-identical across re-runs and
+Every timestamp is the trace event's **virtual** ``t`` — no wall clock — so
+the event stream of a seeded soak is byte-identical across re-runs and
 across the ``sim`` and ``proc`` backends.  Monitors are registry-resolved
 under the kind ``"monitor"``: ``"transitions"`` streams every transition,
 ``"episodes"`` additionally coalesces each outage into one summary event.
@@ -30,15 +28,8 @@ under the kind ``"monitor"``: ``"transitions"`` streams every transition,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.api.session import SessionObserver
 from repro.errors import ChaosError
-from repro.ft.inject import FiredKill
 from repro.registry import register_kind, resolve_component
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.api.session import Job
 
 __all__ = [
     "ChaosMonitor",
@@ -46,10 +37,40 @@ __all__ = [
     "EpisodeMonitor",
     "MONITORS",
     "make_monitor",
+    "reduce_outage",
 ]
 
 
-class ChaosMonitor(SessionObserver):
+def reduce_outage(outage: dict | None, event: dict) -> tuple[dict | None, dict | None]:
+    """One step of the outage state machine chaos MTTR and serve's recovery
+    windows share; returns ``(outage still open, outage this event closed)``.
+
+    ``failure_detected`` opens an outage (``detected_t``, ``crash_step``) or
+    extends the open one — a further failure during recovery moves
+    ``crash_step`` to the latest aborted step; ``step_completed`` at or past
+    ``crash_step`` closes it: the service is restored once the step the
+    failure aborted completes again.  Other events pass through.
+    """
+    if event["type"] == "failure_detected":
+        if outage is None:
+            return {"detected_t": event["t"], "crash_step": event["step"]}, None
+        if outage["detected_t"] is None:
+            outage["detected_t"] = event["t"]
+        crash = outage["crash_step"]
+        outage["crash_step"] = (
+            event["step"] if crash is None else max(crash, event["step"])
+        )
+    elif (
+        event["type"] == "step_completed"
+        and outage is not None
+        and outage["crash_step"] is not None
+        and event["step"] >= outage["crash_step"]
+    ):
+        return None, outage
+    return outage, None
+
+
+class ChaosMonitor:
     """Base monitor: the transition state machine and the event buffer.
 
     Subclasses choose what extra structure to emit; the base class owns the
@@ -66,58 +87,62 @@ class ChaosMonitor(SessionObserver):
         #: Steps per workload round; set by the soak driver so the monitor
         #: can emit ``round_completed`` markers (0 disables them).
         self.steps_per_round = 0
-        self._job: Job | None = None
         self._episode: dict | None = None
         self._max_step_completed = -1
-
-    # ------------------------------------------------------------------
-    def bind(self, job: "Job") -> None:
-        """Attach to ``job``'s cluster for virtual timestamps."""
-        self._job = job
-
-    def _now(self) -> float:
-        if self._job is None:
-            raise ChaosError("monitor used before bind(job)")
-        return self._job.cluster.elapsed()
 
     def emit(self, type_: str, t: float, **fields) -> None:
         """Append one event (used internally and by the soak driver)."""
         self.events.append({"type": type_, "t": t, **fields})
 
-    # ------------------------------------------------------------------
-    # Trace-bus consumer
-    # ------------------------------------------------------------------
     def consume(self, event: dict) -> None:
-        """Trace-bus subscriber: drive the monitor from a job's tracer.
+        """Trace-bus subscriber: reduce one trace event into chaos events.
 
-        The soak driver wires this via ``tracer.subscribe(monitor.consume)``
-        instead of registering the monitor as its own observer/listener
-        stack — one instrumentation source, no double-counting.  Timestamps
-        come from the events themselves (the tracer stamps the same
-        ``cluster.elapsed()`` the direct hooks used to read), so the chaos
-        event stream is byte-identical to the pre-bus wiring.  Event types
-        outside the monitor's vocabulary are ignored.
+        Timestamps come from the events themselves (the tracer stamps
+        ``cluster.elapsed()``).  Event types outside the monitor's
+        vocabulary are ignored.
         """
         kind = event["type"]
         t = event["t"]
         if kind == "kill_fired":
-            self._record_kill(
-                t,
+            victims = list(event["victims"])
+            self.emit(
+                "failure_initiated", t,
                 rank=event["rank"],
-                victims=list(event["victims"]),
-                kill_kind=event["kind"],
+                victims=victims,
+                kind=event["kind"],
                 after_ops=event["after_ops"],
                 real=bool(event.get("rt", {}).get("real", False)),
             )
+            if self._episode is None:
+                self._episode = {
+                    "initiated_t": t,
+                    "detected_t": None,
+                    "crash_step": None,
+                    "victims": list(victims),
+                    "kills": 1,
+                }
+            else:
+                self._episode["kills"] += 1
+                for victim in victims:
+                    if victim not in self._episode["victims"]:
+                        self._episode["victims"].append(victim)
         elif kind == "kill_skipped":
-            self._record_skip(t, rank=event["rank"], after_ops=event["after_ops"])
+            self.emit(
+                "failure_skipped", t, rank=event["rank"], after_ops=event["after_ops"]
+            )
         elif kind == "failure_detected":
-            self.on_failure_detected(event["rank"], event["step"], t)
+            self.emit("failure_detected", t, rank=event["rank"], step=event["step"])
+            opened = self._episode is None
+            self._episode, _ = reduce_outage(self._episode, event)
+            if opened:
+                # A failure the injector did not initiate (e.g. a virtual-time
+                # schedule): the detection opens the episode.
+                self._episode.update(initiated_t=t, victims=[event["rank"]], kills=0)
         elif kind == "recovery_started":
-            self.on_recovery_started(event["step"], t)
+            self.emit("recovery_started", t, step=event["step"])
         elif kind == "protocol_applied":
-            self._record_protocol(
-                t,
+            self.emit(
+                "protocol_applied", t,
                 protocol=event["protocol"],
                 kind=event["kind"],
                 failed=list(event["failed"]),
@@ -126,150 +151,27 @@ class ChaosMonitor(SessionObserver):
                 resume_step=event["resume_step"],
             )
         elif kind == "recovery_completed":
-            self.on_recovery_completed(event["resume_step"], t)
+            self.emit("recovery_completed", t, resume_step=event["resume_step"])
         elif kind == "step_completed":
-            self.on_step_completed(event["step"], t)
-
-    # ------------------------------------------------------------------
-    # Injector listener (direct wiring; the trace bus uses the _record_*
-    # handlers with the bus event's timestamp instead)
-    # ------------------------------------------------------------------
-    def on_kill(self, record: FiredKill) -> None:
-        """Injector callback: a planned event resolved (fired or skipped)."""
-        t = self._now()
-        if record.skipped:
-            self._record_skip(
-                t, rank=record.event.rank, after_ops=record.event.after_ops
-            )
-            return
-        self._record_kill(
-            t,
-            rank=record.event.rank,
-            victims=list(record.victims),
-            kill_kind=record.event.kind.value,
-            after_ops=record.event.after_ops,
-            real=record.real,
-        )
-
-    def _record_skip(self, t: float, *, rank: int, after_ops: int) -> None:
-        self.emit("failure_skipped", t, rank=rank, after_ops=after_ops)
-
-    def _record_kill(
-        self,
-        t: float,
-        *,
-        rank: int,
-        victims: list[int],
-        kill_kind: str,
-        after_ops: int,
-        real: bool,
-    ) -> None:
-        self.emit(
-            "failure_initiated", t,
-            rank=rank,
-            victims=list(victims),
-            kind=kill_kind,
-            after_ops=after_ops,
-            real=real,
-        )
-        if self._episode is None:
-            self._episode = {
-                "initiated_t": t,
-                "detected_t": None,
-                "crash_step": None,
-                "victims": list(victims),
-                "kills": 1,
-            }
-        else:
-            self._episode["kills"] += 1
-            for victim in victims:
-                if victim not in self._episode["victims"]:
-                    self._episode["victims"].append(victim)
-
-    # ------------------------------------------------------------------
-    # Session observer
-    # ------------------------------------------------------------------
-    def on_failure_detected(self, rank: int, step: int, t: float) -> None:
-        self.emit("failure_detected", t, rank=rank, step=step)
-        if self._episode is None:
-            # A failure the injector did not initiate (e.g. a virtual-time
-            # schedule): the detection opens the episode.
-            self._episode = {
-                "initiated_t": t, "detected_t": t,
-                "crash_step": step, "victims": [rank], "kills": 0,
-            }
-            return
-        if self._episode["detected_t"] is None:
-            self._episode["detected_t"] = t
-        crash = self._episode["crash_step"]
-        self._episode["crash_step"] = step if crash is None else max(crash, step)
-
-    def on_recovery_started(self, step: int, t: float) -> None:
-        self.emit("recovery_started", t, step=step)
-
-    def on_protocol_applied(self, outcome, resume_step: int, t: float) -> None:
-        self._record_protocol(
-            t,
-            protocol=outcome.protocol,
-            kind=outcome.kind,
-            failed=list(outcome.failed),
-            restored_bytes=outcome.restored_bytes,
-            fallback=outcome.fallback,
-            resume_step=resume_step,
-        )
-
-    def _record_protocol(
-        self,
-        t: float,
-        *,
-        protocol: str,
-        kind: str,
-        failed: list[int],
-        restored_bytes: int,
-        fallback: bool,
-        resume_step: int,
-    ) -> None:
-        self.emit(
-            "protocol_applied", t,
-            protocol=protocol,
-            kind=kind,
-            failed=list(failed),
-            restored_bytes=restored_bytes,
-            fallback=fallback,
-            resume_step=resume_step,
-        )
-
-    def on_recovery_completed(self, resume_step: int, t: float) -> None:
-        self.emit("recovery_completed", t, resume_step=resume_step)
-
-    def on_step_completed(self, step: int, t: float) -> None:
-        episode = self._episode
-        if (
-            episode is not None
-            and episode["crash_step"] is not None
-            and step >= episode["crash_step"]
-        ):
-            self._close_episode(step, t)
-        if (
-            self.steps_per_round > 0
-            and step > self._max_step_completed
-            and (step + 1) % self.steps_per_round == 0
-        ):
-            self.emit("round_completed", t, round=(step + 1) // self.steps_per_round - 1)
-        self._max_step_completed = max(self._max_step_completed, step)
-
-    # ------------------------------------------------------------------
-    def _close_episode(self, step: int, t: float) -> None:
-        episode = self._episode
-        assert episode is not None
-        self._episode = None
-        detected = episode["detected_t"]
-        self.emit(
-            "service_restored", t,
-            step=step,
-            mttr_s=(t - detected) if detected is not None else None,
-        )
-        self.episode_closed(episode, restored_t=t)
+            step = event["step"]
+            self._episode, closed = reduce_outage(self._episode, event)
+            if closed is not None:
+                detected = closed["detected_t"]
+                self.emit(
+                    "service_restored", t,
+                    step=step,
+                    mttr_s=(t - detected) if detected is not None else None,
+                )
+                self.episode_closed(closed, restored_t=t)
+            if (
+                self.steps_per_round > 0
+                and step > self._max_step_completed
+                and (step + 1) % self.steps_per_round == 0
+            ):
+                self.emit(
+                    "round_completed", t, round=(step + 1) // self.steps_per_round - 1
+                )
+            self._max_step_completed = max(self._max_step_completed, step)
 
     def episode_closed(self, episode: dict, *, restored_t: float) -> None:
         """Subclass hook: one outage episode fully resolved."""

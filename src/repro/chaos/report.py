@@ -18,8 +18,9 @@ the CI regression gate.
 
 from __future__ import annotations
 
-import json
+from functools import partial
 
+from repro import experiment
 from repro.chaos.soak import SoakResult
 
 __all__ = [
@@ -32,11 +33,10 @@ __all__ = [
 
 def report_json(results: list[SoakResult]) -> str:
     """Canonical serialization — byte-identical across re-runs and executors."""
-    document = {
+    return experiment.report_json({
         "meta": {"engine": "repro.chaos", "cells": len(results)},
         "cells": {result.spec.cell_key: result.as_dict() for result in results},
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def _fmt_s(value: float | None) -> str:
@@ -56,11 +56,7 @@ def _fmt_pct(value: float | None) -> str:
 
 def render_markdown(results: list[SoakResult]) -> str:
     """The soak grid as markdown: reliability table + predicted-vs-observed."""
-    lines = [
-        "| workload | scenario | backend | store | countermeasure | kills "
-        "| episodes | MTTF | MTBF | MTTR | availability |",
-        "|---|---|---|---|---|---|---|---|---|---|---|",
-    ]
+    reliability, predicted = [], []
     for result in results:
         spec, m = result.spec, result.metrics
         kills = f"{m.kills_fired}"
@@ -68,26 +64,29 @@ def render_markdown(results: list[SoakResult]) -> str:
             kills += f" (+{m.kills_skipped} skipped)"
         if result.aborted:
             kills += f" [{result.aborted}]"
-        lines.append(
-            f"| {spec.workload} | {spec.scenario} | {spec.backend} | {spec.store} "
-            f"| {spec.countermeasure} | {kills} | {m.episodes} "
-            f"| {_fmt_s(m.mttf_s)} | {_fmt_s(m.mtbf_s)} | {_fmt_s(m.mttr_s)} "
-            f"| {_fmt_pct(m.availability)} |"
+        reliability.append((
+            spec.workload, spec.scenario, spec.backend, spec.store,
+            spec.countermeasure, kills, m.episodes,
+            _fmt_s(m.mttf_s), _fmt_s(m.mtbf_s), _fmt_s(m.mttr_s),
+            _fmt_pct(m.availability),
+        ))
+        predicted.append((
+            spec.cell_key, _fmt_s(m.mttr_s), _fmt_s(result.predicted_mttr_s),
+            _fmt_pct(m.availability), _fmt_pct(result.predicted_availability),
+        ))
+    return (
+        experiment.markdown_table(
+            ("workload", "scenario", "backend", "store", "countermeasure", "kills",
+             "episodes", "MTTF", "MTBF", "MTTR", "availability"),
+            reliability,
         )
-    lines += [
-        "",
-        "| cell | MTTR observed | MTTR predicted | availability observed "
-        "| availability predicted |",
-        "|---|---|---|---|---|",
-    ]
-    for result in results:
-        m = result.metrics
-        lines.append(
-            f"| {result.spec.cell_key} | {_fmt_s(m.mttr_s)} "
-            f"| {_fmt_s(result.predicted_mttr_s)} | {_fmt_pct(m.availability)} "
-            f"| {_fmt_pct(result.predicted_availability)} |"
+        + "\n"
+        + experiment.markdown_table(
+            ("cell", "MTTR observed", "MTTR predicted", "availability observed",
+             "availability predicted"),
+            predicted,
         )
-    return "\n".join(lines) + "\n"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -152,55 +151,21 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
     return violations
 
 
-def check_against_baseline(
-    report: dict, baseline: dict, *, max_ratio: float = 2.0
-) -> list[str]:
-    """Regression gate against a checked-in baseline report; returns failures.
-
-    Everything in a soak is virtual-time deterministic, so the schedule-shaped
-    quantities (kills, episodes, recoveries, plan) must match **exactly**;
-    the reliability outcomes are gated by ratio — observed MTTR may not
-    exceed ``max_ratio`` × baseline, and observed *unavailability* may not
-    exceed ``max_ratio`` × the baseline's — so a protocol regression fails CI
-    while legitimate cost-model retuning only shifts within the band.
-    """
-    failures: list[str] = []
-    for key, base in baseline.get("cells", {}).items():
-        current = report["cells"].get(key)
-        if current is None:
-            failures.append(f"{key}: cell missing from current report")
-            continue
-        base_m, cur_m = base["metrics"], current["metrics"]
-        for exact in ("kills_fired", "kills_skipped", "episodes",
-                      "episodes_resolved", "recoveries"):
-            if cur_m.get(exact) != base_m.get(exact):
-                failures.append(
-                    f"{key}: {exact} changed from {base_m.get(exact)!r} to "
-                    f"{cur_m.get(exact)!r}"
-                )
-        if current.get("plan") != base.get("plan"):
-            failures.append(f"{key}: kill plan changed from the baseline's")
-        if current.get("aborted") != base.get("aborted"):
-            failures.append(
-                f"{key}: aborted changed from {base.get('aborted')!r} to "
-                f"{current.get('aborted')!r}"
-            )
-        cur_mttr, base_mttr = cur_m.get("mttr_s"), base_m.get("mttr_s")
-        if (
-            cur_mttr is not None and base_mttr is not None
-            and base_mttr > 0 and cur_mttr / base_mttr > max_ratio
-        ):
-            failures.append(
-                f"{key}: MTTR {cur_mttr:.3f}s is {cur_mttr / base_mttr:.2f}x "
-                f"the baseline's {base_mttr:.3f}s (allowed {max_ratio:.1f}x)"
-            )
-        cur_av, base_av = cur_m.get("availability"), base_m.get("availability")
-        if cur_av is not None and base_av is not None:
-            cur_un, base_un = 1.0 - cur_av, 1.0 - base_av
-            if base_un > 0 and cur_un / base_un > max_ratio:
-                failures.append(
-                    f"{key}: unavailability {cur_un:.6f} is "
-                    f"{cur_un / base_un:.2f}x the baseline's {base_un:.6f} "
-                    f"(allowed {max_ratio:.1f}x)"
-                )
-    return failures
+#: ``check_against_baseline(report, baseline, max_ratio=2.0)`` → failures:
+#: the schedule-shaped quantities (kills, episodes, recoveries, plan) must
+#: match **exactly**; observed MTTR and observed *unavailability* may not
+#: exceed ``max_ratio`` × the baseline's — a protocol regression fails CI,
+#: legitimate cost-model retuning only shifts within the band.
+check_against_baseline = partial(
+    experiment.baseline_gate,
+    exact=(
+        "metrics.kills_fired", "metrics.kills_skipped", "metrics.episodes",
+        "metrics.episodes_resolved", "metrics.recoveries",
+        ("plan", "kill plan changed from the baseline's"),
+        "aborted",
+    ),
+    ratio=(
+        ("metrics.mttr_s", "MTTR", "{:.3f}s"),
+        ("metrics.availability", "unavailability", "{:.6f}", lambda a: 1.0 - a),
+    ),
+)

@@ -78,7 +78,7 @@ class Scenario(abc.ABC):
         """Generate the kill plan for a soak of ``rounds`` workload rounds.
 
         ``ops_per_round`` is the calibrated completion-stream length of one
-        failure-free round (see :func:`repro.chaos.soak.calibrate_round`);
+        failure-free round (see :func:`repro.experiment.probe`);
         ``steps_per_round`` the workload's step count, so scenarios can space
         events in units of whole steps.
         """

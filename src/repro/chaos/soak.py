@@ -18,19 +18,15 @@ The *countermeasure* seam maps chaos-engineering vocabulary onto the existing
 :class:`~repro.ft.protocols.RecoveryProtocol` strategies: ``"rollback"`` →
 global rollback, ``"replay"`` → localized log replay, ``"excise"`` → degraded
 continuation.  :func:`run_comparison` pits countermeasures (and backends and
-stores) against **identical** failure schedules — the plan's seed entropy
-deliberately excludes those axes — which is what makes the availability /
-MTTR trade-off between the protocols quantitatively comparable cell by cell.
+stores) against **identical** failure schedules — :func:`build_plan` passes
+the shared seed rule none of those axes — which is what makes the availability
+/ MTTR trade-off between the protocols quantitatively comparable cell by cell.
 """
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from repro.api.policy import FaultTolerancePolicy, Topology
 from repro.api.session import launch
@@ -42,11 +38,12 @@ from repro.errors import (
     ChaosError,
     RecoveryError,
 )
-from repro.ft.inject import FaultInjector, KillPlan, install_injector
-from repro.registry import available, plural, register_kind, resolve_component
+from repro.experiment import check_names, plan_entropy, probe, run_grid
+from repro.ft.inject import KillPlan, install_injector
+from repro.registry import register_kind, resolve_component
 from repro.simulator.costs import CostModel, cray_xe6_like
 from repro.study.model import IntervalModel
-from repro.study.workloads import Workload, make_workload
+from repro.study.workloads import make_workload
 from repro.trace.tracer import Tracer, current_trace_hub, trace_label
 
 __all__ = [
@@ -59,7 +56,6 @@ __all__ = [
     "SoakSpec",
     "SoakResult",
     "scaled_cost_model",
-    "calibrate_round",
     "run_soak",
     "run_comparison",
 ]
@@ -204,22 +200,14 @@ class SoakSpec:
     workload_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for kind, name in (
-            ("workload", self.workload),
-            ("backend", self.backend),
-            ("store", self.store),
-            ("countermeasure", self.countermeasure),
-            ("delivery", self.delivery),
-            ("scenario", self.scenario),
-            ("monitor", self.monitor),
-        ):
-            known = available(kind)
-            if name not in known:
-                listing = ", ".join(repr(k) for k in known)
-                raise ChaosError(
-                    f"unknown {kind} {name!r} in soak spec; "
-                    f"registered {plural(kind)} are: {listing}"
-                )
+        check_names(
+            (
+                (kind, (getattr(self, kind),))
+                for kind in ("workload", "backend", "store", "countermeasure",
+                             "delivery", "scenario", "monitor")
+            ),
+            ChaosError, "soak spec",
+        )
         if self.rounds < 1:
             raise ChaosError("a soak needs at least one round")
         if not isinstance(self.interval, int) or self.interval < 1:
@@ -306,52 +294,18 @@ class SoakResult:
 
 
 # ----------------------------------------------------------------------
-# Calibration and plan generation
+# Plan generation
 # ----------------------------------------------------------------------
-def calibrate_round(
-    workload: Workload, *, procs_per_node: int, cost_model: CostModel
-) -> tuple[int, float]:
-    """One failure-free probe round: ``(ops_per_round, round_seconds)``.
-
-    The probe always runs on the ``sim`` backend: the completion stream is
-    contractually identical across backends and checkpoint/store traffic does
-    not pass through ``after_comm``, so the calibrated operation count holds
-    for every backend, store and countermeasure of a comparison — one probe
-    per workload serves the whole grid.
-    """
-    with launch(
-        workload.nprocs,
-        topology=Topology(procs_per_node=procs_per_node, cost_model=cost_model),
-        sync_each_step=workload.sync_each_step,
-        backend="sim",
-    ) as job:
-        workload.setup(job)
-        counter = FaultInjector(KillPlan([]))
-        job.runtime.add_interceptor(counter)
-        report = job.run(workload.kernel(), steps=workload.steps)
-    return counter.ops_seen, report.elapsed
-
-
-def _plan_seed(spec: SoakSpec) -> np.random.SeedSequence:
-    """Schedule entropy: seed + workload + scenario — nothing else.
-
-    Backend, store and countermeasure are deliberately excluded so that
-    comparison cells (and sim-vs-proc differential runs) draw the *same*
-    plan; the string axes enter as stable CRCs, not Python hashes, so the
-    entropy is identical across processes and machines.
-    """
-    return np.random.SeedSequence((
-        spec.seed,
-        zlib.crc32(spec.workload.encode()),
-        zlib.crc32(spec.scenario.encode()),
-    ))
-
-
 def build_plan(spec: SoakSpec, *, ops_per_round: int, steps_per_round: int) -> KillPlan:
-    """The spec's kill plan (pure function of spec + calibrated shape)."""
+    """The spec's kill plan (pure function of spec + calibrated shape).
+
+    Schedule entropy is seed + workload + scenario — nothing else: backend,
+    store, countermeasure and delivery are not passed, so comparison cells
+    (and sim-vs-proc differential runs) draw the *same* plan.
+    """
     scenario = make_scenario(spec.scenario, rate_per_round=spec.rate_per_round)
     return scenario.plan(
-        _plan_seed(spec),
+        plan_entropy(spec.seed, spec.workload, spec.scenario),
         nprocs=spec.nprocs,
         ops_per_round=ops_per_round,
         steps_per_round=steps_per_round,
@@ -379,9 +333,10 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
     )
     cost = scaled_cost_model(compression=spec.compression)
     with trace_label(f"{spec.cell_key}/probe"):
-        ops_per_round, round_seconds = calibrate_round(
+        ops_per_round, probe_run = probe(
             workload, procs_per_node=spec.procs_per_node, cost_model=cost
         )
+    round_seconds = probe_run.report.elapsed
     plan = build_plan(
         spec, ops_per_round=ops_per_round, steps_per_round=workload.steps
     )
@@ -392,11 +347,9 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
 
     aborted: str | None = None
     digest: str | None = None
-    # The monitor consumes the trace event bus rather than registering its
-    # own observer/listener stack: one tracer instruments the job (joining
-    # the run-wide hub when an engine CLI's ``--trace`` activated one) and
-    # the monitor subscribes.  Timestamps are the same ``cluster.elapsed()``
-    # the direct hooks carried, so the chaos event stream is unchanged.
+    # The monitor reduces the trace event bus: one tracer instruments the job
+    # (joining the run-wide hub when an engine CLI's ``--trace`` activated
+    # one) and the monitor subscribes.
     with trace_label(spec.cell_key):
         hub = current_trace_hub()
         tracer = hub.tracer() if hub is not None else Tracer(detail="lifecycle")
@@ -413,7 +366,6 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
     ) as job:
         workload.setup(job)
         bytes_per_rank = sum(w.nbytes_per_rank for w in job.runtime.windows.all())
-        monitor.bind(job)
         tracer.subscribe(monitor.consume)
         monitor.emit(
             "soak_started", 0.0,
@@ -512,9 +464,6 @@ def run_comparison(
         for s in stores
         for c in countermeasures
     ]
-    if executor == "serial":
-        return [run_soak(spec) for spec in specs]
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_soak, specs))
-    raise ChaosError(f"unknown executor {executor!r}; choose 'serial' or 'thread'")
+    return run_grid(
+        run_soak, specs, executor=executor, max_workers=max_workers, error=ChaosError
+    )

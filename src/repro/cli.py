@@ -6,8 +6,9 @@ one contract: ``--list`` prints the component registry and exits, ``--quick``
 swaps in the engine's seconds-long CI configuration, ``--seed`` seeds every
 stochastic choice, and the report epilogue (markdown to stdout, optional JSON
 artifact, invariant gate, baseline gate) behaves identically everywhere.
-This module is that contract in one place; the per-engine ``__main__``
-modules only contribute their sweep axes and their gate functions.
+This module is that contract in one place (:func:`engine_main`); the
+per-engine ``__main__`` modules only contribute their sweep axes, their spec
+and their gate functions.
 """
 
 from __future__ import annotations
@@ -15,19 +16,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
+from contextlib import nullcontext
 
 from repro.registry import render_available
+from repro.trace.tracer import tracing
 
 __all__ = [
     "csv",
     "add_common_arguments",
     "add_report_arguments",
-    "handle_list",
-    "trace_run",
-    "write_outputs",
-    "run_gates",
+    "engine_main",
 ]
 
 
@@ -63,26 +62,6 @@ def add_common_arguments(parser: argparse.ArgumentParser, *, default_seed: int) 
     )
 
 
-@contextmanager
-def trace_run(args: argparse.Namespace) -> Iterator[None]:
-    """Activate a run-wide trace hub when ``--trace PATH`` was given.
-
-    Engines wrap their run call in this context; every session they launch
-    inside joins the hub (labelled by comparison cell), and the merged
-    trace is written — atomically, even when the run raises — on exit.
-    Without ``--trace`` this is a no-op.
-    """
-    path = getattr(args, "trace", None)
-    if not path:
-        yield
-        return
-    from repro.trace.tracer import tracing
-
-    with tracing(path=path):
-        yield
-    print(f"trace written to {path}")
-
-
 def add_report_arguments(
     parser: argparse.ArgumentParser, *, regression_metric: str
 ) -> None:
@@ -109,16 +88,39 @@ def add_report_arguments(
     )
 
 
-def handle_list(args: argparse.Namespace) -> bool:
-    """Serve ``--list`` (returns True when the caller should exit 0)."""
-    if getattr(args, "list", False):
+def engine_main(
+    args: argparse.Namespace,
+    *,
+    run: Callable[[argparse.Namespace], object],
+    render: Callable[[object], str],
+    to_json: Callable[[object], str],
+    invariants: Callable[[object], list[str]],
+    invariants_message: str,
+    gate: Callable[..., list[str]],
+    artifacts: Callable[[argparse.Namespace, object], None] | None = None,
+) -> int:
+    """Everything after argument parsing; returns the process exit status.
+
+    ``--list`` prints the registry and exits 0.  Otherwise ``run(args)``
+    builds the spec and runs the engine — under a run-wide trace hub when
+    ``--trace PATH`` was given: every session launched inside joins it
+    (labelled by comparison cell) and the merged trace is written,
+    atomically, even when the run raises.  The markdown goes to stdout and —
+    with the JSON report — to the files asked for, ``artifacts(args,
+    result)`` writes the engine's extra logs, and the two gates run:
+    ``invariants(result)`` unless ``--skip-invariants``, and
+    ``gate(report_document, baseline_document, max_ratio=...)`` when
+    ``--check-baseline`` names a file.  Violations go to stderr, prefixed
+    ``INVARIANT:`` / ``REGRESSION:`` — the strings CI greps for.
+    """
+    if args.list:
         print(render_available())
-        return True
-    return False
-
-
-def write_outputs(args: argparse.Namespace, markdown: str, json_text: str) -> None:
-    """The shared artifact epilogue: markdown to stdout, files on request."""
+        return 0
+    with tracing(path=args.trace) if args.trace else nullcontext():
+        result = run(args)
+    if args.trace:
+        print(f"trace written to {args.trace}")
+    markdown, json_text = render(result), to_json(result)
     print(markdown, end="")
     if args.output:
         with open(args.output, "w") as fh:
@@ -128,25 +130,11 @@ def write_outputs(args: argparse.Namespace, markdown: str, json_text: str) -> No
         with open(args.markdown, "w") as fh:
             fh.write(markdown)
         print(f"summary written to {args.markdown}")
-
-
-def run_gates(
-    args: argparse.Namespace,
-    *,
-    check_invariants: Callable[[], list[str]],
-    invariants_message: str,
-    check_baseline: Callable[[dict, float], list[str]],
-) -> int:
-    """The shared gate epilogue; returns the process exit status.
-
-    ``check_invariants`` is called unless ``--skip-invariants``;
-    ``check_baseline(baseline_doc, max_ratio)`` is called when
-    ``--check-baseline`` names a file.  Violations go to stderr, prefixed
-    ``INVARIANT:`` / ``REGRESSION:`` — the strings CI greps for.
-    """
+    if artifacts is not None:
+        artifacts(args, result)
     status = 0
     if not args.skip_invariants:
-        violations = check_invariants()
+        violations = invariants(result)
         for violation in violations:
             print(f"INVARIANT: {violation}", file=sys.stderr)
         if violations:
@@ -156,7 +144,7 @@ def run_gates(
     if args.check_baseline:
         with open(args.check_baseline) as fh:
             baseline = json.load(fh)
-        failures = check_baseline(baseline, args.max_regression)
+        failures = gate(json.loads(json_text), baseline, max_ratio=args.max_regression)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:

@@ -6,7 +6,7 @@ The subsystem has two halves:
   kind ``"delivery"``): ``"reliable"`` keeps today's fail-stop semantics,
   ``"best_effort"`` suspends failed ranks instead — operations toward them
   deterministically drop or serve stale checkpoint data, counted per rank in
-  :class:`QosMetrics`, while survivors keep running at full speed.
+  the job's ``qos.*`` metrics, while survivors keep running at full speed.
 * :mod:`repro.qos.engine` / :mod:`repro.qos.report` — the comparison harness
   behind ``python -m repro.qos``: it sweeps delivery × store-hierarchy cells
   against identical kill plans and quantifies each cell as (result quality,
@@ -21,7 +21,6 @@ from repro.qos.delivery import (
     DELIVERY_MODES,
     BestEffort,
     DeliveryMode,
-    QosMetrics,
     Reliable,
     make_delivery,
 )
@@ -50,7 +49,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "QosMetrics",
     "DeliveryMode",
     "Reliable",
     "BestEffort",

@@ -27,15 +27,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cli import (
-    add_common_arguments,
-    add_report_arguments,
-    csv,
-    handle_list,
-    run_gates,
-    trace_run,
-    write_outputs,
-)
+from repro.cli import add_common_arguments, add_report_arguments, csv, engine_main
 from repro.qos.engine import (
     QosSpec,
     check_invariants,
@@ -100,10 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if handle_list(args):
-        return 0
+def _run(args: argparse.Namespace) -> dict:
     if args.quick:
         spec = quick_spec()
     else:
@@ -120,19 +109,21 @@ def main(argv: list[str] | None = None) -> int:
             interval=args.interval,
             stale_fraction=args.stale_fraction,
         )
-    with trace_run(args):
-        report = run_qos(spec, executor=args.executor, max_workers=args.jobs)
-    write_outputs(args, render_markdown(report), report_json(report))
-    return run_gates(
-        args,
-        check_invariants=lambda: check_invariants(report),
+    return run_qos(spec, executor=args.executor, max_workers=args.jobs)
+
+
+def main(argv: list[str] | None = None) -> int:
+    return engine_main(
+        build_parser().parse_args(argv),
+        run=_run,
+        render=render_markdown,
+        to_json=report_json,
+        invariants=check_invariants,
         invariants_message=(
             "invariants hold (reliable quality == 1.0; best-effort strictly "
             "faster; incremental < full; backends agree)"
         ),
-        check_baseline=lambda baseline, ratio: check_against_baseline(
-            report, baseline, max_ratio=ratio
-        ),
+        gate=check_against_baseline,
     )
 
 

@@ -25,15 +25,16 @@ Determinism contract: whether a given operation drops or serves stale data is
 a pure function of ``(seed, GNC epoch, per-rank tolerated-op index)`` — all
 three identical across the sim/vector/proc backends because the suspended set
 changes only at injector-controlled completion-stream positions.  Every
-tolerated operation is counted in per-rank :class:`QosMetrics`, which is what
-the quality/robustness/speed comparison (:mod:`repro.qos.engine`) reports.
+tolerated operation is counted once (:meth:`DeliveryMode.count`) in the
+job's per-rank ``qos.*`` metrics, which is what the quality/robustness/speed
+comparison (:mod:`repro.qos.engine`) reports.
 """
 
 from __future__ import annotations
 
 import abc
 import zlib
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.rma.window import Window
 
 __all__ = [
-    "QosMetrics",
     "DeliveryMode",
     "Reliable",
     "BestEffort",
@@ -56,7 +56,11 @@ __all__ = [
     "make_delivery",
 ]
 
-#: The per-rank event counters a delivery mode maintains, in report order.
+#: The events a delivery mode counts (as ``qos.<event>`` metrics), in report
+#: order.  ``dropped_puts``/``dropped_gets``/``stale_reads``/``dropped_syncs``
+#: are attributed to the *origin* (the survivor whose operation was
+#: tolerated), ``discarded_inflight``/``suspended_steps``/``repairs`` to the
+#: failed rank itself.
 _COUNTER_FIELDS = (
     "dropped_puts",
     "dropped_gets",
@@ -66,94 +70,6 @@ _COUNTER_FIELDS = (
     "suspended_steps",
     "repairs",
 )
-
-
-@dataclass
-class QosMetrics:
-    """Per-rank counts of every delivery-mode intervention.
-
-    Keys are ranks; absent ranks count zero.  ``dropped_puts``/``dropped_gets``
-    and ``stale_reads`` are attributed to the *origin* (the survivor whose
-    operation was tolerated), ``discarded_inflight``/``suspended_steps``/
-    ``repairs`` to the failed rank itself.
-
-    ``listener`` — when set (the trace bus does this via ``install_trace``)
-    — receives ``(event, rank, n)`` for every count, making this the single
-    delivery-decision hook; a class-level default rather than a dataclass
-    field so serialized metrics round-trip unchanged.
-    """
-
-    listener = None
-
-    dropped_puts: dict[int, int] = field(default_factory=dict)
-    dropped_gets: dict[int, int] = field(default_factory=dict)
-    stale_reads: dict[int, int] = field(default_factory=dict)
-    dropped_syncs: dict[int, int] = field(default_factory=dict)
-    discarded_inflight: dict[int, int] = field(default_factory=dict)
-    suspended_steps: dict[int, int] = field(default_factory=dict)
-    repairs: dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def counter_fields(cls) -> tuple[str, ...]:
-        """The counted event names, in report order."""
-        return _COUNTER_FIELDS
-
-    def count(self, event: str, rank: int, n: int = 1) -> None:
-        """Add ``n`` occurrences of ``event`` at ``rank``."""
-        if event not in _COUNTER_FIELDS:
-            raise QosError(
-                f"unknown qos event {event!r}; counted events are: "
-                f"{', '.join(_COUNTER_FIELDS)}"
-            )
-        counter = getattr(self, event)
-        counter[rank] = counter.get(rank, 0) + n
-        if self.listener is not None:
-            self.listener(event, rank, n)
-
-    def total(self, event: str) -> int:
-        """Sum of ``event`` over all ranks."""
-        if event not in _COUNTER_FIELDS:
-            raise QosError(
-                f"unknown qos event {event!r}; counted events are: "
-                f"{', '.join(_COUNTER_FIELDS)}"
-            )
-        return sum(getattr(self, event).values())
-
-    @property
-    def tolerated_ops(self) -> int:
-        """Operations that would have raised under reliable delivery."""
-        return (
-            self.total("dropped_puts")
-            + self.total("dropped_gets")
-            + self.total("stale_reads")
-            + self.total("dropped_syncs")
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (rank keys become strings, sorted)."""
-        return {
-            event: {
-                str(rank): count
-                for rank, count in sorted(getattr(self, event).items())
-            }
-            for event in _COUNTER_FIELDS
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "QosMetrics":
-        """Inverse of :meth:`to_dict` (round-trips exactly)."""
-        unknown = set(payload) - set(_COUNTER_FIELDS)
-        if unknown:
-            raise QosError(
-                f"unknown qos metric fields {sorted(unknown)}; expected a "
-                f"subset of {list(_COUNTER_FIELDS)}"
-            )
-        return cls(
-            **{
-                event: {int(rank): int(count) for rank, count in counters.items()}
-                for event, counters in payload.items()
-            }
-        )
 
 
 class DeliveryMode(abc.ABC):
@@ -178,7 +94,9 @@ class DeliveryMode(abc.ABC):
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self.metrics = QosMetrics()
+        #: When set (the trace bus does this in ``install_trace``), receives
+        #: ``(event, rank, n)`` for every counted delivery decision.
+        self.listener: Callable[[str, int, int], None] | None = None
         self._runtime: "RmaRuntime | None" = None
         self._store: "CheckpointStore | None" = None
 
@@ -190,11 +108,23 @@ class DeliveryMode(abc.ABC):
         if self._runtime is not None and self._runtime is not runtime:
             raise QosError(
                 f"delivery mode {self.name!r} is already bound to a job; modes "
-                f"hold per-job metrics and cannot be reused — construct a "
+                f"hold per-job state and cannot be reused — construct a "
                 f"fresh instance per job"
             )
         self._runtime = runtime
         self._store = store
+
+    def count(self, event: str, rank: int, n: int = 1) -> None:
+        """Record ``n`` occurrences of delivery decision ``event`` at ``rank``:
+        one bump of the job's ``qos.<event>`` metric, one listener call."""
+        if event not in _COUNTER_FIELDS:
+            raise QosError(
+                f"unknown qos event {event!r}; counted events are: "
+                f"{', '.join(_COUNTER_FIELDS)}"
+            )
+        self._runtime.cluster.metrics.incr(f"qos.{event}", n, rank=rank)
+        if self.listener is not None:
+            self.listener(event, rank, n)
 
     # ------------------------------------------------------------------
     # Policy queries
@@ -222,7 +152,7 @@ class DeliveryMode(abc.ABC):
 
         Only called when :meth:`suspended` contains ``action.trg``.  Must
         fill ``action.data`` for get-like kinds (zeros on drop, checkpoint
-        data on stale service) and count the event in :attr:`metrics`; must
+        data on stale service) and :meth:`count` the event; must
         not touch the suspended rank's (invalidated) window buffer.
         """
 
@@ -306,10 +236,8 @@ class BestEffort(DeliveryMode):
         src = action.src
         index = self._op_index.get(src, 0)
         self._op_index[src] = index + 1
-        metrics = runtime.cluster.metrics
         if not action.kind.is_get_like:
-            self.metrics.count("dropped_puts", src)
-            metrics.incr("qos.dropped_puts", rank=src)
+            self.count("dropped_puts", src)
             return
         gnc = action.counters.gnc if action.counters is not None else 0
         stale = (
@@ -319,12 +247,10 @@ class BestEffort(DeliveryMode):
         payload = self._stale_payload(action, win) if stale else None
         if payload is None:
             action.data = np.zeros(action.count, dtype=win.dtype)
-            self.metrics.count("dropped_gets", src)
-            metrics.incr("qos.dropped_gets", rank=src)
+            self.count("dropped_gets", src)
             return
         action.data = payload
-        self.metrics.count("stale_reads", src)
-        metrics.incr("qos.stale_reads", rank=src)
+        self.count("stale_reads", src)
         # The stale copy is served from a surviving checkpoint replica: a
         # local memory read, not a remote transfer to dead hardware.
         runtime.cluster.advance(

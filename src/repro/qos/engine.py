@@ -20,25 +20,24 @@ quality, ``multilevel`` keeps upper-level copies for rare catastrophic
 failures while moving only dirty bytes.
 
 The report is canonical JSON — byte-identical across re-runs, executors and
-backends — gated by :func:`check_invariants`.
+backends — gated by :func:`check_invariants`.  Plan entropy is ``(seed,
+trial)`` only: no sweep axis is passed to the shared seed rule.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from repro.api.policy import FaultTolerancePolicy
 from repro.errors import QosError
+from repro.experiment import check_names, plan_entropy, probe, report_json, run_grid
 from repro.ft.inject import KillPlan
-from repro.qos.delivery import BestEffort, QosMetrics
-from repro.registry import available, plural
-from repro.rma.actions import OpKind
+from repro.qos.delivery import _COUNTER_FIELDS, BestEffort
 from repro.simulator.costs import cray_xe6_like
 from repro.study.workloads import Workload, make_workload
 from repro.trace.tracer import trace_label
@@ -51,10 +50,9 @@ __all__ = [
     "check_invariants",
 ]
 
-#: ``qos.*`` counters carried into every trial record (the per-rank
-#: :class:`~repro.qos.delivery.QosMetrics` events, plus the sync drops the
-#: runtime counts directly).
-_QOS_COUNTERS = tuple(f"qos.{name}" for name in QosMetrics.counter_fields())
+#: ``qos.*`` counters carried into every trial record (every event
+#: :meth:`~repro.qos.delivery.DeliveryMode.count` accepts).
+_QOS_COUNTERS = tuple(f"qos.{name}" for name in _COUNTER_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -105,20 +103,15 @@ class QosSpec:
         for axis in ("deliveries", "stores", "backends"):
             if not getattr(self, axis):
                 raise QosError(f"qos sweep axis {axis!r} is empty")
-        for kind, names in (
-            ("workload", (self.workload,)),
-            ("delivery", self.deliveries),
-            ("store", self.stores),
-            ("backend", self.backends),
-        ):
-            known = available(kind)
-            for name in names:
-                if name not in known:
-                    listing = ", ".join(repr(k) for k in known)
-                    raise QosError(
-                        f"unknown {kind} {name!r} in qos spec; registered "
-                        f"{plural(kind)} are: {listing}"
-                    )
+        check_names(
+            (
+                ("workload", (self.workload,)),
+                ("delivery", self.deliveries),
+                ("store", self.stores),
+                ("backend", self.backends),
+            ),
+            QosError, "qos spec",
+        )
         if self.kills < 1:
             raise QosError("a qos comparison needs at least one injected kill")
         if self.trials < 1:
@@ -176,32 +169,10 @@ def _build_workload(spec: QosSpec) -> Workload:
     )
 
 
-def _cost_model():
-    # The same machine the study campaign prices — one cost model everywhere.
-    return cray_xe6_like()
-
-
-#: Metric names that count completed *communication* operations — exactly the
-#: stream :class:`~repro.ft.inject.FaultInjector` indexes into.  Sync actions
-#: (locks, flushes, gsyncs) and byte bookkeeping also live under ``rma.`` but
-#: never pass through ``after_comm``, so they must not inflate the count.
-_OP_METRICS = frozenset(f"rma.{kind.value}" for kind in OpKind)
-
-
-def _completed_ops(report) -> int:
-    return int(
-        sum(
-            value
-            for name, value in report.metrics.totals.items()
-            if name in _OP_METRICS
-        )
-    )
-
-
 def _plan_seed(spec: QosSpec, trial: int) -> int:
     """Per-trial kill-plan seed — a function of (master seed, trial) only, so
     every cell of the sweep faces the identical plan."""
-    return int(np.random.SeedSequence((spec.seed, trial)).generate_state(1)[0])
+    return int(plan_entropy(spec.seed, trial).generate_state(1)[0])
 
 
 def _trial_plan(spec: QosSpec, trial: int, stream_ops: int) -> KillPlan:
@@ -227,16 +198,17 @@ def _run_reference(args: tuple[QosSpec, str]) -> dict:
     spec, backend = args
     workload = _build_workload(spec)
     with trace_label(f"reference/{backend}"):
-        run = workload.run(
+        stream_ops, run = probe(
+            workload,
             backend=backend,
             procs_per_node=spec.procs_per_node,
-            cost_model=_cost_model(),
+            cost_model=cray_xe6_like(),
         )
     return {
         "digest": run.digest,
         "elapsed_s": run.report.elapsed,
         "result": run.result,
-        "stream_ops": _completed_ops(run.report),
+        "stream_ops": stream_ops,
     }
 
 
@@ -264,7 +236,7 @@ def _run_cell_trial(args: tuple[QosSpec, _Cell, int, int, np.ndarray]) -> dict:
             ft=policy,
             backend=cell.backend,
             procs_per_node=spec.procs_per_node,
-            cost_model=_cost_model(),
+            cost_model=cray_xe6_like(),  # the machine the study campaign prices
             kill_plan=plan,
         )
     totals = run.report.metrics.totals
@@ -311,18 +283,6 @@ def _summarize_cell(cell: _Cell, trials: list[dict]) -> dict:
     return summary
 
 
-def _make_executor(executor: str, max_workers: int | None) -> Executor | None:
-    if executor == "serial":
-        return None
-    if executor == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers)
-    if executor == "process":
-        return ProcessPoolExecutor(max_workers=max_workers)
-    raise QosError(
-        f"unknown executor {executor!r}; choose 'serial', 'thread' or 'process'"
-    )
-
-
 def run_qos(
     spec: QosSpec,
     *,
@@ -335,30 +295,22 @@ def run_qos(
     ``"thread"`` and ``"process"`` executors produce byte-identical reports.
     """
     cells = _cells(spec)
-    pool = _make_executor(executor, max_workers)
-
-    def dispatch(fn, args_list):
-        if pool is None:
-            return [fn(args) for args in args_list]
-        return list(pool.map(fn, args_list))
-
-    try:
-        references = dict(zip(
-            spec.backends,
-            dispatch(_run_reference, [(spec, b) for b in spec.backends]),
-        ))
-        # The completion stream is contractually identical across backends;
-        # using one backend's count for every plan keeps the plans shared.
-        stream_ops = references[spec.backends[0]]["stream_ops"]
-        tasks = [
-            (spec, cell, trial, stream_ops, references[cell.backend]["result"])
-            for cell in cells
-            for trial in range(spec.trials)
-        ]
-        records = dispatch(_run_cell_trial, tasks)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    dispatch = partial(
+        run_grid, executor=executor, max_workers=max_workers, error=QosError
+    )
+    references = dict(zip(
+        spec.backends,
+        dispatch(_run_reference, [(spec, b) for b in spec.backends]),
+    ))
+    # The completion stream is contractually identical across backends;
+    # using one backend's count for every plan keeps the plans shared.
+    stream_ops = references[spec.backends[0]]["stream_ops"]
+    tasks = [
+        (spec, cell, trial, stream_ops, references[cell.backend]["result"])
+        for cell in cells
+        for trial in range(spec.trials)
+    ]
+    records = dispatch(_run_cell_trial, tasks)
 
     report: dict = {
         "meta": {
@@ -390,11 +342,6 @@ def run_qos(
         trials = records[idx * spec.trials : (idx + 1) * spec.trials]
         report["cells"][cell.key] = _summarize_cell(cell, trials)
     return report
-
-
-def report_json(report: dict) -> str:
-    """Canonical serialization — byte-identical across re-runs and executors."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------

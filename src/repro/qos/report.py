@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.experiment import baseline_gate, markdown_table
+
 __all__ = ["render_markdown", "check_against_baseline"]
 
 
@@ -12,12 +16,7 @@ def render_markdown(report: dict) -> str:
         if cell["delivery"] == "reliable":
             reliable_elapsed[(cell["backend"], cell["store"])] = cell["mean_elapsed_s"]
 
-    lines = [
-        "| backend | store | delivery | quality (mean/min) | makespan (virt ms) "
-        "| speedup vs reliable | tolerated ops | repairs | recoveries "
-        "| upper-level bytes (moved/full) |",
-        "|---|---|---|---|---|---|---|---|---|---|",
-    ]
+    rows = []
     for key in sorted(report["cells"]):
         cell = report["cells"][key]
         baseline = reliable_elapsed.get((cell["backend"], cell["store"]))
@@ -32,65 +31,36 @@ def render_markdown(report: dict) -> str:
             )
         else:
             moved = "—"
-        lines.append(
-            "| {backend} | {store} | {delivery} | {qmean:.4f} / {qmin:.4f} "
-            "| {ms:.3f} | {speedup} | {tolerated} | {repairs} | {recoveries} "
-            "| {moved} |".format(
-                backend=cell["backend"],
-                store=cell["store"],
-                delivery=cell["delivery"],
-                qmean=cell["mean_quality"],
-                qmin=cell["min_quality"],
-                ms=cell["mean_elapsed_s"] * 1e3,
-                speedup=speedup,
-                tolerated=cell["tolerated_ops"],
-                repairs=cell["repairs"],
-                recoveries=cell["recoveries"],
-                moved=moved,
-            )
-        )
-    return "\n".join(lines) + "\n"
+        rows.append((
+            cell["backend"],
+            cell["store"],
+            cell["delivery"],
+            f"{cell['mean_quality']:.4f} / {cell['min_quality']:.4f}",
+            f"{cell['mean_elapsed_s'] * 1e3:.3f}",
+            speedup,
+            cell["tolerated_ops"],
+            cell["repairs"],
+            cell["recoveries"],
+            moved,
+        ))
+    return markdown_table(
+        ("backend", "store", "delivery", "quality (mean/min)", "makespan (virt ms)",
+         "speedup vs reliable", "tolerated ops", "repairs", "recoveries",
+         "upper-level bytes (moved/full)"),
+        rows,
+    )
 
 
-def check_against_baseline(
-    report: dict, baseline: dict, *, max_ratio: float = 2.0
-) -> list[str]:
-    """Regression gate against a checked-in baseline report; returns failures.
-
-    Deterministic outcomes — digests, qualities, tolerated-operation and
-    byte counts — must match exactly; the virtual makespan may drift but not
-    past ``max_ratio`` (the same tolerance pattern as the other engines).
-    """
-    failures: list[str] = []
-    for key, base in baseline.get("cells", {}).items():
-        current = report["cells"].get(key)
-        if current is None:
-            failures.append(f"{key}: cell missing from current report")
-            continue
-        for exact in (
-            "mean_quality", "min_quality", "recoveries", "repairs",
-            "tolerated_ops", "checkpoint_bytes",
-            "multilevel_moved_bytes", "multilevel_full_bytes",
-        ):
-            if current.get(exact) != base.get(exact):
-                failures.append(
-                    f"{key}: {exact} changed from {base.get(exact)!r} to "
-                    f"{current.get(exact)!r}"
-                )
-        cur_t, base_t = current.get("mean_elapsed_s"), base.get("mean_elapsed_s")
-        if (
-            cur_t is not None
-            and base_t is not None
-            and base_t > 0
-            and cur_t / base_t > max_ratio
-        ):
-            failures.append(
-                f"{key}: virtual makespan {cur_t:.6g}s is "
-                f"{cur_t / base_t:.2f}x the baseline's {base_t:.6g}s "
-                f"(allowed {max_ratio:.1f}x)"
-            )
-        cur_trials = [t.get("digest") for t in current.get("trials", [])]
-        base_trials = [t.get("digest") for t in base.get("trials", [])]
-        if cur_trials != base_trials:
-            failures.append(f"{key}: per-trial result digests changed")
-    return failures
+#: ``check_against_baseline(report, baseline, max_ratio=2.0)`` → failures:
+#: deterministic outcomes — digests, qualities, tolerated-operation and byte
+#: counts — must match exactly; the virtual makespan may not pass ``max_ratio``.
+check_against_baseline = partial(
+    baseline_gate,
+    exact=(
+        "mean_quality", "min_quality", "recoveries", "repairs",
+        "tolerated_ops", "checkpoint_bytes",
+        "multilevel_moved_bytes", "multilevel_full_bytes",
+        ("trials.digest", "per-trial result digests changed"),
+    ),
+    ratio=(("mean_elapsed_s", "virtual makespan", "{:.6g}s"),),
+)

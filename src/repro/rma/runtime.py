@@ -389,8 +389,8 @@ class RmaRuntime:
 
         Toward a rank suspended by a tolerant delivery mode the sync *drops*:
         there is no lock manager to talk to on dead hardware, no ``SC`` is
-        consumed, and the caller proceeds against stale/zero data (counted in
-        the mode's :class:`~repro.qos.delivery.QosMetrics`).
+        consumed, and the caller proceeds against stale/zero data (counted as
+        ``qos.dropped_syncs``).
         """
         self._pre_action(src, trg)
         if self.delivery is not None and trg in self.suspended_ranks():
@@ -398,8 +398,7 @@ class RmaRuntime:
                 kind=SyncKind.LOCK, src=src, trg=trg,
                 counters=self._stamp(src, trg), structure=structure,
             )
-            self.delivery.metrics.count("dropped_syncs", src)
-            self.cluster.metrics.incr("qos.dropped_syncs", rank=src)
+            self.delivery.count("dropped_syncs", src)
             return action
         sc = self.counters.on_lock(src, trg, structure)
         action = SyncAction(
@@ -428,8 +427,7 @@ class RmaRuntime:
                 kind=SyncKind.UNLOCK, src=src, trg=trg,
                 counters=self._stamp(src, trg), structure=structure,
             )
-            self.delivery.metrics.count("dropped_syncs", src)
-            self.cluster.metrics.incr("qos.dropped_syncs", rank=src)
+            self.delivery.count("dropped_syncs", src)
             return action
         self.counters.on_unlock(src, trg, structure)
         self._complete_pair(src, trg)
@@ -976,10 +974,7 @@ class RmaRuntime:
         for handle in handles:
             handle._mark_discarded()
         if handles:
-            self.delivery.metrics.count("discarded_inflight", src, len(handles))
-            self.cluster.metrics.incr(
-                "qos.discarded_inflight", len(handles), rank=src
-            )
+            self.delivery.count("discarded_inflight", src, len(handles))
         for key in [k for k in self._accrued if k[0] == src]:
             del self._accrued[key]
 

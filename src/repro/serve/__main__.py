@@ -25,19 +25,10 @@ fails.
 from __future__ import annotations
 
 import argparse
-import json
 
-from repro.cli import (
-    add_common_arguments,
-    add_report_arguments,
-    csv,
-    handle_list,
-    run_gates,
-    trace_run,
-    write_outputs,
-)
+from repro.cli import add_common_arguments, add_report_arguments, csv, engine_main
 from repro.registry import available
-from repro.serve.engine import ServeSpec, run_slo_comparison
+from repro.serve.engine import ServeResult, ServeSpec, run_slo_comparison
 from repro.serve.report import (
     check_against_baseline,
     check_serve_invariants,
@@ -132,10 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if handle_list(args):
-        return 0
+def _run(args: argparse.Namespace) -> list[ServeResult]:
     if args.quick:
         base = quick_spec()
     else:
@@ -155,30 +143,34 @@ def main(argv: list[str] | None = None) -> int:
             kill_frac=args.kill_frac,
             kill_kind=args.kill_kind,
         )
-    with trace_run(args):
-        results = run_slo_comparison(
-            base,
-            recoveries=args.recoveries,
-            backends=args.backends,
-            stores=args.stores,
-            executor=args.executor,
-        )
+    return run_slo_comparison(
+        base,
+        recoveries=args.recoveries,
+        backends=args.backends,
+        stores=args.stores,
+        executor=args.executor,
+    )
 
-    json_text = report_json(results)
-    write_outputs(args, render_markdown(results), json_text)
+
+def _write_request_log(args: argparse.Namespace, results: list[ServeResult]) -> None:
     if args.requests:
         count = write_requests(results, args.requests)
         print(f"{count} request rows written to {args.requests}")
-    return run_gates(
-        args,
-        check_invariants=lambda: check_serve_invariants(results),
+
+
+def main(argv: list[str] | None = None) -> int:
+    return engine_main(
+        build_parser().parse_args(argv),
+        run=_run,
+        render=render_markdown,
+        to_json=report_json,
+        invariants=check_serve_invariants,
         invariants_message=(
             "invariants hold (localized recovery p99 < global; "
             "degraded errs but stays flat)"
         ),
-        check_baseline=lambda baseline, ratio: check_against_baseline(
-            json.loads(json_text), baseline, max_ratio=ratio
-        ),
+        gate=check_against_baseline,
+        artifacts=_write_request_log,
     )
 
 

@@ -5,10 +5,9 @@ One :class:`ServeSpec` describes one cell: the service's traffic parameters
 (``store`` × ``recovery``), the execution ``backend`` and the kill plan
 shape.  :func:`run_service` executes a cell:
 
-1. **probe** — a failure-free, FT-free run on the ``sim`` backend measures
-   the completion-stream length (kill offsets are stream positions, so one
-   probe calibrates every backend alike) and the failure-free makespan that
-   anchors the open-loop **arrival clock**: request ``r`` arrives at
+1. **probe** — the shared failure-free probe (:func:`repro.experiment.probe`)
+   measures the completion-stream length and the makespan that anchors the
+   open-loop **arrival clock**: request ``r`` arrives at
    ``r.frac × probe_makespan``, an instant that never reacts to checkpoints
    or outages — that independence is what makes queueing delay visible;
 2. **serve** — the real run under the declared
@@ -28,9 +27,7 @@ every key, degraded trades errors for flatness" a like-for-like claim.
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,8 +36,8 @@ from repro.api.policy import FaultTolerancePolicy, Topology
 from repro.api.session import launch
 from repro.chaos.soak import scaled_cost_model
 from repro.errors import CatastrophicFailure, RecoveryError, ServeError
-from repro.ft.inject import FaultInjector, KillEvent, KillKind, KillPlan, install_injector
-from repro.registry import available, plural
+from repro.experiment import check_names, plan_entropy, probe, run_grid
+from repro.ft.inject import KillEvent, KillKind, KillPlan, install_injector
 from repro.serve.service import STATUS_UNSERVED, KvService
 from repro.serve.slo import WindowTracker, build_slo_report
 from repro.study.workloads import make_workload
@@ -91,19 +88,13 @@ class ServeSpec:
     service_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for kind, name in (
-            ("backend", self.backend),
-            ("store", self.store),
-            ("recovery", self.recovery),
-            ("delivery", self.delivery),
-        ):
-            known = available(kind)
-            if name not in known:
-                listing = ", ".join(repr(k) for k in known)
-                raise ServeError(
-                    f"unknown {kind} {name!r} in serve spec; "
-                    f"registered {plural(kind)} are: {listing}"
-                )
+        check_names(
+            (
+                (kind, (getattr(self, kind),))
+                for kind in ("backend", "store", "recovery", "delivery")
+            ),
+            ServeError, "serve spec",
+        )
         if self.kill_kind not in (k.value for k in KillKind):
             choices = ", ".join(repr(k.value) for k in KillKind)
             raise ServeError(
@@ -226,44 +217,20 @@ class ServeResult:
 # ----------------------------------------------------------------------
 # Calibration and plan generation
 # ----------------------------------------------------------------------
-def calibrate_service(service: KvService, spec: ServeSpec) -> tuple[int, float]:
-    """Failure-free probe: ``(completion-stream ops, makespan seconds)``.
-
-    Always on the ``sim`` backend and without fault tolerance: the
-    completion stream is contractually identical across backends, and the
-    probe's makespan is the *client's* failure-free timeline — the arrival
-    clock must not include checkpoint overhead, or arrivals would slow down
-    with the protocol under test and the comparison would stop being
-    open-loop.
-    """
-    cost = scaled_cost_model(compression=spec.compression)
-    with launch(
-        service.nprocs,
-        topology=Topology(procs_per_node=spec.procs_per_node, cost_model=cost),
-        sync_each_step=service.sync_each_step,
-        backend="sim",
-    ) as job:
-        service.setup(job)
-        counter = FaultInjector(KillPlan([]))
-        job.runtime.add_interceptor(counter)
-        report = job.run(service.kernel(), steps=service.steps)
-    return counter.ops_seen, report.elapsed
-
-
-def _plan_seed(spec: ServeSpec) -> np.random.SeedSequence:
-    """Plan entropy: seed + a stable domain tag — no comparison axes.
-
-    Backend, store and recovery are deliberately excluded so every cell of a
-    comparison faces the identical failure schedule.
-    """
-    return np.random.SeedSequence((spec.seed, zlib.crc32(b"serve.plan")))
+#: The failure-free probe: the shared :func:`repro.experiment.probe`.
+calibrate_service = probe
 
 
 def build_plan(spec: ServeSpec, *, ops_total: int) -> KillPlan:
-    """The spec's kill plan (pure function of spec + calibrated stream length)."""
+    """The spec's kill plan (pure function of spec + calibrated stream length).
+
+    Plan entropy is seed + a stable domain tag: backend, store, recovery and
+    delivery are not passed, so every cell of a comparison faces the
+    identical failure schedule.
+    """
     if spec.kills == 0:
         return KillPlan([])
-    rng = np.random.default_rng(_plan_seed(spec))
+    rng = np.random.default_rng(plan_entropy(spec.seed, "serve.plan"))
     if spec.kills == 1:
         fracs = [spec.kill_frac]
     else:
@@ -288,13 +255,15 @@ def run_service(spec: ServeSpec) -> ServeResult:
     service = spec.service()
     cost = scaled_cost_model(compression=spec.compression)
     with trace_label(f"{spec.cell_key}/probe"):
-        probe_ops, probe_elapsed = calibrate_service(service, spec)
+        probe_ops, probe_run = probe(
+            service, procs_per_node=spec.procs_per_node, cost_model=cost
+        )
+    probe_elapsed = probe_run.report.elapsed
     plan = build_plan(spec, ops_total=probe_ops)
 
-    # The tracker consumes the trace event bus rather than registering its
-    # own observer/listener stack (same timestamps, one instrumentation
-    # source); a run-wide hub — an engine CLI's ``--trace`` — collects the
-    # tracer into the merged trace under this cell's label.
+    # The tracker reduces the trace event bus; a run-wide hub — an engine
+    # CLI's ``--trace`` — collects the tracer into the merged trace under
+    # this cell's label.
     tracker = WindowTracker()
     aborted: str | None = None
     digest: str | None = None
@@ -314,7 +283,6 @@ def run_service(spec: ServeSpec) -> ServeResult:
         trace=tracer,
     ) as job:
         service.setup(job)
-        tracker.bind(job)
         tracer.subscribe(tracker.consume)
         injector = install_injector(job, plan)
         try:
@@ -430,9 +398,7 @@ def run_slo_comparison(
         for s in stores
         for r in recoveries
     ]
-    if executor == "serial":
-        return [run_service(spec) for spec in specs]
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_service, specs))
-    raise ServeError(f"unknown executor {executor!r}; choose 'serial' or 'thread'")
+    return run_grid(
+        run_service, specs, executor=executor, max_workers=max_workers,
+        error=ServeError,
+    )

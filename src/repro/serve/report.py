@@ -18,12 +18,15 @@ request log whose schema CI validates.
 from __future__ import annotations
 
 import json
+from functools import partial
 
+from repro import experiment
 from repro.errors import ServeError
 from repro.serve.engine import ServeResult
 from repro.serve.service import STATUSES
 from repro.serve.slo import SEGMENT_RECOVERY, SEGMENT_STEADY, SEGMENTS
 from repro.serve.traffic import READ, WRITE
+from repro.trace.events import load_jsonl, write_jsonl
 
 __all__ = [
     "report_json",
@@ -67,11 +70,10 @@ def report_json(results: list[ServeResult]) -> str:
         cell["request_count"] = len(rows)
         cell["status_counts"] = dict(sorted(census.items()))
         cells[result.spec.cell_key] = cell
-    document = {
+    return experiment.report_json({
         "meta": {"engine": "repro.serve", "cells": len(results)},
         "cells": cells,
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    })
 
 
 # ----------------------------------------------------------------------
@@ -98,42 +100,30 @@ def validate_request_row(row: dict) -> None:
             raise ServeError(f"request row field {key!r} must be numeric or null")
 
 
+def _validate_log_row(row: dict) -> None:
+    if "cell" not in row:
+        raise ServeError("request row missing 'cell'")
+    validate_request_row(row)
+
+
 def write_requests(results: list[ServeResult], path) -> int:
     """Write every cell's request rows as canonical JSONL; returns the count.
 
     Each line carries its ``cell`` key so one file holds the whole grid.
     """
-    count = 0
-    with open(path, "w") as fh:
-        for result in results:
-            for row in result.rows:
-                line = dict(row, cell=result.spec.cell_key)
-                fh.write(json.dumps(line, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-                count += 1
-    return count
+    return write_jsonl(
+        (
+            dict(row, cell=result.spec.cell_key)
+            for result in results
+            for row in result.rows
+        ),
+        path, _validate_log_row,
+    )
 
 
 def load_requests(path) -> list[dict]:
     """Read and schema-validate a JSONL request log."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ServeError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if "cell" not in row:
-                raise ServeError(f"{path}:{lineno}: request row missing 'cell'")
-            try:
-                validate_request_row(row)
-            except ServeError as exc:
-                raise ServeError(f"{path}:{lineno}: {exc}") from exc
-            rows.append(row)
-    return rows
+    return load_jsonl(path, _validate_log_row, ServeError)
 
 
 # ----------------------------------------------------------------------
@@ -153,11 +143,7 @@ def _fmt_rps(value: float | None) -> str:
 
 def render_markdown(results: list[ServeResult]) -> str:
     """The grid as markdown: one SLO row per (cell, segment) plus overall."""
-    lines = [
-        "| cell | segment | requests | errors | error rate "
-        "| p50 (ms) | p95 (ms) | p99 (ms) | rps |",
-        "|---|---|---|---|---|---|---|---|---|",
-    ]
+    rows = []
     for result in results:
         cell = result.spec.cell_key
         if result.aborted:
@@ -165,14 +151,18 @@ def render_markdown(results: list[ServeResult]) -> str:
         for segment in (*SEGMENTS, "overall"):
             entry = result.slo[segment]
             lat = entry["latency_ms"] or {}
-            lines.append(
-                f"| {cell} | {segment} | {entry['requests']} | {entry['errors']} "
-                f"| {_fmt_rate(entry['error_rate'])} "
-                f"| {_fmt_ms(lat.get('p50'))} | {_fmt_ms(lat.get('p95'))} "
-                f"| {_fmt_ms(lat.get('p99'))} "
-                f"| {_fmt_rps(entry['throughput_rps'])} |"
-            )
-    return "\n".join(lines) + "\n"
+            rows.append((
+                cell, segment, entry["requests"], entry["errors"],
+                _fmt_rate(entry["error_rate"]),
+                _fmt_ms(lat.get("p50")), _fmt_ms(lat.get("p95")),
+                _fmt_ms(lat.get("p99")),
+                _fmt_rps(entry["throughput_rps"]),
+            ))
+    return experiment.markdown_table(
+        ("cell", "segment", "requests", "errors", "error rate",
+         "p50 (ms)", "p95 (ms)", "p99 (ms)", "rps"),
+        rows,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -286,55 +276,19 @@ def check_serve_invariants(results: list[ServeResult]) -> list[str]:
     return violations
 
 
-def check_against_baseline(
-    report: dict, baseline: dict, *, max_ratio: float = 2.0
-) -> list[str]:
-    """Regression gate against a checked-in baseline report; returns failures.
-
-    Everything in a serving run is virtual-time deterministic, so the
-    schedule-shaped quantities (request census, kill plan, recovery counts)
-    must match **exactly**; the latency outcomes are gated by ratio — a
-    segment's p99 may not exceed ``max_ratio`` × the baseline's — so a
-    protocol regression fails CI while legitimate cost-model retuning only
-    shifts within the band.
-    """
-    failures: list[str] = []
-    for key, base in baseline.get("cells", {}).items():
-        current = report["cells"].get(key)
-        if current is None:
-            failures.append(f"{key}: cell missing from current report")
-            continue
-        for exact in (
-            "request_count",
-            "status_counts",
-            "plan",
-            "checkpoints",
-            "recoveries",
-            "excised_ranks",
-            "aborted",
-            "probe_ops",
-        ):
-            if current.get(exact) != base.get(exact):
-                failures.append(
-                    f"{key}: {exact} changed from {base.get(exact)!r} to "
-                    f"{current.get(exact)!r}"
-                )
-        for segment in (*SEGMENTS, "overall"):
-            base_lat = base["slo"][segment]["latency_ms"]
-            cur_lat = current["slo"][segment]["latency_ms"]
-            if (base_lat is None) != (cur_lat is None):
-                failures.append(
-                    f"{key}: {segment} latency presence changed "
-                    f"({base_lat!r} -> {cur_lat!r})"
-                )
-                continue
-            if base_lat is None:
-                continue
-            base_p99, cur_p99 = base_lat["p99"], cur_lat["p99"]
-            if base_p99 > 0 and cur_p99 / base_p99 > max_ratio:
-                failures.append(
-                    f"{key}: {segment} p99 {cur_p99:.3f}ms is "
-                    f"{cur_p99 / base_p99:.2f}x the baseline's {base_p99:.3f}ms "
-                    f"(allowed {max_ratio:.1f}x)"
-                )
-    return failures
+#: ``check_against_baseline(report, baseline, max_ratio=2.0)`` → failures:
+#: the schedule-shaped quantities (request census, kill plan, recovery
+#: counts) must match **exactly**; a segment's p99 may not exceed
+#: ``max_ratio`` × the baseline's, nor may a segment gain or lose its latency
+#: altogether.
+check_against_baseline = partial(
+    experiment.baseline_gate,
+    exact=(
+        "request_count", "status_counts", "plan", "checkpoints", "recoveries",
+        "excised_ranks", "aborted", "probe_ops",
+    ),
+    ratio=tuple(
+        (f"slo.{segment}.latency_ms.p99", f"{segment} p99", "{:.3f}ms")
+        for segment in (*SEGMENTS, "overall")
+    ),
+)

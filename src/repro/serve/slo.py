@@ -1,29 +1,23 @@
 """SLO accounting: window segmentation and the per-window latency report.
 
-:class:`WindowTracker` is the serving layer's :class:`~repro.api.session.SessionObserver`:
-it collects the **checkpoint windows** (the new ``on_checkpoint`` hook) and
-the **recovery windows** (failure detected → the crash-aborted step completes
-again, the same service-restored marker chaos MTTR uses) of one run, plus the
-injector's kill records.  :func:`build_slo_report` then segments every
-request by the window containing its *completion* instant — the moment the
-client got its answer — and reduces each segment to the numbers an SLO is
-written in: p50/p95/p99 latency (shared nearest-rank estimator,
-:func:`repro.stats.latency_percentiles`), throughput, and error/stale-read
-rate.  All timestamps are virtual, so the report is byte-identical across
-re-runs and backends.
+:class:`WindowTracker` is the serving layer's reducer over the trace event
+bus: it collects the **checkpoint windows** and the **recovery windows**
+(failure detected → the crash-aborted step completes again, the same
+:func:`~repro.chaos.monitor.reduce_outage` state machine chaos MTTR uses) of
+one run, plus the injector's kill records.  :func:`build_slo_report` then
+segments every request by the window containing its *completion* instant —
+the moment the client got its answer — and reduces each segment to the
+numbers an SLO is written in: p50/p95/p99 latency (shared nearest-rank
+estimator, :func:`repro.stats.latency_percentiles`), throughput, and
+error/stale-read rate.  All timestamps are virtual, so the report is
+byte-identical across re-runs and backends.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.api.session import SessionObserver
+from repro.chaos.monitor import reduce_outage
 from repro.serve.service import STATUS_OK
 from repro.stats import latency_percentiles
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.api.session import Job
-    from repro.ft.inject import FiredKill
 
 __all__ = ["WindowTracker", "SEGMENTS", "build_slo_report"]
 
@@ -34,7 +28,7 @@ SEGMENT_RECOVERY = "recovery"
 SEGMENTS = (SEGMENT_STEADY, SEGMENT_CHECKPOINT, SEGMENT_RECOVERY)
 
 
-class WindowTracker(SessionObserver):
+class WindowTracker:
     """Records the checkpoint/recovery windows of one serving run."""
 
     def __init__(self) -> None:
@@ -44,117 +38,38 @@ class WindowTracker(SessionObserver):
         self.recovery_windows: list[tuple[float, float]] = []
         #: Injector records: one dict per planned kill (fired or skipped).
         self.kills: list[dict] = []
-        self.recoveries = 0
-        self._job: Job | None = None
         self._outage: dict | None = None
 
-    # ------------------------------------------------------------------
-    def bind(self, job: "Job") -> None:
-        """Attach to ``job``'s cluster for kill timestamps."""
-        self._job = job
-
     def consume(self, event: dict) -> None:
-        """Trace-bus subscriber: drive the tracker from a job's tracer.
+        """Trace-bus subscriber: reduce one trace event into windows/kills.
 
-        The serve engine wires this via ``tracer.subscribe(tracker.consume)``
-        instead of registering the tracker as its own observer/listener
-        stack.  Timestamps come from the events themselves — the tracer
-        stamps the same ``cluster.elapsed()`` the direct hooks read — so the
-        windows and kill records match the pre-bus wiring exactly.  Event
-        types outside the tracker's vocabulary are ignored.
+        The serve engine wires this via ``tracer.subscribe(tracker.consume)``.
+        Timestamps come from the events themselves (the tracer stamps
+        ``cluster.elapsed()``).  Event types outside the tracker's
+        vocabulary are ignored.
         """
         kind = event["type"]
-        t = event["t"]
         if kind == "checkpoint_committed":
-            self.on_checkpoint(
-                event["step"], event["t_start"], event["t_end"], event["demand"]
+            self.checkpoint_windows.append(
+                (event["t_start"], event["t_end"], event["step"], event["demand"])
             )
-        elif kind == "failure_detected":
-            self.on_failure_detected(event["rank"], event["step"], t)
-        elif kind == "recovery_completed":
-            self.on_recovery_completed(event["resume_step"], t)
-        elif kind == "step_completed":
-            self.on_step_completed(event["step"], t)
-        elif kind == "kill_fired":
-            self._record_kill(
-                t,
-                rank=event["rank"],
-                kind=event["kind"],
-                after_ops=event["after_ops"],
-                victims=list(event["victims"]),
-                skipped=False,
-                real=bool(event.get("rt", {}).get("real", False)),
+        elif kind in ("failure_detected", "step_completed"):
+            self._outage, closed = reduce_outage(self._outage, event)
+            if closed is not None:
+                self.recovery_windows.append((closed["detected_t"], event["t"]))
+        elif kind in ("kill_fired", "kill_skipped"):
+            fired = kind == "kill_fired"
+            self.kills.append(
+                {
+                    "t": event["t"],
+                    "rank": event["rank"],
+                    "kind": event["kind"],
+                    "after_ops": event["after_ops"],
+                    "victims": list(event["victims"]) if fired else [],
+                    "skipped": not fired,
+                    "real": fired and bool(event.get("rt", {}).get("real", False)),
+                }
             )
-        elif kind == "kill_skipped":
-            self._record_kill(
-                t,
-                rank=event["rank"],
-                kind=event["kind"],
-                after_ops=event["after_ops"],
-                victims=[],
-                skipped=True,
-                real=False,
-            )
-
-    def on_kill(self, record: "FiredKill") -> None:
-        """Injector listener: timestamp every planned kill as it resolves."""
-        assert self._job is not None, "tracker used before bind(job)"
-        self._record_kill(
-            self._job.cluster.elapsed(),
-            rank=record.event.rank,
-            kind=record.event.kind.value,
-            after_ops=record.event.after_ops,
-            victims=list(record.victims),
-            skipped=record.skipped,
-            real=record.real,
-        )
-
-    def _record_kill(
-        self,
-        t: float,
-        *,
-        rank: int,
-        kind: str,
-        after_ops: int,
-        victims: list[int],
-        skipped: bool,
-        real: bool,
-    ) -> None:
-        self.kills.append(
-            {
-                "t": t,
-                "rank": rank,
-                "kind": kind,
-                "after_ops": after_ops,
-                "victims": victims,
-                "skipped": skipped,
-                "real": real,
-            }
-        )
-
-    # ------------------------------------------------------------------
-    # Session observer hooks
-    # ------------------------------------------------------------------
-    def on_checkpoint(self, step: int, t_start: float, t_end: float, demand: bool) -> None:
-        self.checkpoint_windows.append((t_start, t_end, step, demand))
-
-    def on_failure_detected(self, rank: int, step: int, t: float) -> None:
-        if self._outage is None:
-            self._outage = {"detected_t": t, "crash_step": step}
-        else:
-            # A further failure during recovery extends the same outage; the
-            # service is restored only once the *latest* aborted step
-            # completes again.
-            self._outage["crash_step"] = max(self._outage["crash_step"], step)
-
-    def on_recovery_completed(self, resume_step: int, t: float) -> None:
-        self.recoveries += 1
-
-    def on_step_completed(self, step: int, t: float) -> None:
-        outage = self._outage
-        if outage is not None and step >= outage["crash_step"]:
-            self.recovery_windows.append((outage["detected_t"], t))
-            self._outage = None
 
     # ------------------------------------------------------------------
     def finish(self, t: float) -> None:

@@ -9,34 +9,33 @@ failure processes scaled to the configuration's own failure-free makespan,
 survival and bit-identity checked per trial, measured overhead reported next
 to the analytic model's prediction (:mod:`repro.study.model`).
 
-Determinism is preserved under concurrency: every trial's schedule seed is a
-pure function of ``(campaign seed, cell coordinates, trial index)`` — the
-*recovery* coordinate deliberately excluded, so ``global`` and ``localized``
-cells face identical fault loads and their restored-bytes can be compared
-trial by trial — and each trial runs its own single-threaded, virtual-time
-session.  Trials therefore parallelize embarrassingly over a
-:mod:`concurrent.futures` executor while the resulting JSON report stays
-**byte-identical** to a serial run (results are assembled in sweep order and
-contain no wall-clock).
-
-Entry points: :func:`run_campaign`, :func:`render_markdown`,
-:func:`check_invariants`, :func:`check_against_baseline`, and the
-``python -m repro.study`` CLI (:mod:`repro.study.__main__`).
+Seed rule, grid dispatch, serialisation and the baseline gate are the shared
+:mod:`repro.experiment` core; what is the campaign's own is below: every
+trial's schedule seed is ``(campaign seed, cell coordinates, trial index)`` —
+the *recovery* coordinate excluded, so ``global`` and ``localized`` cells face
+identical fault loads and their restored-bytes can be compared trial by trial
+— and each trial runs its own single-threaded, virtual-time session, so the
+report is **byte-identical** across executors (no wall-clock inside).
 """
 
 from __future__ import annotations
 
-import json
+import os
 from collections.abc import Mapping
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
-
-import numpy as np
 
 from repro.api.policy import FaultTolerancePolicy
 from repro.errors import CampaignError, FaultToleranceError, ProcessFailedError
-from repro.registry import available, plural
+from repro.experiment import (
+    baseline_gate,
+    check_names,
+    markdown_table,
+    plan_entropy,
+    report_json,
+    run_grid,
+)
 from repro.simulator.costs import cray_xe6_like
 from repro.simulator.failures import exponential_schedule
 from repro.study.model import IntervalModel
@@ -102,21 +101,16 @@ class CampaignSpec:
                      "mean_failures", "intervals"):
             if not getattr(self, axis):
                 raise CampaignError(f"campaign sweep axis {axis!r} is empty")
-        for kind, names in (
-            ("workload", self.workloads),
-            ("backend", self.backends),
-            ("store", self.stores),
-            ("recovery", self.recoveries),
-            ("delivery", (self.delivery,)),
-        ):
-            known = available(kind)
-            for name in names:
-                if name not in known:
-                    listing = ", ".join(repr(k) for k in known)
-                    raise CampaignError(
-                        f"unknown {kind} {name!r} in campaign spec; "
-                        f"registered {plural(kind)} are: {listing}"
-                    )
+        check_names(
+            (
+                ("workload", self.workloads),
+                ("backend", self.backends),
+                ("store", self.stores),
+                ("recovery", self.recoveries),
+                ("delivery", (self.delivery,)),
+            ),
+            CampaignError, "campaign spec",
+        )
         for interval in self.intervals:
             if isinstance(interval, str):
                 if interval != "auto":
@@ -175,15 +169,10 @@ def _cells(spec: CampaignSpec) -> list[_Cell]:
 
 
 def _trial_seed(spec: CampaignSpec, cell: _Cell, trial: int) -> int:
-    """Deterministic per-trial schedule seed.
-
-    Derived from the campaign seed, the cell's axis coordinates and the trial
-    index through a :class:`numpy.random.SeedSequence`, so trials are
-    independent streams.  The recovery axis is *not* part of the entropy:
-    paired ``global``/``localized`` cells draw identical schedules.
-    """
-    entropy = (spec.seed, *cell.coords, trial)
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    """Deterministic per-trial schedule seed: campaign seed, the cell's axis
+    coordinates and the trial index.  The recovery axis is *not* passed:
+    paired ``global``/``localized`` cells draw identical schedules."""
+    return int(plan_entropy(spec.seed, *cell.coords, trial).generate_state(1)[0])
 
 
 def _build_workload(spec: CampaignSpec, name: str) -> Workload:
@@ -201,13 +190,6 @@ def _policy(
         delivery=delivery,
         failure_rates=rates or None,
     )
-
-
-def _campaign_cost_model():
-    """The one cost model every campaign session *and* analytic prediction
-    uses — resolved here once so the predicted-vs-measured comparison can
-    never silently describe two different machines."""
-    return cray_xe6_like()
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +217,7 @@ def _run_base(args: tuple[CampaignSpec, _Cell]) -> dict:
         base = workload.run(
             backend=cell.backend,
             procs_per_node=spec.procs_per_node,
-            cost_model=_campaign_cost_model(),
+            cost_model=cray_xe6_like(),
         )
     return {
         "reference_digest": base.digest,
@@ -261,7 +243,7 @@ def _run_ft_free(args: tuple[CampaignSpec, _Cell, dict]) -> dict:
             ft=_policy(cell, rates0, spec.delivery),
             backend=cell.backend,
             procs_per_node=spec.procs_per_node,
-            cost_model=_campaign_cost_model(),
+            cost_model=cray_xe6_like(),
         )
     horizon = ft_free.report.elapsed
     rates = {1: cell.mean_failures / horizon} if cell.mean_failures > 0 else {}
@@ -298,7 +280,7 @@ def _run_trial(args: tuple[CampaignSpec, _Cell, dict, int]) -> dict:
                 failures=schedule,
                 backend=cell.backend,
                 procs_per_node=spec.procs_per_node,
-                cost_model=_campaign_cost_model(),
+                cost_model=cray_xe6_like(),
             )
     except (FaultToleranceError, ProcessFailedError) as exc:
         # The configuration could not carry this fault load (rank + buddy
@@ -369,8 +351,10 @@ def _summarize_cell(
          if t.get("resolved_interval") is not None),
         baseline["ft_free_resolved_interval"],
     )
+    # The same machine the sessions ran on, or predicted-vs-measured would
+    # silently describe two different ones.
     model = IntervalModel(
-        cost_model=_campaign_cost_model(),
+        cost_model=cray_xe6_like(),
         nprocs=spec.nprocs,
         bytes_per_rank=baseline["bytes_per_rank"],
         store=cell.store,
@@ -418,18 +402,6 @@ def _summarize_cell(
     return summary
 
 
-def _make_executor(executor: str, max_workers: int | None) -> Executor | None:
-    if executor == "serial":
-        return None
-    if executor == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers)
-    if executor == "process":
-        return ProcessPoolExecutor(max_workers=max_workers)
-    raise CampaignError(
-        f"unknown executor {executor!r}; choose 'serial', 'thread' or 'process'"
-    )
-
-
 def run_campaign(
     spec: CampaignSpec,
     *,
@@ -447,50 +419,42 @@ def run_campaign(
     and receives only compact record dicts back.
     """
     cells = _cells(spec)
-    pool = _make_executor(executor, max_workers)
-
-    def dispatch(fn, args_list):
-        if pool is None:
-            return [fn(args) for args in args_list]
-        return list(pool.map(fn, args_list))
-
-    try:
-        # Shared reference runs are computed once per *group*, not per cell:
-        # the unprotected base depends only on (workload, backend), the
-        # protected failure-free run additionally on store/rate/interval but
-        # not on the recovery axis.
-        base_groups: dict[tuple, _Cell] = {}
-        for cell in cells:
-            base_groups.setdefault(_base_key(cell), cell)
-        bases = dict(zip(
-            base_groups,
-            dispatch(_run_base, [(spec, cell) for cell in base_groups.values()]),
-        ))
-        ff_groups: dict[tuple, _Cell] = {}
-        for cell in cells:
-            ff_groups.setdefault(_ft_free_key(cell), cell)
-        baselines_by_key = dict(zip(
-            ff_groups,
-            dispatch(
-                _run_ft_free,
-                [
-                    (spec, cell, bases[_base_key(cell)])
-                    for cell in ff_groups.values()
-                ],
-            ),
-        ))
-        baselines = [baselines_by_key[_ft_free_key(cell)] for cell in cells]
-        workers = 1 if pool is None else (getattr(pool, "_max_workers", None) or 1)
-        trial_records = [
-            record
-            for batch in dispatch(
-                _run_trial_batch, _trial_batches(spec, cells, baselines, workers)
-            )
-            for record in batch
-        ]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    dispatch = partial(
+        run_grid, executor=executor, max_workers=max_workers, error=CampaignError
+    )
+    # Shared reference runs are computed once per *group*, not per cell: the
+    # unprotected base depends only on (workload, backend), the protected
+    # failure-free run additionally on store/rate/interval but not on the
+    # recovery axis.
+    base_groups: dict[tuple, _Cell] = {}
+    for cell in cells:
+        base_groups.setdefault(_base_key(cell), cell)
+    bases = dict(zip(
+        base_groups,
+        dispatch(_run_base, [(spec, cell) for cell in base_groups.values()]),
+    ))
+    ff_groups: dict[tuple, _Cell] = {}
+    for cell in cells:
+        ff_groups.setdefault(_ft_free_key(cell), cell)
+    baselines_by_key = dict(zip(
+        ff_groups,
+        dispatch(
+            _run_ft_free,
+            [
+                (spec, cell, bases[_base_key(cell)])
+                for cell in ff_groups.values()
+            ],
+        ),
+    ))
+    baselines = [baselines_by_key[_ft_free_key(cell)] for cell in cells]
+    workers = 1 if executor == "serial" else max_workers or os.cpu_count() or 1
+    trial_records = [
+        record
+        for batch in dispatch(
+            _run_trial_batch, _trial_batches(spec, cells, baselines, workers)
+        )
+        for record in batch
+    ]
     report: dict = {
         "meta": {
             "engine": "repro.study",
@@ -514,52 +478,43 @@ def run_campaign(
     return report
 
 
-def report_json(report: dict) -> str:
-    """Canonical serialization — byte-identical across re-runs and executors."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------
 def render_markdown(report: dict) -> str:
     """The campaign as a markdown summary table (a Figure 10/11-shaped artifact)."""
-    lines = [
-        "| workload | backend | store | recovery | mean fails | interval | survival "
-        "| bit-identical | ckpt bytes | restored bytes | overhead (measured) "
-        "| overhead (predicted) |",
-        "|---|---|---|---|---|---|---|---|---|---|---|---|",
-    ]
-
     def fmt_bytes(value: float | None) -> str:
         return "—" if value is None else f"{value:,.0f}"
 
     def fmt_pct(value: float | None) -> str:
         return "—" if value is None else f"{value * 100.0:.2f}%"
 
+    rows = []
     for key in sorted(report["cells"]):
         cell = report["cells"][key]
         interval = cell["interval"]
         if interval == "auto":
             interval = f"auto→{cell['resolved_interval']}"
-        lines.append(
-            "| {workload} | {backend} | {store} | {recovery} | {mf:g} | {interval} "
-            "| {survival:.0%} | {bit:.0%} | {ckpt} | {restored} | {meas} | {pred} |".format(
-                workload=cell["workload"],
-                backend=cell["backend"],
-                store=cell["store"],
-                recovery=cell["recovery"],
-                mf=cell["mean_failures"],
-                interval=interval,
-                survival=cell["survival_rate"],
-                bit=cell["bit_identical_rate"],
-                ckpt=fmt_bytes(cell["mean_checkpoint_bytes"]),
-                restored=fmt_bytes(cell["mean_restored_bytes"]),
-                meas=fmt_pct(cell["mean_measured_overhead"]),
-                pred=fmt_pct(cell["predicted_overhead"]),
-            )
-        )
-    return "\n".join(lines) + "\n"
+        rows.append((
+            cell["workload"],
+            cell["backend"],
+            cell["store"],
+            cell["recovery"],
+            f"{cell['mean_failures']:g}",
+            interval,
+            f"{cell['survival_rate']:.0%}",
+            f"{cell['bit_identical_rate']:.0%}",
+            fmt_bytes(cell["mean_checkpoint_bytes"]),
+            fmt_bytes(cell["mean_restored_bytes"]),
+            fmt_pct(cell["mean_measured_overhead"]),
+            fmt_pct(cell["predicted_overhead"]),
+        ))
+    return markdown_table(
+        ("workload", "backend", "store", "recovery", "mean fails", "interval",
+         "survival", "bit-identical", "ckpt bytes", "restored bytes",
+         "overhead (measured)", "overhead (predicted)"),
+        rows,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -640,44 +595,15 @@ def check_invariants(report: dict) -> list[str]:
     return failures
 
 
-def check_against_baseline(
-    report: dict, baseline: dict, *, max_ratio: float = 2.0
-) -> list[str]:
-    """Regression gate against a checked-in baseline report; returns failures.
-
-    Deterministic integer outcomes (survival, recoveries, byte counts) must
-    match exactly; measured overheads may drift but not regress past
-    ``max_ratio`` — the same tolerance pattern as the ``bench_rma`` /
-    ``bench_ft`` wall-clock gates.
-    """
-    failures: list[str] = []
-    for key, base in baseline.get("cells", {}).items():
-        current = report["cells"].get(key)
-        if current is None:
-            failures.append(f"{key}: cell missing from current report")
-            continue
-        for exact in ("survival_rate", "bit_identical_rate", "recoveries",
-                      "mean_checkpoint_bytes", "mean_restored_bytes"):
-            if current.get(exact) != base.get(exact):
-                failures.append(
-                    f"{key}: {exact} changed from {base.get(exact)!r} to "
-                    f"{current.get(exact)!r}"
-                )
-        cur_ov, base_ov = current.get("mean_measured_overhead"), base.get(
-            "mean_measured_overhead"
-        )
-        if (
-            cur_ov is not None
-            and base_ov is not None
-            and base_ov > 0
-            and cur_ov / base_ov > max_ratio
-        ):
-            failures.append(
-                f"{key}: measured overhead {cur_ov:.4f} is "
-                f"{cur_ov / base_ov:.2f}x the baseline's {base_ov:.4f} "
-                f"(allowed {max_ratio:.1f}x)"
-            )
-    return failures
+#: ``check_against_baseline(report, baseline, max_ratio=2.0)`` → failures:
+#: deterministic integer outcomes (survival, recoveries, byte counts) must
+#: match exactly; measured overheads may not regress past ``max_ratio``.
+check_against_baseline = partial(
+    baseline_gate,
+    exact=("survival_rate", "bit_identical_rate", "recoveries",
+           "mean_checkpoint_bytes", "mean_restored_bytes"),
+    ratio=(("mean_measured_overhead", "measured overhead", "{:.4f}"),),
+)
 
 
 def quick_spec() -> CampaignSpec:

@@ -18,6 +18,10 @@ separators, trailing newline.  Writers stage into a ``repro-trace-*``
 temp file in the destination directory and publish with an atomic
 rename, so an aborted run leaves either nothing or a complete prefix —
 never a torn file (the same cleanup discipline as ``DiskStore``).
+
+This is the repository's one JSONL codec: the chaos event log and the
+serve request log go through :func:`write_jsonl` / :func:`load_jsonl` with
+their own row validator and error class.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Callable
 from typing import Iterable
 
 from repro.errors import TraceError
@@ -118,8 +123,11 @@ class TraceWriter:
     instead, so aborted runs never leak temp files.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(
+        self, path: str, validate: Callable[[dict], None] = validate_event
+    ) -> None:
         self.path = str(path)
+        self._validate = validate
         directory = os.path.dirname(self.path) or "."
         fd, self._tmp_path = tempfile.mkstemp(
             prefix=TRACE_TMP_PREFIX, suffix=".part", dir=directory
@@ -130,7 +138,7 @@ class TraceWriter:
     def write(self, event: dict) -> None:
         if self._fh is None:
             raise TraceError(f"trace writer for {self.path!r} is closed")
-        validate_event(event)
+        self._validate(event)
         self._fh.write(event_line(event))
         self._fh.write("\n")
         self.count += 1
@@ -160,28 +168,48 @@ class TraceWriter:
         self.close(discard=exc_type is not None and self.count == 0)
 
 
-def write_trace(events: Iterable[dict], path: str) -> int:
-    """Write ``events`` to ``path`` as canonical JSONL; return the count."""
-    with TraceWriter(path) as writer:
-        writer.write_all(events)
+def write_jsonl(
+    rows: Iterable[dict], path: str, validate: Callable[[dict], None]
+) -> int:
+    """Write ``rows`` to ``path`` as canonical JSONL; return the count.
+
+    Every row passes ``validate`` (which raises on a schema violation)
+    before it is staged; the file is published atomically.
+    """
+    with TraceWriter(path, validate) as writer:
+        writer.write_all(rows)
         return writer.count
 
 
-def load_trace(path: str) -> list[dict]:
-    """Load and validate a JSONL trace written by :func:`write_trace`."""
-    events = []
+def load_jsonl(
+    path: str, validate: Callable[[dict], None], error: type[Exception]
+) -> list[dict]:
+    """Load a JSONL file, validating every row; the inverse of
+    :func:`write_jsonl`.  A malformed line raises ``error`` naming
+    ``path:lineno`` (``validate`` must raise ``error`` too)."""
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                event = json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise TraceError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                raise error(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             try:
-                validate_event(event)
-            except TraceError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from exc
-            events.append(event)
-    return events
+                validate(row)
+            except error as exc:
+                raise error(f"{path}:{lineno}: {exc}") from exc
+            rows.append(row)
+    return rows
+
+
+def write_trace(events: Iterable[dict], path: str) -> int:
+    """Write ``events`` to ``path`` as canonical JSONL; return the count."""
+    return write_jsonl(events, path, validate_event)
+
+
+def load_trace(path: str) -> list[dict]:
+    """Load and validate a JSONL trace written by :func:`write_trace`."""
+    return load_jsonl(path, validate_event, TraceError)

@@ -1,8 +1,8 @@
 """The unified telemetry facade behind ``Job.telemetry()``.
 
 Today's counters live in several places: the cluster-level
-``MetricsRegistry`` (``rma.*``, ``ft.*``, ``qos.*``, ``inject.*``), the
-delivery-mode ``QosMetrics``, chaos episodes and serve SLO windows.
+``MetricsRegistry`` (``rma.*``, ``ft.*``, ``qos.*``, ``inject.*``), chaos
+episodes and serve SLO windows.
 :class:`Telemetry` folds them into one flat, glob-queryable namespace —
 the registry counters verbatim, plus ``trace.*`` rollups derived from
 the job's tracer (time in recovery, checkpoint bytes by store level,

@@ -308,7 +308,7 @@ def install_trace(job: Job, tracer: Tracer) -> Tracer:
     job.add_observer(tracer.observer)
     if job.ft is not None:
         job.ft.store.add_placement_listener(tracer.on_store_placement)
-        job.ft.delivery.metrics.listener = tracer.on_qos_decision
+        job.ft.delivery.listener = tracer.on_qos_decision
     return tracer
 
 

@@ -1,14 +1,15 @@
 """QoS subsystem: delivery modes, multi-level checkpointing, the comparison engine."""
 
-import json
+import hashlib
 
 import numpy as np
 import pytest
 
+from repro.api.policy import FaultTolerancePolicy
 from repro.errors import CheckpointError, QosError
-from repro.ft import build_ft_stack, make_store
+from repro.ft import KillPlan, build_ft_stack, make_store
 from repro.ft.stores import MultiLevelStore
-from repro.qos.delivery import BestEffort, QosMetrics, Reliable, make_delivery
+from repro.qos.delivery import BestEffort, Reliable, make_delivery
 from repro.qos.engine import (
     QosSpec,
     _plan_seed,
@@ -21,6 +22,8 @@ from repro.simulator import Cluster
 from repro.simulator.costs import cray_xe6_like
 from repro.stats import latency_percentiles
 from repro.study.model import IntervalModel, level_capture_seconds
+from repro.study.workloads import make_workload
+from repro.trace import summarize, tracing
 
 
 def _runtime(nprocs=8, procs_per_node=2):
@@ -28,32 +31,30 @@ def _runtime(nprocs=8, procs_per_node=2):
 
 
 # ---------------------------------------------------------------------------
-# QosMetrics — counting and serialization
+# Delivery decisions — counted once, in the job's metrics and on the trace bus
 # ---------------------------------------------------------------------------
 
 
-def test_qos_metrics_round_trips_through_dict():
-    metrics = QosMetrics()
-    metrics.count("dropped_puts", 3)
-    metrics.count("dropped_puts", 3, 2)
-    metrics.count("stale_reads", 0)
-    metrics.count("repairs", 5)
-    payload = metrics.to_dict()
-    # JSON-serializable as-is (string rank keys), and exact round trip.
-    restored = QosMetrics.from_dict(json.loads(json.dumps(payload)))
-    assert restored == metrics
-    assert restored.total("dropped_puts") == 3
-    assert restored.tolerated_ops == 4
+def test_delivery_count_rejects_unknown_events():
+    with pytest.raises(QosError, match="unknown qos event"):
+        BestEffort().count("dropped_everything", 0)
 
 
-def test_qos_metrics_rejects_unknown_events():
-    metrics = QosMetrics()
-    with pytest.raises(QosError, match="unknown qos event"):
-        metrics.count("dropped_everything", 0)
-    with pytest.raises(QosError, match="unknown qos event"):
-        metrics.total("dropped_everything")
-    with pytest.raises(QosError, match="unknown qos metric fields"):
-        QosMetrics.from_dict({"dropped_everything": {}})
+def test_best_effort_qos_totals_equal_the_trace_rollup():
+    workload = make_workload("kv", nprocs=8, slots=16, updates_per_step=4, steps=12)
+    with tracing() as hub:
+        run = workload.run(
+            ft=FaultTolerancePolicy(interval=3, delivery=BestEffort(seed=0)),
+            kill_plan=KillPlan.seeded(0, nprocs=8, max_ops=60, kills=1, min_ops=30),
+        )
+    totals = run.report.metrics.totals
+    counted = {
+        name.removeprefix("qos."): int(value)
+        for name, value in totals.items()
+        if name.startswith("qos.")
+    }
+    assert counted and sum(counted.values()) > 0
+    assert counted == summarize(hub.events())["qos"]
 
 
 def test_delivery_mode_binds_to_exactly_one_job():
@@ -306,3 +307,7 @@ def test_run_qos_trade_off_invariants_hold_on_sim():
     assert 0 < multilevel["multilevel_moved_bytes"] < multilevel["multilevel_full_bytes"]
     # Canonical serialization: a re-run reproduces the report byte for byte.
     assert report_json(run_qos(spec, executor="serial")) == report_json(report)
+    # Byte-identity oracle: recorded before the repro.experiment refactor.
+    assert hashlib.sha256(report_json(report).encode()).hexdigest() == (
+        "86668585db973c091add70cedf338f1bf49d7566baaa36d9350449389dab3868"
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -254,7 +255,7 @@ def test_window_tracker_segment_precedence():
 
 def test_window_tracker_finish_closes_open_outage():
     tracker = WindowTracker()
-    tracker.on_failure_detected(3, 7, 42.0)
+    tracker.consume({"type": "failure_detected", "t": 42.0, "rank": 3, "step": 7})
     tracker.finish(50.0)
     assert tracker.recovery_windows == [(42.0, 50.0)]
 
@@ -439,6 +440,10 @@ def test_cli_quick_writes_artifacts(tmp_path, capsys):
     assert load_requests(requests)
     document = json.loads(output.read_text())
     assert document["meta"]["engine"] == "repro.serve"
+    # Byte-identity oracle: recorded before the repro.experiment refactor.
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == (
+        "8b345891c8f7289fb39a10420f26ae3f05180732ade503f84da819429749f1cc"
+    )
     assert "| overall |" in markdown.read_text()
 
 

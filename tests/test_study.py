@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -428,6 +429,10 @@ def test_campaign_cli_smoke(tmp_path, capsys):
     )
     assert status == 0
     assert out.exists() and md.exists()
+    # Byte-identity oracle: recorded before the repro.experiment refactor.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "106820e57a8b9098b5948879f8fad0b58454d43ca2e2ebfd52fa122297d2622f"
+    )
     printed = capsys.readouterr().out
     assert "| workload |" in printed
     assert "invariants hold" in printed
