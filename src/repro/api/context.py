@@ -55,16 +55,20 @@ class WindowHandle:
     batching backend may coalesce them into vectorized writes in between.
     """
 
-    __slots__ = ("_ctx", "name")
+    __slots__ = ("_ctx", "name", "_window")
 
     def __init__(self, ctx: "RankContext", name: str) -> None:
         self._ctx = ctx
         self.name = name
+        #: The window, resolved on first use (a handle may precede allocation).
+        self._window = None
 
     @property
     def size(self) -> int:
         """Elements per rank in this window."""
-        return self._ctx._runtime.window(self.name).size
+        if self._window is None:
+            self._window = self._ctx._runtime.window(self.name)
+        return self._window.size
 
     @property
     def local(self) -> np.ndarray:
@@ -110,18 +114,11 @@ class WindowHandle:
             )
         return offset, 1
 
-    def _check_offset(self, offset: int, count: int) -> int:
-        """Validate an explicit ``(offset, count)`` pair of the *_nb methods."""
-        offset = int(offset)
-        if offset < 0:
-            raise WindowError(
-                f"negative offset {offset} into {self._where()}"
-            )
-        if count <= 0:
-            raise WindowError(
-                f"zero-length access (count={count}) on {self._where()}"
-            )
-        return offset
+    def _reject_offset(self, offset: int) -> None:
+        """Refuse a negative explicit offset of the *_nb methods, naming the
+        origin.  Count and upper bound are checked once, by the runtime at
+        issue (:meth:`~repro.rma.window.Window.check_access`)."""
+        raise WindowError(f"negative offset {int(offset)} into {self._where()}")
 
     def __getitem__(self, key: tuple[int, int | slice]) -> np.ndarray | float:
         """``w[trg, index]`` — one-sided get from rank ``trg``."""
@@ -153,16 +150,17 @@ class WindowHandle:
     def put_nb(self, trg: int, offset: int, data: np.ndarray) -> OpHandle:
         """Nonblocking put into rank ``trg``; completes at flush/unlock/gsync."""
         trg = self._check_trg(trg)
-        data = np.asarray(data).ravel()
-        offset = self._check_offset(offset, data.size)
-        return self._ctx.put_nb(trg, self.name, offset, data)
+        if offset < 0:
+            self._reject_offset(offset)
+        return self._ctx.put_nb(trg, self.name, int(offset), data)
 
     def get_nb(self, trg: int, offset: int, count: int) -> OpHandle:
         """Nonblocking get from rank ``trg``; the handle's buffer materializes
         at the next flush/unlock/gsync towards ``trg``."""
         trg = self._check_trg(trg)
-        offset = self._check_offset(offset, count)
-        return self._ctx.get_nb(trg, self.name, offset, count)
+        if offset < 0:
+            self._reject_offset(offset)
+        return self._ctx.get_nb(trg, self.name, int(offset), count)
 
     def accumulate_nb(
         self,
@@ -173,9 +171,9 @@ class WindowHandle:
     ) -> OpHandle:
         """Nonblocking combining put into rank ``trg``."""
         trg = self._check_trg(trg)
-        data = np.asarray(data).ravel()
-        offset = self._check_offset(offset, data.size)
-        return self._ctx.accumulate_nb(trg, self.name, offset, data, op)
+        if offset < 0:
+            self._reject_offset(offset)
+        return self._ctx.accumulate_nb(trg, self.name, int(offset), data, op)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WindowHandle({self.name!r}, rank={self._ctx.rank})"
@@ -184,7 +182,7 @@ class WindowHandle:
 class RankContext:
     """Everything one rank of an SPMD job may do, with its rank pre-bound."""
 
-    __slots__ = ("_runtime", "rank", "nranks", "_issued")
+    __slots__ = ("_runtime", "rank", "nranks", "_issued", "_handles")
 
     def __init__(self, runtime: "RmaRuntime", rank: int) -> None:
         self._runtime = runtime
@@ -192,13 +190,17 @@ class RankContext:
         self.nranks = runtime.nprocs
         #: Collective tokens issued but not yet yielded to the scheduler.
         self._issued: list[Collective] = []
+        self._handles: dict[str, WindowHandle] = {}
 
     # ------------------------------------------------------------------
     # Windows
     # ------------------------------------------------------------------
     def win(self, name: str) -> WindowHandle:
         """Handle on window ``name``, bound to this rank."""
-        return WindowHandle(self, name)
+        handle = self._handles.get(name)
+        if handle is None:
+            handle = self._handles[name] = WindowHandle(self, name)
+        return handle
 
     def local(self, window: str) -> np.ndarray:
         """Mutable numpy view of this rank's own buffer of ``window``."""

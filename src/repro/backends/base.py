@@ -46,26 +46,31 @@ def apply_action(action: CommAction, win: Window) -> None:
     ``action.operand`` so the fault-tolerance log can later re-apply the
     action to a restored window (log-based recovery, §7).  Shared by all
     backends so the per-op semantics cannot drift between them.
+
+    The runtime validated the access range when it issued the action, so the
+    target slice is taken unchecked; only a target invalidated since then
+    (it may die between issue and completion) still raises.
     """
-    if action.kind.is_put_like and action.operand is None:
+    kind = action.kind
+    region = win._region(action.trg, action.offset, action.count)
+    if kind is OpKind.GET:
+        action.data = region.copy()
+        return
+    if action.operand is None:
         action.operand = action.data
-    if action.kind is OpKind.PUT:
-        win.write(action.trg, action.offset, action.data)
-    elif action.kind is OpKind.GET:
-        action.data = win.read(action.trg, action.offset, action.count)
-    elif action.kind is OpKind.COMPARE_AND_SWAP:
-        view = win.view(action.trg, action.offset, action.count)
-        previous = view.copy()
+    if kind is OpKind.PUT:
+        region[...] = action.data
+    elif kind is OpKind.COMPARE_AND_SWAP:
+        previous = region.copy()
         if np.array_equal(previous, action.compare):
-            view[...] = action.data
+            region[...] = action.data
         action.data = previous
-    elif action.kind.is_atomic:
-        view = win.view(action.trg, action.offset, action.count)
-        previous = apply_accumulate(view, action.data, action.op)
-        if action.kind.is_get_like:
+    elif kind.is_atomic:
+        previous = apply_accumulate(region, action.data, action.op)
+        if kind.is_get_like:
             action.data = previous
     else:  # pragma: no cover - defensive
-        raise RmaError(f"unknown operation kind {action.kind!r}")
+        raise RmaError(f"unknown operation kind {kind!r}")
 
 
 class Backend(abc.ABC):

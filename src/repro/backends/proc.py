@@ -42,6 +42,7 @@ import atexit
 import functools
 import multiprocessing
 import os
+import select
 import signal
 import time
 from dataclasses import dataclass
@@ -169,27 +170,19 @@ class SharedWindow(Window):
 
 
 class _ShmSlab:
-    """Worker-side view of one shared window: just the three access methods
+    """Worker-side view of one shared window: just the slice access
     :func:`~repro.backends.base.apply_action` needs, no liveness bookkeeping
     (the supervisor owns that)."""
 
-    __slots__ = ("buffers", "dtype")
+    __slots__ = ("buffers",)
 
     def __init__(
         self, shm: shared_memory.SharedMemory, size: int, dtype: np.dtype, nprocs: int
     ) -> None:
         flat = np.frombuffer(shm.buf, dtype=dtype, count=size * nprocs)
         self.buffers = {r: flat[r * size : (r + 1) * size] for r in range(nprocs)}
-        self.dtype = dtype
 
-    def write(self, rank: int, offset: int, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=self.dtype).ravel()
-        self.buffers[rank][offset : offset + data.size] = data
-
-    def read(self, rank: int, offset: int, count: int) -> np.ndarray:
-        return self.buffers[rank][offset : offset + count].copy()
-
-    def view(self, rank: int, offset: int, count: int) -> np.ndarray:
+    def _region(self, rank: int, offset: int, count: int) -> np.ndarray:
         return self.buffers[rank][offset : offset + count]
 
 
@@ -288,6 +281,11 @@ class ProcBackend(Backend):
         #: reported.  ``is_alive()`` can lag the pipe by microseconds after a
         #: SIGKILL, so poll_failures must not depend on it alone.
         self._discovered_dead: set[int] = set()
+        #: One poll object over the process sentinels of the workers not yet
+        #: reported dead (``fd -> rank``): a sentinel turns readable when its
+        #: process ends, so one ``poll(0)`` checks every worker at once.
+        self._poller = select.poll()
+        self._watched: dict[int, int] = {}
         #: Pending self-kill instrumentation: rank -> ops to apply first.
         self._armed_kills: dict[int, int] = {}
         self._closed = False
@@ -314,6 +312,9 @@ class ProcBackend(Backend):
         if self._closed:
             return
         self._closed = True
+        for fd in self._watched:
+            self._poller.unregister(fd)
+        self._watched.clear()
         for worker in self._workers.values():
             if worker.process.is_alive():
                 try:
@@ -344,20 +345,27 @@ class ProcBackend(Backend):
     # Real-failure plumbing
     # ------------------------------------------------------------------
     def poll_failures(self) -> list[int]:
-        dead = []
-        for rank, worker in self._workers.items():
-            if rank in self._reported_dead:
-                continue
-            if rank in self._discovered_dead or not worker.process.is_alive():
-                self._reported_dead.add(rank)
-                self._discovered_dead.discard(rank)
-                self._note_death(rank)
-                dead.append(rank)
+        ended = self._poller.poll(0)
+        if not ended and not self._discovered_dead:
+            return []
+        dead = sorted(self._discovered_dead.union(self._watched[fd] for fd, _ in ended))
+        for rank in dead:
+            self._reported_dead.add(rank)
+            self._discovered_dead.discard(rank)
+            self._unwatch(rank)
+            self._note_death(rank)
         return dead
+
+    def _unwatch(self, rank: int) -> None:
+        """Stop polling ``rank``'s sentinel (reported, replaced or closing)."""
+        for fd in [fd for fd, watched in self._watched.items() if watched == rank]:
+            self._poller.unregister(fd)
+            del self._watched[fd]
 
     def respawn_rank(self, rank: int) -> None:
         old = self._workers.get(rank)
         if old is not None:
+            self._unwatch(rank)
             if old.process.is_alive():
                 # A *virtually*-failed rank (time-scheduled event, no SIGKILL)
                 # still has a live OS worker; the replacement takes over the
@@ -499,6 +507,8 @@ class ProcBackend(Backend):
         )
         process.start()
         child_conn.close()
+        self._poller.register(process.sentinel, select.POLLIN)
+        self._watched[process.sentinel] = rank
         return _Worker(rank=rank, process=process, conn=parent_conn)
 
     @staticmethod

@@ -39,13 +39,18 @@ class SimBackend(Backend):
 
     def __init__(self) -> None:
         super().__init__()
-        #: Issued-but-not-completed (handle, window, undo) triples per origin;
-        #: write effects are already applied, pure gets read at completion.
-        #: ``undo`` is the overwritten range (or ``None`` when capture is off).
-        self._pending: dict[int, list[tuple[OpHandle, Window, np.ndarray | None]]] = {}
+        #: Issued-but-not-completed (handle, window, undo) triples, one list
+        #: per origin (allocated by :meth:`bind`); write effects are already
+        #: applied, pure gets read at completion.  ``undo`` is the overwritten
+        #: range (or ``None`` when capture is off).
+        self._pending: list[list[tuple[OpHandle, Window, np.ndarray | None]]] = []
         self._capture_undo = False
 
     # ------------------------------------------------------------------
+    def bind(self, nprocs: int) -> None:
+        super().bind(nprocs)
+        self._pending = [[] for _ in range(nprocs)]
+
     def set_capture_undo(self, enabled: bool) -> None:
         self._capture_undo = enabled
 
@@ -53,38 +58,42 @@ class SimBackend(Backend):
         action = handle.action
         undo: np.ndarray | None = None
         if action.kind is not OpKind.GET:
-            if self._capture_undo and action.kind.is_put_like:
-                undo = win.read(action.trg, action.offset, action.count)
+            if self._capture_undo:
+                undo = win._region(action.trg, action.offset, action.count).copy()
             apply_action(action, win)
-        self._pending.setdefault(action.src, []).append((handle, win, undo))
+        self._pending[action.src].append((handle, win, undo))
 
     def complete(self, src: int, trg: int) -> list[OpHandle]:
-        queue = self._pending.get(src)
+        queue = self._pending[src]
         if not queue:
             return []
         done = [entry for entry in queue if entry[0].action.trg == trg]
-        if done:
+        if len(done) == len(queue):
+            self._pending[src] = []
+        elif done:
             self._pending[src] = [e for e in queue if e[0].action.trg != trg]
         return self._finish(done)
 
     def complete_rank(self, src: int) -> list[OpHandle]:
-        return self._finish(self._pending.pop(src, []))
+        done, self._pending[src] = self._pending[src], []
+        return self._finish(done)
 
     def pending_ops(self, src: int | None = None) -> int:
         if src is not None:
-            return len(self._pending.get(src, []))
-        return sum(len(queue) for queue in self._pending.values())
+            return len(self._pending[src])
+        return sum(len(queue) for queue in self._pending)
 
     def discard_pending(self) -> list[OpHandle]:
-        entries = [entry for queue in self._pending.values() for entry in queue]
-        self._pending.clear()
+        entries = [entry for queue in self._pending for entry in queue]
+        self._pending = [[] for _ in self._pending]
         return self._unwind(entries)
 
     def discard_rank(self, src: int) -> list[OpHandle]:
-        return self._unwind(self._pending.pop(src, []))
+        dropped, self._pending[src] = self._pending[src], []
+        return self._unwind(dropped)
 
     def discard_targeting(self, src: int, trgs: frozenset[int]) -> list[OpHandle]:
-        queue = self._pending.get(src)
+        queue = self._pending[src]
         if not queue:
             return []
         dropped = [e for e in queue if e[0].action.trg in trgs]
@@ -114,7 +123,9 @@ class SimBackend(Backend):
     @staticmethod
     def _finish(batch: list[tuple[OpHandle, Window, np.ndarray | None]]) -> list[OpHandle]:
         """Perform the deferred reads of pure gets; return handles in issue order."""
+        handles = []
         for handle, win, _ in batch:
             if handle.action.kind is OpKind.GET:
                 apply_action(handle.action, win)
-        return [handle for handle, _, _ in batch]
+            handles.append(handle)
+        return handles

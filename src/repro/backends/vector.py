@@ -6,9 +6,7 @@ origin in issue order and applied only when the runtime completes the epoch
 is *coalesced*: maximal runs of plain puts that write contiguous ranges of
 the same target's window collapse into a single numpy slice assignment, so a
 halo exchange or a chunked stream of small puts costs one vectorized write
-instead of one bounds-checked write per message — the batching that makes the
-nonblocking path measurably faster than the eager per-op path
-(``benchmarks/bench_rma.py``).
+instead of one write per message.
 
 Correctness note: within one epoch the model imposes no order between actions
 (§2.2), but the backend still applies the queue in issue order — overlapping
@@ -38,15 +36,20 @@ class VectorBackend(Backend):
 
     def __init__(self) -> None:
         super().__init__()
-        #: Issued-but-unapplied (handle, window) pairs per origin, issue order.
-        self._queues: dict[int, list[tuple[OpHandle, Window]]] = {}
+        #: Issued-but-unapplied (handle, window) pairs, one issue-ordered
+        #: list per origin (allocated by :meth:`bind`).
+        self._queues: list[list[tuple[OpHandle, Window]]] = []
 
     # ------------------------------------------------------------------
+    def bind(self, nprocs: int) -> None:
+        super().bind(nprocs)
+        self._queues = [[] for _ in range(nprocs)]
+
     def issue(self, handle: OpHandle, win: Window) -> None:
-        self._queues.setdefault(handle.action.src, []).append((handle, win))
+        self._queues[handle.action.src].append((handle, win))
 
     def complete(self, src: int, trg: int) -> list[OpHandle]:
-        queue = self._queues.get(src)
+        queue = self._queues[src]
         if not queue:
             return []
         batch = [(h, w) for h, w in queue if h.action.trg == trg]
@@ -57,26 +60,27 @@ class VectorBackend(Backend):
         return [h for h, _ in batch]
 
     def complete_rank(self, src: int) -> list[OpHandle]:
-        batch = self._queues.pop(src, [])
+        batch, self._queues[src] = self._queues[src], []
         self._apply_batch(batch)
         return [h for h, _ in batch]
 
     def pending_ops(self, src: int | None = None) -> int:
         if src is not None:
-            return len(self._queues.get(src, []))
-        return sum(len(queue) for queue in self._queues.values())
+            return len(self._queues[src])
+        return sum(len(queue) for queue in self._queues)
 
     def discard_pending(self) -> list[OpHandle]:
-        discarded = [h for queue in self._queues.values() for h, _ in queue]
-        self._queues.clear()
+        discarded = [h for queue in self._queues for h, _ in queue]
+        self._queues = [[] for _ in self._queues]
         return discarded
 
     def discard_rank(self, src: int) -> list[OpHandle]:
         # Nothing was applied yet: dropping the queue is already effect-free.
-        return [h for h, _ in self._queues.pop(src, [])]
+        dropped, self._queues[src] = self._queues[src], []
+        return [h for h, _ in dropped]
 
     def discard_targeting(self, src: int, trgs: frozenset[int]) -> list[OpHandle]:
-        queue = self._queues.get(src)
+        queue = self._queues[src]
         if not queue:
             return []
         dropped = [h for h, _ in queue if h.action.trg in trgs]
@@ -114,8 +118,8 @@ class VectorBackend(Backend):
                 end += nxt.action.count
                 j += 1
             if j - i == 1:
-                win.write(action.trg, action.offset, action.data)
+                apply_action(action, win)
             else:
                 payload = np.concatenate([batch[k][0].action.data for k in range(i, j)])
-                win.write(action.trg, action.offset, payload)
+                win._region(action.trg, action.offset, payload.size)[...] = payload
             i = j

@@ -25,6 +25,7 @@ post-checkpoint state without rolling survivors back.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import CheckpointError, EpochError
@@ -83,14 +84,14 @@ class ActionLog(RmaInterceptor):
         self.retain_actions = retain_actions
         self._runtime: RmaRuntime | None = None
         #: Per-origin list of (determinant, nbytes) since the last truncation.
-        self.entries: dict[int, list[tuple[tuple, int]]] = {}
-        self.bytes_logged: dict[int, int] = {}
+        self.entries: dict[int, list[tuple[tuple, int]]] = defaultdict(list)
+        self.bytes_logged: dict[int, int] = defaultdict(int)
         #: Element ranges written by completed put-like actions since the
         #: last truncation, keyed ``(target rank, window name)`` — the dirty
         #: map incremental (multi-level) checkpoints move instead of full
         #: snapshots.  Kept regardless of ``retain_actions``: ranges are a
         #: few ints, not pinned payloads.
-        self._dirty: dict[tuple[int, str], list[tuple[int, int]]] = {}
+        self._dirty: dict[tuple[int, str], list[tuple[int, int]]] = defaultdict(list)
         #: Completed actions since the last truncation, in completion order.
         self.actions: list[CommAction] = []
         #: Positions into :attr:`actions` marking completed job-step
@@ -105,21 +106,19 @@ class ActionLog(RmaInterceptor):
         self._runtime = runtime
 
     def after_comm(self, action: CommAction) -> None:
-        nbytes = action.nbytes
-        self.entries.setdefault(action.src, []).append((action.determinant(), nbytes))
-        self.bytes_logged[action.src] = self.bytes_logged.get(action.src, 0) + nbytes
+        nbytes, src, put_like = action.nbytes, action.src, action.kind.is_put_like
+        self.entries[src].append((action.determinant(), nbytes))
+        self.bytes_logged[src] += nbytes
         if self.retain_actions:
             self.actions.append(action)
-        if action.is_put_like:
-            self._dirty.setdefault((action.trg, action.window), []).append(
-                (action.offset, action.count)
-            )
+        if put_like:
+            self._dirty[action.trg, action.window].append((action.offset, action.count))
         if self._runtime is not None:
-            costs = self._runtime.cluster.costs
-            overhead = costs.log_bookkeeping
-            if action.is_put_like:
-                overhead += costs.local_copy(nbytes)
-            self._runtime.cluster.advance(action.src, overhead, kind="protocol")
+            cluster = self._runtime.cluster
+            overhead = cluster.costs.log_bookkeeping
+            if put_like:
+                overhead += cluster.costs.local_copy(nbytes)
+            cluster.advance(src, overhead, kind="protocol")
 
     def on_recovery_start(self, ranks: list[int], *, localized: bool) -> None:
         self._preserve_on_respawn = localized

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,10 @@ __all__ = [
 ]
 
 _SEQ = itertools.count()
+
+
+def _next_seq() -> int:
+    return next(_SEQ)  # reads the global: reset_sequence_counter rebinds it
 
 
 class ActionCategory(enum.Enum):
@@ -68,39 +73,20 @@ class OpKind(enum.Enum):
     FETCH_AND_OP = "fetch_and_op"
     COMPARE_AND_SWAP = "compare_and_swap"
 
-    @property
-    def is_put_like(self) -> bool:
-        """Whether the operation transfers data *to* the target (a put)."""
-        return self in {
-            OpKind.PUT,
-            OpKind.ACCUMULATE,
-            OpKind.GET_ACCUMULATE,
-            OpKind.FETCH_AND_OP,
-            OpKind.COMPARE_AND_SWAP,
-        }
-
-    @property
-    def is_get_like(self) -> bool:
-        """Whether the operation transfers data *from* the target (a get).
-
-        Atomic read-modify-write operations are both puts and gets (Table 1).
-        """
-        return self in {
-            OpKind.GET,
-            OpKind.GET_ACCUMULATE,
-            OpKind.FETCH_AND_OP,
-            OpKind.COMPARE_AND_SWAP,
-        }
-
-    @property
-    def is_atomic(self) -> bool:
-        """Whether the operation is a remote atomic."""
-        return self in {
-            OpKind.ACCUMULATE,
-            OpKind.GET_ACCUMULATE,
-            OpKind.FETCH_AND_OP,
-            OpKind.COMPARE_AND_SWAP,
-        }
+    # The traits are read several times per issued operation, so they are
+    # plain member attributes computed once here, not properties.
+    def __init__(self, label: str) -> None:
+        #: Whether the operation transfers data *to* the target (a put).
+        self.is_put_like: bool = label != "get"
+        #: Whether the operation transfers data *from* the target (a get).
+        #: Atomic read-modify-write operations are both puts and gets (Table 1).
+        self.is_get_like: bool = label in (
+            "get", "get_accumulate", "fetch_and_op", "compare_and_swap"
+        )
+        #: Whether the operation is a remote atomic.
+        self.is_atomic: bool = label not in ("put", "get")
+        #: Name of the metric counting completed operations of this kind.
+        self.metric: str = f"rma.{label}"
 
 
 class SyncKind(enum.Enum):
@@ -113,21 +99,18 @@ class SyncKind(enum.Enum):
     GSYNC = "gsync"
     BARRIER = "barrier"
 
-    @property
-    def category(self) -> ActionCategory:
-        """Map to the paper's four synchronization categories."""
-        if self in (SyncKind.FLUSH, SyncKind.FLUSH_ALL):
-            return ActionCategory.FLUSH
-        if self is SyncKind.LOCK:
-            return ActionCategory.LOCK
-        if self is SyncKind.UNLOCK:
-            return ActionCategory.UNLOCK
-        return ActionCategory.GSYNC
-
-    @property
-    def closes_epoch(self) -> bool:
-        """Whether this synchronization completes (commits) outstanding accesses."""
-        return self in (SyncKind.UNLOCK, SyncKind.FLUSH, SyncKind.FLUSH_ALL, SyncKind.GSYNC)
+    def __init__(self, label: str) -> None:
+        #: The paper's synchronization category this kind maps to.
+        self.category: ActionCategory = {
+            "lock": ActionCategory.LOCK,
+            "unlock": ActionCategory.UNLOCK,
+            "flush": ActionCategory.FLUSH,
+            "flush_all": ActionCategory.FLUSH,
+        }.get(label, ActionCategory.GSYNC)
+        #: Whether this synchronization completes (commits) outstanding accesses.
+        self.closes_epoch: bool = label in ("unlock", "flush", "flush_all", "gsync")
+        #: Name of the metric counting synchronizations of this kind.
+        self.metric: str = f"rma.{label}"
 
 
 class AccumulateOp(enum.Enum):
@@ -172,8 +155,7 @@ def apply_accumulate(
     return previous
 
 
-@dataclass(frozen=True)
-class Counters:
+class Counters(NamedTuple):
     """The recovery counters stamped on every action (Eq. 1 and 3)."""
 
     ec: int = 0
@@ -183,7 +165,7 @@ class Counters:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         """``(EC, GC, SC, GNC)``."""
-        return (self.ec, self.gc, self.sc, self.gnc)
+        return tuple(self)
 
 
 #: A determinant is the action without its data payload (Eq. 2); it is enough
@@ -191,7 +173,7 @@ class Counters:
 Determinant = tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class CommAction:
     """A communication action (Eq. 1)."""
 
@@ -217,7 +199,12 @@ class CommAction:
     #: Compare value of a compare-and-swap.
     compare: np.ndarray | None = None
     #: Unique, monotonically increasing issue id (program order within a run).
-    seq: int = field(default_factory=lambda: next(_SEQ))
+    seq: int = field(default_factory=_next_seq)
+    #: Bytes moved over the network by this action.  The runtime stamps
+    #: ``count * itemsize`` of the target window at issue; an action built
+    #: without a window takes its payload's size, and ``None`` means unknown
+    #: (a directly constructed pure get).
+    nbytes: int | None = None
 
     def __post_init__(self) -> None:
         if self.src < 0 or self.trg < 0:
@@ -226,6 +213,34 @@ class CommAction:
             raise RmaError("count must be positive")
         if self.offset < 0:
             raise RmaError("offset must be non-negative")
+        if self.nbytes is None and self.data is not None:
+            self.nbytes = int(self.data.nbytes)
+
+    @classmethod
+    def issued(
+        cls, kind: OpKind, src: int, trg: int, window: str, offset: int, count: int,
+        combine: bool, counters: Counters, op: AccumulateOp,
+        data: np.ndarray | None, compare: np.ndarray | None, nbytes: int,
+    ) -> "CommAction":
+        """The runtime's constructor: no validation, no defaults —
+        :meth:`~repro.rma.window.Window.check_access` has already validated
+        rank, offset and count, so ``__post_init__`` would only repeat it."""
+        self = object.__new__(cls)
+        self.kind = kind
+        self.src = src
+        self.trg = trg
+        self.window = window
+        self.offset = offset
+        self.count = count
+        self.combine = combine
+        self.counters = counters
+        self.op = op
+        self.data = data
+        self.operand = None
+        self.compare = compare
+        self.seq = next(_SEQ)
+        self.nbytes = nbytes
+        return self
 
     # ------------------------------------------------------------------
     @property
@@ -242,13 +257,6 @@ class CommAction:
     def is_get_like(self) -> bool:
         """Whether the action reads the target's memory into the source."""
         return self.kind.is_get_like
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes moved over the network by this action."""
-        if self.data is not None:
-            return int(self.data.nbytes)
-        return self.count * 8  # conservative default: 8-byte elements
 
     # Paper notation helpers -------------------------------------------------
     @property
@@ -274,14 +282,14 @@ class CommAction:
     def determinant(self) -> Determinant:
         """The determinant ``#a`` (Eq. 2): the action without its data."""
         return (
-            self.kind.value,
+            self.kind._value_,
             self.src,
             self.trg,
             self.window,
             self.offset,
             self.count,
             self.combine,
-            self.counters.as_tuple(),
+            tuple(self.counters),
             self.seq,
         )
 
@@ -299,7 +307,7 @@ class CommAction:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class SyncAction:
     """A synchronization action (Eq. 3)."""
 
@@ -311,7 +319,7 @@ class SyncAction:
     #: Optional name of the structure being synchronized (the paper's ``str``).
     structure: str | None = None
     window: str | None = None
-    seq: int = field(default_factory=lambda: next(_SEQ))
+    seq: int = field(default_factory=_next_seq)
 
     @property
     def category(self) -> ActionCategory:

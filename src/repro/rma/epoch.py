@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 __all__ = ["EpochTracker", "EpochState"]
 
 
-@dataclass
+@dataclass(slots=True)
 class EpochState:
     """Epoch bookkeeping of a single origin process."""
 
@@ -70,10 +70,11 @@ class EpochTracker:
     def close_all_epochs(self, src: int) -> None:
         """Close every open epoch of ``src`` (flush_all)."""
         state = self._states[src]
-        for trg in list(state.epoch_of_target):
-            state.epoch_of_target[trg] += 1
-        for trg in list(state.pending_ops):
-            state.pending_ops[trg] = 0
+        epochs, pending = state.epoch_of_target, state.pending_ops
+        for trg in epochs:  # values only: the key set does not change
+            epochs[trg] += 1
+        for trg in pending:
+            pending[trg] = 0
         state.epochs_closed += 1
 
     def close_global_epoch(self) -> None:

@@ -90,7 +90,7 @@ def replay_apply(logged: CommAction, win: Window) -> int:
     else:  # accumulate-style: deterministic re-application in issue order
         view = win.view(logged.trg, logged.offset, logged.count)
         apply_accumulate(view, np.asarray(operand, dtype=win.dtype), logged.op)
-    return int(np.asarray(operand).nbytes) if operand is not None else 0
+    return logged.nbytes
 
 
 class _PairQueues:

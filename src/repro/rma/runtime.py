@@ -37,8 +37,8 @@ traces and clocks.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import TYPE_CHECKING
+import math
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -87,7 +87,25 @@ class _Accrual:
     def __init__(self) -> None:
         self.cost = 0.0
         self.nbytes = 0
-        self.kinds: dict[str, int] = defaultdict(int)
+        #: Operation count per metric name (``OpKind.metric``).
+        self.kinds: dict[str, int] = {}
+
+
+class _Membership(NamedTuple):
+    """Who counts as a member of the job, derived once per change and
+    revalidated by readers with one comparison of :attr:`generation`."""
+
+    #: Injector generation the snapshot was built from.
+    generation: int
+    #: Every failed, not yet replaced rank (excised ones included).
+    failed: frozenset[int]
+    #: Failed ranks the delivery mode tolerates until their repair.
+    suspended: frozenset[int]
+    #: Failed ranks that make a collective raise (neither excised nor
+    #: suspended), in rank order.
+    dead: list[int]
+    #: Nobody failed: no liveness check can fire.
+    healthy: bool
 
 
 class RmaRuntime:
@@ -103,7 +121,7 @@ class RmaRuntime:
         # Deferred import: repro.backends needs the rma model modules, which
         # this module's package pulls in — importing it lazily keeps every
         # entry-point import order (repro, repro.rma, repro.backends) valid.
-        from repro.backends import make_backend
+        from repro.backends import Backend, make_backend
 
         self.cluster = cluster
         self.nprocs = cluster.nprocs
@@ -114,19 +132,35 @@ class RmaRuntime:
         self.interceptors = InterceptorChain()
         self.recorder = OrderRecorder(enabled=record)
         self._finalized = False
-        #: Failures already propagated to windows and interceptors.
+        self._window = self.backend.windows.get
+        self._clock = cluster.clock
+        self._injector = cluster.injector
+        #: Whether ranks can die behind the injector's back (the backend
+        #: overrides ``poll_failures``): only then must every action poll.
+        self._vehicles = type(self.backend).poll_failures is not Backend.poll_failures
+        #: Failures already propagated to windows and interceptors, and the
+        #: injector generation at which that propagation was last complete.
         self._known_failed: set[int] = set()
-        #: Uncharged cost/metrics of outstanding nonblocking ops per (src, trg).
-        self._accrued: dict[tuple[int, int], _Accrual] = {}
+        self._observed_generation: int | None = None
+        #: Uncharged cost/metrics of outstanding nonblocking ops: per origin,
+        #: a dict keyed by target.
+        self._accrued: list[dict[int, _Accrual]] = [{} for _ in range(self.nprocs)]
         #: Active log-driven replay of a localized recovery (None = normal).
         self._replay: ReplayCursor | None = None
         #: Ranks permanently removed by a degraded continuation: they are
         #: never respawned, their kernels are skipped, operations targeting
-        #: them are dropped and reads observe zeroed buffers.
+        #: them are dropped and reads observe zeroed buffers.  Written only
+        #: by :meth:`excise_rank`.
         self.excised: frozenset[int] = frozenset()
         #: Installed delivery mode (:mod:`repro.qos`); ``None`` behaves
         #: exactly like the reliable mode — every failure path is fatal.
+        #: Written only by :meth:`set_delivery`.
         self.delivery: "DeliveryMode | None" = None
+        #: ``None`` while every issued operation takes the normal pipeline,
+        #: :meth:`_divert_op` while an excised rank, a suspended rank or a
+        #: replay exists (see :meth:`_set_divert`).
+        self._divert = None
+        self._members = self._refresh_membership()
 
     @property
     def windows(self) -> WindowRegistry:
@@ -158,6 +192,7 @@ class RmaRuntime:
         catches per rank), and the session repairs them at step boundaries.
         """
         self.delivery = mode
+        self._refresh_membership()
 
     def suspended_ranks(self) -> frozenset[int]:
         """Failed ranks the installed delivery mode tolerates (usually empty).
@@ -166,9 +201,7 @@ class RmaRuntime:
         only changes at injector-controlled completion-stream positions,
         which are identical across sim/vector/proc by construction.
         """
-        if self.delivery is None:
-            return frozenset()
-        return self.delivery.suspended(self)
+        return self._membership().suspended
 
     # ------------------------------------------------------------------
     # Window lifecycle
@@ -198,10 +231,7 @@ class RmaRuntime:
         An excised rank's buffer stays readable (it was reallocated to zeros
         when the rank was removed), so degraded jobs can still gather results.
         """
-        if rank not in self.excised:
-            if rank in self.suspended_ranks():
-                raise RankSuspendedError(rank)
-            self.cluster.ensure_alive(rank)
+        self._require_alive(rank, excised_ok=True)
         return self.windows.get(window).local(rank)
 
     def local_view(
@@ -214,10 +244,7 @@ class RmaRuntime:
         loads/stores need no runtime call at all.  ``count=None`` means "to
         the end of the window".
         """
-        if rank not in self.excised:
-            if rank in self.suspended_ranks():
-                raise RankSuspendedError(rank)
-            self.cluster.ensure_alive(rank)
+        self._require_alive(rank, excised_ok=True)
         win = self.windows.get(window)
         if count is None:
             count = win.size - offset
@@ -234,13 +261,9 @@ class RmaRuntime:
         The write becomes visible when the next ``flush``/``unlock``/``gsync``
         completes the ``src -> trg`` epoch.
         """
-        win = self.windows.get(window)
-        payload = self._coerce_payload(data, win)
-        action = self._make_comm(
-            OpKind.PUT, src, trg, win, offset, payload.size, combine=False,
-            data=payload,
-        )
-        return self._issue_nb(action, win)
+        win = self._window(window)
+        payload = np.array(data, dtype=win.dtype).ravel()  # the one defensive copy
+        return self._issue(OpKind.PUT, src, trg, win, offset, payload.size, False, payload)
 
     def get_nb(
         self, src: int, trg: int, window: str, offset: int, count: int
@@ -250,11 +273,7 @@ class RmaRuntime:
         The handle's buffer (:meth:`~repro.rma.handles.OpHandle.result`)
         materializes at the next completion point; reading it earlier raises.
         """
-        win = self.windows.get(window)
-        action = self._make_comm(
-            OpKind.GET, src, trg, win, offset, count, combine=False,
-        )
-        return self._issue_nb(action, win)
+        return self._issue(OpKind.GET, src, trg, self._window(window), offset, count, False)
 
     def accumulate_nb(
         self,
@@ -266,13 +285,12 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> OpHandle:
         """Issue a nonblocking combining put into ``trg`` (MPI_Accumulate)."""
-        win = self.windows.get(window)
-        payload = self._coerce_payload(data, win)
-        action = self._make_comm(
-            OpKind.ACCUMULATE, src, trg, win, offset, payload.size,
-            combine=op.combining, data=payload, op=op,
+        win = self._window(window)
+        payload = np.array(data, dtype=win.dtype).ravel()
+        return self._issue(
+            OpKind.ACCUMULATE, src, trg, win, offset, payload.size, op.combining,
+            payload, op=op,
         )
-        return self._issue_nb(action, win)
 
     # ------------------------------------------------------------------
     # Blocking communication actions (issue + immediate completion)
@@ -324,13 +342,12 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> np.ndarray:
         """Atomically combine ``data`` and return the previous target values."""
-        win = self.windows.get(window)
-        payload = self._coerce_payload(data, win)
-        action = self._make_comm(
-            OpKind.GET_ACCUMULATE, src, trg, win, offset, payload.size,
-            combine=op.combining, data=payload, op=op,
+        win = self._window(window)
+        payload = np.array(data, dtype=win.dtype).ravel()
+        handle = self._issue(
+            OpKind.GET_ACCUMULATE, src, trg, win, offset, payload.size, op.combining,
+            payload, op=op,
         )
-        handle = self._issue_nb(action, win)
         self._complete_pair(src, trg)
         data = handle.result()
         assert data is not None
@@ -346,13 +363,11 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> float:
         """Single-element atomic fetch-and-op (MPI_Fetch_and_op)."""
-        win = self.windows.get(window)
+        win = self._window(window)
         payload = np.asarray([value], dtype=win.dtype)
-        action = self._make_comm(
-            OpKind.FETCH_AND_OP, src, trg, win, offset, 1,
-            combine=op.combining, data=payload, op=op,
+        handle = self._issue(
+            OpKind.FETCH_AND_OP, src, trg, win, offset, 1, op.combining, payload, op=op
         )
-        handle = self._issue_nb(action, win)
         self._complete_pair(src, trg)
         data = handle.result()
         assert data is not None
@@ -368,14 +383,12 @@ class RmaRuntime:
         value: float,
     ) -> float:
         """Single-element atomic CAS; returns the previous target value."""
-        win = self.windows.get(window)
+        win = self._window(window)
         payload = np.asarray([value], dtype=win.dtype)
         cmp = np.asarray([compare], dtype=win.dtype)
-        action = self._make_comm(
-            OpKind.COMPARE_AND_SWAP, src, trg, win, offset, 1,
-            combine=True, data=payload, compare=cmp,
+        handle = self._issue(
+            OpKind.COMPARE_AND_SWAP, src, trg, win, offset, 1, True, payload, cmp
         )
-        handle = self._issue_nb(action, win)
         self._complete_pair(src, trg)
         data = handle.result()
         assert data is not None
@@ -393,18 +406,15 @@ class RmaRuntime:
         ``qos.dropped_syncs``).
         """
         self._pre_action(src, trg)
-        if self.delivery is not None and trg in self.suspended_ranks():
-            action = SyncAction(
-                kind=SyncKind.LOCK, src=src, trg=trg,
-                counters=self._stamp(src, trg), structure=structure,
-            )
-            self.delivery.count("dropped_syncs", src)
-            return action
-        sc = self.counters.on_lock(src, trg, structure)
+        dropped = self._divert is not None and trg in self._members.suspended
+        sc = None if dropped else self.counters.on_lock(src, trg, structure)
         action = SyncAction(
             kind=SyncKind.LOCK, src=src, trg=trg,
             counters=self._stamp(src, trg, sc=sc), structure=structure,
         )
+        if dropped:
+            self.delivery.count("dropped_syncs", src)
+            return action
         return self._issue_sync(action, cost=self.cluster.costs.lock())
 
     def unlock(self, src: int, trg: int, structure: str | None = None) -> SyncAction:
@@ -416,7 +426,7 @@ class RmaRuntime:
         in-flight operations resolve through the delivery mode.
         """
         self._pre_action(src, trg)
-        if self.delivery is not None and trg in self.suspended_ranks():
+        if self._divert is not None and trg in self._members.suspended:
             try:
                 self.counters.on_unlock(src, trg, structure)
             except LockError:
@@ -460,18 +470,16 @@ class RmaRuntime:
     def flush_all(self, src: int) -> SyncAction:
         """Complete all outstanding operations of ``src`` (MPI_Win_flush_all)."""
         self.observe_failures()
-        suspended = self.suspended_ranks()
-        if src in suspended:
-            raise RankSuspendedError(src)
-        self.cluster.ensure_alive(src)
+        self._require_alive(src)
         # Completing towards a dead target must fail *before* any effect is
         # applied, on every backend alike — an eager backend already wrote the
         # bytes, a batching one has not, so the liveness check (not the apply)
         # has to be the common failure point.  Suspended targets are exempt:
         # their in-flight operations resolve through the delivery mode.
-        for pair_src, trg in list(self._accrued):
-            if pair_src == src and trg not in suspended:
-                self.cluster.ensure_alive(trg)
+        members = self._members
+        for trg in self._accrued[src]:
+            if trg in members.failed and trg not in members.suspended:
+                raise ProcessFailedError(trg)
         self._complete_rank(src)
         pending = self.epochs.pending(src)
         gc = self.counters.on_flush(src)
@@ -503,11 +511,7 @@ class RmaRuntime:
         # resumed would perform post-sync local stores the action log never
         # sees, which a localized replay could then not reconstruct.
         self.observe_failures()
-        suspended = self.suspended_ranks()
-        failed = [
-            r for r in self.cluster.failed_ranks()
-            if r not in self.excised and r not in suspended
-        ]
+        failed = self._membership().dead
         if failed:
             raise ProcessFailedError(
                 failed[0], f"gsync observed failed ranks {failed} (fail-stop)"
@@ -518,11 +522,10 @@ class RmaRuntime:
         self.epochs.close_global_epoch()
         actions = []
         for rank in self.cluster.alive_ranks():
+            own = self.counters.of(rank)
             action = SyncAction(
                 kind=SyncKind.GSYNC, src=rank, trg=None,
-                counters=Counters(
-                    gc=self.counters.gc(rank), gnc=self.counters.gnc(rank),
-                ),
+                counters=Counters(gc=own.gc, gnc=own.gnc),
             )
             self.interceptors.before_sync(action)
             self.recorder.record(action)
@@ -553,14 +556,8 @@ class RmaRuntime:
                 return self.cluster.barrier(cost=cost)
             except ProcessFailedError:
                 self.observe_failures()
-                suspended = self.suspended_ranks()
-                if not suspended:
-                    raise
-                failed = [
-                    r for r in self.cluster.failed_ranks()
-                    if r not in self.excised and r not in suspended
-                ]
-                if failed:
+                members = self._membership()
+                if not members.suspended or members.dead:
                     raise
 
     # ------------------------------------------------------------------
@@ -574,9 +571,7 @@ class RmaRuntime:
         values they already hold, so their charge is suppressed — in a real
         system they would be waiting for the recovering processes (§4.2).
         """
-        if rank in self.suspended_ranks():
-            raise RankSuspendedError(rank)
-        self.cluster.ensure_alive(rank)
+        self._require_alive(rank)
         if self._replay is not None and rank not in self._replay.restoring:
             return self.cluster.now(rank)
         return self.cluster.advance(rank, self.cluster.costs.compute(flops))
@@ -608,16 +603,25 @@ class RmaRuntime:
         processes of the ``proc`` backend) report vehicle deaths here too —
         folded into the cluster's failed set first, so a SIGKILLed worker
         surfaces through exactly the same path as a scheduled failure.
+
+        The diff only runs when the injector's generation moved since the
+        last complete propagation — every writer of the failed set bumps it.
         """
+        cluster, injector = self.cluster, self._injector
         for rank in self.backend.poll_failures():
-            if self.cluster.is_alive(rank):
-                self.cluster.fail_rank(rank)
-        self.cluster.check_failures(now if now is not None else self.cluster.elapsed())
-        newly = sorted(set(self.cluster.failed_ranks()) - self._known_failed)
+            if cluster.is_alive(rank):
+                cluster.fail_rank(rank)
+        if injector.next_due < math.inf:
+            cluster.check_failures(cluster.elapsed() if now is None else now)
+        generation = injector.generation
+        if generation == self._observed_generation:
+            return []
+        newly = sorted(injector.failed_ranks - self._known_failed)
         for rank in newly:
             self._known_failed.add(rank)
             self.backend.invalidate_rank(rank)
             self.interceptors.on_failure_detected(rank)
+        self._observed_generation = generation
         return newly
 
     def notify_respawn(self, rank: int) -> None:
@@ -629,6 +633,7 @@ class RmaRuntime:
         worker process on the ``proc`` backend) and notifies interceptors.
         """
         self._known_failed.discard(rank)
+        self._observed_generation = None  # re-diff at the next observation
         self.epochs.reset_rank(rank)
         self.counters.reset_rank(rank)
         self.backend.respawn_rank(rank)
@@ -649,7 +654,8 @@ class RmaRuntime:
         discarded = self.backend.discard_pending()
         for handle in discarded:
             handle._mark_discarded()
-        self._accrued.clear()
+        for accrued in self._accrued:
+            accrued.clear()
         self.epochs.clear_pending()
         return len(discarded)
 
@@ -703,10 +709,12 @@ class RmaRuntime:
         if cursor.exhausted:
             return
         self._replay = cursor
+        self._set_divert()
 
     def end_replay(self) -> ReplayCursor | None:
         """Abort replay mode (a further failure interrupted it); return the cursor."""
         cursor, self._replay = self._replay, None
+        self._set_divert()
         return cursor
 
     def replay_step_boundary(self) -> None:
@@ -721,6 +729,7 @@ class RmaRuntime:
             return
         if self._replay.step_boundary(self):
             self._replay = None
+            self._set_divert()
             self.cluster.metrics.incr("ft.replays_completed")
 
     # ------------------------------------------------------------------
@@ -739,11 +748,53 @@ class RmaRuntime:
         self.backend.reallocate_rank(rank)
         self.counters.release_all_locks(rank)
         self.excised = self.excised | {rank}
+        self._refresh_membership()
         self.cluster.metrics.incr("ft.excised_ranks", rank=rank)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _refresh_membership(self) -> _Membership:
+        """Rebuild the membership snapshot: the injector's generation moved
+        (every reader checks), or :meth:`excise_rank` / :meth:`set_delivery`
+        — the only writers of its other two inputs — ran."""
+        failed = self._injector.failed_ranks
+        suspended = (
+            self.delivery.suspended(self) if self.delivery is not None else frozenset()
+        )
+        self._members = _Membership(
+            self._injector.generation, failed, suspended,
+            sorted(failed - self.excised - suspended), not (failed or suspended),
+        )
+        self._set_divert()
+        return self._members
+
+    def _membership(self) -> _Membership:
+        """The current membership snapshot (rebuilt if the failed set moved)."""
+        members = self._members
+        if members.generation != self._injector.generation:
+            members = self._refresh_membership()
+        return members
+
+    def _set_divert(self) -> None:
+        """Re-derive :attr:`_divert`; called by the membership rebuild and by
+        the writers of :attr:`_replay` (:meth:`begin_replay`,
+        :meth:`end_replay`, :meth:`replay_step_boundary`)."""
+        special = self.excised or self._members.suspended or self._replay is not None
+        self._divert = self._divert_op if special else None
+
+    def _require_alive(self, rank: int, *, excised_ok: bool = False) -> None:
+        """Raise unless ``rank`` may act: :class:`RankSuspendedError` for a
+        rank a tolerant delivery mode suspends (the scheduler skips just its
+        turn), :class:`ProcessFailedError` for any other failed rank."""
+        members = self._membership()
+        if members.healthy or (excised_ok and rank in self.excised):
+            return
+        if rank in members.suspended:
+            raise RankSuspendedError(rank)
+        if rank in members.failed:
+            raise ProcessFailedError(rank)
+
     def _ensure_all_alive(self, what: str) -> None:
         """Collectives observe pending failures and fail when any rank is dead.
 
@@ -756,11 +807,7 @@ class RmaRuntime:
         boundary; the survivors' collective proceeds without them).
         """
         self.observe_failures()
-        suspended = self.suspended_ranks()
-        dead = [
-            r for r in self.cluster.failed_ranks()
-            if r not in self.excised and r not in suspended
-        ]
+        dead = self._membership().dead
         if dead:
             raise ProcessFailedError(dead[0], f"{what} observed failed ranks {dead}")
 
@@ -773,38 +820,37 @@ class RmaRuntime:
         by a tolerant delivery mode is likewise exempt (the issue path will
         resolve the operation as a drop or stale read); a suspended *source*
         raises :class:`~repro.errors.RankSuspendedError` so the scheduler
-        skips just that rank's turn.
+        skips just that rank's turn.  The :meth:`observe_failures` scan only
+        runs when something can have changed: the failed set moved, a
+        scheduled event is due, or ranks have vehicles that die on their own.
         """
-        self.observe_failures(self.cluster.now(src))
-        suspended = self.suspended_ranks()
-        if src in suspended:
-            raise RankSuspendedError(src)
-        self.cluster.ensure_alive(src)
-        if trg not in self.excised and trg not in suspended:
-            self.cluster.ensure_alive(trg)
-
-    @staticmethod
-    def _coerce_payload(data: np.ndarray, win: Window) -> np.ndarray:
-        """Copy a user payload into a flat array of the window's dtype.
-
-        The copy decouples the action from the caller's buffer: a nonblocking
-        operation applied only at flush time, and actions retained by
-        interceptors or the recorder, must keep the values the operation was
-        issued with even if the caller mutates its array afterwards (the
-        stencil passes live window slices, for example).
-        """
-        return np.array(data, dtype=win.dtype, copy=True).ravel()
+        injector = self._injector
+        now = self._clock(src).now
+        if (
+            self._observed_generation != injector.generation
+            or now >= injector.next_due
+            or self._vehicles
+        ):
+            self.observe_failures(now)
+        members = self._members
+        if members.generation != injector.generation:
+            members = self._refresh_membership()
+        if not members.healthy:
+            self._require_alive(src)
+            if (
+                trg in members.failed
+                and trg not in self.excised
+                and trg not in members.suspended
+            ):
+                raise ProcessFailedError(trg)
 
     def _stamp(self, src: int, trg: int, *, sc: int | None = None) -> Counters:
         """Counters a fresh ``src -> trg`` action carries (Eq. 1/3)."""
-        return Counters(
-            ec=self.epochs.epoch(src, trg),
-            gc=self.counters.gc(src),
-            sc=self.counters.sc_held(src, trg) if sc is None else sc,
-            gnc=self.counters.gnc(src),
-        )
+        own = self.counters.of(src)
+        held = own.sc_held.get(trg, 0) if sc is None else sc
+        return Counters(self.epochs.epoch(src, trg), own.gc, held, own.gnc)
 
-    def _make_comm(
+    def _issue(
         self,
         kind: OpKind,
         src: int,
@@ -812,99 +858,94 @@ class RmaRuntime:
         win: Window,
         offset: int,
         count: int,
-        *,
         combine: bool,
         data: np.ndarray | None = None,
         compare: np.ndarray | None = None,
         op: AccumulateOp = AccumulateOp.REPLACE,
-    ) -> CommAction:
-        # Window-addressing errors first (they name the rank and window), then
-        # liveness: a malformed nonblocking op must fail at its call site,
-        # identically on every backend, not at the flush that would apply it.
-        win.check_access(trg, offset, count)
-        self._pre_action(src, trg)
-        window = win.name
-        return CommAction(
-            kind=kind, src=src, trg=trg, window=window, offset=offset,
-            count=count, combine=combine, counters=self._stamp(src, trg),
-            op=op, data=data, compare=compare,
-        )
+    ) -> OpHandle:
+        """Issue one communication action: check, stamp, interceptors,
+        backend, accrual.
 
-    def _issue_nb(self, action: CommAction, win: Window) -> OpHandle:
-        """Issue one communication action: interceptors, backend, accrual.
-
+        Window-addressing errors come first (they name the rank and window),
+        then liveness: a malformed nonblocking op must fail at its call site,
+        identically on every backend, not at the flush that would apply it.
         The action's network cost and metrics are *accrued*, not charged —
         they hit the origin's clock when the pair's queue completes, mirroring
         how the backend may defer execution itself.
-
-        Two special paths bypass the normal pipeline entirely (no
-        interceptors, no backend, no accrual — the action is not part of new
-        committed state):
-
-        * a target excised by a degraded continuation: the operation is
-          *dropped* — the handle completes immediately, get-like results
-          observe the excised rank's zeroed buffer (best-effort semantics);
-        * an active :class:`~repro.rma.replay.ReplayCursor` that matches the
-          action: the operation already happened before the crash — its
-          logged effect is re-applied only to restoring ranks' windows and
-          logged get data is served, so survivors are never touched twice.
         """
-        if action.trg in self.excised:
-            handle = OpHandle(action)
-            if action.kind.is_get_like:
-                action.data = np.zeros(action.count, dtype=win.dtype)
-            handle._mark_completed()
-            self.cluster.metrics.incr("ft.dropped_ops", rank=action.src)
-            return handle
-        if self.delivery is not None and action.trg in self.suspended_ranks():
-            # Tolerated by the delivery mode: resolved right here (drop or
-            # stale service) — the operation never reaches the backend, the
-            # action log, the epochs or the accrual, exactly like the excised
-            # path above; it is not part of any committed state.
-            handle = OpHandle(action)
-            self.delivery.resolve(action, win, self)
-            handle._mark_completed()
-            return handle
-        if self._replay is not None:
-            logged = self._replay.consume(action)
-            if logged is not None:
-                return self._suppress_replayed(action, logged, win)
+        win.check_access(trg, offset, count)
+        self._pre_action(src, trg)
+        nbytes = count * win.itemsize
+        action = CommAction.issued(
+            kind, src, trg, win.name, offset, count, combine,
+            self._stamp(src, trg), op, data, compare, nbytes,
+        )
+        if self._divert is not None:
+            handle = self._divert(action, win)
+            if handle is not None:
+                return handle
         self.interceptors.before_comm(action)
         handle = OpHandle(action)
         self.backend.issue(handle, win)
-        accrual = self._accrued.get((action.src, action.trg))
+        accrued = self._accrued[src]
+        accrual = accrued.get(trg)
         if accrual is None:
-            accrual = self._accrued[(action.src, action.trg)] = _Accrual()
-        nbytes = action.count * win.itemsize
-        accrual.cost += self.cluster.costs.remote_transfer(
-            nbytes, atomic=action.kind.is_atomic
-        )
+            accrual = accrued[trg] = _Accrual()
+        # One float addition per op, in issue order: clocks are floats and
+        # ``n * c != c + ... + c``, so batching this sum would move them.
+        accrual.cost += self.cluster.costs.remote_transfer(nbytes, atomic=kind.is_atomic)
         accrual.nbytes += nbytes
-        accrual.kinds[action.kind.value] += 1
-        self.epochs.record_access(action.src, action.trg)
-        self.recorder.record(action)
+        accrual.kinds[kind.metric] = accrual.kinds.get(kind.metric, 0) + 1
+        self.epochs.record_access(src, trg)
+        if self.recorder.enabled:
+            self.recorder.record(action)
         return handle
 
-    def _suppress_replayed(
-        self, action: CommAction, logged: CommAction, win: Window
-    ) -> OpHandle:
-        """Complete a re-issued action from its logged twin instead of executing it."""
-        assert self._replay is not None
+    def _divert_op(self, action: CommAction, win: Window) -> OpHandle | None:
+        """Resolve an issued action outside the normal pipeline, or return
+        ``None`` when it must execute normally.
+
+        The one home of the three special cases.  A diverted action sees no
+        interceptors, backend, accrual or epoch — it is not part of new
+        committed state:
+
+        * a target excised by a degraded continuation: the operation is
+          *dropped*, get-like results observe the rank's zeroed buffer;
+        * a target suspended by a tolerant delivery mode: the mode resolves
+          the operation right here (drop or stale service);
+        * an active :class:`~repro.rma.replay.ReplayCursor` matching the
+          action: it already happened before the crash — its logged effect
+          is re-applied only to restoring ranks' windows and logged get data
+          is served, so survivors are never touched twice.
+        """
+        if action.trg in self.excised:
+            if action.kind.is_get_like:
+                action.data = np.zeros(action.count, dtype=win.dtype)
+            self.cluster.metrics.incr("ft.dropped_ops", rank=action.src)
+        elif action.trg in self._members.suspended:
+            self.delivery.resolve(action, win, self)
+        else:
+            logged = self._replay.consume(action) if self._replay is not None else None
+            if logged is None:
+                return None
+            if action.kind.is_get_like and logged.data is not None:
+                action.data = np.array(logged.data, copy=True)
+            if action.kind.is_put_like and logged.trg in self._replay.restoring:
+                nbytes = replay_apply(logged, win)
+                self.cluster.advance(
+                    logged.trg, self.cluster.costs.local_copy(nbytes), kind="protocol"
+                )
+                self.cluster.metrics.incr("ft.replayed_bytes", nbytes, rank=logged.trg)
         handle = OpHandle(action)
-        if action.kind.is_get_like and logged.data is not None:
-            action.data = np.array(logged.data, copy=True)
-        if action.is_put_like and logged.trg in self._replay.restoring:
-            nbytes = replay_apply(logged, win)
-            self.cluster.advance(
-                logged.trg, self.cluster.costs.local_copy(nbytes), kind="protocol"
-            )
-            self.cluster.metrics.incr("ft.replayed_bytes", nbytes, rank=logged.trg)
         handle._mark_completed()
         return handle
 
     def _complete_pair(self, src: int, trg: int) -> None:
         """Complete all outstanding ``src -> trg`` ops: apply, notify, charge."""
-        if trg in self.suspended_ranks():
+        members = self._members
+        if members.generation != self._injector.generation:
+            members = self._refresh_membership()
+        if trg in members.suspended:
             self._discard_toward(src, frozenset((trg,)))
             return
         self._retire(self.backend.complete(src, trg))
@@ -927,21 +968,22 @@ class RmaRuntime:
         in-flight operations toward suspended targets are resolved through
         the mode (drop or stale service) instead of being applied.
         """
-        suspended = self.suspended_ranks()
-        if src in suspended:
-            self._discard_from(src)
-            return
-        if suspended:
-            self._discard_toward(src, suspended)
-        if (
-            src not in self.excised
-            and not self.cluster.is_alive(src)
-            and self.backend.pending_ops(src)
-        ):
-            raise ProcessFailedError(src)
+        members = self._membership()  # per rank: a completion may have fired a kill
+        if not members.healthy:
+            if src in members.suspended:
+                self._discard_from(src)
+                return
+            if members.suspended:
+                self._discard_toward(src, members.suspended)
+            if (
+                src in members.failed
+                and src not in self.excised
+                and self.backend.pending_ops(src)
+            ):
+                raise ProcessFailedError(src)
         self._retire(self.backend.complete_rank(src))
-        for key in [k for k in self._accrued if k[0] == src]:
-            self._charge_accrued(*key)
+        for trg in list(self._accrued[src]):
+            self._charge_accrued(src, trg)
 
     def _discard_toward(self, src: int, trgs: frozenset[int]) -> None:
         """Resolve ``src``'s in-flight ops toward suspended targets, effect-free.
@@ -959,7 +1001,7 @@ class RmaRuntime:
             self.delivery.resolve(action, self.windows.get(action.window), self)
             handle._mark_completed()
         for trg in trgs:
-            self._accrued.pop((src, trg), None)
+            self._accrued[src].pop(trg, None)
 
     def _discard_from(self, src: int) -> None:
         """Abandon a suspended origin's whole in-flight queue (fail-stop).
@@ -975,24 +1017,24 @@ class RmaRuntime:
             handle._mark_discarded()
         if handles:
             self.delivery.count("discarded_inflight", src, len(handles))
-        for key in [k for k in self._accrued if k[0] == src]:
-            del self._accrued[key]
+        self._accrued[src].clear()
 
     def _retire(self, handles: list[OpHandle]) -> None:
         """Mark completed handles and emit the completion stream to interceptors."""
+        after_comm = self.interceptors.after_comm
         for handle in handles:
             handle._mark_completed()
-            self.interceptors.after_comm(handle.action)
+            after_comm(handle.action)
 
     def _charge_accrued(self, src: int, trg: int) -> None:
         """Charge the accrued cost/metrics of a completed ``(src, trg)`` batch."""
-        accrual = self._accrued.pop((src, trg), None)
+        accrual = self._accrued[src].pop(trg, None)
         if accrual is None:
             return
-        self.cluster.advance(src, accrual.cost, kind="comm")
+        self._clock(src).advance(accrual.cost, kind="comm")
         metrics = self.cluster.metrics
-        for kind, count in accrual.kinds.items():
-            metrics.incr(f"rma.{kind}", count, rank=src)
+        for name, count in accrual.kinds.items():
+            metrics.incr(name, count, rank=src)
         metrics.incr("rma.bytes_moved", accrual.nbytes, rank=src)
 
     def _issue_sync(self, action: SyncAction, *, cost: float) -> SyncAction:
@@ -1000,7 +1042,7 @@ class RmaRuntime:
         self.cluster.advance(action.src, cost, kind="comm")
         self.recorder.record(action)
         self.interceptors.after_sync(action)
-        self.cluster.metrics.incr(f"rma.{action.kind.value}", rank=action.src)
+        self.cluster.metrics.incr(action.kind.metric, rank=action.src)
         return action
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -31,6 +31,8 @@ class Window:
     nprocs: int
     buffers: dict[int, np.ndarray] = field(default_factory=dict)
     _invalidated: set[int] = field(default_factory=set)
+    #: Bytes per element.
+    itemsize: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -38,6 +40,7 @@ class Window:
         if self.nprocs <= 0:
             raise WindowError("window needs at least one process")
         self.dtype = np.dtype(self.dtype)
+        self.itemsize = int(self.dtype.itemsize)
         for rank in range(self.nprocs):
             if rank not in self.buffers:
                 self.buffers[rank] = np.zeros(self.size, dtype=self.dtype)
@@ -45,11 +48,6 @@ class Window:
     # ------------------------------------------------------------------
     # Local access
     # ------------------------------------------------------------------
-    @property
-    def itemsize(self) -> int:
-        """Bytes per element."""
-        return int(self.dtype.itemsize)
-
     @property
     def nbytes_per_rank(self) -> int:
         """Window size in bytes at each rank."""
@@ -87,7 +85,16 @@ class Window:
         operation fails where it was written, identically on every backend —
         not at the flush that would eventually have applied it.
         """
-        self._check_range(rank, offset, count)
+        if not (0 <= rank < self.nprocs and 0 <= offset and 0 < count <= self.size - offset):
+            self._check_range(rank, offset, count)  # raises the precise error
+
+    def _region(self, rank: int, offset: int, count: int) -> np.ndarray:
+        """Mutable slice for :func:`~repro.backends.base.apply_action`, whose
+        range the runtime validated at issue; only *invalidation* is checked
+        again (the target may have died between issue and completion)."""
+        if rank in self._invalidated:
+            self._check_alive(rank)
+        return self.buffers[rank][offset : offset + count]
 
     def snapshot(self, rank: int) -> np.ndarray:
         """A deep copy of ``rank``'s entire buffer (checkpoint payload)."""

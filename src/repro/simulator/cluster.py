@@ -92,6 +92,9 @@ class Cluster:
         self.fdh = placement.fdh
         self.costs = cost_model or cray_xe6_like()
         self.clocks = ClockCollection(nprocs)
+        # The collection resets clocks in place and never replaces them, so
+        # the per-rank objects can be resolved once.
+        self._clock_of = [self.clocks.clock(rank) for rank in range(nprocs)]
         self.metrics = MetricsRegistry()
         self.injector = FailureInjector(failure_schedule or FailureSchedule.none(), placement)
         #: Ranks that crashed and were later replaced; kept for reporting.
@@ -124,8 +127,9 @@ class Cluster:
     # ------------------------------------------------------------------
     def clock(self, rank: int) -> VirtualClock:
         """Virtual clock of ``rank``."""
-        self._check_rank(rank)
-        return self.clocks.clock(rank)
+        if not 0 <= rank < self.nprocs:
+            self._check_rank(rank)
+        return self._clock_of[rank]
 
     def now(self, rank: int) -> float:
         """Current virtual time of ``rank``."""
@@ -157,7 +161,8 @@ class Cluster:
             cost = self.costs.barrier(len(participants))
         t = self.clocks.synchronize(participants, extra=cost)
         self.check_failures(t)
-        dead = [r for r in participants if self.injector.is_failed(r)]
+        failed = self.injector.failed_ranks
+        dead = [r for r in participants if r in failed]
         if dead:
             raise ProcessFailedError(dead[0], f"barrier observed failed ranks {dead}")
         return t
@@ -182,7 +187,7 @@ class Cluster:
         time-based :class:`~repro.simulator.failures.FailureSchedule`.
         """
         self._check_rank(rank)
-        self.injector._failed_ranks.add(rank)  # noqa: SLF001 - deliberate internal use
+        self.injector.fail(rank)
         self.metrics.incr("cluster.failures", rank=rank)
 
     def is_alive(self, rank: int) -> bool:
@@ -192,16 +197,12 @@ class Cluster:
 
     def alive_ranks(self) -> list[int]:
         """All currently alive ranks, in rank order."""
-        return [r for r in range(self.nprocs) if self.is_alive(r)]
+        failed = self.injector.failed_ranks
+        return [r for r in range(self.nprocs) if r not in failed]
 
     def failed_ranks(self) -> list[int]:
         """All currently failed (not yet replaced) ranks."""
         return sorted(self.injector.failed_ranks)
-
-    def ensure_alive(self, rank: int) -> None:
-        """Raise :class:`ProcessFailedError` if ``rank`` is dead."""
-        if not self.is_alive(rank):
-            raise ProcessFailedError(rank)
 
     def respawn_rank(self, rank: int, *, reset_clock: bool = False) -> None:
         """Replace a failed rank with a fresh process ``p_new``.

@@ -16,6 +16,7 @@ TSUBAME2.0 failure history (§7.1).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,19 +171,27 @@ class FailureInjector:
     points (barriers, gsyncs); this models the fact that in RMA a failure is
     only *observed* when some process tries to synchronize with or access the
     failed process.
+
+    Every mutation of the failed set goes through the injector (:meth:`fail`,
+    :meth:`revive`, fired events) and bumps :attr:`generation`, so consumers
+    cache what they derive from it and revalidate with one comparison.
     """
 
     def __init__(self, schedule: FailureSchedule, placement: Placement) -> None:
         self.schedule = schedule
         self.placement = placement
         self._pending: list[FailureEvent] = sorted(schedule.events)
-        self._failed_ranks: set[int] = set()
         self._failed_elements: list[FailureEvent] = []
+        #: Incremented whenever the failed set changes.
+        self.generation = 0
+        #: Time of the next scheduled event (``inf`` when none remain).
+        self.next_due = self._pending[0].time if self._pending else math.inf
+        #: Ranks that have failed so far (and not been replaced).
+        self.failed_ranks: frozenset[int] = frozenset()
 
-    @property
-    def failed_ranks(self) -> frozenset[int]:
-        """Ranks that have failed so far (and not been replaced)."""
-        return frozenset(self._failed_ranks)
+    def _set_failed(self, ranks: frozenset[int]) -> None:
+        self.failed_ranks = ranks
+        self.generation += 1
 
     @property
     def triggered_events(self) -> list[FailureEvent]:
@@ -206,27 +215,33 @@ class FailureInjector:
         Ranks that already failed earlier are not reported again.
         """
         newly: list[int] = []
-        while self._pending and self._pending[0].time <= now:
-            event = self._pending.pop(0)
-            self._failed_elements.append(event)
-            for rank in self.ranks_of_event(event):
-                if rank not in self._failed_ranks:
-                    self._failed_ranks.add(rank)
-                    newly.append(rank)
+        try:
+            while self.next_due <= now:
+                event = self._pending.pop(0)
+                self.next_due = self._pending[0].time if self._pending else math.inf
+                self._failed_elements.append(event)
+                for rank in self.ranks_of_event(event):
+                    if rank not in self.failed_ranks and rank not in newly:
+                        newly.append(rank)
+        finally:  # a malformed event raises mid-scan; earlier deaths still count
+            if newly:
+                self._set_failed(self.failed_ranks.union(newly))
         return newly
+
+    def fail(self, rank: int) -> None:
+        """Mark ``rank`` dead right now (explicit, unscheduled failure)."""
+        if rank not in self.failed_ranks:
+            self._set_failed(self.failed_ranks | {rank})
 
     def is_failed(self, rank: int) -> bool:
         """Whether ``rank`` is currently marked dead."""
-        return rank in self._failed_ranks
+        return rank in self.failed_ranks
 
     def revive(self, rank: int) -> None:
         """Mark ``rank`` alive again (a replacement process has been spawned)."""
-        self._failed_ranks.discard(rank)
+        if rank in self.failed_ranks:
+            self._set_failed(self.failed_ranks - {rank})
 
     def has_pending(self) -> bool:
         """Whether future failure events remain in the schedule."""
         return bool(self._pending)
-
-    def next_failure_time(self) -> float | None:
-        """Time of the next scheduled failure, or ``None``."""
-        return self._pending[0].time if self._pending else None

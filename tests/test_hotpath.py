@@ -1,0 +1,306 @@
+"""The per-operation issue path: call budgets, disposition transitions, slots.
+
+The budgets are exact and machine-independent: they count Python-level
+``call`` events (``sys.setprofile``) per operation on a healthy job, so a
+change that re-introduces per-op re-derivation of membership, op traits or
+validation fails here long before it shows in a wall-clock benchmark.
+"""
+
+import dataclasses
+import math
+import pickle
+import sys
+
+import numpy as np
+import pytest
+
+import repro
+from repro import FaultTolerancePolicy
+from repro.errors import ProcessFailedError
+from repro.ft.stack import build_ft_stack
+from repro.rma import RmaRuntime
+from repro.rma.actions import (
+    AccumulateOp,
+    ActionCategory,
+    CommAction,
+    Counters,
+    OpKind,
+    SyncAction,
+    SyncKind,
+)
+from repro.rma.replay import ReplayCursor
+from repro.simulator import Cluster, FailureSchedule
+from repro.simulator.costs import cray_xe6_like
+
+BACKENDS = ["sim", "vector"]
+OPS = 1000
+
+
+# ---------------------------------------------------------------------------
+# (a) Call budgets
+# ---------------------------------------------------------------------------
+def _calls_per_op(op, *, watch=()) -> tuple[float, int]:
+    """Python-level calls per ``op()`` over ``OPS`` runs, and how many of
+    them entered one of the ``watch``-ed functions."""
+    watched = {fn.__code__ for fn in watch}
+    calls = hits = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls, hits
+        if event == "call":
+            calls += 1
+            hits += frame.f_code in watched
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        for _ in range(OPS):
+            op()
+    finally:
+        sys.setprofile(previous)
+    return calls / OPS - 1, hits  # minus the ``op`` frame itself
+
+
+@pytest.mark.parametrize(
+    "ft, budget",
+    [(None, 24), (FaultTolerancePolicy(interval=20, recovery="localized"), 32)],
+    ids=["plain", "logged"],
+)
+def test_put_nb_call_budget_and_no_liveness_scans(ft, budget):
+    data = np.arange(8.0)
+    with repro.launch(8, ft=ft) as job:
+        job.allocate("w", 64)
+        w = job.contexts[0].win("w")
+        per_op, scans = _calls_per_op(
+            lambda: w.put_nb(1, 8, data),
+            watch=(Cluster.is_alive, RmaRuntime.observe_failures),
+        )
+        assert job.runtime.pending_nb_ops(0) == OPS
+        job.runtime.flush(0, 1)
+    assert per_op <= budget, f"put_nb costs {per_op} Python calls/op (budget {budget})"
+    assert scans == 0, "a healthy job must not scan membership between sync points"
+
+
+def test_blocking_put_call_budget():
+    data = np.arange(8.0)
+    with repro.launch(8) as job:
+        job.allocate("w", 64)
+        ctx = job.contexts[0]
+        per_op, scans = _calls_per_op(
+            lambda: ctx.put(1, "w", 8, data),
+            watch=(Cluster.is_alive, RmaRuntime.observe_failures),
+        )
+    assert per_op <= 36, f"blocking put costs {per_op} Python calls/op (budget 36)"
+    assert scans == 0
+
+
+# ---------------------------------------------------------------------------
+# (b) Disposition transitions
+# ---------------------------------------------------------------------------
+def _runtime(backend: str, **cluster_kwargs) -> RmaRuntime:
+    rt = RmaRuntime(
+        Cluster.simple(4, procs_per_node=2, **cluster_kwargs), backend=backend
+    )
+    rt.win_allocate("w", 16)
+    return rt
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_explicit_failure_is_observed_by_the_very_next_op(backend):
+    rt = _runtime(backend)
+    rt.put_nb(0, 1, "w", 0, [1.0])
+    assert rt._divert is None
+    rt.cluster.fail_rank(1)
+    with pytest.raises(ProcessFailedError) as failure:
+        rt.put_nb(0, 1, "w", 1, [2.0])  # this one, not the one after
+    assert failure.value.rank == 1
+    assert rt.windows.get("w").is_invalidated(1)  # the full scan ran
+    rt.put_nb(0, 2, "w", 0, [3.0])  # other targets keep flowing
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_scheduled_failure_fires_at_the_op_index_the_cost_model_predicts(backend):
+    flops = 1000.0
+    step_cost = cray_xe6_like().compute(flops)
+    start = _runtime(backend).cluster.now(0)  # allocation + barrier, deterministic
+    due = start + 2.5 * step_cost
+    expected_index = math.ceil((due - start) / step_cost) - 1  # == 2
+    rt = _runtime(backend, failure_schedule=FailureSchedule.single_rank(1, due))
+    issued = 0
+    with pytest.raises(ProcessFailedError):
+        for _ in range(10):
+            rt.compute(0, flops)  # the only thing moving rank 0's clock
+            rt.put_nb(0, 1, "w", 0, [1.0])
+            issued += 1
+    assert issued == expected_index == 2
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_recovery_restores_the_normal_path(backend):
+    rt = _runtime(backend)
+    stack = build_ft_stack(rt)
+    stack.checkpointer.checkpoint(tag=0)
+    rt.cluster.fail_rank(1)
+    with pytest.raises(ProcessFailedError):
+        rt.put_nb(0, 1, "w", 0, [1.0])
+    stack.recovery.recover()
+    assert rt._divert is None and rt._membership().healthy
+    handle = rt.put_nb(0, 1, "w", 0, [4.0])
+    rt.flush(0, 1)
+    assert handle.completed and rt.local(1, "w")[0] == 4.0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_excised_target_drops_ops_through_the_divert(backend):
+    rt = _runtime(backend)
+    rt.cluster.fail_rank(3)
+    rt.observe_failures()
+    rt.excise_rank(3)
+    assert rt._divert is not None
+    put = rt.put_nb(0, 3, "w", 0, [1.0])
+    get = rt.get_nb(0, 3, "w", 0, 2)
+    assert put.completed and get.completed and rt.pending_nb_ops() == 0
+    assert np.array_equal(get.result(), np.zeros(2))
+    assert rt.cluster.metrics.get("ft.dropped_ops") == 2
+    rt.put_nb(0, 1, "w", 0, [1.0])  # healthy targets take the normal path
+    assert rt.pending_nb_ops() == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_best_effort_suspension_diverts_until_the_step_boundary_repair(backend):
+    def kernel(ctx, step):
+        ctx.win("w").put_nb((ctx.rank + 1) % ctx.nranks, 0, [float(step)])
+
+    policy = FaultTolerancePolicy(interval=1, delivery="best_effort")
+    with repro.launch(4, ft=policy, backend=backend) as job:
+        job.allocate("w", 4)
+        job.run(kernel, steps=1)  # takes the first checkpoint
+        job.cluster.fail_rank(1)
+        handle = job.contexts[0].win("w").put_nb(1, 0, [9.0])
+        assert handle.completed  # resolved by the mode, never queued
+        assert job.runtime._divert is not None
+        assert job.cluster.metrics.get("qos.dropped_puts") == 1
+        assert job.runtime.suspended_ranks() == frozenset({1})
+        job.run(kernel, steps=1, start_step=1)  # boundary repair respawns rank 1
+        assert job.cluster.metrics.get("qos.repairs") == 1
+        assert job.runtime._divert is None
+        job.contexts[0].win("w").put_nb(1, 0, [9.0])
+        assert job.runtime.pending_nb_ops(0) == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_replay_suppresses_until_the_cursor_is_exhausted(backend):
+    rt = _runtime(backend)
+    stack = build_ft_stack(rt, recovery="localized")
+    rt.put(0, 1, "w", 0, [1.0])
+    logged = list(stack.log.actions)
+    assert len(logged) == 1
+    rt.local(1, "w")[0] = 0.0  # pretend rank 1 was restored from a checkpoint
+    rt.begin_replay(ReplayCursor(logged, restoring={1}))
+    assert rt._divert is not None
+    suppressed = rt.put_nb(0, 1, "w", 0, [7.0])  # re-issued: the log wins
+    assert suppressed.completed and rt.pending_nb_ops() == 0
+    assert rt.local(1, "w")[0] == 1.0
+    assert rt.cluster.metrics.get("ft.replayed_bytes") == 8
+    rt.put_nb(0, 1, "w", 1, [2.0])  # cursor exhausted: normal again
+    assert rt.pending_nb_ops() == 1
+    rt.replay_step_boundary()
+    assert not rt.replaying and rt._divert is None
+
+
+# ---------------------------------------------------------------------------
+# One size per action
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", [np.float32, np.int16])
+def test_action_size_is_stamped_once_from_the_window(dtype):
+    itemsize = np.dtype(dtype).itemsize
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2))
+    rt.win_allocate("w", 16, dtype=dtype)
+    stack = build_ft_stack(rt, recovery="localized")
+    get = rt.get_nb(0, 1, "w", 0, 4)
+    put = rt.put_nb(0, 1, "w", 4, [1, 2, 3, 4])
+    assert get.action.nbytes == put.action.nbytes == 4 * itemsize  # before any flush
+    rt.flush(0, 1)
+    assert get.action.nbytes == get.action.data.nbytes
+    assert rt.cluster.metrics.get("rma.bytes_moved") == 2 * 4 * itemsize
+    assert stack.log.total_logged_bytes() == 2 * 4 * itemsize
+
+
+def test_directly_built_action_takes_its_payload_size_never_a_guess():
+    where = {"src": 0, "trg": 1, "window": "w", "offset": 0, "count": 4}
+    stamp = {"combine": False, "counters": Counters()}
+    put = CommAction(kind=OpKind.PUT, data=np.zeros(4, dtype=np.int16), **where, **stamp)
+    assert put.nbytes == 8
+    assert CommAction(kind=OpKind.GET, **where, **stamp).nbytes is None
+
+
+# ---------------------------------------------------------------------------
+# (c) Slotted actions
+# ---------------------------------------------------------------------------
+def test_slotted_actions_pickle_and_replace():
+    counters = Counters(ec=1, gnc=3)
+    assert counters == Counters(1, 0, 0, 3) and counters.as_tuple() == (1, 0, 0, 3)
+    assert Counters() == Counters(ec=0, gc=0, sc=0, gnc=0)
+    assert pickle.loads(pickle.dumps(counters)) == counters
+    assert counters._replace(gc=2).as_tuple() == (1, 2, 0, 3)
+
+    comm = CommAction(
+        kind=OpKind.ACCUMULATE, src=0, trg=1, window="w", offset=2, count=3,
+        combine=True, counters=counters, op=AccumulateOp.SUM, data=np.arange(3.0),
+    )
+    sync = SyncAction(kind=SyncKind.LOCK, src=0, trg=1, counters=counters, structure="s")
+    for action in (comm, sync):
+        assert not hasattr(action, "__dict__")
+        clone = pickle.loads(pickle.dumps(action))
+        assert clone.determinant() == action.determinant()
+        moved = dataclasses.replace(action, src=2)
+        assert moved.src == 2 and moved.seq == action.seq
+    assert np.array_equal(pickle.loads(pickle.dumps(comm)).data, comm.data)
+    assert comm.nbytes == 24 and dataclasses.replace(comm, offset=0).nbytes == 24
+
+
+def test_runtime_built_actions_pickle_like_directly_built_ones():
+    rt = RmaRuntime(Cluster.simple(2))
+    rt.win_allocate("w", 4)
+    action = rt.put_nb(0, 1, "w", 0, [1.0, 2.0]).action
+    clone = pickle.loads(pickle.dumps(action))
+    assert clone.determinant() == action.determinant() and clone.nbytes == 16
+
+
+# ---------------------------------------------------------------------------
+# (d) Trait tables
+# ---------------------------------------------------------------------------
+def test_opkind_traits_equal_the_set_definitions():
+    put_like = {
+        OpKind.PUT, OpKind.ACCUMULATE, OpKind.GET_ACCUMULATE,
+        OpKind.FETCH_AND_OP, OpKind.COMPARE_AND_SWAP,
+    }
+    get_like = {
+        OpKind.GET, OpKind.GET_ACCUMULATE, OpKind.FETCH_AND_OP, OpKind.COMPARE_AND_SWAP,
+    }
+    atomic = {
+        OpKind.ACCUMULATE, OpKind.GET_ACCUMULATE, OpKind.FETCH_AND_OP,
+        OpKind.COMPARE_AND_SWAP,
+    }
+    for kind in OpKind:
+        assert kind.is_put_like is (kind in put_like)
+        assert kind.is_get_like is (kind in get_like)
+        assert kind.is_atomic is (kind in atomic)
+        assert kind.metric == f"rma.{kind.value}"
+        assert "is_put_like" in vars(kind)  # a plain attribute, not a property
+
+
+def test_synckind_traits_equal_the_branch_definitions():
+    categories = {
+        SyncKind.LOCK: ActionCategory.LOCK,
+        SyncKind.UNLOCK: ActionCategory.UNLOCK,
+        SyncKind.FLUSH: ActionCategory.FLUSH,
+        SyncKind.FLUSH_ALL: ActionCategory.FLUSH,
+        SyncKind.GSYNC: ActionCategory.GSYNC,
+        SyncKind.BARRIER: ActionCategory.GSYNC,
+    }
+    closing = {SyncKind.UNLOCK, SyncKind.FLUSH, SyncKind.FLUSH_ALL, SyncKind.GSYNC}
+    for kind in SyncKind:
+        assert kind.category is categories[kind]
+        assert kind.closes_epoch is (kind in closing)
+        assert kind.metric == f"rma.{kind.value}"
