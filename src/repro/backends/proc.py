@@ -10,10 +10,11 @@ makes the paper's fail-stop model *physical*:
   supervisor and by every worker;
 * each rank gets a **worker**: a forked OS process that owns the rank's
   execution vehicle.  Queued operations of origin ``src`` are shipped to
-  ``src``'s worker at completion time (pickled
-  :class:`~repro.rma.actions.CommAction` batches over a pipe) and applied
-  there with the *same* :func:`~repro.backends.base.apply_action` the
-  in-process backends use, so per-op semantics cannot drift;
+  ``src``'s worker at completion time as one flat binary message over a
+  pipe (fixed-size records + raw operand bytes; layout in
+  ``docs/ARCHITECTURE.md``) and applied there with the *same*
+  :func:`~repro.backends.base.apply_action` the in-process backends use, so
+  per-op semantics cannot drift;
 * the supervisor keeps the control plane — scheduler, runtime, counters,
   interceptors, checkpoint stores — in its own heap.  Checkpoint copies
   therefore survive any worker's death by construction, which is exactly the
@@ -42,8 +43,10 @@ import atexit
 import functools
 import multiprocessing
 import os
+import pickle
 import select
 import signal
+import struct
 import time
 from dataclasses import dataclass
 from multiprocessing import connection, shared_memory
@@ -52,6 +55,7 @@ import numpy as np
 
 from repro.backends.base import Backend, apply_action
 from repro.errors import BackendError, ProcessFailedError, WatchdogError, WindowError
+from repro.rma.actions import AccumulateOp, CommAction, OpKind
 from repro.rma.handles import OpHandle
 from repro.rma.window import Window
 
@@ -74,6 +78,18 @@ def _drain_deferred_closes() -> None:
 
 
 atexit.register(_drain_deferred_closes)
+
+# The wire (table in docs/ARCHITECTURE.md): every pipe message starts with a
+# one-byte tag.  The two hot messages are flat binary; the cold control ones
+# (attach, ping/pong, sleep, exit, err) are pickled tuples whose first byte —
+# pickle's PROTO opcode — *is* their tag, so ``Connection.send``/``recv`` speak them.
+_APPLY = 1  #: supervisor -> worker: header, n records, operand bytes
+_OK = 2  #: worker -> supervisor: the bytes fetched by the get-like records
+_CONTROL = pickle.PROTO[0]  #: either way: ``pickle.dumps(tuple)``
+_HEADER = struct.Struct("<BIi")  #: tag, n, die_after (-1: not armed)
+_RECORD = struct.Struct("<BBHIQQ")  #: kind, op, window id, trg, offset, count
+#: Enums cross as their definition index: both ends are forks of one interpreter.
+_KINDS, _OPS = tuple(OpKind), tuple(AccumulateOp)
 
 
 @functools.lru_cache(maxsize=1)
@@ -114,6 +130,8 @@ class SharedWindow(Window):
         super().__init__(
             name=name, size=size, dtype=dtype, nprocs=nprocs, buffers=buffers
         )
+        #: The window's name on the wire: its position in attach order.
+        self.wire_id = -1
 
     @property
     def segment_name(self) -> str:
@@ -174,16 +192,56 @@ class _ShmSlab:
     :func:`~repro.backends.base.apply_action` needs, no liveness bookkeeping
     (the supervisor owns that)."""
 
-    __slots__ = ("buffers",)
+    __slots__ = ("buffers", "dtype")
 
     def __init__(
         self, shm: shared_memory.SharedMemory, size: int, dtype: np.dtype, nprocs: int
     ) -> None:
         flat = np.frombuffer(shm.buf, dtype=dtype, count=size * nprocs)
         self.buffers = {r: flat[r * size : (r + 1) * size] for r in range(nprocs)}
+        self.dtype = dtype
 
     def _region(self, rank: int, offset: int, count: int) -> np.ndarray:
         return self.buffers[rank][offset : offset + count]
+
+
+def _apply_batch(rank: int, buf: bytes, slabs: list[_ShmSlab]) -> bytes:
+    """Decode one ``APPLY`` message, apply its records, build the ``OK`` reply.
+
+    Operands are views into ``buf``; the message is decoded and its length
+    checked before the first write, so a malformed batch is refused whole.
+    """
+    _, n, die_after = _HEADER.unpack_from(buf)
+    pos = _HEADER.size + n * _RECORD.size
+    batch = []
+    for kind_id, op_id, win_id, trg, offset, count in _RECORD.iter_unpack(
+        buf[_HEADER.size : pos]
+    ):
+        if kind_id >= len(_KINDS) or op_id >= len(_OPS) or win_id >= len(slabs):
+            raise BackendError(f"record {len(batch)}: bad ids {(kind_id, op_id, win_id)}")
+        kind, slab = _KINDS[kind_id], slabs[win_id]
+        data = compare = None
+        if kind is not OpKind.GET:
+            data = np.frombuffer(buf, slab.dtype, count, pos)
+            pos += data.nbytes
+            if kind is OpKind.COMPARE_AND_SWAP:
+                compare = np.frombuffer(buf, slab.dtype, count, pos)
+                pos += compare.nbytes
+        # Only what apply_action reads crossed the wire; the stamps are placeholders.
+        action = CommAction.issued(
+            kind, rank, trg, "", offset, count, False, None, _OPS[op_id], data, compare, 0
+        )
+        batch.append((action, slab))
+    if pos != len(buf):  # also catches a batch cut short at a record boundary
+        raise BackendError(f"batch of {n} records is {len(buf)} bytes, decodes to {pos}")
+    reply = [bytes((_OK,))]
+    for index, (action, slab) in enumerate(batch):
+        if index == die_after:
+            os.kill(os.getpid(), signal.SIGKILL)
+        apply_action(action, slab)
+        if action.kind.is_get_like:
+            reply.append(action.data.tobytes())
+    return b"".join(reply)
 
 
 def _worker_main(rank: int, conn) -> None:
@@ -199,38 +257,29 @@ def _worker_main(rank: int, conn) -> None:
     from multiprocessing import resource_tracker
 
     resource_tracker.register = lambda *a, **k: None  # parent owns the segments
-    slabs: dict[str, _ShmSlab] = {}
+    slabs: list[_ShmSlab] = []  # attach order: the index is the wire window id
     segments: list[shared_memory.SharedMemory] = []
     try:
         while True:
-            msg = conn.recv()
-            tag = msg[0]
-            if tag == "exit":
-                break
+            buf = conn.recv_bytes()
             try:
-                if tag == "attach":
-                    _, win_name, seg_name, size, dtype_str, nprocs = msg
+                if buf[0] == _APPLY:
+                    conn.send_bytes(_apply_batch(rank, buf, slabs))
+                    continue
+                tag, *args = pickle.loads(buf) if buf[0] == _CONTROL else (buf[0],)
+                if tag == "exit":
+                    break
+                if tag == "attach":  # pipe ordering makes an ack unnecessary
+                    seg_name, size, dtype_str, nprocs = args
                     seg = shared_memory.SharedMemory(name=seg_name)
                     segments.append(seg)
-                    slabs[win_name] = _ShmSlab(seg, size, np.dtype(dtype_str), nprocs)
-                    continue  # pipe ordering makes an ack unnecessary
-                if tag == "apply":
-                    _, actions, die_after = msg
-                    results = []
-                    for i, action in enumerate(actions):
-                        if die_after is not None and i == die_after:
-                            os.kill(os.getpid(), signal.SIGKILL)
-                        apply_action(action, slabs[action.window])
-                        if action.kind.is_get_like:
-                            results.append((i, action.data))
-                    conn.send(("ok", results))
+                    slabs.append(_ShmSlab(seg, size, np.dtype(dtype_str), nprocs))
                 elif tag == "ping":
                     conn.send(("pong", os.getpid()))
                 elif tag == "sleep":  # test hook: simulate a wedged worker
-                    time.sleep(msg[1])
-                    conn.send(("ok", []))
+                    time.sleep(args[0])
                 else:
-                    conn.send(("err", f"unknown message tag {tag!r}"))
+                    raise BackendError(f"unknown message tag {tag!r}")
             except Exception as exc:  # noqa: BLE001 - report, don't die silently
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
     except (EOFError, OSError):
@@ -250,6 +299,8 @@ class _Worker:
     rank: int
     process: multiprocessing.process.BaseProcess
     conn: connection.Connection
+    #: Persistent poll over the pipe and the process sentinel (the ack wait).
+    poller: select.poll
 
 
 class ProcBackend(Backend):
@@ -303,6 +354,7 @@ class ProcBackend(Backend):
             name, size, dtype, self.nprocs, factory=SharedWindow
         )
         assert isinstance(window, SharedWindow)
+        window.wire_id = len(self.windows) - 1
         for worker in self._workers.values():
             if worker.process.is_alive():
                 self._send_attach(worker, window)
@@ -426,7 +478,7 @@ class ProcBackend(Backend):
         except (BrokenPipeError, OSError):
             return False
         reply = self._await_reply(worker)
-        return reply is not None and reply[0] == "pong"
+        return bool(reply) and reply[0] == _CONTROL and pickle.loads(reply)[0] == "pong"
 
     def describe_rank(self, rank: int) -> str:
         worker = self._workers.get(rank)
@@ -509,20 +561,16 @@ class ProcBackend(Backend):
         child_conn.close()
         self._poller.register(process.sentinel, select.POLLIN)
         self._watched[process.sentinel] = rank
-        return _Worker(rank=rank, process=process, conn=parent_conn)
+        poller = select.poll()
+        poller.register(parent_conn.fileno(), select.POLLIN)
+        poller.register(process.sentinel, select.POLLIN)
+        return _Worker(rank=rank, process=process, conn=parent_conn, poller=poller)
 
     @staticmethod
     def _send_attach(worker: _Worker, window: SharedWindow) -> None:
         try:
             worker.conn.send(
-                (
-                    "attach",
-                    window.name,
-                    window.segment_name,
-                    window.size,
-                    str(window.dtype),
-                    window.nprocs,
-                )
+                ("attach", window.segment_name, window.size, str(window.dtype), window.nprocs)
             )
         except (BrokenPipeError, OSError):  # dead worker: poll reports it
             pass
@@ -558,19 +606,31 @@ class ProcBackend(Backend):
         if worker is None or not worker.process.is_alive():
             self._note_death(src)
             raise ProcessFailedError(src)
-        actions = [h.action for h, _ in batch]
-        undo = [
-            (win, a.trg, a.offset, win.buffers[a.trg][a.offset : a.offset + a.count].copy())
-            for (h, win), a in zip(batch, actions)
-            if a.kind.is_put_like
-        ]
         die_after = self._armed_kills.pop(src, None)
-        if die_after is not None and die_after >= len(actions):
+        if die_after is not None and die_after >= len(batch):
             # Not reached within this batch: keep the remainder armed.
-            self._armed_kills[src] = die_after - len(actions)
+            self._armed_kills[src] = die_after - len(batch)
             die_after = None
+        records = [_HEADER.pack(_APPLY, len(batch), -1 if die_after is None else die_after)]
+        operands: list[bytes] = []
+        undo = []
+        fetched = 0  # bytes the get-like actions will send back
+        for handle, win in batch:
+            a = handle.action
+            kind = a.kind
+            kind_id, op_id = _KINDS.index(kind), _OPS.index(a.op)
+            records.append(_RECORD.pack(kind_id, op_id, win.wire_id, a.trg, a.offset, a.count))
+            if kind.is_put_like:
+                saved = win.buffers[a.trg][a.offset : a.offset + a.count].copy()
+                undo.append((win, a.trg, a.offset, saved))
+                # Window dtype: the runtime coerced at issue; hand-built actions here.
+                operands.append(np.asarray(a.data, win.dtype).tobytes())
+                if kind is OpKind.COMPARE_AND_SWAP:
+                    operands.append(np.asarray(a.compare, win.dtype).tobytes())
+            if kind.is_get_like:
+                fetched += a.count * win.itemsize
         try:
-            worker.conn.send(("apply", actions, die_after))
+            worker.conn.send_bytes(b"".join(records + operands))
         except (BrokenPipeError, OSError):
             self._note_death(src)
             raise ProcessFailedError(src) from None
@@ -583,30 +643,30 @@ class ProcBackend(Backend):
                 win.buffers[trg][offset : offset + saved.size] = saved
             self._note_death(src)
             raise ProcessFailedError(src)
-        tag, payload = reply
-        if tag == "err":
-            raise BackendError(f"proc worker {src} failed to apply a batch: {payload}")
-        # The worker applied the ops to its *pickled copies*: mirror the two
-        # mutations apply_action makes onto the supervisor's originals — the
-        # issued operand is preserved for the replay log, then get-like data
-        # is overwritten with the fetched values.
-        for action in actions:
-            if action.kind.is_put_like and action.operand is None:
-                action.operand = action.data
-        for index, data in payload:
-            actions[index].data = np.asarray(data)
+        if reply[0] != _OK or len(reply) != 1 + fetched:
+            detail = pickle.loads(reply)[1] if reply[0] == _CONTROL else repr(reply[:16])
+            raise BackendError(f"proc worker {src} failed to apply a batch: {detail}")
+        # Mirror apply_action's two mutations onto the supervisor's originals:
+        # the issued operand is preserved for the replay log, then get-like
+        # data takes the fetched values (a copy: reply bytes are read-only).
+        pos = 1
+        for handle, win in batch:
+            a = handle.action
+            if a.kind.is_put_like and a.operand is None:
+                a.operand = a.data
+            if a.kind.is_get_like:
+                a.data = np.frombuffer(reply, win.dtype, a.count, pos).copy()
+                pos += a.data.nbytes
 
-    def _await_reply(self, worker: _Worker):
-        """Wait for the worker's ack, its death, or the watchdog timeout."""
-        ready = connection.wait(
-            [worker.conn, worker.process.sentinel], self.ack_timeout
-        )
-        if worker.conn in ready:
+    def _await_reply(self, worker: _Worker) -> bytes | None:
+        """Wait for the worker's reply, its death (``None``), or the watchdog timeout."""
+        ready = dict(worker.poller.poll(self.ack_timeout * 1000.0))
+        if worker.conn.fileno() in ready:
             try:
-                return worker.conn.recv()
+                return worker.conn.recv_bytes()
             except (EOFError, OSError):
                 return None
-        if ready:  # sentinel fired: the worker died
+        if ready:  # only the sentinel fired: the worker died
             return None
         raise WatchdogError(
             f"proc worker of rank {worker.rank} sent no reply within "

@@ -21,7 +21,6 @@ even without any protocol attached).
 
 from __future__ import annotations
 
-import copy
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -46,6 +45,18 @@ class ProcessCounters:
     sc_held: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     #: Targets currently locked by this process (for LockError checking).
     held_locks: dict[tuple[int, str | None], int] = field(default_factory=dict)
+
+    def copy(self) -> ProcessCounters:
+        """An independent copy (the maps hold immutable keys and ints, and
+        ``dict.copy`` keeps ``sc_held``'s ``defaultdict`` factory)."""
+        return ProcessCounters(
+            gc=self.gc,
+            gnc=self.gnc,
+            lc=self.lc,
+            sc_local=self.sc_local,
+            sc_held=self.sc_held.copy(),
+            held_locks=self.held_locks.copy(),
+        )
 
 
 class CounterBoard:
@@ -166,7 +177,7 @@ class CounterBoard:
 
     def snapshot(self) -> list[ProcessCounters]:
         """Deep-copy the counters of every rank (checkpoint payload)."""
-        return [copy.deepcopy(counters) for counters in self._counters]
+        return [counters.copy() for counters in self._counters]
 
     def restore(self, states: list[ProcessCounters]) -> None:
         """Roll every rank's counters back to a :meth:`snapshot`.
@@ -175,4 +186,4 @@ class CounterBoard:
         after the checkpoint are released with the rest of their state, so
         the re-executed program can acquire them again.
         """
-        self._counters = [copy.deepcopy(counters) for counters in states]
+        self._counters = [counters.copy() for counters in states]

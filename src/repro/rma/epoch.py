@@ -12,7 +12,6 @@ Epochs induce the consistency order ``co``: actions issued by ``p`` towards
 
 from __future__ import annotations
 
-import copy
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -29,6 +28,16 @@ class EpochState:
     pending_ops: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     #: Total number of epochs this process has closed (any target).
     epochs_closed: int = 0
+
+    def copy(self) -> EpochState:
+        """An independent copy.  The maps are flat ``int -> int``, so copying
+        them one level deep is a deep copy — and ``dict.copy`` keeps the
+        ``defaultdict`` factory, so a restored state still auto-creates targets."""
+        return EpochState(
+            epoch_of_target=self.epoch_of_target.copy(),
+            pending_ops=self.pending_ops.copy(),
+            epochs_closed=self.epochs_closed,
+        )
 
 
 class EpochTracker:
@@ -103,8 +112,8 @@ class EpochTracker:
 
     def snapshot(self) -> list[EpochState]:
         """Deep-copy the epoch state of every rank (checkpoint payload)."""
-        return [copy.deepcopy(state) for state in self._states]
+        return [state.copy() for state in self._states]
 
     def restore(self, states: list[EpochState]) -> None:
         """Roll every rank's epoch state back to a :meth:`snapshot`."""
-        self._states = [copy.deepcopy(state) for state in states]
+        self._states = [state.copy() for state in states]

@@ -304,3 +304,69 @@ def test_synckind_traits_equal_the_branch_definitions():
         assert kind.category is categories[kind]
         assert kind.closes_epoch is (kind in closing)
         assert kind.metric == f"rma.{kind.value}"
+
+
+# ---------------------------------------------------------------------------
+# (e) The proc dispatch path ships bytes, never a pickled action
+# ---------------------------------------------------------------------------
+needs_proc = pytest.mark.skipif(
+    not repro.proc_available(), reason="proc backend needs fork + POSIX shared memory"
+)
+
+
+def _every_kind_kernel(ctx, step):
+    w = ctx.win("w")
+    right = (ctx.rank + 1) % ctx.nranks  # one writer per target: deterministic
+    w.put_nb(right, 0, [step + 1.0, ctx.rank])
+    w.accumulate_nb(right, 2, [1.5])
+    got = w.get_nb(right, 8, 2)
+    yield ctx.gsync()
+    ctx.put(right, "w", 8, got.result() + ctx.get(right, "w", 0, 2))
+    ctx.fetch_and_op(right, "w", 4, 2.0)
+    ctx.get_accumulate(right, "w", 5, [3.0], AccumulateOp.MAX)
+    ctx.compare_and_swap(right, "w", 6, float(step), step + 1.0)
+    yield ctx.gsync()
+
+
+@needs_proc
+@pytest.mark.usefixtures("proc_hygiene")
+def test_proc_dispatch_never_pickles_an_action(monkeypatch):
+    def refuse(self, protocol):
+        raise AssertionError(f"{self.describe()} was pickled on the dispatch path")
+
+    def run(backend):
+        with repro.launch(4, backend=backend) as job:
+            job.allocate("w", 16)
+            report = job.run(_every_kind_kernel, steps=5)
+            return job.gather("w"), report.elapsed, report.metrics.total("rma.put")
+
+    expected = run("sim")
+    monkeypatch.setattr(CommAction, "__reduce_ex__", refuse)  # workers fork after this
+    field, elapsed, puts = run("proc")
+    assert np.array_equal(field, expected[0]) and field.any()
+    assert (elapsed, puts) == expected[1:]
+
+
+@needs_proc
+@pytest.mark.usefixtures("proc_hygiene")
+def test_proc_batch_wire_size_is_records_plus_operand_bytes(monkeypatch):
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend="proc")
+    rt.win_allocate("w", 256)
+    try:
+        conn = rt.backend._workers[0].conn
+        send_bytes, sent = conn.send_bytes, []
+
+        def recording_send_bytes(buf):
+            sent.append(len(buf))
+            send_bytes(buf)
+
+        monkeypatch.setattr(conn, "send_bytes", recording_send_bytes)
+        for i in range(32):
+            rt.put_nb(0, 1, "w", 8 * i, np.arange(8.0))
+        rt.flush(0, 1)
+        assert np.array_equal(rt.local(1, "w"), np.tile(np.arange(8.0), 32))
+    finally:
+        rt.finalize()
+    # One message: 32 operands of 64 bytes, at most 32 bytes per record and
+    # header.  The pickled CommAction list this replaced was 5,617 bytes.
+    assert len(sent) == 1 and 32 * 64 < sent[0] <= 32 * (64 + 32) + 32

@@ -79,6 +79,27 @@ def test_gsync_bumps_gnc_everywhere_and_closes_all_epochs(runtime):
     assert not runtime.epochs.has_pending(0)
 
 
+def test_epoch_and_counter_snapshots_are_independent_of_later_mutation(runtime):
+    runtime.lock(0, 1)
+    runtime.put(0, 1, "w", 0, [1.0])
+    epochs, counters = runtime.epochs.snapshot(), runtime.counters.snapshot()
+    held = dict(counters[0].held_locks)
+    assert held and counters[0].lc == 1 and counters[0].sc_held[1] == 1
+    runtime.unlock(0, 1)  # closes the epoch, drops the lock: mutates the live state
+    runtime.put(0, 2, "w", 0, [1.0])
+    assert epochs[0].epoch_of_target[1] == 0 and 2 not in epochs[0].epoch_of_target
+    assert counters[0].held_locks == held and counters[0].lc == 1
+    runtime.epochs.restore(epochs)
+    runtime.counters.restore(counters)
+    assert runtime.epochs.epoch(0, 1) == 0 and runtime.counters.of(0).held_locks == held
+    # The restored maps are still auto-creating: an unseen target starts at 0.
+    assert runtime.epochs.epoch(0, 3) == 0 and runtime.counters.of(0).sc_held[3] == 0
+    runtime.epochs.record_access(0, 3)
+    runtime.epochs.close_epoch(0, 1)  # ... and mutating the restored state
+    assert 3 not in epochs[0].pending_ops  # leaves the snapshot alone
+    assert epochs[0].epoch_of_target[1] == 0 and runtime.epochs.epoch(0, 1) == 1
+
+
 def test_gsync_while_holding_a_lock_is_illegal(runtime):
     runtime.lock(0, 1)
     with pytest.raises(SynchronizationError):
