@@ -33,6 +33,7 @@ from repro.ft.stores import (
     CheckpointStore,
     CheckpointVersion,
     MemoryStore,
+    _merged,
     make_store,
 )
 from repro.rma.actions import CommAction
@@ -170,17 +171,7 @@ class ActionLog(RmaInterceptor):
         this map — incremental consumers must diff those against their mirror
         themselves.
         """
-        merged: dict[tuple[int, str], list[tuple[int, int]]] = {}
-        for key, regions in self._dirty.items():
-            spans: list[tuple[int, int]] = []
-            for offset, count in sorted(regions):
-                if spans and offset <= spans[-1][0] + spans[-1][1]:
-                    last_off, last_cnt = spans[-1]
-                    spans[-1] = (last_off, max(last_cnt, offset + count - last_off))
-                else:
-                    spans.append((offset, count))
-            merged[key] = spans
-        return merged
+        return {key: _merged(regions) for key, regions in self._dirty.items()}
 
     def truncate(self) -> None:
         """Drop the log (a fresh checkpoint makes replaying it unnecessary)."""
@@ -279,13 +270,15 @@ class CoordinatedCheckpointer(RmaInterceptor):
                 f"nonblocking operations are issued and unflushed; complete "
                 f"them (flush/unlock/gsync) before checkpointing"
             )
-        # Coordination: agree to checkpoint (a barrier), then copy.  Ranks
-        # excised by a degraded continuation are no longer members: they are
-        # neither snapshotted nor used as copy holders.
+        # Coordination: agree to checkpoint (a barrier), then place.  The
+        # store is handed the windows' live buffers — an epoch boundary, so
+        # nothing is in flight — and copies what it retains.  Ranks excised by
+        # a degraded continuation are no longer members: they are neither
+        # checkpointed nor used as copy holders.
         cluster.barrier()
         snapshots = {
             rank: {
-                window.name: window.snapshot(rank)
+                window.name: window.local(rank)
                 for window in runtime.windows.all()
             }
             for rank in range(cluster.nprocs)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import abc
 import shutil
 import tempfile
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -60,8 +61,43 @@ __all__ = [
     "make_store",
 ]
 
-#: Per-rank window snapshots handed to a store: ``rank -> window -> data``.
+#: Per-rank windows handed to a store: ``rank -> window -> data``.  The arrays
+#: are the windows' *live* buffers, not copies (see :meth:`CheckpointStore._place`).
 Snapshots = dict[int, dict[str, np.ndarray]]
+
+#: Fixed dense rule: a change-set, or an image's backlog of them, covering more
+#: than ``1/_DENSE`` of a slab is not patched index by index but copied (or
+#: compared) whole; a slab's change log keeps the last ``_DENSE`` change-sets.
+_DENSE = 8
+
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _merged(regions) -> list[tuple[int, int]]:
+    """``(offset, count)`` ranges sorted, overlapping and adjacent ones coalesced."""
+    spans: list[tuple[int, int]] = []
+    for offset, count in sorted(regions):
+        if spans and offset <= spans[-1][0] + spans[-1][1]:
+            last_off, last_cnt = spans[-1]
+            spans[-1] = (last_off, max(last_cnt, offset + count - last_off))
+        else:
+            spans.append((offset, count))
+    return spans
+
+
+def _differ(live: np.ndarray, image: np.ndarray, among=None) -> np.ndarray:
+    """Indices (all, or of those in ``among``) at which two flat arrays differ
+    byte-wise: ``-0.0`` is not ``0.0`` and a NaN equals itself."""
+    if among is not None:
+        live, image = live[among], image[among]
+    unsigned = _UNSIGNED.get(live.itemsize)
+    if unsigned:  # one pass over same-width unsigned views
+        found = live.view(unsigned) != image.view(unsigned)
+    else:  # complex, long double: rows of bytes
+        rows = live.view(np.uint8) != image.view(np.uint8)
+        found = rows.reshape(-1, live.itemsize).any(axis=1)
+    found = found.nonzero()[0]
+    return found if among is None else among[found]
 
 
 @dataclass
@@ -74,8 +110,11 @@ class CheckpointVersion:
     buddy_of: dict[int, int]
     #: Copy kept in the owner's own memory: ``owner -> window -> data``.
     local: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
-    #: Copy held in the buddy's memory: ``owner -> window -> data``
+    #: Copy *modelled* in the buddy's memory: ``owner -> window -> data``
     #: (populated by :class:`MemoryStore`; other stores place copies elsewhere).
+    #: Costs, byte counters and :meth:`nbytes` price it as a second copy; on
+    #: the host it is the read-only image :attr:`local` holds, in its own dict
+    #: so that :meth:`drop_rank` loses the two independently.
     remote: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
     #: Per-rank epoch state at checkpoint time (restored on rollback so
     #: survivors do not keep post-checkpoint epochs/pending operations).
@@ -135,6 +174,34 @@ class RestorePayload:
     peers: tuple[int, ...] = ()
 
 
+@dataclass(eq=False)
+class _Image:
+    """A recycled slab buffer: flat and writable (versions hold read-only views)."""
+
+    data: np.ndarray
+    #: The slab's change-set number at which :attr:`data` equalled live.
+    seq: int = -1
+    #: Number of the version whose copies alias :attr:`data`.
+    version: int = -1
+
+
+class _Slab:
+    """The retained images of one ``(rank, window)``, oldest refresh first
+    (``images[-1]`` is live as of the previous placement), and the newest
+    change-sets between placements: ``log[-1]`` is number ``seq``."""
+
+    def __init__(self) -> None:
+        self.images: list[_Image] = []
+        self.seq = 0
+        self.log: deque = deque(maxlen=_DENSE)
+
+    def since(self, seq: int) -> list[np.ndarray] | None:
+        """The change-sets after number ``seq``; ``None`` when they are not all
+        on record (too far back, or a dense change since): anything may differ."""
+        log, behind = list(self.log), self.seq - seq
+        return log[len(log) - behind :] if behind <= len(log) else None
+
+
 class CheckpointStore(abc.ABC):
     """Placement strategy for checkpoint copies.
 
@@ -158,6 +225,8 @@ class CheckpointStore(abc.ABC):
         self._next_version = 0
         self._runtime: RmaRuntime | None = None
         self._placement_listeners: list = []
+        self._slabs: dict[tuple[int, str], _Slab] = {}
+        self._evicted = -1
 
     def add_placement_listener(self, listener) -> None:
         """Observe every placement: ``(store, level, rank, nbytes, incremental)``.
@@ -246,10 +315,66 @@ class CheckpointStore(abc.ABC):
 
     @abc.abstractmethod
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
-        """Store every rank's snapshot copies and charge their virtual cost."""
+        """Store every rank's snapshot copies and charge their virtual cost.
+
+        ``snapshots`` are the windows' live buffers, taken at an epoch
+        boundary: they are *valid only during* ``_place`` — whatever the store
+        retains it copies (:meth:`_retain`), whatever it derives it derives now.
+        """
 
     def _evict(self, version: CheckpointVersion) -> None:
-        """Release whatever an evicted version held (disk files, parity)."""
+        """Release whatever an evicted version held (images, disk files, parity)."""
+        self._evicted = version.version  # eviction is oldest-first
+
+    def _retain(
+        self, version: CheckpointVersion, snapshots: Snapshots
+    ) -> dict[int, dict[str, np.ndarray]]:
+        """Read-only images of the live ``snapshots`` for ``version`` to hold.
+
+        Each slab is read once: a byte-wise compare with the image the previous
+        placement produced gives this placement's change-set, and a buffer
+        recycled from a version no longer retained (evicted; or prepared and
+        never committed, hence numbered like ``version``) catches up by the
+        sets logged since it was filled.  Invariant: *a retained image differs
+        from live at most where the change-sets after its* ``seq`` *say* —
+        anywhere once those are off the record.  The chain runs over
+        placements, not commits: an aborted checkpoint needs no special case.
+        """
+        for key in [key for key in self._slabs if key[0] not in snapshots]:
+            del self._slabs[key]  # the rank was excised: nothing left to refresh
+        retained: dict[int, dict[str, np.ndarray]] = {}
+        for rank, windows in snapshots.items():
+            views = retained[rank] = {}
+            for name, data in windows.items():
+                live = data.reshape(-1)
+                slab = self._slabs.get((rank, name))
+                if slab is None or slab.images[-1].data.shape != live.shape:
+                    slab = self._slabs[rank, name] = _Slab()
+                changed = _differ(live, slab.images[-1].data) if slab.images else None
+                slab.seq += 1
+                if changed is None or changed.size * _DENSE > live.size:
+                    slab.log.clear()
+                else:
+                    slab.log.append(changed)
+                free = [
+                    image for image in slab.images
+                    if not self._evicted < image.version < version.version
+                ]
+                if free:
+                    slab.images.remove(image := free[-1])  # the least to catch up on
+                else:
+                    image = _Image(np.empty_like(live))
+                stale = slab.since(image.seq)
+                if stale is None or sum(map(len, stale)) * _DENSE > live.size:
+                    np.copyto(image.data, live)
+                else:
+                    for indices in stale:
+                        image.data[indices] = live[indices]
+                image.seq, image.version = slab.seq, version.version
+                slab.images.append(image)
+                views[name] = image.data.reshape(data.shape)
+                views[name].setflags(write=False)
+        return retained
 
     # ------------------------------------------------------------------
     # Retrieval
@@ -324,18 +449,19 @@ class MemoryStore(CheckpointStore):
         version.buddy_of = {
             rank: buddy for rank, buddy in self.buddies.items() if rank in snapshots
         }
-        for rank, windows in snapshots.items():
+        for rank, windows in self._retain(version, snapshots).items():
             buddy = self.buddies[rank]
             copied_bytes = sum(int(data.nbytes) for data in windows.values())
-            version.local[rank] = dict(windows)
+            version.local[rank] = windows
             cluster.advance(rank, costs.local_copy(copied_bytes), kind="protocol")
             self._account(rank, copied_bytes, level="local")
             if buddy in excised:
                 # The buddy was removed by a degraded continuation: only the
                 # local copy exists (and nothing is charged to dead memory).
                 continue
-            version.remote[rank] = {name: data.copy() for name, data in windows.items()}
-            # The transfer of the buddy copy, charged on both ends.
+            # The buddy copy is a second reference to the same read-only
+            # image; its transfer is charged on both ends.
+            version.remote[rank] = dict(windows)
             cluster.advance(rank, costs.remote_transfer(copied_bytes), kind="protocol")
             cluster.advance(buddy, costs.local_copy(copied_bytes), kind="protocol")
             self._account(rank, copied_bytes, level="buddy")
@@ -516,9 +642,9 @@ class ParityStore(CheckpointStore):
         costs = cluster.costs
         k = len(self.groups[0])
         parity: dict[tuple[int, str], list[np.ndarray | None]] = {}
-        for rank, windows in snapshots.items():
+        for rank, windows in self._retain(version, snapshots).items():
             rank_bytes = sum(int(data.nbytes) for data in windows.values())
-            version.local[rank] = dict(windows)
+            version.local[rank] = windows
             # The local duplicate plus this rank's contribution to the
             # group-wide XOR reduction (one transfer of its snapshot).
             cluster.advance(rank, costs.local_copy(rank_bytes), kind="protocol")
@@ -533,9 +659,9 @@ class ParityStore(CheckpointStore):
             if not present:
                 continue
             for name in snapshots[present[0]]:
-                stripe = np.zeros(snapshots[present[0]][name].nbytes, dtype=np.uint8)
-                for member in present:
-                    stripe ^= np.ascontiguousarray(snapshots[member][name]).view(np.uint8)
+                stripe = snapshots[present[0]][name].view(np.uint8).copy()
+                for member in present[1:]:
+                    stripe ^= snapshots[member][name].view(np.uint8)
                 chunks: list[np.ndarray | None] = [
                     chunk.copy() for chunk in np.array_split(stripe, k)
                 ]
@@ -586,14 +712,11 @@ class ParityStore(CheckpointStore):
         for (g, name), chunks in parity.items():
             if g != gidx:
                 continue
-            stripe = np.concatenate([c for c in chunks if c is not None]).copy()
+            stripe = np.concatenate([c for c in chunks if c is not None])
             for member in group:
                 if member != rank:
-                    stripe ^= np.ascontiguousarray(
-                        version.local[member][name]
-                    ).view(np.uint8)
-            reference = self.runtime.windows.get(name)
-            windows[name] = stripe.view(reference.dtype).copy()
+                    stripe ^= version.local[member][name].view(np.uint8)
+            windows[name] = stripe.view(self.runtime.windows.get(name).dtype)
             nbytes += int(stripe.nbytes)
         peers = tuple(
             sorted({m for m in group if m != rank} | set(self._holders(gidx)))
@@ -620,6 +743,7 @@ class ParityStore(CheckpointStore):
                 chunks[idx] = None
 
     def _evict(self, version: CheckpointVersion) -> None:
+        super()._evict(version)
         self._parity.pop(version.version, None)
 
     def nbytes(self) -> int:
@@ -647,6 +771,8 @@ class _Level:
     #: Dirty write-set accumulated since the last capture, merged from the
     #: action log at every base checkpoint: ``(rank, window) -> [(off, cnt)]``.
     dirty: dict[tuple[int, str], list[tuple[int, int]]] = field(default_factory=dict)
+    #: The base store's change-set number of each mirrored slab at its capture.
+    seqs: dict[tuple[int, str], int] = field(default_factory=dict)
     #: Captures performed (first is full, the rest incremental).
     captures: int = 0
 
@@ -783,6 +909,9 @@ class MultiLevelStore(CheckpointStore):
             for name, data in windows.items():
                 full += int(data.nbytes)
                 mirror = mirrors.get(name)
+                slab = self.base._slabs.get((rank, name))  # None: no image ring
+                since = slab.since(lvl.seqs.get((rank, name), -1)) if slab else None
+                lvl.seqs[rank, name] = slab.seq if slab else -1
                 if (
                     mirror is None
                     or mirror.shape != data.shape
@@ -791,17 +920,19 @@ class MultiLevelStore(CheckpointStore):
                     mirrors[name] = np.array(data, copy=True)
                     moved += int(data.nbytes)
                     continue
-                flat = data.reshape(-1)
-                mirror_flat = mirror.reshape(-1)
-                mask = np.zeros(flat.shape[0], dtype=bool)
-                for offset, count in lvl.dirty.get((rank, name), ()):
-                    mask[offset : offset + count] = True
-                # Local stores bypass the completion stream; diff the rest
-                # against the mirror so the capture is always bit-exact.
-                mask |= (flat != mirror_flat) & ~mask
-                changed = int(np.count_nonzero(mask))
-                if changed:
-                    mirror_flat[mask] = flat[mask]
+                live, held = data.reshape(-1), mirror.reshape(-1)
+                changed = 0
+                for offset, count in _merged(lvl.dirty.get((rank, name), ())):
+                    held[offset : offset + count] = live[offset : offset + count]
+                    changed += count
+                # Local stores bypass the completion stream: of the elements
+                # some checkpoint since the last capture saw change (all of
+                # them, when the base has no record), those still differing
+                # byte-wise from the mirror move too — the capture is bit-exact.
+                for among in [None] if since is None else since:
+                    extra = _differ(live, held, among)
+                    held[extra] = live[extra]
+                    changed += extra.size
                 moved += changed * int(data.dtype.itemsize)
             if lvl.kind == "disk":
                 seconds = costs.pfs_write(moved, concurrent_writers=writers)

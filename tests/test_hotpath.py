@@ -10,6 +10,7 @@ import dataclasses
 import math
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,3 +371,66 @@ def test_proc_batch_wire_size_is_records_plus_operand_bytes(monkeypatch):
     # One message: 32 operands of 64 bytes, at most 32 bytes per record and
     # header.  The pickled CommAction list this replaced was 5,617 bytes.
     assert len(sent) == 1 and 32 * 64 < sent[0] <= 32 * (64 + 32) + 32
+
+
+# ---------------------------------------------------------------------------
+# (f) The checkpoint data path: allocation and sharing budgets
+# ---------------------------------------------------------------------------
+SLAB = 64 * 1024  # float64 elements: 512 KiB per rank
+
+
+def _checkpointed_runtime(store):
+    rt = RmaRuntime(Cluster.simple(8, procs_per_node=2))
+    stack = build_ft_stack(rt, store=store)
+    rt.win_allocate("w", SLAB)
+    for rank in range(8):
+        rt.local(rank, "w")[:] = rank + 1.0
+    return rt, stack
+
+
+@pytest.mark.parametrize("store", ["memory", "multilevel"])
+def test_steady_state_checkpoints_allocate_less_than_one_slab(store):
+    rt, stack = _checkpointed_runtime(store)
+    for tag in range(3):  # fill the image ring and seed the level mirrors
+        rt.put(0, 1, "w", 64 * tag, np.arange(64.0))
+        stack.checkpointer.checkpoint(tag=tag)
+    tracemalloc.start()
+    try:
+        for tag in range(3, 11):
+            rt.put(0, 1, "w", 64 * tag, np.arange(64.0))
+            rt.local(tag % 8, "w")[tag] = -0.0  # a store the log never sees
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            stack.checkpointer.checkpoint(tag=tag)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            # Seed: 16 window-sized copies (8 MiB) per checkpoint.
+            assert peak < SLAB * 8, f"checkpoint {tag} allocated {peak} bytes at peak"
+    finally:
+        tracemalloc.stop()
+        stack.uninstall(rt)
+
+
+def test_buddy_copy_is_a_second_reference_priced_as_a_copy():
+    rt, stack = _checkpointed_runtime("memory")
+    store = stack.store
+    version = stack.checkpointer.checkpoint(tag=0)
+    for rank in range(8):
+        local, remote = version.local[rank]["w"], version.remote[rank]["w"]
+        assert np.shares_memory(local, remote)
+        assert not local.flags.writeable and not remote.flags.writeable
+        assert not np.shares_memory(local, rt.local(rank, "w"))
+        assert version.local[rank] is not version.remote[rank]
+    # The modelled machine still holds (and was charged for) two copies.
+    assert store.nbytes() == version.nbytes() == 2 * 8 * SLAB * 8
+    assert rt.cluster.metrics.get("ft.checkpoint_bytes") == 2 * 8 * SLAB * 8
+    # Losing rank 2 loses its own copy and the copies it held as a buddy;
+    # the copy its buddy holds for it still restores it.
+    held_for = [owner for owner, buddy in version.buddy_of.items() if buddy == 2]
+    assert held_for
+    store.drop_rank(2)
+    assert 2 not in version.local and all(owner not in version.remote for owner in held_for)
+    payload = store.fetch(version, 2)
+    assert payload.source == "buddy"
+    assert np.array_equal(payload.windows["w"], np.full(SLAB, 3.0))
+    assert store.nbytes() == (2 * 8 - 1 - len(held_for)) * SLAB * 8
+    stack.uninstall(rt)

@@ -1,0 +1,269 @@
+"""The checkpoint data path: recycled images never clobber, the delta chain never misses.
+
+Stores are handed the windows' *live* buffers and keep read-only images that
+are refreshed in place from buffers recycled out of evicted versions; upper
+levels patch their mirrors from the change-sets logged in between.  The
+property held here: whatever a store still serves — every retained version,
+every level mirror at its ``captured_version`` — is byte-identical to a copy
+the test took of the windows when that version committed.
+"""
+
+import os
+import signal
+
+import numpy as np
+import pytest
+
+import repro
+from repro.backends.proc import proc_available
+from repro.errors import ProcessFailedError
+from repro.ft import DiskStore, MemoryStore, ParityStore, build_ft_stack
+from repro.ft.stores import MultiLevelStore
+from repro.rma import AccumulateOp, RmaRuntime
+from repro.simulator import Cluster
+
+LEVELS = (("parity", 2), ("disk", 3))
+STORES = {
+    "memory": lambda keep: MemoryStore(keep),
+    "parity": lambda keep: ParityStore(keep),
+    "disk": lambda keep: DiskStore(keep),
+    "multilevel-memory": lambda keep: MultiLevelStore(keep, base="memory", levels=LEVELS),
+    "multilevel-parity": lambda keep: MultiLevelStore(keep, base="parity", levels=LEVELS),
+}
+BACKENDS = [
+    "sim",
+    "vector",
+    pytest.param(
+        "proc",
+        marks=pytest.mark.skipif(
+            not proc_available(), reason="proc backend needs fork + POSIX shared memory"
+        ),
+    ),
+]
+# Cheap on sim/vector, and where it matters on proc: no orphan workers, no
+# leaked shared memory, no leaked ``repro-ckpt-*`` scratch directories.
+pytestmark = pytest.mark.usefixtures("proc_hygiene")
+SIZE = 64  # elements per window: a change-set above SIZE / 8 trips the dense rule
+
+
+def _odd_values(dtype, rng):
+    """Values a value-wise compare gets wrong, or a narrow dtype wraps on."""
+    if np.issubdtype(dtype, np.floating):
+        quiet = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+        return [-0.0, 0.0, np.nan, dtype.type(quiet), np.inf, dtype.type(rng.normal())]
+    info = np.iinfo(dtype)
+    return [info.min, info.max, 0, -1, int(rng.integers(-100, 100))]
+
+
+class _Harness:
+    """A runtime with an FT stack, the oracle of every commit, and the check."""
+
+    def __init__(self, store, dtype, backend):
+        self.nprocs = 4 if backend == "proc" else 8
+        self.rt = RmaRuntime(
+            Cluster.simple(self.nprocs, procs_per_node=1 if backend == "proc" else 2),
+            backend=backend,
+        )
+        self.stack = build_ft_stack(self.rt, store=store)
+        self.store = store
+        self.dtype = np.dtype(dtype)
+        self.windows = []
+        self.oracle = {}  # version number -> (rank, window) -> bytes at its commit
+
+    def allocate(self, name):
+        self.rt.win_allocate(name, SIZE, dtype=self.dtype)
+        self.windows.append(name)
+
+    def checkpoint(self, tag):
+        version = self.stack.checkpointer.checkpoint(tag=tag)
+        self.oracle[version.version] = {
+            (rank, name): self.rt.local(rank, name).tobytes()
+            for rank in range(self.nprocs)
+            for name in self.windows
+        }
+        self.check()
+        return version
+
+    def check(self):
+        """Everything the store still serves equals the oracle of its version."""
+        store = self.store
+        served = list(store.versions) + list(getattr(store, "archived", {}).values())
+        assert served
+        for version in served:
+            for rank in range(self.nprocs):
+                payload = store.fetch(version, rank)
+                if payload is None:
+                    continue  # both copies lost with a failed rank: nothing served
+                for name, data in payload.windows.items():
+                    assert data.dtype == self.dtype
+                    assert data.tobytes() == self.oracle[version.version][rank, name], (
+                        f"v{version.version} rank {rank} window {name!r} "
+                        f"served from {payload.source}"
+                    )
+        for lvl in getattr(store, "levels", ()):
+            if lvl.captured_version not in self.oracle:
+                continue  # captured by an aborted attempt: serves no version until the retry
+            for rank, mirrors in lvl.mirrors.items():
+                for name, mirror in mirrors.items():
+                    want = self.oracle[lvl.captured_version][rank, name]
+                    assert mirror.tobytes() == want, (lvl.kind, rank, name)
+
+    def mutate(self, rng, *, dense_rank=None):
+        """One step of seeded traffic: puts, accumulates and local-view stores."""
+        rt, n, dtype = self.rt, self.nprocs, self.dtype
+        for name in self.windows:
+            for _ in range(3):
+                src, trg = rng.choice(n, size=2, replace=False)
+                count = int(rng.integers(1, 5))
+                offset = int(rng.integers(0, SIZE - count))
+                data = rng.integers(-50, 50, size=count).astype(dtype)
+                if rng.random() < 0.5:
+                    rt.put(int(src), int(trg), name, offset, data)
+                else:
+                    rt.accumulate(int(src), int(trg), name, offset, data, AccumulateOp.SUM)
+            for _ in range(4):  # stores the completion stream never sees
+                rank, at = int(rng.integers(n)), int(rng.integers(SIZE))
+                odd = _odd_values(dtype, rng)
+                rt.local(rank, name)[at] = odd[int(rng.integers(len(odd)))]
+        if dense_rank is not None:
+            image = rng.integers(-1000, 1000, size=SIZE).astype(dtype)
+            rt.local(dense_rank, self.windows[0])[:] = image
+
+    def kill(self, rank):
+        rt = self.rt
+        if rt.backend.name == "proc":
+            os.kill(rt.backend.worker_pid(rank), signal.SIGKILL)
+            assert rt.backend.wait_dead(rank, timeout=10.0)
+        else:
+            rt.cluster.fail_rank(rank)
+        with pytest.raises(ProcessFailedError):
+            rt.put((rank + 1) % self.nprocs, rank, self.windows[0], 0, [1])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("keep", [1, 2, 3])
+@pytest.mark.parametrize("dtype", ["float64", "float32", "int64", "int16"])
+@pytest.mark.parametrize("kind", list(STORES))
+def test_served_images_equal_the_oracle_of_their_version(kind, dtype, keep, backend):
+    rng = np.random.default_rng([keep, len(kind), np.dtype(dtype).itemsize])
+    harness = _Harness(STORES[kind](keep), dtype, backend)
+    rt, ckpt = harness.rt, harness.stack.checkpointer
+    try:
+        harness.allocate("w")
+        for rank in range(harness.nprocs):
+            rt.local(rank, "w")[:] = rng.integers(-9, 9, size=SIZE).astype(dtype)
+        for step in range(14):
+            if step == 4:
+                harness.allocate("late")  # a window allocated mid-run
+            harness.mutate(rng, dense_rank=step % harness.nprocs if step % 5 == 3 else None)
+            if step in (2, 9):  # write, checkpoint, revert: changed twice, equal again
+                kept = rt.local(1, "w")[7].copy()
+                rt.local(1, "w")[7] = 77
+                harness.checkpoint(("pre-revert", step))
+                rt.local(1, "w")[7] = kept
+            if step == 6:  # a failure between the barriers aborts; the retry commits
+                real, calls = rt.cluster.barrier, []
+
+                def barrier(real=real, calls=calls):
+                    calls.append(None)
+                    if len(calls) == 2:
+                        raise ProcessFailedError(0, "injected between the barriers")
+                    return real()
+
+                rt.cluster.barrier = barrier
+                try:
+                    with pytest.raises(ProcessFailedError):
+                        ckpt.checkpoint(tag="aborted")
+                finally:
+                    del rt.cluster.barrier
+                harness.check()  # an uncommitted attempt clobbered nothing
+                harness.mutate(rng)
+            harness.checkpoint(step)
+            if step == 10:  # lose a rank: its copies are dropped, the rest still serve
+                harness.kill(2)
+                harness.check()
+                outcome = harness.stack.recovery.recover()
+                rolled = harness.oracle[max(harness.oracle)]
+                assert outcome.tag == 10
+                for (rank, name), want in rolled.items():
+                    assert rt.local(rank, name).tobytes() == want
+                harness.check()
+        assert len(harness.store.versions) == keep
+    finally:
+        harness.stack.uninstall(rt)
+        rt.finalize()
+
+
+# ---------------------------------------------------------------------------
+# The level mirrors are bit-exact (a value-wise compare is not)
+# ---------------------------------------------------------------------------
+
+
+def _multilevel_job(step_of_store, value, steps=8):
+    store = MultiLevelStore()
+    policy = repro.FaultTolerancePolicy(interval=1, store=store)
+    job = repro.launch(4, ft=policy)
+    job.allocate("w", 8)
+
+    def kernel(ctx, step):
+        if step == step_of_store:
+            ctx.local("w")[3] = value
+
+    report = job.run(kernel, steps=steps)
+    return job, store, report
+
+
+def test_negative_zero_reaches_every_level_mirror():
+    # -0.0 == 0.0 by value: the store of step 2 used to be invisible to the
+    # capture diff, so a restore served from a mirror lost the sign bit.
+    job, store, _ = _multilevel_job(2, -0.0)
+    try:
+        assert all(np.signbit(job.local(rank, "w")[3]) for rank in range(4))
+        for lvl in store.levels:
+            assert lvl.captures > 1
+            for rank in range(4):
+                assert np.signbit(lvl.mirrors[rank]["w"][3]), (lvl.kind, rank)
+        # Rank 0 and its buddy lost together: the mirror is what restores.
+        version = store.latest()
+        store.drop_rank(0)
+        store.drop_rank(store.buddies[0])
+        payload = store.fetch(version, 0)
+        assert payload.source.startswith("multilevel-")
+        assert payload.windows["w"].tobytes() == job.local(0, "w").tobytes()
+    finally:
+        job.close()
+
+
+def test_nan_cell_is_shipped_once_not_at_every_capture():
+    # NaN != NaN by value: the cell used to be re-shipped and re-priced at
+    # every later capture although nothing changed.
+    job, store, report = _multilevel_job(2, np.nan)
+    try:
+        quiet, _, plain = _multilevel_job(99, 0.0)
+        quiet.close()
+        moved = report.metrics.total("ft.multilevel_moved_bytes")
+        baseline = plain.metrics.total("ft.multilevel_moved_bytes")
+        # One 8-byte cell per rank, once per level — not once per capture.
+        assert moved - baseline == 4 * 8 * len(store.levels)
+        for lvl in store.levels:
+            assert all(np.isnan(lvl.mirrors[rank]["w"][3]) for rank in range(4))
+    finally:
+        job.close()
+
+
+def test_complex_windows_checkpoint_through_the_byte_row_compare():
+    # 16-byte elements have no same-width unsigned view.
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=1))
+    store = MultiLevelStore(levels=(("parity", 1),))
+    stack = build_ft_stack(rt, store=store)
+    rt.win_allocate("z", 16, dtype=np.complex128)
+    for tag in range(4):
+        rt.local(tag, "z")[tag] = complex(-0.0, tag)
+        stack.checkpointer.checkpoint(tag=tag)
+        for rank in range(4):
+            assert store.fetch(store.latest(), rank).windows["z"].tobytes() == (
+                rt.local(rank, "z").tobytes()
+            )
+            mirror = store.levels[0].mirrors[rank]["z"]
+            assert mirror.tobytes() == rt.local(rank, "z").tobytes()
+    stack.uninstall(rt)
