@@ -28,6 +28,9 @@ Applications should program against :mod:`repro.api` (re-exported here);
 the lower layers remain public for protocol work and instrumentation.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.api import (
     Collective,
     FaultTolerancePolicy,
@@ -39,23 +42,7 @@ from repro.api import (
     WindowHandle,
     launch,
 )
-from repro.backends import (
-    Backend,
-    ProcBackend,
-    SimBackend,
-    VectorBackend,
-    make_backend,
-    proc_available,
-)
-from repro.chaos import (
-    ChaosMetrics,
-    SoakResult,
-    SoakSpec,
-    compute_metrics,
-    run_comparison,
-    run_soak,
-    scaled_cost_model,
-)
+from repro.backends import Backend, SimBackend, VectorBackend, make_backend
 from repro.errors import ReproError
 from repro.ft import (
     CheckpointStore,
@@ -73,30 +60,41 @@ from repro.ft import (
 )
 from repro.registry import available
 from repro.rma.handles import OpHandle
-from repro.study import (
-    CampaignSpec,
-    IntervalModel,
-    Workload,
-    WorkloadRun,
-    make_workload,
-    run_campaign,
-)
 
-__all__ = [
+if TYPE_CHECKING:
+    from repro.backends.proc import ProcBackend, proc_available
+    from repro.chaos.metrics import ChaosMetrics, compute_metrics
+    from repro.chaos.soak import (
+        SoakResult,
+        SoakSpec,
+        run_comparison,
+        run_soak,
+        scaled_cost_model,
+    )
+    from repro.study.campaign import CampaignSpec, run_campaign
+    from repro.study.model import IntervalModel
+    from repro.study.workloads import Workload, WorkloadRun, make_workload
+
+# Engine and real-process names (and the subpackages) load on first touch.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ProcBackend": "repro.backends.proc",
+    "proc_available": "repro.backends.proc",
+    "ChaosMetrics": "repro.chaos.metrics",
+    "compute_metrics": "repro.chaos.metrics",
+    "SoakResult": "repro.chaos.soak",
+    "SoakSpec": "repro.chaos.soak",
+    "run_comparison": "repro.chaos.soak",
+    "run_soak": "repro.chaos.soak",
+    "scaled_cost_model": "repro.chaos.soak",
+    "CampaignSpec": "repro.study.campaign",
+    "run_campaign": "repro.study.campaign",
+    "IntervalModel": "repro.study.model",
+    "Workload": "repro.study.workloads",
+    "WorkloadRun": "repro.study.workloads",
+    "make_workload": "repro.study.workloads",
+}, subpackages=("qos", "serve", "trace"))
+__all__ += [
     "available",
-    "CampaignSpec",
-    "IntervalModel",
-    "Workload",
-    "WorkloadRun",
-    "make_workload",
-    "run_campaign",
-    "ChaosMetrics",
-    "SoakSpec",
-    "SoakResult",
-    "compute_metrics",
-    "run_soak",
-    "run_comparison",
-    "scaled_cost_model",
     "SessionObserver",
     "Collective",
     "FaultTolerancePolicy",
@@ -110,8 +108,6 @@ __all__ = [
     "Backend",
     "SimBackend",
     "VectorBackend",
-    "ProcBackend",
-    "proc_available",
     "make_backend",
     "KillKind",
     "KillPlan",

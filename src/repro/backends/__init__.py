@@ -11,7 +11,7 @@ and virtual-time costs.  Two backends ship:
 * :class:`ProcBackend` (``"proc"``, POSIX platforms) — each rank is a real OS
   process applying its queued operations to windows in shared memory; real
   ``SIGKILL`` deaths surface through the same fail-stop path as simulated
-  failures (registered only where :func:`proc_available` holds).
+  failures (loaded and registered on first use, where :func:`proc_available` holds).
 
 Select one with ``repro.launch(..., backend="vector")`` or
 ``RmaRuntime(cluster, backend=...)``; both accept a name or a ready
@@ -20,32 +20,28 @@ Select one with ``repro.launch(..., backend="vector")`` or
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.backends.base import Backend, apply_action
-from repro.backends.proc import ProcBackend, SharedWindow, proc_available
 from repro.backends.sim import SimBackend
 from repro.backends.vector import VectorBackend
 from repro.errors import BackendError
 from repro.registry import register_kind, resolve_component
 
-__all__ = [
-    "Backend",
-    "SimBackend",
-    "VectorBackend",
-    "ProcBackend",
-    "SharedWindow",
-    "proc_available",
-    "BACKENDS",
-    "make_backend",
-    "apply_action",
-]
+if TYPE_CHECKING:
+    from repro.backends.proc import ProcBackend, SharedWindow, proc_available
 
-#: Registry of constructable backends, by name.
+_PROC = dict.fromkeys(("ProcBackend", "SharedWindow", "proc_available"), "repro.backends.proc")
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _PROC)
+__all__ += ["Backend", "SimBackend", "VectorBackend", "BACKENDS", "apply_action", "make_backend"]
+
+#: Registry of constructable backends, by name; :mod:`repro.backends.proc` adds
+#: ``"proc"`` when imported (the registry loads it for an unknown name or a listing).
 BACKENDS: dict[str, type[Backend]] = {
     SimBackend.name: SimBackend,
     VectorBackend.name: VectorBackend,
 }
-if proc_available():  # an unsupported platform gets a clean unknown-name error
-    BACKENDS[ProcBackend.name] = ProcBackend
 register_kind("backend", BACKENDS)
 
 

@@ -53,6 +53,7 @@ from multiprocessing import connection, shared_memory
 
 import numpy as np
 
+from repro.backends import BACKENDS
 from repro.backends.base import Backend, apply_action
 from repro.errors import BackendError, ProcessFailedError, WatchdogError, WindowError
 from repro.rma.actions import AccumulateOp, CommAction, OpKind
@@ -127,9 +128,7 @@ class SharedWindow(Window):
         flat = np.frombuffer(self.shm.buf, dtype=dtype, count=size * nprocs)
         flat[...] = 0
         buffers = {r: flat[r * size : (r + 1) * size] for r in range(nprocs)}
-        super().__init__(
-            name=name, size=size, dtype=dtype, nprocs=nprocs, buffers=buffers
-        )
+        super().__init__(name=name, size=size, dtype=dtype, nprocs=nprocs, buffers=buffers)
         #: The window's name on the wire: its position in attach order.
         self.wire_id = -1
 
@@ -675,3 +674,7 @@ class ProcBackend(Backend):
                 f"  rank {r}: {self.describe_rank(r)}" for r in sorted(self._workers)
             )
         )
+
+
+if proc_available():  # an unsupported platform gets a clean unknown-name error
+    BACKENDS[ProcBackend.name] = ProcBackend

@@ -32,56 +32,66 @@ backends, because timestamps come from the cluster's virtual clocks and kill
 offsets count the backend-portable completion stream.
 """
 
-from repro.chaos.metrics import ChaosMetrics, compute_metrics, load_events, write_events
-from repro.chaos.monitor import ChaosMonitor, EpisodeMonitor, TransitionMonitor, make_monitor
-from repro.chaos.report import (
-    check_against_baseline,
-    check_chaos_invariants,
-    render_markdown,
-    report_json,
-)
-from repro.chaos.scenarios import (
-    CascadingFailures,
-    CorrelatedFailures,
-    FlakyRank,
-    PoissonKills,
-    Scenario,
-    make_scenario,
-)
-from repro.chaos.soak import (
-    Countermeasure,
-    SoakResult,
-    SoakSpec,
-    make_countermeasure,
-    run_comparison,
-    run_soak,
-    scaled_cost_model,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ChaosMetrics",
-    "ChaosMonitor",
-    "Countermeasure",
-    "EpisodeMonitor",
-    "TransitionMonitor",
-    "Scenario",
-    "PoissonKills",
-    "CorrelatedFailures",
-    "CascadingFailures",
-    "FlakyRank",
-    "SoakResult",
-    "SoakSpec",
-    "check_against_baseline",
-    "check_chaos_invariants",
-    "compute_metrics",
-    "load_events",
-    "make_countermeasure",
-    "make_monitor",
-    "make_scenario",
-    "render_markdown",
-    "report_json",
-    "run_comparison",
-    "run_soak",
-    "scaled_cost_model",
-    "write_events",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.chaos.metrics import ChaosMetrics, compute_metrics, load_events, write_events
+    from repro.chaos.monitor import (
+        ChaosMonitor,
+        EpisodeMonitor,
+        TransitionMonitor,
+        make_monitor,
+    )
+    from repro.chaos.report import (
+        check_against_baseline,
+        check_chaos_invariants,
+        render_markdown,
+        report_json,
+    )
+    from repro.chaos.scenarios import (
+        CascadingFailures,
+        CorrelatedFailures,
+        FlakyRank,
+        PoissonKills,
+        Scenario,
+        make_scenario,
+    )
+    from repro.chaos.soak import (
+        Countermeasure,
+        SoakResult,
+        SoakSpec,
+        make_countermeasure,
+        run_comparison,
+        run_soak,
+        scaled_cost_model,
+    )
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ChaosMetrics": "repro.chaos.metrics",
+    "compute_metrics": "repro.chaos.metrics",
+    "load_events": "repro.chaos.metrics",
+    "write_events": "repro.chaos.metrics",
+    "ChaosMonitor": "repro.chaos.monitor",
+    "EpisodeMonitor": "repro.chaos.monitor",
+    "TransitionMonitor": "repro.chaos.monitor",
+    "make_monitor": "repro.chaos.monitor",
+    "check_against_baseline": "repro.chaos.report",
+    "check_chaos_invariants": "repro.chaos.report",
+    "render_markdown": "repro.chaos.report",
+    "report_json": "repro.chaos.report",
+    "CascadingFailures": "repro.chaos.scenarios",
+    "CorrelatedFailures": "repro.chaos.scenarios",
+    "FlakyRank": "repro.chaos.scenarios",
+    "PoissonKills": "repro.chaos.scenarios",
+    "Scenario": "repro.chaos.scenarios",
+    "make_scenario": "repro.chaos.scenarios",
+    "Countermeasure": "repro.chaos.soak",
+    "SoakResult": "repro.chaos.soak",
+    "SoakSpec": "repro.chaos.soak",
+    "make_countermeasure": "repro.chaos.soak",
+    "run_comparison": "repro.chaos.soak",
+    "run_soak": "repro.chaos.soak",
+    "scaled_cost_model": "repro.chaos.soak",
+})

@@ -19,12 +19,11 @@ from __future__ import annotations
 import json
 import zlib
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.registry import available, plural
+from repro.registry import available, is_registered, plural
 from repro.rma.actions import OpKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -68,10 +67,9 @@ def check_names(
     lists the registered choices of the offending kind.
     """
     for kind, names in pairs:
-        known = available(kind)
         for name in names:
-            if name not in known:
-                listing = ", ".join(repr(k) for k in known)
+            if not is_registered(kind, name):
+                listing = ", ".join(repr(k) for k in available(kind))
                 raise error(
                     f"unknown {kind} {name!r} in {where}; "
                     f"registered {plural(kind)} are: {listing}"
@@ -126,12 +124,12 @@ def run_grid(
     """
     if executor == "serial":
         return [fn(task) for task in tasks]
-    pools = {"thread": ThreadPoolExecutor, "process": ProcessPoolExecutor}
-    if executor not in pools:
-        raise error(
-            f"unknown executor {executor!r}; choose 'serial', 'thread' or 'process'"
-        )
-    with pools[executor](max_workers=max_workers) as pool:
+    if executor not in ("thread", "process"):
+        raise error(f"unknown executor {executor!r}; choose 'serial', 'thread' or 'process'")
+    import concurrent.futures as cf  # here, so a serial grid never loads the pool stacks
+
+    pool_type = cf.ThreadPoolExecutor if executor == "thread" else cf.ProcessPoolExecutor
+    with pool_type(max_workers=max_workers) as pool:
         return list(pool.map(fn, tasks))
 
 

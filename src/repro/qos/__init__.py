@@ -17,48 +17,32 @@ Select a mode declaratively::
     repro.launch(nprocs=8, ft=repro.FaultTolerancePolicy(delivery="best_effort"))
 """
 
-from repro.qos.delivery import (
-    DELIVERY_MODES,
-    BestEffort,
-    DeliveryMode,
-    Reliable,
-    make_delivery,
-)
+from typing import TYPE_CHECKING
 
-# The engine half imports the session/workload layers, which themselves load
-# the delivery half above — so it resolves lazily (PEP 562) to keep
-# ``repro.ft.stack → repro.qos`` cycle-free.
-_ENGINE_EXPORTS = {
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.qos.delivery import (
+        DELIVERY_MODES,
+        BestEffort,
+        DeliveryMode,
+        Reliable,
+        make_delivery,
+    )
+    from repro.qos.engine import QosSpec, check_invariants, quick_spec, report_json, run_qos
+    from repro.qos.report import check_against_baseline, render_markdown
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DELIVERY_MODES": "repro.qos.delivery",
+    "BestEffort": "repro.qos.delivery",
+    "DeliveryMode": "repro.qos.delivery",
+    "Reliable": "repro.qos.delivery",
+    "make_delivery": "repro.qos.delivery",
     "QosSpec": "repro.qos.engine",
-    "quick_spec": "repro.qos.engine",
-    "run_qos": "repro.qos.engine",
-    "report_json": "repro.qos.engine",
     "check_invariants": "repro.qos.engine",
-    "render_markdown": "repro.qos.report",
+    "quick_spec": "repro.qos.engine",
+    "report_json": "repro.qos.engine",
+    "run_qos": "repro.qos.engine",
     "check_against_baseline": "repro.qos.report",
-}
-
-
-def __getattr__(name: str):
-    module_name = _ENGINE_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.qos' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-__all__ = [
-    "DeliveryMode",
-    "Reliable",
-    "BestEffort",
-    "DELIVERY_MODES",
-    "make_delivery",
-    "QosSpec",
-    "quick_spec",
-    "run_qos",
-    "report_json",
-    "check_invariants",
-    "render_markdown",
-    "check_against_baseline",
-]
+    "render_markdown": "repro.qos.report",
+})

@@ -38,6 +38,7 @@ from repro.errors import QosError
 from repro.experiment import check_names, plan_entropy, probe, report_json, run_grid
 from repro.ft.inject import KillPlan
 from repro.qos.delivery import _COUNTER_FIELDS, BestEffort
+from repro.registry import is_registered
 from repro.simulator.costs import cray_xe6_like
 from repro.study.workloads import Workload, make_workload
 from repro.trace.tracer import trace_label
@@ -131,12 +132,9 @@ def quick_spec() -> QosSpec:
     mid-run, ``multilevel`` takes several incremental captures, and
     best-effort both drops and serves stale data.
     """
-    import repro
-
-    backends = ("sim", "proc") if repro.proc_available() else ("sim",)
     return QosSpec(
         workload="kv",
-        backends=backends,
+        backends=("sim", "proc") if is_registered("backend", "proc") else ("sim",),
         trials=1,
         interval=3,
         workload_params={"slots": 16, "updates_per_step": 4, "steps": 12},

@@ -16,12 +16,13 @@ the two shared halves of that convention:
   here, so they can never drift apart.
 
 Seam modules declare themselves with :func:`register_kind` at import time;
-:func:`available` lazily imports the built-in seams so it works without the
-caller having touched them first.
+:func:`available` and an unknown-name lookup import the built-in modules of the
+*one kind* asked about, so they work without the caller having touched them.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -29,6 +30,7 @@ T = TypeVar("T")
 __all__ = [
     "all_kinds",
     "available",
+    "is_registered",
     "plural",
     "register_kind",
     "render_available",
@@ -38,34 +40,27 @@ __all__ = [
 #: kind -> (name -> class), populated by :func:`register_kind`.
 _KINDS: dict[str, dict[str, type]] = {}
 
-#: Modules that register the built-in kinds, imported lazily by
-#: :func:`available` so introspection works before any seam has been used.
-_BUILTIN_KIND_MODULES = (
-    "repro.backends",
-    "repro.ft.stores",
-    "repro.ft.protocols",
-    "repro.study.workloads",
-    "repro.chaos.scenarios",
-    "repro.chaos.monitor",
-    "repro.chaos.soak",
-    "repro.serve.service",
-    "repro.qos.delivery",
-)
-
-#: Whether every built-in seam module has been imported already (memoized so
-#: introspection paths can call :func:`_import_builtins` unconditionally).
-_builtins_loaded = False
+#: kind -> the built-in modules that register (or extend) it, imported on
+#: demand so a lookup loads only the seam it asks about: ``"proc"`` lives in a
+#: module nothing else imports, ``"kv_service"`` registers from repro.serve
+#: into the study workload catalog.
+_BUILTIN_KIND_MODULES = {
+    "backend": ("repro.backends.proc",),
+    "store": ("repro.ft.stores",),
+    "recovery": ("repro.ft.protocols",),
+    "workload": ("repro.study.workloads", "repro.serve.service"),
+    "scenario": ("repro.chaos.scenarios",),
+    "monitor": ("repro.chaos.monitor",),
+    "countermeasure": ("repro.chaos.soak",),
+    "delivery": ("repro.qos.delivery",),
+}
 
 
-def _import_builtins() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    import importlib
-
-    for module in _BUILTIN_KIND_MODULES:
-        importlib.import_module(module)
-    _builtins_loaded = True
+def _import_builtins(*kinds: str) -> None:
+    """Import the built-in modules of ``kinds`` (of every kind when none given)."""
+    for kind in kinds or _BUILTIN_KIND_MODULES:
+        for module in _BUILTIN_KIND_MODULES.get(kind, ()):
+            import_module(module)
 
 
 def register_kind(kind: str, registry: dict[str, type]) -> None:
@@ -85,17 +80,24 @@ def available(kind: str) -> tuple[str, ...]:
     ``"workload"`` (plus any kind registered by third-party extensions).
     Raises :class:`KeyError` naming the known kinds for an unknown one.
 
-    Always loads the built-in seam modules first: some of them *extend* a
+    Always loads the kind's built-in modules first: some of them *extend* a
     registry another module created (``repro.serve.service`` adds its
     workload to the study catalog), so the kind being present is not proof
     the listing is complete.
     """
-    _import_builtins()
+    _import_builtins(kind)
     registry = _KINDS.get(kind)
     if registry is None:
+        _import_builtins()
         known = ", ".join(repr(name) for name in sorted(_KINDS))
         raise KeyError(f"unknown component kind {kind!r}; registered kinds are: {known}")
     return tuple(sorted(registry))
+
+
+def is_registered(kind: str, name: str) -> bool:
+    """Whether ``name`` is a registered ``kind``; loads the kind's built-in
+    modules only for a name not known yet (validating ``"sim"`` stays free)."""
+    return name in _KINDS.get(kind, ()) or name in available(kind)
 
 
 def _known_names(kind: str, registry: dict[str, type[T]]) -> tuple[str, ...]:
@@ -177,11 +179,10 @@ def resolve_component(
     if isinstance(spec, str):
         cls = registry.get(spec)
         if cls is None and _KINDS.get(kind) is registry:
-            # A built-in seam module may extend this registry without having
-            # been imported yet (e.g. "kv_service" lives in repro.serve but
-            # registers into the study workload catalog): load the built-ins
-            # and look again before declaring the name unknown.
-            _import_builtins()
+            # A built-in module of this kind may extend the registry without
+            # having been imported yet: load them and look again before
+            # declaring the name unknown.
+            _import_builtins(kind)
             cls = registry.get(spec)
         if cls is None:
             known = ", ".join(repr(name) for name in _known_names(kind, registry))

@@ -18,9 +18,7 @@ action of a run.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-
-import networkx as nx
+from dataclasses import dataclass
 
 from repro.rma.actions import CommAction, SyncAction, SyncKind
 
@@ -141,56 +139,55 @@ class OrderRecorder:
     # ------------------------------------------------------------------
     # Happened-before graph
     # ------------------------------------------------------------------
-    def build_hb_graph(self) -> nx.DiGraph:
-        """Build the happened-before DAG over all recorded events.
+    def build_hb_graph(self) -> dict[int, set[int]]:
+        """Build the happened-before graph over all recorded events.
 
-        Edges: consecutive events of the same process (``po``), lock-chain
-        edges on the same target structure (``so``) and gsync edges (every
-        event before a gsync at any process happens-before every event after
-        it — the paper's optional global ``hb`` of gsync, §3.1.2).
+        A successor map ``seq -> {seq, ...}`` with one key per event.  Edges:
+        consecutive events of the same process (``po``), lock-chain edges on
+        the same target structure (``so``) and gsync edges (every event before
+        a gsync at any process happens-before every event after it — the
+        paper's optional global ``hb`` of gsync, §3.1.2).
         """
-        graph = nx.DiGraph()
-        for event in self.events:
-            graph.add_node(event.seq, action=event.action)
-        # Program order
-        for rank_events in self._per_rank.values():
-            for earlier, later in zip(rank_events, rank_events[1:]):
-                graph.add_edge(earlier.seq, later.seq, order="po")
-        # Synchronization order (lock chains)
-        for chain in self._lock_chains.values():
+        graph: dict[int, set[int]] = {event.seq: set() for event in self.events}
+        # Program order, then synchronization order (lock chains).
+        for chain in (*self._per_rank.values(), *self._lock_chains.values()):
             for earlier, later in zip(chain, chain[1:]):
-                graph.add_edge(earlier.seq, later.seq, order="so")
-        # Gsync edges: connect the gsync events of one generation in sequence;
+                graph[earlier.seq].add(later.seq)
+        # Gsync edges: all members of a generation are mutually synchronized;
         # po already links each process's surrounding events to its gsync call.
-        gsync_events = [e for e in self.events if isinstance(e.action, SyncAction)
-                        and e.action.kind is SyncKind.GSYNC]
-        by_generation: dict[int, list[RecordedEvent]] = {}
-        for event in gsync_events:
-            by_generation.setdefault(event.action.counters.gnc, []).append(event)
-        for generation in sorted(by_generation):
-            members = by_generation[generation]
-            # All members of a generation are mutually synchronized: model the
-            # collective as a virtual hub ordered after all members' po
-            # predecessors and before their successors by chaining them both ways.
-            for a in members:
-                for b in members:
-                    if a.seq != b.seq:
-                        graph.add_edge(a.seq, b.seq, order="gsync")
+        by_generation: dict[int, set[int]] = {}
+        for event in self.events:
+            action = event.action
+            if isinstance(action, SyncAction) and action.kind is SyncKind.GSYNC:
+                by_generation.setdefault(action.counters.gnc, set()).add(event.seq)
+        for members in by_generation.values():
+            for seq in members:
+                graph[seq] |= members - {seq}
         return graph
+
+    @staticmethod
+    def _reaches(graph: dict[int, set[int]], a: int, b: int) -> bool:
+        """Whether ``b`` is reachable from ``a`` (both must be recorded)."""
+        if a not in graph or b not in graph:
+            return False
+        seen, stack = {a}, [a]
+        while stack:
+            node = stack.pop()
+            if node == b:
+                return True
+            fresh = graph[node] - seen
+            seen |= fresh
+            stack.extend(fresh)
+        return False
 
     def happens_before(self, a: CommAction | SyncAction, b: CommAction | SyncAction) -> bool:
         """``a hb-> b`` using the recorded trace (may be expensive)."""
-        graph = self.build_hb_graph()
-        if a.seq not in graph or b.seq not in graph:
-            return False
-        return nx.has_path(graph, a.seq, b.seq)
+        return self._reaches(self.build_hb_graph(), a.seq, b.seq)
 
     def concurrent_hb(self, a: CommAction | SyncAction, b: CommAction | SyncAction) -> bool:
         """``a ||hb b``: no hb path either way."""
-        graph = self.build_hb_graph()
-        if a.seq not in graph or b.seq not in graph:
-            return True
-        return not nx.has_path(graph, a.seq, b.seq) and not nx.has_path(graph, b.seq, a.seq)
+        graph, x, y = self.build_hb_graph(), a.seq, b.seq
+        return not self._reaches(graph, x, y) and not self._reaches(graph, y, x)
 
     # ------------------------------------------------------------------
     # Consistency-condition helpers (Definition 1)
@@ -208,12 +205,10 @@ class OrderRecorder:
         graph = self.build_hb_graph()
         for i, a in enumerate(markers):
             for b in markers[i + 1 :]:
-                hb_ab = a.seq in graph and b.seq in graph and nx.has_path(graph, a.seq, b.seq)
-                hb_ba = a.seq in graph and b.seq in graph and nx.has_path(graph, b.seq, a.seq)
                 gnc_a = a.counters.gnc
                 gnc_b = b.counters.gnc
-                cohb_ab = hb_ab and gnc_a < gnc_b
-                cohb_ba = hb_ba and gnc_b < gnc_a
+                cohb_ab = gnc_a < gnc_b and self._reaches(graph, a.seq, b.seq)
+                cohb_ba = gnc_b < gnc_a and self._reaches(graph, b.seq, a.seq)
                 if cohb_ab or cohb_ba:
                     return False
         return True

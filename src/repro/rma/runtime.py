@@ -459,10 +459,8 @@ class RmaRuntime:
         self._complete_pair(src, trg)
         pending = self.epochs.pending(src, trg)
         self.counters.on_flush(src)
-        action = SyncAction(
-            kind=SyncKind.FLUSH, src=src, trg=trg,
-            counters=self._stamp(src, trg),
-        )
+        counters = self._stamp(src, trg)
+        action = SyncAction(kind=SyncKind.FLUSH, src=src, trg=trg, counters=counters)
         result = self._issue_sync(action, cost=self.cluster.costs.flush(pending))
         self.epochs.close_epoch(src, trg)
         return result
@@ -528,7 +526,8 @@ class RmaRuntime:
                 counters=Counters(gc=own.gc, gnc=own.gnc),
             )
             self.interceptors.before_sync(action)
-            self.recorder.record(action)
+            if self.recorder.enabled:
+                self.recorder.record(action)
             self.interceptors.after_sync(action)
             actions.append(action)
         self.cluster.metrics.incr("rma.gsyncs")
@@ -1040,7 +1039,8 @@ class RmaRuntime:
     def _issue_sync(self, action: SyncAction, *, cost: float) -> SyncAction:
         self.interceptors.before_sync(action)
         self.cluster.advance(action.src, cost, kind="comm")
-        self.recorder.record(action)
+        if self.recorder.enabled:
+            self.recorder.record(action)
         self.interceptors.after_sync(action)
         self.cluster.metrics.incr(action.kind.metric, rank=action.src)
         return action

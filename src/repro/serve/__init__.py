@@ -34,56 +34,61 @@ byte-identical request logs and SLO reports across re-runs, executors and
 the ``sim``/``proc`` backends.
 """
 
-from repro.serve.engine import (
-    ServeResult,
-    ServeSpec,
-    calibrate_service,
-    run_service,
-    run_slo_comparison,
-)
-from repro.serve.report import (
-    check_against_baseline,
-    check_serve_invariants,
-    load_requests,
-    render_markdown,
-    report_json,
-    write_requests,
-)
-from repro.serve.service import (
-    STATUS_DROPPED_WRITE,
-    STATUS_OK,
-    STATUS_STALE_READ,
-    STATUS_UNSERVED,
-    STATUSES,
-    KvService,
-)
-from repro.serve.shard import ShardMap
-from repro.serve.slo import SEGMENTS, WindowTracker, build_slo_report
-from repro.serve.traffic import Request, RequestGenerator, trace_lines
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "KvService",
-    "Request",
-    "RequestGenerator",
-    "SEGMENTS",
-    "STATUSES",
-    "STATUS_DROPPED_WRITE",
-    "STATUS_OK",
-    "STATUS_STALE_READ",
-    "STATUS_UNSERVED",
-    "ServeResult",
-    "ServeSpec",
-    "ShardMap",
-    "WindowTracker",
-    "build_slo_report",
-    "calibrate_service",
-    "check_against_baseline",
-    "check_serve_invariants",
-    "load_requests",
-    "render_markdown",
-    "report_json",
-    "run_service",
-    "run_slo_comparison",
-    "trace_lines",
-    "write_requests",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.engine import (
+        ServeResult,
+        ServeSpec,
+        calibrate_service,
+        run_service,
+        run_slo_comparison,
+    )
+    from repro.serve.report import (
+        check_against_baseline,
+        check_serve_invariants,
+        load_requests,
+        render_markdown,
+        report_json,
+        write_requests,
+    )
+    from repro.serve.service import (
+        STATUS_DROPPED_WRITE,
+        STATUS_OK,
+        STATUS_STALE_READ,
+        STATUS_UNSERVED,
+        STATUSES,
+        KvService,
+    )
+    from repro.serve.shard import ShardMap
+    from repro.serve.slo import SEGMENTS, WindowTracker, build_slo_report
+    from repro.serve.traffic import Request, RequestGenerator, trace_lines
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ServeResult": "repro.serve.engine",
+    "ServeSpec": "repro.serve.engine",
+    "calibrate_service": "repro.serve.engine",
+    "run_service": "repro.serve.engine",
+    "run_slo_comparison": "repro.serve.engine",
+    "check_against_baseline": "repro.serve.report",
+    "check_serve_invariants": "repro.serve.report",
+    "load_requests": "repro.serve.report",
+    "render_markdown": "repro.serve.report",
+    "report_json": "repro.serve.report",
+    "write_requests": "repro.serve.report",
+    "STATUS_DROPPED_WRITE": "repro.serve.service",
+    "STATUS_OK": "repro.serve.service",
+    "STATUS_STALE_READ": "repro.serve.service",
+    "STATUS_UNSERVED": "repro.serve.service",
+    "STATUSES": "repro.serve.service",
+    "KvService": "repro.serve.service",
+    "ShardMap": "repro.serve.shard",
+    "SEGMENTS": "repro.serve.slo",
+    "WindowTracker": "repro.serve.slo",
+    "build_slo_report": "repro.serve.slo",
+    "Request": "repro.serve.traffic",
+    "RequestGenerator": "repro.serve.traffic",
+    "trace_lines": "repro.serve.traffic",
+})

@@ -20,54 +20,59 @@ Run one from the command line::
     python -m repro.study --trials 4 --output report.json --markdown report.md
 """
 
-from repro.study.campaign import (
-    CampaignSpec,
-    check_against_baseline,
-    check_invariants,
-    quick_spec,
-    render_markdown,
-    report_json,
-    run_campaign,
-)
-from repro.study.model import (
-    IntervalModel,
-    checkpoint_seconds,
-    optimal_interval_seconds,
-    overhead_curve,
-    predicted_overhead,
-    restart_seconds,
-    system_failure_rate,
-)
-from repro.study.workloads import (
-    WORKLOADS,
-    HeatStencil,
-    KvUpdate,
-    RingAllreduce,
-    Workload,
-    WorkloadRun,
-    make_workload,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CampaignSpec",
-    "run_campaign",
-    "report_json",
-    "render_markdown",
-    "check_invariants",
-    "check_against_baseline",
-    "quick_spec",
-    "IntervalModel",
-    "checkpoint_seconds",
-    "restart_seconds",
-    "system_failure_rate",
-    "optimal_interval_seconds",
-    "predicted_overhead",
-    "overhead_curve",
-    "Workload",
-    "WorkloadRun",
-    "HeatStencil",
-    "RingAllreduce",
-    "KvUpdate",
-    "WORKLOADS",
-    "make_workload",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.study.campaign import (
+        CampaignSpec,
+        check_against_baseline,
+        check_invariants,
+        quick_spec,
+        render_markdown,
+        report_json,
+        run_campaign,
+    )
+    from repro.study.model import (
+        IntervalModel,
+        checkpoint_seconds,
+        optimal_interval_seconds,
+        overhead_curve,
+        predicted_overhead,
+        restart_seconds,
+        system_failure_rate,
+    )
+    from repro.study.workloads import (
+        WORKLOADS,
+        HeatStencil,
+        KvUpdate,
+        RingAllreduce,
+        Workload,
+        WorkloadRun,
+        make_workload,
+    )
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CampaignSpec": "repro.study.campaign",
+    "check_against_baseline": "repro.study.campaign",
+    "check_invariants": "repro.study.campaign",
+    "quick_spec": "repro.study.campaign",
+    "render_markdown": "repro.study.campaign",
+    "report_json": "repro.study.campaign",
+    "run_campaign": "repro.study.campaign",
+    "IntervalModel": "repro.study.model",
+    "checkpoint_seconds": "repro.study.model",
+    "optimal_interval_seconds": "repro.study.model",
+    "overhead_curve": "repro.study.model",
+    "predicted_overhead": "repro.study.model",
+    "restart_seconds": "repro.study.model",
+    "system_failure_rate": "repro.study.model",
+    "WORKLOADS": "repro.study.workloads",
+    "HeatStencil": "repro.study.workloads",
+    "KvUpdate": "repro.study.workloads",
+    "RingAllreduce": "repro.study.workloads",
+    "Workload": "repro.study.workloads",
+    "WorkloadRun": "repro.study.workloads",
+    "make_workload": "repro.study.workloads",
+})

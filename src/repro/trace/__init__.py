@@ -14,49 +14,54 @@ unified :class:`Telemetry` facade behind ``Job.telemetry()``.
 CLI: ``python -m repro.trace summarize|diff|export``.
 """
 
-from repro.trace.diff import Divergence, first_divergence, render_divergence
-from repro.trace.events import (
-    TRACE_EVENT_TYPES,
-    TraceWriter,
-    canonical_event,
-    event_line,
-    event_lines,
-    load_trace,
-    validate_event,
-    write_trace,
-)
-from repro.trace.export import to_chrome_trace
-from repro.trace.summary import render_summary, summarize
-from repro.trace.telemetry import Telemetry
-from repro.trace.tracer import (
-    TraceHub,
-    Tracer,
-    current_trace_hub,
-    install_trace,
-    trace_label,
-    tracing,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Divergence",
-    "TRACE_EVENT_TYPES",
-    "Telemetry",
-    "TraceHub",
-    "TraceWriter",
-    "Tracer",
-    "canonical_event",
-    "current_trace_hub",
-    "event_line",
-    "event_lines",
-    "first_divergence",
-    "install_trace",
-    "load_trace",
-    "render_divergence",
-    "render_summary",
-    "summarize",
-    "to_chrome_trace",
-    "trace_label",
-    "tracing",
-    "validate_event",
-    "write_trace",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.trace.diff import Divergence, first_divergence, render_divergence
+    from repro.trace.events import (
+        TRACE_EVENT_TYPES,
+        TraceWriter,
+        canonical_event,
+        event_line,
+        event_lines,
+        load_trace,
+        validate_event,
+        write_trace,
+    )
+    from repro.trace.export import to_chrome_trace
+    from repro.trace.summary import render_summary, summarize
+    from repro.trace.telemetry import Telemetry
+    from repro.trace.tracer import (
+        TraceHub,
+        Tracer,
+        current_trace_hub,
+        install_trace,
+        trace_label,
+        tracing,
+    )
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Divergence": "repro.trace.diff",
+    "first_divergence": "repro.trace.diff",
+    "render_divergence": "repro.trace.diff",
+    "TRACE_EVENT_TYPES": "repro.trace.events",
+    "TraceWriter": "repro.trace.events",
+    "canonical_event": "repro.trace.events",
+    "event_line": "repro.trace.events",
+    "event_lines": "repro.trace.events",
+    "load_trace": "repro.trace.events",
+    "validate_event": "repro.trace.events",
+    "write_trace": "repro.trace.events",
+    "to_chrome_trace": "repro.trace.export",
+    "render_summary": "repro.trace.summary",
+    "summarize": "repro.trace.summary",
+    "Telemetry": "repro.trace.telemetry",
+    "TraceHub": "repro.trace.tracer",
+    "Tracer": "repro.trace.tracer",
+    "current_trace_hub": "repro.trace.tracer",
+    "install_trace": "repro.trace.tracer",
+    "trace_label": "repro.trace.tracer",
+    "tracing": "repro.trace.tracer",
+})

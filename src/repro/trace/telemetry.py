@@ -14,8 +14,6 @@ from __future__ import annotations
 from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING
 
-from repro.trace.summary import summarize
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.session import Job
 
@@ -88,6 +86,8 @@ class Telemetry:
 
 def _trace_rollups(events: list[dict]) -> dict[str, float]:
     """Flatten a trace summary into ``trace.*`` namespaced counters."""
+    from repro.trace.summary import summarize  # tooling: loaded by the first traced rollup
+
     summary = summarize(events)
     rollups = {
         "trace.events": float(summary["events"]),
