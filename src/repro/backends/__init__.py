@@ -2,14 +2,16 @@
 
 A backend decides *where window memory lives* and *when issued operations
 execute*; the runtime above it only coordinates epochs, counters, interceptors
-and virtual-time costs.  Two backends ship:
+and virtual-time costs.  Three backends ship:
 
 * :class:`SimBackend` (``"sim"``, the default) — eager per-op execution at
   issue time, the historical runtime behavior;
 * :class:`VectorBackend` (``"vector"``) — queues nonblocking operations per
-  epoch and applies them as coalesced numpy batch writes at completion time;
+  epoch and applies them at completion time, each ``(window, target)`` slab's
+  back-to-back puts as one numpy slice write;
 * :class:`ProcBackend` (``"proc"``, POSIX platforms) — each rank is a real OS
-  process applying its queued operations to windows in shared memory; real
+  process applying its queued operations (merged like ``vector``'s, by the
+  same coalescer: a run is one wire record) to windows in shared memory; real
   ``SIGKILL`` deaths surface through the same fail-stop path as simulated
   failures (loaded and registered on first use, where :func:`proc_available` holds).
 

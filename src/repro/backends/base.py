@@ -73,6 +73,50 @@ def apply_action(action: CommAction, win: Window) -> None:
         raise RmaError(f"unknown operation kind {kind!r}")
 
 
+def _coalesce_puts(batch: list[tuple[OpHandle, Window]]) -> list[list]:
+    """Merge each slab's back-to-back plain puts of an issue-ordered batch.
+
+    Returns ``[action, window, count, data]`` entries to complete in order.
+    A *run* — successive ``PUT``s on one ``(window, target)`` slab, each
+    starting where the previous one ended — is one entry: its first action
+    with the summed count and the concatenated payload, i.e. a put of a
+    larger count.  Any other action on the slab (a get, an atomic, a put that
+    overlaps or jumps) closes the slab's run and follows it, so same-slab
+    order is issue order; actions on different slabs touch disjoint memory
+    and commute, which is what lets a run stay open across them.  Every
+    other action is an entry of its own, so get-like actions keep their issue
+    order among themselves.  Puts leave with the ``operand``
+    :func:`apply_action` gives them, merged or not.
+    """
+    entries: list[list] = []
+    open_runs: dict[tuple[int, int], list] = {}  # slab -> its run, ``data`` a list of parts
+    put = OpKind.PUT
+    for handle, win in batch:
+        action = handle.action
+        slab = (id(win), action.trg)
+        if action.kind is not put:
+            open_runs.pop(slab, None)
+            entries.append([action, win, action.count, action.data])
+            continue
+        if action.operand is None:
+            action.operand = action.data
+        run = open_runs.get(slab)
+        if run is not None and run[0].offset + run[2] == action.offset:
+            run[2] += action.count
+            run[3].append(action.data)
+        else:
+            open_runs[slab] = run = [action, win, action.count, [action.data]]
+            entries.append(run)
+    for entry in entries:
+        if entry[0].kind is put:
+            parts = entry[3]
+            if len(parts) == 1:
+                entry[3] = parts[0]
+            else:  # cast part by part, as one region write per put would
+                entry[3] = np.concatenate(parts, dtype=entry[1].dtype, casting="unsafe")
+    return entries
+
+
 class Backend(abc.ABC):
     """Owner of window storage and operation execution for one runtime."""
 

@@ -11,10 +11,10 @@ makes the paper's fail-stop model *physical*:
 * each rank gets a **worker**: a forked OS process that owns the rank's
   execution vehicle.  Queued operations of origin ``src`` are shipped to
   ``src``'s worker at completion time as one flat binary message over a
-  pipe (fixed-size records + raw operand bytes; layout in
-  ``docs/ARCHITECTURE.md``) and applied there with the *same*
-  :func:`~repro.backends.base.apply_action` the in-process backends use, so
-  per-op semantics cannot drift;
+  pipe (fixed-size records, one per action or per run of back-to-back puts,
+  + raw operand bytes; layout in ``docs/ARCHITECTURE.md``) and applied there
+  with the *same* :func:`~repro.backends.base.apply_action` the in-process
+  backends use, so per-op semantics cannot drift;
 * the supervisor keeps the control plane — scheduler, runtime, counters,
   interceptors, checkpoint stores — in its own heap.  Checkpoint copies
   therefore survive any worker's death by construction, which is exactly the
@@ -54,7 +54,7 @@ from multiprocessing import connection, shared_memory
 import numpy as np
 
 from repro.backends import BACKENDS
-from repro.backends.base import Backend, apply_action
+from repro.backends.base import Backend, _coalesce_puts, apply_action
 from repro.errors import BackendError, ProcessFailedError, WatchdogError, WindowError
 from repro.rma.actions import AccumulateOp, CommAction, OpKind
 from repro.rma.handles import OpHandle
@@ -610,24 +610,27 @@ class ProcBackend(Backend):
             # Not reached within this batch: keep the remainder armed.
             self._armed_kills[src] = die_after - len(batch)
             die_after = None
-        records = [_HEADER.pack(_APPLY, len(batch), -1 if die_after is None else die_after)]
+        if die_after is None:
+            entries = _coalesce_puts(batch)
+        else:  # an armed kill counts operations: one record per action
+            entries = [[h.action, w, h.action.count, h.action.data] for h, w in batch]
+        records = [_HEADER.pack(_APPLY, len(entries), -1 if die_after is None else die_after)]
         operands: list[bytes] = []
         undo = []
         fetched = 0  # bytes the get-like actions will send back
-        for handle, win in batch:
-            a = handle.action
+        for a, win, count, data in entries:
             kind = a.kind
             kind_id, op_id = _KINDS.index(kind), _OPS.index(a.op)
-            records.append(_RECORD.pack(kind_id, op_id, win.wire_id, a.trg, a.offset, a.count))
+            records.append(_RECORD.pack(kind_id, op_id, win.wire_id, a.trg, a.offset, count))
             if kind.is_put_like:
-                saved = win.buffers[a.trg][a.offset : a.offset + a.count].copy()
+                saved = win.buffers[a.trg][a.offset : a.offset + count].copy()
                 undo.append((win, a.trg, a.offset, saved))
                 # Window dtype: the runtime coerced at issue; hand-built actions here.
-                operands.append(np.asarray(a.data, win.dtype).tobytes())
+                operands.append(np.asarray(data, win.dtype).tobytes())
                 if kind is OpKind.COMPARE_AND_SWAP:
                     operands.append(np.asarray(a.compare, win.dtype).tobytes())
             if kind.is_get_like:
-                fetched += a.count * win.itemsize
+                fetched += count * win.itemsize
         try:
             worker.conn.send_bytes(b"".join(records + operands))
         except (BrokenPipeError, OSError):
@@ -649,8 +652,7 @@ class ProcBackend(Backend):
         # the issued operand is preserved for the replay log, then get-like
         # data takes the fetched values (a copy: reply bytes are read-only).
         pos = 1
-        for handle, win in batch:
-            a = handle.action
+        for a, win, _, _ in entries:
             if a.kind.is_put_like and a.operand is None:
                 a.operand = a.data
             if a.kind.is_get_like:

@@ -2,15 +2,17 @@
 
 Nonblocking operations are not executed when issued: they are queued per
 origin in issue order and applied only when the runtime completes the epoch
-(flush, unlock, gsync, or a blocking wrapper).  At completion time the queue
-is *coalesced*: maximal runs of plain puts that write contiguous ranges of
-the same target's window collapse into a single numpy slice assignment, so a
-halo exchange or a chunked stream of small puts costs one vectorized write
-instead of one write per message.
+(flush, unlock, gsync, or a blocking wrapper).  At completion time the batch
+is *coalesced per slab* (:func:`~repro.backends.base._coalesce_puts`, shared
+with ``proc``): the plain puts streamed back-to-back into one ``(window,
+target)`` slab collapse into a single numpy slice assignment, however they
+interleave with traffic to other slabs — a halo exchange alternating between
+two neighbours costs two vectorized writes, not one write per message.
 
 Correctness note: within one epoch the model imposes no order between actions
-(§2.2), but the backend still applies the queue in issue order — overlapping
-puts and atomics therefore land exactly as the eager backend lands them, and
+(§2.2), but each slab's actions are still applied in issue order (anything but
+an extending put closes the slab's run; slabs are disjoint memory) — so
+overlapping puts and atomics land exactly as the eager backend lands them, and
 gets read at the same completion point on every backend.  The two backends
 are bit-identical for every program that observes results only after the
 epoch completing them (which is all the model defines: intra-epoch races are
@@ -19,9 +21,7 @@ unordered by §2.2), and tests diff their traces directly.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.backends.base import Backend, apply_action
+from repro.backends.base import Backend, _coalesce_puts, apply_action
 from repro.rma.actions import OpKind
 from repro.rma.handles import OpHandle
 from repro.rma.window import Window
@@ -30,7 +30,7 @@ __all__ = ["VectorBackend"]
 
 
 class VectorBackend(Backend):
-    """Deferred execution: queue per epoch, coalesced batch apply at completion."""
+    """Deferred execution: queue per epoch, per-slab coalesced apply at completion."""
 
     name = "vector"
 
@@ -92,34 +92,9 @@ class VectorBackend(Backend):
 
     # ------------------------------------------------------------------
     def _apply_batch(self, batch: list[tuple[OpHandle, Window]]) -> None:
-        """Apply a queued batch in issue order, coalescing contiguous puts."""
-        i = 0
-        n = len(batch)
-        while i < n:
-            handle, win = batch[i]
-            action = handle.action
-            if action.kind is not OpKind.PUT:
-                apply_action(action, win)
-                i += 1
-                continue
-            # Grow a maximal run of puts writing back-to-back ranges of the
-            # same window (same trg by construction of the queue).
-            j = i + 1
-            end = action.offset + action.count
-            while j < n:
-                nxt, nxt_win = batch[j]
-                if (
-                    nxt.action.kind is not OpKind.PUT
-                    or nxt_win is not win
-                    or nxt.action.trg != action.trg
-                    or nxt.action.offset != end
-                ):
-                    break
-                end += nxt.action.count
-                j += 1
-            if j - i == 1:
-                apply_action(action, win)
+        """Apply a queued batch: one region write per put run, issue order per slab."""
+        for action, win, count, data in _coalesce_puts(batch):
+            if action.kind is OpKind.PUT:
+                win._region(action.trg, action.offset, count)[...] = data
             else:
-                payload = np.concatenate([batch[k][0].action.data for k in range(i, j)])
-                win._region(action.trg, action.offset, payload.size)[...] = payload
-            i = j
+                apply_action(action, win)

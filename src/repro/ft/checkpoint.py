@@ -63,10 +63,12 @@ class ActionLog(RmaInterceptor):
     a batching backend that reorders or coalesces execution, the log still
     records exactly the operations whose effects are part of the consistent
     state, and demand-checkpoint decisions stay correct.  Each completed
-    communication action appends its determinant and payload size to the
-    origin's log; the bookkeeping plus the local copy of put data is charged
-    on the origin's clock as protocol overhead (the paper's logging cost).
-    The per-rank logged volume drives demand checkpoints.
+    communication action adds its payload size to the origin's logged volume;
+    the bookkeeping plus the local copy of put data is charged on the
+    origin's clock as protocol overhead (the paper's logging cost).  The
+    per-rank logged volume drives demand checkpoints.  Determinants are not
+    stored: a retained action derives its own on demand
+    (:meth:`~repro.rma.actions.CommAction.determinant`).
 
     With ``retain_actions`` (on by default, but disabled by
     :func:`~repro.ft.stack.build_ft_stack` for protocols that never replay)
@@ -84,8 +86,6 @@ class ActionLog(RmaInterceptor):
     def __init__(self, *, retain_actions: bool = True) -> None:
         self.retain_actions = retain_actions
         self._runtime: RmaRuntime | None = None
-        #: Per-origin list of (determinant, nbytes) since the last truncation.
-        self.entries: dict[int, list[tuple[tuple, int]]] = defaultdict(list)
         self.bytes_logged: dict[int, int] = defaultdict(int)
         #: Element ranges written by completed put-like actions since the
         #: last truncation, keyed ``(target rank, window name)`` — the dirty
@@ -108,7 +108,6 @@ class ActionLog(RmaInterceptor):
 
     def after_comm(self, action: CommAction) -> None:
         nbytes, src, put_like = action.nbytes, action.src, action.kind.is_put_like
-        self.entries[src].append((action.determinant(), nbytes))
         self.bytes_logged[src] += nbytes
         if self.retain_actions:
             self.actions.append(action)
@@ -133,7 +132,6 @@ class ActionLog(RmaInterceptor):
         # A replacement process starts with an empty log (its memory is new).
         # Positions in step_marks go stale with the filtering; the rollback
         # protocols that take this path truncate the whole log right after.
-        self.entries.pop(rank, None)
         self.bytes_logged.pop(rank, None)
         self.actions = [a for a in self.actions if a.src != rank]
         self.step_marks = [m for m in self.step_marks if m <= len(self.actions)]
@@ -175,7 +173,6 @@ class ActionLog(RmaInterceptor):
 
     def truncate(self) -> None:
         """Drop the log (a fresh checkpoint makes replaying it unnecessary)."""
-        self.entries.clear()
         self.bytes_logged.clear()
         self.actions.clear()
         self.step_marks.clear()

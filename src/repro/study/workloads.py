@@ -22,6 +22,7 @@ recovered trial finished identical to the failure-free reference.
 from __future__ import annotations
 
 import abc
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
@@ -332,6 +333,17 @@ class RingAllreduce(Workload):
         return np.stack([job.local(r, "vec").copy() for r in range(self.nprocs)])
 
 
+@functools.lru_cache(maxsize=4096)
+def _kv_batch(
+    seed: int, keyspace: int, updates: int, step: int, rank: int
+) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng((seed, step, rank))
+    keys = rng.integers(0, keyspace, size=updates)
+    deltas = rng.integers(1, 10, size=updates).astype(np.float64)
+    keys.flags.writeable = deltas.flags.writeable = False
+    return keys, deltas
+
+
 class KvUpdate(Workload):
     """GUPS-style lock-protected random-access key-value updates (examples/kv_update_ft).
 
@@ -365,11 +377,14 @@ class KvUpdate(Workload):
         return self.nsteps
 
     def batch(self, step: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """The update batch of ``rank`` at ``step``: pure function of its inputs."""
-        rng = np.random.default_rng((self.seed, step, rank))
-        keys = rng.integers(0, self.nprocs * self.slots, size=self.updates_per_step)
-        deltas = rng.integers(1, 10, size=self.updates_per_step).astype(np.float64)
-        return keys, deltas
+        """The update batch of ``rank`` at ``step``: pure function of its inputs.
+
+        The arrays are read-only: every trial, probe, replayed step and
+        :meth:`expected` of a campaign shares one drawn copy.
+        """
+        return _kv_batch(
+            self.seed, self.nprocs * self.slots, self.updates_per_step, step, rank
+        )
 
     def expected(self) -> np.ndarray:
         """Replay every batch locally, in the scheduler's (step, rank) order."""

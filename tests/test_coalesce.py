@@ -1,0 +1,275 @@
+"""The per-slab put coalescer of the deferring backends, against ``sim``.
+
+``vector`` and ``proc`` complete a batch through one coalescer
+(:func:`repro.backends.base._coalesce_puts`): each ``(window, target)`` slab's
+back-to-back plain puts become one write / one wire record.  ``sim`` applies
+every action by itself at issue and is the oracle: seeded random programs —
+interleaved contiguous streams, puts that overlap or jump, accumulates, gets
+and get-like atomics landing on a slab whose run is open — must leave the
+same window images, handle results, logged ``data``/``operand`` and completion
+stream on all three.  The armed mid-batch kill keeps its per-operation prefix:
+such a batch is not merged.
+"""
+
+from collections import defaultdict
+
+import numpy as np
+import pytest
+
+from repro.backends import vector
+from repro.backends.proc import _HEADER, proc_available
+from repro.errors import OpHandleError, ProcessFailedError
+from repro.rma import AccumulateOp, OpKind, RmaInterceptor, RmaRuntime
+from repro.simulator import Cluster
+
+needs_proc = pytest.mark.skipif(
+    not proc_available(), reason="proc backend needs fork + POSIX shared memory"
+)
+DEFERRING = ["vector", pytest.param("proc", marks=needs_proc)]
+
+WINDOWS = ("a", "b")
+ORIGINS = (0, 1)
+HALF = 48  # elements of every slab that one origin owns: origins never race
+OPS = tuple(AccumulateOp)
+
+
+def _runtime(backend: str, dtypes=(np.float64, np.float64), size=2 * HALF) -> RmaRuntime:
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend=backend)
+    for name, dtype in zip(WINDOWS, dtypes):
+        rt.win_allocate(name, size, dtype=dtype)
+    return rt
+
+
+# ---------------------------------------------------------------------------
+# (a) Seeded random programs: vector and proc against sim
+# ---------------------------------------------------------------------------
+def _program(seed: int) -> list[tuple]:
+    """A race-free random program as ``(method name, *args)`` runtime calls.
+
+    Each origin streams chunks to 2-3 targets per window (a cursor per slab:
+    the contiguous runs), interleaved at random, and now and then writes over
+    what it streamed, jumps, accumulates into the stream or reads it back.
+    A pure get is never overwritten later in its own epoch — ``sim`` reads
+    gets when the epoch completes, so the model leaves that order open.
+    """
+    rng = np.random.default_rng(seed)
+    program: list[tuple] = []
+    targets = {o: [t for t in rng.permutation(4)[: rng.integers(2, 4)]] for o in ORIGINS}
+    cursor: dict[tuple, int] = {}
+    queued_gets = defaultdict(list)  # (origin, target) -> [(window, lo, hi)]
+
+    def values(n):
+        return [int(v) for v in rng.integers(1, 4, size=n)]
+
+    def span(o, n):
+        lo = int(rng.integers(o * HALF, (o + 1) * HALF - n + 1))
+        return lo, lo + n
+
+    def write(o, t, w, lo, hi, call) -> bool:
+        if any(w == gw and lo < ghi and glo < hi for gw, glo, ghi in queued_gets[o, t]):
+            return False  # would overwrite a queued get
+        program.append(call)
+        return True
+
+    for _ in range(int(rng.integers(6, 10))):  # epochs
+        for _ in range(int(rng.integers(10, 60))):
+            o = int(rng.choice(ORIGINS))
+            t, w = int(rng.choice(targets[o])), str(rng.choice(WINDOWS))
+            n = int(rng.integers(1, 6))
+            roll = rng.random()
+            if roll < 0.62:  # the stream: starts where the slab's last chunk ended
+                lo = cursor.get((o, t, w), o * HALF)
+                if lo + n > (o + 1) * HALF:
+                    lo = o * HALF  # wrap: a put that jumps
+                cursor[o, t, w] = lo + n
+                write(o, t, w, lo, lo + n, ("put_nb", o, t, w, lo, values(n)))
+            elif roll < 0.72:  # a put over (or beside) the stream, cursor untouched
+                lo, hi = span(o, n)
+                write(o, t, w, lo, hi, ("put_nb", o, t, w, lo, values(n)))
+            elif roll < 0.82:
+                lo, hi = span(o, n)
+                op = OPS[rng.integers(len(OPS))]
+                write(o, t, w, lo, hi, ("accumulate_nb", o, t, w, lo, values(n), op))
+            elif roll < 0.90:
+                lo, hi = span(o, n)
+                queued_gets[o, t].append((w, lo, hi))
+                program.append(("get_nb", o, t, w, lo, n))
+            else:  # a blocking get-like atomic: completes the o -> t queue behind it
+                lo, hi = span(o, 1)
+                op = OPS[rng.integers(len(OPS))]
+                call = [
+                    ("fetch_and_op", o, t, w, lo, values(1)[0], op),
+                    ("compare_and_swap", o, t, w, lo, *values(2)),
+                    ("get_accumulate", o, t, w, lo, values(1), op),
+                ][rng.integers(3)]
+                if write(o, t, w, lo, hi, call):
+                    queued_gets[o, t].clear()
+        o = int(rng.choice(ORIGINS))
+        close = rng.integers(3)
+        if close == 0:
+            t = int(rng.choice(targets[o]))
+            program.append(("flush", o, t))
+            queued_gets[o, t].clear()
+        elif close == 1:
+            program.append(("flush_all", o))
+            for t in targets[o]:
+                queued_gets[o, int(t)].clear()
+        else:
+            program.append(("gsync",))
+            queued_gets.clear()
+    program.append(("gsync",))
+    return program
+
+
+class _CompletionStream(RmaInterceptor):
+    name = "completion-stream"
+
+    def __init__(self) -> None:
+        self.completed: list[str] = []
+
+    def after_comm(self, action) -> None:
+        self.completed.append(action.describe())
+
+
+def _observe(backend: str, dtypes, program) -> dict:
+    rt = _runtime(backend, dtypes)
+    stream = _CompletionStream()
+    rt.add_interceptor(stream)
+    try:
+        handles, returned = [], []
+        for name, *args in program:
+            out = getattr(rt, name)(*args)
+            if name.endswith("_nb"):
+                handles.append(out)
+            elif name in ("fetch_and_op", "compare_and_swap", "get_accumulate"):
+                returned.append(np.asarray(out))
+        assert rt.pending_nb_ops() == 0
+        return {
+            "images": [rt.local(r, w).copy() for w in WINDOWS for r in range(4)],
+            "results": [h.result() for h in handles],
+            "data": [h.action.data for h in handles],
+            "operands": [h.action.operand for h in handles],
+            "returned": returned,
+            "stream": stream.completed,
+        }
+    finally:
+        rt.finalize()
+
+
+def _assert_same(got: dict, expected: dict) -> None:
+    assert got["stream"] == expected["stream"]
+    for key in ("images", "results", "data", "operands", "returned"):
+        assert len(got[key]) == len(expected[key]), key
+        for index, (mine, theirs) in enumerate(zip(got[key], expected[key])):
+            where = f"{key}[{index}]"
+            if theirs is None:
+                assert mine is None, where
+                continue
+            assert mine is not None and mine.dtype == theirs.dtype, where
+            assert np.array_equal(mine, theirs), f"{where}: {mine} != {theirs}"
+
+
+@pytest.mark.usefixtures("proc_hygiene")
+@pytest.mark.parametrize("backend", DEFERRING)
+@pytest.mark.parametrize(
+    "dtypes",
+    [(np.float64, np.int16), (np.float32, np.int64)],
+    ids=["f8+i2", "f4+i8"],
+)
+def test_random_programs_complete_as_on_sim(backend, dtypes):
+    for seed in range(6):
+        program = _program(seed)
+        _assert_same(_observe(backend, dtypes, program), _observe("sim", dtypes, program))
+
+
+def test_the_random_programs_do_exercise_the_coalescer(monkeypatch):
+    """Runs really form (and single puts remain) inside the generated batches."""
+    coalesce, merged, single = vector._coalesce_puts, [], []
+
+    def counting(batch):
+        entries = coalesce(batch)
+        for action, _, count, _ in entries:
+            if action.kind is OpKind.PUT:
+                (merged if count != action.count else single).append(action)
+        return entries
+
+    monkeypatch.setattr(vector, "_coalesce_puts", counting)
+    _observe("vector", (np.float64, np.int16), _program(0))
+    assert len(merged) >= 10 and len(single) >= 10
+
+
+# ---------------------------------------------------------------------------
+# (b) An armed mid-batch kill is op-granular: every k of an interleaved batch
+# ---------------------------------------------------------------------------
+def _issue_interleaved(rt) -> list:
+    """32 puts from rank 0, alternating between two targets' contiguous streams."""
+    handles = []
+    for j in range(16):
+        handles.append(rt.put_nb(0, 3, "a", HALF + 2 * j, [j + 1, -j - 1]))
+        handles.append(rt.put_nb(0, 1, "a", 2 * j, [2 * j + 1, 2 * j + 2]))
+    return handles
+
+
+def _discard_message(rt, handle) -> str:
+    rt.observe_failures()
+    rt.discard_pending()
+    with pytest.raises(OpHandleError) as poisoned:
+        handle.result()
+    return str(poisoned.value)
+
+
+def _sent_headers(rt, monkeypatch) -> list[tuple]:
+    """Record the ``(tag, records, die_after)`` header of every batch rank 0 ships."""
+    conn = rt.backend._workers[0].conn
+    send_bytes, headers = conn.send_bytes, []
+
+    def recording(buf):
+        headers.append(_HEADER.unpack_from(buf))
+        send_bytes(buf)
+
+    monkeypatch.setattr(conn, "send_bytes", recording)
+    return headers
+
+
+@needs_proc
+@pytest.mark.usefixtures("proc_hygiene")
+def test_armed_kill_at_every_position_of_an_interleaved_batch(monkeypatch):
+    sim = _runtime("sim")
+    sim_handles = _issue_interleaved(sim)
+    sim.cluster.fail_rank(0)
+    expected_message = _discard_message(sim, sim_handles[5])
+    for k in range(32):
+        rt = _runtime("proc")
+        try:
+            rt.put(2, 1, "a", 0, np.arange(1, 2 * HALF + 1))  # something to lose
+            rt.put(2, 3, "a", 0, np.arange(1, 2 * HALF + 1))
+            before = bytes(rt.window("a").shm.buf)
+            headers = _sent_headers(rt, monkeypatch)
+            handles = _issue_interleaved(rt)
+            rt.backend.arm_kill(0, after_ops=k)
+            with pytest.raises(ProcessFailedError, match="process 0 has failed"):
+                rt.flush_all(0)
+            assert [h[1:] for h in headers] == [(32, k)], "one record per operation"
+            assert bytes(rt.window("a").shm.buf) == before, f"k={k}"
+            assert rt.backend.pending_ops(0) == 32
+            assert not any(h.completed for h in handles)
+            assert _discard_message(rt, handles[5]) == expected_message
+        finally:
+            rt.finalize()
+
+
+@needs_proc
+@pytest.mark.usefixtures("proc_hygiene")
+def test_a_kill_armed_beyond_the_batch_stays_armed_and_the_batch_is_merged(monkeypatch):
+    rt = _runtime("proc")
+    try:
+        headers = _sent_headers(rt, monkeypatch)
+        _issue_interleaved(rt)
+        rt.backend.arm_kill(0, after_ops=40)  # counts operations, not records
+        rt.flush_all(0)
+        assert [h[1:] for h in headers] == [(2, -1)]
+        assert rt.backend._armed_kills == {0: 8}
+        assert rt.local(1, "a")[:32].tolist() == list(range(1, 33))
+        assert rt.local(3, "a")[HALF : HALF + 4].tolist() == [1, -1, 2, -2]
+    finally:
+        rt.finalize()

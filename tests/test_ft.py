@@ -256,7 +256,7 @@ def test_recovery_truncates_the_action_log():
     recovery.recover()
     # Rolled-back actions must not linger: the restored checkpoint was taken
     # with a freshly truncated log.
-    assert log.max_logged_bytes() == 0 and not log.entries
+    assert log.max_logged_bytes() == 0 and not log.actions and not log.step_marks
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.rma.actions import (
     SyncKind,
 )
 from repro.rma.replay import ReplayCursor
+from repro.rma.window import Window
 from repro.simulator import Cluster, FailureSchedule
 from repro.simulator.costs import cray_xe6_like
 
@@ -348,20 +349,21 @@ def test_proc_dispatch_never_pickles_an_action(monkeypatch):
     assert (elapsed, puts) == expected[1:]
 
 
+def _record_sent_sizes(rt, monkeypatch) -> list[int]:
+    """Length of every message the supervisor sends rank 0's worker from now on."""
+    conn = rt.backend._workers[0].conn
+    send_bytes, sent = conn.send_bytes, []
+    monkeypatch.setattr(conn, "send_bytes", lambda buf: sent.append(len(buf)) or send_bytes(buf))
+    return sent
+
+
 @needs_proc
 @pytest.mark.usefixtures("proc_hygiene")
 def test_proc_batch_wire_size_is_records_plus_operand_bytes(monkeypatch):
     rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend="proc")
     rt.win_allocate("w", 256)
     try:
-        conn = rt.backend._workers[0].conn
-        send_bytes, sent = conn.send_bytes, []
-
-        def recording_send_bytes(buf):
-            sent.append(len(buf))
-            send_bytes(buf)
-
-        monkeypatch.setattr(conn, "send_bytes", recording_send_bytes)
+        sent = _record_sent_sizes(rt, monkeypatch)
         for i in range(32):
             rt.put_nb(0, 1, "w", 8 * i, np.arange(8.0))
         rt.flush(0, 1)
@@ -371,6 +373,47 @@ def test_proc_batch_wire_size_is_records_plus_operand_bytes(monkeypatch):
     # One message: 32 operands of 64 bytes, at most 32 bytes per record and
     # header.  The pickled CommAction list this replaced was 5,617 bytes.
     assert len(sent) == 1 and 32 * 64 < sent[0] <= 32 * (64 + 32) + 32
+
+
+def _issue_halo_step(rt) -> np.ndarray:
+    """Rank 0's step of the benchmark's halo kernel: 16 chunks of 8 doubles to
+    each ring neighbour, alternating left/right.  Returns the streamed state."""
+    state = np.arange(128.0) + 1.0
+    for lo in range(0, 128, 8):
+        rt.put_nb(0, 3, "w", 128 + lo, state[lo : lo + 8])
+        rt.put_nb(0, 1, "w", lo, -state[lo : lo + 8])
+    return state
+
+
+@needs_proc
+@pytest.mark.usefixtures("proc_hygiene")
+def test_proc_halo_step_crosses_as_one_record_per_neighbour(monkeypatch):
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend="proc")
+    rt.win_allocate("w", 384)
+    try:
+        sent = _record_sent_sizes(rt, monkeypatch)
+        state = _issue_halo_step(rt)
+        rt.flush_all(0)
+        assert np.array_equal(rt.local(3, "w")[128:256], state)
+        assert np.array_equal(rt.local(1, "w")[:128], -state)
+    finally:
+        rt.finalize()
+    # Header, two run records, 32 operands of 64 bytes (one record per put: 2,825).
+    assert sent == [9 + 2 * 24 + 32 * 64]
+
+
+def test_vector_halo_step_costs_one_region_write_per_neighbour(monkeypatch):
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend="vector")
+    rt.win_allocate("w", 384)
+    state = _issue_halo_step(rt)
+    region, writes = Window._region, []
+    monkeypatch.setattr(
+        Window, "_region", lambda self, *where: writes.append(where) or region(self, *where)
+    )
+    rt.flush_all(0)
+    assert writes == [(3, 128, 128), (1, 0, 128)]  # one apply_action per put: 32
+    assert np.array_equal(rt.local(3, "w")[128:256], state)
+    assert np.array_equal(rt.local(1, "w")[:128], -state)
 
 
 # ---------------------------------------------------------------------------
