@@ -14,7 +14,7 @@ Examples::
 
     # The CI gate: sim + proc smoke, schema validation, baseline comparison:
     python -m repro.chaos --quick --backends sim,proc \\
-        --check-baseline benchmarks/BENCH_chaos_baseline.json
+        --check-baseline tests/baselines/chaos.json
 
     # What can I put on each axis?
     python -m repro.chaos --list

@@ -28,14 +28,13 @@ from dataclasses import asdict, dataclass
 
 from repro.errors import ChaosError
 from repro.stats import latency_percentiles
-from repro.trace.events import event_line, load_jsonl, write_jsonl
+from repro.trace.events import load_jsonl, write_jsonl
 
 __all__ = [
     "ChaosMetrics",
     "compute_metrics",
     "write_events",
     "load_events",
-    "event_lines",
 ]
 
 #: Event types a well-formed chaos log may contain (the JSONL schema's
@@ -187,15 +186,6 @@ def _validate_event(event: dict) -> None:
         raise ChaosError(f"unknown event type {event.get('type')!r}")
     if not isinstance(event.get("t"), (int, float)):
         raise ChaosError("event is missing a numeric 't'")
-
-
-def event_lines(events: list[dict]):
-    """Canonical JSONL lines for ``events`` (sorted keys, no whitespace).
-
-    Canonical serialization is what makes the *log file* — not just the
-    in-memory stream — byte-identical across re-runs and backends.
-    """
-    return (event_line(event) for event in events)
 
 
 def write_events(events: list[dict], path: str) -> None:

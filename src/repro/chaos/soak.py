@@ -26,7 +26,7 @@ the shared seed rule none of those axes — which is what makes the availability
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.api.policy import FaultTolerancePolicy, Topology
 from repro.api.session import launch
@@ -38,7 +38,7 @@ from repro.errors import (
     ChaosError,
     RecoveryError,
 )
-from repro.experiment import check_names, plan_entropy, probe, run_grid
+from repro.experiment import _comparison_grid, check_names, plan_entropy, probe
 from repro.ft.inject import KillPlan, install_injector
 from repro.registry import register_kind, resolve_component
 from repro.simulator.costs import CostModel, cray_xe6_like
@@ -453,17 +453,8 @@ def run_comparison(
     so ``executor="thread"`` parallelizes them while the assembled result
     list (and hence the report) stays byte-identical to a serial run.
     """
-    backends = tuple(backends) if backends is not None else (base.backend,)
-    stores = tuple(stores) if stores is not None else (base.store,)
-    countermeasures = tuple(countermeasures)
-    if not countermeasures or not backends or not stores:
-        raise ChaosError("comparison axes must be non-empty")
-    specs = [
-        replace(base, backend=b, store=s, countermeasure=c)
-        for b in backends
-        for s in stores
-        for c in countermeasures
-    ]
-    return run_grid(
-        run_soak, specs, executor=executor, max_workers=max_workers, error=ChaosError
+    return _comparison_grid(
+        run_soak, base, "countermeasure", countermeasures,
+        backends=backends, stores=stores,
+        executor=executor, max_workers=max_workers, error=ChaosError,
     )

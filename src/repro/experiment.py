@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import zlib
 from collections.abc import Callable, Iterable, Sequence
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -131,6 +132,38 @@ def run_grid(
     pool_type = cf.ThreadPoolExecutor if executor == "thread" else cf.ProcessPoolExecutor
     with pool_type(max_workers=max_workers) as pool:
         return list(pool.map(fn, tasks))
+
+
+def _comparison_grid(
+    fn: Callable,
+    base,
+    axis: str,
+    values: Sequence,
+    *,
+    backends: Sequence[str] | None,
+    stores: Sequence[str] | None,
+    executor: str,
+    max_workers: int | None,
+    error: type[Exception],
+) -> list:
+    """``fn`` over copies of spec ``base`` on ``backends × stores × values``.
+
+    ``axis`` names the spec field that ``values`` varies; ``backends`` and
+    ``stores`` default to ``base``'s own.  Everything else, the seed included,
+    is ``base``'s, so every cell faces the identical fault load.
+    """
+    backends = tuple(backends) if backends is not None else (base.backend,)
+    stores = tuple(stores) if stores is not None else (base.store,)
+    values = tuple(values)
+    if not values or not backends or not stores:
+        raise error("comparison axes must be non-empty")
+    specs = [
+        replace(base, backend=b, store=s, **{axis: v})
+        for b in backends
+        for s in stores
+        for v in values
+    ]
+    return run_grid(fn, specs, executor=executor, max_workers=max_workers, error=error)
 
 
 def report_json(document: dict) -> str:

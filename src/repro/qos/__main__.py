@@ -14,7 +14,7 @@ Examples::
     # The CI gate: quick smoke (sim + proc when available), invariants +
     # baseline comparison:
     python -m repro.qos --quick \\
-        --check-baseline benchmarks/BENCH_qos_baseline.json
+        --check-baseline tests/baselines/qos.json
 
     # What can I put on each axis?
     python -m repro.qos --list

@@ -42,7 +42,6 @@ if TYPE_CHECKING:
     from repro.serve.engine import (
         ServeResult,
         ServeSpec,
-        calibrate_service,
         run_service,
         run_slo_comparison,
     )
@@ -69,7 +68,6 @@ if TYPE_CHECKING:
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "ServeResult": "repro.serve.engine",
     "ServeSpec": "repro.serve.engine",
-    "calibrate_service": "repro.serve.engine",
     "run_service": "repro.serve.engine",
     "run_slo_comparison": "repro.serve.engine",
     "check_against_baseline": "repro.serve.report",

@@ -13,7 +13,7 @@ Examples::
 
     # The CI gate: quick smoke, schema-validated log, baseline comparison:
     python -m repro.serve --quick --backends sim,proc \\
-        --check-baseline benchmarks/BENCH_serve_baseline.json
+        --check-baseline tests/baselines/serve.json
 
     # What can I put on each axis?
     python -m repro.serve --list

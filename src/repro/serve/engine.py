@@ -28,7 +28,7 @@ every key, degraded trades errors for flatness" a like-for-like claim.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,14 +36,14 @@ from repro.api.policy import FaultTolerancePolicy, Topology
 from repro.api.session import launch
 from repro.chaos.soak import scaled_cost_model
 from repro.errors import CatastrophicFailure, RecoveryError, ServeError
-from repro.experiment import check_names, plan_entropy, probe, run_grid
+from repro.experiment import _comparison_grid, check_names, plan_entropy, probe
 from repro.ft.inject import KillEvent, KillKind, KillPlan, install_injector
 from repro.serve.service import STATUS_UNSERVED, KvService
 from repro.serve.slo import WindowTracker, build_slo_report
 from repro.study.workloads import make_workload
 from repro.trace.tracer import Tracer, current_trace_hub, trace_label
 
-__all__ = ["ServeSpec", "ServeResult", "calibrate_service", "run_service", "run_slo_comparison"]
+__all__ = ["ServeSpec", "ServeResult", "run_service", "run_slo_comparison"]
 
 
 @dataclass(frozen=True)
@@ -215,12 +215,8 @@ class ServeResult:
 
 
 # ----------------------------------------------------------------------
-# Calibration and plan generation
+# Plan generation
 # ----------------------------------------------------------------------
-#: The failure-free probe: the shared :func:`repro.experiment.probe`.
-calibrate_service = probe
-
-
 def build_plan(spec: ServeSpec, *, ops_total: int) -> KillPlan:
     """The spec's kill plan (pure function of spec + calibrated stream length).
 
@@ -387,18 +383,8 @@ def run_slo_comparison(
     them while the assembled result list (and hence the report) stays
     byte-identical to a serial run.
     """
-    backends = tuple(backends) if backends is not None else (base.backend,)
-    stores = tuple(stores) if stores is not None else (base.store,)
-    recoveries = tuple(recoveries)
-    if not recoveries or not backends or not stores:
-        raise ServeError("comparison axes must be non-empty")
-    specs = [
-        replace(base, backend=b, store=s, recovery=r)
-        for b in backends
-        for s in stores
-        for r in recoveries
-    ]
-    return run_grid(
-        run_service, specs, executor=executor, max_workers=max_workers,
-        error=ServeError,
+    return _comparison_grid(
+        run_service, base, "recovery", recoveries,
+        backends=backends, stores=stores,
+        executor=executor, max_workers=max_workers, error=ServeError,
     )

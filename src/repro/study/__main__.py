@@ -13,7 +13,7 @@ Examples::
 
     # The CI gate: tiny grid, invariants + baseline comparison:
     python -m repro.study --quick \\
-        --check-baseline benchmarks/BENCH_study_baseline.json
+        --check-baseline tests/baselines/study.json
 
     # What can I put on each axis?
     python -m repro.study --list

@@ -413,7 +413,7 @@ def run_campaign(
     ``executor`` selects how cells' baselines and trials are dispatched:
     ``"serial"``, ``"thread"`` (default) or ``"process"`` — each trial is an
     isolated deterministic session, so the three produce **byte-identical**
-    reports (``benchmarks/bench_study.py`` measures the wall-clock gap).
+    reports (the e2e ``study_campaign`` workload times the serial one).
     Trials are submitted as contiguous per-cell chunks rather than one task
     per trial, so the process pool pickles each cell's payload once per chunk
     and receives only compact record dicts back.

@@ -22,7 +22,7 @@ from repro.chaos import (
     scaled_cost_model,
 )
 from repro.chaos.__main__ import main as chaos_main
-from repro.chaos.metrics import EVENT_TYPES, event_lines
+from repro.chaos.metrics import EVENT_TYPES
 from repro.chaos.report import (
     check_against_baseline,
     check_chaos_invariants,
@@ -37,6 +37,7 @@ from repro.simulator.costs import cray_xe6_like
 from repro.study.campaign import _trial_batches
 from repro.study.model import IntervalModel
 from repro.study.workloads import make_workload
+from repro.trace.events import event_line
 
 pytestmark = pytest.mark.usefixtures("proc_hygiene")
 
@@ -250,7 +251,7 @@ def test_load_events_validates_schema(tmp_path):
 def test_rerun_is_byte_identical():
     a = run_soak(small_spec())
     b = run_soak(small_spec())
-    assert list(event_lines(a.events)) == list(event_lines(b.events))
+    assert [event_line(e) for e in a.events] == [event_line(e) for e in b.events]
     assert a.digest == b.digest
     assert a.as_dict() == b.as_dict()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import threading
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from repro.api.policy import Topology
 from repro.api.session import launch
+from repro.backends.proc import proc_available
 from repro.errors import CampaignError, ReproError
 from repro.experiment import (
     baseline_gate,
@@ -24,8 +26,6 @@ from repro.experiment import (
 from repro.ft.inject import FaultInjector, KillPlan
 from repro.simulator.costs import cray_xe6_like
 from repro.study.workloads import make_workload
-
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 # ----------------------------------------------------------------------
@@ -129,6 +129,17 @@ def test_run_grid_rejects_unknown_executors_with_the_callers_error():
         run_grid(_square, [1], executor="fiber", error=CampaignError)
 
 
+def test_comparison_grids_reject_an_empty_axis_with_the_engines_own_error():
+    from repro.chaos import SoakSpec, run_comparison
+    from repro.errors import ChaosError, ServeError
+    from repro.serve import ServeSpec, run_slo_comparison
+
+    with pytest.raises(ChaosError, match="comparison axes must be non-empty"):
+        run_comparison(SoakSpec(), countermeasures=())
+    with pytest.raises(ServeError, match="comparison axes must be non-empty"):
+        run_slo_comparison(ServeSpec(), stores=())
+
+
 # ----------------------------------------------------------------------
 # Serialisation
 # ----------------------------------------------------------------------
@@ -227,27 +238,79 @@ def test_gate_never_passes_vacuously():
     ]
 
 
-def test_study_cli_fails_on_a_baseline_without_cells(capsys):
-    # benchmarks/BENCH_study.json is bench_study.py's wall report, not a
-    # campaign report: every gate used to loop over nothing and "pass".
+def test_study_cli_fails_on_a_baseline_without_cells(tmp_path, capsys):
+    # A wall-clock report (the shape the retired bench scripts wrote) is not
+    # a campaign report: every gate used to loop over nothing and "pass".
     from repro.study.__main__ import main
 
+    baseline = tmp_path / "wall.json"
+    baseline.write_text(json.dumps({"campaign_wall_s": 1.9, "meta": {"trials": 8}}))
     status = main(["--quick", "--executor", "serial", "--skip-invariants",
-                   "--check-baseline", str(BENCHMARKS / "BENCH_study.json")])
+                   "--check-baseline", str(baseline)])
     captured = capsys.readouterr()
     assert status == 1
     assert "REGRESSION: baseline is not a repro.study report" in captured.err
     assert "baseline check passed" not in captured.out
 
 
-def test_serve_cli_fails_cleanly_on_another_schema(capsys):
-    # benchmarks/BENCH_serve_baseline.json is bench_serve.py's baseline: it
-    # has cells but no ``slo`` — this used to die with KeyError: 'slo'.
+def test_serve_cli_fails_cleanly_on_another_schema(tmp_path, capsys):
+    # Cells, but no ``meta.engine`` and no ``slo`` in them — this used to die
+    # with KeyError: 'slo'.
     from repro.serve.__main__ import main
 
-    baseline = BENCHMARKS / "BENCH_serve_baseline.json"
-    assert "slo" not in next(iter(json.loads(baseline.read_text())["cells"].values()))
+    baseline = tmp_path / "other.json"
+    baseline.write_text(json.dumps(
+        {"cells": {"sim/memory/global": {"recovery_p99_ms": 86.9, "errors": 0}}}
+    ))
     status = main(["--quick", "--skip-invariants", "--check-baseline", str(baseline)])
     captured = capsys.readouterr()
     assert status == 1
     assert "REGRESSION: baseline is not a repro.serve report" in captured.err
+
+
+# ----------------------------------------------------------------------
+# The checked-in baselines: what CI's ``engines`` job gates, held by tier-1
+# ----------------------------------------------------------------------
+BASELINES = Path(__file__).resolve().parent / "baselines"
+
+#: chaos, serve and qos record ``proc`` cells, which only a host with fork +
+#: POSIX shared memory can reproduce.
+PROC_CELLS = pytest.mark.skipif(
+    not proc_available(), reason="baseline has proc cells; proc backend unavailable"
+)
+
+
+@pytest.mark.usefixtures("proc_hygiene")
+@pytest.mark.parametrize(
+    ("engine", "axes", "exact_field"),
+    [
+        ("study", [], "recoveries"),
+        pytest.param(
+            "chaos", ["--backends", "sim,proc"], "metrics.recoveries", marks=PROC_CELLS
+        ),
+        pytest.param("serve", ["--backends", "sim,proc"], "recoveries", marks=PROC_CELLS),
+        pytest.param("qos", [], "recoveries", marks=PROC_CELLS),
+    ],
+)
+def test_quick_run_passes_its_checked_in_baseline_and_fails_a_stale_one(
+    engine, axes, exact_field, tmp_path, capsys
+):
+    # A PR that moves a schedule-shaped quantity must re-record the baseline:
+    # a stale one (the PR 5 -> PR 15 study incident) breaks here, not only in CI.
+    main = importlib.import_module(f"repro.{engine}.__main__").main
+    baseline = BASELINES / f"{engine}.json"
+    assert main(["--quick", *axes, "--check-baseline", str(baseline)]) == 0
+    assert "baseline check passed" in capsys.readouterr().out
+
+    document = json.loads(baseline.read_text())
+    *path, leaf = exact_field.split(".")
+    node = next(iter(document["cells"].values()))
+    for part in path:
+        node = node[part]
+    node[leaf] += 1
+    stale = tmp_path / f"{engine}.json"
+    stale.write_text(json.dumps(document))
+    assert main(["--quick", *axes, "--check-baseline", str(stale)]) == 1
+    captured = capsys.readouterr()
+    assert "REGRESSION:" in captured.err
+    assert "baseline check passed" not in captured.out

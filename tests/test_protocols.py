@@ -102,13 +102,14 @@ def test_kv_localized_replay_bit_identical(backend):
     assert np.array_equal(baseline.table, localized.table)
 
 
-def test_localized_replay_restores_strictly_fewer_bytes():
+@pytest.mark.parametrize("store", ["memory", "disk", "parity"])
+def test_localized_replay_restores_strictly_fewer_bytes(store):
     from repro.study.workloads import HeatStencil
 
     workload = HeatStencil(nprocs=8, n_local=16, iters=24)
 
     def run(recovery, schedule=None):
-        policy = repro.FaultTolerancePolicy(interval=6, recovery=recovery)
+        policy = repro.FaultTolerancePolicy(interval=6, store=store, recovery=recovery)
         with repro.launch(
             8, topology=repro.Topology(procs_per_node=2), ft=policy,
             failures=schedule, sync_each_step=False,
@@ -118,11 +119,13 @@ def test_localized_replay_restores_strictly_fewer_bytes():
             field = job.gather("u", part=slice(1, 17))
         return field, report
 
-    _, free = run("global")
+    free_field, free = run("global")
     schedule = FailureSchedule.single_rank(3, free.elapsed * 0.55)
     rolled_field, rolled = run("global", schedule)
     localized_field, localized = run("localized", schedule)
-    assert np.array_equal(rolled_field, localized_field)
+    assert rolled.recoveries == localized.recoveries == 1
+    assert np.array_equal(free_field, rolled_field)
+    assert np.array_equal(free_field, localized_field)
     restored_global = rolled.metrics.total("ft.restored_bytes")
     restored_localized = localized.metrics.total("ft.restored_bytes")
     assert 0 < restored_localized < restored_global

@@ -366,7 +366,11 @@ def test_campaign_report_is_byte_identical_across_reruns_and_executors():
     serial = run_campaign(TINY, executor="serial")
     again = run_campaign(TINY, executor="serial")
     threaded = run_campaign(TINY, executor="thread", max_workers=4)
-    assert report_json(serial) == report_json(again) == report_json(threaded)
+    processes = run_campaign(TINY, executor="process", max_workers=2)
+    assert (
+        report_json(serial) == report_json(again)
+        == report_json(threaded) == report_json(processes)
+    )
 
 
 def test_campaign_different_seeds_draw_disjoint_schedules():

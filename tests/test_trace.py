@@ -24,6 +24,7 @@ from repro.study import make_workload
 from repro.trace import (
     TraceWriter,
     Tracer,
+    current_trace_hub,
     event_lines,
     first_divergence,
     load_trace,
@@ -37,6 +38,7 @@ from repro.trace import (
     write_trace,
 )
 from repro.trace.__main__ import main as trace_main
+from repro.trace.tracer import _TraceInterceptor
 
 pytestmark = pytest.mark.usefixtures("proc_hygiene")
 
@@ -291,6 +293,33 @@ def test_untraced_job_telemetry_has_no_trace_namespace():
         telemetry = job.telemetry()
     assert not telemetry.query("trace.*")
     assert "rma.gsyncs" in telemetry  # cluster metrics unaffected
+
+
+def test_untraced_job_after_a_traced_one_carries_no_trace_seam():
+    # "Tracing you don't ask for is free", in its exact form: after a fully
+    # traced job has run and closed, a job launched with no tracer and no hub
+    # has every seam the tracer hooks (install_trace) at its unhooked
+    # default, so it executes what it would if repro.trace did not exist.
+    traced_events("sim")
+    assert current_trace_hub() is None
+    workload = make_workload("stencil", **PARAMS)
+    ft = repro.FaultTolerancePolicy(
+        interval=INTERVAL, store="memory", recovery="localized"
+    )
+    with repro.launch(
+        workload.nprocs, topology=repro.Topology(procs_per_node=2), ft=ft,
+        sync_each_step=workload.sync_each_step,
+    ) as job:
+        workload.setup(job)
+        job.run(workload.kernel(), steps=workload.steps)
+        assert job.trace is None
+        assert not any(
+            isinstance(i, _TraceInterceptor) for i in job.runtime.interceptors
+        )
+        assert job._observers == []
+        assert job.ft.store._placement_listeners == []
+        assert job.ft.delivery.listener is None
+        assert current_trace_hub() is None
 
 
 # ---------------------------------------------------------------------------
