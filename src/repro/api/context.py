@@ -72,7 +72,7 @@ class WindowHandle:
 
     @property
     def local(self) -> np.ndarray:
-        """Mutable view of the origin rank's own buffer."""
+        """View of the origin rank's own buffer, writable until the step ends."""
         return self._ctx._runtime.local_view(self._ctx.rank, self.name)
 
     def _where(self) -> str:
@@ -203,7 +203,7 @@ class RankContext:
         return handle
 
     def local(self, window: str) -> np.ndarray:
-        """Mutable numpy view of this rank's own buffer of ``window``."""
+        """View of this rank's own buffer of ``window``, writable until the step ends."""
         return self._runtime.local_view(self.rank, window)
 
     # ------------------------------------------------------------------

@@ -257,7 +257,8 @@ class Job:
         return self.runtime.win_allocate(name, size, np.dtype(dtype))
 
     def local(self, rank: int, window: str) -> np.ndarray:
-        """Mutable view of ``rank``'s buffer of ``window`` (initialization/IO)."""
+        """View of ``rank``'s buffer of ``window`` (initialization/IO), writable
+        until the next step boundary or checkpoint."""
         return self.runtime.local_view(rank, window)
 
     def each_rank(self, fn) -> None:
@@ -328,7 +329,11 @@ class Job:
                     # are cheaper than real ones) to feed the analytic model.
                     measuring = self._auto_pending and not self.runtime.replaying
                     step_began = self.cluster.elapsed() if measuring else 0.0
-                    self.scheduler.run_step(kernel, step)
+                    try:
+                        self.scheduler.run_step(kernel, step)
+                    finally:
+                        # A local view lives until its step ends, FT or not.
+                        self.runtime.windows.seal()
                     # Boundary bookkeeping runs twice: once when the kernels have
                     # finished (their local stores are in), and once more after
                     # the step-closing sync (which may complete — and log — the

@@ -70,12 +70,14 @@ _deferred_closes: list[shared_memory.SharedMemory] = []
 
 
 def _drain_deferred_closes() -> None:
-    for seg in _deferred_closes[:]:
+    """Close the parked segments whose views died.  Re-entrant (a ``close`` may run
+    a finalizer that drains again): the list is rebuilt from those still refusing."""
+    parked, _deferred_closes[:] = _deferred_closes[:], []
+    for seg in parked:
         try:
             seg.close()
-        except BufferError:  # pragma: no cover - views still alive
-            continue
-        _deferred_closes.remove(seg)
+        except BufferError:
+            _deferred_closes.append(seg)
 
 
 atexit.register(_drain_deferred_closes)
@@ -139,26 +141,8 @@ class SharedWindow(Window):
             raise WindowError(f"window {self.name!r} detached from shared memory")
         return self.shm.name
 
-    # In-place variants of the failure/restore transitions ----------------
-    def restore(self, rank: int, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=self.dtype).ravel()
-        if data.size != self.size:
-            raise WindowError(
-                f"restore payload has {data.size} elements, window has {self.size}"
-            )
-        self._check_rank(rank)
-        self.buffers[rank][...] = data
-        self._invalidated.discard(rank)
-
-    def invalidate(self, rank: int) -> None:
-        self._check_rank(rank)
-        self.buffers[rank][...] = 0
-        self._invalidated.add(rank)
-
-    def reallocate(self, rank: int) -> None:
-        self._check_rank(rank)
-        self.buffers[rank][...] = 0
-        self._invalidated.discard(rank)
+    def _fill(self, rank: int, data: np.ndarray | None) -> None:
+        self.buffers[rank][...] = 0 if data is None else data
 
     def detach(self) -> None:
         """Swap buffers to private copies; close and unlink the segment.
@@ -168,6 +152,7 @@ class SharedWindow(Window):
         """
         if self.shm is None:
             return
+        self.seal()  # a handed-out view must not be what pins the segment
         for rank in list(self.buffers):
             self.buffers[rank] = self.buffers[rank].copy()
         seg, self.shm = self.shm, None
@@ -643,6 +628,7 @@ class ProcBackend(Backend):
             # completion is effect-free, like a discarded queue.
             for win, trg, offset, saved in reversed(undo):
                 win.buffers[trg][offset : offset + saved.size] = saved
+                win.stamps[trg] += 1
             self._note_death(src)
             raise ProcessFailedError(src)
         if reply[0] != _OK or len(reply) != 1 + fetched:

@@ -119,21 +119,8 @@ class RecoveryError(FaultToleranceError):
     """Causal recovery failed and no coordinated checkpoint is available."""
 
 
-class RecoveryFallback(FaultToleranceError):
-    """Causal recovery must fall back to the last coordinated checkpoint.
-
-    Raised internally when a recovering process observes ``N_q[p_f] = true``
-    (an un-replayable in-flight get) or ``M_q[p_f] = true`` (a combining put
-    that may be applied twice); see §3.2.3 and §4.2 of the paper.
-    """
-
-
 class CatastrophicFailure(FaultToleranceError):
     """More than ``m`` processes of one group failed; the run must restart."""
-
-
-class ErasureCodingError(FaultToleranceError):
-    """Checksum encoding/decoding failed (XOR or Reed-Solomon)."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +154,6 @@ class WatchdogError(ApiError):
     carries a per-rank state dump so a deadlocked rendezvous fails CI with a
     diagnosis instead of hanging it.
     """
-
-
-# ---------------------------------------------------------------------------
-# Reliability-model errors
-# ---------------------------------------------------------------------------
-
-
-class ReliabilityModelError(ReproError):
-    """Invalid parameters for the catastrophic-failure probability model."""
-
-
-class BenchmarkError(ReproError):
-    """A benchmark harness was configured inconsistently."""
 
 
 # ---------------------------------------------------------------------------

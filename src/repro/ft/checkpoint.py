@@ -88,10 +88,10 @@ class ActionLog(RmaInterceptor):
         self._runtime: RmaRuntime | None = None
         self.bytes_logged: dict[int, int] = defaultdict(int)
         #: Element ranges written by completed put-like actions since the
-        #: last truncation, keyed ``(target rank, window name)`` — the dirty
-        #: map incremental (multi-level) checkpoints move instead of full
-        #: snapshots.  Kept regardless of ``retain_actions``: ranges are a
-        #: few ints, not pinned payloads.
+        #: last truncation, keyed ``(target rank, window name)`` — the stores
+        #: read it (unmerged) as the change-set of every slab they trust.
+        #: Kept regardless of ``retain_actions``: ranges are a few ints, not
+        #: pinned payloads.
         self._dirty: dict[tuple[int, str], list[tuple[int, int]]] = defaultdict(list)
         #: Completed actions since the last truncation, in completion order.
         self.actions: list[CommAction] = []
@@ -166,8 +166,8 @@ class ActionLog(RmaInterceptor):
         (:class:`~repro.ft.stores.MultiLevelStore`) ships to its upper levels
         instead of full window images.  Purely local stores (``ctx.local``
         writes) never pass through the completion stream and are *not* in
-        this map — incremental consumers must diff those against their mirror
-        themselves.
+        this map — the stores take it as a slab's whole change-set only while
+        the window's raw-access stamp has not moved (``docs/ARCHITECTURE.md``).
         """
         return {key: _merged(regions) for key, regions in self._dirty.items()}
 
@@ -273,9 +273,12 @@ class CoordinatedCheckpointer(RmaInterceptor):
         # a degraded continuation are no longer members: they are neither
         # checkpointed nor used as copy holders.
         cluster.barrier()
+        # Local views end here (a store through a kept one now raises, not
+        # goes unseen); the checkpoint's own read leaves no stamp.
+        runtime.windows.seal()
         snapshots = {
             rank: {
-                window.name: window.local(rank)
+                window.name: window._region(rank, 0, window.size)
                 for window in runtime.windows.all()
             }
             for rank in range(cluster.nprocs)

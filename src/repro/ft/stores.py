@@ -85,6 +85,12 @@ def _merged(regions) -> list[tuple[int, int]]:
     return spans
 
 
+def _indices(regions) -> np.ndarray:
+    """The elements ``(offset, count)`` ranges cover, as one ascending index array."""
+    parts = [np.arange(offset, offset + count) for offset, count in _merged(regions)]
+    return np.concatenate(parts) if parts else np.empty(0, np.intp)
+
+
 def _differ(live: np.ndarray, image: np.ndarray, among=None) -> np.ndarray:
     """Indices (all, or of those in ``among``) at which two flat arrays differ
     byte-wise: ``-0.0`` is not ``0.0`` and a NaN equals itself."""
@@ -227,6 +233,10 @@ class CheckpointStore(abc.ABC):
         self._placement_listeners: list = []
         self._slabs: dict[tuple[int, str], _Slab] = {}
         self._evicted = -1
+        self._log: Any = None
+        #: Each slab's raw-access stamp as seen by the previous placement; cleared
+        #: by an observed failure (its discards and undos bypass the log).
+        self.seen: dict[tuple[int, str], int] = {}
 
     def add_placement_listener(self, listener) -> None:
         """Observe every placement: ``(store, level, rank, nbytes, incremental)``.
@@ -266,11 +276,16 @@ class CheckpointStore(abc.ABC):
         self._runtime = runtime
 
     def attach_log(self, log: Any) -> None:
-        """Offer the job's :class:`~repro.ft.checkpoint.ActionLog` to the store.
+        """Offer the job's :class:`~repro.ft.checkpoint.ActionLog`: its dirty map is
+        the change-set of every slab whose raw-access stamp stood still (:meth:`_retain`)."""
+        self._log = log
 
-        Most placements ignore it; :class:`MultiLevelStore` reads the log's
-        dirty-region map to ship only changed bytes to its upper levels.
-        """
+    def _logged(self) -> dict | None:
+        """The log's put spans per ``(rank, window)``, unmerged; ``None`` (trust
+        nothing) unless the log is registered on the runtime, i.e. sees every put."""
+        if self._log is None or self._log not in self.runtime.interceptors:
+            return None
+        return self._log._dirty
 
     @property
     def runtime(self) -> "RmaRuntime":
@@ -331,26 +346,35 @@ class CheckpointStore(abc.ABC):
     ) -> dict[int, dict[str, np.ndarray]]:
         """Read-only images of the live ``snapshots`` for ``version`` to hold.
 
-        Each slab is read once: a byte-wise compare with the image the previous
-        placement produced gives this placement's change-set, and a buffer
-        recycled from a version no longer retained (evicted; or prepared and
-        never committed, hence numbered like ``version``) catches up by the
-        sets logged since it was filled.  Invariant: *a retained image differs
-        from live at most where the change-sets after its* ``seq`` *say* —
-        anywhere once those are off the record.  The chain runs over
+        A slab's change-set is the log's merged put spans when the slab is
+        *trusted* (a log observes, the window's raw-access stamp stood still, no
+        failure was seen since), a byte-wise compare with the previous placement's
+        image otherwise.  A buffer recycled from a version no longer retained
+        (evicted; or prepared and never committed, hence numbered like ``version``)
+        catches up by the sets logged since it was filled.  Invariant: *a retained
+        image differs from live at most where the change-sets after its* ``seq``
+        *say* — anywhere once those are off the record.  The chain runs over
         placements, not commits: an aborted checkpoint needs no special case.
         """
         for key in [key for key in self._slabs if key[0] not in snapshots]:
             del self._slabs[key]  # the rank was excised: nothing left to refresh
         retained: dict[int, dict[str, np.ndarray]] = {}
+        logged, seen, registry = self._logged(), self.seen, self.runtime.windows
         for rank, windows in snapshots.items():
             views = retained[rank] = {}
             for name, data in windows.items():
                 live = data.reshape(-1)
-                slab = self._slabs.get((rank, name))
+                key = rank, name
+                slab = self._slabs.get(key)
                 if slab is None or slab.images[-1].data.shape != live.shape:
-                    slab = self._slabs[rank, name] = _Slab()
-                changed = _differ(live, slab.images[-1].data) if slab.images else None
+                    slab = self._slabs[key] = _Slab()
+                stamp = registry.get(name).stamps[rank]
+                if slab.images and logged is not None and seen.get(key) == stamp:
+                    changed = _indices(logged.get(key, ()))
+                else:
+                    changed = _differ(live, slab.images[-1].data) if slab.images else None
+                if logged is not None:
+                    seen[key] = stamp
                 slab.seq += 1
                 if changed is None or changed.size * _DENSE > live.size:
                     slab.log.clear()
@@ -403,6 +427,7 @@ class CheckpointStore(abc.ABC):
     # ------------------------------------------------------------------
     def drop_rank(self, rank: int) -> None:
         """Propagate a rank failure: lose every copy held in its memory."""
+        self.seen.clear()
         for version in self.versions:
             self._drop(version, rank)
 
@@ -773,6 +798,8 @@ class _Level:
     dirty: dict[tuple[int, str], list[tuple[int, int]]] = field(default_factory=dict)
     #: The base store's change-set number of each mirrored slab at its capture.
     seqs: dict[tuple[int, str], int] = field(default_factory=dict)
+    #: Each mirrored slab's raw-access stamp at its capture (as the store's).
+    seen: dict[tuple[int, str], int] = field(default_factory=dict)
     #: Captures performed (first is full, the rest incremental).
     captures: int = 0
 
@@ -793,10 +820,10 @@ class MultiLevelStore(CheckpointStore):
       committed checkpoint — and refreshed *incrementally*: the action log's
       :meth:`~repro.ft.checkpoint.ActionLog.dirty_regions` write-set, merged
       across the checkpoints since the level's last capture, determines which
-      bytes move; a content diff against the mirror catches local stores the
-      log never sees.  Moved bytes are metered as ``ft.multilevel_moved_bytes``
-      against the ``ft.multilevel_full_bytes`` a non-incremental level would
-      have shipped.
+      bytes move; a slab whose raw-access stamp moved since (a local store the
+      log never sees) is also diffed against the mirror.  Moved bytes are
+      metered as ``ft.multilevel_moved_bytes`` against the
+      ``ft.multilevel_full_bytes`` a non-incremental level would have shipped.
 
     A version whose base copies were lost (buddy pair failed together — the
     :class:`MemoryStore`'s catastrophic case) or evicted stays recoverable as
@@ -843,7 +870,6 @@ class MultiLevelStore(CheckpointStore):
         #: Evicted-but-captured versions, stripped of base copies: the upper
         #: mirrors still serve their window data.
         self.archived: dict[int, CheckpointVersion] = {}
-        self._log: Any = None
         self._committed = 0
 
     # ------------------------------------------------------------------
@@ -858,7 +884,8 @@ class MultiLevelStore(CheckpointStore):
         self.base.add_placement_listener(listener)
 
     def attach_log(self, log: Any) -> None:
-        self._log = log
+        super().attach_log(log)
+        self.base.attach_log(log)
 
     @property
     def buddies(self) -> dict[int, int]:
@@ -884,9 +911,9 @@ class MultiLevelStore(CheckpointStore):
     # ------------------------------------------------------------------
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
         self.base._place(version, snapshots)
-        dirty = self._log.dirty_regions() if self._log is not None else {}
+        logged = self._logged()
         for lvl in self.levels:
-            for key, spans in dirty.items():
+            for key, spans in (logged or {}).items():
                 lvl.dirty.setdefault(key, []).extend(spans)
         # Cadence counts *committed* checkpoints so that a retried attempt
         # (failure between the barriers) makes the same capture decision and
@@ -894,10 +921,10 @@ class MultiLevelStore(CheckpointStore):
         slot = self._committed + 1
         for lvl in self.levels:
             if slot == 1 or slot % lvl.every == 0:
-                self._capture(lvl, version, snapshots)
+                self._capture(lvl, version, snapshots, logged is not None)
 
     def _capture(
-        self, lvl: _Level, version: CheckpointVersion, snapshots: Snapshots
+        self, lvl: _Level, version: CheckpointVersion, snapshots: Snapshots, logged: bool
     ) -> None:
         cluster = self.runtime.cluster
         costs = cluster.costs
@@ -912,6 +939,10 @@ class MultiLevelStore(CheckpointStore):
                 slab = self.base._slabs.get((rank, name))  # None: no image ring
                 since = slab.since(lvl.seqs.get((rank, name), -1)) if slab else None
                 lvl.seqs[rank, name] = slab.seq if slab else -1
+                stamp = self.runtime.windows.get(name).stamps[rank]
+                trusted = logged and lvl.seen.get((rank, name)) == stamp
+                if logged:
+                    lvl.seen[rank, name] = stamp
                 if (
                     mirror is None
                     or mirror.shape != data.shape
@@ -925,11 +956,11 @@ class MultiLevelStore(CheckpointStore):
                 for offset, count in _merged(lvl.dirty.get((rank, name), ())):
                     held[offset : offset + count] = live[offset : offset + count]
                     changed += count
-                # Local stores bypass the completion stream: of the elements
-                # some checkpoint since the last capture saw change (all of
-                # them, when the base has no record), those still differing
-                # byte-wise from the mirror move too — the capture is bit-exact.
-                for among in [None] if since is None else since:
+                # Local stores bypass the completion stream: unless the slab is
+                # trusted (stamp unmoved since this level's last capture), of the
+                # elements some checkpoint since saw change (all, when the base has
+                # no record) those still differing from the mirror move too.
+                for among in () if trusted else [None] if since is None else since:
                     extra = _differ(live, held, among)
                     held[extra] = live[extra]
                     changed += extra.size
@@ -1011,6 +1042,11 @@ class MultiLevelStore(CheckpointStore):
         return None
 
     # ------------------------------------------------------------------
+    def drop_rank(self, rank: int) -> None:
+        super().drop_rank(rank)
+        for holder in (self.base, *self.levels):
+            holder.seen.clear()
+
     def _drop(self, version: CheckpointVersion, rank: int) -> None:
         # Base copies in the failed rank's memory are lost; the upper-level
         # mirrors live across the failure domain the level guards and survive.

@@ -49,7 +49,7 @@ _SEQ = itertools.count()
 
 
 def _next_seq() -> int:
-    return next(_SEQ)  # reads the global: reset_sequence_counter rebinds it
+    return next(_SEQ)
 
 
 class ActionCategory(enum.Enum):
@@ -347,9 +347,3 @@ class SyncAction:
         target = "ALL" if self.trg is None else str(self.trg)
         suffix = f", str={self.structure}" if self.structure else ""
         return f"{self.kind.value}({self.src}->{target}{suffix})"
-
-
-def reset_sequence_counter(value: int = 0) -> None:
-    """Reset the global action sequence counter (test isolation helper)."""
-    global _SEQ
-    _SEQ = itertools.count(value)

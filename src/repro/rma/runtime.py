@@ -226,7 +226,7 @@ class RmaRuntime:
         return self.windows.get(name)
 
     def local(self, rank: int, window: str) -> np.ndarray:
-        """The local window buffer of ``rank`` (direct load/store access).
+        """A view of ``rank``'s window buffer, writable until the next seal.
 
         An excised rank's buffer stays readable (it was reallocated to zeros
         when the rank was removed), so degraded jobs can still gather results.
@@ -237,12 +237,12 @@ class RmaRuntime:
     def local_view(
         self, rank: int, window: str, offset: int = 0, count: int | None = None
     ) -> np.ndarray:
-        """A mutable view of ``count`` elements of ``rank``'s own buffer.
+        """A view of ``count`` elements of ``rank``'s own buffer, writable until
+        the next step boundary or checkpoint (:meth:`~repro.rma.window.Window.seal`).
 
         Context-friendly entry point used by :mod:`repro.api`: per-rank
         contexts hand kernels numpy views of their own window slice so local
-        loads/stores need no runtime call at all.  ``count=None`` means "to
-        the end of the window".
+        loads/stores need no runtime call.  ``count=None``: to the window's end.
         """
         self._require_alive(rank, excised_ok=True)
         win = self.windows.get(window)

@@ -8,6 +8,11 @@ write through :class:`~repro.rma.runtime.RmaRuntime`.
 
 A window buffer is *invalidated* when its owner fails (fail-stop: the memory
 content is lost) and *reallocated* when a replacement process is spawned.
+
+Local views have a lifetime: :meth:`Window.view` hands out views writable until
+the next :meth:`Window.seal` (a job-step boundary, a checkpoint, a buffer swap).
+Every hand-out, and every write outside the completion stream, moves the rank's
+*raw-access stamp*; while it stands still, only logged actions touched the buffer.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ class Window:
     _invalidated: set[int] = field(default_factory=set)
     #: Bytes per element.
     itemsize: int = field(init=False)
+    #: Per-rank raw-access stamp (monotone).
+    stamps: list[int] = field(init=False)
+    #: ``(rank, view)`` pairs handed out since the last :meth:`seal`.
+    _handed: list[tuple[int, np.ndarray]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -41,6 +50,7 @@ class Window:
             raise WindowError("window needs at least one process")
         self.dtype = np.dtype(self.dtype)
         self.itemsize = int(self.dtype.itemsize)
+        self.stamps = [0] * self.nprocs
         for rank in range(self.nprocs):
             if rank not in self.buffers:
                 self.buffers[rank] = np.zeros(self.size, dtype=self.dtype)
@@ -54,10 +64,21 @@ class Window:
         return self.size * self.itemsize
 
     def local(self, rank: int) -> np.ndarray:
-        """The full local buffer of ``rank`` (a view, not a copy)."""
-        self._check_rank(rank)
-        self._check_alive(rank)
-        return self.buffers[rank]
+        """A fresh view of ``rank``'s full buffer, writable until the next :meth:`seal`."""
+        return self.view(rank, 0, self.size)
+
+    def seal(self, rank: int | None = None) -> None:
+        """End the lifetime of the handed-out views (of ``rank``, or all): a store
+        through a kept one raises instead of bypassing the checkpoint's change-set."""
+        if not self._handed:
+            return
+        handed, self._handed = self._handed, []
+        for owner, view in handed:
+            if rank is None or owner == rank:
+                view.setflags(write=False)
+                self.stamps[owner] += 1
+            else:
+                self._handed.append((owner, view))
 
     def read(self, rank: int, offset: int, count: int) -> np.ndarray:
         """Copy ``count`` elements starting at ``offset`` from ``rank``'s buffer."""
@@ -71,12 +92,16 @@ class Window:
         self._check_range(rank, offset, data.size)
         self._check_alive(rank)
         self.buffers[rank][offset : offset + data.size] = data
+        self.stamps[rank] += 1
 
     def view(self, rank: int, offset: int, count: int) -> np.ndarray:
-        """A mutable view into ``rank``'s buffer (used by atomics)."""
+        """A view into ``rank``'s buffer, writable until the next :meth:`seal`."""
         self._check_range(rank, offset, count)
         self._check_alive(rank)
-        return self.buffers[rank][offset : offset + count]
+        view = self.buffers[rank][offset : offset + count]
+        self._handed.append((rank, view))
+        self.stamps[rank] += 1
+        return view
 
     def check_access(self, rank: int, offset: int, count: int) -> None:
         """Validate a prospective access without performing it.
@@ -91,7 +116,8 @@ class Window:
     def _region(self, rank: int, offset: int, count: int) -> np.ndarray:
         """Mutable slice for :func:`~repro.backends.base.apply_action`, whose
         range the runtime validated at issue; only *invalidation* is checked
-        again (the target may have died between issue and completion)."""
+        again (the target may have died between issue and completion).  Logged
+        actions and the checkpoint's own reads come this way: no stamp."""
         if rank in self._invalidated:
             self._check_alive(rank)
         return self.buffers[rank][offset : offset + count]
@@ -112,8 +138,18 @@ class Window:
         self._check_rank(rank)
         # Restoring is allowed even while the rank is marked invalid: it is
         # exactly how a replacement process re-populates its memory.
-        self.buffers[rank] = data.copy()
+        self._swap(rank, data)
         self._invalidated.discard(rank)
+
+    def _swap(self, rank: int, data: np.ndarray | None) -> None:
+        """Replace ``rank``'s whole buffer (``None``: zeros).  Its handed-out
+        views are sealed first, so none keeps writing into a dead array."""
+        self.seal(rank)
+        self.stamps[rank] += 1
+        self._fill(rank, data)
+
+    def _fill(self, rank: int, data: np.ndarray | None) -> None:
+        self.buffers[rank] = np.zeros(self.size, self.dtype) if data is None else data.copy()
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -121,13 +157,13 @@ class Window:
     def invalidate(self, rank: int) -> None:
         """Drop ``rank``'s buffer contents (its memory is lost on failure)."""
         self._check_rank(rank)
-        self.buffers[rank] = np.zeros(self.size, dtype=self.dtype)
+        self._swap(rank, None)
         self._invalidated.add(rank)
 
     def reallocate(self, rank: int) -> None:
         """Give a replacement process a fresh zeroed buffer."""
         self._check_rank(rank)
-        self.buffers[rank] = np.zeros(self.size, dtype=self.dtype)
+        self._swap(rank, None)
         self._invalidated.discard(rank)
 
     def is_invalidated(self, rank: int) -> bool:
@@ -212,6 +248,11 @@ class WindowRegistry:
     def all(self) -> list[Window]:
         """All registered windows."""
         return list(self._windows.values())
+
+    def seal(self) -> None:
+        """Seal every window's handed-out views (a step boundary, a checkpoint)."""
+        for window in self._windows.values():
+            window.seal()
 
     def invalidate_rank(self, rank: int) -> None:
         """Invalidate ``rank``'s buffers in every window (process failure)."""

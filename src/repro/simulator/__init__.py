@@ -23,8 +23,6 @@ from repro.simulator.metrics import MetricsRegistry, MetricsSnapshot
 from repro.simulator.placement import (
     Placement,
     block_placement,
-    custom_placement,
-    round_robin_placement,
 )
 from repro.simulator.timebase import ClockCollection, VirtualClock
 from repro.simulator.topology import FailureDomainHierarchy, FDElement
@@ -43,8 +41,6 @@ __all__ = [
     "MetricsSnapshot",
     "Placement",
     "block_placement",
-    "custom_placement",
-    "round_robin_placement",
     "ClockCollection",
     "VirtualClock",
     "FailureDomainHierarchy",

@@ -5,12 +5,8 @@ failure-domain element of level ``k`` on which process ``p`` runs (§5).  The
 placement only needs to fix the *node* of every process — the elements at
 higher levels follow from the hierarchy.
 
-Two standard strategies are provided:
-
-* :func:`block_placement` — ranks fill node 0, then node 1, ... (the usual
-  MPI default of packing by node), and
-* :func:`round_robin_placement` — rank ``i`` runs on node ``i mod num_nodes``
-  (cyclic placement, which spreads consecutive ranks across failure domains).
+:func:`block_placement` — ranks fill node 0, then node 1, ... (the usual MPI
+default of packing by node) — is the one strategy provided.
 
 T-awareness of *groups* (Eq. 6 of the paper) is a property of the group
 construction, implemented in :mod:`repro.ft.groups` on top of a placement.
@@ -18,7 +14,6 @@ construction, implemented in :mod:`repro.ft.groups` on top of a placement.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.errors import PlacementError
@@ -27,8 +22,6 @@ from repro.simulator.topology import FailureDomainHierarchy
 __all__ = [
     "Placement",
     "block_placement",
-    "round_robin_placement",
-    "custom_placement",
 ]
 
 
@@ -115,30 +108,3 @@ def block_placement(
     mapping = tuple(rank // procs_per_node for rank in range(nprocs))
     return Placement(fdh=fdh, node_of_rank=mapping, strategy="block")
 
-
-def round_robin_placement(fdh: FailureDomainHierarchy, nprocs: int) -> Placement:
-    """Place rank ``i`` on node ``i mod num_nodes`` (cyclic placement)."""
-    if nprocs <= 0:
-        raise PlacementError("nprocs must be positive")
-    num_nodes = fdh.num_nodes
-    mapping = tuple(rank % num_nodes for rank in range(nprocs))
-    return Placement(fdh=fdh, node_of_rank=mapping, strategy="round-robin")
-
-
-def custom_placement(
-    fdh: FailureDomainHierarchy,
-    node_of_rank: Sequence[int] | Callable[[int], int],
-    nprocs: int | None = None,
-) -> Placement:
-    """Build a placement from an explicit sequence or a callable rank->node."""
-    if callable(node_of_rank):
-        if nprocs is None:
-            raise PlacementError("nprocs is required when node_of_rank is a callable")
-        mapping = tuple(int(node_of_rank(rank)) for rank in range(nprocs))
-    else:
-        mapping = tuple(int(n) for n in node_of_rank)
-        if nprocs is not None and nprocs != len(mapping):
-            raise PlacementError(
-                f"nprocs={nprocs} does not match the length {len(mapping)} of node_of_rank"
-            )
-    return Placement(fdh=fdh, node_of_rank=mapping, strategy="custom")

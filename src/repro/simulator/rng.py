@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs"]
+__all__ = ["make_rng"]
 
 
 def make_rng(
@@ -28,13 +28,3 @@ def make_rng(
         return seed
     return np.random.default_rng(seed)
 
-
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent generators from one integer seed.
-
-    Used to give each simulated process its own stream (e.g. the random keys
-    and think times of the key-value-store benchmark) without any correlation
-    between processes.
-    """
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]

@@ -6,6 +6,54 @@ import tempfile
 
 import pytest
 
+from repro.ft.stores import CheckpointStore, MultiLevelStore
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "no_store_oracle: run without the checkpoint byte-equality oracle"
+    )
+
+
+def _same_bytes(held, live):
+    return held.shape == live.shape and held.tobytes() == live.tobytes()
+
+
+@pytest.fixture(autouse=True)
+def store_oracle(request, monkeypatch):
+    """Every retained image and every captured mirror is byte-equal to live.
+
+    The stores take the put log as a slab's change-set whenever the window's
+    raw-access stamp says nothing else touched it; this is the full compare
+    they skip, run as an assertion after every ``_retain`` / ``_capture`` of
+    the whole suite (``-0.0`` is not ``0.0``, a NaN equals itself).
+    """
+    if request.node.get_closest_marker("no_store_oracle"):
+        yield
+        return
+    retain, capture = CheckpointStore._retain, MultiLevelStore._capture
+
+    def checked_retain(self, version, snapshots):
+        retained = retain(self, version, snapshots)
+        for rank, windows in snapshots.items():
+            for name, live in windows.items():
+                assert _same_bytes(retained[rank][name], live), (
+                    f"{self.name}: image of rank {rank} window {name!r} differs from live"
+                )
+        return retained
+
+    def checked_capture(self, lvl, version, snapshots, *rest):
+        capture(self, lvl, version, snapshots, *rest)
+        for rank, windows in snapshots.items():
+            for name, live in windows.items():
+                assert _same_bytes(lvl.mirrors[rank][name], live), (
+                    f"{lvl.kind} mirror of rank {rank} window {name!r} differs from live"
+                )
+
+    monkeypatch.setattr(CheckpointStore, "_retain", checked_retain)
+    monkeypatch.setattr(MultiLevelStore, "_capture", checked_capture)
+    yield
+
 
 def _ckpt_scratch_dirs():
     """``repro-ckpt-*`` scratch directories currently present in the tmpdir.

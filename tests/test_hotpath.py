@@ -431,6 +431,7 @@ def _checkpointed_runtime(store):
     return rt, stack
 
 
+@pytest.mark.no_store_oracle  # its full compare would be the allocation measured
 @pytest.mark.parametrize("store", ["memory", "multilevel"])
 def test_steady_state_checkpoints_allocate_less_than_one_slab(store):
     rt, stack = _checkpointed_runtime(store)
@@ -450,6 +451,29 @@ def test_steady_state_checkpoints_allocate_less_than_one_slab(store):
             assert peak < SLAB * 8, f"checkpoint {tag} allocated {peak} bytes at peak"
     finally:
         tracemalloc.stop()
+        stack.uninstall(rt)
+
+
+@pytest.mark.parametrize("store", ["memory", "multilevel"])
+def test_steady_state_checkpoint_compares_only_stamped_slabs(store, monkeypatch):
+    from repro.ft import stores
+
+    rt, stack = _checkpointed_runtime(store)
+    calls, differ = [], stores._differ
+    monkeypatch.setattr(stores, "_differ", lambda *a: calls.append(len(a)) or differ(*a))
+    try:
+        for tag in range(12):  # put-only: the log is the change-set, nothing is re-read
+            rt.put(0, 1, "w", 64 * tag, np.arange(64.0))
+            stack.checkpointer.checkpoint(tag=tag)
+        assert calls == []  # parent: 8 whole-slab compares per checkpoint
+        for stamped in ([2], [5, 2, 7]):
+            for rank in stamped:
+                rt.local(rank, "w")[rank] = -0.0  # a store the log never sees
+            rt.put(0, 1, "w", 0, np.arange(64.0))
+            stack.checkpointer.checkpoint(tag=tuple(stamped))
+            assert calls.count(2) == len(stamped)  # one compare per stamped slab
+            del calls[:]
+    finally:
         stack.uninstall(rt)
 
 
