@@ -19,6 +19,7 @@ phase has arrived (see :mod:`repro.api.scheduler`).
 from __future__ import annotations
 
 import enum
+from operator import index as _index
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,8 +50,8 @@ class WindowHandle:
     the origin's own buffer — plain loads and stores, no runtime call.
 
     The indexing forms are *blocking* (issue + immediate completion).  The
-    ``*_nb`` methods issue nonblocking operations returning
-    :class:`~repro.rma.handles.OpHandle`; their effects and buffers
+    ``*_nb`` methods issue nonblocking operations returning an
+    :data:`~repro.rma.handles.OpHandle`; their effects and buffers
     materialize when a ``flush``/``unlock``/``gsync`` closes the epoch, and a
     batching backend may coalesce them into vectorized writes in between.
     """
@@ -79,9 +80,19 @@ class WindowHandle:
         """Locator suffix used by every handle-level error message."""
         return f"window {self.name!r} (origin rank {self._ctx.rank})"
 
+    def _integral(self, what: str, value) -> int:
+        """``value`` as an integer index (numpy integers included), or a
+        :class:`~repro.errors.WindowError` that names the origin."""
+        try:
+            return _index(value)
+        except TypeError:
+            raise WindowError(
+                f"{what} must be an integer, got {value!r} for {self._where()}"
+            ) from None
+
     def _check_trg(self, trg: int) -> int:
         """Validate a target rank before it ever reaches the runtime."""
-        trg = int(trg)
+        trg = self._integral("target rank", trg)
         if not 0 <= trg < self._ctx.nranks:
             raise WindowError(
                 f"target rank {trg} out of range 0..{self._ctx.nranks - 1} "
@@ -105,7 +116,7 @@ class WindowHandle:
                     f"zero-length slice {index!r} on {self._where()}"
                 )
             return offset, count
-        offset = int(index)
+        offset = self._integral("index", index)
         if offset < 0:
             offset += size
         if not 0 <= offset < size:
@@ -114,11 +125,15 @@ class WindowHandle:
             )
         return offset, 1
 
-    def _reject_offset(self, offset: int) -> None:
-        """Refuse a negative explicit offset of the *_nb methods, naming the
-        origin.  Count and upper bound are checked once, by the runtime at
-        issue (:meth:`~repro.rma.window.Window.check_access`)."""
-        raise WindowError(f"negative offset {int(offset)} into {self._where()}")
+    def _reject(self, trg: int, offset: int) -> None:
+        """Name what the inline check of a ``*_nb`` method refused: a target
+        rank out of range or a negative explicit offset, with the origin.
+        Integrality, count and upper bound are checked once, by the runtime
+        at issue."""
+        self._check_trg(trg)
+        raise WindowError(
+            f"negative offset {self._integral('offset', offset)} into {self._where()}"
+        )
 
     def __getitem__(self, key: tuple[int, int | slice]) -> np.ndarray | float:
         """``w[trg, index]`` — one-sided get from rank ``trg``."""
@@ -126,7 +141,7 @@ class WindowHandle:
         trg = self._check_trg(trg)
         offset, count = self._resolve(index)
         data = self._ctx.get(trg, self.name, offset, count)
-        return float(data[0]) if isinstance(index, int) else data
+        return data if isinstance(index, slice) else float(data[0])
 
     def __setitem__(self, key: tuple[int, int | slice], value) -> None:
         """``w[trg, index] = value`` — one-sided put into rank ``trg``."""
@@ -149,18 +164,18 @@ class WindowHandle:
     # --- nonblocking variants -------------------------------------------
     def put_nb(self, trg: int, offset: int, data: np.ndarray) -> OpHandle:
         """Nonblocking put into rank ``trg``; completes at flush/unlock/gsync."""
-        trg = self._check_trg(trg)
-        if offset < 0:
-            self._reject_offset(offset)
-        return self._ctx.put_nb(trg, self.name, int(offset), data)
+        ctx = self._ctx
+        if not 0 <= trg < ctx.nranks or offset < 0:
+            self._reject(trg, offset)
+        return ctx._runtime.put_nb(ctx.rank, trg, self.name, offset, data)
 
     def get_nb(self, trg: int, offset: int, count: int) -> OpHandle:
         """Nonblocking get from rank ``trg``; the handle's buffer materializes
         at the next flush/unlock/gsync towards ``trg``."""
-        trg = self._check_trg(trg)
-        if offset < 0:
-            self._reject_offset(offset)
-        return self._ctx.get_nb(trg, self.name, int(offset), count)
+        ctx = self._ctx
+        if not 0 <= trg < ctx.nranks or offset < 0:
+            self._reject(trg, offset)
+        return ctx._runtime.get_nb(ctx.rank, trg, self.name, offset, count)
 
     def accumulate_nb(
         self,
@@ -170,10 +185,10 @@ class WindowHandle:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> OpHandle:
         """Nonblocking combining put into rank ``trg``."""
-        trg = self._check_trg(trg)
-        if offset < 0:
-            self._reject_offset(offset)
-        return self._ctx.accumulate_nb(trg, self.name, int(offset), data, op)
+        ctx = self._ctx
+        if not 0 <= trg < ctx.nranks or offset < 0:
+            self._reject(trg, offset)
+        return ctx._runtime.accumulate_nb(ctx.rank, trg, self.name, offset, data, op)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WindowHandle({self.name!r}, rank={self._ctx.rank})"
@@ -236,7 +251,7 @@ class RankContext:
     def get_nb(self, trg: int, window: str, offset: int, count: int) -> OpHandle:
         """Issue a nonblocking one-sided read from rank ``trg``.
 
-        The returned handle's :meth:`~repro.rma.handles.OpHandle.result`
+        The returned handle's :meth:`~repro.rma.actions.CommAction.result`
         raises until a ``flush``/``unlock``/``gsync`` completes the epoch.
         """
         return self._runtime.get_nb(self.rank, trg, window, offset, count)

@@ -5,21 +5,28 @@ stamps actions with the recovery counters, runs the interceptor chain, tracks
 epochs and charges virtual-time costs — but it never touches window memory
 itself.  All storage and data movement belong to a :class:`Backend`:
 
-* :meth:`Backend.issue` receives every communication action (wrapped in an
-  :class:`~repro.rma.handles.OpHandle`) the moment it is issued;
+* :meth:`Backend.issue` receives every communication action — the
+  :class:`~repro.rma.actions.CommAction` record that is also the caller's
+  handle — the moment it is issued, and queues it;
 * :meth:`Backend.complete` / :meth:`Backend.complete_rank` are called by the
   runtime's completion points (flush, unlock, flush_all, gsync, and the
-  blocking wrappers) and must return the completed handles in issue order —
+  blocking wrappers) and return the completed records in issue order —
   with every effect applied to the window buffers by the time they return.
 
-A backend may execute ops eagerly at issue (:class:`~repro.backends.sim.SimBackend`,
-the historical behavior) or queue them per ``(src, trg)`` epoch and apply them
-in batches at completion (:class:`~repro.backends.vector.VectorBackend`); the
-model permits both because actions within one epoch are unordered (§2.2).
-Whatever the strategy, the *completion stream* — the issue-ordered sequence of
-handles returned from the completion hooks — must be identical across
-backends, which is what keeps fault-tolerance interceptors (who observe that
-stream) and recorded traces bit-identical.
+The pending queue (one issue-ordered list of records per origin) and
+everything that selects, pops or discards from it live here, once.  A concrete
+backend supplies two hooks: what :meth:`~Backend.issue` does *eagerly*
+(:class:`~repro.backends.sim.SimBackend` writes put-like effects at issue, the
+historical behavior; the deferring backends do nothing) and what
+:meth:`~Backend._apply` does when a batch *completes*
+(:class:`~repro.backends.vector.VectorBackend` applies it in coalesced writes,
+``proc`` ships it to a worker process) — plus :meth:`~Backend._unwind` for
+the eager backend, whose discarded operations have already touched memory.
+The model permits all of it because actions within one epoch are unordered
+(§2.2).  Whatever the strategy, the *completion stream* — the issue-ordered
+sequence of records returned from the completion methods — must be identical
+across backends, which is what keeps fault-tolerance interceptors (who observe
+that stream) and recorded traces bit-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ import numpy as np
 
 from repro.errors import BackendError, RmaError
 from repro.rma.actions import CommAction, OpKind, apply_accumulate
-from repro.rma.handles import OpHandle
 from repro.rma.window import Window, WindowRegistry
 
 __all__ = ["Backend", "apply_action"]
@@ -73,7 +79,7 @@ def apply_action(action: CommAction, win: Window) -> None:
         raise RmaError(f"unknown operation kind {kind!r}")
 
 
-def _coalesce_puts(batch: list[tuple[OpHandle, Window]]) -> list[list]:
+def _coalesce_puts(batch: list[tuple[CommAction, Window]]) -> list[list]:
     """Merge each slab's back-to-back plain puts of an issue-ordered batch.
 
     Returns ``[action, window, count, data]`` entries to complete in order.
@@ -91,8 +97,7 @@ def _coalesce_puts(batch: list[tuple[OpHandle, Window]]) -> list[list]:
     entries: list[list] = []
     open_runs: dict[tuple[int, int], list] = {}  # slab -> its run, ``data`` a list of parts
     put = OpKind.PUT
-    for handle, win in batch:
-        action = handle.action
+    for action, win in batch:
         slab = (id(win), action.trg)
         if action.kind is not put:
             open_runs.pop(slab, None)
@@ -126,6 +131,9 @@ class Backend(abc.ABC):
     def __init__(self) -> None:
         self.windows = WindowRegistry()
         self.nprocs = 0
+        #: Issued-but-not-completed records, one issue-ordered list per
+        #: origin (allocated by :meth:`bind`).
+        self._pending: list[list[CommAction]] = []
 
     # ------------------------------------------------------------------
     # Lifecycle and window storage
@@ -144,6 +152,7 @@ class Backend(abc.ABC):
                 f"reused — construct a fresh instance per job"
             )
         self.nprocs = nprocs
+        self._pending = [[] for _ in range(nprocs)]
 
     def create_window(self, name: str, size: int, dtype: np.dtype) -> Window:
         """Allocate one window (a buffer per rank) in backend-owned storage."""
@@ -207,62 +216,97 @@ class Backend(abc.ABC):
         return "in-process"
 
     # ------------------------------------------------------------------
-    # Operation execution
+    # Operation execution: one pending queue, two hooks
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def issue(self, handle: OpHandle, win: Window) -> None:
-        """Accept one issued operation (apply eagerly or queue it)."""
+    def issue(self, op: CommAction, win: Window) -> None:
+        """Accept one issued operation: queue it (an eager backend overrides
+        this to apply its write effect first)."""
+        self._pending[op.src].append(op)
 
     @abc.abstractmethod
-    def complete(self, src: int, trg: int) -> list[OpHandle]:
-        """Complete all outstanding ``src -> trg`` operations, in issue order."""
+    def _apply(self, src: int, batch: list[CommAction]) -> None:
+        """Make every effect of an issue-ordered ``batch`` of ``src`` visible.
 
-    @abc.abstractmethod
-    def complete_rank(self, src: int) -> list[OpHandle]:
-        """Complete all outstanding operations of ``src``, in issue order."""
-
-    @abc.abstractmethod
-    def pending_ops(self, src: int | None = None) -> int:
-        """Outstanding (issued, not completed) operations of ``src`` (or all)."""
-
-    @abc.abstractmethod
-    def discard_pending(self) -> list[OpHandle]:
-        """Drop every outstanding operation without applying it (rollback).
-
-        Returns the discarded handles so the runtime can poison them; a
-        backend that already applied the ops eagerly still discards the
-        *handles* — the rolled-back window contents are restored from the
-        checkpoint by the recovery path.
+        Raising leaves the batch queued — for recovery's discard, which
+        poisons the handles identically on every backend.
         """
 
-    def discard_rank(self, src: int) -> list[OpHandle]:
+    def _unwind(self, dropped: list[CommAction]) -> None:
+        """Roll back what :meth:`issue` applied eagerly for ``dropped`` ops
+        (nothing, on a backend that defers every effect to :meth:`_apply`)."""
+
+    def complete(self, src: int, trg: int) -> list[CommAction]:
+        """Complete all outstanding ``src -> trg`` operations, in issue order."""
+        queue = self._pending[src]
+        batch = [op for op in queue if op.trg == trg]
+        if batch:
+            self._apply(src, batch)
+            if len(batch) == len(queue):
+                self._pending[src] = []
+            else:
+                self._pending[src] = [op for op in queue if op.trg != trg]
+        return batch
+
+    def complete_rank(self, src: int) -> list[CommAction]:
+        """Complete all outstanding operations of ``src``, in issue order."""
+        batch = self._pending[src]
+        if not batch:
+            return []
+        self._apply(src, batch)
+        self._pending[src] = []
+        return batch
+
+    def pending_ops(self, src: int | None = None) -> int:
+        """Outstanding (issued, not completed) operations of ``src`` (or all)."""
+        if src is not None:
+            return len(self._pending[src])
+        return sum(map(len, self._pending))
+
+    def pending_targets(self, src: int) -> list[int]:
+        """Targets of ``src``'s outstanding operations, in first-issue order."""
+        return list(dict.fromkeys(op.trg for op in self._pending[src]))
+
+    def discard_pending(self) -> list[CommAction]:
+        """Drop every outstanding operation without applying it (rollback).
+
+        Returns the discarded records so the runtime can poison them.  What an
+        eager backend already wrote is rolled back where undo data was
+        captured (:meth:`set_capture_undo`); otherwise the recovery path
+        restores the window contents from the checkpoint.
+        """
+        dropped = [op for queue in self._pending for op in queue]
+        self._pending = [[] for _ in self._pending]
+        self._unwind(dropped)
+        return dropped
+
+    def discard_rank(self, src: int) -> list[CommAction]:
         """Drop every outstanding operation of origin ``src``, effect-free.
 
         Used by failure-tolerant delivery modes (:mod:`repro.qos`): a
         suspended rank's in-flight queue is abandoned without application —
-        an eager backend must roll back what it already applied (the
+        an eager backend rolls back what it already applied (the
         :meth:`set_capture_undo` contract), a deferring backend just drops
-        its queue.  Only called while such a mode is installed; backends
-        that cannot honor it refuse loudly instead of diverging.
+        its queue (on ``proc`` it was never shipped to the now dead worker).
         """
-        raise BackendError(
-            f"backend {self.name!r} does not support failure-tolerant "
-            f"delivery (discard_rank)"
-        )
+        dropped, self._pending[src] = self._pending[src], []
+        self._unwind(dropped)
+        return dropped
 
-    def discard_targeting(self, src: int, trgs: frozenset[int]) -> list[OpHandle]:
+    def discard_targeting(self, src: int, trgs: frozenset[int]) -> list[CommAction]:
         """Drop ``src``'s outstanding operations toward the ranks in ``trgs``.
 
         The complement of :meth:`discard_rank`: a *surviving* origin's
         in-flight operations toward freshly-suspended targets must leave the
         queue without being applied (there is no memory to apply them to),
         so the runtime can resolve them through the delivery mode instead.
-        Returns the removed handles in issue order.
+        Returns the removed records in issue order.
         """
-        raise BackendError(
-            f"backend {self.name!r} does not support failure-tolerant "
-            f"delivery (discard_targeting)"
-        )
+        queue = self._pending[src]
+        dropped = [op for op in queue if op.trg in trgs]
+        if dropped:
+            self._pending[src] = [op for op in queue if op.trg not in trgs]
+            self._unwind(dropped)
+        return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

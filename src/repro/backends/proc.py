@@ -57,7 +57,6 @@ from repro.backends import BACKENDS
 from repro.backends.base import Backend, _coalesce_puts, apply_action
 from repro.errors import BackendError, ProcessFailedError, WatchdogError, WindowError
 from repro.rma.actions import AccumulateOp, CommAction, OpKind
-from repro.rma.handles import OpHandle
 from repro.rma.window import Window
 
 __all__ = ["ProcBackend", "SharedWindow", "proc_available"]
@@ -306,8 +305,6 @@ class ProcBackend(Backend):
         super().__init__()
         self.ack_timeout = ack_timeout
         self._ctx = multiprocessing.get_context("fork")
-        #: Issued-but-unapplied (handle, window) pairs per origin, issue order.
-        self._queues: dict[int, list[tuple[OpHandle, Window]]] = {}
         self._workers: dict[int, _Worker] = {}
         #: Worker deaths already reported through poll_failures (cleared on
         #: respawn, so each incarnation is reported at most once).
@@ -477,60 +474,6 @@ class ProcBackend(Backend):
         return f"{state} pending={self.pending_ops(rank)}"
 
     # ------------------------------------------------------------------
-    # Operation execution
-    # ------------------------------------------------------------------
-    def issue(self, handle: OpHandle, win: Window) -> None:
-        self._queues.setdefault(handle.action.src, []).append((handle, win))
-
-    def complete(self, src: int, trg: int) -> list[OpHandle]:
-        queue = self._queues.get(src)
-        if not queue:
-            return []
-        batch = [(h, w) for h, w in queue if h.action.trg == trg]
-        if not batch:
-            return []
-        self._dispatch(src, batch)
-        # Pop only after a successful apply: a dispatch aborted by the
-        # worker's death leaves the queue intact for recovery's discard
-        # (which poisons the handles exactly as on the in-process backends).
-        self._queues[src] = [(h, w) for h, w in queue if h.action.trg != trg]
-        return [h for h, _ in batch]
-
-    def complete_rank(self, src: int) -> list[OpHandle]:
-        batch = self._queues.get(src)
-        if not batch:
-            return []
-        self._dispatch(src, batch)
-        self._queues.pop(src)
-        return [h for h, _ in batch]
-
-    def pending_ops(self, src: int | None = None) -> int:
-        if src is not None:
-            return len(self._queues.get(src, []))
-        return sum(len(queue) for queue in self._queues.values())
-
-    def discard_pending(self) -> list[OpHandle]:
-        discarded = [h for queue in self._queues.values() for h, _ in queue]
-        self._queues.clear()
-        return discarded
-
-    def discard_rank(self, src: int) -> list[OpHandle]:
-        # The queue was never shipped to the (now dead) worker: dropping it
-        # supervisor-side is effect-free by construction.
-        return [h for h, _ in self._queues.pop(src, [])]
-
-    def discard_targeting(self, src: int, trgs: frozenset[int]) -> list[OpHandle]:
-        queue = self._queues.get(src)
-        if not queue:
-            return []
-        dropped = [h for h, _ in queue if h.action.trg in trgs]
-        if dropped:
-            self._queues[src] = [
-                (h, w) for h, w in queue if h.action.trg not in trgs
-            ]
-        return dropped
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _spawn(self, rank: int) -> _Worker:
@@ -578,13 +521,13 @@ class ProcBackend(Backend):
         if worker is not None:
             worker.process.join(timeout=0)  # reap the zombie
 
-    def _dispatch(self, src: int, batch: list[tuple[OpHandle, Window]]) -> None:
+    def _apply(self, src: int, batch: list[CommAction]) -> None:
         """Ship a batch to ``src``'s worker and fold its results back.
 
         Raises :class:`~repro.errors.ProcessFailedError` — with the canonical
         fail-stop message, so exception identity holds across backends — when
         the worker is (or dies) instead of acking; partial effects of a
-        mid-batch death are rolled back first.
+        mid-batch death are rolled back first, and the batch stays queued.
         """
         worker = self._workers.get(src)
         if worker is None or not worker.process.is_alive():
@@ -595,10 +538,12 @@ class ProcBackend(Backend):
             # Not reached within this batch: keep the remainder armed.
             self._armed_kills[src] = die_after - len(batch)
             die_after = None
+        window = self.windows.get
+        pairs = [(op, window(op.window)) for op in batch]
         if die_after is None:
-            entries = _coalesce_puts(batch)
+            entries = _coalesce_puts(pairs)
         else:  # an armed kill counts operations: one record per action
-            entries = [[h.action, w, h.action.count, h.action.data] for h, w in batch]
+            entries = [[op, win, op.count, op.data] for op, win in pairs]
         records = [_HEADER.pack(_APPLY, len(entries), -1 if die_after is None else die_after)]
         operands: list[bytes] = []
         undo = []

@@ -22,9 +22,7 @@ unordered by §2.2), and tests diff their traces directly.
 from __future__ import annotations
 
 from repro.backends.base import Backend, _coalesce_puts, apply_action
-from repro.rma.actions import OpKind
-from repro.rma.handles import OpHandle
-from repro.rma.window import Window
+from repro.rma.actions import CommAction, OpKind
 
 __all__ = ["VectorBackend"]
 
@@ -34,66 +32,12 @@ class VectorBackend(Backend):
 
     name = "vector"
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: Issued-but-unapplied (handle, window) pairs, one issue-ordered
-        #: list per origin (allocated by :meth:`bind`).
-        self._queues: list[list[tuple[OpHandle, Window]]] = []
-
-    # ------------------------------------------------------------------
-    def bind(self, nprocs: int) -> None:
-        super().bind(nprocs)
-        self._queues = [[] for _ in range(nprocs)]
-
-    def issue(self, handle: OpHandle, win: Window) -> None:
-        self._queues[handle.action.src].append((handle, win))
-
-    def complete(self, src: int, trg: int) -> list[OpHandle]:
-        queue = self._queues[src]
-        if not queue:
-            return []
-        batch = [(h, w) for h, w in queue if h.action.trg == trg]
-        if not batch:
-            return []
-        self._queues[src] = [(h, w) for h, w in queue if h.action.trg != trg]
-        self._apply_batch(batch)
-        return [h for h, _ in batch]
-
-    def complete_rank(self, src: int) -> list[OpHandle]:
-        batch, self._queues[src] = self._queues[src], []
-        self._apply_batch(batch)
-        return [h for h, _ in batch]
-
-    def pending_ops(self, src: int | None = None) -> int:
-        if src is not None:
-            return len(self._queues[src])
-        return sum(len(queue) for queue in self._queues)
-
-    def discard_pending(self) -> list[OpHandle]:
-        discarded = [h for queue in self._queues for h, _ in queue]
-        self._queues = [[] for _ in self._queues]
-        return discarded
-
-    def discard_rank(self, src: int) -> list[OpHandle]:
-        # Nothing was applied yet: dropping the queue is already effect-free.
-        dropped, self._queues[src] = self._queues[src], []
-        return [h for h, _ in dropped]
-
-    def discard_targeting(self, src: int, trgs: frozenset[int]) -> list[OpHandle]:
-        queue = self._queues[src]
-        if not queue:
-            return []
-        dropped = [h for h, _ in queue if h.action.trg in trgs]
-        if dropped:
-            self._queues[src] = [
-                (h, w) for h, w in queue if h.action.trg not in trgs
-            ]
-        return dropped
-
-    # ------------------------------------------------------------------
-    def _apply_batch(self, batch: list[tuple[OpHandle, Window]]) -> None:
+    def _apply(self, src: int, batch: list[CommAction]) -> None:
         """Apply a queued batch: one region write per put run, issue order per slab."""
-        for action, win, count, data in _coalesce_puts(batch):
+        window = self.windows.get
+        for action, win, count, data in _coalesce_puts(
+            [(op, window(op.window)) for op in batch]
+        ):
             if action.kind is OpKind.PUT:
                 win._region(action.trg, action.offset, count)[...] = data
             else:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import RmaError
+from repro.errors import OpHandleError, RmaError
 
 __all__ = [
     "ActionCategory",
@@ -175,7 +175,14 @@ Determinant = tuple
 
 @dataclass(slots=True)
 class CommAction:
-    """A communication action (Eq. 1)."""
+    """A communication action (Eq. 1) — and, once issued, its own handle.
+
+    The runtime hands the very object it stamped back to the caller
+    (:data:`~repro.rma.handles.OpHandle` is this class): one record per
+    operation travels from issue through the backend's pending queue, the
+    completion stream and the action log.  :attr:`completed` /
+    :attr:`discarded` / :meth:`result` are the handle face (§2.2).
+    """
 
     kind: OpKind
     src: int
@@ -205,6 +212,10 @@ class CommAction:
     #: without a window takes its payload's size, and ``None`` means unknown
     #: (a directly constructed pure get).
     nbytes: int | None = None
+    #: Handle state: set by the completion point that retires the operation,
+    #: or by the rollback / suspension that discards it first.
+    _completed: bool = field(default=False, init=False, repr=False, compare=False)
+    _discarded: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.src < 0 or self.trg < 0:
@@ -240,7 +251,46 @@ class CommAction:
         self.compare = compare
         self.seq = next(_SEQ)
         self.nbytes = nbytes
+        self._completed = False
+        self._discarded = False
         return self
+
+    # The handle face (§2.2) ---------------------------------------------------
+    @property
+    def action(self) -> "CommAction":
+        """The action a handle stands for: itself."""
+        return self
+
+    @property
+    def completed(self) -> bool:
+        """Whether a flush/unlock/gsync has completed this operation."""
+        return self._completed
+
+    @property
+    def discarded(self) -> bool:
+        """Whether a recovery rollback discarded this operation before completion."""
+        return self._discarded
+
+    def result(self) -> np.ndarray | None:
+        """The operation's buffer, available only after completion.
+
+        For get-like operations this is the data read from the target; for
+        pure puts it is ``None`` (completion only guarantees the write is
+        visible).  Raises :class:`~repro.errors.OpHandleError` while the
+        operation is still in its open epoch or after a rollback discarded it.
+        """
+        if self._discarded:
+            raise OpHandleError(
+                f"handle of {self.describe()} was discarded by a recovery "
+                f"rollback; its effect was never committed"
+            )
+        if not self._completed:
+            raise OpHandleError(
+                f"{self.describe()} is not completed; its buffer "
+                f"materializes at the next flush/unlock/gsync towards rank "
+                f"{self.trg}"
+            )
+        return self.data if self.kind.is_get_like else None
 
     # ------------------------------------------------------------------
     @property
@@ -320,6 +370,22 @@ class SyncAction:
     structure: str | None = None
     window: str | None = None
     seq: int = field(default_factory=_next_seq)
+
+    @classmethod
+    def issued(
+        cls, kind: SyncKind, src: int, trg: int | None, counters: Counters,
+        structure: str | None = None,
+    ) -> "SyncAction":
+        """The runtime's constructor: positional, no default factory."""
+        self = object.__new__(cls)
+        self.kind = kind
+        self.src = src
+        self.trg = trg
+        self.counters = counters
+        self.structure = structure
+        self.window = None
+        self.seq = next(_SEQ)
+        return self
 
     @property
     def category(self) -> ActionCategory:

@@ -24,7 +24,8 @@ class EpochState:
 
     #: ``E(p -> q)`` for every target ``q`` this process has communicated with.
     epoch_of_target: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    #: Outstanding (not yet completed) operations per target in the current epoch.
+    #: Operations issued per target in the open epoch (a completed blocking
+    #: put still counts until the epoch closes): what a flush is priced by.
     pending_ops: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     #: Total number of epochs this process has closed (any target).
     epochs_closed: int = 0
@@ -41,7 +42,7 @@ class EpochState:
 
 
 class EpochTracker:
-    """Tracks ``E(p -> q)`` and outstanding operations for all processes."""
+    """Tracks ``E(p -> q)`` and the open epochs' operation counts for all processes."""
 
     def __init__(self, nprocs: int) -> None:
         self.nprocs = nprocs
@@ -56,13 +57,15 @@ class EpochTracker:
         return self._states[src].epoch_of_target[trg]
 
     def record_access(self, src: int, trg: int) -> int:
-        """Note an outstanding access of ``src`` towards ``trg``; return its epoch."""
+        """Count an access of ``src`` towards ``trg`` in the open epoch; return the epoch."""
         state = self._states[src]
         state.pending_ops[trg] += 1
         return state.epoch_of_target[trg]
 
     def pending(self, src: int, trg: int | None = None) -> int:
-        """Outstanding operations of ``src`` towards ``trg`` (or all targets)."""
+        """Operations ``src`` issued towards ``trg`` (or all targets) in the open
+        epoch(s) — completed or not; :meth:`~repro.simulator.costs.CostModel.flush`
+        prices the flush that closes them by this count."""
         state = self._states[src]
         if trg is not None:
             return state.pending_ops[trg]
@@ -92,7 +95,7 @@ class EpochTracker:
             self.close_all_epochs(rank)
 
     def clear_pending(self, src: int | None = None) -> None:
-        """Zero the outstanding-operation counts of ``src`` (or every rank).
+        """Zero the open epochs' operation counts of ``src`` (or every rank).
 
         Used when issued-but-uncompleted operations are *discarded* by a
         recovery rollback: the operations no longer exist, but the epochs they
@@ -101,10 +104,6 @@ class EpochTracker:
         ranks = range(self.nprocs) if src is None else (src,)
         for rank in ranks:
             self._states[rank].pending_ops.clear()
-
-    def has_pending(self, src: int) -> bool:
-        """Whether ``src`` has any outstanding operation in an open epoch."""
-        return any(v > 0 for v in self._states[src].pending_ops.values())
 
     def reset_rank(self, rank: int) -> None:
         """Forget all epoch state of ``rank`` (its replacement starts fresh)."""

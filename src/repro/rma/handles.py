@@ -2,13 +2,17 @@
 
 The paper's model is *nonblocking*: a communication action becomes visible to
 the rest of the job only when a memory-consistency action (flush, unlock,
-gsync) completes the epoch it was issued in.  :class:`OpHandle` is the
-API-level object carrying that distinction: ``put_nb``/``get_nb``/
+gsync) completes the epoch it was issued in.  :data:`OpHandle` is the
+API-level name carrying that distinction: ``put_nb``/``get_nb``/
 ``accumulate_nb`` return a handle immediately, and the handle's buffer
 materializes only when the runtime completes it at the next
 ``flush``/``unlock``/``gsync`` towards the target.
 
-Reading :meth:`OpHandle.result` before completion raises
+The handle *is* the issued :class:`~repro.rma.actions.CommAction` — one record
+per operation, so ``handle.action is handle`` — and its completion state,
+:meth:`~repro.rma.actions.CommAction.result` included, lives there.
+
+Reading ``result()`` before completion raises
 :class:`~repro.errors.OpHandleError` — by design, since within an open epoch
 the operation's effect is not yet part of the consistent state (§2.2), and a
 backend is free to delay or batch its execution arbitrarily until the epoch
@@ -19,78 +23,9 @@ not be observed either.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import OpHandleError
 from repro.rma.actions import CommAction
 
 __all__ = ["OpHandle"]
 
-
-class OpHandle:
-    """Handle on one issued nonblocking communication action."""
-
-    __slots__ = ("action", "_completed", "_discarded")
-
-    def __init__(self, action: CommAction) -> None:
-        self.action = action
-        self._completed = False
-        self._discarded = False
-
-    # ------------------------------------------------------------------
-    @property
-    def completed(self) -> bool:
-        """Whether a flush/unlock/gsync has completed this operation."""
-        return self._completed
-
-    @property
-    def discarded(self) -> bool:
-        """Whether a recovery rollback discarded this operation before completion."""
-        return self._discarded
-
-    @property
-    def kind(self):
-        """The :class:`~repro.rma.actions.OpKind` of the underlying action."""
-        return self.action.kind
-
-    @property
-    def window(self) -> str:
-        """Name of the window the operation targets."""
-        return self.action.window
-
-    # ------------------------------------------------------------------
-    def result(self) -> np.ndarray | None:
-        """The operation's buffer, available only after completion.
-
-        For get-like operations this is the data read from the target; for
-        pure puts it is ``None`` (completion only guarantees the write is
-        visible).  Raises :class:`~repro.errors.OpHandleError` while the
-        handle is still in its open epoch or after a rollback discarded it.
-        """
-        if self._discarded:
-            raise OpHandleError(
-                f"handle of {self.action.describe()} was discarded by a recovery "
-                f"rollback; its effect was never committed"
-            )
-        if not self._completed:
-            raise OpHandleError(
-                f"{self.action.describe()} is not completed; its buffer "
-                f"materializes at the next flush/unlock/gsync towards rank "
-                f"{self.action.trg}"
-            )
-        if self.action.kind.is_get_like:
-            return self.action.data
-        return None
-
-    # Runtime-internal state transitions --------------------------------------
-    def _mark_completed(self) -> None:
-        self._completed = True
-
-    def _mark_discarded(self) -> None:
-        self._discarded = True
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "completed" if self._completed else (
-            "discarded" if self._discarded else "issued"
-        )
-        return f"OpHandle({self.action.describe()}, {state})"
+#: The handle of an issued operation is the action itself.
+OpHandle = CommAction

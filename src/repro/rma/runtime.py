@@ -4,15 +4,21 @@
 cluster (:mod:`repro.simulator`) and to a pluggable execution
 :class:`~repro.backends.base.Backend` that owns window storage:
 
-* every ``put``/``get``/atomic is materialized as a
+* every ``put``/``get``/atomic is materialized as *one record*: a
   :class:`~repro.rma.actions.CommAction` stamped with the recovery counters
   (EC, GC, SC, GNC), announced to the registered
-  :class:`~repro.rma.interceptor.RmaInterceptor` chain and handed to the
-  backend as an :class:`~repro.rma.handles.OpHandle`.  Nonblocking variants
+  :class:`~repro.rma.interceptor.RmaInterceptor` chain, queued by the
+  backend and returned to the caller as its own handle
+  (:data:`~repro.rma.handles.OpHandle`).  Nonblocking variants
   (``put_nb``/``get_nb``/``accumulate_nb``) stop there — their effects and
   buffers materialize when a completion point (``flush``/``unlock``/
   ``gsync``) closes the epoch; the blocking calls are the same issue path
   followed by an immediate completion of the ``src -> trg`` queue;
+* an operation is *charged when it completes*: the batch a completion point
+  gets back from the backend is the account — the origin's clock and the
+  ``rma.*`` metrics move per target, by costs summed one operation at a time
+  in issue order (:meth:`RmaRuntime._retire`) — and an operation that is
+  discarded or diverted instead is never charged;
 * every ``lock``/``unlock``/``flush``/``gsync`` maintains the epoch and
   counter state exactly as §2.2 and §4.1 prescribe (unlock and flush complete
   outstanding operations and close the ``src -> trg`` epoch, a gsync
@@ -38,6 +44,7 @@ traces and clocks.
 from __future__ import annotations
 
 import math
+from operator import index as _index
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -47,6 +54,7 @@ from repro.errors import (
     ProcessFailedError,
     RankSuspendedError,
     SynchronizationError,
+    WindowError,
 )
 from repro.rma.actions import (
     AccumulateOp,
@@ -71,24 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 __all__ = ["RmaRuntime"]
 
-
-class _Accrual:
-    """Virtual cost and metrics of issued-but-uncompleted ops of one (src, trg).
-
-    Nonblocking issues are cheap on purpose: instead of advancing the origin
-    clock and bumping metrics once per operation, the runtime accrues both
-    here and charges them in one stroke when the pair's queue completes —
-    the accounting analogue of the backend's batched execution.  Totals are
-    identical to per-op charging; only the number of bookkeeping calls drops.
-    """
-
-    __slots__ = ("cost", "nbytes", "kinds")
-
-    def __init__(self) -> None:
-        self.cost = 0.0
-        self.nbytes = 0
-        #: Operation count per metric name (``OpKind.metric``).
-        self.kinds: dict[str, int] = {}
+_new_stamp = tuple.__new__
 
 
 class _Membership(NamedTuple):
@@ -133,7 +124,14 @@ class RmaRuntime:
         self.recorder = OrderRecorder(enabled=record)
         self._finalized = False
         self._window = self.backend.windows.get
+        #: The registry's own name -> window map (never rebound): the issue
+        #: path looks a window up here and calls :attr:`_window` only for the
+        #: error an unknown name deserves.
+        self._windows = self.backend.windows._windows
         self._clock = cluster.clock
+        #: The per-rank clocks, resolved once (they are reset in place, never
+        #: replaced).
+        self._clock_of = [cluster.clock(rank) for rank in range(cluster.nprocs)]
         self._injector = cluster.injector
         #: Whether ranks can die behind the injector's back (the backend
         #: overrides ``poll_failures``): only then must every action poll.
@@ -142,9 +140,6 @@ class RmaRuntime:
         #: injector generation at which that propagation was last complete.
         self._known_failed: set[int] = set()
         self._observed_generation: int | None = None
-        #: Uncharged cost/metrics of outstanding nonblocking ops: per origin,
-        #: a dict keyed by target.
-        self._accrued: list[dict[int, _Accrual]] = [{} for _ in range(self.nprocs)]
         #: Active log-driven replay of a localized recovery (None = normal).
         self._replay: ReplayCursor | None = None
         #: Ranks permanently removed by a degraded continuation: they are
@@ -261,7 +256,7 @@ class RmaRuntime:
         The write becomes visible when the next ``flush``/``unlock``/``gsync``
         completes the ``src -> trg`` epoch.
         """
-        win = self._window(window)
+        win = self._windows.get(window) or self._window(window)
         payload = np.array(data, dtype=win.dtype).ravel()  # the one defensive copy
         return self._issue(OpKind.PUT, src, trg, win, offset, payload.size, False, payload)
 
@@ -270,10 +265,11 @@ class RmaRuntime:
     ) -> OpHandle:
         """Issue a nonblocking read of ``trg``'s window (MPI_Get).
 
-        The handle's buffer (:meth:`~repro.rma.handles.OpHandle.result`)
+        The handle's buffer (:meth:`~repro.rma.actions.CommAction.result`)
         materializes at the next completion point; reading it earlier raises.
         """
-        return self._issue(OpKind.GET, src, trg, self._window(window), offset, count, False)
+        win = self._windows.get(window) or self._window(window)
+        return self._issue(OpKind.GET, src, trg, win, offset, count, False)
 
     def accumulate_nb(
         self,
@@ -285,7 +281,7 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> OpHandle:
         """Issue a nonblocking combining put into ``trg`` (MPI_Accumulate)."""
-        win = self._window(window)
+        win = self._windows.get(window) or self._window(window)
         payload = np.array(data, dtype=win.dtype).ravel()
         return self._issue(
             OpKind.ACCUMULATE, src, trg, win, offset, payload.size, op.combining,
@@ -304,9 +300,9 @@ class RmaRuntime:
         data: np.ndarray,
     ) -> CommAction:
         """Write ``data`` into ``trg``'s window at ``offset`` (MPI_Put)."""
-        handle = self.put_nb(src, trg, window, offset, data)
-        self._complete_pair(handle.action.src, handle.action.trg)
-        return handle.action
+        action = self.put_nb(src, trg, window, offset, data)
+        self._complete_pair(src, trg)
+        return action
 
     def get(
         self, src: int, trg: int, window: str, offset: int, count: int
@@ -328,9 +324,9 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> CommAction:
         """Combine ``data`` into ``trg``'s window (MPI_Accumulate)."""
-        handle = self.accumulate_nb(src, trg, window, offset, data, op)
+        action = self.accumulate_nb(src, trg, window, offset, data, op)
         self._complete_pair(src, trg)
-        return handle.action
+        return action
 
     def get_accumulate(
         self,
@@ -342,7 +338,7 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> np.ndarray:
         """Atomically combine ``data`` and return the previous target values."""
-        win = self._window(window)
+        win = self._windows.get(window) or self._window(window)
         payload = np.array(data, dtype=win.dtype).ravel()
         handle = self._issue(
             OpKind.GET_ACCUMULATE, src, trg, win, offset, payload.size, op.combining,
@@ -363,7 +359,7 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> float:
         """Single-element atomic fetch-and-op (MPI_Fetch_and_op)."""
-        win = self._window(window)
+        win = self._windows.get(window) or self._window(window)
         payload = np.asarray([value], dtype=win.dtype)
         handle = self._issue(
             OpKind.FETCH_AND_OP, src, trg, win, offset, 1, op.combining, payload, op=op
@@ -383,7 +379,7 @@ class RmaRuntime:
         value: float,
     ) -> float:
         """Single-element atomic CAS; returns the previous target value."""
-        win = self._window(window)
+        win = self._windows.get(window) or self._window(window)
         payload = np.asarray([value], dtype=win.dtype)
         cmp = np.asarray([compare], dtype=win.dtype)
         handle = self._issue(
@@ -408,9 +404,8 @@ class RmaRuntime:
         self._pre_action(src, trg)
         dropped = self._divert is not None and trg in self._members.suspended
         sc = None if dropped else self.counters.on_lock(src, trg, structure)
-        action = SyncAction(
-            kind=SyncKind.LOCK, src=src, trg=trg,
-            counters=self._stamp(src, trg, sc=sc), structure=structure,
+        action = SyncAction.issued(
+            SyncKind.LOCK, src, trg, self._stamp(src, trg, sc), structure
         )
         if dropped:
             self.delivery.count("dropped_syncs", src)
@@ -433,17 +428,15 @@ class RmaRuntime:
                 pass  # the matching lock itself was dropped
             self._complete_pair(src, trg)  # resolves in-flights via the mode
             self.epochs.close_epoch(src, trg)
-            action = SyncAction(
-                kind=SyncKind.UNLOCK, src=src, trg=trg,
-                counters=self._stamp(src, trg), structure=structure,
+            action = SyncAction.issued(
+                SyncKind.UNLOCK, src, trg, self._stamp(src, trg), structure
             )
             self.delivery.count("dropped_syncs", src)
             return action
         self.counters.on_unlock(src, trg, structure)
         self._complete_pair(src, trg)
-        action = SyncAction(
-            kind=SyncKind.UNLOCK, src=src, trg=trg,
-            counters=self._stamp(src, trg), structure=structure,
+        action = SyncAction.issued(
+            SyncKind.UNLOCK, src, trg, self._stamp(src, trg), structure
         )
         result = self._issue_sync(action, cost=self.cluster.costs.unlock())
         self.epochs.close_epoch(src, trg)
@@ -459,8 +452,7 @@ class RmaRuntime:
         self._complete_pair(src, trg)
         pending = self.epochs.pending(src, trg)
         self.counters.on_flush(src)
-        counters = self._stamp(src, trg)
-        action = SyncAction(kind=SyncKind.FLUSH, src=src, trg=trg, counters=counters)
+        action = SyncAction.issued(SyncKind.FLUSH, src, trg, self._stamp(src, trg))
         result = self._issue_sync(action, cost=self.cluster.costs.flush(pending))
         self.epochs.close_epoch(src, trg)
         return result
@@ -475,16 +467,14 @@ class RmaRuntime:
         # has to be the common failure point.  Suspended targets are exempt:
         # their in-flight operations resolve through the delivery mode.
         members = self._members
-        for trg in self._accrued[src]:
-            if trg in members.failed and trg not in members.suspended:
-                raise ProcessFailedError(trg)
+        if not members.healthy:
+            for trg in self.backend.pending_targets(src):
+                if trg in members.failed and trg not in members.suspended:
+                    raise ProcessFailedError(trg)
         self._complete_rank(src)
         pending = self.epochs.pending(src)
-        gc = self.counters.on_flush(src)
-        action = SyncAction(
-            kind=SyncKind.FLUSH_ALL, src=src, trg=None,
-            counters=Counters(gc=gc, gnc=self.counters.gnc(src)),
-        )
+        self.counters.on_flush(src)
+        action = SyncAction.issued(SyncKind.FLUSH_ALL, src, None, self._stamp(src))
         result = self._issue_sync(action, cost=self.cluster.costs.flush(pending))
         self.epochs.close_all_epochs(src)
         return result
@@ -520,11 +510,7 @@ class RmaRuntime:
         self.epochs.close_global_epoch()
         actions = []
         for rank in self.cluster.alive_ranks():
-            own = self.counters.of(rank)
-            action = SyncAction(
-                kind=SyncKind.GSYNC, src=rank, trg=None,
-                counters=Counters(gc=own.gc, gnc=own.gnc),
-            )
+            action = SyncAction.issued(SyncKind.GSYNC, rank, None, self._stamp(rank))
             self.interceptors.before_sync(action)
             if self.recorder.enabled:
                 self.recorder.record(action)
@@ -651,10 +637,8 @@ class RmaRuntime:
         reporting rolled-back data.  Returns the number of discarded ops.
         """
         discarded = self.backend.discard_pending()
-        for handle in discarded:
-            handle._mark_discarded()
-        for accrued in self._accrued:
-            accrued.clear()
+        for op in discarded:
+            op._discarded = True
         self.epochs.clear_pending()
         return len(discarded)
 
@@ -843,11 +827,22 @@ class RmaRuntime:
             ):
                 raise ProcessFailedError(trg)
 
-    def _stamp(self, src: int, trg: int, *, sc: int | None = None) -> Counters:
-        """Counters a fresh ``src -> trg`` action carries (Eq. 1/3)."""
-        own = self.counters.of(src)
-        held = own.sc_held.get(trg, 0) if sc is None else sc
-        return Counters(self.epochs.epoch(src, trg), own.gc, held, own.gnc)
+    def _stamp(self, src: int, trg: int | None = None, sc: int | None = None) -> Counters:
+        """Counters a fresh action of ``src`` carries (Eq. 1/3): ``EC`` and the
+        held ``SC`` (or the ``sc`` a lock just fetched) of the ``src -> trg``
+        pair, zero for a sync towards everyone (``trg=None``).
+
+        Read straight from the rank's ``ProcessCounters`` / ``EpochState``
+        (the boards' accessors would be two more calls on every issued
+        operation) and built without the namedtuple's keyword constructor.
+        """
+        own = self.counters._counters[src]
+        if trg is None:
+            return _new_stamp(Counters, (0, own.gc, 0, own.gnc))
+        if sc is None:
+            sc = own.sc_held.get(trg, 0)
+        ec = self.epochs._states[src].epoch_of_target[trg]
+        return _new_stamp(Counters, (ec, own.gc, sc, own.gnc))
 
     def _issue(
         self,
@@ -862,50 +857,58 @@ class RmaRuntime:
         compare: np.ndarray | None = None,
         op: AccumulateOp = AccumulateOp.REPLACE,
     ) -> OpHandle:
-        """Issue one communication action: check, stamp, interceptors,
-        backend, accrual.
+        """Issue one communication action: check, stamp, interceptors, backend.
 
         Window-addressing errors come first (they name the rank and window),
         then liveness: a malformed nonblocking op must fail at its call site,
         identically on every backend, not at the flush that would apply it.
-        The action's network cost and metrics are *accrued*, not charged —
-        they hit the origin's clock when the pair's queue completes, mirroring
-        how the backend may defer execution itself.
+        Both checks run inline and call out (:meth:`~repro.rma.window.Window.
+        check_access`, :meth:`_pre_action`) only on the branch that has
+        something to decide.  Nothing is charged here: the action's network
+        cost and metrics hit the origin's clock when the pair's queue
+        completes (:meth:`_retire`), mirroring how the backend may defer
+        execution itself.  The returned record is the caller's handle.
         """
-        win.check_access(trg, offset, count)
-        self._pre_action(src, trg)
-        nbytes = count * win.itemsize
+        try:
+            trg, offset, count = _index(trg), _index(offset), _index(count)
+        except TypeError:
+            raise WindowError(
+                f"target rank, offset and count must be integers, got "
+                f"({trg!r}, {offset!r}, {count!r}) for window {win.name!r} "
+                f"(origin rank {src})"
+            ) from None
+        if not (0 <= trg < win.nprocs and 0 <= offset and 0 < count <= win.size - offset):
+            win.check_access(trg, offset, count)  # raises the precise error
+        injector, members = self._injector, self._members
+        generation = injector.generation
+        if (
+            not 0 <= src < self.nprocs
+            or members.generation != generation
+            or not members.healthy
+            or self._observed_generation != generation
+            or self._vehicles
+            or self._clock_of[src].now >= injector.next_due
+        ):
+            self._pre_action(src, trg)
         action = CommAction.issued(
             kind, src, trg, win.name, offset, count, combine,
-            self._stamp(src, trg), op, data, compare, nbytes,
+            self._stamp(src, trg), op, data, compare, count * win.itemsize,
         )
-        if self._divert is not None:
-            handle = self._divert(action, win)
-            if handle is not None:
-                return handle
+        if self._divert is not None and self._divert(action, win):
+            return action
         self.interceptors.before_comm(action)
-        handle = OpHandle(action)
-        self.backend.issue(handle, win)
-        accrued = self._accrued[src]
-        accrual = accrued.get(trg)
-        if accrual is None:
-            accrual = accrued[trg] = _Accrual()
-        # One float addition per op, in issue order: clocks are floats and
-        # ``n * c != c + ... + c``, so batching this sum would move them.
-        accrual.cost += self.cluster.costs.remote_transfer(nbytes, atomic=kind.is_atomic)
-        accrual.nbytes += nbytes
-        accrual.kinds[kind.metric] = accrual.kinds.get(kind.metric, 0) + 1
+        self.backend.issue(action, win)
         self.epochs.record_access(src, trg)
         if self.recorder.enabled:
             self.recorder.record(action)
-        return handle
+        return action
 
-    def _divert_op(self, action: CommAction, win: Window) -> OpHandle | None:
-        """Resolve an issued action outside the normal pipeline, or return
-        ``None`` when it must execute normally.
+    def _divert_op(self, action: CommAction, win: Window) -> bool:
+        """Resolve an issued action outside the normal pipeline (and mark it
+        completed), or return ``False`` when it must execute normally.
 
         The one home of the three special cases.  A diverted action sees no
-        interceptors, backend, accrual or epoch — it is not part of new
+        interceptors, backend, charge or epoch — it is not part of new
         committed state:
 
         * a target excised by a degraded continuation: the operation is
@@ -926,7 +929,7 @@ class RmaRuntime:
         else:
             logged = self._replay.consume(action) if self._replay is not None else None
             if logged is None:
-                return None
+                return False
             if action.kind.is_get_like and logged.data is not None:
                 action.data = np.array(logged.data, copy=True)
             if action.kind.is_put_like and logged.trg in self._replay.restoring:
@@ -935,9 +938,8 @@ class RmaRuntime:
                     logged.trg, self.cluster.costs.local_copy(nbytes), kind="protocol"
                 )
                 self.cluster.metrics.incr("ft.replayed_bytes", nbytes, rank=logged.trg)
-        handle = OpHandle(action)
-        handle._mark_completed()
-        return handle
+        action._completed = True
+        return True
 
     def _complete_pair(self, src: int, trg: int) -> None:
         """Complete all outstanding ``src -> trg`` ops: apply, notify, charge."""
@@ -947,8 +949,7 @@ class RmaRuntime:
         if trg in members.suspended:
             self._discard_toward(src, frozenset((trg,)))
             return
-        self._retire(self.backend.complete(src, trg))
-        self._charge_accrued(src, trg)
+        self._retire(src, self.backend.complete(src, trg))
 
     def _complete_rank(self, src: int) -> None:
         """Complete all outstanding ops of ``src`` across every target.
@@ -980,9 +981,7 @@ class RmaRuntime:
                 and self.backend.pending_ops(src)
             ):
                 raise ProcessFailedError(src)
-        self._retire(self.backend.complete_rank(src))
-        for trg in list(self._accrued[src]):
-            self._charge_accrued(src, trg)
+        self._retire(src, self.backend.complete_rank(src))
 
     def _discard_toward(self, src: int, trgs: frozenset[int]) -> None:
         """Resolve ``src``'s in-flight ops toward suspended targets, effect-free.
@@ -990,17 +989,14 @@ class RmaRuntime:
         The operations were issued while their target was still alive; under
         a tolerant delivery mode their completion becomes a drop/stale
         resolution (there is no memory to apply them to) with the same
-        deterministic hash as operations issued after the failure.  Their
-        accrued network cost is dropped with them: the message was never
-        delivered.
+        deterministic hash as operations issued after the failure.  They
+        never reach :meth:`_retire`, so nothing is charged for them: the
+        message was never delivered.
         """
         assert self.delivery is not None
-        for handle in self.backend.discard_targeting(src, trgs):
-            action = handle.action
+        for action in self.backend.discard_targeting(src, trgs):
             self.delivery.resolve(action, self.windows.get(action.window), self)
-            handle._mark_completed()
-        for trg in trgs:
-            self._accrued[src].pop(trg, None)
+            action._completed = True
 
     def _discard_from(self, src: int) -> None:
         """Abandon a suspended origin's whole in-flight queue (fail-stop).
@@ -1011,30 +1007,55 @@ class RmaRuntime:
         restores it from the newest checkpoint instead.
         """
         assert self.delivery is not None
-        handles = self.backend.discard_rank(src)
-        for handle in handles:
-            handle._mark_discarded()
-        if handles:
-            self.delivery.count("discarded_inflight", src, len(handles))
-        self._accrued[src].clear()
+        dropped = self.backend.discard_rank(src)
+        for op in dropped:
+            op._discarded = True
+        if dropped:
+            self.delivery.count("discarded_inflight", src, len(dropped))
 
-    def _retire(self, handles: list[OpHandle]) -> None:
-        """Mark completed handles and emit the completion stream to interceptors."""
-        after_comm = self.interceptors.after_comm
-        for handle in handles:
-            handle._mark_completed()
-            after_comm(handle.action)
+    def _retire(self, src: int, batch: list[CommAction]) -> None:
+        """Retire a completed batch of ``src``: mark, notify, then charge.
 
-    def _charge_accrued(self, src: int, trg: int) -> None:
-        """Charge the accrued cost/metrics of a completed ``(src, trg)`` batch."""
-        accrual = self._accrued[src].pop(trg, None)
-        if accrual is None:
+        The batch the backend returns *is* the account.  Every operation is
+        marked and announced to ``after_comm`` (the completion stream) first;
+        then the origin's clock advances once per target, targets in
+        first-issue order, by the sum of that pair's transfer costs — one
+        float addition per operation, in issue order, starting from ``0.0``:
+        clocks are compared bit-for-bit and ``n * c != c + ... + c``, so the
+        sum may not be batched any further.  Metrics follow per pair.  A
+        discarded or diverted operation never gets here and is never charged.
+        """
+        if not batch:
             return
-        self._clock(src).advance(accrual.cost, kind="comm")
-        metrics = self.cluster.metrics
-        for name, count in accrual.kinds.items():
-            metrics.incr(name, count, rank=src)
-        metrics.incr("rma.bytes_moved", accrual.nbytes, rank=src)
+        after_comm = self.interceptors.after_comm
+        remote_transfer = self.cluster.costs.remote_transfer
+        clock, incr = self._clock_of[src], self.cluster.metrics.incr
+        if len(batch) == 1:  # every blocking call
+            op = batch[0]
+            op._completed = True
+            after_comm(op)
+            kind, nbytes = op.kind, op.nbytes
+            clock.advance(remote_transfer(nbytes, atomic=kind.is_atomic), kind="comm")
+            incr(kind.metric, 1, rank=src)
+            incr("rma.bytes_moved", nbytes, rank=src)
+            return
+        accounts: dict[int, list] = {}  # trg -> [cost, bytes, {metric: count}]
+        for op in batch:
+            op._completed = True
+            after_comm(op)
+            account = accounts.get(op.trg)
+            if account is None:
+                account = accounts[op.trg] = [0.0, 0, {}]
+            kind, nbytes = op.kind, op.nbytes
+            account[0] += remote_transfer(nbytes, atomic=kind.is_atomic)
+            account[1] += nbytes
+            kinds = account[2]
+            kinds[kind.metric] = kinds.get(kind.metric, 0) + 1
+        for cost, nbytes, kinds in accounts.values():
+            clock.advance(cost, kind="comm")
+            for name, count in kinds.items():
+                incr(name, count, rank=src)
+            incr("rma.bytes_moved", nbytes, rank=src)
 
     def _issue_sync(self, action: SyncAction, *, cost: float) -> SyncAction:
         self.interceptors.before_sync(action)

@@ -11,116 +11,24 @@ stream on all three.  The armed mid-batch kill keeps its per-operation prefix:
 such a batch is not merged.
 """
 
-from collections import defaultdict
-
 import numpy as np
 import pytest
+from programs import HALF, WINDOWS, make_runtime as _runtime, random_program as _program
 
 from repro.backends import vector
 from repro.backends.proc import _HEADER, proc_available
 from repro.errors import OpHandleError, ProcessFailedError
-from repro.rma import AccumulateOp, OpKind, RmaInterceptor, RmaRuntime
-from repro.simulator import Cluster
+from repro.rma import OpKind, RmaInterceptor
 
 needs_proc = pytest.mark.skipif(
     not proc_available(), reason="proc backend needs fork + POSIX shared memory"
 )
 DEFERRING = ["vector", pytest.param("proc", marks=needs_proc)]
 
-WINDOWS = ("a", "b")
-ORIGINS = (0, 1)
-HALF = 48  # elements of every slab that one origin owns: origins never race
-OPS = tuple(AccumulateOp)
-
-
-def _runtime(backend: str, dtypes=(np.float64, np.float64), size=2 * HALF) -> RmaRuntime:
-    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend=backend)
-    for name, dtype in zip(WINDOWS, dtypes):
-        rt.win_allocate(name, size, dtype=dtype)
-    return rt
-
 
 # ---------------------------------------------------------------------------
 # (a) Seeded random programs: vector and proc against sim
 # ---------------------------------------------------------------------------
-def _program(seed: int) -> list[tuple]:
-    """A race-free random program as ``(method name, *args)`` runtime calls.
-
-    Each origin streams chunks to 2-3 targets per window (a cursor per slab:
-    the contiguous runs), interleaved at random, and now and then writes over
-    what it streamed, jumps, accumulates into the stream or reads it back.
-    A pure get is never overwritten later in its own epoch — ``sim`` reads
-    gets when the epoch completes, so the model leaves that order open.
-    """
-    rng = np.random.default_rng(seed)
-    program: list[tuple] = []
-    targets = {o: [t for t in rng.permutation(4)[: rng.integers(2, 4)]] for o in ORIGINS}
-    cursor: dict[tuple, int] = {}
-    queued_gets = defaultdict(list)  # (origin, target) -> [(window, lo, hi)]
-
-    def values(n):
-        return [int(v) for v in rng.integers(1, 4, size=n)]
-
-    def span(o, n):
-        lo = int(rng.integers(o * HALF, (o + 1) * HALF - n + 1))
-        return lo, lo + n
-
-    def write(o, t, w, lo, hi, call) -> bool:
-        if any(w == gw and lo < ghi and glo < hi for gw, glo, ghi in queued_gets[o, t]):
-            return False  # would overwrite a queued get
-        program.append(call)
-        return True
-
-    for _ in range(int(rng.integers(6, 10))):  # epochs
-        for _ in range(int(rng.integers(10, 60))):
-            o = int(rng.choice(ORIGINS))
-            t, w = int(rng.choice(targets[o])), str(rng.choice(WINDOWS))
-            n = int(rng.integers(1, 6))
-            roll = rng.random()
-            if roll < 0.62:  # the stream: starts where the slab's last chunk ended
-                lo = cursor.get((o, t, w), o * HALF)
-                if lo + n > (o + 1) * HALF:
-                    lo = o * HALF  # wrap: a put that jumps
-                cursor[o, t, w] = lo + n
-                write(o, t, w, lo, lo + n, ("put_nb", o, t, w, lo, values(n)))
-            elif roll < 0.72:  # a put over (or beside) the stream, cursor untouched
-                lo, hi = span(o, n)
-                write(o, t, w, lo, hi, ("put_nb", o, t, w, lo, values(n)))
-            elif roll < 0.82:
-                lo, hi = span(o, n)
-                op = OPS[rng.integers(len(OPS))]
-                write(o, t, w, lo, hi, ("accumulate_nb", o, t, w, lo, values(n), op))
-            elif roll < 0.90:
-                lo, hi = span(o, n)
-                queued_gets[o, t].append((w, lo, hi))
-                program.append(("get_nb", o, t, w, lo, n))
-            else:  # a blocking get-like atomic: completes the o -> t queue behind it
-                lo, hi = span(o, 1)
-                op = OPS[rng.integers(len(OPS))]
-                call = [
-                    ("fetch_and_op", o, t, w, lo, values(1)[0], op),
-                    ("compare_and_swap", o, t, w, lo, *values(2)),
-                    ("get_accumulate", o, t, w, lo, values(1), op),
-                ][rng.integers(3)]
-                if write(o, t, w, lo, hi, call):
-                    queued_gets[o, t].clear()
-        o = int(rng.choice(ORIGINS))
-        close = rng.integers(3)
-        if close == 0:
-            t = int(rng.choice(targets[o]))
-            program.append(("flush", o, t))
-            queued_gets[o, t].clear()
-        elif close == 1:
-            program.append(("flush_all", o))
-            for t in targets[o]:
-                queued_gets[o, int(t)].clear()
-        else:
-            program.append(("gsync",))
-            queued_gets.clear()
-    program.append(("gsync",))
-    return program
-
-
 class _CompletionStream(RmaInterceptor):
     name = "completion-stream"
 

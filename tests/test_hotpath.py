@@ -65,7 +65,7 @@ def _calls_per_op(op, *, watch=()) -> tuple[float, int]:
 
 @pytest.mark.parametrize(
     "ft, budget",
-    [(None, 24), (FaultTolerancePolicy(interval=20, recovery="localized"), 32)],
+    [(None, 10), (FaultTolerancePolicy(interval=20, recovery="localized"), 12)],
     ids=["plain", "logged"],
 )
 def test_put_nb_call_budget_and_no_liveness_scans(ft, budget):
@@ -92,7 +92,7 @@ def test_blocking_put_call_budget():
             lambda: ctx.put(1, "w", 8, data),
             watch=(Cluster.is_alive, RmaRuntime.observe_failures),
         )
-    assert per_op <= 36, f"blocking put costs {per_op} Python calls/op (budget 36)"
+    assert per_op <= 25, f"blocking put costs {per_op} Python calls/op (budget 25)"
     assert scans == 0
 
 

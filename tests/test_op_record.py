@@ -1,0 +1,262 @@
+"""One record per issued operation: its charge, its handle face, its addressing.
+
+* **Charging.**  An operation is charged when it completes, from the batch the
+  backend returns.  ``_TimeModel`` is the specification, written against the
+  completion stream alone: every origin clock and every ``rma.*`` counter of
+  the seeded programs of ``tests/programs.py`` — closed by ``flush``,
+  ``flush_all``, ``unlock`` and ``gsync``, with a recovery's
+  ``discard_pending``, an excised target and a best-effort suspended target
+  thrown in — must equal the model's *exactly*, after every single call, on
+  every backend.  A discarded or diverted operation adds nothing.
+* **The handle face.**  ``put_nb`` returns the action it issued; completion
+  state, ``result()`` and its two refusals live on that record, and copying or
+  pickling one never drags backend state along.
+* **Addressing is integral** and wrong addressing fails at the call that
+  wrote it, with the window and the origin in the message, on every backend.
+"""
+
+import dataclasses
+import pickle
+from collections import Counter, defaultdict
+
+import numpy as np
+import pytest
+from programs import make_runtime, perform, random_program
+
+import repro
+from repro.errors import OpHandleError, WindowError
+from repro.qos.delivery import BestEffort
+from repro.rma import CommAction, OpHandle, RmaInterceptor
+
+needs_proc = pytest.mark.skipif(
+    not repro.proc_available(), reason="proc backend needs fork + POSIX shared memory"
+)
+BACKENDS = ["sim", "vector", pytest.param("proc", marks=needs_proc)]
+pytestmark = pytest.mark.usefixtures("proc_hygiene")
+
+
+# ---------------------------------------------------------------------------
+# (a) The charging oracle
+# ---------------------------------------------------------------------------
+class _TimeModel(RmaInterceptor):
+    """What a program must cost, derived from the completion stream alone.
+
+    ``before_comm`` prices an issued operation (a diverted one never gets
+    here), ``after_comm`` moves it into the batch of the running call, and
+    :meth:`finish` charges that batch the way the runtime is specified to:
+    per target in first-issue order, each pair's costs summed one operation
+    at a time in issue order from ``0.0`` — then the call's own sync cost.
+    """
+
+    name = "time-model"
+
+    def __init__(self, rt) -> None:
+        self.costs = rt.cluster.costs
+        self.now = [rt.cluster.now(r) for r in range(rt.nprocs)]
+        self.totals: dict[str, float] = defaultdict(float)
+        self.per_rank: dict[str, dict[int, float]] = defaultdict(lambda: defaultdict(float))
+        #: seq -> (cost, bytes, metric) of ops issued and not yet completed.
+        self.issued: dict[int, tuple[float, int, str]] = {}
+        #: (src, trg) -> ops issued in the open epoch (what a flush is priced by).
+        self.in_epoch: dict[tuple[int, int], int] = defaultdict(int)
+        #: src -> [(trg, cost, bytes, metric)] completed by the running call.
+        self.batch: dict[int, list[tuple]] = defaultdict(list)
+        self.failed: set[int] = set()
+        self.suspended: set[int] = set()
+
+    def before_comm(self, action) -> None:
+        cost = self.costs.remote_transfer(action.nbytes, atomic=action.kind.is_atomic)
+        self.issued[action.seq] = (cost, action.nbytes, action.kind.metric)
+        self.in_epoch[action.src, action.trg] += 1
+
+    def after_comm(self, action) -> None:
+        self.batch[action.src].append((action.trg, *self.issued.pop(action.seq)))
+
+    def _count(self, name: str, rank: int | None, value: float = 1) -> None:
+        self.totals[name] += value
+        if rank is not None:
+            self.per_rank[name][rank] += value
+
+    def _sync(self, name: str, src: int, cost: float) -> None:
+        self.now[src] += cost
+        self._count(f"rma.{name}", src)
+
+    def finish(self, call: tuple) -> None:
+        """Account one finished program call."""
+        for src, ops in self.batch.items():
+            pairs: dict[int, list] = {}
+            for trg, cost, nbytes, metric in ops:
+                pair = pairs.setdefault(trg, [0.0, 0, Counter()])
+                pair[0] += cost
+                pair[1] += nbytes
+                pair[2][metric] += 1
+            for cost, nbytes, kinds in pairs.values():
+                self.now[src] += cost
+                for metric, n in kinds.items():
+                    self._count(metric, src, n)
+                self._count("rma.bytes_moved", src, nbytes)
+        self.batch.clear()
+        name, *args = call
+        if name == "flush":
+            self._sync(name, args[0], self.costs.flush(self.in_epoch.pop(tuple(args), 0)))
+        elif name == "flush_all":
+            (src,) = args
+            mine = [pair for pair in self.in_epoch if pair[0] == src]
+            self._sync(name, src, self.costs.flush(sum(self.in_epoch.pop(p) for p in mine)))
+        elif name in ("lock", "unlock"):
+            src, trg = args
+            if trg not in self.suspended:  # a sync towards a suspended rank drops
+                cost = self.costs.lock() if name == "lock" else self.costs.unlock()
+                self._sync(name, src, cost)
+            if name == "unlock":
+                self.in_epoch.pop((src, trg), None)
+        elif name == "gsync":
+            alive = [r for r in range(len(self.now)) if r not in self.failed]
+            after = max(self.now[r] for r in alive) + self.costs.gsync(len(self.now))
+            for r in alive:
+                self.now[r] = after
+            self._count("rma.gsyncs", None)
+            self.in_epoch.clear()
+        elif name == "discard_pending":
+            self.issued.clear()
+            self.in_epoch.clear()
+        elif name in ("suspend", "excise"):
+            self.failed.add(args[0])
+            if name == "suspend":
+                self.suspended.add(args[0])
+
+
+def _rma_counters(rt) -> tuple[list, dict]:
+    snapshot = rt.cluster.metrics.snapshot()
+    names = [
+        n for n in snapshot.totals if n.startswith("rma.") and n != "rma.windows_allocated"
+    ]
+    return (
+        [(n, snapshot.totals[n]) for n in names],  # in first-increment order
+        {n: snapshot.per_rank[n] for n in names if n in snapshot.per_rank},
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_clock_and_counter_equals_the_completion_stream_model(backend):
+    exercised = Counter()
+    for seed in range(6):
+        rt = make_runtime(backend)
+        mode = BestEffort(seed=seed, stale_fraction=0.0)  # drops only: no service cost
+        mode.bind(rt, None)
+        rt.set_delivery(mode)
+        rt.backend.set_capture_undo(True)
+        model = _TimeModel(rt)
+        rt.add_interceptor(model)
+        try:
+            handles = []
+            for position, call in enumerate(random_program(seed, faults=True)):
+                pending = rt.pending_nb_ops()
+                out = perform(rt, call)
+                model.finish(call)
+                where = f"seed {seed}, call {position}: {call}"
+                assert [rt.cluster.now(r) for r in range(4)] == model.now, where
+                if call[0].endswith("_nb"):
+                    handles.append(out)
+                if call[0] == "discard_pending" and pending:
+                    exercised["discarded"] += pending
+                    assert out == pending and rt.pending_nb_ops() == 0
+            totals, per_rank = _rma_counters(rt)
+            assert totals == list(model.totals.items())
+            assert per_rank == {n: dict(v) for n, v in model.per_rank.items()}
+            assert rt.pending_nb_ops() == 0
+            assert all(h.completed != h.discarded for h in handles)
+            # Whatever was issued and never reached ``after_comm`` was charged nothing.
+            exercised["uncharged"] += sum(h.discarded for h in handles)
+            metrics = rt.cluster.metrics
+            exercised["diverted"] += int(metrics.get("ft.dropped_ops"))
+            exercised["tolerated"] += int(
+                metrics.get("qos.dropped_puts") + metrics.get("qos.dropped_gets")
+            )
+        finally:
+            rt.finalize()
+    # The six programs really walk every way an issued op can end uncharged.
+    assert all(exercised[k] > 0 for k in ("discarded", "uncharged", "diverted", "tolerated"))
+
+
+# ---------------------------------------------------------------------------
+# (b) The handle face
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_handle_is_the_issued_action(backend):
+    rt = make_runtime(backend, size=8192)  # a 64 KiB slab a copy could drag along
+    try:
+        put = rt.put_nb(0, 1, "a", 0, [7.0])
+        get = rt.get_nb(0, 1, "a", 0, 1)
+        lost = rt.put_nb(0, 2, "a", 0, [1.0])
+        for handle in (put, get, lost):
+            assert isinstance(handle, OpHandle) and isinstance(handle, CommAction)
+            assert handle.action is handle
+            assert not handle.completed and not handle.discarded
+        where = "[win=a,off=0,n=1,EC=0,GC=0,SC=0,GNC=0]"
+        with pytest.raises(OpHandleError) as early:
+            get.result()
+        assert str(early.value) == (
+            f"get(0<=1){where} is not completed; its buffer materializes at the "
+            f"next flush/unlock/gsync towards rank 1"
+        )
+        rt.flush(0, 1)
+        assert put.completed and get.completed and not lost.completed
+        assert put.result() is None and get.result().tolist() == [7.0]
+        assert rt.discard_pending() == 1
+        assert lost.discarded and not lost.completed
+        with pytest.raises(OpHandleError) as late:
+            lost.result()
+        assert str(late.value) == (
+            f"handle of put(0=>2){where} was discarded by a recovery rollback; "
+            f"its effect was never committed"
+        )
+        # A completed handle copies and pickles as the plain action it is.
+        patched = get.with_data(np.array([9.0]))
+        moved = dataclasses.replace(get, src=3)
+        assert patched.data.tolist() == [9.0] and get.data.tolist() == [7.0]
+        assert moved.src == 3 and moved.seq == get.seq == patched.seq
+        blob = pickle.dumps(get)
+        clone = pickle.loads(blob)
+        assert clone.determinant() == get.determinant() and clone.completed
+        assert clone.result().tolist() == [7.0]
+        assert len(blob) < 1024 and b"Window" not in blob
+        assert set(CommAction.__slots__) == {f.name for f in dataclasses.fields(CommAction)}
+    finally:
+        rt.finalize()
+
+
+# ---------------------------------------------------------------------------
+# (c) Addressing is integral, and fails where it is written
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_non_integral_addressing_fails_at_the_call_site(backend):
+    data = np.arange(2.0) + 1.0
+    with repro.launch(4, backend=backend) as job:
+        job.allocate("w", 16)
+        w = job.contexts[0].win("w")
+        rt = job.runtime
+        probes = [
+            lambda: w.put_nb(1.9, 2.7, data),  # parent: wrote rank 1 at offset 2
+            lambda: w.put_nb(1, 2.7, data),
+            lambda: w.get_nb(1, 0, 2.5),  # parent: a bare TypeError at the flush
+            lambda: w.accumulate_nb(1.5, 0, data),
+            lambda: w[1, 1.5],  # parent: read element 1, as an array
+            lambda: w[1.5, 0],
+            lambda: w.__setitem__((1, 2.5), 4.0),
+            lambda: rt.put_nb(0, 1.9, "w", 2.7, data),
+            lambda: rt.get(0, 1, "w", 0.0, 2),
+            lambda: rt.fetch_and_op(0, 1, "w", 1.0, 3.0),
+        ]
+        for probe in probes:
+            with pytest.raises(WindowError, match=r"integer.*window 'w' \(origin rank 0\)"):
+                probe()
+        assert rt.pending_nb_ops() == 0 and not job.gather("w").any()
+        rt.flush_all(0)  # nothing malformed was left behind to die here
+        # Integers of any flavour keep working, numpy's included.
+        w.put_nb(np.int64(1), np.int32(2), data)
+        handle = w.get_nb(np.uint8(1), np.int64(2), np.int16(2))
+        rt.flush(0, 1)
+        assert handle.result().tolist() == [1.0, 2.0]
+        assert w[np.int64(1), np.int64(3)] == 2.0 and w[1, 2:4].tolist() == [1.0, 2.0]
+        assert type(handle.offset) is int and type(handle.count) is int

@@ -76,7 +76,7 @@ def test_gsync_bumps_gnc_everywhere_and_closes_all_epochs(runtime):
     assert all(runtime.counters.gnc(r) == 1 for r in range(4))
     assert runtime.epochs.epoch(0, 1) == 1
     assert runtime.epochs.epoch(2, 3) == 1
-    assert not runtime.epochs.has_pending(0)
+    assert runtime.epochs.pending(0) == 0
 
 
 def test_epoch_and_counter_snapshots_are_independent_of_later_mutation(runtime):
