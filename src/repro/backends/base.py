@@ -127,6 +127,8 @@ class Backend(abc.ABC):
 
     #: Registry name of the backend ("sim", "vector", ...).
     name: str = "abstract"
+    #: Vehicle deaths noted, not yet reported: a nonblocking issue reads it, never polls.
+    _discovered_dead: frozenset[int] | set[int] = frozenset()
 
     def __init__(self) -> None:
         self.windows = WindowRegistry()
@@ -187,10 +189,10 @@ class Backend(abc.ABC):
         enter through the cluster's injector — so the default reports
         nothing.  A backend that runs ranks as real OS processes reports
         each dead worker exactly once per incarnation here; the runtime
-        folds the report into :meth:`~repro.rma.runtime.RmaRuntime.
-        observe_failures`, so real deaths surface through the *same*
-        fail-stop path (window invalidation, interceptor notification,
-        :class:`~repro.errors.ProcessFailedError`) as simulated ones.
+        folds it into the cluster's failed set, so real deaths surface through
+        the *same* fail-stop path (window invalidation, interceptor notification,
+        :class:`~repro.errors.ProcessFailedError`) as simulated ones.  Called once
+        per blocking call, sync action and collective, never by a nonblocking issue.
         """
         return []
 

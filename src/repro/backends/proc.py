@@ -23,8 +23,11 @@ makes the paper's fail-stop model *physical*:
 Death detection is *physical* too: a worker killed with ``SIGKILL`` (see
 :mod:`repro.ft.inject`) is noticed through its process sentinel — either
 synchronously, when a batch dispatch finds the pipe dead, or via
-:meth:`ProcBackend.poll_failures`, which the runtime folds into
-:meth:`~repro.rma.runtime.RmaRuntime.observe_failures`.  Both routes converge
+:meth:`ProcBackend.poll_failures`, one ``poll(0)`` system call per blocking
+call, sync action and collective.  A nonblocking issue only queues and makes
+none: it reads ``_discovered_dead`` (what ``wait_dead``, a dead pipe or a
+mid-batch kill noted), so a worker killed silently from outside is observed by
+the next completing or synchronising action.  Both routes converge
 on the same fail-stop surfacing (:class:`~repro.errors.ProcessFailedError`,
 window invalidation, interceptor notification) that simulated failures use,
 so the fault-tolerance protocols cannot tell a real kill from an injected
@@ -306,16 +309,15 @@ class ProcBackend(Backend):
         self.ack_timeout = ack_timeout
         self._ctx = multiprocessing.get_context("fork")
         self._workers: dict[int, _Worker] = {}
-        #: Worker deaths already reported through poll_failures (cleared on
-        #: respawn, so each incarnation is reported at most once).
-        self._reported_dead: set[int] = set()
-        #: Deaths discovered by a dispatch (pipe EOF/sentinel) but not yet
-        #: reported.  ``is_alive()`` can lag the pipe by microseconds after a
-        #: SIGKILL, so poll_failures must not depend on it alone.
+        #: Deaths discovered by a dispatch (pipe EOF/sentinel) or ``wait_dead``
+        #: but not yet reported (``is_alive()`` can lag the pipe by microseconds
+        #: after a SIGKILL).  Never rebound: the runtime's nonblocking issue
+        #: path holds this very set and reads its truthiness.
         self._discovered_dead: set[int] = set()
         #: One poll object over the process sentinels of the workers not yet
-        #: reported dead (``fd -> rank``): a sentinel turns readable when its
-        #: process ends, so one ``poll(0)`` checks every worker at once.
+        #: reported dead (``fd -> rank``; a report unwatches, a respawn watches
+        #: the new incarnation, so each is reported at most once): a sentinel
+        #: turns readable when its process ends — one ``poll(0)`` checks them all.
         self._poller = select.poll()
         self._watched: dict[int, int] = {}
         #: Pending self-kill instrumentation: rank -> ops to apply first.
@@ -383,7 +385,6 @@ class ProcBackend(Backend):
             return []
         dead = sorted(self._discovered_dead.union(self._watched[fd] for fd, _ in ended))
         for rank in dead:
-            self._reported_dead.add(rank)
             self._discovered_dead.discard(rank)
             self._unwatch(rank)
             self._note_death(rank)
@@ -411,7 +412,6 @@ class ProcBackend(Backend):
                 pass
             old.process.close()
         worker = self._workers[rank] = self._spawn(rank)
-        self._reported_dead.discard(rank)
         self._discovered_dead.discard(rank)
         for window in self.windows.all():
             if isinstance(window, SharedWindow):
@@ -419,10 +419,7 @@ class ProcBackend(Backend):
 
     def worker_pid(self, rank: int) -> int:
         """OS pid of ``rank``'s current worker (the kill target)."""
-        worker = self._require_worker(rank)
-        pid = worker.process.pid
-        assert pid is not None
-        return pid
+        return self._require_worker(rank).process.pid
 
     def wait_dead(self, rank: int, timeout: float = 10.0) -> bool:
         """Block until ``rank``'s worker has terminated (sentinel wait).
@@ -466,12 +463,10 @@ class ProcBackend(Backend):
         if worker is None:
             return "no worker"
         process = worker.process
-        known_dead = rank in self._reported_dead or rank in self._discovered_dead
-        if process.is_alive() and not known_dead:
-            state = f"pid={process.pid} alive"
-        else:
-            state = f"pid={process.pid} dead exitcode={process.exitcode}"
-        return f"{state} pending={self.pending_ops(rank)}"
+        known_dead = rank not in self._watched.values() or rank in self._discovered_dead
+        alive = process.is_alive() and not known_dead
+        state = "alive" if alive else f"dead exitcode={process.exitcode}"
+        return f"pid={process.pid} {state} pending={self.pending_ops(rank)}"
 
     # ------------------------------------------------------------------
     # Internals
@@ -511,11 +506,10 @@ class ProcBackend(Backend):
     def _note_death(self, rank: int) -> None:
         """Record a death discovered by a dispatch and reap the zombie.
 
-        The death stays queued for :meth:`poll_failures` (it must still reach
-        the cluster through the ordinary observation path); only a report or
-        a respawn clears it.
+        It stays queued for :meth:`poll_failures` (it must still reach the cluster
+        through the ordinary observation path) until a report or a respawn.
         """
-        if rank not in self._reported_dead:
+        if rank in self._watched.values():  # else: this incarnation was reported
             self._discovered_dead.add(rank)
         worker = self._workers.get(rank)
         if worker is not None:

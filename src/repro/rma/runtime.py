@@ -30,8 +30,9 @@ cluster (:mod:`repro.simulator`) and to a pluggable execution
   execution internally;
 * fail-stop failures surface as
   :class:`~repro.errors.ProcessFailedError` the moment an action touches a
-  dead process or a collective observes one — the fault-tolerance layer
-  (:mod:`repro.ft`) catches it and drives recovery.
+  process known dead or a collective observes one (a worker killed silently
+  behind the injector: at the next blocking call, sync action or collective,
+  §2.2/§2.4) — :mod:`repro.ft` catches it and drives recovery.
 
 The driver is SPMD-by-iteration: a single thread issues actions on behalf of
 each rank (``src`` is an explicit argument), which keeps the simulation
@@ -133,9 +134,11 @@ class RmaRuntime:
         #: replaced).
         self._clock_of = [cluster.clock(rank) for rank in range(cluster.nprocs)]
         self._injector = cluster.injector
-        #: Whether ranks can die behind the injector's back (the backend
-        #: overrides ``poll_failures``): only then must every action poll.
+        #: Whether ranks can die behind the injector's back (the backend overrides
+        #: ``poll_failures``): then blocking calls, sync actions and collectives poll,
+        #: a nonblocking issue reads the backend's set of noted, unreported deaths.
         self._vehicles = type(self.backend).poll_failures is not Backend.poll_failures
+        self._noted_dead = self.backend._discovered_dead
         #: Failures already propagated to windows and interceptors, and the
         #: injector generation at which that propagation was last complete.
         self._known_failed: set[int] = set()
@@ -292,14 +295,11 @@ class RmaRuntime:
     # Blocking communication actions (issue + immediate completion)
     # ------------------------------------------------------------------
     def put(
-        self,
-        src: int,
-        trg: int,
-        window: str,
-        offset: int,
-        data: np.ndarray,
+        self, src: int, trg: int, window: str, offset: int, data: np.ndarray
     ) -> CommAction:
         """Write ``data`` into ``trg``'s window at ``offset`` (MPI_Put)."""
+        if self._vehicles:
+            self._poll_vehicles()
         action = self.put_nb(src, trg, window, offset, data)
         self._complete_pair(src, trg)
         return action
@@ -308,11 +308,11 @@ class RmaRuntime:
         self, src: int, trg: int, window: str, offset: int, count: int
     ) -> np.ndarray:
         """Read ``count`` elements from ``trg``'s window at ``offset`` (MPI_Get)."""
+        if self._vehicles:
+            self._poll_vehicles()
         handle = self.get_nb(src, trg, window, offset, count)
         self._complete_pair(src, trg)
-        data = handle.result()
-        assert data is not None
-        return data
+        return handle.result()
 
     def accumulate(
         self,
@@ -324,6 +324,8 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> CommAction:
         """Combine ``data`` into ``trg``'s window (MPI_Accumulate)."""
+        if self._vehicles:
+            self._poll_vehicles()
         action = self.accumulate_nb(src, trg, window, offset, data, op)
         self._complete_pair(src, trg)
         return action
@@ -338,6 +340,8 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> np.ndarray:
         """Atomically combine ``data`` and return the previous target values."""
+        if self._vehicles:
+            self._poll_vehicles()
         win = self._windows.get(window) or self._window(window)
         payload = np.array(data, dtype=win.dtype).ravel()
         handle = self._issue(
@@ -345,9 +349,7 @@ class RmaRuntime:
             payload, op=op,
         )
         self._complete_pair(src, trg)
-        data = handle.result()
-        assert data is not None
-        return data
+        return handle.result()
 
     def fetch_and_op(
         self,
@@ -359,26 +361,22 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> float:
         """Single-element atomic fetch-and-op (MPI_Fetch_and_op)."""
+        if self._vehicles:
+            self._poll_vehicles()
         win = self._windows.get(window) or self._window(window)
         payload = np.asarray([value], dtype=win.dtype)
         handle = self._issue(
             OpKind.FETCH_AND_OP, src, trg, win, offset, 1, op.combining, payload, op=op
         )
         self._complete_pair(src, trg)
-        data = handle.result()
-        assert data is not None
-        return data[0]
+        return handle.result()[0]
 
     def compare_and_swap(
-        self,
-        src: int,
-        trg: int,
-        window: str,
-        offset: int,
-        compare: float,
-        value: float,
+        self, src: int, trg: int, window: str, offset: int, compare: float, value: float
     ) -> float:
         """Single-element atomic CAS; returns the previous target value."""
+        if self._vehicles:
+            self._poll_vehicles()
         win = self._windows.get(window) or self._window(window)
         payload = np.asarray([value], dtype=win.dtype)
         cmp = np.asarray([compare], dtype=win.dtype)
@@ -386,9 +384,7 @@ class RmaRuntime:
             OpKind.COMPARE_AND_SWAP, src, trg, win, offset, 1, True, payload, cmp
         )
         self._complete_pair(src, trg)
-        data = handle.result()
-        assert data is not None
-        return data[0]
+        return handle.result()[0]
 
     # ------------------------------------------------------------------
     # Synchronization actions
@@ -464,8 +460,8 @@ class RmaRuntime:
         # Completing towards a dead target must fail *before* any effect is
         # applied, on every backend alike — an eager backend already wrote the
         # bytes, a batching one has not, so the liveness check (not the apply)
-        # has to be the common failure point.  Suspended targets are exempt:
-        # their in-flight operations resolve through the delivery mode.
+        # is the common failure point.  Suspended targets are exempt: their
+        # in-flight operations resolve through the delivery mode.
         members = self._members
         if not members.healthy:
             for trg in self.backend.pending_targets(src):
@@ -493,11 +489,11 @@ class RmaRuntime:
         for rank in range(self.nprocs):
             self._complete_rank(rank)
         # A failure that fired *during* the completion loop (an injected kill
-        # counts completions) must surface here, before any rank resumes past
-        # the collective: the closing barrier below only synchronizes ranks
-        # alive at its entry, so it cannot observe this one — and a rank that
-        # resumed would perform post-sync local stores the action log never
-        # sees, which a localized replay could then not reconstruct.
+        # counts completions) must surface here — the collective's second
+        # sentinel poll — before any rank resumes past it: the closing barrier
+        # only synchronizes ranks alive at its entry, so it cannot observe this
+        # one, and a resumed rank would perform post-sync local stores the
+        # action log never sees, which a localized replay could not reconstruct.
         self.observe_failures()
         failed = self._membership().dead
         if failed:
@@ -580,22 +576,20 @@ class RmaRuntime:
         """Fire scheduled failures and propagate them to windows/interceptors.
 
         Diffing against the runtime's own known-failed set also catches ranks
-        killed directly with :meth:`~repro.simulator.cluster.Cluster.fail_rank`
-        (not just time-scheduled events): their window buffers are invalidated
-        and every interceptor's ``on_failure_detected`` fires exactly once.
+        killed directly with :meth:`~repro.simulator.cluster.Cluster.fail_rank`:
+        their window buffers are invalidated and every interceptor's
+        ``on_failure_detected`` fires exactly once.  The diff only runs when the
+        injector's generation moved since the last complete propagation — every
+        writer of the failed set bumps it.
 
-        Backends whose ranks have a *real* execution vehicle (the OS worker
-        processes of the ``proc`` backend) report vehicle deaths here too —
-        folded into the cluster's failed set first, so a SIGKILLed worker
-        surfaces through exactly the same path as a scheduled failure.
-
-        The diff only runs when the injector's generation moved since the
-        last complete propagation — every writer of the failed set bumps it.
+        Begins with the sentinel poll (:meth:`_poll_vehicles`): a SIGKILLed worker
+        surfaces like a scheduled failure.  Who gets here on a healthy job, hence
+        polls, once each: a collective (``gsync`` twice: at entry, and after its
+        completions may have fired a kill), ``flush_all``, a step boundary and
+        :meth:`_pre_action`.
         """
         cluster, injector = self.cluster, self._injector
-        for rank in self.backend.poll_failures():
-            if cluster.is_alive(rank):
-                cluster.fail_rank(rank)
+        self._poll_vehicles()
         if injector.next_due < math.inf:
             cluster.check_failures(cluster.elapsed() if now is None else now)
         generation = injector.generation
@@ -608,6 +602,14 @@ class RmaRuntime:
             self.interceptors.on_failure_detected(rank)
         self._observed_generation = generation
         return newly
+
+    def _poll_vehicles(self) -> None:
+        """The sentinel poll: fold vehicles (``proc``'s workers) that died behind
+        the injector's back into the failed set — a generation bump every gate
+        reads.  Never raises: a blocking call runs it first, bad addresses win."""
+        for rank in self.backend.poll_failures():
+            if self.cluster.is_alive(rank):
+                self.cluster.fail_rank(rank)
 
     def notify_respawn(self, rank: int) -> None:
         """Tell the runtime a replacement process took over ``rank``.
@@ -784,10 +786,9 @@ class RmaRuntime:
         A collective involves every rank, so a process that already failed —
         even one whose failure was observed earlier — makes it raise; this is
         how the paper's applications learn they must recover before
-        synchronizing again (§2.4).  Excised ranks are no longer members of
-        the (shrunk) job and do not count — and neither do ranks a tolerant
-        delivery mode merely *suspends* (they are repaired at the next step
-        boundary; the survivors' collective proceeds without them).
+        synchronizing again (§2.4).  Excised ranks left the (shrunk) job and do
+        not count, nor do ranks a tolerant delivery mode merely *suspends*
+        (repaired at the next step boundary; the collective proceeds without).
         """
         self.observe_failures()
         dead = self._membership().dead
@@ -798,14 +799,18 @@ class RmaRuntime:
         """Failure check before any targeted action: src then trg must be alive.
 
         A target excised by a degraded continuation is exempt — operations
-        towards it are dropped later rather than raising, which is what lets
-        survivors keep running without recovery code.  A target *suspended*
-        by a tolerant delivery mode is likewise exempt (the issue path will
-        resolve the operation as a drop or stale read); a suspended *source*
-        raises :class:`~repro.errors.RankSuspendedError` so the scheduler
-        skips just that rank's turn.  The :meth:`observe_failures` scan only
-        runs when something can have changed: the failed set moved, a
-        scheduled event is due, or ranks have vehicles that die on their own.
+        towards it are dropped later rather than raising, which lets survivors
+        run on without recovery code — and so is one *suspended* by a tolerant
+        delivery mode (the issue path resolves the operation as a drop or
+        stale read); a suspended *source* raises
+        :class:`~repro.errors.RankSuspendedError` so the scheduler skips just
+        that rank's turn.  The :meth:`observe_failures` scan only runs when
+        something can have changed: the failed set moved, a scheduled event is
+        due, or ranks have vehicles that die on their own.  With vehicles every
+        caller therefore polls once: ``lock``/``unlock``/``flush`` (a sync talks
+        to its target now; the completion that follows does not poll again) and
+        :meth:`_issue`'s slow branch, a nonblocking issue's only after a death is
+        known or noted.
         """
         injector = self._injector
         now = self._clock(src).now
@@ -864,7 +869,9 @@ class RmaRuntime:
         identically on every backend, not at the flush that would apply it.
         Both checks run inline and call out (:meth:`~repro.rma.window.Window.
         check_access`, :meth:`_pre_action`) only on the branch that has
-        something to decide.  Nothing is charged here: the action's network
+        something to decide — issuing only queues, so it reads flags (one is
+        the backend's noted deaths) and makes no system call; the blocking
+        callers polled already.  Nothing is charged here: the action's network
         cost and metrics hit the origin's clock when the pair's queue
         completes (:meth:`_retire`), mirroring how the backend may defer
         execution itself.  The returned record is the caller's handle.
@@ -886,7 +893,7 @@ class RmaRuntime:
             or members.generation != generation
             or not members.healthy
             or self._observed_generation != generation
-            or self._vehicles
+            or self._noted_dead
             or self._clock_of[src].now >= injector.next_due
         ):
             self._pre_action(src, trg)
@@ -962,11 +969,10 @@ class RmaRuntime:
         streams — and everything downstream, like the action log a localized
         replay trusts — stay bit-identical across backends.
 
-        Under a tolerant delivery mode the same two situations resolve
-        without raising: a suspended origin's queue is abandoned (poisoned
-        handles, like a rollback's discard), and a surviving origin's
-        in-flight operations toward suspended targets are resolved through
-        the mode (drop or stale service) instead of being applied.
+        Under a tolerant delivery mode neither raises: a suspended origin's
+        queue is abandoned (poisoned handles, like a rollback's discard), and
+        a surviving origin's in-flight operations toward suspended targets
+        resolve through the mode (drop or stale service) instead of applying.
         """
         members = self._membership()  # per rank: a completion may have fired a kill
         if not members.healthy:
@@ -993,7 +999,6 @@ class RmaRuntime:
         never reach :meth:`_retire`, so nothing is charged for them: the
         message was never delivered.
         """
-        assert self.delivery is not None
         for action in self.backend.discard_targeting(src, trgs):
             self.delivery.resolve(action, self.windows.get(action.window), self)
             action._completed = True
@@ -1006,7 +1011,6 @@ class RmaRuntime:
         is charged to its clock — the repair at the next step boundary
         restores it from the newest checkpoint instead.
         """
-        assert self.delivery is not None
         dropped = self.backend.discard_rank(src)
         for op in dropped:
             op._discarded = True

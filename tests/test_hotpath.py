@@ -36,6 +36,9 @@ from repro.simulator.costs import cray_xe6_like
 
 BACKENDS = ["sim", "vector"]
 OPS = 1000
+needs_proc = pytest.mark.skipif(
+    not repro.proc_available(), reason="proc backend needs fork + POSIX shared memory"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +97,68 @@ def test_blocking_put_call_budget():
         )
     assert per_op <= 25, f"blocking put costs {per_op} Python calls/op (budget 25)"
     assert scans == 0
+
+
+class _CountingPoller:
+    """Stand-in for ``ProcBackend._poller``: counts the ``poll`` system calls."""
+
+    def __init__(self, poller):
+        self._poller, self.polls = poller, 0
+
+    def poll(self, timeout):
+        self.polls += 1
+        return self._poller.poll(timeout)
+
+    def __getattr__(self, name):  # register / unregister
+        return getattr(self._poller, name)
+
+
+@needs_proc
+@pytest.mark.usefixtures("proc_hygiene")
+def test_proc_syscall_budget_an_issue_polls_nothing_a_completion_polls_once():
+    data = np.arange(4.0)
+    with repro.launch(4, backend="proc") as job:
+        job.allocate("w", 16)
+        rt, ctx = job.runtime, job.contexts[0]
+        w = ctx.win("w")
+        poller = rt.backend._poller = _CountingPoller(rt.backend._poller)
+
+        def polls(call) -> int:
+            before = poller.polls
+            call()
+            return poller.polls - before
+
+        def issue_mixed():
+            for i in range(OPS):
+                trg = 1 + i % 3
+                if i % 3 == 0:
+                    w.put_nb(trg, 0, data)
+                elif i % 3 == 1:
+                    w.get_nb(trg, 4, 4)
+                else:
+                    w.accumulate_nb(trg, 8, data)
+
+        assert polls(issue_mixed) == 0  # queueing makes no system call
+        assert rt.pending_nb_ops(0) == OPS
+        per_call = {
+            "flush": lambda: rt.flush(0, 1),
+            "flush_all": lambda: rt.flush_all(0),
+            "put": lambda: ctx.put(1, "w", 0, data),
+            "get": lambda: ctx.get(1, "w", 0, 4),
+            "accumulate": lambda: ctx.accumulate(1, "w", 0, data),
+            "get_accumulate": lambda: ctx.get_accumulate(1, "w", 0, data),
+            "fetch_and_op": lambda: ctx.fetch_and_op(1, "w", 0, 1.0),
+            "compare_and_swap": lambda: ctx.compare_and_swap(1, "w", 0, 0.0, 1.0),
+            "w[trg, i]": lambda: w[1, 0],
+            "w[trg, i] = v": lambda: w.__setitem__((1, 0), 2.0),
+            "lock": lambda: rt.lock(0, 1),
+            "unlock": lambda: rt.unlock(0, 1),
+            "barrier": rt.barrier,
+        }
+        counted = {name: polls(call) for name, call in per_call.items()}
+        assert counted == dict.fromkeys(per_call, 1)
+        assert rt.pending_nb_ops() == 0
+        assert polls(rt.gsync) == 2  # at entry, and after the completion loop
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +376,6 @@ def test_synckind_traits_equal_the_branch_definitions():
 # ---------------------------------------------------------------------------
 # (e) The proc dispatch path ships bytes, never a pickled action
 # ---------------------------------------------------------------------------
-needs_proc = pytest.mark.skipif(
-    not repro.proc_available(), reason="proc backend needs fork + POSIX shared memory"
-)
-
-
 def _every_kind_kernel(ctx, step):
     w = ctx.win("w")
     right = (ctx.rank + 1) % ctx.nranks  # one writer per target: deterministic

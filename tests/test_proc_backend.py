@@ -9,6 +9,7 @@ platforms without the fork start method or POSIX shared memory.
 
 import os
 import signal
+from multiprocessing import connection
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from repro.errors import (
     OpHandleError,
     ProcessFailedError,
     WatchdogError,
+    WindowError,
 )
-from repro.rma import RmaRuntime
+from repro.rma import RmaInterceptor, RmaRuntime
 from repro.simulator import Cluster
 
 pytestmark = [
@@ -144,6 +146,97 @@ def test_runtime_folds_worker_death_into_the_cluster(rt):
     assert not rt.cluster.is_alive(3)  # ...now it does, via poll_failures
     with pytest.raises(ProcessFailedError, match="fail-stop"):
         rt.put(0, 3, "w", 0, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# The silent kill: nobody noted the death, so only a poll can find it — and a
+# nonblocking issue, which only queues, does not poll
+# ---------------------------------------------------------------------------
+def _kill_silently(rt, rank: int) -> None:
+    """SIGKILL ``rank``'s worker from outside and wait on the raw sentinel —
+    not ``wait_dead``, which would note the death for the next action."""
+    backend = _backend(rt)
+    sentinel = backend._workers[rank].process.sentinel
+    os.kill(backend.worker_pid(rank), signal.SIGKILL)
+    assert connection.wait([sentinel], timeout=10.0)
+    assert not backend._discovered_dead and rt.cluster.is_alive(rank)
+
+
+def test_silent_kill_is_observed_by_the_flush_not_by_the_queued_put(rt):
+    _kill_silently(rt, 1)
+    handle = rt.put_nb(0, 1, "w", 2, [7.0])  # queues on the supervisor: no system call
+    assert not handle.completed and rt.pending_nb_ops(0) == 1
+    with pytest.raises(ProcessFailedError, match="process 1 has failed") as failure:
+        rt.flush(0, 1)
+    assert failure.value.rank == 1
+    # Raised before any effect: the slab never saw the 7.0, the queue is intact.
+    assert not rt.windows.get("w").buffers[1].any()
+    assert rt.pending_nb_ops(0) == 1 and not handle.completed
+    assert rt.discard_pending() == 1
+    with pytest.raises(OpHandleError, match="discarded by a recovery"):
+        handle.result()
+
+
+@pytest.mark.parametrize(
+    "sync",
+    [lambda rt: rt.flush_all(0), lambda rt: rt.unlock(0, 1), lambda rt: rt.gsync()],
+    ids=["flush_all", "unlock", "gsync"],
+)
+def test_silent_kill_is_observed_by_every_completing_or_synchronising_action(rt, sync):
+    rt.lock(0, 1)
+    _kill_silently(rt, 1)
+    rt.get_nb(0, 1, "w", 0, 2)
+    with pytest.raises(ProcessFailedError) as failure:
+        sync(rt)
+    assert failure.value.rank == 1 and rt.pending_nb_ops(0) == 1
+
+
+def test_silent_kill_is_observed_by_a_blocking_call_before_anything_is_queued(rt):
+    class Spy(RmaInterceptor):
+        seen: list = []
+
+        def before_comm(self, action):
+            self.seen.append(action)
+
+    spy = Spy()
+    rt.add_interceptor(spy)
+    _kill_silently(rt, 1)
+    with pytest.raises(ProcessFailedError, match="process 1 has failed"):
+        rt.put(0, 1, "w", 2, [7.0])
+    assert rt.pending_nb_ops() == 0 and spy.seen == []
+    assert not rt.cluster.is_alive(1) and rt.windows.get("w").is_invalidated(1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rt: rt.put(0, 1, "w", 16, [7.0]),
+        lambda rt: rt.get(0, 1, "w", 15, 2),
+        lambda rt: rt.fetch_and_op(0, 1, "w", -1, 1.0),
+    ],
+    ids=["put", "get", "fetch_and_op"],
+)
+def test_bad_address_toward_a_silently_dead_rank_is_still_a_window_error(rt, call):
+    _kill_silently(rt, 1)
+    with pytest.raises(WindowError):  # addressing first, then liveness
+        call(rt)
+    assert rt.pending_nb_ops() == 0
+    # The call polled before it failed, so the death is known from here on:
+    # the very next action of any kind raises it.
+    with pytest.raises(ProcessFailedError, match="process 1 has failed"):
+        rt.put_nb(0, 1, "w", 0, [1.0])
+
+
+def test_noted_death_is_raised_by_the_very_next_nonblocking_issue(rt):
+    backend = _backend(rt)
+    os.kill(backend.worker_pid(1), signal.SIGKILL)
+    assert backend.wait_dead(1, timeout=10.0)  # notes it (what an injector kill does)
+    assert rt.cluster.is_alive(1)
+    with pytest.raises(ProcessFailedError, match="process 1 has failed"):
+        rt.put_nb(0, 1, "w", 0, [1.0])
+    assert not rt.cluster.is_alive(1) and rt.pending_nb_ops() == 0
+    rt.put_nb(0, 2, "w", 0, [1.0])  # other targets keep flowing
+    assert backend.poll_failures() == []  # reported once
 
 
 # ---------------------------------------------------------------------------
