@@ -145,9 +145,9 @@ def main() -> None:
     assert auto.resolved_interval is not None
     assert np.array_equal(baseline.field, auto.field)
 
-    # The vector backend batches the nonblocking halo puts and applies them as
-    # coalesced writes at the gsync — with and without failures the final
-    # field must match the eager backend bit for bit.
+    # The vector backend applies the nonblocking halo puts as coalesced writes
+    # at the gsync — with and without failures the final field must match the
+    # per-op sim backend bit for bit.
     for sched, label in ((None, "failure-free"), (schedule, "with failures")):
         vector = run_stencil(
             nprocs=nprocs, n_local=n_local, iters=iters,

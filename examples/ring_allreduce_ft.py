@@ -107,8 +107,8 @@ def main() -> None:
     if not identical:
         raise SystemExit(1)
 
-    # Cross-backend check: the batching vector backend must land every hop —
-    # and every recovery replay — exactly where the eager backend lands it.
+    # Cross-backend check: the coalescing vector backend must land every hop —
+    # and every recovery replay — exactly where the per-op sim backend lands it.
     for sched, reference, label in (
         (None, baseline, "failure-free"),
         (schedule, recovered, "with failures"),

@@ -8,8 +8,8 @@ The package is layered bottom-up:
   orders, nonblocking operation handles) and the
   :class:`~repro.rma.runtime.RmaRuntime` coordination layer;
 * :mod:`repro.backends` — pluggable execution backends owning window storage
-  (eager ``"sim"``, batching ``"vector"``, real-process shared-memory
-  ``"proc"``);
+  (per-op reference ``"sim"``, coalescing ``"vector"``, real-process
+  shared-memory ``"proc"``) — all apply an operation when its epoch completes;
 * :mod:`repro.ft` — the fault-tolerance protocols built on the runtime
   (topology-aware in-memory checkpointing and recovery);
 * :mod:`repro.api` — the rank-centric session API: :func:`launch` a job,

@@ -261,11 +261,6 @@ class Job:
         until the next step boundary or checkpoint."""
         return self.runtime.local_view(rank, window)
 
-    def each_rank(self, fn) -> None:
-        """Run ``fn(ctx)`` once per rank in rank order (initialization helper)."""
-        for ctx in self.contexts:
-            fn(ctx)
-
     def gather(self, window: str, part: slice | None = None) -> np.ndarray:
         """Concatenate every rank's (sliced) buffer of ``window``, rank-major."""
         sl = part if part is not None else slice(None)
@@ -719,15 +714,14 @@ def launch(
         superstep boundary where failures are usually observed.  Disable for
         kernels that synchronize explicitly.
     backend:
-        RMA execution backend: ``"sim"`` (default, eager per-op execution),
-        ``"vector"`` (queued nonblocking ops applied as coalesced numpy
-        batches at completion), or a fresh
+        RMA execution backend: ``"sim"`` (default; a completed batch is
+        applied one operation at a time, the reference), ``"vector"`` (the
+        batch is applied as coalesced numpy writes), or a fresh
         :class:`~repro.backends.base.Backend` instance (one per job — a
-        backend owns its job's window storage).  Traces, clocks and results
-        are bit-identical across backends for every program that observes
-        operation results only after the epoch completing them — i.e. any
-        program without intra-epoch data races, which the model leaves
-        unordered anyway (§2.2).
+        backend owns its job's window storage).  Every backend queues an
+        operation at issue and applies it when its epoch completes, each
+        ``(window, target)`` slab's operations in issue order, so traces,
+        clocks and results are bit-identical across backends.
     watchdog:
         Wall-clock seconds each job step may take before the run fails with
         a :class:`~repro.errors.WatchdogError` and a per-rank state dump.

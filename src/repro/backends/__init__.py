@@ -1,14 +1,16 @@
 """Pluggable RMA backends: window storage + operation execution strategies.
 
-A backend decides *where window memory lives* and *when issued operations
-execute*; the runtime above it only coordinates epochs, counters, interceptors
-and virtual-time costs.  Three backends ship:
+A backend decides *where window memory lives* and *how a completed batch of
+operations is applied*; the runtime above it only coordinates epochs,
+counters, interceptors and virtual-time costs.  Every backend queues an
+operation when it is issued and applies it when its epoch completes (§2.2).
+Three backends ship:
 
-* :class:`SimBackend` (``"sim"``, the default) — eager per-op execution at
-  issue time, the historical runtime behavior;
-* :class:`VectorBackend` (``"vector"``) — queues nonblocking operations per
-  epoch and applies them at completion time, each ``(window, target)`` slab's
-  back-to-back puts as one numpy slice write;
+* :class:`SimBackend` (``"sim"``, the default) — applies a completed batch one
+  operation at a time in issue order, the reference the others are diffed
+  against;
+* :class:`VectorBackend` (``"vector"``) — applies each ``(window, target)``
+  slab's back-to-back puts as one numpy slice write;
 * :class:`ProcBackend` (``"proc"``, POSIX platforms) — each rank is a real OS
   process applying its queued operations (merged like ``vector``'s, by the
   same coalescer: a run is one wire record) to windows in shared memory; real

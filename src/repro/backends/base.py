@@ -14,19 +14,18 @@ itself.  All storage and data movement belong to a :class:`Backend`:
   with every effect applied to the window buffers by the time they return.
 
 The pending queue (one issue-ordered list of records per origin) and
-everything that selects, pops or discards from it live here, once.  A concrete
-backend supplies two hooks: what :meth:`~Backend.issue` does *eagerly*
-(:class:`~repro.backends.sim.SimBackend` writes put-like effects at issue, the
-historical behavior; the deferring backends do nothing) and what
-:meth:`~Backend._apply` does when a batch *completes*
-(:class:`~repro.backends.vector.VectorBackend` applies it in coalesced writes,
-``proc`` ships it to a worker process) — plus :meth:`~Backend._unwind` for
-the eager backend, whose discarded operations have already touched memory.
-The model permits all of it because actions within one epoch are unordered
-(§2.2).  Whatever the strategy, the *completion stream* — the issue-ordered
-sequence of records returned from the completion methods — must be identical
-across backends, which is what keeps fault-tolerance interceptors (who observe
-that stream) and recorded traces bit-identical.
+everything that selects, pops or discards from it live here, once.  No backend
+touches window memory at issue: an action takes effect when its epoch
+completes (§2, §2.2), so whatever was issued but not completed can be
+discarded (§4.2, §7) by dropping it from the queue — there is nothing to
+undo.  A concrete backend supplies one hook, what :meth:`~Backend._apply`
+does when a batch *completes*: :class:`~repro.backends.sim.SimBackend` applies
+it one action at a time (the reference),
+:class:`~repro.backends.vector.VectorBackend` in coalesced writes, ``proc``
+ships it to a worker process.  Whatever the strategy, the *completion stream*
+— the issue-ordered sequence of records returned from the completion methods
+— must be identical across backends, which is what keeps fault-tolerance
+interceptors (who observe that stream) and recorded traces bit-identical.
 """
 
 from __future__ import annotations
@@ -164,17 +163,6 @@ class Backend(abc.ABC):
         """A rank failed: its buffers are lost in every window."""
         self.windows.invalidate_rank(rank)
 
-    def set_capture_undo(self, enabled: bool) -> None:
-        """Ask the backend to make :meth:`discard_pending` effect-free.
-
-        Recovery protocols that keep survivor state (localized replay,
-        degraded continuation) require that discarding uncommitted operations
-        leaves window memory exactly as if they were never issued.  A backend
-        that defers all effects to completion time already satisfies this and
-        may ignore the request; an eager backend must capture undo data at
-        issue time while the flag is set.
-        """
-
     def reallocate_rank(self, rank: int) -> None:
         """A replacement process arrived: give it fresh buffers everywhere."""
         self.windows.reallocate_rank(rank)
@@ -218,11 +206,10 @@ class Backend(abc.ABC):
         return "in-process"
 
     # ------------------------------------------------------------------
-    # Operation execution: one pending queue, two hooks
+    # Operation execution: one pending queue, one hook
     # ------------------------------------------------------------------
-    def issue(self, op: CommAction, win: Window) -> None:
-        """Accept one issued operation: queue it (an eager backend overrides
-        this to apply its write effect first)."""
+    def issue(self, op: CommAction) -> None:
+        """Accept one issued operation: queue it, untouched, for its completion."""
         self._pending[op.src].append(op)
 
     @abc.abstractmethod
@@ -232,10 +219,6 @@ class Backend(abc.ABC):
         Raising leaves the batch queued — for recovery's discard, which
         poisons the handles identically on every backend.
         """
-
-    def _unwind(self, dropped: list[CommAction]) -> None:
-        """Roll back what :meth:`issue` applied eagerly for ``dropped`` ops
-        (nothing, on a backend that defers every effect to :meth:`_apply`)."""
 
     def complete(self, src: int, trg: int) -> list[CommAction]:
         """Complete all outstanding ``src -> trg`` operations, in issue order."""
@@ -271,27 +254,21 @@ class Backend(abc.ABC):
     def discard_pending(self) -> list[CommAction]:
         """Drop every outstanding operation without applying it (rollback).
 
-        Returns the discarded records so the runtime can poison them.  What an
-        eager backend already wrote is rolled back where undo data was
-        captured (:meth:`set_capture_undo`); otherwise the recovery path
-        restores the window contents from the checkpoint.
+        Returns the discarded records so the runtime can poison them.  None
+        of them ever touched window memory, so there is nothing to roll back.
         """
         dropped = [op for queue in self._pending for op in queue]
         self._pending = [[] for _ in self._pending]
-        self._unwind(dropped)
         return dropped
 
     def discard_rank(self, src: int) -> list[CommAction]:
         """Drop every outstanding operation of origin ``src``, effect-free.
 
         Used by failure-tolerant delivery modes (:mod:`repro.qos`): a
-        suspended rank's in-flight queue is abandoned without application —
-        an eager backend rolls back what it already applied (the
-        :meth:`set_capture_undo` contract), a deferring backend just drops
-        its queue (on ``proc`` it was never shipped to the now dead worker).
+        suspended rank's in-flight queue is abandoned without application
+        (on ``proc`` it was never shipped to the now dead worker).
         """
         dropped, self._pending[src] = self._pending[src], []
-        self._unwind(dropped)
         return dropped
 
     def discard_targeting(self, src: int, trgs: frozenset[int]) -> list[CommAction]:
@@ -307,7 +284,6 @@ class Backend(abc.ABC):
         dropped = [op for op in queue if op.trg in trgs]
         if dropped:
             self._pending[src] = [op for op in queue if op.trg not in trgs]
-            self._unwind(dropped)
         return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

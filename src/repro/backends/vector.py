@@ -1,9 +1,9 @@
-"""The vectorizing backend — queues issued ops, applies them in batches.
+"""The vectorizing backend — applies a completed batch in coalesced writes.
 
-Nonblocking operations are not executed when issued: they are queued per
-origin in issue order and applied only when the runtime completes the epoch
-(flush, unlock, gsync, or a blocking wrapper).  At completion time the batch
-is *coalesced per slab* (:func:`~repro.backends.base._coalesce_puts`, shared
+As on every backend, operations are not executed when issued: they are queued
+per origin in issue order and applied only when the runtime completes the
+epoch (flush, unlock, gsync, or a blocking wrapper).  Here the batch is first
+*coalesced per slab* (:func:`~repro.backends.base._coalesce_puts`, shared
 with ``proc``): the plain puts streamed back-to-back into one ``(window,
 target)`` slab collapse into a single numpy slice assignment, however they
 interleave with traffic to other slabs — a halo exchange alternating between
@@ -12,11 +12,9 @@ two neighbours costs two vectorized writes, not one write per message.
 Correctness note: within one epoch the model imposes no order between actions
 (§2.2), but each slab's actions are still applied in issue order (anything but
 an extending put closes the slab's run; slabs are disjoint memory) — so
-overlapping puts and atomics land exactly as the eager backend lands them, and
-gets read at the same completion point on every backend.  The two backends
-are bit-identical for every program that observes results only after the
-epoch completing them (which is all the model defines: intra-epoch races are
-unordered by §2.2), and tests diff their traces directly.
+overlapping puts and atomics land exactly as ``sim``'s one-at-a-time loop
+lands them, and a get reads what the slab's earlier actions left.  The two
+backends are bit-identical, and tests diff their traces directly.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ __all__ = ["VectorBackend"]
 
 
 class VectorBackend(Backend):
-    """Deferred execution: queue per epoch, per-slab coalesced apply at completion."""
+    """Per-slab coalesced execution: one region write per run of puts."""
 
     name = "vector"
 

@@ -59,10 +59,8 @@ if TYPE_CHECKING:
         make_scenario,
     )
     from repro.chaos.soak import (
-        Countermeasure,
         SoakResult,
         SoakSpec,
-        make_countermeasure,
         run_comparison,
         run_soak,
         scaled_cost_model,
@@ -87,10 +85,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "PoissonKills": "repro.chaos.scenarios",
     "Scenario": "repro.chaos.scenarios",
     "make_scenario": "repro.chaos.scenarios",
-    "Countermeasure": "repro.chaos.soak",
     "SoakResult": "repro.chaos.soak",
     "SoakSpec": "repro.chaos.soak",
-    "make_countermeasure": "repro.chaos.soak",
     "run_comparison": "repro.chaos.soak",
     "run_soak": "repro.chaos.soak",
     "scaled_cost_model": "repro.chaos.soak",

@@ -40,19 +40,14 @@ from repro.errors import (
 )
 from repro.experiment import _comparison_grid, check_names, plan_entropy, probe
 from repro.ft.inject import KillPlan, install_injector
-from repro.registry import register_kind, resolve_component
+from repro.registry import register_kind
 from repro.simulator.costs import CostModel, cray_xe6_like
 from repro.study.model import IntervalModel
 from repro.study.workloads import make_workload
 from repro.trace.tracer import Tracer, current_trace_hub, trace_label
 
 __all__ = [
-    "Countermeasure",
-    "Rollback",
-    "Replay",
-    "Excise",
     "COUNTERMEASURES",
-    "make_countermeasure",
     "SoakSpec",
     "SoakResult",
     "scaled_cost_model",
@@ -64,69 +59,17 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Countermeasures: chaos vocabulary over the recovery-protocol strategies
 # ----------------------------------------------------------------------
-class Countermeasure:
-    """One catalog entry: how the job answers the failures thrown at it.
-
-    A countermeasure is a thin, declarative wrapper building the
-    :class:`~repro.api.policy.FaultTolerancePolicy` whose ``recovery``
-    strategy implements it — the soak engine adds no recovery machinery of
-    its own, it *names* the existing protocols in reliability terms.
-    """
-
-    #: Registry name ("rollback", "replay", "excise").
-    name: str = "abstract"
-    #: The recovery-protocol registry name this countermeasure maps onto.
-    recovery: str = "global"
-
-    def policy(
-        self, *, store: str, interval: int, delivery: str = "reliable"
-    ) -> FaultTolerancePolicy:
-        """The fault-tolerance policy realizing this countermeasure."""
-        return FaultTolerancePolicy(
-            interval=interval, store=store, recovery=self.recovery,
-            delivery=delivery,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(recovery={self.recovery!r})"
-
-
-class Rollback(Countermeasure):
-    """Coordinated rollback of every rank to the last checkpoint (§4.2)."""
-
-    name = "rollback"
-    recovery = "global"
-
-
-class Replay(Countermeasure):
-    """Only failed ranks restore; survivors fast-forward the action log (§7)."""
-
-    name = "replay"
-    recovery = "localized"
-
-
-class Excise(Countermeasure):
-    """Failed ranks are removed; survivors continue best-effort (degraded)."""
-
-    name = "excise"
-    recovery = "degraded"
-
-
-#: Registry of constructable countermeasures, by name.
-COUNTERMEASURES: dict[str, type[Countermeasure]] = {
-    Rollback.name: Rollback,
-    Replay.name: Replay,
-    Excise.name: Excise,
+#: Countermeasure name -> the recovery-protocol registry name implementing it.
+#: The soak engine adds no recovery machinery of its own, it *names* the
+#: existing protocols in reliability terms: coordinated rollback of every rank
+#: (§4.2), localized log replay by the failed ranks only (§7), and best-effort
+#: continuation without them.
+COUNTERMEASURES: dict[str, str] = {
+    "rollback": "global",
+    "replay": "localized",
+    "excise": "degraded",
 }
 register_kind("countermeasure", COUNTERMEASURES)
-
-
-def make_countermeasure(spec: "str | Countermeasure | None") -> Countermeasure:
-    """Resolve a countermeasure specification (default ``"rollback"``)."""
-    return resolve_component(
-        "countermeasure", spec, COUNTERMEASURES, Countermeasure, ChaosError,
-        default=Rollback.name,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +283,7 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
     plan = build_plan(
         spec, ops_per_round=ops_per_round, steps_per_round=workload.steps
     )
-    countermeasure = make_countermeasure(spec.countermeasure)
+    recovery = COUNTERMEASURES[spec.countermeasure]
     monitor = make_monitor(spec.monitor)
     monitor.steps_per_round = workload.steps
     total_steps = spec.rounds * workload.steps
@@ -356,8 +299,9 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
     with launch(
         spec.nprocs,
         topology=Topology(procs_per_node=spec.procs_per_node, cost_model=cost),
-        ft=countermeasure.policy(
-            store=spec.store, interval=spec.interval, delivery=spec.delivery
+        ft=FaultTolerancePolicy(
+            interval=spec.interval, store=spec.store, recovery=recovery,
+            delivery=spec.delivery,
         ),
         sync_each_step=workload.sync_each_step,
         backend=spec.backend,
@@ -408,7 +352,6 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
         rates_per_level={0: rate} if rate else {},
     )
     step_seconds = round_seconds / workload.steps
-    recovery = countermeasure.recovery
     predicted_mttr = model.predicted_mttr_seconds(
         recovery, step_seconds=step_seconds, interval_steps=spec.interval
     )

@@ -101,7 +101,9 @@ def engine_main(
 ) -> int:
     """Everything after argument parsing; returns the process exit status.
 
-    ``--list`` prints the registry and exits 0.  Otherwise ``run(args)``
+    ``--list`` prints the registry and exits 0.  A ``--check-baseline`` file
+    is read and parsed first: an unreadable one is a ``REGRESSION:`` line and
+    exit status 1 before anything runs.  Otherwise ``run(args)``
     builds the spec and runs the engine — under a run-wide trace hub when
     ``--trace PATH`` was given: every session launched inside joins it
     (labelled by comparison cell) and the merged trace is written,
@@ -116,6 +118,17 @@ def engine_main(
     if args.list:
         print(render_available())
         return 0
+    baseline = None
+    if args.check_baseline:
+        try:
+            with open(args.check_baseline) as fh:
+                baseline = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            print(
+                f"REGRESSION: cannot read baseline {args.check_baseline}: {exc}",
+                file=sys.stderr,
+            )
+            return 1
     with tracing(path=args.trace) if args.trace else nullcontext():
         result = run(args)
     if args.trace:
@@ -142,8 +155,6 @@ def engine_main(
         else:
             print(invariants_message)
     if args.check_baseline:
-        with open(args.check_baseline) as fh:
-            baseline = json.load(fh)
         failures = gate(json.loads(json_text), baseline, max_ratio=args.max_regression)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)

@@ -153,10 +153,6 @@ class ActionLog(RmaInterceptor):
         """Sum of logged volume over all ranks."""
         return sum(self.bytes_logged.values())
 
-    def actions_targeting(self, ranks: set[int]) -> list[CommAction]:
-        """Logged actions whose target is one of ``ranks``, completion order."""
-        return [a for a in self.actions if a.trg in ranks]
-
     def dirty_regions(self) -> dict[tuple[int, str], list[tuple[int, int]]]:
         """Merged element ranges dirtied by puts since the last truncation.
 

@@ -88,11 +88,6 @@ class RecoveryProtocol(abc.ABC):
     #: Registry name of the protocol ("global", "localized", "degraded", ...).
     name: str = "abstract"
 
-    #: Whether discarding issued-but-uncompleted operations must leave window
-    #: memory untouched.  Protocols that keep survivor state need this; an
-    #: eagerly-writing backend then captures undo data at issue time.
-    needs_clean_discard: bool = False
-
     #: Whether the protocol replays the put/get log and therefore requires an
     #: :class:`~repro.ft.checkpoint.ActionLog` that *retains* completed
     #: actions (not just their byte counts).  :func:`~repro.ft.stack.
@@ -249,7 +244,6 @@ class LocalizedReplay(RecoveryProtocol):
     """
 
     name = "localized"
-    needs_clean_discard = True
     needs_log = True
 
     def recover(self, manager: "RecoveryManager") -> RecoveryOutcome:
@@ -339,7 +333,6 @@ class ContinueDegraded(RecoveryProtocol):
     """
 
     name = "degraded"
-    needs_clean_discard = True
 
     def recover(self, manager: "RecoveryManager") -> RecoveryOutcome:
         runtime = manager.runtime

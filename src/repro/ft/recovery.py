@@ -7,8 +7,7 @@ When the application (or the session layer) observes a
 rollback, localized log-based replay, or best-effort degraded continuation —
 and returns its :class:`~repro.ft.protocols.RecoveryOutcome`.  The manager
 owns no protocol logic itself; it binds the runtime, the checkpointer (whose
-store the protocols restore from) and the chosen strategy together, and it
-enables undo capture on the backend when the strategy keeps survivor state.
+store the protocols restore from) and the chosen strategy together.
 """
 
 from __future__ import annotations
@@ -38,11 +37,6 @@ class RecoveryManager:
         self.runtime: RmaRuntime | None = runtime
         self.checkpointer: CoordinatedCheckpointer | None = checkpointer
         self.protocol = make_protocol(protocol)
-        if self.protocol.needs_clean_discard:
-            # Survivor-preserving protocols require that discarding issued-
-            # but-uncompleted operations leaves memory untouched; an eagerly
-            # writing backend must capture undo data from now on.
-            runtime.backend.set_capture_undo(True)
 
     # ------------------------------------------------------------------
     @property

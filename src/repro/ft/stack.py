@@ -54,10 +54,9 @@ class FtStack:
         """Fully detach the stack from ``runtime``.  Idempotent.
 
         Removes the interceptors, closes the store (releasing scratch
-        directories and the like), drops undo capture from the backend,
-        uninstalls the delivery mode and detaches the recovery manager, so
-        nothing in the stack keeps a live reference into a runtime it no
-        longer observes.  The store close runs even when an earlier teardown
+        directories and the like), uninstalls the delivery mode and detaches
+        the recovery manager, so nothing in the stack keeps a live reference
+        into a runtime it no longer observes.  The store close runs even when an earlier teardown
         step raises: a leaked scratch directory outlives the process, a
         dangling interceptor does not.
         """
@@ -65,7 +64,6 @@ class FtStack:
             if self.log is not None:
                 runtime.remove_interceptor(self.log)
             runtime.remove_interceptor(self.checkpointer)
-            runtime.backend.set_capture_undo(False)
             runtime.set_delivery(None)
         finally:
             try:
@@ -140,11 +138,6 @@ def build_ft_stack(
     mode = make_delivery(delivery)
     mode.bind(runtime, checkpointer.store)
     runtime.set_delivery(mode)
-    if mode.needs_clean_discard:
-        # A tolerant mode discards in-flight operations toward freshly-failed
-        # ranks effect-free; eagerly-writing backends need undo capture for
-        # that, exactly as survivor-preserving recovery protocols do.
-        runtime.backend.set_capture_undo(True)
     return FtStack(
         log=log,
         checkpointer=checkpointer,

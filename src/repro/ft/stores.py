@@ -150,10 +150,6 @@ class CheckpointVersion:
             if buddy == rank:
                 self.remote.pop(owner, None)
 
-    def usable_for(self, ranks: list[int]) -> bool:
-        """Whether every rank of ``ranks`` still has at least one in-memory copy."""
-        return all(self.payload_for(rank) is not None for rank in ranks)
-
     def nbytes(self) -> int:
         """Total memory held by this version's in-memory copies."""
         total = 0

@@ -88,10 +88,6 @@ class DeliveryMode(abc.ABC):
     #: Whether failed ranks are suspended (tolerated) instead of fatal.
     tolerates_failures: bool = False
 
-    #: Whether the backend must capture undo data so in-flight operations
-    #: toward a freshly-failed rank can be discarded effect-free.
-    needs_clean_discard: bool = False
-
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         #: When set (the trace bus does this in ``install_trace``), receives
@@ -211,7 +207,6 @@ class BestEffort(DeliveryMode):
 
     name = "best_effort"
     tolerates_failures = True
-    needs_clean_discard = True
 
     def __init__(self, seed: int = 0, stale_fraction: float = 0.5) -> None:
         super().__init__(seed)

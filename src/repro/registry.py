@@ -37,8 +37,8 @@ __all__ = [
     "resolve_component",
 ]
 
-#: kind -> (name -> class), populated by :func:`register_kind`.
-_KINDS: dict[str, dict[str, type]] = {}
+#: kind -> (name -> component), populated by :func:`register_kind`.
+_KINDS: dict[str, dict[str, object]] = {}
 
 #: kind -> the built-in modules that register (or extend) it, imported on
 #: demand so a lookup loads only the seam it asks about: ``"proc"`` lives in a
@@ -63,8 +63,9 @@ def _import_builtins(*kinds: str) -> None:
             import_module(module)
 
 
-def register_kind(kind: str, registry: dict[str, type]) -> None:
-    """Declare ``registry`` as the name → class table of seam ``kind``.
+def register_kind(kind: str, registry: dict[str, object]) -> None:
+    """Declare ``registry`` as the name → class table of seam ``kind`` (a
+    name → name table for a seam that only renames another's components).
 
     Called once at import time by each seam module.  The *same dict object*
     the seam resolves against is registered, so :func:`available` can never

@@ -392,11 +392,6 @@ class SyncAction:
         """The paper's synchronization category."""
         return self.kind.category
 
-    @property
-    def is_global(self) -> bool:
-        """Whether the action targets every process (gsync / barrier / flush_all)."""
-        return self.trg is None
-
     def determinant(self) -> Determinant:
         """Tuple form used by logs and tests."""
         return (

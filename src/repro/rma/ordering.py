@@ -100,12 +100,6 @@ class OrderRecorder:
     # ------------------------------------------------------------------
     # Orders
     # ------------------------------------------------------------------
-    def program_order(self, a: CommAction | SyncAction, b: CommAction | SyncAction) -> bool:
-        """``a po-> b``: same origin and ``a`` issued before ``b``."""
-        if a.src != b.src:
-            return False
-        return a.seq < b.seq
-
     def consistency_order(self, a: CommAction, b: CommAction) -> bool:
         """``a co-> b`` for two communication actions.
 
@@ -118,23 +112,6 @@ class OrderRecorder:
         if a.src == b.src and a.trg == b.trg and a.EC < b.EC:
             return True
         return False
-
-    def concurrent_co(self, a: CommAction, b: CommAction) -> bool:
-        """``a ||co b``: neither ``a co-> b`` nor ``b co-> a``."""
-        return not self.consistency_order(a, b) and not self.consistency_order(b, a)
-
-    def synchronization_order(self, a: SyncAction, b: SyncAction) -> bool:
-        """``a so-> b`` for lock/unlock actions on the same target structure."""
-        if a.trg is None or b.trg is None:
-            return False
-        if (a.trg, a.structure) != (b.trg, b.structure):
-            return False
-        chain = self._lock_chains.get((a.trg, a.structure), [])
-        seqs = [e.seq for e in chain]
-        try:
-            return seqs.index(a.seq) < seqs.index(b.seq)
-        except ValueError:
-            return False
 
     # ------------------------------------------------------------------
     # Happened-before graph

@@ -458,10 +458,10 @@ class RmaRuntime:
         self.observe_failures()
         self._require_alive(src)
         # Completing towards a dead target must fail *before* any effect is
-        # applied, on every backend alike — an eager backend already wrote the
-        # bytes, a batching one has not, so the liveness check (not the apply)
-        # is the common failure point.  Suspended targets are exempt: their
-        # in-flight operations resolve through the delivery mode.
+        # applied, on every backend alike, so the liveness check (not the
+        # apply, which stops wherever the backend's batching puts the dead
+        # target) is the common failure point.  Suspended targets are exempt:
+        # their in-flight operations resolve through the delivery mode.
         members = self._members
         if not members.healthy:
             for trg in self.backend.pending_targets(src):
@@ -649,11 +649,11 @@ class RmaRuntime:
 
         Called by the session immediately before *repairing* suspended ranks
         (:mod:`repro.qos`): an operation still queued toward a rank about to
-        be respawned-and-restored would otherwise apply after the restore on
-        deferring backends but before it on the eager one, breaking backend
-        identity.  Survivor operations toward the suspended ranks resolve
-        through the delivery mode (drop/stale, same deterministic hash as
-        post-failure issues); the suspended ranks' own queues are abandoned.
+        be respawned-and-restored would otherwise apply after the restore, on
+        top of the repaired state.  Survivor operations toward the suspended
+        ranks resolve through the delivery mode (drop/stale, same deterministic
+        hash as post-failure issues); the suspended ranks' own queues are
+        abandoned.
         """
         suspended = self.suspended_ranks()
         if not suspended:
@@ -904,7 +904,7 @@ class RmaRuntime:
         if self._divert is not None and self._divert(action, win):
             return action
         self.interceptors.before_comm(action)
-        self.backend.issue(action, win)
+        self.backend.issue(action)
         self.epochs.record_access(src, trg)
         if self.recorder.enabled:
             self.recorder.record(action)

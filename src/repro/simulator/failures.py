@@ -181,7 +181,6 @@ class FailureInjector:
         self.schedule = schedule
         self.placement = placement
         self._pending: list[FailureEvent] = sorted(schedule.events)
-        self._failed_elements: list[FailureEvent] = []
         #: Incremented whenever the failed set changes.
         self.generation = 0
         #: Time of the next scheduled event (``inf`` when none remain).
@@ -192,11 +191,6 @@ class FailureInjector:
     def _set_failed(self, ranks: frozenset[int]) -> None:
         self.failed_ranks = ranks
         self.generation += 1
-
-    @property
-    def triggered_events(self) -> list[FailureEvent]:
-        """Events whose time has already passed."""
-        return list(self._failed_elements)
 
     def ranks_of_event(self, event: FailureEvent) -> list[int]:
         """Which ranks die when ``event`` fires."""
@@ -219,7 +213,6 @@ class FailureInjector:
             while self.next_due <= now:
                 event = self._pending.pop(0)
                 self.next_due = self._pending[0].time if self._pending else math.inf
-                self._failed_elements.append(event)
                 for rank in self.ranks_of_event(event):
                     if rank not in self.failed_ranks and rank not in newly:
                         newly.append(rank)

@@ -9,7 +9,6 @@ the reproduced tables and figures.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 __all__ = ["MetricsRegistry", "MetricsSnapshot"]
@@ -60,19 +59,6 @@ class MetricsRegistry:
     def get(self, name: str, default: float = 0.0) -> float:
         """Aggregate value of ``name``."""
         return self._totals.get(name, default)
-
-    def get_rank(self, name: str, rank: int, default: float = 0.0) -> float:
-        """Per-rank value of ``name``."""
-        return self._per_rank.get(name, {}).get(rank, default)
-
-    def max_over_ranks(self, name: str, ranks: Iterable[int] | None = None) -> float:
-        """Maximum per-rank value of ``name`` over ``ranks`` (all known ranks by default)."""
-        values = self._per_rank.get(name, {})
-        if not values:
-            return 0.0
-        if ranks is None:
-            return max(values.values())
-        return max((values.get(r, 0.0) for r in ranks), default=0.0)
 
     def snapshot(self) -> MetricsSnapshot:
         """Deep-copy the current values into an immutable snapshot."""

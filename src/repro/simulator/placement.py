@@ -64,17 +64,6 @@ class Placement:
             if self.element(rank, level) == index
         ]
 
-    def ranks_per_node(self) -> dict[int, list[int]]:
-        """Mapping node index -> ranks placed on it (only non-empty nodes)."""
-        out: dict[int, list[int]] = {}
-        for rank, node in enumerate(self.node_of_rank):
-            out.setdefault(node, []).append(rank)
-        return out
-
-    def co_located(self, rank_a: int, rank_b: int, level: int) -> bool:
-        """Whether two ranks share the same failure domain at ``level``."""
-        return self.element(rank_a, level) == self.element(rank_b, level)
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nprocs:
             raise PlacementError(f"rank {rank} out of range 0..{self.nprocs - 1}")

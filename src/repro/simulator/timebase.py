@@ -117,11 +117,6 @@ class ClockCollection:
         clocks = self._clocks if ranks is None else [self._clocks[r] for r in ranks]
         return max(c.now for c in clocks)
 
-    def min_time(self, ranks: list[int] | None = None) -> float:
-        """Minimum current time over ``ranks`` (all processes by default)."""
-        clocks = self._clocks if ranks is None else [self._clocks[r] for r in ranks]
-        return min(c.now for c in clocks)
-
     def synchronize(self, ranks: list[int] | None = None, extra: float = 0.0) -> float:
         """Synchronize ``ranks`` to ``max_time(ranks) + extra`` and return it.
 
@@ -136,18 +131,6 @@ class ClockCollection:
     def elapsed(self) -> float:
         """Job makespan: maximum time over all processes."""
         return self.max_time()
-
-    def total_busy(self) -> float:
-        """Sum of useful-compute time over all processes."""
-        return sum(c.busy for c in self._clocks)
-
-    def total_protocol(self) -> float:
-        """Sum of protocol-overhead time over all processes."""
-        return sum(c.protocol for c in self._clocks)
-
-    def total_waiting(self) -> float:
-        """Sum of wait time over all processes."""
-        return sum(c.waiting for c in self._clocks)
 
     def reset_rank(self, rank: int) -> None:
         """Reset the clock of a single rank (replacement process)."""

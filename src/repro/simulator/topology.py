@@ -13,7 +13,7 @@ number of elements at level ``j``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import TopologyError
@@ -48,14 +48,6 @@ class FDElement:
                 raise TopologyError(f"{self.name} has no ancestor at level {level}")
             elem = elem.parent
         return elem
-
-    def leaves(self) -> Iterator["FDElement"]:
-        """Iterate over all level-1 descendants (the nodes under this element)."""
-        if self.level == 1:
-            yield self
-            return
-        for child in self.children:
-            yield from child.leaves()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FDElement({self.name}, level={self.level})"
@@ -188,13 +180,6 @@ class FailureDomainHierarchy:
         self._check_level(level)
         return self.level_names[level - 1]
 
-    def level_of(self, kind: str) -> int:
-        """Inverse of :meth:`level_name`."""
-        try:
-            return self.level_names.index(kind) + 1
-        except ValueError as exc:
-            raise TopologyError(f"unknown level kind {kind!r}") from exc
-
     @property
     def num_nodes(self) -> int:
         """Number of level-1 elements (compute nodes)."""
@@ -207,14 +192,6 @@ class FailureDomainHierarchy:
     def ancestor_index(self, node_index: int, level: int) -> int:
         """Index of the level-``level`` element containing node ``node_index``."""
         return self.node(node_index).ancestor(level).index
-
-    def nodes_under(self, level: int, index: int) -> list[int]:
-        """Indices of all nodes contained in element ``index`` of ``level``."""
-        return [leaf.index for leaf in self.element(level, index).leaves()]
-
-    def total_elements(self) -> int:
-        """Total number of elements across all levels (|H| in the paper)."""
-        return sum(len(lvl) for lvl in self._levels)
 
     def describe(self) -> str:
         """A short multi-line description of the hierarchy."""

@@ -314,3 +314,14 @@ def test_quick_run_passes_its_checked_in_baseline_and_fails_a_stale_one(
     captured = capsys.readouterr()
     assert "REGRESSION:" in captured.err
     assert "baseline check passed" not in captured.out
+
+    # An unreadable baseline is one failure line before anything runs — not a
+    # traceback after the whole sweep.
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(baseline.read_text()[:40])
+    for unreadable in (tmp_path / "missing.json", truncated):
+        assert main(["--quick", *axes, "--check-baseline", str(unreadable)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"REGRESSION: cannot read baseline {unreadable}: ")

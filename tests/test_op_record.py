@@ -13,6 +13,9 @@
   pickling one never drags backend state along.
 * **Addressing is integral** and wrong addressing fails at the call that
   wrote it, with the window and the origin in the message, on every backend.
+* **Effect at completion.**  An issued operation touches no window byte until
+  its epoch completes — so a get issued before a put to the same region reads
+  the old value, and a discard has nothing to undo — on every backend.
 """
 
 import dataclasses
@@ -145,7 +148,6 @@ def test_every_clock_and_counter_equals_the_completion_stream_model(backend):
         mode = BestEffort(seed=seed, stale_fraction=0.0)  # drops only: no service cost
         mode.bind(rt, None)
         rt.set_delivery(mode)
-        rt.backend.set_capture_undo(True)
         model = _TimeModel(rt)
         rt.add_interceptor(model)
         try:
@@ -260,3 +262,67 @@ def test_non_integral_addressing_fails_at_the_call_site(backend):
         assert handle.result().tolist() == [1.0, 2.0]
         assert w[np.int64(1), np.int64(3)] == 2.0 and w[1, 2:4].tolist() == [1.0, 2.0]
         assert type(handle.offset) is int and type(handle.count) is int
+
+
+# ---------------------------------------------------------------------------
+# (d) An operation takes effect when it completes, never before
+# ---------------------------------------------------------------------------
+def _memory(rt) -> dict:
+    return {(w, r): rt.local(r, w).tolist() for w in ("a", "b") for r in range(rt.nprocs)}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_put_nb_is_invisible_until_its_epoch_completes(backend):
+    rt = make_runtime(backend)
+    try:
+        before = _memory(rt)
+        rt.put_nb(0, 1, "a", 0, [5.0, 6.0])
+        rt.accumulate_nb(0, 1, "b", 2, [3.0])
+        rt.put_nb(0, 2, "a", 4, [7.0])
+        assert _memory(rt) == before and rt.pending_nb_ops() == 3
+        rt.flush(0, 1)  # completes the 0 -> 1 epoch only
+        assert rt.local(1, "a")[:2].tolist() == [5.0, 6.0] and rt.local(1, "b")[2] == 3.0
+        assert rt.local(2, "a")[4] == 0.0 and rt.pending_nb_ops() == 1
+        rt.gsync()
+        assert rt.local(2, "a")[4] == 7.0
+    finally:
+        rt.finalize()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_get_issued_before_a_put_reads_the_value_before_it(backend):
+    # parent: ``sim`` wrote the put at issue, so the earlier get read 9.0
+    rt = make_runtime(backend)
+    try:
+        rt.put(0, 1, "a", 0, [1.0, 2.0])
+        early = rt.get_nb(0, 1, "a", 0, 2)
+        rt.put_nb(0, 1, "a", 0, [9.0, 9.0])
+        late = rt.get_nb(0, 1, "a", 0, 2)
+        rt.flush(0, 1)
+        assert early.result().tolist() == [1.0, 2.0]
+        assert late.result().tolist() == [9.0, 9.0]
+        assert rt.local(1, "a")[:2].tolist() == [9.0, 9.0]
+    finally:
+        rt.finalize()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_discard_leaves_every_window_byte_untouched(backend):
+    # Nobody asks the backend to capture anything: nothing was applied to undo.
+    rt = make_runtime(backend)
+    try:
+        rt.put(0, 1, "a", 0, [1.0, 2.0])
+        rt.put(1, 2, "b", 50, [3.0])
+        before = _memory(rt)
+        over, added = rt.put_nb(0, 1, "a", 0, [9.0, 9.0]), rt.accumulate_nb(0, 2, "b", 3, [5.0])
+        swapped = rt.put_nb(1, 2, "b", 50, [7.0])
+        kept = rt.put_nb(1, 3, "a", 60, [8.0])
+        assert rt.backend.discard_rank(0) == [over, added] and _memory(rt) == before
+        assert rt.backend.discard_targeting(1, frozenset({2})) == [swapped]
+        assert _memory(rt) == before
+        assert rt.discard_pending() == 1 and kept.discarded and _memory(rt) == before
+        rt.gsync()  # nothing was left behind to land late
+        assert _memory(rt) == before
+        assert not any(h.completed for h in (over, added, swapped, kept))
+    finally:
+        rt.finalize()
