@@ -21,9 +21,13 @@ ship:
   survivors plus the parity.
 * :class:`MultiLevelStore` (``"multilevel"``) — a hierarchy (§5–§7): the base
   child store places every checkpoint, while parity-/disk-class upper levels
-  keep full mirrors refreshed *incrementally* (action-log dirty regions) every
-  n-th checkpoint, so rare large failures are covered without paying the
+  capture a full mirror, priced *incrementally* (action-log dirty regions),
+  every n-th checkpoint, so rare large failures are covered without paying the
   far-away placement cost every time.
+
+On the host, every copy kept of a ``(rank, window)`` is a read-only handle on a
+*placement* of one chain (:class:`_Slab`): an image equal to live as of the newest
+placement, plus what later placements overwrote; each is priced as a full copy.
 
 Stores are resolved by name through :data:`STORES` (the same convention as
 ``backend="sim"|"vector"``) and are orthogonal to the
@@ -35,7 +39,6 @@ from __future__ import annotations
 import abc
 import shutil
 import tempfile
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -65,9 +68,8 @@ __all__ = [
 #: are the windows' *live* buffers, not copies (see :meth:`CheckpointStore._place`).
 Snapshots = dict[int, dict[str, np.ndarray]]
 
-#: Fixed dense rule: a change-set, or an image's backlog of them, covering more
-#: than ``1/_DENSE`` of a slab is not patched index by index but copied (or
-#: compared) whole; a slab's change log keeps the last ``_DENSE`` change-sets.
+#: Fixed dense rule: a placement whose change-set covers more than ``1/_DENSE``
+#: of a slab keeps the previous image whole as its undo record, not index by index.
 _DENSE = 8
 
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
@@ -91,11 +93,17 @@ def _indices(regions) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, np.intp)
 
 
+def _union(sets) -> np.ndarray:
+    """The ascending union of index arrays (``np.unique`` would load ``numpy.ma``)."""
+    at = np.sort(np.concatenate([np.empty(0, np.intp), *sets]))
+    return at[np.concatenate([at[:1] >= 0, at[1:] != at[:-1]])]  # first, then each new
+
+
 def _differ(live: np.ndarray, image: np.ndarray, among=None) -> np.ndarray:
-    """Indices (all, or of those in ``among``) at which two flat arrays differ
-    byte-wise: ``-0.0`` is not ``0.0`` and a NaN equals itself."""
+    """Indices (all, or of those in ``among``, where ``image`` then holds the
+    values) at which live differs byte-wise: ``-0.0`` is not ``0.0``, a NaN equals itself."""
     if among is not None:
-        live, image = live[among], image[among]
+        live = live[among]
     unsigned = _UNSIGNED.get(live.itemsize)
     if unsigned:  # one pass over same-width unsigned views
         found = live.view(unsigned) != image.view(unsigned)
@@ -114,14 +122,16 @@ class CheckpointVersion:
     tag: Any
     taken_at: float
     buddy_of: dict[int, int]
-    #: Copy kept in the owner's own memory: ``owner -> window -> data``.
-    local: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
-    #: Copy *modelled* in the buddy's memory: ``owner -> window -> data``
+    #: Copy kept in the owner's own memory: ``owner -> window -> handle``, a
+    #: read-only placement of the store's slab chain (``np.asarray`` gives a
+    #: fresh array; ``shape``, ``dtype`` and ``nbytes`` are the full copy's).
+    local: dict[int, dict[str, Any]] = field(default_factory=dict)
+    #: Copy *modelled* in the buddy's memory: ``owner -> window -> handle``
     #: (populated by :class:`MemoryStore`; other stores place copies elsewhere).
     #: Costs, byte counters and :meth:`nbytes` price it as a second copy; on
-    #: the host it is the read-only image :attr:`local` holds, in its own dict
-    #: so that :meth:`drop_rank` loses the two independently.
-    remote: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
+    #: the host it is the very handle :attr:`local` holds, in its own dict so
+    #: that :meth:`drop_rank` loses the two independently.
+    remote: dict[int, dict[str, Any]] = field(default_factory=dict)
     #: Per-rank epoch state at checkpoint time (restored on rollback so
     #: survivors do not keep post-checkpoint epochs/pending operations).
     epoch_states: list | None = None
@@ -152,11 +162,8 @@ class CheckpointVersion:
 
     def nbytes(self) -> int:
         """Total memory held by this version's in-memory copies."""
-        total = 0
-        for copies in (self.local, self.remote):
-            for windows in copies.values():
-                total += sum(int(data.nbytes) for data in windows.values())
-        return total
+        copies = [*self.local.values(), *self.remote.values()]
+        return sum(int(held.nbytes) for windows in copies for held in windows.values())
 
 
 @dataclass(frozen=True)
@@ -176,32 +183,106 @@ class RestorePayload:
     peers: tuple[int, ...] = ()
 
 
-@dataclass(eq=False)
-class _Image:
-    """A recycled slab buffer: flat and writable (versions hold read-only views)."""
+def _payload(source: str, held: dict, price, peers: tuple[int, ...] = ()) -> RestorePayload:
+    """Fresh arrays of ``held`` (placement handles or arrays), priced ``price(nbytes)``."""
+    windows = {name: np.asarray(data) for name, data in held.items()}
+    nbytes = sum(int(data.nbytes) for data in windows.values())
+    return RestorePayload(source, windows, nbytes, price(nbytes), peers)
 
-    data: np.ndarray
-    #: The slab's change-set number at which :attr:`data` equalled live.
-    seq: int = -1
-    #: Number of the version whose copies alias :attr:`data`.
-    version: int = -1
+
+class _Placement:
+    """Read-only handle on placement ``k`` of a slab: ``np.asarray`` materializes
+    a fresh array of it, ``shape``/``dtype``/``nbytes`` describe a full copy."""
+
+    __slots__ = ("slab", "k")
+
+    def __init__(self, slab: "_Slab", k: int) -> None:
+        self.slab, self.k = slab, k
+
+    shape = property(lambda self: self.slab.image.shape)
+    dtype = property(lambda self: self.slab.image.dtype)
+    nbytes = property(lambda self: self.slab.image.nbytes)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        fresh = self.slab.values(self.k)
+        return fresh if dtype is None else fresh.astype(dtype, copy=False)
+
+
+def _compose(upper: tuple, lower: tuple) -> tuple:
+    """One undo record for two consecutive ones: ``upper``, then ``lower``."""
+    (above, was), (below, held) = upper, lower
+    if below is None:
+        return lower
+    if above is None:
+        was[below] = held
+        return None, was
+    at = _union([above, below])
+    values = np.empty(at.size, held.dtype)
+    values[np.searchsorted(at, above)] = was
+    values[np.searchsorted(at, below)] = held
+    return at, values
 
 
 class _Slab:
-    """The retained images of one ``(rank, window)``, oldest refresh first
-    (``images[-1]`` is live as of the previous placement), and the newest
-    change-sets between placements: ``log[-1]`` is number ``seq``."""
+    """The placements of one ``(rank, window)``: :attr:`image` is live as of the
+    newest (number :attr:`seq`); ``undo[k]`` turns the next newer placement kept
+    into ``k`` — ``(ascending indices, k's values there)``, or ``(None, k's whole
+    image)`` past a dense change-set.  Only a placement some holder references
+    (``refs``: holder -> placement number) keeps a record."""
 
-    def __init__(self) -> None:
-        self.images: list[_Image] = []
+    def __init__(self, live: np.ndarray) -> None:
+        self.image = live.copy()
         self.seq = 0
-        self.log: deque = deque(maxlen=_DENSE)
+        self.undo: dict[int, tuple] = {}
+        self.refs: dict[Any, int] = {}
 
-    def since(self, seq: int) -> list[np.ndarray] | None:
-        """The change-sets after number ``seq``; ``None`` when they are not all
-        on record (too far back, or a dense change since): anything may differ."""
-        log, behind = list(self.log), self.seq - seq
-        return log[len(log) - behind :] if behind <= len(log) else None
+    def place(self, live: np.ndarray, changed: np.ndarray) -> None:
+        """Make ``live`` the newest placement; it differs from the previous one
+        at most at the ascending indices ``changed``.  One gather, one patch."""
+        if changed.size * _DENSE > live.size:
+            self.undo[self.seq], self.image = (None, self.image), live.copy()
+        else:
+            self.undo[self.seq] = changed, self.image[changed]
+            self.image[changed] = live[changed]
+        self.seq += 1
+        self._fold(self.seq - 1)
+
+    def hold(self, holder: Any) -> _Placement:
+        """``holder`` now references the newest placement (and no older one)."""
+        self.release(holder)
+        self.refs[holder] = self.seq
+        return _Placement(self, self.seq)
+
+    def release(self, holder: Any) -> None:
+        """``holder`` references no placement any more."""
+        self._fold(self.refs.pop(holder, None))
+
+    def _fold(self, k: int | None) -> None:
+        """Unreferenced, record ``k`` folds into the next older (a referenced one) or goes."""
+        if k in self.undo and k not in self.refs.values():
+            upper, older = self.undo.pop(k), [j for j in self.undo if j < k]
+            if older:
+                self.undo[max(older)] = _compose(upper, self.undo[max(older)])
+
+    def values(self, k: int, among: np.ndarray | None = None) -> np.ndarray:
+        """Placement ``k``'s values (at the ascending indices ``among``), fresh:
+        the image with the records newer than ``k`` written back, newest first."""
+        out = self.image.copy() if among is None else self.image[among]
+        for changed, held in [rec for j, rec in sorted(self.undo.items())[::-1] if j >= k]:
+            if changed is None:
+                out[:] = held if among is None else held[among]
+            elif among is None:
+                out[changed] = held
+            else:
+                both = np.intersect1d(among, changed, assume_unique=True, return_indices=True)
+                out[both[1]] = held[both[2]]
+        return out
+
+    def since(self, k: int) -> np.ndarray | None:
+        """Ascending indices at which live may differ from placement ``k``
+        (``None``: anywhere, a dense change-set came since)."""
+        sets = [changed for j, (changed, _) in self.undo.items() if j >= k]
+        return None if any(changed is None for changed in sets) else _union(sets)
 
 
 class CheckpointStore(abc.ABC):
@@ -228,7 +309,6 @@ class CheckpointStore(abc.ABC):
         self._runtime: RmaRuntime | None = None
         self._placement_listeners: list = []
         self._slabs: dict[tuple[int, str], _Slab] = {}
-        self._evicted = -1
         self._log: Any = None
         #: Each slab's raw-access stamp as seen by the previous placement; cleared
         #: by an observed failure (its discards and undos bypass the log).
@@ -243,9 +323,7 @@ class CheckpointStore(abc.ABC):
         """
         self._placement_listeners.append(listener)
 
-    def _account(
-        self, rank: int, nbytes: int, *, level: str, incremental: bool = False
-    ) -> None:
+    def _account(self, rank: int, nbytes: int, *, level: str, incremental=False) -> None:
         """Charge ``nbytes`` placed for ``rank`` at ``level`` (single funnel)."""
         self.runtime.cluster.metrics.incr("ft.checkpoint_bytes", nbytes, rank=rank)
         for listener in self._placement_listeners:
@@ -334,66 +412,40 @@ class CheckpointStore(abc.ABC):
         """
 
     def _evict(self, version: CheckpointVersion) -> None:
-        """Release whatever an evicted version held (images, disk files, parity)."""
-        self._evicted = version.version  # eviction is oldest-first
+        """Release whatever an evicted version held (placements, disk files, parity)."""
+        for slab in self._slabs.values():
+            slab.release(version.version)
 
     def _retain(
         self, version: CheckpointVersion, snapshots: Snapshots
-    ) -> dict[int, dict[str, np.ndarray]]:
-        """Read-only images of the live ``snapshots`` for ``version`` to hold.
+    ) -> dict[int, dict[str, _Placement]]:
+        """Place the live ``snapshots`` on their slabs; handles for ``version`` to hold.
 
         A slab's change-set is the log's merged put spans when the slab is
         *trusted* (a log observes, the window's raw-access stamp stood still, no
-        failure was seen since), a byte-wise compare with the previous placement's
-        image otherwise.  A buffer recycled from a version no longer retained
-        (evicted; or prepared and never committed, hence numbered like ``version``)
-        catches up by the sets logged since it was filled.  Invariant: *a retained
-        image differs from live at most where the change-sets after its* ``seq``
-        *say* — anywhere once those are off the record.  The chain runs over
-        placements, not commits: an aborted checkpoint needs no special case.
-        """
+        failure was seen since), a byte-wise compare with its newest placement
+        otherwise.  Invariant: *a placement differs from live at most where the
+        records newer than it say*.  A retried checkpoint's placement replaces
+        the aborted one's as its version's reference."""
         for key in [key for key in self._slabs if key[0] not in snapshots]:
-            del self._slabs[key]  # the rank was excised: nothing left to refresh
-        retained: dict[int, dict[str, np.ndarray]] = {}
+            del self._slabs[key]  # the rank was excised: nothing left to place
+        retained: dict[int, dict[str, _Placement]] = {}
         logged, seen, registry = self._logged(), self.seen, self.runtime.windows
         for rank, windows in snapshots.items():
-            views = retained[rank] = {}
-            for name, data in windows.items():
-                live = data.reshape(-1)
+            handles = retained[rank] = {}
+            for name, live in windows.items():
                 key = rank, name
                 slab = self._slabs.get(key)
-                if slab is None or slab.images[-1].data.shape != live.shape:
-                    slab = self._slabs[key] = _Slab()
                 stamp = registry.get(name).stamps[rank]
-                if slab.images and logged is not None and seen.get(key) == stamp:
-                    changed = _indices(logged.get(key, ()))
+                if slab is None:
+                    slab = self._slabs[key] = _Slab(live)
+                elif logged is not None and seen.get(key) == stamp:
+                    slab.place(live, _indices(logged.get(key, ())))
                 else:
-                    changed = _differ(live, slab.images[-1].data) if slab.images else None
+                    slab.place(live, _differ(live, slab.image))
                 if logged is not None:
                     seen[key] = stamp
-                slab.seq += 1
-                if changed is None or changed.size * _DENSE > live.size:
-                    slab.log.clear()
-                else:
-                    slab.log.append(changed)
-                free = [
-                    image for image in slab.images
-                    if not self._evicted < image.version < version.version
-                ]
-                if free:
-                    slab.images.remove(image := free[-1])  # the least to catch up on
-                else:
-                    image = _Image(np.empty_like(live))
-                stale = slab.since(image.seq)
-                if stale is None or sum(map(len, stale)) * _DENSE > live.size:
-                    np.copyto(image.data, live)
-                else:
-                    for indices in stale:
-                        image.data[indices] = live[indices]
-                image.seq, image.version = slab.seq, version.version
-                slab.images.append(image)
-                views[name] = image.data.reshape(data.shape)
-                views[name].setflags(write=False)
+                handles[name] = slab.hold(version.version)
         return retained
 
     # ------------------------------------------------------------------
@@ -438,10 +490,7 @@ class CheckpointStore(abc.ABC):
         return len(self.versions)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}(versions={len(self.versions)}, "
-            f"keep={self.keep_versions})"
-        )
+        return f"{type(self).__name__}(versions={len(self)}, keep={self.keep_versions})"
 
 
 class MemoryStore(CheckpointStore):
@@ -480,8 +529,8 @@ class MemoryStore(CheckpointStore):
                 # The buddy was removed by a degraded continuation: only the
                 # local copy exists (and nothing is charged to dead memory).
                 continue
-            # The buddy copy is a second reference to the same read-only
-            # image; its transfer is charged on both ends.
+            # The buddy copy is a second reference to the same placement
+            # handle; its transfer is charged on both ends.
             version.remote[rank] = dict(windows)
             cluster.advance(rank, costs.remote_transfer(copied_bytes), kind="protocol")
             cluster.advance(buddy, costs.local_copy(copied_bytes), kind="protocol")
@@ -494,15 +543,11 @@ class MemoryStore(CheckpointStore):
         payload = version.payload_for(rank)
         if payload is None:
             return None
-        source, windows = payload
-        nbytes = sum(int(data.nbytes) for data in windows.values())
+        source, held = payload
         costs = self.runtime.cluster.costs
         if source == "local":
-            return RestorePayload("local", windows, nbytes, costs.local_copy(nbytes))
-        buddy = version.buddy_of[rank]
-        return RestorePayload(
-            "buddy", windows, nbytes, costs.remote_transfer(nbytes), peers=(buddy,)
-        )
+            return _payload("local", held, costs.local_copy)
+        return _payload("buddy", held, costs.remote_transfer, (version.buddy_of[rank],))
 
     def _drop(self, version: CheckpointVersion, rank: int) -> None:
         version.drop_rank(rank)
@@ -572,10 +617,8 @@ class DiskStore(CheckpointStore):
         files = self._layout.get((version.version, rank))
         if files is None:
             return None
-        windows = {name: np.load(path) for name, path in files.items()}
-        nbytes = sum(int(data.nbytes) for data in windows.values())
-        seconds = self.runtime.cluster.costs.pfs_read(nbytes)
-        return RestorePayload("disk", windows, nbytes, seconds)
+        loaded = {name: np.load(path) for name, path in files.items()}
+        return _payload("disk", loaded, self.runtime.cluster.costs.pfs_read)
 
     def _evict(self, version: CheckpointVersion) -> None:
         for key in [k for k in self._layout if k[0] == version.version]:
@@ -720,31 +763,23 @@ class ParityStore(CheckpointStore):
     def fetch(self, version: CheckpointVersion, rank: int) -> RestorePayload | None:
         costs = self.runtime.cluster.costs
         if rank in version.local:
-            windows = version.local[rank]
-            nbytes = sum(int(d.nbytes) for d in windows.values())
-            return RestorePayload("local", windows, nbytes, costs.local_copy(nbytes))
+            return _payload("local", version.local[rank], costs.local_copy)
         if not self.available(version, rank):
             return None
         gidx = self.group_of[rank]
         group = self.groups[gidx]
         parity = self._parity[version.version]
         windows: dict[str, np.ndarray] = {}
-        nbytes = 0
         for (g, name), chunks in parity.items():
             if g != gidx:
                 continue
             stripe = np.concatenate([c for c in chunks if c is not None])
             for member in group:
                 if member != rank:
-                    stripe ^= version.local[member][name].view(np.uint8)
+                    stripe ^= np.asarray(version.local[member][name]).view(np.uint8)
             windows[name] = stripe.view(self.runtime.windows.get(name).dtype)
-            nbytes += int(stripe.nbytes)
-        peers = tuple(
-            sorted({m for m in group if m != rank} | set(self._holders(gidx)))
-        )
-        return RestorePayload(
-            "parity", windows, nbytes, costs.remote_transfer(nbytes), peers=peers
-        )
+        peers = tuple(sorted({m for m in group if m != rank} | set(self._holders(gidx))))
+        return _payload("parity", windows, costs.remote_transfer, peers)
 
     # ------------------------------------------------------------------
     def _drop(self, version: CheckpointVersion, rank: int) -> None:
@@ -768,14 +803,12 @@ class ParityStore(CheckpointStore):
         self._parity.pop(version.version, None)
 
     def nbytes(self) -> int:
-        total = super().nbytes()
-        for parity in self._parity.values():
-            for chunks in parity.values():
-                total += sum(int(c.nbytes) for c in chunks if c is not None)
-        return total
+        stripes = [chunks for parity in self._parity.values() for chunks in parity.values()]
+        held = sum(int(c.nbytes) for chunks in stripes for c in chunks if c is not None)
+        return super().nbytes() + held
 
 
-@dataclass
+@dataclass(eq=False)  # hashable by identity: a level is a holder of its slabs' placements
 class _Level:
     """One upper level of a :class:`MultiLevelStore`."""
 
@@ -785,15 +818,14 @@ class _Level:
     #: Capture cadence: update the mirror every ``every``-th committed
     #: checkpoint (the first checkpoint always seeds a full image).
     every: int
-    #: Full window mirrors at the last capture: ``rank -> window -> data``.
-    mirrors: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
+    #: Window mirrors at the last capture, ``rank -> window -> handle``: the
+    #: placement each slab had then, pinned until the next capture.
+    mirrors: dict[int, dict[str, _Placement]] = field(default_factory=dict)
     #: Version number the mirrors correspond to (``None`` before any capture).
     captured_version: int | None = None
     #: Dirty write-set accumulated since the last capture, merged from the
     #: action log at every base checkpoint: ``(rank, window) -> [(off, cnt)]``.
     dirty: dict[tuple[int, str], list[tuple[int, int]]] = field(default_factory=dict)
-    #: The base store's change-set number of each mirrored slab at its capture.
-    seqs: dict[tuple[int, str], int] = field(default_factory=dict)
     #: Each mirrored slab's raw-access stamp at its capture (as the store's).
     seen: dict[tuple[int, str], int] = field(default_factory=dict)
     #: Captures performed (first is full, the rest incremental).
@@ -820,6 +852,8 @@ class MultiLevelStore(CheckpointStore):
       log never sees) is also diffed against the mirror.  Moved bytes are
       metered as ``ft.multilevel_moved_bytes`` against the
       ``ft.multilevel_full_bytes`` a non-incremental level would have shipped.
+      On the host a mirror is the slab's current placement, pinned: a capture
+      moves no data (with a disk base, this store keeps the slab chain itself).
 
     A version whose base copies were lost (buddy pair failed together — the
     :class:`MemoryStore`'s catastrophic case) or evicted stays recoverable as
@@ -867,6 +901,8 @@ class MultiLevelStore(CheckpointStore):
         #: mirrors still serve their window data.
         self.archived: dict[int, CheckpointVersion] = {}
         self._committed = 0
+        #: The store whose slab chain the levels pin (a disk base keeps none).
+        self._chain = self if isinstance(self.base, DiskStore) else self.base
 
     # ------------------------------------------------------------------
     def bind(self, runtime: "RmaRuntime", *, level: int = 1) -> None:
@@ -887,18 +923,6 @@ class MultiLevelStore(CheckpointStore):
     def buddies(self) -> dict[int, int]:
         return getattr(self.base, "buddies", {})
 
-    def set_level_intervals(self, intervals: "list[int]") -> None:
-        """Install capture cadences, e.g. resolved by the analytic model
-        (:meth:`repro.study.model.IntervalModel.multilevel_intervals`)."""
-        if len(intervals) != len(self.levels):
-            raise CheckpointError(
-                f"expected {len(self.levels)} cadences, got {len(intervals)}"
-            )
-        for lvl, every in zip(self.levels, intervals):
-            if int(every) < 1:
-                raise CheckpointError("level capture cadence must be at least 1")
-            lvl.every = int(every)
-
     def close(self) -> None:
         self.base.close()
 
@@ -907,6 +931,10 @@ class MultiLevelStore(CheckpointStore):
     # ------------------------------------------------------------------
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
         self.base._place(version, snapshots)
+        if self._chain is self:  # the versions live on disk: only the levels hold placements
+            for handles in self._retain(version, snapshots).values():
+                for handle in handles.values():
+                    handle.slab.release(version.version)
         logged = self._logged()
         for lvl in self.levels:
             for key, spans in (logged or {}).items():
@@ -927,40 +955,29 @@ class MultiLevelStore(CheckpointStore):
         writers = max(1, len(snapshots))
         for rank, windows in snapshots.items():
             mirrors = lvl.mirrors.setdefault(rank, {})
-            moved = 0
-            full = 0
-            for name, data in windows.items():
-                full += int(data.nbytes)
-                mirror = mirrors.get(name)
-                slab = self.base._slabs.get((rank, name))  # None: no image ring
-                since = slab.since(lvl.seqs.get((rank, name), -1)) if slab else None
-                lvl.seqs[rank, name] = slab.seq if slab else -1
+            moved = full = 0
+            for name, live in windows.items():
+                key = rank, name
+                full += int(live.nbytes)
+                pinned, slab = mirrors.get(name), self._chain._slabs[key]
                 stamp = self.runtime.windows.get(name).stamps[rank]
-                trusted = logged and lvl.seen.get((rank, name)) == stamp
+                trusted = logged and lvl.seen.get(key) == stamp
                 if logged:
-                    lvl.seen[rank, name] = stamp
-                if (
-                    mirror is None
-                    or mirror.shape != data.shape
-                    or mirror.dtype != data.dtype
-                ):
-                    mirrors[name] = np.array(data, copy=True)
-                    moved += int(data.nbytes)
-                    continue
-                live, held = data.reshape(-1), mirror.reshape(-1)
-                changed = 0
-                for offset, count in _merged(lvl.dirty.get((rank, name), ())):
-                    held[offset : offset + count] = live[offset : offset + count]
-                    changed += count
-                # Local stores bypass the completion stream: unless the slab is
-                # trusted (stamp unmoved since this level's last capture), of the
-                # elements some checkpoint since saw change (all, when the base has
-                # no record) those still differing from the mirror move too.
-                for among in () if trusted else [None] if since is None else since:
-                    extra = _differ(live, held, among)
-                    held[extra] = live[extra]
-                    changed += extra.size
-                moved += changed * int(data.dtype.itemsize)
+                    lvl.seen[key] = stamp
+                changed = live.size  # the first capture ships the whole slab
+                if pinned is not None:
+                    spans = _merged(lvl.dirty.get(key, ()))
+                    changed = sum(count for _, count in spans)
+                    # Local stores bypass the completion stream: unless the slab is
+                    # trusted (stamp unmoved since this level's last capture), of the
+                    # elements some placement since changed (all, past a dense one)
+                    # those outside the spans still differing from the pinned one move.
+                    if not trusted:
+                        among = slab.since(pinned.k)
+                        extra = _differ(live, slab.values(pinned.k, among), among)
+                        changed += np.setdiff1d(extra, _indices(spans), assume_unique=True).size
+                mirrors[name] = slab.hold(lvl)  # a capture moves no host data
+                moved += changed * int(live.dtype.itemsize)
             if lvl.kind == "disk":
                 seconds = costs.pfs_write(moved, concurrent_writers=writers)
             else:
@@ -968,9 +985,7 @@ class MultiLevelStore(CheckpointStore):
             cluster.advance(rank, seconds, kind="protocol")
             cluster.metrics.incr("ft.multilevel_moved_bytes", moved, rank=rank)
             cluster.metrics.incr("ft.multilevel_full_bytes", full, rank=rank)
-            self._account(
-                rank, moved, level=lvl.kind, incremental=lvl.captures > 0
-            )
+            self._account(rank, moved, level=lvl.kind, incremental=lvl.captures > 0)
         # Drop mirrors of ranks excised since the previous capture.
         for rank in [r for r in lvl.mirrors if r not in snapshots]:
             del lvl.mirrors[rank]
@@ -989,8 +1004,7 @@ class MultiLevelStore(CheckpointStore):
         if any(lvl.captured_version == version.version for lvl in self.levels):
             # An upper level still serves this version's window data; keep
             # the protocol state, drop the (already-evicted) base copies.
-            version.local = {}
-            version.remote = {}
+            version.local, version.remote = {}, {}
             self.archived[version.version] = version
 
     def _prune_archive(self) -> None:
@@ -1015,27 +1029,15 @@ class MultiLevelStore(CheckpointStore):
             return payload
         costs = self.runtime.cluster.costs
         for lvl in self.levels:
-            if lvl.captured_version != version.version or rank not in lvl.mirrors:
-                continue
-            windows = {name: data.copy() for name, data in lvl.mirrors[rank].items()}
-            nbytes = sum(int(data.nbytes) for data in windows.values())
-            if lvl.kind == "disk":
-                seconds = costs.pfs_read(nbytes)
-            else:
-                seconds = costs.remote_transfer(nbytes)
-            return RestorePayload(f"multilevel-{lvl.kind}", windows, nbytes, seconds)
+            if lvl.captured_version == version.version and rank in lvl.mirrors:
+                price = costs.pfs_read if lvl.kind == "disk" else costs.remote_transfer
+                return _payload(f"multilevel-{lvl.kind}", lvl.mirrors[rank], price)
         return None
 
     def latest_usable(self, ranks: list[int]) -> CheckpointVersion | None:
-        found = super().latest_usable(ranks)
-        if found is not None:
-            return found
-        for version in sorted(
-            self.archived.values(), key=lambda v: v.version, reverse=True
-        ):
-            if all(self.available(version, rank) for rank in ranks):
-                return version
-        return None
+        archived = sorted(self.archived.values(), key=lambda v: v.version, reverse=True)
+        usable = (v for v in archived if all(self.available(v, rank) for rank in ranks))
+        return super().latest_usable(ranks) or next(usable, None)
 
     # ------------------------------------------------------------------
     def drop_rank(self, rank: int) -> None:
@@ -1049,11 +1051,9 @@ class MultiLevelStore(CheckpointStore):
         self.base._drop(version, rank)
 
     def nbytes(self) -> int:
-        total = super().nbytes() + self.base.nbytes()
-        for lvl in self.levels:
-            for windows in lvl.mirrors.values():
-                total += sum(int(data.nbytes) for data in windows.values())
-        return total
+        mirrors = [windows for lvl in self.levels for windows in lvl.mirrors.values()]
+        held = sum(int(pinned.nbytes) for windows in mirrors for pinned in windows.values())
+        return super().nbytes() + self.base.nbytes() + held
 
 
 #: Registry of constructable checkpoint stores, by name.

@@ -364,7 +364,7 @@ class IntervalModel:
         the next one up, the last absorbs every remaining level.  A level
         with rate 0 (nothing to guard) gets cadence ``None``: capture once
         (the seeding full image) and never refresh.  Feed the result to
-        :meth:`repro.ft.stores.MultiLevelStore.set_level_intervals`
+        :class:`repro.ft.stores.MultiLevelStore` as ``levels=zip(kinds, cadences)``
         (mapping ``None`` to "leave the default").
         """
         if level_rates is not None:

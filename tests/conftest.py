@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 from repro.ft.stores import CheckpointStore, MultiLevelStore
@@ -16,12 +17,13 @@ def pytest_configure(config):
 
 
 def _same_bytes(held, live):
+    held = np.asarray(held)  # a placement handle materializes a fresh array
     return held.shape == live.shape and held.tobytes() == live.tobytes()
 
 
 @pytest.fixture(autouse=True)
 def store_oracle(request, monkeypatch):
-    """Every retained image and every captured mirror is byte-equal to live.
+    """Every retained placement and every captured mirror is byte-equal to live.
 
     The stores take the put log as a slab's change-set whenever the window's
     raw-access stamp says nothing else touched it; this is the full compare

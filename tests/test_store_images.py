@@ -1,11 +1,13 @@
-"""The checkpoint data path: recycled images never clobber, the delta chain never misses.
+"""The checkpoint data path: the slab chain never clobbers, its change-sets never miss.
 
-Stores are handed the windows' *live* buffers and keep read-only images that
-are refreshed in place from buffers recycled out of evicted versions; upper
-levels patch their mirrors from the change-sets logged in between.  The
-property held here: whatever a store still serves — every retained version,
-every level mirror at its ``captured_version`` — is byte-identical to a copy
-the test took of the windows when that version committed.
+Stores are handed the windows' *live* buffers and place them on one chain per
+``(rank, window)``: an image equal to live as of the newest placement, plus the
+values later placements overwrote.  Retained versions and level mirrors are
+handles on placements.  The property held here: whatever a store still serves
+— every retained version, every level mirror at its ``captured_version`` — is
+byte-identical to a copy the test took of the windows when that version
+committed; and the chain holds one image per slab plus only what a handle
+still needs.
 """
 
 import os
@@ -29,6 +31,7 @@ STORES = {
     "disk": lambda keep: DiskStore(keep),
     "multilevel-memory": lambda keep: MultiLevelStore(keep, base="memory", levels=LEVELS),
     "multilevel-parity": lambda keep: MultiLevelStore(keep, base="parity", levels=LEVELS),
+    "multilevel-disk": lambda keep: MultiLevelStore(keep, base="disk", levels=LEVELS),
 }
 BACKENDS = [
     "sim",
@@ -106,7 +109,7 @@ class _Harness:
             for rank, mirrors in lvl.mirrors.items():
                 for name, mirror in mirrors.items():
                     want = self.oracle[lvl.captured_version][rank, name]
-                    assert mirror.tobytes() == want, (lvl.kind, rank, name)
+                    assert np.asarray(mirror).tobytes() == want, (lvl.kind, rank, name)
 
     def mutate(self, rng, *, dense_rank=None):
         """One step of seeded traffic: puts, accumulates and local-view stores."""
@@ -222,7 +225,7 @@ def test_negative_zero_reaches_every_level_mirror():
         for lvl in store.levels:
             assert lvl.captures > 1
             for rank in range(4):
-                assert np.signbit(lvl.mirrors[rank]["w"][3]), (lvl.kind, rank)
+                assert np.signbit(np.asarray(lvl.mirrors[rank]["w"])[3]), (lvl.kind, rank)
         # Rank 0 and its buddy lost together: the mirror is what restores.
         version = store.latest()
         store.drop_rank(0)
@@ -246,7 +249,7 @@ def test_nan_cell_is_shipped_once_not_at_every_capture():
         # One 8-byte cell per rank, once per level — not once per capture.
         assert moved - baseline == 4 * 8 * len(store.levels)
         for lvl in store.levels:
-            assert all(np.isnan(lvl.mirrors[rank]["w"][3]) for rank in range(4))
+            assert all(np.isnan(np.asarray(lvl.mirrors[rank]["w"])[3]) for rank in range(4))
     finally:
         job.close()
 
@@ -264,6 +267,66 @@ def test_complex_windows_checkpoint_through_the_byte_row_compare():
             assert store.fetch(store.latest(), rank).windows["z"].tobytes() == (
                 rt.local(rank, "z").tobytes()
             )
-            mirror = store.levels[0].mirrors[rank]["z"]
+            mirror = np.asarray(store.levels[0].mirrors[rank]["z"])
             assert mirror.tobytes() == rt.local(rank, "z").tobytes()
     stack.uninstall(rt)
+
+
+# ---------------------------------------------------------------------------
+# Host memory: one image per slab, plus what later placements overwrote
+# ---------------------------------------------------------------------------
+
+
+def _holdings(store):
+    """Per slab of the store's chain: (slab-sized arrays, elements of index records)."""
+    for slab in store._chain._slabs.values():
+        records = list(slab.undo.values())
+        yield (
+            1 + sum(changed is None for changed, _ in records),
+            sum(changed.size for changed, _ in records if changed is not None),
+        )
+
+
+def test_trusted_put_only_slab_holds_one_image_plus_the_referenced_change_sets():
+    nprocs, size, put = 8, 64 * 1024, 64  # ckpt_multilevel's shape: 512 KiB windows
+    rt = RmaRuntime(Cluster.simple(nprocs, procs_per_node=2))
+    store = MultiLevelStore()
+    stack = build_ft_stack(rt, store=store)
+    rt.win_allocate("w", size)
+    for rank in range(nprocs):
+        rt.local(rank, "w")[:] = rank + 1.0
+    for step in range(12):
+        for rank in range(nprocs):
+            rt.put(rank, (rank + 1) % nprocs, "w", step * put, np.full(put, step + 0.5))
+        stack.checkpointer.checkpoint(tag=step)
+        holdings = list(_holdings(store))
+        assert len(holdings) == nprocs
+        for arrays, elements in holdings:
+            assert arrays == 1, f"step {step}: a slab holds {arrays} images"
+            assert elements <= (store.keep_versions + 4) * put, f"step {step}: {elements}"
+        for lvl in store.levels:
+            held = [h for mirrors in lvl.mirrors.values() for h in mirrors.values()]
+            assert len(held) == nprocs and not any(isinstance(h, np.ndarray) for h in held)
+        # The modelled machine still holds two copies per version plus a mirror per level.
+        want = (2 * len(store.versions) + len(store.levels)) * nprocs * size * 8
+        assert store.nbytes() == want
+    stack.uninstall(rt)
+
+
+@pytest.mark.parametrize("base", ["memory", "disk"])
+@pytest.mark.parametrize("levels", [None, (("parity", 3), ("disk", 10))], ids=["2-4", "3-10"])
+@pytest.mark.parametrize("keep", [1, 2, 3])
+def test_dense_stencil_slab_holds_no_more_than_a_ring_plus_mirrors(keep, levels, base):
+    store = MultiLevelStore(keep, base=base, levels=levels)
+    harness = _Harness(store, "float64", "sim")
+    try:
+        harness.allocate("w")
+        for step in range(24):
+            for rank in range(harness.nprocs):  # the whole window, through a local view
+                mine = harness.rt.local(rank, "w")
+                mine[:] = np.roll(mine, 1) * 0.5 + step + rank
+            harness.checkpoint(step)  # every version and mirror served still checks
+            for arrays, _ in _holdings(store):
+                assert arrays <= keep + 1 + len(store.levels), f"step {step}: {arrays}"
+    finally:
+        harness.stack.uninstall(harness.rt)
