@@ -5,12 +5,12 @@ stamps actions with the recovery counters, runs the interceptor chain, tracks
 epochs and charges virtual-time costs — but it never touches window memory
 itself.  All storage and data movement belong to a :class:`Backend`:
 
-* :meth:`Backend.issue` receives every communication action — the
-  :class:`~repro.rma.actions.CommAction` record that is also the caller's
-  handle — the moment it is issued, and queues it;
+* :meth:`Backend.issue` queues every communication action (the caller's handle
+  too) that waits for a completion — a blocking call with nothing queued ahead
+  of it goes straight to :meth:`~Backend._apply`, as a batch of one;
 * :meth:`Backend.complete` / :meth:`Backend.complete_rank` are called by the
-  runtime's completion points (flush, unlock, flush_all, gsync, and the
-  blocking wrappers) and return the completed records in issue order —
+  runtime's completion points (flush, unlock, flush_all, gsync, and a blocking
+  call behind queued ones) and return the completed records in issue order —
   with every effect applied to the window buffers by the time they return.
 
 The pending queue (one issue-ordered list of records per origin) and

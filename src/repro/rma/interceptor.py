@@ -83,65 +83,67 @@ class RmaInterceptor:
         """The application finished; flush statistics."""
 
 
+#: Its hooks are what a chain holds for a hook no registered interceptor overrides.
+_IDLE = RmaInterceptor()
+
+
+def _each(hooks: list, per_op: bool):
+    """One callable running ``hooks`` in order (per-op: one argument, no packing)."""
+    if per_op:
+
+        def each(action) -> None:
+            for hook in hooks:
+                hook(action)
+
+    else:
+
+        def each(*args, **kwargs) -> None:
+            for hook in hooks:
+                hook(*args, **kwargs)
+
+    return each
+
+
 class InterceptorChain:
-    """Orders multiple interceptors and dispatches hooks to each of them."""
+    """Orders interceptors and dispatches every hook to them, in registration order.
+
+    Hooks are looked up when an interceptor is added or removed, never per
+    action: each hook of :class:`RmaInterceptor` is then an attribute of the
+    chain holding one callable — a no-op when no registered interceptor
+    overrides it, that interceptor's bound method when one does, a loop over
+    the overriding ones otherwise.  An interceptor that overrides no per-op
+    hook therefore costs an operation nothing, and a hook replaced on a class
+    or an instance after registration is not seen until the chain changes.
+    """
 
     def __init__(self) -> None:
         self._interceptors: list[RmaInterceptor] = []
+        self._resolve()
 
     def add(self, interceptor: RmaInterceptor, runtime: "RmaRuntime") -> None:
         """Register ``interceptor`` and notify it of the runtime."""
         self._interceptors.append(interceptor)
+        self._resolve()
         interceptor.attach(runtime)
 
     def remove(self, interceptor: RmaInterceptor) -> None:
         """Unregister ``interceptor`` (no error if absent)."""
         if interceptor in self._interceptors:
             self._interceptors.remove(interceptor)
+            self._resolve()
+
+    def _resolve(self) -> None:
+        """Rebind every hook to the registered interceptors that override it."""
+        for name, default in vars(RmaInterceptor).items():
+            if name.startswith(("on_", "before_", "after_")):
+                hooks = [getattr(i, name) for i in self._interceptors]
+                hooks = [h for h in hooks if getattr(h, "__func__", None) is not default]
+                if len(hooks) > 1:
+                    hooks = [_each(hooks, name.endswith(("_comm", "_sync")))]
+                setattr(self, name, hooks[0] if hooks else getattr(_IDLE, name))
 
     def __iter__(self):
         return iter(self._interceptors)
 
     def __len__(self) -> int:
         return len(self._interceptors)
-
-    # Dispatch helpers ------------------------------------------------------
-    def on_window_create(self, window: Window) -> None:
-        for i in self._interceptors:
-            i.on_window_create(window)
-
-    def before_comm(self, action: CommAction) -> None:
-        for i in self._interceptors:
-            i.before_comm(action)
-
-    def after_comm(self, action: CommAction) -> None:
-        for i in self._interceptors:
-            i.after_comm(action)
-
-    def before_sync(self, action: SyncAction) -> None:
-        for i in self._interceptors:
-            i.before_sync(action)
-
-    def after_sync(self, action: SyncAction) -> None:
-        for i in self._interceptors:
-            i.after_sync(action)
-
-    def on_failure_detected(self, rank: int) -> None:
-        for i in self._interceptors:
-            i.on_failure_detected(rank)
-
-    def on_respawn(self, rank: int) -> None:
-        for i in self._interceptors:
-            i.on_respawn(rank)
-
-    def on_recovery_start(self, ranks: list[int], *, localized: bool) -> None:
-        for i in self._interceptors:
-            i.on_recovery_start(ranks, localized=localized)
-
-    def on_recovery_complete(self, ranks: list[int]) -> None:
-        for i in self._interceptors:
-            i.on_recovery_complete(ranks)
-
-    def on_finalize(self) -> None:
-        for i in self._interceptors:
-            i.on_finalize()

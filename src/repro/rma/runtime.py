@@ -12,8 +12,8 @@ cluster (:mod:`repro.simulator`) and to a pluggable execution
   (:data:`~repro.rma.handles.OpHandle`).  Nonblocking variants
   (``put_nb``/``get_nb``/``accumulate_nb``) stop there — their effects and
   buffers materialize when a completion point (``flush``/``unlock``/
-  ``gsync``) closes the epoch; the blocking calls are the same issue path
-  followed by an immediate completion of the ``src -> trg`` queue;
+  ``gsync``) closes the epoch; a blocking call is applied and retired where it
+  is issued, or with the ``src -> trg`` queue when its origin has one;
 * an operation is *charged when it completes*: the batch a completion point
   gets back from the backend is the account — the origin's clock and the
   ``rma.*`` metrics move per target, by costs summed one operation at a time
@@ -129,7 +129,6 @@ class RmaRuntime:
         #: path looks a window up here and calls :attr:`_window` only for the
         #: error an unknown name deserves.
         self._windows = self.backend.windows._windows
-        self._clock = cluster.clock
         #: The per-rank clocks, resolved once (they are reset in place, never
         #: replaced).
         self._clock_of = [cluster.clock(rank) for rank in range(cluster.nprocs)]
@@ -143,6 +142,9 @@ class RmaRuntime:
         #: injector generation at which that propagation was last complete.
         self._known_failed: set[int] = set()
         self._observed_generation: int | None = None
+        #: That generation while its membership is healthy, else ``None``: the
+        #: one comparison of the liveness gate every issue and sync runs inline.
+        self._settled: int | None = None
         #: Active log-driven replay of a localized recovery (None = normal).
         self._replay: ReplayCursor | None = None
         #: Ranks permanently removed by a degraded continuation: they are
@@ -259,9 +261,7 @@ class RmaRuntime:
         The write becomes visible when the next ``flush``/``unlock``/``gsync``
         completes the ``src -> trg`` epoch.
         """
-        win = self._windows.get(window) or self._window(window)
-        payload = np.array(data, dtype=win.dtype).ravel()  # the one defensive copy
-        return self._issue(OpKind.PUT, src, trg, win, offset, payload.size, False, payload)
+        return self._issue(OpKind.PUT, src, trg, window, offset, None, False, data)
 
     def get_nb(
         self, src: int, trg: int, window: str, offset: int, count: int
@@ -271,8 +271,7 @@ class RmaRuntime:
         The handle's buffer (:meth:`~repro.rma.actions.CommAction.result`)
         materializes at the next completion point; reading it earlier raises.
         """
-        win = self._windows.get(window) or self._window(window)
-        return self._issue(OpKind.GET, src, trg, win, offset, count, False)
+        return self._issue(OpKind.GET, src, trg, window, offset, count, False)
 
     def accumulate_nb(
         self,
@@ -284,35 +283,27 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> OpHandle:
         """Issue a nonblocking combining put into ``trg`` (MPI_Accumulate)."""
-        win = self._windows.get(window) or self._window(window)
-        payload = np.array(data, dtype=win.dtype).ravel()
         return self._issue(
-            OpKind.ACCUMULATE, src, trg, win, offset, payload.size, op.combining,
-            payload, op=op,
+            OpKind.ACCUMULATE, src, trg, window, offset, None, op.combining, data, op=op
         )
 
     # ------------------------------------------------------------------
-    # Blocking communication actions (issue + immediate completion)
+    # Blocking communication actions (issued and completed at the call)
     # ------------------------------------------------------------------
     def put(
         self, src: int, trg: int, window: str, offset: int, data: np.ndarray
     ) -> CommAction:
         """Write ``data`` into ``trg``'s window at ``offset`` (MPI_Put)."""
-        if self._vehicles:
-            self._poll_vehicles()
-        action = self.put_nb(src, trg, window, offset, data)
-        self._complete_pair(src, trg)
-        return action
+        return self._issue(
+            OpKind.PUT, src, trg, window, offset, None, False, data, blocking=True
+        )
 
     def get(
         self, src: int, trg: int, window: str, offset: int, count: int
     ) -> np.ndarray:
         """Read ``count`` elements from ``trg``'s window at ``offset`` (MPI_Get)."""
-        if self._vehicles:
-            self._poll_vehicles()
-        handle = self.get_nb(src, trg, window, offset, count)
-        self._complete_pair(src, trg)
-        return handle.result()
+        get = self._issue(OpKind.GET, src, trg, window, offset, count, False, blocking=True)
+        return get.result()
 
     def accumulate(
         self,
@@ -324,11 +315,10 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> CommAction:
         """Combine ``data`` into ``trg``'s window (MPI_Accumulate)."""
-        if self._vehicles:
-            self._poll_vehicles()
-        action = self.accumulate_nb(src, trg, window, offset, data, op)
-        self._complete_pair(src, trg)
-        return action
+        return self._issue(
+            OpKind.ACCUMULATE, src, trg, window, offset, None, op.combining, data, op=op,
+            blocking=True,
+        )
 
     def get_accumulate(
         self,
@@ -340,16 +330,10 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> np.ndarray:
         """Atomically combine ``data`` and return the previous target values."""
-        if self._vehicles:
-            self._poll_vehicles()
-        win = self._windows.get(window) or self._window(window)
-        payload = np.array(data, dtype=win.dtype).ravel()
-        handle = self._issue(
-            OpKind.GET_ACCUMULATE, src, trg, win, offset, payload.size, op.combining,
-            payload, op=op,
-        )
-        self._complete_pair(src, trg)
-        return handle.result()
+        return self._issue(
+            OpKind.GET_ACCUMULATE, src, trg, window, offset, None, op.combining, data, op=op,
+            blocking=True,
+        ).result()
 
     def fetch_and_op(
         self,
@@ -361,30 +345,19 @@ class RmaRuntime:
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> float:
         """Single-element atomic fetch-and-op (MPI_Fetch_and_op)."""
-        if self._vehicles:
-            self._poll_vehicles()
-        win = self._windows.get(window) or self._window(window)
-        payload = np.asarray([value], dtype=win.dtype)
-        handle = self._issue(
-            OpKind.FETCH_AND_OP, src, trg, win, offset, 1, op.combining, payload, op=op
-        )
-        self._complete_pair(src, trg)
-        return handle.result()[0]
+        return self._issue(
+            OpKind.FETCH_AND_OP, src, trg, window, offset, None, op.combining, [value], op=op,
+            blocking=True,
+        ).result()[0]
 
     def compare_and_swap(
         self, src: int, trg: int, window: str, offset: int, compare: float, value: float
     ) -> float:
         """Single-element atomic CAS; returns the previous target value."""
-        if self._vehicles:
-            self._poll_vehicles()
-        win = self._windows.get(window) or self._window(window)
-        payload = np.asarray([value], dtype=win.dtype)
-        cmp = np.asarray([compare], dtype=win.dtype)
-        handle = self._issue(
-            OpKind.COMPARE_AND_SWAP, src, trg, win, offset, 1, True, payload, cmp
-        )
-        self._complete_pair(src, trg)
-        return handle.result()[0]
+        return self._issue(
+            OpKind.COMPARE_AND_SWAP, src, trg, window, offset, None, True, [value], [compare],
+            blocking=True,
+        ).result()[0]
 
     # ------------------------------------------------------------------
     # Synchronization actions
@@ -397,7 +370,11 @@ class RmaRuntime:
         consumed, and the caller proceeds against stale/zero data (counted as
         ``qos.dropped_syncs``).
         """
-        self._pre_action(src, trg)
+        injector = self._injector
+        if self._vehicles or self._settled != injector.generation or self._noted_dead or (
+            not 0 <= src < self.nprocs or self._clock_of[src].now >= injector.next_due
+        ):
+            self._pre_action(src, trg)
         dropped = self._divert is not None and trg in self._members.suspended
         sc = None if dropped else self.counters.on_lock(src, trg, structure)
         action = SyncAction.issued(
@@ -416,7 +393,11 @@ class RmaRuntime:
         acquisition was itself dropped unwinds without error, and the pair's
         in-flight operations resolve through the delivery mode.
         """
-        self._pre_action(src, trg)
+        injector = self._injector
+        if self._vehicles or self._settled != injector.generation or self._noted_dead or (
+            not 0 <= src < self.nprocs or self._clock_of[src].now >= injector.next_due
+        ):
+            self._pre_action(src, trg)
         if self._divert is not None and trg in self._members.suspended:
             try:
                 self.counters.on_unlock(src, trg, structure)
@@ -430,7 +411,8 @@ class RmaRuntime:
             self.delivery.count("dropped_syncs", src)
             return action
         self.counters.on_unlock(src, trg, structure)
-        self._complete_pair(src, trg)
+        if self.backend._pending[src]:
+            self._complete_pair(src, trg)
         action = SyncAction.issued(
             SyncKind.UNLOCK, src, trg, self._stamp(src, trg), structure
         )
@@ -444,8 +426,13 @@ class RmaRuntime:
         Completes the pair's queued operations at the backend, closes the
         epoch and increments ``GC_src`` (§4.1 B).
         """
-        self._pre_action(src, trg)
-        self._complete_pair(src, trg)
+        injector = self._injector
+        if self._vehicles or self._settled != injector.generation or self._noted_dead or (
+            not 0 <= src < self.nprocs or self._clock_of[src].now >= injector.next_due
+        ):
+            self._pre_action(src, trg)
+        if self.backend._pending[src]:
+            self._complete_pair(src, trg)
         pending = self.epochs.pending(src, trg)
         self.counters.on_flush(src)
         action = SyncAction.issued(SyncKind.FLUSH, src, trg, self._stamp(src, trg))
@@ -601,6 +588,8 @@ class RmaRuntime:
             self.backend.invalidate_rank(rank)
             self.interceptors.on_failure_detected(rank)
         self._observed_generation = generation
+        if self._members.generation == generation and self._members.healthy:
+            self._settled = generation
         return newly
 
     def _poll_vehicles(self) -> None:
@@ -620,7 +609,7 @@ class RmaRuntime:
         worker process on the ``proc`` backend) and notifies interceptors.
         """
         self._known_failed.discard(rank)
-        self._observed_generation = None  # re-diff at the next observation
+        self._observed_generation = self._settled = None  # re-diff at the next observation
         self.epochs.reset_rank(rank)
         self.counters.reset_rank(rank)
         self.backend.respawn_rank(rank)
@@ -743,14 +732,16 @@ class RmaRuntime:
         """Rebuild the membership snapshot: the injector's generation moved
         (every reader checks), or :meth:`excise_rank` / :meth:`set_delivery`
         — the only writers of its other two inputs — ran."""
-        failed = self._injector.failed_ranks
+        generation, failed = self._injector.generation, self._injector.failed_ranks
         suspended = (
             self.delivery.suspended(self) if self.delivery is not None else frozenset()
         )
+        healthy = not (failed or suspended)
         self._members = _Membership(
-            self._injector.generation, failed, suspended,
-            sorted(failed - self.excised - suspended), not (failed or suspended),
+            generation, failed, suspended, sorted(failed - self.excised - suspended), healthy
         )
+        settled = healthy and self._observed_generation == generation
+        self._settled = generation if settled else None
         self._set_divert()
         return self._members
 
@@ -801,35 +792,27 @@ class RmaRuntime:
         A target excised by a degraded continuation is exempt — operations
         towards it are dropped later rather than raising, which lets survivors
         run on without recovery code — and so is one *suspended* by a tolerant
-        delivery mode (the issue path resolves the operation as a drop or
-        stale read); a suspended *source* raises
-        :class:`~repro.errors.RankSuspendedError` so the scheduler skips just
-        that rank's turn.  The :meth:`observe_failures` scan only runs when
-        something can have changed: the failed set moved, a scheduled event is
-        due, or ranks have vehicles that die on their own.  With vehicles every
-        caller therefore polls once: ``lock``/``unlock``/``flush`` (a sync talks
-        to its target now; the completion that follows does not poll again) and
-        :meth:`_issue`'s slow branch, a nonblocking issue's only after a death is
-        known or noted.
+        delivery mode (the issue path resolves the operation as a drop or stale
+        read); a suspended *source* raises :class:`~repro.errors.RankSuspendedError`
+        so the scheduler skips just that rank's turn.
+
+        Callers gate it inline, on one expression: the generation is not
+        :attr:`_settled`, a death is noted, ``src`` is out of range or an event
+        is due — and, for ``lock``/``unlock``/``flush``, ranks have vehicles.
+        The :meth:`observe_failures` scan runs only when the failed set moved,
+        an event is due or there are vehicles: every sync polls once then (the
+        completion that follows does not poll again), a nonblocking issue only
+        after a death is known or noted.
         """
         injector = self._injector
-        now = self._clock(src).now
-        if (
-            self._observed_generation != injector.generation
-            or now >= injector.next_due
-            or self._vehicles
-        ):
+        now = self.cluster.clock(src).now
+        stale = self._observed_generation != injector.generation
+        if stale or now >= injector.next_due or self._vehicles:
             self.observe_failures(now)
-        members = self._members
-        if members.generation != injector.generation:
-            members = self._refresh_membership()
+        members = self._membership()
         if not members.healthy:
             self._require_alive(src)
-            if (
-                trg in members.failed
-                and trg not in self.excised
-                and trg not in members.suspended
-            ):
+            if trg in members.failed and trg not in self.excised | members.suspended:
                 raise ProcessFailedError(trg)
 
     def _stamp(self, src: int, trg: int | None = None, sc: int | None = None) -> Counters:
@@ -854,28 +837,39 @@ class RmaRuntime:
         kind: OpKind,
         src: int,
         trg: int,
-        win: Window,
+        window: str,
         offset: int,
-        count: int,
+        count: int | None,
         combine: bool,
-        data: np.ndarray | None = None,
-        compare: np.ndarray | None = None,
+        data: np.ndarray | list | None = None,
+        compare: list | None = None,
         op: AccumulateOp = AccumulateOp.REPLACE,
+        blocking: bool = False,
     ) -> OpHandle:
         """Issue one communication action: check, stamp, interceptors, backend.
 
-        Window-addressing errors come first (they name the rank and window),
-        then liveness: a malformed nonblocking op must fail at its call site,
-        identically on every backend, not at the flush that would apply it.
-        Both checks run inline and call out (:meth:`~repro.rma.window.Window.
-        check_access`, :meth:`_pre_action`) only on the branch that has
-        something to decide — issuing only queues, so it reads flags (one is
-        the backend's noted deaths) and makes no system call; the blocking
-        callers polled already.  Nothing is charged here: the action's network
-        cost and metrics hit the origin's clock when the pair's queue
-        completes (:meth:`_retire`), mirroring how the backend may defer
-        execution itself.  The returned record is the caller's handle.
+        ``data`` (a CAS's ``compare`` too) is the one defensive copy, in the
+        window's dtype, and gives ``count``.  Addressing errors come first (they
+        name window and origin), then liveness: a malformed nonblocking op fails
+        at its call site, identically on every backend.  Both checks run inline
+        and call out (``Window.check_access``, :meth:`_pre_action`) only on the
+        branch that has something to decide; a nonblocking issue only queues and
+        makes no system call, a blocking one polls first.  Nothing is charged
+        here (:meth:`_retire` charges at completion).  The record is the handle.
+
+        A ``blocking`` action completes here: with nothing of the origin queued
+        and nothing diverted it is applied and retired at once, else it completes
+        with the pair (so it sees the queued operations' effects).  An apply that
+        raises leaves it queued, like a failed completion, for recovery's discard.
         """
+        if blocking and self._vehicles:
+            self._poll_vehicles()
+        win = self._windows.get(window) or self._window(window)
+        if data is not None:
+            data = np.array(data, dtype=win.dtype).ravel()
+            count = data.size
+            if compare is not None:
+                compare = np.asarray(compare, dtype=win.dtype)
         try:
             trg, offset, count = _index(trg), _index(offset), _index(count)
         except TypeError:
@@ -886,15 +880,9 @@ class RmaRuntime:
             ) from None
         if not (0 <= trg < win.nprocs and 0 <= offset and 0 < count <= win.size - offset):
             win.check_access(trg, offset, count)  # raises the precise error
-        injector, members = self._injector, self._members
-        generation = injector.generation
-        if (
-            not 0 <= src < self.nprocs
-            or members.generation != generation
-            or not members.healthy
-            or self._observed_generation != generation
-            or self._noted_dead
-            or self._clock_of[src].now >= injector.next_due
+        injector = self._injector
+        if self._settled != injector.generation or self._noted_dead or (
+            not 0 <= src < self.nprocs or self._clock_of[src].now >= injector.next_due
         ):
             self._pre_action(src, trg)
         action = CommAction.issued(
@@ -904,10 +892,22 @@ class RmaRuntime:
         if self._divert is not None and self._divert(action, win):
             return action
         self.interceptors.before_comm(action)
-        self.backend.issue(action)
         self.epochs.record_access(src, trg)
         if self.recorder.enabled:
             self.recorder.record(action)
+        backend = self.backend
+        if not blocking or backend._pending[src] or self._divert is not None:
+            backend.issue(action)
+            if blocking:
+                self._complete_pair(src, trg)
+            return action
+        batch = [action]
+        try:
+            backend._apply(src, batch)
+        except BaseException:
+            backend.issue(action)  # queued, as a failed completion leaves its batch
+            raise
+        self._retire(src, batch)
         return action
 
     def _divert_op(self, action: CommAction, win: Window) -> bool:
@@ -950,10 +950,7 @@ class RmaRuntime:
 
     def _complete_pair(self, src: int, trg: int) -> None:
         """Complete all outstanding ``src -> trg`` ops: apply, notify, charge."""
-        members = self._members
-        if members.generation != self._injector.generation:
-            members = self._refresh_membership()
-        if trg in members.suspended:
+        if trg in self._membership().suspended:
             self._discard_toward(src, frozenset((trg,)))
             return
         self._retire(src, self.backend.complete(src, trg))
@@ -1034,7 +1031,7 @@ class RmaRuntime:
         after_comm = self.interceptors.after_comm
         remote_transfer = self.cluster.costs.remote_transfer
         clock, incr = self._clock_of[src], self.cluster.metrics.incr
-        if len(batch) == 1:  # every blocking call
+        if len(batch) == 1:  # a blocking call with nothing queued ahead of it
             op = batch[0]
             op._completed = True
             after_comm(op)
@@ -1063,7 +1060,7 @@ class RmaRuntime:
 
     def _issue_sync(self, action: SyncAction, *, cost: float) -> SyncAction:
         self.interceptors.before_sync(action)
-        self.cluster.advance(action.src, cost, kind="comm")
+        self._clock_of[action.src].advance(cost, kind="comm")
         if self.recorder.enabled:
             self.recorder.record(action)
         self.interceptors.after_sync(action)
