@@ -91,11 +91,16 @@ def _coalesce_puts(batch: list[tuple[CommAction, Window]]) -> list[list]:
     and commute, which is what lets a run stay open across them.  Every
     other action is an entry of its own, so get-like actions keep their issue
     order among themselves.  Puts leave with the ``operand``
-    :func:`apply_action` gives them, merged or not.
+    :func:`apply_action` gives them, merged or not; a batch of one is its own entry.
     """
+    put = OpKind.PUT
+    if len(batch) == 1:
+        ((action, win),) = batch
+        if action.kind is put and action.operand is None:
+            action.operand = action.data
+        return [[action, win, action.count, action.data]]
     entries: list[list] = []
     open_runs: dict[tuple[int, int], list] = {}  # slab -> its run, ``data`` a list of parts
-    put = OpKind.PUT
     for action, win in batch:
         slab = (id(win), action.trg)
         if action.kind is not put:

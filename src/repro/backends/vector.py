@@ -33,9 +33,8 @@ class VectorBackend(Backend):
     def _apply(self, src: int, batch: list[CommAction]) -> None:
         """Apply a queued batch: one region write per put run, issue order per slab."""
         window = self.windows.get
-        for action, win, count, data in _coalesce_puts(
-            [(op, window(op.window)) for op in batch]
-        ):
+        pairs = [(op, window(op.window)) for op in batch]
+        for action, win, count, data in _coalesce_puts(pairs):
             if action.kind is OpKind.PUT:
                 win._region(action.trg, action.offset, count)[...] = data
             else:

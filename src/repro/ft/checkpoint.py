@@ -114,11 +114,11 @@ class ActionLog(RmaInterceptor):
         if put_like:
             self._dirty[action.trg, action.window].append((action.offset, action.count))
         if self._runtime is not None:
-            cluster = self._runtime.cluster
-            overhead = cluster.costs.log_bookkeeping
+            costs = self._runtime.cluster.costs
+            overhead = costs.log_bookkeeping
             if put_like:
-                overhead += cluster.costs.local_copy(nbytes)
-            cluster.advance(src, overhead, kind="protocol")
+                overhead += costs.local_copy(nbytes)
+            self._runtime._clock_of[src].advance(overhead, kind="protocol")
 
     def on_recovery_start(self, ranks: list[int], *, localized: bool) -> None:
         self._preserve_on_respawn = localized
@@ -272,11 +272,9 @@ class CoordinatedCheckpointer(RmaInterceptor):
         # Local views end here (a store through a kept one now raises, not
         # goes unseen); the checkpoint's own read leaves no stamp.
         runtime.windows.seal()
+        windows = runtime.windows.all()
         snapshots = {
-            rank: {
-                window.name: window._region(rank, 0, window.size)
-                for window in runtime.windows.all()
-            }
+            rank: {window.name: window._region(rank, 0, window.size) for window in windows}
             for rank in range(cluster.nprocs)
             if rank not in runtime.excised
         }

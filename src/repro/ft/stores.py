@@ -40,6 +40,7 @@ import abc
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -72,13 +73,16 @@ Snapshots = dict[int, dict[str, np.ndarray]]
 #: of a slab keeps the previous image whole as its undo record, not index by index.
 _DENSE = 8
 
+_NBYTES = attrgetter("nbytes")  # byte totals from the live arrays, with no Python frame
+_COUNT = itemgetter(1)  # of an ``(offset, count)`` span
+
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 def _merged(regions) -> list[tuple[int, int]]:
     """``(offset, count)`` ranges sorted, overlapping and adjacent ones coalesced."""
     spans: list[tuple[int, int]] = []
-    for offset, count in sorted(regions):
+    for offset, count in sorted(regions) if len(regions) > 1 else regions:
         if spans and offset <= spans[-1][0] + spans[-1][1]:
             last_off, last_cnt = spans[-1]
             spans[-1] = (last_off, max(last_cnt, offset + count - last_off))
@@ -89,6 +93,9 @@ def _merged(regions) -> list[tuple[int, int]]:
 
 def _indices(regions) -> np.ndarray:
     """The elements ``(offset, count)`` ranges cover, as one ascending index array."""
+    if len(regions) == 1:  # the steady state: one span, nothing to sort or join
+        ((offset, count),) = regions
+        return np.arange(offset, offset + count)
     parts = [np.arange(offset, offset + count) for offset, count in _merged(regions)]
     return np.concatenate(parts) if parts else np.empty(0, np.intp)
 
@@ -216,10 +223,13 @@ def _compose(upper: tuple, lower: tuple) -> tuple:
     if above is None:
         was[below] = held
         return None, was
+    if above.size and below.size and (above[-1] < below[0] or above[0] > below[-1]):
+        (lo, low), (hi, high) = (upper, lower) if above[0] < below[0] else (lower, upper)
+        return np.concatenate((lo, hi)), np.concatenate((low, high))  # disjoint: side by side
     at = _union([above, below])
     values = np.empty(at.size, held.dtype)
-    values[np.searchsorted(at, above)] = was
-    values[np.searchsorted(at, below)] = held
+    values[at.searchsorted(above)] = was
+    values[at.searchsorted(below)] = held
     return at, values
 
 
@@ -228,41 +238,50 @@ class _Slab:
     newest (number :attr:`seq`); ``undo[k]`` turns the next newer placement kept
     into ``k`` — ``(ascending indices, k's values there)``, or ``(None, k's whole
     image)`` past a dense change-set.  Only a placement some holder references
-    (``refs``: holder -> placement number) keeps a record."""
+    (``refs``: holder -> placement number; ``pins``: placement -> holders) keeps a record."""
 
     def __init__(self, live: np.ndarray) -> None:
         self.image = live.copy()
         self.seq = 0
         self.undo: dict[int, tuple] = {}
         self.refs: dict[Any, int] = {}
+        self.pins: dict[int, int] = {}
 
     def place(self, live: np.ndarray, changed: np.ndarray) -> None:
         """Make ``live`` the newest placement; it differs from the previous one
         at most at the ascending indices ``changed``.  One gather, one patch."""
+        k = self.seq
         if changed.size * _DENSE > live.size:
-            self.undo[self.seq], self.image = (None, self.image), live.copy()
+            self.undo[k], self.image = (None, self.image), live.copy()
         else:
-            self.undo[self.seq] = changed, self.image[changed]
+            self.undo[k] = changed, self.image[changed]
             self.image[changed] = live[changed]
-        self.seq += 1
-        self._fold(self.seq - 1)
+        self.seq = k + 1
+        if k not in self.pins:
+            self._fold(k)
 
     def hold(self, holder: Any) -> _Placement:
         """``holder`` now references the newest placement (and no older one)."""
-        self.release(holder)
-        self.refs[holder] = self.seq
-        return _Placement(self, self.seq)
+        if holder in self.refs:
+            self.release(holder)
+        self.refs[holder] = k = self.seq
+        self.pins[k] = self.pins.get(k, 0) + 1
+        return _Placement(self, k)
 
     def release(self, holder: Any) -> None:
         """``holder`` references no placement any more."""
-        self._fold(self.refs.pop(holder, None))
+        k = self.refs.pop(holder, None)
+        left = self.pins.pop(k, 1) - 1
+        if left:
+            self.pins[k] = left
+        elif k in self.undo:
+            self._fold(k)
 
-    def _fold(self, k: int | None) -> None:
+    def _fold(self, k: int) -> None:
         """Unreferenced, record ``k`` folds into the next older (a referenced one) or goes."""
-        if k in self.undo and k not in self.refs.values():
-            upper, older = self.undo.pop(k), [j for j in self.undo if j < k]
-            if older:
-                self.undo[max(older)] = _compose(upper, self.undo[max(older)])
+        upper, older = self.undo.pop(k), max(filter(k.__gt__, self.undo), default=None)
+        if older is not None:
+            self.undo[older] = _compose(upper, self.undo[older])
 
     def values(self, k: int, among: np.ndarray | None = None) -> np.ndarray:
         """Placement ``k``'s values (at the ascending indices ``among``), fresh:
@@ -323,9 +342,14 @@ class CheckpointStore(abc.ABC):
         """
         self._placement_listeners.append(listener)
 
-    def _account(self, rank: int, nbytes: int, *, level: str, incremental=False) -> None:
-        """Charge ``nbytes`` placed for ``rank`` at ``level`` (single funnel)."""
-        self.runtime.cluster.metrics.incr("ft.checkpoint_bytes", nbytes, rank=rank)
+    def _account(self, rank: int, nbytes: int, level: str, charges, incremental=False) -> None:
+        """Pay for ``nbytes`` placed for ``rank`` at ``level`` — the single funnel:
+        each ``(charged rank, seconds)`` of ``charges`` advances that clock as
+        protocol time, in order, then the metric and the listeners see the bytes."""
+        clock_of = self._runtime._clock_of
+        for charged, seconds in charges:
+            clock_of[charged].advance(seconds, kind="protocol")
+        self._runtime.cluster.metrics.incr("ft.checkpoint_bytes", nbytes, rank=rank)
         for listener in self._placement_listeners:
             listener(self.name, level, rank, nbytes, incremental)
 
@@ -357,7 +381,7 @@ class CheckpointStore(abc.ABC):
     def _logged(self) -> dict | None:
         """The log's put spans per ``(rank, window)``, unmerged; ``None`` (trust
         nothing) unless the log is registered on the runtime, i.e. sees every put."""
-        if self._log is None or self._log not in self.runtime.interceptors:
+        if self._log is None or self._log not in self._runtime.interceptors:
             return None
         return self._log._dirty
 
@@ -430,13 +454,13 @@ class CheckpointStore(abc.ABC):
         for key in [key for key in self._slabs if key[0] not in snapshots]:
             del self._slabs[key]  # the rank was excised: nothing left to place
         retained: dict[int, dict[str, _Placement]] = {}
-        logged, seen, registry = self._logged(), self.seen, self.runtime.windows
+        logged, seen, stamps = self._logged(), self.seen, self._stamps(snapshots)
         for rank, windows in snapshots.items():
             handles = retained[rank] = {}
             for name, live in windows.items():
                 key = rank, name
                 slab = self._slabs.get(key)
-                stamp = registry.get(name).stamps[rank]
+                stamp = stamps[name][rank]
                 if slab is None:
                     slab = self._slabs[key] = _Slab(live)
                 elif logged is not None and seen.get(key) == stamp:
@@ -447,6 +471,11 @@ class CheckpointStore(abc.ABC):
                     seen[key] = stamp
                 handles[name] = slab.hold(version.version)
         return retained
+
+    def _stamps(self, snapshots: Snapshots) -> dict[str, list[int]]:
+        """Each snapshotted window's per-rank raw-access stamps, looked up once."""
+        registry = self._runtime.windows
+        return {name: registry.get(name).stamps for name in next(iter(snapshots.values()), ())}
 
     # ------------------------------------------------------------------
     # Retrieval
@@ -513,18 +542,13 @@ class MemoryStore(CheckpointStore):
         self.buddies = buddy_assignment(runtime.cluster.placement, level)
 
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
-        cluster = self.runtime.cluster
-        costs = cluster.costs
-        excised = self.runtime.excised
-        version.buddy_of = {
-            rank: buddy for rank, buddy in self.buddies.items() if rank in snapshots
-        }
+        costs, excised = self._runtime.cluster.costs, self._runtime.excised
+        version.buddy_of = {r: b for r, b in self.buddies.items() if r in snapshots}
         for rank, windows in self._retain(version, snapshots).items():
-            buddy = self.buddies[rank]
-            copied_bytes = sum(int(data.nbytes) for data in windows.values())
+            buddy, copied = self.buddies[rank], sum(map(_NBYTES, snapshots[rank].values()))
             version.local[rank] = windows
-            cluster.advance(rank, costs.local_copy(copied_bytes), kind="protocol")
-            self._account(rank, copied_bytes, level="local")
+            copy = costs.local_copy(copied)
+            self._account(rank, copied, "local", ((rank, copy),))
             if buddy in excised:
                 # The buddy was removed by a degraded continuation: only the
                 # local copy exists (and nothing is charged to dead memory).
@@ -532,9 +556,8 @@ class MemoryStore(CheckpointStore):
             # The buddy copy is a second reference to the same placement
             # handle; its transfer is charged on both ends.
             version.remote[rank] = dict(windows)
-            cluster.advance(rank, costs.remote_transfer(copied_bytes), kind="protocol")
-            cluster.advance(buddy, costs.local_copy(copied_bytes), kind="protocol")
-            self._account(rank, copied_bytes, level="buddy")
+            charges = ((rank, costs.remote_transfer(copied)), (buddy, copy))
+            self._account(rank, copied, "buddy", charges)
 
     def available(self, version: CheckpointVersion, rank: int) -> bool:
         return version.payload_for(rank) is not None
@@ -591,24 +614,17 @@ class DiskStore(CheckpointStore):
         return self.directory / f"v{version}_r{rank}_{window}.npy"
 
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
-        cluster = self.runtime.cluster
-        costs = cluster.costs
-        nprocs = cluster.nprocs
+        costs, nprocs = self._runtime.cluster.costs, self._runtime.cluster.nprocs
         for rank, windows in snapshots.items():
             files: dict[str, Path] = {}
-            rank_bytes = 0
             for name, data in windows.items():
-                path = self._path(version.version, rank, name)
-                np.save(path, data)
-                files[name] = path
-                rank_bytes += int(data.nbytes)
+                files[name] = self._path(version.version, rank, name)
+                np.save(files[name], data)
             self._layout[(version.version, rank)] = files
+            rank_bytes = sum(map(_NBYTES, windows.values()))
             # Every rank writes concurrently; the PFS bandwidth is shared.
-            cluster.advance(
-                rank, costs.pfs_write(rank_bytes, concurrent_writers=nprocs),
-                kind="protocol",
-            )
-            self._account(rank, rank_bytes, level="pfs")
+            seconds = costs.pfs_write(rank_bytes, concurrent_writers=nprocs)
+            self._account(rank, rank_bytes, "pfs", ((rank, seconds),))
 
     def available(self, version: CheckpointVersion, rank: int) -> bool:
         return (version.version, rank) in self._layout
@@ -702,19 +718,17 @@ class ParityStore(CheckpointStore):
 
     # ------------------------------------------------------------------
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
-        cluster = self.runtime.cluster
-        costs = cluster.costs
+        costs = self._runtime.cluster.costs
         k = len(self.groups[0])
         parity: dict[tuple[int, str], list[np.ndarray | None]] = {}
         for rank, windows in self._retain(version, snapshots).items():
-            rank_bytes = sum(int(data.nbytes) for data in windows.values())
+            rank_bytes = sum(map(_NBYTES, snapshots[rank].values()))
             version.local[rank] = windows
             # The local duplicate plus this rank's contribution to the
             # group-wide XOR reduction (one transfer of its snapshot).
-            cluster.advance(rank, costs.local_copy(rank_bytes), kind="protocol")
-            cluster.advance(rank, costs.remote_transfer(rank_bytes), kind="protocol")
-            self._account(rank, rank_bytes, level="local")
-        excised = self.runtime.excised
+            copy, send = costs.local_copy(rank_bytes), costs.remote_transfer(rank_bytes)
+            self._account(rank, rank_bytes, "local", ((rank, copy), (rank, send)))
+        excised = self._runtime.excised
         for gidx, group in enumerate(self.groups):
             holders = self._holders(gidx)
             # Members excised by a degraded continuation are absent from the
@@ -730,15 +744,11 @@ class ParityStore(CheckpointStore):
                     chunk.copy() for chunk in np.array_split(stripe, k)
                 ]
                 for idx, chunk in enumerate(chunks):
-                    if holders[idx] in excised:
-                        # No memory to hold this chunk in; it is lost at birth.
+                    if holders[idx] in excised:  # no memory to hold it in: lost at birth
                         chunks[idx] = None
-                        continue
-                    cluster.advance(
-                        holders[idx], costs.local_copy(int(chunk.nbytes)),
-                        kind="protocol",
-                    )
-                    self._account(holders[idx], int(chunk.nbytes), level="parity")
+                    else:
+                        charge = ((holders[idx], costs.local_copy(chunk.nbytes)),)
+                        self._account(holders[idx], chunk.nbytes, "parity", charge)
                 parity[(gidx, name)] = chunks
         self._parity[version.version] = parity
 
@@ -935,39 +945,35 @@ class MultiLevelStore(CheckpointStore):
             for handles in self._retain(version, snapshots).values():
                 for handle in handles.values():
                     handle.slab.release(version.version)
-        logged = self._logged()
-        for lvl in self.levels:
-            for key, spans in (logged or {}).items():
-                lvl.dirty.setdefault(key, []).extend(spans)
         # Cadence counts *committed* checkpoints so that a retried attempt
         # (failure between the barriers) makes the same capture decision and
         # the last attempt before the commit wins.
-        slot = self._committed + 1
+        logged, slot = self._logged(), self._committed + 1
         for lvl in self.levels:
+            for key, spans in (logged or {}).items():
+                lvl.dirty.setdefault(key, []).extend(spans)
             if slot == 1 or slot % lvl.every == 0:
                 self._capture(lvl, version, snapshots, logged is not None)
 
     def _capture(
         self, lvl: _Level, version: CheckpointVersion, snapshots: Snapshots, logged: bool
     ) -> None:
-        cluster = self.runtime.cluster
-        costs = cluster.costs
-        writers = max(1, len(snapshots))
+        cluster, slabs = self._runtime.cluster, self._chain._slabs
+        writers, stamps = max(1, len(snapshots)), self._stamps(snapshots)
         for rank, windows in snapshots.items():
             mirrors = lvl.mirrors.setdefault(rank, {})
             moved = full = 0
             for name, live in windows.items():
                 key = rank, name
-                full += int(live.nbytes)
-                pinned, slab = mirrors.get(name), self._chain._slabs[key]
-                stamp = self.runtime.windows.get(name).stamps[rank]
+                full += live.nbytes
+                pinned, slab, stamp = mirrors.get(name), slabs[key], stamps[name][rank]
                 trusted = logged and lvl.seen.get(key) == stamp
                 if logged:
                     lvl.seen[key] = stamp
                 changed = live.size  # the first capture ships the whole slab
                 if pinned is not None:
-                    spans = _merged(lvl.dirty.get(key, ()))
-                    changed = sum(count for _, count in spans)
+                    spans = _merged(lvl.dirty.get(key, ()))  # sorts only past one span
+                    changed = sum(map(_COUNT, spans))
                     # Local stores bypass the completion stream: unless the slab is
                     # trusted (stamp unmoved since this level's last capture), of the
                     # elements some placement since changed (all, past a dense one)
@@ -977,15 +983,14 @@ class MultiLevelStore(CheckpointStore):
                         extra = _differ(live, slab.values(pinned.k, among), among)
                         changed += np.setdiff1d(extra, _indices(spans), assume_unique=True).size
                 mirrors[name] = slab.hold(lvl)  # a capture moves no host data
-                moved += changed * int(live.dtype.itemsize)
+                moved += changed * live.dtype.itemsize
             if lvl.kind == "disk":
-                seconds = costs.pfs_write(moved, concurrent_writers=writers)
+                seconds = cluster.costs.pfs_write(moved, concurrent_writers=writers)
             else:
-                seconds = costs.remote_transfer(moved)
-            cluster.advance(rank, seconds, kind="protocol")
+                seconds = cluster.costs.remote_transfer(moved)
             cluster.metrics.incr("ft.multilevel_moved_bytes", moved, rank=rank)
             cluster.metrics.incr("ft.multilevel_full_bytes", full, rank=rank)
-            self._account(rank, moved, level=lvl.kind, incremental=lvl.captures > 0)
+            self._account(rank, moved, lvl.kind, ((rank, seconds),), lvl.captures > 0)
         # Drop mirrors of ranks excised since the previous capture.
         for rank in [r for r in lvl.mirrors if r not in snapshots]:
             del lvl.mirrors[rank]
@@ -996,7 +1001,9 @@ class MultiLevelStore(CheckpointStore):
     def commit(self, version: CheckpointVersion) -> CheckpointVersion:
         committed = super().commit(version)
         self._committed += 1
-        self._prune_archive()
+        captured = {lvl.captured_version for lvl in self.levels}
+        for vnum in [v for v in self.archived if v not in captured]:
+            del self.archived[vnum]
         return committed
 
     def _evict(self, version: CheckpointVersion) -> None:
@@ -1006,11 +1013,6 @@ class MultiLevelStore(CheckpointStore):
             # the protocol state, drop the (already-evicted) base copies.
             version.local, version.remote = {}, {}
             self.archived[version.version] = version
-
-    def _prune_archive(self) -> None:
-        live = {lvl.captured_version for lvl in self.levels}
-        for vnum in [v for v in self.archived if v not in live]:
-            del self.archived[vnum]
 
     # ------------------------------------------------------------------
     # Retrieval

@@ -227,13 +227,9 @@ class Cluster:
     # ------------------------------------------------------------------
     # Topology helpers
     # ------------------------------------------------------------------
-    def node_of(self, rank: int) -> int:
-        """Compute-node index of ``rank``."""
-        return self.placement.node(rank)
-
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         """Whether two ranks share a compute node."""
-        return self.node_of(rank_a) == self.node_of(rank_b)
+        return self.placement.node(rank_a) == self.placement.node(rank_b)
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nprocs:

@@ -13,10 +13,13 @@ failure schedule, all clock values are bit-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import SimulationError
 
 __all__ = ["VirtualClock", "ClockCollection"]
+
+_NOW = attrgetter("now")
 
 
 @dataclass
@@ -115,17 +118,20 @@ class ClockCollection:
     def max_time(self, ranks: list[int] | None = None) -> float:
         """Maximum current time over ``ranks`` (all processes by default)."""
         clocks = self._clocks if ranks is None else [self._clocks[r] for r in ranks]
-        return max(c.now for c in clocks)
+        return max(map(_NOW, clocks))
 
     def synchronize(self, ranks: list[int] | None = None, extra: float = 0.0) -> float:
         """Synchronize ``ranks`` to ``max_time(ranks) + extra`` and return it.
 
-        Models a barrier among the given ranks whose cost is ``extra`` seconds.
+        Models a barrier among the given ranks whose cost is ``extra`` seconds;
+        each clock moves as :meth:`VirtualClock.synchronize_to` moves it.
         """
-        target = self.max_time(ranks) + extra
         clocks = self._clocks if ranks is None else [self._clocks[r] for r in ranks]
+        target = max(map(_NOW, clocks)) + extra
         for c in clocks:
-            c.synchronize_to(target)
+            if target > c.now:
+                c.waiting += target - c.now
+                c.now = target
         return target
 
     def elapsed(self) -> float:

@@ -11,6 +11,8 @@ stream on all three.  The armed mid-batch kill keeps its per-operation prefix:
 such a batch is not merged.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from programs import HALF, WINDOWS, make_runtime as _runtime, random_program as _program
@@ -18,7 +20,7 @@ from programs import HALF, WINDOWS, make_runtime as _runtime, random_program as 
 from repro.backends import vector
 from repro.backends.proc import _HEADER, proc_available
 from repro.errors import OpHandleError, ProcessFailedError
-from repro.rma import OpKind, RmaInterceptor
+from repro.rma import AccumulateOp, OpKind, RmaInterceptor
 
 needs_proc = pytest.mark.skipif(
     not proc_available(), reason="proc backend needs fork + POSIX shared memory"
@@ -181,3 +183,71 @@ def test_a_kill_armed_beyond_the_batch_stays_armed_and_the_batch_is_merged(monke
         assert rt.local(3, "a")[HALF : HALF + 4].tolist() == [1, -1, 2, -2]
     finally:
         rt.finalize()
+
+
+# ---------------------------------------------------------------------------
+# (c) A batch of one is its own entry: every kind, against sim
+# ---------------------------------------------------------------------------
+#: One operation per program, completed alone: a nonblocking call by its ``flush``,
+#: a blocking atomic where it is issued.  The CAS programs swap and keep.
+ONE_OP = {
+    "put": ("put_nb", 0, 1, "a", 5, np.arange(4.0) - 1.5),
+    "get": ("get_nb", 0, 1, "b", 3, 6),
+    "accumulate": ("accumulate_nb", 0, 1, "a", 4, np.arange(5.0), AccumulateOp.PROD),
+    "get_accumulate": ("get_accumulate", 0, 1, "b", 2, np.arange(3.0) * 7, AccumulateOp.MAX),
+    "fetch_and_op": ("fetch_and_op", 0, 1, "b", 7, 2.5, AccumulateOp.SUM),
+    "cas_swap": ("compare_and_swap", 0, 1, "a", 6, 6.0, 9.0),
+    "cas_keep": ("compare_and_swap", 0, 1, "a", 6, 1.0, 9.0),
+}
+
+
+class _Completed(RmaInterceptor):
+    name = "completed-actions"
+
+    def __init__(self) -> None:
+        self.actions = []
+
+    def after_comm(self, action) -> None:
+        self.actions.append(action)
+
+
+def _one_op(backend: str, call: tuple, monkeypatch) -> dict:
+    module = sys.modules[f"repro.backends.{backend}"]  # the coalescer its backend calls
+    sizes, coalesce = [], getattr(module, "_coalesce_puts", None)
+    if coalesce is not None:
+
+        def counting(batch):
+            sizes.append(len(batch))
+            return coalesce(batch)
+
+        monkeypatch.setattr(module, "_coalesce_puts", counting)
+    rt = _runtime(backend, (np.float64, np.int16))
+    completed = _Completed()
+    rt.add_interceptor(completed)
+    try:
+        for name in WINDOWS:
+            rt.local(1, name)[:] = np.arange(2 * HALF)
+        returned = getattr(rt, call[0])(*call[1:])
+        if call[0].endswith("_nb"):
+            rt.flush(0, 1)
+            returned = returned.result()
+        (action,) = completed.actions
+        assert sizes == ([] if coalesce is None else [1])
+        return {
+            "images": [rt.local(r, w).copy() for w in WINDOWS for r in range(4)],
+            "results": [np.asarray(returned)],
+            "data": [np.asarray(action.data)],
+            "operands": [None if action.operand is None else np.asarray(action.operand)],
+            "returned": [],
+            "stream": [action.describe()],
+        }
+    finally:
+        rt.finalize()
+
+
+@pytest.mark.usefixtures("proc_hygiene")
+@pytest.mark.parametrize("backend", DEFERRING)
+@pytest.mark.parametrize("kind", list(ONE_OP))
+def test_a_batch_of_one_completes_as_on_sim(backend, kind, monkeypatch):
+    call = ONE_OP[kind]
+    _assert_same(_one_op(backend, call, monkeypatch), _one_op("sim", call, monkeypatch))

@@ -49,8 +49,8 @@ needs_proc = pytest.mark.skipif(
 # ---------------------------------------------------------------------------
 # (a) Call budgets
 # ---------------------------------------------------------------------------
-def _calls_per_op(op, *, watch=()) -> tuple[float, int]:
-    """Python-level calls per ``op()`` over ``OPS`` runs, and how many of
+def _calls_per_op(op, *, watch=(), runs=OPS) -> tuple[float, int]:
+    """Python-level calls per ``op()`` over ``runs`` runs, and how many of
     them entered one of the ``watch``-ed functions.  The cyclic collector is
     off meanwhile: finalizers of garbage earlier tests left would be counted."""
     watched = {fn.__code__ for fn in watch}
@@ -67,13 +67,13 @@ def _calls_per_op(op, *, watch=()) -> tuple[float, int]:
     gc.disable()
     sys.setprofile(profiler)
     try:
-        for _ in range(OPS):
+        for _ in range(runs):
             op()
     finally:
         sys.setprofile(previous)
         if collecting:
             gc.enable()
-    return calls / OPS - 1, hits  # minus the ``op`` frame itself
+    return calls / runs - 1, hits  # minus the ``op`` frame itself
 
 
 @pytest.mark.parametrize(
@@ -657,8 +657,8 @@ def test_vector_halo_step_costs_one_region_write_per_neighbour(monkeypatch):
 SLAB = 64 * 1024  # float64 elements: 512 KiB per rank
 
 
-def _checkpointed_runtime(store):
-    rt = RmaRuntime(Cluster.simple(8, procs_per_node=2))
+def _checkpointed_runtime(store, backend=None):
+    rt = RmaRuntime(Cluster.simple(8, procs_per_node=2), backend=backend)
     stack = build_ft_stack(rt, store=store)
     rt.win_allocate("w", SLAB)
     for rank in range(8):
@@ -737,3 +737,32 @@ def test_buddy_copy_is_a_second_reference_priced_as_a_copy():
     assert np.array_equal(payload.windows["w"], np.full(SLAB, 3.0))
     assert store.nbytes() == (2 * 8 - 1 - len(held_for)) * SLAB * 8
     stack.uninstall(rt)
+
+
+#: Python-level calls of one steady-state checkpoint of the runtime above on
+#: ``vector``, each rank having put 64 elements since the previous one, held at
+#: the measured values: ``memory``, and ``multilevel`` at the four positions of
+#: its cadence (base only, + the parity level, base only, + both levels).  When
+#: every placement charged clocks through ``Cluster.advance`` and looked its
+#: windows up per rank: 451 and 463 / 610 / 559 / 781.
+CHECKPOINT_BUDGETS = {"memory": [229] * 4, "multilevel": [239, 317, 263, 419]}
+#: ... and of the ``gsync`` before it, completing eight one-op batches (247).
+GSYNC_BUDGET = 212
+
+
+@pytest.mark.no_store_oracle  # its compares would be counted
+@pytest.mark.parametrize("store", list(CHECKPOINT_BUDGETS))
+def test_steady_state_checkpoint_call_budgets(store):
+    rt, stack = _checkpointed_runtime(store, backend="vector")
+    checkpoints, syncs = [], []
+    try:
+        for tag in range(12):
+            for rank in range(8):
+                rt.put_nb(rank, (rank + 1) % 8, "w", 64 * tag, np.arange(64.0))
+            syncs.append(_calls_per_op(rt.gsync, runs=1)[0])
+            checkpoints.append(_calls_per_op(stack.checkpointer.checkpoint, runs=1)[0])
+    finally:
+        stack.uninstall(rt)
+    budgets = CHECKPOINT_BUDGETS[store] * 2  # checkpoints 4-11: the cadence twice
+    assert all(got <= budget for got, budget in zip(checkpoints[4:], budgets)), checkpoints
+    assert max(syncs[4:]) <= GSYNC_BUDGET, syncs

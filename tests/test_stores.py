@@ -1,5 +1,7 @@
 """Checkpoint store strategies: registry, memory/disk/parity placement, eviction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -306,3 +308,151 @@ def test_session_recovers_with_every_store(store):
     )
     assert recovered.recoveries == 1
     assert np.array_equal(baseline.field, recovered.field)
+
+
+# ---------------------------------------------------------------------------
+# The placement funnel, pinned where it lives: every charge, byte and event
+# ---------------------------------------------------------------------------
+#: ``(store, local stores every other step) -> (sha256 of the placement-listener
+#: events (store, level, rank, nbytes, incremental) of checkpoints 4-11, their
+#: number, per-rank byte counters over the run, every clock's (now, protocol,
+#: waiting, ticks))`` of :func:`_accounting`, recorded before placements charged
+#: clocks through ``CheckpointStore._account`` and compared bit for bit.
+ACCOUNTING = {
+    ("memory", False): (
+        "1d3188e3831fa27e0b0489c4f39f96aaa7dd2a0ce55c96b4d939ce443e36b03c",
+        128,
+        {
+            "ft.checkpoint_bytes": [
+                12870912, 12870912, 12870912, 12870912,
+                12870912, 12870912, 12870912, 12870912,
+            ],
+        },
+        [
+            (0.0018963110200881977, 0.0016249667705535895, 0.0002044581145286567, 86),
+            (0.0018963110200881977, 0.001622548889160157, 0.0002273356005668648, 62),
+            (0.0018963110200881977, 0.001622548889160157, 0.00022733560056686474, 62),
+            (0.0018963110200881977, 0.001624973476076127, 0.0002044290572643283, 86),
+            (0.0018963110200881977, 0.001622548889160157, 0.00022733560056686474, 62),
+            (0.0018963110200881977, 0.001622548889160157, 0.00022733560056686474, 62),
+            (0.0018963110200881977, 0.0016249801815986639, 0.0002044000000000006, 86),
+            (0.0018963110200881977, 0.001622548889160157, 0.00022733560056686474, 62),
+        ],
+    ),
+    ("memory", True): (
+        "1d3188e3831fa27e0b0489c4f39f96aaa7dd2a0ce55c96b4d939ce443e36b03c",
+        128,
+        {
+            "ft.checkpoint_bytes": [
+                12870912, 12870912, 12870912, 12870912,
+                12870912, 12870912, 12870912, 12870912,
+            ],
+        },
+        [
+            (0.0018963110200881977, 0.0016249667705535895, 0.0002044581145286567, 86),
+            (0.0018963110200881977, 0.001622548889160157, 0.0002273356005668648, 62),
+            (0.0018963110200881977, 0.001622548889160157, 0.00022733560056686474, 62),
+            (0.0018963110200881977, 0.001624973476076127, 0.0002044290572643283, 86),
+            (0.0018963110200881977, 0.001622548889160157, 0.00022733560056686474, 62),
+            (0.0018963110200881977, 0.001622548889160157, 0.00022733560056686474, 62),
+            (0.0018963110200881977, 0.0016249801815986639, 0.0002044000000000006, 86),
+            (0.0018963110200881977, 0.001622548889160157, 0.00022733560056686474, 62),
+        ],
+    ),
+    ("multilevel", False): (
+        "9896cdde216f06e39778c6dc826f63e7a0470347ba728cf0f4a3ebe02d62fc8d",
+        176,
+        {
+            "ft.checkpoint_bytes": [
+                13954752, 13955984, 13954752, 13955456,
+                13954752, 13954752, 13955720, 13954752,
+            ],
+            "ft.multilevel_moved_bytes": [
+                1083840, 1085072, 1083840, 1084544,
+                1083840, 1083840, 1084808, 1083840,
+            ],
+            "ft.multilevel_full_bytes": [
+                5899168, 5899168, 5899168, 5899168,
+                5899168, 5899168, 5899168, 5899168,
+            ],
+        },
+        [
+            (0.010194534100548417, 0.009922864757347112, 0.0002047832081953581, 97),
+            (0.010194534100548417, 0.00992077196962039, 0.0002273356005668559, 73),
+            (0.010194534100548417, 0.009920446875953677, 0.00022766069423356682, 73),
+            (0.010194534100548417, 0.009923057230679195, 0.00020456838312148514, 97),
+            (0.010194534100548417, 0.009920446875953677, 0.00022766069423356682, 73),
+            (0.010194534100548417, 0.009920446875953677, 0.00022766069423356682, 73),
+            (0.010194534100548417, 0.009923133599130317, 0.00020446966292857424, 97),
+            (0.010194534100548417, 0.009920446875953677, 0.00022766069423356682, 73),
+        ],
+    ),
+    ("multilevel", True): (
+        "f11bbd25c5bd6f001de15d7971445305fc30b8d1a36a38ff41126c4136dba8a5",
+        176,
+        {
+            "ft.checkpoint_bytes": [
+                13954752, 13956016, 13954752, 13955488,
+                13954752, 13954768, 13955720, 13954768,
+            ],
+            "ft.multilevel_moved_bytes": [
+                1083840, 1085104, 1083840, 1084576,
+                1083840, 1083856, 1084808, 1083856,
+            ],
+            "ft.multilevel_full_bytes": [
+                5899168, 5899168, 5899168, 5899168,
+                5899168, 5899168, 5899168, 5899168,
+            ],
+        },
+        [
+            (0.01019454254453976, 0.009922864757347112, 0.00020479165218670106, 97),
+            (0.01019454254453976, 0.009920780413611732, 0.0002273356005668559, 73),
+            (0.01019454254453976, 0.009920446875953677, 0.00022766913822490977, 73),
+            (0.01019454254453976, 0.009923065674670538, 0.00020456838312148514, 97),
+            (0.01019454254453976, 0.009920446875953677, 0.00022766913822490977, 73),
+            (0.01019454254453976, 0.009920451097949347, 0.0002276649162292383, 73),
+            (0.01019454254453976, 0.009923133599130317, 0.0002044781069199172, 97),
+            (0.01019454254453976, 0.009920451097949347, 0.0002276649162292383, 73),
+        ],
+    ),
+}
+
+
+def _accounting(store: str, local_stores: bool) -> tuple:
+    """12 checkpoints of 8 ranks on ``vector``: each rank puts into its ring
+    neighbour's slab and every third into a second window, then a gsync; with
+    ``local_stores`` a store the log never sees lands every other step."""
+    rt = RmaRuntime(Cluster.simple(8, procs_per_node=2), backend="vector")
+    stack = _stack(rt, store=store)
+    rt.win_allocate("w", 64 * 1024)
+    rt.win_allocate("v", 3000, np.float32)
+    for rank in range(8):
+        rt.local(rank, "w")[:] = rank + 1.0
+    events = []
+    stack.store.add_placement_listener(lambda *event: events.append(event))
+    for tag in range(12):
+        for rank in range(8):
+            rt.put_nb(rank, (rank + 1) % 8, "w", 64 * tag, np.arange(64.0) + rank)
+            if rank % 3 == 0:
+                rt.put_nb(rank, (rank + 3) % 8, "v", 40 * tag + rank, np.ones(8 + rank))
+        rt.gsync()
+        if local_stores and tag % 2:
+            rt.local(tag % 8, "w")[3 * tag] = -1.0 - tag
+        if tag == 4:
+            del events[:]  # the steady state: every slab placed, every level seeded
+        stack.checkpointer.checkpoint(tag=tag)
+    per_rank = rt.cluster.metrics.snapshot().per_rank
+    names = ("ft.checkpoint_bytes", "ft.multilevel_moved_bytes", "ft.multilevel_full_bytes")
+    counters = {n: [int(per_rank[n][r]) for r in range(8)] for n in names if n in per_rank}
+    clocks = [(c.now, c.protocol, c.waiting, c.ticks) for c in map(rt.cluster.clock, range(8))]
+    stack.uninstall(rt)
+    return hashlib.sha256(repr(events).encode()).hexdigest(), len(events), counters, clocks
+
+
+@pytest.mark.parametrize("store, local_stores", list(ACCOUNTING))
+def test_placements_charge_count_and_notify_exactly_as_recorded(store, local_stores):
+    digest, events, counters, clocks = _accounting(store, local_stores)
+    want_digest, want_events, want_counters, want_clocks = ACCOUNTING[store, local_stores]
+    assert counters == want_counters
+    assert clocks == want_clocks  # float equality: each clock's additions keep their order
+    assert (digest, events) == (want_digest, want_events)
