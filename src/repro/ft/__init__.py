@@ -4,7 +4,9 @@
   construction over the failure-domain hierarchy (§5, Eq. 6);
 * :mod:`~repro.ft.stores` — pluggable checkpoint placement strategies:
   in-memory buddy copies (§3.1, §5), disk spill (the SCR-PFS baseline of
-  §7) and XOR parity stripes across t-aware groups (§3.3);
+  §7), XOR parity stripes across t-aware groups (§3.3) and a multi-level
+  hierarchy of them (§5–§7); one rule — whose memory still holds a
+  placement — decides which copy of a rank each serves;
 * :mod:`~repro.ft.checkpoint` — the coordinated checkpointer (epoch-boundary
   guard, §3.1.2) with demand checkpoints driven by the interceptor's put/get
   log (§6.2); the log also retains the completed actions for replay;
@@ -26,7 +28,6 @@ from repro.ft.checkpoint import (
     ActionLog,
     CheckpointVersion,
     CoordinatedCheckpointer,
-    InMemoryCheckpointStore,
 )
 from repro.ft.groups import buddy_assignment, group_spread, t_aware_groups
 from repro.ft.inject import (
@@ -63,7 +64,6 @@ __all__ = [
     "ActionLog",
     "CheckpointVersion",
     "CoordinatedCheckpointer",
-    "InMemoryCheckpointStore",
     "CheckpointStore",
     "MemoryStore",
     "DiskStore",

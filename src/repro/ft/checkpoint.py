@@ -29,13 +29,7 @@ from collections import defaultdict
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import CheckpointError, EpochError
-from repro.ft.stores import (
-    CheckpointStore,
-    CheckpointVersion,
-    MemoryStore,
-    _merged,
-    make_store,
-)
+from repro.ft.stores import CheckpointStore, CheckpointVersion, make_store
 from repro.rma.actions import CommAction
 from repro.rma.interceptor import RmaInterceptor
 
@@ -45,13 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 __all__ = [
     "ActionLog",
     "CheckpointVersion",
-    "InMemoryCheckpointStore",
     "CoordinatedCheckpointer",
 ]
-
-#: Backwards-compatible name for the default store: earlier revisions shipped
-#: exactly one placement strategy under this name.
-InMemoryCheckpointStore = MemoryStore
 
 
 class ActionLog(RmaInterceptor):
@@ -90,8 +79,8 @@ class ActionLog(RmaInterceptor):
         #: Element ranges written by completed put-like actions since the
         #: last truncation, keyed ``(target rank, window name)`` — the stores
         #: read it (unmerged) as the change-set of every slab they trust.
-        #: Kept regardless of ``retain_actions``: ranges are a few ints, not
-        #: pinned payloads.
+        #: Local stores (``ctx.local`` writes) never reach it.  Kept regardless
+        #: of ``retain_actions``: ranges are a few ints, not pinned payloads.
         self._dirty: dict[tuple[int, str], list[tuple[int, int]]] = defaultdict(list)
         #: Completed actions since the last truncation, in completion order.
         self.actions: list[CommAction] = []
@@ -153,20 +142,6 @@ class ActionLog(RmaInterceptor):
         """Sum of logged volume over all ranks."""
         return sum(self.bytes_logged.values())
 
-    def dirty_regions(self) -> dict[tuple[int, str], list[tuple[int, int]]]:
-        """Merged element ranges dirtied by puts since the last truncation.
-
-        Returns ``{(target rank, window name): [(offset, count), ...]}`` with
-        overlapping and adjacent ranges coalesced and sorted by offset.  This
-        is the write-set an incremental checkpoint
-        (:class:`~repro.ft.stores.MultiLevelStore`) ships to its upper levels
-        instead of full window images.  Purely local stores (``ctx.local``
-        writes) never pass through the completion stream and are *not* in
-        this map — the stores take it as a slab's whole change-set only while
-        the window's raw-access stamp has not moved (``docs/ARCHITECTURE.md``).
-        """
-        return {key: _merged(regions) for key, regions in self._dirty.items()}
-
     def truncate(self) -> None:
         """Drop the log (a fresh checkpoint makes replaying it unnecessary)."""
         self.bytes_logged.clear()
@@ -191,8 +166,8 @@ class CoordinatedCheckpointer(RmaInterceptor):
         domains (§5).
     store:
         A :class:`~repro.ft.stores.CheckpointStore` instance or registered
-        name (``"memory"``, ``"disk"``, ``"parity"``); defaults to the
-        in-memory buddy scheme.
+        name (``"memory"``, ``"disk"``, ``"parity"``, ``"multilevel"``);
+        defaults to the in-memory buddy scheme.
     log:
         Optional :class:`ActionLog` driving demand checkpoints.
     demand_threshold_bytes:

@@ -3,7 +3,7 @@
 The paper's protocol separates *when* a checkpoint is taken (coordinated at
 epoch boundaries, §3.1; on demand when the put/get log outgrows a threshold,
 §6.2) from *where* its copies are placed so that they survive failures.  The
-:class:`CheckpointStore` strategy owns the second question.  Three placements
+:class:`CheckpointStore` strategy owns the second question.  Four placements
 ship:
 
 * :class:`MemoryStore` (``"memory"``, the default) — the paper's diskless
@@ -28,6 +28,12 @@ ship:
 On the host, every copy kept of a ``(rank, window)`` is a read-only handle on a
 *placement* of one chain (:class:`_Slab`): an image equal to live as of the newest
 placement, plus what later placements overwrote; each is priced as a full copy.
+Redundancy is a rule over those handles, not more bytes: a version keeps every
+placed rank's handles until eviction and records whose memory failed since
+(:attr:`CheckpointVersion.lost`); a store lists a rank's copies in the order it
+serves them (:meth:`CheckpointStore._copies`), each naming the ranks whose
+placements it needs, and serves the first whose ranks all still hold theirs.
+The buddy copy and the parity stripe are priced and counted, never built.
 
 Stores are resolved by name through :data:`STORES` (the same convention as
 ``backend="sim"|"vector"``) and are orthogonal to the
@@ -129,16 +135,13 @@ class CheckpointVersion:
     tag: Any
     taken_at: float
     buddy_of: dict[int, int]
-    #: Copy kept in the owner's own memory: ``owner -> window -> handle``, a
-    #: read-only placement of the store's slab chain (``np.asarray`` gives a
-    #: fresh array; ``shape``, ``dtype`` and ``nbytes`` are the full copy's).
+    #: Every placed rank's windows, ``rank -> window -> handle``, kept until
+    #: eviction: a read-only placement of the store's slab chain (``np.asarray``
+    #: gives a fresh array; ``shape``, ``dtype`` and ``nbytes`` are the full
+    #: copy's).  Each copy a store models is served from these handles.
     local: dict[int, dict[str, Any]] = field(default_factory=dict)
-    #: Copy *modelled* in the buddy's memory: ``owner -> window -> handle``
-    #: (populated by :class:`MemoryStore`; other stores place copies elsewhere).
-    #: Costs, byte counters and :meth:`nbytes` price it as a second copy; on
-    #: the host it is the very handle :attr:`local` holds, in its own dict so
-    #: that :meth:`drop_rank` loses the two independently.
-    remote: dict[int, dict[str, Any]] = field(default_factory=dict)
+    #: Ranks whose memory failed since the placement (:meth:`CheckpointStore.drop_rank`).
+    lost: set[int] = field(default_factory=set)
     #: Per-rank epoch state at checkpoint time (restored on rollback so
     #: survivors do not keep post-checkpoint epochs/pending operations).
     epoch_states: list | None = None
@@ -146,31 +149,9 @@ class CheckpointVersion:
     #: time; restoring it releases locks acquired after the checkpoint.
     counter_states: list | None = None
 
-    def payload_for(self, owner: int) -> tuple[str, dict[str, np.ndarray]] | None:
-        """The surviving in-memory copy of ``owner``'s windows.
-
-        ``None`` when both copies were lost (owner and its buddy both failed
-        since the checkpoint was taken).  Only meaningful for versions placed
-        by :class:`MemoryStore`; other stores answer through
-        :meth:`CheckpointStore.fetch`.
-        """
-        if owner in self.local:
-            return ("local", self.local[owner])
-        if owner in self.remote:
-            return ("buddy", self.remote[owner])
-        return None
-
-    def drop_rank(self, rank: int) -> None:
-        """Lose every copy stored in ``rank``'s memory (it failed)."""
-        self.local.pop(rank, None)
-        for owner, buddy in self.buddy_of.items():
-            if buddy == rank:
-                self.remote.pop(owner, None)
-
-    def nbytes(self) -> int:
-        """Total memory held by this version's in-memory copies."""
-        copies = [*self.local.values(), *self.remote.values()]
-        return sum(int(held.nbytes) for windows in copies for held in windows.values())
+    def holds(self, rank: int) -> bool:
+        """Whether ``rank``'s memory still holds its placement of this version."""
+        return rank in self.local and rank not in self.lost
 
 
 @dataclass(frozen=True)
@@ -190,11 +171,22 @@ class RestorePayload:
     peers: tuple[int, ...] = ()
 
 
-def _payload(source: str, held: dict, price, peers: tuple[int, ...] = ()) -> RestorePayload:
-    """Fresh arrays of ``held`` (placement handles or arrays), priced ``price(nbytes)``."""
-    windows = {name: np.asarray(data) for name, data in held.items()}
-    nbytes = sum(int(data.nbytes) for data in windows.values())
-    return RestorePayload(source, windows, nbytes, price(nbytes), peers)
+def _total(windows: dict) -> int:
+    """Bytes of one rank's windows (arrays or placement handles)."""
+    return sum(map(_NBYTES, windows.values()))
+
+
+class _Spilled:
+    """A window spilled to ``path``: ``np.asarray`` loads it."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        data = np.load(self.path)
+        return data if dtype is None else data.astype(dtype, copy=False)
 
 
 class _Placement:
@@ -436,7 +428,7 @@ class CheckpointStore(abc.ABC):
         """
 
     def _evict(self, version: CheckpointVersion) -> None:
-        """Release whatever an evicted version held (placements, disk files, parity)."""
+        """Release whatever an evicted version held (placements, disk files)."""
         for slab in self._slabs.values():
             slab.release(version.version)
 
@@ -478,15 +470,35 @@ class CheckpointStore(abc.ABC):
         return {name: registry.get(name).stamps for name in next(iter(snapshots.values()), ())}
 
     # ------------------------------------------------------------------
-    # Retrieval
+    # Retrieval: the first copy whose ranks all still hold their placement
     # ------------------------------------------------------------------
-    @abc.abstractmethod
+    def _copies(self, version: CheckpointVersion, rank: int):
+        """``rank``'s copies in ``version``, in the order they are served: ``(source,
+        window -> handle, ranks whose placements it needs, price, peers charged)``."""
+        handles = version.local.get(rank)
+        if handles is not None:
+            yield "local", handles, (rank,), self._runtime.cluster.costs.local_copy, ()
+
+    def _served(self, version: CheckpointVersion, rank: int):
+        """The copy of ``rank`` that ``version`` serves (``None``: every one is lost)."""
+        for copy in self._copies(version, rank):
+            if all(map(version.holds, copy[2])):
+                return copy
+        return None
+
     def available(self, version: CheckpointVersion, rank: int) -> bool:
         """Whether ``rank``'s windows can still be recovered from ``version``."""
+        return self._served(version, rank) is not None
 
-    @abc.abstractmethod
     def fetch(self, version: CheckpointVersion, rank: int) -> RestorePayload | None:
         """Recover ``rank``'s windows from ``version`` (``None`` if lost)."""
+        served = self._served(version, rank)
+        if served is None:
+            return None
+        source, held, _, price, peers = served
+        windows = {name: np.asarray(data) for name, data in held.items()}
+        nbytes = sum(int(data.nbytes) for data in windows.values())
+        return RestorePayload(source, windows, nbytes, price(nbytes), peers)
 
     def latest(self) -> CheckpointVersion | None:
         """The newest committed version."""
@@ -503,17 +515,18 @@ class CheckpointStore(abc.ABC):
     # Failure propagation and accounting
     # ------------------------------------------------------------------
     def drop_rank(self, rank: int) -> None:
-        """Propagate a rank failure: lose every copy held in its memory."""
+        """Propagate a rank failure: every copy that needs its memory is lost."""
         self.seen.clear()
         for version in self.versions:
-            self._drop(version, rank)
+            version.lost.add(rank)
 
-    def _drop(self, version: CheckpointVersion, rank: int) -> None:
-        """Per-version failure propagation (default: nothing store-held is lost)."""
+    def _held_bytes(self, version: CheckpointVersion) -> int:
+        """Modelled job memory ``version`` holds: each placement still held."""
+        return sum(_total(w) for rank, w in version.local.items() if version.holds(rank))
 
     def nbytes(self) -> int:
         """Total memory held by the store across all versions."""
-        return sum(version.nbytes() for version in self.versions)
+        return sum(map(self._held_bytes, self.versions))
 
     def __len__(self) -> int:
         return len(self.versions)
@@ -553,27 +566,21 @@ class MemoryStore(CheckpointStore):
                 # The buddy was removed by a degraded continuation: only the
                 # local copy exists (and nothing is charged to dead memory).
                 continue
-            # The buddy copy is a second reference to the same placement
-            # handle; its transfer is charged on both ends.
-            version.remote[rank] = dict(windows)
+            # The buddy copy is served from the same placement handles; its
+            # transfer is charged on both ends.
             charges = ((rank, costs.remote_transfer(copied)), (buddy, copy))
             self._account(rank, copied, "buddy", charges)
 
-    def available(self, version: CheckpointVersion, rank: int) -> bool:
-        return version.payload_for(rank) is not None
+    def _copies(self, version: CheckpointVersion, rank: int):
+        yield from super()._copies(version, rank)
+        if rank in version.local:  # the buddy copy lives as long as the buddy's memory
+            buddy, price = version.buddy_of[rank], self._runtime.cluster.costs.remote_transfer
+            yield "buddy", version.local[rank], (buddy,), price, (buddy,)
 
-    def fetch(self, version: CheckpointVersion, rank: int) -> RestorePayload | None:
-        payload = version.payload_for(rank)
-        if payload is None:
-            return None
-        source, held = payload
-        costs = self.runtime.cluster.costs
-        if source == "local":
-            return _payload("local", held, costs.local_copy)
-        return _payload("buddy", held, costs.remote_transfer, (version.buddy_of[rank],))
-
-    def _drop(self, version: CheckpointVersion, rank: int) -> None:
-        version.drop_rank(rank)
+    def _held_bytes(self, version: CheckpointVersion) -> int:
+        held, buddy_of = version.local.items(), version.buddy_of
+        buddied = sum(_total(w) for r, w in held if version.holds(buddy_of[r]))
+        return super()._held_bytes(version) + buddied
 
 
 class DiskStore(CheckpointStore):
@@ -593,7 +600,7 @@ class DiskStore(CheckpointStore):
         super().__init__(keep_versions)
         self.directory = Path(directory) if directory is not None else None
         self._owns_directory = False
-        self._layout: dict[tuple[int, int], dict[str, Path]] = {}
+        self._layout: dict[tuple[int, int], dict[str, _Spilled]] = {}
         self._closed = False
 
     def bind(self, runtime: "RmaRuntime", *, level: int = 1) -> None:
@@ -616,34 +623,26 @@ class DiskStore(CheckpointStore):
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
         costs, nprocs = self._runtime.cluster.costs, self._runtime.cluster.nprocs
         for rank, windows in snapshots.items():
-            files: dict[str, Path] = {}
+            files = {}
             for name, data in windows.items():
-                files[name] = self._path(version.version, rank, name)
-                np.save(files[name], data)
+                files[name] = _Spilled(self._path(version.version, rank, name))
+                np.save(files[name].path, data)
             self._layout[(version.version, rank)] = files
             rank_bytes = sum(map(_NBYTES, windows.values()))
             # Every rank writes concurrently; the PFS bandwidth is shared.
             seconds = costs.pfs_write(rank_bytes, concurrent_writers=nprocs)
             self._account(rank, rank_bytes, "pfs", ((rank, seconds),))
 
-    def available(self, version: CheckpointVersion, rank: int) -> bool:
-        return (version.version, rank) in self._layout
-
-    def fetch(self, version: CheckpointVersion, rank: int) -> RestorePayload | None:
+    def _copies(self, version: CheckpointVersion, rank: int):
+        # The spill needs no rank's memory (and holds none: nothing counts in nbytes).
         files = self._layout.get((version.version, rank))
-        if files is None:
-            return None
-        loaded = {name: np.load(path) for name, path in files.items()}
-        return _payload("disk", loaded, self.runtime.cluster.costs.pfs_read)
+        if files is not None:
+            yield "disk", files, (), self._runtime.cluster.costs.pfs_read, ()
 
     def _evict(self, version: CheckpointVersion) -> None:
         for key in [k for k in self._layout if k[0] == version.version]:
-            for path in self._layout.pop(key).values():
-                path.unlink(missing_ok=True)
-
-    def nbytes(self) -> int:
-        # Nothing is held in job memory; the spill lives on "disk".
-        return 0
+            for spilled in self._layout.pop(key).values():
+                spilled.path.unlink(missing_ok=True)
 
     def close(self) -> None:
         if self._closed:
@@ -668,6 +667,12 @@ class ParityStore(CheckpointStore):
     failures in one group (or a failure plus a lost parity chunk) make the
     version unusable for those ranks, the analogue of losing a rank and its
     buddy.
+
+    The stripe is modelled, not built: its chunks are priced and counted,
+    and a reconstruction — which by Eq. 6 equals the member's own placement —
+    is served from that placement while every rank it needs (the other
+    members, the chunk holders) still holds its own.  ``tests/test_store_images.py``
+    rebuilds the stripes from real bytes and checks the algebra.
     """
 
     name = "parity"
@@ -680,8 +685,6 @@ class ParityStore(CheckpointStore):
         self.group_size = group_size
         self.groups: list[list[int]] = []
         self.group_of: dict[int, int] = {}
-        #: ``version -> (group, window) -> k parity byte-chunks (None = lost)``.
-        self._parity: dict[int, dict[tuple[int, str], list[np.ndarray | None]]] = {}
 
     # ------------------------------------------------------------------
     def bind(self, runtime: "RmaRuntime", *, level: int = 1) -> None:
@@ -717,10 +720,20 @@ class ParityStore(CheckpointStore):
         return self.groups[(gidx + 1) % len(self.groups)]
 
     # ------------------------------------------------------------------
+    def _chunks(self, version: CheckpointVersion):
+        """``(holder, bytes)`` of each parity chunk of ``version``, per group, window
+        and chunk: the ``np.array_split`` sizes of each stripe into ``k`` chunks."""
+        k = len(self.groups[0])
+        for gidx, group in enumerate(self.groups):
+            # Members excised by a degraded continuation were never placed and
+            # contribute nothing to the XOR (the identity).
+            placed = [version.local[m] for m in group if m in version.local][:1]
+            for nbytes in (w.nbytes for windows in placed for w in windows.values()):
+                for i, holder in enumerate(self._holders(gidx)):
+                    yield holder, nbytes // k + (i < nbytes % k)
+
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
         costs = self._runtime.cluster.costs
-        k = len(self.groups[0])
-        parity: dict[tuple[int, str], list[np.ndarray | None]] = {}
         for rank, windows in self._retain(version, snapshots).items():
             rank_bytes = sum(map(_NBYTES, snapshots[rank].values()))
             version.local[rank] = windows
@@ -728,94 +741,22 @@ class ParityStore(CheckpointStore):
             # group-wide XOR reduction (one transfer of its snapshot).
             copy, send = costs.local_copy(rank_bytes), costs.remote_transfer(rank_bytes)
             self._account(rank, rank_bytes, "local", ((rank, copy), (rank, send)))
-        excised = self._runtime.excised
-        for gidx, group in enumerate(self.groups):
-            holders = self._holders(gidx)
-            # Members excised by a degraded continuation are absent from the
-            # snapshots and contribute nothing to the XOR (the identity).
-            present = [member for member in group if member in snapshots]
-            if not present:
-                continue
-            for name in snapshots[present[0]]:
-                stripe = snapshots[present[0]][name].view(np.uint8).copy()
-                for member in present[1:]:
-                    stripe ^= snapshots[member][name].view(np.uint8)
-                chunks: list[np.ndarray | None] = [
-                    chunk.copy() for chunk in np.array_split(stripe, k)
-                ]
-                for idx, chunk in enumerate(chunks):
-                    if holders[idx] in excised:  # no memory to hold it in: lost at birth
-                        chunks[idx] = None
-                    else:
-                        charge = ((holders[idx], costs.local_copy(chunk.nbytes)),)
-                        self._account(holders[idx], chunk.nbytes, "parity", charge)
-                parity[(gidx, name)] = chunks
-        self._parity[version.version] = parity
+        for holder, chunk in self._chunks(version):
+            if holder in version.local:  # an excised holder has no memory for it
+                self._account(holder, chunk, "parity", ((holder, costs.local_copy(chunk)),))
 
-    # ------------------------------------------------------------------
-    def available(self, version: CheckpointVersion, rank: int) -> bool:
-        if rank in version.local:
-            return True
-        parity = self._parity.get(version.version)
-        if parity is None:
-            return False
-        gidx = self.group_of[rank]
-        others_alive = all(
-            member in version.local for member in self.groups[gidx] if member != rank
-        )
-        stripes_complete = all(
-            all(chunk is not None for chunk in chunks)
-            for (g, _), chunks in parity.items()
-            if g == gidx
-        )
-        return others_alive and stripes_complete
+    def _copies(self, version: CheckpointVersion, rank: int):
+        yield from super()._copies(version, rank)
+        if rank in version.local:  # Eq. 6 rebuilds exactly the member's own placement
+            gidx = self.group_of[rank]
+            others = {m for m in self.groups[gidx] if m != rank}
+            needs = tuple(sorted(others | set(self._holders(gidx))))
+            price = self._runtime.cluster.costs.remote_transfer
+            yield "parity", version.local[rank], needs, price, needs
 
-    def fetch(self, version: CheckpointVersion, rank: int) -> RestorePayload | None:
-        costs = self.runtime.cluster.costs
-        if rank in version.local:
-            return _payload("local", version.local[rank], costs.local_copy)
-        if not self.available(version, rank):
-            return None
-        gidx = self.group_of[rank]
-        group = self.groups[gidx]
-        parity = self._parity[version.version]
-        windows: dict[str, np.ndarray] = {}
-        for (g, name), chunks in parity.items():
-            if g != gidx:
-                continue
-            stripe = np.concatenate([c for c in chunks if c is not None])
-            for member in group:
-                if member != rank:
-                    stripe ^= np.asarray(version.local[member][name]).view(np.uint8)
-            windows[name] = stripe.view(self.runtime.windows.get(name).dtype)
-        peers = tuple(sorted({m for m in group if m != rank} | set(self._holders(gidx))))
-        return _payload("parity", windows, costs.remote_transfer, peers)
-
-    # ------------------------------------------------------------------
-    def _drop(self, version: CheckpointVersion, rank: int) -> None:
-        version.local.pop(rank, None)
-        parity = self._parity.get(version.version)
-        if parity is None:
-            return
-        holder_group = self.group_of.get(rank)
-        if holder_group is None:
-            return
-        # ``rank`` holds chunk[i] of the *previous* group's stripes, where i
-        # is its position within its own group.
-        held_for = (holder_group - 1) % len(self.groups)
-        idx = self.groups[holder_group].index(rank)
-        for (g, _), chunks in parity.items():
-            if g == held_for:
-                chunks[idx] = None
-
-    def _evict(self, version: CheckpointVersion) -> None:
-        super()._evict(version)
-        self._parity.pop(version.version, None)
-
-    def nbytes(self) -> int:
-        stripes = [chunks for parity in self._parity.values() for chunks in parity.values()]
-        held = sum(int(c.nbytes) for chunks in stripes for c in chunks if c is not None)
-        return super().nbytes() + held
+    def _held_bytes(self, version: CheckpointVersion) -> int:
+        chunks = sum(chunk for holder, chunk in self._chunks(version) if version.holds(holder))
+        return super()._held_bytes(version) + chunks
 
 
 @dataclass(eq=False)  # hashable by identity: a level is a holder of its slabs' placements
@@ -856,8 +797,8 @@ class MultiLevelStore(CheckpointStore):
     * each **upper level** (``kind`` ``"parity"`` or ``"disk"``) keeps a full
       mirror of every rank's windows, refreshed only every ``every``-th
       committed checkpoint — and refreshed *incrementally*: the action log's
-      :meth:`~repro.ft.checkpoint.ActionLog.dirty_regions` write-set, merged
-      across the checkpoints since the level's last capture, determines which
+      put spans, merged across the checkpoints since the level's last
+      capture, determine which
       bytes move; a slab whose raw-access stamp moved since (a local store the
       log never sees) is also diffed against the mirror.  Moved bytes are
       metered as ``ft.multilevel_moved_bytes`` against the
@@ -1011,30 +952,21 @@ class MultiLevelStore(CheckpointStore):
         if any(lvl.captured_version == version.version for lvl in self.levels):
             # An upper level still serves this version's window data; keep
             # the protocol state, drop the (already-evicted) base copies.
-            version.local, version.remote = {}, {}
+            version.local = {}
             self.archived[version.version] = version
 
     # ------------------------------------------------------------------
     # Retrieval
     # ------------------------------------------------------------------
-    def available(self, version: CheckpointVersion, rank: int) -> bool:
-        if self.base.available(version, rank):
-            return True
-        return any(
-            lvl.captured_version == version.version and rank in lvl.mirrors
-            for lvl in self.levels
-        )
-
-    def fetch(self, version: CheckpointVersion, rank: int) -> RestorePayload | None:
-        payload = self.base.fetch(version, rank)
-        if payload is not None:
-            return payload
-        costs = self.runtime.cluster.costs
+    def _copies(self, version: CheckpointVersion, rank: int):
+        yield from self.base._copies(version, rank)
+        # A level mirror lives across the failure domain the level guards: it
+        # needs no rank's memory.
+        costs = self._runtime.cluster.costs
         for lvl in self.levels:
             if lvl.captured_version == version.version and rank in lvl.mirrors:
                 price = costs.pfs_read if lvl.kind == "disk" else costs.remote_transfer
-                return _payload(f"multilevel-{lvl.kind}", lvl.mirrors[rank], price)
-        return None
+                yield f"multilevel-{lvl.kind}", lvl.mirrors[rank], (), price, ()
 
     def latest_usable(self, ranks: list[int]) -> CheckpointVersion | None:
         archived = sorted(self.archived.values(), key=lambda v: v.version, reverse=True)
@@ -1047,15 +979,12 @@ class MultiLevelStore(CheckpointStore):
         for holder in (self.base, *self.levels):
             holder.seen.clear()
 
-    def _drop(self, version: CheckpointVersion, rank: int) -> None:
-        # Base copies in the failed rank's memory are lost; the upper-level
-        # mirrors live across the failure domain the level guards and survive.
-        self.base._drop(version, rank)
+    def _held_bytes(self, version: CheckpointVersion) -> int:
+        return self.base._held_bytes(version)
 
     def nbytes(self) -> int:
-        mirrors = [windows for lvl in self.levels for windows in lvl.mirrors.values()]
-        held = sum(int(pinned.nbytes) for windows in mirrors for pinned in windows.values())
-        return super().nbytes() + self.base.nbytes() + held
+        mirrors = sum(_total(w) for lvl in self.levels for w in lvl.mirrors.values())
+        return super().nbytes() + mirrors
 
 
 #: Registry of constructable checkpoint stores, by name.

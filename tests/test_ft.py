@@ -16,7 +16,7 @@ from repro.errors import (
 from repro.ft import (
     ActionLog,
     CoordinatedCheckpointer,
-    InMemoryCheckpointStore,
+    MemoryStore,
     RecoveryManager,
     buddy_assignment,
     group_spread,
@@ -95,11 +95,19 @@ def test_checkpoint_keeps_local_and_buddy_copies():
     for rank in range(8):
         runtime.local(rank, "w")[:] = rank
     version = checkpointer.checkpoint(tag=17)
+    store = checkpointer.store
     assert version.tag == 17
     for rank in range(8):
-        assert np.array_equal(version.local[rank]["w"], np.full(4, rank))
-        assert np.array_equal(version.remote[rank]["w"], np.full(4, rank))
-    assert version.nbytes() == 8 * 2 * 4 * 8
+        payload = store.fetch(version, rank)
+        assert payload.source == "local" and payload.peers == ()
+        assert np.array_equal(payload.windows["w"], np.full(4, rank))
+        # With the rank's own memory gone, the buddy's copy serves the same bytes.
+        version.lost = {rank}
+        payload = store.fetch(version, rank)
+        assert payload.source == "buddy" and payload.peers == (checkpointer.buddies[rank],)
+        assert np.array_equal(payload.windows["w"], np.full(4, rank))
+        version.lost = set()
+    assert store.nbytes() == 8 * 2 * 4 * 8
 
 
 def test_checkpoint_refused_while_lock_held_or_rank_dead():
@@ -116,7 +124,7 @@ def test_checkpoint_refused_while_lock_held_or_rank_dead():
 
 def test_store_evicts_oldest_beyond_keep_versions():
     runtime, checkpointer, _ = _ft_runtime(
-        store=InMemoryCheckpointStore(keep_versions=2)
+        store=MemoryStore(keep_versions=2)
     )
     runtime.win_allocate("w", 4)
     for tag in range(3):
@@ -133,13 +141,17 @@ def test_failure_drops_exactly_the_copies_in_dead_memory():
     holder = next(r for r, b in checkpointer.buddies.items() if b == victim)
     runtime.cluster.fail_rank(victim)
     runtime.observe_failures()
-    version = checkpointer.store.latest()
+    store = checkpointer.store
+    version = store.latest()
+    assert version.lost == {victim}
     # The victim's own (local) copy is gone; its buddy copy survives.
-    kind, _ = version.payload_for(victim)
-    assert kind == "buddy"
+    assert store.fetch(version, victim).source == "buddy"
     # Whoever checkpointed *into* the victim fell back to its local copy.
-    kind, _ = version.payload_for(holder)
-    assert kind == "local"
+    assert store.fetch(version, holder).source == "local"
+    # Exactly two copies were in the victim's memory: its own and the holder's.
+    assert store.nbytes() == (2 * 8 - 2) * 4 * 8
+    store.drop_rank(holder)
+    assert not store.available(version, holder)
 
 
 def test_recovery_restores_dead_rank_from_buddy_copy():

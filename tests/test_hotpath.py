@@ -717,25 +717,27 @@ def test_buddy_copy_is_a_second_reference_priced_as_a_copy():
     store = stack.store
     version = stack.checkpointer.checkpoint(tag=0)
     for rank in range(8):
-        local, remote = version.local[rank]["w"], version.remote[rank]["w"]
-        assert local is remote  # one placement handle, referenced twice
+        local = version.local[rank]["w"]  # the one placement handle both copies serve
         assert not isinstance(local, np.ndarray)  # read-only: it hands out fresh arrays
-        assert not np.shares_memory(np.asarray(local), np.asarray(remote))
+        assert not np.shares_memory(np.asarray(local), np.asarray(local))
         assert not np.shares_memory(np.asarray(local), rt.local(rank, "w"))
-        assert version.local[rank] is not version.remote[rank]
     # The modelled machine still holds (and was charged for) two copies.
-    assert store.nbytes() == version.nbytes() == 2 * 8 * SLAB * 8
+    assert store.nbytes() == 2 * 8 * SLAB * 8
     assert rt.cluster.metrics.get("ft.checkpoint_bytes") == 2 * 8 * SLAB * 8
     # Losing rank 2 loses its own copy and the copies it held as a buddy;
-    # the copy its buddy holds for it still restores it.
+    # the copy its buddy holds for it — the same handle — still restores it.
     held_for = [owner for owner, buddy in version.buddy_of.items() if buddy == 2]
     assert held_for
     store.drop_rank(2)
-    assert 2 not in version.local and all(owner not in version.remote for owner in held_for)
+    assert version.lost == {2} and 2 in version.local
     payload = store.fetch(version, 2)
-    assert payload.source == "buddy"
+    assert payload.source == "buddy" and payload.peers == (version.buddy_of[2],)
     assert np.array_equal(payload.windows["w"], np.full(SLAB, 3.0))
     assert store.nbytes() == (2 * 8 - 1 - len(held_for)) * SLAB * 8
+    for owner in held_for:  # served locally; no second copy left behind it
+        assert store.fetch(version, owner).source == "local"
+        version.lost.add(owner)
+        assert not store.available(version, owner)
     stack.uninstall(rt)
 
 

@@ -242,11 +242,15 @@ def test_degraded_drop_semantics_low_level():
     # A later checkpoint over the shrunk membership is legal — and the
     # excised rank is neither snapshotted nor used as a copy holder.
     version = stack.checkpointer.checkpoint(tag=1)
-    assert 2 not in version.local and 2 not in version.remote
+    store = stack.store
+    assert 2 not in version.local and not store.available(version, 2)
     assert 2 not in version.buddy_of
-    for owner, buddy in stack.checkpointer.buddies.items():
-        if buddy == 2:  # nobody holds a copy in excised memory
-            assert owner not in version.remote
+    owners = [owner for owner, buddy in stack.checkpointer.buddies.items() if buddy == 2]
+    assert owners
+    for owner in owners:  # nobody holds a copy in excised memory
+        assert store.fetch(version, owner).source == "local"
+        store.drop_rank(owner)
+        assert not store.available(version, owner)
     # Recovering again with no new failure is an error, not a loop.
     with pytest.raises(RecoveryError):
         stack.recovery.recover()

@@ -110,6 +110,39 @@ class _Harness:
                 for name, mirror in mirrors.items():
                     want = self.oracle[lvl.captured_version][rank, name]
                     assert np.asarray(mirror).tobytes() == want, (lvl.kind, rank, name)
+        self.check_stripes()
+
+    def check_stripes(self):
+        """Eq. 6 from real bytes: each parity group's stripe, XORed with all
+        members but one, is that member's committed bytes; and the stripe's
+        chunks whose holders still hold are what ``nbytes`` counts beyond
+        the placements still held (and the level mirrors)."""
+        store = self.store
+        parity = getattr(store, "base", store)
+        if not isinstance(parity, ParityStore):
+            return
+        k, held = len(parity.groups[0]), 0
+        for version in store.versions:
+            for rank, windows in version.local.items():
+                if version.holds(rank):
+                    held += sum(np.asarray(h).nbytes for h in windows.values())
+            for gidx, group in enumerate(parity.groups):
+                members = [m for m in group if m in version.local]
+                holders = parity._holders(gidx)
+                for name in version.local[members[0]] if members else ():
+                    shares = [np.asarray(version.local[m][name]) for m in members]
+                    shares = [share.view(np.uint8) for share in shares]
+                    stripe = np.bitwise_xor.reduce(shares)
+                    for i, member in enumerate(members):
+                        others = shares[:i] + shares[i + 1 :]
+                        rebuilt = np.bitwise_xor.reduce([stripe, *others])
+                        want = self.oracle[version.version][member, name]
+                        assert rebuilt.tobytes() == want, (version.version, member, name)
+                    chunks = np.array_split(stripe, k)
+                    held += sum(c.nbytes for c, h in zip(chunks, holders) if version.holds(h))
+        for lvl in getattr(store, "levels", ()):
+            held += sum(np.asarray(h).nbytes for m in lvl.mirrors.values() for h in m.values())
+        assert store.nbytes() == held
 
     def mutate(self, rng, *, dense_rank=None):
         """One step of seeded traffic: puts, accumulates and local-view stores."""

@@ -15,7 +15,6 @@ from repro.errors import (
 from repro.ft import (
     CoordinatedCheckpointer,
     DiskStore,
-    InMemoryCheckpointStore,
     MemoryStore,
     ParityStore,
     build_ft_stack,
@@ -70,10 +69,10 @@ def test_launch_rejects_unknown_backend_listing_choices():
         repro.launch(4, backend="warp-drive")
 
 
-def test_legacy_store_name_still_works():
-    assert InMemoryCheckpointStore is MemoryStore
-    store = InMemoryCheckpointStore(keep_versions=1)
-    assert store.keep_versions == 1
+def test_default_store_has_one_name():
+    assert "InMemoryCheckpointStore" not in repro.ft.__all__
+    store = make_store(None, keep_versions=1)
+    assert type(store) is MemoryStore and store.keep_versions == 1
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,8 @@ def test_parity_store_reconstructs_failed_rank_bit_exact():
     runtime.cluster.fail_rank(victim)
     runtime.observe_failures()  # drops the victim's local copy + its chunks
     version = stack.store.latest()
-    assert victim not in version.local
+    assert version.lost == {victim} and not version.holds(victim)
+    assert stack.store.available(version, victim)
     payload = stack.store.fetch(version, victim)
     assert payload.source == "parity" and payload.peers
     assert np.array_equal(payload.windows["w"], expected[victim])
@@ -213,6 +213,28 @@ def test_parity_store_two_failures_in_one_group_are_unrecoverable():
     assert not store.available(store.latest(), group[0])
     with pytest.raises(CatastrophicFailure):
         stack.recovery.recover()
+
+
+@pytest.mark.parametrize("store", ["memory", "parity", "disk", "multilevel"])
+def test_an_excised_rank_is_served_by_no_store(store):
+    """A rank a degraded continuation excised before a checkpoint has no copy in
+    it.  ``parity`` once answered otherwise: it reported the rank available and
+    served all-zero windows labelled ``"parity"`` — the XOR of a stripe the rank
+    never entered with its members' shares."""
+    runtime = _runtime()
+    stack = _stack(runtime, store=store, recovery="degraded")
+    runtime.win_allocate("w", 4)
+    for rank in range(8):
+        runtime.local(rank, "w")[:] = 1.0 + rank
+    stack.checkpointer.checkpoint(tag=0)
+    runtime.cluster.fail_rank(2)
+    runtime.observe_failures()
+    assert stack.recovery.recover().kind == "degraded"
+    version = stack.checkpointer.checkpoint(tag=1)
+    assert not stack.store.available(version, 2)
+    assert stack.store.fetch(version, 2) is None
+    assert all(stack.store.available(version, rank) for rank in range(8) if rank != 2)
+    stack.uninstall(runtime)
 
 
 def test_parity_store_needs_enough_groups():
