@@ -20,8 +20,8 @@ The package is layered bottom-up:
   model behind ``FaultTolerancePolicy(interval="auto")``, and the seeded
   Monte-Carlo campaign runner (``python -m repro.study``);
 * :mod:`repro.chaos` — the long-horizon soak engine: accelerated virtual
-  time (``scaled_cost_model``), seeded failure scenarios, transition
-  monitors, MTTF/MTBF/MTTR/availability metrics and the cross-config
+  time (``scaled_cost_model``), seeded failure scenarios, the transition
+  log read off the trace, MTTF/MTBF/MTTR/availability metrics and the cross-config
   comparison CLI (``python -m repro.chaos``).
 
 Applications should program against :mod:`repro.api` (re-exported here);

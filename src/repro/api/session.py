@@ -47,14 +47,13 @@ from repro.rma.runtime import RmaRuntime
 from repro.rma.window import Window
 from repro.simulator.failures import FailureSchedule
 from repro.simulator.metrics import MetricsSnapshot
-from repro.trace.telemetry import Telemetry
 from repro.trace.tracer import Tracer, current_trace_hub, install_trace
 
 __all__ = ["Job", "JobReport", "SessionObserver", "launch"]
 
 
 class SessionObserver:
-    """No-op base class for session lifecycle observers (chaos monitors).
+    """No-op base class for session lifecycle observers.
 
     Register instances with :meth:`Job.add_observer`.  Every hook carries the
     job's *virtual* timestamp (``cluster.elapsed()``), so observer-built event
@@ -191,16 +190,6 @@ class Job:
                 trace = hub.tracer()
         if trace is not None:
             install_trace(self, trace)
-
-    def telemetry(self) -> Telemetry:
-        """One queryable registry over every counter this job produced.
-
-        Folds the cluster ``MetricsRegistry`` (``rma.*``, ``ft.*``,
-        ``qos.*``, ``inject.*``) together with ``trace.*`` rollups from the
-        installed tracer (time in recovery, checkpoint bytes by store
-        level, kill counts) into a flat, glob-queryable namespace.
-        """
-        return Telemetry.from_job(self)
 
     def add_observer(self, observer: SessionObserver) -> None:
         """Attach a :class:`SessionObserver` to the step loop's lifecycle."""

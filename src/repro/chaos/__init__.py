@@ -10,10 +10,10 @@ or recovering.  The layers:
   generalize :class:`~repro.ft.inject.KillPlan` (independent Poisson kills,
   correlated node failures, cascading multi-rank failures, a flaky-then-dead
   rank), registry-resolved like backends/stores/recovery;
-* :mod:`repro.chaos.monitor` — chaos monitors: reducers over the job's
-  trace bus that timestamp every ``failure_initiated`` /
+* :mod:`repro.chaos.monitor` — the chaos log as a view of a finished job's
+  trace: :func:`chaos_events` timestamps every ``failure_initiated`` /
   ``failure_detected`` / ``recovery_started`` / ``recovery_completed`` /
-  ``service_restored`` transition in virtual time and stream them as JSONL;
+  ``service_restored`` transition in virtual time;
 * :mod:`repro.chaos.soak` — the soak driver: one long session under a
   compressed :class:`~repro.simulator.costs.CostModel` (time fields scaled by
   e.g. 10,000x), a scenario-generated kill plan, and the countermeasure seam
@@ -38,12 +38,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.chaos.metrics import ChaosMetrics, compute_metrics, load_events, write_events
-    from repro.chaos.monitor import (
-        ChaosMonitor,
-        EpisodeMonitor,
-        TransitionMonitor,
-        make_monitor,
-    )
+    from repro.chaos.monitor import chaos_events
     from repro.chaos.report import (
         check_against_baseline,
         check_chaos_invariants,
@@ -71,10 +66,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "compute_metrics": "repro.chaos.metrics",
     "load_events": "repro.chaos.metrics",
     "write_events": "repro.chaos.metrics",
-    "ChaosMonitor": "repro.chaos.monitor",
-    "EpisodeMonitor": "repro.chaos.monitor",
-    "TransitionMonitor": "repro.chaos.monitor",
-    "make_monitor": "repro.chaos.monitor",
+    "chaos_events": "repro.chaos.monitor",
     "check_against_baseline": "repro.chaos.report",
     "check_chaos_invariants": "repro.chaos.report",
     "render_markdown": "repro.chaos.report",

@@ -34,7 +34,8 @@ from repro.chaos.report import (
     render_markdown,
     report_json,
 )
-from repro.chaos.soak import SoakResult, SoakSpec, run_comparison
+from repro.chaos.monitor import MONITORS
+from repro.chaos.soak import COUNTERMEASURES, SoakResult, SoakSpec, run_comparison
 from repro.cli import add_common_arguments, add_report_arguments, csv, engine_main
 from repro.registry import available
 
@@ -75,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--countermeasures", type=csv, default=("rollback", "replay", "excise"),
-        help="comma-separated countermeasures to compare (default: all three)",
+        help=f"comma-separated countermeasures to compare "
+             f"({', '.join(COUNTERMEASURES)}; default: all three)",
     )
     parser.add_argument(
         "--delivery", default="reliable",
@@ -83,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
              f"(registered: {', '.join(available('delivery'))})",
     )
     parser.add_argument(
-        "--monitor", default="transitions",
-        help="chaos monitor flavor (transitions, episodes)",
+        "--monitor", default="transitions", choices=MONITORS,
+        help="chaos log flavor: every transition, or episodes coalesced too",
     )
     parser.add_argument("--rounds", type=int, default=6, help="workload rounds to soak")
     parser.add_argument(

@@ -1,7 +1,8 @@
 """Reliability arithmetic over chaos event logs: MTTF, MTBF, MTTR, availability.
 
-The metrics computer consumes the event stream a
-:class:`~repro.chaos.monitor.ChaosMonitor` produces — either in memory or
+The metrics computer consumes the chaos log
+:func:`~repro.chaos.monitor.chaos_events` reads off a job's trace (with the
+soak's ``soak_*`` bookends) — either in memory or
 round-tripped through the streaming JSONL log (:func:`write_events` /
 :func:`load_events`, one canonically-serialized JSON object per line) — and
 reduces it to the industry-standard summary:
@@ -98,9 +99,9 @@ class ChaosMetrics:
 def compute_metrics(events: list[dict]) -> ChaosMetrics:
     """Reduce an event stream to its :class:`ChaosMetrics`.
 
-    Accepts the stream of any monitor — the coalesced ``episode`` events of
-    an :class:`~repro.chaos.monitor.EpisodeMonitor` are redundant with the
-    transitions and are not double-counted.
+    Accepts either log flavor — the coalesced ``episode`` events of an
+    ``"episodes"`` log are redundant with the transitions and are not
+    double-counted.
     """
     total = max((e["t"] for e in events), default=0.0)
     kills_fired = sum(1 for e in events if e["type"] == "failure_initiated")

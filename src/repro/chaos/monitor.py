@@ -1,8 +1,8 @@
-"""Chaos monitors — virtual-time failure/recovery transition detectors.
+"""The chaos log as a view of a finished job's trace.
 
-A monitor is a reducer over the trace event bus — the soak driver wires it
-with ``tracer.subscribe(monitor.consume)`` — and sees both halves of every
-outage:
+:func:`chaos_events` reads a job's trace (``tracer.events``, or the job's
+slice of a ``--trace`` file) once, after the run, and returns the chaos
+transition log — both halves of every outage:
 
 * ``failure_initiated`` — the injector lands a kill (SIGKILL on ``proc``,
   simulated fail-stop elsewhere), *before* the control plane notices;
@@ -20,25 +20,20 @@ outage:
   visible.
 
 Every timestamp is the trace event's **virtual** ``t`` — no wall clock — so
-the event stream of a seeded soak is byte-identical across re-runs and
-across the ``sim`` and ``proc`` backends.  Monitors are registry-resolved
-under the kind ``"monitor"``: ``"transitions"`` streams every transition,
-``"episodes"`` additionally coalesces each outage into one summary event.
+the event log of a seeded soak is byte-identical across re-runs and across
+the ``sim`` and ``proc`` backends.  The two log flavors are :data:`MONITORS`:
+``"transitions"`` lists every transition, ``"episodes"`` additionally
+coalesces each outage into one ``episode`` summary event.
 """
 
 from __future__ import annotations
 
-from repro.errors import ChaosError
-from repro.registry import register_kind, resolve_component
+from collections.abc import Iterable
 
-__all__ = [
-    "ChaosMonitor",
-    "TransitionMonitor",
-    "EpisodeMonitor",
-    "MONITORS",
-    "make_monitor",
-    "reduce_outage",
-]
+__all__ = ["MONITORS", "chaos_events", "reduce_outage"]
+
+#: The chaos log flavors :attr:`~repro.chaos.soak.SoakSpec.monitor` names.
+MONITORS = ("episodes", "transitions")
 
 
 def reduce_outage(outage: dict | None, event: dict) -> tuple[dict | None, dict | None]:
@@ -70,146 +65,70 @@ def reduce_outage(outage: dict | None, event: dict) -> tuple[dict | None, dict |
     return outage, None
 
 
-class ChaosMonitor:
-    """Base monitor: the transition state machine and the event buffer.
+#: Trace event type -> (chaos event type, the fields it carries over).
+_CARRIED = {
+    "kill_fired": ("failure_initiated", ("rank", "victims", "kind", "after_ops")),
+    "kill_skipped": ("failure_skipped", ("rank", "after_ops")),
+    "failure_detected": ("failure_detected", ("rank", "step")),
+    "recovery_started": ("recovery_started", ("step",)),
+    "protocol_applied": ("protocol_applied", (
+        "protocol", "kind", "failed", "restored_bytes", "fallback", "resume_step",
+    )),
+    "recovery_completed": ("recovery_completed", ("resume_step",)),
+}
 
-    Subclasses choose what extra structure to emit; the base class owns the
-    episode bookkeeping (outage open/close, crash-step tracking, round
-    markers).  Events are plain dicts — ``{"type": ..., "t": ...,
-    **fields}`` — appended in occurrence order, the exact stream
-    :func:`repro.chaos.metrics.write_events` serializes as JSONL.
+
+def chaos_events(
+    trace: Iterable[dict], *, steps_per_round: int = 0, episodes: bool = False
+) -> list[dict]:
+    """The chaos transition log of one job's trace events, in trace order.
+
+    Events are plain dicts — ``{"type": ..., "t": ..., **fields}`` — the
+    stream :func:`repro.chaos.metrics.write_events` serializes as JSONL.
+    ``steps_per_round > 0`` adds a ``round_completed`` marker the first time
+    each round's last step completes; ``episodes`` adds one ``episode``
+    summary per closed outage.  Trace events outside the vocabulary are
+    ignored.
     """
-
-    name = "abstract"
-
-    def __init__(self) -> None:
-        self.events: list[dict] = []
-        #: Steps per workload round; set by the soak driver so the monitor
-        #: can emit ``round_completed`` markers (0 disables them).
-        self.steps_per_round = 0
-        self._episode: dict | None = None
-        self._max_step_completed = -1
-
-    def emit(self, type_: str, t: float, **fields) -> None:
-        """Append one event (used internally and by the soak driver)."""
-        self.events.append({"type": type_, "t": t, **fields})
-
-    def consume(self, event: dict) -> None:
-        """Trace-bus subscriber: reduce one trace event into chaos events.
-
-        Timestamps come from the events themselves (the tracer stamps
-        ``cluster.elapsed()``).  Event types outside the monitor's
-        vocabulary are ignored.
-        """
-        kind = event["type"]
-        t = event["t"]
+    log: list[dict] = []
+    episode: dict | None = None
+    max_step = -1
+    for event in trace:
+        kind, t = event["type"], event["t"]
+        if kind in _CARRIED:
+            name, keys = _CARRIED[kind]
+            log.append({"type": name, "t": t, **{key: event[key] for key in keys}})
         if kind == "kill_fired":
-            victims = list(event["victims"])
-            self.emit(
-                "failure_initiated", t,
-                rank=event["rank"],
-                victims=victims,
-                kind=event["kind"],
-                after_ops=event["after_ops"],
-                real=bool(event.get("rt", {}).get("real", False)),
-            )
-            if self._episode is None:
-                self._episode = {
-                    "initiated_t": t,
-                    "detected_t": None,
-                    "crash_step": None,
-                    "victims": list(victims),
-                    "kills": 1,
-                }
+            log[-1]["real"] = bool(event.get("rt", {}).get("real", False))
+            if episode is None:
+                episode = {"initiated_t": t, "detected_t": None, "crash_step": None,
+                           "victims": list(event["victims"]), "kills": 1}
             else:
-                self._episode["kills"] += 1
-                for victim in victims:
-                    if victim not in self._episode["victims"]:
-                        self._episode["victims"].append(victim)
-        elif kind == "kill_skipped":
-            self.emit(
-                "failure_skipped", t, rank=event["rank"], after_ops=event["after_ops"]
-            )
+                episode["kills"] += 1
+                for victim in event["victims"]:
+                    if victim not in episode["victims"]:
+                        episode["victims"].append(victim)
         elif kind == "failure_detected":
-            self.emit("failure_detected", t, rank=event["rank"], step=event["step"])
-            opened = self._episode is None
-            self._episode, _ = reduce_outage(self._episode, event)
+            opened = episode is None
+            episode, _ = reduce_outage(episode, event)
             if opened:
                 # A failure the injector did not initiate (e.g. a virtual-time
                 # schedule): the detection opens the episode.
-                self._episode.update(initiated_t=t, victims=[event["rank"]], kills=0)
-        elif kind == "recovery_started":
-            self.emit("recovery_started", t, step=event["step"])
-        elif kind == "protocol_applied":
-            self.emit(
-                "protocol_applied", t,
-                protocol=event["protocol"],
-                kind=event["kind"],
-                failed=list(event["failed"]),
-                restored_bytes=event["restored_bytes"],
-                fallback=event["fallback"],
-                resume_step=event["resume_step"],
-            )
-        elif kind == "recovery_completed":
-            self.emit("recovery_completed", t, resume_step=event["resume_step"])
+                episode.update(initiated_t=t, victims=[event["rank"]], kills=0)
         elif kind == "step_completed":
             step = event["step"]
-            self._episode, closed = reduce_outage(self._episode, event)
+            episode, closed = reduce_outage(episode, event)
             if closed is not None:
                 detected = closed["detected_t"]
-                self.emit(
-                    "service_restored", t,
-                    step=step,
-                    mttr_s=(t - detected) if detected is not None else None,
-                )
-                self.episode_closed(closed, restored_t=t)
-            if (
-                self.steps_per_round > 0
-                and step > self._max_step_completed
-                and (step + 1) % self.steps_per_round == 0
-            ):
-                self.emit(
-                    "round_completed", t, round=(step + 1) // self.steps_per_round - 1
-                )
-            self._max_step_completed = max(self._max_step_completed, step)
-
-    def episode_closed(self, episode: dict, *, restored_t: float) -> None:
-        """Subclass hook: one outage episode fully resolved."""
-
-
-class TransitionMonitor(ChaosMonitor):
-    """The plain monitor: every transition, nothing coalesced."""
-
-    name = "transitions"
-
-
-class EpisodeMonitor(TransitionMonitor):
-    """Transition stream plus one coalesced ``episode`` summary per outage."""
-
-    name = "episodes"
-
-    def episode_closed(self, episode: dict, *, restored_t: float) -> None:
-        self.emit(
-            "episode", restored_t,
-            initiated_t=episode["initiated_t"],
-            detected_t=episode["detected_t"],
-            restored_t=restored_t,
-            victims=episode["victims"],
-            kills=episode["kills"],
-        )
-
-
-#: Registry of constructable monitors, by name.
-MONITORS: dict[str, type[ChaosMonitor]] = {
-    TransitionMonitor.name: TransitionMonitor,
-    EpisodeMonitor.name: EpisodeMonitor,
-}
-register_kind("monitor", MONITORS)
-
-
-def make_monitor(spec: "str | ChaosMonitor | None", **params: object) -> ChaosMonitor:
-    """Resolve a monitor specification into a fresh (or given) instance."""
-    return resolve_component(
-        "monitor", spec, MONITORS, ChaosMonitor, ChaosError,
-        default=TransitionMonitor.name, **params,
-    )
+                log.append({"type": "service_restored", "t": t, "step": step,
+                            "mttr_s": (t - detected) if detected is not None else None})
+                if episodes:
+                    log.append({"type": "episode", "t": t,
+                                "initiated_t": closed["initiated_t"],
+                                "detected_t": detected, "restored_t": t,
+                                "victims": closed["victims"], "kills": closed["kills"]})
+            if steps_per_round > 0 and step > max_step and (step + 1) % steps_per_round == 0:
+                log.append({"type": "round_completed", "t": t,
+                            "round": (step + 1) // steps_per_round - 1})
+            max_step = max(max_step, step)
+    return log

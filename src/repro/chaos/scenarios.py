@@ -208,7 +208,7 @@ class FlakyRank(Scenario):
     regular intervals.  Under ``"rollback"``/``"replay"`` countermeasures the
     rank is respawned each time and dies again; under ``"excise"`` the first
     death removes it and every later event is *skipped* (the injector still
-    reports it, so the monitor can show the excision absorbing the flaps).
+    reports it, so the chaos log can show the excision absorbing the flaps).
     """
 
     name = "flaky"

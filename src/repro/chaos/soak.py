@@ -1,8 +1,9 @@
 """The soak driver: open-ended workload rounds under accelerated virtual time.
 
 A *soak* runs one workload for many consecutive rounds inside a single
-session, with a scenario-generated kill plan striking throughout and a chaos
-monitor timestamping every transition.  Two levers make hour-scale campaigns
+session, with a scenario-generated kill plan striking throughout; its chaos
+log — every transition, timestamped — is read off the finished job's trace
+(:func:`~repro.chaos.monitor.chaos_events`).  Two levers make hour-scale campaigns
 finish in wall-clock seconds:
 
 * **time compression** — :func:`scaled_cost_model` multiplies every latency
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from repro.api.policy import FaultTolerancePolicy, Topology
 from repro.api.session import launch
 from repro.chaos.metrics import ChaosMetrics, compute_metrics, write_events
-from repro.chaos.monitor import make_monitor
+from repro.chaos.monitor import MONITORS, chaos_events
 from repro.chaos.scenarios import make_scenario
 from repro.errors import (
     CatastrophicFailure,
@@ -40,7 +41,6 @@ from repro.errors import (
 )
 from repro.experiment import _comparison_grid, check_names, plan_entropy, probe
 from repro.ft.inject import KillPlan, install_injector
-from repro.registry import register_kind
 from repro.simulator.costs import CostModel, cray_xe6_like
 from repro.study.model import IntervalModel
 from repro.study.workloads import make_workload
@@ -69,7 +69,6 @@ COUNTERMEASURES: dict[str, str] = {
     "replay": "localized",
     "excise": "degraded",
 }
-register_kind("countermeasure", COUNTERMEASURES)
 
 
 # ----------------------------------------------------------------------
@@ -146,11 +145,16 @@ class SoakSpec:
         check_names(
             (
                 (kind, (getattr(self, kind),))
-                for kind in ("workload", "backend", "store", "countermeasure",
-                             "delivery", "scenario", "monitor")
+                for kind in ("workload", "backend", "store", "delivery", "scenario")
             ),
             ChaosError, "soak spec",
         )
+        for kind, choices in (("countermeasure", COUNTERMEASURES), ("monitor", MONITORS)):
+            if getattr(self, kind) not in choices:
+                raise ChaosError(
+                    f"unknown {kind} {getattr(self, kind)!r} in soak spec; "
+                    f"choose one of: {', '.join(map(repr, sorted(choices)))}"
+                )
         if self.rounds < 1:
             raise ChaosError("a soak needs at least one round")
         if not isinstance(self.interval, int) or self.interval < 1:
@@ -284,15 +288,13 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
         spec, ops_per_round=ops_per_round, steps_per_round=workload.steps
     )
     recovery = COUNTERMEASURES[spec.countermeasure]
-    monitor = make_monitor(spec.monitor)
-    monitor.steps_per_round = workload.steps
     total_steps = spec.rounds * workload.steps
 
     aborted: str | None = None
     digest: str | None = None
-    # The monitor reduces the trace event bus: one tracer instruments the job
-    # (joining the run-wide hub when an engine CLI's ``--trace`` activated
-    # one) and the monitor subscribes.
+    # One tracer instruments the job (joining the run-wide hub when an engine
+    # CLI's ``--trace`` activated one); the chaos log is read off its events
+    # once the job has finished.
     with trace_label(spec.cell_key):
         hub = current_trace_hub()
         tracer = hub.tracer() if hub is not None else Tracer(detail="lifecycle")
@@ -310,34 +312,34 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
     ) as job:
         workload.setup(job)
         bytes_per_rank = sum(w.nbytes_per_rank for w in job.runtime.windows.all())
-        tracer.subscribe(monitor.consume)
-        monitor.emit(
-            "soak_started", 0.0,
-            workload=spec.workload, backend=spec.backend, store=spec.store,
-            countermeasure=spec.countermeasure, scenario=spec.scenario,
-            rounds=spec.rounds, steps_per_round=workload.steps,
-            planned_kills=len(plan), compression=spec.compression,
-            seed=spec.seed, nprocs=spec.nprocs,
-        )
         injector = install_injector(job, plan)
         try:
             report = job.run(workload.kernel(), steps=total_steps)
         except (RecoveryError, CatastrophicFailure) as exc:
             aborted = type(exc).__name__
-            monitor.emit("soak_aborted", job.cluster.elapsed(), error=aborted)
             report = job.report()
         if aborted is None:
             digest = workload.digest(workload.collect(job))
-        monitor.emit(
-            "soak_completed", job.cluster.elapsed(),
-            steps_executed=report.steps_executed,
-            kills_fired=len(injector.fired),
-            kills_skipped=len(injector.skipped),
-        )
+        end_t = job.cluster.elapsed()
 
-    metrics = compute_metrics(monitor.events)
+    events = [
+        {"type": "soak_started", "t": 0.0,
+         "workload": spec.workload, "backend": spec.backend, "store": spec.store,
+         "countermeasure": spec.countermeasure, "scenario": spec.scenario,
+         "rounds": spec.rounds, "steps_per_round": workload.steps,
+         "planned_kills": len(plan), "compression": spec.compression,
+         "seed": spec.seed, "nprocs": spec.nprocs},
+        *chaos_events(tracer.events, steps_per_round=workload.steps,
+                      episodes=spec.monitor == "episodes"),
+    ]
+    if aborted is not None:  # stamped where the run stopped, as its report was
+        events.append({"type": "soak_aborted", "t": report.elapsed, "error": aborted})
+    events.append({"type": "soak_completed", "t": end_t,
+                   "steps_executed": report.steps_executed,
+                   "kills_fired": len(injector.fired), "kills_skipped": len(injector.skipped)})
+    metrics = compute_metrics(events)
     if events_path is not None:
-        write_events(monitor.events, events_path)
+        write_events(events, events_path)
 
     # The analytic prediction for this cell: the §5–§7 interval model fed the
     # *planned* failure rate, so predicted and observed MTTR/availability can
@@ -361,7 +363,7 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
 
     return SoakResult(
         spec=spec,
-        events=monitor.events,
+        events=events,
         metrics=metrics,
         plan=[[e.after_ops, e.rank, e.kind.value] for e in plan],
         ops_per_round=ops_per_round,

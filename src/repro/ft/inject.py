@@ -150,7 +150,7 @@ class FiredKill:
 
     An event whose victims were all already dead or excised is *skipped*;
     listeners still see it, as a record with an empty ``victims`` tuple, so
-    chaos monitors can account for every planned event.
+    the chaos log can account for every planned event.
     """
 
     event: KillEvent
@@ -200,7 +200,7 @@ class FaultInjector(RmaInterceptor):
 
         Listeners receive the :class:`FiredKill` record at the exact stream
         position the kill lands — before the failure surfaces through the
-        fail-stop path — which is what lets a chaos monitor timestamp
+        fail-stop path — which is what lets the chaos log timestamp
         ``failure_initiated`` separately from ``failure_detected``.
         """
         self._listeners.append(listener)
@@ -287,7 +287,7 @@ def install_injector(
 
     A traced job (``Job(trace=...)`` or an active ``tracing()`` hub) gets
     the tracer wired as a kill listener automatically, so every fired and
-    skipped kill lands on the trace bus without engine plumbing.
+    skipped kill lands in the trace without engine plumbing.
     """
     injector = FaultInjector(
         plan, wait_timeout=wait_timeout, kill_on_respawn=kill_on_respawn

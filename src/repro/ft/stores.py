@@ -328,7 +328,7 @@ class CheckpointStore(abc.ABC):
     def add_placement_listener(self, listener) -> None:
         """Observe every placement: ``(store, level, rank, nbytes, incremental)``.
 
-        The trace bus registers here to attribute checkpoint bytes to store
+        The tracer registers here to attribute checkpoint bytes to store
         levels; :meth:`_account` notifies listeners alongside the
         ``ft.checkpoint_bytes`` metric, so both views always agree.
         """

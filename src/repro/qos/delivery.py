@@ -90,7 +90,7 @@ class DeliveryMode(abc.ABC):
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        #: When set (the trace bus does this in ``install_trace``), receives
+        #: When set (the tracer does this in ``install_trace``), receives
         #: ``(event, rank, n)`` for every counted delivery decision.
         self.listener: Callable[[str, int, int], None] | None = None
         self._runtime: "RmaRuntime | None" = None

@@ -50,8 +50,6 @@ _BUILTIN_KIND_MODULES = {
     "recovery": ("repro.ft.protocols",),
     "workload": ("repro.study.workloads", "repro.serve.service"),
     "scenario": ("repro.chaos.scenarios",),
-    "monitor": ("repro.chaos.monitor",),
-    "countermeasure": ("repro.chaos.soak",),
     "delivery": ("repro.qos.delivery",),
 }
 
@@ -118,8 +116,8 @@ def all_kinds() -> tuple[str, ...]:
 def render_available() -> str:
     """Multi-line listing of every kind and its registered names.
 
-    Shared by the ``--list`` flags of ``python -m repro.study`` and
-    ``python -m repro.chaos`` so both CLIs print the same catalog.
+    Shared by the ``--list`` flag of every engine CLI (``python -m
+    repro.{study,chaos,serve,qos}``), so all four print the same catalog.
     """
     lines = []
     for kind in all_kinds():

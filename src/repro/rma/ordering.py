@@ -72,28 +72,6 @@ class OrderRecorder:
             if action.kind is SyncKind.GSYNC:
                 self._gsync_generations.append(event.seq)
 
-    def clear(self) -> None:
-        """Drop everything recorded so far."""
-        self.events.clear()
-        self._per_rank.clear()
-        self._lock_chains.clear()
-        self._gsync_generations.clear()
-
-    # ------------------------------------------------------------------
-    # Simple accessors
-    # ------------------------------------------------------------------
-    def actions(self) -> list[CommAction]:
-        """All recorded communication actions, in global record order."""
-        return [e.action for e in self.events if isinstance(e.action, CommAction)]
-
-    def syncs(self) -> list[SyncAction]:
-        """All recorded synchronization actions, in global record order."""
-        return [e.action for e in self.events if isinstance(e.action, SyncAction)]
-
-    def per_rank(self, rank: int) -> list[CommAction | SyncAction]:
-        """Actions issued by ``rank``, in program order."""
-        return [e.action for e in self._per_rank.get(rank, [])]
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -13,8 +13,8 @@ shape.  :func:`run_service` executes a cell:
 2. **serve** — the real run under the declared
    :class:`~repro.api.policy.FaultTolerancePolicy`, with the
    :class:`~repro.ft.inject.FaultInjector` firing the plan (real SIGKILLs on
-   ``proc``) and a :class:`~repro.serve.slo.WindowTracker` observing the
-   checkpoint/recovery windows;
+   ``proc``); the checkpoint/recovery windows are read off the finished
+   job's trace (:meth:`~repro.serve.slo.WindowTracker.from_trace`);
 3. **reduce** — per-request rows (admission → completion latency in virtual
    time, status, window segment) and the segmented SLO report.
 
@@ -257,10 +257,9 @@ def run_service(spec: ServeSpec) -> ServeResult:
     probe_elapsed = probe_run.report.elapsed
     plan = build_plan(spec, ops_total=probe_ops)
 
-    # The tracker reduces the trace event bus; a run-wide hub — an engine
+    # The windows are a view of the job's trace; a run-wide hub — an engine
     # CLI's ``--trace`` — collects the tracer into the merged trace under
     # this cell's label.
-    tracker = WindowTracker()
     aborted: str | None = None
     digest: str | None = None
     with trace_label(spec.cell_key):
@@ -279,14 +278,13 @@ def run_service(spec: ServeSpec) -> ServeResult:
         trace=tracer,
     ) as job:
         service.setup(job)
-        tracer.subscribe(tracker.consume)
         injector = install_injector(job, plan)
         try:
             report = job.run(service.kernel(), steps=service.steps)
         except (RecoveryError, CatastrophicFailure) as exc:
             aborted = type(exc).__name__
             report = job.report()
-        tracker.finish(job.cluster.elapsed())
+        tracker = WindowTracker.from_trace(tracer.events, job.cluster.elapsed())
         if aborted is None:
             digest = service.digest(service.collect(job))
 

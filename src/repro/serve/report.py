@@ -81,6 +81,8 @@ def report_json(results: list[ServeResult]) -> str:
 # ----------------------------------------------------------------------
 def validate_request_row(row: dict) -> None:
     """Schema check for one request-log row; raises :class:`ServeError`."""
+    if not isinstance(row, dict):
+        raise ServeError("request row must be a JSON object")
     missing = [key for key in REQUEST_FIELDS if key not in row]
     if missing:
         raise ServeError(f"request row missing fields: {', '.join(missing)}")
@@ -91,17 +93,22 @@ def validate_request_row(row: dict) -> None:
     if row["segment"] not in SEGMENTS:
         raise ServeError(f"request row has unknown segment {row['segment']!r}")
     for key in ("rid", "frontend", "owner", "step", "key"):
-        if not isinstance(row[key], int):
+        if not isinstance(row[key], int) or isinstance(row[key], bool):
             raise ServeError(f"request row field {key!r} must be an integer")
-    if not isinstance(row["arrival_t"], (int, float)):
+    if not _is_number(row["arrival_t"]):
         raise ServeError("request row field 'arrival_t' must be numeric")
     for key in ("completion_t", "latency_s"):
-        if row[key] is not None and not isinstance(row[key], (int, float)):
+        if row[key] is not None and not _is_number(row[key]):
             raise ServeError(f"request row field {key!r} must be numeric or null")
 
 
+def _is_number(value: object) -> bool:
+    """``int`` or ``float`` but not ``bool`` (JSON ``true`` is no time)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_log_row(row: dict) -> None:
-    if "cell" not in row:
+    if isinstance(row, dict) and "cell" not in row:
         raise ServeError("request row missing 'cell'")
     validate_request_row(row)
 

@@ -1,8 +1,8 @@
 """SLO accounting: window segmentation and the per-window latency report.
 
-:class:`WindowTracker` is the serving layer's reducer over the trace event
-bus: it collects the **checkpoint windows** and the **recovery windows**
-(failure detected → the crash-aborted step completes again, the same
+:meth:`WindowTracker.from_trace` is the serving layer's view of a finished
+job's trace: the **checkpoint windows** and the **recovery windows** (failure
+detected → the crash-aborted step completes again, the same
 :func:`~repro.chaos.monitor.reduce_outage` state machine chaos MTTR uses) of
 one run, plus the injector's kill records.  :func:`build_slo_report` then
 segments every request by the window containing its *completion* instant —
@@ -14,6 +14,9 @@ byte-identical across re-runs and backends.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from repro.chaos.monitor import reduce_outage
 from repro.serve.service import STATUS_OK
@@ -28,60 +31,56 @@ SEGMENT_RECOVERY = "recovery"
 SEGMENTS = (SEGMENT_STEADY, SEGMENT_CHECKPOINT, SEGMENT_RECOVERY)
 
 
+@dataclass
 class WindowTracker:
-    """Records the checkpoint/recovery windows of one serving run."""
+    """The checkpoint/recovery windows and kill records of one serving run."""
 
-    def __init__(self) -> None:
-        #: Committed checkpoint spans: ``(t_start, t_end, step, demand)``.
-        self.checkpoint_windows: list[tuple[float, float, int, bool]] = []
-        #: Closed outage spans: ``(detected_t, restored_t)``.
-        self.recovery_windows: list[tuple[float, float]] = []
-        #: Injector records: one dict per planned kill (fired or skipped).
-        self.kills: list[dict] = []
-        self._outage: dict | None = None
+    #: Committed checkpoint spans: ``(t_start, t_end, step, demand)``.
+    checkpoint_windows: list[tuple[float, float, int, bool]] = field(default_factory=list)
+    #: Closed outage spans: ``(detected_t, restored_t)``.
+    recovery_windows: list[tuple[float, float]] = field(default_factory=list)
+    #: Injector records: one dict per planned kill (fired or skipped).
+    kills: list[dict] = field(default_factory=list)
 
-    def consume(self, event: dict) -> None:
-        """Trace-bus subscriber: reduce one trace event into windows/kills.
+    @classmethod
+    def from_trace(cls, events: Iterable[dict], end_t: float) -> WindowTracker:
+        """The windows of one finished job's trace ``events``.
 
-        The serve engine wires this via ``tracer.subscribe(tracker.consume)``.
         Timestamps come from the events themselves (the tracer stamps
-        ``cluster.elapsed()``).  Event types outside the tracker's
-        vocabulary are ignored.
+        ``cluster.elapsed()``); event types outside the vocabulary are
+        ignored.  An outage still open at the run's final virtual time
+        ``end_t`` (the run aborted, or a degraded continuation never
+        re-completed the crash step) counts until the end — consistent with
+        how chaos availability prices open outages.
         """
-        kind = event["type"]
-        if kind == "checkpoint_committed":
-            self.checkpoint_windows.append(
-                (event["t_start"], event["t_end"], event["step"], event["demand"])
-            )
-        elif kind in ("failure_detected", "step_completed"):
-            self._outage, closed = reduce_outage(self._outage, event)
-            if closed is not None:
-                self.recovery_windows.append((closed["detected_t"], event["t"]))
-        elif kind in ("kill_fired", "kill_skipped"):
-            fired = kind == "kill_fired"
-            self.kills.append(
-                {
-                    "t": event["t"],
-                    "rank": event["rank"],
-                    "kind": event["kind"],
-                    "after_ops": event["after_ops"],
-                    "victims": list(event["victims"]) if fired else [],
-                    "skipped": not fired,
-                    "real": fired and bool(event.get("rt", {}).get("real", False)),
-                }
-            )
-
-    # ------------------------------------------------------------------
-    def finish(self, t: float) -> None:
-        """Close the books at the run's final virtual time ``t``.
-
-        An outage still open (the run aborted, or a degraded continuation
-        never re-completed the crash step) counts until the end — consistent
-        with how chaos availability prices open outages.
-        """
-        if self._outage is not None:
-            self.recovery_windows.append((self._outage["detected_t"], t))
-            self._outage = None
+        tracker = cls()
+        outage: dict | None = None
+        for event in events:
+            kind = event["type"]
+            if kind == "checkpoint_committed":
+                tracker.checkpoint_windows.append(
+                    (event["t_start"], event["t_end"], event["step"], event["demand"])
+                )
+            elif kind in ("failure_detected", "step_completed"):
+                outage, closed = reduce_outage(outage, event)
+                if closed is not None:
+                    tracker.recovery_windows.append((closed["detected_t"], event["t"]))
+            elif kind in ("kill_fired", "kill_skipped"):
+                fired = kind == "kill_fired"
+                tracker.kills.append(
+                    {
+                        "t": event["t"],
+                        "rank": event["rank"],
+                        "kind": event["kind"],
+                        "after_ops": event["after_ops"],
+                        "victims": list(event["victims"]) if fired else [],
+                        "skipped": not fired,
+                        "real": fired and bool(event.get("rt", {}).get("real", False)),
+                    }
+                )
+        if outage is not None:
+            tracker.recovery_windows.append((outage["detected_t"], end_t))
+        return tracker
 
     def segment_of(self, t: float) -> str:
         """The segment the instant ``t`` belongs to (recovery wins)."""

@@ -29,10 +29,6 @@ class MetricsSnapshot:
         """Per-rank value of counter ``name``."""
         return self.per_rank.get(name, {}).get(rank, default)
 
-    def names(self) -> list[str]:
-        """Sorted list of counter names present in the snapshot."""
-        return sorted(self.totals)
-
 
 class MetricsRegistry:
     """Mutable collection of named counters, optionally broken down per rank."""
@@ -66,15 +62,6 @@ class MetricsRegistry:
             totals=dict(self._totals),
             per_rank={name: dict(vals) for name, vals in self._per_rank.items()},
         )
-
-    def reset(self) -> None:
-        """Clear all counters."""
-        self._totals.clear()
-        self._per_rank.clear()
-
-    def names(self) -> list[str]:
-        """Sorted list of counter names recorded so far."""
-        return sorted(self._totals)
 
     def __contains__(self, name: str) -> bool:
         return name in self._totals

@@ -127,33 +127,6 @@ class FailureDomainHierarchy:
         """A single-level hierarchy: ``num_nodes`` independent nodes."""
         return cls((kind,), (), num_nodes)
 
-    @classmethod
-    def uniform(
-        cls,
-        level_names: Iterable[str],
-        counts: Iterable[int],
-    ) -> "FailureDomainHierarchy":
-        """Build from absolute element counts per level (bottom to top).
-
-        ``counts`` must be divisible level over level, e.g. ``(1408, 176, 88, 44)``
-        gives 44 racks each holding 2 switches, each holding 2 PSUs, each
-        holding 8 nodes.
-        """
-        names = tuple(level_names)
-        nums = tuple(int(c) for c in counts)
-        if len(names) != len(nums):
-            raise TopologyError("level_names and counts must have the same length")
-        if any(c <= 0 for c in nums):
-            raise TopologyError("element counts must be positive")
-        branching = []
-        for lower, upper in zip(nums[:-1], nums[1:]):
-            if lower % upper != 0:
-                raise TopologyError(
-                    f"count {lower} is not divisible by the count {upper} of the level above"
-                )
-            branching.append(lower // upper)
-        return cls(names, branching, nums[-1])
-
     # ------------------------------------------------------------------
     # Queries (paper notation: H_j, H_{i,j})
     # ------------------------------------------------------------------

@@ -38,7 +38,6 @@ if TYPE_CHECKING:
         IntervalModel,
         checkpoint_seconds,
         optimal_interval_seconds,
-        overhead_curve,
         predicted_overhead,
         restart_seconds,
         system_failure_rate,
@@ -64,7 +63,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "IntervalModel": "repro.study.model",
     "checkpoint_seconds": "repro.study.model",
     "optimal_interval_seconds": "repro.study.model",
-    "overhead_curve": "repro.study.model",
     "predicted_overhead": "repro.study.model",
     "restart_seconds": "repro.study.model",
     "system_failure_rate": "repro.study.model",

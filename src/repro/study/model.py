@@ -47,7 +47,6 @@ __all__ = [
     "system_failure_rate",
     "optimal_interval_seconds",
     "predicted_overhead",
-    "overhead_curve",
 ]
 
 #: Group size assumed for the parity store's cost estimate when none is given
@@ -252,22 +251,6 @@ def predicted_overhead(
     return overhead
 
 
-def overhead_curve(
-    intervals_s: Sequence[float],
-    *,
-    checkpoint_s: float,
-    restart_s: float,
-    mtbf_s: float,
-) -> list[float]:
-    """Predicted overhead at each interval — the paper's §5-style curves."""
-    return [
-        predicted_overhead(
-            tau, checkpoint_s=checkpoint_s, restart_s=restart_s, mtbf_s=mtbf_s
-        )
-        for tau in intervals_s
-    ]
-
-
 @dataclass(frozen=True)
 class IntervalModel:
     """The analytic model instantiated for one machine/job configuration.
@@ -440,7 +423,7 @@ class IntervalModel:
         """Predicted detection → service-restored time for one failure.
 
         *Repair* ends when the crash-aborted step completes again (the chaos
-        monitor's ``service_restored`` marker), so the estimate prices the
+        log's ``service_restored`` marker), so the estimate prices the
         protocol's rework, not just its restore:
 
         * ``"global"`` — restore ``R`` plus re-executing the expected

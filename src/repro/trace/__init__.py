@@ -1,4 +1,4 @@
-"""repro.trace — deterministic end-to-end tracing over one event bus.
+"""repro.trace — deterministic end-to-end tracing: the one account of a run.
 
 The observability layer of the reproduction: every seam the stack
 already exposes (RMA interceptors, session observers, injector
@@ -6,10 +6,12 @@ listeners, store placement hooks, delivery-mode decisions, serve
 request lifecycles) feeds a single :class:`Tracer` whose events are
 stamped in virtual time — byte-identical across the sim, vector and
 proc backends and across serial/thread executors, with host-specific
-facts segregated under ``rt``.  On top of the bus sit canonical JSONL
-persistence, span rollups (:func:`summarize`), first-divergence
-localization (:func:`first_divergence`), a Chrome-trace export and the
-unified :class:`Telemetry` facade behind ``Job.telemetry()``.
+facts segregated under ``rt``.  Everything else reads a finished job's
+``tracer.events``: canonical JSONL persistence, span rollups
+(:func:`summarize`), first-divergence localization
+(:func:`first_divergence`), a Chrome-trace export, and the engines' chaos
+logs and SLO windows.  Counters live in the cluster's ``MetricsRegistry``
+(``JobReport.metrics``), not here.
 
 CLI: ``python -m repro.trace summarize|diff|export``.
 """
@@ -32,7 +34,6 @@ if TYPE_CHECKING:
     )
     from repro.trace.export import to_chrome_trace
     from repro.trace.summary import render_summary, summarize
-    from repro.trace.telemetry import Telemetry
     from repro.trace.tracer import (
         TraceHub,
         Tracer,
@@ -57,7 +58,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "to_chrome_trace": "repro.trace.export",
     "render_summary": "repro.trace.summary",
     "summarize": "repro.trace.summary",
-    "Telemetry": "repro.trace.telemetry",
     "TraceHub": "repro.trace.tracer",
     "Tracer": "repro.trace.tracer",
     "current_trace_hub": "repro.trace.tracer",

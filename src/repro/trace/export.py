@@ -4,7 +4,7 @@ Converts a trace into the Trace Event Format consumed by
 ``chrome://tracing`` and https://ui.perfetto.dev: each job becomes a
 process row (named via metadata events), each rank a thread row.  RMA
 ops and recovery/checkpoint windows become complete (``"X"``) duration
-events by pairing their issue/completion bus events; kills, steps and
+events by pairing their issue/completion trace events; kills, steps and
 respawns become instants.  Virtual seconds map to microseconds.
 """
 

@@ -1,4 +1,4 @@
-"""The trace event bus: one tracer per job, one hub per run.
+"""The trace: one tracer per job, one hub per run.
 
 A :class:`Tracer` is the single instrumentation source for a job.  It
 plugs into every existing seam at once —
@@ -17,9 +17,10 @@ accounting diverges in wall time), the resulting event stream is
 byte-identical across the sim, vector and proc backends for the same
 seed; host-specific facts live under the segregated ``rt`` sub-object.
 
-Downstream consumers subscribe to the bus (``tracer.subscribe(fn)``):
-``ChaosMonitor`` and the serve ``WindowTracker`` are driven this way
-instead of registering their own observer/listener stacks.
+A tracer only records.  Everything downstream is a view of a finished
+job's ``tracer.events`` — the chaos log (``repro.chaos.monitor.chaos_events``),
+the serve SLO windows (``WindowTracker.from_trace``), the rollups of
+``repro.trace.summary.summarize`` — so the trace is the one account of a run.
 
 A :class:`TraceHub` collects the tracers of a whole multi-job run
 (probe sessions, every comparison cell) into one merged trace file.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import TraceError
 from repro.rma.interceptor import RmaInterceptor
@@ -57,12 +58,12 @@ __all__ = [
 
 #: Detail levels: ``"full"`` records the per-op interceptor stream,
 #: ``"lifecycle"`` keeps only session/fault/store/qos events (what the
-#: chaos and serve monitors need, at near-zero volume).
+#: chaos and serve views read, at near-zero volume).
 _DETAIL_LEVELS = ("full", "lifecycle")
 
 
 class Tracer:
-    """Deterministic event bus for one job."""
+    """Deterministic event recorder for one job."""
 
     def __init__(
         self,
@@ -83,20 +84,15 @@ class Tracer:
         self.observer = _TraceObserver(self)
         self._seq = 0
         self._cluster = None
-        self._subscribers: list[Callable[[dict], None]] = []
         self._wall_started: float | None = None
 
     # ------------------------------------------------------------------
-    # Bus plumbing
+    # Recording
     # ------------------------------------------------------------------
     @property
     def full(self) -> bool:
         """Whether the per-op interceptor stream is recorded."""
         return self.detail == "full"
-
-    def subscribe(self, fn: Callable[[dict], None]) -> None:
-        """Deliver every subsequent event to ``fn``, synchronously."""
-        self._subscribers.append(fn)
 
     def bind(self, job: Job) -> None:
         """Point virtual-time stamps at ``job``'s cluster clock."""
@@ -117,15 +113,13 @@ class Tracer:
         return self._cluster.elapsed()
 
     def emit(self, type_: str, t: float, *, rt: dict | None = None, **fields) -> dict:
-        """Append one event to the stream and fan it out to subscribers."""
+        """Append one event to the stream and return it."""
         event = {"type": type_, "t": float(t), "seq": self._seq, "job": self.job}
         event.update(fields)
         if rt:
             event["rt"] = rt
         self._seq += 1
         self.events.append(event)
-        for fn in self._subscribers:
-            fn(event)
         return event
 
     # ------------------------------------------------------------------

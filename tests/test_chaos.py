@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,18 +12,18 @@ import pytest
 import repro
 from repro.backends.proc import proc_available
 from repro.chaos import (
-    EpisodeMonitor,
     SoakSpec,
+    chaos_events,
     compute_metrics,
     load_events,
-    make_monitor,
     make_scenario,
     run_comparison,
     run_soak,
     scaled_cost_model,
 )
-from repro.chaos.__main__ import main as chaos_main
+from repro.chaos.__main__ import main as chaos_main, quick_spec
 from repro.chaos.metrics import EVENT_TYPES
+from repro.chaos.monitor import MONITORS
 from repro.chaos.report import (
     check_against_baseline,
     check_chaos_invariants,
@@ -37,7 +38,8 @@ from repro.simulator.costs import cray_xe6_like
 from repro.study.campaign import _trial_batches
 from repro.study.model import IntervalModel
 from repro.study.workloads import make_workload
-from repro.trace.events import event_line
+from repro.trace.events import event_line, load_trace
+from repro.trace.tracer import tracing
 
 pytestmark = pytest.mark.usefixtures("proc_hygiene")
 
@@ -80,16 +82,21 @@ def scrub(events: list[dict]) -> list[dict]:
 # ----------------------------------------------------------------------
 def test_chaos_kinds_registered():
     assert available("scenario") == ("cascade", "correlated", "flaky", "poisson")
-    assert available("monitor") == ("episodes", "transitions")
-    assert available("countermeasure") == ("excise", "replay", "rollback")
+    # Log flavors and countermeasures are fixed sets a spec checks, not seams.
+    for kind in ("monitor", "countermeasure"):
+        with pytest.raises(KeyError, match="unknown component kind"):
+            available(kind)
 
 
 def test_render_available_lists_every_kind():
     text = render_available()
-    assert len(all_kinds()) >= 7
-    for line_start in ("scenarios:", "monitors:", "countermeasures:",
-                      "backends:", "stores:", "recoveries:", "workloads:"):
+    assert all_kinds() == (
+        "backend", "delivery", "recovery", "scenario", "store", "workload"
+    )
+    for line_start in ("scenarios:", "backends:", "stores:", "recoveries:",
+                       "workloads:", "deliveries:"):
         assert any(line.startswith(line_start) for line in text.splitlines())
+    assert "monitors:" not in text and "countermeasures:" not in text
 
 
 def test_make_scenario_rejects_unknown():
@@ -190,8 +197,10 @@ def test_scaled_cost_model_rejects_nonpositive():
     ("monitor", "nope"),
 ])
 def test_spec_rejects_unknown_names(field, value):
-    with pytest.raises(ChaosError, match="nope"):
+    with pytest.raises(ChaosError, match="nope") as info:
         SoakSpec(**{field: value})
+    # The message lists the valid choices, the default among them.
+    assert repr(getattr(SoakSpec(), field)) in str(info.value)
 
 
 def test_spec_rejects_non_numeric_interval():
@@ -257,7 +266,6 @@ def test_rerun_is_byte_identical():
 
 
 def test_episode_monitor_coalesces_outages():
-    assert isinstance(make_monitor("episodes"), EpisodeMonitor)
     result = run_soak(small_spec(monitor="episodes"))
     episodes = [e for e in result.events if e["type"] == "episode"]
     assert len(episodes) == result.metrics.episodes_resolved
@@ -266,6 +274,24 @@ def test_episode_monitor_coalesces_outages():
     # The coalesced events are derived, not double-counted by the metrics.
     transitions = [e for e in result.events if e["type"] != "episode"]
     assert compute_metrics(transitions) == result.metrics
+    # ... and the rest of the log is exactly the "transitions" flavor's.
+    assert transitions == run_soak(small_spec()).events
+
+
+@pytest.mark.parametrize("monitor", MONITORS)
+def test_chaos_log_is_a_view_of_the_written_trace(tmp_path, monitor):
+    spec = replace(quick_spec(), monitor=monitor)
+    path = tmp_path / "trace.jsonl"
+    with tracing(str(path)):
+        result = run_soak(spec)
+    mine = [e for e in load_trace(str(path)) if e["job"] == f"{spec.cell_key}#0"]
+    steps_per_round = result.events[0]["steps_per_round"]
+    derived = chaos_events(
+        mine, steps_per_round=steps_per_round, episodes=monitor == "episodes"
+    )
+    assert derived == [e for e in result.events if not e["type"].startswith("soak_")]
+    assert any(e["type"] == "service_restored" for e in derived)
+    assert any(e["type"] == "episode" for e in derived) == (monitor == "episodes")
 
 
 def test_excise_skips_kills_of_excised_rank():
@@ -438,8 +464,17 @@ def test_countermeasures_map_onto_recovery_protocols():
 def test_chaos_cli_list(capsys):
     assert chaos_main(["--list"]) == 0
     out = capsys.readouterr().out
-    for kind in ("scenarios:", "countermeasures:", "monitors:"):
-        assert kind in out
+    assert "scenarios:" in out
+    assert "countermeasures:" not in out and "monitors:" not in out
+    assert len(out.splitlines()) == 6
+
+
+def test_chaos_cli_help_lists_the_fixed_choices(capsys):
+    with pytest.raises(SystemExit):
+        chaos_main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "{episodes,transitions}" in out
+    assert "rollback, replay, excise" in out
 
 
 def test_chaos_cli_quick(tmp_path, capsys):

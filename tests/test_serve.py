@@ -44,6 +44,8 @@ from repro.serve.slo import (
 )
 from repro.stats import latency_percentiles, percentile
 from repro.study.workloads import make_workload
+from repro.trace.events import load_trace
+from repro.trace.tracer import tracing
 
 pytestmark = pytest.mark.usefixtures("proc_hygiene")
 
@@ -254,10 +256,23 @@ def test_window_tracker_segment_precedence():
 
 
 def test_window_tracker_finish_closes_open_outage():
-    tracker = WindowTracker()
-    tracker.consume({"type": "failure_detected", "t": 42.0, "rank": 3, "step": 7})
-    tracker.finish(50.0)
+    events = [{"type": "failure_detected", "t": 42.0, "rank": 3, "step": 7}]
+    tracker = WindowTracker.from_trace(events, 50.0)
     assert tracker.recovery_windows == [(42.0, 50.0)]
+
+
+@pytest.mark.parametrize("recovery", ["global", "localized", "degraded"])
+def test_windows_are_a_view_of_the_written_trace(tmp_path, recovery):
+    spec = replace(quick_spec(), recovery=recovery)
+    path = tmp_path / "trace.jsonl"
+    with tracing(str(path)):
+        result = run_service(spec)
+    mine = [e for e in load_trace(str(path)) if e["job"] == f"{spec.cell_key}#0"]
+    tracker = WindowTracker.from_trace(mine, result.elapsed_s)
+    assert [list(w) for w in tracker.checkpoint_windows] == result.checkpoint_windows
+    assert [list(w) for w in tracker.recovery_windows] == result.recovery_windows
+    assert tracker.kills == result.kills
+    assert result.checkpoint_windows and result.recovery_windows and result.kills
 
 
 def test_build_slo_report_empty_segments_are_none():
@@ -365,6 +380,10 @@ def test_request_log_rejects_bad_rows(tmp_path):
     path.write_text('{"rid": 1}\n')
     with pytest.raises(ServeError, match="missing"):
         load_requests(path)
+    for line in ("5", "[1]"):
+        path.write_text(line + "\n")
+        with pytest.raises(ServeError, match=r"bad.jsonl:1: .*must be a JSON object"):
+            load_requests(path)
     row = {
         "rid": 0, "frontend": 0, "owner": 0, "step": 0, "op": "read", "key": 3,
         "arrival_t": 0.1, "completion_t": 0.2, "latency_s": 0.1,
@@ -377,6 +396,13 @@ def test_request_log_rejects_bad_rows(tmp_path):
         validate_request_row(dict(row, status="lost"))
     with pytest.raises(ServeError, match="unknown segment"):
         validate_request_row(dict(row, segment="warmup"))
+    with pytest.raises(ServeError, match="'rid' must be an integer"):
+        validate_request_row(dict(row, rid=True))
+    with pytest.raises(ServeError, match="'arrival_t' must be numeric"):
+        validate_request_row(dict(row, arrival_t=False))
+    path.write_text(json.dumps(dict(row, cell="sim/memory/global", rid=True)) + "\n")
+    with pytest.raises(ServeError, match="bad.jsonl:1: .*'rid' must be an integer"):
+        load_requests(path)
 
 
 def test_markdown_covers_every_cell_and_segment(comparison):

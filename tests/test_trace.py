@@ -1,4 +1,4 @@
-"""The trace layer: deterministic event streams, diffing, telemetry, CLI.
+"""The trace layer: deterministic event streams, diffing, rollups, CLI.
 
 The headline property mirrors the differential harness: because every
 instrumentation seam fires at runtime level — before backend-specific
@@ -19,7 +19,7 @@ import pytest
 import repro
 from repro.backends.proc import proc_available
 from repro.errors import TraceError
-from repro.ft.inject import KillPlan
+from repro.ft.inject import KillPlan, install_injector
 from repro.study import make_workload
 from repro.trace import (
     TraceWriter,
@@ -261,38 +261,27 @@ def test_tracing_does_not_nest():
 
 
 # ---------------------------------------------------------------------------
-# Telemetry facade
+# The trace's rollups reconcile with the one metrics store
 # ---------------------------------------------------------------------------
-def test_job_telemetry_unifies_metrics_and_trace_rollups():
+def test_trace_rollups_reconcile_with_job_metrics():
     tracer = Tracer()
-    ft = repro.FaultTolerancePolicy(interval=2, store="memory")
+    ft = repro.FaultTolerancePolicy(interval=2, store="memory", recovery="localized")
     with repro.launch(4, ft=ft, trace=tracer) as job:
         job.allocate("w", 8)
-        job.run(
+        install_injector(job, KillPlan.single(**KILL))
+        report = job.run(
             lambda ctx, step: ctx.put((ctx.rank + 1) % 4, "w", 0, [1.0 + step]),
-            steps=4,
+            steps=6,
         )
-        telemetry = job.telemetry()
-
-    assert "trace.events" in telemetry
-    assert telemetry.get("trace.steps") == 4.0
-    assert telemetry.get("trace.checkpoints") == telemetry.get("ft.checkpoints")
+    stats = summarize(tracer.events)
+    metrics = report.metrics
+    assert stats["checkpoints"]["count"] == metrics.total("ft.checkpoints") >= 1
     # The per-level placement rollup reconciles with the store's own counter.
-    by_level = telemetry.query("trace.checkpoint_bytes.*")
-    assert by_level  # memory store: local + buddy
-    assert sum(by_level.values()) == telemetry.get("ft.checkpoint_bytes")
-    # Cluster metrics still flow through untouched, per-rank included.
-    assert telemetry.get("rma.put") > 0
-    assert sum(telemetry.per_rank("rma.put").values()) == telemetry.get("rma.put")
-
-
-def test_untraced_job_telemetry_has_no_trace_namespace():
-    with repro.launch(2) as job:
-        job.allocate("w", 4)
-        job.run(lambda ctx, step: None, steps=2)
-        telemetry = job.telemetry()
-    assert not telemetry.query("trace.*")
-    assert "rma.gsyncs" in telemetry  # cluster metrics unaffected
+    by_level = stats["checkpoints"]["bytes_by_level"]
+    assert set(by_level) == {"local", "buddy"}  # memory store
+    assert sum(by_level.values()) == metrics.total("ft.checkpoint_bytes")
+    assert stats["kills"]["fired"] == metrics.total("inject.kills") == 1
+    assert stats["recovery"]["episodes"] == metrics.total("ft.recoveries") >= 1
 
 
 def test_untraced_job_after_a_traced_one_carries_no_trace_seam():
