@@ -25,11 +25,13 @@ class SimBackend(Backend):
 
     def _apply(self, src: int, batch: list[CommAction]) -> None:
         """Apply a queued batch in issue order, one region access per action."""
-        window, put = self.windows.get, OpKind.PUT
+        windows, put = self.windows._windows, OpKind.PUT
         for op in batch:
-            win = window(op.window)
-            if op.kind is put:  # apply_action's put branch, without the dispatch
+            win = windows[op.window]  # issued against a registered window
+            if op.kind is put:  # apply_action's put branch, straight to the slab
+                if op.trg in win._invalidated:
+                    win._check_alive(op.trg)  # Window._region's one check
                 op.operand = op.data
-                win._region(op.trg, op.offset, op.count)[...] = op.data
+                win.buffers[op.trg][op.offset : op.offset + op.count] = op.data
             else:
                 apply_action(op, win)

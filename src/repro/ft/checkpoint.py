@@ -102,12 +102,12 @@ class ActionLog(RmaInterceptor):
             self.actions.append(action)
         if put_like:
             self._dirty[action.trg, action.window].append((action.offset, action.count))
-        if self._runtime is not None:
-            costs = self._runtime.cluster.costs
-            overhead = costs.log_bookkeeping
-            if put_like:
-                overhead += costs.local_copy(nbytes)
-            self._runtime._clock_of[src].advance(overhead, kind="protocol")
+        if self._runtime is not None:  # in place, in VirtualClock.advance's field order
+            clock, costs = self._runtime._clock_of[src], self._runtime.cluster.costs
+            overhead = costs.log_prices[nbytes] if put_like else costs.log_bookkeeping
+            clock.now += overhead
+            clock.ticks += 1
+            clock.protocol += overhead
 
     def on_recovery_start(self, ranks: list[int], *, localized: bool) -> None:
         self._preserve_on_respawn = localized

@@ -329,7 +329,10 @@ class ContinueDegraded(RecoveryProtocol):
     aborted step is re-executed by the survivors alone.  This is the
     best-effort communication mode of Moreno & Ofria (arXiv:2211.10897):
     the result is *not* bit-identical to a failure-free run — availability
-    and forward progress are traded for precision.
+    and forward progress are traded for precision.  Failures that would
+    excise every rank leave nobody to continue: that is a
+    :class:`~repro.errors.CatastrophicFailure`, raised before anything is
+    excised.
     """
 
     name = "degraded"
@@ -338,6 +341,11 @@ class ContinueDegraded(RecoveryProtocol):
         runtime = manager.runtime
         cluster = runtime.cluster
         failed = self._require_failed(runtime)
+        if runtime.excised | set(failed) >= set(range(cluster.nprocs)):
+            raise CatastrophicFailure(
+                f"ranks {failed} failed and every other rank is already excised; "
+                f"no rank is left to continue the job"
+            )
         runtime.discard_pending()
         runtime.interceptors.on_recovery_start(failed, localized=False)
         for rank in failed:

@@ -123,14 +123,12 @@ class AccumulateOp(enum.Enum):
     MAX = "max"
     NO_OP = "no_op"  # used by fetch_and_op to implement an atomic read
 
-    @property
-    def combining(self) -> bool:
-        """True if the result depends on the previous target value.
-
-        The paper calls puts with this property *combining puts*; replaying
-        them twice corrupts the target (§4.2), hence the ``M`` flag.
-        """
-        return self not in (AccumulateOp.REPLACE, AccumulateOp.NO_OP)
+    def __init__(self, label: str) -> None:
+        #: True if the result depends on the previous target value.  The paper
+        #: calls puts with this property *combining puts*; replaying them twice
+        #: corrupts the target (§4.2), hence the ``M`` flag.  A plain member
+        #: attribute, like :class:`OpKind`'s traits: every atomic issue reads it.
+        self.combining: bool = label not in ("replace", "no_op")
 
 
 def apply_accumulate(

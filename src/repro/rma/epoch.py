@@ -56,12 +56,6 @@ class EpochTracker:
         """Current epoch number ``E(src -> trg)``."""
         return self._states[src].epoch_of_target[trg]
 
-    def record_access(self, src: int, trg: int) -> int:
-        """Count an access of ``src`` towards ``trg`` in the open epoch; return the epoch."""
-        state = self._states[src]
-        state.pending_ops[trg] += 1
-        return state.epoch_of_target[trg]
-
     def pending(self, src: int, trg: int | None = None) -> int:
         """Operations ``src`` issued towards ``trg`` (or all targets) in the open
         epoch(s) — completed or not; :meth:`~repro.simulator.costs.CostModel.flush`

@@ -83,7 +83,7 @@ class RmaInterceptor:
         """The application finished; flush statistics."""
 
 
-#: Its hooks are what a chain holds for a hook no registered interceptor overrides.
+#: Its hooks are what a chain holds for a lifecycle hook nobody overrides.
 _IDLE = RmaInterceptor()
 
 
@@ -110,10 +110,11 @@ class InterceptorChain:
     Hooks are looked up when an interceptor is added or removed, never per
     action: each hook of :class:`RmaInterceptor` is then an attribute of the
     chain holding one callable — a no-op when no registered interceptor
-    overrides it, that interceptor's bound method when one does, a loop over
-    the overriding ones otherwise.  An interceptor that overrides no per-op
-    hook therefore costs an operation nothing, and a hook replaced on a class
-    or an instance after registration is not seen until the chain changes.
+    overrides it (``None`` for a per-op hook: its call site skips it), that
+    interceptor's bound method when one does, a loop over the overriding ones
+    otherwise.  An interceptor that overrides no per-op hook therefore costs an
+    operation nothing, and a hook replaced on a class or an instance after
+    registration is not seen until the chain changes.
     """
 
     def __init__(self) -> None:
@@ -136,11 +137,13 @@ class InterceptorChain:
         """Rebind every hook to the registered interceptors that override it."""
         for name, default in vars(RmaInterceptor).items():
             if name.startswith(("on_", "before_", "after_")):
+                per_op = name.endswith(("_comm", "_sync"))
                 hooks = [getattr(i, name) for i in self._interceptors]
                 hooks = [h for h in hooks if getattr(h, "__func__", None) is not default]
                 if len(hooks) > 1:
-                    hooks = [_each(hooks, name.endswith(("_comm", "_sync")))]
-                setattr(self, name, hooks[0] if hooks else getattr(_IDLE, name))
+                    hooks = [_each(hooks, per_op)]
+                idle = None if per_op else getattr(_IDLE, name)
+                setattr(self, name, hooks[0] if hooks else idle)
 
     def __iter__(self):
         return iter(self._interceptors)

@@ -132,6 +132,12 @@ class RmaRuntime:
         #: The per-rank clocks, resolved once (they are reset in place, never
         #: replaced).
         self._clock_of = [cluster.clock(rank) for rank in range(cluster.nprocs)]
+        #: The metric registry's own maps and the cost model's prices, read once: a per-op
+        #: charge or bump is in place (``now += c; ticks += 1`` is ``advance(c, kind="comm")``).
+        self._totals, self._per_rank = cluster.metrics._totals, cluster.metrics._per_rank
+        costs = cluster.costs
+        self._transfer, self._flop_time = costs.transfer_prices, costs.flop_time
+        self._lock_price, self._unlock_price = costs.lock(), costs.unlock()
         self._injector = cluster.injector
         #: Whether ranks can die behind the injector's back (the backend overrides
         #: ``poll_failures``): then blocking calls, sync actions and collectives poll,
@@ -383,7 +389,7 @@ class RmaRuntime:
         if dropped:
             self.delivery.count("dropped_syncs", src)
             return action
-        return self._issue_sync(action, cost=self.cluster.costs.lock())
+        return self._issue_sync(action, cost=self._lock_price)
 
     def unlock(self, src: int, trg: int, structure: str | None = None) -> SyncAction:
         """Release a lock on ``trg``; completes and closes the epoch (§2.2).
@@ -416,9 +422,12 @@ class RmaRuntime:
         action = SyncAction.issued(
             SyncKind.UNLOCK, src, trg, self._stamp(src, trg), structure
         )
-        result = self._issue_sync(action, cost=self.cluster.costs.unlock())
-        self.epochs.close_epoch(src, trg)
-        return result
+        self._issue_sync(action, cost=self._unlock_price)
+        state = self.epochs._states[src]  # closes the epoch, as EpochTracker.close_epoch
+        state.epoch_of_target[trg] += 1
+        state.pending_ops[trg] = 0
+        state.epochs_closed += 1
+        return action
 
     def flush(self, src: int, trg: int) -> SyncAction:
         """Complete all outstanding ``src -> trg`` operations (MPI_Win_flush).
@@ -491,13 +500,15 @@ class RmaRuntime:
         self._collective_barrier(cost=cost)  # raises on failed participants
         self.counters.on_gsync()
         self.epochs.close_global_epoch()
-        actions = []
+        actions, interceptors = [], self.interceptors
         for rank in self.cluster.alive_ranks():
             action = SyncAction.issued(SyncKind.GSYNC, rank, None, self._stamp(rank))
-            self.interceptors.before_sync(action)
+            if interceptors.before_sync is not None:
+                interceptors.before_sync(action)
             if self.recorder.enabled:
                 self.recorder.record(action)
-            self.interceptors.after_sync(action)
+            if interceptors.after_sync is not None:
+                interceptors.after_sync(action)
             actions.append(action)
         self.cluster.metrics.incr("rma.gsyncs")
         return actions
@@ -538,11 +549,14 @@ class RmaRuntime:
         (their lost computation is re-executed); survivors merely re-derive
         values they already hold, so their charge is suppressed — in a real
         system they would be waiting for the recovering processes (§4.2).
+        ``advance`` (not an in-place charge) meets a caller's negative ``flops``.
         """
-        self._require_alive(rank)
+        if self._settled != self._injector.generation or not 0 <= rank < self.nprocs:
+            self._require_alive(rank)
+            self.cluster.clock(rank)  # a rank out of range raises here
         if self._replay is not None and rank not in self._replay.restoring:
-            return self.cluster.now(rank)
-        return self.cluster.advance(rank, self.cluster.costs.compute(flops))
+            return self._clock_of[rank].now
+        return self._clock_of[rank].advance(flops * self._flop_time)
 
     def finalize(self) -> None:
         """Finish the run: flush interceptor statistics, release the backend.
@@ -821,8 +835,8 @@ class RmaRuntime:
         pair, zero for a sync towards everyone (``trg=None``).
 
         Read straight from the rank's ``ProcessCounters`` / ``EpochState``
-        (the boards' accessors would be two more calls on every issued
-        operation) and built without the namedtuple's keyword constructor.
+        (the boards' accessors would be two more calls per sync) and built without
+        the namedtuple's keyword constructor; :meth:`_issue` stamps inline.
         """
         own = self.counters._counters[src]
         if trg is None:
@@ -885,14 +899,18 @@ class RmaRuntime:
             not 0 <= src < self.nprocs or self._clock_of[src].now >= injector.next_due
         ):
             self._pre_action(src, trg)
+        # The stamp (:meth:`_stamp`) and the open epoch's op count: one state read.
+        own, state = self.counters._counters[src], self.epochs._states[src]
+        stamp = (state.epoch_of_target[trg], own.gc, own.sc_held.get(trg, 0), own.gnc)
         action = CommAction.issued(
             kind, src, trg, win.name, offset, count, combine,
-            self._stamp(src, trg), op, data, compare, count * win.itemsize,
+            _new_stamp(Counters, stamp), op, data, compare, count * win.itemsize,
         )
         if self._divert is not None and self._divert(action, win):
             return action
-        self.interceptors.before_comm(action)
-        self.epochs.record_access(src, trg)
+        if self.interceptors.before_comm is not None:
+            self.interceptors.before_comm(action)
+        state.pending_ops[trg] += 1  # what the closing flush is priced by
         if self.recorder.enabled:
             self.recorder.record(action)
         backend = self.backend
@@ -1028,43 +1046,57 @@ class RmaRuntime:
         """
         if not batch:
             return
-        after_comm = self.interceptors.after_comm
-        remote_transfer = self.cluster.costs.remote_transfer
-        clock, incr = self._clock_of[src], self.cluster.metrics.incr
+        after_comm, transfer = self.interceptors.after_comm, self._transfer
+        clock, totals, per_rank = self._clock_of[src], self._totals, self._per_rank
         if len(batch) == 1:  # a blocking call with nothing queued ahead of it
             op = batch[0]
             op._completed = True
-            after_comm(op)
+            if after_comm is not None:
+                after_comm(op)
             kind, nbytes = op.kind, op.nbytes
-            clock.advance(remote_transfer(nbytes, atomic=kind.is_atomic), kind="comm")
-            incr(kind.metric, 1, rank=src)
-            incr("rma.bytes_moved", nbytes, rank=src)
+            clock.now += transfer[nbytes, kind.is_atomic]
+            clock.ticks += 1
+            totals[kind.metric] += 1
+            per_rank[kind.metric][src] += 1
+            totals["rma.bytes_moved"] += nbytes
+            per_rank["rma.bytes_moved"][src] += nbytes
             return
         accounts: dict[int, list] = {}  # trg -> [cost, bytes, {metric: count}]
         for op in batch:
             op._completed = True
-            after_comm(op)
+            if after_comm is not None:
+                after_comm(op)
             account = accounts.get(op.trg)
             if account is None:
                 account = accounts[op.trg] = [0.0, 0, {}]
             kind, nbytes = op.kind, op.nbytes
-            account[0] += remote_transfer(nbytes, atomic=kind.is_atomic)
+            account[0] += transfer[nbytes, kind.is_atomic]
             account[1] += nbytes
             kinds = account[2]
             kinds[kind.metric] = kinds.get(kind.metric, 0) + 1
         for cost, nbytes, kinds in accounts.values():
-            clock.advance(cost, kind="comm")
+            clock.now += cost
+            clock.ticks += 1
             for name, count in kinds.items():
-                incr(name, count, rank=src)
-            incr("rma.bytes_moved", nbytes, rank=src)
+                totals[name] += count
+                per_rank[name][src] += count
+            totals["rma.bytes_moved"] += nbytes
+            per_rank["rma.bytes_moved"][src] += nbytes
 
     def _issue_sync(self, action: SyncAction, *, cost: float) -> SyncAction:
-        self.interceptors.before_sync(action)
-        self._clock_of[action.src].advance(cost, kind="comm")
+        """Run the sync hooks nobody left idle; charge ``cost`` in place."""
+        interceptors, src, metric = self.interceptors, action.src, action.kind.metric
+        if interceptors.before_sync is not None:
+            interceptors.before_sync(action)
+        clock = self._clock_of[src]
+        clock.now += cost
+        clock.ticks += 1
         if self.recorder.enabled:
             self.recorder.record(action)
-        self.interceptors.after_sync(action)
-        self.cluster.metrics.incr(action.kind.metric, rank=action.src)
+        if interceptors.after_sync is not None:
+            interceptors.after_sync(action)
+        self._totals[metric] += 1
+        self._per_rank[metric][src] += 1
         return action
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

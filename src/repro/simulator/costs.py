@@ -16,7 +16,10 @@ per process, ~2 us atomics, and a PFS delivering ~20 GiB/s aggregate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+
+from repro.errors import SimulationError
 
 __all__ = ["CostModel", "cray_xe6_like", "ethernet_cluster_like"]
 
@@ -24,11 +27,29 @@ GiB = float(1 << 30)
 MiB = float(1 << 20)
 
 
+class _Prices(dict):
+    """A price table filled on first lookup: ``table[key]`` is ``price(key)``,
+    evaluated once — every later lookup returns that same float, without a call."""
+
+    def __init__(self, price) -> None:
+        super().__init__()
+        self._price = price
+
+    def __missing__(self, key) -> float:
+        value = self[key] = self._price(key)
+        return value
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Timing parameters of the simulated machine.
 
-    All times are in seconds, bandwidths in bytes/second.
+    All times are in seconds, bandwidths in bytes/second.  Construction
+    rejects a time that is not finite and ``>= 0`` and a bandwidth that is not
+    finite and ``> 0`` (:class:`~repro.errors.SimulationError` naming the
+    field): every derived cost is then a non-negative duration, which is what
+    lets the hot path charge prices in place instead of through
+    :meth:`~repro.simulator.timebase.VirtualClock.advance`'s check.
     """
 
     #: CPU overhead to issue any RMA operation (the "o" in LogGP).
@@ -65,6 +86,39 @@ class CostModel:
     log_bookkeeping: float = 0.15e-6
     #: Name for reporting.
     name: str = field(default="cray-xe6-like", compare=False)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.name == "name":
+                continue
+            value, bandwidth = getattr(self, f.name), f.name.endswith("_bandwidth")
+            try:
+                valid = math.isfinite(value) and (value > 0 if bandwidth else value >= 0)
+            except TypeError:
+                valid = False
+            if not valid:
+                wanted = "a finite bandwidth > 0" if bandwidth else "a finite time >= 0"
+                raise SimulationError(f"CostModel.{f.name} must be {wanted}, got {value!r}")
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a price table is rebuilt by whoever looks it up."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    # ------------------------------------------------------------------
+    # Prices looked up per operation, each evaluated once per model
+    # ------------------------------------------------------------------
+    @cached_property
+    def transfer_prices(self) -> dict[tuple[int, bool], float]:
+        """:meth:`remote_transfer` per ``(nbytes, atomic)``: the same float
+        expression, evaluated once per size, so a sum of looked-up prices is
+        bit-identical to the sum of calls it replaces."""
+        return _Prices(lambda key: self.remote_transfer(key[0], atomic=key[1]))
+
+    @cached_property
+    def log_prices(self) -> dict[int, float]:
+        """What logging a completed put-like action of ``nbytes`` costs its
+        origin (§6.2): ``log_bookkeeping + local_copy(nbytes)``, once per size."""
+        return _Prices(lambda nbytes: self.log_bookkeeping + self.local_copy(nbytes))
 
     # ------------------------------------------------------------------
     # Derived costs

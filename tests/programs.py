@@ -22,8 +22,12 @@ HALF = 48  # elements of every slab that one origin owns: origins never race
 OPS = tuple(AccumulateOp)
 
 
-def make_runtime(backend: str, dtypes=(np.float64, np.float64), size=2 * HALF) -> RmaRuntime:
-    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend=backend)
+def make_runtime(
+    backend: str, dtypes=(np.float64, np.float64), size=2 * HALF, cost_model=None
+) -> RmaRuntime:
+    rt = RmaRuntime(
+        Cluster.simple(4, procs_per_node=2, cost_model=cost_model), backend=backend
+    )
     for name, dtype in zip(WINDOWS, dtypes):
         rt.win_allocate(name, size, dtype=dtype)
     return rt

@@ -305,6 +305,18 @@ def test_excise_skips_kills_of_excised_rank():
     assert result.excised_ranks >= 1
 
 
+@pytest.mark.parametrize("seed", [1, 4])
+def test_excise_soak_that_would_excise_every_rank_aborts(seed):
+    # Correlated node kills at 8 per round leave nobody to continue: the soak
+    # ends with soak_aborted, not a bare "barrier requires a participant".
+    result = run_soak(small_spec(
+        scenario="correlated", countermeasure="excise", rate_per_round=8.0, seed=seed
+    ))
+    assert result.aborted == "CatastrophicFailure" and result.digest is None
+    assert [e["type"] for e in result.events[-2:]] == ["soak_aborted", "soak_completed"]
+    assert result.events[-2]["error"] == "CatastrophicFailure"
+
+
 def test_plan_is_identical_across_countermeasures_and_backends():
     workload = make_workload("stencil", nprocs=8, n_local=16, iters=24)
     plans = [

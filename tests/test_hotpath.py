@@ -78,7 +78,7 @@ def _calls_per_op(op, *, watch=(), runs=OPS) -> tuple[float, int]:
 
 @pytest.mark.parametrize(
     "ft, budget",
-    [(None, 8), (FaultTolerancePolicy(interval=20, recovery="localized"), 8)],
+    [(None, 6), (FaultTolerancePolicy(interval=20, recovery="localized"), 6)],
     ids=["plain", "logged"],
 )
 def test_put_nb_call_budget_and_no_liveness_scans(ft, budget):
@@ -110,15 +110,20 @@ def test_blocking_put_call_budget():
     assert scans == 0
 
 
-#: Python-level calls of the blocking and lock path on a healthy job, without
-#: and with the ``kv_locks`` FT policy (action log + checkpointer), held at the
-#: measured values.  When a blocking call went through the pending queue and
-#: every hook ran through a per-op loop: 59/75, 35/43, 23/30, 21/29.
+#: Python-level calls of the blocking, lock and compute path on a healthy job,
+#: without and with the ``kv_locks`` FT policy (action log + checkpointer).
+#: The triad went 59/75 (a blocking call through the pending queue, every hook
+#: through a per-op loop) → 43/47 (completed at its call site, hooks resolved
+#: at registration) → 22/23 measured (prices looked up, idle per-op hooks
+#: skipped, clocks and counters bumped in place); ``lock``/``unlock`` 35/43 →
+#: 23/23 → 12/12, ``get`` 23/30 → 18/21 → 9/10, ``put`` 21/29 → 16/20 → 6/7,
+#: ``compute`` 8/8 → 3/3.
 BLOCKING_BUDGETS = {
-    "lock/fetch_and_op/unlock": (43, 47),
-    "lock/unlock": (23, 23),
-    "get": (18, 21),
-    "put": (16, 20),
+    "lock/fetch_and_op/unlock": (24, 25),
+    "lock/unlock": (13, 13),
+    "get": (10, 11),
+    "put": (8, 9),
+    "compute": (3, 3),
 }
 
 
@@ -139,6 +144,7 @@ def test_blocking_and_lock_call_budgets(name, ft):
             "lock/unlock": lambda: (ctx.lock(1), ctx.unlock(1)),
             "get": lambda: ctx.get(1, "w", 8, 8),
             "put": lambda: ctx.put(1, "w", 8, data),
+            "compute": lambda: ctx.compute(100.0),
         }[name]
         op()  # the metrics' first-use entries are not per-op cost
         per_op, off_path = _calls_per_op(
@@ -229,8 +235,22 @@ def _per_op_hooks(chain) -> list:
     return [getattr(chain, hook) for hook in PER_OP_HOOKS]
 
 
+class _SyncWatcher(RmaInterceptor):
+    """Overrides the two sync hooks, and nothing else."""
+
+    def __init__(self) -> None:
+        self.seen: list[tuple[str, SyncKind]] = []
+
+    def before_sync(self, action) -> None:
+        self.seen.append(("before", action.kind))
+
+    def after_sync(self, action) -> None:
+        self.seen.append(("after", action.kind))
+
+
 def test_hook_dispatch_follows_the_chain():
     idle = _per_op_hooks(InterceptorChain())
+    assert idle == [None] * 4  # an idle per-op hook is skipped, not called
     policy = FaultTolerancePolicy(interval=20, recovery="localized")
     with repro.launch(4, ft=policy) as job:
         job.allocate("w", 8)
@@ -256,6 +276,24 @@ def test_hook_dispatch_follows_the_chain():
         assert triad() == [] and injector.ops_seen == 3
         rt.remove_interceptor(injector)
         assert _per_op_hooks(rt.interceptors) == idle
+
+        # A sync-hook interceptor added mid-job sees every lock, unlock and
+        # gsync; once it leaves, the sync path's budget is what it was.
+        def lock_unlock():
+            ctx.lock(1)
+            ctx.unlock(1)
+
+        bare, _ = _calls_per_op(lock_unlock)
+        watcher = _SyncWatcher()
+        rt.add_interceptor(watcher)
+        assert _per_op_hooks(rt.interceptors) == [None, None, *_per_op_hooks(watcher)[2:]]
+        lock_unlock()
+        rt.gsync()
+        kinds = [SyncKind.LOCK, SyncKind.UNLOCK] + [SyncKind.GSYNC] * rt.nprocs
+        assert watcher.seen == [(when, kind) for kind in kinds for when in ("before", "after")]
+        assert _calls_per_op(lock_unlock)[0] == bare + 4  # two hook calls per sync
+        rt.remove_interceptor(watcher)
+        assert _calls_per_op(lock_unlock)[0] == bare
 
 
 class _LifecycleOnly(RmaInterceptor):

@@ -27,9 +27,11 @@ import pytest
 from programs import make_runtime, perform, random_program
 
 import repro
+from repro.chaos import scaled_cost_model
 from repro.errors import OpHandleError, WindowError
 from repro.qos.delivery import BestEffort
 from repro.rma import CommAction, OpHandle, RmaInterceptor
+from repro.simulator.costs import ethernet_cluster_like
 
 needs_proc = pytest.mark.skipif(
     not repro.proc_available(), reason="proc backend needs fork + POSIX shared memory"
@@ -140,11 +142,21 @@ def _rma_counters(rt) -> tuple[list, dict]:
     )
 
 
+#: The default machine and two others: the runtime looks its prices up once per
+#: size, and the model calls the cost model per operation — they must agree.
+COST_MODELS = {
+    "default": None,
+    "ethernet": ethernet_cluster_like(),
+    "compressed": scaled_cost_model(compression=10_000.0),
+}
+
+
+@pytest.mark.parametrize("costs", list(COST_MODELS))
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_every_clock_and_counter_equals_the_completion_stream_model(backend):
+def test_every_clock_and_counter_equals_the_completion_stream_model(backend, costs):
     exercised = Counter()
     for seed in range(6):
-        rt = make_runtime(backend)
+        rt = make_runtime(backend, cost_model=COST_MODELS[costs])
         mode = BestEffort(seed=seed, stale_fraction=0.0)  # drops only: no service cost
         mode.bind(rt, None)
         rt.set_delivery(mode)

@@ -1,11 +1,15 @@
 """RmaRuntime semantics: dispatch, costs, epochs/counters, failure surfacing."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.errors import LockError, ProcessFailedError, SynchronizationError
+from repro.chaos import scaled_cost_model
+from repro.errors import LockError, ProcessFailedError, SimulationError, SynchronizationError
 from repro.rma import AccumulateOp, RmaInterceptor, RmaRuntime
 from repro.simulator import Cluster, FailureSchedule
+from repro.simulator.costs import cray_xe6_like, ethernet_cluster_like
 
 
 @pytest.fixture
@@ -94,7 +98,7 @@ def test_epoch_and_counter_snapshots_are_independent_of_later_mutation(runtime):
     assert runtime.epochs.epoch(0, 1) == 0 and runtime.counters.of(0).held_locks == held
     # The restored maps are still auto-creating: an unseen target starts at 0.
     assert runtime.epochs.epoch(0, 3) == 0 and runtime.counters.of(0).sc_held[3] == 0
-    runtime.epochs.record_access(0, 3)
+    runtime.put_nb(0, 3, "w", 0, [1.0])  # counts towards the open 0 -> 3 epoch
     runtime.epochs.close_epoch(0, 1)  # ... and mutating the restored state
     assert 3 not in epochs[0].pending_ops  # leaves the snapshot alone
     assert epochs[0].epoch_of_target[1] == 0 and runtime.epochs.epoch(0, 1) == 1
@@ -111,6 +115,41 @@ def test_actions_advance_the_origin_clock(runtime):
     runtime.put(0, 1, "w", 0, np.zeros(4))
     assert runtime.cluster.now(0) > before
     assert runtime.cluster.now(2) == runtime.cluster.now(3)  # untouched ranks
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("network_latency", -1e-6),  # parent: raised at the first charge, deep in a run
+        ("lock_latency", float("nan")),
+        ("flop_time", float("inf")),
+        ("log_bookkeeping", "fast"),
+        ("network_bandwidth", 0.0),
+        ("memory_bandwidth", -1.0),
+        ("pfs_bandwidth", float("inf")),
+    ],
+)
+def test_cost_model_rejects_an_invalid_field_at_construction(field, value):
+    with pytest.raises(SimulationError, match=rf"CostModel\.{field} must be a finite"):
+        cray_xe6_like().with_overrides(**{field: value})
+
+
+def test_cost_model_presets_build_and_price_lookups_equal_calls():
+    models = [
+        cray_xe6_like(),
+        ethernet_cluster_like(),
+        scaled_cost_model(compression=10_000.0),
+        cray_xe6_like().with_overrides(issue_overhead=0),  # a zero time is valid
+    ]
+    for model in models:
+        for nbytes in (0, 8, 4096):
+            for atomic in (False, True):
+                price = model.transfer_prices[nbytes, atomic]
+                assert price == model.remote_transfer(nbytes, atomic=atomic)
+            assert model.log_prices[nbytes] == model.log_bookkeeping + model.local_copy(nbytes)
+        clone = pickle.loads(pickle.dumps(model))  # the price tables stay behind
+        assert clone == model and "transfer_prices" not in vars(clone)
+        assert clone.transfer_prices[8, True] == model.transfer_prices[8, True]
 
 
 def test_scheduled_failure_surfaces_as_process_failed_error():
