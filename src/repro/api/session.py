@@ -11,14 +11,15 @@
         report = job.run(kernel, steps=100)
 
 The session — not the application — owns the fault-tolerance wiring: it
-installs the action-log interceptor and the coordinated checkpointer as
-declared by the :class:`~repro.api.policy.FaultTolerancePolicy`, takes
-periodic and demand checkpoints between steps, and when a
+installs the :class:`~repro.ft.stack.FtStack` the
+:class:`~repro.api.policy.FaultTolerancePolicy` declares and runs one step
+loop over it — ``begin_step`` (observe, repair, checkpoint) before the
+kernels, ``end_step`` after them, ``repair`` last — and when a
 :class:`~repro.errors.ProcessFailedError` surfaces anywhere in a step it runs
-the :class:`~repro.ft.recovery.RecoveryManager` and restarts the step loop
-from the last committed checkpoint.  Kernels therefore contain **zero**
-recovery logic; because the cooperative schedule is deterministic, a
-recovered run finishes bit-identical to a failure-free one.
+the :class:`~repro.ft.recovery.RecoveryManager` and resumes where it says.
+Kernels therefore contain **zero** recovery logic; because the cooperative
+schedule is deterministic, a recovered run finishes bit-identical to a
+failure-free one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.errors import (
     RecoveryError,
     WatchdogError,
 )
-from repro.ft.protocols import RecoveryProtocol
 from repro.ft.stack import FtStack
 from repro.registry import resolve_component
 from repro.rma.runtime import RmaRuntime
@@ -229,10 +229,6 @@ class Job:
         if self.ft is not None:
             self.ft.uninstall(self.runtime)
 
-    def finalize(self) -> None:
-        """Finish the session (idempotent).  Alias of :meth:`close`."""
-        self.close()
-
     @property
     def closed(self) -> bool:
         """Whether the session has been closed."""
@@ -306,62 +302,87 @@ class Job:
             self._interval = None
         end = start_step + steps
         step = start_step
+        ft, runtime, cluster = self.ft, self.runtime, self.cluster
         arm_watchdog = self._arm_watchdog()
         try:
             while step < end:
                 arm_watchdog()
                 try:
-                    self._checkpoint_hook(step)
+                    if ft is not None:
+                        due = not self._have_checkpoint or (
+                            self._interval is not None and step % self._interval == 0
+                        )
+                        taken = ft.begin_step(step, due=due)
+                        if taken is not None:
+                            self._have_checkpoint = True
+                            t0, demand = taken
+                            self._notify("on_checkpoint", step, t0, cluster.elapsed(), demand)
                     # Measure the first completed ordinary step (checkpoint cost
                     # excluded, replayed steps skipped — their suppressed actions
                     # are cheaper than real ones) to feed the analytic model.
-                    measuring = self._auto_pending and not self.runtime.replaying
-                    step_began = self.cluster.elapsed() if measuring else 0.0
+                    measuring = self._auto_pending and not runtime.replaying
+                    step_began = cluster.elapsed() if measuring else 0.0
                     try:
                         self.scheduler.run_step(kernel, step)
                     finally:
                         # A local view lives until its step ends, FT or not.
-                        self.runtime.windows.seal()
-                    # Boundary bookkeeping runs twice: once when the kernels have
-                    # finished (their local stores are in), and once more after
-                    # the step-closing sync (which may complete — and log — the
+                        runtime.windows.seal()
+                    # The step ends twice: once when the kernels have finished
+                    # (their local stores are in), and once more after the
+                    # step-closing sync (which may complete — and log — the
                     # step's outstanding nonblocking operations).  A crash inside
                     # that sync thus finds the log marked *after* the kernels'
                     # local work, so a localized replay never re-applies it.
-                    self._step_boundary_hook()
+                    if ft is not None:
+                        ft.end_step()
                     if self.sync_each_step:
-                        self.runtime.gsync()
-                        self._step_boundary_hook()
+                        runtime.gsync()
+                        if ft is not None:
+                            ft.end_step()
                     # Under a tolerant delivery mode, ranks that failed during
                     # the step were merely suspended; repair them now so the
                     # next step starts at full membership (and the job never
                     # ends with invalidated window buffers).
-                    self._qos_repair_hook()
+                    if ft is not None:
+                        ft.repair()
                     step += 1
                     self._steps_executed += 1
-                    if self._observers:
-                        self._notify("on_step_completed", step - 1, self.cluster.elapsed())
-                    if measuring and not self.runtime.replaying:
+                    self._notify("on_step_completed", step - 1, cluster.elapsed())
+                    if measuring and not runtime.replaying:
                         self._resolve_auto_interval(
-                            self.cluster.elapsed() - step_began, max_steps=steps
+                            cluster.elapsed() - step_began, max_steps=steps
                         )
                 except ProcessFailedError as failure:
-                    if self._observers:
-                        self._notify(
-                            "on_failure_detected",
-                            failure.rank,
-                            step,
-                            self.cluster.elapsed(),
-                        )
-                    if self.ft is None:
+                    self._notify("on_failure_detected", failure.rank, step, cluster.elapsed())
+                    if ft is None:
                         raise
-                    if self._observers:
-                        self._notify("on_recovery_started", step, self.cluster.elapsed())
-                    step = self._recover(start_step, step)
-                    if self._observers:
-                        self._notify(
-                            "on_recovery_completed", step, self.cluster.elapsed()
+                    self._notify("on_recovery_started", step, cluster.elapsed())
+                    # A further failure can strike *during* recovery (its closing
+                    # barrier observes it): retry until one attempt completes —
+                    # the checkpoint store survives across attempts.
+                    outcome = None
+                    while outcome is None:
+                        try:
+                            outcome = ft.recovery.recover()
+                        except ProcessFailedError:
+                            pass
+                    # Rollback and replay resume at the restored checkpoint's step
+                    # (a replay suppresses survivors' completed work); a degraded
+                    # continuation re-executes the aborted step, shrunk.
+                    if outcome.kind != "degraded":
+                        step = int(outcome.tag)
+                    self._notify("on_protocol_applied", outcome, step, cluster.elapsed())
+                    if step < start_step:
+                        # Only possible when the phase-opening checkpoint itself
+                        # was interrupted: the restored state belongs to an
+                        # earlier phase whose kernel this run() does not know,
+                        # so replaying it here would be silently wrong.
+                        raise RecoveryError(
+                            f"recovery rolled back to step {step}, before this run's "
+                            f"start_step {start_step}; the restored state predates "
+                            f"the current phase and cannot be replayed with its kernel"
                         )
+                    self._notify("on_recovery_completed", step, cluster.elapsed())
         finally:
             self._disarm_watchdog()
         return self.report()
@@ -496,177 +517,6 @@ class Job:
         if horizon <= 0.0:
             return {}
         return {0: len(events) / horizon}
-
-    # ------------------------------------------------------------------
-    def _checkpoint_hook(self, step: int) -> None:
-        """Apply the declared checkpoint policy at the start of ``step``.
-
-        The step boundary is also a failure observation point: a failure that
-        fired since the last synchronization must surface as
-        :class:`ProcessFailedError` (driving recovery), not as a
-        :class:`~repro.errors.CheckpointError` out of the checkpointer.
-        """
-        if self.ft is None:
-            return
-        if self.runtime.replaying:
-            # A localized recovery's replay is re-executing logged work; the
-            # log being replayed must not be truncated by a fresh checkpoint
-            # until the re-execution has caught up with the crash point.
-            return
-        self.runtime.observe_failures()
-        # A failure may have fired between the previous step's repair and this
-        # boundary (time-based schedules fire at observation points): repair
-        # it before snapshotting, or the checkpoint would trip over the
-        # suspended rank's invalidated buffers.  After the repair any rank
-        # still dead is genuinely non-tolerated and fails the step as before.
-        self._qos_repair_hook()
-        dead = [
-            r for r in self.cluster.failed_ranks() if r not in self.runtime.excised
-        ]
-        if dead:
-            raise ProcessFailedError(
-                dead[0], f"step {step} observed failed ranks {dead}"
-            )
-        policy = self.policy
-        assert policy is not None
-        interval_due = self._interval is not None and step % self._interval == 0
-        if interval_due or not self._have_checkpoint:
-            began = self.cluster.elapsed()
-            self._tolerating_suspension(
-                lambda: self.ft.checkpointer.checkpoint(tag=step)
-            )
-            self._have_checkpoint = True
-            if self._observers:
-                self._notify(
-                    "on_checkpoint", step, began, self.cluster.elapsed(), False
-                )
-        elif policy.demand_threshold_bytes is not None:
-            began = self.cluster.elapsed()
-            taken = self._tolerating_suspension(
-                lambda: self.ft.checkpointer.maybe_checkpoint(tag=step)
-            )
-            if taken is not None and self._observers:
-                self._notify(
-                    "on_checkpoint", step, began, self.cluster.elapsed(), True
-                )
-
-    def _tolerating_suspension(self, attempt):
-        """Run a checkpoint attempt, repairing tolerated mid-attempt failures.
-
-        The checkpoint's own barriers advance virtual time and can fire a
-        scheduled failure, surfacing as :class:`ProcessFailedError`.  Under a
-        tolerant delivery mode such a failure is a *suspension*, not a
-        rollback trigger: repair the rank and retry the attempt.  Any failure
-        the mode does not tolerate re-raises and drives recovery as before.
-        """
-        while True:
-            try:
-                return attempt()
-            except ProcessFailedError:
-                assert self.ft is not None
-                if not self.ft.delivery.tolerates_failures:
-                    raise
-                self.runtime.observe_failures()
-                suspended = self.runtime.suspended_ranks()
-                if not suspended or any(
-                    r not in suspended
-                    for r in self.cluster.failed_ranks()
-                    if r not in self.runtime.excised
-                ):
-                    raise
-                self._qos_repair_hook()
-
-    def _qos_repair_hook(self) -> None:
-        """Repair suspended ranks in place (tolerant delivery modes only).
-
-        Best-effort repair is the anti-rollback: each suspended rank is
-        respawned and *only its* windows are restored, from the newest
-        checkpoint version that still holds a copy for it (fresh zeroed
-        buffers when none does — possible only before the first commit).
-        Survivors keep their state and their clocks; nothing is re-executed.
-        The repaired rank simply rejoins at the next step, its lost
-        post-checkpoint progress being exactly the result quality the mode
-        trades for never stalling admission.
-        """
-        if self.ft is None or not self.ft.delivery.tolerates_failures:
-            return
-        runtime = self.runtime
-        suspended = sorted(runtime.suspended_ranks())
-        if not suspended:
-            return
-        delivery = self.ft.delivery
-        store = self.ft.store
-        runtime.quiesce_suspended()
-        RecoveryProtocol._respawn(runtime, suspended)
-        for rank in suspended:
-            version = next(
-                (v for v in reversed(store.versions) if store.available(v, rank)),
-                None,
-            )
-            if version is not None:
-                RecoveryProtocol._restore_rank(runtime, store, version, rank)
-            delivery.count("repairs", rank)
-
-    def _step_boundary_hook(self) -> None:
-        """Bookkeeping at the end of every completed step.
-
-        Step boundaries anchor the localized-recovery machinery: during a
-        replay they advance the cursor's phases (and end replay mode once the
-        log has drained); in normal execution they mark the put/get log so a
-        later replay knows where the fully-completed steps end.
-        """
-        if self.ft is None:
-            return
-        if self.runtime.replaying:
-            self.runtime.replay_step_boundary()
-            # The boundary that *ends* a replay completes the crash-aborted
-            # step — a boundary the original execution never got to mark.
-            # Record it now: without the mark, a later localized recovery
-            # would fold this step's actions into the partial phase of its
-            # cursor, restore the survivor snapshot one boundary too early
-            # and re-apply survivor-local work twice.
-            if not self.runtime.replaying and self.ft.log is not None:
-                self.ft.log.mark_step()
-        elif self.ft.log is not None:
-            self.ft.log.mark_step()
-
-    def _recover(self, start_step: int, current_step: int) -> int:
-        """Run the declared recovery protocol; return the step to resume at.
-
-        A further failure can strike *during* recovery (its closing barrier
-        observes it); recovery is retried until one attempt completes — the
-        checkpoint store survives across attempts.  The resume step depends
-        on the protocol's outcome: rollback and replay resume at the restored
-        checkpoint's step (replay under an active cursor, so survivors'
-        completed work is suppressed rather than redone); a degraded
-        continuation re-executes the aborted step with the shrunk membership.
-        """
-        assert self.ft is not None
-        while True:
-            try:
-                outcome = self.ft.recovery.recover()
-            except ProcessFailedError:
-                continue
-            if outcome.kind == "degraded":
-                if self._observers:
-                    self._notify(
-                        "on_protocol_applied", outcome, current_step, self.cluster.elapsed()
-                    )
-                return current_step
-            step = int(outcome.tag)
-            if self._observers:
-                self._notify("on_protocol_applied", outcome, step, self.cluster.elapsed())
-            if step < start_step:
-                # Only possible when the phase-opening checkpoint itself was
-                # interrupted: the restored state belongs to an earlier phase
-                # whose kernel this run() does not know, so replaying it here
-                # would be silently wrong.
-                raise RecoveryError(
-                    f"recovery rolled back to step {step}, before this run's "
-                    f"start_step {start_step}; the restored state predates "
-                    f"the current phase and cannot be replayed with its kernel"
-                )
-            return step
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         ft = "ft" if self.ft is not None else "no-ft"

@@ -85,7 +85,7 @@ class ActionLog(RmaInterceptor):
         #: Completed actions since the last truncation, in completion order.
         self.actions: list[CommAction] = []
         #: Positions into :attr:`actions` marking completed job-step
-        #: boundaries (recorded by the session); everything past the last
+        #: boundaries (recorded by ``FtStack.end_step``); everything past the last
         #: marker is the partial work of a step a crash aborted.
         self.step_marks: list[int] = []
         #: While a localized recovery runs, respawns must not clear the log —
@@ -126,7 +126,7 @@ class ActionLog(RmaInterceptor):
         self.step_marks = [m for m in self.step_marks if m <= len(self.actions)]
 
     def mark_step(self) -> None:
-        """Record a completed job-step boundary (called by the session)."""
+        """Record a completed job-step boundary (called by ``FtStack.end_step``)."""
         if not self.step_marks or self.step_marks[-1] != len(self.actions):
             self.step_marks.append(len(self.actions))
 

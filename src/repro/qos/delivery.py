@@ -19,7 +19,7 @@ quality instead of paying the stall.
   *suspended* rather than fatal: puts toward them drop, gets toward them
   deterministically either drop (observe zeros) or serve *stale* data from
   the newest checkpoint copy, and the suspended rank itself is skipped by the
-  scheduler until the session repairs it at the next step boundary.
+  scheduler until ``FtStack.repair`` mends it at the next step boundary.
 
 Determinism contract: whether a given operation drops or serves stale data is
 a pure function of ``(seed, GNC epoch, per-rank tolerated-op index)`` — all

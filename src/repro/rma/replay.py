@@ -25,8 +25,8 @@ re-issued actions that match the log:
   windows have advanced past them.
 
 The cursor is *step-aligned*.  The log carries a marker per completed job
-step — the session records one when the kernels of a step have finished and
-another after the step-closing sync — splitting it into fully-completed
+step — ``FtStack.end_step`` records one when the kernels of a step have
+finished and another after the step-closing sync — splitting it into fully-completed
 steps and the partial work of the step the crash aborted.  While the full steps replay, survivors' windows are
 scratch space — their re-executed local stores write on top of post-crash
 state and produce garbage, but nothing reads it (gets are served from the
@@ -173,7 +173,7 @@ class ReplayCursor:
     def step_boundary(self, runtime: "RmaRuntime") -> bool:
         """Advance the cursor's phase at a job-step boundary.
 
-        Called by the session after each re-executed step.  Once the
+        Called by ``FtStack.end_step`` after each re-executed step.  Once the
         fully-completed steps have drained, the survivors' windows — scratch
         space until now — are restored from the crash-time snapshot (their
         exact state at this boundary) and the partial crash step's queue

@@ -195,7 +195,7 @@ class RmaRuntime:
         turns failed non-excised ranks into *suspended* ones — operations
         toward them drop or serve stale data, the suspended rank's own calls
         raise :class:`~repro.errors.RankSuspendedError` (which the scheduler
-        catches per rank), and the session repairs them at step boundaries.
+        catches per rank), and ``FtStack.repair`` mends them at step boundaries.
         """
         self.delivery = mode
         self._refresh_membership()
@@ -650,8 +650,8 @@ class RmaRuntime:
     def quiesce_suspended(self) -> None:
         """Drain in-flight operations involving suspended ranks, effect-free.
 
-        Called by the session immediately before *repairing* suspended ranks
-        (:mod:`repro.qos`): an operation still queued toward a rank about to
+        Called by ``FtStack.repair`` immediately before *repairing* suspended
+        ranks (:mod:`repro.qos`): an operation still queued toward a rank about to
         be respawned-and-restored would otherwise apply after the restore, on
         top of the repaired state.  Survivor operations toward the suspended
         ranks resolve through the delivery mode (drop/stale, same deterministic
@@ -706,7 +706,7 @@ class RmaRuntime:
         return cursor
 
     def replay_step_boundary(self) -> None:
-        """Advance the replay across a job-step boundary (session-driven).
+        """Advance the replay across a job-step boundary (``FtStack.end_step``).
 
         Step boundaries are where the cursor's phases align with the original
         execution: the survivors' crash-time windows are restored once the

@@ -287,7 +287,7 @@ def test_job_context_manager_closes_and_is_idempotent():
         job.ft.recovery.recover()
     # close() after the context exit is a no-op, as is a second close().
     job.close()
-    job.finalize()
+    job.close()
     assert job.closed
 
 

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import launch
 from repro.api.policy import FaultTolerancePolicy
 from repro.errors import CheckpointError, QosError
 from repro.ft import KillPlan, build_ft_stack, make_store
@@ -20,10 +21,11 @@ from repro.qos.engine import (
 from repro.rma import RmaRuntime
 from repro.simulator import Cluster
 from repro.simulator.costs import cray_xe6_like
+from repro.simulator.failures import FailureSchedule
 from repro.stats import latency_percentiles
 from repro.study.model import IntervalModel, level_capture_seconds
 from repro.study.workloads import make_workload
-from repro.trace import summarize, tracing
+from repro.trace import Tracer, summarize, tracing
 
 
 def _runtime(nprocs=8, procs_per_node=2):
@@ -78,6 +80,35 @@ def test_best_effort_entropy_is_deterministic():
     coords = [(0, 4, 0), (3, 4, 1), (7, 9, 5)]
     assert [a._entropy(*c) for c in coords] == [b._entropy(*c) for c in coords]
     assert all(0.0 <= a._entropy(*c) < 1.0 for c in coords)
+
+
+def _ring_gsync_run(failures=None):
+    def kernel(ctx, step):
+        ctx.win("w")[(ctx.rank + 1) % ctx.nranks, 0] = float(step)
+        yield ctx.gsync()
+
+    tracer = Tracer()
+    ft = FaultTolerancePolicy(interval=3, delivery="best_effort")
+    with launch(6, ft=ft, failures=failures, trace=tracer) as job:
+        job.allocate("w", 8)
+        report = job.run(kernel, steps=10)
+    checkpoints = [e for e in tracer.events if e["type"] == "checkpoint_committed"]
+    return report, checkpoints
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_tolerated_failure_inside_a_checkpoint_is_repaired_and_retried(fraction):
+    # A failure firing inside a checkpoint's barriers is a suspension under
+    # best-effort delivery: the rank is repaired in place and the checkpoint
+    # retried — no rollback, and the checkpoint count of a failure-free run.
+    clean, checkpoints = _ring_gsync_run()
+    assert clean.checkpoints == len(checkpoints) == 4
+    window = checkpoints[2]
+    t_kill = window["t_start"] + fraction * (window["t_end"] - window["t_start"])
+    report, _ = _ring_gsync_run(FailureSchedule.single_rank(3, t_kill))
+    assert report.recoveries == 0
+    assert report.metrics.total("qos.repairs") == 1
+    assert report.checkpoints == 4
 
 
 # ---------------------------------------------------------------------------

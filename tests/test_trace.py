@@ -284,6 +284,21 @@ def test_trace_rollups_reconcile_with_job_metrics():
     assert stats["recovery"]["episodes"] == metrics.total("ft.recoveries") >= 1
 
 
+def test_demand_checkpoints_are_committed_with_the_demand_flag():
+    tracer = Tracer()
+    ft = repro.FaultTolerancePolicy(interval=None, demand_threshold_bytes=128)
+    with repro.launch(4, ft=ft, trace=tracer) as job:
+        job.allocate("w", 8)
+        report = job.run(
+            lambda ctx, step: ctx.put((ctx.rank + 1) % 4, "w", 0, [float(step)] * 8),
+            steps=12,
+        )
+    demand = [e["demand"] for e in tracer.events if e["type"] == "checkpoint_committed"]
+    # The phase-opening checkpoint is periodic; every later one is on demand.
+    assert demand == [False] + [True] * 5
+    assert demand.count(True) == report.demand_checkpoints == 5
+
+
 def test_untraced_job_after_a_traced_one_carries_no_trace_seam():
     # "Tracing you don't ask for is free", in its exact form: after a fully
     # traced job has run and closed, a job launched with no tracer and no hub
