@@ -34,8 +34,8 @@ import abc
 
 import numpy as np
 
-from repro.errors import BackendError, RmaError
-from repro.rma.actions import CommAction, OpKind, apply_accumulate
+from repro.errors import BackendError
+from repro.rma.actions import _COMPARE_AND_SWAP, _PUT, CommAction, apply_accumulate
 from repro.rma.window import Window, WindowRegistry
 
 __all__ = ["Backend", "apply_action"]
@@ -58,24 +58,22 @@ def apply_action(action: CommAction, win: Window) -> None:
     """
     kind = action.kind
     region = win._region(action.trg, action.offset, action.count)
-    if kind is OpKind.GET:
+    if not kind.is_put_like:  # a get
         action.data = region.copy()
         return
     if action.operand is None:
         action.operand = action.data
-    if kind is OpKind.PUT:
+    if not kind.is_atomic:  # a put
         region[...] = action.data
-    elif kind is OpKind.COMPARE_AND_SWAP:
+    elif kind is _COMPARE_AND_SWAP:
         previous = region.copy()
         if np.array_equal(previous, action.compare):
             region[...] = action.data
         action.data = previous
-    elif kind.is_atomic:
+    else:  # accumulate, get_accumulate, fetch_and_op
         previous = apply_accumulate(region, action.data, action.op)
         if kind.is_get_like:
             action.data = previous
-    else:  # pragma: no cover - defensive
-        raise RmaError(f"unknown operation kind {kind!r}")
 
 
 def _coalesce_puts(batch: list[tuple[CommAction, Window]]) -> list[list]:
@@ -93,17 +91,16 @@ def _coalesce_puts(batch: list[tuple[CommAction, Window]]) -> list[list]:
     order among themselves.  Puts leave with the ``operand``
     :func:`apply_action` gives them, merged or not; a batch of one is its own entry.
     """
-    put = OpKind.PUT
     if len(batch) == 1:
         ((action, win),) = batch
-        if action.kind is put and action.operand is None:
+        if action.kind is _PUT and action.operand is None:
             action.operand = action.data
         return [[action, win, action.count, action.data]]
     entries: list[list] = []
     open_runs: dict[tuple[int, int], list] = {}  # slab -> its run, ``data`` a list of parts
     for action, win in batch:
         slab = (id(win), action.trg)
-        if action.kind is not put:
+        if action.kind is not _PUT:
             open_runs.pop(slab, None)
             entries.append([action, win, action.count, action.data])
             continue
@@ -117,7 +114,7 @@ def _coalesce_puts(batch: list[tuple[CommAction, Window]]) -> list[list]:
             open_runs[slab] = run = [action, win, action.count, [action.data]]
             entries.append(run)
     for entry in entries:
-        if entry[0].kind is put:
+        if entry[0].kind is _PUT:
             parts = entry[3]
             if len(parts) == 1:
                 entry[3] = parts[0]

@@ -59,7 +59,7 @@ import numpy as np
 from repro.backends import BACKENDS
 from repro.backends.base import Backend, _coalesce_puts, apply_action
 from repro.errors import BackendError, ProcessFailedError, WatchdogError, WindowError
-from repro.rma.actions import AccumulateOp, CommAction, OpKind
+from repro.rma.actions import _COMPARE_AND_SWAP, AccumulateOp, CommAction, OpKind
 from repro.rma.window import Window
 
 __all__ = ["ProcBackend", "SharedWindow", "proc_available"]
@@ -207,10 +207,10 @@ def _apply_batch(rank: int, buf: bytes, slabs: list[_ShmSlab]) -> bytes:
             raise BackendError(f"record {len(batch)}: bad ids {(kind_id, op_id, win_id)}")
         kind, slab = _KINDS[kind_id], slabs[win_id]
         data = compare = None
-        if kind is not OpKind.GET:
+        if kind.is_put_like:
             data = np.frombuffer(buf, slab.dtype, count, pos)
             pos += data.nbytes
-            if kind is OpKind.COMPARE_AND_SWAP:
+            if kind is _COMPARE_AND_SWAP:
                 compare = np.frombuffer(buf, slab.dtype, count, pos)
                 pos += compare.nbytes
         # Only what apply_action reads crossed the wire; the stamps are placeholders.
@@ -532,8 +532,8 @@ class ProcBackend(Backend):
             # Not reached within this batch: keep the remainder armed.
             self._armed_kills[src] = die_after - len(batch)
             die_after = None
-        window = self.windows.get
-        pairs = [(op, window(op.window)) for op in batch]
+        windows = self.windows._windows  # issued against registered windows
+        pairs = [(op, windows[op.window]) for op in batch]
         if die_after is None:
             entries = _coalesce_puts(pairs)
         else:  # an armed kill counts operations: one record per action
@@ -551,7 +551,7 @@ class ProcBackend(Backend):
                 undo.append((win, a.trg, a.offset, saved))
                 # Window dtype: the runtime coerced at issue; hand-built actions here.
                 operands.append(np.asarray(data, win.dtype).tobytes())
-                if kind is OpKind.COMPARE_AND_SWAP:
+                if kind is _COMPARE_AND_SWAP:
                     operands.append(np.asarray(a.compare, win.dtype).tobytes())
             if kind.is_get_like:
                 fetched += count * win.itemsize

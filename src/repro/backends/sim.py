@@ -13,7 +13,7 @@ other in issue order, with no merging and no wire — the plainest reading of
 from __future__ import annotations
 
 from repro.backends.base import Backend, apply_action
-from repro.rma.actions import CommAction, OpKind
+from repro.rma.actions import _PUT, CommAction
 
 __all__ = ["SimBackend"]
 
@@ -24,14 +24,17 @@ class SimBackend(Backend):
     name = "sim"
 
     def _apply(self, src: int, batch: list[CommAction]) -> None:
-        """Apply a queued batch in issue order, one region access per action."""
-        windows, put = self.windows._windows, OpKind.PUT
+        """Apply a queued batch in issue order, one region access per action; the
+        window, its buffers and its invalidated set are resolved once per run of one."""
+        windows, name = self.windows._windows, None
         for op in batch:
-            win = windows[op.window]  # issued against a registered window
-            if op.kind is put:  # apply_action's put branch, straight to the slab
-                if op.trg in win._invalidated:
+            if op.window != name:  # issued against a registered window
+                name, win = op.window, windows[op.window]
+                buffers, invalidated = win.buffers, win._invalidated
+            if op.kind is _PUT:  # apply_action's put branch, straight to the slab
+                if op.trg in invalidated:
                     win._check_alive(op.trg)  # Window._region's one check
                 op.operand = op.data
-                win.buffers[op.trg][op.offset : op.offset + op.count] = op.data
+                buffers[op.trg][op.offset : op.offset + op.count] = op.data
             else:
                 apply_action(op, win)

@@ -20,7 +20,7 @@ backends are bit-identical, and tests diff their traces directly.
 from __future__ import annotations
 
 from repro.backends.base import Backend, _coalesce_puts, apply_action
-from repro.rma.actions import CommAction, OpKind
+from repro.rma.actions import _PUT, CommAction
 
 __all__ = ["VectorBackend"]
 
@@ -32,10 +32,10 @@ class VectorBackend(Backend):
 
     def _apply(self, src: int, batch: list[CommAction]) -> None:
         """Apply a queued batch: one region write per put run, issue order per slab."""
-        window = self.windows.get
-        pairs = [(op, window(op.window)) for op in batch]
+        windows = self.windows._windows  # issued against registered windows
+        pairs = [(op, windows[op.window]) for op in batch]
         for action, win, count, data in _coalesce_puts(pairs):
-            if action.kind is OpKind.PUT:
+            if action.kind is _PUT:
                 win._region(action.trg, action.offset, count)[...] = data
             else:
                 apply_action(action, win)

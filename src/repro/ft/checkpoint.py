@@ -55,9 +55,8 @@ class ActionLog(RmaInterceptor):
     communication action adds its payload size to the origin's logged volume;
     the bookkeeping plus the local copy of put data is charged on the
     origin's clock as protocol overhead (the paper's logging cost).  The
-    per-rank logged volume drives demand checkpoints.  Determinants are not
-    stored: a retained action derives its own on demand
-    (:meth:`~repro.rma.actions.CommAction.determinant`).
+    per-rank logged volume drives demand checkpoints.  Determinants are not stored:
+    a retained action derives its own (:meth:`~repro.rma.actions.CommAction.determinant`).
 
     With ``retain_actions`` (on by default, but disabled by
     :func:`~repro.ft.stack.build_ft_stack` for protocols that never replay)
@@ -74,7 +73,7 @@ class ActionLog(RmaInterceptor):
 
     def __init__(self, *, retain_actions: bool = True) -> None:
         self.retain_actions = retain_actions
-        self._runtime: RmaRuntime | None = None
+        self._charge: tuple | None = None  # (clocks, log prices, bookkeeping) at attach
         self.bytes_logged: dict[int, int] = defaultdict(int)
         #: Element ranges written by completed put-like actions since the
         #: last truncation, keyed ``(target rank, window name)`` — the stores
@@ -93,7 +92,8 @@ class ActionLog(RmaInterceptor):
         self._preserve_on_respawn = False
 
     def attach(self, runtime: "RmaRuntime") -> None:
-        self._runtime = runtime
+        costs = runtime.cluster.costs  # frozen, and the clock list is never rebound
+        self._charge = runtime._clock_of, costs.log_prices, costs.log_bookkeeping
 
     def after_comm(self, action: CommAction) -> None:
         nbytes, src, put_like = action.nbytes, action.src, action.kind.is_put_like
@@ -102,9 +102,9 @@ class ActionLog(RmaInterceptor):
             self.actions.append(action)
         if put_like:
             self._dirty[action.trg, action.window].append((action.offset, action.count))
-        if self._runtime is not None:  # in place, in VirtualClock.advance's field order
-            clock, costs = self._runtime._clock_of[src], self._runtime.cluster.costs
-            overhead = costs.log_prices[nbytes] if put_like else costs.log_bookkeeping
+        if self._charge is not None:  # in place, in VirtualClock.advance's field order
+            clocks, prices, bookkeeping = self._charge
+            clock, overhead = clocks[src], prices[nbytes] if put_like else bookkeeping
             clock.now += overhead
             clock.ticks += 1
             clock.protocol += overhead

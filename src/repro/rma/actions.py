@@ -131,22 +131,29 @@ class AccumulateOp(enum.Enum):
         self.combining: bool = label not in ("replace", "no_op")
 
 
+#: The members as module globals, resolved once: inside a function Python 3.11
+#: reads ``OpKind.PUT`` ≈ 5x slower than a global (``EnumType`` defeats attribute
+#: specialisation), so the per-operation paths read these.  Definition order.
+_PUT, _GET, _ACCUMULATE, _GET_ACCUMULATE, _FETCH_AND_OP, _COMPARE_AND_SWAP = OpKind
+_REPLACE, _SUM, _PROD, _MIN, _MAX, _NO_OP = AccumulateOp
+
+
 def apply_accumulate(
     target: np.ndarray, operand: np.ndarray, op: AccumulateOp
 ) -> np.ndarray:
     """Apply ``op`` in place to ``target`` and return the *previous* values."""
     previous = target.copy()
-    if op is AccumulateOp.REPLACE:
+    if op is _REPLACE:
         target[...] = operand
-    elif op is AccumulateOp.SUM:
+    elif op is _SUM:
         target[...] = target + operand
-    elif op is AccumulateOp.PROD:
+    elif op is _PROD:
         target[...] = target * operand
-    elif op is AccumulateOp.MIN:
+    elif op is _MIN:
         target[...] = np.minimum(target, operand)
-    elif op is AccumulateOp.MAX:
+    elif op is _MAX:
         target[...] = np.maximum(target, operand)
-    elif op is AccumulateOp.NO_OP:
+    elif op is _NO_OP:
         pass
     else:  # pragma: no cover - defensive
         raise RmaError(f"unknown accumulate op {op!r}")
@@ -231,8 +238,8 @@ class CommAction:
         combine: bool, counters: Counters, op: AccumulateOp,
         data: np.ndarray | None, compare: np.ndarray | None, nbytes: int,
     ) -> "CommAction":
-        """The runtime's constructor: no validation, no defaults —
-        :meth:`~repro.rma.window.Window.check_access` has already validated
+        """The wire's constructor (``RmaRuntime._issue`` inlines it): no validation, no
+        defaults — :meth:`~repro.rma.window.Window.check_access` has already validated
         rank, offset and count, so ``__post_init__`` would only repeat it."""
         self = object.__new__(cls)
         self.kind = kind

@@ -84,9 +84,14 @@ class EpochTracker:
         state.epochs_closed += 1
 
     def close_global_epoch(self) -> None:
-        """Close all epochs at all processes (gsync)."""
-        for rank in range(self.nprocs):
-            self.close_all_epochs(rank)
+        """Close all epochs at all processes (gsync): :meth:`close_all_epochs` per rank."""
+        for state in self._states:
+            epochs, pending = state.epoch_of_target, state.pending_ops
+            for trg in epochs:
+                epochs[trg] += 1
+            for trg in pending:
+                pending[trg] = 0
+            state.epochs_closed += 1
 
     def clear_pending(self, src: int | None = None) -> None:
         """Zero the open epochs' operation counts of ``src`` (or every rank).

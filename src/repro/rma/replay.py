@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import RecoveryError
-from repro.rma.actions import CommAction, OpKind, apply_accumulate
+from repro.rma.actions import _COMPARE_AND_SWAP, CommAction, apply_accumulate
 from repro.rma.window import Window
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -79,11 +79,11 @@ def replay_apply(logged: CommAction, win: Window) -> int:
     Returns the number of bytes written.
     """
     operand = logged.operand if logged.operand is not None else logged.data
-    if logged.kind is OpKind.GET:
+    if not logged.kind.is_put_like:  # a get
         return 0
-    if logged.kind is OpKind.PUT:
+    if not logged.kind.is_atomic:  # a put
         win.write(logged.trg, logged.offset, operand)
-    elif logged.kind is OpKind.COMPARE_AND_SWAP:
+    elif logged.kind is _COMPARE_AND_SWAP:
         view = win.view(logged.trg, logged.offset, logged.count)
         if np.array_equal(view.copy(), logged.compare):
             view[...] = operand

@@ -15,9 +15,9 @@ cluster (:mod:`repro.simulator`) and to a pluggable execution
   ``gsync``) closes the epoch; a blocking call is applied and retired where it
   is issued, or with the ``src -> trg`` queue when its origin has one;
 * an operation is *charged when it completes*: the batch a completion point
-  gets back from the backend is the account — the origin's clock and the
-  ``rma.*`` metrics move per target, by costs summed one operation at a time
-  in issue order (:meth:`RmaRuntime._retire`) — and an operation that is
+  gets back from the backend is the account — the origin's clock moves per
+  target, by costs summed one operation at a time in issue order, the ``rma.*``
+  metrics per batch (:meth:`RmaRuntime._retire`) — and an operation that is
   discarded or diverted instead is never charged;
 * every ``lock``/``unlock``/``flush``/``gsync`` maintains the epoch and
   counter state exactly as §2.2 and §4.1 prescribe (unlock and flush complete
@@ -58,6 +58,7 @@ from repro.errors import (
     WindowError,
 )
 from repro.rma.actions import (
+    _SEQ,
     AccumulateOp,
     CommAction,
     Counters,
@@ -80,7 +81,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 __all__ = ["RmaRuntime"]
 
-_new_stamp = tuple.__new__
+_new_stamp, _new_object, _ndarray = tuple.__new__, object.__new__, np.ndarray
+#: The enum members the per-op paths read, as globals (see ``repro.rma.actions``).
+_PUT, _GET, _ACCUMULATE, _GET_ACCUMULATE, _FETCH_AND_OP, _COMPARE_AND_SWAP = OpKind
+_LOCK, _UNLOCK, _FLUSH, _FLUSH_ALL, _GSYNC, _BARRIER = SyncKind
 
 
 class _Membership(NamedTuple):
@@ -104,10 +108,7 @@ class RmaRuntime:
     """Coordinates RMA programs of an SPMD job over a backend and a cluster."""
 
     def __init__(
-        self,
-        cluster: Cluster,
-        *,
-        record: bool = False,
+        self, cluster: Cluster, *, record: bool = False,
         backend: "str | Backend | None" = None,
     ) -> None:
         # Deferred import: repro.backends needs the rma model modules, which
@@ -267,7 +268,7 @@ class RmaRuntime:
         The write becomes visible when the next ``flush``/``unlock``/``gsync``
         completes the ``src -> trg`` epoch.
         """
-        return self._issue(OpKind.PUT, src, trg, window, offset, None, False, data)
+        return self._issue(_PUT, src, trg, window, offset, None, False, data)
 
     def get_nb(
         self, src: int, trg: int, window: str, offset: int, count: int
@@ -277,20 +278,15 @@ class RmaRuntime:
         The handle's buffer (:meth:`~repro.rma.actions.CommAction.result`)
         materializes at the next completion point; reading it earlier raises.
         """
-        return self._issue(OpKind.GET, src, trg, window, offset, count, False)
+        return self._issue(_GET, src, trg, window, offset, count, False)
 
     def accumulate_nb(
-        self,
-        src: int,
-        trg: int,
-        window: str,
-        offset: int,
-        data: np.ndarray,
+        self, src: int, trg: int, window: str, offset: int, data: np.ndarray,
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> OpHandle:
         """Issue a nonblocking combining put into ``trg`` (MPI_Accumulate)."""
         return self._issue(
-            OpKind.ACCUMULATE, src, trg, window, offset, None, op.combining, data, op=op
+            _ACCUMULATE, src, trg, window, offset, None, op.combining, data, op=op
         )
 
     # ------------------------------------------------------------------
@@ -301,58 +297,43 @@ class RmaRuntime:
     ) -> CommAction:
         """Write ``data`` into ``trg``'s window at ``offset`` (MPI_Put)."""
         return self._issue(
-            OpKind.PUT, src, trg, window, offset, None, False, data, blocking=True
+            _PUT, src, trg, window, offset, None, False, data, blocking=True
         )
 
     def get(
         self, src: int, trg: int, window: str, offset: int, count: int
     ) -> np.ndarray:
         """Read ``count`` elements from ``trg``'s window at ``offset`` (MPI_Get)."""
-        get = self._issue(OpKind.GET, src, trg, window, offset, count, False, blocking=True)
+        get = self._issue(_GET, src, trg, window, offset, count, False, blocking=True)
         return get.result()
 
     def accumulate(
-        self,
-        src: int,
-        trg: int,
-        window: str,
-        offset: int,
-        data: np.ndarray,
+        self, src: int, trg: int, window: str, offset: int, data: np.ndarray,
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> CommAction:
         """Combine ``data`` into ``trg``'s window (MPI_Accumulate)."""
         return self._issue(
-            OpKind.ACCUMULATE, src, trg, window, offset, None, op.combining, data, op=op,
+            _ACCUMULATE, src, trg, window, offset, None, op.combining, data, op=op,
             blocking=True,
         )
 
     def get_accumulate(
-        self,
-        src: int,
-        trg: int,
-        window: str,
-        offset: int,
-        data: np.ndarray,
+        self, src: int, trg: int, window: str, offset: int, data: np.ndarray,
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> np.ndarray:
         """Atomically combine ``data`` and return the previous target values."""
         return self._issue(
-            OpKind.GET_ACCUMULATE, src, trg, window, offset, None, op.combining, data, op=op,
+            _GET_ACCUMULATE, src, trg, window, offset, None, op.combining, data, op=op,
             blocking=True,
         ).result()
 
     def fetch_and_op(
-        self,
-        src: int,
-        trg: int,
-        window: str,
-        offset: int,
-        value: float,
+        self, src: int, trg: int, window: str, offset: int, value: float,
         op: AccumulateOp = AccumulateOp.SUM,
     ) -> float:
         """Single-element atomic fetch-and-op (MPI_Fetch_and_op)."""
         return self._issue(
-            OpKind.FETCH_AND_OP, src, trg, window, offset, None, op.combining, [value], op=op,
+            _FETCH_AND_OP, src, trg, window, offset, None, op.combining, [value], op=op,
             blocking=True,
         ).result()[0]
 
@@ -361,7 +342,7 @@ class RmaRuntime:
     ) -> float:
         """Single-element atomic CAS; returns the previous target value."""
         return self._issue(
-            OpKind.COMPARE_AND_SWAP, src, trg, window, offset, None, True, [value], [compare],
+            _COMPARE_AND_SWAP, src, trg, window, offset, None, True, [value], [compare],
             blocking=True,
         ).result()[0]
 
@@ -376,15 +357,16 @@ class RmaRuntime:
         consumed, and the caller proceeds against stale/zero data (counted as
         ``qos.dropped_syncs``).
         """
-        injector = self._injector
+        injector, n = self._injector, self.nprocs
         if self._vehicles or self._settled != injector.generation or self._noted_dead or (
-            not 0 <= src < self.nprocs or self._clock_of[src].now >= injector.next_due
+            not (0 <= src < n and type(trg) is int and 0 <= trg < n)
+            or self._clock_of[src].now >= injector.next_due
         ):
-            self._pre_action(src, trg)
+            trg = self._pre_sync(src, trg)
         dropped = self._divert is not None and trg in self._members.suspended
         sc = None if dropped else self.counters.on_lock(src, trg, structure)
         action = SyncAction.issued(
-            SyncKind.LOCK, src, trg, self._stamp(src, trg, sc), structure
+            _LOCK, src, trg, self._stamp(src, trg, sc), structure
         )
         if dropped:
             self.delivery.count("dropped_syncs", src)
@@ -399,11 +381,12 @@ class RmaRuntime:
         acquisition was itself dropped unwinds without error, and the pair's
         in-flight operations resolve through the delivery mode.
         """
-        injector = self._injector
+        injector, n = self._injector, self.nprocs
         if self._vehicles or self._settled != injector.generation or self._noted_dead or (
-            not 0 <= src < self.nprocs or self._clock_of[src].now >= injector.next_due
+            not (0 <= src < n and type(trg) is int and 0 <= trg < n)
+            or self._clock_of[src].now >= injector.next_due
         ):
-            self._pre_action(src, trg)
+            trg = self._pre_sync(src, trg)
         if self._divert is not None and trg in self._members.suspended:
             try:
                 self.counters.on_unlock(src, trg, structure)
@@ -412,16 +395,14 @@ class RmaRuntime:
             self._complete_pair(src, trg)  # resolves in-flights via the mode
             self.epochs.close_epoch(src, trg)
             action = SyncAction.issued(
-                SyncKind.UNLOCK, src, trg, self._stamp(src, trg), structure
+                _UNLOCK, src, trg, self._stamp(src, trg), structure
             )
             self.delivery.count("dropped_syncs", src)
             return action
         self.counters.on_unlock(src, trg, structure)
         if self.backend._pending[src]:
             self._complete_pair(src, trg)
-        action = SyncAction.issued(
-            SyncKind.UNLOCK, src, trg, self._stamp(src, trg), structure
-        )
+        action = SyncAction.issued(_UNLOCK, src, trg, self._stamp(src, trg), structure)
         self._issue_sync(action, cost=self._unlock_price)
         state = self.epochs._states[src]  # closes the epoch, as EpochTracker.close_epoch
         state.epoch_of_target[trg] += 1
@@ -435,16 +416,17 @@ class RmaRuntime:
         Completes the pair's queued operations at the backend, closes the
         epoch and increments ``GC_src`` (§4.1 B).
         """
-        injector = self._injector
+        injector, n = self._injector, self.nprocs
         if self._vehicles or self._settled != injector.generation or self._noted_dead or (
-            not 0 <= src < self.nprocs or self._clock_of[src].now >= injector.next_due
+            not (0 <= src < n and type(trg) is int and 0 <= trg < n)
+            or self._clock_of[src].now >= injector.next_due
         ):
-            self._pre_action(src, trg)
+            trg = self._pre_sync(src, trg)
         if self.backend._pending[src]:
             self._complete_pair(src, trg)
         pending = self.epochs.pending(src, trg)
         self.counters.on_flush(src)
-        action = SyncAction.issued(SyncKind.FLUSH, src, trg, self._stamp(src, trg))
+        action = SyncAction.issued(_FLUSH, src, trg, self._stamp(src, trg))
         result = self._issue_sync(action, cost=self.cluster.costs.flush(pending))
         self.epochs.close_epoch(src, trg)
         return result
@@ -466,7 +448,7 @@ class RmaRuntime:
         self._complete_rank(src)
         pending = self.epochs.pending(src)
         self.counters.on_flush(src)
-        action = SyncAction.issued(SyncKind.FLUSH_ALL, src, None, self._stamp(src))
+        action = SyncAction.issued(_FLUSH_ALL, src, None, self._stamp(src))
         result = self._issue_sync(action, cost=self.cluster.costs.flush(pending))
         self.epochs.close_all_epochs(src)
         return result
@@ -480,7 +462,7 @@ class RmaRuntime:
         participant has failed — this is where failures are usually observed.
         """
         self._ensure_all_alive("gsync")
-        if any(self.counters.holds_any_lock(r) for r in self.cluster.alive_ranks()):
+        if any([self.counters._counters[r].lc for r in self.cluster.alive_ranks()]):
             raise SynchronizationError("gsync while a lock is held")
         for rank in range(self.nprocs):
             self._complete_rank(rank)
@@ -500,9 +482,10 @@ class RmaRuntime:
         self._collective_barrier(cost=cost)  # raises on failed participants
         self.counters.on_gsync()
         self.epochs.close_global_epoch()
-        actions, interceptors = [], self.interceptors
-        for rank in self.cluster.alive_ranks():
-            action = SyncAction.issued(SyncKind.GSYNC, rank, None, self._stamp(rank))
+        actions, interceptors, own = [], self.interceptors, self.counters._counters
+        for rank in self.cluster.alive_ranks():  # each stamp built inline, as ``_issue``'s
+            stamp = _new_stamp(Counters, (0, own[rank].gc, 0, own[rank].gnc))
+            action = SyncAction.issued(_GSYNC, rank, None, stamp)
             if interceptors.before_sync is not None:
                 interceptors.before_sync(action)
             if self.recorder.enabled:
@@ -829,6 +812,17 @@ class RmaRuntime:
             if trg in members.failed and trg not in self.excised | members.suspended:
                 raise ProcessFailedError(trg)
 
+    def _pre_sync(self, src: int, trg: int) -> int:
+        """:meth:`_pre_action`, once ``trg`` is checked as ``_issue`` checks it: a
+        target that is no rank raises before any counter, epoch or clock moves."""
+        rank = _index(trg) if hasattr(trg, "__index__") else -1
+        if not 0 <= rank < self.nprocs:
+            raise SynchronizationError(
+                f"sync target must be a rank in [0, {self.nprocs}), got {trg!r} (origin rank {src})"
+            )
+        self._pre_action(src, rank)
+        return rank
+
     def _stamp(self, src: int, trg: int | None = None, sc: int | None = None) -> Counters:
         """Counters a fresh action of ``src`` carries (Eq. 1/3): ``EC`` and the
         held ``SC`` (or the ``sc`` a lock just fetched) of the ``src -> trg``
@@ -847,18 +841,9 @@ class RmaRuntime:
         return _new_stamp(Counters, (ec, own.gc, sc, own.gnc))
 
     def _issue(
-        self,
-        kind: OpKind,
-        src: int,
-        trg: int,
-        window: str,
-        offset: int,
-        count: int | None,
-        combine: bool,
-        data: np.ndarray | list | None = None,
-        compare: list | None = None,
-        op: AccumulateOp = AccumulateOp.REPLACE,
-        blocking: bool = False,
+        self, kind: OpKind, src: int, trg: int, window: str, offset: int, count: int | None,
+        combine: bool, data: np.ndarray | list | None = None, compare: list | None = None,
+        op: AccumulateOp = AccumulateOp.REPLACE, blocking: bool = False,
     ) -> OpHandle:
         """Issue one communication action: check, stamp, interceptors, backend.
 
@@ -879,8 +864,11 @@ class RmaRuntime:
         if blocking and self._vehicles:
             self._poll_vehicles()
         win = self._windows.get(window) or self._window(window)
-        if data is not None:
-            data = np.array(data, dtype=win.dtype).ravel()
+        if data is not None:  # one fresh C-contiguous copy in the window dtype
+            if type(data) is _ndarray and data.ndim == 1:
+                data = data.astype(win.dtype)
+            else:
+                data = np.array(data, dtype=win.dtype).ravel()
             count = data.size
             if compare is not None:
                 compare = np.asarray(compare, dtype=win.dtype)
@@ -902,10 +890,13 @@ class RmaRuntime:
         # The stamp (:meth:`_stamp`) and the open epoch's op count: one state read.
         own, state = self.counters._counters[src], self.epochs._states[src]
         stamp = (state.epoch_of_target[trg], own.gc, own.sc_held.get(trg, 0), own.gnc)
-        action = CommAction.issued(
-            kind, src, trg, win.name, offset, count, combine,
-            _new_stamp(Counters, stamp), op, data, compare, count * win.itemsize,
-        )
+        action = _new_object(CommAction)  # ``issued`` inline; <= 3 a line: no tuple built
+        action.kind, action.src, action.trg = kind, src, trg
+        action.window, action.offset, action.count = win.name, offset, count
+        action.combine, action.counters, action.op = combine, _new_stamp(Counters, stamp), op
+        action.data, action.operand, action.compare = data, None, compare
+        action.seq, action.nbytes = next(_SEQ), count * win.itemsize
+        action._completed = action._discarded = False
         if self._divert is not None and self._divert(action, win):
             return action
         if self.interceptors.before_comm is not None:
@@ -989,17 +980,16 @@ class RmaRuntime:
         a surviving origin's in-flight operations toward suspended targets
         resolve through the mode (drop or stale service) instead of applying.
         """
-        members = self._membership()  # per rank: a completion may have fired a kill
-        if not members.healthy:
+        # Settled: nobody failed.  Else per rank: a completion may have fired a kill.
+        if self._settled != self._injector.generation:
+            members = self._membership()
             if src in members.suspended:
                 self._discard_from(src)
                 return
             if members.suspended:
                 self._discard_toward(src, members.suspended)
-            if (
-                src in members.failed
-                and src not in self.excised
-                and self.backend.pending_ops(src)
+            if src in members.failed and src not in self.excised and (
+                self.backend.pending_ops(src)
             ):
                 raise ProcessFailedError(src)
         self._retire(src, self.backend.complete_rank(src))
@@ -1037,12 +1027,12 @@ class RmaRuntime:
 
         The batch the backend returns *is* the account.  Every operation is
         marked and announced to ``after_comm`` (the completion stream) first;
-        then the origin's clock advances once per target, targets in
-        first-issue order, by the sum of that pair's transfer costs — one
-        float addition per operation, in issue order, starting from ``0.0``:
-        clocks are compared bit-for-bit and ``n * c != c + ... + c``, so the
-        sum may not be batched any further.  Metrics follow per pair.  A
-        discarded or diverted operation never gets here and is never charged.
+        then the origin's clock advances by each target's sum, targets in
+        first-issue order — one float addition per operation, in issue order,
+        starting from ``0.0``: clocks are compared bit-for-bit and ``n * c !=
+        c + ... + c``, so no sum may be batched any further.  Counts are exact
+        integers: ``rma.<kind>`` moves once per run, ``rma.bytes_moved`` once per
+        batch.  A discarded or diverted operation never gets here, uncharged.
         """
         if not batch:
             return
@@ -1061,27 +1051,30 @@ class RmaRuntime:
             totals["rma.bytes_moved"] += nbytes
             per_rank["rma.bytes_moved"][src] += nbytes
             return
-        accounts: dict[int, list] = {}  # trg -> [cost, bytes, {metric: count}]
+        sums: dict[int, float] = {}  # trg -> the pair's prices, summed in issue order
+        runs: list[list] = []  # [kind, nbytes, ops] per run of equal (kind, nbytes)
+        kind = nbytes = None
         for op in batch:
             op._completed = True
             if after_comm is not None:
                 after_comm(op)
-            account = accounts.get(op.trg)
-            if account is None:
-                account = accounts[op.trg] = [0.0, 0, {}]
-            kind, nbytes = op.kind, op.nbytes
-            account[0] += transfer[nbytes, kind.is_atomic]
-            account[1] += nbytes
-            kinds = account[2]
-            kinds[kind.metric] = kinds.get(kind.metric, 0) + 1
-        for cost, nbytes, kinds in accounts.values():
-            clock.now += cost
-            clock.ticks += 1
-            for name, count in kinds.items():
-                totals[name] += count
-                per_rank[name][src] += count
-            totals["rma.bytes_moved"] += nbytes
-            per_rank["rma.bytes_moved"][src] += nbytes
+            if op.kind is not kind or op.nbytes != nbytes:  # one price lookup per run
+                kind, nbytes = op.kind, op.nbytes
+                price, run = transfer[nbytes, kind.is_atomic], [kind, nbytes, 0]
+                runs.append(run)
+            run[2] += 1
+            sums[op.trg] = sums.get(op.trg, 0.0) + price
+        now = clock.now  # the pairs in first-issue order, as one ``+=`` per pair
+        for cost in sums.values():
+            now += cost
+        clock.now, clock.ticks = now, clock.ticks + len(sums)
+        moved = 0
+        for kind, nbytes, ops in runs:
+            totals[kind.metric] += ops
+            per_rank[kind.metric][src] += ops
+            moved += ops * nbytes
+        totals["rma.bytes_moved"] += moved
+        per_rank["rma.bytes_moved"][src] += moved
 
     def _issue_sync(self, action: SyncAction, *, cost: float) -> SyncAction:
         """Run the sync hooks nobody left idle; charge ``cost`` in place."""

@@ -338,3 +338,41 @@ def test_every_discard_leaves_every_window_byte_untouched(backend):
         assert not any(h.completed for h in (over, added, swapped, kept))
     finally:
         rt.finalize()
+
+
+# ---------------------------------------------------------------------------
+# (e) The payload is one copy, taken at the issue, in the window's dtype
+# ---------------------------------------------------------------------------
+PAYLOADS = {
+    "float64": lambda: np.arange(4.0) + 1.0,
+    "int32": lambda: np.arange(1, 5, dtype=np.int32),
+    "strided": lambda: np.arange(16.0)[::2],
+    "reversed": lambda: (np.arange(4.0) + 1.0)[::-1],
+    "2-d": lambda: np.arange(1.0, 7.0).reshape(2, 3),
+    "0-d": lambda: np.array(5.0),
+    "list": lambda: [1.0, 2.0, 3.0],
+}
+
+
+@pytest.mark.parametrize("call", ["put_nb", "accumulate_nb"])
+@pytest.mark.parametrize("payload", list(PAYLOADS))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_payload_is_the_issue_time_value_in_the_window_dtype(backend, payload, call):
+    rt = make_runtime(backend)  # window "a" is float64 and starts at zeros
+    try:
+        buf = PAYLOADS[payload]()
+        expected = np.array(buf, dtype=np.float64).ravel().tolist()
+        op = getattr(rt, call)(0, 1, "a", 0, buf)
+        if isinstance(buf, list):  # the caller reuses its buffer before the flush
+            buf[:] = [-1.0] * len(buf)
+        else:
+            buf[...] = -1
+        rt.flush(0, 1)
+        assert rt.local(1, "a")[: len(expected)].tolist() == expected
+        for landed in (op.data, op.operand):
+            assert landed.tolist() == expected and landed.dtype == np.float64
+            assert landed.ndim == 1 and landed.flags.c_contiguous
+            if not isinstance(buf, list):
+                assert not np.shares_memory(landed, buf)
+    finally:
+        rt.finalize()

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+import repro
 from repro.chaos import scaled_cost_model
 from repro.errors import LockError, ProcessFailedError, SimulationError, SynchronizationError
 from repro.rma import AccumulateOp, RmaInterceptor, RmaRuntime
@@ -224,3 +225,42 @@ def test_metrics_track_operations(runtime):
     assert metrics.get("rma.get") == 1
     assert metrics.get("rma.gsyncs") == 1
     assert metrics.get("rma.bytes_moved") == 32
+
+
+def _sync_state(rt) -> tuple:
+    """Everything a sync may move: counters, epochs, clocks and ``rma.*``."""
+    epochs = [
+        (dict(s.epoch_of_target), dict(s.pending_ops), s.epochs_closed)
+        for s in rt.epochs._states
+    ]
+    clocks = [(c.now, c.ticks) for c in rt._clock_of]
+    metrics = {k: v for k, v in rt.cluster.metrics.snapshot().totals.items() if "rma." in k}
+    return rt.counters.snapshot(), epochs, clocks, metrics
+
+
+@pytest.mark.parametrize("trg", [-1, 8, 1.5])
+@pytest.mark.parametrize("call", ["lock", "unlock", "flush"])
+def test_a_sync_toward_no_rank_raises_before_anything_moves(call, trg):
+    # parent: lock(-1) locked rank 7, flush(99) keyed epoch 99, lock(1.5) a bare TypeError
+    with repro.launch(8) as job:
+        job.allocate("w", 4)
+        ctx, rt = job.contexts[0], job.runtime
+        ctx.put(1, "w", 0, [1.0])
+        ctx.lock(2)
+        before = _sync_state(rt)
+        with pytest.raises(SynchronizationError, match=rf"got {trg!r} \(origin rank 0\)"):
+            getattr(ctx, call)(trg)
+        assert _sync_state(rt) == before
+        ctx.unlock(2)
+
+
+def test_a_numpy_integer_sync_target_is_a_rank():
+    with repro.launch(8) as job:
+        job.allocate("w", 4)
+        ctx, rt = job.contexts[0], job.runtime
+        ctx.lock(np.int64(3))
+        ctx.unlock(np.int32(3))
+        ctx.flush(np.uint8(5))
+        assert rt.counters.sc_local(3) == 1 and rt.counters.gc(0) == 1
+        assert set(rt.epochs.state(0).epoch_of_target) == {3, 5}
+        assert all(type(trg) is int for trg in rt.epochs.state(0).epoch_of_target)
