@@ -129,9 +129,10 @@ class JobReport:
 class Job:
     """A launched SPMD session: cluster + runtime + scheduler + FT policy.
 
-    Prefer :func:`launch` over constructing this directly.  Use as a context
-    manager so the runtime is finalized (interceptor statistics flushed) on
-    exit.
+    Prefer :func:`launch` over constructing this directly (its parameters are
+    documented there; ``trace`` becomes one interceptor and one observer).  Use
+    as a context manager so the runtime is finalized (interceptor statistics
+    flushed) on exit.
     """
 
     def __init__(
@@ -141,7 +142,6 @@ class Job:
         topology: Topology | None = None,
         ft: FaultTolerancePolicy | None = None,
         failures: FailureSchedule | None = None,
-        record: bool = False,
         sync_each_step: bool = True,
         backend: str | Backend | None = None,
         watchdog: float | None = None,
@@ -159,7 +159,7 @@ class Job:
         resolved_backend = resolve_component(
             "backend", backend, BACKENDS, Backend, PolicyError, default="sim"
         )
-        self.runtime = RmaRuntime(self.cluster, record=record, backend=resolved_backend)
+        self.runtime = RmaRuntime(self.cluster, backend=resolved_backend)
         self.contexts: list[RankContext] = [
             RankContext(self.runtime, rank) for rank in range(nprocs)
         ]
@@ -529,7 +529,6 @@ def launch(
     topology: Topology | None = None,
     ft: FaultTolerancePolicy | None = None,
     failures: FailureSchedule | None = None,
-    record: bool = False,
     sync_each_step: bool = True,
     backend: str | Backend | None = None,
     watchdog: float | None = None,
@@ -549,9 +548,6 @@ def launch(
         failures propagate out of :meth:`Job.run`.
     failures:
         Fail-stop schedule to inject (tests, resilience studies).
-    record:
-        Record every action in the runtime's
-        :class:`~repro.rma.ordering.OrderRecorder` (trace/determinism tests).
     sync_each_step:
         Close every job step with an implicit ``gsync`` — the BSP-style
         superstep boundary where failures are usually observed.  Disable for
@@ -572,17 +568,20 @@ def launch(
         backends cannot deadlock, and the real-process backend keeps its own
         per-dispatch ack timeout regardless.
     trace:
-        A :class:`~repro.trace.Tracer` to install across every seam of the
-        job (RMA interceptor, session observer, store placement, delivery
-        decisions).  ``None`` still joins an active ``tracing()`` hub —
-        e.g. an engine CLI's ``--trace`` — and is free otherwise.
+        A :class:`~repro.trace.Tracer` to install as one RMA interceptor (which
+        also receives the kills, checkpoint placements and delivery decisions)
+        and one session observer.  ``None`` still joins an active ``tracing()``
+        hub — e.g. an engine CLI's ``--trace`` — and is free otherwise.
+
+    To record the §2.3 orders of a run, register an
+    :class:`~repro.rma.ordering.OrderRecorder` on ``job.runtime`` with
+    ``add_interceptor``.
     """
     return Job(
         nprocs,
         topology=topology,
         ft=ft,
         failures=failures,
-        record=record,
         sync_each_step=sync_each_step,
         backend=backend,
         watchdog=watchdog,

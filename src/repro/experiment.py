@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.registry import available, is_registered, plural
 from repro.rma.actions import OpKind
+from repro.trace.tracer import current_trace_hub
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.simulator.costs import CostModel
@@ -119,14 +120,17 @@ def run_grid(
     """``[fn(task) for task in tasks]``, in order, on the named executor.
 
     Every task of a grid is an isolated deterministic session, so the three
-    executors return identical lists; ``"process"`` needs ``fn`` and the
-    tasks to pickle.  The pool is shut down before returning, also when a
-    task raises.
+    executors return identical lists; ``"process"`` needs ``fn`` and the tasks
+    to pickle, and no active ``tracing()`` hub (its children could not join it).
+    The pool is shut down before returning, also when a task raises.
     """
     if executor == "serial":
         return [fn(task) for task in tasks]
     if executor not in ("thread", "process"):
         raise error(f"unknown executor {executor!r}; choose 'serial', 'thread' or 'process'")
+    if executor == "process" and current_trace_hub() is not None:
+        raise error("a traced run cannot use the 'process' executor (its workers cannot "
+                    "reach the trace); choose 'serial' or 'thread'")
     import concurrent.futures as cf  # here, so a serial grid never loads the pool stacks
 
     pool_type = cf.ThreadPoolExecutor if executor == "thread" else cf.ProcessPoolExecutor

@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import os
 import signal
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -149,7 +148,7 @@ class FiredKill:
     """Record of one fired event: who actually died, and how.
 
     An event whose victims were all already dead or excised is *skipped*;
-    listeners still see it, as a record with an empty ``victims`` tuple, so
+    ``on_kill`` still sees it, as a record with an empty ``victims`` tuple, so
     the chaos log can account for every planned event.
     """
 
@@ -192,18 +191,7 @@ class FaultInjector(RmaInterceptor):
         self.fired: list[FiredKill] = []
         self.skipped: list[KillEvent] = []
         self._pending: list[KillEvent] = list(plan.events)
-        self._listeners: list[Callable[[FiredKill], None]] = []
         self._runtime: RmaRuntime | None = None
-
-    def add_listener(self, listener: Callable[[FiredKill], None]) -> None:
-        """Observe every planned event as it resolves (fired or skipped).
-
-        Listeners receive the :class:`FiredKill` record at the exact stream
-        position the kill lands — before the failure surfaces through the
-        fail-stop path — which is what lets the chaos log timestamp
-        ``failure_initiated`` separately from ``failure_detected``.
-        """
-        self._listeners.append(listener)
 
     # ------------------------------------------------------------------
     def attach(self, runtime: "RmaRuntime") -> None:
@@ -218,12 +206,6 @@ class FaultInjector(RmaInterceptor):
         self.respawns_seen += 1
         if self.kill_on_respawn is not None and self.respawns_seen == self.kill_on_respawn:
             self._fire(KillEvent(after_ops=max(1, self.ops_seen), rank=rank))
-
-    # ------------------------------------------------------------------
-    @property
-    def exhausted(self) -> bool:
-        """Whether every planned event has fired (or been skipped)."""
-        return not self._pending
 
     def _fire(self, event: KillEvent) -> None:
         runtime = self._runtime
@@ -249,9 +231,7 @@ class FaultInjector(RmaInterceptor):
         ]
         if not victims:
             self.skipped.append(event)
-            record = FiredKill(event=event, victims=(), real=False)
-            for listener in self._listeners:
-                listener(record)
+            self._announce(FiredKill(event=event, victims=(), real=False))
             return
         backend = runtime.backend
         real = hasattr(backend, "worker_pid") and hasattr(backend, "wait_dead")
@@ -272,8 +252,16 @@ class FaultInjector(RmaInterceptor):
             cluster.metrics.incr("inject.kills", rank=rank)
         record = FiredKill(event=event, victims=tuple(victims), real=real)
         self.fired.append(record)
-        for listener in self._listeners:
-            listener(record)
+        self._announce(record)
+
+    def _announce(self, record: FiredKill) -> None:
+        """Hand ``record`` to the chain's ``on_kill`` at the stream position the
+        kill lands — before the failure surfaces through the fail-stop path,
+        which is what lets the chaos log stamp ``failure_initiated`` apart from
+        ``failure_detected``."""
+        on_kill = self._runtime.interceptors.on_kill
+        if on_kill is not None:
+            on_kill(record)
 
 
 def install_injector(
@@ -285,14 +273,11 @@ def install_injector(
 ) -> FaultInjector:
     """Attach a :class:`FaultInjector` for ``plan`` to a launched job.
 
-    A traced job (``Job(trace=...)`` or an active ``tracing()`` hub) gets
-    the tracer wired as a kill listener automatically, so every fired and
-    skipped kill lands in the trace without engine plumbing.
+    Every fired and skipped kill reaches the job's interceptors through
+    ``on_kill`` — a traced job's tracer among them — with no further wiring.
     """
     injector = FaultInjector(
         plan, wait_timeout=wait_timeout, kill_on_respawn=kill_on_respawn
     )
     job.runtime.add_interceptor(injector)
-    if getattr(job, "trace", None) is not None:
-        injector.add_listener(job.trace.on_kill)
     return injector

@@ -318,32 +318,24 @@ class CheckpointStore(abc.ABC):
         self.versions: list[CheckpointVersion] = []
         self._next_version = 0
         self._runtime: RmaRuntime | None = None
-        self._placement_listeners: list = []
         self._slabs: dict[tuple[int, str], _Slab] = {}
         self._log: Any = None
         #: Each slab's raw-access stamp as seen by the previous placement; cleared
         #: by an observed failure (its discards and undos bypass the log).
         self.seen: dict[tuple[int, str], int] = {}
 
-    def add_placement_listener(self, listener) -> None:
-        """Observe every placement: ``(store, level, rank, nbytes, incremental)``.
-
-        The tracer registers here to attribute checkpoint bytes to store
-        levels; :meth:`_account` notifies listeners alongside the
-        ``ft.checkpoint_bytes`` metric, so both views always agree.
-        """
-        self._placement_listeners.append(listener)
-
     def _account(self, rank: int, nbytes: int, level: str, charges, incremental=False) -> None:
         """Pay for ``nbytes`` placed for ``rank`` at ``level`` — the single funnel:
         each ``(charged rank, seconds)`` of ``charges`` advances that clock as
-        protocol time, in order, then the metric and the listeners see the bytes."""
+        protocol time, in order, then the metric and the interceptors'
+        ``on_checkpoint_stored`` see the bytes (so the two views always agree)."""
         clock_of = self._runtime._clock_of
         for charged, seconds in charges:
             clock_of[charged].advance(seconds, kind="protocol")
         self._runtime.cluster.metrics.incr("ft.checkpoint_bytes", nbytes, rank=rank)
-        for listener in self._placement_listeners:
-            listener(self.name, level, rank, nbytes, incremental)
+        stored = self._runtime.interceptors.on_checkpoint_stored
+        if stored is not None:
+            stored(self.name, level, rank, nbytes, incremental)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -859,12 +851,6 @@ class MultiLevelStore(CheckpointStore):
     def bind(self, runtime: "RmaRuntime", *, level: int = 1) -> None:
         super().bind(runtime, level=level)
         self.base.bind(runtime, level=level)
-
-    def add_placement_listener(self, listener) -> None:
-        # The base store accounts its own placements; forward so listeners
-        # see every level of the hierarchy through one registration.
-        super().add_placement_listener(listener)
-        self.base.add_placement_listener(listener)
 
     def attach_log(self, log: Any) -> None:
         super().attach_log(log)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import abc
 import zlib
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -90,9 +89,6 @@ class DeliveryMode(abc.ABC):
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        #: When set (the tracer does this in ``install_trace``), receives
-        #: ``(event, rank, n)`` for every counted delivery decision.
-        self.listener: Callable[[str, int, int], None] | None = None
         self._runtime: "RmaRuntime | None" = None
         self._store: "CheckpointStore | None" = None
 
@@ -112,15 +108,16 @@ class DeliveryMode(abc.ABC):
 
     def count(self, event: str, rank: int, n: int = 1) -> None:
         """Record ``n`` occurrences of delivery decision ``event`` at ``rank``:
-        one bump of the job's ``qos.<event>`` metric, one listener call."""
+        one bump of the job's ``qos.<event>`` metric, one ``on_qos_decision``."""
         if event not in _COUNTER_FIELDS:
             raise QosError(
                 f"unknown qos event {event!r}; counted events are: "
                 f"{', '.join(_COUNTER_FIELDS)}"
             )
         self._runtime.cluster.metrics.incr(f"qos.{event}", n, rank=rank)
-        if self.listener is not None:
-            self.listener(event, rank, n)
+        decided = self._runtime.interceptors.on_qos_decision
+        if decided is not None:
+            decided(event, rank, n)
 
     # ------------------------------------------------------------------
     # Policy queries

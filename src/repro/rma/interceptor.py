@@ -57,6 +57,18 @@ class RmaInterceptor:
     def after_sync(self, action: SyncAction) -> None:
         """Invoked right after a lock/unlock/flush/gsync/barrier completed."""
 
+    # --- events of the fault-tolerance seams ----------------------------------
+    def on_kill(self, record) -> None:
+        """A planned kill fired, or was skipped (a :class:`~repro.ft.inject.FiredKill`)."""
+
+    def on_checkpoint_stored(
+        self, store: str, level: str, rank: int, nbytes: int, incremental: bool
+    ) -> None:
+        """``store`` placed ``nbytes`` of ``rank``'s checkpoint at ``level``."""
+
+    def on_qos_decision(self, decision: str, rank: int, n: int) -> None:
+        """The delivery mode counted ``n`` occurrences of ``decision`` at ``rank``."""
+
     # --- failures -----------------------------------------------------------
     def on_failure_detected(self, rank: int) -> None:
         """A fail-stop failure of ``rank`` has been observed."""
@@ -85,6 +97,9 @@ class RmaInterceptor:
 
 #: Its hooks are what a chain holds for a lifecycle hook nobody overrides.
 _IDLE = RmaInterceptor()
+#: The per-op and the event hooks: ``None`` when nobody overrides one (skipped).
+_SKIPPED = {"before_comm", "after_comm", "before_sync", "after_sync",
+            "on_kill", "on_checkpoint_stored", "on_qos_decision"}
 
 
 def _each(hooks: list, per_op: bool):
@@ -110,8 +125,8 @@ class InterceptorChain:
     Hooks are looked up when an interceptor is added or removed, never per
     action: each hook of :class:`RmaInterceptor` is then an attribute of the
     chain holding one callable — a no-op when no registered interceptor
-    overrides it (``None`` for a per-op hook: its call site skips it), that
-    interceptor's bound method when one does, a loop over the overriding ones
+    overrides it (``None`` for a per-op or event hook: its call site skips it),
+    that interceptor's bound method when one does, a loop over the overriding ones
     otherwise.  An interceptor that overrides no per-op hook therefore costs an
     operation nothing, and a hook replaced on a class or an instance after
     registration is not seen until the chain changes.
@@ -142,7 +157,7 @@ class InterceptorChain:
                 hooks = [h for h in hooks if getattr(h, "__func__", None) is not default]
                 if len(hooks) > 1:
                     hooks = [_each(hooks, per_op)]
-                idle = None if per_op else getattr(_IDLE, name)
+                idle = None if name in _SKIPPED else getattr(_IDLE, name)
                 setattr(self, name, hooks[0] if hooks else idle)
 
     def __iter__(self):

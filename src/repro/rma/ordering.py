@@ -1,7 +1,8 @@
 """Recording and querying the RMA orders ``po``, ``so``, ``hb`` and ``co`` (§2.3).
 
-The runtime can optionally record every action into an :class:`OrderRecorder`.
-The recorder reconstructs:
+An :class:`OrderRecorder` is an interceptor: registered on a runtime
+(``runtime.add_interceptor(OrderRecorder())``) it records every action the
+normal pipeline issues — not the ones a divert resolves — and reconstructs:
 
 * the **program order** ``po`` — actions of one process in issue order;
 * the **synchronization order** ``so`` — lock/unlock (and gsync) ordering;
@@ -11,8 +12,8 @@ The recorder reconstructs:
 
 These are used by the test-suite to verify the paper's theorems (RMA
 consistency of coordinated checkpoints, causal replay ordering) and by the
-consistency checker; recording is off by default because it retains every
-action of a run.
+consistency checker; no runtime records by default because a recorder retains
+every action of a run.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.rma.actions import CommAction, SyncAction, SyncKind
+from repro.rma.interceptor import RmaInterceptor
 
 __all__ = ["OrderRecorder", "RecordedEvent"]
 
@@ -43,11 +45,16 @@ class RecordedEvent:
         return self.action.seq
 
 
-class OrderRecorder:
-    """Accumulates actions and answers ordering queries."""
+class OrderRecorder(RmaInterceptor):
+    """Accumulates actions and answers ordering queries.
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    It records a communication action in ``before_comm`` and a synchronization
+    action in ``after_sync`` — once issued, respectively once it completed.
+    """
+
+    name = "order-recorder"
+
+    def __init__(self) -> None:
         self.events: list[RecordedEvent] = []
         self._per_rank: dict[int, list[RecordedEvent]] = {}
         #: lock acquisition order per (target, structure): list of event seqs.
@@ -60,8 +67,6 @@ class OrderRecorder:
     # ------------------------------------------------------------------
     def record(self, action: CommAction | SyncAction) -> None:
         """Append one action to the recorded trace."""
-        if not self.enabled:
-            return
         event = RecordedEvent(index=len(self.events), action=action)
         self.events.append(event)
         self._per_rank.setdefault(action.src, []).append(event)
@@ -71,6 +76,8 @@ class OrderRecorder:
                 self._lock_chains.setdefault(key, []).append(event)
             if action.kind is SyncKind.GSYNC:
                 self._gsync_generations.append(event.seq)
+
+    before_comm = after_sync = record
 
     def __len__(self) -> int:
         return len(self.events)

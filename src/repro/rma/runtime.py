@@ -37,7 +37,7 @@ cluster (:mod:`repro.simulator`) and to a pluggable execution
 The driver is SPMD-by-iteration: a single thread issues actions on behalf of
 each rank (``src`` is an explicit argument), which keeps the simulation
 deterministic while preserving per-rank timing.  Determinism is
-backend-independent: costs, counters, recording and failure observation all
+backend-independent: costs, counters, interceptor dispatch and failure observation all
 happen here, so two backends given the same program produce bit-identical
 traces and clocks.
 """
@@ -70,7 +70,6 @@ from repro.rma.counters import CounterBoard
 from repro.rma.epoch import EpochTracker
 from repro.rma.handles import OpHandle
 from repro.rma.interceptor import InterceptorChain, RmaInterceptor
-from repro.rma.ordering import OrderRecorder
 from repro.rma.replay import ReplayCursor, replay_apply
 from repro.rma.window import Window, WindowRegistry
 from repro.simulator.cluster import Cluster
@@ -107,10 +106,7 @@ class _Membership(NamedTuple):
 class RmaRuntime:
     """Coordinates RMA programs of an SPMD job over a backend and a cluster."""
 
-    def __init__(
-        self, cluster: Cluster, *, record: bool = False,
-        backend: "str | Backend | None" = None,
-    ) -> None:
+    def __init__(self, cluster: Cluster, *, backend: "str | Backend | None" = None) -> None:
         # Deferred import: repro.backends needs the rma model modules, which
         # this module's package pulls in — importing it lazily keeps every
         # entry-point import order (repro, repro.rma, repro.backends) valid.
@@ -123,15 +119,13 @@ class RmaRuntime:
         self.epochs = EpochTracker(cluster.nprocs)
         self.counters = CounterBoard(cluster.nprocs)
         self.interceptors = InterceptorChain()
-        self.recorder = OrderRecorder(enabled=record)
         self._finalized = False
         self._window = self.backend.windows.get
         #: The registry's own name -> window map (never rebound): the issue
         #: path looks a window up here and calls :attr:`_window` only for the
         #: error an unknown name deserves.
         self._windows = self.backend.windows._windows
-        #: The per-rank clocks, resolved once (they are reset in place, never
-        #: replaced).
+        #: The per-rank clocks, resolved once (they are never replaced).
         self._clock_of = [cluster.clock(rank) for rank in range(cluster.nprocs)]
         #: The metric registry's own maps and the cost model's prices, read once: a per-op
         #: charge or bump is in place (``now += c; ticks += 1`` is ``advance(c, kind="comm")``).
@@ -488,8 +482,6 @@ class RmaRuntime:
             action = SyncAction.issued(_GSYNC, rank, None, stamp)
             if interceptors.before_sync is not None:
                 interceptors.before_sync(action)
-            if self.recorder.enabled:
-                self.recorder.record(action)
             if interceptors.after_sync is not None:
                 interceptors.after_sync(action)
             actions.append(action)
@@ -902,8 +894,6 @@ class RmaRuntime:
         if self.interceptors.before_comm is not None:
             self.interceptors.before_comm(action)
         state.pending_ops[trg] += 1  # what the closing flush is priced by
-        if self.recorder.enabled:
-            self.recorder.record(action)
         backend = self.backend
         if not blocking or backend._pending[src] or self._divert is not None:
             backend.issue(action)
@@ -1084,8 +1074,6 @@ class RmaRuntime:
         clock = self._clock_of[src]
         clock.now += cost
         clock.ticks += 1
-        if self.recorder.enabled:
-            self.recorder.record(action)
         if interceptors.after_sync is not None:
             interceptors.after_sync(action)
         self._totals[metric] += 1

@@ -92,8 +92,8 @@ class Cluster:
         self.fdh = placement.fdh
         self.costs = cost_model or cray_xe6_like()
         self.clocks = ClockCollection(nprocs)
-        # The collection resets clocks in place and never replaces them, so
-        # the per-rank objects can be resolved once.
+        # The collection never replaces a clock, so the per-rank objects can
+        # be resolved once.
         self._clock_of = [self.clocks.clock(rank) for rank in range(nprocs)]
         self.metrics = MetricsRegistry()
         self.injector = FailureInjector(failure_schedule or FailureSchedule.none(), placement)
@@ -204,24 +204,20 @@ class Cluster:
         """All currently failed (not yet replaced) ranks."""
         return sorted(self.injector.failed_ranks)
 
-    def respawn_rank(self, rank: int, *, reset_clock: bool = False) -> None:
+    def respawn_rank(self, rank: int) -> None:
         """Replace a failed rank with a fresh process ``p_new``.
 
         The paper assumes an underlying batch system that provides a new
         process in place of the failed one (§4.3).  The replacement inherits
-        the rank number; its clock either continues from the current job time
-        (default — the replacement starts "now") or is reset to zero.
+        the rank number; its clock continues from the current job time (the
+        replacement starts "now").
         """
         self._check_rank(rank)
         if self.is_alive(rank):
             raise SimulationError(f"rank {rank} is alive; nothing to respawn")
         self.injector.revive(rank)
         self.recovered_ranks.append(rank)
-        if reset_clock:
-            self.clocks.reset_rank(rank)
-        else:
-            # The new process becomes available at the current makespan.
-            self.clock(rank).synchronize_to(self.elapsed())
+        self.clock(rank).synchronize_to(self.elapsed())
         self.metrics.incr("cluster.respawns", rank=rank)
 
     # ------------------------------------------------------------------

@@ -84,14 +84,6 @@ class VirtualClock:
             self.now = t
         return self.now
 
-    def reset(self) -> None:
-        """Reset all counters to zero (used when a replacement process spawns)."""
-        self.now = 0.0
-        self.busy = 0.0
-        self.protocol = 0.0
-        self.waiting = 0.0
-        self.ticks = 0
-
 
 class ClockCollection:
     """The set of clocks of all processes in a simulated job.
@@ -137,7 +129,3 @@ class ClockCollection:
     def elapsed(self) -> float:
         """Job makespan: maximum time over all processes."""
         return self.max_time()
-
-    def reset_rank(self, rank: int) -> None:
-        """Reset the clock of a single rank (replacement process)."""
-        self._clocks[rank].reset()

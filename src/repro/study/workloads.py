@@ -164,7 +164,6 @@ class Workload(abc.ABC):
         backend: "str | Backend" = "sim",
         procs_per_node: int = 2,
         cost_model: CostModel | None = None,
-        record: bool = False,
         kill_plan: "KillPlan | None" = None,
         watchdog: float | None = None,
     ) -> WorkloadRun:
@@ -181,7 +180,6 @@ class Workload(abc.ABC):
             topology=Topology(procs_per_node=procs_per_node, cost_model=cost_model),
             ft=ft,
             failures=failures,
-            record=record,
             sync_each_step=self.sync_each_step,
             backend=backend,
             watchdog=watchdog,

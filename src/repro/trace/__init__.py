@@ -1,17 +1,16 @@
 """repro.trace — deterministic end-to-end tracing: the one account of a run.
 
-The observability layer of the reproduction: every seam the stack
-already exposes (RMA interceptors, session observers, injector
-listeners, store placement hooks, delivery-mode decisions, serve
-request lifecycles) feeds a single :class:`Tracer` whose events are
-stamped in virtual time — byte-identical across the sim, vector and
-proc backends and across serial/thread executors, with host-specific
-facts segregated under ``rt``.  Everything else reads a finished job's
-``tracer.events``: canonical JSONL persistence, span rollups
-(:func:`summarize`), first-divergence localization
-(:func:`first_divergence`), a Chrome-trace export, and the engines' chaos
-logs and SLO windows.  Counters live in the cluster's ``MetricsRegistry``
-(``JobReport.metrics``), not here.
+The observability layer of the reproduction: the RMA interceptor chain
+(which also carries kills, checkpoint placements and delivery-mode
+decisions), the session observers and the serve request lifecycles feed
+a single :class:`Tracer` whose events are stamped in virtual time —
+byte-identical across the sim, vector and proc backends and across
+serial/thread executors, with host-specific facts segregated under
+``rt``.  Everything else reads a finished job's ``tracer.events``:
+canonical JSONL persistence, span rollups (:func:`summarize`),
+first-divergence localization (:func:`first_divergence`), a Chrome-trace
+export, and the engines' chaos logs and SLO windows.  Counters live in
+the cluster's ``MetricsRegistry`` (``JobReport.metrics``), not here.
 
 CLI: ``python -m repro.trace summarize|diff|export``.
 """

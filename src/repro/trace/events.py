@@ -56,12 +56,12 @@ TRACE_EVENT_TYPES = frozenset(
         "sync_completed",
         "rank_failed",
         "rank_respawned",
-        # Fault-injector listener stream.
+        # Fault injector, through the interceptor chain's ``on_kill``.
         "kill_fired",
         "kill_skipped",
-        # Store placement hook (per-level checkpoint bytes).
+        # Store placements (``on_checkpoint_stored``: per-level bytes).
         "checkpoint_stored",
-        # Delivery-mode hook (drop/stale decisions).
+        # Delivery-mode decisions (``on_qos_decision``: drop/stale/repair).
         "qos_decision",
         # Serve request lifecycle.
         "request_completed",

@@ -1,17 +1,19 @@
 """The trace: one tracer per job, one hub per run.
 
 A :class:`Tracer` is the single instrumentation source for a job.  It
-plugs into every existing seam at once —
+plugs into two seams —
 
 * an :class:`~repro.rma.interceptor.RmaInterceptor` for the op
   issue/completion stream, window creation, runtime-observed failures,
-  respawns and finalization;
-* a duck-typed ``SessionObserver`` for step/checkpoint/recovery spans;
-* a :class:`~repro.ft.inject.FaultInjector` listener for kill events;
-* the checkpoint-store placement hook for per-level bytes;
-* the delivery-mode metrics hook for drop/stale decisions
+  respawns and finalization, and for the events the fault-tolerance seams
+  send down the same chain: kills (``on_kill``), per-level checkpoint bytes
+  (``on_checkpoint_stored``) and drop/stale/repair decisions
+  (``on_qos_decision``);
+* a duck-typed ``SessionObserver`` for step/checkpoint/recovery spans
 
 — and emits schema-validated events stamped with ``cluster.elapsed()``.
+The detail level chooses the interceptor class; a ``"lifecycle"`` tracer's
+one overrides no per-op hook, so it costs an operation nothing.
 Because every seam fires at runtime level (before backend-specific cost
 accounting diverges in wall time), the resulting event stream is
 byte-identical across the sim, vector and proc backends for the same
@@ -27,9 +29,9 @@ A :class:`TraceHub` collects the tracers of a whole multi-job run
 Engines label their sessions with :func:`trace_label` using the cell
 key, and the hub orders the merged stream by ``(label, index)`` — never
 by wall-clock arrival — so serial and thread executors produce
-byte-identical files.  (Process-pool executors run jobs in children
-that cannot see the parent's hub; those jobs are simply absent from the
-merged trace.)
+byte-identical files.  (A process pool's children cannot see the parent's
+hub, so :func:`repro.experiment.run_grid` refuses that executor while a
+hub is active.)
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class Tracer:
         self.job = job
         self.order = order if order is not None else (job, 0)
         self.events: list[dict] = []
-        self.interceptor = _TraceInterceptor(self)
+        adapter = _FullTraceInterceptor if detail == "full" else _TraceInterceptor
+        self.interceptor = adapter(self)
         self.observer = _TraceObserver(self)
         self._seq = 0
         self._cluster = None
@@ -89,11 +92,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    @property
-    def full(self) -> bool:
-        """Whether the per-op interceptor stream is recorded."""
-        return self.detail == "full"
-
     def bind(self, job: Job) -> None:
         """Point virtual-time stamps at ``job``'s cluster clock."""
         if self._cluster is not None and self._cluster is not job.cluster:
@@ -122,49 +120,6 @@ class Tracer:
         self.events.append(event)
         return event
 
-    # ------------------------------------------------------------------
-    # Listener entry points for the non-interceptor seams
-    # ------------------------------------------------------------------
-    def on_kill(self, record: FiredKill) -> None:
-        """Fault-injector listener: one event per fired or skipped kill."""
-        t = self._now()
-        if record.skipped:
-            self.emit(
-                "kill_skipped",
-                t,
-                rank=record.event.rank,
-                kind=record.event.kind.value,
-                after_ops=record.event.after_ops,
-            )
-        else:
-            self.emit(
-                "kill_fired",
-                t,
-                rank=record.event.rank,
-                victims=list(record.victims),
-                kind=record.event.kind.value,
-                after_ops=record.event.after_ops,
-                rt={"real": bool(record.real)},
-            )
-
-    def on_store_placement(
-        self, store: str, level: str, rank: int, nbytes: int, incremental: bool
-    ) -> None:
-        """Checkpoint-store hook: bytes placed at one level for one rank."""
-        self.emit(
-            "checkpoint_stored",
-            self._now(),
-            store=store,
-            level=level,
-            rank=rank,
-            nbytes=int(nbytes),
-            incremental=bool(incremental),
-        )
-
-    def on_qos_decision(self, decision: str, rank: int, n: int) -> None:
-        """Delivery-mode hook: one drop/stale/repair decision."""
-        self.emit("qos_decision", self._now(), decision=decision, rank=rank, n=int(n))
-
     def _emit_job_finished(self) -> None:
         rt = None
         if self._wall_started is not None:
@@ -173,45 +128,53 @@ class Tracer:
 
 
 class _TraceInterceptor(RmaInterceptor):
-    """Runtime-seam adapter: RMA ops, windows, failures, finalization."""
+    """Runtime-seam adapter of a ``"lifecycle"`` tracer: failures, respawns,
+    kills, checkpoint placements, delivery decisions, finalization."""
 
     name = "trace"
 
     def __init__(self, tracer: Tracer) -> None:
         self._tracer = tracer
 
-    def on_window_create(self, window) -> None:
+    def on_kill(self, record: FiredKill) -> None:
         t = self._tracer
-        if t.full:
+        event = record.event
+        if record.skipped:
             t.emit(
-                "window_created",
+                "kill_skipped",
                 t._now(),
-                window=window.name,
-                size=int(window.size),
-                dtype=str(window.dtype),
-                nbytes_per_rank=int(window.nbytes_per_rank),
+                rank=event.rank,
+                kind=event.kind.value,
+                after_ops=event.after_ops,
+            )
+        else:
+            t.emit(
+                "kill_fired",
+                t._now(),
+                rank=event.rank,
+                victims=list(record.victims),
+                kind=event.kind.value,
+                after_ops=event.after_ops,
+                rt={"real": bool(record.real)},
             )
 
-    def before_comm(self, action) -> None:
+    def on_checkpoint_stored(
+        self, store: str, level: str, rank: int, nbytes: int, incremental: bool
+    ) -> None:
         t = self._tracer
-        if t.full:
-            t.emit("op_issued", t._now(), **_comm_fields(action))
+        t.emit(
+            "checkpoint_stored",
+            t._now(),
+            store=store,
+            level=level,
+            rank=rank,
+            nbytes=int(nbytes),
+            incremental=bool(incremental),
+        )
 
-    def after_comm(self, action) -> None:
+    def on_qos_decision(self, decision: str, rank: int, n: int) -> None:
         t = self._tracer
-        if t.full:
-            t.emit("op_completed", t._now(), **_comm_fields(action))
-
-    def after_sync(self, action) -> None:
-        t = self._tracer
-        if t.full:
-            t.emit(
-                "sync_completed",
-                t._now(),
-                kind=action.kind.value,
-                src=action.src,
-                trg=action.trg,
-            )
+        t.emit("qos_decision", t._now(), decision=decision, rank=rank, n=int(n))
 
     def on_failure_detected(self, rank: int) -> None:
         t = self._tracer
@@ -223,6 +186,40 @@ class _TraceInterceptor(RmaInterceptor):
 
     def on_finalize(self) -> None:
         self._tracer._emit_job_finished()
+
+
+class _FullTraceInterceptor(_TraceInterceptor):
+    """A ``"full"`` tracer's adapter: the lifecycle events, plus windows and
+    the per-op issue/completion stream."""
+
+    def on_window_create(self, window) -> None:
+        t = self._tracer
+        t.emit(
+            "window_created",
+            t._now(),
+            window=window.name,
+            size=int(window.size),
+            dtype=str(window.dtype),
+            nbytes_per_rank=int(window.nbytes_per_rank),
+        )
+
+    def before_comm(self, action) -> None:
+        t = self._tracer
+        t.emit("op_issued", t._now(), **_comm_fields(action))
+
+    def after_comm(self, action) -> None:
+        t = self._tracer
+        t.emit("op_completed", t._now(), **_comm_fields(action))
+
+    def after_sync(self, action) -> None:
+        t = self._tracer
+        t.emit(
+            "sync_completed",
+            t._now(),
+            kind=action.kind.value,
+            src=action.src,
+            trg=action.trg,
+        )
 
 
 def _comm_fields(action) -> dict:
@@ -282,13 +279,14 @@ class _TraceObserver:
 
 
 def install_trace(job: Job, tracer: Tracer) -> Tracer:
-    """Wire ``tracer`` into every seam of ``job``; returns the tracer.
+    """Wire ``tracer`` into ``job`` — one interceptor, one session observer;
+    returns the tracer.
 
     Called by ``Job.__init__`` when a tracer is supplied (or a trace hub
     is active); the interceptor lands *after* the fault-tolerance
     stack's, so replay suppression and action logging stay ahead of
-    instrumentation, and the fault injector's listener (wired by
-    ``install_injector``) fires after the op stream has been stamped.
+    instrumentation, and ahead of a fault injector's (``install_injector``),
+    so a kill is traced after the completion that triggered it.
     """
     tracer.bind(job)
     job.trace = tracer
@@ -300,9 +298,6 @@ def install_trace(job: Job, tracer: Tracer) -> Tracer:
     )
     job.runtime.add_interceptor(tracer.interceptor)
     job.add_observer(tracer.observer)
-    if job.ft is not None:
-        job.ft.store.add_placement_listener(tracer.on_store_placement)
-        job.ft.delivery.listener = tracer.on_qos_decision
     return tracer
 
 

@@ -13,7 +13,7 @@ import pytest
 import repro
 from repro.backends import SimBackend, VectorBackend, make_backend
 from repro.errors import BackendError, EpochError, OpHandleError, WindowError
-from repro.rma import RmaRuntime
+from repro.rma import OrderRecorder, RmaRuntime
 from repro.simulator import Cluster, FailureSchedule
 
 BACKENDS = ["sim", "vector"]
@@ -206,9 +206,10 @@ def _stencil_like_kernel(ctx, step):
 def _run_traced(backend, failures=None):
     ft = repro.FaultTolerancePolicy(interval=3)
     with repro.launch(
-        4, ft=ft, failures=failures, record=True, sync_each_step=False,
-        backend=backend,
+        4, ft=ft, failures=failures, sync_each_step=False, backend=backend,
     ) as job:
+        recorder = OrderRecorder()
+        job.runtime.add_interceptor(recorder)
         job.allocate("w", 8)
         for ctx in job.contexts:
             ctx.local("w")[:] = np.arange(8.0) + ctx.rank
@@ -216,7 +217,7 @@ def _run_traced(backend, failures=None):
         field = np.stack([job.local(r, "w").copy() for r in range(4)])
         # Strip the globally monotonic seq (last element): it differs between
         # process-wide runs, not between backends within a run.
-        trace = [e.action.determinant()[:-1] for e in job.runtime.recorder.events]
+        trace = [e.action.determinant()[:-1] for e in recorder.events]
         clocks = [job.runtime.cluster.now(r) for r in range(4)]
     return field, trace, clocks
 

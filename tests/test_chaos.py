@@ -426,7 +426,7 @@ def test_soak_result_carries_predictions(sim_comparison):
 
 
 # ----------------------------------------------------------------------
-# Observer / listener seams
+# The session observer seam
 # ----------------------------------------------------------------------
 def test_session_observer_hooks():
     seen: list[tuple] = []

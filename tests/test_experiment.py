@@ -129,6 +129,24 @@ def test_run_grid_rejects_unknown_executors_with_the_callers_error():
         run_grid(_square, [1], executor="fiber", error=CampaignError)
 
 
+def test_run_grid_refuses_the_process_executor_while_a_trace_hub_is_active(tmp_path):
+    # A pool's children cannot see the parent's hub: the run would publish a
+    # trace without a single session of its grid in it.
+    from repro.errors import QosError
+    from repro.qos.__main__ import main
+    from repro.trace import tracing
+
+    with tracing():
+        with pytest.raises(CampaignError, match="'process'.*'serial' or 'thread'"):
+            run_grid(_square, [1, 2], executor="process", error=CampaignError)
+        for executor in ("serial", "thread"):
+            assert run_grid(_square, [1, 2], executor=executor, error=CampaignError) == [1, 4]
+    assert run_grid(_square, [1, 2], executor="process", error=CampaignError) == [1, 4]
+    trace = tmp_path / "trace.jsonl"
+    with pytest.raises(QosError, match="'serial' or 'thread'"):
+        main(["--quick", "--executor", "process", "--trace", str(trace)])
+
+
 def test_comparison_grids_reject_an_empty_axis_with_the_engines_own_error():
     from repro.chaos import SoakSpec, run_comparison
     from repro.errors import ChaosError, ServeError

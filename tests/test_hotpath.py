@@ -399,6 +399,40 @@ def test_an_interceptor_without_per_op_hooks_costs_an_operation_nothing():
         assert _calls_per_op(ops)[0] == bare
 
 
+def _put_nb_job_calls(trace, ops_per_step: int) -> float:
+    """Python calls of 10 steps of 8 ranks each ``put_nb``-ing ``ops_per_step``
+    times to their ring neighbour, under memory/global checkpoints every 5."""
+    data = np.arange(8.0)
+    policy = FaultTolerancePolicy(interval=5, store="memory", recovery="global")
+
+    def kernel(ctx, step):
+        w = ctx.win("w")
+        for k in range(ops_per_step):
+            w.put_nb((ctx.rank + 1) % ctx.nranks, 8 * k, data)
+
+    with repro.launch(8, ft=policy, trace=trace) as job:
+        job.allocate("w", 128)
+        job.run(kernel, steps=1)  # first-use entries and the first checkpoint
+        return _calls_per_op(lambda: job.run(kernel, steps=10), runs=1)[0]
+
+
+def test_a_lifecycle_tracer_costs_an_operation_nothing():
+    """What every untraced chaos soak and serve cell runs with: the per-op
+    cost (the calls 640 more operations add) equals an untraced job's, 5 (10
+    when the tracer's hooks checked its detail on every operation)."""
+    chain = InterceptorChain()
+    chain.add(Tracer(detail="lifecycle").interceptor, None)
+    assert _per_op_hooks(chain) == [None] * 4
+    per_op = {}
+    for detail in (None, "lifecycle"):
+        calls = [
+            _put_nb_job_calls(Tracer(detail=detail) if detail else None, ops)
+            for ops in (8, 16)
+        ]
+        per_op[detail] = (calls[1] - calls[0]) / 640
+    assert per_op["lifecycle"] == per_op[None] <= 5, per_op
+
+
 def test_a_hook_is_looked_up_when_the_interceptor_is_added(monkeypatch):
     """What the benchmark's layer pass relies on: a hook patched on the class
     before the job is launched is dispatched; one patched later is not seen

@@ -8,14 +8,20 @@ import pytest
 import repro
 from repro.chaos import scaled_cost_model
 from repro.errors import LockError, ProcessFailedError, SimulationError, SynchronizationError
-from repro.rma import AccumulateOp, RmaInterceptor, RmaRuntime
+from repro.rma import AccumulateOp, OrderRecorder, RmaInterceptor, RmaRuntime
 from repro.simulator import Cluster, FailureSchedule
 from repro.simulator.costs import cray_xe6_like, ethernet_cluster_like
 
 
 @pytest.fixture
-def runtime():
-    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), record=True)
+def recorder():
+    return OrderRecorder()
+
+
+@pytest.fixture
+def runtime(recorder):
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2))
+    rt.add_interceptor(recorder)
     rt.win_allocate("w", 8)
     return rt
 
@@ -45,7 +51,7 @@ def test_compare_and_swap_swaps_only_on_match(runtime):
     assert runtime.local(2, "w")[0] == 9.0
 
 
-def test_flush_closes_epoch_and_bumps_gc(runtime):
+def test_flush_closes_epoch_and_bumps_gc(runtime, recorder):
     assert runtime.epochs.epoch(0, 1) == 0
     action = runtime.put(0, 1, "w", 0, [1.0])
     assert action.EC == 0 and action.GC == 0
@@ -55,8 +61,8 @@ def test_flush_closes_epoch_and_bumps_gc(runtime):
     later = runtime.put(0, 1, "w", 0, [2.0])
     assert later.EC == 1 and later.GC == 1
     # co holds between the two epochs (§2.3).
-    assert runtime.recorder.consistency_order(action, later)
-    assert not runtime.recorder.consistency_order(later, action)
+    assert recorder.consistency_order(action, later)
+    assert not recorder.consistency_order(later, action)
 
 
 def test_lock_fetch_increments_sc_and_unlock_closes_epoch(runtime):

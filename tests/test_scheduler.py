@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.rma import OrderRecorder
 from repro.simulator import FailureSchedule
 
 NPROCS = 6
@@ -42,15 +43,16 @@ def _run(failure_schedule: FailureSchedule | None):
         NPROCS,
         ft=repro.FaultTolerancePolicy(interval=4, demand_threshold_bytes=4096),
         failures=failure_schedule,
-        record=True,
     ) as job:
+        recorder = OrderRecorder()
+        job.runtime.add_interceptor(recorder)
         job.allocate("u", N_LOCAL)
         for ctx in job.contexts:
             ctx.local("u")[:] = np.arange(N_LOCAL) + ctx.rank
         job.run(_kernel, steps=STEPS)
         # Determinants minus the process-global `seq` counter (it keeps
         # growing across runs in the same process).
-        trace = [event.action.determinant()[:-1] for event in job.runtime.recorder.events]
+        trace = [event.action.determinant()[:-1] for event in recorder.events]
         clocks = [job.cluster.now(rank) for rank in range(NPROCS)]
         field = job.gather("u")
     return trace, clocks, field

@@ -20,7 +20,7 @@ from repro.ft import (
     build_ft_stack,
     make_store,
 )
-from repro.rma import RmaRuntime
+from repro.rma import RmaInterceptor, RmaRuntime
 from repro.simulator import Cluster
 
 
@@ -335,7 +335,7 @@ def test_session_recovers_with_every_store(store):
 # ---------------------------------------------------------------------------
 # The placement funnel, pinned where it lives: every charge, byte and event
 # ---------------------------------------------------------------------------
-#: ``(store, local stores every other step) -> (sha256 of the placement-listener
+#: ``(store, local stores every other step) -> (sha256 of the on_checkpoint_stored
 #: events (store, level, rank, nbytes, incremental) of checkpoints 4-11, their
 #: number, per-rank byte counters over the run, every clock's (now, protocol,
 #: waiting, ticks))`` of :func:`_accounting`, recorded before placements charged
@@ -440,6 +440,16 @@ ACCOUNTING = {
 }
 
 
+class _Placements(RmaInterceptor):
+    """Appends every ``on_checkpoint_stored`` event to a list."""
+
+    def __init__(self, events: list) -> None:
+        self.events = events
+
+    def on_checkpoint_stored(self, *event) -> None:
+        self.events.append(event)
+
+
 def _accounting(store: str, local_stores: bool) -> tuple:
     """12 checkpoints of 8 ranks on ``vector``: each rank puts into its ring
     neighbour's slab and every third into a second window, then a gsync; with
@@ -451,7 +461,7 @@ def _accounting(store: str, local_stores: bool) -> tuple:
     for rank in range(8):
         rt.local(rank, "w")[:] = rank + 1.0
     events = []
-    stack.store.add_placement_listener(lambda *event: events.append(event))
+    rt.add_interceptor(_Placements(events))
     for tag in range(12):
         for rank in range(8):
             rt.put_nb(rank, (rank + 1) % 8, "w", 64 * tag, np.arange(64.0) + rank)

@@ -10,16 +10,18 @@ Everything host-specific (wall seconds, real-SIGKILL flags, backend
 names) lives under ``rt`` and is excluded from identity.
 """
 
+import hashlib
 import json
 import os
 import threading
 
+import numpy as np
 import pytest
 
 import repro
 from repro.backends.proc import proc_available
 from repro.errors import TraceError
-from repro.ft.inject import KillPlan, install_injector
+from repro.ft.inject import KillEvent, KillKind, KillPlan, install_injector
 from repro.study import make_workload
 from repro.trace import (
     TraceWriter,
@@ -284,6 +286,61 @@ def test_trace_rollups_reconcile_with_job_metrics():
     assert stats["recovery"]["episodes"] == metrics.total("ft.recoveries") >= 1
 
 
+#: The events the fault-tolerance seams send down the interceptor chain, and
+#: the sha256 of :func:`_seam_events`' (``rt`` stripped, canonical JSON) with
+#: their number, recorded when each seam still had its own listener list.
+SEAM_EVENTS = ("kill_fired", "kill_skipped", "checkpoint_stored", "qos_decision")
+SEAM_PIN = ("744e198503c3403c2146016f576f6080948d974c5b3eb6d93b681de0438df0ab", 154)
+
+
+def _seam_events():
+    """8 ranks under best-effort delivery and the multilevel store: a node kill
+    (ranks 2 and 3), then a kill of rank 3 while it is still dead."""
+
+    def kernel(ctx, step):
+        w = ctx.win("w")
+        ctx.put((ctx.rank + 1) % ctx.nranks, "w", step % 8, np.full(2, step + ctx.rank + 0.5))
+        w.get_nb((ctx.rank + 3) % ctx.nranks, 0, 4)
+        yield ctx.gsync()
+        ctx.local("w")[8 + step % 8] += 1.0
+
+    tracer = Tracer(detail="lifecycle")
+    ft = repro.FaultTolerancePolicy(interval=2, store="multilevel", delivery="best_effort")
+    with repro.launch(8, ft=ft, trace=tracer) as job:
+        job.allocate("w", 16)
+        install_injector(job, KillPlan([
+            KillEvent(after_ops=37, rank=2, kind=KillKind.NODE_KILL),
+            KillEvent(after_ops=38, rank=3),
+        ]))
+        report = job.run(kernel, steps=12)
+    events = [
+        {k: v for k, v in e.items() if k != "rt"}
+        for e in tracer.events if e["type"] in SEAM_EVENTS
+    ]
+    return events, report
+
+
+def test_kills_placements_and_qos_decisions_reach_the_trace_as_pinned():
+    events, report = _seam_events()
+    digest = hashlib.sha256(json.dumps(events, sort_keys=True).encode()).hexdigest()
+    assert (digest, len(events)) == SEAM_PIN
+    by_type = {t: [e for e in events if e["type"] == t] for t in SEAM_EVENTS}
+    assert [e["victims"] for e in by_type["kill_fired"]] == [[2, 3]]
+    assert [e["rank"] for e in by_type["kill_skipped"]] == [3]
+    levels = {e["level"] for e in by_type["checkpoint_stored"]}
+    assert levels == {"local", "buddy", "parity", "disk"}  # the base's and both upper
+    # Every delivery decision the job counted is on the trace, n for n.
+    decided: dict[str, int] = {}
+    for e in by_type["qos_decision"]:
+        decided[e["decision"]] = decided.get(e["decision"], 0) + e["n"]
+    counted = {
+        name.removeprefix("qos."): int(value)
+        for name, value in report.metrics.totals.items()
+        if name.startswith("qos.")
+    }
+    assert decided == counted and len(decided) >= 3
+
+
 def test_demand_checkpoints_are_committed_with_the_demand_flag():
     tracer = Tracer()
     ft = repro.FaultTolerancePolicy(interval=None, demand_threshold_bytes=128)
@@ -321,8 +378,10 @@ def test_untraced_job_after_a_traced_one_carries_no_trace_seam():
             isinstance(i, _TraceInterceptor) for i in job.runtime.interceptors
         )
         assert job._observers == []
-        assert job.ft.store._placement_listeners == []
-        assert job.ft.delivery.listener is None
+        chain = job.runtime.interceptors  # the seams' events: no hook to call
+        assert (chain.on_kill, chain.on_checkpoint_stored, chain.on_qos_decision) == (
+            None, None, None,
+        )
         assert current_trace_hub() is None
 
 
