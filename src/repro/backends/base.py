@@ -46,11 +46,12 @@ def apply_action(action: CommAction, win: Window) -> None:
 
     Get-like actions deposit the fetched values into ``action.data`` (the
     handle exposes them after completion); put-like actions mutate the
-    target's buffer.  Before a get-like atomic overwrites ``data`` with the
-    fetched previous values, the issued operand is preserved in
-    ``action.operand`` so the fault-tolerance log can later re-apply the
-    action to a restored window (log-based recovery, §7).  Shared by all
-    backends so the per-op semantics cannot drift between them.
+    target's buffer — a plain put by copying its payload bytes into the
+    region.  Before a get-like atomic overwrites ``data`` with the fetched
+    previous values, the issued operand is preserved in ``action.operand`` so
+    the fault-tolerance log can later re-apply the action to a restored
+    window (log-based recovery, §7).  Shared by all backends so the per-op
+    semantics cannot drift between them.
 
     The runtime validated the access range when it issued the action, so the
     target slice is taken unchecked; only a target invalidated since then
@@ -58,68 +59,62 @@ def apply_action(action: CommAction, win: Window) -> None:
     """
     kind = action.kind
     region = win._region(action.trg, action.offset, action.count)
-    if not kind.is_put_like:  # a get
-        action.data = region.copy()
+    if kind is _PUT:
+        memoryview(region).cast("B")[:] = action._data
         return
-    if action.operand is None:
-        action.operand = action.data
-    if not kind.is_atomic:  # a put
-        region[...] = action.data
-    elif kind is _COMPARE_AND_SWAP:
+    if not kind.is_put_like:  # a get
+        action._data = region.copy()
+        return
+    data = action._data
+    if action._operand is None:
+        action._operand = data
+    if kind is _COMPARE_AND_SWAP:
         previous = region.copy()
         if np.array_equal(previous, action.compare):
-            region[...] = action.data
-        action.data = previous
+            region[...] = data
+        action._data = previous
     else:  # accumulate, get_accumulate, fetch_and_op
-        previous = apply_accumulate(region, action.data, action.op)
+        previous = apply_accumulate(region, data, action.op)
         if kind.is_get_like:
-            action.data = previous
+            action._data = previous
 
 
 def _coalesce_puts(batch: list[tuple[CommAction, Window]]) -> list[list]:
     """Merge each slab's back-to-back plain puts of an issue-ordered batch.
 
-    Returns ``[action, window, count, data]`` entries to complete in order.
+    Returns ``[action, window, count, payload]`` entries to complete in order.
     A *run* — successive ``PUT``s on one ``(window, target)`` slab, each
     starting where the previous one ended — is one entry: its first action
-    with the summed count and the concatenated payload, i.e. a put of a
+    with the summed count and the joined payload bytes, i.e. a put of a
     larger count.  Any other action on the slab (a get, an atomic, a put that
     overlaps or jumps) closes the slab's run and follows it, so same-slab
     order is issue order; actions on different slabs touch disjoint memory
     and commute, which is what lets a run stay open across them.  Every
-    other action is an entry of its own, so get-like actions keep their issue
-    order among themselves.  Puts leave with the ``operand``
-    :func:`apply_action` gives them, merged or not; a batch of one is its own entry.
+    other action is an entry of its own (its payload the array it carries), so
+    get-like actions keep their issue order among themselves.  A batch of one
+    is its own entry.
     """
     if len(batch) == 1:
         ((action, win),) = batch
-        if action.kind is _PUT and action.operand is None:
-            action.operand = action.data
-        return [[action, win, action.count, action.data]]
+        return [[action, win, action.count, action._data]]
     entries: list[list] = []
-    open_runs: dict[tuple[int, int], list] = {}  # slab -> its run, ``data`` a list of parts
+    open_runs: dict[tuple[int, int], list] = {}  # slab -> its run, payload a list of parts
     for action, win in batch:
         slab = (id(win), action.trg)
         if action.kind is not _PUT:
             open_runs.pop(slab, None)
-            entries.append([action, win, action.count, action.data])
+            entries.append([action, win, action.count, action._data])
             continue
-        if action.operand is None:
-            action.operand = action.data
         run = open_runs.get(slab)
         if run is not None and run[0].offset + run[2] == action.offset:
             run[2] += action.count
-            run[3].append(action.data)
+            run[3].append(action._data)
         else:
-            open_runs[slab] = run = [action, win, action.count, [action.data]]
+            open_runs[slab] = run = [action, win, action.count, [action._data]]
             entries.append(run)
     for entry in entries:
         if entry[0].kind is _PUT:
-            parts = entry[3]
-            if len(parts) == 1:
-                entry[3] = parts[0]
-            else:  # cast part by part, as one region write per put would
-                entry[3] = np.concatenate(parts, dtype=entry[1].dtype, casting="unsafe")
+            entry[3] = b"".join(entry[3])  # one part: that very object
     return entries
 
 

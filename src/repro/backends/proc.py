@@ -59,7 +59,7 @@ import numpy as np
 from repro.backends import BACKENDS
 from repro.backends.base import Backend, _coalesce_puts, apply_action
 from repro.errors import BackendError, ProcessFailedError, WatchdogError, WindowError
-from repro.rma.actions import _COMPARE_AND_SWAP, AccumulateOp, CommAction, OpKind
+from repro.rma.actions import _COMPARE_AND_SWAP, _PUT, AccumulateOp, CommAction, OpKind
 from repro.rma.window import Window
 
 __all__ = ["ProcBackend", "SharedWindow", "proc_available"]
@@ -213,9 +213,9 @@ def _apply_batch(rank: int, buf: bytes, slabs: list[_ShmSlab]) -> bytes:
             if kind is _COMPARE_AND_SWAP:
                 compare = np.frombuffer(buf, slab.dtype, count, pos)
                 pos += compare.nbytes
-        # Only what apply_action reads crossed the wire; the stamps are placeholders.
-        action = CommAction.issued(
-            kind, rank, trg, "", offset, count, False, None, _OPS[op_id], data, compare, 0
+        # Only what apply_action reads crossed the wire: no stamp, no window name.
+        action = CommAction(
+            kind, rank, trg, "", offset, count, False, None, _OPS[op_id], data, compare=compare
         )
         batch.append((action, slab))
     if pos != len(buf):  # also catches a batch cut short at a record boundary
@@ -226,7 +226,7 @@ def _apply_batch(rank: int, buf: bytes, slabs: list[_ShmSlab]) -> bytes:
             os.kill(os.getpid(), signal.SIGKILL)
         apply_action(action, slab)
         if action.kind.is_get_like:
-            reply.append(action.data.tobytes())
+            reply.append(action._data.tobytes())
     return b"".join(reply)
 
 
@@ -537,7 +537,7 @@ class ProcBackend(Backend):
         if die_after is None:
             entries = _coalesce_puts(pairs)
         else:  # an armed kill counts operations: one record per action
-            entries = [[op, win, op.count, op.data] for op, win in pairs]
+            entries = [[op, win, op.count, op._data] for op, win in pairs]
         records = [_HEADER.pack(_APPLY, len(entries), -1 if die_after is None else die_after)]
         operands: list[bytes] = []
         undo = []
@@ -549,8 +549,9 @@ class ProcBackend(Backend):
             if kind.is_put_like:
                 saved = win.buffers[a.trg][a.offset : a.offset + count].copy()
                 undo.append((win, a.trg, a.offset, saved))
-                # Window dtype: the runtime coerced at issue; hand-built actions here.
-                operands.append(np.asarray(data, win.dtype).tobytes())
+                # The runtime coerced the others to the window dtype (hand-built ones here).
+                as_bytes = kind is _PUT  # a put's payload is its bytes already
+                operands.append(data if as_bytes else np.asarray(data, win.dtype).tobytes())
                 if kind is _COMPARE_AND_SWAP:
                     operands.append(np.asarray(a.compare, win.dtype).tobytes())
             if kind.is_get_like:
@@ -574,15 +575,15 @@ class ProcBackend(Backend):
             detail = pickle.loads(reply)[1] if reply[0] == _CONTROL else repr(reply[:16])
             raise BackendError(f"proc worker {src} failed to apply a batch: {detail}")
         # Mirror apply_action's two mutations onto the supervisor's originals:
-        # the issued operand is preserved for the replay log, then get-like
+        # an atomic's operand is preserved for the replay log, then get-like
         # data takes the fetched values (a copy: reply bytes are read-only).
         pos = 1
         for a, win, _, _ in entries:
-            if a.kind.is_put_like and a.operand is None:
-                a.operand = a.data
+            if a.kind.is_atomic and a._operand is None:
+                a._operand = a._data
             if a.kind.is_get_like:
-                a.data = np.frombuffer(reply, win.dtype, a.count, pos).copy()
-                pos += a.data.nbytes
+                a._data = np.frombuffer(reply, win.dtype, a.count, pos).copy()
+                pos += a._data.nbytes
 
     def _await_reply(self, worker: _Worker) -> bytes | None:
         """Wait for the worker's reply, its death (``None``), or the watchdog timeout."""

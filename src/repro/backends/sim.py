@@ -25,16 +25,22 @@ class SimBackend(Backend):
 
     def _apply(self, src: int, batch: list[CommAction]) -> None:
         """Apply a queued batch in issue order, one region access per action; the
-        window, its buffers and its invalidated set are resolved once per run of one."""
+        window, its buffers and its invalidated set are resolved once per run of one,
+        a target slab's byte view once per batch."""
         windows, name = self.windows._windows, None
         for op in batch:
             if op.window != name:  # issued against a registered window
                 name, win = op.window, windows[op.window]
-                buffers, invalidated = win.buffers, win._invalidated
+                buffers, invalidated, itemsize = win.buffers, win._invalidated, win.itemsize
+                slabs = {}  # trg -> the slab's bytes, for this window's puts
             if op.kind is _PUT:  # apply_action's put branch, straight to the slab
-                if op.trg in invalidated:
-                    win._check_alive(op.trg)  # Window._region's one check
-                op.operand = op.data
-                buffers[op.trg][op.offset : op.offset + op.count] = op.data
+                trg = op.trg
+                if trg in invalidated:
+                    win._check_alive(trg)  # Window._region's one check
+                slab = slabs.get(trg)
+                if slab is None:
+                    slabs[trg] = slab = memoryview(buffers[trg]).cast("B")
+                start = op.offset * itemsize
+                slab[start : start + op.nbytes] = op._data
             else:
                 apply_action(op, win)

@@ -35,7 +35,7 @@ class VectorBackend(Backend):
         windows = self.windows._windows  # issued against registered windows
         pairs = [(op, windows[op.window]) for op in batch]
         for action, win, count, data in _coalesce_puts(pairs):
-            if action.kind is _PUT:
-                win._region(action.trg, action.offset, count)[...] = data
+            if action.kind is _PUT:  # ``data`` is the run's bytes
+                memoryview(win._region(action.trg, action.offset, count)).cast("B")[:] = data
             else:
                 apply_action(action, win)

@@ -231,10 +231,9 @@ class BestEffort(DeliveryMode):
         if not action.kind.is_get_like:
             self.count("dropped_puts", src)
             return
-        gnc = action.counters.gnc if action.counters is not None else 0
         stale = (
             self.stale_fraction > 0.0
-            and self._entropy(src, gnc, index) < self.stale_fraction
+            and self._entropy(src, action.GNC, index) < self.stale_fraction
         )
         payload = self._stale_payload(action, win) if stale else None
         if payload is None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -46,10 +46,6 @@ __all__ = [
 ]
 
 _SEQ = itertools.count()
-
-
-def _next_seq() -> int:
-    return next(_SEQ)
 
 
 class ActionCategory(enum.Enum):
@@ -178,7 +174,7 @@ class Counters(NamedTuple):
 Determinant = tuple
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class CommAction:
     """A communication action (Eq. 1) — and, once issued, its own handle.
 
@@ -187,6 +183,11 @@ class CommAction:
     operation travels from issue through the backend's pending queue, the
     completion stream and the action log.  :attr:`completed` /
     :attr:`discarded` / :meth:`result` are the handle face (§2.2).
+
+    The record is Eq. (1) flat: the four counters are slots of their own
+    (:attr:`counters` builds a :class:`Counters` only when read), and a plain
+    ``PUT`` carries its payload as its bytes in the window dtype from issue to
+    apply (:attr:`data` reads them back as a read-only array).
     """
 
     kind: OpKind
@@ -196,69 +197,94 @@ class CommAction:
     offset: int
     count: int
     combine: bool
-    counters: Counters
-    op: AccumulateOp = AccumulateOp.REPLACE
-    #: Payload carried by the action: the data written (puts), or metadata of
-    #: the data read (gets).  ``None`` for pure gets until completed.
-    data: np.ndarray | None = None
-    #: The values the action was *issued* with.  For get-like atomics
-    #: (get_accumulate, fetch_and_op, compare_and_swap) completion overwrites
-    #: :attr:`data` with the fetched previous values; the operand is kept here
-    #: so a log-based replay (§7) can re-apply the action to a restored
-    #: window.  ``None`` until completion for pure puts (where ``data`` *is*
-    #: the operand) and always for pure gets.
-    operand: np.ndarray | None = None
+    # Constructor arguments only: their class attributes are the read-side
+    # properties below, which ``dataclasses.replace`` reads them back through.
+    counters: InitVar[Counters | None]
+    op: AccumulateOp
+    data: InitVar[np.ndarray | None]
+    operand: InitVar[np.ndarray | None]
     #: Compare value of a compare-and-swap.
-    compare: np.ndarray | None = None
+    compare: np.ndarray | None
     #: Unique, monotonically increasing issue id (program order within a run).
-    seq: int = field(default_factory=_next_seq)
+    seq: int
     #: Bytes moved over the network by this action.  The runtime stamps
     #: ``count * itemsize`` of the target window at issue; an action built
     #: without a window takes its payload's size, and ``None`` means unknown
     #: (a directly constructed pure get).
-    nbytes: int | None = None
+    nbytes: int | None
+    #: The recovery counters (Eq. 1), one slot each.
+    EC: int = field(init=False)
+    GC: int = field(init=False)
+    SC: int = field(init=False)
+    GNC: int = field(init=False)
+    #: Element type of the payload: the target window's (``None`` without one).
+    dtype: np.dtype | None = field(init=False)
+    #: The payload: a ``PUT``'s bytes, else the array :attr:`data` reads.
+    _data: bytes | np.ndarray | None = field(init=False, repr=False)
+    #: Operand of a put-like atomic, kept once completion overwrites the data.
+    _operand: np.ndarray | None = field(init=False, repr=False)
     #: Handle state: set by the completion point that retires the operation,
     #: or by the rollback / suspension that discards it first.
-    _completed: bool = field(default=False, init=False, repr=False, compare=False)
-    _discarded: bool = field(default=False, init=False, repr=False, compare=False)
+    _completed: bool = field(init=False, repr=False, compare=False)
+    _discarded: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.src < 0 or self.trg < 0:
-            raise RmaError("ranks must be non-negative")
-        if self.count <= 0:
-            raise RmaError("count must be positive")
-        if self.offset < 0:
-            raise RmaError("offset must be non-negative")
-        if self.nbytes is None and self.data is not None:
-            self.nbytes = int(self.data.nbytes)
+    def __init__(
+        self, kind: OpKind, src: int, trg: int, window: str, offset: int, count: int,
+        combine: bool, counters: Counters | None = None,
+        op: AccumulateOp = AccumulateOp.REPLACE, data: np.ndarray | None = None,
+        operand: np.ndarray | None = None, compare: np.ndarray | None = None,
+        seq: int | None = None, nbytes: int | None = None,
+    ) -> None:
+        if src < 0 or trg < 0 or offset < 0 or count <= 0:
+            raise RmaError(
+                f"ranks and offset must be non-negative and count positive, got "
+                f"src={src}, trg={trg}, offset={offset}, count={count}"
+            )
+        self.kind, self.src, self.trg = kind, src, trg
+        self.window, self.offset, self.count = window, offset, count
+        self.combine, self.op, self.compare = combine, op, compare
+        self.EC, self.GC, self.SC, self.GNC = (0, 0, 0, 0) if counters is None else counters
+        self.dtype = None
+        if data is not None:  # a directly built action keeps its payload's own dtype
+            data = np.asarray(data)
+            self.dtype, nbytes = data.dtype, int(data.nbytes) if nbytes is None else nbytes
+            if kind is _PUT:
+                data = data.tobytes()
+        self._data, self._operand = data, None if kind is _PUT else operand
+        self.seq, self.nbytes = next(_SEQ) if seq is None else seq, nbytes
+        self._completed = self._discarded = False
 
-    @classmethod
-    def issued(
-        cls, kind: OpKind, src: int, trg: int, window: str, offset: int, count: int,
-        combine: bool, counters: Counters, op: AccumulateOp,
-        data: np.ndarray | None, compare: np.ndarray | None, nbytes: int,
-    ) -> "CommAction":
-        """The wire's constructor (``RmaRuntime._issue`` inlines it): no validation, no
-        defaults — :meth:`~repro.rma.window.Window.check_access` has already validated
-        rank, offset and count, so ``__post_init__`` would only repeat it."""
-        self = object.__new__(cls)
-        self.kind = kind
-        self.src = src
-        self.trg = trg
-        self.window = window
-        self.offset = offset
-        self.count = count
-        self.combine = combine
-        self.counters = counters
-        self.op = op
-        self.data = data
-        self.operand = None
-        self.compare = compare
-        self.seq = next(_SEQ)
-        self.nbytes = nbytes
-        self._completed = False
-        self._discarded = False
-        return self
+    # The payload, read side --------------------------------------------------
+    @property
+    def data(self) -> np.ndarray | None:
+        """Payload carried by the action: the data written (puts), or the data
+        read (gets; ``None`` until completed).  A ``PUT``'s reads back as a
+        fresh read-only 1-D view of its bytes."""
+        data = self._data
+        if data is not None and self.kind is _PUT:
+            return np.frombuffer(data, self.dtype)
+        return data
+
+    @data.setter
+    def data(self, value: np.ndarray | None) -> None:
+        self._data = value
+
+    @property
+    def operand(self) -> np.ndarray | None:
+        """The values the action was *issued* with.  For get-like atomics
+        (get_accumulate, fetch_and_op, compare_and_swap) completion overwrites
+        :attr:`data` with the fetched previous values; the operand is kept so a
+        log-based replay (§7) can re-apply the action to a restored window.  A
+        ``PUT``'s is its :attr:`data`; other put-likes' is ``None`` until
+        completion, a pure get's always."""
+        if self.kind is _PUT:
+            return self.data
+        return self._operand
+
+    @property
+    def counters(self) -> Counters:
+        """``(EC, GC, SC, GNC)`` as a :class:`Counters`, built on read."""
+        return Counters(self.EC, self.GC, self.SC, self.GNC)
 
     # The handle face (§2.2) ---------------------------------------------------
     @property
@@ -295,57 +321,13 @@ class CommAction:
                 f"materializes at the next flush/unlock/gsync towards rank "
                 f"{self.trg}"
             )
-        return self.data if self.kind.is_get_like else None
-
-    # ------------------------------------------------------------------
-    @property
-    def category(self) -> ActionCategory:
-        """PUT or GET (atomics report PUT; use :attr:`is_get_like` for both)."""
-        return ActionCategory.PUT if self.kind.is_put_like else ActionCategory.GET
-
-    @property
-    def is_put_like(self) -> bool:
-        """Whether the action changes the target's memory."""
-        return self.kind.is_put_like
-
-    @property
-    def is_get_like(self) -> bool:
-        """Whether the action reads the target's memory into the source."""
-        return self.kind.is_get_like
-
-    # Paper notation helpers -------------------------------------------------
-    @property
-    def EC(self) -> int:  # noqa: N802 - matches the paper's field name
-        """Epoch counter of the action."""
-        return self.counters.ec
-
-    @property
-    def GC(self) -> int:  # noqa: N802
-        """Get counter of the action."""
-        return self.counters.gc
-
-    @property
-    def SC(self) -> int:  # noqa: N802
-        """Synchronization counter of the action."""
-        return self.counters.sc
-
-    @property
-    def GNC(self) -> int:  # noqa: N802
-        """Gsync counter of the action."""
-        return self.counters.gnc
+        return self._data if self.kind.is_get_like else None
 
     def determinant(self) -> Determinant:
         """The determinant ``#a`` (Eq. 2): the action without its data."""
         return (
-            self.kind._value_,
-            self.src,
-            self.trg,
-            self.window,
-            self.offset,
-            self.count,
-            self.combine,
-            tuple(self.counters),
-            self.seq,
+            self.kind._value_, self.src, self.trg, self.window, self.offset, self.count,
+            self.combine, (self.EC, self.GC, self.SC, self.GNC), self.seq,
         )
 
     def with_data(self, data: np.ndarray) -> "CommAction":
@@ -354,7 +336,7 @@ class CommAction:
 
     def describe(self) -> str:
         """Short human-readable description, e.g. ``put(3=>7)[off=0,n=4]``."""
-        arrow = "=>" if self.is_put_like else "<="
+        arrow = "=>" if self.kind.is_put_like else "<="
         return (
             f"{self.kind.value}({self.src}{arrow}{self.trg})"
             f"[win={self.window},off={self.offset},n={self.count},"
@@ -362,50 +344,52 @@ class CommAction:
         )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class SyncAction:
-    """A synchronization action (Eq. 3)."""
+    """A synchronization action (Eq. 3), its counters flat like :class:`CommAction`'s."""
 
     kind: SyncKind
     src: int
     #: Target rank; ``None`` encodes the paper's "diamond" (all processes).
     trg: int | None
-    counters: Counters
+    counters: InitVar[Counters | None]  # read back through the property, as on CommAction
     #: Optional name of the structure being synchronized (the paper's ``str``).
-    structure: str | None = None
-    window: str | None = None
-    seq: int = field(default_factory=_next_seq)
+    structure: str | None
+    window: str | None
+    seq: int
+    EC: int = field(init=False)
+    GC: int = field(init=False)
+    SC: int = field(init=False)
+    GNC: int = field(init=False)
+
+    def __init__(
+        self, kind: SyncKind, src: int, trg: int | None, counters: Counters | None = None,
+        structure: str | None = None, window: str | None = None, seq: int | None = None,
+    ) -> None:
+        self.kind, self.src, self.trg = kind, src, trg
+        self.EC, self.GC, self.SC, self.GNC = (0, 0, 0, 0) if counters is None else counters
+        self.structure, self.window = structure, window
+        self.seq = next(_SEQ) if seq is None else seq
 
     @classmethod
     def issued(
-        cls, kind: SyncKind, src: int, trg: int | None, counters: Counters,
+        cls, kind: SyncKind, src: int, trg: int | None, stamp: tuple[int, int, int, int],
         structure: str | None = None,
     ) -> "SyncAction":
-        """The runtime's constructor: positional, no default factory."""
+        """The runtime's constructor: positional, the stamp a plain ``(EC, GC, SC, GNC)``."""
         self = object.__new__(cls)
-        self.kind = kind
-        self.src = src
-        self.trg = trg
-        self.counters = counters
-        self.structure = structure
-        self.window = None
-        self.seq = next(_SEQ)
+        self.kind, self.src, self.trg = kind, src, trg
+        self.EC, self.GC, self.SC, self.GNC = stamp
+        self.structure, self.window, self.seq = structure, None, next(_SEQ)
         return self
 
-    @property
-    def category(self) -> ActionCategory:
-        """The paper's synchronization category."""
-        return self.kind.category
+    counters = CommAction.counters
 
     def determinant(self) -> Determinant:
         """Tuple form used by logs and tests."""
         return (
-            self.kind.value,
-            self.src,
-            self.trg,
-            self.structure,
-            self.counters.as_tuple(),
-            self.seq,
+            self.kind.value, self.src, self.trg, self.structure,
+            (self.EC, self.GC, self.SC, self.GNC), self.seq,
         )
 
     def describe(self) -> str:

@@ -121,7 +121,7 @@ class OrderRecorder(RmaInterceptor):
         for event in self.events:
             action = event.action
             if isinstance(action, SyncAction) and action.kind is SyncKind.GSYNC:
-                by_generation.setdefault(action.counters.gnc, set()).add(event.seq)
+                by_generation.setdefault(action.GNC, set()).add(event.seq)
         for members in by_generation.values():
             for seq in members:
                 graph[seq] |= members - {seq}
@@ -167,8 +167,7 @@ class OrderRecorder(RmaInterceptor):
         graph = self.build_hb_graph()
         for i, a in enumerate(markers):
             for b in markers[i + 1 :]:
-                gnc_a = a.counters.gnc
-                gnc_b = b.counters.gnc
+                gnc_a, gnc_b = a.GNC, b.GNC
                 cohb_ab = gnc_a < gnc_b and self._reaches(graph, a.seq, b.seq)
                 cohb_ba = gnc_b < gnc_a and self._reaches(graph, b.seq, a.seq)
                 if cohb_ab or cohb_ba:

@@ -61,7 +61,6 @@ from repro.rma.actions import (
     _SEQ,
     AccumulateOp,
     CommAction,
-    Counters,
     OpKind,
     SyncAction,
     SyncKind,
@@ -80,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 __all__ = ["RmaRuntime"]
 
-_new_stamp, _new_object, _ndarray = tuple.__new__, object.__new__, np.ndarray
+_new_object, _ndarray = object.__new__, np.ndarray
 #: The enum members the per-op paths read, as globals (see ``repro.rma.actions``).
 _PUT, _GET, _ACCUMULATE, _GET_ACCUMULATE, _FETCH_AND_OP, _COMPARE_AND_SWAP = OpKind
 _LOCK, _UNLOCK, _FLUSH, _FLUSH_ALL, _GSYNC, _BARRIER = SyncKind
@@ -478,8 +477,7 @@ class RmaRuntime:
         self.epochs.close_global_epoch()
         actions, interceptors, own = [], self.interceptors, self.counters._counters
         for rank in self.cluster.alive_ranks():  # each stamp built inline, as ``_issue``'s
-            stamp = _new_stamp(Counters, (0, own[rank].gc, 0, own[rank].gnc))
-            action = SyncAction.issued(_GSYNC, rank, None, stamp)
+            action = SyncAction.issued(_GSYNC, rank, None, (0, own[rank].gc, 0, own[rank].gnc))
             if interceptors.before_sync is not None:
                 interceptors.before_sync(action)
             if interceptors.after_sync is not None:
@@ -815,22 +813,21 @@ class RmaRuntime:
         self._pre_action(src, rank)
         return rank
 
-    def _stamp(self, src: int, trg: int | None = None, sc: int | None = None) -> Counters:
-        """Counters a fresh action of ``src`` carries (Eq. 1/3): ``EC`` and the
-        held ``SC`` (or the ``sc`` a lock just fetched) of the ``src -> trg``
+    def _stamp(self, src: int, trg: int | None = None, sc: int | None = None) -> tuple:
+        """``(EC, GC, SC, GNC)`` a fresh action of ``src`` carries (Eq. 1/3): ``EC``
+        and the held ``SC`` (or the ``sc`` a lock just fetched) of the ``src -> trg``
         pair, zero for a sync towards everyone (``trg=None``).
 
-        Read straight from the rank's ``ProcessCounters`` / ``EpochState``
-        (the boards' accessors would be two more calls per sync) and built without
-        the namedtuple's keyword constructor; :meth:`_issue` stamps inline.
+        Read straight from the rank's ``ProcessCounters`` / ``EpochState`` (the
+        boards' accessors would be two more calls per sync) as a plain tuple the
+        record unpacks into its four slots; :meth:`_issue` stamps inline.
         """
         own = self.counters._counters[src]
         if trg is None:
-            return _new_stamp(Counters, (0, own.gc, 0, own.gnc))
+            return (0, own.gc, 0, own.gnc)
         if sc is None:
             sc = own.sc_held.get(trg, 0)
-        ec = self.epochs._states[src].epoch_of_target[trg]
-        return _new_stamp(Counters, (ec, own.gc, sc, own.gnc))
+        return (self.epochs._states[src].epoch_of_target[trg], own.gc, sc, own.gnc)
 
     def _issue(
         self, kind: OpKind, src: int, trg: int, window: str, offset: int, count: int | None,
@@ -840,9 +837,11 @@ class RmaRuntime:
         """Issue one communication action: check, stamp, interceptors, backend.
 
         ``data`` (a CAS's ``compare`` too) is the one defensive copy, in the
-        window's dtype, and gives ``count``.  Addressing errors come first (they
-        name window and origin), then liveness: a malformed nonblocking op fails
-        at its call site, identically on every backend.  Both checks run inline
+        window's dtype — a plain put's as its bytes — and gives ``count``; one
+        that does not convert raises :class:`~repro.errors.WindowError` naming
+        window, dtype and origin.  Addressing errors come next (they name window
+        and origin), then liveness: a malformed nonblocking op fails at its call
+        site, identically on every backend.  Both checks run inline
         and call out (``Window.check_access``, :meth:`_pre_action`) only on the
         branch that has something to decide; a nonblocking issue only queues and
         makes no system call, a blocking one polls first.  Nothing is charged
@@ -856,14 +855,22 @@ class RmaRuntime:
         if blocking and self._vehicles:
             self._poll_vehicles()
         win = self._windows.get(window) or self._window(window)
-        if data is not None:  # one fresh C-contiguous copy in the window dtype
-            if type(data) is _ndarray and data.ndim == 1:
-                data = data.astype(win.dtype)
-            else:
-                data = np.array(data, dtype=win.dtype).ravel()
-            count = data.size
-            if compare is not None:
-                compare = np.asarray(compare, dtype=win.dtype)
+        if data is not None:  # the one copy, in the window dtype: a put's bytes
+            try:
+                if kind is _PUT:
+                    if type(data) is not _ndarray or data.dtype is not win.dtype:
+                        data = np.asarray(data, win.dtype)
+                    count, data = data.size, data.tobytes()
+                else:
+                    data = np.array(data, dtype=win.dtype).ravel()
+                    count = data.size
+                    if compare is not None:
+                        compare = np.asarray(compare, dtype=win.dtype)
+            except (TypeError, ValueError) as exc:
+                raise WindowError(
+                    f"payload of {kind._value_} does not convert to window {win.name!r}'s "
+                    f"dtype {win.dtype} (origin rank {src}): {exc}"
+                ) from None
         try:
             trg, offset, count = _index(trg), _index(offset), _index(count)
         except TypeError:
@@ -881,12 +888,13 @@ class RmaRuntime:
             self._pre_action(src, trg)
         # The stamp (:meth:`_stamp`) and the open epoch's op count: one state read.
         own, state = self.counters._counters[src], self.epochs._states[src]
-        stamp = (state.epoch_of_target[trg], own.gc, own.sc_held.get(trg, 0), own.gnc)
-        action = _new_object(CommAction)  # ``issued`` inline; <= 3 a line: no tuple built
+        action = _new_object(CommAction)  # slot by slot; <= 3 a line: no tuple built
         action.kind, action.src, action.trg = kind, src, trg
         action.window, action.offset, action.count = win.name, offset, count
-        action.combine, action.counters, action.op = combine, _new_stamp(Counters, stamp), op
-        action.data, action.operand, action.compare = data, None, compare
+        action.combine, action.op, action.dtype = combine, op, win.dtype
+        action.EC, action.GC = state.epoch_of_target[trg], own.gc
+        action.SC, action.GNC = own.sc_held.get(trg, 0), own.gnc
+        action._data, action._operand, action.compare = data, None, compare
         action.seq, action.nbytes = next(_SEQ), count * win.itemsize
         action._completed = action._discarded = False
         if self._divert is not None and self._divert(action, win):
@@ -928,7 +936,7 @@ class RmaRuntime:
         """
         if action.trg in self.excised:
             if action.kind.is_get_like:
-                action.data = np.zeros(action.count, dtype=win.dtype)
+                action._data = np.zeros(action.count, dtype=win.dtype)
             self.cluster.metrics.incr("ft.dropped_ops", rank=action.src)
         elif action.trg in self._members.suspended:
             self.delivery.resolve(action, win, self)
@@ -936,8 +944,8 @@ class RmaRuntime:
             logged = self._replay.consume(action) if self._replay is not None else None
             if logged is None:
                 return False
-            if action.kind.is_get_like and logged.data is not None:
-                action.data = np.array(logged.data, copy=True)
+            if action.kind.is_get_like and logged._data is not None:
+                action._data = np.array(logged._data, copy=True)
             if action.kind.is_put_like and logged.trg in self._replay.restoring:
                 nbytes = replay_apply(logged, win)
                 self.cluster.advance(

@@ -234,7 +234,10 @@ class WindowRegistry:
         """
         if name in self._windows:
             raise WindowError(f"window {name!r} already exists")
-        window = factory(name=name, size=size, dtype=np.dtype(dtype), nprocs=nprocs)
+        dtype = np.dtype(dtype)
+        if dtype.hasobject or dtype.kind in "mM":  # a put lands as raw bytes
+            raise WindowError(f"window {name!r}: dtype {dtype} is not plain data")
+        window = factory(name=name, size=size, dtype=dtype, nprocs=nprocs)
         self._windows[name] = window
         return window
 

@@ -227,13 +227,53 @@ def _code_objects(code: types.CodeType):
 @pytest.mark.parametrize("fn", PER_OP_FUNCTIONS, ids=lambda fn: fn.__qualname__)
 def test_per_op_paths_read_enum_members_resolved_once(fn):
     # ``argval`` is the bare name on 3.11 and 3.12 alike (``argrepr`` is not).
-    globals_read = {
+    globals_read = _globals_read(fn)
+    assert not globals_read & {"OpKind", "SyncKind", "AccumulateOp"}, globals_read
+
+
+def _globals_read(fn) -> set[str]:
+    return {
         instruction.argval
         for code in _code_objects(fn.__code__)
         for instruction in dis.get_instructions(code)
         if instruction.opname == "LOAD_GLOBAL"
     }
-    assert not globals_read & {"OpKind", "SyncKind", "AccumulateOp"}, globals_read
+
+
+@pytest.mark.parametrize(
+    "fn", [RmaRuntime._issue, RmaRuntime._stamp, RmaRuntime.gsync], ids=lambda fn: fn.__name__
+)
+def test_the_stamp_is_flat_no_counters_namedtuple_is_built(fn):
+    assert "Counters" not in _globals_read(fn)
+
+
+def test_a_queued_put_nb_allocates_one_tracked_object():
+    """The record is the only container a queued ``put_nb`` leaves behind: its
+    counters are slots and its payload bytes (no ``Counters``: 2.0 per put)."""
+    data = np.arange(8.0)
+    with repro.launch(8) as job:
+        job.allocate("w", 64)
+        w = job.contexts[0].win("w")
+        w.put_nb(1, 8, data)  # the metrics' and queues' first-use entries
+
+        def growth(puts: int) -> int:
+            before = gc.get_count()[0]
+            for _ in range(puts):
+                w.put_nb(1, 8, data)
+            return gc.get_count()[0] - before
+
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:  # after a warm-up; the difference cancels the measurement's own
+            growth(OPS)
+            per_put = (growth(2 * OPS) - growth(OPS)) / OPS
+        finally:
+            if collecting:
+                gc.enable()
+        assert job.runtime.pending_nb_ops(0) == 4 * OPS + 1
+        job.runtime.flush(0, 1)
+    assert per_put <= 1, f"a queued put_nb leaves {per_put} tracked objects"
 
 
 class _CountingPoller:

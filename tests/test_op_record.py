@@ -12,25 +12,42 @@
   state, ``result()`` and its two refusals live on that record, and copying or
   pickling one never drags backend state along.
 * **Addressing is integral** and wrong addressing fails at the call that
-  wrote it, with the window and the origin in the message, on every backend.
+  wrote it, with the window and the origin in the message, on every backend;
+  so does a payload that cannot be converted to the window's dtype.
 * **Effect at completion.**  An issued operation touches no window byte until
   its epoch completes — so a get issued before a put to the same region reads
   the old value, and a discard has nothing to undo — on every backend.
+* **The payload.**  A put's is one copy taken at the issue — its bytes in the
+  window dtype — and lands the same through every way a backend applies it:
+  one at a time, a coalesced run, the armed-kill wire, a localized replay.
 """
 
 import dataclasses
 import pickle
+import types
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from programs import make_runtime, perform, random_program
+from programs import HALF, make_runtime, perform, random_program
 
 import repro
 from repro.chaos import scaled_cost_model
-from repro.errors import OpHandleError, WindowError
+from repro.backends.proc import _HEADER, _OK, _RECORD, _apply_batch, _ShmSlab
+from repro.errors import OpHandleError, ProcessFailedError, WindowError
+from repro.ft.inject import KillPlan, install_injector
 from repro.qos.delivery import BestEffort
-from repro.rma import CommAction, OpHandle, RmaInterceptor
+from repro.rma import (
+    AccumulateOp,
+    CommAction,
+    Counters,
+    OpHandle,
+    OpKind,
+    RmaInterceptor,
+    SyncAction,
+    SyncKind,
+)
+from repro.rma.window import Window
 from repro.simulator.costs import ethernet_cluster_like
 
 needs_proc = pytest.mark.skipif(
@@ -276,6 +293,48 @@ def test_non_integral_addressing_fails_at_the_call_site(backend):
         assert type(handle.offset) is int and type(handle.count) is int
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_unconvertible_payload_fails_at_the_call_site(backend):
+    with repro.launch(4, backend=backend) as job:
+        job.allocate("w", 16)
+        w = job.contexts[0].win("w")
+        rt = job.runtime
+        probes = [  # parent: a bare numpy ValueError / TypeError
+            lambda: rt.put_nb(0, 1, "w", 0, "abc"),
+            lambda: w.put_nb(1, 0, "abc"),
+            lambda: rt.put_nb(0, 1, "w", 0, {"a": 1}),
+            lambda: w.put_nb(1, 0, [1.0, [2.0, 3.0]]),
+            lambda: rt.put(0, 1, "w", 0, "abc"),
+            lambda: rt.accumulate(0, 1, "w", 0, ["x"]),
+            lambda: w.accumulate_nb(1, 0, {"a": 1}),
+            lambda: rt.compare_and_swap(0, 1, "w", 0, "x", 1.0),
+        ]
+        before = (
+            rt.cluster.metrics.snapshot(), [rt.cluster.now(r) for r in range(4)],
+            rt.counters.snapshot(),
+        )
+        for probe in probes:
+            with pytest.raises(
+                WindowError, match=r"window 'w'.s dtype float64 \(origin rank 0\)"
+            ):
+                probe()
+        assert rt.pending_nb_ops() == 0 and rt.epochs.pending(0) == 0
+        assert before == (
+            rt.cluster.metrics.snapshot(), [rt.cluster.now(r) for r in range(4)],
+            rt.counters.snapshot(),
+        )
+        rt.flush_all(0)  # nothing malformed was left behind to apply here
+        assert not job.gather("w").any()
+
+
+@pytest.mark.parametrize("dtype", [object, "datetime64[s]", "timedelta64[ms]"])
+def test_a_window_must_be_plain_data_since_a_put_lands_as_bytes(dtype):
+    rt = make_runtime("sim")
+    with pytest.raises(WindowError, match=r"window 'x': dtype .* is not plain data"):
+        rt.win_allocate("x", 4, dtype=dtype)
+    assert "x" not in rt.windows
+
+
 # ---------------------------------------------------------------------------
 # (d) An operation takes effect when it completes, never before
 # ---------------------------------------------------------------------------
@@ -376,3 +435,138 @@ def test_the_payload_is_the_issue_time_value_in_the_window_dtype(backend, payloa
                 assert not np.shares_memory(landed, buf)
     finally:
         rt.finalize()
+
+
+def _scaled(buf, factor: int, shift: int):
+    """``buf * factor + shift`` in the payload's own form (a list, a view, a 0-d array)."""
+    if isinstance(buf, list):
+        return [x * factor + shift for x in buf]
+    buf *= factor
+    buf += shift
+    return buf
+
+
+@pytest.mark.parametrize("payload", list(PAYLOADS))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_coalesced_run_of_payload_puts_lands_whole(backend, payload, monkeypatch):
+    """Back-to-back puts of one payload form one run per slab (one region
+    write on ``vector``, one wire record on ``proc``), interleaved with another
+    slab's run, and land as the per-op ``sim`` lands them."""
+    rt = make_runtime(backend)
+    n = len(np.array(PAYLOADS[payload](), dtype=np.float64).ravel())
+    region, writes = Window._region, []
+    monkeypatch.setattr(
+        Window, "_region", lambda self, *where: writes.append(where) or region(self, *where)
+    )
+    try:
+        expected = {1: [], 2: []}
+        for k in range(3):
+            for trg in (1, 2):
+                buf = _scaled(PAYLOADS[payload](), k + 1, trg)
+                expected[trg] += np.array(buf, dtype=np.float64).ravel().tolist()
+                rt.put_nb(0, trg, "a", k * n, buf)
+        rt.flush_all(0)
+        for trg in (1, 2):
+            assert rt.local(trg, "a")[: 3 * n].tolist() == expected[trg]
+        if backend == "vector":
+            assert writes == [(1, 0, 3 * n), (2, 0, 3 * n)]
+    finally:
+        rt.finalize()
+
+
+@needs_proc
+@pytest.mark.parametrize("payload", list(PAYLOADS))
+def test_the_armed_kill_wire_carries_each_put_payload_as_its_own_record(payload, monkeypatch):
+    """An armed kill ships one record per action; the worker's decoder, run
+    here with the kill disarmed, lands every put's payload bytes."""
+    rt = make_runtime("proc")
+    conn, sent = rt.backend._workers[0].conn, []
+    send_bytes = conn.send_bytes
+    monkeypatch.setattr(conn, "send_bytes", lambda buf: sent.append(buf) or send_bytes(buf))
+    try:
+        parts = [_scaled(PAYLOADS[payload](), k + 1, 0) for k in range(3)]
+        expected = np.concatenate([np.array(p, dtype=np.float64).ravel() for p in parts])
+        offset = 0
+        for part in parts:
+            offset += rt.put_nb(0, 1, "a", offset, part).count
+        rt.backend.arm_kill(0, after_ops=2)
+        with pytest.raises(ProcessFailedError):
+            rt.flush(0, 1)
+        assert not rt.local(1, "a").any()  # the partial batch was rolled back
+    finally:
+        rt.finalize()
+    (message,) = sent
+    _, records, die_after = _HEADER.unpack_from(message)
+    assert (records, die_after) == (3, 2)
+    assert message[_HEADER.size + 3 * _RECORD.size :] == expected.tobytes()
+    size = 2 * HALF
+    shm = types.SimpleNamespace(buf=bytearray(size * 8 * 4))
+    slabs = [_ShmSlab(shm, size, np.dtype(np.float64), 4)]
+    disarmed = _HEADER.pack(message[0], records, -1) + message[_HEADER.size :]
+    assert _apply_batch(0, disarmed, slabs) == bytes((_OK,))
+    assert slabs[0].buffers[1][: expected.size].tolist() == expected.tolist()
+
+
+def _payload_session(backend: str, payload: str, kill_at: int | None):
+    """8 steps of a ring of payload puts under localized recovery: each rank
+    puts its step-scaled payload into its right neighbour, gsyncs, and folds
+    what it received into its own state (a local store after the sync)."""
+    ft = repro.FaultTolerancePolicy(interval=2, store="memory", recovery="localized")
+    with repro.launch(
+        4, topology=repro.Topology(procs_per_node=2), ft=ft, backend=backend,
+        sync_each_step=False,
+    ) as job:
+        job.allocate("w", 16)
+        if kill_at is not None:
+            install_injector(job, KillPlan.single(rank=1, after_ops=kill_at))
+
+        def kernel(ctx, step):
+            w = ctx.win("w")
+            w.put_nb((ctx.rank + 1) % 4, 0, _scaled(PAYLOADS[payload](), step + 1, ctx.rank))
+            yield ctx.gsync()
+            mine = w.local
+            mine[8:16] += mine[0:8]
+
+        report = job.run(kernel, steps=8)
+        return report, job.gather("w").tobytes()
+
+
+@pytest.mark.parametrize("payload", list(PAYLOADS))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_localized_replay_reapplies_the_logged_payload_bit_identically(backend, payload):
+    _, reference = _payload_session(backend, payload, None)
+    report, recovered = _payload_session(backend, payload, 22)  # mid step 5
+    assert report.localized_recoveries == 1
+    assert report.metrics.total("ft.replayed_bytes") > 0  # logged puts were re-applied
+    assert recovered == reference
+
+
+@pytest.mark.parametrize("payload", list(PAYLOADS))
+def test_a_put_record_pickles_with_its_payload_and_counters(payload):
+    rt = make_runtime("sim")
+    rt.lock(0, 1)
+    op = rt.put_nb(0, 1, "a", 0, PAYLOADS[payload]())
+    clone = pickle.loads(pickle.dumps(op))
+    assert clone.determinant() == op.determinant()
+    assert (clone.EC, clone.GC, clone.SC, clone.GNC) == tuple(op.counters) == (0, 0, 1, 0)
+    assert clone.data.tolist() == op.data.tolist() and clone.data.dtype == np.float64
+    assert clone.operand.tolist() == op.operand.tolist() and not clone.data.flags.writeable
+    assert (clone.nbytes, clone.completed) == (op.nbytes, False)
+
+
+def test_directly_built_records_read_back_their_counters_unchanged():
+    counters = Counters(ec=1, gc=2, sc=3, gnc=4)
+    comm = CommAction(
+        kind=OpKind.PUT, src=0, trg=1, window="w", offset=2, count=3, combine=False,
+        counters=counters, op=AccumulateOp.REPLACE, data=np.arange(3.0), seq=7,
+    )
+    sync = SyncAction(
+        kind=SyncKind.LOCK, src=0, trg=1, counters=counters, structure="s", seq=8
+    )
+    for action in (comm, sync):
+        assert action.counters == counters and type(action.counters) is Counters
+        assert (action.EC, action.GC, action.SC, action.GNC) == (1, 2, 3, 4)
+    assert comm.determinant() == ("put", 0, 1, "w", 2, 3, False, (1, 2, 3, 4), 7)
+    assert sync.determinant() == ("lock", 0, 1, "s", (1, 2, 3, 4), 8)
+    assert comm.data.tolist() == [0.0, 1.0, 2.0] and comm.data.dtype == np.float64
+    assert comm.nbytes == 24 and comm.describe().endswith("EC=1,GC=2,SC=3,GNC=4]")
