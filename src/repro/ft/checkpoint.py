@@ -225,11 +225,11 @@ class CoordinatedCheckpointer(RmaInterceptor):
             raise CheckpointError(
                 f"cannot checkpoint while ranks {dead} are failed; recover first"
             )
-        for rank in range(cluster.nprocs):
-            if runtime.counters.holds_any_lock(rank):
+        for rank, own in enumerate(runtime.counters.records):
+            if own.lc:
                 raise EpochError(
                     f"checkpoint must start at an epoch boundary, but rank "
-                    f"{rank} holds a lock (LC={runtime.counters.lc(rank)})"
+                    f"{rank} holds a lock (LC={own.lc})"
                 )
         pending = runtime.pending_nb_ops()
         if pending:
@@ -254,10 +254,7 @@ class CoordinatedCheckpointer(RmaInterceptor):
             if rank not in runtime.excised
         }
         version = self.store.prepare(
-            tag=tag,
-            snapshots=snapshots,
-            epoch_states=runtime.epochs.snapshot(),
-            counter_states=runtime.counters.snapshot(),
+            tag=tag, snapshots=snapshots, counter_states=runtime.counters.snapshot()
         )
         # The closing barrier confirms every copy completed; only then does
         # the version become restorable and the log dispensable.  A failure

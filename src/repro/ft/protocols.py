@@ -196,10 +196,7 @@ class GlobalRollback(RecoveryProtocol):
         runtime.discard_pending()
         runtime.interceptors.on_recovery_start(failed, localized=False)
         self._respawn(runtime, failed)
-        if version.epoch_states is not None:
-            runtime.epochs.restore(version.epoch_states)
-        if version.counter_states is not None:
-            runtime.counters.restore(version.counter_states)
+        runtime.counters.restore(version.counter_states)
         restored_bytes = 0
         for rank in all_ranks:
             restored_bytes += self._restore_rank(runtime, store, version, rank).nbytes
@@ -282,8 +279,7 @@ class LocalizedReplay(RecoveryProtocol):
             restored_bytes += self._restore_rank(runtime, store, version, rank).nbytes
         # Survivors keep epochs and window state, but locks acquired inside
         # the aborted step would deadlock its re-execution: release them.
-        for rank in range(cluster.nprocs):
-            runtime.counters.release_all_locks(rank)
+        runtime.counters.release_locks()
         runtime.interceptors.on_recovery_complete(restoring)
         survivor_snapshot = {
             rank: {
@@ -352,8 +348,7 @@ class ContinueDegraded(RecoveryProtocol):
             runtime.excise_rank(rank)
         # Locks held inside the aborted step — by survivors or the excised
         # ranks themselves — would wedge the re-execution: release them.
-        for rank in range(cluster.nprocs):
-            runtime.counters.release_all_locks(rank)
+        runtime.counters.release_locks()
         runtime.interceptors.on_recovery_complete(failed)
         cluster.barrier()
         cluster.metrics.incr("ft.recoveries")

@@ -133,7 +133,11 @@ class CheckpointVersion:
 
     version: int
     tag: Any
-    taken_at: float
+    #: Every rank's :class:`~repro.rma.counters.ProcessCounters` at checkpoint
+    #: time (EC and the open epochs' op counts, GC/SC/GNC and held locks):
+    #: restoring them rolls survivors' epochs back and releases locks acquired
+    #: after the checkpoint.
+    counter_states: list
     buddy_of: dict[int, int]
     #: Every placed rank's windows, ``rank -> window -> handle``, kept until
     #: eviction: a read-only placement of the store's slab chain (``np.asarray``
@@ -142,12 +146,6 @@ class CheckpointVersion:
     local: dict[int, dict[str, Any]] = field(default_factory=dict)
     #: Ranks whose memory failed since the placement (:meth:`CheckpointStore.drop_rank`).
     lost: set[int] = field(default_factory=set)
-    #: Per-rank epoch state at checkpoint time (restored on rollback so
-    #: survivors do not keep post-checkpoint epochs/pending operations).
-    epoch_states: list | None = None
-    #: Per-rank counter state (EC/GC/SC/GNC/LC and held locks) at checkpoint
-    #: time; restoring it releases locks acquired after the checkpoint.
-    counter_states: list | None = None
 
     def holds(self, rank: int) -> bool:
         """Whether ``rank``'s memory still holds its placement of this version."""
@@ -382,21 +380,11 @@ class CheckpointStore(abc.ABC):
     # Placement (template methods)
     # ------------------------------------------------------------------
     def prepare(
-        self,
-        *,
-        tag: Any,
-        snapshots: Snapshots,
-        epoch_states: list | None,
-        counter_states: list | None,
+        self, *, tag: Any, snapshots: Snapshots, counter_states: list
     ) -> CheckpointVersion:
         """Place copies of ``snapshots`` and charge their cost; do not publish."""
         version = CheckpointVersion(
-            version=self._next_version,
-            tag=tag,
-            taken_at=self.runtime.cluster.elapsed(),
-            buddy_of={},
-            epoch_states=epoch_states,
-            counter_states=counter_states,
+            version=self._next_version, tag=tag, counter_states=counter_states, buddy_of={}
         )
         self._place(version, snapshots)
         return version

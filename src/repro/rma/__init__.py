@@ -1,8 +1,8 @@
 """The paper's formal RMA model (§2) and its execution layer (§6).
 
 * :mod:`~repro.rma.actions` — communication/synchronization actions (Eq. 1–3),
-* :mod:`~repro.rma.epoch` — epoch tracking ``E(p -> q)`` (§2.2),
-* :mod:`~repro.rma.counters` — the recovery counters EC/GC/SC/GNC/LC (§4.1),
+* :mod:`~repro.rma.counters` — the epochs ``E(p -> q)`` (§2.2) and the recovery
+  counters EC/GC/SC/GNC/LC (§4.1), one record per process,
 * :mod:`~repro.rma.ordering` — the orders ``po``, ``so``, ``hb``, ``co`` (§2.3),
 * :mod:`~repro.rma.handles` — nonblocking operation handles (issue vs completion),
 * :mod:`~repro.rma.table1` — operation categorization across languages (Table 1),
@@ -21,7 +21,6 @@ from repro.rma.actions import (
     SyncKind,
 )
 from repro.rma.counters import CounterBoard
-from repro.rma.epoch import EpochTracker
 from repro.rma.handles import OpHandle
 from repro.rma.interceptor import InterceptorChain, RmaInterceptor
 from repro.rma.ordering import OrderRecorder
@@ -37,7 +36,6 @@ __all__ = [
     "SyncAction",
     "SyncKind",
     "CounterBoard",
-    "EpochTracker",
     "OpHandle",
     "InterceptorChain",
     "RmaInterceptor",

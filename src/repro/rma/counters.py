@@ -1,8 +1,13 @@
-"""Per-process recovery counters (§2.4, §4.1).
+"""Per-process recovery state (§2.2, §2.4, §4.1): Eq. (1)'s counters, one record per rank.
 
-The runtime keeps, for every process ``p``:
+The runtime keeps, for every process ``p``, one :class:`ProcessCounters`:
 
-* ``EC`` per target — tracked by :class:`~repro.rma.epoch.EpochTracker`;
+* ``EC`` per target — the epoch ``E(p -> q)`` (§2.2): the period between two
+  consecutive memory-consistency actions (flush, unlock, gsync) issued by
+  ``p`` towards ``q``.  Every such action closes the epoch and opens the next;
+  a gsync is collective and closes every pair's epoch at every process.
+  Epochs induce the consistency order ``co``: actions of ``p`` towards ``q``
+  in different epochs are ordered, actions within one epoch are not;
 * ``GC_p`` — the *Get Counter*, incremented each time ``p`` issues a flush to
   any other process; stamped on gets to order gets towards different targets;
 * ``SC_p`` — the *Synchronization Counter* stored **at p**, fetched and
@@ -10,8 +15,8 @@ The runtime keeps, for every process ``p``:
   the locker's subsequent accesses to record the ``so`` order;
 * ``GNC_p`` — the *GsyNc Counter*, incremented at every process by each gsync;
 * ``LC_p`` — the *Lock Counter* of the "Locks" coordinated-checkpointing
-  scheme (§3.1.2): +1 on lock, -1 on unlock; a checkpoint may start only when
-  it is zero.
+  scheme (§3.1.2): the locks ``p`` holds; a checkpoint may start only when it
+  is zero.
 
 The counters themselves are plain local integers; only ``SC`` requires an
 extra remote access, whose *cost* is charged by the fault-tolerance protocol
@@ -29,30 +34,54 @@ from repro.errors import LockError
 __all__ = ["ProcessCounters", "CounterBoard"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessCounters:
-    """All recovery counters of a single process."""
+    """All recovery state of a single process."""
 
+    #: ``E(p -> q)`` for every target ``q`` this process has communicated with.
+    epoch_of_target: dict[int, int] = field(default_factory=lambda: defaultdict(int))
+    #: Operations issued per target in the open epoch (a completed blocking
+    #: put still counts until the epoch closes): what a flush is priced by.
+    pending_ops: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     #: Get Counter: number of flushes issued by this process so far.
     gc: int = 0
     #: Gsync Counter: number of gsyncs observed by this process.
     gnc: int = 0
-    #: Lock Counter of the Locks CC scheme: currently held locks.
-    lc: int = 0
     #: Synchronization Counter stored at this process, incremented by lockers.
     sc_local: int = 0
     #: SC value this process currently holds for each target it has locked.
     sc_held: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    #: Targets currently locked by this process (for LockError checking).
+    #: Locks currently held by this process, ``(target, structure) -> SC``.
     held_locks: dict[tuple[int, str | None], int] = field(default_factory=dict)
 
+    @property
+    def lc(self) -> int:
+        """Lock Counter of the Locks CC scheme: the locks currently held."""
+        return len(self.held_locks)
+
+    def close_epoch(self, trg: int) -> None:
+        """Close the epoch towards ``trg`` (flush or unlock)."""
+        self.epoch_of_target[trg] += 1
+        self.pending_ops[trg] = 0
+
+    def close_all_epochs(self) -> None:
+        """Close every open epoch (flush_all, gsync)."""
+        epochs, pending = self.epoch_of_target, self.pending_ops
+        for trg in epochs:  # values only: the key set does not change
+            epochs[trg] += 1
+        for trg in pending:
+            pending[trg] = 0
+
     def copy(self) -> ProcessCounters:
-        """An independent copy (the maps hold immutable keys and ints, and
-        ``dict.copy`` keeps ``sc_held``'s ``defaultdict`` factory)."""
+        """An independent copy.  The maps are flat (ints, and tuples of ints and
+        strings), so copying them one level deep is a deep copy — and
+        ``dict.copy`` keeps the ``defaultdict`` factories, so a restored record
+        still auto-creates targets."""
         return ProcessCounters(
+            epoch_of_target=self.epoch_of_target.copy(),
+            pending_ops=self.pending_ops.copy(),
             gc=self.gc,
             gnc=self.gnc,
-            lc=self.lc,
             sc_local=self.sc_local,
             sc_held=self.sc_held.copy(),
             held_locks=self.held_locks.copy(),
@@ -60,98 +89,64 @@ class ProcessCounters:
 
 
 class CounterBoard:
-    """Counters of every process of the job."""
+    """The :class:`ProcessCounters` of every process of the job."""
 
     def __init__(self, nprocs: int) -> None:
-        self.nprocs = nprocs
-        self._counters = [ProcessCounters() for _ in range(nprocs)]
+        #: One record per rank, indexed by rank.  The list is never rebound
+        #: (a reset or restore replaces its entries), so a reader may keep it.
+        self.records = [ProcessCounters() for _ in range(nprocs)]
 
     def of(self, rank: int) -> ProcessCounters:
         """Counters of ``rank``."""
-        return self._counters[rank]
+        return self.records[rank]
 
-    # ------------------------------------------------------------------
-    # GC — flush counter at the origin
-    # ------------------------------------------------------------------
-    def on_flush(self, src: int) -> int:
-        """Record a flush issued by ``src``; return the new ``GC_src``."""
-        self._counters[src].gc += 1
-        return self._counters[src].gc
-
-    def gc(self, rank: int) -> int:
-        """Current ``GC`` of ``rank``."""
-        return self._counters[rank].gc
-
-    # ------------------------------------------------------------------
-    # GNC — gsync counter
-    # ------------------------------------------------------------------
-    def on_gsync(self, ranks: list[int] | None = None) -> None:
-        """Record a gsync observed by ``ranks`` (all processes by default)."""
-        targets = range(self.nprocs) if ranks is None else ranks
-        for rank in targets:
-            self._counters[rank].gnc += 1
-
-    def gnc(self, rank: int) -> int:
-        """Current ``GNC`` of ``rank``."""
-        return self._counters[rank].gnc
-
-    # ------------------------------------------------------------------
-    # SC — synchronization counter at the target, fetched on lock
-    # ------------------------------------------------------------------
-    def on_lock(self, src: int, trg: int, structure: str | None = None) -> int:
+    def on_lock(self, src: int, trg: int, structure: str | None = None) -> None:
         """Record ``src`` locking ``trg``.
 
-        Performs the fetch-and-increment of ``SC_trg`` described in §4.1 C and
-        returns the value now held by ``src`` for its accesses to ``trg``.
-        Also maintains ``LC_src`` for the Locks CC scheme.
+        Performs the fetch-and-increment of ``SC_trg`` described in §4.1 C: the
+        value fetched is what ``src`` holds for its accesses to ``trg``.
         """
-        src_counters = self._counters[src]
-        trg_counters = self._counters[trg]
+        own, target = self.records[src], self.records[trg]
         key = (trg, structure)
-        if key in src_counters.held_locks:
+        if key in own.held_locks:
             raise LockError(
                 f"rank {src} already holds lock {structure!r} on rank {trg}"
             )
-        trg_counters.sc_local += 1
-        src_counters.sc_held[trg] = trg_counters.sc_local
-        src_counters.held_locks[key] = trg_counters.sc_local
-        src_counters.lc += 1
-        return trg_counters.sc_local
+        target.sc_local += 1
+        own.sc_held[trg] = own.held_locks[key] = target.sc_local
 
     def on_unlock(self, src: int, trg: int, structure: str | None = None) -> None:
-        """Record ``src`` unlocking ``trg``; decrements ``LC_src``."""
-        src_counters = self._counters[src]
-        key = (trg, structure)
-        if key not in src_counters.held_locks:
+        """Record ``src`` unlocking ``trg``."""
+        try:
+            del self.records[src].held_locks[trg, structure]
+        except KeyError:
             raise LockError(
                 f"rank {src} does not hold lock {structure!r} on rank {trg}"
-            )
-        del src_counters.held_locks[key]
-        src_counters.lc -= 1
-        if src_counters.lc < 0:  # pragma: no cover - defensive
-            raise LockError(f"lock counter of rank {src} became negative")
+            ) from None
 
-    def sc_held(self, src: int, trg: int) -> int:
-        """SC value ``src`` currently holds for ``trg`` (0 if never locked)."""
-        return self._counters[src].sc_held.get(trg, 0)
+    def on_gsync(self) -> None:
+        """Record a gsync: every process bumps its ``GNC`` and closes every epoch
+        (:meth:`ProcessCounters.close_all_epochs`, inline: no call per rank)."""
+        for own in self.records:
+            own.gnc += 1
+            epochs, pending = own.epoch_of_target, own.pending_ops
+            for trg in epochs:
+                epochs[trg] += 1
+            for trg in pending:
+                pending[trg] = 0
 
-    def sc_local(self, rank: int) -> int:
-        """The synchronization counter stored at ``rank``."""
-        return self._counters[rank].sc_local
+    def clear_pending(self) -> None:
+        """Zero every open epoch's operation count.
 
-    # ------------------------------------------------------------------
-    # LC — lock counter of the Locks coordinated-checkpointing scheme
-    # ------------------------------------------------------------------
-    def lc(self, rank: int) -> int:
-        """Currently held locks of ``rank``."""
-        return self._counters[rank].lc
+        Used when issued-but-uncompleted operations are *discarded* by a
+        recovery rollback: the operations no longer exist, but the epochs they
+        were issued in stay open (no consistency action was performed).
+        """
+        for own in self.records:
+            own.pending_ops.clear()
 
-    def holds_any_lock(self, rank: int) -> bool:
-        """Whether ``rank`` currently holds any lock (checkpoint must wait)."""
-        return self._counters[rank].lc > 0
-
-    def release_all_locks(self, rank: int) -> None:
-        """Drop every lock ``rank`` currently holds (crash-recovery release).
+    def release_locks(self) -> None:
+        """Drop every lock any rank holds (crash-recovery release).
 
         A step aborted by a failure can leave locks acquired mid-kernel
         unreleased; recovery protocols that do not restore counter state
@@ -160,30 +155,29 @@ class CounterBoard:
         historical ``sc_held`` stamps are kept — they record the ``so`` order
         of accesses already performed.
         """
-        counters = self._counters[rank]
-        counters.held_locks.clear()
-        counters.lc = 0
+        for own in self.records:
+            own.held_locks.clear()
 
-    # ------------------------------------------------------------------
     def reset_rank(self, rank: int) -> None:
-        """Forget the counters of ``rank`` (replacement process).
+        """Forget the state of ``rank`` (replacement process).
 
         Note that ``SC_local`` survives conceptually at the *target* side of a
         lock; since the failed process's own memory is lost, its local SC is
         reset too — recovering processes re-learn counter values from the logs
         (§6.2 demand-checkpoint confirmations carry them).
         """
-        self._counters[rank] = ProcessCounters()
+        self.records[rank] = ProcessCounters()
 
     def snapshot(self) -> list[ProcessCounters]:
-        """Deep-copy the counters of every rank (checkpoint payload)."""
-        return [counters.copy() for counters in self._counters]
+        """Deep-copy every rank's record (checkpoint payload)."""
+        return [own.copy() for own in self.records]
 
     def restore(self, states: list[ProcessCounters]) -> None:
-        """Roll every rank's counters back to a :meth:`snapshot`.
+        """Roll every rank's record back to a :meth:`snapshot`.
 
-        A coordinated rollback restores *survivors* too: locks they held
-        after the checkpoint are released with the rest of their state, so
-        the re-executed program can acquire them again.
+        A coordinated rollback restores *survivors* too: their post-checkpoint
+        epochs and pending operations go, and locks they acquired after the
+        checkpoint are released with the rest of their state, so the
+        re-executed program can acquire them again.
         """
-        self._counters = [counters.copy() for counters in states]
+        self.records[:] = [own.copy() for own in states]

@@ -66,7 +66,6 @@ from repro.rma.actions import (
     SyncKind,
 )
 from repro.rma.counters import CounterBoard
-from repro.rma.epoch import EpochTracker
 from repro.rma.handles import OpHandle
 from repro.rma.interceptor import InterceptorChain, RmaInterceptor
 from repro.rma.replay import ReplayCursor, replay_apply
@@ -115,8 +114,9 @@ class RmaRuntime:
         self.nprocs = cluster.nprocs
         self.backend = make_backend(backend)
         self.backend.bind(cluster.nprocs)
-        self.epochs = EpochTracker(cluster.nprocs)
         self.counters = CounterBoard(cluster.nprocs)
+        #: Eq. (1)'s state, one record per rank: the board's own list (never rebound).
+        self._records = self.counters.records
         self.interceptors = InterceptorChain()
         self._finalized = False
         self._window = self.backend.windows.get
@@ -357,10 +357,9 @@ class RmaRuntime:
         ):
             trg = self._pre_sync(src, trg)
         dropped = self._divert is not None and trg in self._members.suspended
-        sc = None if dropped else self.counters.on_lock(src, trg, structure)
-        action = SyncAction.issued(
-            _LOCK, src, trg, self._stamp(src, trg, sc), structure
-        )
+        if not dropped:
+            self.counters.on_lock(src, trg, structure)
+        action = SyncAction.issued(_LOCK, src, trg, self._stamp(src, trg), structure)
         if dropped:
             self.delivery.count("dropped_syncs", src)
             return action
@@ -380,27 +379,25 @@ class RmaRuntime:
             or self._clock_of[src].now >= injector.next_due
         ):
             trg = self._pre_sync(src, trg)
-        if self._divert is not None and trg in self._members.suspended:
-            try:
-                self.counters.on_unlock(src, trg, structure)
-            except LockError:
-                pass  # the matching lock itself was dropped
-            self._complete_pair(src, trg)  # resolves in-flights via the mode
-            self.epochs.close_epoch(src, trg)
-            action = SyncAction.issued(
-                _UNLOCK, src, trg, self._stamp(src, trg), structure
-            )
+        dropped = self._divert is not None and trg in self._members.suspended
+        try:
+            self.counters.on_unlock(src, trg, structure)
+        except LockError:
+            if not dropped:  # toward a suspended rank the lock itself may have dropped
+                raise
+        if dropped or self.backend._pending[src]:
+            self._complete_pair(src, trg)  # toward a suspended rank: via the mode
+        # :meth:`_stamp`, inline as ``_issue``'s: the stamp carries the epoch it closes.
+        own = self._records[src]
+        action = SyncAction.issued(
+            _UNLOCK, src, trg,
+            (own.epoch_of_target[trg], own.gc, own.sc_held.get(trg, 0), own.gnc), structure,
+        )
+        if dropped:
             self.delivery.count("dropped_syncs", src)
-            return action
-        self.counters.on_unlock(src, trg, structure)
-        if self.backend._pending[src]:
-            self._complete_pair(src, trg)
-        action = SyncAction.issued(_UNLOCK, src, trg, self._stamp(src, trg), structure)
-        self._issue_sync(action, cost=self._unlock_price)
-        state = self.epochs._states[src]  # closes the epoch, as EpochTracker.close_epoch
-        state.epoch_of_target[trg] += 1
-        state.pending_ops[trg] = 0
-        state.epochs_closed += 1
+        else:
+            self._issue_sync(action, cost=self._unlock_price)
+        own.close_epoch(trg)
         return action
 
     def flush(self, src: int, trg: int) -> SyncAction:
@@ -417,11 +414,12 @@ class RmaRuntime:
             trg = self._pre_sync(src, trg)
         if self.backend._pending[src]:
             self._complete_pair(src, trg)
-        pending = self.epochs.pending(src, trg)
-        self.counters.on_flush(src)
+        own = self._records[src]
+        pending = own.pending_ops[trg]
+        own.gc += 1
         action = SyncAction.issued(_FLUSH, src, trg, self._stamp(src, trg))
         result = self._issue_sync(action, cost=self.cluster.costs.flush(pending))
-        self.epochs.close_epoch(src, trg)
+        own.close_epoch(trg)
         return result
 
     def flush_all(self, src: int) -> SyncAction:
@@ -439,11 +437,12 @@ class RmaRuntime:
                 if trg in members.failed and trg not in members.suspended:
                     raise ProcessFailedError(trg)
         self._complete_rank(src)
-        pending = self.epochs.pending(src)
-        self.counters.on_flush(src)
+        own = self._records[src]
+        pending = sum(own.pending_ops.values())
+        own.gc += 1
         action = SyncAction.issued(_FLUSH_ALL, src, None, self._stamp(src))
         result = self._issue_sync(action, cost=self.cluster.costs.flush(pending))
-        self.epochs.close_all_epochs(src)
+        own.close_all_epochs()
         return result
 
     def gsync(self) -> list[SyncAction]:
@@ -455,7 +454,8 @@ class RmaRuntime:
         participant has failed — this is where failures are usually observed.
         """
         self._ensure_all_alive("gsync")
-        if any([self.counters._counters[r].lc for r in self.cluster.alive_ranks()]):
+        records = self._records
+        if any([records[r].held_locks for r in self.cluster.alive_ranks()]):
             raise SynchronizationError("gsync while a lock is held")
         for rank in range(self.nprocs):
             self._complete_rank(rank)
@@ -474,10 +474,10 @@ class RmaRuntime:
         cost = self.cluster.costs.gsync(self.nprocs)
         self._collective_barrier(cost=cost)  # raises on failed participants
         self.counters.on_gsync()
-        self.epochs.close_global_epoch()
-        actions, interceptors, own = [], self.interceptors, self.counters._counters
+        actions, interceptors = [], self.interceptors
         for rank in self.cluster.alive_ranks():  # each stamp built inline, as ``_issue``'s
-            action = SyncAction.issued(_GSYNC, rank, None, (0, own[rank].gc, 0, own[rank].gnc))
+            own = records[rank]
+            action = SyncAction.issued(_GSYNC, rank, None, (0, own.gc, 0, own.gnc))
             if interceptors.before_sync is not None:
                 interceptors.before_sync(action)
             if interceptors.after_sync is not None:
@@ -591,13 +591,12 @@ class RmaRuntime:
         """Tell the runtime a replacement process took over ``rank``.
 
         Called by the recovery path (:mod:`repro.ft.recovery`) after the
-        cluster respawned the rank: resets the rank's epoch and counter state,
+        cluster respawned the rank: resets the rank's counter record,
         gives the backend a chance to provide a fresh execution vehicle (a new
         worker process on the ``proc`` backend) and notifies interceptors.
         """
         self._known_failed.discard(rank)
         self._observed_generation = self._settled = None  # re-diff at the next observation
-        self.epochs.reset_rank(rank)
         self.counters.reset_rank(rank)
         self.backend.respawn_rank(rank)
         self.interceptors.on_respawn(rank)
@@ -617,7 +616,7 @@ class RmaRuntime:
         discarded = self.backend.discard_pending()
         for op in discarded:
             op._discarded = True
-        self.epochs.clear_pending()
+        self.counters.clear_pending()
         return len(discarded)
 
     def quiesce_suspended(self) -> None:
@@ -707,7 +706,7 @@ class RmaRuntime:
         if self.cluster.is_alive(rank):
             raise ProcessFailedError(rank, f"rank {rank} is alive; cannot excise it")
         self.backend.reallocate_rank(rank)
-        self.counters.release_all_locks(rank)
+        self._records[rank].held_locks.clear()
         self.excised = self.excised | {rank}
         self._refresh_membership()
         self.cluster.metrics.incr("ft.excised_ranks", rank=rank)
@@ -813,21 +812,19 @@ class RmaRuntime:
         self._pre_action(src, rank)
         return rank
 
-    def _stamp(self, src: int, trg: int | None = None, sc: int | None = None) -> tuple:
+    def _stamp(self, src: int, trg: int | None = None) -> tuple:
         """``(EC, GC, SC, GNC)`` a fresh action of ``src`` carries (Eq. 1/3): ``EC``
-        and the held ``SC`` (or the ``sc`` a lock just fetched) of the ``src -> trg``
-        pair, zero for a sync towards everyone (``trg=None``).
+        and the held ``SC`` (for a lock: the one it just fetched) of the
+        ``src -> trg`` pair, zero for a sync towards everyone (``trg=None``).
 
-        Read straight from the rank's ``ProcessCounters`` / ``EpochState`` (the
-        boards' accessors would be two more calls per sync) as a plain tuple the
-        record unpacks into its four slots; :meth:`_issue` stamps inline.
+        Read straight from the rank's one :class:`~repro.rma.counters.ProcessCounters`
+        as a plain tuple the record unpacks into its four slots; :meth:`_issue`,
+        :meth:`unlock` and :meth:`gsync` stamp inline.
         """
-        own = self.counters._counters[src]
+        own = self._records[src]
         if trg is None:
             return (0, own.gc, 0, own.gnc)
-        if sc is None:
-            sc = own.sc_held.get(trg, 0)
-        return (self.epochs._states[src].epoch_of_target[trg], own.gc, sc, own.gnc)
+        return (own.epoch_of_target[trg], own.gc, own.sc_held.get(trg, 0), own.gnc)
 
     def _issue(
         self, kind: OpKind, src: int, trg: int, window: str, offset: int, count: int | None,
@@ -886,13 +883,13 @@ class RmaRuntime:
             not 0 <= src < self.nprocs or self._clock_of[src].now >= injector.next_due
         ):
             self._pre_action(src, trg)
-        # The stamp (:meth:`_stamp`) and the open epoch's op count: one state read.
-        own, state = self.counters._counters[src], self.epochs._states[src]
+        # The stamp (:meth:`_stamp`) and the open epoch's op count: one record read.
+        own = self._records[src]
         action = _new_object(CommAction)  # slot by slot; <= 3 a line: no tuple built
         action.kind, action.src, action.trg = kind, src, trg
         action.window, action.offset, action.count = win.name, offset, count
         action.combine, action.op, action.dtype = combine, op, win.dtype
-        action.EC, action.GC = state.epoch_of_target[trg], own.gc
+        action.EC, action.GC = own.epoch_of_target[trg], own.gc
         action.SC, action.GNC = own.sc_held.get(trg, 0), own.gnc
         action._data, action._operand, action.compare = data, None, compare
         action.seq, action.nbytes = next(_SEQ), count * win.itemsize
@@ -901,7 +898,7 @@ class RmaRuntime:
             return action
         if self.interceptors.before_comm is not None:
             self.interceptors.before_comm(action)
-        state.pending_ops[trg] += 1  # what the closing flush is priced by
+        own.pending_ops[trg] += 1  # what the closing flush is priced by
         backend = self.backend
         if not blocking or backend._pending[src] or self._divert is not None:
             backend.issue(action)

@@ -125,11 +125,11 @@ def test_flush_closes_epoch_and_bumps_gc_for_nb_ops(backend):
     rt = _runtime(backend)
     first = rt.put_nb(0, 1, "w", 0, [1.0])
     assert first.action.EC == 0 and first.action.GC == 0
-    assert rt.epochs.pending(0, 1) == 1
+    assert rt.counters.of(0).pending_ops[1] == 1
     rt.flush(0, 1)
-    assert rt.epochs.epoch(0, 1) == 1
-    assert rt.counters.gc(0) == 1
-    assert rt.epochs.pending(0, 1) == 0
+    assert rt.counters.of(0).epoch_of_target[1] == 1
+    assert rt.counters.of(0).gc == 1
+    assert rt.counters.of(0).pending_ops[1] == 0
     later = rt.put_nb(0, 1, "w", 0, [2.0])
     assert later.action.EC == 1 and later.action.GC == 1
     rt.flush(0, 1)

@@ -224,7 +224,7 @@ def test_rollback_releases_survivors_post_checkpoint_locks():
     recovery.recover()
     # The rollback undid the lock: re-acquiring must not raise, and a
     # fresh checkpoint is legal again.
-    assert not runtime.counters.holds_any_lock(1)
+    assert not runtime.counters.of(1).held_locks
     runtime.lock(1, 2)
     runtime.unlock(1, 2)
     checkpointer.checkpoint(tag=1)

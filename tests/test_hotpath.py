@@ -172,8 +172,10 @@ def test_blocking_and_lock_call_budgets(name, ft):
 
 #: Python-level calls per rank of a ``gsync`` on a settled 64-rank job, with
 #: ``queued`` puts per rank to complete: 9.4 / 10.4 when every rank re-derived
-#: the membership, closed its epochs and built its stamp through a call.
-GSYNC_PER_RANK_BUDGETS = {0: 4.5, 4: 5.5}
+#: the membership, closed its epochs and built its stamp through a call; held at
+#: the measured 283 / 347 calls in all since one pass bumps GNC and closes the
+#: epochs (284 / 348 with a second pass, and call, for the epochs).
+GSYNC_PER_RANK_BUDGETS = {0: 283 / 64, 4: 347 / 64}
 
 
 @pytest.mark.parametrize("queued", list(GSYNC_PER_RANK_BUDGETS))

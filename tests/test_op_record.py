@@ -318,7 +318,7 @@ def test_an_unconvertible_payload_fails_at_the_call_site(backend):
                 WindowError, match=r"window 'w'.s dtype float64 \(origin rank 0\)"
             ):
                 probe()
-        assert rt.pending_nb_ops() == 0 and rt.epochs.pending(0) == 0
+        assert rt.pending_nb_ops() == 0 and sum(rt.counters.of(0).pending_ops.values()) == 0
         assert before == (
             rt.cluster.metrics.snapshot(), [rt.cluster.now(r) for r in range(4)],
             rt.counters.snapshot(),

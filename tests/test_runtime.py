@@ -52,12 +52,12 @@ def test_compare_and_swap_swaps_only_on_match(runtime):
 
 
 def test_flush_closes_epoch_and_bumps_gc(runtime, recorder):
-    assert runtime.epochs.epoch(0, 1) == 0
+    assert runtime.counters.of(0).epoch_of_target[1] == 0
     action = runtime.put(0, 1, "w", 0, [1.0])
     assert action.EC == 0 and action.GC == 0
     runtime.flush(0, 1)
-    assert runtime.epochs.epoch(0, 1) == 1
-    assert runtime.counters.gc(0) == 1
+    assert runtime.counters.of(0).epoch_of_target[1] == 1
+    assert runtime.counters.of(0).gc == 1
     later = runtime.put(0, 1, "w", 0, [2.0])
     assert later.EC == 1 and later.GC == 1
     # co holds between the two epochs (§2.3).
@@ -67,13 +67,13 @@ def test_flush_closes_epoch_and_bumps_gc(runtime, recorder):
 
 def test_lock_fetch_increments_sc_and_unlock_closes_epoch(runtime):
     a = runtime.lock(0, 2)
-    b_sc = runtime.counters.sc_local(2)
+    b_sc = runtime.counters.of(2).sc_local
     assert a.counters.sc == 1 and b_sc == 1
     with pytest.raises(LockError):
         runtime.lock(0, 2)  # double lock on the same structure
-    epoch_before = runtime.epochs.epoch(0, 2)
+    epoch_before = runtime.counters.of(0).epoch_of_target[2]
     runtime.unlock(0, 2)
-    assert runtime.epochs.epoch(0, 2) == epoch_before + 1
+    assert runtime.counters.of(0).epoch_of_target[2] == epoch_before + 1
     with pytest.raises(LockError):
         runtime.unlock(0, 2)
     # The next locker fetches the incremented counter.
@@ -84,31 +84,31 @@ def test_gsync_bumps_gnc_everywhere_and_closes_all_epochs(runtime):
     runtime.put(0, 1, "w", 0, [1.0])
     runtime.put(2, 3, "w", 0, [1.0])
     runtime.gsync()
-    assert all(runtime.counters.gnc(r) == 1 for r in range(4))
-    assert runtime.epochs.epoch(0, 1) == 1
-    assert runtime.epochs.epoch(2, 3) == 1
-    assert runtime.epochs.pending(0) == 0
+    assert all(runtime.counters.of(r).gnc == 1 for r in range(4))
+    assert runtime.counters.of(0).epoch_of_target[1] == 1
+    assert runtime.counters.of(2).epoch_of_target[3] == 1
+    assert sum(runtime.counters.of(0).pending_ops.values()) == 0
 
 
 def test_epoch_and_counter_snapshots_are_independent_of_later_mutation(runtime):
     runtime.lock(0, 1)
     runtime.put(0, 1, "w", 0, [1.0])
-    epochs, counters = runtime.epochs.snapshot(), runtime.counters.snapshot()
+    counters = runtime.counters.snapshot()
     held = dict(counters[0].held_locks)
     assert held and counters[0].lc == 1 and counters[0].sc_held[1] == 1
     runtime.unlock(0, 1)  # closes the epoch, drops the lock: mutates the live state
     runtime.put(0, 2, "w", 0, [1.0])
-    assert epochs[0].epoch_of_target[1] == 0 and 2 not in epochs[0].epoch_of_target
+    assert counters[0].epoch_of_target[1] == 0 and 2 not in counters[0].epoch_of_target
     assert counters[0].held_locks == held and counters[0].lc == 1
-    runtime.epochs.restore(epochs)
     runtime.counters.restore(counters)
-    assert runtime.epochs.epoch(0, 1) == 0 and runtime.counters.of(0).held_locks == held
+    own = runtime.counters.of(0)
+    assert own.epoch_of_target[1] == 0 and own.held_locks == held
     # The restored maps are still auto-creating: an unseen target starts at 0.
-    assert runtime.epochs.epoch(0, 3) == 0 and runtime.counters.of(0).sc_held[3] == 0
+    assert own.epoch_of_target[3] == 0 and own.sc_held[3] == 0
     runtime.put_nb(0, 3, "w", 0, [1.0])  # counts towards the open 0 -> 3 epoch
-    runtime.epochs.close_epoch(0, 1)  # ... and mutating the restored state
-    assert 3 not in epochs[0].pending_ops  # leaves the snapshot alone
-    assert epochs[0].epoch_of_target[1] == 0 and runtime.epochs.epoch(0, 1) == 1
+    own.close_epoch(1)  # ... and mutating the restored state
+    assert 3 not in counters[0].pending_ops  # leaves the snapshot alone
+    assert counters[0].epoch_of_target[1] == 0 and own.epoch_of_target[1] == 1
 
 
 def test_gsync_while_holding_a_lock_is_illegal(runtime):
@@ -234,14 +234,10 @@ def test_metrics_track_operations(runtime):
 
 
 def _sync_state(rt) -> tuple:
-    """Everything a sync may move: counters, epochs, clocks and ``rma.*``."""
-    epochs = [
-        (dict(s.epoch_of_target), dict(s.pending_ops), s.epochs_closed)
-        for s in rt.epochs._states
-    ]
+    """Everything a sync may move: counters (epochs among them), clocks and ``rma.*``."""
     clocks = [(c.now, c.ticks) for c in rt._clock_of]
     metrics = {k: v for k, v in rt.cluster.metrics.snapshot().totals.items() if "rma." in k}
-    return rt.counters.snapshot(), epochs, clocks, metrics
+    return rt.counters.snapshot(), clocks, metrics
 
 
 @pytest.mark.parametrize("trg", [-1, 8, 1.5])
@@ -267,6 +263,6 @@ def test_a_numpy_integer_sync_target_is_a_rank():
         ctx.lock(np.int64(3))
         ctx.unlock(np.int32(3))
         ctx.flush(np.uint8(5))
-        assert rt.counters.sc_local(3) == 1 and rt.counters.gc(0) == 1
-        assert set(rt.epochs.state(0).epoch_of_target) == {3, 5}
-        assert all(type(trg) is int for trg in rt.epochs.state(0).epoch_of_target)
+        assert rt.counters.of(3).sc_local == 1 and rt.counters.of(0).gc == 1
+        assert set(rt.counters.of(0).epoch_of_target) == {3, 5}
+        assert all(type(trg) is int for trg in rt.counters.of(0).epoch_of_target)
