@@ -43,16 +43,8 @@ __all__ = ["main"]
 
 
 def quick_spec() -> SoakSpec:
-    """The seconds-long CI soak: small rounds, modest fault load."""
-    return SoakSpec(
-        workload="stencil",
-        scenario="poisson",
-        rounds=4,
-        interval=6,
-        rate_per_round=0.75,
-        seed=2026,
-        workload_params={"n_local": 16, "iters": 24},
-    )
+    """The seconds-long CI soak: small rounds, the default fault load."""
+    return SoakSpec(rounds=4, interval=6, workload_params={"n_local": 16, "iters": 24})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,10 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.chaos",
         description="long-horizon soak engine with accelerated virtual time",
     )
-    add_common_arguments(parser, default_seed=2026)
-    parser.add_argument("--workload", default="stencil", help="workload to soak")
+    add_common_arguments(parser)
+    parser.add_argument("--workload", help="workload to soak")
     parser.add_argument(
-        "--scenario", default="poisson",
+        "--scenario",
         help="failure scenario (poisson, correlated, cascade, flaky)",
     )
     parser.add_argument(
@@ -77,33 +69,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--countermeasures", type=csv, default=("rollback", "replay", "excise"),
         help=f"comma-separated countermeasures to compare "
-             f"({', '.join(COUNTERMEASURES)}; default: all three)",
+             f"({', '.join(COUNTERMEASURES)}; default %(default)s)",
     )
     parser.add_argument(
-        "--delivery", default="reliable",
+        "--delivery",
         help=f"delivery mode every cell soaks under "
              f"(registered: {', '.join(available('delivery'))})",
     )
     parser.add_argument(
-        "--monitor", default="transitions", choices=MONITORS,
+        "--monitor", choices=MONITORS,
         help="chaos log flavor: every transition, or episodes coalesced too",
     )
-    parser.add_argument("--rounds", type=int, default=6, help="workload rounds to soak")
+    parser.add_argument("--rounds", type=int, help="workload rounds to soak")
+    parser.add_argument("--interval", type=int, help="checkpoint interval in steps")
     parser.add_argument(
-        "--interval", type=int, default=8, help="checkpoint interval in steps"
+        "--compression", type=float,
+        help="virtual-time compression factor (default %(default)sx)",
     )
     parser.add_argument(
-        "--compression", type=float, default=10_000.0,
-        help="virtual-time compression factor (default 10000x)",
+        "--rate", type=float, dest="rate_per_round", metavar="KILLS_PER_ROUND",
+        help="expected kills per workload round (default %(default)s)",
     )
-    parser.add_argument(
-        "--rate", type=float, default=0.75, metavar="KILLS_PER_ROUND",
-        help="expected kills per workload round (default 0.75)",
-    )
-    parser.add_argument("--nprocs", type=int, default=8, help="ranks per job")
-    parser.add_argument(
-        "--procs-per-node", type=int, default=2, help="ranks packed per node"
-    )
+    parser.add_argument("--nprocs", type=int, help="ranks per job")
+    parser.add_argument("--procs-per-node", type=int, help="ranks packed per node")
     parser.add_argument(
         "--executor", choices=("serial", "thread"), default="serial",
         help="how comparison cells are dispatched (report is identical either way)",
@@ -116,23 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> list[SoakResult]:
-    if args.quick:
-        base = quick_spec()
-    else:
-        base = SoakSpec(
-            workload=args.workload,
-            scenario=args.scenario,
-            delivery=args.delivery,
-            monitor=args.monitor,
-            rounds=args.rounds,
-            interval=args.interval,
-            compression=args.compression,
-            rate_per_round=args.rate,
-            seed=args.seed,
-            nprocs=args.nprocs,
-            procs_per_node=args.procs_per_node,
-        )
+def _run(args: argparse.Namespace, base: SoakSpec) -> list[SoakResult]:
     return run_comparison(
         base,
         countermeasures=args.countermeasures,
@@ -150,7 +122,9 @@ def _write_event_log(args: argparse.Namespace, results: list[SoakResult]) -> Non
 
 def main(argv: list[str] | None = None) -> int:
     return engine_main(
-        build_parser().parse_args(argv),
+        build_parser(), argv,
+        spec=SoakSpec(),
+        quick=quick_spec(),
         run=_run,
         render=render_markdown,
         to_json=report_json,

@@ -2,21 +2,25 @@
 
 Four engines ship a ``python -m`` entry point — :mod:`repro.study`,
 :mod:`repro.chaos`, :mod:`repro.serve` and :mod:`repro.qos` — and they follow
-one contract: ``--list`` prints the component registry and exits, ``--quick``
-swaps in the engine's seconds-long CI configuration, ``--seed`` seeds every
-stochastic choice, and the report epilogue (markdown to stdout, optional JSON
-artifact, invariant gate, baseline gate) behaves identically everywhere.
-This module is that contract in one place (:func:`engine_main`); the
-per-engine ``__main__`` modules only contribute their sweep axes, their spec
-and their gate functions.
+one contract: ``--list`` prints the component registry and exits, ``--seed``
+seeds every stochastic choice, and the report epilogue (markdown to stdout,
+optional JSON artifact, invariant gate, baseline gate) behaves identically
+everywhere.  A flag that sets a field of the engine's spec dataclass is
+declared with ``dest=<field>`` and no default: :func:`parse_spec` takes the
+defaults from the spec — the plain one, or under ``--quick`` the engine's
+seconds-long CI preset, which any flag given explicitly (``--seed``
+included) then refines.  This module is that contract in one place
+(:func:`engine_main`); the per-engine ``__main__`` modules only contribute
+their flags, their specs and their gate functions.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 
 from repro.registry import render_available
@@ -26,6 +30,7 @@ __all__ = [
     "csv",
     "add_common_arguments",
     "add_report_arguments",
+    "parse_spec",
     "engine_main",
 ]
 
@@ -35,25 +40,20 @@ def csv(value: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in value.split(",") if item.strip())
 
 
-def add_common_arguments(parser: argparse.ArgumentParser, *, default_seed: int) -> None:
-    """The flags every engine answers identically.
-
-    ``default_seed`` preserves each engine's historical default (and thereby
-    its checked-in baselines); everything else about ``--seed``, ``--quick``
-    and ``--list`` is shared behavior.
-    """
+def add_common_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags every engine answers identically (``--seed``'s default is the spec's)."""
     parser.add_argument(
         "--list", action="store_true",
         help="print every registered component of every kind and exit",
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="run the engine's seconds-long CI configuration "
-             "(overrides the sweep options)",
+        help="start from the engine's seconds-long CI configuration "
+             "(explicit flags still apply)",
     )
     parser.add_argument(
-        "--seed", type=int, default=default_seed,
-        help=f"master seed for every stochastic choice (default {default_seed})",
+        "--seed", type=int,
+        help="master seed for every stochastic choice (default %(default)s)",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -80,7 +80,7 @@ def add_report_arguments(
     parser.add_argument(
         "--max-regression", type=float, default=2.0,
         help=f"tolerated {regression_metric} ratio against the baseline "
-             f"(default 2.0)",
+             f"(default %(default)s)",
     )
     parser.add_argument(
         "--skip-invariants", action="store_true",
@@ -88,10 +88,33 @@ def add_report_arguments(
     )
 
 
+def parse_spec(
+    parser: argparse.ArgumentParser, argv: Sequence[str] | None, *, spec, quick
+) -> tuple[argparse.Namespace, object]:
+    """Parse ``argv`` into ``(args, spec)``, the spec's fields as the flag defaults.
+
+    ``spec`` is the engine's default spec and ``quick`` its ``--quick``
+    preset; every field some flag sets as its ``dest`` defaults to the base
+    spec's value, so only the flags given explicitly change it.
+    """
+    names = {f.name for f in dataclasses.fields(spec)}
+    names &= {action.dest for action in parser._actions}
+    parser.set_defaults(**{name: getattr(spec, name) for name in names})
+    args = parser.parse_args(argv)
+    if args.quick:
+        spec = quick
+        parser.set_defaults(**{name: getattr(spec, name) for name in names})
+        args = parser.parse_args(argv)
+    return args, dataclasses.replace(spec, **{name: getattr(args, name) for name in names})
+
+
 def engine_main(
-    args: argparse.Namespace,
+    parser: argparse.ArgumentParser,
+    argv: Sequence[str] | None,
     *,
-    run: Callable[[argparse.Namespace], object],
+    spec,
+    quick,
+    run: Callable[[argparse.Namespace, object], object],
     render: Callable[[object], str],
     to_json: Callable[[object], str],
     invariants: Callable[[object], list[str]],
@@ -99,12 +122,13 @@ def engine_main(
     gate: Callable[..., list[str]],
     artifacts: Callable[[argparse.Namespace, object], None] | None = None,
 ) -> int:
-    """Everything after argument parsing; returns the process exit status.
+    """The whole command line; returns the process exit status.
 
+    :func:`parse_spec` turns ``argv`` into ``args`` and the spec to run.
     ``--list`` prints the registry and exits 0.  A ``--check-baseline`` file
     is read and parsed first: an unreadable one is a ``REGRESSION:`` line and
-    exit status 1 before anything runs.  Otherwise ``run(args)``
-    builds the spec and runs the engine — under a run-wide trace hub when
+    exit status 1 before anything runs.  Otherwise ``run(args, spec)``
+    runs the engine — under a run-wide trace hub when
     ``--trace PATH`` was given: every session launched inside joins it
     (labelled by comparison cell) and the merged trace is written,
     atomically, even when the run raises.  The markdown goes to stdout and —
@@ -115,6 +139,7 @@ def engine_main(
     ``--check-baseline`` names a file.  Violations go to stderr, prefixed
     ``INVARIANT:`` / ``REGRESSION:`` — the strings CI greps for.
     """
+    args, spec = parse_spec(parser, argv, spec=spec, quick=quick)
     if args.list:
         print(render_available())
         return 0
@@ -130,7 +155,7 @@ def engine_main(
             )
             return 1
     with tracing(path=args.trace) if args.trace else nullcontext():
-        result = run(args)
+        result = run(args, spec)
     if args.trace:
         print(f"trace written to {args.trace}")
     markdown, json_text = render(result), to_json(result)

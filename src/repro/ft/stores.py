@@ -367,12 +367,6 @@ class CheckpointStore(abc.ABC):
             return None
         return self._log._dirty
 
-    @property
-    def runtime(self) -> "RmaRuntime":
-        if self._runtime is None:
-            raise CheckpointError(f"store {self.name!r} is not bound to a runtime")
-        return self._runtime
-
     def close(self) -> None:
         """Release external resources (scratch directories); idempotent."""
 

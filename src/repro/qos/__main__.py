@@ -46,40 +46,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="delivery-mode × store-hierarchy comparison on identical "
                     "kill plans",
     )
-    add_common_arguments(parser, default_seed=0)
+    add_common_arguments(parser)
     parser.add_argument(
-        "--workload", default="kv",
+        "--workload",
         help="workload under test (sparse-write kernels show the trade-off best)",
     )
     parser.add_argument(
-        "--deliveries", type=csv, default=("reliable", "best_effort"),
+        "--deliveries", type=csv,
         help="comma-separated delivery modes to compare",
     )
     parser.add_argument(
-        "--stores", type=csv, default=("memory", "multilevel"),
+        "--stores", type=csv,
         help="comma-separated checkpoint stores to compare",
     )
     parser.add_argument(
-        "--backends", type=csv, default=("sim",),
+        "--backends", type=csv,
         help="comma-separated backends to run identical plans on",
     )
+    parser.add_argument("--kills", type=int, help="injected kills per trial")
+    parser.add_argument("--trials", type=int, help="seeded kill plans per cell")
+    parser.add_argument("--nprocs", type=int, help="ranks per job")
+    parser.add_argument("--procs-per-node", type=int, help="ranks packed per node")
+    parser.add_argument("--interval", type=int, help="checkpoint interval in steps")
     parser.add_argument(
-        "--kills", type=int, default=1, help="injected kills per trial"
-    )
-    parser.add_argument(
-        "--trials", type=int, default=2, help="seeded kill plans per cell"
-    )
-    parser.add_argument("--nprocs", type=int, default=8, help="ranks per job")
-    parser.add_argument(
-        "--procs-per-node", type=int, default=2, help="ranks packed per node"
-    )
-    parser.add_argument(
-        "--interval", type=int, default=4, help="checkpoint interval in steps"
-    )
-    parser.add_argument(
-        "--stale-fraction", type=float, default=0.5,
+        "--stale-fraction", type=float,
         help="probability a tolerated get serves stale checkpoint data "
-             "instead of dropping (default 0.5)",
+             "instead of dropping (default %(default)s)",
     )
     parser.add_argument(
         "--executor", choices=("serial", "thread", "process"), default="thread",
@@ -92,30 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> dict:
-    if args.quick:
-        spec = quick_spec()
-    else:
-        spec = QosSpec(
-            workload=args.workload,
-            deliveries=args.deliveries,
-            stores=args.stores,
-            backends=args.backends,
-            kills=args.kills,
-            trials=args.trials,
-            seed=args.seed,
-            nprocs=args.nprocs,
-            procs_per_node=args.procs_per_node,
-            interval=args.interval,
-            stale_fraction=args.stale_fraction,
-        )
-    return run_qos(spec, executor=args.executor, max_workers=args.jobs)
-
-
 def main(argv: list[str] | None = None) -> int:
     return engine_main(
-        build_parser().parse_args(argv),
-        run=_run,
+        build_parser(), argv,
+        spec=QosSpec(),
+        quick=quick_spec(),
+        run=lambda args, spec: run_qos(spec, executor=args.executor, max_workers=args.jobs),
         render=render_markdown,
         to_json=report_json,
         invariants=check_invariants,

@@ -133,7 +133,6 @@ def quick_spec() -> QosSpec:
     best-effort both drops and serves stale data.
     """
     return QosSpec(
-        workload="kv",
         backends=("sim", "proc") if is_registered("backend", "proc") else ("sim",),
         trials=1,
         interval=3,

@@ -391,9 +391,3 @@ class SyncAction:
             self.kind.value, self.src, self.trg, self.structure,
             (self.EC, self.GC, self.SC, self.GNC), self.seq,
         )
-
-    def describe(self) -> str:
-        """Short human-readable description."""
-        target = "ALL" if self.trg is None else str(self.trg)
-        suffix = f", str={self.structure}" if self.structure else ""
-        return f"{self.kind.value}({self.src}->{target}{suffix})"

@@ -4,7 +4,7 @@ The paper's ftRMA library interposes on every RMA call through MPI's PMPI
 profiling interface (§6.1).  In the simulated runtime the same effect is
 achieved with *interceptors*: objects registered on the
 :class:`~repro.rma.runtime.RmaRuntime` whose hooks are invoked before and
-after every communication and synchronization action.
+after every communication action and after every synchronization action.
 
 Interceptors implement fault tolerance (ftRMA), the message-logging baseline,
 SCR-style checkpointing and instrumentation; applications never see them —
@@ -51,9 +51,6 @@ class RmaInterceptor:
         """
 
     # --- synchronization actions --------------------------------------------
-    def before_sync(self, action: SyncAction) -> None:
-        """Invoked right before a lock/unlock/flush/gsync/barrier."""
-
     def after_sync(self, action: SyncAction) -> None:
         """Invoked right after a lock/unlock/flush/gsync/barrier completed."""
 
@@ -98,7 +95,7 @@ class RmaInterceptor:
 #: Its hooks are what a chain holds for a lifecycle hook nobody overrides.
 _IDLE = RmaInterceptor()
 #: The per-op and the event hooks: ``None`` when nobody overrides one (skipped).
-_SKIPPED = {"before_comm", "after_comm", "before_sync", "after_sync",
+_SKIPPED = {"before_comm", "after_comm", "after_sync",
             "on_kill", "on_checkpoint_stored", "on_qos_decision"}
 
 

@@ -35,11 +35,6 @@ class RecordedEvent:
     action: CommAction | SyncAction
 
     @property
-    def src(self) -> int:
-        """Origin rank of the event."""
-        return self.action.src
-
-    @property
     def seq(self) -> int:
         """Globally unique sequence number of the underlying action."""
         return self.action.seq
@@ -78,9 +73,6 @@ class OrderRecorder(RmaInterceptor):
                 self._gsync_generations.append(event.seq)
 
     before_comm = after_sync = record
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     # ------------------------------------------------------------------
     # Orders

@@ -478,8 +478,6 @@ class RmaRuntime:
         for rank in self.cluster.alive_ranks():  # each stamp built inline, as ``_issue``'s
             own = records[rank]
             action = SyncAction.issued(_GSYNC, rank, None, (0, own.gc, 0, own.gnc))
-            if interceptors.before_sync is not None:
-                interceptors.before_sync(action)
             if interceptors.after_sync is not None:
                 interceptors.after_sync(action)
             actions.append(action)
@@ -1072,10 +1070,8 @@ class RmaRuntime:
         per_rank["rma.bytes_moved"][src] += moved
 
     def _issue_sync(self, action: SyncAction, *, cost: float) -> SyncAction:
-        """Run the sync hooks nobody left idle; charge ``cost`` in place."""
+        """Run the sync hook unless idle; charge ``cost`` in place."""
         interceptors, src, metric = self.interceptors, action.src, action.kind.metric
-        if interceptors.before_sync is not None:
-            interceptors.before_sync(action)
         clock = self._clock_of[src]
         clock.now += cost
         clock.ticks += 1

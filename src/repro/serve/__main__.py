@@ -42,14 +42,7 @@ __all__ = ["main"]
 
 def quick_spec() -> ServeSpec:
     """The seconds-long CI serving cell: short run, modest key space."""
-    return ServeSpec(
-        steps=24,
-        rate_per_step=5.0,
-        slots=32,
-        key_space=256,
-        interval=8,
-        seed=2026,
-    )
+    return ServeSpec(steps=24, rate_per_step=5.0, slots=32, key_space=256, interval=8)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.serve",
         description="sharded resilient KV service with open-loop traffic and latency SLOs",
     )
-    add_common_arguments(parser, default_seed=2026)
+    add_common_arguments(parser)
     parser.add_argument(
         "--backends", type=csv, default=("sim",),
         help="comma-separated backends to compare on identical traffic",
@@ -68,47 +61,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--recoveries", type=csv, default=("global", "localized", "degraded"),
-        help="comma-separated recovery protocols to compare (default: all three)",
+        help="comma-separated recovery protocols to compare (default %(default)s)",
     )
     parser.add_argument(
-        "--delivery", default="reliable",
+        "--delivery",
         help=f"delivery mode every cell serves under "
              f"(registered: {', '.join(available('delivery'))})",
     )
-    parser.add_argument("--steps", type=int, default=40, help="job steps to serve")
+    parser.add_argument("--steps", type=int, help="job steps to serve")
     parser.add_argument(
-        "--rate", type=float, default=6.0, metavar="REQS_PER_STEP",
-        help="mean request arrivals per job step (default 6.0)",
+        "--rate", type=float, dest="rate_per_step", metavar="REQS_PER_STEP",
+        help="mean request arrivals per job step (default %(default)s)",
     )
     parser.add_argument(
-        "--zipf", type=float, default=1.1, metavar="S",
-        help="key-skew exponent (0 = uniform; default 1.1)",
+        "--zipf", type=float, dest="zipf_s", metavar="S",
+        help="key-skew exponent (0 = uniform; default %(default)s)",
     )
     parser.add_argument(
-        "--read-fraction", type=float, default=0.5,
-        help="fraction of requests that are reads (default 0.5)",
+        "--read-fraction", type=float,
+        help="fraction of requests that are reads (default %(default)s)",
+    )
+    parser.add_argument("--key-space", type=int, help="distinct client keys")
+    parser.add_argument("--slots", type=int, help="slots per shard")
+    parser.add_argument("--interval", type=int, help="checkpoint interval in steps")
+    parser.add_argument(
+        "--compression", type=float,
+        help="virtual-time compression factor (default %(default)sx)",
+    )
+    parser.add_argument("--nprocs", type=int, help="ranks (= shards) per job")
+    parser.add_argument("--procs-per-node", type=int, help="ranks packed per node")
+    parser.add_argument(
+        "--kill-frac", type=float,
+        help="kill offset as a fraction of the probe's op stream (default %(default)s)",
     )
     parser.add_argument(
-        "--key-space", type=int, default=512, help="distinct client keys"
-    )
-    parser.add_argument("--slots", type=int, default=64, help="slots per shard")
-    parser.add_argument(
-        "--interval", type=int, default=10, help="checkpoint interval in steps"
-    )
-    parser.add_argument(
-        "--compression", type=float, default=1000.0,
-        help="virtual-time compression factor (default 1000x)",
-    )
-    parser.add_argument("--nprocs", type=int, default=8, help="ranks (= shards) per job")
-    parser.add_argument(
-        "--procs-per-node", type=int, default=2, help="ranks packed per node"
-    )
-    parser.add_argument(
-        "--kill-frac", type=float, default=0.45,
-        help="kill offset as a fraction of the probe's op stream (default 0.45)",
-    )
-    parser.add_argument(
-        "--kill-kind", default="node_kill",
+        "--kill-kind",
         help="pod_kill (one rank) or node_kill (every rank of the node)",
     )
     parser.add_argument(
@@ -123,26 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> list[ServeResult]:
-    if args.quick:
-        base = quick_spec()
-    else:
-        base = ServeSpec(
-            delivery=args.delivery,
-            steps=args.steps,
-            rate_per_step=args.rate,
-            zipf_s=args.zipf,
-            read_fraction=args.read_fraction,
-            key_space=args.key_space,
-            slots=args.slots,
-            interval=args.interval,
-            compression=args.compression,
-            seed=args.seed,
-            nprocs=args.nprocs,
-            procs_per_node=args.procs_per_node,
-            kill_frac=args.kill_frac,
-            kill_kind=args.kill_kind,
-        )
+def _run(args: argparse.Namespace, base: ServeSpec) -> list[ServeResult]:
     return run_slo_comparison(
         base,
         recoveries=args.recoveries,
@@ -160,7 +128,9 @@ def _write_request_log(args: argparse.Namespace, results: list[ServeResult]) -> 
 
 def main(argv: list[str] | None = None) -> int:
     return engine_main(
-        build_parser().parse_args(argv),
+        build_parser(), argv,
+        spec=ServeSpec(),
+        quick=quick_spec(),
         run=_run,
         render=render_markdown,
         to_json=report_json,

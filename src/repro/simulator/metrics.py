@@ -62,6 +62,3 @@ class MetricsRegistry:
             totals=dict(self._totals),
             per_rank={name: dict(vals) for name, vals in self._per_rank.items()},
         )
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._totals

@@ -97,12 +97,6 @@ class ClockCollection:
             raise SimulationError("a job needs at least one process")
         self._clocks = [VirtualClock() for _ in range(nprocs)]
 
-    def __len__(self) -> int:
-        return len(self._clocks)
-
-    def __getitem__(self, rank: int) -> VirtualClock:
-        return self._clocks[rank]
-
     def clock(self, rank: int) -> VirtualClock:
         """Return the clock of ``rank``."""
         return self._clocks[rank]

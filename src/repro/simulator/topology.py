@@ -143,16 +143,6 @@ class FailureDomainHierarchy:
         except IndexError as exc:
             raise TopologyError(f"no element {index} at level {level}") from exc
 
-    def elements(self, level: int) -> list[FDElement]:
-        """All elements of ``level``, ordered by index."""
-        self._check_level(level)
-        return list(self._levels[level - 1])
-
-    def level_name(self, level: int) -> str:
-        """Name of ``level`` (e.g. ``"psu"``)."""
-        self._check_level(level)
-        return self.level_names[level - 1]
-
     @property
     def num_nodes(self) -> int:
         """Number of level-1 elements (compute nodes)."""
@@ -165,13 +155,6 @@ class FailureDomainHierarchy:
     def ancestor_index(self, node_index: int, level: int) -> int:
         """Index of the level-``level`` element containing node ``node_index``."""
         return self.node(node_index).ancestor(level).index
-
-    def describe(self) -> str:
-        """A short multi-line description of the hierarchy."""
-        lines = [f"FailureDomainHierarchy (h={self.height})"]
-        for level in range(self.height, 0, -1):
-            lines.append(f"  level {level}: {self.H(level):6d} x {self.level_name(level)}")
-        return "\n".join(lines)
 
     def _check_level(self, level: int) -> None:
         if not 1 <= level <= self.height:

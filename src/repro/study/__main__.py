@@ -56,41 +56,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.study",
         description="Monte-Carlo resilience-study campaign runner",
     )
-    add_common_arguments(parser, default_seed=0)
+    add_common_arguments(parser)
     parser.add_argument(
-        "--workloads", type=csv, default=("stencil", "allreduce"),
+        "--workloads", type=csv,
         help=f"comma-separated workload names (registered: {', '.join(available('workload'))})",
     )
     parser.add_argument(
-        "--backends", type=csv, default=("sim",),
+        "--backends", type=csv,
         help=f"comma-separated backends (registered: {', '.join(available('backend'))})",
     )
     parser.add_argument(
-        "--stores", type=csv, default=("memory",),
+        "--stores", type=csv,
         help=f"comma-separated stores (registered: {', '.join(available('store'))})",
     )
     parser.add_argument(
-        "--recoveries", type=csv, default=("global", "localized"),
+        "--recoveries", type=csv,
         help=f"comma-separated protocols (registered: {', '.join(available('recovery'))})",
     )
     parser.add_argument(
-        "--delivery", default="reliable",
+        "--delivery",
         help=f"delivery mode every cell runs under "
              f"(registered: {', '.join(available('delivery'))})",
     )
     parser.add_argument(
-        "--rates", type=_floats, default=(2.0,), metavar="MEANS",
-        help="comma-separated expected failures per failure-free makespan (default 2)",
+        "--rates", type=_floats, dest="mean_failures", metavar="MEANS",
+        help="comma-separated expected failures per failure-free makespan "
+             "(default %(default)s)",
     )
     parser.add_argument(
-        "--intervals", type=_intervals, default=("auto",),
+        "--intervals", type=_intervals,
         help="comma-separated checkpoint intervals: step counts and/or 'auto'",
     )
-    parser.add_argument("--trials", type=int, default=4, help="seeded trials per cell")
-    parser.add_argument("--nprocs", type=int, default=8, help="ranks per job")
-    parser.add_argument(
-        "--procs-per-node", type=int, default=2, help="ranks packed per node"
-    )
+    parser.add_argument("--trials", type=int, help="seeded trials per cell")
+    parser.add_argument("--nprocs", type=int, help="ranks per job")
+    parser.add_argument("--procs-per-node", type=int, help="ranks packed per node")
     parser.add_argument(
         "--executor", choices=("serial", "thread", "process"), default="thread",
         help="how cells/trials are dispatched (report is identical either way)",
@@ -102,30 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> dict:
-    if args.quick:
-        spec = quick_spec()
-    else:
-        spec = CampaignSpec(
-            workloads=args.workloads,
-            backends=args.backends,
-            stores=args.stores,
-            recoveries=args.recoveries,
-            delivery=args.delivery,
-            mean_failures=args.rates,
-            intervals=args.intervals,
-            trials=args.trials,
-            seed=args.seed,
-            nprocs=args.nprocs,
-            procs_per_node=args.procs_per_node,
-        )
-    return run_campaign(spec, executor=args.executor, max_workers=args.jobs)
-
-
 def main(argv: list[str] | None = None) -> int:
     return engine_main(
-        build_parser().parse_args(argv),
-        run=_run,
+        build_parser(), argv,
+        spec=CampaignSpec(),
+        quick=quick_spec(),
+        run=lambda args, spec: run_campaign(
+            spec, executor=args.executor, max_workers=args.jobs
+        ),
         render=render_markdown,
         to_json=report_json,
         invariants=check_invariants,

@@ -607,20 +607,13 @@ check_against_baseline = partial(
 
 
 def quick_spec() -> CampaignSpec:
-    """The tiny CI campaign: 2 workloads × 2 protocols × 4 seeded trials.
+    """The tiny CI campaign: the default 2 workloads × 2 protocols × 4 trials.
 
     Small sizes keep the smoke run in seconds while still exercising
     ``interval="auto"`` against two fixed intervals (the 2x-competitiveness
     gate needs both) and the localized-vs-global restored-bytes invariant.
     """
     return CampaignSpec(
-        workloads=("stencil", "allreduce"),
-        backends=("sim",),
-        stores=("memory",),
-        recoveries=("global", "localized"),
-        mean_failures=(2.0,),
         intervals=("auto", 4, 12),
-        trials=4,
-        seed=0,
         workload_params={"stencil": {"n_local": 16, "iters": 36}},
     )

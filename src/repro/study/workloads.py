@@ -70,10 +70,6 @@ class WorkloadRun:
     #: Per-rank window footprint in bytes (the analytic model's ``B``).
     bytes_per_rank: int
 
-    def describe(self) -> str:
-        """Human-readable one-liner."""
-        return f"{self.workload}: {self.report.describe()}"
-
 
 class Workload(abc.ABC):
     """One catalog entry: a parameterized SPMD program with a digestible result.

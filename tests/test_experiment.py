@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import threading
@@ -13,6 +14,7 @@ import pytest
 from repro.api.policy import Topology
 from repro.api.session import launch
 from repro.backends.proc import proc_available
+from repro.cli import parse_spec
 from repro.errors import CampaignError, ReproError
 from repro.experiment import (
     baseline_gate,
@@ -284,6 +286,36 @@ def test_serve_cli_fails_cleanly_on_another_schema(tmp_path, capsys):
     captured = capsys.readouterr()
     assert status == 1
     assert "REGRESSION: baseline is not a repro.serve report" in captured.err
+
+
+# ----------------------------------------------------------------------
+# The command line -> spec contract: the spec states every default, and
+# ``--quick`` is a preset that explicit flags refine
+# ----------------------------------------------------------------------
+#: Each engine's spec class, as its ``__main__`` imports it beside ``quick_spec``.
+ENGINE_SPECS = {
+    "study": "CampaignSpec", "chaos": "SoakSpec", "serve": "ServeSpec", "qos": "QosSpec",
+}
+
+
+@pytest.mark.parametrize(
+    ("engine", "argv", "changed"),
+    [
+        *((engine, [], {}) for engine in ENGINE_SPECS),
+        *((engine, ["--quick"], {}) for engine in ENGINE_SPECS),
+        *((engine, ["--quick", "--seed", "5"], {"seed": 5}) for engine in ENGINE_SPECS),
+        ("qos", ["--quick", "--stores", "memory"], {"stores": ("memory",)}),
+        ("study", ["--quick", "--rates", "0,4"], {"mean_failures": (0.0, 4.0)}),
+        ("chaos", ["--rate", "1.5"], {"rate_per_round": 1.5}),
+        ("serve", ["--quick", "--zipf", "0"], {"zipf_s": 0.0}),
+    ],
+)
+def test_engine_flags_refine_the_spec_they_default_to(engine, argv, changed):
+    cli = importlib.import_module(f"repro.{engine}.__main__")
+    spec, quick = getattr(cli, ENGINE_SPECS[engine]), cli.quick_spec
+    args, built = parse_spec(cli.build_parser(), argv, spec=spec(), quick=quick())
+    base = quick() if args.quick else spec()
+    assert built == dataclasses.replace(base, **changed)
 
 
 # ----------------------------------------------------------------------

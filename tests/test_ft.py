@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from heat_stencil_ft import run_stencil
 from repro.errors import (
     CatastrophicFailure,
@@ -26,6 +27,7 @@ from repro.rma import RmaRuntime
 from repro.simulator import Cluster, FailureSchedule, exponential_schedule
 from repro.simulator.placement import block_placement
 from repro.simulator.topology import FailureDomainHierarchy
+from repro.study.workloads import make_workload
 
 
 def _placement(nprocs=8, procs_per_node=2):
@@ -299,6 +301,32 @@ def test_stencil_recovers_whole_node_failure_bit_identical():
     )
     assert recovered.recoveries == 1
     assert np.array_equal(baseline.field, recovered.field)
+
+
+def _rack_stencil(*, buddy_level: int, failures: FailureSchedule | None = None):
+    """16 ranks, 2 per node, 2 nodes per rack, 4 racks (a level-2 hierarchy)."""
+    fdh = FailureDomainHierarchy(("node", "rack"), (2,), 4)
+    workload = make_workload("stencil", nprocs=16, n_local=8, iters=12)
+    policy = repro.FaultTolerancePolicy(interval=3, store="memory", buddy_level=buddy_level)
+    topology = repro.Topology(procs_per_node=2, fdh=fdh)
+    with repro.launch(16, topology=topology, ft=policy, failures=failures) as job:
+        workload.setup(job)
+        report = job.run(workload.kernel(), steps=workload.steps)
+        return workload.collect(job), report
+
+
+def test_rack_failure_needs_rack_level_buddies():
+    # §5: a buddy copy survives the failure of every domain below the level
+    # it is spread at.  Rack 1 (nodes 2-3, ranks 4-7) failing at once is
+    # survived with buddies on another rack, and fatal with buddies that only
+    # cross node boundaries (ranks 4 and 5 keep theirs on 6 and 7, same rack).
+    baseline, report = _rack_stencil(buddy_level=2)
+    rack = FailureSchedule.element(level=2, index=1, time=report.elapsed * 0.6)
+    recovered, survived = _rack_stencil(buddy_level=2, failures=rack)
+    assert survived.recoveries == 1
+    assert np.array_equal(baseline, recovered)
+    with pytest.raises(CatastrophicFailure, match=r"ranks \[4, 5, 6, 7\] failed"):
+        _rack_stencil(buddy_level=1, failures=rack)
 
 
 def test_stencil_survives_failures_in_rapid_succession():

@@ -344,7 +344,7 @@ def test_proc_syscall_budget_an_issue_polls_nothing_a_completion_polls_once():
 # ---------------------------------------------------------------------------
 # Hook dispatch: resolved when the chain changes, never per operation
 # ---------------------------------------------------------------------------
-PER_OP_HOOKS = ("before_comm", "after_comm", "before_sync", "after_sync")
+PER_OP_HOOKS = ("before_comm", "after_comm", "after_sync")
 
 
 def _per_op_hooks(chain) -> list:
@@ -352,13 +352,10 @@ def _per_op_hooks(chain) -> list:
 
 
 class _SyncWatcher(RmaInterceptor):
-    """Overrides the two sync hooks, and nothing else."""
+    """Overrides the sync hook, and nothing else."""
 
     def __init__(self) -> None:
         self.seen: list[tuple[str, SyncKind]] = []
-
-    def before_sync(self, action) -> None:
-        self.seen.append(("before", action.kind))
 
     def after_sync(self, action) -> None:
         self.seen.append(("after", action.kind))
@@ -366,7 +363,7 @@ class _SyncWatcher(RmaInterceptor):
 
 def test_hook_dispatch_follows_the_chain():
     idle = _per_op_hooks(InterceptorChain())
-    assert idle == [None] * 4  # an idle per-op hook is skipped, not called
+    assert idle == [None] * 3  # an idle per-op hook is skipped, not called
     policy = FaultTolerancePolicy(interval=20, recovery="localized")
     with repro.launch(4, ft=policy) as job:
         job.allocate("w", 8)
@@ -406,8 +403,8 @@ def test_hook_dispatch_follows_the_chain():
         lock_unlock()
         rt.gsync()
         kinds = [SyncKind.LOCK, SyncKind.UNLOCK] + [SyncKind.GSYNC] * rt.nprocs
-        assert watcher.seen == [(when, kind) for kind in kinds for when in ("before", "after")]
-        assert _calls_per_op(lock_unlock)[0] == bare + 4  # two hook calls per sync
+        assert watcher.seen == [("after", kind) for kind in kinds]
+        assert _calls_per_op(lock_unlock)[0] == bare + 2  # one hook call per sync
         rt.remove_interceptor(watcher)
         assert _calls_per_op(lock_unlock)[0] == bare
 
@@ -464,7 +461,7 @@ def test_a_lifecycle_tracer_costs_an_operation_nothing():
     when the tracer's hooks checked its detail on every operation)."""
     chain = InterceptorChain()
     chain.add(Tracer(detail="lifecycle").interceptor, None)
-    assert _per_op_hooks(chain) == [None] * 4
+    assert _per_op_hooks(chain) == [None] * 3
     per_op = {}
     for detail in (None, "lifecycle"):
         calls = [
