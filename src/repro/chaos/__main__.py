@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--nprocs", type=int, help="ranks per job")
     parser.add_argument("--procs-per-node", type=int, help="ranks packed per node")
     parser.add_argument(
-        "--executor", choices=("serial", "thread"), default="serial",
-        help="how comparison cells are dispatched (report is identical either way)",
-    )
-    parser.add_argument(
         "--events", default=None, metavar="PATH",
         help="stream the first cell's JSONL event log here",
     )
@@ -110,7 +106,6 @@ def _run(args: argparse.Namespace, base: SoakSpec) -> list[SoakResult]:
         countermeasures=args.countermeasures,
         backends=args.backends,
         stores=args.stores,
-        executor=args.executor,
     )
 
 

@@ -20,7 +20,7 @@ reduces it to the industry-standard summary:
   the end of the soak counts until the end).
 
 All quantities are virtual-time; a seeded soak yields bit-identical metrics
-on every backend, executor and machine.
+on every backend and machine.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ __all__ = [
 
 
 def report_json(results: list[SoakResult]) -> str:
-    """Canonical serialization — byte-identical across re-runs and executors."""
+    """Canonical serialization — byte-identical across re-runs and backends."""
     return experiment.report_json({
         "meta": {"engine": "repro.chaos", "cells": len(results)},
         "cells": {result.spec.cell_key: result.as_dict() for result in results},

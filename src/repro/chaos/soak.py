@@ -22,6 +22,7 @@ continuation.  :func:`run_comparison` pits countermeasures (and backends and
 stores) against **identical** failure schedules — :func:`build_plan` passes
 the shared seed rule none of those axes — which is what makes the availability
 / MTTR trade-off between the protocols quantitatively comparable cell by cell.
+The cells run one after another, in grid order.
 """
 
 from __future__ import annotations
@@ -387,19 +388,14 @@ def run_comparison(
     countermeasures: Sequence[str] = ("rollback", "replay", "excise"),
     backends: Sequence[str] | None = None,
     stores: Sequence[str] | None = None,
-    executor: str = "serial",
-    max_workers: int | None = None,
 ) -> list[SoakResult]:
     """Run the cross-config comparison grid against identical kill plans.
 
     Every cell reuses ``base``'s seed, workload and scenario, so the plan —
     a function of exactly those — is identical across the grid; only the
-    countermeasure/store/backend axes vary.  Cells are independent sessions,
-    so ``executor="thread"`` parallelizes them while the assembled result
-    list (and hence the report) stays byte-identical to a serial run.
+    countermeasure/store/backend axes vary.
     """
     return _comparison_grid(
         run_soak, base, "countermeasure", countermeasures,
-        backends=backends, stores=stores,
-        executor=executor, max_workers=max_workers, error=ChaosError,
+        backends=backends, stores=stores, error=ChaosError,
     )

@@ -23,6 +23,7 @@ import sys
 from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 
+from repro.errors import ReproError
 from repro.registry import render_available
 from repro.trace.tracer import tracing
 
@@ -95,7 +96,8 @@ def parse_spec(
 
     ``spec`` is the engine's default spec and ``quick`` its ``--quick``
     preset; every field some flag sets as its ``dest`` defaults to the base
-    spec's value, so only the flags given explicitly change it.
+    spec's value, so only the flags given explicitly change it.  A value
+    the spec rejects is a usage error: one ``error:`` line, exit status 2.
     """
     names = {f.name for f in dataclasses.fields(spec)}
     names &= {action.dest for action in parser._actions}
@@ -105,7 +107,11 @@ def parse_spec(
         spec = quick
         parser.set_defaults(**{name: getattr(spec, name) for name in names})
         args = parser.parse_args(argv)
-    return args, dataclasses.replace(spec, **{name: getattr(args, name) for name in names})
+    try:
+        spec = dataclasses.replace(spec, **{name: getattr(args, name) for name in names})
+    except ReproError as exc:
+        parser.error(str(exc))
+    return args, spec
 
 
 def engine_main(

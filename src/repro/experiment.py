@@ -7,7 +7,7 @@ a failure-free probe — and :mod:`repro.study`, :mod:`repro.chaos`,
 specs, per-cell functions and invariants.  Everything they share lives here,
 once, as plain functions: the paired-seed rule (:func:`plan_entropy`), spec
 name validation (:func:`check_names`), the failure-free :func:`probe`, the
-ordered ``serial | thread | process`` map (:func:`run_grid`), canonical
+ordered ``serial | process`` map (:func:`run_grid`), canonical
 serialisation (:func:`report_json`, :func:`markdown_table`) and the
 exact-vs-ratio regression gate (:func:`baseline_gate`).  The command-line
 epilogue the engines share is :func:`repro.cli.engine_main`;
@@ -119,22 +119,21 @@ def run_grid(
 ) -> list:
     """``[fn(task) for task in tasks]``, in order, on the named executor.
 
-    Every task of a grid is an isolated deterministic session, so the three
+    Every task of a grid is an isolated deterministic session, so both
     executors return identical lists; ``"process"`` needs ``fn`` and the tasks
     to pickle, and no active ``tracing()`` hub (its children could not join it).
     The pool is shut down before returning, also when a task raises.
     """
     if executor == "serial":
         return [fn(task) for task in tasks]
-    if executor not in ("thread", "process"):
-        raise error(f"unknown executor {executor!r}; choose 'serial', 'thread' or 'process'")
-    if executor == "process" and current_trace_hub() is not None:
+    if executor != "process":
+        raise error(f"unknown executor {executor!r}; choose 'serial' or 'process'")
+    if current_trace_hub() is not None:
         raise error("a traced run cannot use the 'process' executor (its workers cannot "
-                    "reach the trace); choose 'serial' or 'thread'")
-    import concurrent.futures as cf  # here, so a serial grid never loads the pool stacks
+                    "reach the trace); choose 'serial'")
+    from concurrent.futures import ProcessPoolExecutor  # a serial grid never loads it
 
-    pool_type = cf.ThreadPoolExecutor if executor == "thread" else cf.ProcessPoolExecutor
-    with pool_type(max_workers=max_workers) as pool:
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -146,8 +145,6 @@ def _comparison_grid(
     *,
     backends: Sequence[str] | None,
     stores: Sequence[str] | None,
-    executor: str,
-    max_workers: int | None,
     error: type[Exception],
 ) -> list:
     """``fn`` over copies of spec ``base`` on ``backends × stores × values``.
@@ -167,7 +164,7 @@ def _comparison_grid(
         for s in stores
         for v in values
     ]
-    return run_grid(fn, specs, executor=executor, max_workers=max_workers, error=error)
+    return [fn(spec) for spec in specs]
 
 
 def report_json(document: dict) -> str:

@@ -196,8 +196,8 @@ def build_ft_stack(
     store:
         Checkpoint placement: ``"memory"`` (default; local + buddy copies),
         ``"disk"`` (spill to a directory), ``"parity"`` (XOR stripe across
-        t-aware groups), or a ready
-        :class:`~repro.ft.stores.CheckpointStore` instance.
+        t-aware groups), ``"multilevel"`` (upper levels mirrored every n-th
+        checkpoint), or a ready :class:`~repro.ft.stores.CheckpointStore`.
     recovery:
         Recovery strategy: ``"global"`` (default; coordinated rollback of
         every rank), ``"localized"`` (restore only the failed ranks, replay

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of dropping (default %(default)s)",
     )
     parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="thread",
+        "--executor", choices=("serial", "process"), default="serial",
         help="how cells/trials are dispatched (report is identical either way)",
     )
     parser.add_argument(

@@ -119,6 +119,8 @@ class QosSpec:
             raise QosError("a qos comparison needs at least one trial")
         if self.interval < 1:
             raise QosError("the checkpoint interval must be at least 1 step")
+        if self.keep_versions < 1:
+            raise QosError("keep_versions must be at least 1")
         if not 0.0 <= self.stale_fraction <= 1.0:
             raise QosError("stale_fraction must be in [0, 1]")
         if self.nprocs < 2 or self.procs_per_node < 1:
@@ -226,8 +228,8 @@ def _run_cell_trial(args: tuple[QosSpec, _Cell, int, int, np.ndarray]) -> dict:
         keep_versions=spec.keep_versions,
         delivery=delivery,
     )
-    # Label the session by cell and trial so a run-wide trace hub merges
-    # thread-executor runs in deterministic order (byte-identical to serial).
+    # Label the session by cell and trial: a run-wide trace hub merges its
+    # sessions in label order.
     with trace_label(f"{cell.backend}/{cell.store}/{cell.delivery}/t{trial}"):
         run = workload.run(
             ft=policy,
@@ -283,13 +285,13 @@ def _summarize_cell(cell: _Cell, trials: list[dict]) -> dict:
 def run_qos(
     spec: QosSpec,
     *,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers: int | None = None,
 ) -> dict:
     """Run the full delivery × store sweep and return the report document.
 
-    Every trial is an isolated deterministic session, so ``"serial"``,
-    ``"thread"`` and ``"process"`` executors produce byte-identical reports.
+    Every trial is an isolated deterministic session, so the ``"serial"``
+    (default) and ``"process"`` executors produce byte-identical reports.
     """
     cells = _cells(spec)
     dispatch = partial(

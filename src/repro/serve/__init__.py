@@ -30,8 +30,8 @@ traffic and asks what each recovery protocol does to the tail.  The layers:
   regression gate behind ``python -m repro.serve``.
 
 Everything is virtual-time deterministic: a seeded comparison produces
-byte-identical request logs and SLO reports across re-runs, executors and
-the ``sim``/``proc`` backends.
+byte-identical request logs and SLO reports across re-runs and the
+``sim``/``proc`` backends.
 """
 
 from typing import TYPE_CHECKING

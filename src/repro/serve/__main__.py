@@ -99,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pod_kill (one rank) or node_kill (every rank of the node)",
     )
     parser.add_argument(
-        "--executor", choices=("serial", "thread"), default="serial",
-        help="how comparison cells are dispatched (report is identical either way)",
-    )
-    parser.add_argument(
         "--requests", default=None, metavar="PATH",
         help="write the canonical JSONL request log (all cells) here",
     )
@@ -116,7 +112,6 @@ def _run(args: argparse.Namespace, base: ServeSpec) -> list[ServeResult]:
         recoveries=args.recoveries,
         backends=args.backends,
         stores=args.stores,
-        executor=args.executor,
     )
 
 

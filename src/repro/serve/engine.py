@@ -23,6 +23,7 @@ The kill plan is a pure function of ``(seed, traffic shape)`` — deliberately
 recovery protocols against the **identical** failure schedule and client
 population, which is what makes "localized stalls one shard, rollback spikes
 every key, degraded trades errors for flatness" a like-for-like claim.
+The cells run one after another, in grid order.
 """
 
 from __future__ import annotations
@@ -372,17 +373,9 @@ def run_slo_comparison(
     recoveries: Sequence[str] = ("global", "localized", "degraded"),
     backends: Sequence[str] | None = None,
     stores: Sequence[str] | None = None,
-    executor: str = "serial",
-    max_workers: int | None = None,
 ) -> list[ServeResult]:
-    """The resilience grid: identical seed, traffic and kill plan per cell.
-
-    Cells are independent sessions, so ``executor="thread"`` parallelizes
-    them while the assembled result list (and hence the report) stays
-    byte-identical to a serial run.
-    """
+    """The resilience grid: identical seed, traffic and kill plan per cell."""
     return _comparison_grid(
         run_service, base, "recovery", recoveries,
-        backends=backends, stores=stores,
-        executor=executor, max_workers=max_workers, error=ServeError,
+        backends=backends, stores=stores, error=ServeError,
     )

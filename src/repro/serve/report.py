@@ -55,7 +55,7 @@ REQUEST_FIELDS = (
 
 
 def report_json(results: list[ServeResult]) -> str:
-    """Canonical serialization — byte-identical across re-runs and executors.
+    """Canonical serialization — byte-identical across re-runs and backends.
 
     The per-request rows travel separately (:func:`write_requests`); the
     report keeps the reduced SLO document plus a status census per cell.

@@ -5,11 +5,11 @@ Examples::
     # The default small campaign, markdown summary on stdout:
     python -m repro.study
 
-    # A custom sweep, JSON + markdown artifacts, 8 worker threads:
+    # A custom sweep, JSON + markdown artifacts, 8 worker processes:
     python -m repro.study --workloads stencil,allreduce,kv \\
         --stores memory,disk,parity --recoveries global,localized \\
         --rates 0,2,4 --intervals auto,4,12 --trials 8 --seed 7 \\
-        --executor thread --jobs 8 --output report.json --markdown report.md
+        --executor process --jobs 8 --output report.json --markdown report.md
 
     # The CI gate: tiny grid, invariants + baseline comparison:
     python -m repro.study --quick \\
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--nprocs", type=int, help="ranks per job")
     parser.add_argument("--procs-per-node", type=int, help="ranks packed per node")
     parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="thread",
+        "--executor", choices=("serial", "process"), default="serial",
         help="how cells/trials are dispatched (report is identical either way)",
     )
     parser.add_argument(

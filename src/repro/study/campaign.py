@@ -272,8 +272,8 @@ def _run_trial(args: tuple[CampaignSpec, _Cell, dict, int]) -> dict:
         "events": [[ev.time, ev.level, ev.index] for ev in schedule],
     }
     try:
-        # Label the session by cell and trial so a run-wide trace hub merges
-        # thread-executor runs in deterministic order (identical to serial).
+        # Label the session by cell and trial: a run-wide trace hub merges
+        # its sessions in label order.
         with trace_label(f"{cell.key}/t{trial}"):
             run = workload.run(
                 ft=_policy(cell, rates, spec.delivery),
@@ -405,15 +405,15 @@ def _summarize_cell(
 def run_campaign(
     spec: CampaignSpec,
     *,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers: int | None = None,
 ) -> dict:
     """Run the full campaign and return the structured report document.
 
     ``executor`` selects how cells' baselines and trials are dispatched:
-    ``"serial"``, ``"thread"`` (default) or ``"process"`` — each trial is an
-    isolated deterministic session, so the three produce **byte-identical**
-    reports (the e2e ``study_campaign`` workload times the serial one).
+    ``"serial"`` (default) or ``"process"`` — each trial is an isolated
+    deterministic session, so both produce **byte-identical** reports (the
+    e2e ``study_campaign`` workload times the serial one).
     Trials are submitted as contiguous per-cell chunks rather than one task
     per trial, so the process pool pickles each cell's payload once per chunk
     and receives only compact record dicts back.

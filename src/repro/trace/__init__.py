@@ -5,7 +5,7 @@ The observability layer of the reproduction: the RMA interceptor chain
 decisions), the session observers and the serve request lifecycles feed
 a single :class:`Tracer` whose events are stamped in virtual time —
 byte-identical across the sim, vector and proc backends and across
-serial/thread executors, with host-specific facts segregated under
+re-runs, with host-specific facts segregated under
 ``rt``.  Everything else reads a finished job's ``tracer.events``:
 canonical JSONL persistence, span rollups (:func:`summarize`),
 first-divergence localization (:func:`first_divergence`), a Chrome-trace

@@ -28,10 +28,11 @@ A :class:`TraceHub` collects the tracers of a whole multi-job run
 (probe sessions, every comparison cell) into one merged trace file.
 Engines label their sessions with :func:`trace_label` using the cell
 key, and the hub orders the merged stream by ``(label, index)`` — never
-by wall-clock arrival — so serial and thread executors produce
-byte-identical files.  (A process pool's children cannot see the parent's
-hub, so :func:`repro.experiment.run_grid` refuses that executor while a
-hub is active.)
+by wall-clock arrival — so the file does not depend on the order sessions
+finished in, also when a caller runs them on threads of its own.  (A
+process pool's children cannot see the parent's hub, so
+:func:`repro.experiment.run_grid` refuses its ``"process"`` executor while
+a hub is active.)
 """
 
 from __future__ import annotations
@@ -317,8 +318,8 @@ class TraceHub:
     tracer is tagged ``(label, index)`` where the label comes from the
     enclosing :func:`trace_label` block (engines use the comparison cell
     key) and the index counts jobs within that label.  The merged stream
-    sorts by that tag, not by completion order, so thread-pool executors
-    produce the same bytes as serial execution.
+    sorts by that tag, not by completion order, so sessions run on a
+    caller's own threads produce the same bytes as serial execution.
     """
 
     def __init__(self, *, path: str | None = None, detail: str = "full") -> None:

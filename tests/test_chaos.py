@@ -352,11 +352,6 @@ def test_comparison_cells_face_identical_schedules(sim_comparison):
     assert len(plans) == 1
 
 
-def test_thread_executor_matches_serial(sim_comparison):
-    threaded = run_comparison(small_spec(), executor="thread", max_workers=3)
-    assert report_json(threaded) == report_json(sim_comparison)
-
-
 def test_report_roundtrip_and_baseline_gate(sim_comparison):
     report = json.loads(report_json(sim_comparison))
     assert check_against_baseline(report, report) == []

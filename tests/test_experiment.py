@@ -107,7 +107,7 @@ def _fail_on_three(task: int) -> int:
 def test_run_grid_is_ordered_and_identical_across_executors():
     tasks = list(range(12))
     expected = [task * task for task in tasks]
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "process"):
         got = run_grid(
             _square, tasks, executor=executor, max_workers=3, error=ReproError
         )
@@ -116,7 +116,7 @@ def test_run_grid_is_ordered_and_identical_across_executors():
 
 def test_run_grid_shuts_the_pool_down_when_a_task_raises():
     before = set(threading.enumerate())
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "process"):
         with pytest.raises(ValueError, match="task 3 failed"):
             run_grid(
                 _fail_on_three, range(6), executor=executor, max_workers=2,
@@ -127,8 +127,11 @@ def test_run_grid_shuts_the_pool_down_when_a_task_raises():
 
 
 def test_run_grid_rejects_unknown_executors_with_the_callers_error():
-    with pytest.raises(CampaignError, match="unknown executor 'fiber'"):
-        run_grid(_square, [1], executor="fiber", error=CampaignError)
+    for name in ("fiber", "thread"):
+        with pytest.raises(
+            CampaignError, match=f"unknown executor '{name}'; choose 'serial' or 'process'$"
+        ):
+            run_grid(_square, [1], executor=name, error=CampaignError)
 
 
 def test_run_grid_refuses_the_process_executor_while_a_trace_hub_is_active(tmp_path):
@@ -139,13 +142,12 @@ def test_run_grid_refuses_the_process_executor_while_a_trace_hub_is_active(tmp_p
     from repro.trace import tracing
 
     with tracing():
-        with pytest.raises(CampaignError, match="'process'.*'serial' or 'thread'"):
+        with pytest.raises(CampaignError, match="'process'.*; choose 'serial'$"):
             run_grid(_square, [1, 2], executor="process", error=CampaignError)
-        for executor in ("serial", "thread"):
-            assert run_grid(_square, [1, 2], executor=executor, error=CampaignError) == [1, 4]
+        assert run_grid(_square, [1, 2], executor="serial", error=CampaignError) == [1, 4]
     assert run_grid(_square, [1, 2], executor="process", error=CampaignError) == [1, 4]
     trace = tmp_path / "trace.jsonl"
-    with pytest.raises(QosError, match="'serial' or 'thread'"):
+    with pytest.raises(QosError, match="choose 'serial'$"):
         main(["--quick", "--executor", "process", "--trace", str(trace)])
 
 
@@ -316,6 +318,28 @@ def test_engine_flags_refine_the_spec_they_default_to(engine, argv, changed):
     args, built = parse_spec(cli.build_parser(), argv, spec=spec(), quick=quick())
     base = quick() if args.quick else spec()
     assert built == dataclasses.replace(base, **changed)
+
+
+@pytest.mark.parametrize(
+    ("engine", "argv", "message"),
+    [
+        ("qos", ["--interval", "0"], "the checkpoint interval must be at least 1 step"),
+        ("chaos", ["--workload", "nope"], "unknown workload 'nope' in soak spec"),
+        ("study", ["--trials", "0"], "a campaign needs at least one trial per cell"),
+        ("serve", ["--kill-frac", "2"], "kill_frac must be strictly between 0 and 1"),
+        # chaos and serve run their cells serially: there is no executor to pick.
+        *((engine, ["--executor", "serial"], "unrecognized arguments: --executor serial")
+          for engine in ("chaos", "serve")),
+    ],
+)
+def test_a_rejected_flag_or_spec_value_is_a_usage_error(engine, argv, message, capsys):
+    cli = importlib.import_module(f"repro.{engine}.__main__")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exited.value.code == 2
+    assert f"python -m repro.{engine}: error: {message}" in err
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

@@ -308,6 +308,8 @@ def test_qos_spec_validates_axes_and_parameters():
         QosSpec(kills=0)
     with pytest.raises(QosError, match="stale_fraction"):
         QosSpec(stale_fraction=1.5)
+    with pytest.raises(QosError, match="keep_versions must be at least 1"):
+        QosSpec(keep_versions=0)
 
 
 def test_plan_seed_depends_only_on_master_seed_and_trial():

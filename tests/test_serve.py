@@ -314,11 +314,6 @@ def test_run_service_rerun_byte_identical():
     assert first == second
 
 
-def test_comparison_thread_executor_identical(comparison):
-    threaded = run_slo_comparison(quick_spec(), executor="thread", max_workers=3)
-    assert report_json(threaded) == report_json(comparison)
-
-
 def test_comparison_fires_and_recovers(comparison):
     for result in comparison:
         assert result.aborted is None

@@ -5,7 +5,7 @@ instrumentation seam fires at runtime level — before backend-specific
 wall-time accounting diverges — the canonical trace (events minus the
 segregated ``rt`` sub-object) of an identically-seeded run is
 **byte-identical** across the sim, vector and proc backends, and across
-serial vs thread executors when runs flow through a :class:`TraceHub`.
+serial vs threaded callers when runs flow through a :class:`TraceHub`.
 Everything host-specific (wall seconds, real-SIGKILL flags, backend
 names) lives under ``rt`` and is excluded from identity.
 """
