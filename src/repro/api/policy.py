@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import PolicyError
-from repro.ft.protocols import PROTOCOLS, RecoveryProtocol
+from repro.ft.recovery import PROTOCOLS, RecoveryProtocol
 from repro.ft.stack import FtStack, build_ft_stack
 from repro.ft.stores import STORES, CheckpointStore
 from repro.qos.delivery import DELIVERY_MODES, DeliveryMode
@@ -111,11 +111,11 @@ class FaultTolerancePolicy:
         mirrored incrementally every n-th checkpoint, §5–§7), or a ready
         :class:`~repro.ft.stores.CheckpointStore` instance.
     recovery:
-        Recovery protocol strategy — ``"global"`` (default; coordinated
+        Recovery protocol rule — ``"global"`` (default; coordinated
         rollback of every rank, §4.2), ``"localized"`` (only failed ranks
         restore, survivors keep state, the log replays, §7), ``"degraded"``
         (failed ranks are excised, survivors continue best-effort), or a
-        ready :class:`~repro.ft.protocols.RecoveryProtocol` instance.
+        ready :class:`~repro.ft.recovery.RecoveryProtocol` instance.
     delivery:
         Delivery mode under failure (:mod:`repro.qos`) — ``"reliable"``
         (default; any operation touching a failed rank raises and the

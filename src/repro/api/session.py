@@ -81,7 +81,7 @@ class SessionObserver:
 
     def on_protocol_applied(self, outcome, resume_step: int, t: float) -> None:
         """One recovery attempt completed with ``outcome``
-        (a :class:`~repro.ft.protocols.RecoveryOutcome`)."""
+        (a :class:`~repro.ft.recovery.RecoveryOutcome`)."""
 
     def on_recovery_completed(self, resume_step: int, t: float) -> None:
         """Recovery finished; the step loop resumes at ``resume_step``."""

@@ -17,8 +17,8 @@ or recovering.  The layers:
 * :mod:`repro.chaos.soak` — the soak driver: one long session under a
   compressed :class:`~repro.simulator.costs.CostModel` (time fields scaled by
   e.g. 10,000x), a scenario-generated kill plan, and the countermeasure seam
-  mapping onto the existing :class:`~repro.ft.protocols.RecoveryProtocol`
-  strategies;
+  mapping onto the existing :class:`~repro.ft.recovery.RecoveryProtocol`
+  rules;
 * :mod:`repro.chaos.metrics` — the reliability arithmetic: MTTF, MTBF, MTTR,
   availability and state fractions computed from the event log (the log
   round-trips through JSONL losslessly);

@@ -16,7 +16,7 @@ finish in wall-clock seconds:
   from the wall, so the event log is deterministic.
 
 The *countermeasure* seam maps chaos-engineering vocabulary onto the existing
-:class:`~repro.ft.protocols.RecoveryProtocol` strategies: ``"rollback"`` →
+:class:`~repro.ft.recovery.RecoveryProtocol` rules: ``"rollback"`` →
 global rollback, ``"replay"`` → localized log replay, ``"excise"`` → degraded
 continuation.  :func:`run_comparison` pits countermeasures (and backends and
 stores) against **identical** failure schedules — :func:`build_plan` passes
@@ -58,7 +58,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Countermeasures: chaos vocabulary over the recovery-protocol strategies
+# Countermeasures: chaos vocabulary over the recovery-protocol rules
 # ----------------------------------------------------------------------
 #: Countermeasure name -> the recovery-protocol registry name implementing it.
 #: The soak engine adds no recovery machinery of its own, it *names* the

@@ -10,12 +10,12 @@
 * :mod:`~repro.ft.checkpoint` — the coordinated checkpointer (epoch-boundary
   guard, §3.1.2) with demand checkpoints driven by the interceptor's put/get
   log (§6.2); the log also retains the completed actions for replay;
-* :mod:`~repro.ft.protocols` — pluggable recovery strategies: coordinated
-  global rollback (§4.2–§4.3), localized log-based replay restoring only the
-  failed ranks (§7, with the §3.2.3 fallback), and best-effort degraded
-  continuation;
-* :mod:`~repro.ft.recovery` — the :class:`RecoveryManager` dispatching
-  failures to the configured protocol;
+* :mod:`~repro.ft.recovery` — recovery as one procedure
+  (:meth:`RecoveryManager.recover`) over a restoring set, asking one of three
+  pluggable rules which ranks restore, from which version, and what the
+  survivors do: coordinated global rollback (§4.2–§4.3), localized log-based
+  replay restoring only the failed ranks (§7, falling back to the rollback
+  per §3.2.3), and best-effort degraded continuation;
 * :mod:`~repro.ft.stack` — one-call construction of the whole protocol
   (log + store + checkpointer + recovery) from plain parameters, used by the
   declarative policy of :mod:`repro.api`;
@@ -38,16 +38,17 @@ from repro.ft.inject import (
     KillPlan,
     install_injector,
 )
-from repro.ft.protocols import (
+from repro.ft.recovery import (
     PROTOCOLS,
     ContinueDegraded,
     GlobalRollback,
     LocalizedReplay,
+    RecoveryManager,
     RecoveryOutcome,
+    RecoveryPlan,
     RecoveryProtocol,
     make_protocol,
 )
-from repro.ft.recovery import RecoveryManager
 from repro.ft.stack import FtStack, build_ft_stack
 from repro.ft.stores import (
     STORES,
@@ -74,6 +75,7 @@ __all__ = [
     "make_store",
     "RecoveryProtocol",
     "RecoveryOutcome",
+    "RecoveryPlan",
     "GlobalRollback",
     "LocalizedReplay",
     "ContinueDegraded",

@@ -19,7 +19,7 @@ Two triggers are supported:
 
 The :class:`ActionLog` is also the substrate of log-based recovery (§7): it
 retains the completed actions themselves — determinants *and* payloads — so
-:class:`~repro.ft.protocols.LocalizedReplay` can rebuild a failed rank's
+:class:`~repro.ft.recovery.LocalizedReplay` can rebuild a failed rank's
 post-checkpoint state without rolling survivors back.
 """
 

@@ -1,32 +1,270 @@
-"""Recovery dispatch: hand failures to the configured protocol (§4.2–§4.3, §7).
+"""Recovery: one procedure over a restoring set, three rules (§4.2–§4.3, §7).
 
 When the application (or the session layer) observes a
 :class:`~repro.errors.ProcessFailedError` it calls
-:meth:`RecoveryManager.recover`, which delegates to the configured
-:class:`~repro.ft.protocols.RecoveryProtocol` strategy — coordinated global
-rollback, localized log-based replay, or best-effort degraded continuation —
-and returns its :class:`~repro.ft.protocols.RecoveryOutcome`.  The manager
-owns no protocol logic itself; it binds the runtime, the checkpointer (whose
-store the protocols restore from) and the chosen strategy together.
+:meth:`RecoveryManager.recover`.  The manager runs the one recovery
+procedure; the configured :class:`RecoveryProtocol` is a *rule* that answers
+its three questions — which ranks restore, from which checkpoint version,
+and what the survivors do:
+
+* :class:`GlobalRollback` (``"global"``) — the classic coordinated rollback
+  (§4.2–§4.3): **every** rank restores from the newest checkpoint usable for
+  all; survivors lose their post-checkpoint progress.
+* :class:`LocalizedReplay` (``"localized"``) — log-based recovery (§7): only
+  the failed ranks (and those an interrupted replay was rebuilding) restore;
+  survivors keep their state while the re-execution runs under a
+  :class:`~repro.rma.replay.ReplayCursor` over the put/get log, so strictly
+  fewer bytes move.  When the log cannot bridge, the rule falls back to the
+  coordinated checkpoint (§3.2.3): the same recovery with every rank in the
+  restoring set.
+* :class:`ContinueDegraded` (``"degraded"``) — best-effort continuation (cf.
+  Moreno & Ofria, arXiv:2211.10897): no rank restores; failed ranks are
+  *excised* rather than respawned — operations targeting them are dropped,
+  reads of their windows observe zeros — and the survivors keep running.
+
+A recovery no rule can serve — no stored version holds a copy of some rank
+to roll back to, or no rank is left to continue — raises
+:class:`~repro.errors.CatastrophicFailure`, the paper's restart case (§3.3).
+
+Protocols are resolved by name through :data:`PROTOCOLS` (the same convention
+as ``backend="sim"|"vector"``) and are orthogonal to the
+:class:`~repro.ft.stores.CheckpointStore` they restore from.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import abc
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
-from repro.errors import RecoveryError
+from repro.errors import CatastrophicFailure, RecoveryError
 from repro.ft.checkpoint import ActionLog, CoordinatedCheckpointer
-from repro.ft.protocols import RecoveryOutcome, RecoveryProtocol, make_protocol
-from repro.ft.stores import CheckpointStore
+from repro.ft.stores import CheckpointStore, CheckpointVersion, RestorePayload
+from repro.registry import register_kind, resolve_component
+from repro.rma.replay import ReplayCursor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.rma.runtime import RmaRuntime
 
-__all__ = ["RecoveryManager"]
+__all__ = [
+    "RecoveryOutcome",
+    "RecoveryPlan",
+    "RecoveryProtocol",
+    "GlobalRollback",
+    "LocalizedReplay",
+    "ContinueDegraded",
+    "PROTOCOLS",
+    "make_protocol",
+    "RecoveryManager",
+]
+
+
+@dataclass(frozen=True)
+class RecoveryOutcome:
+    """What a recovery did, and where the session should resume.
+
+    ``kind`` is ``"rollback"`` (resume at the restored checkpoint's ``tag``),
+    ``"replay"`` (resume at ``tag`` too, but under an active replay cursor so
+    already-completed work is suppressed), or ``"degraded"`` (no rollback —
+    re-execute the aborted step with the shrunk membership; ``tag`` is
+    ``None``).
+    """
+
+    kind: str
+    tag: Any
+    #: Ranks that were failed when this recovery ran.
+    failed: tuple[int, ...]
+    #: Bytes restored from checkpoint copies into window memory.
+    restored_bytes: int
+    #: Name of the protocol that produced the outcome.
+    protocol: str
+    #: True when a localized recovery had to fall back to a global rollback.
+    fallback: bool = False
+
+
+@dataclass(frozen=True)
+class RecoveryPlan:
+    """A rule's answer: who restores, from which version, what survivors do.
+
+    ``kind`` is the survivor mode and becomes the outcome's kind:
+    ``"rollback"`` (survivors restore too — ``restoring`` is every rank),
+    ``"replay"`` (survivors keep their state under a replay cursor) or
+    ``"degraded"`` (nobody restores; the failed ranks are excised).
+    ``version`` is ``None`` for ``"degraded"``, and for a rollback no stored
+    version can serve.
+    """
+
+    kind: str
+    restoring: tuple[int, ...]
+    version: CheckpointVersion | None
+    #: True when a localized rule fell back to the coordinated rollback.
+    fallback: bool = False
+
+
+class RecoveryProtocol(abc.ABC):
+    """The rule :meth:`RecoveryManager.recover` asks how to recover."""
+
+    #: Registry name of the protocol ("global", "localized", "degraded", ...).
+    name: str = "abstract"
+
+    #: Whether the protocol replays the put/get log and therefore requires an
+    #: :class:`~repro.ft.checkpoint.ActionLog` that *retains* completed
+    #: actions (not just their byte counts).  :func:`~repro.ft.stack.
+    #: build_ft_stack` forces such a log on when this is set.
+    needs_log: bool = False
+
+    @abc.abstractmethod
+    def plan(
+        self, manager: "RecoveryManager", failed: list[int], prior: frozenset[int]
+    ) -> RecoveryPlan:
+        """Decide how to recover ``failed``; ``prior`` are the ranks an
+        interrupted replay was still rebuilding.
+
+        Raises :class:`~repro.errors.RecoveryError` when the rule's
+        prerequisites are unmet (e.g. no checkpoint was ever taken).
+        """
+
+
+def _rollback_plan(
+    store: CheckpointStore, nprocs: int, *, fallback: bool = False
+) -> RecoveryPlan:
+    """Every rank restores from the newest version usable for all."""
+    everyone = list(range(nprocs))
+    return RecoveryPlan("rollback", tuple(everyone), store.latest_usable(everyone), fallback)
+
+
+def _checkpointed(store: CheckpointStore) -> CheckpointStore:
+    """``store``, unless no checkpoint was ever committed to it."""
+    if len(store) == 0:
+        raise RecoveryError("no checkpoint has been taken; cannot recover")
+    return store
+
+
+class GlobalRollback(RecoveryProtocol):
+    """Coordinated rollback (§4.2–§4.3): every rank restores from the newest
+    version usable for all — windows *and* Eq. (1) state — so the re-executed
+    program performs exactly the transitions of the first execution."""
+
+    name = "global"
+
+    def plan(
+        self, manager: "RecoveryManager", failed: list[int], prior: frozenset[int]
+    ) -> RecoveryPlan:
+        return _rollback_plan(_checkpointed(manager.store), manager.runtime.cluster.nprocs)
+
+
+class LocalizedReplay(RecoveryProtocol):
+    """Log-based recovery (§7): the failed and interrupted-replay ranks restore
+    from the newest version, survivors replay the log under a cursor.
+
+    The log is truncated at every committed checkpoint, so only the *newest*
+    version and the log together describe the execution since it.  When that
+    version cannot serve a restoring rank, the log cannot bridge from an
+    older one: the plan is the coordinated rollback, flagged ``fallback``
+    (§3.2.3).
+    """
+
+    name = "localized"
+    needs_log = True
+
+    def plan(
+        self, manager: "RecoveryManager", failed: list[int], prior: frozenset[int]
+    ) -> RecoveryPlan:
+        store, log = _checkpointed(manager.store), manager.log
+        restoring = tuple(sorted(set(failed) | prior))
+        version = store.latest()
+        if (
+            log is None
+            or not log.retain_actions
+            or not all(store.available(version, r) for r in restoring)
+        ):
+            return _rollback_plan(store, manager.runtime.cluster.nprocs, fallback=True)
+        return RecoveryPlan("replay", restoring, version)
+
+
+class ContinueDegraded(RecoveryProtocol):
+    """Best-effort continuation (Moreno & Ofria): no rank restores, no
+    checkpoint is needed; the failed ranks are excised (:meth:`~repro.rma.
+    runtime.RmaRuntime.excise_rank`) and the survivors re-execute the
+    aborted step alone.  The result is *not* bit-identical to a failure-free
+    run — availability is traded for precision."""
+
+    name = "degraded"
+
+    def plan(
+        self, manager: "RecoveryManager", failed: list[int], prior: frozenset[int]
+    ) -> RecoveryPlan:
+        return RecoveryPlan("degraded", (), None)
+
+
+#: Registry of constructable recovery protocols, by name.
+PROTOCOLS: dict[str, type[RecoveryProtocol]] = {
+    GlobalRollback.name: GlobalRollback,
+    LocalizedReplay.name: LocalizedReplay,
+    ContinueDegraded.name: ContinueDegraded,
+}
+register_kind("recovery", PROTOCOLS)
+
+
+def make_protocol(
+    spec: "str | RecoveryProtocol | None",
+    *,
+    error: type[Exception] = RecoveryError,
+) -> RecoveryProtocol:
+    """Resolve a protocol specification into a fresh (or given) instance.
+
+    ``None`` means the default (``"global"``); a string is looked up in
+    :data:`PROTOCOLS` (an unknown name raises ``error`` listing the
+    registered choices); a :class:`RecoveryProtocol` instance passes through.
+    """
+    return resolve_component(
+        "recovery", spec, PROTOCOLS, RecoveryProtocol, error,
+        default=GlobalRollback.name,
+    )
+
+
+def respawn_ranks(runtime: "RmaRuntime", ranks: list[int]) -> None:
+    """Respawn ``ranks``: fresh processes, reallocated buffers (§4.3)."""
+    for rank in ranks:
+        runtime.cluster.respawn_rank(rank)
+        # Through the backend hook (not the registry directly): storage
+        # ownership lives with the backend, and a custom one may rebuild
+        # per-rank state of its own on respawn.
+        runtime.backend.reallocate_rank(rank)
+        runtime.notify_respawn(rank)
+
+
+def restore_rank(
+    runtime: "RmaRuntime", store: CheckpointStore, version: CheckpointVersion, rank: int
+) -> RestorePayload:
+    """Restore one rank's windows from ``version``, charging the cost."""
+    payload = store.fetch(version, rank)
+    if payload is None:  # pragma: no cover - callers check availability
+        raise CatastrophicFailure(f"no surviving copy for rank {rank}")
+    cluster = runtime.cluster
+    for name, data in payload.windows.items():
+        runtime.windows.get(name).restore(rank, data)
+    cluster.advance(rank, payload.seconds, kind="protocol")
+    for peer in payload.peers:
+        cluster.advance(peer, payload.seconds, kind="protocol")
+    cluster.metrics.incr("ft.restored_bytes", payload.nbytes, rank=rank)
+    return payload
+
+
+def _unserved(store: CheckpointStore, failed: list[int], plan: RecoveryPlan) -> str:
+    """The message of a rollback no stored version can serve: the newest
+    version's tag and the restoring ranks it holds no copy for."""
+    newest = store.latest()
+    lost = [r for r in plan.restoring if not store.available(newest, r)]
+    return (
+        f"ranks {failed} failed and no stored checkpoint retains a copy for "
+        f"every rank; the newest (tag {newest.tag}) has none for ranks {lost}; "
+        f"the job must restart"
+    )
 
 
 class RecoveryManager:
-    """Binds a runtime, a checkpointer and a recovery protocol strategy."""
+    """Runs the one recovery procedure over a runtime, a checkpointer and a rule."""
 
     def __init__(
         self,
@@ -42,35 +280,111 @@ class RecoveryManager:
     @property
     def store(self) -> CheckpointStore:
         """The checkpoint store recovery restores from."""
-        if self.checkpointer is None:
-            raise RecoveryError(
-                "the fault-tolerance stack was uninstalled; this manager is detached"
-            )
-        return self.checkpointer.store
+        return self._attached().store
 
     @property
     def log(self) -> ActionLog | None:
         """The put/get log, if the stack keeps one."""
+        return self._attached().log
+
+    def _attached(self) -> CoordinatedCheckpointer:
         if self.checkpointer is None:
             raise RecoveryError(
                 "the fault-tolerance stack was uninstalled; this manager is detached"
             )
-        return self.checkpointer.log
+        return self.checkpointer
 
     # ------------------------------------------------------------------
     def recover(self) -> RecoveryOutcome:
-        """Recover all currently failed ranks via the configured protocol.
+        """Recover all currently failed ranks as the configured rule plans it.
 
-        Returns the protocol's :class:`~repro.ft.protocols.RecoveryOutcome`
-        (``outcome.tag`` is the restored checkpoint tag for rollback/replay
-        protocols).  Raises whatever the protocol raises — see
-        :meth:`~repro.ft.protocols.RecoveryProtocol.recover`.
+        Raises :class:`~repro.errors.RecoveryError` when no rank is failed,
+        the rule's prerequisites are unmet or the manager is detached, and
+        :class:`~repro.errors.CatastrophicFailure` when no stored version can
+        serve a rollback or no rank is left to continue a degraded job.
         """
-        if self.runtime is None:
-            raise RecoveryError(
-                "the fault-tolerance stack was uninstalled; this manager is detached"
+        checkpointer = self._attached()
+        runtime, store, log = self.runtime, checkpointer.store, checkpointer.log
+        cluster = runtime.cluster
+        # A failure can strike *during* an earlier replay; its partially
+        # reconstructed ranks must be restored afresh along with the newly
+        # failed ones, under a fresh cursor over the (unchanged) log.
+        interrupted = runtime.end_replay()
+        runtime.observe_failures()
+        failed = [r for r in cluster.failed_ranks() if r not in runtime.excised]
+        if not failed:
+            raise RecoveryError("recover() called but no rank is failed")
+        prior = interrupted.restoring if interrupted is not None else frozenset()
+        plan = self.protocol.plan(self, failed, prior)
+        kind, version, restoring = plan.kind, plan.version, plan.restoring
+        if plan.fallback:
+            cluster.metrics.incr("ft.recovery_fallbacks")
+        degraded, replay = kind == "degraded", kind == "replay"
+        if degraded and runtime.excised | set(failed) >= set(range(cluster.nprocs)):
+            raise CatastrophicFailure(
+                f"ranks {failed} failed and every other rank is already excised; "
+                f"no rank is left to continue the job"
             )
-        return self.protocol.recover(self)
+        if not degraded and version is None:
+            raise CatastrophicFailure(_unserved(store, failed, plan))
+        # Operations issued after the checkpoint but never completed are part
+        # of the execution being undone (or re-executed): drop them from the
+        # backend's queues (and poison their handles) before restoring, or a
+        # later flush would apply them on top of the restored windows.
+        runtime.discard_pending()
+        if replay and interrupted is not None:
+            # The interrupted replay left survivor windows as scratch space;
+            # put their crash-time contents back before snapshotting anew.
+            interrupted.restore_survivors(runtime)
+        announced = restoring if replay else failed
+        runtime.interceptors.on_recovery_start(announced, localized=replay)
+        respawned = [] if degraded else failed
+        respawn_ranks(runtime, respawned)
+        for rank in failed if degraded else ():
+            runtime.excise_rank(rank)
+        if kind == "rollback":
+            # Survivors roll back with everyone: windows *and* Eq. (1) state.
+            runtime.counters.restore(version.counter_states)
+        else:
+            # Survivors keep their state, but locks acquired inside the
+            # aborted step would wedge its re-execution: release them.
+            runtime.counters.release_locks()
+        restored_bytes = 0
+        for rank in restoring:
+            restored_bytes += restore_rank(runtime, store, version, rank).nbytes
+        if kind == "rollback" and log is not None:
+            # The rolled-back actions' log entries describe execution that is
+            # being undone; the restored checkpoint starts with an empty log.
+            log.truncate()
+        runtime.interceptors.on_recovery_complete(announced)
+        if replay:
+            # Install the cursor *before* the closing barrier: if the barrier
+            # observes yet another failure, the retry finds the cursor active
+            # and folds its restoring set into the next attempt.
+            snapshot = {
+                rank: {win.name: win.snapshot(rank) for win in runtime.windows.all()}
+                for rank in range(cluster.nprocs)
+                if rank not in restoring
+            }
+            runtime.begin_replay(ReplayCursor(
+                list(log.actions), set(restoring),
+                partial_start=log.last_mark(), survivor_snapshot=snapshot,
+            ))
+        cluster.barrier()
+        cluster.metrics.incr("ft.recoveries")
+        if kind != "rollback":
+            counter = "ft.localized_recoveries" if replay else "ft.degraded_continuations"
+            cluster.metrics.incr(counter)
+        for rank in respawned:
+            cluster.metrics.incr("ft.recovered_ranks", rank=rank)
+        return RecoveryOutcome(
+            kind=kind,
+            tag=None if version is None else version.tag,
+            failed=tuple(failed),
+            restored_bytes=restored_bytes,
+            protocol=self.protocol.name,
+            fallback=plan.fallback,
+        )
 
     def detach(self) -> None:
         """Drop the live runtime/checkpointer references (stack uninstalled).

@@ -5,7 +5,7 @@ Hand-wiring the ftRMA protocol takes four objects in the right order: an
 :class:`~repro.ft.stores.CheckpointStore` placement strategy, a
 :class:`~repro.ft.checkpoint.CoordinatedCheckpointer` registered *after* the
 log, and a :class:`~repro.ft.recovery.RecoveryManager` bound to both plus a
-:class:`~repro.ft.protocols.RecoveryProtocol` strategy.
+:class:`~repro.ft.recovery.RecoveryProtocol` rule.
 :func:`build_ft_stack` performs that wiring once, from plain keyword
 parameters, so higher layers (notably the declarative
 :class:`~repro.api.policy.FaultTolerancePolicy` of :mod:`repro.api`) can
@@ -23,8 +23,13 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ProcessFailedError
 from repro.ft.checkpoint import ActionLog, CoordinatedCheckpointer
-from repro.ft.protocols import RecoveryProtocol, make_protocol
-from repro.ft.recovery import RecoveryManager
+from repro.ft.recovery import (
+    RecoveryManager,
+    RecoveryProtocol,
+    make_protocol,
+    respawn_ranks,
+    restore_rank,
+)
 from repro.ft.stores import CheckpointStore, make_store
 from repro.qos.delivery import DeliveryMode, make_delivery
 
@@ -132,14 +137,14 @@ class FtStack:
             return
         store = self.store
         runtime.quiesce_suspended()
-        RecoveryProtocol._respawn(runtime, suspended)
+        respawn_ranks(runtime, suspended)
         for rank in suspended:
             version = next(
                 (v for v in reversed(store.versions) if store.available(v, rank)),
                 None,
             )
             if version is not None:
-                RecoveryProtocol._restore_rank(runtime, store, version, rank)
+                restore_rank(runtime, store, version, rank)
             self.delivery.count("repairs", rank)
 
     def uninstall(self, runtime: "RmaRuntime") -> None:
@@ -191,7 +196,7 @@ def build_ft_stack(
         Whether to install the put/get :class:`ActionLog`.  Forced on when
         ``demand_threshold_bytes`` is set (the threshold is measured on the
         log) or when the recovery protocol is the log-based
-        :class:`~repro.ft.protocols.LocalizedReplay` (the log is what it
+        :class:`~repro.ft.recovery.LocalizedReplay` (the log is what it
         replays).
     store:
         Checkpoint placement: ``"memory"`` (default; local + buddy copies),
@@ -199,11 +204,11 @@ def build_ft_stack(
         t-aware groups), ``"multilevel"`` (upper levels mirrored every n-th
         checkpoint), or a ready :class:`~repro.ft.stores.CheckpointStore`.
     recovery:
-        Recovery strategy: ``"global"`` (default; coordinated rollback of
+        Recovery rule: ``"global"`` (default; coordinated rollback of
         every rank), ``"localized"`` (restore only the failed ranks, replay
         the log), ``"degraded"`` (excise failed ranks, continue
         best-effort), or a ready
-        :class:`~repro.ft.protocols.RecoveryProtocol` instance.
+        :class:`~repro.ft.recovery.RecoveryProtocol` instance.
     delivery:
         Delivery mode under failure: ``"reliable"`` (default; any touch of a
         failed rank raises and a recovery protocol runs), ``"best_effort"``

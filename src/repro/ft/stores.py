@@ -37,7 +37,7 @@ The buddy copy and the parity stripe are priced and counted, never built.
 
 Stores are resolved by name through :data:`STORES` (the same convention as
 ``backend="sim"|"vector"``) and are orthogonal to the
-:class:`~repro.ft.protocols.RecoveryProtocol` restoring from them.
+:class:`~repro.ft.recovery.RecoveryProtocol` rules restoring from them.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ _KINDS: dict[str, dict[str, object]] = {}
 _BUILTIN_KIND_MODULES = {
     "backend": ("repro.backends.proc",),
     "store": ("repro.ft.stores",),
-    "recovery": ("repro.ft.protocols",),
+    "recovery": ("repro.ft.recovery",),
     "workload": ("repro.study.workloads", "repro.serve.service"),
     "scenario": ("repro.chaos.scenarios",),
     "delivery": ("repro.qos.delivery",),

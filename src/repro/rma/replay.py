@@ -142,11 +142,6 @@ class ReplayCursor:
         """Whether every logged action has been matched by the re-execution."""
         return self._full.remaining == 0 and self._partial.remaining == 0
 
-    @property
-    def remaining(self) -> int:
-        """Logged actions not yet matched."""
-        return self._full.remaining + self._partial.remaining
-
     def consume(self, action: CommAction) -> CommAction | None:
         """Match an issued action against the active phase's logged queue.
 
@@ -207,6 +202,6 @@ class ReplayCursor:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ReplayCursor(remaining={self.remaining}, "
+            f"ReplayCursor(exhausted={self.exhausted}, "
             f"restoring={sorted(self.restoring)})"
         )

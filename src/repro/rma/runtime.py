@@ -588,7 +588,7 @@ class RmaRuntime:
     def notify_respawn(self, rank: int) -> None:
         """Tell the runtime a replacement process took over ``rank``.
 
-        Called by the recovery path (:mod:`repro.ft.recovery`) after the
+        Called by :func:`~repro.ft.recovery.respawn_ranks` after the
         cluster respawned the rank: resets the rank's counter record,
         gives the backend a chance to provide a fresh execution vehicle (a new
         worker process on the ``proc`` backend) and notifies interceptors.
@@ -660,8 +660,8 @@ class RmaRuntime:
     def begin_replay(self, cursor: ReplayCursor) -> None:
         """Enter replay mode: issued actions matching ``cursor`` are suppressed.
 
-        Installed by :class:`~repro.ft.protocols.LocalizedReplay` after it
-        restored the failed ranks; the deterministic re-execution then drains
+        Installed by a ``"replay"`` recovery (:mod:`repro.ft.recovery`) after
+        it restored the failed ranks; the deterministic re-execution drains
         the cursor and the runtime drops back to normal execution by itself.
         """
         if cursor.exhausted:
@@ -699,7 +699,7 @@ class RmaRuntime:
         The rank is *not* respawned: its window buffers are reallocated to
         zeros so survivors' reads observe a defined value, operations
         targeting it are silently dropped, and the scheduler skips its
-        kernels.  Used by :class:`~repro.ft.protocols.ContinueDegraded`.
+        kernels.  Used by a ``"degraded"`` recovery (:mod:`repro.ft.recovery`).
         """
         if self.cluster.is_alive(rank):
             raise ProcessFailedError(rank, f"rank {rank} is alive; cannot excise it")

@@ -199,6 +199,23 @@ def test_losing_rank_and_its_buddy_is_catastrophic():
         recovery.recover()
 
 
+def test_catastrophe_names_the_newest_tag_and_the_ranks_it_cannot_serve():
+    # Rank 0 and its buddy 2 die: 2's copy survives on its own buddy, so only
+    # rank 0 is unserved by the newest version.
+    runtime, checkpointer, recovery = _ft_runtime()
+    runtime.win_allocate("w", 4)
+    checkpointer.checkpoint(tag=0)
+    assert checkpointer.buddies[0] == 2
+    runtime.cluster.fail_rank(0)
+    runtime.cluster.fail_rank(2)
+    runtime.observe_failures()
+    with pytest.raises(
+        CatastrophicFailure,
+        match=r"^ranks \[0, 2\] failed .*the newest \(tag 0\) has none for ranks \[0\];",
+    ):
+        recovery.recover()
+
+
 def test_action_log_drives_demand_checkpoints():
     log = ActionLog()
     runtime, checkpointer, _ = _ft_runtime(log=log, demand_threshold_bytes=64)

@@ -11,6 +11,7 @@ from repro.ft import (
     ContinueDegraded,
     GlobalRollback,
     LocalizedReplay,
+    RecoveryOutcome,
     build_ft_stack,
     make_protocol,
 )
@@ -177,6 +178,30 @@ def test_localized_falls_back_to_global_rollback_when_copies_lost():
     with pytest.raises(CatastrophicFailure):
         stack.recovery.recover()
     assert runtime.cluster.metrics.get("ft.recovery_fallbacks") == 1
+
+
+def test_localized_fallback_recovers_from_an_older_version():
+    # The newest multilevel version holds no copy of rank 0 once it dies with
+    # its buddy, so the log cannot bridge: the fallback rolls every rank back
+    # to tag 1, the newest version usable for all, and the job lives on.
+    runtime = _runtime()
+    stack = build_ft_stack(runtime, store="multilevel", recovery="localized")
+    runtime.win_allocate("w", 4)
+    for tag in range(3):
+        for rank in range(8):
+            runtime.local(rank, "w")[:] = 10.0 * tag + rank
+        stack.checkpointer.checkpoint(tag=tag)
+    runtime.cluster.fail_rank(0)
+    runtime.cluster.fail_rank(stack.checkpointer.buddies[0])
+    runtime.observe_failures()
+    outcome = stack.recovery.recover()
+    assert outcome == RecoveryOutcome(
+        kind="rollback", tag=1, failed=(0, 2), restored_bytes=256,
+        protocol="localized", fallback=True,
+    )
+    assert runtime.cluster.metrics.get("ft.recovery_fallbacks") == 1
+    for rank in range(8):
+        assert np.array_equal(runtime.local(rank, "w"), np.full(4, 10.0 + rank))
 
 
 def test_localized_with_disk_store_survives_rank_and_buddy_loss():
