@@ -1,7 +1,10 @@
 """The deterministic cooperative scheduler driving SPMD kernels.
 
 One driver thread executes all ranks.  For each job step the scheduler calls
-``kernel(ctx, step)`` for every alive rank, in ascending rank order:
+``kernel(ctx, step)`` for every alive rank the runtime lets run
+(:attr:`~repro.rma.runtime.RmaRuntime.replay_running`: while a localized
+replay re-executes fully-completed steps, only the restoring ranks), in
+ascending rank order:
 
 * a **plain function** runs to completion immediately — fine for kernels
   whose per-rank bodies are independent within a step (atomics, puts into
@@ -63,12 +66,13 @@ class CooperativeScheduler:
         """
         active: list[tuple[RankContext, Generator]] = []
         excised = self.runtime.excised
+        running = self.runtime.replay_running
         try:
             for ctx in self.contexts:
-                if ctx.rank in excised:
+                if ctx.rank in excised or (running is not None and ctx.rank not in running):
                     # Ranks removed by a degraded continuation have no
                     # replacement process; the shrunk membership simply skips
-                    # them (best-effort mode).
+                    # them (best-effort mode).  Survivors wait out a replay.
                     continue
                 try:
                     result = kernel(ctx, step)

@@ -327,23 +327,18 @@ class Job:
                     finally:
                         # A local view lives until its step ends, FT or not.
                         runtime.windows.seal()
-                    # The step ends twice: once when the kernels have finished
-                    # (their local stores are in), and once more after the
-                    # step-closing sync (which may complete — and log — the
-                    # step's outstanding nonblocking operations).  A crash inside
-                    # that sync thus finds the log marked *after* the kernels'
-                    # local work, so a localized replay never re-applies it.
-                    if ft is not None:
-                        ft.end_step()
                     if self.sync_each_step:
-                        runtime.gsync()
+                        # A crash inside the closing sync finds the kernels'
+                        # work marked done: only the failed ranks redo it.
                         if ft is not None:
-                            ft.end_step()
+                            ft.end_step(kernels_only=True)
+                        runtime.gsync()
                     # Under a tolerant delivery mode, ranks that failed during
                     # the step were merely suspended; repair them now so the
                     # next step starts at full membership (and the job never
                     # ends with invalidated window buffers).
                     if ft is not None:
+                        ft.end_step()
                         ft.repair()
                     step += 1
                     self._steps_executed += 1

@@ -248,22 +248,13 @@ class Backend(abc.ABC):
         """Targets of ``src``'s outstanding operations, in first-issue order."""
         return list(dict.fromkeys(op.trg for op in self._pending[src]))
 
-    def discard_pending(self) -> list[CommAction]:
-        """Drop every outstanding operation without applying it (rollback).
-
-        Returns the discarded records so the runtime can poison them.  None
-        of them ever touched window memory, so there is nothing to roll back.
-        """
-        dropped = [op for queue in self._pending for op in queue]
-        self._pending = [[] for _ in self._pending]
-        return dropped
-
     def discard_rank(self, src: int) -> list[CommAction]:
         """Drop every outstanding operation of origin ``src``, effect-free.
 
-        Used by failure-tolerant delivery modes (:mod:`repro.qos`): a
-        suspended rank's in-flight queue is abandoned without application
-        (on ``proc`` it was never shipped to the now dead worker).
+        Returns the discarded records so the runtime can poison them: a
+        recovery's discard, or a failure-tolerant delivery mode (:mod:`repro.qos`)
+        abandoning a suspended rank's in-flight queue (on ``proc`` it was never
+        shipped to the now dead worker).  None of them ever touched window memory.
         """
         dropped, self._pending[src] = self._pending[src], []
         return dropped

@@ -17,6 +17,7 @@ their flags, their specs and their gate functions.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import sys
@@ -41,8 +42,19 @@ def csv(value: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in value.split(",") if item.strip())
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Help whose ``%(default)s`` prints a tuple as the comma list its flag takes."""
+
+    def _expand_help(self, action: argparse.Action) -> str:
+        if isinstance(action.default, tuple):
+            action = copy.copy(action)
+            action.default = ",".join(map(str, action.default))
+        return super()._expand_help(action)
+
+
 def add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    """The flags every engine answers identically (``--seed``'s default is the spec's)."""
+    """The flags every engine answers identically, and its help format."""
+    parser.formatter_class = _HelpFormatter
     parser.add_argument(
         "--list", action="store_true",
         help="print every registered component of every kind and exit",

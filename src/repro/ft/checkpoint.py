@@ -83,10 +83,12 @@ class ActionLog(RmaInterceptor):
         self._dirty: dict[tuple[int, str], list[tuple[int, int]]] = defaultdict(list)
         #: Completed actions since the last truncation, in completion order.
         self.actions: list[CommAction] = []
-        #: Positions into :attr:`actions` marking completed job-step
-        #: boundaries (recorded by ``FtStack.end_step``); everything past the last
-        #: marker is the partial work of a step a crash aborted.
+        #: Positions into :attr:`actions`, one per ``FtStack.end_step``: after a
+        #: step's kernels when a step-closing sync follows, and after the step;
+        #: everything past the last one is the partial work a crash aborted.
         self.step_marks: list[int] = []
+        #: Whether the last mark closed only a step's kernels, not its sync.
+        self.in_closing_sync = False
         #: While a localized recovery runs, respawns must not clear the log —
         #: it is exactly what reconstructs the restored ranks' windows.
         self._preserve_on_respawn = False
@@ -125,14 +127,10 @@ class ActionLog(RmaInterceptor):
         self.actions = [a for a in self.actions if a.src != rank]
         self.step_marks = [m for m in self.step_marks if m <= len(self.actions)]
 
-    def mark_step(self) -> None:
-        """Record a completed job-step boundary (called by ``FtStack.end_step``)."""
-        if not self.step_marks or self.step_marks[-1] != len(self.actions):
-            self.step_marks.append(len(self.actions))
-
-    def last_mark(self) -> int:
-        """Log position of the last completed step boundary (0 if none)."""
-        return self.step_marks[-1] if self.step_marks else 0
+    def mark_step(self, *, kernels_only: bool = False) -> None:
+        """Record the end of a job step, or of its kernels (``FtStack.end_step``)."""
+        self.step_marks.append(len(self.actions))
+        self.in_closing_sync = kernels_only
 
     def max_logged_bytes(self) -> int:
         """Largest per-rank logged volume since the last truncation."""
@@ -147,6 +145,7 @@ class ActionLog(RmaInterceptor):
         self.bytes_logged.clear()
         self.actions.clear()
         self.step_marks.clear()
+        self.in_closing_sync = False
         self._dirty.clear()
 
 

@@ -11,9 +11,9 @@ and what the survivors do:
   (§4.2–§4.3): **every** rank restores from the newest checkpoint usable for
   all; survivors lose their post-checkpoint progress.
 * :class:`LocalizedReplay` (``"localized"``) — log-based recovery (§7): only
-  the failed ranks (and those an interrupted replay was rebuilding) restore;
-  survivors keep their state while the re-execution runs under a
-  :class:`~repro.rma.replay.ReplayCursor` over the put/get log, so strictly
+  the failed ranks (and those an interrupted replay was rebuilding) restore
+  and re-execute under a :class:`~repro.rma.replay.ReplayCursor` over the
+  put/get log while the survivors keep their state and wait, so strictly
   fewer bytes move.  When the log cannot bridge, the rule falls back to the
   coordinated checkpoint (§3.2.3): the same recovery with every rank in the
   restoring set.
@@ -88,7 +88,7 @@ class RecoveryPlan:
 
     ``kind`` is the survivor mode and becomes the outcome's kind:
     ``"rollback"`` (survivors restore too — ``restoring`` is every rank),
-    ``"replay"`` (survivors keep their state under a replay cursor) or
+    ``"replay"`` (survivors keep their state and wait out a replay) or
     ``"degraded"`` (nobody restores; the failed ranks are excised).
     ``version`` is ``None`` for ``"degraded"``, and for a rollback no stored
     version can serve.
@@ -155,7 +155,7 @@ class GlobalRollback(RecoveryProtocol):
 
 class LocalizedReplay(RecoveryProtocol):
     """Log-based recovery (§7): the failed and interrupted-replay ranks restore
-    from the newest version, survivors replay the log under a cursor.
+    from the newest version and re-execute under a cursor; survivors wait.
 
     The log is truncated at every committed checkpoint, so only the *newest*
     version and the log together describe the execution since it.  When that
@@ -307,8 +307,8 @@ class RecoveryManager:
         runtime, store, log = self.runtime, checkpointer.store, checkpointer.log
         cluster = runtime.cluster
         # A failure can strike *during* an earlier replay; its partially
-        # reconstructed ranks must be restored afresh along with the newly
-        # failed ones, under a fresh cursor over the (unchanged) log.
+        # reconstructed ranks restore afresh along with the newly failed ones,
+        # under a fresh cursor over the log.
         interrupted = runtime.end_replay()
         runtime.observe_failures()
         failed = [r for r in cluster.failed_ranks() if r not in runtime.excised]
@@ -330,12 +330,11 @@ class RecoveryManager:
         # Operations issued after the checkpoint but never completed are part
         # of the execution being undone (or re-executed): drop them from the
         # backend's queues (and poison their handles) before restoring, or a
-        # later flush would apply them on top of the restored windows.
-        runtime.discard_pending()
-        if replay and interrupted is not None:
-            # The interrupted replay left survivor windows as scratch space;
-            # put their crash-time contents back before snapshotting anew.
-            interrupted.restore_survivors(runtime)
+        # later flush would apply them on top of the restored windows.  A crash
+        # in a step-closing sync found every kernel finished: survivors do not
+        # re-execute that step, their operations complete at the re-joined sync.
+        closing = replay and log.in_closing_sync
+        runtime.discard_pending(restoring if closing else None)
         announced = restoring if replay else failed
         runtime.interceptors.on_recovery_start(announced, localized=replay)
         respawned = [] if degraded else failed
@@ -347,8 +346,11 @@ class RecoveryManager:
             runtime.counters.restore(version.counter_states)
         else:
             # Survivors keep their state, but locks acquired inside the
-            # aborted step would wedge its re-execution: release them.
+            # aborted step would wedge its re-execution: release them.  A
+            # restoring rank re-executes from the checkpoint, record and all.
             runtime.counters.release_locks()
+            for rank in restoring:
+                runtime.counters.records[rank] = version.counter_states[rank].copy()
         restored_bytes = 0
         for rank in restoring:
             restored_bytes += restore_rank(runtime, store, version, rank).nbytes
@@ -361,14 +363,11 @@ class RecoveryManager:
             # Install the cursor *before* the closing barrier: if the barrier
             # observes yet another failure, the retry finds the cursor active
             # and folds its restoring set into the next attempt.
-            snapshot = {
-                rank: {win.name: win.snapshot(rank) for win in runtime.windows.all()}
-                for rank in range(cluster.nprocs)
-                if rank not in restoring
-            }
+            # The gsyncs the survivors joined since the checkpoint: their GNC's lead.
+            gnc = [own.gnc for own in version.counter_states]
+            ahead = [own.gnc - gnc[r] for r, own in enumerate(runtime.counters.records)]
             runtime.begin_replay(ReplayCursor(
-                list(log.actions), set(restoring),
-                partial_start=log.last_mark(), survivor_snapshot=snapshot,
+                list(log.actions), set(restoring), log.step_marks, gnc, max(ahead), closing
             ))
         cluster.barrier()
         cluster.metrics.incr("ft.recoveries")

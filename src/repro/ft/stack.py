@@ -13,7 +13,7 @@ install the whole protocol with one call.
 
 The :class:`FtStack` also owns the job-step boundary: the session's one loop
 calls :meth:`~FtStack.begin_step` before the kernels, :meth:`~FtStack.end_step`
-after them and after the closing sync, and :meth:`~FtStack.repair` last.
+after them and after the step-closing sync, and :meth:`~FtStack.repair` last.
 """
 
 from __future__ import annotations
@@ -99,23 +99,16 @@ class FtStack:
                     raise
                 self.repair()
 
-    def end_step(self) -> None:
-        """Close a job step: advance an active replay, then mark the log.
-
-        Step boundaries anchor the localized-recovery machinery: during a
-        replay they advance the cursor's phases (and end replay mode once the
-        log has drained); in normal execution they mark the put/get log so a
-        later replay knows where the fully-completed steps end.
-        """
+    def end_step(self, *, kernels_only: bool = False) -> None:
+        """Close a job step — or, ``kernels_only``, its kernels, before the
+        step-closing sync: mark the put/get log, so a later replay knows what
+        completed — or, during a replay, advance the cursor past the boundary
+        (the log marks it already)."""
         runtime = self.checkpointer.runtime
-        runtime.replay_step_boundary()
-        # The boundary that *ends* a replay completes the crash-aborted step —
-        # a boundary the original execution never got to mark.  Record it now:
-        # without the mark, a later localized recovery would fold this step's
-        # actions into the partial phase of its cursor, restore the survivor
-        # snapshot one boundary too early and re-apply survivor-local work twice.
-        if not runtime.replaying and self.log is not None:
-            self.log.mark_step()
+        if runtime.replaying:
+            runtime.replay_step_boundary()
+        elif self.log is not None:
+            self.log.mark_step(kernels_only=kernels_only)
 
     def repair(self) -> None:
         """Repair suspended ranks in place (tolerant delivery modes only).

@@ -755,6 +755,9 @@ class _Level:
     seen: dict[tuple[int, str], int] = field(default_factory=dict)
     #: Captures performed (first is full, the rest incremental).
     captures: int = 0
+    #: The capture ``prepare`` placed, published by ``commit``: ``(rank ->
+    #: window -> slab, its newest placement the capture, stamps seen)``.
+    staged: tuple | None = None
 
 
 class MultiLevelStore(CheckpointStore):
@@ -856,21 +859,23 @@ class MultiLevelStore(CheckpointStore):
                     handle.slab.release(version.version)
         # Cadence counts *committed* checkpoints so that a retried attempt
         # (failure between the barriers) makes the same capture decision and
-        # the last attempt before the commit wins.
+        # the last attempt before the commit wins.  A capture is published in
+        # ``commit``: an aborted one leaves the mirrors and the dirty spans be
+        # (a retry adds its spans again, which merging absorbs).
         logged, slot = self._logged(), self._committed + 1
         for lvl in self.levels:
+            lvl.staged = None
             for key, spans in (logged or {}).items():
                 lvl.dirty.setdefault(key, []).extend(spans)
             if slot == 1 or slot % lvl.every == 0:
-                self._capture(lvl, version, snapshots, logged is not None)
+                self._capture(lvl, snapshots, logged is not None)
 
-    def _capture(
-        self, lvl: _Level, version: CheckpointVersion, snapshots: Snapshots, logged: bool
-    ) -> None:
+    def _capture(self, lvl: _Level, snapshots: Snapshots, logged: bool) -> None:
         cluster, slabs = self._runtime.cluster, self._chain._slabs
         writers, stamps = max(1, len(snapshots)), self._stamps(snapshots)
+        staged, seen = {}, {}
         for rank, windows in snapshots.items():
-            mirrors = lvl.mirrors.setdefault(rank, {})
+            mirrors, staged[rank] = lvl.mirrors.get(rank, {}), {}
             moved = full = 0
             for name, live in windows.items():
                 key = rank, name
@@ -878,7 +883,7 @@ class MultiLevelStore(CheckpointStore):
                 pinned, slab, stamp = mirrors.get(name), slabs[key], stamps[name][rank]
                 trusted = logged and lvl.seen.get(key) == stamp
                 if logged:
-                    lvl.seen[key] = stamp
+                    seen[key] = stamp
                 changed = live.size  # the first capture ships the whole slab
                 if pinned is not None:
                     spans = _merged(lvl.dirty.get(key, ()))  # sorts only past one span
@@ -891,7 +896,7 @@ class MultiLevelStore(CheckpointStore):
                         among = slab.since(pinned.k)
                         extra = _differ(live, slab.values(pinned.k, among), among)
                         changed += np.setdiff1d(extra, _indices(spans), assume_unique=True).size
-                mirrors[name] = slab.hold(lvl)  # a capture moves no host data
+                staged[rank][name] = slab  # a capture moves no host data
                 moved += changed * live.dtype.itemsize
             if lvl.kind == "disk":
                 seconds = cluster.costs.pfs_write(moved, concurrent_writers=writers)
@@ -900,14 +905,25 @@ class MultiLevelStore(CheckpointStore):
             cluster.metrics.incr("ft.multilevel_moved_bytes", moved, rank=rank)
             cluster.metrics.incr("ft.multilevel_full_bytes", full, rank=rank)
             self._account(rank, moved, lvl.kind, ((rank, seconds),), lvl.captures > 0)
-        # Drop mirrors of ranks excised since the previous capture.
-        for rank in [r for r in lvl.mirrors if r not in snapshots]:
-            del lvl.mirrors[rank]
-        lvl.dirty.clear()
-        lvl.captured_version = version.version
-        lvl.captures += 1
+        lvl.staged = staged, seen
 
     def commit(self, version: CheckpointVersion) -> CheckpointVersion:
+        for lvl in self.levels:
+            if lvl.staged is None:
+                continue
+            # Publish before the base evicts: pin each slab's newest placement
+            # (the one staged), drop the mirrors of ranks excised since the
+            # previous capture.  The version numbered in ``prepare`` is final.
+            staged, seen = lvl.staged
+            lvl.staged, lvl.mirrors = None, {}
+            for rank, slabs in staged.items():
+                held = lvl.mirrors[rank] = {}
+                for name, slab in slabs.items():
+                    held[name] = slab.hold(lvl)
+            lvl.seen.update(seen)
+            lvl.dirty.clear()
+            lvl.captured_version = version.version
+            lvl.captures += 1
         committed = super().commit(version)
         self._committed += 1
         captured = {lvl.captured_version for lvl in self.levels}

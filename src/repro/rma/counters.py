@@ -100,11 +100,14 @@ class CounterBoard:
         """Counters of ``rank``."""
         return self.records[rank]
 
-    def on_lock(self, src: int, trg: int, structure: str | None = None) -> None:
+    def on_lock(
+        self, src: int, trg: int, structure: str | None = None, fetch_only: bool = False
+    ) -> None:
         """Record ``src`` locking ``trg``.
 
         Performs the fetch-and-increment of ``SC_trg`` described in §4.1 C: the
-        value fetched is what ``src`` holds for its accesses to ``trg``.
+        value fetched is what ``src`` holds for its accesses to ``trg``.  With
+        ``fetch_only`` (a lock a localized replay takes again) it does not move.
         """
         own, target = self.records[src], self.records[trg]
         key = (trg, structure)
@@ -112,7 +115,7 @@ class CounterBoard:
             raise LockError(
                 f"rank {src} already holds lock {structure!r} on rank {trg}"
             )
-        target.sc_local += 1
+        target.sc_local += not fetch_only
         own.sc_held[trg] = own.held_locks[key] = target.sc_local
 
     def on_unlock(self, src: int, trg: int, structure: str | None = None) -> None:
@@ -124,26 +127,16 @@ class CounterBoard:
                 f"rank {src} does not hold lock {structure!r} on rank {trg}"
             ) from None
 
-    def on_gsync(self) -> None:
-        """Record a gsync: every process bumps its ``GNC`` and closes every epoch
-        (:meth:`ProcessCounters.close_all_epochs`, inline: no call per rank)."""
-        for own in self.records:
+    def on_gsync(self, ranks: frozenset[int] | None = None) -> None:
+        """Record a gsync: every process (of ``ranks``) bumps its ``GNC`` and closes
+        every epoch (:meth:`ProcessCounters.close_all_epochs`, inline: no call per rank)."""
+        for own in self.records if ranks is None else map(self.records.__getitem__, ranks):
             own.gnc += 1
             epochs, pending = own.epoch_of_target, own.pending_ops
             for trg in epochs:
                 epochs[trg] += 1
             for trg in pending:
                 pending[trg] = 0
-
-    def clear_pending(self) -> None:
-        """Zero every open epoch's operation count.
-
-        Used when issued-but-uncompleted operations are *discarded* by a
-        recovery rollback: the operations no longer exist, but the epochs they
-        were issued in stay open (no consistency action was performed).
-        """
-        for own in self.records:
-            own.pending_ops.clear()
 
     def release_locks(self) -> None:
         """Drop every lock any rank holds (crash-recovery release).

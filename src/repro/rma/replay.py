@@ -1,54 +1,53 @@
-"""Log-driven replay of a deterministic re-execution (§7, log-based recovery).
+"""Log-driven replay of a localized recovery (§7, log-based recovery).
 
-Localized recovery restores *only* the failed ranks from the checkpoint and
-keeps every survivor's state.  The job then re-executes its deterministic
-step loop from the checkpoint's step — but most of that re-execution already
-happened: every communication action that *completed* before the crash is in
-the put/get :class:`~repro.ft.checkpoint.ActionLog`, its effects are already
-part of the survivors' memory, and re-applying it would corrupt them (the
-paper's ``M`` flag problem for combining puts, §3.2.3).
+Localized recovery restores *only* the failed ranks — windows and Eq. (1)
+record — from the checkpoint; the survivors keep their state and wait
+(§4.2).  The job re-executes its deterministic step loop from the
+checkpoint's step under a :class:`ReplayCursor` over the put/get
+:class:`~repro.ft.checkpoint.ActionLog`, which holds every action that
+*completed* before the crash, in completion order, with a mark at the end of
+every job step and, before a step-closing sync, at the end of its kernels.
+The marks split the re-execution:
 
-A :class:`ReplayCursor` installed on the runtime solves this by *suppressing*
-re-issued actions that match the log:
+* the fully-completed steps run the restoring ranks' kernels only; every
+  collective still synchronises every live clock, so survivors wait;
+* the crash step runs every rank — a kernel is only re-entered at its start —
+  until the crash point, from where it is normal execution;
+* unless the crash struck the step's closing sync, after the kernels' mark:
+  then the step is one more the restoring ranks re-run alone, the survivors'
+  operations in flight at the crash stay queued (a replayed gsync completes
+  only the running ranks'), and the closing sync, which ends the replay,
+  completes them.
 
-* because the schedule is deterministic, a re-execution issues, per
-  ``(src, trg)`` pair, exactly the sequence of actions the log recorded for
-  that pair — the cursor matches each issued action against the head of its
-  pair's queue (payloads recomputed from divergent survivor state do not
-  matter: the *logged* action is what gets applied or served);
-* a matched **put-like** action is not executed again against survivors; if
-  its target is one of the *restoring* ranks, its logged operand is applied
-  directly to the restored window — this is the replay that reconstructs the
-  failed ranks' post-checkpoint state;
-* a matched **get-like** action is served its logged data, so the re-executed
-  program observes the values of the original execution even though survivor
-  windows have advanced past them.
+Each issued action is matched against the head of its ``(src, trg)`` pair's
+logged queue (a deterministic kernel re-issues, per pair, the sequence it
+completed; any other head is a divergence).  A matched action is not executed
+again: a get is served its logged data, and a restoring rank's put-like is
+re-applied with its logged operand when it targets a restoring rank (a
+survivor holds its effect already, §3.2.3).  A survivor's put-like towards a
+restoring rank is applied by the cursor's walk of the log: before a restoring
+rank's matched action, before an action the log does not hold (one past the
+crash point, which executes normally), at every collective and at every step
+boundary, the walk applies those logged before the restoring ranks' first
+unmatched action and issued in an epoch the re-execution has reached (their
+GNC tells).  For race-free kernels — a rank's local access to what another
+writes is separated from the write by a gsync or by an action of its own the
+log holds — that is the original order.  The crash point is reached when
+every logged action is matched and the survivors' gsyncs are re-joined.
 
-The cursor is *step-aligned*.  The log carries a marker per completed job
-step — ``FtStack.end_step`` records one when the kernels of a step have
-finished and another after the step-closing sync — splitting it into fully-completed
-steps and the partial work of the step the crash aborted.  While the full steps replay, survivors' windows are
-scratch space — their re-executed local stores write on top of post-crash
-state and produce garbage, but nothing reads it (gets are served from the
-log).  At the boundary where the full steps are drained, the survivors'
-windows are restored from the crash-time snapshot taken at recovery, which
-by construction is exactly their state at that boundary; the partial step
-then replays its completed prefix the same way and normal execution resumes
-seamlessly where the original left off.
+Eq. (1): until then a survivor's record stays at the crash point — its
+matched actions, syncs and re-joined gsyncs move nothing, and a lock on it
+fetches its ``SC`` without incrementing it — so every rank's GNC counts the
+gsyncs of one execution.
 
-Only the failed ranks perform real work during replay (their lost computation
-is re-executed for real); survivors merely re-derive values they already hold,
-so the runtime suppresses their compute charges — in a real system they would
-be waiting for the recovering processes (§4.2).
-
-Contract: replay is exact for deterministic kernels whose local window
-stores within a step precede any operation of that step that completes
-*later* than the stores (the shipped kernels and the session's step
-structure satisfy this by construction: completions happen at collectives
-and blocking calls, and the boundary markers bracket the kernels' local
-work).  A kernel that interleaves a local store *after* an operation that
-only completes at the step-closing sync would re-apply that store if the
-crash hit exactly that sync — prefer ``GlobalRollback`` for such kernels.
+Contract: replay is exact for deterministic, race-free kernels whose
+operations complete within their step and whose crash-step local stores give
+the same bytes when a survivor that re-runs the crash step makes them again
+on its crash-time windows — true when the crash precedes them (the stencil's
+update follows its gsync), when they do not read what they write, and moot
+when the crash struck the step-closing sync.  A survivor whose kernel had
+finished a step a crash then aborts mid-kernel re-runs it: prefer
+``GlobalRollback`` for a kernel that folds into its own window in place.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.rma.runtime import RmaRuntime
 
 __all__ = ["ReplayCursor", "replay_apply"]
-
-#: ``rank -> window -> data``: survivor window contents at crash time.
-SurvivorSnapshot = dict[int, dict[str, np.ndarray]]
 
 
 def replay_apply(logged: CommAction, win: Window) -> int:
@@ -93,115 +89,125 @@ def replay_apply(logged: CommAction, win: Window) -> int:
     return logged.nbytes
 
 
-class _PairQueues:
-    """Per-(src, trg) FIFO queues over a slice of the log."""
-
-    def __init__(self, actions: list[CommAction]) -> None:
-        self.queues: dict[tuple[int, int], deque[CommAction]] = {}
-        for action in actions:
-            self.queues.setdefault((action.src, action.trg), deque()).append(action)
-        self.remaining = len(actions)
-
-    def head(self, action: CommAction) -> CommAction | None:
-        queue = self.queues.get((action.src, action.trg))
-        return queue[0] if queue else None
-
-    def pop(self, action: CommAction) -> CommAction:
-        logged = self.queues[(action.src, action.trg)].popleft()
-        self.remaining -= 1
-        return logged
-
-
 class ReplayCursor:
-    """Step-aligned suppression state for one localized recovery."""
+    """The replay of one localized recovery (see the module docstring)."""
 
     def __init__(
-        self,
-        actions: list[CommAction],
-        restoring: set[int],
-        *,
-        partial_start: int | None = None,
-        survivor_snapshot: SurvivorSnapshot | None = None,
+        self, actions: list[CommAction], restoring: set[int], marks: list[int],
+        gnc: list[int], joined: int, closing: bool = False,
     ) -> None:
-        #: Ranks whose windows were restored from the checkpoint and are being
-        #: reconstructed by this replay.
+        #: Ranks restored from the checkpoint and reconstructed by this replay.
         self.restoring = frozenset(restoring)
-        if partial_start is None:
-            partial_start = len(actions)
-        self._full = _PairQueues(actions[:partial_start])
-        self._partial = _PairQueues(actions[partial_start:])
-        self._snapshot: SurvivorSnapshot = survivor_snapshot or {}
-        # With no fully-completed steps to replay, survivor windows never
-        # become scratch space: the partial phase is live immediately.
-        self._partial_active = self._full.remaining == 0
-        self._survivors_restored = self._full.remaining == 0
+        #: Log marks left to cross before the crash step: one per fully-completed
+        #: step, one more per closing sync, and the crash step's kernels' own
+        #: when ``closing`` (the crash struck its closing sync).
+        self.marks_left = len(marks)
+        # Survivors re-run the crash step unless its kernels had all finished.
+        crash_step = len(actions) if closing else marks[-1] if marks else 0
+        self._log, self._gnc = actions, gnc  # ``gnc``: every rank's at the checkpoint
+        self._epoch, self._joined = 0, joined  # gsyncs replayed / survivors joined
+        #: Log positions the re-execution will issue, per ``(src, trg)`` pair:
+        #: the restoring ranks' (whose heads bound the walk), the crash step's.
+        self._queues: dict[tuple[int, int], deque[int]] = {}
+        for i, action in enumerate(actions):
+            if action.src in self.restoring or i >= crash_step:
+                self._queues.setdefault((action.src, action.trg), deque()).append(i)
+        self._own = [q for (src, _), q in self._queues.items() if src in self.restoring]
+        self._left = sum(map(len, self._queues.values()))
+        self._walked = 0  # log prefix the walk has passed
 
-    # ------------------------------------------------------------------
     @property
     def exhausted(self) -> bool:
-        """Whether every logged action has been matched by the re-execution."""
-        return self._full.remaining == 0 and self._partial.remaining == 0
+        """Whether the re-execution reached the crash point (or there is none)."""
+        return self.marks_left == 0 and self._left == 0 and self._epoch >= self._joined
 
-    def consume(self, action: CommAction) -> CommAction | None:
-        """Match an issued action against the active phase's logged queue.
+    @property
+    def running(self) -> frozenset[int] | None:
+        """The ranks whose kernels run: the restoring set through the steps
+        they re-run alone, ``None`` (every rank) in the crash step."""
+        return self.restoring if self.marks_left else None
 
-        Returns the logged twin to suppress against (``None`` when the pair's
-        queue is empty — the re-execution has passed the crash point for this
-        pair and the action must execute normally).  A non-empty queue whose
-        head does not match means the re-execution diverged from the original
-        schedule, which deterministic kernels cannot do: that is an error, not
-        a fallback.
-        """
-        phase = self._partial if self._partial_active else self._full
-        logged = phase.head(action)
-        if logged is None:
+    def consume(self, action: CommAction, runtime: "RmaRuntime") -> CommAction | None:
+        """The logged twin an issued action is suppressed against, or ``None``
+        when the log does not hold it; raises :class:`~repro.errors.RecoveryError`
+        on a divergence."""
+        queue = self._queues.get((action.src, action.trg))
+        if not queue:
+            self.walk(runtime)  # past the crash point: everything logged came first
             return None
-        if not self._matches(logged, action):
+        logged = self._log[queue[0]]
+        if not (
+            logged.kind is action.kind
+            and logged.window == action.window
+            and logged.offset == action.offset
+            and logged.count == action.count
+            and logged.op is action.op
+        ):
             raise RecoveryError(
                 f"replay diverged: re-execution issued {action.describe()} but "
                 f"the log recorded {logged.describe()} for this pair; localized "
                 f"recovery requires a deterministic kernel"
             )
-        return phase.pop(action)
+        if action.src in self.restoring:
+            self.walk(runtime)
+            if logged.kind.is_put_like and logged.trg in self.restoring:
+                self._apply(logged, runtime)
+        queue.popleft()
+        self._left -= 1
+        self._finish_if_exhausted(runtime)
+        return logged
 
-    # ------------------------------------------------------------------
-    def step_boundary(self, runtime: "RmaRuntime") -> bool:
-        """Advance the cursor's phase at a job-step boundary.
+    def walk(self, runtime: "RmaRuntime") -> None:
+        """Apply the survivors' put-likes towards restoring ranks that precede
+        the restoring ranks' first unmatched action, up to the current epoch."""
+        end = min((queue[0] for queue in self._own if queue), default=len(self._log))
+        log, restoring, gnc, epoch = self._log, self.restoring, self._gnc, self._epoch
+        for i in range(self._walked, end):
+            action = log[i]
+            if action.src in restoring:
+                continue
+            if action.GNC - gnc[action.src] > epoch:  # issued after this epoch
+                end = i
+                break
+            if action.trg in restoring and action.kind.is_put_like:
+                self._apply(action, runtime)
+        self._walked = max(self._walked, end)
 
-        Called by ``FtStack.end_step`` after each re-executed step.  Once the
-        fully-completed steps have drained, the survivors' windows — scratch
-        space until now — are restored from the crash-time snapshot (their
-        exact state at this boundary) and the partial crash step's queue
-        becomes active.  Returns ``True`` when the whole cursor is exhausted
-        and replay mode should end.
-        """
-        if self._full.remaining == 0 and not self._survivors_restored:
-            self.restore_survivors(runtime)
-            self._partial_active = True
-        return self.exhausted and self._survivors_restored
+    def gsync(self, runtime: "RmaRuntime") -> frozenset[int]:
+        """A replayed gsync, which the survivors joined already: apply what
+        completed by it, end its epoch; the ranks whose counters it moves (the
+        runtime completes only :attr:`running`'s operations)."""
+        self.walk(runtime)
+        self._epoch += 1
+        self._finish_if_exhausted(runtime)
+        return self.restoring
 
-    def restore_survivors(self, runtime: "RmaRuntime") -> None:
-        """Put the snapshotted survivor windows back (idempotent)."""
-        if self._survivors_restored:
-            return
-        self._survivors_restored = True
-        for rank, windows in self._snapshot.items():
-            for name, data in windows.items():
-                runtime.windows.get(name).restore(rank, data)
+    def step_boundary(self, runtime: "RmaRuntime") -> None:
+        """Cross a log mark (``FtStack.end_step``): the end of a fully-completed
+        step, of its kernels, or of the crash step's kernels."""
+        if not self.marks_left:
+            raise RecoveryError(
+                f"replay diverged: the re-executed crash step ended short of the "
+                f"crash point ({self._left} logged actions unissued); localized "
+                f"recovery requires a deterministic kernel"
+            )
+        self.walk(runtime)
+        self.marks_left -= 1
+        self._finish_if_exhausted(runtime)
 
-    # ------------------------------------------------------------------
+    def _finish_if_exhausted(self, runtime: "RmaRuntime") -> None:
+        if self.exhausted:  # apply what is left, leave replay mode
+            self.walk(runtime)
+            runtime.cluster.metrics.incr("ft.replays_completed")
+            runtime.end_replay()
+
     @staticmethod
-    def _matches(logged: CommAction, issued: CommAction) -> bool:
-        return (
-            logged.kind is issued.kind
-            and logged.window == issued.window
-            and logged.offset == issued.offset
-            and logged.count == issued.count
-            and logged.op is issued.op
-        )
+    def _apply(logged: CommAction, runtime: "RmaRuntime") -> None:
+        """Re-apply a logged put-like to its restoring target, charging the copy."""
+        nbytes = replay_apply(logged, runtime.windows.get(logged.window))
+        cluster = runtime.cluster
+        cluster.advance(logged.trg, cluster.costs.local_copy(nbytes), kind="protocol")
+        cluster.metrics.incr("ft.replayed_bytes", nbytes, rank=logged.trg)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ReplayCursor(exhausted={self.exhausted}, "
-            f"restoring={sorted(self.restoring)})"
-        )
+        return f"ReplayCursor({self.marks_left} marks left, restoring {sorted(self.restoring)})"

@@ -68,7 +68,7 @@ from repro.rma.actions import (
 from repro.rma.counters import CounterBoard
 from repro.rma.handles import OpHandle
 from repro.rma.interceptor import InterceptorChain, RmaInterceptor
-from repro.rma.replay import ReplayCursor, replay_apply
+from repro.rma.replay import ReplayCursor
 from repro.rma.window import Window, WindowRegistry
 from repro.simulator.cluster import Cluster
 
@@ -348,7 +348,9 @@ class RmaRuntime:
         Toward a rank suspended by a tolerant delivery mode the sync *drops*:
         there is no lock manager to talk to on dead hardware, no ``SC`` is
         consumed, and the caller proceeds against stale/zero data (counted as
-        ``qos.dropped_syncs``).
+        ``qos.dropped_syncs``).  During a localized replay a survivor's sync is
+        free, and ``SC_trg`` is fetched but not incremented at a survivor, whose
+        crash-time value counts the lock already (:mod:`repro.rma.replay`).
         """
         injector, n = self._injector, self.nprocs
         if self._vehicles or self._settled != injector.generation or self._noted_dead or (
@@ -356,14 +358,16 @@ class RmaRuntime:
             or self._clock_of[src].now >= injector.next_due
         ):
             trg = self._pre_sync(src, trg)
-        dropped = self._divert is not None and trg in self._members.suspended
+        divert = self._divert is not None
+        dropped = divert and trg in self._members.suspended
+        waits = divert and self._waits(src)
         if not dropped:
-            self.counters.on_lock(src, trg, structure)
+            self.counters.on_lock(src, trg, structure, divert and self._waits(trg))
         action = SyncAction.issued(_LOCK, src, trg, self._stamp(src, trg), structure)
         if dropped:
             self.delivery.count("dropped_syncs", src)
             return action
-        return self._issue_sync(action, cost=self._lock_price)
+        return action if waits else self._issue_sync(action, cost=self._lock_price)
 
     def unlock(self, src: int, trg: int, structure: str | None = None) -> SyncAction:
         """Release a lock on ``trg``; completes and closes the epoch (§2.2).
@@ -380,6 +384,7 @@ class RmaRuntime:
         ):
             trg = self._pre_sync(src, trg)
         dropped = self._divert is not None and trg in self._members.suspended
+        waits = self._divert is not None and self._waits(src)
         try:
             self.counters.on_unlock(src, trg, structure)
         except LockError:
@@ -393,6 +398,8 @@ class RmaRuntime:
             _UNLOCK, src, trg,
             (own.epoch_of_target[trg], own.gc, own.sc_held.get(trg, 0), own.gnc), structure,
         )
+        if waits:
+            return action
         if dropped:
             self.delivery.count("dropped_syncs", src)
         else:
@@ -414,6 +421,8 @@ class RmaRuntime:
             trg = self._pre_sync(src, trg)
         if self.backend._pending[src]:
             self._complete_pair(src, trg)
+        if self._divert is not None and self._waits(src):
+            return SyncAction.issued(_FLUSH, src, trg, self._stamp(src, trg))
         own = self._records[src]
         pending = own.pending_ops[trg]
         own.gc += 1
@@ -437,6 +446,8 @@ class RmaRuntime:
                 if trg in members.failed and trg not in members.suspended:
                     raise ProcessFailedError(trg)
         self._complete_rank(src)
+        if self._divert is not None and self._waits(src):
+            return SyncAction.issued(_FLUSH_ALL, src, None, self._stamp(src))
         own = self._records[src]
         pending = sum(own.pending_ops.values())
         own.gc += 1
@@ -457,7 +468,10 @@ class RmaRuntime:
         records = self._records
         if any([records[r].held_locks for r in self.cluster.alive_ranks()]):
             raise SynchronizationError("gsync while a lock is held")
-        for rank in range(self.nprocs):
+        replay = self._replay  # a waiting survivor's operations wait with it
+        running = None if replay is None else replay.running
+        moved = None if replay is None else replay.gsync(self)
+        for rank in range(self.nprocs) if running is None else sorted(running):
             self._complete_rank(rank)
         # A failure that fired *during* the completion loop (an injected kill
         # counts completions) must surface here — the collective's second
@@ -473,7 +487,7 @@ class RmaRuntime:
             )
         cost = self.cluster.costs.gsync(self.nprocs)
         self._collective_barrier(cost=cost)  # raises on failed participants
-        self.counters.on_gsync()
+        self.counters.on_gsync(moved)
         actions, interceptors = [], self.interceptors
         for rank in self.cluster.alive_ranks():  # each stamp built inline, as ``_issue``'s
             own = records[rank]
@@ -487,6 +501,8 @@ class RmaRuntime:
     def barrier(self) -> float:
         """Plain barrier (no window synchronization, no epoch effect)."""
         self._ensure_all_alive("barrier")
+        if self._replay is not None:
+            self._replay.walk(self)
         return self._collective_barrier()
 
     def _collective_barrier(self, cost: float | None = None) -> float:
@@ -516,11 +532,10 @@ class RmaRuntime:
     def compute(self, rank: int, flops: float) -> float:
         """Charge ``flops`` of application compute on ``rank``'s clock.
 
-        During a log-driven replay only the *restoring* ranks do real work
-        (their lost computation is re-executed); survivors merely re-derive
-        values they already hold, so their charge is suppressed — in a real
-        system they would be waiting for the recovering processes (§4.2).
-        ``advance`` (not an in-place charge) meets a caller's negative ``flops``.
+        During a log-driven replay only the *restoring* ranks do real work; a
+        survivor finishing the crash step re-derives values it already holds,
+        so its charge is suppressed (§4.2).  ``advance`` (not an in-place
+        charge) meets a caller's negative ``flops``.
         """
         if self._settled != self._injector.generation or not 0 <= rank < self.nprocs:
             self._require_alive(rank)
@@ -603,19 +618,23 @@ class RmaRuntime:
         """Issued-but-uncompleted nonblocking operations of ``src`` (or all)."""
         return self.backend.pending_ops(src)
 
-    def discard_pending(self) -> int:
-        """Drop every outstanding nonblocking operation (recovery rollback).
+    def discard_pending(self, ranks: tuple[int, ...] | None = None) -> int:
+        """Drop the outstanding nonblocking operations ``ranks`` issued (every
+        rank's by default: a recovery rollback).
 
         The dropped operations were issued after the checkpoint being restored
         and never completed, so no committed state reflects them; their
         handles are poisoned so a later ``result()`` raises instead of
-        reporting rolled-back data.  Returns the number of discarded ops.
+        reporting rolled-back data.  The epochs they were issued in stay open
+        with no operation counted.  Returns the number of discarded ops.
         """
-        discarded = self.backend.discard_pending()
-        for op in discarded:
-            op._discarded = True
-        self.counters.clear_pending()
-        return len(discarded)
+        discarded = 0
+        for rank in range(self.nprocs) if ranks is None else ranks:
+            for op in self.backend.discard_rank(rank):
+                op._discarded = True
+                discarded += 1
+            self._records[rank].pending_ops.clear()
+        return discarded
 
     def quiesce_suspended(self) -> None:
         """Drain in-flight operations involving suspended ranks, effect-free.
@@ -649,46 +668,36 @@ class RmaRuntime:
     def replay_restoring(self) -> frozenset[int]:
         """Ranks being reconstructed by the active replay (empty when none).
 
-        During a localized replay only these ranks perform real work;
-        survivors re-derive values they already hold.  Instrumented kernels
-        (e.g. the KV service's latency recorder) use this to keep survivors'
-        original measurements instead of overwriting them with replay-time
-        clocks.
-        """
+        Instrumented kernels (the KV service's latency recorder) use it to keep
+        the measurements a survivor made before the crash instead of
+        overwriting them with replay-time clocks."""
         return self._replay.restoring if self._replay is not None else frozenset()
 
-    def begin_replay(self, cursor: ReplayCursor) -> None:
-        """Enter replay mode: issued actions matching ``cursor`` are suppressed.
+    @property
+    def replay_running(self) -> frozenset[int] | None:
+        """The ranks whose kernels run (the scheduler asks): the restoring set
+        while a replay re-executes fully-completed steps, else ``None`` (all)."""
+        return None if self._replay is None else self._replay.running
 
-        Installed by a ``"replay"`` recovery (:mod:`repro.ft.recovery`) after
-        it restored the failed ranks; the deterministic re-execution drains
-        the cursor and the runtime drops back to normal execution by itself.
-        """
+    def begin_replay(self, cursor: ReplayCursor) -> None:
+        """Enter replay mode under ``cursor`` (installed by a ``"replay"``
+        recovery, :mod:`repro.ft.recovery`); it ends at the crash point."""
         if cursor.exhausted:
             return
         self._replay = cursor
         self._set_divert()
 
     def end_replay(self) -> ReplayCursor | None:
-        """Abort replay mode (a further failure interrupted it); return the cursor."""
+        """Leave replay mode (the crash point is reached, or a further failure
+        interrupted the replay); return the cursor."""
         cursor, self._replay = self._replay, None
         self._set_divert()
         return cursor
 
     def replay_step_boundary(self) -> None:
-        """Advance the replay across a job-step boundary (``FtStack.end_step``).
-
-        Step boundaries are where the cursor's phases align with the original
-        execution: the survivors' crash-time windows are restored once the
-        fully-completed steps have drained, and replay mode ends when the
-        partial crash step has drained too.
-        """
-        if self._replay is None:
-            return
-        if self._replay.step_boundary(self):
-            self._replay = None
-            self._set_divert()
-            self.cluster.metrics.incr("ft.replays_completed")
+        """Advance the replay past a fully-completed step (``FtStack.end_step``)."""
+        if self._replay is not None:
+            self._replay.step_boundary(self)
 
     # ------------------------------------------------------------------
     # Degraded continuation (best-effort mode)
@@ -736,10 +745,13 @@ class RmaRuntime:
             members = self._refresh_membership()
         return members
 
+    def _waits(self, rank: int) -> bool:
+        """Whether ``rank`` is a survivor of an active localized replay."""
+        return self._replay is not None and rank not in self._replay.restoring
+
     def _set_divert(self) -> None:
         """Re-derive :attr:`_divert`; called by the membership rebuild and by
-        the writers of :attr:`_replay` (:meth:`begin_replay`,
-        :meth:`end_replay`, :meth:`replay_step_boundary`)."""
+        the writers of :attr:`_replay` (:meth:`begin_replay`, :meth:`end_replay`)."""
         special = self.excised or self._members.suspended or self._replay is not None
         self._divert = self._divert_op if special else None
 
@@ -925,9 +937,8 @@ class RmaRuntime:
         * a target suspended by a tolerant delivery mode: the mode resolves
           the operation right here (drop or stale service);
         * an active :class:`~repro.rma.replay.ReplayCursor` matching the
-          action: it already happened before the crash — its logged effect
-          is re-applied only to restoring ranks' windows and logged get data
-          is served, so survivors are never touched twice.
+          action: it already happened before the crash — the cursor re-applies
+          it where a restoring rank needs it, and logged get data is served.
         """
         if action.trg in self.excised:
             if action.kind.is_get_like:
@@ -936,17 +947,11 @@ class RmaRuntime:
         elif action.trg in self._members.suspended:
             self.delivery.resolve(action, win, self)
         else:
-            logged = self._replay.consume(action) if self._replay is not None else None
+            logged = self._replay.consume(action, self) if self._replay is not None else None
             if logged is None:
                 return False
             if action.kind.is_get_like and logged._data is not None:
                 action._data = np.array(logged._data, copy=True)
-            if action.kind.is_put_like and logged.trg in self._replay.restoring:
-                nbytes = replay_apply(logged, win)
-                self.cluster.advance(
-                    logged.trg, self.cluster.costs.local_copy(nbytes), kind="protocol"
-                )
-                self.cluster.metrics.incr("ft.replayed_bytes", nbytes, rank=logged.trg)
         action._completed = True
         return True
 

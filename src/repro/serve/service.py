@@ -17,12 +17,11 @@ Recording has to survive the recovery protocols without lying:
   — which is the truth: the client's response was lost with the rollback and
   only the re-execution's answer counts (this is exactly how rollback spikes
   tail latency for every key);
-* a **localized replay** re-enters the kernel on every rank, but survivors'
-  operations are suppressed against the action log — their original
-  responses were already delivered, so survivors skip recording during
-  replay (gated on :attr:`~repro.rma.runtime.RmaRuntime.replay_restoring`)
-  and only the restored ranks re-measure, at post-recovery clocks: the
-  failed shard's requests stall, everyone else's latency is untouched;
+* a **localized replay** re-enters the kernel on the restored ranks, which
+  re-measure at post-recovery clocks; the survivors wait and re-enter at
+  most the crash step, recording just what they had not served before it
+  (:attr:`~repro.rma.runtime.RmaRuntime.replay_restoring`): the failed
+  shard's requests stall, everyone else's latency is untouched;
 * a **degraded continuation** excises the victims: operations towards an
   excised owner are dropped by the runtime (reads observe zeros), so the
   service marks them ``stale_read``/``dropped_write`` — served on time, but
@@ -138,13 +137,9 @@ class KvService(Workload):
             job = self._job
             assert job is not None, "kv_service kernel run before setup(job)"
             runtime = job.runtime
-            # Survivors re-entering the kernel during a localized replay
-            # already delivered their pre-crash responses — those records
-            # stand; only the restored ranks re-measure (at post-recovery
-            # clocks).  A survivor can still hold *undelivered* requests:
-            # ranks after the victim in step order never ran the aborted
-            # step, so their replay pass is the first (and only) serving —
-            # record it.
+            # During a localized replay the restored ranks re-measure (at
+            # post-recovery clocks); a survivor re-enters at most the crash
+            # step, where what it delivered before the crash stands.
             overwrite = (
                 not runtime.replaying or ctx.rank in runtime.replay_restoring
             )

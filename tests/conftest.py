@@ -44,11 +44,11 @@ def store_oracle(request, monkeypatch):
                 )
         return retained
 
-    def checked_capture(self, lvl, version, snapshots, *rest):
-        capture(self, lvl, version, snapshots, *rest)
+    def checked_capture(self, lvl, snapshots, *rest):
+        capture(self, lvl, snapshots, *rest)
         for rank, windows in snapshots.items():
             for name, live in windows.items():
-                assert _same_bytes(lvl.mirrors[rank][name], live), (
+                assert _same_bytes(lvl.staged[0][rank][name].image, live), (
                     f"{lvl.kind} mirror of rank {rank} window {name!r} differs from live"
                 )
 

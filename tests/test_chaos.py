@@ -495,9 +495,10 @@ def test_chaos_cli_quick(tmp_path, capsys):
     assert load_events(str(events))  # schema-valid JSONL
     report = json.loads(output.read_text())
     assert report["meta"]["engine"] == "repro.chaos"
-    # Byte-identity oracle: recorded before the repro.experiment refactor.
+    # Byte-identity oracle: re-recorded when a localized replay began to end at
+    # the crash point (only the replay cell moved).
     assert hashlib.sha256(output.read_bytes()).hexdigest() == (
-        "97917b2c15ca3d3932f6f439e1691594747bc4183dc4dc85d7e4ba6880188178"
+        "9ff2a0d29613cf7f06fc4581d597870034e456def91bf795a3bc62ba72488cc8"
     )
     assert len(report["cells"]) == 3
 

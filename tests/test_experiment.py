@@ -321,6 +321,27 @@ def test_engine_flags_refine_the_spec_they_default_to(engine, argv, changed):
 
 
 @pytest.mark.parametrize(
+    ("engine", "listed"),
+    [
+        ("study", "(default 2.0)"),
+        ("chaos", "default rollback,replay,excise"),
+        ("serve", "(default global,localized,degraded)"),
+        ("qos", None),  # its help prints no tuple default
+    ],
+)
+def test_help_prints_a_tuple_default_as_the_comma_list_its_flag_takes(
+    engine, listed, capsys
+):
+    cli = importlib.import_module(f"repro.{engine}.__main__")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())  # undo the line wrapping
+    assert exited.value.code == 0
+    assert listed is None or listed in out
+    assert "('" not in out and "default (" not in out
+
+
+@pytest.mark.parametrize(
     ("engine", "argv", "message"),
     [
         ("qos", ["--interval", "0"], "the checkpoint interval must be at least 1 step"),

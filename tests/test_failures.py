@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import FailureScheduleError
+from repro.errors import FailureScheduleError, TopologyError
 from repro.simulator.failures import (
     FailureEvent,
     FailureInjector,
@@ -122,6 +122,25 @@ def test_exponential_schedule_validates_inputs():
         exponential_schedule(
             horizon=1.0, rates_per_level={1: 0.1}, max_index_per_level={}
         )
+
+
+def test_a_failure_event_describes_its_time_and_target():
+    assert FailureEvent(time=1.5e-4, level=0, index=3).describe() == (
+        "t=0.000150s: failure of rank 3"
+    )
+    assert FailureEvent(time=2.0, level=1, index=7).describe() == (
+        "t=2.000000s: failure of level-1 element 7"
+    )
+
+
+def test_an_element_names_itself_in_the_ancestor_errors():
+    fdh = FailureDomainHierarchy(("node", "rack"), (2,), 4)
+    node = fdh.node(3)
+    assert node.name == "node[3]" and node.ancestor(2).name == "rack[1]"
+    with pytest.raises(TopologyError, match=r"rack\[1\] is at level 2; cannot descend"):
+        node.ancestor(2).ancestor(1)
+    with pytest.raises(TopologyError, match=r"node\[3\] has no ancestor at level 3"):
+        node.ancestor(3)
 
 
 def _placement(nprocs=8, procs_per_node=2):

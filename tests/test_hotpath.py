@@ -665,8 +665,8 @@ def test_replay_suppresses_until_the_cursor_is_exhausted(backend):
     rt.put(0, 1, "w", 0, [1.0])
     logged = list(stack.log.actions)
     assert len(logged) == 1
-    rt.local(1, "w")[0] = 0.0  # pretend rank 1 was restored from a checkpoint
-    rt.begin_replay(ReplayCursor(logged, restoring={1}))
+    rt.local(1, "w")[0] = 0.0  # pretend ranks 0 and 1 were restored from a checkpoint
+    rt.begin_replay(ReplayCursor(logged, {0, 1}, marks=[], gnc=[0] * 4, joined=0))
     assert rt._divert is not None
     suppressed = rt.put_nb(0, 1, "w", 0, [7.0])  # re-issued: the log wins
     assert suppressed.completed and rt.pending_nb_ops() == 0

@@ -207,6 +207,67 @@ def test_multilevel_upper_level_survives_rank_and_buddy_loss():
     stack.uninstall(rt)
 
 
+def _prepare_only(stack, tag):
+    """A checkpoint whose closing barrier never came: placed, never committed."""
+    rt = stack.checkpointer.runtime
+    snapshots = {
+        rank: {w.name: w._region(rank, 0, w.size) for w in rt.windows.all()}
+        for rank in range(rt.nprocs)
+    }
+    return stack.store.prepare(
+        tag=tag, snapshots=snapshots, counter_states=rt.counters.snapshot()
+    )
+
+
+def test_multilevel_aborted_capture_keeps_the_committed_upper_levels():
+    # Tags 0-2 commit (the parity level captures v1, the disk level v0); the
+    # fourth checkpoint's prepare is a capture slot for both levels and never
+    # commits.  Losing rank 0 with its buddy must still roll back to tag 1
+    # from the parity mirror.
+    rt = _runtime()
+    stack = build_ft_stack(rt, store="multilevel")
+    rt.win_allocate("w", 4)
+    for tag in range(3):
+        for r in range(8):
+            rt.local(r, "w")[:] = 10.0 * tag + r
+        stack.checkpointer.checkpoint(tag=tag)
+    for r in range(8):
+        rt.local(r, "w")[:] = 99.0
+    _prepare_only(stack, tag=3)
+    assert [lvl.captured_version for lvl in stack.store.levels] == [1, 0]
+    rt.cluster.fail_rank(0)
+    rt.cluster.fail_rank(stack.checkpointer.buddies[0])
+    rt.observe_failures()
+    assert stack.store.fetch(stack.store.latest_usable(list(range(8))), 0).source == (
+        "multilevel-parity"
+    )
+    outcome = stack.recovery.recover()
+    assert (outcome.kind, outcome.tag) == ("rollback", 1)
+    for r in range(8):
+        assert np.array_equal(rt.local(r, "w"), np.full(4, 10.0 + r))
+
+
+def test_multilevel_retried_capture_ships_the_spans_the_aborted_one_saw():
+    # The aborted capture must not swallow the dirty spans of the base
+    # checkpoints since each level's last capture: the retry that commits
+    # ships what the capture ships when nothing aborts.
+    shipped = []
+    for abort in (False, True):
+        rt = _runtime()
+        stack = build_ft_stack(rt, store="multilevel")
+        rt.win_allocate("w", 64)
+        stack.checkpointer.checkpoint(tag=0)
+        for tag in (1, 2, 3):
+            rt.put(tag % 8, (tag + 1) % 8, "w", 8 * tag, np.ones(4))
+            if tag == 3 and abort:
+                _prepare_only(stack, tag=tag)
+            before = rt.cluster.metrics.get("ft.multilevel_moved_bytes")
+            stack.checkpointer.checkpoint(tag=tag)
+        shipped.append(rt.cluster.metrics.get("ft.multilevel_moved_bytes") - before)
+        assert [lvl.captures for lvl in stack.store.levels] == [3, 2]
+    assert shipped[0] == shipped[1] > 0
+
+
 def test_multilevel_archive_extends_restore_reach_past_eviction():
     rt = _runtime()
     stack = build_ft_stack(

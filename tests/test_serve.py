@@ -461,9 +461,10 @@ def test_cli_quick_writes_artifacts(tmp_path, capsys):
     assert load_requests(requests)
     document = json.loads(output.read_text())
     assert document["meta"]["engine"] == "repro.serve"
-    # Byte-identity oracle: recorded before the repro.experiment refactor.
+    # Byte-identity oracle: re-recorded when survivors began to wait out a
+    # localized replay (only the localized cell moved).
     assert hashlib.sha256(output.read_bytes()).hexdigest() == (
-        "8b345891c8f7289fb39a10420f26ae3f05180732ade503f84da819429749f1cc"
+        "f4d108f9a3a6d357c6b6ef01628808198c5d69f11b413b4fabaade5d2f759b33"
     )
     assert "| overall |" in markdown.read_text()
 

@@ -55,18 +55,21 @@ GLOBAL = (
     "UNLOCK 1>0 10,5,6,5", "PUT 1>3 10,5,0,5", "FLUSH 1>3 10,6,0,5", "GSYNC 0>* 0,12,0,6",
     "GSYNC 1>* 0,6,0,6", "GSYNC 2>* 0,0,0,6", "GSYNC 3>* 0,0,0,6",
 )
-#: ... or after a localized replay: survivors keep their counters, rank 2 starts afresh.
+#: ... or after a localized replay: rank 2 restarts from its checkpointed record; the
+#: survivors' records stay at the crash point until the re-execution reaches it
+#: (rank 0's syncs up to its fetch-and-op move nothing), from where every stamp is
+#: the coordinated rollback's.
 LOCALIZED = (
-    "PUT 0>1 14,10,0,4", "FLUSH 0>1 14,11,0,4", "PUT 0>2 13,11,5,4",
-    "FLUSH_ALL 0>* 0,12,0,4", "LOCK 0>2 14,12,1,4", "FETCH_AND_OP 0>2 14,12,1,4",
-    "UNLOCK 0>2 14,12,1,4", "LOCK 1>0 8,4,5,4", "FETCH_AND_OP 1>0 8,4,5,4",
-    "UNLOCK 1>0 8,4,5,4", "PUT 1>3 8,4,0,4", "FLUSH 1>3 8,5,0,4", "GSYNC 0>* 0,12,0,5",
-    "GSYNC 1>* 0,5,0,5", "GSYNC 2>* 0,0,0,1", "GSYNC 3>* 0,0,0,5", "PUT 0>1 17,12,0,5",
-    "FLUSH 0>1 17,13,0,5", "PUT 0>2 16,13,1,5", "FLUSH_ALL 0>* 0,14,0,5",
-    "LOCK 0>2 17,14,2,5", "FETCH_AND_OP 0>2 17,14,2,5", "UNLOCK 0>2 17,14,2,5",
+    "PUT 0>1 14,10,0,4", "FLUSH 0>1 14,10,0,4", "PUT 0>2 13,10,5,4",
+    "FLUSH_ALL 0>* 0,10,0,4", "LOCK 0>2 13,10,5,4", "FETCH_AND_OP 0>2 13,10,5,4",
+    "UNLOCK 0>2 13,10,5,4", "LOCK 1>0 8,4,5,4", "FETCH_AND_OP 1>0 8,4,5,4",
+    "UNLOCK 1>0 8,4,5,4", "PUT 1>3 8,4,0,4", "FLUSH 1>3 8,5,0,4", "GSYNC 0>* 0,10,0,5",
+    "GSYNC 1>* 0,5,0,5", "GSYNC 2>* 0,0,0,5", "GSYNC 3>* 0,0,0,5", "PUT 0>1 15,10,0,5",
+    "FLUSH 0>1 15,11,0,5", "PUT 0>2 15,11,5,5", "FLUSH_ALL 0>* 0,12,0,5",
+    "LOCK 0>2 16,12,6,5", "FETCH_AND_OP 0>2 16,12,6,5", "UNLOCK 0>2 16,12,6,5",
     "LOCK 1>0 10,5,6,5", "FETCH_AND_OP 1>0 10,5,6,5", "UNLOCK 1>0 10,5,6,5",
-    "PUT 1>3 10,5,0,5", "FLUSH 1>3 10,6,0,5", "GSYNC 0>* 0,14,0,6", "GSYNC 1>* 0,6,0,6",
-    "GSYNC 2>* 0,0,0,2", "GSYNC 3>* 0,0,0,6",
+    "PUT 1>3 10,5,0,5", "FLUSH 1>3 10,6,0,5", "GSYNC 0>* 0,12,0,6", "GSYNC 1>* 0,6,0,6",
+    "GSYNC 2>* 0,0,0,6", "GSYNC 3>* 0,0,0,6",
 )
 
 
@@ -120,6 +123,13 @@ def _stamps(monkeypatch, recovery, backend):
 @pytest.mark.parametrize("recovery, tail", [("global", GLOBAL), ("localized", LOCALIZED)])
 def test_every_stamp_of_a_killed_run_is_pinned(monkeypatch, recovery, tail, backend):
     assert _stamps(monkeypatch, recovery, backend) == list(PREFIX + tail)
+
+
+def test_past_the_crash_point_a_localized_replay_stamps_as_the_rollback():
+    """From rank 0's unlock on — the first sync past the crash point — every
+    stamp of the localized run is the coordinated rollback's."""
+    resumed = LOCALIZED.index("UNLOCK 0>2 13,10,5,4") + 1
+    assert LOCALIZED[resumed:] == GLOBAL[GLOBAL.index("LOCK 1>0 8,4,5,4"):]
 
 
 def test_a_dropped_unlock_stamps_the_epoch_it_closes():
