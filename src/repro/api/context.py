@@ -285,14 +285,15 @@ class RankContext:
         offset: int,
         value: float,
         op: AccumulateOp = AccumulateOp.SUM,
-    ) -> float:
-        """Single-element atomic fetch-and-op (MPI_Fetch_and_op)."""
+    ) -> np.generic:
+        """Single-element atomic fetch-and-op (MPI_Fetch_and_op): ``value`` and the
+        previous value returned are scalars of the window dtype."""
         return self._runtime.fetch_and_op(self.rank, trg, window, offset, value, op)
 
     def compare_and_swap(
         self, trg: int, window: str, offset: int, compare: float, value: float
-    ) -> float:
-        """Single-element atomic CAS; returns the previous target value."""
+    ) -> np.generic:
+        """Single-element atomic CAS; returns the previous target value, a scalar."""
         return self._runtime.compare_and_swap(
             self.rank, trg, window, offset, compare, value
         )

@@ -6,8 +6,11 @@ epochs and charges virtual-time costs — but it never touches window memory
 itself.  All storage and data movement belong to a :class:`Backend`:
 
 * :meth:`Backend.issue` queues every communication action (the caller's handle
-  too) that waits for a completion — a blocking call with nothing queued ahead
-  of it goes straight to :meth:`~Backend._apply`, as a batch of one;
+  too) that waits for a completion;
+* :attr:`Backend.apply_one` applies a blocking call with nothing of its origin
+  queued or diverted, at once: one region copy or one scalar read-modify-write
+  in the window dtype in process (:func:`apply_action`), a batch of one on
+  ``proc`` — the runtime then announces and charges it in place;
 * :meth:`Backend.complete` / :meth:`Backend.complete_rank` are called by the
   runtime's completion points (flush, unlock, flush_all, gsync, and a blocking
   call behind queued ones) and return the completed records in issue order —
@@ -35,7 +38,14 @@ import abc
 import numpy as np
 
 from repro.errors import BackendError
-from repro.rma.actions import _COMPARE_AND_SWAP, _PUT, CommAction, apply_accumulate
+from repro.rma.actions import (
+    _COMPARE_AND_SWAP,
+    _PUT,
+    _REPLACE,
+    _SUM,
+    CommAction,
+    apply_accumulate,
+)
 from repro.rma.window import Window, WindowRegistry
 
 __all__ = ["Backend", "apply_action"]
@@ -47,36 +57,49 @@ def apply_action(action: CommAction, win: Window) -> None:
     Get-like actions deposit the fetched values into ``action.data`` (the
     handle exposes them after completion); put-like actions mutate the
     target's buffer — a plain put by copying its payload bytes into the
-    region.  Before a get-like atomic overwrites ``data`` with the fetched
+    region.  A one-element atomic (``fetch_and_op``, ``compare_and_swap``) is a
+    scalar read-modify-write in the window dtype: its fetched value is a scalar,
+    and a floating sum is numpy's scalar ``+`` (IEEE, so the ufunc's bits, ≈ 8x
+    faster).  Before a get-like atomic overwrites ``data`` with the fetched
     previous values, the issued operand is preserved in ``action.operand`` so
     the fault-tolerance log can later re-apply the action to a restored
     window (log-based recovery, §7).  Shared by all backends so the per-op
-    semantics cannot drift between them.
+    semantics cannot drift between them, and the in-process backends'
+    single-action hook (:attr:`Backend.apply_one`).
 
     The runtime validated the access range when it issued the action, so the
     target slice is taken unchecked; only a target invalidated since then
     (it may die between issue and completion) still raises.
     """
-    kind = action.kind
-    region = win._region(action.trg, action.offset, action.count)
+    kind, trg, offset = action.kind, action.trg, action.offset
+    if trg in win._invalidated:
+        win._check_alive(trg)  # Window._region's one check
+    buffer = win.buffers[trg]
     if kind is _PUT:
-        memoryview(region).cast("B")[:] = action._data
+        memoryview(buffer[offset : offset + action.count]).cast("B")[:] = action._data
         return
     if not kind.is_put_like:  # a get
-        action._data = region.copy()
+        action._data = buffer[offset : offset + action.count].copy()
         return
     data = action._data
     if action._operand is None:
         action._operand = data
-    if kind is _COMPARE_AND_SWAP:
-        previous = region.copy()
-        if np.array_equal(previous, action.compare):
-            region[...] = data
+    if kind.is_scalar:  # one element: a scalar read-modify-write in the window dtype
+        previous, op = buffer[offset], action.op
+        if kind is _COMPARE_AND_SWAP:
+            if previous == action.compare:
+                buffer[offset] = data
+        elif op is _SUM and isinstance(previous, np.floating):  # numpy's scalar ``+``
+            buffer[offset] = previous + data
+        elif op.ufunc is not None:  # the ufunc wraps integers silently, as arrays do
+            buffer[offset] = op.ufunc(previous, data)
+        elif op is _REPLACE:
+            buffer[offset] = data
         action._data = previous
-    else:  # accumulate, get_accumulate, fetch_and_op
-        previous = apply_accumulate(region, data, action.op)
-        if kind.is_get_like:
-            action._data = previous
+        return
+    previous = apply_accumulate(buffer[offset : offset + action.count], data, action.op)
+    if kind.is_get_like:  # get_accumulate
+        action._data = previous
 
 
 def _coalesce_puts(batch: list[tuple[CommAction, Window]]) -> list[list]:
@@ -208,6 +231,10 @@ class Backend(abc.ABC):
     def issue(self, op: CommAction) -> None:
         """Accept one issued operation: queue it, untouched, for its completion."""
         self._pending[op.src].append(op)
+
+    #: The single-action hook: make one action's effect visible now, ``(action,
+    #: window)``.  Raising leaves the action to the runtime, which queues it.
+    apply_one = staticmethod(apply_action)
 
     @abc.abstractmethod
     def _apply(self, src: int, batch: list[CommAction]) -> None:

@@ -174,11 +174,12 @@ class SharedWindow(Window):
 
 
 class _ShmSlab:
-    """Worker-side view of one shared window: just the slice access
+    """Worker-side view of one shared window: just the buffers
     :func:`~repro.backends.base.apply_action` needs, no liveness bookkeeping
-    (the supervisor owns that)."""
+    (the supervisor owns that: nothing is ever invalidated here)."""
 
     __slots__ = ("buffers", "dtype")
+    _invalidated = frozenset()
 
     def __init__(
         self, shm: shared_memory.SharedMemory, size: int, dtype: np.dtype, nprocs: int
@@ -186,9 +187,6 @@ class _ShmSlab:
         flat = np.frombuffer(shm.buf, dtype=dtype, count=size * nprocs)
         self.buffers = {r: flat[r * size : (r + 1) * size] for r in range(nprocs)}
         self.dtype = dtype
-
-    def _region(self, rank: int, offset: int, count: int) -> np.ndarray:
-        return self.buffers[rank][offset : offset + count]
 
 
 def _apply_batch(rank: int, buf: bytes, slabs: list[_ShmSlab]) -> bytes:
@@ -576,14 +574,20 @@ class ProcBackend(Backend):
             raise BackendError(f"proc worker {src} failed to apply a batch: {detail}")
         # Mirror apply_action's two mutations onto the supervisor's originals:
         # an atomic's operand is preserved for the replay log, then get-like
-        # data takes the fetched values (a copy: reply bytes are read-only).
+        # data takes the fetched values (a copy: reply bytes are read-only; a
+        # one-element atomic's is a scalar).
         pos = 1
         for a, win, _, _ in entries:
             if a.kind.is_atomic and a._operand is None:
                 a._operand = a._data
             if a.kind.is_get_like:
-                a._data = np.frombuffer(reply, win.dtype, a.count, pos).copy()
-                pos += a._data.nbytes
+                fetched = np.frombuffer(reply, win.dtype, a.count, pos)
+                a._data = fetched[0] if a.kind.is_scalar else fetched.copy()
+                pos += fetched.nbytes
+
+    def apply_one(self, action: CommAction, win: Window) -> None:
+        """The single-action hook: the worker applies ``action`` as a batch of one."""
+        self._apply(action.src, [action])
 
     def _await_reply(self, worker: _Worker) -> bytes | None:
         """Wait for the worker's reply, its death (``None``), or the watchdog timeout."""

@@ -236,11 +236,11 @@ class BestEffort(DeliveryMode):
             and self._entropy(src, action.GNC, index) < self.stale_fraction
         )
         payload = self._stale_payload(action, win) if stale else None
+        served = np.zeros(action.count, dtype=win.dtype) if payload is None else payload
+        action.data = served[0] if action.kind.is_scalar else served  # FAO/CAS: a scalar
         if payload is None:
-            action.data = np.zeros(action.count, dtype=win.dtype)
             self.count("dropped_gets", src)
             return
-        action.data = payload
         self.count("stale_reads", src)
         # The stale copy is served from a surviving checkpoint replica: a
         # local memory read, not a remote transfer to dead hardware.

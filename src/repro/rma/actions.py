@@ -81,6 +81,9 @@ class OpKind(enum.Enum):
         )
         #: Whether the operation is a remote atomic.
         self.is_atomic: bool = label not in ("put", "get")
+        #: Whether it is a one-element atomic, whose operand, compare value and
+        #: fetched value are scalars of the window dtype (never arrays).
+        self.is_scalar: bool = label in ("fetch_and_op", "compare_and_swap")
         #: Name of the metric counting completed operations of this kind.
         self.metric: str = f"rma.{label}"
 
@@ -125,6 +128,9 @@ class AccumulateOp(enum.Enum):
         #: corrupts the target (§4.2), hence the ``M`` flag.  A plain member
         #: attribute, like :class:`OpKind`'s traits: every atomic issue reads it.
         self.combining: bool = label not in ("replace", "no_op")
+        #: The ufunc that combines a target and an operand (``None``: replace, no-op).
+        ufuncs = {"sum": np.add, "prod": np.multiply, "min": np.minimum, "max": np.maximum}
+        self.ufunc = ufuncs.get(label)
 
 
 #: The members as module globals, resolved once: inside a function Python 3.11
@@ -139,21 +145,11 @@ def apply_accumulate(
 ) -> np.ndarray:
     """Apply ``op`` in place to ``target`` and return the *previous* values."""
     previous = target.copy()
-    if op is _REPLACE:
+    if op.ufunc is not None:  # sum, prod, min, max
+        target[...] = op.ufunc(target, operand)
+    elif op is _REPLACE:
         target[...] = operand
-    elif op is _SUM:
-        target[...] = target + operand
-    elif op is _PROD:
-        target[...] = target * operand
-    elif op is _MIN:
-        target[...] = np.minimum(target, operand)
-    elif op is _MAX:
-        target[...] = np.maximum(target, operand)
-    elif op is _NO_OP:
-        pass
-    else:  # pragma: no cover - defensive
-        raise RmaError(f"unknown accumulate op {op!r}")
-    return previous
+    return previous  # a no-op leaves the target as it was
 
 
 class Counters(NamedTuple):
@@ -242,6 +238,8 @@ class CommAction:
             )
         self.kind, self.src, self.trg = kind, src, trg
         self.window, self.offset, self.count = window, offset, count
+        if compare is not None:  # a CAS's: one element, held 0-d
+            compare = np.asarray(compare).reshape(())
         self.combine, self.op, self.compare = combine, op, compare
         self.EC, self.GC, self.SC, self.GNC = (0, 0, 0, 0) if counters is None else counters
         self.dtype = None
@@ -250,6 +248,8 @@ class CommAction:
             self.dtype, nbytes = data.dtype, int(data.nbytes) if nbytes is None else nbytes
             if kind is _PUT:
                 data = data.tobytes()
+            elif kind.is_scalar:  # a one-element atomic's operand, held 0-d
+                data = data.reshape(())
         self._data, self._operand = data, None if kind is _PUT else operand
         self.seq, self.nbytes = next(_SEQ) if seq is None else seq, nbytes
         self._completed = self._discarded = False

@@ -29,8 +29,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.errors import LockError
-
 __all__ = ["ProcessCounters", "CounterBoard"]
 
 
@@ -99,33 +97,6 @@ class CounterBoard:
     def of(self, rank: int) -> ProcessCounters:
         """Counters of ``rank``."""
         return self.records[rank]
-
-    def on_lock(
-        self, src: int, trg: int, structure: str | None = None, fetch_only: bool = False
-    ) -> None:
-        """Record ``src`` locking ``trg``.
-
-        Performs the fetch-and-increment of ``SC_trg`` described in §4.1 C: the
-        value fetched is what ``src`` holds for its accesses to ``trg``.  With
-        ``fetch_only`` (a lock a localized replay takes again) it does not move.
-        """
-        own, target = self.records[src], self.records[trg]
-        key = (trg, structure)
-        if key in own.held_locks:
-            raise LockError(
-                f"rank {src} already holds lock {structure!r} on rank {trg}"
-            )
-        target.sc_local += not fetch_only
-        own.sc_held[trg] = own.held_locks[key] = target.sc_local
-
-    def on_unlock(self, src: int, trg: int, structure: str | None = None) -> None:
-        """Record ``src`` unlocking ``trg``."""
-        try:
-            del self.records[src].held_locks[trg, structure]
-        except KeyError:
-            raise LockError(
-                f"rank {src} does not hold lock {structure!r} on rank {trg}"
-            ) from None
 
     def on_gsync(self, ranks: frozenset[int] | None = None) -> None:
         """Record a gsync: every process (of ``ranks``) bumps its ``GNC`` and closes

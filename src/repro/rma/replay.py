@@ -79,10 +79,10 @@ def replay_apply(logged: CommAction, win: Window) -> int:
         return 0
     if not logged.kind.is_atomic:  # a put
         win.write(logged.trg, logged.offset, operand)
-    elif logged.kind is _COMPARE_AND_SWAP:
-        view = win.view(logged.trg, logged.offset, logged.count)
-        if np.array_equal(view.copy(), logged.compare):
-            view[...] = operand
+    elif logged.kind is _COMPARE_AND_SWAP:  # one element: scalars compared
+        view = win.view(logged.trg, logged.offset, 1)
+        if view[0] == logged.compare:
+            view[0] = operand
     else:  # accumulate-style: deterministic re-application in issue order
         view = win.view(logged.trg, logged.offset, logged.count)
         apply_accumulate(view, np.asarray(operand, dtype=win.dtype), logged.op)

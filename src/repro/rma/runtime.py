@@ -12,13 +12,18 @@ cluster (:mod:`repro.simulator`) and to a pluggable execution
   (:data:`~repro.rma.handles.OpHandle`).  Nonblocking variants
   (``put_nb``/``get_nb``/``accumulate_nb``) stop there — their effects and
   buffers materialize when a completion point (``flush``/``unlock``/
-  ``gsync``) closes the epoch; a blocking call is applied and retired where it
-  is issued, or with the ``src -> trg`` queue when its origin has one;
+  ``gsync``) closes the epoch.  A blocking call completes in the frame that
+  issues it — the backend's single-action hook
+  (:attr:`~repro.backends.base.Backend.apply_one`) applies it, then it is
+  announced and charged in place — or with the ``src -> trg`` queue when its
+  origin has one; a one-element atomic takes and returns a scalar of the
+  window dtype;
 * an operation is *charged when it completes*: the batch a completion point
   gets back from the backend is the account — the origin's clock moves per
   target, by costs summed one operation at a time in issue order, the ``rma.*``
-  metrics per batch (:meth:`RmaRuntime._retire`) — and an operation that is
-  discarded or diverted instead is never charged;
+  metrics per batch (:meth:`RmaRuntime._retire`; a blocking call's own
+  completion charges as a batch of one) — and an operation that is discarded
+  or diverted instead is never charged;
 * every ``lock``/``unlock``/``flush``/``gsync`` maintains the epoch and
   counter state exactly as §2.2 and §4.1 prescribe (unlock and flush complete
   outstanding operations and close the ``src -> trg`` epoch, a gsync
@@ -120,6 +125,8 @@ class RmaRuntime:
         self.interceptors = InterceptorChain()
         self._finalized = False
         self._window = self.backend.windows.get
+        #: The backend's single-action hook (a blocking call's in-place completion).
+        self._apply_one = self.backend.apply_one
         #: The registry's own name -> window map (never rebound): the issue
         #: path looks a window up here and calls :attr:`_window` only for the
         #: error an unknown name deserves.
@@ -297,8 +304,7 @@ class RmaRuntime:
         self, src: int, trg: int, window: str, offset: int, count: int
     ) -> np.ndarray:
         """Read ``count`` elements from ``trg``'s window at ``offset`` (MPI_Get)."""
-        get = self._issue(_GET, src, trg, window, offset, count, False, blocking=True)
-        return get.result()
+        return self._issue(_GET, src, trg, window, offset, count, False, blocking=True)._data
 
     def accumulate(
         self, src: int, trg: int, window: str, offset: int, data: np.ndarray,
@@ -318,26 +324,27 @@ class RmaRuntime:
         return self._issue(
             _GET_ACCUMULATE, src, trg, window, offset, None, op.combining, data, op=op,
             blocking=True,
-        ).result()
+        )._data
 
     def fetch_and_op(
         self, src: int, trg: int, window: str, offset: int, value: float,
         op: AccumulateOp = AccumulateOp.SUM,
-    ) -> float:
-        """Single-element atomic fetch-and-op (MPI_Fetch_and_op)."""
+    ) -> np.generic:
+        """Single-element atomic fetch-and-op (MPI_Fetch_and_op): ``value`` and the
+        previous target value returned are scalars of the window dtype."""
         return self._issue(
-            _FETCH_AND_OP, src, trg, window, offset, None, op.combining, [value], op=op,
+            _FETCH_AND_OP, src, trg, window, offset, 1, op.combining, value, op=op,
             blocking=True,
-        ).result()[0]
+        )._data
 
     def compare_and_swap(
         self, src: int, trg: int, window: str, offset: int, compare: float, value: float
-    ) -> float:
-        """Single-element atomic CAS; returns the previous target value."""
+    ) -> np.generic:
+        """Single-element atomic CAS; returns the previous target value, a scalar."""
         return self._issue(
-            _COMPARE_AND_SWAP, src, trg, window, offset, None, True, [value], [compare],
+            _COMPARE_AND_SWAP, src, trg, window, offset, 1, True, value, compare,
             blocking=True,
-        ).result()[0]
+        )._data
 
     # ------------------------------------------------------------------
     # Synchronization actions
@@ -358,16 +365,33 @@ class RmaRuntime:
             or self._clock_of[src].now >= injector.next_due
         ):
             trg = self._pre_sync(src, trg)
-        divert = self._divert is not None
+        own, divert = self._records[src], self._divert is not None
         dropped = divert and trg in self._members.suspended
         waits = divert and self._waits(src)
-        if not dropped:
-            self.counters.on_lock(src, trg, structure, divert and self._waits(trg))
-        action = SyncAction.issued(_LOCK, src, trg, self._stamp(src, trg), structure)
-        if dropped:
-            self.delivery.count("dropped_syncs", src)
+        if not dropped:  # §4.1 C, toward a waiting survivor a fetch only
+            key = (trg, structure)
+            if key in own.held_locks:
+                raise LockError(f"rank {src} already holds lock {structure!r} on rank {trg}")
+            target = self._records[trg]
+            target.sc_local += not (divert and self._waits(trg))
+            own.sc_held[trg] = own.held_locks[key] = target.sc_local
+        action = _new_object(SyncAction)  # stamped inline, with the SC just fetched
+        action.kind, action.src, action.trg = _LOCK, src, trg
+        action.EC, action.GC = own.epoch_of_target[trg], own.gc
+        action.SC, action.GNC = own.sc_held.get(trg, 0), own.gnc
+        action.structure, action.window, action.seq = structure, None, next(_SEQ)
+        if dropped or waits:
+            if dropped:
+                self.delivery.count("dropped_syncs", src)
             return action
-        return action if waits else self._issue_sync(action, cost=self._lock_price)
+        clock = self._clock_of[src]  # charged in place, as ``_issue_sync`` charges
+        clock.now += self._lock_price
+        clock.ticks += 1
+        if self.interceptors.after_sync is not None:
+            self.interceptors.after_sync(action)
+        self._totals["rma.lock"] += 1
+        self._per_rank["rma.lock"][src] += 1
+        return action
 
     def unlock(self, src: int, trg: int, structure: str | None = None) -> SyncAction:
         """Release a lock on ``trg``; completes and closes the epoch (§2.2).
@@ -383,28 +407,37 @@ class RmaRuntime:
             or self._clock_of[src].now >= injector.next_due
         ):
             trg = self._pre_sync(src, trg)
-        dropped = self._divert is not None and trg in self._members.suspended
-        waits = self._divert is not None and self._waits(src)
+        own, divert = self._records[src], self._divert is not None
+        dropped = divert and trg in self._members.suspended
+        waits = divert and self._waits(src)
         try:
-            self.counters.on_unlock(src, trg, structure)
-        except LockError:
+            del own.held_locks[trg, structure]
+        except KeyError:
             if not dropped:  # toward a suspended rank the lock itself may have dropped
-                raise
+                raise LockError(
+                    f"rank {src} does not hold lock {structure!r} on rank {trg}"
+                ) from None
         if dropped or self.backend._pending[src]:
             self._complete_pair(src, trg)  # toward a suspended rank: via the mode
-        # :meth:`_stamp`, inline as ``_issue``'s: the stamp carries the epoch it closes.
-        own = self._records[src]
-        action = SyncAction.issued(
-            _UNLOCK, src, trg,
-            (own.epoch_of_target[trg], own.gc, own.sc_held.get(trg, 0), own.gnc), structure,
-        )
+        action = _new_object(SyncAction)  # stamped inline, with the epoch it closes
+        action.kind, action.src, action.trg = _UNLOCK, src, trg
+        action.EC, action.GC = own.epoch_of_target[trg], own.gc
+        action.SC, action.GNC = own.sc_held.get(trg, 0), own.gnc
+        action.structure, action.window, action.seq = structure, None, next(_SEQ)
         if waits:
             return action
         if dropped:
             self.delivery.count("dropped_syncs", src)
-        else:
-            self._issue_sync(action, cost=self._unlock_price)
-        own.close_epoch(trg)
+        else:  # charged in place, as ``_issue_sync`` charges
+            clock = self._clock_of[src]
+            clock.now += self._unlock_price
+            clock.ticks += 1
+            if self.interceptors.after_sync is not None:
+                self.interceptors.after_sync(action)
+            self._totals["rma.unlock"] += 1
+            self._per_rank["rma.unlock"][src] += 1
+        own.epoch_of_target[trg] += 1  # ``close_epoch``, inline
+        own.pending_ops[trg] = 0
         return action
 
     def flush(self, src: int, trg: int) -> SyncAction:
@@ -829,7 +862,7 @@ class RmaRuntime:
 
         Read straight from the rank's one :class:`~repro.rma.counters.ProcessCounters`
         as a plain tuple the record unpacks into its four slots; :meth:`_issue`,
-        :meth:`unlock` and :meth:`gsync` stamp inline.
+        :meth:`lock`, :meth:`unlock` and :meth:`gsync` stamp inline.
         """
         own = self._records[src]
         if trg is None:
@@ -854,10 +887,14 @@ class RmaRuntime:
         makes no system call, a blocking one polls first.  Nothing is charged
         here (:meth:`_retire` charges at completion).  The record is the handle.
 
-        A ``blocking`` action completes here: with nothing of the origin queued
-        and nothing diverted it is applied and retired at once, else it completes
-        with the pair (so it sees the queued operations' effects).  An apply that
-        raises leaves it queued, like a failed completion, for recovery's discard.
+        A ``blocking`` action completes here.  With nothing of the origin queued
+        and nothing diverted the backend's single-action hook applies it, then it
+        is announced and charged in place, as :meth:`_retire` charges a batch of
+        one; else it completes with the pair (so it sees the queued operations'
+        effects).  An apply that raises leaves it queued, like a failed
+        completion, for recovery's discard.  A one-element atomic's operand
+        (a CAS's compare value too) is a scalar of the window dtype, and an array
+        is refused with the conversion's :class:`~repro.errors.WindowError`.
         """
         if blocking and self._vehicles:
             self._poll_vehicles()
@@ -868,11 +905,15 @@ class RmaRuntime:
                     if type(data) is not _ndarray or data.dtype is not win.dtype:
                         data = np.asarray(data, win.dtype)
                     count, data = data.size, data.tobytes()
+                elif kind.is_scalar:  # one element: scalars of the window dtype
+                    scalar = win.dtype.type
+                    data = scalar(data)
+                    compare = None if compare is None else scalar(compare)
+                    if type(data) is _ndarray or type(compare) is _ndarray:
+                        raise ValueError("a one-element atomic takes scalars, not arrays")
                 else:
                     data = np.array(data, dtype=win.dtype).ravel()
                     count = data.size
-                    if compare is not None:
-                        compare = np.asarray(compare, dtype=win.dtype)
             except (TypeError, ValueError) as exc:
                 raise WindowError(
                     f"payload of {kind._value_} does not convert to window {win.name!r}'s "
@@ -906,22 +947,31 @@ class RmaRuntime:
         action._completed = action._discarded = False
         if self._divert is not None and self._divert(action, win):
             return action
-        if self.interceptors.before_comm is not None:
-            self.interceptors.before_comm(action)
+        interceptors, backend = self.interceptors, self.backend
+        if interceptors.before_comm is not None:
+            interceptors.before_comm(action)
         own.pending_ops[trg] += 1  # what the closing flush is priced by
-        backend = self.backend
         if not blocking or backend._pending[src] or self._divert is not None:
             backend.issue(action)
             if blocking:
                 self._complete_pair(src, trg)
             return action
-        batch = [action]
-        try:
-            backend._apply(src, batch)
+        try:  # completes in place: applied, announced, charged as ``_retire`` charges
+            self._apply_one(action, win)
         except BaseException:
             backend.issue(action)  # queued, as a failed completion leaves its batch
             raise
-        self._retire(src, batch)
+        action._completed = True
+        if interceptors.after_comm is not None:
+            interceptors.after_comm(action)
+        clock, nbytes, metric = self._clock_of[src], action.nbytes, kind.metric
+        clock.now += self._transfer[nbytes, kind.is_atomic]
+        clock.ticks += 1
+        totals, per_rank = self._totals, self._per_rank
+        totals[metric] += 1
+        per_rank[metric][src] += 1
+        totals["rma.bytes_moved"] += nbytes
+        per_rank["rma.bytes_moved"][src] += nbytes
         return action
 
     def _divert_op(self, action: CommAction, win: Window) -> bool:
@@ -941,8 +991,9 @@ class RmaRuntime:
           it where a restoring rank needs it, and logged get data is served.
         """
         if action.trg in self.excised:
-            if action.kind.is_get_like:
-                action._data = np.zeros(action.count, dtype=win.dtype)
+            if action.kind.is_get_like:  # a one-element atomic's: a scalar
+                zeros = np.zeros(action.count, dtype=win.dtype)
+                action._data = zeros[0] if action.kind.is_scalar else zeros
             self.cluster.metrics.incr("ft.dropped_ops", rank=action.src)
         elif action.trg in self._members.suspended:
             self.delivery.resolve(action, win, self)
@@ -951,7 +1002,7 @@ class RmaRuntime:
             if logged is None:
                 return False
             if action.kind.is_get_like and logged._data is not None:
-                action._data = np.array(logged._data, copy=True)
+                action._data = logged._data.copy()  # an array's, or a scalar's
         action._completed = True
         return True
 
@@ -1036,19 +1087,6 @@ class RmaRuntime:
             return
         after_comm, transfer = self.interceptors.after_comm, self._transfer
         clock, totals, per_rank = self._clock_of[src], self._totals, self._per_rank
-        if len(batch) == 1:  # a blocking call with nothing queued ahead of it
-            op = batch[0]
-            op._completed = True
-            if after_comm is not None:
-                after_comm(op)
-            kind, nbytes = op.kind, op.nbytes
-            clock.now += transfer[nbytes, kind.is_atomic]
-            clock.ticks += 1
-            totals[kind.metric] += 1
-            per_rank[kind.metric][src] += 1
-            totals["rma.bytes_moved"] += nbytes
-            per_rank["rma.bytes_moved"][src] += nbytes
-            return
         sums: dict[int, float] = {}  # trg -> the pair's prices, summed in issue order
         runs: list[list] = []  # [kind, nbytes, ops] per run of equal (kind, nbytes)
         kind = nbytes = None

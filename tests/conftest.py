@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import tempfile
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -57,65 +58,68 @@ def store_oracle(request, monkeypatch):
     yield
 
 
-def _ckpt_scratch_dirs():
-    """``repro-ckpt-*`` scratch directories currently present in the tmpdir.
+#: The temporary files and directories ``repro`` makes, by name prefix: a
+#: DiskStore's scratch directory and a TraceWriter's staging file.
+_TEMP_KINDS = {
+    "repro-ckpt-": "DiskStore scratch directories",
+    "repro-trace-": "trace staging files",
+}
 
-    :class:`~repro.ft.stores.DiskStore` creates one per bound store and must
-    remove it on ``close()`` — even when the session tears down after a failed
-    restore.  A survivor here is a leak that would accumulate across CI runs.
+
+def _track_created(monkeypatch) -> dict[str, list[str]]:
+    """The paths of what this test process creates from now on, by leak kind:
+    POSIX shm segments (Linux: under /dev/shm) and :data:`_TEMP_KINDS`.
+
+    Only this process's own creations count: a ``proc`` run or a DiskStore in
+    another process (a concurrent test session, a benchmark) creates and removes
+    its own under the same machine-wide names, which a diff of the ``/dev/shm``
+    or tmpdir listing would blame on whatever test ran meanwhile.  Workers
+    forked later attach to segments by name and create none.
     """
-    root = tempfile.gettempdir()
-    try:
-        return {
-            name for name in os.listdir(root) if name.startswith("repro-ckpt-")
-        }
-    except (FileNotFoundError, NotADirectoryError, PermissionError):
-        return None
+    created = {"shared-memory segments": [], **{kind: [] for kind in _TEMP_KINDS.values()}}
+    shm_init, mkdtemp, mkstemp = (
+        shared_memory.SharedMemory.__init__, tempfile.mkdtemp, tempfile.mkstemp
+    )
 
+    def note_temp(path: str) -> None:
+        for prefix, kind in _TEMP_KINDS.items():
+            if os.path.basename(path).startswith(prefix):
+                created[kind].append(path)
 
-def _trace_staging_files():
-    """``repro-trace-*`` staging files currently present in the tmpdir.
+    def tracking_shm_init(self, name=None, create=False, size=0, *args, **kwargs):
+        shm_init(self, name, create, size, *args, **kwargs)
+        if create:
+            created["shared-memory segments"].append(os.path.join("/dev/shm", self.name))
 
-    :class:`~repro.trace.events.TraceWriter` stages next to its destination
-    and must either publish (atomic rename) or unlink on close — even when
-    the traced run aborts mid-step.  A survivor here is a leak.
-    """
-    root = tempfile.gettempdir()
-    try:
-        return {
-            name for name in os.listdir(root) if name.startswith("repro-trace-")
-        }
-    except (FileNotFoundError, NotADirectoryError, PermissionError):
-        return None
+    def tracking_mkdtemp(*args, **kwargs):
+        path = mkdtemp(*args, **kwargs)
+        note_temp(path)
+        return path
 
+    def tracking_mkstemp(*args, **kwargs):
+        fd, path = mkstemp(*args, **kwargs)
+        note_temp(path)
+        return fd, path
 
-def _shm_segments():
-    """Names of POSIX shm segments currently visible (Linux: /dev/shm).
-
-    Python's :mod:`multiprocessing.shared_memory` names its segments
-    ``psm_*``; restricting to that prefix keeps unrelated system segments
-    (pulseaudio, browsers, ...) out of the diff.  Returns ``None`` where the
-    tmpfs view does not exist — the check then degrades to process hygiene
-    only.
-    """
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-    except (FileNotFoundError, NotADirectoryError, PermissionError):
-        return None
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", tracking_shm_init)
+    monkeypatch.setattr(tempfile, "mkdtemp", tracking_mkdtemp)
+    monkeypatch.setattr(tempfile, "mkstemp", tracking_mkstemp)
+    return created
 
 
 @pytest.fixture
-def proc_hygiene():
-    """Assert a test leaves no orphan worker processes and no leaked shm.
+def proc_hygiene(monkeypatch):
+    """Assert a test leaves no orphan worker processes, no leaked shm and no
+    DiskStore or trace staging leftovers of its own.
 
     SIGKILL-heavy tests are exactly where teardown bugs hide: a worker that
     survives its session or a shared-memory segment that never gets unlinked
     would poison every later test (and, in CI, the machine).  Runs after the
     test body, so a failing assertion here names the leaking test directly.
+    Where /dev/shm does not exist the segment check degrades to process
+    hygiene only.
     """
-    before = _shm_segments()
-    scratch_before = _ckpt_scratch_dirs()
-    staging_before = _trace_staging_files()
+    created = _track_created(monkeypatch)
     yield
     # Reap zombies first: a SIGKILLed child stays in active_children() until
     # someone joins it, which is bookkeeping, not a leak.
@@ -123,20 +127,6 @@ def proc_hygiene():
         child.join(timeout=2.0)
     leaked = [p for p in multiprocessing.active_children() if p.is_alive()]
     assert not leaked, f"orphan worker processes survived the test: {leaked}"
-    after = _shm_segments()
-    if before is not None and after is not None:
-        assert after - before == set(), (
-            f"leaked shared-memory segments: {sorted(after - before)}"
-        )
-    scratch_after = _ckpt_scratch_dirs()
-    if scratch_before is not None and scratch_after is not None:
-        assert scratch_after - scratch_before == set(), (
-            "leaked DiskStore scratch directories: "
-            f"{sorted(scratch_after - scratch_before)}"
-        )
-    staging_after = _trace_staging_files()
-    if staging_before is not None and staging_after is not None:
-        assert staging_after - staging_before == set(), (
-            "leaked trace staging files: "
-            f"{sorted(staging_after - staging_before)}"
-        )
+    for kind, paths in created.items():
+        left = sorted(path for path in paths if os.path.exists(path))
+        assert not left, f"leaked {kind}: {left}"

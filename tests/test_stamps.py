@@ -94,18 +94,21 @@ def _kernel(ctx, step):
 
 
 def _stamps(monkeypatch, recovery, backend):
-    """Run :func:`_kernel` for six steps with one kill; every issued action's stamp."""
+    """Run :func:`_kernel` for six steps with one kill; every issued action's stamp.
+
+    Every record the runtime issues is made by ``_new_object`` (a communication
+    action, a lock, an unlock) or by ``SyncAction.issued`` (the other syncs) and
+    stamped once, right there: the records are kept in issue order, without
+    forcing any call off its path, and their stamps read after the run.
+    """
     seen = []
 
     def note(action):
-        seen.append(
-            f"{action.kind.name} {action.src}>{'*' if action.trg is None else action.trg} "
-            + ",".join(map(str, action.counters))
-        )
+        seen.append(action)
         return action
 
-    issue, issued = RmaRuntime._issue, SyncAction.issued.__func__
-    monkeypatch.setattr(RmaRuntime, "_issue", lambda self, *a, **k: note(issue(self, *a, **k)))
+    issued = SyncAction.issued.__func__
+    monkeypatch.setattr("repro.rma.runtime._new_object", lambda cls: note(object.__new__(cls)))
     monkeypatch.setattr(
         SyncAction, "issued", classmethod(lambda cls, *a: note(issued(cls, *a)))
     )
@@ -116,7 +119,11 @@ def _stamps(monkeypatch, recovery, backend):
     ) as job:
         job.allocate("w", 4)
         assert job.run(_kernel, steps=6).recoveries == 1
-    return seen
+    return [
+        f"{action.kind.name} {action.src}>{'*' if action.trg is None else action.trg} "
+        + ",".join(map(str, action.counters))
+        for action in seen
+    ]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
