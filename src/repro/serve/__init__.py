@@ -10,14 +10,15 @@ traffic and asks what each recovery protocol does to the tail.  The layers:
   client keys over rank-owned regions of the shared ``"kv"`` window (hot
   Zipf keys scatter across all shards instead of melting one rank);
 * :mod:`repro.serve.traffic` — :class:`RequestGenerator`, the seeded
-  open-loop source: Poisson-many arrivals as sorted uniforms, Zipf key skew,
-  a Bernoulli read/write mix, every request pre-assigned to the
-  ``(frontend rank, step)`` that admits it so the serving kernel stays a
-  pure function of ``(step, rank)`` — the localized-replay purity contract;
+  open-loop source: a trace of numpy columns (Poisson-many sorted-uniform
+  arrivals, Zipf keys, a Bernoulli read/write mix; a :class:`Request` is a
+  view made on demand), every request pre-assigned to the ``(frontend rank,
+  step)`` that admits it — the localized-replay purity contract;
 * :mod:`repro.serve.service` — :class:`KvService`, the ``"kv_service"``
-  study workload: lock-protected atomic writes, one-sided reads, and
-  per-request completion/status records that stay truthful under rollback
-  re-execution, replay suppression and degraded excision;
+  study workload: a kernel over pre-resolved ``(owner, offset)`` lists —
+  lock-protected atomic writes, one-sided reads — and per-request
+  completion/status columns, truthful under rollback re-execution, replay
+  suppression and degraded excision;
 * :mod:`repro.serve.slo` — :class:`WindowTracker` (checkpoint/recovery
   window observer) and the segmented SLO reducer: p50/p95/p99, throughput
   and error rate for steady-state vs during-checkpoint vs during-recovery;

@@ -29,7 +29,7 @@ The cells run one after another, in grid order.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.chaos.soak import scaled_cost_model
 from repro.errors import CatastrophicFailure, RecoveryError, ServeError
 from repro.experiment import _comparison_grid, check_names, plan_entropy, probe
 from repro.ft.inject import KillEvent, KillKind, KillPlan, install_injector
-from repro.serve.service import STATUS_UNSERVED, KvService
+from repro.serve.service import _STATUS_NAMES, KvService
 from repro.serve.slo import WindowTracker, build_slo_report
 from repro.study.workloads import make_workload
 from repro.trace.tracer import Tracer, current_trace_hub, trace_label
@@ -178,24 +178,8 @@ class ServeResult:
         """JSON-ready form (byte-identical across re-runs: no wall clock)."""
         return {
             "spec": {
-                "backend": self.spec.backend,
-                "store": self.spec.store,
-                "recovery": self.spec.recovery,
-                "nprocs": self.spec.nprocs,
-                "procs_per_node": self.spec.procs_per_node,
-                "slots": self.spec.slots,
-                "key_space": self.spec.key_space,
-                "steps": self.spec.steps,
-                "rate_per_step": self.spec.rate_per_step,
-                "zipf_s": self.spec.zipf_s,
-                "read_fraction": self.spec.read_fraction,
-                "interval": self.spec.interval,
-                "compression": self.spec.compression,
-                "seed": self.spec.seed,
-                "kill_frac": self.spec.kill_frac,
-                "kill_kind": self.spec.kill_kind,
-                "kills": self.spec.kills,
-                "flatness": self.spec.flatness,
+                f.name: getattr(self.spec, f.name) for f in fields(self.spec)
+                if f.name not in ("delivery", "watchdog", "service_params")
             },
             "plan": self.plan,
             "kills": self.kills,
@@ -295,12 +279,7 @@ def run_service(spec: ServeSpec) -> ServeResult:
     for row in rows:
         completion = row["completion_t"]
         tracer.emit(
-            "request_completed",
-            completion if completion is not None else row["arrival_t"],
-            **{key: row[key] for key in (
-                "rid", "frontend", "owner", "step", "op", "key",
-                "arrival_t", "completion_t", "latency_s", "status", "segment",
-            )},
+            "request_completed", row["arrival_t"] if completion is None else completion, **row
         )
     slo = build_slo_report(rows, tracker, total_s=report.elapsed)
     return ServeResult(
@@ -326,7 +305,7 @@ def run_service(spec: ServeSpec) -> ServeResult:
 def _assemble_rows(
     service: KvService, probe_elapsed: float, tracker: WindowTracker
 ) -> list[dict]:
-    """Join the trace with the service's completion records, in rid order.
+    """Join the trace with the service's record columns, in rid order.
 
     The arrival clock is the probe's failure-free timeline; latency is
     clamped at zero because a request *admitted* early in a step can
@@ -335,17 +314,16 @@ def _assemble_rows(
     served (its frontend was excised first): it has no completion or
     latency, is an error, and is segmented by its arrival instant.
     """
+    completions, codes = (column.tolist() for column in service.records)
     rows = []
-    for request in service.requests:
+    for request, completion, code in zip(service.requests, completions, codes):
         arrival = request.frac * probe_elapsed
-        record = service.records.get(request.rid)
-        if record is None:
-            completion, latency, status = None, None, STATUS_UNSERVED
-            segment = tracker.segment_of(arrival)
-        else:
-            completion, status = record
+        if code:
             latency = max(completion - arrival, 0.0)
             segment = tracker.segment_of(completion)
+        else:
+            completion = latency = None
+            segment = tracker.segment_of(arrival)
         rows.append(
             {
                 "rid": request.rid,
@@ -357,7 +335,7 @@ def _assemble_rows(
                 "arrival_t": arrival,
                 "completion_t": completion,
                 "latency_s": latency,
-                "status": status,
+                "status": _STATUS_NAMES[code],
                 "segment": segment,
             }
         )

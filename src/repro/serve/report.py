@@ -40,17 +40,8 @@ __all__ = [
 
 #: Required keys of one JSONL request-log row (the log's schema).
 REQUEST_FIELDS = (
-    "rid",
-    "frontend",
-    "owner",
-    "step",
-    "op",
-    "key",
-    "arrival_t",
-    "completion_t",
-    "latency_s",
-    "status",
-    "segment",
+    "rid", "frontend", "owner", "step", "op", "key",
+    "arrival_t", "completion_t", "latency_s", "status", "segment",
 )
 
 
@@ -136,16 +127,8 @@ def load_requests(path) -> list[dict]:
 # ----------------------------------------------------------------------
 # Markdown
 # ----------------------------------------------------------------------
-def _fmt_ms(value: float | None) -> str:
-    return "—" if value is None else f"{value:.3f}"
-
-
-def _fmt_rate(value: float | None) -> str:
-    return "—" if value is None else f"{value * 100.0:.2f}%"
-
-
-def _fmt_rps(value: float | None) -> str:
-    return "—" if value is None else f"{value:.1f}"
+def _fmt(value: float | None, template: str) -> str:
+    return "—" if value is None else template.format(value)
 
 
 def render_markdown(results: list[ServeResult]) -> str:
@@ -160,10 +143,9 @@ def render_markdown(results: list[ServeResult]) -> str:
             lat = entry["latency_ms"] or {}
             rows.append((
                 cell, segment, entry["requests"], entry["errors"],
-                _fmt_rate(entry["error_rate"]),
-                _fmt_ms(lat.get("p50")), _fmt_ms(lat.get("p95")),
-                _fmt_ms(lat.get("p99")),
-                _fmt_rps(entry["throughput_rps"]),
+                _fmt(entry["error_rate"], "{:.2%}"),
+                *(_fmt(lat.get(p), "{:.3f}") for p in ("p50", "p95", "p99")),
+                _fmt(entry["throughput_rps"], "{:.1f}"),
             ))
     return experiment.markdown_table(
         ("cell", "segment", "requests", "errors", "error rate",

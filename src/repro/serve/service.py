@@ -8,7 +8,10 @@ one :class:`~repro.serve.shard.ShardMap` region of the ``"kv"`` window).
 Writes are lock-protected atomic ``fetch_and_op(SUM)`` on the owner; reads
 are blocking one-sided gets.  On top of the kernel the service records the
 **completion instant and status of every request** on the admitting rank's
-virtual clock — the raw material of the SLO report.
+virtual clock — the raw material of the SLO report — in two per-request
+columns indexed by ``rid``.  The kernel builds no object per request: it
+walks each ``(step, rank)``'s rid range over flat lists of pre-resolved
+``(owner, offset)`` placements and small-int deltas.
 
 Recording has to survive the recovery protocols without lying:
 
@@ -41,7 +44,7 @@ import numpy as np
 
 from repro.errors import ServeError
 from repro.serve.shard import ShardMap
-from repro.serve.traffic import WRITE, RequestGenerator
+from repro.serve.traffic import RequestGenerator
 from repro.study.workloads import WORKLOADS, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -66,9 +69,10 @@ STATUS_DROPPED_WRITE = "dropped_write"
 #: A request whose frontend rank was excised before admitting it.
 STATUS_UNSERVED = "unserved"
 
-STATUSES = frozenset(
-    {STATUS_OK, STATUS_STALE_READ, STATUS_DROPPED_WRITE, STATUS_UNSERVED}
-)
+#: The status column's codes; 0 is "not yet recorded", reported as unserved.
+_STATUS_NAMES = (STATUS_UNSERVED, STATUS_OK, STATUS_STALE_READ, STATUS_DROPPED_WRITE)
+_OK, _STALE_READ, _DROPPED_WRITE = 1, 2, 3
+STATUSES = frozenset(_STATUS_NAMES)
 
 
 class KvService(Workload):
@@ -99,39 +103,43 @@ class KvService(Workload):
         self.flops_per_request = flops_per_request
         self.shards = ShardMap(nshards=nprocs, slots=slots)
         self.generator = RequestGenerator(
-            seed=seed,
-            steps=steps,
-            nprocs=nprocs,
-            key_space=key_space,
-            rate_per_step=rate_per_step,
-            zipf_s=zipf_s,
-            read_fraction=read_fraction,
+            seed=seed, steps=steps, nprocs=nprocs, key_space=key_space,
+            rate_per_step=rate_per_step, zipf_s=zipf_s, read_fraction=read_fraction,
         )
         #: The full trace, in arrival order (pure function of the parameters).
         self.requests = self.generator.generate()
-        self._admission = self.generator.by_step_frontend(self.requests)
-        #: rid -> (completion virtual time on the frontend's clock, status).
-        #: Overwrite semantics: a re-executed request's latest committed
-        #: serving wins (see the module docstring for why that is correct
-        #: under each recovery protocol).
-        self.records: dict[int, tuple[float, str]] = {}
+        keys, index = np.unique(self.requests.key, return_inverse=True)
+        placement = [self.shards.locate(key) for key in keys.tolist()]
+        #: Per rid: its key's ``(owner, offset)`` (one shared tuple per key)
+        #: and its delta as a small int (0: a read) — no object per request.
+        self._place = [placement[i] for i in index.tolist()]
+        self._delta = self.requests.delta.astype(np.int64).tolist()
         self._job: Job | None = None
+        self._reset_records()
 
     # ------------------------------------------------------------------
     @property
     def steps(self) -> int:
         return self.nsteps
 
+    def _reset_records(self) -> None:
+        n = len(self.requests)
+        #: ``(completion, status)`` per rid: the completion instant on the
+        #: frontend's virtual clock and a code into ``_STATUS_NAMES`` (0: not
+        #: yet recorded).  Overwrite semantics: a re-executed request's latest
+        #: committed serving wins (see the module docstring for why that is
+        #: correct under each recovery protocol).
+        self.records = (np.zeros(n), np.zeros(n, dtype=np.uint8))
+
     def setup(self, job: "Job") -> None:
         job.allocate("kv", self.slots)
         self._job = job
-        self.records = {}
+        self._reset_records()
 
     def kernel(self) -> "Kernel":
-        admission = self._admission
-        shards = self.shards
+        admitted = self.requests.admitted
+        place, delta = self._place, self._delta
         flops = self.flops_per_request
-        records = self.records
 
         def kernel(ctx, step):
             job = self._job
@@ -144,25 +152,24 @@ class KvService(Workload):
                 not runtime.replaying or ctx.rank in runtime.replay_restoring
             )
             excised = runtime.excised
-            for request in admission.get((step, ctx.rank), ()):
-                owner, offset = shards.locate(request.key)
-                if request.op == WRITE:
+            # Read at run time: setup() allocates each job's columns.
+            completion, status = map(memoryview, self.records)
+            for rid in admitted(step, ctx.rank):
+                owner, offset = place[rid]
+                value = delta[rid]
+                if value:
                     ctx.lock(owner)
-                    ctx.fetch_and_op(owner, "kv", offset, request.delta)
+                    ctx.fetch_and_op(owner, "kv", offset, value)
                     ctx.unlock(owner)
                 else:
                     ctx.get(owner, "kv", offset, 1)
                 completed = ctx.compute(flops)
-                if overwrite or request.rid not in records:
+                if overwrite or not status[rid]:
                     if owner in excised:
-                        status = (
-                            STATUS_DROPPED_WRITE
-                            if request.op == WRITE
-                            else STATUS_STALE_READ
-                        )
+                        status[rid] = _DROPPED_WRITE if value else _STALE_READ
                     else:
-                        status = STATUS_OK
-                    records[request.rid] = (completed, status)
+                        status[rid] = _OK
+                    completion[rid] = completed
 
         return kernel
 
@@ -177,11 +184,9 @@ class KvService(Workload):
         local reduction is exact — the digest-equality oracle for rollback
         and replay runs.
         """
+        slot = np.array([rank * self.slots + offset for rank, offset in self._place], np.intp)
         table = np.zeros(self.nprocs * self.slots, dtype=np.float64)
-        for request in self.requests:
-            if request.op == WRITE:
-                owner, offset = self.shards.locate(request.key)
-                table[owner * self.slots + offset] += request.delta
+        np.add.at(table, slot, self.requests.delta)  # a read adds +0.0: no bit changes
         return table
 
 

@@ -11,6 +11,12 @@ contract the localized-replay cursor enforces (a kernel that consulted the
 clock to decide what to serve would issue different operations during
 replay and abort recovery with a divergence error).
 
+The trace is numpy columns drawn in one vectorised pass — arrival fraction,
+key and write delta per request, in arrival (``rid``) order — and a
+:class:`Request` exists only while someone indexes or iterates it.  The
+frontend is ``rid % nprocs`` and the step never decreases in ``rid``, so
+what one ``(step, frontend)`` admits is a strided ``rid`` range.
+
 *Open-loop* means arrival times never react to service times: a request
 admitted at step ``s`` arrived at its own instant of the failure-free
 timeline whether or not the service is mid-recovery — so queueing delay
@@ -26,7 +32,9 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import asdict, dataclass
+from itertools import product
 
 import numpy as np
 
@@ -59,15 +67,7 @@ class Request:
     delta: float
 
     def as_dict(self) -> dict:
-        return {
-            "rid": self.rid,
-            "frac": self.frac,
-            "frontend": self.frontend,
-            "step": self.step,
-            "op": self.op,
-            "key": self.key,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
 
 class RequestGenerator:
@@ -127,44 +127,64 @@ class RequestGenerator:
         )
         return weights / weights.sum()
 
-    def generate(self) -> list[Request]:
-        """The full request trace, in arrival order."""
+    def generate(self) -> "_Trace":
+        """The full request trace, in arrival order (a sequence of columns)."""
         rng = self._rng()
         count = int(rng.poisson(self.rate_per_step * self.steps))
         fracs = np.sort(rng.random(count))
         keys = rng.choice(self.key_space, size=count, p=self._key_probabilities())
         reads = rng.random(count) < self.read_fraction
         deltas = rng.integers(1, 10, size=count).astype(np.float64)
-        requests = []
-        for rid in range(count):
-            frac = float(fracs[rid])
-            requests.append(
-                Request(
-                    rid=rid,
-                    frac=frac,
-                    frontend=rid % self.nprocs,
-                    step=min(int(frac * self.steps), self.steps - 1),
-                    op=READ if reads[rid] else WRITE,
-                    key=int(keys[rid]),
-                    delta=0.0 if reads[rid] else float(deltas[rid]),
-                )
-            )
-        return requests
+        deltas[reads] = 0.0
+        return _Trace(fracs, keys, deltas, steps=self.steps, nprocs=self.nprocs)
 
-    def by_step_frontend(
-        self, requests: list[Request] | None = None
-    ) -> dict[tuple[int, int], tuple[Request, ...]]:
-        """The kernel's admission table: ``(step, frontend) -> requests``."""
-        table: dict[tuple[int, int], list[Request]] = {}
-        for request in requests if requests is not None else self.generate():
-            table.setdefault((request.step, request.frontend), []).append(request)
-        return {key: tuple(reqs) for key, reqs in table.items()}
+    def by_step_frontend(self, requests: "_Trace | None" = None) -> dict:
+        """The kernel's admission table as views: ``(step, frontend) -> requests``."""
+        trace = requests if requests is not None else self.generate()
+        table = {c: trace.admitted(*c) for c in product(range(self.steps), range(self.nprocs))}
+        return {c: tuple(map(trace.__getitem__, rids)) for c, rids in table.items() if rids}
 
 
-def trace_lines(requests: list[Request]):
+class _Trace(Sequence):
+    """A request trace as columns, in arrival (``rid``) order.
+
+    Only ``frac``, ``key`` and ``delta`` (0.0 for a read) are stored; the
+    frontend and step follow from the id and the fraction, and every
+    :class:`Request` is a view made on demand.
+    """
+
+    def __init__(
+        self, frac: np.ndarray, key: np.ndarray, delta: np.ndarray, *, steps: int, nprocs: int
+    ) -> None:
+        self.frac, self.key, self.delta = frac, key, delta
+        self.steps, self.nprocs = steps, nprocs
+        step = np.minimum((frac * steps).astype(np.int64), steps - 1)
+        #: ``starts[s]``: the first rid step ``s`` serves (``starts[steps] == len``).
+        self.starts = np.searchsorted(step, np.arange(steps + 1)).tolist()
+
+    def __len__(self) -> int:
+        return len(self.frac)
+
+    def __getitem__(self, rid: int) -> Request:
+        rid = range(len(self))[rid]
+        frac, delta = float(self.frac[rid]), float(self.delta[rid])
+        step = min(int(frac * self.steps), self.steps - 1)
+        op = WRITE if delta else READ
+        return Request(rid, frac, rid % self.nprocs, step, op, int(self.key[rid]), delta)
+
+    def admitted(self, step: int, frontend: int) -> range:
+        """The rids ``(step, frontend)`` admits, in rid order: ``step`` never
+        decreases in ``rid``, so they are every ``nprocs``-th of the step's."""
+        if not (0 <= step < self.steps and 0 <= frontend < self.nprocs):
+            return range(0)
+        lo, hi = self.starts[step], self.starts[step + 1]
+        return range(lo + (frontend - lo) % self.nprocs, hi, self.nprocs)
+
+
+def trace_lines(requests: Iterable[Request]):
     """Canonical JSONL lines of a trace (sorted keys, no whitespace).
 
-    This — not the in-memory list — is what the determinism tests compare:
+    This — not the in-memory columns — is what the determinism tests compare:
     byte equality of the serialization proves the traces equal down to float
     bit patterns.
     """

@@ -338,6 +338,13 @@ def _kv_batch(
     return keys, deltas
 
 
+@functools.lru_cache(maxsize=4096)
+def _kv_updates(seed: int, slots: int, nprocs: int, updates: int, step: int, rank: int):
+    """One batch as the kernel applies it: ``(owner, offset, delta)`` Python tuples."""
+    keys, deltas = _kv_batch(seed, nprocs * slots, updates, step, rank)
+    return tuple((*divmod(k, slots), d) for k, d in zip(keys.tolist(), deltas.tolist()))
+
+
 class KvUpdate(Workload):
     """GUPS-style lock-protected random-access key-value updates (examples/kv_update_ft).
 
@@ -394,16 +401,13 @@ class KvUpdate(Workload):
         job.allocate("table", self.slots)
 
     def kernel(self) -> "Kernel":
-        slots = self.slots
+        shape = (self.seed, self.slots, self.nprocs, self.updates_per_step)
         updates = self.updates_per_step
-        batch = self.batch
 
         def kernel(ctx, step):
-            keys, deltas = batch(step, ctx.rank)
-            for key, delta in zip(keys, deltas):
-                owner, offset = divmod(int(key), slots)
+            for owner, offset, delta in _kv_updates(*shape, step, ctx.rank):
                 ctx.lock(owner)
-                ctx.fetch_and_op(owner, "table", offset, float(delta))
+                ctx.fetch_and_op(owner, "table", offset, delta)
                 ctx.unlock(owner)
             ctx.compute(10.0 * updates)
 

@@ -2,22 +2,25 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
+from repro.api.session import launch
 from repro.backends.proc import proc_available
 from repro.chaos.metrics import compute_metrics
 from repro.errors import ServeError, StudyError
 from repro.registry import available, render_available
 from repro.serve import (
-    STATUS_DROPPED_WRITE,
     STATUS_OK,
-    STATUS_STALE_READ,
+    STATUS_UNSERVED,
+    STATUSES,
     KvService,
     RequestGenerator,
     ServeSpec,
@@ -34,7 +37,7 @@ from repro.serve import (
     write_requests,
 )
 from repro.serve.__main__ import main as serve_main, quick_spec
-from repro.serve.engine import build_plan
+from repro.serve.engine import _assemble_rows, build_plan
 from repro.serve.report import validate_request_row
 from repro.serve.slo import (
     SEGMENT_CHECKPOINT,
@@ -56,9 +59,9 @@ PROC_SKIP = pytest.mark.skipif(
 TRAFFIC_SHAPE = dict(steps=10, nprocs=4, key_space=64, rate_per_step=4.0)
 
 
-def _trace(seed: int) -> str:
+def _trace(seed: int, **shape) -> str:
     """Canonical serialization of one seeded trace (picklable helper)."""
-    generator = RequestGenerator(seed=seed, **TRAFFIC_SHAPE)
+    generator = RequestGenerator(seed=seed, **(shape or TRAFFIC_SHAPE))
     return "\n".join(trace_lines(generator.generate()))
 
 
@@ -154,15 +157,45 @@ def test_generator_disjoint_seeds_disjoint_traces():
     assert {r.frac for r in a}.isdisjoint({r.frac for r in b})
 
 
+@pytest.mark.parametrize(
+    ("shape", "digest"),
+    [
+        (
+            dict(seed=5, **TRAFFIC_SHAPE),
+            "f78f3337009c85d0e80949dcbe2afbe30600e3ba1d4d6ef3ac097233c83b6728",
+        ),
+        (
+            dict(seed=11, steps=37, nprocs=5, key_space=1000, rate_per_step=13.5,
+                 zipf_s=0.0, read_fraction=0.25),
+            "70720c15c96b1ea5e923a8f3700f90d2d32f0bf2b16523092f8f2912fbe6607a",
+        ),
+    ],
+)
+def test_generator_trace_pinned(shape, digest):
+    # Recorded when a request was still built per arrival in a Python loop:
+    # the columns keep every frac, key, op and delta bit for bit.
+    assert hashlib.sha256(_trace(**shape).encode()).hexdigest() == digest
+
+
 def test_generator_admission_table_covers_trace():
     generator = RequestGenerator(seed=5, **TRAFFIC_SHAPE)
     requests = generator.generate()
+    admitted = [
+        rid
+        for step in range(TRAFFIC_SHAPE["steps"])
+        for frontend in range(TRAFFIC_SHAPE["nprocs"])
+        for rid in requests.admitted(step, frontend)
+    ]
+    assert sorted(admitted) == list(range(len(requests)))  # each rid exactly once
     table = generator.by_step_frontend(requests)
     assert sum(len(v) for v in table.values()) == len(requests)
     for (step, frontend), batch in table.items():
         assert 0 <= step < TRAFFIC_SHAPE["steps"]
         assert 0 <= frontend < TRAFFIC_SHAPE["nprocs"]
         assert all(r.step == step and r.frontend == frontend for r in batch)
+        assert [r.rid for r in batch] == sorted(r.rid for r in batch)
+    assert [r.rid for r in requests] == list(range(len(requests)))
+    assert requests[-1] == list(requests)[-1] and not requests.admitted(-1, 0)
 
 
 def test_generator_validation():
@@ -177,6 +210,43 @@ def test_generator_validation():
 # ----------------------------------------------------------------------
 # Registry (satellite 1)
 # ----------------------------------------------------------------------
+def _served(service: KvService, kernel=None) -> None:
+    """One failure-free run of ``service`` (job and kernel gone on return)."""
+    with launch(service.nprocs) as job:
+        service.setup(job)
+        job.run(kernel or service.kernel(), steps=service.steps)
+
+
+def test_kernel_built_before_setup_records_the_run():
+    service = KvService(nprocs=4, slots=8, key_space=32, steps=4)
+    kernel = service.kernel()
+    _served(service, kernel)
+    rows = _assemble_rows(service, 1.0, WindowTracker())
+    assert rows and {row["status"] for row in rows} == {STATUS_OK}
+
+
+def test_kv_service_memory_budget():
+    # The trace is columns and the kernel's lists hold cached small ints and
+    # shared tuples only; the records are two per-request columns.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        service = KvService(nprocs=8, steps=400, rate_per_step=40.0)
+        built = tracemalloc.get_traced_memory()[0] - before
+        _served(service)
+        gc.collect()
+        with_records = tracemalloc.get_traced_memory()[0]
+        service.records = None
+        gc.collect()
+        records = with_records - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(service.requests) > 15_000
+    assert built <= 2.0 * 2**20, f"KvService retains {built / 2**20:.2f} MiB"
+    assert records <= 1.0 * 2**20, f"a run's records retain {records / 2**20:.2f} MiB"
+
+
 def test_kv_service_registered_as_workload():
     assert "kv_service" in available("workload")
     assert "kv_service" in render_available()
@@ -336,13 +406,28 @@ def test_full_recovery_tables_match_failure_free(comparison):
     assert cell(comparison, "degraded").digest != expected
 
 
+#: sha256 of each quick cell's rows, recorded while the records were a
+#: ``rid -> (completion, status)`` dict: the record columns reproduce them.
+ROWS_SHA256 = {
+    "global": "7c1c63d7240deb2f3d509ac190fcda7f0af85092e810ebfd644fd35770bb04f7",
+    "localized": "c140ddc5e57953112c6f05f52b14363a771f789a08c86386b37391412e1473dc",
+    "degraded": "46bd84f85e6bf11cc3ee618fd83dc7078a3021fdb121d224c00feb7ad81d65fc",
+}
+
+
 def test_statuses_by_protocol(comparison):
     for recovery in ("global", "localized"):
         statuses = {row["status"] for row in cell(comparison, recovery).rows}
         assert statuses == {STATUS_OK}
     degraded = {row["status"] for row in cell(comparison, "degraded").rows}
-    assert STATUS_OK in degraded
-    assert degraded & {STATUS_STALE_READ, STATUS_DROPPED_WRITE}
+    assert degraded == STATUSES  # ok, stale, dropped and never admitted
+    for recovery, digest in ROWS_SHA256.items():
+        rows = cell(comparison, recovery).rows
+        assert [row["rid"] for row in rows] == list(range(len(rows)))
+        for row in rows:
+            assert (row["completion_t"] is None) == (row["status"] == STATUS_UNSERVED)
+        encoded = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest() == digest, recovery
 
 
 def test_localized_stalls_fewer_requests_than_global(comparison):
