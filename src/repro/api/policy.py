@@ -99,10 +99,6 @@ class FaultTolerancePolicy:
         means "a different compute node".
     keep_versions:
         Committed checkpoint versions the store retains.
-    log_actions:
-        Whether to keep the put/get :class:`~repro.ft.checkpoint.ActionLog`;
-        forced on when ``demand_threshold_bytes`` is set or when
-        ``recovery="localized"`` (the log is what it replays).
     store:
         Checkpoint placement strategy — ``"memory"`` (default; local + buddy
         copies, §3.1/§5), ``"disk"`` (spill to a directory, survives node
@@ -131,7 +127,6 @@ class FaultTolerancePolicy:
     demand_threshold_bytes: int | None = None
     buddy_level: int = 1
     keep_versions: int = 2
-    log_actions: bool = True
     store: "CheckpointStore | str" = "memory"
     recovery: "RecoveryProtocol | str" = "global"
     delivery: "DeliveryMode | str" = "reliable"
@@ -179,7 +174,6 @@ class FaultTolerancePolicy:
             buddy_level=self.buddy_level,
             demand_threshold_bytes=self.demand_threshold_bytes,
             keep_versions=self.keep_versions,
-            log_actions=self.log_actions,
             store=self.store,
             recovery=self.recovery,
             delivery=self.delivery,

@@ -78,7 +78,7 @@ class Scenario(abc.ABC):
         """Generate the kill plan for a soak of ``rounds`` workload rounds.
 
         ``ops_per_round`` is the calibrated completion-stream length of one
-        failure-free round (see :func:`repro.experiment.probe`);
+        failure-free round (:attr:`repro.study.workloads.WorkloadRun.ops` of a probe run);
         ``steps_per_round`` the workload's step count, so scenarios can space
         events in units of whole steps.
         """

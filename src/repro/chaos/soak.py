@@ -1,8 +1,10 @@
 """The soak driver: open-ended workload rounds under accelerated virtual time.
 
 A *soak* runs one workload for many consecutive rounds inside a single
-session, with a scenario-generated kill plan striking throughout; its chaos
-log — every transition, timestamped — is read off the finished job's trace
+session — one :meth:`~repro.study.workloads.Workload.run`, after a
+failure-free probe run that calibrates the plan — with a scenario-generated
+kill plan striking throughout; its chaos log — every transition,
+timestamped — is read off the finished job's trace
 (:func:`~repro.chaos.monitor.chaos_events`).  Two levers make hour-scale campaigns
 finish in wall-clock seconds:
 
@@ -27,25 +29,21 @@ The cells run one after another, in grid order.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.api.policy import FaultTolerancePolicy, Topology
-from repro.api.session import launch
-from repro.chaos.metrics import ChaosMetrics, compute_metrics, write_events
+from repro.api.policy import FaultTolerancePolicy
+from repro.chaos.metrics import ChaosMetrics, compute_metrics
 from repro.chaos.monitor import MONITORS, chaos_events
 from repro.chaos.scenarios import make_scenario
-from repro.errors import (
-    CatastrophicFailure,
-    ChaosError,
-    RecoveryError,
-)
-from repro.experiment import _comparison_grid, check_names, plan_entropy, probe
-from repro.ft.inject import KillPlan, install_injector
+from repro.errors import ChaosError
+from repro.experiment import _comparison_grid, check_names, plan_entropy
+from repro.ft.inject import KillPlan
 from repro.simulator.costs import CostModel, cray_xe6_like
 from repro.study.model import IntervalModel
 from repro.study.workloads import make_workload
-from repro.trace.tracer import Tracer, current_trace_hub, trace_label
+from repro.trace.tracer import cell_tracer, trace_label
 
 __all__ = [
     "COUNTERMEASURES",
@@ -265,12 +263,12 @@ def build_plan(spec: SoakSpec, *, ops_per_round: int, steps_per_round: int) -> K
 # ----------------------------------------------------------------------
 # The driver
 # ----------------------------------------------------------------------
-def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
+def run_soak(spec: SoakSpec) -> SoakResult:
     """Run one soak cell to completion and compute its reliability metrics.
 
-    The whole soak is **one** session and one :meth:`~repro.api.session.Job.run`
-    of ``rounds × steps`` job steps (every catalog kernel is a pure function
-    of its step number, so rounds are just step ranges); a rollback therefore
+    The whole soak is **one** :meth:`~repro.study.workloads.Workload.run` of
+    ``rounds × steps`` job steps (every catalog kernel is a pure function of
+    its step number, so rounds are just step ranges); a rollback therefore
     never crosses a phase boundary.  A failure mode recovery cannot absorb —
     a rank lost together with its buddy, or no usable checkpoint — ends the
     soak early with a ``soak_aborted`` event rather than raising: surviving
@@ -281,47 +279,29 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
     )
     cost = scaled_cost_model(compression=spec.compression)
     with trace_label(f"{spec.cell_key}/probe"):
-        ops_per_round, probe_run = probe(
-            workload, procs_per_node=spec.procs_per_node, cost_model=cost
-        )
-    round_seconds = probe_run.report.elapsed
+        probe = workload.run(procs_per_node=spec.procs_per_node, cost_model=cost)
+    ops_per_round, round_seconds = probe.ops, probe.report.elapsed
     plan = build_plan(
         spec, ops_per_round=ops_per_round, steps_per_round=workload.steps
     )
     recovery = COUNTERMEASURES[spec.countermeasure]
-    total_steps = spec.rounds * workload.steps
-
-    aborted: str | None = None
-    digest: str | None = None
-    # One tracer instruments the job (joining the run-wide hub when an engine
-    # CLI's ``--trace`` activated one); the chaos log is read off its events
-    # once the job has finished.
-    with trace_label(spec.cell_key):
-        hub = current_trace_hub()
-        tracer = hub.tracer() if hub is not None else Tracer(detail="lifecycle")
-    with launch(
-        spec.nprocs,
-        topology=Topology(procs_per_node=spec.procs_per_node, cost_model=cost),
+    # The chaos log is read off the soak's trace once the job has finished.
+    tracer = cell_tracer(spec.cell_key)
+    run = workload.run(
         ft=FaultTolerancePolicy(
             interval=spec.interval, store=spec.store, recovery=recovery,
             delivery=spec.delivery,
         ),
-        sync_each_step=workload.sync_each_step,
         backend=spec.backend,
+        procs_per_node=spec.procs_per_node,
+        cost_model=cost,
+        kill_plan=plan,
         watchdog=spec.watchdog,
+        steps=spec.rounds * workload.steps,
         trace=tracer,
-    ) as job:
-        workload.setup(job)
-        bytes_per_rank = sum(w.nbytes_per_rank for w in job.runtime.windows.all())
-        injector = install_injector(job, plan)
-        try:
-            report = job.run(workload.kernel(), steps=total_steps)
-        except (RecoveryError, CatastrophicFailure) as exc:
-            aborted = type(exc).__name__
-            report = job.report()
-        if aborted is None:
-            digest = workload.digest(workload.collect(job))
-        end_t = job.cluster.elapsed()
+    )
+    report = run.report
+    kills = Counter(e["type"] for e in tracer.events)
 
     events = [
         {"type": "soak_started", "t": 0.0,
@@ -333,14 +313,13 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
         *chaos_events(tracer.events, steps_per_round=workload.steps,
                       episodes=spec.monitor == "episodes"),
     ]
-    if aborted is not None:  # stamped where the run stopped, as its report was
-        events.append({"type": "soak_aborted", "t": report.elapsed, "error": aborted})
-    events.append({"type": "soak_completed", "t": end_t,
+    if run.aborted is not None:  # stamped where the run stopped, as its report was
+        events.append({"type": "soak_aborted", "t": report.elapsed, "error": run.aborted})
+    events.append({"type": "soak_completed", "t": report.elapsed,
                    "steps_executed": report.steps_executed,
-                   "kills_fired": len(injector.fired), "kills_skipped": len(injector.skipped)})
+                   "kills_fired": kills["kill_fired"],
+                   "kills_skipped": kills["kill_skipped"]})
     metrics = compute_metrics(events)
-    if events_path is not None:
-        write_events(events, events_path)
 
     # The analytic prediction for this cell: the §5–§7 interval model fed the
     # *planned* failure rate, so predicted and observed MTTR/availability can
@@ -350,7 +329,7 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
     model = IntervalModel(
         cost_model=cost,
         nprocs=spec.nprocs,
-        bytes_per_rank=bytes_per_rank,
+        bytes_per_rank=run.bytes_per_rank,
         store=spec.store,
         rates_per_level={0: rate} if rate else {},
     )
@@ -375,8 +354,8 @@ def run_soak(spec: SoakSpec, *, events_path: str | None = None) -> SoakResult:
         excised_ranks=int(report.excised_ranks),
         steps_executed=int(report.steps_executed),
         elapsed_s=report.elapsed,
-        digest=digest,
-        aborted=aborted,
+        digest=run.digest,
+        aborted=run.aborted,
         predicted_mttr_s=predicted_mttr,
         predicted_availability=predicted_avail,
     )

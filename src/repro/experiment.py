@@ -4,9 +4,12 @@ The paper's evaluation (§7, Figs. 10–11) is a single protocol — the same
 seeded fault load on configurations that differ in one axis, measured against
 a failure-free probe — and :mod:`repro.study`, :mod:`repro.chaos`,
 :mod:`repro.serve` and :mod:`repro.qos` are that protocol with different
-specs, per-cell functions and invariants.  Everything they share lives here,
-once, as plain functions: the paired-seed rule (:func:`plan_entropy`), spec
-name validation (:func:`check_names`), the failure-free :func:`probe`, the
+specs, per-cell functions and invariants.  Every session of a cell — probe,
+trial, soak or serving run — is one
+:meth:`~repro.study.workloads.Workload.run`, which also owns the one policy
+for a fault load recovery cannot carry (the run is ``aborted``).  Everything
+else they share lives here, once, as plain functions: the paired-seed rule
+(:func:`plan_entropy`), spec name validation (:func:`check_names`), the
 ordered ``serial | process`` map (:func:`run_grid`), canonical
 serialisation (:func:`report_json`, :func:`markdown_table`) and the
 exact-vs-ratio regression gate (:func:`baseline_gate`).  The command-line
@@ -20,22 +23,15 @@ import json
 import zlib
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.registry import available, is_registered, plural
-from repro.rma.actions import OpKind
 from repro.trace.tracer import current_trace_hub
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.simulator.costs import CostModel
-    from repro.study.workloads import Workload, WorkloadRun
 
 __all__ = [
     "plan_entropy",
     "check_names",
-    "probe",
     "run_grid",
     "report_json",
     "markdown_table",
@@ -76,37 +72,6 @@ def check_names(
                     f"unknown {kind} {name!r} in {where}; "
                     f"registered {plural(kind)} are: {listing}"
                 )
-
-
-#: Metric names that count completed *communication* operations — exactly the
-#: stream :class:`~repro.ft.inject.FaultInjector` indexes into.  Sync actions
-#: (locks, flushes, gsyncs) and byte bookkeeping also live under ``rma.`` but
-#: never pass through ``after_comm``, so they must not inflate the count.
-_OP_METRICS = frozenset(f"rma.{kind.value}" for kind in OpKind)
-
-
-def probe(
-    workload: Workload,
-    *,
-    procs_per_node: int,
-    cost_model: CostModel | None,
-    backend: str = "sim",
-) -> tuple[int, WorkloadRun]:
-    """One failure-free, unprotected run: ``(completion-stream ops, run)``.
-
-    The completion stream is contractually identical across backends, and
-    checkpoint/store traffic never passes through it, so one probe on the
-    default ``sim`` backend calibrates kill offsets for every backend, store
-    and protocol of a grid.  Running without fault tolerance also makes
-    ``run.report.elapsed`` the *client's* failure-free timeline — what an
-    open-loop arrival clock must be anchored to, or arrivals would slow down
-    with the protocol under test.
-    """
-    run = workload.run(
-        backend=backend, procs_per_node=procs_per_node, cost_model=cost_model
-    )
-    totals = run.report.metrics.totals
-    return int(sum(totals.get(name, 0) for name in _OP_METRICS)), run
 
 
 def run_grid(

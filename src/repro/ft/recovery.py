@@ -110,7 +110,7 @@ class RecoveryProtocol(abc.ABC):
     #: Whether the protocol replays the put/get log and therefore requires an
     #: :class:`~repro.ft.checkpoint.ActionLog` that *retains* completed
     #: actions (not just their byte counts).  :func:`~repro.ft.stack.
-    #: build_ft_stack` forces such a log on when this is set.
+    #: build_ft_stack` makes its log retain them when this is set.
     needs_log: bool = False
 
     @abc.abstractmethod

@@ -43,8 +43,8 @@ __all__ = ["FtStack", "build_ft_stack"]
 class FtStack:
     """The fully-wired fault-tolerance protocol of one job."""
 
-    #: Put/get log driving demand checkpoints; ``None`` when logging is off.
-    log: ActionLog | None
+    #: Put/get log: demand checkpoints, the store's trust rule, localized replay.
+    log: ActionLog
     checkpointer: CoordinatedCheckpointer
     recovery: RecoveryManager
     #: Delivery mode installed on the runtime (reliable unless declared).
@@ -107,7 +107,7 @@ class FtStack:
         runtime = self.checkpointer.runtime
         if runtime.replaying:
             runtime.replay_step_boundary()
-        elif self.log is not None:
+        else:
             self.log.mark_step(kernels_only=kernels_only)
 
     def repair(self) -> None:
@@ -151,8 +151,7 @@ class FtStack:
         dangling interceptor does not.
         """
         try:
-            if self.log is not None:
-                runtime.remove_interceptor(self.log)
+            runtime.remove_interceptor(self.log)
             runtime.remove_interceptor(self.checkpointer)
             runtime.set_delivery(None)
         finally:
@@ -168,7 +167,6 @@ def build_ft_stack(
     buddy_level: int = 1,
     demand_threshold_bytes: int | None = None,
     keep_versions: int = 2,
-    log_actions: bool = True,
     store: CheckpointStore | str | None = None,
     recovery: RecoveryProtocol | str | None = None,
     delivery: DeliveryMode | str | None = None,
@@ -185,12 +183,6 @@ def build_ft_stack(
     keep_versions:
         How many committed checkpoint versions the store retains (ignored
         when a ready store instance is given — its own configuration wins).
-    log_actions:
-        Whether to install the put/get :class:`ActionLog`.  Forced on when
-        ``demand_threshold_bytes`` is set (the threshold is measured on the
-        log) or when the recovery protocol is the log-based
-        :class:`~repro.ft.recovery.LocalizedReplay` (the log is what it
-        replays).
     store:
         Checkpoint placement: ``"memory"`` (default; local + buddy copies),
         ``"disk"`` (spill to a directory), ``"parity"`` (XOR stripe across
@@ -210,13 +202,11 @@ def build_ft_stack(
         or a ready :class:`~repro.qos.delivery.DeliveryMode` instance.
     """
     protocol = make_protocol(recovery)
-    log: ActionLog | None = None
-    if log_actions or demand_threshold_bytes is not None or protocol.needs_log:
-        # Retaining completed actions (payloads included) is only needed by
-        # log-replaying protocols; everyone else keeps byte counts only, so
-        # the log's memory stays bounded between truncations.
-        log = ActionLog(retain_actions=protocol.needs_log)
-        runtime.add_interceptor(log)
+    # Retaining completed actions (payloads included) is only needed by
+    # log-replaying protocols; everyone else keeps byte counts only, so the
+    # log's memory stays bounded between truncations.
+    log = ActionLog(retain_actions=protocol.needs_log)
+    runtime.add_interceptor(log)
     checkpointer = CoordinatedCheckpointer(
         level=buddy_level,
         store=make_store(store, keep_versions=keep_versions),

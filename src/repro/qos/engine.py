@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.api.policy import FaultTolerancePolicy
 from repro.errors import QosError
-from repro.experiment import check_names, plan_entropy, probe, report_json, run_grid
+from repro.experiment import check_names, plan_entropy, report_json, run_grid
 from repro.ft.inject import KillPlan
 from repro.qos.delivery import _COUNTER_FIELDS, BestEffort
 from repro.registry import is_registered
@@ -197,17 +197,14 @@ def _run_reference(args: tuple[QosSpec, str]) -> dict:
     spec, backend = args
     workload = _build_workload(spec)
     with trace_label(f"reference/{backend}"):
-        stream_ops, run = probe(
-            workload,
-            backend=backend,
-            procs_per_node=spec.procs_per_node,
-            cost_model=cray_xe6_like(),
+        run = workload.run(
+            backend=backend, procs_per_node=spec.procs_per_node, cost_model=cray_xe6_like()
         )
     return {
         "digest": run.digest,
         "elapsed_s": run.report.elapsed,
         "result": run.result,
-        "stream_ops": stream_ops,
+        "stream_ops": run.ops,
     }
 
 
@@ -237,6 +234,11 @@ def _run_cell_trial(args: tuple[QosSpec, _Cell, int, int, np.ndarray]) -> dict:
             procs_per_node=spec.procs_per_node,
             cost_model=cray_xe6_like(),  # the machine the study campaign prices
             kill_plan=plan,
+        )
+    if run.aborted is not None:
+        raise QosError(
+            f"qos cell {cell.key} trial {trial}: the run aborted with {run.aborted}; "
+            "its kill plan is beyond what the configuration recovers from"
         )
     totals = run.report.metrics.totals
     record = {

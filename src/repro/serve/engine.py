@@ -3,18 +3,20 @@
 One :class:`ServeSpec` describes one cell: the service's traffic parameters
 (shared by every cell of a comparison), the resilience configuration
 (``store`` × ``recovery``), the execution ``backend`` and the kill plan
-shape.  :func:`run_service` executes a cell:
+shape.  :func:`run_service` executes a cell as two
+:meth:`~repro.study.workloads.Workload.run` calls and a reduction:
 
-1. **probe** — the shared failure-free probe (:func:`repro.experiment.probe`)
-   measures the completion-stream length and the makespan that anchors the
-   open-loop **arrival clock**: request ``r`` arrives at
-   ``r.frac × probe_makespan``, an instant that never reacts to checkpoints
-   or outages — that independence is what makes queueing delay visible;
+1. **probe** — a failure-free run without a policy measures the
+   completion-stream length (:attr:`~repro.study.workloads.WorkloadRun.ops`)
+   and the makespan that anchors the open-loop **arrival clock**: request
+   ``r`` arrives at ``r.frac × probe_makespan``, an instant that never reacts
+   to checkpoints or outages — that independence is what makes queueing
+   delay visible;
 2. **serve** — the real run under the declared
-   :class:`~repro.api.policy.FaultTolerancePolicy`, with the
-   :class:`~repro.ft.inject.FaultInjector` firing the plan (real SIGKILLs on
-   ``proc``); the checkpoint/recovery windows are read off the finished
-   job's trace (:meth:`~repro.serve.slo.WindowTracker.from_trace`);
+   :class:`~repro.api.policy.FaultTolerancePolicy` with the kill plan (real
+   SIGKILLs on ``proc``); an unrecoverable fault load ends it ``aborted``;
+   the checkpoint/recovery windows are read off its trace
+   (:meth:`~repro.serve.slo.WindowTracker.from_trace`);
 3. **reduce** — per-request rows (admission → completion latency in virtual
    time, status, window segment) and the segmented SLO report.
 
@@ -33,16 +35,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro.api.policy import FaultTolerancePolicy, Topology
-from repro.api.session import launch
+from repro.api.policy import FaultTolerancePolicy
 from repro.chaos.soak import scaled_cost_model
-from repro.errors import CatastrophicFailure, RecoveryError, ServeError
-from repro.experiment import _comparison_grid, check_names, plan_entropy, probe
-from repro.ft.inject import KillEvent, KillKind, KillPlan, install_injector
+from repro.errors import ServeError
+from repro.experiment import _comparison_grid, check_names, plan_entropy
+from repro.ft.inject import KillEvent, KillKind, KillPlan
 from repro.serve.service import _STATUS_NAMES, KvService
 from repro.serve.slo import WindowTracker, build_slo_report
 from repro.study.workloads import make_workload
-from repro.trace.tracer import Tracer, current_trace_hub, trace_label
+from repro.trace.tracer import cell_tracer, trace_label
 
 __all__ = ["ServeSpec", "ServeResult", "run_service", "run_slo_comparison"]
 
@@ -236,43 +237,26 @@ def run_service(spec: ServeSpec) -> ServeResult:
     service = spec.service()
     cost = scaled_cost_model(compression=spec.compression)
     with trace_label(f"{spec.cell_key}/probe"):
-        probe_ops, probe_run = probe(
-            service, procs_per_node=spec.procs_per_node, cost_model=cost
-        )
-    probe_elapsed = probe_run.report.elapsed
+        probe = service.run(procs_per_node=spec.procs_per_node, cost_model=cost)
+    probe_ops, probe_elapsed = probe.ops, probe.report.elapsed
     plan = build_plan(spec, ops_total=probe_ops)
 
-    # The windows are a view of the job's trace; a run-wide hub — an engine
-    # CLI's ``--trace`` — collects the tracer into the merged trace under
-    # this cell's label.
-    aborted: str | None = None
-    digest: str | None = None
-    with trace_label(spec.cell_key):
-        hub = current_trace_hub()
-        tracer = hub.tracer() if hub is not None else Tracer(detail="lifecycle")
-    with launch(
-        spec.nprocs,
-        topology=Topology(procs_per_node=spec.procs_per_node, cost_model=cost),
+    # The windows are a view of the run's trace.
+    tracer = cell_tracer(spec.cell_key)
+    run = service.run(
         ft=FaultTolerancePolicy(
             interval=spec.interval, store=spec.store, recovery=spec.recovery,
             delivery=spec.delivery,
         ),
-        sync_each_step=service.sync_each_step,
         backend=spec.backend,
+        procs_per_node=spec.procs_per_node,
+        cost_model=cost,
+        kill_plan=plan,
         watchdog=spec.watchdog,
         trace=tracer,
-    ) as job:
-        service.setup(job)
-        injector = install_injector(job, plan)
-        try:
-            report = job.run(service.kernel(), steps=service.steps)
-        except (RecoveryError, CatastrophicFailure) as exc:
-            aborted = type(exc).__name__
-            report = job.report()
-        tracker = WindowTracker.from_trace(tracer.events, job.cluster.elapsed())
-        if aborted is None:
-            digest = service.digest(service.collect(job))
-
+    )
+    report = run.report
+    tracker = WindowTracker.from_trace(tracer.events, report.elapsed)
     rows = _assemble_rows(service, probe_elapsed, tracker)
     # Request lifecycles join the trace once the rows are reduced: arrival
     # and completion are virtual instants, so the events are deterministic.
@@ -297,8 +281,8 @@ def run_service(spec: ServeSpec) -> ServeResult:
         excised_ranks=int(report.excised_ranks),
         steps_executed=int(report.steps_executed),
         elapsed_s=report.elapsed,
-        digest=digest,
-        aborted=aborted,
+        digest=run.digest,
+        aborted=run.aborted,
     )
 
 

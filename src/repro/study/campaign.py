@@ -27,7 +27,7 @@ from functools import partial
 from itertools import product
 
 from repro.api.policy import FaultTolerancePolicy
-from repro.errors import CampaignError, FaultToleranceError, ProcessFailedError
+from repro.errors import CampaignError
 from repro.experiment import (
     baseline_gate,
     check_names,
@@ -271,21 +271,20 @@ def _run_trial(args: tuple[CampaignSpec, _Cell, dict, int]) -> dict:
         "trial": trial,
         "events": [[ev.time, ev.level, ev.index] for ev in schedule],
     }
-    try:
-        # Label the session by cell and trial: a run-wide trace hub merges
-        # its sessions in label order.
-        with trace_label(f"{cell.key}/t{trial}"):
-            run = workload.run(
-                ft=_policy(cell, rates, spec.delivery),
-                failures=schedule,
-                backend=cell.backend,
-                procs_per_node=spec.procs_per_node,
-                cost_model=cray_xe6_like(),
-            )
-    except (FaultToleranceError, ProcessFailedError) as exc:
+    # Label the session by cell and trial: a run-wide trace hub merges its
+    # sessions in label order.
+    with trace_label(f"{cell.key}/t{trial}"):
+        run = workload.run(
+            ft=_policy(cell, rates, spec.delivery),
+            failures=schedule,
+            backend=cell.backend,
+            procs_per_node=spec.procs_per_node,
+            cost_model=cray_xe6_like(),
+        )
+    if run.aborted is not None:
         # The configuration could not carry this fault load (rank + buddy
-        # lost, no usable version, ...) — a legitimate campaign outcome.
-        record.update(survived=False, failure=type(exc).__name__)
+        # lost, no usable version) — a legitimate campaign outcome.
+        record.update(survived=False, failure=run.aborted)
         return record
     report = run.report
     record.update(

@@ -31,8 +31,9 @@ import numpy as np
 
 from repro.api.policy import FaultTolerancePolicy, Topology
 from repro.api.session import Job, JobReport, launch
-from repro.errors import StudyError
+from repro.errors import CatastrophicFailure, ProcessFailedError, RecoveryError, StudyError
 from repro.registry import register_kind, resolve_component
+from repro.rma.actions import OpKind
 from repro.simulator.costs import CostModel
 from repro.simulator.failures import FailureSchedule
 
@@ -40,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.api.scheduler import Kernel
     from repro.backends import Backend
     from repro.ft.inject import KillPlan
+    from repro.trace.tracer import Tracer
 
 __all__ = [
     "Workload",
@@ -52,31 +54,59 @@ __all__ = [
 ]
 
 
+#: Metric names that count completed *communication* operations — exactly the
+#: stream :class:`~repro.ft.inject.FaultInjector` indexes into.  Sync actions
+#: (locks, flushes, gsyncs) and byte bookkeeping also live under ``rma.`` but
+#: never pass through ``after_comm``, so they must not inflate the count.
+_OP_METRICS = frozenset(f"rma.{kind.value}" for kind in OpKind)
+
+
 @dataclass(frozen=True)
 class WorkloadRun:
-    """Outcome of one complete workload execution."""
+    """Outcome of one workload execution."""
 
     #: Registry name of the workload that ran.
     workload: str
-    #: The collected result array (field / vectors / table).
-    result: np.ndarray
-    #: Bit-exact digest of ``result`` (dtype, shape and raw bytes).
-    digest: str
-    #: The session's counters at the end of the run.
+    #: The collected result array (field / vectors / table); ``None`` if aborted.
+    result: np.ndarray | None
+    #: Bit-exact digest of ``result`` (dtype, shape and raw bytes); ``None`` if aborted.
+    digest: str | None
+    #: The session's counters at the end of the run (where it stopped, if aborted).
     report: JobReport
     #: The periodic checkpoint interval the session actually used — the
     #: analytic-model resolution when the policy said ``interval="auto"``.
     resolved_interval: int | None
     #: Per-rank window footprint in bytes (the analytic model's ``B``).
     bytes_per_rank: int
+    #: Class name of the error that ended a run under a policy early
+    #: (:class:`~repro.errors.RecoveryError`,
+    #: :class:`~repro.errors.CatastrophicFailure`, or
+    #: :class:`~repro.errors.ProcessFailedError` from the set-up), else ``None``.
+    aborted: str | None = None
+
+    @property
+    def ops(self) -> int:
+        """Length of the run's completion stream (communication operations).
+
+        The stream is contractually identical across backends, and
+        checkpoint/store traffic never passes through it, so one failure-free
+        run without a policy on the default ``sim`` backend — a *probe* —
+        calibrates kill offsets for every backend, store and protocol of a
+        grid.  Running without fault tolerance also makes the probe's
+        ``report.elapsed`` the *client's* failure-free timeline — what an
+        open-loop arrival clock must be anchored to, or arrivals would slow
+        down with the protocol under test.
+        """
+        totals = self.report.metrics.totals
+        return int(sum(totals.get(name, 0) for name in _OP_METRICS))
 
 
 class Workload(abc.ABC):
     """One catalog entry: a parameterized SPMD program with a digestible result.
 
     Subclasses define the window setup, the kernel, the step count and the
-    result collection; the base class owns the digest and the one-call
-    :meth:`run` driver used by campaigns, benchmarks and tests.
+    result collection; the base class owns the digest and :meth:`run`, the
+    one session of an engine cell.
     """
 
     #: Registry name ("stencil", "allreduce", "kv", ...).
@@ -141,17 +171,6 @@ class Workload(abc.ABC):
         denom = float(np.abs(b).sum()) + 1e-12
         return max(0.0, 1.0 - float(np.abs(a - b).sum()) / denom)
 
-    def bytes_per_rank(self) -> int:
-        """Per-rank window footprint in bytes — the analytic model's ``B``.
-
-        Measured by setting the workload up on a throwaway session (no steps
-        are executed), so catalog entries never have to duplicate their
-        window arithmetic.
-        """
-        with launch(self.nprocs, sync_each_step=self.sync_each_step) as job:
-            self.setup(job)
-            return sum(w.nbytes_per_rank for w in job.runtime.windows.all())
-
     def run(
         self,
         *,
@@ -162,14 +181,27 @@ class Workload(abc.ABC):
         cost_model: CostModel | None = None,
         kill_plan: "KillPlan | None" = None,
         watchdog: float | None = None,
+        steps: int | None = None,
+        trace: "Tracer | None" = None,
     ) -> WorkloadRun:
-        """Launch a session, run the workload to completion, digest the result.
+        """Launch a session, run the workload, digest the result.
 
-        ``kill_plan`` installs a :class:`~repro.ft.inject.FaultInjector` for
-        the plan before the step loop starts: real SIGKILLs on the
-        real-process backend, simulated fail-stop elsewhere, at identical
-        completion-stream positions — the lever of the differential harness.
-        ``watchdog`` is passed through to :func:`~repro.api.session.launch`.
+        This is the one session of an engine cell: every probe, trial, soak
+        and serving run of :mod:`repro.study`, :mod:`repro.chaos`,
+        :mod:`repro.serve` and :mod:`repro.qos` is one call.  ``kill_plan``
+        installs a :class:`~repro.ft.inject.FaultInjector` for the plan before
+        the step loop starts: real SIGKILLs on the real-process backend,
+        simulated fail-stop elsewhere, at identical completion-stream
+        positions.  ``steps`` (default :attr:`steps`; a soak runs several
+        rounds of the kernel) goes to :meth:`~repro.api.session.Job.run`,
+        ``watchdog`` and ``trace`` to :func:`~repro.api.session.launch`.
+
+        A fault load the policy cannot carry — a rank lost together with its
+        buddy, a failure before any usable checkpoint, or one striking the
+        set-up's collectives before the first checkpoint could be taken — is
+        an outcome, not an error: the run is :attr:`WorkloadRun.aborted` with
+        the report so far and no result.  Without a policy every failure
+        propagates, as it does out of :meth:`~repro.api.session.Job.run`.
         """
         with launch(
             self.nprocs,
@@ -179,23 +211,33 @@ class Workload(abc.ABC):
             sync_each_step=self.sync_each_step,
             backend=backend,
             watchdog=watchdog,
+            trace=trace,
         ) as job:
-            self.setup(job)
-            if kill_plan is not None:
-                from repro.ft.inject import install_injector
+            result = digest = aborted = None
+            try:
+                self.setup(job)
+                if kill_plan is not None:
+                    from repro.ft.inject import install_injector
 
-                install_injector(job, kill_plan)
-            report = job.run(self.kernel(), steps=self.steps)
-            result = self.collect(job)
+                    install_injector(job, kill_plan)
+                report = job.run(self.kernel(), steps=self.steps if steps is None else steps)
+            except (RecoveryError, CatastrophicFailure, ProcessFailedError) as exc:
+                if ft is None:
+                    raise
+                aborted, report = type(exc).__name__, job.report()
+            else:
+                result = self.collect(job)
+                digest = self.digest(result)
             resolved = job.resolved_interval
             footprint = sum(w.nbytes_per_rank for w in job.runtime.windows.all())
         return WorkloadRun(
             workload=self.name,
             result=result,
-            digest=self.digest(result),
+            digest=digest,
             report=report,
             resolved_interval=resolved,
             bytes_per_rank=footprint,
+            aborted=aborted,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

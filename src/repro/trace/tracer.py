@@ -53,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "Tracer",
     "TraceHub",
+    "cell_tracer",
     "current_trace_hub",
     "install_trace",
     "trace_label",
@@ -392,6 +393,17 @@ def tracing(path: str | None = None, *, detail: str = "full") -> Iterator[TraceH
         with _HUB_LOCK:
             _ACTIVE_HUB = None
         hub.finish()
+
+
+def cell_tracer(label: str) -> Tracer:
+    """The tracer of one engine cell whose events the engine reads: the active
+    hub's, under ``label``, when a :func:`tracing` block is open (an engine
+    CLI's ``--trace``), else a private ``"lifecycle"`` one."""
+    hub = _ACTIVE_HUB
+    if hub is None:
+        return Tracer(detail="lifecycle")
+    with trace_label(label):
+        return hub.tracer()
 
 
 @contextmanager

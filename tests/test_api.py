@@ -407,13 +407,6 @@ def test_build_ft_stack_wires_interceptors():
     assert len(runtime.interceptors) == 0
 
 
-def test_build_ft_stack_without_log():
-    runtime = RmaRuntime(Cluster.simple(4, procs_per_node=2))
-    stack = build_ft_stack(runtime, log_actions=False)
-    assert stack.log is None
-    assert len(runtime.interceptors) == 1
-
-
 def test_low_level_api_still_importable_and_usable():
     """The old hand-wired path keeps working underneath the facade."""
     from repro.ft import CoordinatedCheckpointer, RecoveryManager

@@ -20,6 +20,7 @@ from repro.chaos import (
     run_comparison,
     run_soak,
     scaled_cost_model,
+    write_events,
 )
 from repro.chaos.__main__ import main as chaos_main, quick_spec
 from repro.chaos.metrics import EVENT_TYPES
@@ -221,8 +222,8 @@ def sim_comparison():
     return run_comparison(small_spec())
 
 
-def test_soak_events_well_formed(tmp_path):
-    result = run_soak(small_spec(), events_path=str(tmp_path / "soak.jsonl"))
+def test_soak_events_well_formed():
+    result = run_soak(small_spec())
     assert result.aborted is None
     assert result.metrics.kills_fired >= 1
     assert result.metrics.episodes_resolved >= 1
@@ -236,7 +237,8 @@ def test_soak_events_well_formed(tmp_path):
 
 def test_event_log_roundtrips_through_metrics(tmp_path):
     path = tmp_path / "soak.jsonl"
-    result = run_soak(small_spec(), events_path=str(path))
+    result = run_soak(small_spec())
+    write_events(result.events, str(path))
     loaded = load_events(str(path))
     assert loaded == result.events
     assert compute_metrics(loaded) == result.metrics

@@ -21,7 +21,6 @@ from repro.experiment import (
     check_names,
     markdown_table,
     plan_entropy,
-    probe,
     report_json,
     run_grid,
 )
@@ -77,7 +76,7 @@ def test_check_names_lists_the_registered_choices():
 @pytest.mark.parametrize("name", ["stencil", "allreduce", "kv"])
 def test_probe_counts_the_stream_the_injector_indexes(name):
     workload = make_workload(name, nprocs=4)
-    ops, run = probe(workload, procs_per_node=2, cost_model=cray_xe6_like())
+    run = workload.run(procs_per_node=2, cost_model=cray_xe6_like())
     with launch(
         workload.nprocs,
         topology=Topology(procs_per_node=2, cost_model=cray_xe6_like()),
@@ -87,7 +86,7 @@ def test_probe_counts_the_stream_the_injector_indexes(name):
         counter = FaultInjector(KillPlan([]))
         job.runtime.add_interceptor(counter)
         report = job.run(workload.kernel(), steps=workload.steps)
-    assert ops == counter.ops_seen > 0
+    assert run.ops == counter.ops_seen > 0
     assert run.report.elapsed == report.elapsed
 
 

@@ -8,9 +8,10 @@ import pytest
 from repro import launch
 from repro.api.policy import FaultTolerancePolicy
 from repro.errors import CheckpointError, QosError
-from repro.ft import KillPlan, build_ft_stack, make_store
+from repro.ft import KillEvent, KillPlan, build_ft_stack, make_store
 from repro.ft.stores import MultiLevelStore, _merged
 from repro.qos.delivery import BestEffort, Reliable, make_delivery
+from repro.qos import engine as qos_engine
 from repro.qos.engine import (
     QosSpec,
     _plan_seed,
@@ -379,6 +380,22 @@ def test_plan_seed_depends_only_on_master_seed_and_trial():
     assert _plan_seed(a, 0) == _plan_seed(b, 0)
     assert _plan_seed(a, 0) != _plan_seed(a, 1)
     assert _plan_seed(QosSpec(seed=4, stores=("memory",)), 0) != _plan_seed(a, 0)
+
+
+def test_an_aborted_trial_raises_a_qos_error_naming_cell_trial_and_error(monkeypatch):
+    # Rank 0 and its buddy (rank 2 with two ranks per node) die together:
+    # reliable delivery cannot recover, and the sweep says where.
+    def rank_and_buddy(spec, trial, stream_ops):
+        return KillPlan([KillEvent(stream_ops // 2, 0), KillEvent(stream_ops // 2, 2)])
+
+    monkeypatch.setattr(qos_engine, "_trial_plan", rank_and_buddy)
+    spec = QosSpec(
+        backends=("sim",), stores=("memory",), deliveries=("reliable",), trials=1,
+        interval=3, workload_params={"slots": 16, "updates_per_step": 4, "steps": 12},
+    )
+    with pytest.raises(QosError, match=r"qos cell sim/memory/reliable trial 0: "
+                                       r"the run aborted with CatastrophicFailure"):
+        run_qos(spec)
 
 
 def test_run_qos_trade_off_invariants_hold_on_sim():

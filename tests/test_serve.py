@@ -37,6 +37,8 @@ from repro.serve import (
     write_requests,
 )
 from repro.serve.__main__ import main as serve_main, quick_spec
+from repro.ft.inject import KillEvent, KillPlan
+from repro.serve import engine as serve_engine
 from repro.serve.engine import _assemble_rows, build_plan
 from repro.serve.report import validate_request_row
 from repro.serve.slo import (
@@ -382,6 +384,20 @@ def test_run_service_rerun_byte_identical():
     first = json.dumps(run_service(spec).as_dict(), sort_keys=True)
     second = json.dumps(run_service(spec).as_dict(), sort_keys=True)
     assert first == second
+
+
+def test_a_kill_of_a_rank_and_its_buddy_aborts_the_cell(monkeypatch):
+    # Rank 0 and its buddy (rank 2 with two ranks per node) die together:
+    # no copy of rank 0's state survives, and the cell reports it, not raises.
+    def rank_and_buddy(spec, *, ops_total):
+        return KillPlan([KillEvent(ops_total // 2, 0), KillEvent(ops_total // 2, 2)])
+
+    monkeypatch.setattr(serve_engine, "build_plan", rank_and_buddy)
+    result = run_service(quick_spec())
+    assert result.aborted == "CatastrophicFailure" and result.digest is None
+    assert result.recoveries == 0 and result.steps_executed < result.spec.steps
+    assert [k["victims"] for k in result.kills] == [[0], [2]]
+    assert f"| {result.spec.cell_key} [CatastrophicFailure] |" in render_markdown([result])
 
 
 def test_comparison_fires_and_recovers(comparison):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import CampaignError, PolicyError, StudyError
+from repro.errors import CampaignError, PolicyError, ProcessFailedError, StudyError
+from repro.ft.inject import KillEvent, KillPlan
 from repro.registry import available
 from repro.simulator import FailureSchedule
 from repro.simulator.costs import cray_xe6_like, ethernet_cluster_like
@@ -113,6 +114,35 @@ def test_workload_recovers_bit_identical_under_injected_failure():
     assert recovered.digest == base.digest
 
 
+def _rank_and_buddy(after_ops: int) -> KillPlan:
+    """Kill rank 0 and its buddy (rank 2 with two ranks per node) at once."""
+    return KillPlan([KillEvent(after_ops, 0), KillEvent(after_ops, 2)])
+
+
+def test_an_unrecoverable_run_is_aborted_with_its_report_so_far():
+    wl = HeatStencil(n_local=8, iters=20)
+    run = wl.run(ft=repro.FaultTolerancePolicy(interval=5), kill_plan=_rank_and_buddy(100))
+    assert run.aborted == "CatastrophicFailure"
+    assert run.result is None and run.digest is None
+    assert run.report.recoveries == 0 and 0 < run.report.steps_executed < wl.steps
+    assert run.report.checkpoints >= 1 and run.bytes_per_rank == (8 + 2) * 8
+
+
+def test_a_failure_during_set_up_aborts_a_protected_run():
+    # The window allocation's barrier observes it, before any checkpoint.
+    schedule = FailureSchedule.single_rank(3, 1e-9)
+    run = HeatStencil(n_local=8, iters=20).run(
+        ft=repro.FaultTolerancePolicy(interval=5), failures=schedule
+    )
+    assert run.aborted == "ProcessFailedError" and run.digest is None
+    assert run.report.steps_executed == 0 and run.report.checkpoints == 0
+
+
+def test_an_unprotected_run_still_raises_the_failure():
+    with pytest.raises(ProcessFailedError):
+        HeatStencil(n_local=8, iters=20).run(kill_plan=_rank_and_buddy(100))
+
+
 def test_workload_validation():
     with pytest.raises(StudyError):
         HeatStencil(nprocs=1)
@@ -123,10 +153,8 @@ def test_workload_validation():
 
 
 def test_bytes_per_rank_matches_window_arithmetic():
-    wl = HeatStencil(n_local=16, iters=4)
-    assert wl.bytes_per_rank() == (16 + 2) * 8
-    ar = RingAllreduce(nprocs=4, chunk=8)
-    assert ar.bytes_per_rank() == 4 * 8 * 8
+    assert HeatStencil(n_local=16, iters=4).run().bytes_per_rank == (16 + 2) * 8
+    assert RingAllreduce(nprocs=4, chunk=8).run().bytes_per_rank == 4 * 8 * 8
 
 
 # ----------------------------------------------------------------------
