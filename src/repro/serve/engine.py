@@ -17,8 +17,11 @@ shape.  :func:`run_service` executes a cell as two
    SIGKILLs on ``proc``); an unrecoverable fault load ends it ``aborted``;
    the checkpoint/recovery windows are read off its trace
    (:meth:`~repro.serve.slo.WindowTracker.from_trace`);
-3. **reduce** — per-request rows (admission → completion latency in virtual
-   time, status, window segment) and the segmented SLO report.
+3. **reduce** — per-request columns in rid order (arrival, completion,
+   latency in virtual time, status code, window segment code) and the
+   segmented SLO report over them; a request dict exists only when
+   :attr:`ServeResult.rows` is read (the JSONL request log, a ``--trace``
+   file's ``request_completed`` events).
 
 The kill plan is a pure function of ``(seed, traffic shape)`` — deliberately
 *not* of backend/store/recovery — so :func:`run_slo_comparison` pits the
@@ -41,9 +44,11 @@ from repro.errors import ServeError
 from repro.experiment import _comparison_grid, check_names, plan_entropy
 from repro.ft.inject import KillEvent, KillKind, KillPlan
 from repro.serve.service import _STATUS_NAMES, KvService
-from repro.serve.slo import WindowTracker, build_slo_report
+from repro.serve.shard import ShardMap
+from repro.serve.slo import SEGMENTS, WindowTracker, build_slo_report
+from repro.serve.traffic import Request
 from repro.study.workloads import make_workload
-from repro.trace.tracer import cell_tracer, trace_label
+from repro.trace.tracer import cell_tracer, current_trace_hub, trace_label
 
 __all__ = ["ServeSpec", "ServeResult", "run_service", "run_slo_comparison"]
 
@@ -102,26 +107,23 @@ class ServeSpec:
             raise ServeError(
                 f"unknown kill kind {self.kill_kind!r}; choose one of: {choices}"
             )
-        if not isinstance(self.interval, int) or self.interval < 1:
-            raise ServeError("serve checkpoint interval must be a positive step count")
-        if self.compression <= 0:
-            raise ServeError("time compression must be positive")
-        if not 0.0 < self.kill_frac < 1.0:
-            raise ServeError("kill_frac must be strictly between 0 and 1")
-        if self.kills < 0:
-            raise ServeError("kills must be non-negative")
-        if self.flatness <= 0:
-            raise ServeError("flatness must be positive")
-        if self.nprocs < 2 or self.procs_per_node < 1:
-            raise ServeError("serving needs nprocs >= 2 and procs_per_node >= 1")
-        if self.steps < 1 or self.key_space < 1 or self.slots < 1:
-            raise ServeError("serving needs steps, key_space and slots all >= 1")
-        if self.rate_per_step <= 0.0:
-            raise ServeError("rate_per_step must be positive")
-        if self.zipf_s < 0.0:
-            raise ServeError("zipf_s must be non-negative")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ServeError("read_fraction must be within [0, 1]")
+        for bad, message in (
+            (not isinstance(self.interval, int) or self.interval < 1,
+             "serve checkpoint interval must be a positive step count"),
+            (self.compression <= 0, "time compression must be positive"),
+            (not 0.0 < self.kill_frac < 1.0, "kill_frac must be strictly between 0 and 1"),
+            (self.kills < 0, "kills must be non-negative"),
+            (self.flatness <= 0, "flatness must be positive"),
+            (self.nprocs < 2 or self.procs_per_node < 1,
+             "serving needs nprocs >= 2 and procs_per_node >= 1"),
+            (self.steps < 1 or self.key_space < 1 or self.slots < 1,
+             "serving needs steps, key_space and slots all >= 1"),
+            (self.rate_per_step <= 0.0, "rate_per_step must be positive"),
+            (self.zipf_s < 0.0, "zipf_s must be non-negative"),
+            (not 0.0 <= self.read_fraction <= 1.0, "read_fraction must be within [0, 1]"),
+        ):
+            if bad:
+                raise ServeError(message)
 
     @property
     def cell_key(self) -> str:
@@ -145,13 +147,16 @@ class ServeSpec:
         return service
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServeResult:
-    """Everything one serving cell produced, ready for reporting and gating."""
+    """Everything one serving cell produced, ready for reporting and gating.
+
+    The requests are columns in rid order, read off the service's trace and
+    records: no Python object is kept per request.  :attr:`rows` builds the
+    request log's dicts on each read.
+    """
 
     spec: ServeSpec
-    #: Per-request rows (JSONL-serializable dicts; the canonical request log).
-    rows: list[dict]
     #: The segmented SLO document (:func:`~repro.serve.slo.build_slo_report`).
     slo: dict
     #: The generated kill plan as ``[after_ops, rank, kind]`` triples.
@@ -174,30 +179,51 @@ class ServeResult:
     digest: str | None
     #: Exception class name if the run ended early, else None.
     aborted: str | None
+    #: Per request, in rid order: the service's trace (rid, frontend, step,
+    #: op, key) and shard map (owner), referenced, not copied; the virtual
+    #: arrival and completion instants and the latency between them, clamped
+    #: at zero (the last two mean nothing where unserved); status codes into
+    #: ``_STATUS_NAMES`` (0: unserved) and segment codes into ``SEGMENTS``.
+    requests: Sequence[Request]
+    shards: ShardMap
+    arrival: np.ndarray
+    completion: np.ndarray
+    latency: np.ndarray
+    status: np.ndarray
+    segment: np.ndarray
+
+    @property
+    def rows(self) -> list[dict]:
+        """The request log, one JSONL-ready dict per request, built on each read."""
+        columns = zip(
+            self.requests, self.arrival.tolist(), self.completion.tolist(),
+            self.latency.tolist(), self.status.tolist(), self.segment.tolist(),
+        )
+        return [
+            {
+                "rid": r.rid, "frontend": r.frontend, "owner": self.shards.owner(r.key),
+                "step": r.step, "op": r.op, "key": r.key, "arrival_t": arrival,
+                "completion_t": completion if code else None,
+                "latency_s": latency if code else None,
+                "status": _STATUS_NAMES[code], "segment": SEGMENTS[segment],
+            }
+            for r, arrival, completion, latency, code, segment in columns
+        ]
 
     def as_dict(self) -> dict:
-        """JSON-ready form (byte-identical across re-runs: no wall clock)."""
-        return {
-            "spec": {
-                f.name: getattr(self.spec, f.name) for f in fields(self.spec)
-                if f.name not in ("delivery", "watchdog", "service_params")
-            },
-            "plan": self.plan,
-            "kills": self.kills,
-            "checkpoint_windows": self.checkpoint_windows,
-            "recovery_windows": self.recovery_windows,
-            "probe_ops": self.probe_ops,
-            "probe_elapsed_s": self.probe_elapsed_s,
-            "slo": self.slo,
-            "checkpoints": self.checkpoints,
-            "recoveries": self.recoveries,
-            "excised_ranks": self.excised_ranks,
-            "steps_executed": self.steps_executed,
-            "elapsed_s": self.elapsed_s,
-            "digest": self.digest,
-            "aborted": self.aborted,
-            "requests": self.rows,
+        """JSON-ready form (byte-identical across re-runs: no wall clock);
+        the per-request fields travel as :attr:`rows`."""
+        document = {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in _PER_REQUEST
         }
+        document["spec"] = {
+            f.name: getattr(self.spec, f.name) for f in fields(self.spec)
+            if f.name not in ("delivery", "watchdog", "service_params")
+        }
+        return document
+
+
+_PER_REQUEST = ("requests", "shards", "arrival", "completion", "latency", "status", "segment")
 
 
 # ----------------------------------------------------------------------
@@ -257,19 +283,19 @@ def run_service(spec: ServeSpec) -> ServeResult:
     )
     report = run.report
     tracker = WindowTracker.from_trace(tracer.events, report.elapsed)
-    rows = _assemble_rows(service, probe_elapsed, tracker)
-    # Request lifecycles join the trace once the rows are reduced: arrival
-    # and completion are virtual instants, so the events are deterministic.
-    for row in rows:
-        completion = row["completion_t"]
-        tracer.emit(
-            "request_completed", row["arrival_t"] if completion is None else completion, **row
-        )
-    slo = build_slo_report(rows, tracker, total_s=report.elapsed)
-    return ServeResult(
+    # The arrival clock is the probe's failure-free timeline.  Latency is
+    # clamped at zero: a request *admitted* early in a step can complete
+    # before its nominal within-step arrival instant, and the client cannot
+    # experience negative waiting.  A request with no record (its frontend
+    # was excised first) is segmented by its arrival instant.
+    completion, status = service.records
+    arrival = service.requests.frac * probe_elapsed
+    latency = np.maximum(completion - arrival, 0.0)
+    instant = np.where(status != 0, completion, arrival)
+    segment = tracker.segment_codes(instant)
+    result = ServeResult(
         spec=spec,
-        rows=rows,
-        slo=slo,
+        slo=build_slo_report(latency, status, segment, tracker, total_s=report.elapsed),
         plan=[[e.after_ops, e.rank, e.kind.value] for e in plan],
         kills=tracker.kills,
         checkpoint_windows=[list(w) for w in tracker.checkpoint_windows],
@@ -283,47 +309,15 @@ def run_service(spec: ServeSpec) -> ServeResult:
         elapsed_s=report.elapsed,
         digest=run.digest,
         aborted=run.aborted,
+        requests=service.requests, shards=service.shards, arrival=arrival,
+        completion=completion, latency=latency, status=status, segment=segment,
     )
-
-
-def _assemble_rows(
-    service: KvService, probe_elapsed: float, tracker: WindowTracker
-) -> list[dict]:
-    """Join the trace with the service's record columns, in rid order.
-
-    The arrival clock is the probe's failure-free timeline; latency is
-    clamped at zero because a request *admitted* early in a step can
-    complete before its nominal within-step arrival instant — the client
-    cannot experience negative waiting.  A request with no record was never
-    served (its frontend was excised first): it has no completion or
-    latency, is an error, and is segmented by its arrival instant.
-    """
-    completions, codes = (column.tolist() for column in service.records)
-    rows = []
-    for request, completion, code in zip(service.requests, completions, codes):
-        arrival = request.frac * probe_elapsed
-        if code:
-            latency = max(completion - arrival, 0.0)
-            segment = tracker.segment_of(completion)
-        else:
-            completion = latency = None
-            segment = tracker.segment_of(arrival)
-        rows.append(
-            {
-                "rid": request.rid,
-                "frontend": request.frontend,
-                "owner": service.shards.owner(request.key),
-                "step": request.step,
-                "op": request.op,
-                "key": request.key,
-                "arrival_t": arrival,
-                "completion_t": completion,
-                "latency_s": latency,
-                "status": _STATUS_NAMES[code],
-                "segment": segment,
-            }
-        )
-    return rows
+    # Request lifecycles join a --trace file, the one place the cell's events
+    # outlive it; their instants are virtual, so the events are deterministic.
+    if current_trace_hub() is not None:
+        for row, t in zip(result.rows, instant.tolist()):
+            tracer.emit("request_completed", t, **row)
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -20,10 +20,12 @@ from __future__ import annotations
 import json
 from functools import partial
 
+import numpy as np
+
 from repro import experiment
 from repro.errors import ServeError
 from repro.serve.engine import ServeResult
-from repro.serve.service import STATUSES
+from repro.serve.service import _STATUS_NAMES, STATUSES
 from repro.serve.slo import SEGMENT_RECOVERY, SEGMENT_STEADY, SEGMENTS
 from repro.serve.traffic import READ, WRITE
 from repro.trace.events import load_jsonl, write_jsonl
@@ -53,14 +55,14 @@ def report_json(results: list[ServeResult]) -> str:
     """
     cells = {}
     for result in results:
-        cell = result.as_dict()
-        rows = cell.pop("requests")
-        census: dict[str, int] = {}
-        for row in rows:
-            census[row["status"]] = census.get(row["status"], 0) + 1
-        cell["request_count"] = len(rows)
-        cell["status_counts"] = dict(sorted(census.items()))
-        cells[result.spec.cell_key] = cell
+        census = np.bincount(result.status, minlength=len(_STATUS_NAMES)).tolist()
+        cells[result.spec.cell_key] = dict(
+            result.as_dict(),
+            request_count=len(result.status),
+            status_counts=dict(sorted(
+                (name, count) for name, count in zip(_STATUS_NAMES, census) if count
+            )),
+        )
     return experiment.report_json({
         "meta": {"engine": "repro.serve", "cells": len(results)},
         "cells": cells,
@@ -243,19 +245,14 @@ def check_serve_invariants(results: list[ServeResult]) -> list[str]:
                         f"p99 {p99_s:.3f}ms — latency is not flat"
                     )
 
-    by_config: dict[tuple, dict[str, ServeResult]] = {}
+    by_config: dict[tuple, dict[str, str]] = {}
     for result in results:
         spec = result.spec
-        by_config.setdefault((spec.store, spec.recovery), {})[spec.backend] = result
-    for (store, recovery), backends in sorted(by_config.items()):
-        if len(backends) < 2:
-            continue
-        docs = {
-            backend: json.dumps(result.slo, sort_keys=True)
-            for backend, result in sorted(backends.items())
-        }
-        reference_backend, reference = next(iter(docs.items()))
-        for backend, doc in docs.items():
+        doc = json.dumps(result.slo, sort_keys=True)
+        by_config.setdefault((spec.store, spec.recovery), {})[spec.backend] = doc
+    for (store, recovery), docs in sorted(by_config.items()):
+        (reference_backend, reference), *others = sorted(docs.items())
+        for backend, doc in others:
             if doc != reference:
                 violations.append(
                     f"{store}/{recovery}: SLO report differs between backends "

@@ -4,10 +4,11 @@
 job's trace: the **checkpoint windows** and the **recovery windows** (failure
 detected → the crash-aborted step completes again, the same
 :func:`~repro.chaos.monitor.reduce_outage` state machine chaos MTTR uses) of
-one run, plus the injector's kill records.  :func:`build_slo_report` then
-segments every request by the window containing its *completion* instant —
-the moment the client got its answer — and reduces each segment to the
-numbers an SLO is written in: p50/p95/p99 latency (shared nearest-rank
+one run, plus the injector's kill records.
+:meth:`WindowTracker.segment_codes` segments every request by the window
+containing its *completion* instant — the moment the client got its answer —
+and :func:`build_slo_report` reduces each segment's columns to the numbers
+an SLO is written in: p50/p95/p99 latency (shared nearest-rank
 estimator, :func:`repro.stats.latency_percentiles`), throughput, and
 error/stale-read rate.  All timestamps are virtual, so the report is
 byte-identical across re-runs and backends.
@@ -18,17 +19,21 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.chaos.monitor import reduce_outage
-from repro.serve.service import STATUS_OK
+from repro.serve.service import _OK
 from repro.stats import latency_percentiles
 
 __all__ = ["WindowTracker", "SEGMENTS", "build_slo_report"]
 
-#: Window segments a request can complete in (the report's row keys).
+#: Window segments a request can complete in (the report's row keys); a
+#: segment code is an index into this tuple.
 SEGMENT_STEADY = "steady"
 SEGMENT_CHECKPOINT = "checkpoint"
 SEGMENT_RECOVERY = "recovery"
 SEGMENTS = (SEGMENT_STEADY, SEGMENT_CHECKPOINT, SEGMENT_RECOVERY)
+_CHECKPOINT, _RECOVERY = 1, 2
 
 
 @dataclass
@@ -82,15 +87,18 @@ class WindowTracker:
             tracker.recovery_windows.append((outage["detected_t"], end_t))
         return tracker
 
-    def segment_of(self, t: float) -> str:
-        """The segment the instant ``t`` belongs to (recovery wins)."""
-        for t0, t1 in self.recovery_windows:
-            if t0 <= t <= t1:
-                return SEGMENT_RECOVERY
+    def segment_codes(self, instants: np.ndarray) -> np.ndarray:
+        """The segment code (an index into :data:`SEGMENTS`) of each instant.
+
+        One masked assignment per window, edges inclusive: checkpoint windows
+        first, then recovery windows, so recovery wins an overlap.
+        """
+        codes = np.zeros(len(instants), dtype=np.uint8)
         for t0, t1, _step, _demand in self.checkpoint_windows:
-            if t0 <= t <= t1:
-                return SEGMENT_CHECKPOINT
-        return SEGMENT_STEADY
+            codes[(t0 <= instants) & (instants <= t1)] = _CHECKPOINT
+        for t0, t1 in self.recovery_windows:
+            codes[(t0 <= instants) & (instants <= t1)] = _RECOVERY
+        return codes
 
     def segment_seconds(self, total_s: float) -> dict[str, float]:
         """Virtual seconds spent in each segment (recovery overlap wins)."""
@@ -107,45 +115,41 @@ class WindowTracker:
 # ----------------------------------------------------------------------
 # The report reducer
 # ----------------------------------------------------------------------
-def _reduce(rows: list[dict], window_s: float | None) -> dict:
-    """One segment's SLO numbers from its request rows."""
-    completed = [r for r in rows if r["completion_t"] is not None]
-    served = sum(1 for r in rows if r["status"] == STATUS_OK)
-    errors = len(rows) - served
-    latencies = [r["latency_s"] for r in completed]
-    pcts = latency_percentiles(latencies)
+def _reduce(latency: np.ndarray, status: np.ndarray, window_s: float | None) -> dict:
+    """One segment's SLO numbers from its requests' latency and status codes."""
+    requests, served = len(status), int(np.count_nonzero(status == _OK))
+    completed = status != 0
+    pcts = latency_percentiles(latency[completed].tolist())
     return {
-        "requests": len(rows),
+        "requests": requests,
         "served": served,
-        "errors": errors,
-        "error_rate": (errors / len(rows)) if rows else None,
-        "latency_ms": (
-            {key: value * 1e3 for key, value in pcts.items()} if pcts else None
-        ),
+        "errors": requests - served,
+        "error_rate": (requests - served) / requests if requests else None,
+        "latency_ms": {key: value * 1e3 for key, value in pcts.items()} if pcts else None,
         "throughput_rps": (
-            len(completed) / window_s if window_s and window_s > 0 else None
+            int(np.count_nonzero(completed)) / window_s if window_s and window_s > 0 else None
         ),
         "window_s": window_s,
     }
 
 
-def build_slo_report(rows: list[dict], tracker: WindowTracker, total_s: float) -> dict:
-    """Reduce per-request rows to the segmented SLO document.
+def build_slo_report(
+    latency: np.ndarray, status: np.ndarray, segment: np.ndarray,
+    tracker: WindowTracker, total_s: float,
+) -> dict:
+    """Reduce per-request columns to the segmented SLO document.
 
-    ``rows`` carry ``completion_t`` (``None`` for unserved requests),
-    ``latency_s``, ``status`` and ``segment`` — the engine assembles them
-    from the service's records and stamps the segment via
-    :meth:`WindowTracker.segment_of`.  The report holds one entry per
+    The columns are in rid order: ``latency`` in virtual seconds (read only
+    where a request completed), ``status`` codes into the service's
+    ``_STATUS_NAMES`` (0: never served) and ``segment`` codes from
+    :meth:`WindowTracker.segment_codes`.  The report holds one entry per
     segment plus an ``overall`` rollup; empty segments report ``None``
     percentiles, never NaN.
     """
     seconds = tracker.segment_seconds(total_s)
-    by_segment: dict[str, list[dict]] = {segment: [] for segment in SEGMENTS}
-    for row in rows:
-        by_segment[row["segment"]].append(row)
-    report = {
-        segment: _reduce(by_segment[segment], seconds[segment])
-        for segment in SEGMENTS
-    }
-    report["overall"] = _reduce(rows, total_s if total_s > 0 else None)
+    report = {}
+    for code, name in enumerate(SEGMENTS):
+        mine = segment == code
+        report[name] = _reduce(latency[mine], status[mine], seconds[name])
+    report["overall"] = _reduce(latency, status, total_s if total_s > 0 else None)
     return report

@@ -10,6 +10,7 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.api.session import launch
@@ -39,12 +40,14 @@ from repro.serve import (
 from repro.serve.__main__ import main as serve_main, quick_spec
 from repro.ft.inject import KillEvent, KillPlan
 from repro.serve import engine as serve_engine
-from repro.serve.engine import _assemble_rows, build_plan
+from repro.serve.engine import build_plan
 from repro.serve.report import validate_request_row
+from repro.serve.service import _STATUS_NAMES
 from repro.serve.slo import (
     SEGMENT_CHECKPOINT,
     SEGMENT_RECOVERY,
     SEGMENT_STEADY,
+    SEGMENTS,
     build_slo_report,
 )
 from repro.stats import latency_percentiles, percentile
@@ -223,8 +226,8 @@ def test_kernel_built_before_setup_records_the_run():
     service = KvService(nprocs=4, slots=8, key_space=32, steps=4)
     kernel = service.kernel()
     _served(service, kernel)
-    rows = _assemble_rows(service, 1.0, WindowTracker())
-    assert rows and {row["status"] for row in rows} == {STATUS_OK}
+    status = service.records[1]
+    assert len(status) and {_STATUS_NAMES[code] for code in status.tolist()} == {STATUS_OK}
 
 
 def test_kv_service_memory_budget():
@@ -247,6 +250,24 @@ def test_kv_service_memory_budget():
     assert len(service.requests) > 15_000
     assert built <= 2.0 * 2**20, f"KvService retains {built / 2**20:.2f} MiB"
     assert records <= 1.0 * 2**20, f"a run's records retain {records / 2**20:.2f} MiB"
+
+
+def test_serve_result_memory_budget():
+    # A finished cell keeps columns and references the service's trace; the
+    # request dicts are built only when a writer reads ``rows``.
+    spec = ServeSpec(nprocs=8, steps=100, rate_per_step=40.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_service(spec)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    requests = result.slo["overall"]["requests"]
+    assert requests > 3_000
+    assert retained <= 100 * requests, f"{retained / requests:.0f} B per request"
 
 
 def test_kv_service_registered_as_workload():
@@ -316,11 +337,19 @@ def test_window_tracker_segment_precedence():
     tracker = WindowTracker()
     tracker.checkpoint_windows.append((10.0, 12.0, 3, False))
     tracker.recovery_windows.append((11.0, 15.0))
-    assert tracker.segment_of(5.0) == SEGMENT_STEADY
-    assert tracker.segment_of(10.5) == SEGMENT_CHECKPOINT
-    assert tracker.segment_of(11.5) == SEGMENT_RECOVERY  # recovery wins overlap
-    assert tracker.segment_of(14.0) == SEGMENT_RECOVERY
-    assert tracker.segment_of(16.0) == SEGMENT_STEADY
+    cases = {
+        5.0: SEGMENT_STEADY,
+        10.0: SEGMENT_CHECKPOINT,  # window edges are inclusive
+        10.5: SEGMENT_CHECKPOINT,
+        11.0: SEGMENT_RECOVERY,  # recovery wins overlap
+        11.5: SEGMENT_RECOVERY,
+        12.0: SEGMENT_RECOVERY,
+        14.0: SEGMENT_RECOVERY,
+        15.0: SEGMENT_RECOVERY,
+        16.0: SEGMENT_STEADY,
+    }
+    codes = tracker.segment_codes(np.array(list(cases)))
+    assert [SEGMENTS[code] for code in codes] == list(cases.values())
     seconds = tracker.segment_seconds(20.0)
     assert seconds[SEGMENT_RECOVERY] == 4.0
     assert seconds[SEGMENT_CHECKPOINT] == 2.0
@@ -349,7 +378,8 @@ def test_windows_are_a_view_of_the_written_trace(tmp_path, recovery):
 
 def test_build_slo_report_empty_segments_are_none():
     tracker = WindowTracker()
-    report = build_slo_report([], tracker, total_s=0.0)
+    empty = np.zeros(0, dtype=np.uint8)
+    report = build_slo_report(np.zeros(0), empty, empty, tracker, total_s=0.0)
     for segment in (SEGMENT_STEADY, SEGMENT_CHECKPOINT, SEGMENT_RECOVERY, "overall"):
         assert report[segment]["latency_ms"] is None
         assert report[segment]["error_rate"] is None
