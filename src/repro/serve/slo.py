@@ -101,15 +101,16 @@ class WindowTracker:
         return codes
 
     def segment_seconds(self, total_s: float) -> dict[str, float]:
-        """Virtual seconds spent in each segment (recovery overlap wins)."""
-        recovery = sum(t1 - t0 for t0, t1 in self.recovery_windows)
-        checkpoint = sum(t1 - t0 for t0, t1, _s, _d in self.checkpoint_windows)
+        """Virtual seconds spent in each segment; recovery wins an overlap (the
+        recovery windows are disjoint: one outage is open at a time)."""
+        spans = self.recovery_windows
+        recovery = sum(r1 - r0 for r0, r1 in spans)
+        checkpoint = sum(
+            t1 - t0 - sum(max(min(t1, r1) - max(t0, r0), 0.0) for r0, r1 in spans)
+            for t0, t1, _s, _d in self.checkpoint_windows
+        )
         steady = max(total_s - recovery - checkpoint, 0.0)
-        return {
-            SEGMENT_STEADY: steady,
-            SEGMENT_CHECKPOINT: checkpoint,
-            SEGMENT_RECOVERY: recovery,
-        }
+        return dict(zip(SEGMENTS, (steady, checkpoint, recovery)))
 
 
 # ----------------------------------------------------------------------

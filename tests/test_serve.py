@@ -350,10 +350,24 @@ def test_window_tracker_segment_precedence():
     }
     codes = tracker.segment_codes(np.array(list(cases)))
     assert [SEGMENTS[code] for code in codes] == list(cases.values())
-    seconds = tracker.segment_seconds(20.0)
-    assert seconds[SEGMENT_RECOVERY] == 4.0
-    assert seconds[SEGMENT_CHECKPOINT] == 2.0
-    assert seconds[SEGMENT_STEADY] == 14.0
+
+
+def test_segment_seconds_count_a_checkpoint_inside_recovery_once():
+    # Recovery wins the overlap in time as it does for requests: the second
+    # of checkpoint (10, 12) inside recovery (11, 15) is recovery time only.
+    tracker = WindowTracker()
+    tracker.checkpoint_windows.append((10.0, 12.0, 3, False))
+    tracker.recovery_windows.append((11.0, 15.0))
+    assert tracker.segment_seconds(20.0) == {
+        SEGMENT_STEADY: 15.0, SEGMENT_CHECKPOINT: 1.0, SEGMENT_RECOVERY: 4.0,
+    }
+    # A global rollback re-checkpoints at the step it resumes at: a span wholly
+    # inside a recovery window adds no checkpoint time.
+    tracker.checkpoint_windows.append((13.0, 14.0, 4, False))
+    tracker.recovery_windows.append((16.0, 17.0))
+    assert tracker.segment_seconds(20.0) == {
+        SEGMENT_STEADY: 14.0, SEGMENT_CHECKPOINT: 1.0, SEGMENT_RECOVERY: 5.0,
+    }
 
 
 def test_window_tracker_finish_closes_open_outage():
@@ -593,9 +607,11 @@ def test_cli_quick_writes_artifacts(tmp_path, capsys):
     document = json.loads(output.read_text())
     assert document["meta"]["engine"] == "repro.serve"
     # Byte-identity oracle: re-recorded when survivors began to wait out a
-    # localized replay (only the localized cell moved).
+    # localized replay (only the localized cell moved), and when a checkpoint
+    # inside a recovery window stopped counting as checkpoint time too (only
+    # the global cell's checkpoint and steady window_s and steady rps moved).
     assert hashlib.sha256(output.read_bytes()).hexdigest() == (
-        "f4d108f9a3a6d357c6b6ef01628808198c5d69f11b413b4fabaade5d2f759b33"
+        "064097504f66bf15ebc8325759512b201f8d058b8fdf862f0ce1e54efdd32189"
     )
     assert "| overall |" in markdown.read_text()
 
