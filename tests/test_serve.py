@@ -255,17 +255,17 @@ def test_kv_service_memory_budget():
 def test_serve_result_memory_budget():
     # A finished cell keeps columns and references the service's trace; the
     # request dicts are built only when a writer reads ``rows``.
-    spec = ServeSpec(nprocs=8, steps=100, rate_per_step=40.0)
-    gc.collect()
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = run_service(spec)
+        result = run_service(ServeSpec(nprocs=8, steps=100, rate_per_step=40.0))
+        requests = result.slo["overall"]["requests"]
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        with_result = tracemalloc.get_traced_memory()[0]
+        del result
+        gc.collect()
+        retained = with_result - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    requests = result.slo["overall"]["requests"]
     assert requests > 3_000
     assert retained <= 100 * requests, f"{retained / requests:.0f} B per request"
 
