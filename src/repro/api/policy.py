@@ -24,7 +24,6 @@ from repro.errors import PolicyError
 from repro.ft.recovery import PROTOCOLS, RecoveryProtocol
 from repro.ft.stack import FtStack, build_ft_stack
 from repro.ft.stores import STORES, CheckpointStore
-from repro.qos.delivery import DELIVERY_MODES, DeliveryMode
 from repro.registry import resolve_component
 from repro.simulator.cluster import Cluster
 from repro.simulator.costs import CostModel
@@ -110,17 +109,13 @@ class FaultTolerancePolicy:
         Recovery protocol rule — ``"global"`` (default; coordinated
         rollback of every rank, §4.2), ``"localized"`` (only failed ranks
         restore, survivors keep state, the log replays, §7), ``"degraded"``
-        (failed ranks are excised, survivors continue best-effort), or a
-        ready :class:`~repro.ft.recovery.RecoveryProtocol` instance.
-    delivery:
-        Delivery mode under failure (:mod:`repro.qos`) — ``"reliable"``
-        (default; any operation touching a failed rank raises and the
-        recovery protocol runs) or ``"best_effort"`` (failed ranks are
-        *suspended*: operations toward them deterministically drop or serve
-        stale checkpoint data, survivors never stall, and the session repairs
-        the suspended ranks at step boundaries — result quality traded for
-        makespan).  A ready :class:`~repro.qos.delivery.DeliveryMode`
-        instance also works (e.g. ``BestEffort(seed=7, stale_fraction=0.8)``).
+        (failed ranks are excised, survivors continue without them),
+        ``"best_effort"`` (failed ranks are *suspended*: operations toward
+        them deterministically drop or serve stale checkpoint data, survivors
+        never stall, and the session repairs the suspended ranks at step
+        boundaries — result quality traded for makespan), or a ready
+        :class:`~repro.ft.recovery.RecoveryProtocol` instance (e.g.
+        ``BestEffort(seed=7, stale_fraction=0.8)``).
     """
 
     interval: int | str | None = 10
@@ -129,7 +124,6 @@ class FaultTolerancePolicy:
     keep_versions: int = 2
     store: "CheckpointStore | str" = "memory"
     recovery: "RecoveryProtocol | str" = "global"
-    delivery: "DeliveryMode | str" = "reliable"
     failure_rates: Mapping[int, float] | None = None
 
     def __post_init__(self) -> None:
@@ -162,10 +156,6 @@ class FaultTolerancePolicy:
             "recovery", self.recovery, PROTOCOLS, RecoveryProtocol, PolicyError,
             dry_run=True,
         )
-        resolve_component(
-            "delivery", self.delivery, DELIVERY_MODES, DeliveryMode, PolicyError,
-            dry_run=True,
-        )
 
     def install(self, runtime: "RmaRuntime") -> FtStack:
         """Wire the protocol onto ``runtime`` (log, store, checkpointer, recovery)."""
@@ -176,5 +166,4 @@ class FaultTolerancePolicy:
             keep_versions=self.keep_versions,
             store=self.store,
             recovery=self.recovery,
-            delivery=self.delivery,
         )

@@ -24,11 +24,13 @@ identical inputs produce bit-identical traces and clocks.
 Failures are *not* handled here: a :class:`~repro.errors.ProcessFailedError`
 raised by any action or collective aborts the step (open generators are
 closed so their ``finally`` blocks run) and propagates to the session, which
-owns recovery.  The one exception is a failure-tolerant delivery mode
-(:mod:`repro.qos`): its :class:`~repro.errors.RankSuspendedError` names a
+owns recovery.  The one exception is a failure-tolerant recovery rule
+(``"best_effort"``): its :class:`~repro.errors.RankSuspendedError` names a
 single suspended rank, so only *that* rank's kernel is abandoned for the
 step — survivors keep running, and the session repairs the suspended rank at
-the next step boundary.
+the next step boundary.  A rank suspended while its kernel waited at a
+collective is abandoned the same way before it would resume: its windows
+are gone, and so are the local views it holds.
 """
 
 from __future__ import annotations
@@ -105,8 +107,11 @@ class CooperativeScheduler:
         """
         requests: list[Collective] = []
         still_active: list[tuple[RankContext, Generator]] = []
+        tolerant = self.runtime.tolerant is not None
         for ctx, gen in active:
             try:
+                if tolerant and ctx.rank in self.runtime.suspended_ranks():
+                    raise RankSuspendedError(ctx.rank)  # never resumed
                 token = next(gen)
             except StopIteration:
                 ctx._check_no_pending_collective()
@@ -135,9 +140,7 @@ class CooperativeScheduler:
 
     def _note_suspended(self, ctx: RankContext) -> None:
         """Count one abandoned kernel turn of a suspended rank (qos metrics)."""
-        delivery = self.runtime.delivery
-        if delivery is not None:
-            delivery.count("suspended_steps", ctx.rank)
+        self.runtime.tolerant.count("suspended_steps", ctx.rank)
 
     def _perform(self, kind: Collective) -> None:
         """Execute one collective on the shared runtime."""

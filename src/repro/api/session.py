@@ -333,7 +333,7 @@ class Job:
                         if ft is not None:
                             ft.end_step(kernels_only=True)
                         runtime.gsync()
-                    # Under a tolerant delivery mode, ranks that failed during
+                    # Under a tolerant recovery rule, ranks that failed during
                     # the step were merely suspended; repair them now so the
                     # next step starts at full membership (and the job never
                     # ends with invalidated window buffers).

@@ -279,7 +279,7 @@ class Backend(abc.ABC):
         """Drop every outstanding operation of origin ``src``, effect-free.
 
         Returns the discarded records so the runtime can poison them: a
-        recovery's discard, or a failure-tolerant delivery mode (:mod:`repro.qos`)
+        recovery's discard, or a failure-tolerant recovery rule (best-effort)
         abandoning a suspended rank's in-flight queue (on ``proc`` it was never
         shipped to the now dead worker).  None of them ever touched window memory.
         """
@@ -292,7 +292,7 @@ class Backend(abc.ABC):
         The complement of :meth:`discard_rank`: a *surviving* origin's
         in-flight operations toward freshly-suspended targets must leave the
         queue without being applied (there is no memory to apply them to),
-        so the runtime can resolve them through the delivery mode instead.
+        so the runtime can resolve them through the tolerant rule instead.
         Returns the removed records in issue order.
         """
         queue = self._pending[src]

@@ -2,8 +2,9 @@
 
 Examples::
 
-    # The default comparison: stencil under Poisson kills, all three
-    # countermeasures on identical schedules, markdown table on stdout:
+    # The default comparison: stencil under Poisson kills, global,
+    # localized and degraded recovery on identical schedules, markdown
+    # table on stdout:
     python -m repro.chaos
 
     # An hour-equivalent soak of the kv workload under node-level failures
@@ -34,17 +35,17 @@ from repro.chaos.report import (
     render_markdown,
     report_json,
 )
-from repro.chaos.monitor import MONITORS
-from repro.chaos.soak import COUNTERMEASURES, SoakResult, SoakSpec, run_comparison
+from repro.chaos.soak import SoakResult, SoakSpec, run_comparison
 from repro.cli import add_common_arguments, add_report_arguments, csv, engine_main
-from repro.registry import available
 
 __all__ = ["main"]
 
 
 def quick_spec() -> SoakSpec:
     """The seconds-long CI soak: small rounds, the default fault load."""
-    return SoakSpec(rounds=4, interval=6, workload_params={"n_local": 16, "iters": 24})
+    return SoakSpec(
+        rounds=4, interval=6, workload_params={"stencil": {"n_local": 16, "iters": 24}}
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,18 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated checkpoint stores to compare",
     )
     parser.add_argument(
-        "--countermeasures", type=csv, default=("rollback", "replay", "excise"),
-        help=f"comma-separated countermeasures to compare "
-             f"({', '.join(COUNTERMEASURES)}; default %(default)s)",
-    )
-    parser.add_argument(
-        "--delivery",
-        help=f"delivery mode every cell soaks under "
-             f"(registered: {', '.join(available('delivery'))})",
-    )
-    parser.add_argument(
-        "--monitor", choices=MONITORS,
-        help="chaos log flavor: every transition, or episodes coalesced too",
+        "--recoveries", type=csv, default=("global", "localized", "degraded"),
+        help="comma-separated recovery protocols to compare (default %(default)s)",
     )
     parser.add_argument("--rounds", type=int, help="workload rounds to soak")
     parser.add_argument("--interval", type=int, help="checkpoint interval in steps")
@@ -103,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace, base: SoakSpec) -> list[SoakResult]:
     return run_comparison(
         base,
-        countermeasures=args.countermeasures,
+        recoveries=args.recoveries,
         backends=args.backends,
         stores=args.stores,
     )
@@ -125,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         to_json=report_json,
         invariants=check_chaos_invariants,
         invariants_message=(
-            "invariants hold (replay MTTR < rollback; excise availability > both)"
+            "invariants hold (localized MTTR < global; degraded availability > both)"
         ),
         gate=check_against_baseline,
         artifacts=_write_event_log,

@@ -49,7 +49,6 @@ EVENT_TYPES = frozenset({
     "protocol_applied",
     "recovery_completed",
     "service_restored",
-    "episode",
     "round_completed",
     "soak_aborted",
     "soak_completed",
@@ -97,12 +96,7 @@ class ChaosMetrics:
 
 
 def compute_metrics(events: list[dict]) -> ChaosMetrics:
-    """Reduce an event stream to its :class:`ChaosMetrics`.
-
-    Accepts either log flavor — the coalesced ``episode`` events of an
-    ``"episodes"`` log are redundant with the transitions and are not
-    double-counted.
-    """
+    """Reduce an event stream to its :class:`ChaosMetrics`."""
     total = max((e["t"] for e in events), default=0.0)
     kills_fired = sum(1 for e in events if e["type"] == "failure_initiated")
     kills_skipped = sum(1 for e in events if e["type"] == "failure_skipped")

@@ -3,17 +3,17 @@
 The report is the artifact the soak engine exists for — the paper's
 resilience claims restated as a reliability table::
 
-    | workload | scenario | backend | store | countermeasure | kills | MTTF | MTBF | MTTR | availability |
+    | workload | scenario | backend | store | recovery | kills | MTTF | MTBF | MTTR | availability |
 
 plus a predicted-vs-observed section judging the §5–§7 analytic model the
 way the paper judges its own (:meth:`~repro.study.model.IntervalModel.predicted_mttr_seconds`).
 
 :func:`check_chaos_invariants` encodes the trade-off the comparison mode must
-make visible: on identical failure schedules, ``replay`` (localized) repairs
-strictly faster than ``rollback`` (global re-execution), and ``excise``
-(degraded continuation) is strictly more available than both — it trades
-correctness (ranks are gone) for uptime.  :func:`check_against_baseline` is
-the CI regression gate.
+make visible: on identical failure schedules, ``localized`` (log replay)
+repairs strictly faster than ``global`` (re-execution), and ``degraded``
+(continuation without the failed ranks) is strictly more available than both
+— it trades correctness (ranks are gone) for uptime.
+:func:`check_against_baseline` is the CI regression gate.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def render_markdown(results: list[SoakResult]) -> str:
             kills += f" [{result.aborted}]"
         reliability.append((
             spec.workload, spec.scenario, spec.backend, spec.store,
-            spec.countermeasure, kills, m.episodes,
+            spec.recovery, kills, m.episodes,
             _fmt_s(m.mttf_s), _fmt_s(m.mtbf_s), _fmt_s(m.mttr_s),
             _fmt_pct(m.availability),
         ))
@@ -76,7 +76,7 @@ def render_markdown(results: list[SoakResult]) -> str:
         ))
     return (
         experiment.markdown_table(
-            ("workload", "scenario", "backend", "store", "countermeasure", "kills",
+            ("workload", "scenario", "backend", "store", "recovery", "kills",
              "episodes", "MTTF", "MTBF", "MTTR", "availability"),
             reliability,
         )
@@ -98,13 +98,13 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
     Within every group of cells sharing ``(workload, scenario, backend,
     store)`` — which by construction faced the *identical* kill plan:
 
-    * ``replay`` must achieve **strictly lower mean MTTR** than ``rollback``
+    * ``localized`` must achieve **strictly lower mean MTTR** than ``global``
       (suppressed-action fast-forward vs full re-execution of lost work);
-    * ``excise`` must achieve **strictly higher availability** than both
+    * ``degraded`` must achieve **strictly higher availability** than both
       (no restore, no rework — the degraded continuation trades the excised
       ranks' results for uptime).
 
-    Groups missing a countermeasure, without resolved outages, or aborted
+    Groups missing a recovery rule, without resolved outages, or aborted
     are skipped — the grid decides what is comparable, the invariants judge
     whatever is.
     """
@@ -113,40 +113,40 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
     for result in results:
         spec = result.spec
         key = (spec.workload, spec.scenario, spec.backend, spec.store)
-        groups.setdefault(key, {})[spec.countermeasure] = result
+        groups.setdefault(key, {})[spec.recovery] = result
 
     for key, cells in sorted(groups.items()):
         label = "/".join(key)
-        rollback = cells.get("rollback")
-        replay = cells.get("replay")
-        excise = cells.get("excise")
-        if rollback and replay and not rollback.aborted and not replay.aborted:
-            g, l_ = rollback.metrics.mttr_s, replay.metrics.mttr_s
+        global_ = cells.get("global")
+        localized = cells.get("localized")
+        degraded = cells.get("degraded")
+        if global_ and localized and not global_.aborted and not localized.aborted:
+            g, l_ = global_.metrics.mttr_s, localized.metrics.mttr_s
             if g is None or l_ is None:
                 violations.append(
                     f"{label}: no resolved outage to compare MTTR on "
-                    f"(rollback={g}, replay={l_})"
+                    f"(global={g}, localized={l_})"
                 )
             elif l_ >= g:
                 violations.append(
-                    f"{label}: replay MTTR {l_:.3f}s is not strictly lower than "
-                    f"rollback's {g:.3f}s"
+                    f"{label}: localized MTTR {l_:.3f}s is not strictly lower than "
+                    f"global's {g:.3f}s"
                 )
-        if excise and not excise.aborted:
-            for other in (rollback, replay):
+        if degraded and not degraded.aborted:
+            for other in (global_, localized):
                 if other is None or other.aborted:
                     continue
-                a_e = excise.metrics.availability
+                a_d = degraded.metrics.availability
                 a_o = other.metrics.availability
-                if a_e is None or a_o is None:
+                if a_d is None or a_o is None:
                     violations.append(
                         f"{label}: availability undefined "
-                        f"(excise={a_e}, {other.spec.countermeasure}={a_o})"
+                        f"(degraded={a_d}, {other.spec.recovery}={a_o})"
                     )
-                elif a_e <= a_o:
+                elif a_d <= a_o:
                     violations.append(
-                        f"{label}: excise availability {a_e:.6f} is not strictly "
-                        f"higher than {other.spec.countermeasure}'s {a_o:.6f}"
+                        f"{label}: degraded availability {a_d:.6f} is not strictly "
+                        f"higher than {other.spec.recovery}'s {a_o:.6f}"
                     )
     return violations
 

@@ -205,8 +205,8 @@ class FlakyRank(Scenario):
     """One rank killed again and again after each respawn, then left dead.
 
     The crash-looping pod: a single seeded victim dies ``flaps`` times at
-    regular intervals.  Under ``"rollback"``/``"replay"`` countermeasures the
-    rank is respawned each time and dies again; under ``"excise"`` the first
+    regular intervals.  Under ``"global"``/``"localized"`` recovery the
+    rank is respawned each time and dies again; under ``"degraded"`` the first
     death removes it and every later event is *skipped* (the injector still
     reports it, so the chaos log can show the excision absorbing the flaps).
     """

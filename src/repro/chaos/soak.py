@@ -17,25 +17,25 @@ finish in wall-clock seconds:
 * **virtual clocks** — all timestamps advance from CostModel charges, never
   from the wall, so the event log is deterministic.
 
-The *countermeasure* seam maps chaos-engineering vocabulary onto the existing
-:class:`~repro.ft.recovery.RecoveryProtocol` rules: ``"rollback"`` →
-global rollback, ``"replay"`` → localized log replay, ``"excise"`` → degraded
-continuation.  :func:`run_comparison` pits countermeasures (and backends and
-stores) against **identical** failure schedules — :func:`build_plan` passes
-the shared seed rule none of those axes — which is what makes the availability
-/ MTTR trade-off between the protocols quantitatively comparable cell by cell.
-The cells run one after another, in grid order.
+The soak adds no recovery machinery of its own: a cell names one of the
+:class:`~repro.ft.recovery.RecoveryProtocol` rules (``"global"``,
+``"localized"``, ``"degraded"``, ``"best_effort"``).  :func:`run_comparison`
+pits recovery rules (and backends and stores) against **identical** failure
+schedules — :func:`build_plan` passes the shared seed rule none of those axes
+— which is what makes the availability / MTTR trade-off between the
+protocols quantitatively comparable cell by cell.  The cells run one after
+another, in grid order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.api.policy import FaultTolerancePolicy
 from repro.chaos.metrics import ChaosMetrics, compute_metrics
-from repro.chaos.monitor import MONITORS, chaos_events
+from repro.chaos.monitor import chaos_events
 from repro.chaos.scenarios import make_scenario
 from repro.errors import ChaosError
 from repro.experiment import _comparison_grid, check_names, plan_entropy
@@ -46,28 +46,12 @@ from repro.study.workloads import make_workload
 from repro.trace.tracer import cell_tracer, trace_label
 
 __all__ = [
-    "COUNTERMEASURES",
     "SoakSpec",
     "SoakResult",
     "scaled_cost_model",
     "run_soak",
     "run_comparison",
 ]
-
-
-# ----------------------------------------------------------------------
-# Countermeasures: chaos vocabulary over the recovery-protocol rules
-# ----------------------------------------------------------------------
-#: Countermeasure name -> the recovery-protocol registry name implementing it.
-#: The soak engine adds no recovery machinery of its own, it *names* the
-#: existing protocols in reliability terms: coordinated rollback of every rank
-#: (§4.2), localized log replay by the failed ranks only (§7), and best-effort
-#: continuation without them.
-COUNTERMEASURES: dict[str, str] = {
-    "rollback": "global",
-    "replay": "localized",
-    "excise": "degraded",
-}
 
 
 # ----------------------------------------------------------------------
@@ -112,19 +96,17 @@ class SoakSpec:
     """Declarative description of one soak cell.
 
     The kill plan is a pure function of ``(seed, workload, scenario,
-    rate_per_round)`` — deliberately **not** of the countermeasure, store or
+    rate_per_round)`` — deliberately **not** of the recovery rule, store or
     backend — so comparison cells face identical failure schedules.
     """
 
     workload: str = "stencil"
     backend: str = "sim"
     store: str = "memory"
-    countermeasure: str = "rollback"
-    #: Delivery mode under failure (registry kind ``"delivery"``); the plan
-    #: seed excludes it, so reliable vs best-effort soaks face identical kills.
-    delivery: str = "reliable"
+    #: Recovery-protocol registry name: "global", "localized", "degraded"
+    #: or "best_effort".
+    recovery: str = "global"
     scenario: str = "poisson"
-    monitor: str = "transitions"
     #: Consecutive workload rounds the soak drives (one long session).
     rounds: int = 6
     #: Coordinated-checkpoint interval in steps (numeric only: an open-ended
@@ -138,22 +120,18 @@ class SoakSpec:
     nprocs: int = 8
     procs_per_node: int = 2
     watchdog: float | None = None
-    workload_params: dict = field(default_factory=dict)
+    #: Per-workload constructor overrides, e.g. ``{"stencil": {"n_local":
+    #: 16}}``; a workload without an entry is built with its defaults.
+    workload_params: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_names(
             (
                 (kind, (getattr(self, kind),))
-                for kind in ("workload", "backend", "store", "delivery", "scenario")
+                for kind in ("workload", "backend", "store", "recovery", "scenario")
             ),
             ChaosError, "soak spec",
         )
-        for kind, choices in (("countermeasure", COUNTERMEASURES), ("monitor", MONITORS)):
-            if getattr(self, kind) not in choices:
-                raise ChaosError(
-                    f"unknown {kind} {getattr(self, kind)!r} in soak spec; "
-                    f"choose one of: {', '.join(map(repr, sorted(choices)))}"
-                )
         if self.rounds < 1:
             raise ChaosError("a soak needs at least one round")
         if not isinstance(self.interval, int) or self.interval < 1:
@@ -169,7 +147,7 @@ class SoakSpec:
     def cell_key(self) -> str:
         return (
             f"{self.workload}/{self.scenario}/{self.backend}"
-            f"/{self.store}/{self.countermeasure}"
+            f"/{self.store}/{self.recovery}"
         )
 
 
@@ -210,9 +188,8 @@ class SoakResult:
                 "workload": self.spec.workload,
                 "backend": self.spec.backend,
                 "store": self.spec.store,
-                "countermeasure": self.spec.countermeasure,
+                "recovery": self.spec.recovery,
                 "scenario": self.spec.scenario,
-                "monitor": self.spec.monitor,
                 "rounds": self.spec.rounds,
                 "interval": self.spec.interval,
                 "compression": self.spec.compression,
@@ -246,7 +223,7 @@ def build_plan(spec: SoakSpec, *, ops_per_round: int, steps_per_round: int) -> K
     """The spec's kill plan (pure function of spec + calibrated shape).
 
     Schedule entropy is seed + workload + scenario — nothing else: backend,
-    store, countermeasure and delivery are not passed, so comparison cells
+    store and recovery are not passed, so comparison cells
     (and sim-vs-proc differential runs) draw the *same* plan.
     """
     scenario = make_scenario(spec.scenario, rate_per_round=spec.rate_per_round)
@@ -274,9 +251,8 @@ def run_soak(spec: SoakSpec) -> SoakResult:
     soak early with a ``soak_aborted`` event rather than raising: surviving
     *is* the measurement.
     """
-    workload = make_workload(
-        spec.workload, nprocs=spec.nprocs, **dict(spec.workload_params)
-    )
+    params = dict(spec.workload_params.get(spec.workload, {}))
+    workload = make_workload(spec.workload, nprocs=spec.nprocs, **params)
     cost = scaled_cost_model(compression=spec.compression)
     with trace_label(f"{spec.cell_key}/probe"):
         probe = workload.run(procs_per_node=spec.procs_per_node, cost_model=cost)
@@ -284,13 +260,11 @@ def run_soak(spec: SoakSpec) -> SoakResult:
     plan = build_plan(
         spec, ops_per_round=ops_per_round, steps_per_round=workload.steps
     )
-    recovery = COUNTERMEASURES[spec.countermeasure]
     # The chaos log is read off the soak's trace once the job has finished.
     tracer = cell_tracer(spec.cell_key)
     run = workload.run(
         ft=FaultTolerancePolicy(
-            interval=spec.interval, store=spec.store, recovery=recovery,
-            delivery=spec.delivery,
+            interval=spec.interval, store=spec.store, recovery=spec.recovery,
         ),
         backend=spec.backend,
         procs_per_node=spec.procs_per_node,
@@ -306,12 +280,11 @@ def run_soak(spec: SoakSpec) -> SoakResult:
     events = [
         {"type": "soak_started", "t": 0.0,
          "workload": spec.workload, "backend": spec.backend, "store": spec.store,
-         "countermeasure": spec.countermeasure, "scenario": spec.scenario,
+         "recovery": spec.recovery, "scenario": spec.scenario,
          "rounds": spec.rounds, "steps_per_round": workload.steps,
          "planned_kills": len(plan), "compression": spec.compression,
          "seed": spec.seed, "nprocs": spec.nprocs},
-        *chaos_events(tracer.events, steps_per_round=workload.steps,
-                      episodes=spec.monitor == "episodes"),
+        *chaos_events(tracer.events, steps_per_round=workload.steps),
     ]
     if run.aborted is not None:  # stamped where the run stopped, as its report was
         events.append({"type": "soak_aborted", "t": report.elapsed, "error": run.aborted})
@@ -335,10 +308,10 @@ def run_soak(spec: SoakSpec) -> SoakResult:
     )
     step_seconds = round_seconds / workload.steps
     predicted_mttr = model.predicted_mttr_seconds(
-        recovery, step_seconds=step_seconds, interval_steps=spec.interval
+        spec.recovery, step_seconds=step_seconds, interval_steps=spec.interval
     )
     predicted_avail = model.predicted_availability(
-        recovery, step_seconds=step_seconds, interval_steps=spec.interval
+        spec.recovery, step_seconds=step_seconds, interval_steps=spec.interval
     )
 
     return SoakResult(
@@ -364,7 +337,7 @@ def run_soak(spec: SoakSpec) -> SoakResult:
 def run_comparison(
     base: SoakSpec,
     *,
-    countermeasures: Sequence[str] = ("rollback", "replay", "excise"),
+    recoveries: Sequence[str] = ("global", "localized", "degraded"),
     backends: Sequence[str] | None = None,
     stores: Sequence[str] | None = None,
 ) -> list[SoakResult]:
@@ -372,9 +345,9 @@ def run_comparison(
 
     Every cell reuses ``base``'s seed, workload and scenario, so the plan —
     a function of exactly those — is identical across the grid; only the
-    countermeasure/store/backend axes vary.
+    recovery/store/backend axes vary.
     """
     return _comparison_grid(
-        run_soak, base, "countermeasure", countermeasures,
+        run_soak, base, "recovery", recoveries,
         backends=backends, stores=stores, error=ChaosError,
     )

@@ -50,7 +50,7 @@ class ProcessFailedError(SimulationError):
 class RankSuspendedError(ProcessFailedError):
     """A *suspended* rank tried to act as the source of an operation.
 
-    Only raised under a failure-tolerant delivery mode (``repro.qos``):
+    Only raised under a failure-tolerant recovery rule (``"best_effort"``):
     the failed rank itself cannot issue or compute until it is repaired at
     the next step boundary, but its peers keep running.  The cooperative
     scheduler catches this per rank and skips the suspended rank's turn;
@@ -181,7 +181,7 @@ class CampaignError(StudyError):
 class ChaosError(ReproError):
     """Misuse of the chaos/soak subsystem (:mod:`repro.chaos`).
 
-    Raised for unknown scenario/monitor/countermeasure names, invalid soak
+    Raised for unknown scenario/recovery names, invalid soak
     specifications, and malformed chaos event logs."""
 
 
@@ -203,9 +203,9 @@ class ServeError(ReproError):
 
 
 class QosError(ReproError):
-    """Misuse of the delivery-mode subsystem (:mod:`repro.qos`).
+    """Misuse of best-effort delivery or of :mod:`repro.qos`.
 
-    Raised for unknown delivery-mode names, invalid comparison
+    Raised for a reused or misconfigured best-effort rule, invalid comparison
     specifications and malformed quality/robustness/speed reports."""
 
 

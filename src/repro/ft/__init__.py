@@ -15,7 +15,9 @@
   pluggable rules which ranks restore, from which version, and what the
   survivors do: coordinated global rollback (§4.2–§4.3), localized log-based
   replay restoring only the failed ranks (§7, falling back to the rollback
-  per §3.2.3), and best-effort degraded continuation;
+  per §3.2.3), and degraded continuation; a fourth rule, best-effort
+  delivery, tolerates failures instead (suspend, drop or serve stale, repair
+  at the step boundary) and never calls the procedure;
 * :mod:`~repro.ft.stack` — one-call construction of the whole protocol
   (log + store + checkpointer + recovery) from plain parameters, used by the
   declarative policy of :mod:`repro.api`;
@@ -40,6 +42,7 @@ from repro.ft.inject import (
 )
 from repro.ft.recovery import (
     PROTOCOLS,
+    BestEffort,
     ContinueDegraded,
     GlobalRollback,
     LocalizedReplay,
@@ -79,6 +82,7 @@ __all__ = [
     "GlobalRollback",
     "LocalizedReplay",
     "ContinueDegraded",
+    "BestEffort",
     "PROTOCOLS",
     "make_protocol",
     "buddy_assignment",

@@ -1,4 +1,4 @@
-"""Recovery: one procedure over a restoring set, three rules (§4.2–§4.3, §7).
+"""Recovery: one procedure over a restoring set, four rules (§4.2–§4.3, §7).
 
 When the application (or the session layer) observes a
 :class:`~repro.errors.ProcessFailedError` it calls
@@ -21,6 +21,11 @@ and what the survivors do:
   Moreno & Ofria, arXiv:2211.10897): no rank restores; failed ranks are
   *excised* rather than respawned — operations targeting them are dropped,
   reads of their windows observe zeros — and the survivors keep running.
+* :class:`BestEffort` (``"best_effort"``) — the same paper's other end: a
+  failed rank is never fatal, so the procedure never runs.  The rank is
+  *suspended* — operations toward it drop or serve stale checkpoint data —
+  and :meth:`~repro.ft.stack.FtStack.repair` restores only it at the next
+  step boundary.
 
 A recovery no rule can serve — no stored version holds a copy of some rank
 to roll back to, or no rank is left to continue — raises
@@ -34,17 +39,22 @@ as ``backend="sim"|"vector"``) and are orthogonal to the
 from __future__ import annotations
 
 import abc
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import CatastrophicFailure, RecoveryError
+import numpy as np
+
+from repro.errors import CatastrophicFailure, QosError, RecoveryError
 from repro.ft.checkpoint import ActionLog, CoordinatedCheckpointer
 from repro.ft.stores import CheckpointStore, CheckpointVersion, RestorePayload
 from repro.registry import register_kind, resolve_component
 from repro.rma.replay import ReplayCursor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
+    from repro.rma.actions import CommAction
     from repro.rma.runtime import RmaRuntime
+    from repro.rma.window import Window
 
 __all__ = [
     "RecoveryOutcome",
@@ -53,6 +63,7 @@ __all__ = [
     "GlobalRollback",
     "LocalizedReplay",
     "ContinueDegraded",
+    "BestEffort",
     "PROTOCOLS",
     "make_protocol",
     "RecoveryManager",
@@ -106,6 +117,12 @@ class RecoveryProtocol(abc.ABC):
 
     #: Registry name of the protocol ("global", "localized", "degraded", ...).
     name: str = "abstract"
+
+    #: Whether a failed rank is suspended instead of fatal: then no
+    #: :class:`~repro.errors.ProcessFailedError` reaches :meth:`plan`, the
+    #: runtime consults the rule on every path toward the rank, and
+    #: :meth:`~repro.ft.stack.FtStack.repair` mends it at step boundaries.
+    tolerates_failures: bool = False
 
     #: Whether the protocol replays the put/get log and therefore requires an
     #: :class:`~repro.ft.checkpoint.ActionLog` that *retains* completed
@@ -197,11 +214,166 @@ class ContinueDegraded(RecoveryProtocol):
         return RecoveryPlan("degraded", (), None)
 
 
+#: The events :meth:`BestEffort.count` counts (as ``qos.<event>`` metrics), in
+#: report order.  ``dropped_puts``/``dropped_gets``/``stale_reads``/``dropped_syncs``
+#: are attributed to the *origin* (the survivor whose operation was
+#: tolerated), ``discarded_inflight``/``suspended_steps``/``repairs`` to the
+#: failed rank itself.
+_COUNTER_FIELDS = (
+    "dropped_puts",
+    "dropped_gets",
+    "stale_reads",
+    "dropped_syncs",
+    "discarded_inflight",
+    "suspended_steps",
+    "repairs",
+)
+
+
+class BestEffort(RecoveryProtocol):
+    """Best-effort delivery (Moreno & Ofria): drop or serve stale, never stall.
+
+    A failed (non-excised) rank is *suspended*: its own calls raise
+    :class:`~repro.errors.RankSuspendedError` (the scheduler skips just its
+    turn), puts toward it drop (there is no memory to write), and gets toward
+    it deterministically either drop — the origin observes zeros — or are
+    served *stale* from the newest checkpoint copy of its window.  The choice
+    hashes ``(seed, GNC, tolerated-op index)`` through crc32, the library's
+    seeded-entropy convention, so sim/vector/proc agree bit-for-bit: the
+    suspended set changes only at injector-controlled completion-stream
+    positions.  ``stale_fraction`` is the probability mass given to stale
+    service (the rest drops); with no usable checkpoint copy a would-be stale
+    read drops.  Every tolerated operation is counted once (:meth:`count`) in
+    the job's per-rank ``qos.*`` metrics, which :mod:`repro.qos.engine`
+    reports.
+
+    The rule is bound once to a runtime and the store it serves stale reads
+    from (one instance per job); the recovery procedure never asks it for a
+    plan.
+    """
+
+    name = "best_effort"
+    tolerates_failures = True
+
+    def __init__(self, seed: int = 0, stale_fraction: float = 0.5) -> None:
+        if not 0.0 <= stale_fraction <= 1.0:
+            raise QosError(
+                f"stale_fraction must be within [0, 1], got {stale_fraction}"
+            )
+        self.seed = int(seed)
+        self.stale_fraction = float(stale_fraction)
+        self._runtime: "RmaRuntime | None" = None
+        self._store: CheckpointStore | None = None
+        #: Per-origin count of tolerated ops (the deterministic op index).
+        self._op_index: dict[int, int] = {}
+
+    def bind(self, runtime: "RmaRuntime", store: CheckpointStore | None) -> None:
+        """Attach the rule to a job; one instance per job (like backends)."""
+        if self._runtime is not None and self._runtime is not runtime:
+            raise QosError(
+                f"recovery rule {self.name!r} is already bound to a job; it "
+                f"holds per-job state and cannot be reused — construct a "
+                f"fresh instance per job"
+            )
+        self._runtime = runtime
+        self._store = store
+
+    def plan(
+        self, manager: "RecoveryManager", failed: list[int], prior: frozenset[int]
+    ) -> RecoveryPlan:
+        raise RecoveryError(
+            "best-effort delivery suspends failed ranks and repairs them at step "
+            "boundaries; the recovery procedure has nothing to plan"
+        )
+
+    def count(self, event: str, rank: int, n: int = 1) -> None:
+        """Record ``n`` occurrences of delivery decision ``event`` at ``rank``:
+        one bump of the job's ``qos.<event>`` metric, one ``on_qos_decision``."""
+        if event not in _COUNTER_FIELDS:
+            raise QosError(
+                f"unknown qos event {event!r}; counted events are: "
+                f"{', '.join(_COUNTER_FIELDS)}"
+            )
+        self._runtime.cluster.metrics.incr(f"qos.{event}", n, rank=rank)
+        decided = self._runtime.interceptors.on_qos_decision
+        if decided is not None:
+            decided(event, rank, n)
+
+    def suspended(self, runtime: "RmaRuntime") -> frozenset[int]:
+        """The failed, non-excised ranks: derived from the cluster's failed
+        set, so the answer is backend-independent at every program point."""
+        return frozenset(
+            rank
+            for rank in runtime.cluster.failed_ranks()
+            if rank not in runtime.excised
+        )
+
+    def _entropy(self, src: int, gnc: int, index: int) -> float:
+        """Uniform-ish [0, 1) from the deterministic drop/stale coordinates."""
+        h = 0
+        for part in (self.seed, src, gnc, index):
+            h = zlib.crc32(int(part).to_bytes(8, "little", signed=True), h)
+        return h / 2**32
+
+    def _stale_payload(self, action: "CommAction", win: "Window") -> np.ndarray | None:
+        """The newest checkpointed copy of the targeted slice (None = none)."""
+        if self._store is None:
+            return None
+        for version in reversed(self._store.versions):
+            if not self._store.available(version, action.trg):
+                continue
+            payload = self._store.fetch(version, action.trg)
+            if payload is None or action.window not in payload.windows:
+                continue
+            data = payload.windows[action.window]
+            return np.array(
+                data[action.offset : action.offset + action.count],
+                dtype=win.dtype, copy=True,
+            ).ravel()
+        return None
+
+    def resolve(
+        self, action: "CommAction", win: "Window", runtime: "RmaRuntime"
+    ) -> None:
+        """Decide the fate of one operation toward a suspended rank: fill a
+        get-like ``action.data`` (zeros on drop, checkpoint data on stale
+        service) and :meth:`count` the event; never touch the suspended
+        rank's (invalidated) window buffer."""
+        src = action.src
+        index = self._op_index.get(src, 0)
+        self._op_index[src] = index + 1
+        if not action.kind.is_get_like:
+            self.count("dropped_puts", src)
+            return
+        stale = (
+            self.stale_fraction > 0.0
+            and self._entropy(src, action.GNC, index) < self.stale_fraction
+        )
+        payload = self._stale_payload(action, win) if stale else None
+        served = np.zeros(action.count, dtype=win.dtype) if payload is None else payload
+        action.data = served[0] if action.kind.is_scalar else served  # FAO/CAS: a scalar
+        if payload is None:
+            self.count("dropped_gets", src)
+            return
+        self.count("stale_reads", src)
+        # The stale copy is served from a surviving checkpoint replica: a
+        # local memory read, not a remote transfer to dead hardware.
+        runtime.cluster.advance(
+            src,
+            runtime.cluster.costs.local_copy(action.count * win.itemsize),
+            kind="comm",
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"BestEffort(seed={self.seed}, stale_fraction={self.stale_fraction})"
+
+
 #: Registry of constructable recovery protocols, by name.
 PROTOCOLS: dict[str, type[RecoveryProtocol]] = {
     GlobalRollback.name: GlobalRollback,
     LocalizedReplay.name: LocalizedReplay,
     ContinueDegraded.name: ContinueDegraded,
+    BestEffort.name: BestEffort,
 }
 register_kind("recovery", PROTOCOLS)
 

@@ -31,7 +31,6 @@ from repro.ft.recovery import (
     restore_rank,
 )
 from repro.ft.stores import CheckpointStore, make_store
-from repro.qos.delivery import DeliveryMode, make_delivery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.rma.runtime import RmaRuntime
@@ -47,8 +46,6 @@ class FtStack:
     log: ActionLog
     checkpointer: CoordinatedCheckpointer
     recovery: RecoveryManager
-    #: Delivery mode installed on the runtime (reliable unless declared).
-    delivery: DeliveryMode
 
     @property
     def store(self) -> CheckpointStore:
@@ -90,9 +87,9 @@ class FtStack:
                 return None if taken is None else (t_start, not due)
             except ProcessFailedError:
                 # The checkpoint's own barriers can fire a scheduled failure;
-                # under a tolerant delivery mode that is a suspension, not a
+                # under a tolerant rule that is a suspension, not a
                 # rollback trigger: repair the rank and retry.
-                if not self.delivery.tolerates_failures:
+                if not self.recovery.protocol.tolerates_failures:
                     raise
                 runtime.observe_failures()
                 if not runtime.suspended_ranks():
@@ -111,7 +108,7 @@ class FtStack:
             self.log.mark_step(kernels_only=kernels_only)
 
     def repair(self) -> None:
-        """Repair suspended ranks in place (tolerant delivery modes only).
+        """Repair suspended ranks in place (tolerant recovery rules only).
 
         Best-effort repair is the anti-rollback: each suspended rank is
         respawned and *only its* windows are restored, from the newest
@@ -119,10 +116,11 @@ class FtStack:
         buffers when none does — possible only before the first commit).
         Survivors keep their state and their clocks; nothing is re-executed.
         The repaired rank simply rejoins at the next step, its lost
-        post-checkpoint progress being exactly the result quality the mode
+        post-checkpoint progress being exactly the result quality the rule
         trades for never stalling admission.
         """
-        if not self.delivery.tolerates_failures:
+        rule = self.recovery.protocol
+        if not rule.tolerates_failures:
             return
         runtime = self.checkpointer.runtime
         suspended = sorted(runtime.suspended_ranks())
@@ -138,13 +136,13 @@ class FtStack:
             )
             if version is not None:
                 restore_rank(runtime, store, version, rank)
-            self.delivery.count("repairs", rank)
+            rule.count("repairs", rank)
 
     def uninstall(self, runtime: "RmaRuntime") -> None:
         """Fully detach the stack from ``runtime``.  Idempotent.
 
         Removes the interceptors, closes the store (releasing scratch
-        directories and the like), uninstalls the delivery mode and detaches
+        directories and the like), uninstalls the tolerant rule and detaches
         the recovery manager, so nothing in the stack keeps a live reference
         into a runtime it no longer observes.  The store close runs even when an earlier teardown
         step raises: a leaked scratch directory outlives the process, a
@@ -153,7 +151,7 @@ class FtStack:
         try:
             runtime.remove_interceptor(self.log)
             runtime.remove_interceptor(self.checkpointer)
-            runtime.set_delivery(None)
+            runtime.set_tolerant(None)
         finally:
             try:
                 self.checkpointer.store.close()
@@ -169,7 +167,6 @@ def build_ft_stack(
     keep_versions: int = 2,
     store: CheckpointStore | str | None = None,
     recovery: RecoveryProtocol | str | None = None,
-    delivery: DeliveryMode | str | None = None,
 ) -> FtStack:
     """Install the ftRMA protocol on ``runtime`` and return its pieces.
 
@@ -192,14 +189,10 @@ def build_ft_stack(
         Recovery rule: ``"global"`` (default; coordinated rollback of
         every rank), ``"localized"`` (restore only the failed ranks, replay
         the log), ``"degraded"`` (excise failed ranks, continue
-        best-effort), or a ready
+        without them), ``"best_effort"`` (suspend failed ranks — operations
+        toward them drop or serve stale checkpoint data, :meth:`FtStack.repair`
+        mends them at step boundaries), or a ready
         :class:`~repro.ft.recovery.RecoveryProtocol` instance.
-    delivery:
-        Delivery mode under failure: ``"reliable"`` (default; any touch of a
-        failed rank raises and a recovery protocol runs), ``"best_effort"``
-        (failed ranks are suspended — operations toward them drop or serve
-        stale checkpoint data, the session repairs them at step boundaries),
-        or a ready :class:`~repro.qos.delivery.DeliveryMode` instance.
     """
     protocol = make_protocol(recovery)
     # Retaining completed actions (payloads included) is only needed by
@@ -215,12 +208,7 @@ def build_ft_stack(
     )
     runtime.add_interceptor(checkpointer)
     manager = RecoveryManager(runtime, checkpointer, protocol)
-    mode = make_delivery(delivery)
-    mode.bind(runtime, checkpointer.store)
-    runtime.set_delivery(mode)
-    return FtStack(
-        log=log,
-        checkpointer=checkpointer,
-        recovery=manager,
-        delivery=mode,
-    )
+    if protocol.tolerates_failures:
+        protocol.bind(runtime, checkpointer.store)
+        runtime.set_tolerant(protocol)
+    return FtStack(log=log, checkpointer=checkpointer, recovery=manager)

@@ -2,8 +2,8 @@
 
 Examples::
 
-    # The default comparison: sparse kv updates, reliable vs best-effort
-    # delivery on memory vs multilevel stores, identical kill plans:
+    # The default comparison: sparse kv updates, global rollback vs
+    # best-effort delivery on memory vs multilevel stores, identical kill plans:
     python -m repro.qos
 
     # A bigger sweep on sim and proc, JSON artifact:
@@ -43,7 +43,7 @@ __all__ = ["main"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.qos",
-        description="delivery-mode × store-hierarchy comparison on identical "
+        description="recovery-rule × store-hierarchy comparison on identical "
                     "kill plans",
     )
     add_common_arguments(parser)
@@ -52,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload under test (sparse-write kernels show the trade-off best)",
     )
     parser.add_argument(
-        "--deliveries", type=csv,
-        help="comma-separated delivery modes to compare",
+        "--recoveries", type=csv,
+        help="comma-separated recovery rules to compare",
     )
     parser.add_argument(
         "--stores", type=csv,
@@ -94,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         to_json=report_json,
         invariants=check_invariants,
         invariants_message=(
-            "invariants hold (reliable quality == 1.0; best-effort strictly "
+            "invariants hold (global quality == 1.0; best-effort strictly "
             "faster; incremental < full; backends agree)"
         ),
         gate=check_against_baseline,

@@ -11,10 +11,10 @@ three-axis trade-off, measured — not argued — on identical fault loads:
   served stale), ranks repaired;
 * **speed** — virtual makespan, checkpoint bytes moved.
 
-Every cell of the ``delivery × store`` sweep runs the *same* seeded
+Every cell of the ``recovery × store`` sweep runs the *same* seeded
 :class:`~repro.ft.inject.KillPlan` (offsets in the completion stream, so the
 same plan strikes the same program point on every backend), which is what
-makes cells comparable: ``reliable`` pays rollback + re-execution for a
+makes cells comparable: ``global`` pays rollback + re-execution for a
 bit-exact result, ``best_effort`` keeps survivors running and pays in result
 quality, ``multilevel`` keeps upper-level copies for rare catastrophic
 failures while moving only dirty bytes.
@@ -37,7 +37,7 @@ from repro.api.policy import FaultTolerancePolicy
 from repro.errors import QosError
 from repro.experiment import check_names, plan_entropy, report_json, run_grid
 from repro.ft.inject import KillPlan
-from repro.qos.delivery import _COUNTER_FIELDS, BestEffort
+from repro.ft.recovery import _COUNTER_FIELDS, BestEffort
 from repro.registry import is_registered
 from repro.simulator.costs import cray_xe6_like
 from repro.study.workloads import Workload, make_workload
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: ``qos.*`` counters carried into every trial record (every event
-#: :meth:`~repro.qos.delivery.DeliveryMode.count` accepts).
+#: :meth:`~repro.ft.recovery.BestEffort.count` accepts).
 _QOS_COUNTERS = tuple(f"qos.{name}" for name in _COUNTER_FIELDS)
 
 
@@ -66,9 +66,9 @@ class QosSpec:
         Registry name of the kernel under test.  The default ``"kv"``
         (sparse random-access updates) is the shape where incremental
         checkpoints and stale reads are both meaningful.
-    deliveries / stores / backends:
+    recoveries / stores / backends:
         The sweep axes (registry names).  Every ``(backend, store)`` pair
-        runs every delivery mode against the same kill plans.
+        runs every recovery rule against the same kill plans.
     kills:
         Fail-stop events injected per trial (completion-stream offsets drawn
         from the trial seed).
@@ -81,13 +81,13 @@ class QosSpec:
         checkpoints identically).
     stale_fraction:
         Probability a tolerated get serves stale checkpoint data instead of
-        dropping (see :class:`~repro.qos.delivery.BestEffort`).
+        dropping (see :class:`~repro.ft.recovery.BestEffort`).
     workload_params:
         Constructor overrides for the workload, e.g. ``{"steps": 12}``.
     """
 
     workload: str = "kv"
-    deliveries: tuple[str, ...] = ("reliable", "best_effort")
+    recoveries: tuple[str, ...] = ("global", "best_effort")
     stores: tuple[str, ...] = ("memory", "multilevel")
     backends: tuple[str, ...] = ("sim",)
     kills: int = 1
@@ -101,13 +101,13 @@ class QosSpec:
     workload_params: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for axis in ("deliveries", "stores", "backends"):
+        for axis in ("recoveries", "stores", "backends"):
             if not getattr(self, axis):
                 raise QosError(f"qos sweep axis {axis!r} is empty")
         check_names(
             (
                 ("workload", (self.workload,)),
-                ("delivery", self.deliveries),
+                ("recovery", self.recoveries),
                 ("store", self.stores),
                 ("backend", self.backends),
             ),
@@ -128,7 +128,7 @@ class QosSpec:
 
 
 def quick_spec() -> QosSpec:
-    """The tiny CI sweep: sparse kv updates, 2 stores × 2 deliveries.
+    """The tiny CI sweep: sparse kv updates, 2 stores × 2 recovery rules.
 
     Small enough to run in seconds, yet every gate is live: the kill lands
     mid-run, ``multilevel`` takes several incremental captures, and
@@ -148,17 +148,17 @@ class _Cell:
 
     backend: str
     store: str
-    delivery: str
+    recovery: str
 
     @property
     def key(self) -> str:
-        return f"{self.backend}/{self.store}/{self.delivery}"
+        return f"{self.backend}/{self.store}/{self.recovery}"
 
 
 def _cells(spec: QosSpec) -> list[_Cell]:
     return [
-        _Cell(b, s, d)
-        for b, s, d in product(spec.backends, spec.stores, spec.deliveries)
+        _Cell(b, s, r)
+        for b, s, r in product(spec.backends, spec.stores, spec.recoveries)
     ]
 
 
@@ -179,7 +179,7 @@ def _trial_plan(spec: QosSpec, trial: int, stream_ops: int) -> KillPlan:
 
     Offsets are drawn from the middle half of the failure-free completion
     stream: late enough that the phase-opening checkpoint committed, early
-    enough that tolerated/recovered work remains in every delivery mode.
+    enough that tolerated/recovered work remains under every recovery rule.
     """
     min_ops = max(2, stream_ops // 4)
     max_ops = max(min_ops + 2, stream_ops // 2)
@@ -213,21 +213,20 @@ def _run_cell_trial(args: tuple[QosSpec, _Cell, int, int, np.ndarray]) -> dict:
     spec, cell, trial, stream_ops, reference_result = args
     workload = _build_workload(spec)
     plan = _trial_plan(spec, trial, stream_ops)
-    if cell.delivery == "best_effort":
-        # A fresh instance per run (modes bind to exactly one job), seeded by
-        # the master seed so drop decisions replay identically everywhere.
-        delivery = BestEffort(seed=spec.seed, stale_fraction=spec.stale_fraction)
-    else:
-        delivery = cell.delivery
+    recovery = cell.recovery
+    if recovery == "best_effort":
+        # A fresh instance per run (the rule binds to exactly one job), seeded
+        # by the master seed so drop decisions replay identically everywhere.
+        recovery = BestEffort(seed=spec.seed, stale_fraction=spec.stale_fraction)
     policy = FaultTolerancePolicy(
         interval=spec.interval,
         store=cell.store,
         keep_versions=spec.keep_versions,
-        delivery=delivery,
+        recovery=recovery,
     )
     # Label the session by cell and trial: a run-wide trace hub merges its
     # sessions in label order.
-    with trace_label(f"{cell.backend}/{cell.store}/{cell.delivery}/t{trial}"):
+    with trace_label(f"{cell.key}/t{trial}"):
         run = workload.run(
             ft=policy,
             backend=cell.backend,
@@ -269,7 +268,7 @@ def _summarize_cell(cell: _Cell, trials: list[dict]) -> dict:
     summary: dict = {
         "backend": cell.backend,
         "store": cell.store,
-        "delivery": cell.delivery,
+        "recovery": cell.recovery,
         "mean_elapsed_s": sum(t["elapsed_s"] for t in trials) / n,
         "mean_quality": sum(t["quality"] for t in trials) / n,
         "min_quality": min(t["quality"] for t in trials),
@@ -290,7 +289,7 @@ def run_qos(
     executor: str = "serial",
     max_workers: int | None = None,
 ) -> dict:
-    """Run the full delivery × store sweep and return the report document.
+    """Run the full recovery × store sweep and return the report document.
 
     Every trial is an isolated deterministic session, so the ``"serial"``
     (default) and ``"process"`` executors produce byte-identical reports.
@@ -324,7 +323,7 @@ def run_qos(
             "procs_per_node": spec.procs_per_node,
             "interval": spec.interval,
             "stale_fraction": spec.stale_fraction,
-            "deliveries": list(spec.deliveries),
+            "recoveries": list(spec.recoveries),
             "stores": list(spec.stores),
             "backends": list(spec.backends),
             "workload_params": dict(spec.workload_params),
@@ -351,15 +350,15 @@ def run_qos(
 def check_invariants(report: dict) -> list[str]:
     """The trade-off's defining inequalities; returns violations.
 
-    * **Reliable is exact** — every ``reliable`` trial scores quality exactly
-      ``1.0`` (rollback recovery is bit-identical to the failure-free run).
+    * **Global rollback is exact** — every ``global`` trial scores quality
+      exactly ``1.0`` (rollback recovery is bit-identical to the failure-free run).
     * **Best effort is faster** — for every (backend, store, trial) pair run
       under the identical kill plan, the ``best_effort`` makespan is strictly
-      below ``reliable``'s (survivors never stall or re-execute).
+      below ``global``'s (survivors never stall or re-execute).
     * **Incremental moves fewer bytes** — every ``multilevel`` cell that
       captured ships strictly fewer bytes to its upper levels than the full
       mirrors it maintains.
-    * **Backends agree** — the same (store, delivery, trial) produces the
+    * **Backends agree** — the same (store, recovery, trial) produces the
       same digest and the same tolerated-operation counts on every backend.
     """
     failures: list[str] = []
@@ -367,11 +366,11 @@ def check_invariants(report: dict) -> list[str]:
 
     for key in sorted(cells):
         cell = cells[key]
-        if cell["delivery"] == "reliable":
+        if cell["recovery"] == "global":
             for t in cell["trials"]:
                 if t["quality"] != 1.0:
                     failures.append(
-                        f"{key} trial {t['trial']}: reliable delivery scored "
+                        f"{key} trial {t['trial']}: global rollback scored "
                         f"quality {t['quality']!r}, expected exactly 1.0"
                     )
         if cell["store"] == "multilevel":
@@ -388,22 +387,22 @@ def check_invariants(report: dict) -> list[str]:
     by_pair: dict[tuple, dict[str, dict]] = {}
     for cell in cells.values():
         pair = (cell["backend"], cell["store"])
-        by_pair.setdefault(pair, {})[cell["delivery"]] = cell
+        by_pair.setdefault(pair, {})[cell["recovery"]] = cell
     for pair, group in sorted(by_pair.items()):
-        reliable, tolerant = group.get("reliable"), group.get("best_effort")
-        if not reliable or not tolerant:
+        exact, tolerant = group.get("global"), group.get("best_effort")
+        if not exact or not tolerant:
             continue
-        for rt, bt in zip(reliable["trials"], tolerant["trials"]):
-            if bt["elapsed_s"] >= rt["elapsed_s"]:
+        for gt, bt in zip(exact["trials"], tolerant["trials"]):
+            if bt["elapsed_s"] >= gt["elapsed_s"]:
                 failures.append(
-                    f"{'/'.join(pair)} trial {rt['trial']}: best_effort "
+                    f"{'/'.join(pair)} trial {gt['trial']}: best_effort "
                     f"makespan {bt['elapsed_s']:.6g}s is not strictly below "
-                    f"reliable's {rt['elapsed_s']:.6g}s under the same kill plan"
+                    f"global's {gt['elapsed_s']:.6g}s under the same kill plan"
                 )
 
     by_config: dict[tuple, dict[str, dict]] = {}
     for cell in cells.values():
-        config = (cell["store"], cell["delivery"])
+        config = (cell["store"], cell["recovery"])
         by_config.setdefault(config, {})[cell["backend"]] = cell
     for config, group in sorted(by_config.items()):
         backends = sorted(group)

@@ -10,16 +10,16 @@ __all__ = ["render_markdown", "check_against_baseline"]
 
 
 def render_markdown(report: dict) -> str:
-    """The trade-off as a markdown table — one row per (backend, store, delivery)."""
-    reliable_elapsed: dict[tuple[str, str], float] = {}
+    """The trade-off as a markdown table — one row per (backend, store, recovery)."""
+    global_elapsed: dict[tuple[str, str], float] = {}
     for cell in report["cells"].values():
-        if cell["delivery"] == "reliable":
-            reliable_elapsed[(cell["backend"], cell["store"])] = cell["mean_elapsed_s"]
+        if cell["recovery"] == "global":
+            global_elapsed[(cell["backend"], cell["store"])] = cell["mean_elapsed_s"]
 
     rows = []
     for key in sorted(report["cells"]):
         cell = report["cells"][key]
-        baseline = reliable_elapsed.get((cell["backend"], cell["store"]))
+        baseline = global_elapsed.get((cell["backend"], cell["store"]))
         if baseline and cell["mean_elapsed_s"] > 0:
             speedup = f"{baseline / cell['mean_elapsed_s']:.2f}x"
         else:
@@ -34,7 +34,7 @@ def render_markdown(report: dict) -> str:
         rows.append((
             cell["backend"],
             cell["store"],
-            cell["delivery"],
+            cell["recovery"],
             f"{cell['mean_quality']:.4f} / {cell['min_quality']:.4f}",
             f"{cell['mean_elapsed_s'] * 1e3:.3f}",
             speedup,
@@ -44,8 +44,8 @@ def render_markdown(report: dict) -> str:
             moved,
         ))
     return markdown_table(
-        ("backend", "store", "delivery", "quality (mean/min)", "makespan (virt ms)",
-         "speedup vs reliable", "tolerated ops", "repairs", "recoveries",
+        ("backend", "store", "recovery", "quality (mean/min)", "makespan (virt ms)",
+         "speedup vs global", "tolerated ops", "repairs", "recoveries",
          "upper-level bytes (moved/full)"),
         rows,
     )

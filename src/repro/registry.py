@@ -50,7 +50,6 @@ _BUILTIN_KIND_MODULES = {
     "recovery": ("repro.ft.recovery",),
     "workload": ("repro.study.workloads", "repro.serve.service"),
     "scenario": ("repro.chaos.scenarios",),
-    "delivery": ("repro.qos.delivery",),
 }
 
 

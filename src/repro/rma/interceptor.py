@@ -64,7 +64,7 @@ class RmaInterceptor:
         """``store`` placed ``nbytes`` of ``rank``'s checkpoint at ``level``."""
 
     def on_qos_decision(self, decision: str, rank: int, n: int) -> None:
-        """The delivery mode counted ``n`` occurrences of ``decision`` at ``rank``."""
+        """The best-effort rule counted ``n`` occurrences of ``decision`` at ``rank``."""
 
     # --- failures -----------------------------------------------------------
     def on_failure_detected(self, rank: int) -> None:

@@ -79,7 +79,7 @@ from repro.simulator.cluster import Cluster
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.backends.base import Backend
-    from repro.qos.delivery import DeliveryMode
+    from repro.ft.recovery import BestEffort
 
 __all__ = ["RmaRuntime"]
 
@@ -97,7 +97,7 @@ class _Membership(NamedTuple):
     generation: int
     #: Every failed, not yet replaced rank (excised ones included).
     failed: frozenset[int]
-    #: Failed ranks the delivery mode tolerates until their repair.
+    #: Failed ranks the tolerant recovery rule suspends until their repair.
     suspended: frozenset[int]
     #: Failed ranks that make a collective raise (neither excised nor
     #: suspended), in rank order.
@@ -159,10 +159,10 @@ class RmaRuntime:
         #: them are dropped and reads observe zeroed buffers.  Written only
         #: by :meth:`excise_rank`.
         self.excised: frozenset[int] = frozenset()
-        #: Installed delivery mode (:mod:`repro.qos`); ``None`` behaves
-        #: exactly like the reliable mode — every failure path is fatal.
-        #: Written only by :meth:`set_delivery`.
-        self.delivery: "DeliveryMode | None" = None
+        #: The recovery rule that tolerates failures (best-effort), if the
+        #: job has one; ``None`` means every failure path is fatal.
+        #: Written only by :meth:`set_tolerant`.
+        self.tolerant: "BestEffort | None" = None
         #: ``None`` while every issued operation takes the normal pipeline,
         #: :meth:`_divert_op` while an excised rank, a suspended rank or a
         #: replay exists (see :meth:`_set_divert`).
@@ -186,23 +186,23 @@ class RmaRuntime:
         self.interceptors.remove(interceptor)
 
     # ------------------------------------------------------------------
-    # Delivery modes (repro.qos)
+    # The tolerant recovery rule (best-effort delivery)
     # ------------------------------------------------------------------
-    def set_delivery(self, mode: "DeliveryMode | None") -> None:
-        """Install the delivery mode consulted on every failure path.
+    def set_tolerant(self, rule: "BestEffort | None") -> None:
+        """Install the failure-tolerant rule consulted on every failure path.
 
-        ``None`` (the default) and the reliable mode are indistinguishable:
-        any touch of a failed rank raises.  A tolerant mode (best-effort)
-        turns failed non-excised ranks into *suspended* ones — operations
-        toward them drop or serve stale data, the suspended rank's own calls
-        raise :class:`~repro.errors.RankSuspendedError` (which the scheduler
+        ``None`` (the default): any touch of a failed rank raises.  A
+        tolerant rule (best-effort) turns failed non-excised ranks into
+        *suspended* ones — operations toward them drop or serve stale data,
+        the suspended rank's own calls raise
+        :class:`~repro.errors.RankSuspendedError` (which the scheduler
         catches per rank), and ``FtStack.repair`` mends them at step boundaries.
         """
-        self.delivery = mode
+        self.tolerant = rule
         self._refresh_membership()
 
     def suspended_ranks(self) -> frozenset[int]:
-        """Failed ranks the installed delivery mode tolerates (usually empty).
+        """Failed ranks the tolerant rule suspends (usually empty).
 
         Backend-independent at every point of the program: the failed set
         only changes at injector-controlled completion-stream positions,
@@ -352,7 +352,7 @@ class RmaRuntime:
     def lock(self, src: int, trg: int, structure: str | None = None) -> SyncAction:
         """Acquire a lock on ``trg``; fetches-and-increments ``SC_trg`` (§4.1 C).
 
-        Toward a rank suspended by a tolerant delivery mode the sync *drops*:
+        Toward a rank suspended by a tolerant recovery rule the sync *drops*:
         there is no lock manager to talk to on dead hardware, no ``SC`` is
         consumed, and the caller proceeds against stale/zero data (counted as
         ``qos.dropped_syncs``).  During a localized replay a survivor's sync is
@@ -382,7 +382,7 @@ class RmaRuntime:
         action.structure, action.window, action.seq = structure, None, next(_SEQ)
         if dropped or waits:
             if dropped:
-                self.delivery.count("dropped_syncs", src)
+                self.tolerant.count("dropped_syncs", src)
             return action
         clock = self._clock_of[src]  # charged in place, as ``_issue_sync`` charges
         clock.now += self._lock_price
@@ -399,7 +399,7 @@ class RmaRuntime:
         Toward a suspended rank the release degrades gracefully: a lock
         acquired before the target died is released locally, one whose
         acquisition was itself dropped unwinds without error, and the pair's
-        in-flight operations resolve through the delivery mode.
+        in-flight operations resolve through the tolerant rule.
         """
         injector, n = self._injector, self.nprocs
         if self._vehicles or self._settled != injector.generation or self._noted_dead or (
@@ -418,7 +418,7 @@ class RmaRuntime:
                     f"rank {src} does not hold lock {structure!r} on rank {trg}"
                 ) from None
         if dropped or self.backend._pending[src]:
-            self._complete_pair(src, trg)  # toward a suspended rank: via the mode
+            self._complete_pair(src, trg)  # toward a suspended rank: via the rule
         action = _new_object(SyncAction)  # stamped inline, with the epoch it closes
         action.kind, action.src, action.trg = _UNLOCK, src, trg
         action.EC, action.GC = own.epoch_of_target[trg], own.gc
@@ -427,7 +427,7 @@ class RmaRuntime:
         if waits:
             return action
         if dropped:
-            self.delivery.count("dropped_syncs", src)
+            self.tolerant.count("dropped_syncs", src)
         else:  # charged in place, as ``_issue_sync`` charges
             clock = self._clock_of[src]
             clock.now += self._unlock_price
@@ -472,7 +472,7 @@ class RmaRuntime:
         # applied, on every backend alike, so the liveness check (not the
         # apply, which stops wherever the backend's batching puts the dead
         # target) is the common failure point.  Suspended targets are exempt:
-        # their in-flight operations resolve through the delivery mode.
+        # their in-flight operations resolve through the tolerant rule.
         members = self._members
         if not members.healthy:
             for trg in self.backend.pending_targets(src):
@@ -544,7 +544,7 @@ class RmaRuntime:
         Advancing the survivors' clocks to the barrier point can itself fire
         a time-scheduled failure, which :meth:`~repro.simulator.cluster.
         Cluster.barrier` reports as :class:`ProcessFailedError`.  Under a
-        tolerant delivery mode a participant that merely became *suspended*
+        tolerant recovery rule a participant that merely became *suspended*
         must not abort the collective: the failure is folded into the
         suspended set and the survivors re-synchronize without it.  The
         retry's time points are injector-controlled, hence identical across
@@ -676,7 +676,7 @@ class RmaRuntime:
         ranks (:mod:`repro.qos`): an operation still queued toward a rank about to
         be respawned-and-restored would otherwise apply after the restore, on
         top of the repaired state.  Survivor operations toward the suspended
-        ranks resolve through the delivery mode (drop/stale, same deterministic
+        ranks resolve through the tolerant rule (drop/stale, same deterministic
         hash as post-failure issues); the suspended ranks' own queues are
         abandoned.
         """
@@ -733,10 +733,10 @@ class RmaRuntime:
             self._replay.step_boundary(self)
 
     # ------------------------------------------------------------------
-    # Degraded continuation (best-effort mode)
+    # Degraded continuation
     # ------------------------------------------------------------------
     def excise_rank(self, rank: int) -> None:
-        """Permanently remove a failed rank from the job (best-effort mode).
+        """Permanently remove a failed rank from the job (degraded continuation).
 
         The rank is *not* respawned: its window buffers are reallocated to
         zeros so survivors' reads observe a defined value, operations
@@ -756,11 +756,11 @@ class RmaRuntime:
     # ------------------------------------------------------------------
     def _refresh_membership(self) -> _Membership:
         """Rebuild the membership snapshot: the injector's generation moved
-        (every reader checks), or :meth:`excise_rank` / :meth:`set_delivery`
+        (every reader checks), or :meth:`excise_rank` / :meth:`set_tolerant`
         — the only writers of its other two inputs — ran."""
         generation, failed = self._injector.generation, self._injector.failed_ranks
         suspended = (
-            self.delivery.suspended(self) if self.delivery is not None else frozenset()
+            self.tolerant.suspended(self) if self.tolerant is not None else frozenset()
         )
         healthy = not (failed or suspended)
         self._members = _Membership(
@@ -790,7 +790,7 @@ class RmaRuntime:
 
     def _require_alive(self, rank: int, *, excised_ok: bool = False) -> None:
         """Raise unless ``rank`` may act: :class:`RankSuspendedError` for a
-        rank a tolerant delivery mode suspends (the scheduler skips just its
+        rank a tolerant recovery rule suspends (the scheduler skips just its
         turn), :class:`ProcessFailedError` for any other failed rank."""
         members = self._membership()
         if members.healthy or (excised_ok and rank in self.excised):
@@ -807,7 +807,7 @@ class RmaRuntime:
         even one whose failure was observed earlier — makes it raise; this is
         how the paper's applications learn they must recover before
         synchronizing again (§2.4).  Excised ranks left the (shrunk) job and do
-        not count, nor do ranks a tolerant delivery mode merely *suspends*
+        not count, nor do ranks a tolerant recovery rule merely *suspends*
         (repaired at the next step boundary; the collective proceeds without).
         """
         self.observe_failures()
@@ -821,7 +821,7 @@ class RmaRuntime:
         A target excised by a degraded continuation is exempt — operations
         towards it are dropped later rather than raising, which lets survivors
         run on without recovery code — and so is one *suspended* by a tolerant
-        delivery mode (the issue path resolves the operation as a drop or stale
+        recovery rule (the issue path resolves the operation as a drop or stale
         read); a suspended *source* raises :class:`~repro.errors.RankSuspendedError`
         so the scheduler skips just that rank's turn.
 
@@ -984,7 +984,7 @@ class RmaRuntime:
 
         * a target excised by a degraded continuation: the operation is
           *dropped*, get-like results observe the rank's zeroed buffer;
-        * a target suspended by a tolerant delivery mode: the mode resolves
+        * a target suspended by a tolerant recovery rule: the rule resolves
           the operation right here (drop or stale service);
         * an active :class:`~repro.rma.replay.ReplayCursor` matching the
           action: it already happened before the crash — the cursor re-applies
@@ -996,7 +996,7 @@ class RmaRuntime:
                 action._data = zeros[0] if action.kind.is_scalar else zeros
             self.cluster.metrics.incr("ft.dropped_ops", rank=action.src)
         elif action.trg in self._members.suspended:
-            self.delivery.resolve(action, win, self)
+            self.tolerant.resolve(action, win, self)
         else:
             logged = self._replay.consume(action, self) if self._replay is not None else None
             if logged is None:
@@ -1024,10 +1024,10 @@ class RmaRuntime:
         streams — and everything downstream, like the action log a localized
         replay trusts — stay bit-identical across backends.
 
-        Under a tolerant delivery mode neither raises: a suspended origin's
+        Under a tolerant recovery rule neither raises: a suspended origin's
         queue is abandoned (poisoned handles, like a rollback's discard), and
         a surviving origin's in-flight operations toward suspended targets
-        resolve through the mode (drop or stale service) instead of applying.
+        resolve through the rule (drop or stale service) instead of applying.
         """
         # Settled: nobody failed.  Else per rank: a completion may have fired a kill.
         if self._settled != self._injector.generation:
@@ -1047,14 +1047,14 @@ class RmaRuntime:
         """Resolve ``src``'s in-flight ops toward suspended targets, effect-free.
 
         The operations were issued while their target was still alive; under
-        a tolerant delivery mode their completion becomes a drop/stale
+        a tolerant recovery rule their completion becomes a drop/stale
         resolution (there is no memory to apply them to) with the same
         deterministic hash as operations issued after the failure.  They
         never reach :meth:`_retire`, so nothing is charged for them: the
         message was never delivered.
         """
         for action in self.backend.discard_targeting(src, trgs):
-            self.delivery.resolve(action, self.windows.get(action.window), self)
+            self.tolerant.resolve(action, self.windows.get(action.window), self)
             action._completed = True
 
     def _discard_from(self, src: int) -> None:
@@ -1069,7 +1069,7 @@ class RmaRuntime:
         for op in dropped:
             op._discarded = True
         if dropped:
-            self.delivery.count("discarded_inflight", src, len(dropped))
+            self.tolerant.count("discarded_inflight", src, len(dropped))
 
     def _retire(self, src: int, batch: list[CommAction]) -> None:
         """Retire a completed batch of ``src``: mark, notify, then charge.

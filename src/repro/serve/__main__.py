@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 
 from repro.cli import add_common_arguments, add_report_arguments, csv, engine_main
-from repro.registry import available
 from repro.serve.engine import ServeResult, ServeSpec, run_slo_comparison
 from repro.serve.report import (
     check_against_baseline,
@@ -62,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--recoveries", type=csv, default=("global", "localized", "degraded"),
         help="comma-separated recovery protocols to compare (default %(default)s)",
-    )
-    parser.add_argument(
-        "--delivery",
-        help=f"delivery mode every cell serves under "
-             f"(registered: {', '.join(available('delivery'))})",
     )
     parser.add_argument("--steps", type=int, help="job steps to serve")
     parser.add_argument(

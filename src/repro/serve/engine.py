@@ -46,7 +46,7 @@ from repro.ft.inject import KillEvent, KillKind, KillPlan
 from repro.serve.service import _STATUS_NAMES, KvService
 from repro.serve.shard import ShardMap
 from repro.serve.slo import SEGMENTS, WindowTracker, build_slo_report
-from repro.serve.traffic import Request
+from repro.serve.traffic import Request, RequestGenerator
 from repro.study.workloads import make_workload
 from repro.trace.tracer import cell_tracer, current_trace_hub, trace_label
 
@@ -63,10 +63,9 @@ class ServeSpec:
 
     backend: str = "sim"
     store: str = "memory"
-    #: Recovery-protocol registry name: "global", "localized" or "degraded".
+    #: Recovery-protocol registry name: "global", "localized", "degraded"
+    #: or "best_effort".
     recovery: str = "global"
-    #: Delivery mode under failure (registry kind ``"delivery"``).
-    delivery: str = "reliable"
     nprocs: int = 8
     procs_per_node: int = 2
     #: Slots per shard (one shard per rank).
@@ -98,7 +97,7 @@ class ServeSpec:
         check_names(
             (
                 (kind, (getattr(self, kind),))
-                for kind in ("backend", "store", "recovery", "delivery")
+                for kind in ("backend", "store", "recovery")
             ),
             ServeError, "serve spec",
         )
@@ -118,12 +117,15 @@ class ServeSpec:
              "serving needs nprocs >= 2 and procs_per_node >= 1"),
             (self.steps < 1 or self.key_space < 1 or self.slots < 1,
              "serving needs steps, key_space and slots all >= 1"),
-            (self.rate_per_step <= 0.0, "rate_per_step must be positive"),
-            (self.zipf_s < 0.0, "zipf_s must be non-negative"),
-            (not 0.0 <= self.read_fraction <= 1.0, "read_fraction must be within [0, 1]"),
         ):
             if bad:
                 raise ServeError(message)
+        # The traffic knobs are the generator's own to check (it draws nothing).
+        RequestGenerator(
+            seed=self.seed, steps=self.steps, nprocs=self.nprocs,
+            key_space=self.key_space, rate_per_step=self.rate_per_step,
+            zipf_s=self.zipf_s, read_fraction=self.read_fraction,
+        )
 
     @property
     def cell_key(self) -> str:
@@ -218,7 +220,7 @@ class ServeResult:
         }
         document["spec"] = {
             f.name: getattr(self.spec, f.name) for f in fields(self.spec)
-            if f.name not in ("delivery", "watchdog", "service_params")
+            if f.name not in ("watchdog", "service_params")
         }
         return document
 
@@ -232,9 +234,9 @@ _PER_REQUEST = ("requests", "shards", "arrival", "completion", "latency", "statu
 def build_plan(spec: ServeSpec, *, ops_total: int) -> KillPlan:
     """The spec's kill plan (pure function of spec + calibrated stream length).
 
-    Plan entropy is seed + a stable domain tag: backend, store, recovery and
-    delivery are not passed, so every cell of a comparison faces the
-    identical failure schedule.
+    Plan entropy is seed + a stable domain tag: backend, store and recovery
+    are not passed, so every cell of a comparison faces the identical
+    failure schedule.
     """
     if spec.kills == 0:
         return KillPlan([])
@@ -272,7 +274,6 @@ def run_service(spec: ServeSpec) -> ServeResult:
     run = service.run(
         ft=FaultTolerancePolicy(
             interval=spec.interval, store=spec.store, recovery=spec.recovery,
-            delivery=spec.delivery,
         ),
         backend=spec.backend,
         procs_per_node=spec.procs_per_node,

@@ -74,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated protocols (registered: {', '.join(available('recovery'))})",
     )
     parser.add_argument(
-        "--delivery",
-        help=f"delivery mode every cell runs under "
-             f"(registered: {', '.join(available('delivery'))})",
-    )
-    parser.add_argument(
         "--rates", type=_floats, dest="mean_failures", metavar="MEANS",
         help="comma-separated expected failures per failure-free makespan "
              "(default %(default)s)",

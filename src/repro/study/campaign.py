@@ -84,10 +84,6 @@ class CampaignSpec:
     backends: tuple[str, ...] = ("sim",)
     stores: tuple[str, ...] = ("memory",)
     recoveries: tuple[str, ...] = ("global", "localized")
-    #: Delivery mode every cell runs under (registry kind ``"delivery"``).
-    #: A single knob, not a sweep axis — the delivery × store comparison
-    #: harness is :mod:`repro.qos`.
-    delivery: str = "reliable"
     mean_failures: tuple[float, ...] = (2.0,)
     intervals: tuple[int | str, ...] = ("auto",)
     trials: int = 4
@@ -107,7 +103,6 @@ class CampaignSpec:
                 ("backend", self.backends),
                 ("store", self.stores),
                 ("recovery", self.recoveries),
-                ("delivery", (self.delivery,)),
             ),
             CampaignError, "campaign spec",
         )
@@ -180,14 +175,11 @@ def _build_workload(spec: CampaignSpec, name: str) -> Workload:
     return make_workload(name, nprocs=spec.nprocs, **params)
 
 
-def _policy(
-    cell: _Cell, rates: dict[int, float], delivery: str = "reliable"
-) -> FaultTolerancePolicy:
+def _policy(cell: _Cell, rates: dict[int, float]) -> FaultTolerancePolicy:
     return FaultTolerancePolicy(
         interval=cell.interval,
         store=cell.store,
         recovery=cell.recovery,
-        delivery=delivery,
         failure_rates=rates or None,
     )
 
@@ -240,7 +232,7 @@ def _run_ft_free(args: tuple[CampaignSpec, _Cell, dict]) -> dict:
     )
     with trace_label(f"ft-free/{'/'.join(map(str, _ft_free_key(cell)))}"):
         ft_free = workload.run(
-            ft=_policy(cell, rates0, spec.delivery),
+            ft=_policy(cell, rates0),
             backend=cell.backend,
             procs_per_node=spec.procs_per_node,
             cost_model=cray_xe6_like(),
@@ -275,7 +267,7 @@ def _run_trial(args: tuple[CampaignSpec, _Cell, dict, int]) -> dict:
     # sessions in label order.
     with trace_label(f"{cell.key}/t{trial}"):
         run = workload.run(
-            ft=_policy(cell, rates, spec.delivery),
+            ft=_policy(cell, rates),
             failures=schedule,
             backend=cell.backend,
             procs_per_node=spec.procs_per_node,

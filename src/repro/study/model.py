@@ -432,7 +432,9 @@ class IntervalModel:
           :data:`REPLAY_COST_FRACTION` of full cost (suppressed actions are
           bookkeeping, not transfers), plus the aborted step;
         * ``"degraded"`` — no restore at all: a membership barrier and the
-          aborted step re-run by the survivors.
+          aborted step re-run by the survivors;
+        * ``"best_effort"`` — nothing aborts: the suspended rank sits out
+          its step and restores alone, ``R``, at the step boundary.
 
         An unprotected interval (``None`` — only the initial checkpoint) has
         expected rework of half the MTBF-worth of steps.
@@ -454,6 +456,8 @@ class IntervalModel:
             return restart + REPLAY_COST_FRACTION * lost_work + step_seconds
         if recovery == "degraded":
             return barrier + step_seconds
+        if recovery == "best_effort":
+            return restart + step_seconds
         known = ", ".join(repr(name) for name in available("recovery"))
         raise StudyError(
             f"no analytic MTTR model for recovery {recovery!r}; "

@@ -156,7 +156,7 @@ class Workload(abc.ABC):
         """How close ``result`` is to the failure-free ``reference``, in [0, 1].
 
         Bit-exact results (the digest test campaigns use) score exactly
-        ``1.0`` — reliable delivery with rollback recovery must land here.
+        ``1.0`` — a global rollback recovery must land here.
         Anything else scores by normalized L1 distance,
         ``1 − ‖result − reference‖₁ / (‖reference‖₁ + ε)``, floored at 0 —
         the *quality* axis of the :mod:`repro.qos` trade-off, where

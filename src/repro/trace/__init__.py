@@ -1,7 +1,7 @@
 """repro.trace — deterministic end-to-end tracing: the one account of a run.
 
 The observability layer of the reproduction: the RMA interceptor chain
-(which also carries kills, checkpoint placements and delivery-mode
+(which also carries kills, checkpoint placements and best-effort
 decisions), the session observers and the serve request lifecycles feed
 a single :class:`Tracer` whose events are stamped in virtual time —
 byte-identical across the sim, vector and proc backends and across

@@ -61,7 +61,7 @@ TRACE_EVENT_TYPES = frozenset(
         "kill_skipped",
         # Store placements (``on_checkpoint_stored``: per-level bytes).
         "checkpoint_stored",
-        # Delivery-mode decisions (``on_qos_decision``: drop/stale/repair).
+        # Best-effort decisions (``on_qos_decision``: drop/stale/repair).
         "qos_decision",
         # Serve request lifecycle.
         "request_completed",

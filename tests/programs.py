@@ -4,8 +4,8 @@ A program is a list of ``(name, *args)`` entries :func:`perform` runs against
 a bare :class:`~repro.rma.RmaRuntime`: runtime method calls, plus (with
 ``faults=True``) the three events after which issued operations stop being
 completed the ordinary way — a recovery's ``discard_pending``, a target
-excised by a degraded continuation and a target a best-effort delivery mode
-suspends.  ``tests/test_coalesce.py`` diffs the fault-free programs across
+excised by a degraded continuation and a target the best-effort recovery
+rule suspends.  ``tests/test_coalesce.py`` diffs the fault-free programs across
 backends; ``tests/test_op_record.py`` prices the faulty ones against a model.
 """
 
@@ -58,7 +58,7 @@ def random_program(seed: int, *, faults: bool = False) -> list[tuple]:
     the epoch's last operations, everything pending is discarded once
     mid-epoch, one non-origin target is excised right after a ``gsync`` (with
     nothing queued towards it) and another is suspended mid-epoch (with
-    operations queued towards it).  Needs a tolerant delivery mode installed.
+    operations queued towards it).  Needs a tolerant recovery rule installed.
     """
     rng = np.random.default_rng(seed)
     extra = np.random.default_rng((seed, 1))

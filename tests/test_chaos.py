@@ -1,4 +1,4 @@
-"""Tests for the chaos/soak engine: scenarios, monitors, metrics, comparisons."""
+"""Tests for the chaos/soak engine: scenarios, the chaos log, metrics, comparisons."""
 
 from __future__ import annotations
 
@@ -24,14 +24,13 @@ from repro.chaos import (
 )
 from repro.chaos.__main__ import main as chaos_main, quick_spec
 from repro.chaos.metrics import EVENT_TYPES
-from repro.chaos.monitor import MONITORS
 from repro.chaos.report import (
     check_against_baseline,
     check_chaos_invariants,
     render_markdown,
     report_json,
 )
-from repro.chaos.soak import COUNTERMEASURES, build_plan
+from repro.chaos.soak import build_plan
 from repro.errors import ChaosError, StudyError
 from repro.ft.inject import KillPlan
 from repro.registry import all_kinds, available, render_available
@@ -60,7 +59,7 @@ def small_spec(**overrides) -> SoakSpec:
         interval=6,
         rate_per_round=1.0,
         seed=2026,
-        workload_params={"n_local": 16, "iters": 24},
+        workload_params={"stencil": {"n_local": 16, "iters": 24}},
     )
     defaults.update(overrides)
     return SoakSpec(**defaults)
@@ -83,21 +82,19 @@ def scrub(events: list[dict]) -> list[dict]:
 # ----------------------------------------------------------------------
 def test_chaos_kinds_registered():
     assert available("scenario") == ("cascade", "correlated", "flaky", "poisson")
-    # Log flavors and countermeasures are fixed sets a spec checks, not seams.
-    for kind in ("monitor", "countermeasure"):
+    # The recovery axis has one name set, the registry's; the log one flavor.
+    for kind in ("monitor", "countermeasure", "delivery"):
         with pytest.raises(KeyError, match="unknown component kind"):
             available(kind)
 
 
 def test_render_available_lists_every_kind():
     text = render_available()
-    assert all_kinds() == (
-        "backend", "delivery", "recovery", "scenario", "store", "workload"
-    )
-    for line_start in ("scenarios:", "backends:", "stores:", "recoveries:",
-                       "workloads:", "deliveries:"):
+    assert all_kinds() == ("backend", "recovery", "scenario", "store", "workload")
+    for line_start in ("scenarios:", "backends:", "stores:", "recoveries:", "workloads:"):
         assert any(line.startswith(line_start) for line in text.splitlines())
-    assert "monitors:" not in text and "countermeasures:" not in text
+    for absent in ("monitors:", "countermeasures:", "deliveries:"):
+        assert absent not in text
 
 
 def test_make_scenario_rejects_unknown():
@@ -193,9 +190,8 @@ def test_scaled_cost_model_rejects_nonpositive():
     ("workload", "nope"),
     ("backend", "nope"),
     ("store", "nope"),
-    ("countermeasure", "nope"),
+    ("recovery", "nope"),
     ("scenario", "nope"),
-    ("monitor", "nope"),
 ])
 def test_spec_rejects_unknown_names(field, value):
     with pytest.raises(ChaosError, match="nope") as info:
@@ -210,7 +206,15 @@ def test_spec_rejects_non_numeric_interval():
 
 
 def test_spec_cell_key_orders_axes():
-    assert small_spec().cell_key == "stencil/poisson/sim/memory/rollback"
+    assert small_spec().cell_key == "stencil/poisson/sim/memory/global"
+
+
+def test_workload_params_reach_only_the_workload_they_name():
+    # kv has no ``n_local``/``iters``: stencil's entry is ignored, not passed on.
+    kv = run_soak(small_spec(workload="kv", rounds=1))
+    bare = run_soak(small_spec(workload="kv", rounds=1, workload_params={}))
+    assert kv.digest is not None and kv.digest == bare.digest
+    assert kv.events == bare.events and kv.plan == bare.plan
 
 
 # ----------------------------------------------------------------------
@@ -267,38 +271,21 @@ def test_rerun_is_byte_identical():
     assert a.as_dict() == b.as_dict()
 
 
-def test_episode_monitor_coalesces_outages():
-    result = run_soak(small_spec(monitor="episodes"))
-    episodes = [e for e in result.events if e["type"] == "episode"]
-    assert len(episodes) == result.metrics.episodes_resolved
-    for episode in episodes:
-        assert episode["initiated_t"] <= episode["detected_t"] <= episode["restored_t"]
-    # The coalesced events are derived, not double-counted by the metrics.
-    transitions = [e for e in result.events if e["type"] != "episode"]
-    assert compute_metrics(transitions) == result.metrics
-    # ... and the rest of the log is exactly the "transitions" flavor's.
-    assert transitions == run_soak(small_spec()).events
-
-
-@pytest.mark.parametrize("monitor", MONITORS)
-def test_chaos_log_is_a_view_of_the_written_trace(tmp_path, monitor):
-    spec = replace(quick_spec(), monitor=monitor)
+def test_chaos_log_is_a_view_of_the_written_trace(tmp_path):
+    spec = quick_spec()
     path = tmp_path / "trace.jsonl"
     with tracing(str(path)):
         result = run_soak(spec)
     mine = [e for e in load_trace(str(path)) if e["job"] == f"{spec.cell_key}#0"]
     steps_per_round = result.events[0]["steps_per_round"]
-    derived = chaos_events(
-        mine, steps_per_round=steps_per_round, episodes=monitor == "episodes"
-    )
+    derived = chaos_events(mine, steps_per_round=steps_per_round)
     assert derived == [e for e in result.events if not e["type"].startswith("soak_")]
     assert any(e["type"] == "service_restored" for e in derived)
-    assert any(e["type"] == "episode" for e in derived) == (monitor == "episodes")
 
 
 def test_excise_skips_kills_of_excised_rank():
     result = run_soak(
-        small_spec(scenario="flaky", countermeasure="excise", rate_per_round=1.0)
+        small_spec(scenario="flaky", recovery="degraded", rate_per_round=1.0)
     )
     # The flaky victim dies once, is excised, and every later flap of the
     # same rank is a skipped event the monitor still accounts for.
@@ -312,21 +299,33 @@ def test_excise_soak_that_would_excise_every_rank_aborts(seed):
     # Correlated node kills at 8 per round leave nobody to continue: the soak
     # ends with soak_aborted, not a bare "barrier requires a participant".
     result = run_soak(small_spec(
-        scenario="correlated", countermeasure="excise", rate_per_round=8.0, seed=seed
+        scenario="correlated", recovery="degraded", rate_per_round=8.0, seed=seed
     ))
     assert result.aborted == "CatastrophicFailure" and result.digest is None
     assert [e["type"] for e in result.events[-2:]] == ["soak_aborted", "soak_completed"]
     assert result.events[-2]["error"] == "CatastrophicFailure"
 
 
-def test_plan_is_identical_across_countermeasures_and_backends():
+def test_best_effort_soak_completes():
+    # Under best-effort delivery a kill landing inside gsync's completion loop
+    # suspends its victim while the kernel waits at the collective; the rank
+    # is not resumed (its windows, and the local views it holds, are gone)
+    # but sits out the step, and the boundary repair brings it back.
+    result = run_soak(replace(quick_spec(), recovery="best_effort"))
+    assert result.aborted is None and result.digest is not None
+    assert result.metrics.kills_fired >= 1
+    assert result.recoveries == 0
+    assert result.steps_executed == quick_spec().rounds * result.events[0]["steps_per_round"]
+
+
+def test_plan_is_identical_across_recoveries_and_stores():
     workload = make_workload("stencil", nprocs=8, n_local=16, iters=24)
     plans = [
         build_plan(
-            small_spec(countermeasure=c, store=s),
+            small_spec(recovery=r, store=s),
             ops_per_round=400, steps_per_round=workload.steps,
         )
-        for c, s in (("rollback", "memory"), ("replay", "disk"), ("excise", "parity"))
+        for r, s in (("global", "memory"), ("localized", "disk"), ("degraded", "parity"))
     ]
     events = [[(e.after_ops, e.rank, e.kind) for e in p] for p in plans]
     assert events[0] == events[1] == events[2]
@@ -337,15 +336,15 @@ def test_plan_is_identical_across_countermeasures_and_backends():
 # ----------------------------------------------------------------------
 def test_comparison_invariants_hold_on_sim(sim_comparison):
     assert check_chaos_invariants(sim_comparison) == []
-    by_cm = {r.spec.countermeasure: r for r in sim_comparison}
-    assert by_cm["replay"].metrics.mttr_s < by_cm["rollback"].metrics.mttr_s
+    by_rule = {r.spec.recovery: r for r in sim_comparison}
+    assert by_rule["localized"].metrics.mttr_s < by_rule["global"].metrics.mttr_s
     assert (
-        by_cm["excise"].metrics.availability
-        > by_cm["rollback"].metrics.availability
+        by_rule["degraded"].metrics.availability
+        > by_rule["global"].metrics.availability
     )
     assert (
-        by_cm["excise"].metrics.availability
-        > by_cm["replay"].metrics.availability
+        by_rule["degraded"].metrics.availability
+        > by_rule["localized"].metrics.availability
     )
 
 
@@ -366,22 +365,20 @@ def test_report_roundtrip_and_baseline_gate(sim_comparison):
 def test_render_markdown_shows_every_cell(sim_comparison):
     text = render_markdown(sim_comparison)
     for result in sim_comparison:
-        assert result.spec.countermeasure in text
+        assert result.spec.recovery in text
     assert "MTTR predicted" in text
 
 
 def test_rollback_prices_reexecution(sim_comparison):
     # A global rollback must re-execute all lost work; the observed MTTR is
     # therefore bounded below by one step of virtual time.
-    rollback = next(r for r in sim_comparison if r.spec.countermeasure == "rollback")
+    rollback = next(r for r in sim_comparison if r.spec.recovery == "global")
     steps = make_workload("stencil", nprocs=8, n_local=16, iters=24).steps
     assert rollback.metrics.mttr_s > rollback.round_seconds / steps
 
 
 @PROC_SKIP
 def test_sim_and_proc_soaks_are_identical():
-    from dataclasses import replace
-
     spec = small_spec(seed=7)
     sim = run_soak(spec)
     proc = run_soak(replace(spec, backend="proc"))
@@ -460,13 +457,6 @@ def test_session_observer_hooks():
     assert kinds.index("detected") < kinds.index("recovered")
 
 
-def test_countermeasures_map_onto_recovery_protocols():
-    assert COUNTERMEASURES == {
-        "rollback": "global", "replay": "localized", "excise": "degraded"
-    }
-    assert set(COUNTERMEASURES.values()) <= set(available("recovery"))
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -475,15 +465,16 @@ def test_chaos_cli_list(capsys):
     out = capsys.readouterr().out
     assert "scenarios:" in out
     assert "countermeasures:" not in out and "monitors:" not in out
-    assert len(out.splitlines()) == 6
+    assert len(out.splitlines()) == 5
 
 
-def test_chaos_cli_help_lists_the_fixed_choices(capsys):
+def test_chaos_cli_help_lists_the_default_recoveries(capsys):
     with pytest.raises(SystemExit):
         chaos_main(["--help"])
     out = " ".join(capsys.readouterr().out.split())
-    assert "{episodes,transitions}" in out
-    assert "rollback, replay, excise" in out
+    assert "--recoveries" in out and "default global,localized,degraded" in out
+    for gone in ("--monitor", "--countermeasures", "--delivery"):
+        assert gone not in out
 
 
 def test_chaos_cli_quick(tmp_path, capsys):
@@ -497,12 +488,19 @@ def test_chaos_cli_quick(tmp_path, capsys):
     assert load_events(str(events))  # schema-valid JSONL
     report = json.loads(output.read_text())
     assert report["meta"]["engine"] == "repro.chaos"
-    # Byte-identity oracle: re-recorded when a localized replay began to end at
-    # the crash point (only the replay cell moved).
+    # Byte-identity oracle: re-recorded when the cells took the recovery
+    # registry's names and the "monitor" key went; nothing else moved.
     assert hashlib.sha256(output.read_bytes()).hexdigest() == (
-        "9ff2a0d29613cf7f06fc4581d597870034e456def91bf795a3bc62ba72488cc8"
+        "7fd884b4f7f463c277ed892b6fce1c3f94a8091adce0bcc07742b047264cb81d"
     )
     assert len(report["cells"]) == 3
+
+
+@pytest.mark.parametrize("workload", ["kv", "allreduce"])
+def test_chaos_cli_quick_runs_every_workload(workload, capsys):
+    # The quick preset's stencil parameters apply to the stencil only.
+    assert chaos_main(["--quick", "--workload", workload]) == 0
+    assert "invariants hold" in capsys.readouterr().out
 
 
 def test_study_cli_list(capsys):

@@ -156,7 +156,7 @@ def test_comparison_grids_reject_an_empty_axis_with_the_engines_own_error():
     from repro.serve import ServeSpec, run_slo_comparison
 
     with pytest.raises(ChaosError, match="comparison axes must be non-empty"):
-        run_comparison(SoakSpec(), countermeasures=())
+        run_comparison(SoakSpec(), recoveries=())
     with pytest.raises(ServeError, match="comparison axes must be non-empty"):
         run_slo_comparison(ServeSpec(), stores=())
 
@@ -323,7 +323,7 @@ def test_engine_flags_refine_the_spec_they_default_to(engine, argv, changed):
     ("engine", "listed"),
     [
         ("study", "(default 2.0)"),
-        ("chaos", "default rollback,replay,excise"),
+        ("chaos", "(default global,localized,degraded)"),
         ("serve", "(default global,localized,degraded)"),
         ("qos", None),  # its help prints no tuple default
     ],

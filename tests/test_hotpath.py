@@ -651,7 +651,7 @@ def test_best_effort_suspension_diverts_until_the_step_boundary_repair(backend):
     def kernel(ctx, step):
         ctx.win("w").put_nb((ctx.rank + 1) % ctx.nranks, 0, [float(step)])
 
-    policy = FaultTolerancePolicy(interval=1, delivery="best_effort")
+    policy = FaultTolerancePolicy(interval=1, recovery="best_effort")
     with repro.launch(4, ft=policy, backend=backend) as job:
         job.allocate("w", 4)
         job.run(kernel, steps=1)  # takes the first checkpoint

@@ -34,7 +34,7 @@ FACADES = (
 NOT_CORE = (
     "networkx", "multiprocessing", "concurrent.futures", "socket", "subprocess", "email",
     "xml", "repro.backends.proc", "repro.chaos", "repro.serve", "repro.study.campaign",
-    "repro.study.workloads", "repro.qos.engine", "repro.experiment", "repro.cli",
+    "repro.study.workloads", "repro.qos", "repro.experiment", "repro.cli",
     "repro.trace.diff", "repro.trace.export", "repro.trace.summary",
 )
 
@@ -56,6 +56,10 @@ with repro.launch(8, ft=repro.FaultTolerancePolicy(interval=10, recovery="locali
     job.run(kernel, steps=2)
 """
 
+#: Best-effort is a recovery rule in ``repro.ft.recovery``: a job that picks it
+#: loads nothing of the qos engine.
+_BEST_EFFORT_JOB = _SIM_JOB.replace('recovery="localized"', 'recovery="best_effort"')
+
 
 def fresh(code: str) -> object:
     """Run ``code`` in a new interpreter; its last stdout line, evaluated."""
@@ -70,7 +74,10 @@ def fresh(code: str) -> object:
 # ---------------------------------------------------------------------------
 # (a), (b): what an entry point loads
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("entry", ["import repro", _SIM_JOB], ids=["import", "sim-job"])
+@pytest.mark.parametrize(
+    "entry", ["import repro", _SIM_JOB, _BEST_EFFORT_JOB],
+    ids=["import", "sim-job", "best-effort-job"],
+)
 def test_core_entry_points_load_the_core_stack_and_nothing_else(entry):
     stray, added = fresh(
         _PRELUDE + entry + f"\nprint((loaded({NOT_CORE!r}), len(set(sys.modules) - base)))"

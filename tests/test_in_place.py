@@ -253,7 +253,7 @@ def test_a_diverted_one_element_atomic_returns_a_scalar_too(backend):
     rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend=backend)
     try:
         rt.win_allocate("w", 4)
-        stack = build_ft_stack(rt, delivery="best_effort")
+        stack = build_ft_stack(rt, recovery="best_effort")
         for rank in (1, 2, 3):
             rt.local(rank, "w")[:] = 5.0
         stack.checkpointer.checkpoint()

@@ -36,7 +36,7 @@ from repro.chaos import scaled_cost_model
 from repro.backends.proc import _HEADER, _OK, _RECORD, _apply_batch, _ShmSlab
 from repro.errors import OpHandleError, ProcessFailedError, WindowError
 from repro.ft.inject import KillPlan, install_injector
-from repro.qos.delivery import BestEffort
+from repro.ft.recovery import BestEffort
 from repro.rma import (
     AccumulateOp,
     CommAction,
@@ -176,7 +176,7 @@ def test_every_clock_and_counter_equals_the_completion_stream_model(backend, cos
         rt = make_runtime(backend, cost_model=COST_MODELS[costs])
         mode = BestEffort(seed=seed, stale_fraction=0.0)  # drops only: no service cost
         mode.bind(rt, None)
-        rt.set_delivery(mode)
+        rt.set_tolerant(mode)
         model = _TimeModel(rt)
         rt.add_interceptor(model)
         try:

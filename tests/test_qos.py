@@ -1,4 +1,4 @@
-"""QoS subsystem: delivery modes, multi-level checkpointing, the comparison engine."""
+"""QoS subsystem: best-effort delivery, multi-level checkpointing, the comparison engine."""
 
 import hashlib
 
@@ -7,10 +7,10 @@ import pytest
 
 from repro import launch
 from repro.api.policy import FaultTolerancePolicy
-from repro.errors import CheckpointError, QosError
+from repro.errors import CheckpointError, PolicyError, QosError, RecoveryError
 from repro.ft import KillEvent, KillPlan, build_ft_stack, make_store
+from repro.ft.recovery import BestEffort, make_protocol
 from repro.ft.stores import MultiLevelStore, _merged
-from repro.qos.delivery import BestEffort, Reliable, make_delivery
 from repro.qos import engine as qos_engine
 from repro.qos.engine import (
     QosSpec,
@@ -47,7 +47,7 @@ def test_best_effort_qos_totals_equal_the_trace_rollup():
     workload = make_workload("kv", nprocs=8, slots=16, updates_per_step=4, steps=12)
     with tracing() as hub:
         run = workload.run(
-            ft=FaultTolerancePolicy(interval=3, delivery=BestEffort(seed=0)),
+            ft=FaultTolerancePolicy(interval=3, recovery=BestEffort(seed=0)),
             kill_plan=KillPlan.seeded(0, nprocs=8, max_ops=60, kills=1, min_ops=30),
         )
     totals = run.report.metrics.totals
@@ -69,11 +69,17 @@ def test_delivery_mode_binds_to_exactly_one_job():
         mode.bind(_runtime(), None)
 
 
-def test_make_delivery_resolves_names_and_defaults():
-    assert isinstance(make_delivery(None), Reliable)
-    assert isinstance(make_delivery("best_effort"), BestEffort)
-    with pytest.raises(QosError, match="'best_effort'.*'reliable'"):
-        make_delivery("at_most_once")
+def test_best_effort_is_a_recovery_rule():
+    rule = make_protocol("best_effort")
+    assert isinstance(rule, BestEffort) and rule.tolerates_failures
+    assert not rule.needs_log
+    # The recovery procedure never asks it for a plan.
+    with pytest.raises(RecoveryError, match="nothing to plan"):
+        rule.plan(None, [0], frozenset())
+    with pytest.raises(
+        PolicyError, match="'best_effort', 'degraded', 'global', 'localized'"
+    ):
+        FaultTolerancePolicy(recovery="at_most_once")
 
 
 def test_best_effort_entropy_is_deterministic():
@@ -89,7 +95,7 @@ def _ring_gsync_run(failures=None):
         yield ctx.gsync()
 
     tracer = Tracer()
-    ft = FaultTolerancePolicy(interval=3, delivery="best_effort")
+    ft = FaultTolerancePolicy(interval=3, recovery="best_effort")
     with launch(6, ft=ft, failures=failures, trace=tracer) as job:
         job.allocate("w", 8)
         report = job.run(kernel, steps=10)
@@ -360,8 +366,8 @@ def test_multilevel_intervals_failure_free_is_none():
 
 
 def test_qos_spec_validates_axes_and_parameters():
-    with pytest.raises(QosError, match="unknown delivery"):
-        QosSpec(deliveries=("telepathy",))
+    with pytest.raises(QosError, match="unknown recovery"):
+        QosSpec(recoveries=("telepathy",))
     with pytest.raises(QosError, match="unknown store"):
         QosSpec(stores=("tape",))
     with pytest.raises(QosError, match="axis.*empty"):
@@ -384,16 +390,16 @@ def test_plan_seed_depends_only_on_master_seed_and_trial():
 
 def test_an_aborted_trial_raises_a_qos_error_naming_cell_trial_and_error(monkeypatch):
     # Rank 0 and its buddy (rank 2 with two ranks per node) die together:
-    # reliable delivery cannot recover, and the sweep says where.
+    # global rollback cannot recover, and the sweep says where.
     def rank_and_buddy(spec, trial, stream_ops):
         return KillPlan([KillEvent(stream_ops // 2, 0), KillEvent(stream_ops // 2, 2)])
 
     monkeypatch.setattr(qos_engine, "_trial_plan", rank_and_buddy)
     spec = QosSpec(
-        backends=("sim",), stores=("memory",), deliveries=("reliable",), trials=1,
+        backends=("sim",), stores=("memory",), recoveries=("global",), trials=1,
         interval=3, workload_params={"slots": 16, "updates_per_step": 4, "steps": 12},
     )
-    with pytest.raises(QosError, match=r"qos cell sim/memory/reliable trial 0: "
+    with pytest.raises(QosError, match=r"qos cell sim/memory/global trial 0: "
                                        r"the run aborted with CatastrophicFailure"):
         run_qos(spec)
 
@@ -408,16 +414,17 @@ def test_run_qos_trade_off_invariants_hold_on_sim():
     report = run_qos(spec, executor="serial")
     assert check_invariants(report) == []
     cells = report["cells"]
-    reliable = cells["sim/memory/reliable"]
+    exact = cells["sim/memory/global"]
     tolerant = cells["sim/memory/best_effort"]
-    assert reliable["min_quality"] == 1.0
-    assert tolerant["mean_elapsed_s"] < reliable["mean_elapsed_s"]
+    assert exact["min_quality"] == 1.0
+    assert tolerant["mean_elapsed_s"] < exact["mean_elapsed_s"]
     assert tolerant["tolerated_ops"] > 0
-    multilevel = cells["sim/multilevel/reliable"]
+    multilevel = cells["sim/multilevel/global"]
     assert 0 < multilevel["multilevel_moved_bytes"] < multilevel["multilevel_full_bytes"]
     # Canonical serialization: a re-run reproduces the report byte for byte.
     assert report_json(run_qos(spec, executor="serial")) == report_json(report)
-    # Byte-identity oracle: recorded before the repro.experiment refactor.
+    # Byte-identity oracle: re-recorded when the delivery axis became the
+    # recovery axis (reliable -> global); nothing else moved.
     assert hashlib.sha256(report_json(report).encode()).hexdigest() == (
-        "86668585db973c091add70cedf338f1bf49d7566baaa36d9350449389dab3868"
+        "2e7b7c52e133c7afa9f8d239182ee015bd284f59e9870b91091f287da89cc07f"
     )

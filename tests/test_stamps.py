@@ -146,7 +146,7 @@ def test_a_dropped_unlock_stamps_the_epoch_it_closes():
     for kill in (False, True):
         rt = RmaRuntime(Cluster.simple(4, procs_per_node=2))
         rt.win_allocate("w", 4)
-        build_ft_stack(rt, delivery="best_effort")
+        build_ft_stack(rt, recovery="best_effort")
         rt.lock(0, 2)
         rt.put_nb(0, 2, "w", 0, [1.0])
         if kill:

@@ -40,8 +40,7 @@ from repro.study.model import checkpoint_seconds, restart_seconds, system_failur
 def test_available_lists_every_seam():
     assert available("workload") == ("allreduce", "kv", "kv_service", "stencil")
     assert available("store") == ("disk", "memory", "multilevel", "parity")
-    assert available("recovery") == ("degraded", "global", "localized")
-    assert available("delivery") == ("best_effort", "reliable")
+    assert available("recovery") == ("best_effort", "degraded", "global", "localized")
     expected_backends = (
         ("proc", "sim", "vector") if repro.proc_available() else ("sim", "vector")
     )

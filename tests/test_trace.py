@@ -305,7 +305,7 @@ def _seam_events():
         ctx.local("w")[8 + step % 8] += 1.0
 
     tracer = Tracer(detail="lifecycle")
-    ft = repro.FaultTolerancePolicy(interval=2, store="multilevel", delivery="best_effort")
+    ft = repro.FaultTolerancePolicy(interval=2, store="multilevel", recovery="best_effort")
     with repro.launch(8, ft=ft, trace=tracer) as job:
         job.allocate("w", 16)
         install_injector(job, KillPlan([
