@@ -77,7 +77,7 @@ class ActionLog(RmaInterceptor):
         self.bytes_logged: dict[int, int] = defaultdict(int)
         #: Element ranges written by completed put-like actions since the
         #: last truncation, keyed ``(target rank, window name)`` — the stores
-        #: read it (unmerged) as the change-set of every slab they trust.
+        #: read it (unmerged) as the change-set of every row they trust.
         #: Local stores (``ctx.local`` writes) never reach it.  Kept regardless
         #: of ``retain_actions``: ranges are a few ints, not pinned payloads.
         self._dirty: dict[tuple[int, str], list[tuple[int, int]]] = defaultdict(list)
@@ -225,7 +225,7 @@ class CoordinatedCheckpointer(RmaInterceptor):
                 f"cannot checkpoint while ranks {dead} are failed; recover first"
             )
         for rank, own in enumerate(runtime.counters.records):
-            if own.lc:
+            if own.held_locks:
                 raise EpochError(
                     f"checkpoint must start at an epoch boundary, but rank "
                     f"{rank} holds a lock (LC={own.lc})"
@@ -238,20 +238,18 @@ class CoordinatedCheckpointer(RmaInterceptor):
                 f"them (flush/unlock/gsync) before checkpointing"
             )
         # Coordination: agree to checkpoint (a barrier), then place.  The
-        # store is handed the windows' live buffers — an epoch boundary, so
-        # nothing is in flight — and copies what it retains.  Ranks excised by
-        # a degraded continuation are no longer members: they are neither
-        # checkpointed nor used as copy holders.
+        # store is handed every member's live buffers — an epoch boundary, so
+        # nothing is in flight, and every member is alive — and copies what it
+        # retains.  Ranks excised by a degraded continuation are no longer
+        # members: they are neither checkpointed nor used as copy holders.
         cluster.barrier()
         # Local views end here (a store through a kept one now raises, not
         # goes unseen); the checkpoint's own read leaves no stamp.
         runtime.windows.seal()
-        windows = runtime.windows.all()
-        snapshots = {
-            rank: {window.name: window._region(rank, 0, window.size) for window in windows}
-            for rank in range(cluster.nprocs)
-            if rank not in runtime.excised
-        }
+        snapshots = {rank: {} for rank in range(cluster.nprocs) if rank not in runtime.excised}
+        for window in runtime.windows.all():
+            for rank, windows in snapshots.items():
+                windows[window.name] = window.buffers[rank]
         version = self.store.prepare(
             tag=tag, snapshots=snapshots, counter_states=runtime.counters.snapshot()
         )

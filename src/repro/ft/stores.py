@@ -25,14 +25,17 @@ ship:
   every n-th checkpoint, so rare large failures are covered without paying the
   far-away placement cost every time.
 
-On the host, every copy kept of a ``(rank, window)`` is a read-only handle on a
-*placement* of one chain (:class:`_Slab`): an image equal to live as of the newest
-placement, plus what later placements overwrote; each is priced as a full copy.
-Redundancy is a rule over those handles, not more bytes: a version keeps every
-placed rank's handles until eviction and records whose memory failed since
+On the host, every copy kept of a window is a *placement* of its one chain
+(:class:`_Chain`): a rank-major ``(nprocs, size)`` image equal to live as of the
+newest placement, plus what later placements overwrote; each rank's row of it is
+priced as a full copy.  A checkpoint places every rank's row in one pass and pays
+for it in one :meth:`CheckpointStore._account` call.  Redundancy is a rule over
+placements, not more bytes: a version holds one placement number per window
+until eviction, and records whose memory failed since
 (:attr:`CheckpointVersion.lost`); a store lists a rank's copies in the order it
 serves them (:meth:`CheckpointStore._copies`), each naming the ranks whose
 placements it needs, and serves the first whose ranks all still hold theirs.
+The read-only ``(rank, window)`` handles are built only when a copy is read.
 The buddy copy and the parity stripe are priced and counted, never built.
 
 Stores are resolved by name through :data:`STORES` (the same convention as
@@ -45,6 +48,7 @@ from __future__ import annotations
 import abc
 import shutil
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -75,14 +79,14 @@ __all__ = [
 #: are the windows' *live* buffers, not copies (see :meth:`CheckpointStore._place`).
 Snapshots = dict[int, dict[str, np.ndarray]]
 
-#: Fixed dense rule: a placement whose change-set covers more than ``1/_DENSE``
-#: of a slab keeps the previous image whole as its undo record, not index by index.
+#: Fixed dense rule: a row whose change-set covers more than ``1/_DENSE`` of it
+#: keeps its previous values whole in the undo record, not index by index.
 _DENSE = 8
 
 _NBYTES = attrgetter("nbytes")  # byte totals from the live arrays, with no Python frame
-_COUNT = itemgetter(1)  # of an ``(offset, count)`` span
-
+_PAID = itemgetter(0, 1)  # the ``(rank, nbytes)`` of an ``_account`` entry
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+_NONE = np.empty(0, np.intp)  # no indices (never written to)
 
 
 def _merged(regions) -> list[tuple[int, int]]:
@@ -97,19 +101,30 @@ def _merged(regions) -> list[tuple[int, int]]:
     return spans
 
 
-def _indices(regions) -> np.ndarray:
-    """The elements ``(offset, count)`` ranges cover, as one ascending index array."""
-    if len(regions) == 1:  # the steady state: one span, nothing to sort or join
-        ((offset, count),) = regions
-        return np.arange(offset, offset + count)
-    parts = [np.arange(offset, offset + count) for offset, count in _merged(regions)]
-    return np.concatenate(parts) if parts else np.empty(0, np.intp)
-
-
 def _union(sets) -> np.ndarray:
     """The ascending union of index arrays (``np.unique`` would load ``numpy.ma``)."""
-    at = np.sort(np.concatenate([np.empty(0, np.intp), *sets]))
-    return at[np.concatenate([at[:1] >= 0, at[1:] != at[:-1]])]  # first, then each new
+    at = np.concatenate([_NONE, *sets])
+    at.sort(kind="stable")  # ascending runs: merged, not re-sorted
+    fresh = at[1:] != at[:-1]
+    return at if fresh.all() else at[np.append(True, fresh)]  # first, then each new
+
+
+def _spans(logged: dict, name: str, ranks, size: int) -> tuple:
+    """The log's put spans of window ``name`` at ``ranks``, merged per row: the
+    ``(rank, start, end)`` patches and the elements they cover, as ascending
+    flat ``rank * size + i``."""
+    patches, starts, counts = [], [], []
+    for rank in ranks:
+        spans = logged.get((rank, name), ())
+        for offset, count in spans if len(spans) < 2 else _merged(spans):
+            patches.append((rank, offset, offset + count))
+            starts.append(rank * size + offset)
+            counts.append(count)
+    if not counts:
+        return patches, _NONE
+    if counts.count(count) == len(counts):  # spans of one length: an outer sum
+        return patches, np.add.outer(starts, np.arange(count)).ravel()
+    return patches, np.concatenate([np.arange(s, s + c) for s, c in zip(starts, counts)])
 
 
 def _differ(live: np.ndarray, image: np.ndarray, among=None) -> np.ndarray:
@@ -140,16 +155,15 @@ class CheckpointVersion:
     counter_states: list
     buddy_of: dict[int, int]
     #: Every placed rank's windows, ``rank -> window -> handle``, kept until
-    #: eviction: a read-only placement of the store's slab chain (``np.asarray``
-    #: gives a fresh array; ``shape``, ``dtype`` and ``nbytes`` are the full
-    #: copy's).  Each copy a store models is served from these handles.
-    local: dict[int, dict[str, Any]] = field(default_factory=dict)
+    #: eviction: one placement number per window of the store's chains
+    #: (:class:`_Placed`).  Each copy a store models is served from them.
+    local: _Placed = field(default_factory=lambda: _Placed({}, {}))
     #: Ranks whose memory failed since the placement (:meth:`CheckpointStore.drop_rank`).
     lost: set[int] = field(default_factory=set)
 
     def holds(self, rank: int) -> bool:
         """Whether ``rank``'s memory still holds its placement of this version."""
-        return rank in self.local and rank not in self.lost
+        return rank in self.local.ranks and rank not in self.lost
 
 
 @dataclass(frozen=True)
@@ -188,75 +202,105 @@ class _Spilled:
 
 
 class _Placement:
-    """Read-only handle on placement ``k`` of a slab: ``np.asarray`` materializes
-    a fresh array of it, ``shape``/``dtype``/``nbytes`` describe a full copy."""
+    """Read-only handle on rank ``row``'s row of placement ``k`` of a chain:
+    ``np.asarray`` materializes a fresh array of it, ``shape``/``dtype``/``nbytes``
+    describe a full copy."""
 
-    __slots__ = ("slab", "k")
+    __slots__ = ("chain", "k", "row")
 
-    def __init__(self, slab: "_Slab", k: int) -> None:
-        self.slab, self.k = slab, k
+    def __init__(self, chain: _Chain, k: int, row: int) -> None:
+        self.chain, self.k, self.row = chain, k, row
 
-    shape = property(lambda self: self.slab.image.shape)
-    dtype = property(lambda self: self.slab.image.dtype)
-    nbytes = property(lambda self: self.slab.image.nbytes)
+    shape = property(lambda self: self.chain.image.shape[1:])
+    dtype = property(lambda self: self.chain.image.dtype)
+    nbytes = property(lambda self: self.chain.image[0].nbytes)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        fresh = self.slab.values(self.k)
+        fresh = self.chain.values(self.k, self.row)
         return fresh if dtype is None else fresh.astype(dtype, copy=False)
 
 
-def _compose(upper: tuple, lower: tuple) -> tuple:
-    """One undo record for two consecutive ones: ``upper``, then ``lower``."""
-    (above, was), (below, held) = upper, lower
-    if below is None:
-        return lower
-    if above is None:
-        was[below] = held
-        return None, was
-    if above.size and below.size and (above[-1] < below[0] or above[0] > below[-1]):
-        (lo, low), (hi, high) = (upper, lower) if above[0] < below[0] else (lower, upper)
-        return np.concatenate((lo, hi)), np.concatenate((low, high))  # disjoint: side by side
-    at = _union([above, below])
-    values = np.empty(at.size, held.dtype)
-    values[at.searchsorted(above)] = was
-    values[at.searchsorted(below)] = held
-    return at, values
+class _Placed(Mapping):
+    """``rank -> window -> handle`` of what one holder pins: ``placed`` maps each
+    window to ``(its chain, the placement number held)`` for the placed ``ranks``
+    (a dict, for order and membership); a rank's handles are built when read."""
+
+    def __init__(self, ranks: dict, placed: dict[str, tuple[_Chain, int]]) -> None:
+        self.ranks, self.placed = ranks, placed
+
+    def __getitem__(self, rank: int) -> dict[str, _Placement]:
+        if rank not in self.ranks:
+            raise KeyError(rank)
+        return {name: _Placement(chain, k, rank) for name, (chain, k) in self.placed.items()}
+
+    def __contains__(self, rank: object) -> bool:  # no handle built
+        return rank in self.ranks
+
+    def __iter__(self):
+        return iter(self.ranks)
+
+    def __len__(self) -> int:
+        return len(self.ranks)
 
 
-class _Slab:
-    """The placements of one ``(rank, window)``: :attr:`image` is live as of the
-    newest (number :attr:`seq`); ``undo[k]`` turns the next newer placement kept
-    into ``k`` — ``(ascending indices, k's values there)``, or ``(None, k's whole
-    image)`` past a dense change-set.  Only a placement some holder references
-    (``refs``: holder -> placement number; ``pins``: placement -> holders) keeps a record."""
+class _Chain:
+    """The placements of one window, every rank's row together: :attr:`image`
+    (rank-major, ``nprocs x size``) is live as of the newest placement (number
+    :attr:`seq`); ``undo[k]`` turns the next newer placement kept into ``k`` —
+    ``(ascending flat indices, k's values there, row -> k's whole row)``: a row
+    past a dense change-set is kept whole, the others index by index.  Only a
+    placement some holder references (``refs``: holder -> placement number;
+    ``pins``: placement -> holders) keeps a record.  A row no placement since
+    included (its rank was excised) keeps its bytes."""
 
-    def __init__(self, live: np.ndarray) -> None:
-        self.image = live.copy()
-        self.seq = 0
+    def __init__(self, window: Any, snapshots: Snapshots) -> None:
+        self.image = np.zeros((window.nprocs, window.size), window.dtype)
+        for rank, windows in snapshots.items():
+            self.image[rank] = windows[window.name]
+        self.size, self.seq, self.rows = window.size, 0, list(self.image)  # row views
+        self.edges = np.arange(window.nprocs + 1) * window.size  # the rows' flat bounds
         self.undo: dict[int, tuple] = {}
         self.refs: dict[Any, int] = {}
         self.pins: dict[int, int] = {}
 
-    def place(self, live: np.ndarray, changed: np.ndarray) -> None:
-        """Make ``live`` the newest placement; it differs from the previous one
-        at most at the ascending indices ``changed``.  One gather, one patch."""
-        k = self.seq
-        if changed.size * _DENSE > live.size:
-            self.undo[k], self.image = (None, self.image), live.copy()
-        else:
-            self.undo[k] = changed, self.image[changed]
-            self.image[changed] = live[changed]
+    def place(self, snapshots: Snapshots, name: str, spans: tuple, compare) -> None:
+        """Make the live rows of window ``name`` the newest placement.  A row's
+        change-set is its part of the ``spans`` — ``(rank, start, end)`` patches
+        and the ascending flat indices they cover, of the ranks not in
+        ``compare`` — or, for a rank of ``compare``, where it differs byte-wise.
+        One gather of the old values, then the row scatters."""
+        k, size, rows, (patches, changed) = self.seq, self.size, self.rows, spans
+        found = {rank: _differ(snapshots[rank][name], rows[rank]) for rank in compare}
+        counts = {rank: at.size for rank, at in found.items()}
+        for rank, start, end in patches:
+            counts[rank] = counts.get(rank, 0) + end - start
+        whole = {rank: rows[rank].copy() for rank, n in counts.items() if n * _DENSE > size}
+        if found or whole:  # the flat change-set: no whole row, a compared row's differences
+            bounds = changed.searchsorted(self.edges)
+            changed = np.concatenate([_NONE, *[
+                found[r] + r * size if r in found else changed[bounds[r]:bounds[r + 1]]
+                for r in sorted(counts) if r not in whole
+            ]])
+        self.undo[k] = changed, self.image.reshape(-1)[changed], whole
+        for rank, start, end in patches:
+            if rank not in whole:
+                rows[rank][start:end] = snapshots[rank][name][start:end]
+        for rank, at in found.items():
+            if rank not in whole:
+                rows[rank][at] = snapshots[rank][name][at]
+        for rank in whole:
+            rows[rank][:] = snapshots[rank][name]
         self.seq = k + 1
         if k not in self.pins:
             self._fold(k)
 
-    def hold(self, holder: Any) -> _Placement:
+    def hold(self, holder: Any) -> int:
         """``holder`` now references the newest placement (and no older one)."""
         if holder in self.refs:
             self.release(holder)
         self.refs[holder] = k = self.seq
         self.pins[k] = self.pins.get(k, 0) + 1
-        return _Placement(self, k)
+        return k
 
     def release(self, holder: Any) -> None:
         """``holder`` references no placement any more."""
@@ -271,27 +315,56 @@ class _Slab:
         """Unreferenced, record ``k`` folds into the next older (a referenced one) or goes."""
         upper, older = self.undo.pop(k), max(filter(k.__gt__, self.undo), default=None)
         if older is not None:
-            self.undo[older] = _compose(upper, self.undo[older])
+            self.undo[older] = self._compose(upper, self.undo[older])
 
-    def values(self, k: int, among: np.ndarray | None = None) -> np.ndarray:
-        """Placement ``k``'s values (at the ascending indices ``among``), fresh:
-        the image with the records newer than ``k`` written back, newest first."""
-        out = self.image.copy() if among is None else self.image[among]
-        for changed, held in [rec for j, rec in sorted(self.undo.items())[::-1] if j >= k]:
-            if changed is None:
-                out[:] = held if among is None else held[among]
-            elif among is None:
-                out[changed] = held
+    def _compose(self, upper: tuple, lower: tuple) -> tuple:
+        """One undo record for two consecutive ones: ``upper``, then ``lower``."""
+        (above, was, rows), (below, held, whole) = upper, lower
+        at = np.concatenate((above, below))
+        order = at.argsort(kind="stable")  # two ascending runs: one merge pass
+        at, values = at[order], np.concatenate((was, held))[order]
+        last = np.append(at[1:] != at[:-1], True)  # an index in both: ``lower``'s value wins
+        if not last.all():
+            at, values = at[last], values[last]
+        if rows or whole:  # a row kept whole in either keeps no indices
+            keep = np.ones(at.size, bool)
+            for row in {**rows, **whole}:
+                a, b = at.searchsorted(self.edges[row:row + 2])
+                if row not in whole:  # ``upper``'s whole row, ``lower``'s values over it
+                    rows[row][at[a:b] - row * self.size] = values[a:b]
+                keep[a:b] = False
+            at, values = at[keep], values[keep]
+        return at, values, {**rows, **whole}
+
+    def values(self, k: int, row: int, among: np.ndarray | None = None) -> np.ndarray:
+        """Row ``row`` of placement ``k`` (at the ascending indices ``among``),
+        fresh: the image's row with the records newer than ``k`` written back,
+        newest first."""
+        lo = row * self.size
+        out = self.rows[row].copy() if among is None else self.rows[row][among]
+        newer = [rec for j, rec in sorted(self.undo.items(), reverse=True) if j >= k]
+        for changed, held, whole in newer:
+            if row in whole:
+                out[:] = whole[row] if among is None else whole[row][among]
+                continue
+            a, b = changed.searchsorted((lo, lo + self.size))
+            at, was = changed[a:b] - lo, held[a:b]
+            if among is None:
+                out[at] = was
             else:
-                both = np.intersect1d(among, changed, assume_unique=True, return_indices=True)
-                out[both[1]] = held[both[2]]
+                both = np.intersect1d(among, at, assume_unique=True, return_indices=True)
+                out[both[1]] = was[both[2]]
         return out
 
-    def since(self, k: int) -> np.ndarray | None:
-        """Ascending indices at which live may differ from placement ``k``
-        (``None``: anywhere, a dense change-set came since)."""
-        sets = [changed for j, (changed, _) in self.undo.items() if j >= k]
-        return None if any(changed is None for changed in sets) else _union(sets)
+    def since(self, k: int, row: int) -> np.ndarray | None:
+        """Ascending indices at which rank ``row``'s live row may differ from
+        placement ``k`` (``None``: anywhere, a dense change-set came since)."""
+        records = [rec for j, rec in self.undo.items() if j >= k]
+        if any(row in whole for _, _, whole in records):
+            return None
+        lo = row * self.size
+        return _union([c[slice(*c.searchsorted((lo, lo + self.size)))] - lo
+                       for c, _, _ in records])
 
 
 class CheckpointStore(abc.ABC):
@@ -316,24 +389,34 @@ class CheckpointStore(abc.ABC):
         self.versions: list[CheckpointVersion] = []
         self._next_version = 0
         self._runtime: RmaRuntime | None = None
-        self._slabs: dict[tuple[int, str], _Slab] = {}
+        self._chains: dict[str, _Chain] = {}
+        #: Per window, the log's put spans of the newest placement's trusted rows
+        #: (:func:`_spans`) and the ranks compared instead.
+        self.spans: dict[str, tuple] = {}
         self._log: Any = None
-        #: Each slab's raw-access stamp as seen by the previous placement; cleared
-        #: by an observed failure (its discards and undos bypass the log).
-        self.seen: dict[tuple[int, str], int] = {}
+        #: Each window's per-rank raw-access stamps as seen by the previous placement;
+        #: cleared by an observed failure (its discards and undos bypass the log).
+        self.seen: dict[str, list[int]] = {}
 
-    def _account(self, rank: int, nbytes: int, level: str, charges, incremental=False) -> None:
-        """Pay for ``nbytes`` placed for ``rank`` at ``level`` — the single funnel:
-        each ``(charged rank, seconds)`` of ``charges`` advances that clock as
-        protocol time, in order, then the metric and the interceptors'
-        ``on_checkpoint_stored`` see the bytes (so the two views always agree)."""
-        clock_of = self._runtime._clock_of
-        for charged, seconds in charges:
-            clock_of[charged].advance(seconds, kind="protocol")
-        self._runtime.cluster.metrics.incr("ft.checkpoint_bytes", nbytes, rank=rank)
-        stored = self._runtime.interceptors.on_checkpoint_stored
-        if stored is not None:
-            stored(self.name, level, rank, nbytes, incremental)
+    def _account(self, entries: list) -> None:
+        """Pay for what a placement stored — the single funnel, taking a whole
+        checkpoint's ``(rank, nbytes, level, charges, incremental)`` entries:
+        ``ft.checkpoint_bytes`` counts each entry's bytes; then, entry by entry,
+        each ``(charged rank, seconds)`` of its ``charges`` advances that clock as
+        protocol time (in place, as ``VirtualClock.advance`` adds, so each clock
+        receives its additions in entry order) and the interceptors'
+        ``on_checkpoint_stored`` see the entry."""
+        runtime = self._runtime
+        clock_of, stored = runtime._clock_of, runtime.interceptors.on_checkpoint_stored
+        runtime.cluster.metrics.incr_ranks("ft.checkpoint_bytes", map(_PAID, entries))
+        for rank, nbytes, level, charges, incremental in entries:
+            for charged, seconds in charges:
+                clock = clock_of[charged]
+                clock.now += seconds
+                clock.ticks += 1
+                clock.protocol += seconds
+            if stored is not None:
+                stored(self.name, level, rank, nbytes, incremental)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -357,7 +440,7 @@ class CheckpointStore(abc.ABC):
 
     def attach_log(self, log: Any) -> None:
         """Offer the job's :class:`~repro.ft.checkpoint.ActionLog`: its dirty map is
-        the change-set of every slab whose raw-access stamp stood still (:meth:`_retain`)."""
+        the change-set of every row whose raw-access stamp stood still (:meth:`_retain`)."""
         self._log = log
 
     def _logged(self) -> dict | None:
@@ -403,45 +486,48 @@ class CheckpointStore(abc.ABC):
 
     def _evict(self, version: CheckpointVersion) -> None:
         """Release whatever an evicted version held (placements, disk files)."""
-        for slab in self._slabs.values():
-            slab.release(version.version)
+        for chain in self._chains.values():
+            chain.release(version.version)
 
-    def _retain(
-        self, version: CheckpointVersion, snapshots: Snapshots
-    ) -> dict[int, dict[str, _Placement]]:
-        """Place the live ``snapshots`` on their slabs; handles for ``version`` to hold.
+    def _retain(self, version: CheckpointVersion, snapshots: Snapshots) -> _Placed:
+        """Place the live ``snapshots`` on their windows' chains; what ``version`` holds.
 
-        A slab's change-set is the log's merged put spans when the slab is
-        *trusted* (a log observes, the window's raw-access stamp stood still, no
-        failure was seen since), a byte-wise compare with its newest placement
-        otherwise.  Invariant: *a placement differs from live at most where the
+        A row's change-set is the log's merged put spans when the row is
+        *trusted* (a log observes, the rank's raw-access stamp of the window
+        stood still, no failure was seen since), a byte-wise compare with its
+        newest placement otherwise; the trusted rows' spans and the compared
+        ranks are kept in :attr:`spans` for the levels.  Invariant: *a placement differs from live at most where the
         records newer than it say*.  A retried checkpoint's placement replaces
         the aborted one's as its version's reference."""
-        for key in [key for key in self._slabs if key[0] not in snapshots]:
-            del self._slabs[key]  # the rank was excised: nothing left to place
-        retained: dict[int, dict[str, _Placement]] = {}
-        logged, seen, stamps = self._logged(), self.seen, self._stamps(snapshots)
-        for rank, windows in snapshots.items():
-            handles = retained[rank] = {}
-            for name, live in windows.items():
-                key = rank, name
-                slab = self._slabs.get(key)
-                stamp = stamps[name][rank]
-                if slab is None:
-                    slab = self._slabs[key] = _Slab(live)
-                elif logged is not None and seen.get(key) == stamp:
-                    slab.place(live, _indices(logged.get(key, ())))
-                else:
-                    slab.place(live, _differ(live, slab.image))
-                if logged is not None:
-                    seen[key] = stamp
-                handles[name] = slab.hold(version.version)
-        return retained
+        logged, seen, placed, self.spans = self._logged(), self.seen, {}, {}
+        for window in self._windows(snapshots):
+            name, stamps, chain = window.name, window.stamps, self._chains.get(window.name)
+            if chain is None:
+                chain = self._chains[name] = _Chain(window, snapshots)
+            elif logged is None:
+                chain.place(snapshots, name, ([], _NONE), list(snapshots))
+            else:
+                old = seen.get(name)
+                compare = [] if old == stamps else [
+                    r for r in snapshots if old is None or old[r] != stamps[r]
+                ]
+                trusted = sorted(set(snapshots).difference(compare)) if compare else snapshots
+                spans = _spans(logged, name, trusted, window.size)
+                self.spans[name] = spans, compare
+                chain.place(snapshots, name, spans, compare)
+            if logged is not None:
+                seen[name] = stamps.copy()
+            placed[name] = chain, chain.hold(version.version)
+        return _Placed(dict.fromkeys(snapshots), placed)
 
-    def _stamps(self, snapshots: Snapshots) -> dict[str, list[int]]:
-        """Each snapshotted window's per-rank raw-access stamps, looked up once."""
-        registry = self._runtime.windows
-        return {name: registry.get(name).stamps for name in next(iter(snapshots.values()), ())}
+    def _windows(self, snapshots: Snapshots) -> list:
+        """The snapshotted windows, looked up once per checkpoint."""
+        return list(map(self._runtime.windows.get, next(iter(snapshots.values()), ())))
+
+    @staticmethod
+    def _sizes(snapshots: Snapshots) -> list[int]:
+        """Each window's bytes per rank (every member's windows have the same sizes)."""
+        return list(map(_NBYTES, next(iter(snapshots.values()), {}).values()))
 
     # ------------------------------------------------------------------
     # Retrieval: the first copy whose ranks all still hold their placement
@@ -449,9 +535,9 @@ class CheckpointStore(abc.ABC):
     def _copies(self, version: CheckpointVersion, rank: int):
         """``rank``'s copies in ``version``, in the order they are served: ``(source,
         window -> handle, ranks whose placements it needs, price, peers charged)``."""
-        handles = version.local.get(rank)
-        if handles is not None:
-            yield "local", handles, (rank,), self._runtime.cluster.costs.local_copy, ()
+        if rank in version.local:
+            costs = self._runtime.cluster.costs
+            yield "local", version.local[rank], (rank,), costs.local_copy, ()
 
     def _served(self, version: CheckpointVersion, rank: int):
         """The copy of ``rank`` that ``version`` serves (``None``: every one is lost)."""
@@ -530,20 +616,19 @@ class MemoryStore(CheckpointStore):
 
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
         costs, excised = self._runtime.cluster.costs, self._runtime.excised
+        version.local = self._retain(version, snapshots)
         version.buddy_of = {r: b for r, b in self.buddies.items() if r in snapshots}
-        for rank, windows in self._retain(version, snapshots).items():
-            buddy, copied = self.buddies[rank], sum(map(_NBYTES, snapshots[rank].values()))
-            version.local[rank] = windows
-            copy = costs.local_copy(copied)
-            self._account(rank, copied, "local", ((rank, copy),))
-            if buddy in excised:
-                # The buddy was removed by a degraded continuation: only the
-                # local copy exists (and nothing is charged to dead memory).
-                continue
-            # The buddy copy is served from the same placement handles; its
-            # transfer is charged on both ends.
-            charges = ((rank, costs.remote_transfer(copied)), (buddy, copy))
-            self._account(rank, copied, "buddy", charges)
+        copied = sum(self._sizes(snapshots))
+        copy, send, entries = costs.local_copy(copied), costs.remote_transfer(copied), []
+        for rank in snapshots:
+            entries.append((rank, copied, "local", ((rank, copy),), False))
+            # The buddy copy is served from the same placements; its transfer is
+            # charged on both ends.  A buddy removed by a degraded continuation
+            # has none: only the local copy exists (nothing is charged to dead memory).
+            if self.buddies[rank] not in excised:
+                charges = ((rank, send), (self.buddies[rank], copy))
+                entries.append((rank, copied, "buddy", charges, False))
+        self._account(entries)
 
     def _copies(self, version: CheckpointVersion, rank: int):
         yield from super()._copies(version, rank)
@@ -590,22 +675,19 @@ class DiskStore(CheckpointStore):
         else:
             self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, version: int, rank: int, window: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"v{version}_r{rank}_{window}.npy"
-
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
-        costs, nprocs = self._runtime.cluster.costs, self._runtime.cluster.nprocs
+        costs, nprocs, entries = self._runtime.cluster.costs, self._runtime.cluster.nprocs, []
         for rank, windows in snapshots.items():
             files = {}
             for name, data in windows.items():
-                files[name] = _Spilled(self._path(version.version, rank, name))
+                files[name] = _Spilled(self.directory / f"v{version.version}_r{rank}_{name}.npy")
                 np.save(files[name].path, data)
             self._layout[(version.version, rank)] = files
-            rank_bytes = sum(map(_NBYTES, windows.values()))
+            rank_bytes = _total(windows)
             # Every rank writes concurrently; the PFS bandwidth is shared.
             seconds = costs.pfs_write(rank_bytes, concurrent_writers=nprocs)
-            self._account(rank, rank_bytes, "pfs", ((rank, seconds),))
+            entries.append((rank, rank_bytes, "pfs", ((rank, seconds),), False))
+        self._account(entries)
 
     def _copies(self, version: CheckpointVersion, rank: int):
         # The spill needs no rank's memory (and holds none: nothing counts in nbytes).
@@ -694,30 +776,33 @@ class ParityStore(CheckpointStore):
         return self.groups[(gidx + 1) % len(self.groups)]
 
     # ------------------------------------------------------------------
-    def _chunks(self, version: CheckpointVersion):
-        """``(holder, bytes)`` of each parity chunk of ``version``, per group, window
-        and chunk: the ``np.array_split`` sizes of each stripe into ``k`` chunks."""
-        k = len(self.groups[0])
+    def _chunks(self, ranks, sizes) -> list[tuple[int, int]]:
+        """``(holder, bytes)`` of each parity chunk of a placement of ``ranks``, per
+        group, window (of ``sizes`` bytes) and chunk: the ``np.array_split`` sizes
+        of each stripe into ``k`` chunks."""
+        k, chunks = len(self.groups[0]), []
         for gidx, group in enumerate(self.groups):
             # Members excised by a degraded continuation were never placed and
             # contribute nothing to the XOR (the identity).
-            placed = [version.local[m] for m in group if m in version.local][:1]
-            for nbytes in (w.nbytes for windows in placed for w in windows.values()):
-                for i, holder in enumerate(self._holders(gidx)):
-                    yield holder, nbytes // k + (i < nbytes % k)
+            if any(m in ranks for m in group):
+                for nbytes in sizes:
+                    chunks += [(h, nbytes // k + (i < nbytes % k))
+                               for i, h in enumerate(self._holders(gidx))]
+        return chunks
 
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
-        costs = self._runtime.cluster.costs
-        for rank, windows in self._retain(version, snapshots).items():
-            rank_bytes = sum(map(_NBYTES, snapshots[rank].values()))
-            version.local[rank] = windows
-            # The local duplicate plus this rank's contribution to the
-            # group-wide XOR reduction (one transfer of its snapshot).
-            copy, send = costs.local_copy(rank_bytes), costs.remote_transfer(rank_bytes)
-            self._account(rank, rank_bytes, "local", ((rank, copy), (rank, send)))
-        for holder, chunk in self._chunks(version):
-            if holder in version.local:  # an excised holder has no memory for it
-                self._account(holder, chunk, "parity", ((holder, costs.local_copy(chunk)),))
+        version.local = self._retain(version, snapshots)
+        sizes = self._sizes(snapshots)
+        costs, rank_bytes = self._runtime.cluster.costs, sum(sizes)
+        # The local duplicate plus each rank's contribution to the group-wide
+        # XOR reduction (one transfer of its snapshot).
+        copy, send = costs.local_copy(rank_bytes), costs.remote_transfer(rank_bytes)
+        entries = [(r, rank_bytes, "local", ((r, copy), (r, send)), False) for r in snapshots]
+        for holder, chunk in self._chunks(snapshots, sizes):
+            if holder in snapshots:  # an excised holder has no memory for it
+                charges = ((holder, costs.local_copy(chunk)),)
+                entries.append((holder, chunk, "parity", charges, False))
+        self._account(entries)
 
     def _copies(self, version: CheckpointVersion, rank: int):
         yield from super()._copies(version, rank)
@@ -729,11 +814,14 @@ class ParityStore(CheckpointStore):
             yield "parity", version.local[rank], needs, price, needs
 
     def _held_bytes(self, version: CheckpointVersion) -> int:
-        chunks = sum(chunk for holder, chunk in self._chunks(version) if version.holds(holder))
-        return super()._held_bytes(version) + chunks
+        sizes = [chain.image[0].nbytes for chain, _ in version.local.placed.values()]
+        chunks = self._chunks(version.local, sizes)
+        return super()._held_bytes(version) + sum(
+            chunk for holder, chunk in chunks if version.holds(holder)
+        )
 
 
-@dataclass(eq=False)  # hashable by identity: a level is a holder of its slabs' placements
+@dataclass(eq=False)  # hashable by identity: a level is a holder of its chains' placements
 class _Level:
     """One upper level of a :class:`MultiLevelStore`."""
 
@@ -744,19 +832,19 @@ class _Level:
     #: checkpoint (the first checkpoint always seeds a full image).
     every: int
     #: Window mirrors at the last capture, ``rank -> window -> handle``: the
-    #: placement each slab had then, pinned until the next capture.
-    mirrors: dict[int, dict[str, _Placement]] = field(default_factory=dict)
+    #: placement each chain had then, pinned until the next capture.
+    mirrors: _Placed = field(default_factory=lambda: _Placed({}, {}))
     #: Version number the mirrors correspond to (``None`` before any capture).
     captured_version: int | None = None
-    #: Dirty write-set accumulated since the last capture, merged from the
-    #: action log at every base checkpoint: ``(rank, window) -> [(off, cnt)]``.
-    dirty: dict[tuple[int, str], list[tuple[int, int]]] = field(default_factory=dict)
-    #: Each mirrored slab's raw-access stamp at its capture (as the store's).
-    seen: dict[tuple[int, str], int] = field(default_factory=dict)
+    #: Dirty write-set accumulated since the last capture from the action log's
+    #: spans at every base checkpoint: ``window -> [flat indices]`` (:func:`_spans`).
+    dirty: dict[str, list[np.ndarray]] = field(default_factory=dict)
+    #: Each mirrored window's per-rank raw-access stamps at its capture (as the store's).
+    seen: dict[str, list[int]] = field(default_factory=dict)
     #: Captures performed (first is full, the rest incremental).
     captures: int = 0
-    #: The capture ``prepare`` placed, published by ``commit``: ``(rank ->
-    #: window -> slab, its newest placement the capture, stamps seen)``.
+    #: The capture ``prepare`` placed, published by ``commit``: ``(the chains'
+    #: newest placements, the capture, as mirrors to pin; stamps seen)``.
     staged: tuple | None = None
 
 
@@ -775,13 +863,12 @@ class MultiLevelStore(CheckpointStore):
       mirror of every rank's windows, refreshed only every ``every``-th
       committed checkpoint — and refreshed *incrementally*: the action log's
       put spans, merged across the checkpoints since the level's last
-      capture, determine which
-      bytes move; a slab whose raw-access stamp moved since (a local store the
-      log never sees) is also diffed against the mirror.  Moved bytes are
-      metered as ``ft.multilevel_moved_bytes`` against the
-      ``ft.multilevel_full_bytes`` a non-incremental level would have shipped.
-      On the host a mirror is the slab's current placement, pinned: a capture
-      moves no data (with a disk base, this store keeps the slab chain itself).
+      capture, determine which bytes move; a row whose raw-access stamp moved
+      since (a local store the log never sees) is also diffed against the
+      mirror.  Moved bytes are metered as ``ft.multilevel_moved_bytes`` against
+      the ``ft.multilevel_full_bytes`` a non-incremental level would have shipped.
+      On the host a mirror is the chain's current placement, pinned: a capture
+      moves no data (with a disk base, this store keeps the chains itself).
 
     A version whose base copies were lost (buddy pair failed together — the
     :class:`MemoryStore`'s catastrophic case) or evicted stays recoverable as
@@ -829,7 +916,7 @@ class MultiLevelStore(CheckpointStore):
         #: mirrors still serve their window data.
         self.archived: dict[int, CheckpointVersion] = {}
         self._committed = 0
-        #: The store whose slab chain the levels pin (a disk base keeps none).
+        #: The store whose chains the levels pin (a disk base keeps none).
         self._chain = self if isinstance(self.base, DiskStore) else self.base
 
     # ------------------------------------------------------------------
@@ -854,81 +941,84 @@ class MultiLevelStore(CheckpointStore):
     def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
         self.base._place(version, snapshots)
         if self._chain is self:  # the versions live on disk: only the levels hold placements
-            for handles in self._retain(version, snapshots).values():
-                for handle in handles.values():
-                    handle.slab.release(version.version)
+            self._retain(version, snapshots)
+            for chain in self._chains.values():
+                chain.release(version.version)
         # Cadence counts *committed* checkpoints so that a retried attempt
         # (failure between the barriers) makes the same capture decision and
         # the last attempt before the commit wins.  A capture is published in
         # ``commit``: an aborted one leaves the mirrors and the dirty spans be
-        # (a retry adds its spans again, which merging absorbs).
-        logged, slot = self._logged(), self._committed + 1
+        # (a retry adds its spans again, which the union absorbs).
+        logged, slot, spans = self._logged(), self._committed + 1, {}
+        for name, ((_, changed), compare) in self._chain.spans.items():
+            if compare:  # a compared row's puts move at a capture too
+                size = self._runtime.windows.get(name).size
+                changed = _union([changed, _spans(logged, name, compare, size)[1]])
+            spans[name] = changed
         for lvl in self.levels:
             lvl.staged = None
-            for key, spans in (logged or {}).items():
-                lvl.dirty.setdefault(key, []).extend(spans)
+            for name, changed in spans.items():
+                lvl.dirty.setdefault(name, []).append(changed)
             if slot == 1 or slot % lvl.every == 0:
                 self._capture(lvl, snapshots, logged is not None)
 
     def _capture(self, lvl: _Level, snapshots: Snapshots, logged: bool) -> None:
-        cluster, slabs = self._runtime.cluster, self._chain._slabs
-        writers, stamps = max(1, len(snapshots)), self._stamps(snapshots)
-        staged, seen = {}, {}
-        for rank, windows in snapshots.items():
-            mirrors, staged[rank] = lvl.mirrors.get(rank, {}), {}
-            moved = full = 0
-            for name, live in windows.items():
-                key = rank, name
-                full += live.nbytes
-                pinned, slab, stamp = mirrors.get(name), slabs[key], stamps[name][rank]
-                trusted = logged and lvl.seen.get(key) == stamp
-                if logged:
-                    seen[key] = stamp
-                changed = live.size  # the first capture ships the whole slab
-                if pinned is not None:
-                    spans = _merged(lvl.dirty.get(key, ()))  # sorts only past one span
-                    changed = sum(map(_COUNT, spans))
-                    # Local stores bypass the completion stream: unless the slab is
-                    # trusted (stamp unmoved since this level's last capture), of the
-                    # elements some placement since changed (all, past a dense one)
-                    # those outside the spans still differing from the pinned one move.
-                    if not trusted:
-                        among = slab.since(pinned.k)
-                        extra = _differ(live, slab.values(pinned.k, among), among)
-                        changed += np.setdiff1d(extra, _indices(spans), assume_unique=True).size
-                staged[rank][name] = slab  # a capture moves no host data
-                moved += changed * live.dtype.itemsize
-            if lvl.kind == "disk":
-                seconds = cluster.costs.pfs_write(moved, concurrent_writers=writers)
-            else:
-                seconds = cluster.costs.remote_transfer(moved)
-            cluster.metrics.incr("ft.multilevel_moved_bytes", moved, rank=rank)
-            cluster.metrics.incr("ft.multilevel_full_bytes", full, rank=rank)
-            self._account(rank, moved, lvl.kind, ((rank, seconds),), lvl.captures > 0)
-        lvl.staged = staged, seen
+        moved, placed, seen = [0] * len(snapshots), {}, {}
+        for window in self._windows(snapshots):
+            name, stamps, chain = window.name, window.stamps, self._chain._chains[window.name]
+            placed[name] = chain, chain.seq  # a capture moves no host data
+            if logged:
+                seen[name] = stamps.copy()
+            pinned, size = lvl.mirrors.placed.get(name), window.size
+            if pinned is None:  # the first capture ships every row whole
+                moved = [m + size * window.itemsize for m in moved]
+                continue
+            dirty = lvl.dirty.get(name) or [_NONE]
+            spans = dirty[0] if len(dirty) == 1 else _union(dirty)  # merged, every row's
+            bounds = spans.searchsorted(chain.edges).tolist()
+            changed = [bounds[rank + 1] - bounds[rank] for rank in snapshots]
+            # Local stores bypass the completion stream: unless the row is
+            # trusted (stamp unmoved since this level's last capture), of the
+            # elements some placement since changed (all, past a dense one)
+            # those outside the spans still differing from the pinned one move.
+            old = lvl.seen.get(name) if logged else None
+            for i, rank in enumerate(snapshots if old != stamps else ()):
+                if old is not None and old[rank] == stamps[rank]:
+                    continue
+                among, live = chain.since(pinned[1], rank), snapshots[rank][name]
+                extra = _differ(live, chain.values(pinned[1], rank, among), among)
+                done = spans[bounds[rank]:bounds[rank + 1]] - rank * size
+                changed[i] += np.setdiff1d(extra, done, assume_unique=True).size
+            moved = [m + c * window.itemsize for m, c in zip(moved, changed)]
+        cluster, full, writers = self._runtime.cluster, sum(self._sizes(snapshots)), len(snapshots)
+        costs = cluster.costs
+        seconds = {m: costs.remote_transfer(m) if lvl.kind == "parity"
+                   else costs.pfs_write(m, concurrent_writers=writers) for m in set(moved)}
+        cluster.metrics.incr_ranks("ft.multilevel_moved_bytes", zip(snapshots, moved))
+        cluster.metrics.incr_ranks("ft.multilevel_full_bytes", [(r, full) for r in snapshots])
+        self._account([(r, m, lvl.kind, ((r, seconds[m]),), lvl.captures > 0)
+                       for r, m in zip(snapshots, moved)])
+        lvl.staged = _Placed(dict.fromkeys(snapshots), placed), seen
 
     def commit(self, version: CheckpointVersion) -> CheckpointVersion:
-        for lvl in self.levels:
-            if lvl.staged is None:
-                continue
-            # Publish before the base evicts: pin each slab's newest placement
+        published = [lvl for lvl in self.levels if lvl.staged is not None]
+        for lvl in published:
+            # Publish before the base evicts: pin each chain's newest placement
             # (the one staged), drop the mirrors of ranks excised since the
             # previous capture.  The version numbered in ``prepare`` is final.
-            staged, seen = lvl.staged
-            lvl.staged, lvl.mirrors = None, {}
-            for rank, slabs in staged.items():
-                held = lvl.mirrors[rank] = {}
-                for name, slab in slabs.items():
-                    held[name] = slab.hold(lvl)
+            (staged, seen), lvl.staged = lvl.staged, None
+            held = {n: (chain, chain.hold(lvl)) for n, (chain, _) in staged.placed.items()}
+            lvl.mirrors = _Placed(staged.ranks, held)
             lvl.seen.update(seen)
             lvl.dirty.clear()
             lvl.captured_version = version.version
             lvl.captures += 1
         committed = super().commit(version)
         self._committed += 1
-        captured = {lvl.captured_version for lvl in self.levels}
-        for vnum in [v for v in self.archived if v not in captured]:
-            del self.archived[vnum]
+        if published:  # the captured versions moved: drop the archives no level serves
+            captured = {lvl.captured_version for lvl in self.levels}
+            for vnum in [v for v in self.archived if v not in captured]:
+                del self.archived[vnum]
         return committed
 
     def _evict(self, version: CheckpointVersion) -> None:
@@ -936,7 +1026,7 @@ class MultiLevelStore(CheckpointStore):
         if any(lvl.captured_version == version.version for lvl in self.levels):
             # An upper level still serves this version's window data; keep
             # the protocol state, drop the (already-evicted) base copies.
-            version.local = {}
+            version.local = _Placed({}, {})
             self.archived[version.version] = version
 
     # ------------------------------------------------------------------

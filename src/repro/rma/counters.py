@@ -75,14 +75,9 @@ class ProcessCounters:
         strings), so copying them one level deep is a deep copy — and
         ``dict.copy`` keeps the ``defaultdict`` factories, so a restored record
         still auto-creates targets."""
-        return ProcessCounters(
-            epoch_of_target=self.epoch_of_target.copy(),
-            pending_ops=self.pending_ops.copy(),
-            gc=self.gc,
-            gnc=self.gnc,
-            sc_local=self.sc_local,
-            sc_held=self.sc_held.copy(),
-            held_locks=self.held_locks.copy(),
+        return ProcessCounters(  # positional, in field order: no keyword matching
+            self.epoch_of_target.copy(), self.pending_ops.copy(), self.gc, self.gnc,
+            self.sc_local, self.sc_held.copy(), self.held_locks.copy(),
         )
 
 

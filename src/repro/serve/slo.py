@@ -16,6 +16,7 @@ byte-identical across re-runs and backends.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -56,7 +57,8 @@ class WindowTracker:
         ignored.  An outage still open at the run's final virtual time
         ``end_t`` (the run aborted, or a degraded continuation never
         re-completed the crash step) counts until the end — consistent with
-        how chaos availability prices open outages.
+        how chaos availability prices open outages; a kill that nothing has
+        detected or tolerated yet opens no window.
         """
         tracker = cls()
         outage: dict | None = None
@@ -66,11 +68,11 @@ class WindowTracker:
                 tracker.checkpoint_windows.append(
                     (event["t_start"], event["t_end"], event["step"], event["demand"])
                 )
-            elif kind in ("failure_detected", "step_completed"):
+            if kind in ("kill_fired", "failure_detected", "step_completed", "qos_decision"):
                 outage, closed = reduce_outage(outage, event)
                 if closed is not None:
                     tracker.recovery_windows.append((closed["detected_t"], event["t"]))
-            elif kind in ("kill_fired", "kill_skipped"):
+            if kind in ("kill_fired", "kill_skipped"):
                 fired = kind == "kill_fired"
                 tracker.kills.append(
                     {
@@ -83,7 +85,7 @@ class WindowTracker:
                         "real": fired and bool(event.get("rt", {}).get("real", False)),
                     }
                 )
-        if outage is not None:
+        if outage is not None and (outage["crash_step"] != math.inf or "tolerated" in outage):
             tracker.recovery_windows.append((outage["detected_t"], end_t))
         return tracker
 

@@ -152,17 +152,19 @@ class Cluster:
         :class:`ProcessFailedError` naming one failed participant (the caller —
         typically the fault-tolerance layer — handles recovery).
         """
-        if ranks is None:
-            ranks = self.alive_ranks()
-        participants = list(ranks)
-        if not participants:
+        if ranks is None and not self.injector.failed_ranks:
+            participants, count = None, self.nprocs  # all alive: every clock, no list
+        else:
+            participants = list(self.alive_ranks() if ranks is None else ranks)
+            count = len(participants)
+        if not count:
             raise SimulationError("barrier requires at least one participant")
         if cost is None:
-            cost = self.costs.barrier(len(participants))
+            cost = self.costs.barrier_prices[count]
         t = self.clocks.synchronize(participants, extra=cost)
         self.check_failures(t)
         failed = self.injector.failed_ranks
-        dead = [r for r in participants if r in failed]
+        dead = [r for r in participants or range(count) if r in failed] if failed else ()
         if dead:
             raise ProcessFailedError(dead[0], f"barrier observed failed ranks {dead}")
         return t

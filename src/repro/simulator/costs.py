@@ -115,6 +115,11 @@ class CostModel:
         return _Prices(lambda key: self.remote_transfer(key[0], atomic=key[1]))
 
     @cached_property
+    def barrier_prices(self) -> dict[int, float]:
+        """:meth:`barrier` per participant count, evaluated once per count."""
+        return _Prices(self.barrier)
+
+    @cached_property
     def log_prices(self) -> dict[int, float]:
         """What logging a completed put-like action of ``nbytes`` costs its
         origin (§6.2): ``log_bookkeeping + local_copy(nbytes)``, once per size."""

@@ -43,6 +43,15 @@ class MetricsRegistry:
         if rank is not None:
             self._per_rank[name][rank] += value
 
+    def incr_ranks(self, name: str, pairs) -> None:
+        """:meth:`incr` counter ``name`` by ``value`` for ``rank``, for each
+        ``(rank, value)`` of ``pairs`` in order: the same additions, one call."""
+        total, per_rank = self._totals[name], self._per_rank[name]
+        for rank, value in pairs:
+            total += value
+            per_rank[rank] += value
+        self._totals[name] = total
+
     def set_max(self, name: str, value: float, rank: int | None = None) -> None:
         """Keep the maximum value seen for gauge ``name``."""
         if value > self._totals.get(name, float("-inf")):

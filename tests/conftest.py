@@ -49,7 +49,7 @@ def store_oracle(request, monkeypatch):
         capture(self, lvl, snapshots, *rest)
         for rank, windows in snapshots.items():
             for name, live in windows.items():
-                assert _same_bytes(lvl.staged[0][rank][name].image, live), (
+                assert _same_bytes(lvl.staged[0][rank][name], live), (
                     f"{lvl.kind} mirror of rank {rank} window {name!r} differs from live"
                 )
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -316,6 +317,40 @@ def test_best_effort_soak_completes():
     assert result.metrics.kills_fired >= 1
     assert result.recoveries == 0
     assert result.steps_executed == quick_spec().rounds * result.events[0]["steps_per_round"]
+    # The kill opens the outage and the repair that mends the rank closes it:
+    # every outage closes, so MTTR is finite and the soak is up for all but
+    # the spans from a kill to its repair.
+    metrics = result.metrics
+    assert metrics.mttr_s is not None and math.isfinite(metrics.mttr_s)
+    assert metrics.episodes_resolved == metrics.episodes >= 1
+    assert metrics.availability > 0.9
+
+
+def test_best_effort_outage_runs_from_the_kill_to_the_repair():
+    # Every op completes in the step-closing gsync, so the kill lands there,
+    # after the victim's kernel turn: no step skips it, and the repair at the
+    # step's end mends it.  The outage spans the kill to that repair, never zero.
+    policy = repro.FaultTolerancePolicy(interval=2, recovery="best_effort")
+    with tracing() as hub, repro.launch(4, ft=policy) as job:
+        job.allocate("u", 10)
+        repro.install_injector(job, KillPlan.single(rank=1, after_ops=22))
+
+        def kernel(ctx, step):
+            ctx.win("u").put_nb((ctx.rank + 1) % ctx.nranks, 0, [float(step)])
+
+        job.run(kernel, steps=12)
+    trace = hub.events()
+    decided = [e["decision"] for e in trace if e["type"] == "qos_decision"]
+    assert decided == ["repairs"]  # no step was suspended: the kill struck the gsync
+    (kill,) = [e for e in trace if e["type"] == "kill_fired"]
+    (repair,) = [e for e in trace if e["type"] == "qos_decision"]
+    log = chaos_events(trace)
+    assert [e["type"] for e in log] == [
+        "failure_initiated", "failure_detected", "service_restored",
+    ]
+    assert log[1]["t"] == kill["t"] and log[2]["t"] == repair["t"] > kill["t"]
+    assert log[2]["mttr_s"] == repair["t"] - kill["t"]
+    assert compute_metrics(log).mttr_s > 0
 
 
 def test_plan_is_identical_across_recoveries_and_stores():

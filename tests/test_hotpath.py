@@ -896,11 +896,11 @@ def test_vector_halo_step_costs_one_region_write_per_neighbour(monkeypatch):
 SLAB = 64 * 1024  # float64 elements: 512 KiB per rank
 
 
-def _checkpointed_runtime(store, backend=None):
-    rt = RmaRuntime(Cluster.simple(8, procs_per_node=2), backend=backend)
+def _checkpointed_runtime(store, backend=None, nprocs=8):
+    rt = RmaRuntime(Cluster.simple(nprocs, procs_per_node=2), backend=backend)
     stack = build_ft_stack(rt, store=store)
     rt.win_allocate("w", SLAB)
-    for rank in range(8):
+    for rank in range(nprocs):
         rt.local(rank, "w")[:] = rank + 1.0
     return rt, stack
 
@@ -985,27 +985,50 @@ def test_buddy_copy_is_a_second_reference_priced_as_a_copy():
 #: the measured values: ``memory``, and ``multilevel`` at the four positions of
 #: its cadence (base only, + the parity level, base only, + both levels).  When
 #: every placement charged clocks through ``Cluster.advance`` and looked its
-#: windows up per rank: 451 and 463 / 610 / 559 / 781.
-CHECKPOINT_BUDGETS = {"memory": [229] * 4, "multilevel": [239, 317, 263, 419]}
+#: windows up per rank: 451 and 463 / 610 / 559 / 781; with one slab chain per
+#: ``(rank, window)``, its holders, charges and captures paid per slab: 229 and
+#: 239 / 317 / 263 / 419.
+CHECKPOINT_BUDGETS = {"memory": [67] * 4, "multilevel": [76, 101, 85, 125]}
 #: ... and of the ``gsync`` before it, completing eight one-op batches (247, then
 #: 148 before a settled job completed its ranks without re-deriving membership and
-#: scanned the locks with a list instead of a generator).
-GSYNC_BUDGET = 100
+#: scanned the locks with a list instead of a generator, 100 before a barrier
+#: with every rank alive synchronized every clock without listing them).
+GSYNC_BUDGET = 95
+#: Calls each rank beyond eight adds to a steady-state checkpoint: the copy of its
+#: Eq. (1) record and that record's construction.  Placing, holding and charging
+#: are paid per checkpoint and window, never per rank.
+PER_RANK_BUDGET = 2
+
+
+def _checkpoint_calls(store, nprocs):
+    """Python calls of checkpoints 4-11 (the cadence twice) and of their gsyncs."""
+    rt, stack = _checkpointed_runtime(store, backend="vector", nprocs=nprocs)
+    checkpoints, syncs = [], []
+    try:
+        for tag in range(12):
+            for rank in range(nprocs):
+                rt.put_nb(rank, (rank + 1) % nprocs, "w", 64 * tag, np.arange(64.0))
+            syncs.append(_calls_per_op(rt.gsync, runs=1)[0])
+            checkpoints.append(_calls_per_op(stack.checkpointer.checkpoint, runs=1)[0])
+    finally:
+        stack.uninstall(rt)
+    return checkpoints[4:], syncs[4:]
 
 
 @pytest.mark.no_store_oracle  # its compares would be counted
 @pytest.mark.parametrize("store", list(CHECKPOINT_BUDGETS))
 def test_steady_state_checkpoint_call_budgets(store):
-    rt, stack = _checkpointed_runtime(store, backend="vector")
-    checkpoints, syncs = [], []
-    try:
-        for tag in range(12):
-            for rank in range(8):
-                rt.put_nb(rank, (rank + 1) % 8, "w", 64 * tag, np.arange(64.0))
-            syncs.append(_calls_per_op(rt.gsync, runs=1)[0])
-            checkpoints.append(_calls_per_op(stack.checkpointer.checkpoint, runs=1)[0])
-    finally:
-        stack.uninstall(rt)
-    budgets = CHECKPOINT_BUDGETS[store] * 2  # checkpoints 4-11: the cadence twice
-    assert all(got <= budget for got, budget in zip(checkpoints[4:], budgets)), checkpoints
-    assert max(syncs[4:]) <= GSYNC_BUDGET, syncs
+    checkpoints, syncs = _checkpoint_calls(store, 8)
+    budgets = CHECKPOINT_BUDGETS[store] * 2
+    assert all(got <= budget for got, budget in zip(checkpoints, budgets)), checkpoints
+    assert max(syncs) <= GSYNC_BUDGET, syncs
+
+
+@pytest.mark.no_store_oracle
+@pytest.mark.parametrize("store", list(CHECKPOINT_BUDGETS))
+def test_checkpoint_calls_grow_by_a_fixed_few_per_rank(store):
+    """At 64 ranks a steady-state checkpoint costs its 8-rank budget plus a fixed
+    few calls per extra rank, at every position of the cadence."""
+    checkpoints, _ = _checkpoint_calls(store, 64)
+    budgets = [b + PER_RANK_BUDGET * (64 - 8) for b in CHECKPOINT_BUDGETS[store] * 2]
+    assert all(got <= budget for got, budget in zip(checkpoints, budgets)), checkpoints

@@ -20,6 +20,7 @@ import repro
 from repro.backends.proc import proc_available
 from repro.errors import ProcessFailedError
 from repro.ft import DiskStore, MemoryStore, ParityStore, build_ft_stack
+from repro.ft.recovery import respawn_ranks, restore_rank
 from repro.ft.stores import MultiLevelStore
 from repro.rma import AccumulateOp, RmaRuntime
 from repro.simulator import Cluster
@@ -61,13 +62,13 @@ def _odd_values(dtype, rng):
 class _Harness:
     """A runtime with an FT stack, the oracle of every commit, and the check."""
 
-    def __init__(self, store, dtype, backend):
-        self.nprocs = 4 if backend == "proc" else 8
+    def __init__(self, store, dtype, backend, nprocs=None, recovery=None):
+        self.nprocs = nprocs or (4 if backend == "proc" else 8)
         self.rt = RmaRuntime(
             Cluster.simple(self.nprocs, procs_per_node=1 if backend == "proc" else 2),
             backend=backend,
         )
-        self.stack = build_ft_stack(self.rt, store=store)
+        self.stack = build_ft_stack(self.rt, store=store, recovery=recovery)
         self.store = store
         self.dtype = np.dtype(dtype)
         self.windows = []
@@ -79,8 +80,8 @@ class _Harness:
 
     def checkpoint(self, tag):
         version = self.stack.checkpointer.checkpoint(tag=tag)
-        self.oracle[version.version] = {
-            (rank, name): self.rt.local(rank, name).tobytes()
+        self.oracle[version.version] = {  # read as the checkpoint does: no stamp moves
+            (rank, name): self.rt.windows.get(name).buffers[rank].tobytes()
             for rank in range(self.nprocs)
             for name in self.windows
         }
@@ -230,6 +231,52 @@ def test_served_images_equal_the_oracle_of_their_version(kind, dtype, keep, back
         rt.finalize()
 
 
+@pytest.mark.parametrize("kind", ["memory", "parity", "multilevel-memory"])
+def test_64_rank_rows_serve_the_oracle_through_excision_respawn_and_local_stores(kind):
+    """The rows 8-rank runs never reach: 64 ranks on ``sim``, one rank excised by
+    a degraded continuation, one killed and respawned (its own windows restored),
+    a window allocated after the first checkpoint and local-view stores on odd
+    steps, which make those rows untrusted.  Every version and level mirror
+    still serves exactly the bytes of its commit."""
+    rng = np.random.default_rng(64)
+    harness = _Harness(STORES[kind](2), "float64", "sim", nprocs=64, recovery="degraded")
+    rt, store = harness.rt, harness.store
+    try:
+        harness.allocate("w")
+        for rank in range(harness.nprocs):
+            rt.local(rank, "w")[:] = rng.integers(-9, 9, size=SIZE)
+        for step in range(10):
+            if step == 2:
+                harness.allocate("late")
+            members = [r for r in range(harness.nprocs) if r not in rt.excised]
+            for name in harness.windows:
+                for _ in range(12):
+                    src, trg = (int(r) for r in rng.choice(members, size=2, replace=False))
+                    count = int(rng.integers(1, 6))
+                    offset = int(rng.integers(0, SIZE - count))
+                    rt.put(src, trg, name, offset, rng.normal(size=count))
+                for rank in rng.choice(members, size=4 * (step % 2), replace=False):
+                    rt.local(int(rank), name)[int(rng.integers(SIZE))] = rng.normal()
+            harness.checkpoint(step)
+            if step == 3:  # a degraded continuation excises rank 17
+                harness.kill(17)
+                assert harness.stack.recovery.recover().kind == "degraded"
+                assert 17 in rt.excised
+                harness.check()
+            if step == 6:  # rank 42 dies and comes back with only its own windows
+                harness.kill(42)
+                harness.check()
+                version = store.latest_usable([42])
+                respawn_ranks(rt, [42])
+                restore_rank(rt, store, version, 42)
+                for name in harness.windows:
+                    want = harness.oracle[version.version][42, name]
+                    assert rt.local(42, name).tobytes() == want
+        assert not any(store.available(v, 17) for v in store.versions)
+    finally:
+        harness.stack.uninstall(rt)
+
+
 # ---------------------------------------------------------------------------
 # The level mirrors are bit-exact (a value-wise compare is not)
 # ---------------------------------------------------------------------------
@@ -311,13 +358,16 @@ def test_complex_windows_checkpoint_through_the_byte_row_compare():
 
 
 def _holdings(store):
-    """Per slab of the store's chain: (slab-sized arrays, elements of index records)."""
-    for slab in store._chain._slabs.values():
-        records = list(slab.undo.values())
-        yield (
-            1 + sum(changed is None for changed, _ in records),
-            sum(changed.size for changed, _ in records if changed is not None),
-        )
+    """Per ``(rank, window)`` row of the store's chains: (row-sized arrays, elements
+    of index records that fall in the row)."""
+    for chain in store._chain._chains.values():
+        records = list(chain.undo.values())
+        for row in range(chain.image.shape[0]):
+            bounds = (row * chain.size, (row + 1) * chain.size)
+            yield (
+                1 + sum(row in whole for _, _, whole in records),
+                sum(np.diff(changed.searchsorted(bounds))[0] for changed, _, _ in records),
+            )
 
 
 def test_trusted_put_only_slab_holds_one_image_plus_the_referenced_change_sets():
@@ -343,6 +393,34 @@ def test_trusted_put_only_slab_holds_one_image_plus_the_referenced_change_sets()
         # The modelled machine still holds two copies per version plus a mirror per level.
         want = (2 * len(store.versions) + len(store.levels)) * nprocs * size * 8
         assert store.nbytes() == want
+    stack.uninstall(rt)
+
+
+def test_partly_dense_window_keeps_whole_rows_only_for_its_dense_ranks():
+    # 10 of 64 ranks rewrite their row through a local view every step — more
+    # than 1/8 of the window's rows — while every rank's row takes one sparse
+    # put.  Only the rewritten rows keep whole previous rows; the others keep
+    # the referenced change-sets, as in a put-only window.
+    nprocs, size, put = 64, 4096, 16
+    rt = RmaRuntime(Cluster.simple(nprocs, procs_per_node=2))
+    store = MultiLevelStore()
+    stack = build_ft_stack(rt, store=store)
+    rt.win_allocate("w", size)
+    dense = set(range(0, nprocs, 7))
+    for step in range(12):
+        for rank in range(nprocs):
+            rt.put(rank, (rank + 1) % nprocs, "w", step * put, np.full(put, step + 0.5))
+        for rank in dense:
+            mine = rt.local(rank, "w")
+            mine[:] = mine * 0.5 + step
+        stack.checkpointer.checkpoint(tag=step)
+        for row, (arrays, elements) in enumerate(_holdings(store)):
+            if row in dense:
+                assert arrays <= store.keep_versions + 1 + len(store.levels), (step, row)
+                assert elements <= (store.keep_versions + 4) * put, (step, row, elements)
+            else:
+                assert arrays == 1, f"step {step}: sparse row {row} holds {arrays} rows"
+                assert elements <= (store.keep_versions + 4) * put, (step, row, elements)
     stack.uninstall(rt)
 
 
