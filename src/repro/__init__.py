@@ -92,7 +92,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Workload": "repro.study.workloads",
     "WorkloadRun": "repro.study.workloads",
     "make_workload": "repro.study.workloads",
-}, subpackages=("qos", "serve", "trace"))
+}, subpackages=("serve", "trace"))
 __all__ += [
     "available",
     "SessionObserver",

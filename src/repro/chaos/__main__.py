@@ -116,7 +116,9 @@ def main(argv: list[str] | None = None) -> int:
         to_json=report_json,
         invariants=check_chaos_invariants,
         invariants_message=(
-            "invariants hold (localized MTTR < global; degraded availability > both)"
+            "invariants hold (localized MTTR < global; degraded availability > both; "
+            "best_effort makespan < global; exact rules quality 1.0; incremental < "
+            "full; backends agree)"
         ),
         gate=check_against_baseline,
         artifacts=_write_event_log,

@@ -3,16 +3,18 @@
 The report is the artifact the soak engine exists for — the paper's
 resilience claims restated as a reliability table::
 
-    | workload | scenario | backend | store | recovery | kills | MTTF | MTBF | MTTR | availability |
+    | workload | scenario | backend | store | recovery | kills | MTTF | MTBF | MTTR | availability | quality | makespan |
 
 plus a predicted-vs-observed section judging the §5–§7 analytic model the
 way the paper judges its own (:meth:`~repro.study.model.IntervalModel.predicted_mttr_seconds`).
 
 :func:`check_chaos_invariants` encodes the trade-off the comparison mode must
 make visible: on identical failure schedules, ``localized`` (log replay)
-repairs strictly faster than ``global`` (re-execution), and ``degraded``
+repairs strictly faster than ``global`` (re-execution), ``degraded``
 (continuation without the failed ranks) is strictly more available than both
-— it trades correctness (ranks are gone) for uptime.
+— it trades correctness (ranks are gone) for uptime — and ``best_effort``
+finishes strictly sooner than ``global`` while the exact rules keep quality
+``1.0``: the quality/speed trade-off of best-effort delivery.
 :func:`check_against_baseline` is the CI regression gate.
 """
 
@@ -29,6 +31,9 @@ __all__ = [
     "check_chaos_invariants",
     "check_against_baseline",
 ]
+
+#: The recovery rules whose result is bit-identical to the failure-free run.
+_EXACT = ("global", "localized")
 
 
 def report_json(results: list[SoakResult]) -> str:
@@ -69,6 +74,8 @@ def render_markdown(results: list[SoakResult]) -> str:
             spec.recovery, kills, m.episodes,
             _fmt_s(m.mttf_s), _fmt_s(m.mtbf_s), _fmt_s(m.mttr_s),
             _fmt_pct(m.availability),
+            "—" if result.quality is None else f"{result.quality:.4f}",
+            _fmt_s(result.elapsed_s),
         ))
         predicted.append((
             spec.cell_key, _fmt_s(m.mttr_s), _fmt_s(result.predicted_mttr_s),
@@ -77,7 +84,8 @@ def render_markdown(results: list[SoakResult]) -> str:
     return (
         experiment.markdown_table(
             ("workload", "scenario", "backend", "store", "recovery", "kills",
-             "episodes", "MTTF", "MTBF", "MTTR", "availability"),
+             "episodes", "MTTF", "MTBF", "MTTR", "availability", "quality",
+             "makespan"),
             reliability,
         )
         + "\n"
@@ -102,7 +110,18 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
       (suppressed-action fast-forward vs full re-execution of lost work);
     * ``degraded`` must achieve **strictly higher availability** than both
       (no restore, no rework — the degraded continuation trades the excised
-      ranks' results for uptime).
+      ranks' results for uptime);
+    * ``best_effort`` must achieve a **strictly lower makespan** than
+      ``global`` (survivors never stall or re-execute).
+
+    Across the grid:
+
+    * the exact rules (``global``, ``localized``) score **quality 1.0** —
+      their recovery is bit-identical to the failure-free reference;
+    * a ``multilevel`` cell that captured moves **strictly fewer** bytes to
+      its upper levels than the full mirrors it maintains;
+    * cells that differ only in backend **agree** on the digest and on the
+      tolerated operations (the plan strikes the same program point).
 
     Groups missing a recovery rule, without resolved outages, or aborted
     are skipped — the grid decides what is comparable, the invariants judge
@@ -110,10 +129,26 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
     """
     violations: list[str] = []
     groups: dict[tuple, dict[str, SoakResult]] = {}
+    by_backend: dict[tuple, list[SoakResult]] = {}
     for result in results:
         spec = result.spec
         key = (spec.workload, spec.scenario, spec.backend, spec.store)
         groups.setdefault(key, {})[spec.recovery] = result
+        config = (spec.workload, spec.scenario, spec.store, spec.recovery)
+        by_backend.setdefault(config, []).append(result)
+        if result.aborted:
+            continue
+        if spec.recovery in _EXACT and result.quality != 1.0:
+            violations.append(
+                f"{spec.cell_key}: {spec.recovery} recovery scored quality "
+                f"{result.quality!r}, expected exactly 1.0"
+            )
+        moved, full = result.multilevel_moved_bytes, result.multilevel_full_bytes
+        if spec.store == "multilevel" and full and moved >= full:
+            violations.append(
+                f"{spec.cell_key}: incremental captures moved {moved} bytes, not "
+                f"strictly fewer than the {full} full mirrors hold"
+            )
 
     for key, cells in sorted(groups.items()):
         label = "/".join(key)
@@ -148,12 +183,31 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
                         f"{label}: degraded availability {a_d:.6f} is not strictly "
                         f"higher than {other.spec.recovery}'s {a_o:.6f}"
                     )
+        best_effort = cells.get("best_effort")
+        if global_ and best_effort and not global_.aborted and not best_effort.aborted:
+            if best_effort.elapsed_s >= global_.elapsed_s:
+                violations.append(
+                    f"{label}: best_effort makespan {best_effort.elapsed_s:.3f}s is "
+                    f"not strictly below global's {global_.elapsed_s:.3f}s"
+                )
+
+    for config, cells in sorted(by_backend.items()):
+        first = cells[0]
+        for other in cells[1:]:
+            for field in ("digest", "tolerated_ops"):
+                if getattr(other, field) != getattr(first, field):
+                    violations.append(
+                        f"{'/'.join(config)}: {field} differs between "
+                        f"{first.spec.backend} ({getattr(first, field)!r}) and "
+                        f"{other.spec.backend} ({getattr(other, field)!r})"
+                    )
     return violations
 
 
 #: ``check_against_baseline(report, baseline, max_ratio=2.0)`` → failures:
-#: the schedule-shaped quantities (kills, episodes, recoveries, plan) must
-#: match **exactly**; observed MTTR and observed *unavailability* may not
+#: the schedule-shaped quantities (kills, episodes, recoveries, plan) and the
+#: trade-off columns (quality, tolerated ops, repairs, bytes) must match
+#: **exactly**; observed MTTR and observed *unavailability* may not
 #: exceed ``max_ratio`` × the baseline's — a protocol regression fails CI,
 #: legitimate cost-model retuning only shifts within the band.
 check_against_baseline = partial(
@@ -162,7 +216,8 @@ check_against_baseline = partial(
         "metrics.kills_fired", "metrics.kills_skipped", "metrics.episodes",
         "metrics.episodes_resolved", "metrics.recoveries",
         ("plan", "kill plan changed from the baseline's"),
-        "aborted",
+        "aborted", "quality", "tolerated_ops", "repairs", "checkpoint_bytes",
+        "multilevel_moved_bytes", "multilevel_full_bytes",
     ),
     ratio=(
         ("metrics.mttr_s", "MTTR", "{:.3f}s"),

@@ -5,7 +5,11 @@ session — one :meth:`~repro.study.workloads.Workload.run`, after a
 failure-free probe run that calibrates the plan — with a scenario-generated
 kill plan striking throughout; its chaos log — every transition,
 timestamped — is read off the finished job's trace
-(:func:`~repro.chaos.monitor.chaos_events`).  Two levers make hour-scale campaigns
+(:func:`~repro.chaos.monitor.chaos_events`).  A failure-free, unprotected
+reference run of the same steps scores the soak's result *quality*
+(:meth:`~repro.study.workloads.Workload.result_quality`), so a cell reports
+what each rule gives back for its speed: the exact rules score ``1.0``,
+``best_effort`` trades quality for makespan.  Two levers make hour-scale campaigns
 finish in wall-clock seconds:
 
 * **time compression** — :func:`scaled_cost_model` multiplies every latency
@@ -66,6 +70,8 @@ _TIME_FIELDS = (
 )
 #: CostModel fields denominated in bytes/second (scaled *down*).
 _BANDWIDTH_FIELDS = ("network_bandwidth", "memory_bandwidth", "pfs_bandwidth")
+#: The ``qos.*`` decisions that tolerate an operation instead of failing it.
+_TOLERATED = ("dropped_puts", "dropped_gets", "stale_reads", "dropped_syncs")
 
 
 def scaled_cost_model(
@@ -180,6 +186,16 @@ class SoakResult:
     #: Analytic §5–§7-model predictions for this cell.
     predicted_mttr_s: float
     predicted_availability: float
+    #: Result quality against the failure-free reference (None if aborted).
+    quality: float | None
+    #: Operations a tolerant rule dropped or served stale, and ranks repaired.
+    tolerated_ops: int
+    repairs: int
+    #: Bytes checkpointed, and a multilevel store's upper-level bytes moved
+    #: against the full mirrors they maintain (0 on other stores).
+    checkpoint_bytes: int
+    multilevel_moved_bytes: int
+    multilevel_full_bytes: int
 
     def as_dict(self) -> dict:
         """JSON-ready form (byte-identical across re-runs: no wall clock)."""
@@ -212,6 +228,12 @@ class SoakResult:
             "aborted": self.aborted,
             "predicted_mttr_s": self.predicted_mttr_s,
             "predicted_availability": self.predicted_availability,
+            "quality": self.quality,
+            "tolerated_ops": self.tolerated_ops,
+            "repairs": self.repairs,
+            "checkpoint_bytes": self.checkpoint_bytes,
+            "multilevel_moved_bytes": self.multilevel_moved_bytes,
+            "multilevel_full_bytes": self.multilevel_full_bytes,
             "events": self.events,
         }
 
@@ -249,7 +271,9 @@ def run_soak(spec: SoakSpec) -> SoakResult:
     never crosses a phase boundary.  A failure mode recovery cannot absorb —
     a rank lost together with its buddy, or no usable checkpoint — ends the
     soak early with a ``soak_aborted`` event rather than raising: surviving
-    *is* the measurement.
+    *is* the measurement.  A failure-free, unprotected run of the same
+    ``rounds × steps`` is the reference the soak's result quality is scored
+    against.
     """
     params = dict(spec.workload_params.get(spec.workload, {}))
     workload = make_workload(spec.workload, nprocs=spec.nprocs, **params)
@@ -276,6 +300,12 @@ def run_soak(spec: SoakSpec) -> SoakResult:
     )
     report = run.report
     kills = Counter(e["type"] for e in tracer.events)
+    with trace_label(f"{spec.cell_key}/reference"):
+        reference = workload.run(
+            procs_per_node=spec.procs_per_node, cost_model=cost,
+            steps=spec.rounds * workload.steps,
+        )
+    totals = report.metrics.totals
 
     events = [
         {"type": "soak_started", "t": 0.0,
@@ -331,6 +361,12 @@ def run_soak(spec: SoakSpec) -> SoakResult:
         aborted=run.aborted,
         predicted_mttr_s=predicted_mttr,
         predicted_availability=predicted_avail,
+        quality=None if run.aborted else workload.result_quality(run.result, reference.result),
+        tolerated_ops=sum(int(totals.get(f"qos.{name}", 0)) for name in _TOLERATED),
+        repairs=int(totals.get("qos.repairs", 0)),
+        checkpoint_bytes=int(totals.get("ft.checkpoint_bytes", 0)),
+        multilevel_moved_bytes=int(totals.get("ft.multilevel_moved_bytes", 0)),
+        multilevel_full_bytes=int(totals.get("ft.multilevel_full_bytes", 0)),
     )
 
 

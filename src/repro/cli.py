@@ -1,15 +1,14 @@
 """Shared command-line conventions of the ``repro`` engines.
 
-Four engines ship a ``python -m`` entry point — :mod:`repro.study`,
-:mod:`repro.chaos`, :mod:`repro.serve` and :mod:`repro.qos` — and they follow
-one contract: ``--list`` prints the component registry and exits, ``--seed``
-seeds every stochastic choice, and the report epilogue (markdown to stdout,
-optional JSON artifact, invariant gate, baseline gate) behaves identically
-everywhere.  A flag that sets a field of the engine's spec dataclass is
-declared with ``dest=<field>`` and no default: :func:`parse_spec` takes the
-defaults from the spec — the plain one, or under ``--quick`` the engine's
-seconds-long CI preset, which any flag given explicitly (``--seed``
-included) then refines.  This module is that contract in one place
+Three engines ship a ``python -m`` entry point — :mod:`repro.study`,
+:mod:`repro.chaos` and :mod:`repro.serve` — and they follow one contract:
+``--list`` prints the component registry and exits, ``--seed`` seeds every
+stochastic choice, and the report epilogue (markdown to stdout, optional JSON
+artifact, invariant gate, baseline gate) behaves identically everywhere.  A
+flag that sets a field of the engine's spec dataclass is declared with
+``dest=<field>`` and no default: :func:`parse_spec` takes the defaults from
+the spec — the plain one, or under ``--quick`` the engine's seconds-long CI
+preset, which any flag given explicitly (``--seed`` included) then refines.  This module is that contract in one place
 (:func:`engine_main`); the per-engine ``__main__`` modules only contribute
 their flags, their specs and their gate functions.
 """

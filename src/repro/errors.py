@@ -116,7 +116,8 @@ class CheckpointError(FaultToleranceError):
 
 
 class RecoveryError(FaultToleranceError):
-    """Causal recovery failed and no coordinated checkpoint is available."""
+    """Causal recovery failed and no coordinated checkpoint is available, or a
+    recovery rule was misused (a reused or misconfigured best-effort rule)."""
 
 
 class CatastrophicFailure(FaultToleranceError):
@@ -195,18 +196,6 @@ class ServeError(ReproError):
 
     Raised for invalid service specifications, malformed request logs and
     traffic-generator parameters outside their domain."""
-
-
-# ---------------------------------------------------------------------------
-# Quality-of-service errors
-# ---------------------------------------------------------------------------
-
-
-class QosError(ReproError):
-    """Misuse of best-effort delivery or of :mod:`repro.qos`.
-
-    Raised for a reused or misconfigured best-effort rule, invalid comparison
-    specifications and malformed quality/robustness/speed reports."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""The experiment core: the one method the four engines apply four ways.
+"""The experiment core: the one method the three engines apply three ways.
 
 The paper's evaluation (§7, Figs. 10–11) is a single protocol — the same
 seeded fault load on configurations that differ in one axis, measured against
-a failure-free probe — and :mod:`repro.study`, :mod:`repro.chaos`,
-:mod:`repro.serve` and :mod:`repro.qos` are that protocol with different
-specs, per-cell functions and invariants.  Every session of a cell — probe,
-trial, soak or serving run — is one
+a failure-free probe — and :mod:`repro.study`, :mod:`repro.chaos` and
+:mod:`repro.serve` are that protocol with different specs, per-cell functions
+and invariants.  Every session of a cell — probe, reference, trial, soak or
+serving run — is one
 :meth:`~repro.study.workloads.Workload.run`, which also owns the one policy
 for a fault load recovery cannot carry (the run is ``aborted``).  Everything
 else they share lives here, once, as plain functions: the paired-seed rule

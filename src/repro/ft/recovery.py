@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import CatastrophicFailure, QosError, RecoveryError
+from repro.errors import CatastrophicFailure, RecoveryError
 from repro.ft.checkpoint import ActionLog, CoordinatedCheckpointer
 from repro.ft.stores import CheckpointStore, CheckpointVersion, RestorePayload
 from repro.registry import register_kind, resolve_component
@@ -244,7 +244,7 @@ class BestEffort(RecoveryProtocol):
     positions.  ``stale_fraction`` is the probability mass given to stale
     service (the rest drops); with no usable checkpoint copy a would-be stale
     read drops.  Every tolerated operation is counted once (:meth:`count`) in
-    the job's per-rank ``qos.*`` metrics, which :mod:`repro.qos.engine`
+    the job's per-rank ``qos.*`` metrics, which a :mod:`repro.chaos` cell
     reports.
 
     The rule is bound once to a runtime and the store it serves stale reads
@@ -257,7 +257,7 @@ class BestEffort(RecoveryProtocol):
 
     def __init__(self, seed: int = 0, stale_fraction: float = 0.5) -> None:
         if not 0.0 <= stale_fraction <= 1.0:
-            raise QosError(
+            raise RecoveryError(
                 f"stale_fraction must be within [0, 1], got {stale_fraction}"
             )
         self.seed = int(seed)
@@ -270,7 +270,7 @@ class BestEffort(RecoveryProtocol):
     def bind(self, runtime: "RmaRuntime", store: CheckpointStore | None) -> None:
         """Attach the rule to a job; one instance per job (like backends)."""
         if self._runtime is not None and self._runtime is not runtime:
-            raise QosError(
+            raise RecoveryError(
                 f"recovery rule {self.name!r} is already bound to a job; it "
                 f"holds per-job state and cannot be reused — construct a "
                 f"fresh instance per job"
@@ -290,7 +290,7 @@ class BestEffort(RecoveryProtocol):
         """Record ``n`` occurrences of delivery decision ``event`` at ``rank``:
         one bump of the job's ``qos.<event>`` metric, one ``on_qos_decision``."""
         if event not in _COUNTER_FIELDS:
-            raise QosError(
+            raise RecoveryError(
                 f"unknown qos event {event!r}; counted events are: "
                 f"{', '.join(_COUNTER_FIELDS)}"
             )

@@ -116,7 +116,7 @@ def render_available() -> str:
     """Multi-line listing of every kind and its registered names.
 
     Shared by the ``--list`` flag of every engine CLI (``python -m
-    repro.{study,chaos,serve,qos}``), so all four print the same catalog.
+    repro.{study,chaos,serve}``), so all three print the same catalog.
     """
     lines = []
     for kind in all_kinds():

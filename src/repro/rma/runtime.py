@@ -673,7 +673,7 @@ class RmaRuntime:
         """Drain in-flight operations involving suspended ranks, effect-free.
 
         Called by ``FtStack.repair`` immediately before *repairing* suspended
-        ranks (:mod:`repro.qos`): an operation still queued toward a rank about to
+        ranks (``best_effort``): an operation still queued toward a rank about to
         be respawned-and-restored would otherwise apply after the restore, on
         top of the repaired state.  Survivor operations toward the suspended
         ranks resolve through the tolerant rule (drop/stale, same deterministic

@@ -433,8 +433,9 @@ class IntervalModel:
           bookkeeping, not transfers), plus the aborted step;
         * ``"degraded"`` — no restore at all: a membership barrier and the
           aborted step re-run by the survivors;
-        * ``"best_effort"`` — nothing aborts: the suspended rank sits out
-          its step and restores alone, ``R``, at the step boundary.
+        * ``"best_effort"`` — nothing aborts: a kill lands at a completion,
+          inside a step's sync, so only that sync's flush is left of the step
+          before the suspended rank restores alone, ``R``, at its boundary.
 
         An unprotected interval (``None`` — only the initial checkpoint) has
         expected rework of half the MTBF-worth of steps.
@@ -457,7 +458,7 @@ class IntervalModel:
         if recovery == "degraded":
             return barrier + step_seconds
         if recovery == "best_effort":
-            return restart + step_seconds
+            return restart + self.cost_model.flush()
         known = ", ".join(repr(name) for name in available("recovery"))
         raise StudyError(
             f"no analytic MTTR model for recovery {recovery!r}; "

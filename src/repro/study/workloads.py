@@ -159,7 +159,7 @@ class Workload(abc.ABC):
         ``1.0`` — a global rollback recovery must land here.
         Anything else scores by normalized L1 distance,
         ``1 − ‖result − reference‖₁ / (‖reference‖₁ + ε)``, floored at 0 —
-        the *quality* axis of the :mod:`repro.qos` trade-off, where
+        the *quality* column of a :mod:`repro.chaos` cell, where
         best-effort delivery trades exactness for makespan.
         """
         if self.digest(result) == self.digest(reference):
@@ -186,9 +186,9 @@ class Workload(abc.ABC):
     ) -> WorkloadRun:
         """Launch a session, run the workload, digest the result.
 
-        This is the one session of an engine cell: every probe, trial, soak
-        and serving run of :mod:`repro.study`, :mod:`repro.chaos`,
-        :mod:`repro.serve` and :mod:`repro.qos` is one call.  ``kill_plan``
+        This is the one session of an engine cell: every probe, reference,
+        trial, soak and serving run of :mod:`repro.study`, :mod:`repro.chaos`
+        and :mod:`repro.serve` is one call.  ``kill_plan``
         installs a :class:`~repro.ft.inject.FaultInjector` for the plan before
         the step loop starts: real SIGKILLs on the real-process backend,
         simulated fail-stop elsewhere, at identical completion-stream

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +405,116 @@ def test_render_markdown_shows_every_cell(sim_comparison):
     assert "MTTR predicted" in text
 
 
+# ----------------------------------------------------------------------
+# The quality trade-off: best-effort delivery against the exact rules
+# ----------------------------------------------------------------------
+#: The grid CI gates against ``tests/baselines/chaos_kv.json``.
+KV_GRID = ["--quick", "--workload", "kv", "--recoveries", "global,localized,best_effort",
+           "--stores", "memory,multilevel"]
+
+
+@pytest.fixture(scope="module")
+def kv_grid():
+    """The kv trade-off grid on sim: three rules × two stores, one kill plan."""
+    return run_comparison(
+        replace(quick_spec(), workload="kv"),
+        recoveries=("global", "localized", "best_effort"),
+        stores=("memory", "multilevel"),
+    )
+
+
+def _cells(results):
+    return {(r.spec.store, r.spec.recovery): r for r in results}
+
+
+def test_kv_trade_off_grid_passes_every_invariant_on_sim(kv_grid):
+    assert check_chaos_invariants(kv_grid) == []
+    cells = _cells(kv_grid)
+    for store in ("memory", "multilevel"):
+        exact, tolerant = cells[store, "global"], cells[store, "best_effort"]
+        assert exact.quality == cells[store, "localized"].quality == 1.0
+        assert exact.tolerated_ops == exact.repairs == 0
+        assert 0.0 < tolerant.quality < 1.0
+        assert tolerant.tolerated_ops > 0 and tolerant.repairs == tolerant.metrics.kills_fired
+        assert tolerant.recoveries == 0 and tolerant.elapsed_s < exact.elapsed_s
+    for recovery in ("global", "localized", "best_effort"):
+        layered = cells["multilevel", recovery]
+        assert 0 < layered.multilevel_moved_bytes < layered.multilevel_full_bytes
+        assert cells["memory", recovery].multilevel_full_bytes == 0
+        assert layered.checkpoint_bytes > 0
+
+
+@pytest.mark.parametrize(
+    ("cell", "edit", "message"),
+    [
+        (("memory", "global"), lambda c: {"quality": 0.5},
+         "memory/global: global recovery scored quality 0.5, expected exactly 1.0"),
+        (("multilevel", "localized"), lambda c: {"quality": 0.99},
+         "localized recovery scored quality 0.99"),
+        (("memory", "best_effort"),
+         lambda c: {"elapsed_s": c["memory", "global"].elapsed_s},
+         "kv/poisson/sim/memory: best_effort makespan"),
+        (("multilevel", "best_effort"),
+         lambda c: {"multilevel_moved_bytes": c["multilevel", "best_effort"]
+                    .multilevel_full_bytes},
+         "multilevel/best_effort: incremental captures moved"),
+    ],
+    ids=["global-quality", "localized-quality", "best-effort-makespan", "incremental-bytes"],
+)
+def test_each_trade_off_invariant_fails_on_a_result_edited_to_break_it(
+    kv_grid, cell, edit, message
+):
+    cells = _cells(kv_grid)
+    broken = [
+        replace(r, **edit(cells)) if key == cell else r for key, r in cells.items()
+    ]
+    (violation,) = check_chaos_invariants(broken)
+    assert message in violation
+
+
+@pytest.mark.parametrize(("field", "value"), [("digest", "0" * 64), ("tolerated_ops", 99)])
+def test_cells_differing_only_in_backend_must_agree(kv_grid, field, value):
+    twins = [replace(r, spec=replace(r.spec, backend="proc")) for r in kv_grid]
+    assert check_chaos_invariants(kv_grid + twins) == []
+    twins[2] = replace(twins[2], **{field: value})
+    (violation,) = check_chaos_invariants(kv_grid + twins)
+    assert violation.startswith(
+        f"kv/poisson/memory/best_effort: {field} differs between sim "
+    )
+
+
+def test_report_gates_the_trade_off_columns_exactly(kv_grid):
+    report = json.loads(report_json(kv_grid))
+    for field in ("quality", "tolerated_ops", "repairs", "checkpoint_bytes",
+                  "multilevel_moved_bytes", "multilevel_full_bytes"):
+        doctored = json.loads(report_json(kv_grid))
+        cell = doctored["cells"]["kv/poisson/sim/multilevel/best_effort"]
+        cell[field] += 1
+        (failure,) = check_against_baseline(report, doctored)
+        assert failure.startswith(f"kv/poisson/sim/multilevel/best_effort: {field} changed")
+    text = render_markdown(kv_grid)
+    assert "| quality | makespan |" in text and "| 0.9802 |" in text
+
+
+@pytest.mark.parametrize("workload", ["stencil", "kv", "allreduce"])
+def test_best_effort_mttr_prediction_is_within_a_fifth_of_observed(workload):
+    # The kill lands at a completion inside a step's sync: the outage is the
+    # rest of that sync's flush plus the lone restore, not a whole step.
+    result = run_soak(replace(quick_spec(), workload=workload, recovery="best_effort"))
+    assert result.metrics.kills_fired >= 1
+    ratio = result.predicted_mttr_s / result.metrics.mttr_s
+    assert 1 / 1.2 <= ratio <= 1.2
+
+
+@PROC_SKIP
+def test_kv_trade_off_grid_on_sim_and_proc_passes_its_checked_in_baseline(capsys):
+    baseline = Path(__file__).resolve().parent / "baselines" / "chaos_kv.json"
+    argv = [*KV_GRID, "--backends", "sim,proc", "--check-baseline", str(baseline)]
+    assert chaos_main(argv) == 0
+    out = capsys.readouterr().out
+    assert "invariants hold" in out and "baseline check passed" in out
+
+
 def test_rollback_prices_reexecution(sim_comparison):
     # A global rollback must re-execute all lost work; the observed MTTR is
     # therefore bounded below by one step of virtual time.
@@ -524,9 +635,10 @@ def test_chaos_cli_quick(tmp_path, capsys):
     report = json.loads(output.read_text())
     assert report["meta"]["engine"] == "repro.chaos"
     # Byte-identity oracle: re-recorded when the cells took the recovery
-    # registry's names and the "monitor" key went; nothing else moved.
+    # registry's names and the "monitor" key went, and when every cell gained
+    # its quality/tolerated/repairs/bytes keys; nothing else moved.
     assert hashlib.sha256(output.read_bytes()).hexdigest() == (
-        "7fd884b4f7f463c277ed892b6fce1c3f94a8091adce0bcc07742b047264cb81d"
+        "9cab36e74a5714459886f6bf8e967685674c808640a0855a313cd1e22bb58873"
     )
     assert len(report["cells"]) == 3
 

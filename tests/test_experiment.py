@@ -136,8 +136,7 @@ def test_run_grid_rejects_unknown_executors_with_the_callers_error():
 def test_run_grid_refuses_the_process_executor_while_a_trace_hub_is_active(tmp_path):
     # A pool's children cannot see the parent's hub: the run would publish a
     # trace without a single session of its grid in it.
-    from repro.errors import QosError
-    from repro.qos.__main__ import main
+    from repro.study.__main__ import main
     from repro.trace import tracing
 
     with tracing():
@@ -146,7 +145,7 @@ def test_run_grid_refuses_the_process_executor_while_a_trace_hub_is_active(tmp_p
         assert run_grid(_square, [1, 2], executor="serial", error=CampaignError) == [1, 4]
     assert run_grid(_square, [1, 2], executor="process", error=CampaignError) == [1, 4]
     trace = tmp_path / "trace.jsonl"
-    with pytest.raises(QosError, match="choose 'serial'$"):
+    with pytest.raises(CampaignError, match="choose 'serial'$"):
         main(["--quick", "--executor", "process", "--trace", str(trace)])
 
 
@@ -294,9 +293,7 @@ def test_serve_cli_fails_cleanly_on_another_schema(tmp_path, capsys):
 # ``--quick`` is a preset that explicit flags refine
 # ----------------------------------------------------------------------
 #: Each engine's spec class, as its ``__main__`` imports it beside ``quick_spec``.
-ENGINE_SPECS = {
-    "study": "CampaignSpec", "chaos": "SoakSpec", "serve": "ServeSpec", "qos": "QosSpec",
-}
+ENGINE_SPECS = {"study": "CampaignSpec", "chaos": "SoakSpec", "serve": "ServeSpec"}
 
 
 @pytest.mark.parametrize(
@@ -305,7 +302,6 @@ ENGINE_SPECS = {
         *((engine, [], {}) for engine in ENGINE_SPECS),
         *((engine, ["--quick"], {}) for engine in ENGINE_SPECS),
         *((engine, ["--quick", "--seed", "5"], {"seed": 5}) for engine in ENGINE_SPECS),
-        ("qos", ["--quick", "--stores", "memory"], {"stores": ("memory",)}),
         ("study", ["--quick", "--rates", "0,4"], {"mean_failures": (0.0, 4.0)}),
         ("chaos", ["--rate", "1.5"], {"rate_per_round": 1.5}),
         ("serve", ["--quick", "--zipf", "0"], {"zipf_s": 0.0}),
@@ -325,7 +321,6 @@ def test_engine_flags_refine_the_spec_they_default_to(engine, argv, changed):
         ("study", "(default 2.0)"),
         ("chaos", "(default global,localized,degraded)"),
         ("serve", "(default global,localized,degraded)"),
-        ("qos", None),  # its help prints no tuple default
     ],
 )
 def test_help_prints_a_tuple_default_as_the_comma_list_its_flag_takes(
@@ -336,14 +331,13 @@ def test_help_prints_a_tuple_default_as_the_comma_list_its_flag_takes(
         cli.main(["--help"])
     out = " ".join(capsys.readouterr().out.split())  # undo the line wrapping
     assert exited.value.code == 0
-    assert listed is None or listed in out
+    assert listed in out
     assert "('" not in out and "default (" not in out
 
 
 @pytest.mark.parametrize(
     ("engine", "argv", "message"),
     [
-        ("qos", ["--interval", "0"], "the checkpoint interval must be at least 1 step"),
         ("chaos", ["--workload", "nope"], "unknown workload 'nope' in soak spec"),
         ("study", ["--trials", "0"], "a campaign needs at least one trial per cell"),
         ("serve", ["--kill-frac", "2"], "kill_frac must be strictly between 0 and 1"),
@@ -367,7 +361,7 @@ def test_a_rejected_flag_or_spec_value_is_a_usage_error(engine, argv, message, c
 # ----------------------------------------------------------------------
 BASELINES = Path(__file__).resolve().parent / "baselines"
 
-#: chaos, serve and qos record ``proc`` cells, which only a host with fork +
+#: chaos and serve record ``proc`` cells, which only a host with fork +
 #: POSIX shared memory can reproduce.
 PROC_CELLS = pytest.mark.skipif(
     not proc_available(), reason="baseline has proc cells; proc backend unavailable"
@@ -383,7 +377,6 @@ PROC_CELLS = pytest.mark.skipif(
             "chaos", ["--backends", "sim,proc"], "metrics.recoveries", marks=PROC_CELLS
         ),
         pytest.param("serve", ["--backends", "sim,proc"], "recoveries", marks=PROC_CELLS),
-        pytest.param("qos", [], "recoveries", marks=PROC_CELLS),
     ],
 )
 def test_quick_run_passes_its_checked_in_baseline_and_fails_a_stale_one(

@@ -26,15 +26,14 @@ from repro.backends.proc import proc_available
 
 SRC = Path(repro.__file__).resolve().parent.parent
 FACADES = (
-    "repro", "repro.backends", "repro.study", "repro.chaos", "repro.serve", "repro.qos",
-    "repro.trace",
+    "repro", "repro.backends", "repro.study", "repro.chaos", "repro.serve", "repro.trace",
 )
 
 #: Never loaded by ``import repro`` or by a sim job (name or dotted prefix).
 NOT_CORE = (
     "networkx", "multiprocessing", "concurrent.futures", "socket", "subprocess", "email",
     "xml", "repro.backends.proc", "repro.chaos", "repro.serve", "repro.study.campaign",
-    "repro.study.workloads", "repro.qos", "repro.experiment", "repro.cli",
+    "repro.study.workloads", "repro.experiment", "repro.cli",
     "repro.trace.diff", "repro.trace.export", "repro.trace.summary",
 )
 
@@ -57,7 +56,7 @@ with repro.launch(8, ft=repro.FaultTolerancePolicy(interval=10, recovery="locali
 """
 
 #: Best-effort is a recovery rule in ``repro.ft.recovery``: a job that picks it
-#: loads nothing of the qos engine.
+#: loads no engine.
 _BEST_EFFORT_JOB = _SIM_JOB.replace('recovery="localized"', 'recovery="best_effort"')
 
 
@@ -189,13 +188,20 @@ def test_registry_listings_and_errors_from_a_fresh_interpreter():
 def test_subpackages_resolve_as_attributes_after_a_bare_import():
     names = fresh(
         "import repro\n"
-        "print([getattr(repro, n).__name__ for n in 'study chaos serve qos trace'.split()]"
+        "print([getattr(repro, n).__name__ for n in 'study chaos serve trace'.split()]"
         " + [repro.chaos.run_soak.__module__, repro.study.campaign.__name__])"
     )
     assert names == [
-        "repro.study", "repro.chaos", "repro.serve", "repro.qos", "repro.trace",
+        "repro.study", "repro.chaos", "repro.serve", "repro.trace",
         "repro.chaos.soak", "repro.study.campaign",
     ]
+
+
+def test_the_quality_trade_off_has_no_engine_of_its_own():
+    # Best-effort delivery's quality/speed columns are a chaos cell's.
+    assert not hasattr(repro, "qos")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.qos")
 
 
 # ---------------------------------------------------------------------------
