@@ -59,7 +59,7 @@ from repro.ft import (
     install_injector,
 )
 from repro.registry import available
-from repro.rma.handles import OpHandle
+from repro.rma.actions import OpHandle
 
 if TYPE_CHECKING:
     from repro.backends.proc import ProcBackend, proc_available

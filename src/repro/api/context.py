@@ -25,8 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import SchedulerError, WindowError
-from repro.rma.actions import AccumulateOp, CommAction, SyncAction
-from repro.rma.handles import OpHandle
+from repro.rma.actions import AccumulateOp, CommAction, OpHandle, SyncAction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.rma.runtime import RmaRuntime
@@ -51,7 +50,7 @@ class WindowHandle:
 
     The indexing forms are *blocking* (issue + immediate completion).  The
     ``*_nb`` methods issue nonblocking operations returning an
-    :data:`~repro.rma.handles.OpHandle`; their effects and buffers
+    :data:`~repro.rma.actions.OpHandle`; their effects and buffers
     materialize when a ``flush``/``unlock``/``gsync`` closes the epoch, and a
     batching backend may coalesce them into vectorized writes in between.
     """

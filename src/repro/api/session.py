@@ -43,6 +43,7 @@ from repro.errors import (
 )
 from repro.ft.stack import FtStack
 from repro.registry import resolve_component
+from repro.rma.interceptor import RmaInterceptor
 from repro.rma.runtime import RmaRuntime
 from repro.rma.window import Window
 from repro.simulator.failures import FailureSchedule
@@ -52,7 +53,7 @@ from repro.trace.tracer import Tracer, current_trace_hub, install_trace
 __all__ = ["Job", "JobReport", "SessionObserver", "launch"]
 
 
-class SessionObserver:
+class SessionObserver(RmaInterceptor):
     """No-op base class for session lifecycle observers.
 
     Register instances with :meth:`Job.add_observer`.  Every hook carries the
@@ -60,31 +61,6 @@ class SessionObserver:
     logs are byte-identical across backends and re-runs.  Hooks run inline in
     the step loop and must not raise.
     """
-
-    def on_step_completed(self, step: int, t: float) -> None:
-        """Step ``step`` finished (post-sync; counting re-executions)."""
-
-    def on_checkpoint(self, step: int, t_start: float, t_end: float, demand: bool) -> None:
-        """A coordinated checkpoint committed between ``t_start`` and ``t_end``.
-
-        Covers periodic, phase-opening and demand checkpoints (``demand``
-        distinguishes the latter).  The window is what lets observers segment
-        other measurements — e.g. request latencies — into steady-state vs
-        during-checkpoint time.  A checkpoint aborted by a failure emits no
-        event; its span is subsumed by the recovery that follows."""
-
-    def on_failure_detected(self, rank: int, step: int, t: float) -> None:
-        """A :class:`ProcessFailedError` for ``rank`` surfaced during ``step``."""
-
-    def on_recovery_started(self, step: int, t: float) -> None:
-        """The session is about to run its recovery protocol."""
-
-    def on_protocol_applied(self, outcome, resume_step: int, t: float) -> None:
-        """One recovery attempt completed with ``outcome``
-        (a :class:`~repro.ft.recovery.RecoveryOutcome`)."""
-
-    def on_recovery_completed(self, resume_step: int, t: float) -> None:
-        """Recovery finished; the step loop resumes at ``resume_step``."""
 
 
 @dataclass(frozen=True)
@@ -130,9 +106,9 @@ class Job:
     """A launched SPMD session: cluster + runtime + scheduler + FT policy.
 
     Prefer :func:`launch` over constructing this directly (its parameters are
-    documented there; ``trace`` becomes one interceptor and one observer).  Use
-    as a context manager so the runtime is finalized (interceptor statistics
-    flushed) on exit.
+    documented there; ``trace`` becomes one interceptor).  Use as a context
+    manager so the runtime is finalized (interceptor statistics flushed) on
+    exit.
     """
 
     def __init__(
@@ -177,7 +153,6 @@ class Job:
         self._have_checkpoint = False
         self._steps_executed = 0
         self._closed = False
-        self._observers: list[SessionObserver] = []
         # Tracing last, so the trace interceptor sits behind the FT stack's
         # (replay suppression and action logging stay ahead of
         # instrumentation).  An explicit tracer wins; otherwise an active
@@ -192,12 +167,9 @@ class Job:
             install_trace(self, trace)
 
     def add_observer(self, observer: SessionObserver) -> None:
-        """Attach a :class:`SessionObserver` to the step loop's lifecycle."""
-        self._observers.append(observer)
-
-    def _notify(self, method: str, *args) -> None:
-        for observer in self._observers:
-            getattr(observer, method)(*args)
+        """Attach a :class:`SessionObserver` to the step loop's lifecycle
+        (it joins ``runtime.interceptors``)."""
+        self.runtime.add_interceptor(observer)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -303,6 +275,7 @@ class Job:
         end = start_step + steps
         step = start_step
         ft, runtime, cluster = self.ft, self.runtime, self.cluster
+        hooks = runtime.interceptors  # a session hook nobody overrides is None
         arm_watchdog = self._arm_watchdog()
         try:
             while step < end:
@@ -316,7 +289,8 @@ class Job:
                         if taken is not None:
                             self._have_checkpoint = True
                             t0, demand = taken
-                            self._notify("on_checkpoint", step, t0, cluster.elapsed(), demand)
+                            if hooks.on_checkpoint is not None:
+                                hooks.on_checkpoint(step, t0, cluster.elapsed(), demand)
                     # Measure the first completed ordinary step (checkpoint cost
                     # excluded, replayed steps skipped — their suppressed actions
                     # are cheaper than real ones) to feed the analytic model.
@@ -342,16 +316,19 @@ class Job:
                         ft.repair()
                     step += 1
                     self._steps_executed += 1
-                    self._notify("on_step_completed", step - 1, cluster.elapsed())
+                    if hooks.on_step_completed is not None:
+                        hooks.on_step_completed(step - 1, cluster.elapsed())
                     if measuring and not runtime.replaying:
                         self._resolve_auto_interval(
                             cluster.elapsed() - step_began, max_steps=steps
                         )
                 except ProcessFailedError as failure:
-                    self._notify("on_failure_detected", failure.rank, step, cluster.elapsed())
+                    if hooks.on_failure_detected is not None:
+                        hooks.on_failure_detected(failure.rank, step, cluster.elapsed())
                     if ft is None:
                         raise
-                    self._notify("on_recovery_started", step, cluster.elapsed())
+                    if hooks.on_recovery_started is not None:
+                        hooks.on_recovery_started(step, cluster.elapsed())
                     # A further failure can strike *during* recovery (its closing
                     # barrier observes it): retry until one attempt completes —
                     # the checkpoint store survives across attempts.
@@ -366,7 +343,8 @@ class Job:
                     # continuation re-executes the aborted step, shrunk.
                     if outcome.kind != "degraded":
                         step = int(outcome.tag)
-                    self._notify("on_protocol_applied", outcome, step, cluster.elapsed())
+                    if hooks.on_protocol_applied is not None:
+                        hooks.on_protocol_applied(outcome, step, cluster.elapsed())
                     if step < start_step:
                         # Only possible when the phase-opening checkpoint itself
                         # was interrupted: the restored state belongs to an
@@ -377,7 +355,8 @@ class Job:
                             f"start_step {start_step}; the restored state predates "
                             f"the current phase and cannot be replayed with its kernel"
                         )
-                    self._notify("on_recovery_completed", step, cluster.elapsed())
+                    if hooks.on_recovery_completed is not None:
+                        hooks.on_recovery_completed(step, cluster.elapsed())
         finally:
             self._disarm_watchdog()
         return self.report()
@@ -564,8 +543,8 @@ def launch(
         per-dispatch ack timeout regardless.
     trace:
         A :class:`~repro.trace.Tracer` to install as one RMA interceptor (which
-        also receives the kills, checkpoint placements and delivery decisions)
-        and one session observer.  ``None`` still joins an active ``tracing()``
+        also receives the kills, checkpoint placements, delivery decisions and
+        the step loop's events).  ``None`` still joins an active ``tracing()``
         hub — e.g. an engine CLI's ``--trace`` — and is free otherwise.
 
     To record the §2.3 orders of a run, register an

@@ -69,8 +69,6 @@ class ActionLog(RmaInterceptor):
     it off.
     """
 
-    name = "action-log"
-
     def __init__(self, *, retain_actions: bool = True) -> None:
         self.retain_actions = retain_actions
         self._charge: tuple | None = None  # (clocks, log prices, bookkeeping) at attach
@@ -91,7 +89,9 @@ class ActionLog(RmaInterceptor):
         self.in_closing_sync = False
         #: While a localized recovery runs, respawns must not clear the log —
         #: it is exactly what reconstructs the restored ranks' windows.
-        self._preserve_on_respawn = False
+        #: :meth:`~repro.ft.recovery.RecoveryManager.recover` sets it around
+        #: its respawn.
+        self.preserve_on_respawn = False
 
     def attach(self, runtime: "RmaRuntime") -> None:
         costs = runtime.cluster.costs  # frozen, and the clock list is never rebound
@@ -111,14 +111,8 @@ class ActionLog(RmaInterceptor):
             clock.ticks += 1
             clock.protocol += overhead
 
-    def on_recovery_start(self, ranks: list[int], *, localized: bool) -> None:
-        self._preserve_on_respawn = localized
-
-    def on_recovery_complete(self, ranks: list[int]) -> None:
-        self._preserve_on_respawn = False
-
     def on_respawn(self, rank: int) -> None:
-        if self._preserve_on_respawn:
+        if self.preserve_on_respawn:
             return
         # A replacement process starts with an empty log (its memory is new).
         # Positions in step_marks go stale with the filtering; the rollback
@@ -172,8 +166,6 @@ class CoordinatedCheckpointer(RmaInterceptor):
     demand_threshold_bytes:
         Per-rank logged volume above which :meth:`maybe_checkpoint` fires.
     """
-
-    name = "coordinated-checkpointer"
 
     def __init__(
         self,
@@ -276,5 +268,5 @@ class CoordinatedCheckpointer(RmaInterceptor):
     # ------------------------------------------------------------------
     # Interceptor hooks
     # ------------------------------------------------------------------
-    def on_failure_detected(self, rank: int) -> None:
+    def on_rank_failed(self, rank: int) -> None:
         self.store.drop_rank(rank)

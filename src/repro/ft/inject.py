@@ -174,8 +174,6 @@ class FaultInjector(RmaInterceptor):
     case, whose retry loop the session already owns.
     """
 
-    name = "fault-injector"
-
     def __init__(
         self,
         plan: KillPlan,

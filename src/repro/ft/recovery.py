@@ -507,10 +507,12 @@ class RecoveryManager:
         # re-execute that step, their operations complete at the re-joined sync.
         closing = replay and log.in_closing_sync
         runtime.discard_pending(restoring if closing else None)
-        announced = restoring if replay else failed
-        runtime.interceptors.on_recovery_start(announced, localized=replay)
         respawned = [] if degraded else failed
+        if log is not None:  # a localized respawn keeps what rebuilds its ranks
+            log.preserve_on_respawn = replay
         respawn_ranks(runtime, respawned)
+        if log is not None:
+            log.preserve_on_respawn = False
         for rank in failed if degraded else ():
             runtime.excise_rank(rank)
         if kind == "rollback":
@@ -530,7 +532,6 @@ class RecoveryManager:
             # The rolled-back actions' log entries describe execution that is
             # being undone; the restored checkpoint starts with an empty log.
             log.truncate()
-        runtime.interceptors.on_recovery_complete(announced)
         if replay:
             # Install the cursor *before* the closing barrier: if the barrier
             # observes yet another failure, the retry finds the cursor active

@@ -40,6 +40,7 @@ __all__ = [
     "AccumulateOp",
     "Counters",
     "CommAction",
+    "OpHandle",
     "SyncAction",
     "Determinant",
     "apply_accumulate",
@@ -174,11 +175,27 @@ Determinant = tuple
 class CommAction:
     """A communication action (Eq. 1) — and, once issued, its own handle.
 
+    The paper's model is *nonblocking* (§2.2): a communication action becomes
+    visible to the rest of the job only when a memory-consistency action
+    (flush, unlock, gsync) completes the epoch it was issued in.
+    :data:`OpHandle` is the API-level name carrying that distinction:
+    ``put_nb``/``get_nb``/``accumulate_nb`` return a handle immediately, and
+    the handle's buffer materializes only when the runtime completes it at the
+    next ``flush``/``unlock``/``gsync`` towards the target.
+
     The runtime hands the very object it stamped back to the caller
-    (:data:`~repro.rma.handles.OpHandle` is this class): one record per
-    operation travels from issue through the backend's pending queue, the
-    completion stream and the action log.  :attr:`completed` /
+    (:data:`OpHandle` is this class, so ``handle.action is handle``): one
+    record per operation travels from issue through the backend's pending
+    queue, the completion stream and the action log.  :attr:`completed` /
     :attr:`discarded` / :meth:`result` are the handle face (§2.2).
+
+    Reading ``result()`` before completion raises
+    :class:`~repro.errors.OpHandleError` — by design, since within an open epoch
+    the operation's effect is not yet part of the consistent state (§2.2), and a
+    backend is free to delay or batch its execution arbitrarily until the epoch
+    closes.  A recovery rollback *discards* issued-but-uncompleted handles: their
+    effects were never part of any committed checkpoint, so their results must
+    not be observed either.
 
     The record is Eq. (1) flat: the four counters are slots of their own
     (:attr:`counters` builds a :class:`Counters` only when read), and a plain
@@ -342,6 +359,10 @@ class CommAction:
             f"[win={self.window},off={self.offset},n={self.count},"
             f"EC={self.EC},GC={self.GC},SC={self.SC},GNC={self.GNC}]"
         )
+
+
+#: The handle of an issued operation is the action itself.
+OpHandle = CommAction
 
 
 @dataclass(slots=True, init=False)

@@ -4,7 +4,9 @@ The paper's ftRMA library interposes on every RMA call through MPI's PMPI
 profiling interface (§6.1).  In the simulated runtime the same effect is
 achieved with *interceptors*: objects registered on the
 :class:`~repro.rma.runtime.RmaRuntime` whose hooks are invoked before and
-after every communication action and after every synchronization action.
+after every communication action and after every synchronization action —
+and, on the same chain, at the session's step, checkpoint and recovery
+events.
 
 Interceptors implement fault tolerance (ftRMA), the message-logging baseline,
 SCR-style checkpointing and instrumentation; applications never see them —
@@ -26,9 +28,6 @@ __all__ = ["RmaInterceptor", "InterceptorChain"]
 
 class RmaInterceptor:
     """Base class with no-op hooks; subclasses override what they need."""
-
-    #: Human-readable name used in metrics and reports.
-    name: str = "interceptor"
 
     def attach(self, runtime: "RmaRuntime") -> None:
         """Called when the interceptor is registered on a runtime."""
@@ -67,36 +66,41 @@ class RmaInterceptor:
         """The best-effort rule counted ``n`` occurrences of ``decision`` at ``rank``."""
 
     # --- failures -----------------------------------------------------------
-    def on_failure_detected(self, rank: int) -> None:
+    def on_rank_failed(self, rank: int) -> None:
         """A fail-stop failure of ``rank`` has been observed."""
 
     def on_respawn(self, rank: int) -> None:
         """A replacement process for ``rank`` has been provided."""
 
-    # --- recovery lifecycle ---------------------------------------------------
-    def on_recovery_start(self, ranks: list[int], *, localized: bool) -> None:
-        """A recovery protocol is about to restore ``ranks``.
-
-        ``localized`` is ``True`` when only the failed ranks will be restored
-        and the survivors keep their state (log-based recovery, §7) — an
-        interceptor that keeps per-rank history (e.g. the put/get log) must
-        then *preserve* it across the respawn, because the log is exactly what
-        reconstructs the restored ranks' windows.
-        """
-
-    def on_recovery_complete(self, ranks: list[int]) -> None:
-        """The recovery protocol finished restoring ``ranks``."""
-
     # --- run lifecycle --------------------------------------------------------
     def on_finalize(self) -> None:
         """The application finished; flush statistics."""
 
+    # --- the session's step loop (see SessionObserver) ---------------------
+    def on_step_completed(self, step: int, t: float) -> None:
+        """Step ``step`` finished (post-sync; counting re-executions)."""
 
-#: Its hooks are what a chain holds for a lifecycle hook nobody overrides.
-_IDLE = RmaInterceptor()
-#: The per-op and the event hooks: ``None`` when nobody overrides one (skipped).
-_SKIPPED = {"before_comm", "after_comm", "after_sync",
-            "on_kill", "on_checkpoint_stored", "on_qos_decision"}
+    def on_checkpoint(self, step: int, t_start: float, t_end: float, demand: bool) -> None:
+        """A coordinated checkpoint committed between ``t_start`` and ``t_end``.
+
+        Covers periodic, phase-opening and demand checkpoints (``demand``
+        distinguishes the latter).  The window is what lets observers segment
+        other measurements — e.g. request latencies — into steady-state vs
+        during-checkpoint time.  A checkpoint aborted by a failure emits no
+        event; its span is subsumed by the recovery that follows."""
+
+    def on_failure_detected(self, rank: int, step: int, t: float) -> None:
+        """A :class:`ProcessFailedError` for ``rank`` surfaced during ``step``."""
+
+    def on_recovery_started(self, step: int, t: float) -> None:
+        """The session is about to run its recovery protocol."""
+
+    def on_protocol_applied(self, outcome, resume_step: int, t: float) -> None:
+        """One recovery attempt completed with ``outcome``
+        (a :class:`~repro.ft.recovery.RecoveryOutcome`)."""
+
+    def on_recovery_completed(self, resume_step: int, t: float) -> None:
+        """Recovery finished; the step loop resumes at ``resume_step``."""
 
 
 def _each(hooks: list, per_op: bool):
@@ -121,12 +125,12 @@ class InterceptorChain:
 
     Hooks are looked up when an interceptor is added or removed, never per
     action: each hook of :class:`RmaInterceptor` is then an attribute of the
-    chain holding one callable — a no-op when no registered interceptor
-    overrides it (``None`` for a per-op or event hook: its call site skips it),
-    that interceptor's bound method when one does, a loop over the overriding ones
-    otherwise.  An interceptor that overrides no per-op hook therefore costs an
-    operation nothing, and a hook replaced on a class or an instance after
-    registration is not seen until the chain changes.
+    chain holding ``None`` when no registered interceptor overrides it (its
+    call site skips it), that interceptor's bound method when one does, a
+    loop over the overriding ones otherwise.  An interceptor that overrides
+    no per-op hook therefore costs an operation nothing, and a hook replaced
+    on a class or an instance after registration is not seen until the chain
+    changes.
     """
 
     def __init__(self) -> None:
@@ -154,8 +158,7 @@ class InterceptorChain:
                 hooks = [h for h in hooks if getattr(h, "__func__", None) is not default]
                 if len(hooks) > 1:
                     hooks = [_each(hooks, per_op)]
-                idle = None if name in _SKIPPED else getattr(_IDLE, name)
-                setattr(self, name, hooks[0] if hooks else idle)
+                setattr(self, name, hooks[0] if hooks else None)
 
     def __iter__(self):
         return iter(self._interceptors)

@@ -47,8 +47,6 @@ class OrderRecorder(RmaInterceptor):
     action in ``after_sync`` — once issued, respectively once it completed.
     """
 
-    name = "order-recorder"
-
     def __init__(self) -> None:
         self.events: list[RecordedEvent] = []
         self._per_rank: dict[int, list[RecordedEvent]] = {}

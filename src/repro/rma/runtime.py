@@ -9,7 +9,7 @@ cluster (:mod:`repro.simulator`) and to a pluggable execution
   (EC, GC, SC, GNC), announced to the registered
   :class:`~repro.rma.interceptor.RmaInterceptor` chain, queued by the
   backend and returned to the caller as its own handle
-  (:data:`~repro.rma.handles.OpHandle`).  Nonblocking variants
+  (:data:`~repro.rma.actions.OpHandle`).  Nonblocking variants
   (``put_nb``/``get_nb``/``accumulate_nb``) stop there — their effects and
   buffers materialize when a completion point (``flush``/``unlock``/
   ``gsync``) closes the epoch.  A blocking call completes in the frame that
@@ -66,12 +66,12 @@ from repro.rma.actions import (
     _SEQ,
     AccumulateOp,
     CommAction,
+    OpHandle,
     OpKind,
     SyncAction,
     SyncKind,
 )
 from repro.rma.counters import CounterBoard
-from repro.rma.handles import OpHandle
 from repro.rma.interceptor import InterceptorChain, RmaInterceptor
 from repro.rma.replay import ReplayCursor
 from repro.rma.window import Window, WindowRegistry
@@ -224,7 +224,8 @@ class RmaRuntime:
         for rank in self.cluster.alive_ranks():
             self.cluster.advance(rank, alloc_cost, kind="comm")
         self.cluster.barrier()
-        self.interceptors.on_window_create(window)
+        if self.interceptors.on_window_create is not None:
+            self.interceptors.on_window_create(window)
         self.cluster.metrics.incr("rma.windows_allocated")
         return window
 
@@ -586,7 +587,8 @@ class RmaRuntime:
         """
         if not self._finalized:
             self._finalized = True
-            self.interceptors.on_finalize()
+            if self.interceptors.on_finalize is not None:
+                self.interceptors.on_finalize()
             self.backend.close()
 
     # ------------------------------------------------------------------
@@ -598,7 +600,7 @@ class RmaRuntime:
         Diffing against the runtime's own known-failed set also catches ranks
         killed directly with :meth:`~repro.simulator.cluster.Cluster.fail_rank`:
         their window buffers are invalidated and every interceptor's
-        ``on_failure_detected`` fires exactly once.  The diff only runs when the
+        ``on_rank_failed`` fires exactly once.  The diff only runs when the
         injector's generation moved since the last complete propagation — every
         writer of the failed set bumps it.
 
@@ -619,7 +621,8 @@ class RmaRuntime:
         for rank in newly:
             self._known_failed.add(rank)
             self.backend.invalidate_rank(rank)
-            self.interceptors.on_failure_detected(rank)
+            if self.interceptors.on_rank_failed is not None:
+                self.interceptors.on_rank_failed(rank)
         self._observed_generation = generation
         if self._members.generation == generation and self._members.healthy:
             self._settled = generation
@@ -645,7 +648,8 @@ class RmaRuntime:
         self._observed_generation = self._settled = None  # re-diff at the next observation
         self.counters.reset_rank(rank)
         self.backend.respawn_rank(rank)
-        self.interceptors.on_respawn(rank)
+        if self.interceptors.on_respawn is not None:
+            self.interceptors.on_respawn(rank)
 
     def pending_nb_ops(self, src: int | None = None) -> int:
         """Issued-but-uncompleted nonblocking operations of ``src`` (or all)."""

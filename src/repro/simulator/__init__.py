@@ -11,7 +11,7 @@ This package provides everything below the RMA programming model:
 * :mod:`~repro.simulator.cluster` — the simulated job tying it all together.
 """
 
-from repro.simulator.cluster import Cluster, ClusterConfig
+from repro.simulator.cluster import Cluster
 from repro.simulator.costs import CostModel, cray_xe6_like, ethernet_cluster_like
 from repro.simulator.failures import (
     FailureEvent,
@@ -29,7 +29,6 @@ from repro.simulator.topology import FailureDomainHierarchy, FDElement
 
 __all__ = [
     "Cluster",
-    "ClusterConfig",
     "CostModel",
     "cray_xe6_like",
     "ethernet_cluster_like",

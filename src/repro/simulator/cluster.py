@@ -18,8 +18,6 @@ paper's evaluation needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ProcessFailedError, SimulationError
 from repro.simulator.costs import CostModel, cray_xe6_like
 from repro.simulator.failures import FailureInjector, FailureSchedule
@@ -28,47 +26,7 @@ from repro.simulator.placement import Placement, block_placement
 from repro.simulator.timebase import ClockCollection, VirtualClock
 from repro.simulator.topology import FailureDomainHierarchy
 
-__all__ = ["Cluster", "ClusterConfig"]
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Declarative description of a simulated machine and job.
-
-    Attributes
-    ----------
-    nprocs:
-        Number of MPI-like processes in the job.
-    procs_per_node:
-        Processes packed per compute node (block placement default).
-    fdh:
-        Failure-domain hierarchy; a flat single-level machine is built when
-        omitted.
-    cost_model:
-        Timing parameters; Cray-XE6-like defaults when omitted.
-    """
-
-    nprocs: int
-    procs_per_node: int = 32
-    fdh: FailureDomainHierarchy | None = None
-    cost_model: CostModel | None = None
-
-    def build(
-        self,
-        failure_schedule: FailureSchedule | None = None,
-        placement: Placement | None = None,
-    ) -> "Cluster":
-        """Instantiate a :class:`Cluster` from this configuration."""
-        nodes_needed = -(-self.nprocs // self.procs_per_node)
-        fdh = self.fdh or FailureDomainHierarchy.flat(max(1, nodes_needed))
-        if placement is None:
-            placement = block_placement(fdh, self.nprocs, self.procs_per_node)
-        return Cluster(
-            nprocs=self.nprocs,
-            placement=placement,
-            cost_model=self.cost_model or cray_xe6_like(),
-            failure_schedule=failure_schedule or FailureSchedule.none(),
-        )
+__all__ = ["Cluster"]
 
 
 class Cluster:
@@ -113,14 +71,11 @@ class Cluster:
         failure_schedule: FailureSchedule | None = None,
         fdh: FailureDomainHierarchy | None = None,
     ) -> "Cluster":
-        """Build a cluster with block placement and sensible defaults."""
-        config = ClusterConfig(
-            nprocs=nprocs,
-            procs_per_node=procs_per_node,
-            fdh=fdh,
-            cost_model=cost_model,
-        )
-        return config.build(failure_schedule=failure_schedule)
+        """Build a cluster with block placement and sensible defaults
+        (a flat single-level machine when ``fdh`` is omitted)."""
+        fdh = fdh or FailureDomainHierarchy.flat(max(1, -(-nprocs // procs_per_node)))
+        placement = block_placement(fdh, nprocs, procs_per_node)
+        return cls(nprocs, placement, cost_model, failure_schedule)
 
     # ------------------------------------------------------------------
     # Clock operations

@@ -40,7 +40,7 @@ TRACE_TMP_PREFIX = "repro-trace-"
 #: The closed event vocabulary.  ``validate_event`` rejects anything else.
 TRACE_EVENT_TYPES = frozenset(
     {
-        # Session lifecycle (SessionObserver + interceptor seams).
+        # Session lifecycle (the interceptor chain's session hooks).
         "job_started",
         "job_finished",
         "step_completed",

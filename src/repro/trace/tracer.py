@@ -1,17 +1,13 @@
 """The trace: one tracer per job, one hub per run.
 
 A :class:`Tracer` is the single instrumentation source for a job.  It
-plugs into two seams —
-
-* an :class:`~repro.rma.interceptor.RmaInterceptor` for the op
-  issue/completion stream, window creation, runtime-observed failures,
-  respawns and finalization, and for the events the fault-tolerance seams
-  send down the same chain: kills (``on_kill``), per-level checkpoint bytes
-  (``on_checkpoint_stored``) and drop/stale/repair decisions
-  (``on_qos_decision``);
-* a duck-typed ``SessionObserver`` for step/checkpoint/recovery spans
-
-— and emits schema-validated events stamped with ``cluster.elapsed()``.
+plugs into one seam, an :class:`~repro.rma.interceptor.RmaInterceptor` on
+the job's chain, for the op issue/completion stream, window creation,
+runtime-observed failures, respawns and finalization; for the events the
+fault-tolerance seams send down the same chain: kills (``on_kill``),
+per-level checkpoint bytes (``on_checkpoint_stored``) and drop/stale/repair
+decisions (``on_qos_decision``); and for the session's step/checkpoint/recovery
+spans — and emits schema-validated events stamped with ``cluster.elapsed()``.
 The detail level chooses the interceptor class; a ``"lifecycle"`` tracer's
 one overrides no per-op hook, so it costs an operation nothing.
 Because every seam fires at runtime level (before backend-specific cost
@@ -86,7 +82,6 @@ class Tracer:
         self.events: list[dict] = []
         adapter = _FullTraceInterceptor if detail == "full" else _TraceInterceptor
         self.interceptor = adapter(self)
-        self.observer = _TraceObserver(self)
         self._seq = 0
         self._cluster = None
         self._wall_started: float | None = None
@@ -130,10 +125,9 @@ class Tracer:
 
 
 class _TraceInterceptor(RmaInterceptor):
-    """Runtime-seam adapter of a ``"lifecycle"`` tracer: failures, respawns,
-    kills, checkpoint placements, delivery decisions, finalization."""
-
-    name = "trace"
+    """The adapter of a ``"lifecycle"`` tracer: failures, respawns, kills,
+    checkpoint placements, delivery decisions, finalization, and the session's
+    step/checkpoint/recovery spans."""
 
     def __init__(self, tracer: Tracer) -> None:
         self._tracer = tracer
@@ -178,7 +172,7 @@ class _TraceInterceptor(RmaInterceptor):
         t = self._tracer
         t.emit("qos_decision", t._now(), decision=decision, rank=rank, n=int(n))
 
-    def on_failure_detected(self, rank: int) -> None:
+    def on_rank_failed(self, rank: int) -> None:
         t = self._tracer
         t.emit("rank_failed", t._now(), rank=rank)
 
@@ -188,6 +182,40 @@ class _TraceInterceptor(RmaInterceptor):
 
     def on_finalize(self) -> None:
         self._tracer._emit_job_finished()
+
+    def on_step_completed(self, step: int, t: float) -> None:
+        self._tracer.emit("step_completed", t, step=step)
+
+    def on_checkpoint(self, step: int, t_start: float, t_end: float, demand: bool) -> None:
+        self._tracer.emit(
+            "checkpoint_committed",
+            t_end,
+            step=step,
+            t_start=t_start,
+            t_end=t_end,
+            demand=bool(demand),
+        )
+
+    def on_failure_detected(self, rank: int, step: int, t: float) -> None:
+        self._tracer.emit("failure_detected", t, rank=rank, step=step)
+
+    def on_recovery_started(self, step: int, t: float) -> None:
+        self._tracer.emit("recovery_started", t, step=step)
+
+    def on_protocol_applied(self, outcome, resume_step: int, t: float) -> None:
+        self._tracer.emit(
+            "protocol_applied",
+            t,
+            protocol=outcome.protocol,
+            kind=outcome.kind,
+            failed=list(outcome.failed),
+            restored_bytes=int(outcome.restored_bytes),
+            fallback=bool(outcome.fallback),
+            resume_step=resume_step,
+        )
+
+    def on_recovery_completed(self, resume_step: int, t: float) -> None:
+        self._tracer.emit("recovery_completed", t, resume_step=resume_step)
 
 
 class _FullTraceInterceptor(_TraceInterceptor):
@@ -235,54 +263,8 @@ def _comm_fields(action) -> dict:
     }
 
 
-class _TraceObserver:
-    """Session-seam adapter: step/checkpoint/recovery lifecycle spans.
-
-    Duck-typed against ``SessionObserver`` — ``Job._notify`` dispatches
-    by attribute, so no subclassing (and no api → trace import cycle).
-    """
-
-    def __init__(self, tracer: Tracer) -> None:
-        self._tracer = tracer
-
-    def on_step_completed(self, step: int, t: float) -> None:
-        self._tracer.emit("step_completed", t, step=step)
-
-    def on_checkpoint(self, step: int, t_start: float, t_end: float, demand: bool) -> None:
-        self._tracer.emit(
-            "checkpoint_committed",
-            t_end,
-            step=step,
-            t_start=t_start,
-            t_end=t_end,
-            demand=bool(demand),
-        )
-
-    def on_failure_detected(self, rank: int, step: int, t: float) -> None:
-        self._tracer.emit("failure_detected", t, rank=rank, step=step)
-
-    def on_recovery_started(self, step: int, t: float) -> None:
-        self._tracer.emit("recovery_started", t, step=step)
-
-    def on_protocol_applied(self, outcome, resume_step: int, t: float) -> None:
-        self._tracer.emit(
-            "protocol_applied",
-            t,
-            protocol=outcome.protocol,
-            kind=outcome.kind,
-            failed=list(outcome.failed),
-            restored_bytes=int(outcome.restored_bytes),
-            fallback=bool(outcome.fallback),
-            resume_step=resume_step,
-        )
-
-    def on_recovery_completed(self, resume_step: int, t: float) -> None:
-        self._tracer.emit("recovery_completed", t, resume_step=resume_step)
-
-
 def install_trace(job: Job, tracer: Tracer) -> Tracer:
-    """Wire ``tracer`` into ``job`` — one interceptor, one session observer;
-    returns the tracer.
+    """Wire ``tracer`` into ``job`` as one interceptor; returns the tracer.
 
     Called by ``Job.__init__`` when a tracer is supplied (or a trace hub
     is active); the interceptor lands *after* the fault-tolerance
@@ -299,7 +281,6 @@ def install_trace(job: Job, tracer: Tracer) -> Tracer:
         rt={"backend": job.runtime.backend.name},
     )
     job.runtime.add_interceptor(tracer.interceptor)
-    job.add_observer(tracer.observer)
     return tracer
 
 

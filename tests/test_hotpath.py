@@ -419,10 +419,53 @@ def test_hook_dispatch_follows_the_chain():
         assert _calls_per_op(lock_unlock)[0] == bare
 
 
+class _CompletionsAndSteps(RmaInterceptor):
+    """Overrides one per-op hook and one session hook; notes, at each call, the
+    last event of a tracer registered ahead of it on the chain."""
+
+    def __init__(self, tracer: Tracer) -> None:
+        self.tracer = tracer
+        self.seen: list[tuple] = []
+
+    def after_comm(self, action) -> None:
+        last = self.tracer.events[-1]["type"]
+        self.seen.append(("op", action.src, action.trg, action.offset, last))
+
+    def on_step_completed(self, step: int, t: float) -> None:
+        self.seen.append(("step", step, self.tracer.events[-1]["type"]))
+
+
+def test_one_interceptor_on_the_chain_receives_completions_and_steps_in_order():
+    """The session's step events ride the interceptor chain: one object
+    registered once with ``add_interceptor`` sees every completion and every
+    step, interleaved as they happen, each after the tracer ahead of it."""
+
+    def kernel(ctx, step):
+        w = ctx.win("w")
+        for k in range(2):
+            w.put_nb((ctx.rank + 1) % ctx.nranks, 2 * k, [float(step)])
+
+    with repro.launch(4, trace=Tracer()) as job:
+        job.allocate("w", 4)
+        watcher = _CompletionsAndSteps(job.trace)
+        job.runtime.add_interceptor(watcher)
+        job.run(kernel, steps=3)
+        events = job.trace.events
+    expected = [
+        ("op", e["src"], e["trg"], e["offset"], "op_completed")
+        if e["type"] == "op_completed" else ("step", e["step"], "step_completed")
+        for e in events if e["type"] in ("op_completed", "step_completed")
+    ]
+    assert watcher.seen == expected
+    assert [s[1] for s in watcher.seen if s[0] == "step"] == [0, 1, 2]
+    assert sum(s[0] == "op" for s in watcher.seen) == 3 * 4 * 2
+    assert watcher.seen[8] == ("step", 0, "step_completed")
+
+
 class _LifecycleOnly(RmaInterceptor):
     """Overrides lifecycle hooks, and no per-op one."""
 
-    def on_failure_detected(self, rank: int) -> None:
+    def on_rank_failed(self, rank: int) -> None:
         pass
 
     def on_finalize(self) -> None:

@@ -174,7 +174,7 @@ def test_direct_fail_rank_is_observed_and_propagated():
         def __init__(self):
             self.failed, self.respawned = [], []
 
-        def on_failure_detected(self, rank):
+        def on_rank_failed(self, rank):
             self.failed.append(rank)
 
         def on_respawn(self, rank):

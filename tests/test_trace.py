@@ -22,6 +22,7 @@ import repro
 from repro.backends.proc import proc_available
 from repro.errors import TraceError
 from repro.ft.inject import KillEvent, KillKind, KillPlan, install_injector
+from repro.rma.interceptor import RmaInterceptor
 from repro.study import make_workload
 from repro.trace import (
     TraceWriter,
@@ -377,11 +378,17 @@ def test_untraced_job_after_a_traced_one_carries_no_trace_seam():
         assert not any(
             isinstance(i, _TraceInterceptor) for i in job.runtime.interceptors
         )
-        assert job._observers == []
-        chain = job.runtime.interceptors  # the seams' events: no hook to call
-        assert (chain.on_kill, chain.on_checkpoint_stored, chain.on_qos_decision) == (
-            None, None, None,
-        )
+        chain, stack = job.runtime.interceptors, job.ft
+        # Every hook of the chain is None (skipped at its call site) but the
+        # three the FT stack itself overrides: no session, seam-event, window
+        # or finalize hook is left to call.
+        hooks = [n for n in vars(RmaInterceptor) if n.startswith(("on_", "before_", "after_"))]
+        live = {n: getattr(chain, n) for n in hooks if getattr(chain, n) is not None}
+        assert live == {
+            "after_comm": stack.log.after_comm,
+            "on_rank_failed": stack.checkpointer.on_rank_failed,
+            "on_respawn": stack.log.on_respawn,
+        }
         assert current_trace_hub() is None
 
 
