@@ -87,11 +87,6 @@ class ActionLog(RmaInterceptor):
         self.step_marks: list[int] = []
         #: Whether the last mark closed only a step's kernels, not its sync.
         self.in_closing_sync = False
-        #: While a localized recovery runs, respawns must not clear the log —
-        #: it is exactly what reconstructs the restored ranks' windows.
-        #: :meth:`~repro.ft.recovery.RecoveryManager.recover` sets it around
-        #: its respawn.
-        self.preserve_on_respawn = False
 
     def attach(self, runtime: "RmaRuntime") -> None:
         costs = runtime.cluster.costs  # frozen, and the clock list is never rebound
@@ -111,14 +106,15 @@ class ActionLog(RmaInterceptor):
             clock.ticks += 1
             clock.protocol += overhead
 
-    def on_respawn(self, rank: int) -> None:
-        if self.preserve_on_respawn:
-            return
-        # A replacement process starts with an empty log (its memory is new).
+    def forget(self, ranks: list[int]) -> None:
+        """Drop what respawned ``ranks`` logged: a replacement process starts
+        with an empty log (its memory is new).  A localized replay does not
+        call it, since the log is what rebuilds the restored ranks' windows."""
         # Positions in step_marks go stale with the filtering; the rollback
         # protocols that take this path truncate the whole log right after.
-        self.bytes_logged.pop(rank, None)
-        self.actions = [a for a in self.actions if a.src != rank]
+        for rank in ranks:
+            self.bytes_logged.pop(rank, None)
+        self.actions = [a for a in self.actions if a.src not in ranks]
         self.step_marks = [m for m in self.step_marks if m <= len(self.actions)]
 
     def mark_step(self, *, kernels_only: bool = False) -> None:

@@ -508,11 +508,9 @@ class RecoveryManager:
         closing = replay and log.in_closing_sync
         runtime.discard_pending(restoring if closing else None)
         respawned = [] if degraded else failed
-        if log is not None:  # a localized respawn keeps what rebuilds its ranks
-            log.preserve_on_respawn = replay
         respawn_ranks(runtime, respawned)
-        if log is not None:
-            log.preserve_on_respawn = False
+        if log is not None and not replay:  # a replay keeps what rebuilds its ranks
+            log.forget(respawned)
         for rank in failed if degraded else ():
             runtime.excise_rank(rank)
         if kind == "rollback":

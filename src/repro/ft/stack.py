@@ -129,6 +129,7 @@ class FtStack:
         store = self.store
         runtime.quiesce_suspended()
         respawn_ranks(runtime, suspended)
+        self.log.forget(suspended)
         for rank in suspended:
             version = next(
                 (v for v in reversed(store.versions) if store.available(v, rank)),

@@ -380,14 +380,13 @@ def test_untraced_job_after_a_traced_one_carries_no_trace_seam():
         )
         chain, stack = job.runtime.interceptors, job.ft
         # Every hook of the chain is None (skipped at its call site) but the
-        # three the FT stack itself overrides: no session, seam-event, window
-        # or finalize hook is left to call.
+        # two the FT stack itself overrides: no session, seam-event, window,
+        # respawn or finalize hook is left to call.
         hooks = [n for n in vars(RmaInterceptor) if n.startswith(("on_", "before_", "after_"))]
         live = {n: getattr(chain, n) for n in hooks if getattr(chain, n) is not None}
         assert live == {
             "after_comm": stack.log.after_comm,
             "on_rank_failed": stack.checkpointer.on_rank_failed,
-            "on_respawn": stack.log.on_respawn,
         }
         assert current_trace_hub() is None
 
