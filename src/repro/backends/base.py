@@ -102,42 +102,37 @@ def apply_action(action: CommAction, win: Window) -> None:
         action._data = previous
 
 
-def _coalesce_puts(batch: list[tuple[CommAction, Window]]) -> list[list]:
-    """Merge each slab's back-to-back plain puts of an issue-ordered batch.
+def _coalesce_puts(batch: list[CommAction], windows: dict[str, Window]) -> list[list]:
+    """Merge each slab's back-to-back plain puts of an issue-ordered batch, in one pass.
 
-    Returns ``[action, window, count, payload]`` entries to complete in order.
-    A *run* — successive ``PUT``s on one ``(window, target)`` slab, each
-    starting where the previous one ended — is one entry: its first action
-    with the summed count and the joined payload bytes, i.e. a put of a
-    larger count.  Any other action on the slab (a get, an atomic, a put that
-    overlaps or jumps) closes the slab's run and follows it, so same-slab
-    order is issue order; actions on different slabs touch disjoint memory
-    and commute, which is what lets a run stay open across them.  Every
-    other action is an entry of its own (its payload the array it carries), so
-    get-like actions keep their issue order among themselves.  A batch of one
-    is its own entry.
+    Returns ``[action, window, count, payload]`` entries to complete in order
+    (``windows``: the registry's name -> :class:`Window` map).  A *run* — successive
+    ``PUT``s on one ``(window, target)`` slab, each starting where the last ended —
+    is one entry: its first action, the summed count and the list of the puts'
+    payload bytes, i.e. a put of a larger count.  Any other action on the slab
+    closes its run and follows it (same-slab order is issue order); other slabs are
+    disjoint memory, so a run stays open across their actions.  Every other action,
+    and a batch of one, is an entry of its own (its payload what it carries).
     """
     if len(batch) == 1:
-        ((action, win),) = batch
-        return [[action, win, action.count, action._data]]
+        (action,) = batch
+        data = [action._data] if action.kind is _PUT else action._data
+        return [[action, windows[action.window], action.count, data]]
     entries: list[list] = []
-    open_runs: dict[tuple[int, int], list] = {}  # slab -> its run, payload a list of parts
-    for action, win in batch:
-        slab = (id(win), action.trg)
+    runs: dict[tuple[str, int], list] = {}  # slab -> its open run
+    for action in batch:
+        slab = (action.window, action.trg)
         if action.kind is not _PUT:
-            open_runs.pop(slab, None)
-            entries.append([action, win, action.count, action._data])
+            runs.pop(slab, None)
+            entries.append([action, windows[action.window], action.count, action._data])
             continue
-        run = open_runs.get(slab)
+        run = runs.get(slab)
         if run is not None and run[0].offset + run[2] == action.offset:
             run[2] += action.count
             run[3].append(action._data)
         else:
-            open_runs[slab] = run = [action, win, action.count, [action._data]]
+            runs[slab] = run = [action, windows[action.window], action.count, [action._data]]
             entries.append(run)
-    for entry in entries:
-        if entry[0].kind is _PUT:
-            entry[3] = b"".join(entry[3])  # one part: that very object
     return entries
 
 

@@ -12,9 +12,9 @@ makes the paper's fail-stop model *physical*:
   execution vehicle.  Queued operations of origin ``src`` are shipped to
   ``src``'s worker at completion time as one flat binary message over a
   pipe (fixed-size records, one per action or per run of back-to-back puts,
-  + raw operand bytes; layout in ``docs/ARCHITECTURE.md``) and applied there
-  with the *same* :func:`~repro.backends.base.apply_action` the in-process
-  backends use, so per-op semantics cannot drift;
+  + raw operand bytes; layout in ``docs/ARCHITECTURE.md``) and applied there,
+  a put run as one bounds-checked byte copy and any other action by the *same*
+  :func:`~repro.backends.base.apply_action` the in-process backends use;
 * the supervisor keeps the control plane — scheduler, runtime, counters,
   interceptors, checkpoint stores — in its own heap.  Checkpoint copies
   therefore survive any worker's death by construction, which is exactly the
@@ -95,6 +95,22 @@ _HEADER = struct.Struct("<BIi")  #: tag, n, die_after (-1: not armed)
 _RECORD = struct.Struct("<BBHIQQ")  #: kind, op, window id, trg, offset, count
 #: Enums cross as their definition index: both ends are forks of one interpreter.
 _KINDS, _OPS = tuple(OpKind), tuple(AccumulateOp)
+_FRAME, _LONG_FRAME = struct.Struct("!i"), struct.Struct("!Q")  #: ``Connection``'s lengths
+
+
+def _recv(fd: int, buf: bytearray) -> bytearray:
+    """The next ``Connection``-framed message off ``fd``, one ``os.read`` per message that
+    has arrived whole; bytes read past it stay in ``buf`` (one per pipe end) for the next."""
+    while True:
+        size, head = (_FRAME.unpack_from(buf)[0] if len(buf) >= 4 else -2), 4
+        if size == -1 and len(buf) >= 12:  # a body of >= 2 GiB: its length in 8 bytes
+            size, head = _LONG_FRAME.unpack_from(buf, 4)[0], 12
+        if 0 <= size <= len(buf) - head:
+            message, buf[: head + size] = buf[head : head + size], b""
+            return message
+        if not (chunk := os.read(fd, 1 << 16)):
+            raise EOFError
+        buf += chunk
 
 
 @functools.lru_cache(maxsize=1)
@@ -174,11 +190,11 @@ class SharedWindow(Window):
 
 
 class _ShmSlab:
-    """Worker-side view of one shared window: just the buffers
-    :func:`~repro.backends.base.apply_action` needs, no liveness bookkeeping
-    (the supervisor owns that: nothing is ever invalidated here)."""
+    """Worker-side view of one shared window: its flat bytes (what a put run is
+    copied into) and the per-rank buffers :func:`~repro.backends.base.apply_action`
+    needs, no liveness bookkeeping (the supervisor owns that: nothing dies here)."""
 
-    __slots__ = ("buffers", "dtype")
+    __slots__ = ("buffers", "dtype", "flat", "itemsize", "nprocs", "size")
     _invalidated = frozenset()
 
     def __init__(
@@ -186,24 +202,33 @@ class _ShmSlab:
     ) -> None:
         flat = np.frombuffer(shm.buf, dtype=dtype, count=size * nprocs)
         self.buffers = {r: flat[r * size : (r + 1) * size] for r in range(nprocs)}
-        self.dtype = dtype
+        self.dtype, self.itemsize, self.size, self.nprocs = dtype, dtype.itemsize, size, nprocs
+        self.flat = memoryview(shm.buf)  # rank r's row starts r * size * itemsize bytes in
 
 
 def _apply_batch(rank: int, buf: bytes, slabs: list[_ShmSlab]) -> bytes:
     """Decode one ``APPLY`` message, apply its records, build the ``OK`` reply.
 
-    Operands are views into ``buf``; the message is decoded and its length
-    checked before the first write, so a malformed batch is refused whole.
+    A ``PUT`` record (a run) is one byte copy from ``buf`` into the segment, any other
+    a :class:`CommAction` viewing its operands in ``buf`` for ``apply_action``.  Every
+    id, range and the length are checked before the first write: a bad batch is refused whole.
     """
     _, n, die_after = _HEADER.unpack_from(buf)
     pos = _HEADER.size + n * _RECORD.size
-    batch = []
+    message, batch = memoryview(buf), []
     for kind_id, op_id, win_id, trg, offset, count in _RECORD.iter_unpack(
-        buf[_HEADER.size : pos]
+        message[_HEADER.size : pos]
     ):
         if kind_id >= len(_KINDS) or op_id >= len(_OPS) or win_id >= len(slabs):
             raise BackendError(f"record {len(batch)}: bad ids {(kind_id, op_id, win_id)}")
         kind, slab = _KINDS[kind_id], slabs[win_id]
+        if trg >= slab.nprocs or offset + count > slab.size:
+            raise BackendError(f"record {len(batch)}: rank {trg} [{offset}:+{count}] outside")
+        if kind is _PUT:  # a run: one copy, kept in ``trg``'s row by the check above
+            at, end = (trg * slab.size + offset) * slab.itemsize, pos + count * slab.itemsize
+            batch.append((message[pos:end], slab.flat[at : at + end - pos]))
+            pos = end
+            continue
         data = compare = None
         if kind.is_put_like:
             data = np.frombuffer(buf, slab.dtype, count, pos)
@@ -219,12 +244,15 @@ def _apply_batch(rank: int, buf: bytes, slabs: list[_ShmSlab]) -> bytes:
     if pos != len(buf):  # also catches a batch cut short at a record boundary
         raise BackendError(f"batch of {n} records is {len(buf)} bytes, decodes to {pos}")
     reply = [bytes((_OK,))]
-    for index, (action, slab) in enumerate(batch):
+    for index, (what, where) in enumerate(batch):
         if index == die_after:
             os.kill(os.getpid(), signal.SIGKILL)
-        apply_action(action, slab)
-        if action.kind.is_get_like:
-            reply.append(action._data.tobytes())
+        if type(what) is memoryview:  # a put run: its payload bytes into the segment's
+            where[:] = what
+        else:
+            apply_action(what, where)
+            if what.kind.is_get_like:
+                reply.append(what._data.tobytes())
     return b"".join(reply)
 
 
@@ -243,9 +271,10 @@ def _worker_main(rank: int, conn) -> None:
     resource_tracker.register = lambda *a, **k: None  # parent owns the segments
     slabs: list[_ShmSlab] = []  # attach order: the index is the wire window id
     segments: list[shared_memory.SharedMemory] = []
+    fd, unread = conn.fileno(), bytearray()
     try:
         while True:
-            buf = conn.recv_bytes()
+            buf = _recv(fd, unread)
             try:
                 if buf[0] == _APPLY:
                     conn.send_bytes(_apply_batch(rank, buf, slabs))
@@ -285,6 +314,7 @@ class _Worker:
     conn: connection.Connection
     #: Persistent poll over the pipe and the process sentinel (the ack wait).
     poller: select.poll
+    unread: bytearray  #: bytes read past the last reply (see :func:`_recv`)
 
 
 class ProcBackend(Backend):
@@ -484,7 +514,7 @@ class ProcBackend(Backend):
         poller = select.poll()
         poller.register(parent_conn.fileno(), select.POLLIN)
         poller.register(process.sentinel, select.POLLIN)
-        return _Worker(rank=rank, process=process, conn=parent_conn, poller=poller)
+        return _Worker(rank, process, parent_conn, poller, bytearray())
 
     @staticmethod
     def _send_attach(worker: _Worker, window: SharedWindow) -> None:
@@ -522,7 +552,7 @@ class ProcBackend(Backend):
         mid-batch death are rolled back first, and the batch stays queued.
         """
         worker = self._workers.get(src)
-        if worker is None or not worker.process.is_alive():
+        if worker is None:  # a dead worker fails the send or fires its sentinel below
             self._note_death(src)
             raise ProcessFailedError(src)
         die_after = self._armed_kills.pop(src, None)
@@ -531,27 +561,27 @@ class ProcBackend(Backend):
             self._armed_kills[src] = die_after - len(batch)
             die_after = None
         windows = self.windows._windows  # issued against registered windows
-        pairs = [(op, windows[op.window]) for op in batch]
         if die_after is None:
-            entries = _coalesce_puts(pairs)
+            entries = _coalesce_puts(batch, windows)
         else:  # an armed kill counts operations: one record per action
-            entries = [[op, win, op.count, op._data] for op, win in pairs]
+            entries = [_coalesce_puts([op], windows)[0] for op in batch]
         records = [_HEADER.pack(_APPLY, len(entries), -1 if die_after is None else die_after)]
         operands: list[bytes] = []
         undo = []
         fetched = 0  # bytes the get-like actions will send back
         for a, win, count, data in entries:
-            kind = a.kind
+            kind, trg, offset = a.kind, a.trg, a.offset
             kind_id, op_id = _KINDS.index(kind), _OPS.index(a.op)
-            records.append(_RECORD.pack(kind_id, op_id, win.wire_id, a.trg, a.offset, count))
+            records.append(_RECORD.pack(kind_id, op_id, win.wire_id, trg, offset, count))
             if kind.is_put_like:
-                saved = win.buffers[a.trg][a.offset : a.offset + count].copy()
-                undo.append((win, a.trg, a.offset, saved))
-                # The runtime coerced the others to the window dtype (hand-built ones here).
-                as_bytes = kind is _PUT  # a put's payload is its bytes already
-                operands.append(data if as_bytes else np.asarray(data, win.dtype).tobytes())
-                if kind is _COMPARE_AND_SWAP:
-                    operands.append(np.asarray(a.compare, win.dtype).tobytes())
+                saved = win.buffers[trg][offset : offset + count].copy()
+                undo.append((win, trg, offset, saved))
+                if kind is _PUT:  # a run's payloads are their bytes already
+                    operands += data
+                else:  # the runtime coerced these to the window dtype (hand-built ones here)
+                    operands.append(np.asarray(data, win.dtype).tobytes())
+                    if kind is _COMPARE_AND_SWAP:
+                        operands.append(np.asarray(a.compare, win.dtype).tobytes())
             if kind.is_get_like:
                 fetched += count * win.itemsize
         try:
@@ -574,7 +604,7 @@ class ProcBackend(Backend):
             raise BackendError(f"proc worker {src} failed to apply a batch: {detail}")
         # Mirror apply_action's two mutations onto the supervisor's originals:
         # an atomic's operand is preserved for the replay log, then get-like
-        # data takes the fetched values (a copy: reply bytes are read-only; a
+        # data takes the fetched values (a copy, owning its memory; a
         # one-element atomic's is a scalar).
         pos = 1
         for a, win, _, _ in entries:
@@ -591,10 +621,10 @@ class ProcBackend(Backend):
 
     def _await_reply(self, worker: _Worker) -> bytes | None:
         """Wait for the worker's reply, its death (``None``), or the watchdog timeout."""
-        ready = dict(worker.poller.poll(self.ack_timeout * 1000.0))
-        if worker.conn.fileno() in ready:
+        ready = dict(worker.poller.poll(0 if worker.unread else self.ack_timeout * 1000.0))
+        if worker.unread or worker.conn.fileno() in ready:  # bytes read ahead: no wait
             try:
-                return worker.conn.recv_bytes()
+                return _recv(worker.conn.fileno(), worker.unread)
             except (EOFError, OSError):
                 return None
         if ready:  # only the sentinel fired: the worker died

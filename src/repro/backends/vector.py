@@ -32,10 +32,10 @@ class VectorBackend(Backend):
 
     def _apply(self, src: int, batch: list[CommAction]) -> None:
         """Apply a queued batch: one region write per put run, issue order per slab."""
-        windows = self.windows._windows  # issued against registered windows
-        pairs = [(op, windows[op.window]) for op in batch]
-        for action, win, count, data in _coalesce_puts(pairs):
-            if action.kind is _PUT:  # ``data`` is the run's bytes
-                memoryview(win._region(action.trg, action.offset, count)).cast("B")[:] = data
+        # Issued against registered windows: the registry's map is the lookup.
+        for action, win, count, data in _coalesce_puts(batch, self.windows._windows):
+            if action.kind is _PUT:  # ``data`` is the run's payloads (one: that very object)
+                region = win._region(action.trg, action.offset, count)
+                memoryview(region).cast("B")[:] = b"".join(data)
             else:
                 apply_action(action, win)

@@ -96,8 +96,8 @@ def test_the_random_programs_do_exercise_the_coalescer(monkeypatch):
     """Runs really form (and single puts remain) inside the generated batches."""
     coalesce, merged, single = vector._coalesce_puts, [], []
 
-    def counting(batch):
-        entries = coalesce(batch)
+    def counting(batch, windows):
+        entries = coalesce(batch, windows)
         for action, _, count, _ in entries:
             if action.kind is OpKind.PUT:
                 (merged if count != action.count else single).append(action)
@@ -216,9 +216,9 @@ def _one_op(backend: str, call: tuple, monkeypatch) -> dict:
     sizes, coalesce = [], getattr(module, "_coalesce_puts", None)
     if coalesce is not None:
 
-        def counting(batch):
+        def counting(batch, windows):
             sizes.append(len(batch))
-            return coalesce(batch)
+            return coalesce(batch, windows)
 
         monkeypatch.setattr(module, "_coalesce_puts", counting)
     rt = _runtime(backend, (np.float64, np.int16))

@@ -10,10 +10,15 @@ import dataclasses
 import dis
 import gc
 import math
+import os
 import pickle
+import socket
 import sys
+import threading
 import tracemalloc
 import types
+from multiprocessing import connection
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
@@ -21,7 +26,8 @@ import pytest
 import repro
 from repro import FaultTolerancePolicy
 from repro.backends.base import Backend, apply_action
-from repro.backends.proc import ProcBackend, _apply_batch
+from repro.backends import proc
+from repro.backends.proc import _HEADER, _OK, ProcBackend, _apply_batch, _ShmSlab
 from repro.backends.sim import SimBackend
 from repro.backends.vector import VectorBackend
 from repro.errors import ProcessFailedError
@@ -917,6 +923,61 @@ def test_proc_halo_step_crosses_as_one_record_per_neighbour(monkeypatch):
         rt.finalize()
     # Header, two run records, 32 operands of 64 bytes (one record per put: 2,825).
     assert sent == [9 + 2 * 24 + 32 * 64]
+
+
+@needs_proc
+@pytest.mark.usefixtures("proc_hygiene")
+def test_proc_halo_step_is_applied_as_byte_copies_with_no_liveness_wait(monkeypatch):
+    """The worker copies each put run's bytes into the segment (no ``CommAction``
+    is built), and the completion asks no ``Process.is_alive`` (a ``waitpid``)."""
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend="proc")
+    rt.win_allocate("w", 384)
+    conn, sent, waits = rt.backend._workers[0].conn, [], []
+    send_bytes, is_alive = conn.send_bytes, BaseProcess.is_alive
+    monkeypatch.setattr(conn, "send_bytes", lambda buf: sent.append(buf) or send_bytes(buf))
+    monkeypatch.setattr(BaseProcess, "is_alive", lambda p: waits.append(p) or is_alive(p))
+    try:
+        state = _issue_halo_step(rt)
+        rt.flush_all(0)
+        assert waits == []
+    finally:
+        rt.finalize()
+    (message,) = sent
+    assert _HEADER.unpack_from(message)[1] == 2
+    shm = types.SimpleNamespace(buf=bytearray(384 * 8 * 4))
+    slabs = [_ShmSlab(shm, 384, np.dtype(np.float64), 4)]
+    monkeypatch.setattr(proc, "CommAction", None)  # building one would raise
+    assert _apply_batch(0, message, slabs) == bytes((_OK,))
+    assert np.array_equal(slabs[0].buffers[3][128:256], state)
+    assert np.array_equal(slabs[0].buffers[1][:128], -state)
+
+
+def test_the_framed_reader_reads_each_message_whole_and_keeps_the_next(monkeypatch):
+    """``Connection.send_bytes`` frames; the reader takes two back-to-back
+    messages in one ``os.read`` and returns them in order, and a 1 MiB one whole."""
+    ends = [connection.Connection(end.detach()) for end in socket.socketpair()]
+    writer, reader = ends
+    reads, read = [], os.read
+    monkeypatch.setattr(os, "read", lambda fd, n: reads.append(n) or read(fd, n))
+    unread = bytearray()
+    try:
+        writer.send_bytes(b"\x01first")
+        writer.send_bytes(b"second")
+        assert proc._recv(reader.fileno(), unread) == b"\x01first"
+        assert proc._recv(reader.fileno(), unread) == b"second"
+        assert len(reads) == 1 and not unread
+        big = np.arange(1 << 17, dtype=np.float64).tobytes()  # 1 MiB: many reads
+        sender = threading.Thread(target=writer.send_bytes, args=(big,))
+        sender.start()
+        got = proc._recv(reader.fileno(), unread)
+        sender.join()
+        assert got == big and not unread
+        writer.close()
+        with pytest.raises(EOFError):
+            proc._recv(reader.fileno(), unread)
+    finally:
+        for end in ends:
+            end.close()
 
 
 def test_vector_halo_step_costs_one_region_write_per_neighbour(monkeypatch):

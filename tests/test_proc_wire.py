@@ -200,11 +200,22 @@ def _corrupt(message: bytes, how: str) -> bytes:
     if how == "cut at a record":  # header promises two records, carries one
         return message[: _HEADER.size + _RECORD.size]
     record = _HEADER.size + _RECORD.size  # second record: [kind, op, window id, ...]
+    if how in ("past its row", "rank past nprocs"):  # the put of [3.0] at rank 1's [4]
+        kind, op, window, trg, offset, count = _RECORD.unpack_from(message, record)
+        if how == "past its row":  # [8:9] of an 8-element row: rank 2's first element
+            offset = 8
+        else:  # a fifth rank of four: past the end of the segment
+            trg = 4
+        fields = _RECORD.pack(kind, op, window, trg, offset, count)
+        return message[:record] + fields + message[record + _RECORD.size :]
     field = {"kind": 0, "op": 1, "window": 2}[how]
     return message[: record + field] + b"\xee" + message[record + field + 1 :]
 
 
-@pytest.mark.parametrize("how", ["truncated", "cut at a record", "kind", "op", "window"])
+@pytest.mark.parametrize(
+    "how",
+    ["truncated", "cut at a record", "kind", "op", "window", "past its row", "rank past nprocs"],
+)
 def test_a_corrupted_batch_is_refused_whole_and_the_worker_survives(how, monkeypatch):
     rt = _runtime("proc", w=(8, np.float64))
     try:
@@ -219,6 +230,7 @@ def test_a_corrupted_batch_is_refused_whole_and_the_worker_survives(how, monkeyp
             with pytest.raises(BackendError, match="proc worker 0 failed to apply"):
                 rt.flush(0, 1)
         assert not rt.local(1, "w").any()  # not even the intact first record
+        assert not any(rt.window("w").shm.buf)  # nor a byte of any other rank's row
         assert backend.ping(0)
         rt.flush(0, 1)  # the same queue, sent intact, applies
         assert rt.local(1, "w").tolist() == [1.0, 2.0, 0, 0, 3.0, 0, 0, 0]
