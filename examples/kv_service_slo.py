@@ -1,11 +1,12 @@
 """Serving traffic through a failure: the per-window SLO table.
 
-The serving layer (:mod:`repro.serve`) prices a failure the way a service
-owner does — request latency against an SLO — instead of the infrastructure
-units (MTTR, availability) the chaos engine reports.  This example drives the
-sharded ``"kv_service"`` workload under seeded open-loop traffic, injects one
-seeded NODE_KILL mid-run, and compares what each recovery protocol does to
-the latency tail **on identical traffic and an identical kill plan**:
+A chaos cell of the sharded ``"kv_service"`` workload (:mod:`repro.serve`)
+prices a failure the way a service owner does — request latency against an
+SLO — beside the infrastructure units (MTTR, availability) every chaos cell
+reports.  This example drives the service under seeded open-loop traffic,
+injects one seeded NODE_KILL mid-run (the ``"single"`` scenario), and
+compares what each recovery protocol does to the latency tail **on
+identical traffic and an identical kill plan**:
 
 * ``global`` rollback re-executes every step since the checkpoint — every
   key's requests get re-served at later clocks, so the recovery-window p99
@@ -23,36 +24,37 @@ Run with::
 
 from __future__ import annotations
 
-from repro.serve import ServeSpec, check_serve_invariants, render_markdown, run_slo_comparison
+from repro.chaos import SoakSpec, check_chaos_invariants, render_markdown, run_comparison
 
-#: A small, seconds-long cell (the CLI's defaults serve a longer run).
-SPEC = ServeSpec(
-    nprocs=8,
-    steps=24,
-    rate_per_step=5.0,
-    slots=32,
-    key_space=256,
+#: A small, seconds-long serving cell: one round of modest traffic.
+SPEC = SoakSpec(
+    workload="kv_service",
+    scenario="single",
+    rounds=1,
     interval=8,
+    compression=1000.0,
     seed=2026,
-    kill_frac=0.45,
-    kill_kind="node_kill",
+    nprocs=8,
+    workload_params={
+        "kv_service": {"steps": 24, "rate_per_step": 5.0, "slots": 32, "key_space": 256}
+    },
 )
 
 
 def main() -> None:
-    results = run_slo_comparison(SPEC)
+    results = run_comparison(SPEC)
 
     for result in results:
-        slo = result.slo["overall"]
+        slo = result.served.slo["overall"]
         print(
-            f"{result.spec.cell_key:24s} kills={len([k for k in result.kills if not k['skipped']])} "
+            f"{result.spec.cell_key:38s} kills={result.metrics.kills_fired} "
             f"recoveries={result.recoveries} excised={result.excised_ranks} "
             f"errors={slo['errors']}/{slo['requests']}"
         )
     print()
     print(render_markdown(results), end="")
 
-    violations = check_serve_invariants(results)
+    violations = check_chaos_invariants(results)
     for violation in violations:
         print(f"INVARIANT: {violation}")
     if violations:

@@ -91,6 +91,7 @@ atexit.register(_drain_deferred_closes)
 _APPLY = 1  #: supervisor -> worker: header, n records, operand bytes
 _OK = 2  #: worker -> supervisor: the bytes fetched by the get-like records
 _CONTROL = pickle.PROTO[0]  #: either way: ``pickle.dumps(tuple)``
+_NO_REPLY = ("attach", "sleep")  #: the control messages a worker does not answer
 _HEADER = struct.Struct("<BIi")  #: tag, n, die_after (-1: not armed)
 _RECORD = struct.Struct("<BBHIQQ")  #: kind, op, window id, trg, offset, count
 #: Enums cross as their definition index: both ends are forks of one interpreter.
@@ -271,30 +272,39 @@ def _worker_main(rank: int, conn) -> None:
     resource_tracker.register = lambda *a, **k: None  # parent owns the segments
     slabs: list[_ShmSlab] = []  # attach order: the index is the wire window id
     segments: list[shared_memory.SharedMemory] = []
+    failed = None  # a failed attach or sleep's error: they ask for no reply, later ones get it
     fd, unread = conn.fileno(), bytearray()
     try:
         while True:
             buf = _recv(fd, unread)
+            tag = buf[0]
             try:
-                if buf[0] == _APPLY:
+                if tag == _APPLY and failed is None:
                     conn.send_bytes(_apply_batch(rank, buf, slabs))
                     continue
-                tag, *args = pickle.loads(buf) if buf[0] == _CONTROL else (buf[0],)
+                if tag == _CONTROL:
+                    tag, *args = pickle.loads(buf)
                 if tag == "exit":
                     break
-                if tag == "attach":  # pipe ordering makes an ack unnecessary
+                if failed is not None:  # its window ids may be off: apply nothing
+                    if tag not in _NO_REPLY:
+                        conn.send(("err", failed))
+                elif tag == "attach":  # pipe ordering makes an ack unnecessary
                     seg_name, size, dtype_str, nprocs = args
                     seg = shared_memory.SharedMemory(name=seg_name)
                     segments.append(seg)
                     slabs.append(_ShmSlab(seg, size, np.dtype(dtype_str), nprocs))
-                elif tag == "ping":
-                    conn.send(("pong", os.getpid()))
                 elif tag == "sleep":  # test hook: simulate a wedged worker
                     time.sleep(args[0])
+                elif tag == "ping":
+                    conn.send(("pong", os.getpid()))
                 else:
                     raise BackendError(f"unknown message tag {tag!r}")
             except Exception as exc:  # noqa: BLE001 - report, don't die silently
-                conn.send(("err", f"{type(exc).__name__}: {exc}"))
+                if tag in _NO_REPLY:  # one reply per request: hold it for the next
+                    failed = f"{type(exc).__name__}: {exc}"
+                else:
+                    conn.send(("err", f"{type(exc).__name__}: {exc}"))
     except (EOFError, OSError):
         pass
     finally:

@@ -9,7 +9,7 @@ or recovering.  The layers:
 * :mod:`repro.chaos.scenarios` — seeded failure-scenario generators that
   generalize :class:`~repro.ft.inject.KillPlan` (independent Poisson kills,
   correlated node failures, cascading multi-rank failures, a flaky-then-dead
-  rank), registry-resolved like backends/stores/recovery;
+  rank, one node kill), registry-resolved like backends/stores/recovery;
 * :mod:`repro.chaos.monitor` — the chaos log as a view of a finished job's
   trace: :func:`chaos_events` timestamps every ``failure_initiated`` /
   ``failure_detected`` / ``recovery_started`` / ``recovery_completed`` /
@@ -17,7 +17,9 @@ or recovering.  The layers:
 * :mod:`repro.chaos.soak` — the soak driver: one long session under a
   compressed :class:`~repro.simulator.costs.CostModel` (time fields scaled by
   e.g. 10,000x), a scenario-generated kill plan, and one of the
-  :class:`~repro.ft.recovery.RecoveryProtocol` rules per cell;
+  :class:`~repro.ft.recovery.RecoveryProtocol` rules per cell; a cell of the
+  serving workload (``kv_service``) also reports its request latency per
+  window (:mod:`repro.serve.slo`);
 * :mod:`repro.chaos.metrics` — the reliability arithmetic: MTTF, MTBF, MTTR,
   availability and state fractions computed from the event log (the log
   round-trips through JSONL losslessly);
@@ -50,6 +52,7 @@ if TYPE_CHECKING:
         FlakyRank,
         PoissonKills,
         Scenario,
+        SingleKill,
         make_scenario,
     )
     from repro.chaos.soak import (
@@ -75,6 +78,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "FlakyRank": "repro.chaos.scenarios",
     "PoissonKills": "repro.chaos.scenarios",
     "Scenario": "repro.chaos.scenarios",
+    "SingleKill": "repro.chaos.scenarios",
     "make_scenario": "repro.chaos.scenarios",
     "SoakResult": "repro.chaos.soak",
     "SoakSpec": "repro.chaos.soak",

@@ -17,6 +17,12 @@ Examples::
     python -m repro.chaos --quick --backends sim,proc \\
         --check-baseline tests/baselines/chaos.json
 
+    # A serving cell: the sharded KV service under one node kill, its
+    # per-window SLO table and the canonical JSONL request log:
+    python -m repro.chaos --quick --workload kv_service --scenario single \\
+        --rounds 1 --interval 8 --compression 1000 --backends sim,proc \\
+        --requests requests.jsonl --check-baseline tests/baselines/chaos_serve.json
+
     # What can I put on each axis?
     python -m repro.chaos --list
 
@@ -37,14 +43,19 @@ from repro.chaos.report import (
 )
 from repro.chaos.soak import SoakResult, SoakSpec, run_comparison
 from repro.cli import add_common_arguments, add_report_arguments, csv, engine_main
+from repro.serve.slo import write_requests
 
 __all__ = ["main"]
 
 
 def quick_spec() -> SoakSpec:
-    """The seconds-long CI soak: small rounds, the default fault load."""
+    """The seconds-long CI soak: small rounds, the default fault load, and a
+    short run of modest traffic for the serving workload."""
     return SoakSpec(
-        rounds=4, interval=6, workload_params={"stencil": {"n_local": 16, "iters": 24}}
+        rounds=4, interval=6, workload_params={
+            "stencil": {"n_local": 16, "iters": 24},
+            "kv_service": {"steps": 24, "rate_per_step": 5.0, "slots": 32, "key_space": 256},
+        },
     )
 
 
@@ -57,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workload", help="workload to soak")
     parser.add_argument(
         "--scenario",
-        help="failure scenario (poisson, correlated, cascade, flaky)",
+        help="failure scenario (poisson, correlated, cascade, flaky, single)",
     )
     parser.add_argument(
         "--backends", type=csv, default=("sim",),
@@ -87,23 +98,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", default=None, metavar="PATH",
         help="stream the first cell's JSONL event log here",
     )
+    parser.add_argument(
+        "--requests", default=None, metavar="PATH",
+        help="write the serving cells' canonical JSONL request log here",
+    )
     add_report_arguments(parser, regression_metric="MTTR/unavailability")
     return parser
 
 
-def _run(args: argparse.Namespace, base: SoakSpec) -> list[SoakResult]:
-    return run_comparison(
-        base,
-        recoveries=args.recoveries,
-        backends=args.backends,
-        stores=args.stores,
-    )
-
-
-def _write_event_log(args: argparse.Namespace, results: list[SoakResult]) -> None:
+def _write_logs(args: argparse.Namespace, results: list[SoakResult]) -> None:
     if args.events:
         write_events(results[0].events, args.events)
         print(f"event log written to {args.events}")
+    if args.requests:
+        count = write_requests(results, args.requests)
+        print(f"{count} request rows written to {args.requests}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,7 +120,9 @@ def main(argv: list[str] | None = None) -> int:
         build_parser(), argv,
         spec=SoakSpec(),
         quick=quick_spec(),
-        run=_run,
+        run=lambda args, base: run_comparison(
+            base, recoveries=args.recoveries, backends=args.backends, stores=args.stores
+        ),
         render=render_markdown,
         to_json=report_json,
         invariants=check_chaos_invariants,
@@ -121,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             "full; backends agree)"
         ),
         gate=check_against_baseline,
-        artifacts=_write_event_log,
+        artifacts=_write_logs,
     )
 
 

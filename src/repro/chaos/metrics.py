@@ -25,6 +25,7 @@ on every backend and machine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from repro.errors import ChaosError
@@ -86,7 +87,7 @@ class ChaosMetrics:
     #: Fraction of virtual time spent between detection and restoration.
     recovering_fraction: float | None
     #: Repair-span distribution (nearest-rank, shared estimator with the
-    #: serve layer's SLO reports); ``None`` without resolved outages.
+    #: serving cell's SLO reports); ``None`` without resolved outages.
     mttr_p50_s: float | None = None
     mttr_p95_s: float | None = None
     mttr_p99_s: float | None = None
@@ -98,13 +99,10 @@ class ChaosMetrics:
 def compute_metrics(events: list[dict]) -> ChaosMetrics:
     """Reduce an event stream to its :class:`ChaosMetrics`."""
     total = max((e["t"] for e in events), default=0.0)
-    kills_fired = sum(1 for e in events if e["type"] == "failure_initiated")
-    kills_skipped = sum(1 for e in events if e["type"] == "failure_skipped")
-    recoveries = sum(1 for e in events if e["type"] == "recovery_completed")
+    counts = Counter(e["type"] for e in events)
     fallbacks = sum(
         1 for e in events if e["type"] == "protocol_applied" and e.get("fallback")
     )
-    rounds = sum(1 for e in events if e["type"] == "round_completed")
 
     # Episode reconstruction from the transition stream: an outage opens at
     # the first failure_initiated/failure_detected while no outage is open,
@@ -152,13 +150,13 @@ def compute_metrics(events: list[dict]) -> ChaosMetrics:
 
     return ChaosMetrics(
         total_s=total,
-        kills_fired=kills_fired,
-        kills_skipped=kills_skipped,
+        kills_fired=counts["failure_initiated"],
+        kills_skipped=counts["failure_skipped"],
         episodes=len(episodes),
         episodes_resolved=len(resolved),
-        recoveries=recoveries,
+        recoveries=counts["recovery_completed"],
         fallbacks=fallbacks,
-        rounds_completed=rounds,
+        rounds_completed=counts["round_completed"],
         mttf_s=mttf,
         mtbf_s=mtbf,
         mttr_s=mttr,

@@ -35,8 +35,8 @@ __all__ = ["chaos_events", "reduce_outage"]
 
 
 def reduce_outage(outage: dict | None, event: dict) -> tuple[dict | None, dict | None]:
-    """One step of the outage state machine chaos MTTR and serve's recovery
-    windows share; returns ``(outage still open, outage this event closed)``.
+    """One step of the outage state machine chaos MTTR and a serving cell's
+    recovery windows share; returns ``(outage still open, outage this event closed)``.
 
     ``kill_fired`` opens an outage (its ``rank`` and the ranks it took
     ``down``; ``detected_t`` the kill's) or adds its victims to the open one.

@@ -14,8 +14,9 @@ repairs strictly faster than ``global`` (re-execution), ``degraded``
 (continuation without the failed ranks) is strictly more available than both
 — it trades correctness (ranks are gone) for uptime — and ``best_effort``
 finishes strictly sooner than ``global`` while the exact rules keep quality
-``1.0``: the quality/speed trade-off of best-effort delivery.
-:func:`check_against_baseline` is the CI regression gate.
+``1.0``: the quality/speed trade-off of best-effort delivery.  Serving cells
+(``kv_service``) add a per-window SLO table and the same trade-off in request
+latency.  :func:`check_against_baseline` is the CI regression gate.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import partial
 
 from repro import experiment
 from repro.chaos.soak import SoakResult
+from repro.serve.slo import SEGMENT_RECOVERY, SEGMENT_STEADY, SEGMENTS
 
 __all__ = [
     "report_json",
@@ -34,6 +36,9 @@ __all__ = [
 
 #: The recovery rules whose result is bit-identical to the failure-free run.
 _EXACT = ("global", "localized")
+#: How far a degraded serving cell's recovery-window p99 may exceed its
+#: steady-state p99 and still count as flat.
+_FLATNESS = 8.0
 
 
 def report_json(results: list[SoakResult]) -> str:
@@ -55,13 +60,14 @@ def _fmt_s(value: float | None) -> str:
     return f"{value:.3f} s"
 
 
-def _fmt_pct(value: float | None) -> str:
-    return "—" if value is None else f"{value * 100.0:.3f}%"
+def _fmt(value: float | None, template: str) -> str:
+    return "—" if value is None else template.format(value)
 
 
 def render_markdown(results: list[SoakResult]) -> str:
-    """The soak grid as markdown: reliability table + predicted-vs-observed."""
-    reliability, predicted = [], []
+    """The soak grid as markdown: reliability table + predicted-vs-observed,
+    and an SLO row per (serving cell, segment) plus overall."""
+    reliability, predicted, slo = [], [], []
     for result in results:
         spec, m = result.spec, result.metrics
         kills = f"{m.kills_fired}"
@@ -73,33 +79,54 @@ def render_markdown(results: list[SoakResult]) -> str:
             spec.workload, spec.scenario, spec.backend, spec.store,
             spec.recovery, kills, m.episodes,
             _fmt_s(m.mttf_s), _fmt_s(m.mtbf_s), _fmt_s(m.mttr_s),
-            _fmt_pct(m.availability),
-            "—" if result.quality is None else f"{result.quality:.4f}",
+            _fmt(m.availability, "{:.3%}"),
+            _fmt(result.quality, "{:.4f}"),
             _fmt_s(result.elapsed_s),
         ))
         predicted.append((
             spec.cell_key, _fmt_s(m.mttr_s), _fmt_s(result.predicted_mttr_s),
-            _fmt_pct(m.availability), _fmt_pct(result.predicted_availability),
+            _fmt(m.availability, "{:.3%}"), _fmt(result.predicted_availability, "{:.3%}"),
         ))
-    return (
+        cell = spec.cell_key + (f" [{result.aborted}]" if result.aborted else "")
+        for segment in (*SEGMENTS, "overall") if result.served is not None else ():
+            entry = result.served.slo[segment]
+            lat = entry["latency_ms"] or {}
+            slo.append((
+                cell, segment, entry["requests"], entry["errors"],
+                _fmt(entry["error_rate"], "{:.2%}"),
+                *(_fmt(lat.get(p), "{:.3f}") for p in ("p50", "p95", "p99")),
+                _fmt(entry["throughput_rps"], "{:.1f}"),
+            ))
+    tables = [
         experiment.markdown_table(
             ("workload", "scenario", "backend", "store", "recovery", "kills",
              "episodes", "MTTF", "MTBF", "MTTR", "availability", "quality",
              "makespan"),
             reliability,
-        )
-        + "\n"
-        + experiment.markdown_table(
+        ),
+        experiment.markdown_table(
             ("cell", "MTTR observed", "MTTR predicted", "availability observed",
              "availability predicted"),
             predicted,
-        )
-    )
+        ),
+    ]
+    if slo:
+        tables.append(experiment.markdown_table(
+            ("cell", "segment", "requests", "errors", "error rate",
+             "p50 (ms)", "p95 (ms)", "p99 (ms)", "rps"),
+            slo,
+        ))
+    return "\n".join(tables)
 
 
 # ----------------------------------------------------------------------
 # Gates
 # ----------------------------------------------------------------------
+def _p99(result: SoakResult, segment: str) -> float | None:
+    latency = result.served.slo[segment]["latency_ms"]
+    return latency["p99"] if latency else None
+
+
 def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
     """The comparison-mode invariants; returns human-readable violations.
 
@@ -120,8 +147,17 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
       their recovery is bit-identical to the failure-free reference;
     * a ``multilevel`` cell that captured moves **strictly fewer** bytes to
       its upper levels than the full mirrors it maintains;
-    * cells that differ only in backend **agree** on the digest and on the
-      tolerated operations (the plan strikes the same program point).
+    * cells that differ only in backend **agree** on the digest, on the
+      tolerated operations (the plan strikes the same program point) and on
+      a serving cell's SLO document.
+
+    A serving cell is judged on its requests too (its group faced identical
+    traffic as well): it must **not abort** (its plan is one recoverable
+    kill), ``localized`` recovery-window p99 **strictly below** ``global``'s
+    (replay stalls one shard, rollback re-serves every key; no such requests
+    to compare is a violation), **zero errors** under both, and ``degraded``
+    **errs** while its recovery-window p99 stays **flat** — within
+    ``_FLATNESS`` × its steady-state p99.
 
     Groups missing a recovery rule, without resolved outages, or aborted
     are skipped — the grid decides what is comparable, the invariants judge
@@ -136,6 +172,8 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
         groups.setdefault(key, {})[spec.recovery] = result
         config = (spec.workload, spec.scenario, spec.store, spec.recovery)
         by_backend.setdefault(config, []).append(result)
+        if result.aborted and result.served is not None:
+            violations.append(f"{spec.cell_key}: serving cell aborted with {result.aborted}")
         if result.aborted:
             continue
         if spec.recovery in _EXACT and result.quality != 1.0:
@@ -143,6 +181,25 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
                 f"{spec.cell_key}: {spec.recovery} recovery scored quality "
                 f"{result.quality!r}, expected exactly 1.0"
             )
+        overall = result.served.slo["overall"] if result.served is not None else None
+        if overall and spec.recovery in _EXACT and overall["errors"]:
+            violations.append(
+                f"{spec.cell_key}: {overall['errors']} request errors under "
+                f"{spec.recovery} recovery, which must serve everything correctly"
+            )
+        if overall and spec.recovery == "degraded":
+            if not overall["error_rate"]:
+                violations.append(
+                    f"{spec.cell_key}: error rate is {overall['error_rate']!r} but "
+                    f"the excised shard's requests must surface as errors"
+                )
+            p99_r, p99_s = _p99(result, SEGMENT_RECOVERY), _p99(result, SEGMENT_STEADY)
+            if p99_r is not None and p99_s is not None and p99_r > _FLATNESS * p99_s:
+                violations.append(
+                    f"{spec.cell_key}: recovery-window p99 {p99_r:.3f}ms exceeds "
+                    f"{_FLATNESS:.1f}x steady-state p99 {p99_s:.3f}ms — latency is "
+                    f"not flat"
+                )
         moved, full = result.multilevel_moved_bytes, result.multilevel_full_bytes
         if spec.store == "multilevel" and full and moved >= full:
             violations.append(
@@ -167,12 +224,23 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
                     f"{label}: localized MTTR {l_:.3f}s is not strictly lower than "
                     f"global's {g:.3f}s"
                 )
+            if global_.served is not None and localized.served is not None:
+                g, l_ = _p99(global_, SEGMENT_RECOVERY), _p99(localized, SEGMENT_RECOVERY)
+                if g is None or l_ is None:
+                    violations.append(
+                        f"{label}: no recovery-window requests to compare "
+                        f"(global p99={g}, localized p99={l_})"
+                    )
+                elif l_ >= g:
+                    violations.append(
+                        f"{label}: localized recovery-window p99 {l_:.3f}ms is not "
+                        f"strictly below global's {g:.3f}ms"
+                    )
         if degraded and not degraded.aborted:
             for other in (global_, localized):
                 if other is None or other.aborted:
                     continue
-                a_d = degraded.metrics.availability
-                a_o = other.metrics.availability
+                a_d, a_o = degraded.metrics.availability, other.metrics.availability
                 if a_d is None or a_o is None:
                     violations.append(
                         f"{label}: availability undefined "
@@ -201,26 +269,42 @@ def check_chaos_invariants(results: list[SoakResult]) -> list[str]:
                         f"{first.spec.backend} ({getattr(first, field)!r}) and "
                         f"{other.spec.backend} ({getattr(other, field)!r})"
                     )
+            if first.served is not None and other.served.slo != first.served.slo:
+                violations.append(
+                    f"{'/'.join(config)}: SLO report differs between "
+                    f"{first.spec.backend} and {other.spec.backend}"
+                )
     return violations
 
 
+#: A serving cell's request tail, per segment (absent from other cells).
+_SLO_P99 = tuple(
+    (f"slo.{segment}.latency_ms.p99", f"{segment} p99", "{:.3f}ms")
+    for segment in (*SEGMENTS, "overall")
+)
+
 #: ``check_against_baseline(report, baseline, max_ratio=2.0)`` → failures:
-#: the schedule-shaped quantities (kills, episodes, recoveries, plan) and the
+#: the schedule-shaped quantities (kills, episodes, recoveries, checkpoints,
+#: excised ranks, plan, probe ops, a serving cell's request census) and the
 #: trade-off columns (quality, tolerated ops, repairs, bytes) must match
-#: **exactly**; observed MTTR and observed *unavailability* may not
-#: exceed ``max_ratio`` × the baseline's — a protocol regression fails CI,
-#: legitimate cost-model retuning only shifts within the band.
+#: **exactly**; observed MTTR, observed *unavailability* and a serving cell's
+#: per-segment p99 may not exceed ``max_ratio`` × the baseline's — a protocol
+#: regression fails CI, legitimate cost-model retuning only shifts within the
+#: band.
 check_against_baseline = partial(
     experiment.baseline_gate,
     exact=(
         "metrics.kills_fired", "metrics.kills_skipped", "metrics.episodes",
-        "metrics.episodes_resolved", "metrics.recoveries",
-        ("plan", "kill plan changed from the baseline's"),
+        "metrics.episodes_resolved", "metrics.recoveries", "checkpoints",
+        "excised_ranks", ("plan", "kill plan changed from the baseline's"), "ops_per_round",
         "aborted", "quality", "tolerated_ops", "repairs", "checkpoint_bytes",
         "multilevel_moved_bytes", "multilevel_full_bytes",
+        "request_count", "status_counts",
     ),
     ratio=(
         ("metrics.mttr_s", "MTTR", "{:.3f}s"),
         ("metrics.availability", "unavailability", "{:.6f}", lambda a: 1.0 - a),
+        *_SLO_P99,
     ),
+    optional=("request_count", "status_counts", *(path for path, *_ in _SLO_P99)),
 )

@@ -19,7 +19,9 @@ classic chaos-engineering taxonomy:
 * ``"cascade"`` — an initial kill followed by secondary kills of further
   ranks a few steps later (correlated-in-time, not in space);
 * ``"flaky"`` — one rank killed again and again after each respawn, then
-  left dead (the crash-looping pod of the reliability literature).
+  left dead (the crash-looping pod of the reliability literature);
+* ``"single"`` — one node kill part-way through the soak: what one failure
+  costs each recovery rule, the serving cell's plan.
 
 Scenarios are registry-resolved (:func:`repro.registry.resolve_component`)
 under the kind ``"scenario"``, exactly like backends/stores/recovery.
@@ -42,6 +44,7 @@ __all__ = [
     "CorrelatedFailures",
     "CascadingFailures",
     "FlakyRank",
+    "SingleKill",
     "SCENARIOS",
     "make_scenario",
 ]
@@ -111,6 +114,8 @@ class PoissonKills(Scenario):
     """
 
     name = "poisson"
+    #: What each event kills: one rank (a node for ``"correlated"``).
+    kind = KillKind.POD_KILL
 
     def plan(self, seed, *, nprocs, ops_per_round, steps_per_round, rounds,
              procs_per_node=2) -> KillPlan:
@@ -128,9 +133,7 @@ class PoissonKills(Scenario):
             offset += max(min_gap, int(round(rng.exponential(mean_gap))))
             if offset >= total_ops:
                 break
-            events.append(
-                KillEvent(after_ops=offset, rank=int(rng.integers(0, nprocs)))
-            )
+            events.append(KillEvent(offset, int(rng.integers(0, nprocs)), self.kind))
         return KillPlan(events)
 
 
@@ -143,18 +146,7 @@ class CorrelatedFailures(PoissonKills):
     """
 
     name = "correlated"
-
-    def plan(self, seed, *, nprocs, ops_per_round, steps_per_round, rounds,
-             procs_per_node=2) -> KillPlan:
-        base = super().plan(
-            seed, nprocs=nprocs, ops_per_round=ops_per_round,
-            steps_per_round=steps_per_round, rounds=rounds,
-            procs_per_node=procs_per_node,
-        )
-        return KillPlan([
-            KillEvent(after_ops=e.after_ops, rank=e.rank, kind=KillKind.NODE_KILL)
-            for e in base
-        ])
+    kind = KillKind.NODE_KILL
 
 
 class CascadingFailures(Scenario):
@@ -238,12 +230,33 @@ class FlakyRank(Scenario):
         return KillPlan(events)
 
 
+class SingleKill(Scenario):
+    """One node kill at 45% of the soak's completion stream.
+
+    The victim is seeded; the offset is not, so every seed strikes at the same
+    program point.  A ``NODE_KILL`` takes out a whole failure domain, which a
+    localized replay must restore without its survivors re-serving.
+    """
+
+    name = "single"
+    kill_frac = 0.45
+    kind = KillKind.NODE_KILL
+
+    def plan(self, seed, *, nprocs, ops_per_round, steps_per_round, rounds,
+             procs_per_node=2) -> KillPlan:
+        total_ops, _ = self._shape(nprocs, ops_per_round, steps_per_round, rounds)
+        victim = int(make_rng(seed).integers(0, nprocs))
+        after_ops = max(1, int(self.kill_frac * total_ops))
+        return KillPlan([KillEvent(after_ops=after_ops, rank=victim, kind=self.kind)])
+
+
 #: Registry of constructable scenarios, by name.
 SCENARIOS: dict[str, type[Scenario]] = {
     PoissonKills.name: PoissonKills,
     CorrelatedFailures.name: CorrelatedFailures,
     CascadingFailures.name: CascadingFailures,
     FlakyRank.name: FlakyRank,
+    SingleKill.name: SingleKill,
 }
 register_kind("scenario", SCENARIOS)
 

@@ -29,25 +29,33 @@ schedules — :func:`build_plan` passes the shared seed rule none of those axes
 — which is what makes the availability / MTTR trade-off between the
 protocols quantitatively comparable cell by cell.  The cells run one after
 another, in grid order.
+
+A cell whose workload serves requests (``kv_service``) is a *serving* cell:
+its traffic is seeded by the soak's seed, and the run's request columns, the
+status census and the segmented SLO document
+(:class:`~repro.serve.slo.ServedRequests`) join the cell — what a failure
+costs each recovery rule in request latency, beside its MTTR.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from repro.api.policy import FaultTolerancePolicy
 from repro.chaos.metrics import ChaosMetrics, compute_metrics
 from repro.chaos.monitor import chaos_events
 from repro.chaos.scenarios import make_scenario
 from repro.errors import ChaosError
-from repro.experiment import _comparison_grid, check_names, plan_entropy
+from repro.experiment import check_names, plan_entropy
 from repro.ft.inject import KillPlan
+from repro.serve.service import KvService
+from repro.serve.slo import ServedRequests
 from repro.simulator.costs import CostModel, cray_xe6_like
 from repro.study.model import IntervalModel
-from repro.study.workloads import make_workload
-from repro.trace.tracer import cell_tracer, trace_label
+from repro.study.workloads import WORKLOADS, make_workload
+from repro.trace.tracer import cell_tracer, current_trace_hub, trace_label
 
 __all__ = [
     "SoakSpec",
@@ -113,7 +121,8 @@ class SoakSpec:
     #: or "best_effort".
     recovery: str = "global"
     scenario: str = "poisson"
-    #: Consecutive workload rounds the soak drives (one long session).
+    #: Consecutive workload rounds the soak drives (one long session; one
+    #: for a serving workload).
     rounds: int = 6
     #: Coordinated-checkpoint interval in steps (numeric only: an open-ended
     #: soak must keep checkpointing, so ``None``/``"auto"`` are not options).
@@ -127,8 +136,9 @@ class SoakSpec:
     procs_per_node: int = 2
     watchdog: float | None = None
     #: Per-workload constructor overrides, e.g. ``{"stencil": {"n_local":
-    #: 16}}``; a workload without an entry is built with its defaults.
-    workload_params: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+    #: 16}}`` or a serving workload's traffic; a workload without an entry is
+    #: built with its defaults.
+    workload_params: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_names(
@@ -140,6 +150,10 @@ class SoakSpec:
         )
         if self.rounds < 1:
             raise ChaosError("a soak needs at least one round")
+        if issubclass(WORKLOADS[self.workload], KvService) and self.rounds != 1:
+            raise ChaosError(  # its kills would be planned past the requests it serves
+                f"{self.workload} admits requests in its first round only: pass rounds=1"
+            )
         if not isinstance(self.interval, int) or self.interval < 1:
             raise ChaosError("soak checkpoint interval must be a positive step count")
         if self.compression <= 0:
@@ -196,46 +210,22 @@ class SoakResult:
     checkpoint_bytes: int
     multilevel_moved_bytes: int
     multilevel_full_bytes: int
+    #: A serving cell's requests and SLO document (None for other workloads).
+    served: ServedRequests | None = None
 
     def as_dict(self) -> dict:
-        """JSON-ready form (byte-identical across re-runs: no wall clock)."""
-        return {
-            "spec": {
-                "workload": self.spec.workload,
-                "backend": self.spec.backend,
-                "store": self.spec.store,
-                "recovery": self.spec.recovery,
-                "scenario": self.spec.scenario,
-                "rounds": self.spec.rounds,
-                "interval": self.spec.interval,
-                "compression": self.spec.compression,
-                "rate_per_round": self.spec.rate_per_round,
-                "seed": self.spec.seed,
-                "nprocs": self.spec.nprocs,
-                "procs_per_node": self.spec.procs_per_node,
-            },
-            "plan": self.plan,
-            "ops_per_round": self.ops_per_round,
-            "round_seconds": self.round_seconds,
-            "metrics": self.metrics.as_dict(),
-            "checkpoints": self.checkpoints,
-            "recoveries": self.recoveries,
-            "fallbacks": self.fallbacks,
-            "excised_ranks": self.excised_ranks,
-            "steps_executed": self.steps_executed,
-            "elapsed_s": self.elapsed_s,
-            "digest": self.digest,
-            "aborted": self.aborted,
-            "predicted_mttr_s": self.predicted_mttr_s,
-            "predicted_availability": self.predicted_availability,
-            "quality": self.quality,
-            "tolerated_ops": self.tolerated_ops,
-            "repairs": self.repairs,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "multilevel_moved_bytes": self.multilevel_moved_bytes,
-            "multilevel_full_bytes": self.multilevel_full_bytes,
-            "events": self.events,
+        """JSON-ready form (byte-identical across re-runs: no wall clock); a
+        serving cell adds :meth:`ServedRequests.as_dict`'s keys."""
+        document = {
+            f.name: getattr(self, f.name) for f in fields(self)
+            if f.name not in ("spec", "metrics", "served")
         }
+        document["spec"] = {
+            f.name: getattr(self.spec, f.name) for f in fields(self.spec)
+            if f.name not in ("watchdog", "workload_params")
+        }
+        document["metrics"] = self.metrics.as_dict()
+        return document | (self.served.as_dict() if self.served is not None else {})
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +266,9 @@ def run_soak(spec: SoakSpec) -> SoakResult:
     against.
     """
     params = dict(spec.workload_params.get(spec.workload, {}))
+    serving = issubclass(WORKLOADS[spec.workload], KvService)
+    if serving:  # its traffic is the soak's to seed
+        params = {"seed": spec.seed, **params}
     workload = make_workload(spec.workload, nprocs=spec.nprocs, **params)
     cost = scaled_cost_model(compression=spec.compression)
     with trace_label(f"{spec.cell_key}/probe"):
@@ -300,6 +293,17 @@ def run_soak(spec: SoakSpec) -> SoakResult:
     )
     report = run.report
     kills = Counter(e["type"] for e in tracer.events)
+    served = None
+    if serving:  # reduced before the reference run resets the records
+        served = ServedRequests.reduce(
+            workload, tracer.events, probe_elapsed=round_seconds, elapsed=report.elapsed
+        )
+        # Request lifecycles join a --trace file, the one place the cell's events
+        # outlive it; their instants are virtual, so the events are deterministic.
+        if current_trace_hub() is not None:
+            for row in served.rows:  # an unserved request at its arrival
+                t = row["arrival_t"] if row["completion_t"] is None else row["completion_t"]
+                tracer.emit("request_completed", t, **row)
     with trace_label(f"{spec.cell_key}/reference"):
         reference = workload.run(
             procs_per_node=spec.procs_per_node, cost_model=cost,
@@ -336,13 +340,7 @@ def run_soak(spec: SoakSpec) -> SoakResult:
         store=spec.store,
         rates_per_level={0: rate} if rate else {},
     )
-    step_seconds = round_seconds / workload.steps
-    predicted_mttr = model.predicted_mttr_seconds(
-        spec.recovery, step_seconds=step_seconds, interval_steps=spec.interval
-    )
-    predicted_avail = model.predicted_availability(
-        spec.recovery, step_seconds=step_seconds, interval_steps=spec.interval
-    )
+    shape = {"step_seconds": round_seconds / workload.steps, "interval_steps": spec.interval}
 
     return SoakResult(
         spec=spec,
@@ -359,14 +357,15 @@ def run_soak(spec: SoakSpec) -> SoakResult:
         elapsed_s=report.elapsed,
         digest=run.digest,
         aborted=run.aborted,
-        predicted_mttr_s=predicted_mttr,
-        predicted_availability=predicted_avail,
+        predicted_mttr_s=model.predicted_mttr_seconds(spec.recovery, **shape),
+        predicted_availability=model.predicted_availability(spec.recovery, **shape),
         quality=None if run.aborted else workload.result_quality(run.result, reference.result),
         tolerated_ops=sum(int(totals.get(f"qos.{name}", 0)) for name in _TOLERATED),
         repairs=int(totals.get("qos.repairs", 0)),
         checkpoint_bytes=int(totals.get("ft.checkpoint_bytes", 0)),
         multilevel_moved_bytes=int(totals.get("ft.multilevel_moved_bytes", 0)),
         multilevel_full_bytes=int(totals.get("ft.multilevel_full_bytes", 0)),
+        served=served,
     )
 
 
@@ -379,11 +378,17 @@ def run_comparison(
 ) -> list[SoakResult]:
     """Run the cross-config comparison grid against identical kill plans.
 
-    Every cell reuses ``base``'s seed, workload and scenario, so the plan —
-    a function of exactly those — is identical across the grid; only the
-    recovery/store/backend axes vary.
+    Every cell is a copy of ``base`` on ``backends × stores × recoveries``
+    (``backends`` and ``stores`` default to ``base``'s own), run in that
+    order; its seed, workload and scenario — what the plan is a function of
+    — are ``base``'s, so the plan is identical across the grid.
     """
-    return _comparison_grid(
-        run_soak, base, "recovery", recoveries,
-        backends=backends, stores=stores, error=ChaosError,
-    )
+    backends = tuple(backends) if backends is not None else (base.backend,)
+    stores = tuple(stores) if stores is not None else (base.store,)
+    recoveries = tuple(recoveries)
+    if not recoveries or not backends or not stores:
+        raise ChaosError("comparison axes must be non-empty")
+    return [
+        run_soak(replace(base, backend=b, store=s, recovery=r))
+        for b in backends for s in stores for r in recoveries
+    ]

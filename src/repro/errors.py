@@ -192,9 +192,9 @@ class ChaosError(ReproError):
 
 
 class ServeError(ReproError):
-    """Misuse of the KV-serving subsystem (:mod:`repro.serve`).
+    """Misuse of the KV-serving workload (:mod:`repro.serve`).
 
-    Raised for invalid service specifications, malformed request logs and
+    Raised for invalid service parameters, malformed request logs and
     traffic-generator parameters outside their domain."""
 
 

@@ -1,11 +1,10 @@
-"""The experiment core: the one method the three engines apply three ways.
+"""The experiment core: the one method the two engines apply two ways.
 
 The paper's evaluation (§7, Figs. 10–11) is a single protocol — the same
 seeded fault load on configurations that differ in one axis, measured against
-a failure-free probe — and :mod:`repro.study`, :mod:`repro.chaos` and
-:mod:`repro.serve` are that protocol with different specs, per-cell functions
-and invariants.  Every session of a cell — probe, reference, trial, soak or
-serving run — is one
+a failure-free probe — and :mod:`repro.study` and :mod:`repro.chaos` are that
+protocol with different specs, per-cell functions and invariants.  Every
+session of a cell — probe, reference, trial or soak — is one
 :meth:`~repro.study.workloads.Workload.run`, which also owns the one policy
 for a fault load recovery cannot carry (the run is ``aborted``).  Everything
 else they share lives here, once, as plain functions: the paired-seed rule
@@ -14,15 +13,13 @@ ordered ``serial | process`` map (:func:`run_grid`), canonical
 serialisation (:func:`report_json`, :func:`markdown_table`) and the
 exact-vs-ratio regression gate (:func:`baseline_gate`).  The command-line
 epilogue the engines share is :func:`repro.cli.engine_main`;
-``docs/ARCHITECTURE.md`` tabulates what each engine passes to each.
-"""
+``docs/ARCHITECTURE.md`` tabulates what each engine passes to each."""
 
 from __future__ import annotations
 
 import json
 import zlib
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import replace
+from collections.abc import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -102,36 +99,6 @@ def run_grid(
         return list(pool.map(fn, tasks))
 
 
-def _comparison_grid(
-    fn: Callable,
-    base,
-    axis: str,
-    values: Sequence,
-    *,
-    backends: Sequence[str] | None,
-    stores: Sequence[str] | None,
-    error: type[Exception],
-) -> list:
-    """``fn`` over copies of spec ``base`` on ``backends × stores × values``.
-
-    ``axis`` names the spec field that ``values`` varies; ``backends`` and
-    ``stores`` default to ``base``'s own.  Everything else, the seed included,
-    is ``base``'s, so every cell faces the identical fault load.
-    """
-    backends = tuple(backends) if backends is not None else (base.backend,)
-    stores = tuple(stores) if stores is not None else (base.store,)
-    values = tuple(values)
-    if not values or not backends or not stores:
-        raise error("comparison axes must be non-empty")
-    specs = [
-        replace(base, backend=b, store=s, **{axis: v})
-        for b in backends
-        for s in stores
-        for v in values
-    ]
-    return [fn(spec) for spec in specs]
-
-
 def report_json(document: dict) -> str:
     """Canonical serialization — byte-identical across re-runs and executors."""
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -168,6 +135,7 @@ def baseline_gate(
     *,
     exact: Sequence[str | tuple[str, str]],
     ratio: Sequence[tuple],
+    optional: Collection[str] = (),
     max_ratio: float = 2.0,
 ) -> list[str]:
     """Regression gate against a checked-in baseline report; returns failures.
@@ -184,6 +152,9 @@ def baseline_gate(
       the transform maps both sides first (unavailability ``= 1 − a``).
       ``None`` on both sides is an empty measurement and passes; on one side
       only it is a failure.
+    * ``optional`` — the gated paths a cell may lack on both sides (a chaos
+      cell that serves no requests has no SLO); lacking one on one side only
+      is still a failure.
 
     A baseline that cannot be compared — another engine's (or no)
     ``meta.engine``, no cells, a cell the report lacks, a gated path absent
@@ -203,6 +174,8 @@ def baseline_gate(
         """Both sides' values at ``path``; an absent one is itself a failure."""
         parts = path.split(".")
         cur, ref = _lookup(current, parts), _lookup(base, parts)
+        if cur is ref is _ABSENT and path in optional:
+            return None
         for value, side in ((ref, "baseline"), (cur, "current report")):
             if value is _ABSENT:
                 failures.append(f"{key}: {path} is absent from the {side}")

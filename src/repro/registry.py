@@ -115,8 +115,8 @@ def all_kinds() -> tuple[str, ...]:
 def render_available() -> str:
     """Multi-line listing of every kind and its registered names.
 
-    Shared by the ``--list`` flag of every engine CLI (``python -m
-    repro.{study,chaos,serve}``), so all three print the same catalog.
+    Shared by the ``--list`` flag of both engine CLIs (``python -m
+    repro.{study,chaos}``), so both print the same catalog.
     """
     lines = []
     for kind in all_kinds():

@@ -1,10 +1,10 @@
-"""``repro.serve`` — sharded resilient KV service with open-loop traffic SLOs.
+"""``repro.serve`` — the sharded resilient KV service: a serving workload.
 
-The chaos engine (:mod:`repro.chaos`) prices failures in *infrastructure*
-units — MTTR and availability.  This package prices them the way a service
-owner does: **request latency against an SLO**.  It promotes the GUPS-style
-``kv`` workload into a sharded key-value *service* under seeded open-loop
-traffic and asks what each recovery protocol does to the tail.  The layers:
+The chaos engine (:mod:`repro.chaos`) prices a failure in infrastructure
+units — MTTR and availability — and, for a cell of this package's
+``"kv_service"`` workload, also the way a service owner does: **request
+latency against an SLO**.  This package is that workload and its request
+accounting; it has no engine of its own.  The modules:
 
 * :mod:`repro.serve.shard` — :class:`ShardMap`, multiplicative hashing of
   client keys over rank-owned regions of the shared ``"kv"`` window (hot
@@ -15,22 +15,17 @@ traffic and asks what each recovery protocol does to the tail.  The layers:
   view made on demand), every request pre-assigned to the ``(frontend rank,
   step)`` that admits it — the localized-replay purity contract;
 * :mod:`repro.serve.service` — :class:`KvService`, the ``"kv_service"``
-  study workload: a kernel over pre-resolved ``(owner, offset)`` lists —
+  workload: a kernel over pre-resolved ``(owner, offset)`` lists —
   lock-protected atomic writes, one-sided reads — and per-request
   completion/status columns, truthful under rollback re-execution, replay
   suppression and degraded excision;
-* :mod:`repro.serve.slo` — :class:`WindowTracker` (checkpoint/recovery
-  window observer) and the segmented SLO reducer: p50/p95/p99, throughput
-  and error rate for steady-state vs during-checkpoint vs during-recovery;
-* :mod:`repro.serve.engine` — :class:`ServeSpec` and the drivers: the
-  failure-free probe that anchors the arrival clock, the seeded kill plan
-  shared by every cell, :func:`run_service` and :func:`run_slo_comparison`;
-* :mod:`repro.serve.report` — JSON/markdown reports, the canonical JSONL
-  request log, the comparison invariants (localized recovery-window p99
-  strictly below global's; degraded errs but stays flat) and the baseline
-  regression gate behind ``python -m repro.serve``.
+* :mod:`repro.serve.slo` — :class:`WindowTracker` (the checkpoint/recovery
+  windows of a finished run's trace), the segmented SLO reducer —
+  p50/p95/p99, throughput and error rate for steady-state vs
+  during-checkpoint vs during-recovery — :class:`ServedRequests`, a
+  serving cell's request columns, and the canonical JSONL request log.
 
-Everything is virtual-time deterministic: a seeded comparison produces
+Everything is virtual-time deterministic: a seeded serving cell produces
 byte-identical request logs and SLO reports across re-runs and the
 ``sim``/``proc`` backends.
 """
@@ -40,20 +35,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.serve.engine import (
-        ServeResult,
-        ServeSpec,
-        run_service,
-        run_slo_comparison,
-    )
-    from repro.serve.report import (
-        check_against_baseline,
-        check_serve_invariants,
-        load_requests,
-        render_markdown,
-        report_json,
-        write_requests,
-    )
     from repro.serve.service import (
         STATUS_DROPPED_WRITE,
         STATUS_OK,
@@ -63,20 +44,18 @@ if TYPE_CHECKING:
         KvService,
     )
     from repro.serve.shard import ShardMap
-    from repro.serve.slo import SEGMENTS, WindowTracker, build_slo_report
+    from repro.serve.slo import (
+        SEGMENTS,
+        ServedRequests,
+        WindowTracker,
+        build_slo_report,
+        load_requests,
+        validate_request_row,
+        write_requests,
+    )
     from repro.serve.traffic import Request, RequestGenerator, trace_lines
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "ServeResult": "repro.serve.engine",
-    "ServeSpec": "repro.serve.engine",
-    "run_service": "repro.serve.engine",
-    "run_slo_comparison": "repro.serve.engine",
-    "check_against_baseline": "repro.serve.report",
-    "check_serve_invariants": "repro.serve.report",
-    "load_requests": "repro.serve.report",
-    "render_markdown": "repro.serve.report",
-    "report_json": "repro.serve.report",
-    "write_requests": "repro.serve.report",
     "STATUS_DROPPED_WRITE": "repro.serve.service",
     "STATUS_OK": "repro.serve.service",
     "STATUS_STALE_READ": "repro.serve.service",
@@ -85,8 +64,12 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "KvService": "repro.serve.service",
     "ShardMap": "repro.serve.shard",
     "SEGMENTS": "repro.serve.slo",
+    "ServedRequests": "repro.serve.slo",
     "WindowTracker": "repro.serve.slo",
     "build_slo_report": "repro.serve.slo",
+    "load_requests": "repro.serve.slo",
+    "validate_request_row": "repro.serve.slo",
+    "write_requests": "repro.serve.slo",
     "Request": "repro.serve.traffic",
     "RequestGenerator": "repro.serve.traffic",
     "trace_lines": "repro.serve.traffic",

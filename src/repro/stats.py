@@ -7,8 +7,9 @@ comparisons), and a **single-sample** set yields that sample for every
 percentile.  The estimator is *nearest-rank* (no interpolation): it returns
 an actually-observed value, is exact for single samples, and — unlike
 interpolating estimators — introduces no floating-point arithmetic whose
-rounding could differ across numpy versions, which matters because serve and
-chaos reports are gated byte-identical across re-runs and backends.
+rounding could differ across numpy versions, which matters because chaos
+reports (a serving cell's SLO included) are gated byte-identical across
+re-runs and backends.
 """
 
 from __future__ import annotations

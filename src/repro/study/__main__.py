@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 
 from repro.cli import add_common_arguments, add_report_arguments, csv, engine_main
-from repro.registry import available
+from repro.registry import available, plural
 from repro.study.campaign import (
     CampaignSpec,
     check_against_baseline,
@@ -41,10 +41,7 @@ __all__ = ["main"]
 
 
 def _intervals(value: str) -> tuple[int | str, ...]:
-    out: list[int | str] = []
-    for item in csv(value):
-        out.append(item if item == "auto" else int(item))
-    return tuple(out)
+    return tuple(item if item == "auto" else int(item) for item in csv(value))
 
 
 def _floats(value: str) -> tuple[float, ...]:
@@ -57,22 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte-Carlo resilience-study campaign runner",
     )
     add_common_arguments(parser)
-    parser.add_argument(
-        "--workloads", type=csv,
-        help=f"comma-separated workload names (registered: {', '.join(available('workload'))})",
-    )
-    parser.add_argument(
-        "--backends", type=csv,
-        help=f"comma-separated backends (registered: {', '.join(available('backend'))})",
-    )
-    parser.add_argument(
-        "--stores", type=csv,
-        help=f"comma-separated stores (registered: {', '.join(available('store'))})",
-    )
-    parser.add_argument(
-        "--recoveries", type=csv,
-        help=f"comma-separated protocols (registered: {', '.join(available('recovery'))})",
-    )
+    for kind in ("workload", "backend", "store", "recovery"):
+        parser.add_argument(
+            f"--{plural(kind)}", type=csv,
+            help=f"comma-separated {plural(kind)} (registered: {', '.join(available(kind))})",
+        )
     parser.add_argument(
         "--rates", type=_floats, dest="mean_failures", metavar="MEANS",
         help="comma-separated expected failures per failure-free makespan "

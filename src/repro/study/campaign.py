@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 
+#: The sweep axes of a campaign, in grid order.
+_AXES = ("workloads", "backends", "stores", "recoveries", "mean_failures", "intervals")
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """Declarative description of one Monte-Carlo resilience campaign.
@@ -93,8 +97,7 @@ class CampaignSpec:
     workload_params: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for axis in ("workloads", "backends", "stores", "recoveries",
-                     "mean_failures", "intervals"):
+        for axis in _AXES:
             if not getattr(self, axis):
                 raise CampaignError(f"campaign sweep axis {axis!r} is empty")
         check_names(
@@ -150,17 +153,13 @@ class _Cell:
 
 
 def _cells(spec: CampaignSpec) -> list[_Cell]:
-    cells = []
-    for (wi, w), (bi, b), (si, s), r, (mfi, mf), (ii, iv) in product(
-        enumerate(spec.workloads),
-        enumerate(spec.backends),
-        enumerate(spec.stores),
-        spec.recoveries,
-        enumerate(spec.mean_failures),
-        enumerate(spec.intervals),
-    ):
-        cells.append(_Cell(w, b, s, r, mf, iv, (wi, bi, si, mfi, ii)))
-    return cells
+    return [
+        _Cell(w, b, s, r, mf, iv, (wi, bi, si, mfi, ii))
+        for (wi, w), (bi, b), (si, s), r, (mfi, mf), (ii, iv) in product(
+            enumerate(spec.workloads), enumerate(spec.backends), enumerate(spec.stores),
+            spec.recoveries, enumerate(spec.mean_failures), enumerate(spec.intervals),
+        )
+    ]
 
 
 def _trial_seed(spec: CampaignSpec, cell: _Cell, trial: int) -> int:
@@ -225,11 +224,7 @@ def _run_ft_free(args: tuple[CampaignSpec, _Cell, dict]) -> dict:
     still computing) and the checkpointing-only overhead."""
     spec, cell, base = args
     workload = _build_workload(spec, cell.workload)
-    rates0 = (
-        {1: cell.mean_failures / base["base_elapsed_s"]}
-        if cell.mean_failures > 0
-        else {}
-    )
+    rates0 = {1: cell.mean_failures / base["base_elapsed_s"]} if cell.mean_failures > 0 else {}
     with trace_label(f"ft-free/{'/'.join(map(str, _ft_free_key(cell)))}"):
         ft_free = workload.run(
             ft=_policy(cell, rates0),
@@ -353,7 +348,11 @@ def _summarize_cell(
     )
     step_seconds = baseline["base_elapsed_s"] / baseline["steps"]
     interval_used = resolved if cell.interval == "auto" else cell.interval
-    summary = {
+
+    def mean(key: str) -> float | None:
+        return sum(t[key] for t in surviving) / len(surviving) if surviving else None
+
+    return {
         "workload": cell.workload,
         "backend": cell.backend,
         "store": cell.store,
@@ -368,21 +367,9 @@ def _summarize_cell(
             if surviving
             else 0.0
         ),
-        "mean_measured_overhead": (
-            sum(t["overhead"] for t in surviving) / len(surviving)
-            if surviving
-            else None
-        ),
-        "mean_checkpoint_bytes": (
-            sum(t["checkpoint_bytes"] for t in surviving) / len(surviving)
-            if surviving
-            else None
-        ),
-        "mean_restored_bytes": (
-            sum(t["restored_bytes"] for t in surviving) / len(surviving)
-            if surviving
-            else None
-        ),
+        "mean_measured_overhead": mean("overhead"),
+        "mean_checkpoint_bytes": mean("checkpoint_bytes"),
+        "mean_restored_bytes": mean("restored_bytes"),
         "recoveries": sum(t.get("recoveries", 0) for t in surviving),
         **{k: baseline[k] for k in (
             "reference_digest", "base_elapsed_s", "ft_free_elapsed_s",
@@ -390,7 +377,6 @@ def _summarize_cell(
         )},
         "trials": trials,
     }
-    return summary
 
 
 def run_campaign(
@@ -453,12 +439,7 @@ def run_campaign(
             "trials": spec.trials,
             "nprocs": spec.nprocs,
             "procs_per_node": spec.procs_per_node,
-            "workloads": list(spec.workloads),
-            "backends": list(spec.backends),
-            "stores": list(spec.stores),
-            "recoveries": list(spec.recoveries),
-            "mean_failures": list(spec.mean_failures),
-            "intervals": list(spec.intervals),
+            **{axis: list(getattr(spec, axis)) for axis in _AXES},
             "workload_params": {k: dict(v) for k, v in spec.workload_params.items()},
         },
         "cells": {},
@@ -474,11 +455,8 @@ def run_campaign(
 # ----------------------------------------------------------------------
 def render_markdown(report: dict) -> str:
     """The campaign as a markdown summary table (a Figure 10/11-shaped artifact)."""
-    def fmt_bytes(value: float | None) -> str:
-        return "—" if value is None else f"{value:,.0f}"
-
-    def fmt_pct(value: float | None) -> str:
-        return "—" if value is None else f"{value * 100.0:.2f}%"
+    def fmt(value: float | None, template: str) -> str:
+        return "—" if value is None else template.format(value)
 
     rows = []
     for key in sorted(report["cells"]):
@@ -487,18 +465,13 @@ def render_markdown(report: dict) -> str:
         if interval == "auto":
             interval = f"auto→{cell['resolved_interval']}"
         rows.append((
-            cell["workload"],
-            cell["backend"],
-            cell["store"],
-            cell["recovery"],
-            f"{cell['mean_failures']:g}",
-            interval,
-            f"{cell['survival_rate']:.0%}",
-            f"{cell['bit_identical_rate']:.0%}",
-            fmt_bytes(cell["mean_checkpoint_bytes"]),
-            fmt_bytes(cell["mean_restored_bytes"]),
-            fmt_pct(cell["mean_measured_overhead"]),
-            fmt_pct(cell["predicted_overhead"]),
+            cell["workload"], cell["backend"], cell["store"], cell["recovery"],
+            f"{cell['mean_failures']:g}", interval,
+            f"{cell['survival_rate']:.0%}", f"{cell['bit_identical_rate']:.0%}",
+            fmt(cell["mean_checkpoint_bytes"], "{:,.0f}"),
+            fmt(cell["mean_restored_bytes"], "{:,.0f}"),
+            fmt(cell["mean_measured_overhead"], "{:.2%}"),
+            fmt(cell["predicted_overhead"], "{:.2%}"),
         ))
     return markdown_table(
         ("workload", "backend", "store", "recovery", "mean fails", "interval",
@@ -524,41 +497,28 @@ def check_invariants(report: dict) -> list[str]:
     """
     failures: list[str] = []
     cells = report["cells"]
-
-    def cfg_key(cell: dict) -> tuple:
-        return (
-            cell["workload"], cell["backend"], cell["store"],
-            cell["mean_failures"], str(cell["interval"]),
-        )
-
     by_cfg: dict[tuple, dict[str, dict]] = {}
+    by_auto: dict[tuple, dict] = {}
     for cell in cells.values():
-        by_cfg.setdefault(cfg_key(cell), {})[cell["recovery"]] = cell
+        machine = (cell["workload"], cell["backend"], cell["store"])
+        by_cfg.setdefault(
+            (*machine, cell["mean_failures"], str(cell["interval"])), {}
+        )[cell["recovery"]] = cell
+        by_auto.setdefault(
+            (*machine, cell["recovery"], cell["mean_failures"]), {}
+        )[str(cell["interval"])] = cell
     for cfg, pair in sorted(by_cfg.items()):
         glob, loc = pair.get("global"), pair.get("localized")
         if not glob or not loc:
             continue
         for gt, lt in zip(glob["trials"], loc["trials"]):
-            if not (gt["survived"] and lt["survived"]):
-                continue
-            if not (gt["recoveries"] > 0 and lt["recoveries"] > 0):
-                continue
-            if lt["restored_bytes"] >= gt["restored_bytes"]:
+            recovered = all(t["survived"] and t["recoveries"] > 0 for t in (gt, lt))
+            if recovered and lt["restored_bytes"] >= gt["restored_bytes"]:
                 failures.append(
                     f"{'/'.join(map(str, cfg))} trial {gt['trial']}: localized "
                     f"restored {lt['restored_bytes']} bytes, not strictly fewer "
                     f"than the global rollback's {gt['restored_bytes']}"
                 )
-
-    def auto_key(cell: dict) -> tuple:
-        return (
-            cell["workload"], cell["backend"], cell["store"],
-            cell["recovery"], cell["mean_failures"],
-        )
-
-    by_auto: dict[tuple, dict] = {}
-    for cell in cells.values():
-        by_auto.setdefault(auto_key(cell), {})[str(cell["interval"])] = cell
     for cfg, group in sorted(by_auto.items()):
         auto = group.get("auto")
         fixed = [c for name, c in group.items() if name != "auto"]

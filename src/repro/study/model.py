@@ -35,7 +35,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import StudyError
-from repro.registry import available
+from repro.registry import available, plural
 from repro.simulator.costs import CostModel
 
 __all__ = [
@@ -59,6 +59,14 @@ DEFAULT_PARITY_GROUP = 4
 #: :meth:`~repro.simulator.costs.CostModel.remote_transfer`), so fast-forward
 #: rework is roughly an order of magnitude cheaper than global re-execution.
 REPLAY_COST_FRACTION = 0.15
+
+
+def _unmodelled(what: str, kind: str, name: str) -> StudyError:
+    """The error for a registered ``kind`` name the model has no formula for."""
+    known = ", ".join(repr(k) for k in available(kind))
+    return StudyError(
+        f"no analytic {what} model for {kind} {name!r}; modelled {plural(kind)} are: {known}"
+    )
 
 
 def system_failure_rate(rates_per_level: Mapping[int, float]) -> float:
@@ -126,11 +134,7 @@ def checkpoint_seconds(
             + costs.local_copy(-(-nbytes // k))
         )
     else:
-        known = ", ".join(repr(name) for name in available("store"))
-        raise StudyError(
-            f"no analytic checkpoint-cost model for store {store!r}; "
-            f"modelled stores are: {known}"
-        )
+        raise _unmodelled("checkpoint-cost", "store", store)
     return place + 2.0 * costs.barrier(nprocs)
 
 
@@ -151,20 +155,14 @@ def restart_seconds(
         raise StudyError("bytes_per_rank must be non-negative")
     costs = cost_model
     nbytes = int(bytes_per_rank)
-    if store in ("memory", "multilevel"):
+    if store in ("memory", "multilevel", "parity"):
         # The multilevel common case restores from its base level; upper-level
         # fetches are rarer and priced like the disk/parity stores they mirror.
         fetch = costs.remote_transfer(nbytes)
     elif store == "disk":
         fetch = costs.pfs_read(nbytes)
-    elif store == "parity":
-        fetch = costs.remote_transfer(nbytes)
     else:
-        known = ", ".join(repr(name) for name in available("store"))
-        raise StudyError(
-            f"no analytic restart-cost model for store {store!r}; "
-            f"modelled stores are: {known}"
-        )
+        raise _unmodelled("restart-cost", "store", store)
     return fetch + costs.barrier(nprocs)
 
 
@@ -362,14 +360,9 @@ class IntervalModel:
                 for lvl in sorted(self.rates_per_level)
             ]
             guarded = by_level[1:]  # the base level absorbs the lowest
-            rates = []
-            for idx in range(len(kinds)):
-                if idx == len(kinds) - 1:
-                    rates.append(sum(guarded[idx:]))
-                elif idx < len(guarded):
-                    rates.append(guarded[idx])
-                else:
-                    rates.append(0.0)
+            last = len(kinds) - 1  # ... and the last upper level every remaining one
+            rates = [guarded[idx] if idx < len(guarded) else 0.0 for idx in range(last)]
+            rates.append(sum(guarded[last:]))
         tau_base = self.optimal_interval_seconds()
         cadences: list[int | None] = []
         for kind, rate in zip(kinds, rates):
@@ -459,11 +452,7 @@ class IntervalModel:
             return barrier + step_seconds
         if recovery == "best_effort":
             return restart + self.cost_model.flush()
-        known = ", ".join(repr(name) for name in available("recovery"))
-        raise StudyError(
-            f"no analytic MTTR model for recovery {recovery!r}; "
-            f"modelled recoveries are: {known}"
-        )
+        raise _unmodelled("MTTR", "recovery", recovery)
 
     def predicted_availability(
         self,

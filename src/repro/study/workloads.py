@@ -187,8 +187,8 @@ class Workload(abc.ABC):
         """Launch a session, run the workload, digest the result.
 
         This is the one session of an engine cell: every probe, reference,
-        trial, soak and serving run of :mod:`repro.study`, :mod:`repro.chaos`
-        and :mod:`repro.serve` is one call.  ``kill_plan``
+        trial and soak run of :mod:`repro.study` and :mod:`repro.chaos` (a
+        serving cell's included) is one call.  ``kill_plan``
         installs a :class:`~repro.ft.inject.FaultInjector` for the plan before
         the step loop starts: real SIGKILLs on the real-process backend,
         simulated fail-stop elsewhere, at identical completion-stream

@@ -2,7 +2,7 @@
 
 The observability layer of the reproduction: the RMA interceptor chain
 (which also carries kills, checkpoint placements, best-effort decisions and
-the session's step, checkpoint and recovery events) and the serve request
+the session's step, checkpoint and recovery events) and a serving cell's request
 lifecycles feed
 a single :class:`Tracer` whose events are stamped in virtual time —
 byte-identical across the sim, vector and proc backends and across

@@ -20,7 +20,7 @@ rename, so an aborted run leaves either nothing or a complete prefix —
 never a torn file (the same cleanup discipline as ``DiskStore``).
 
 This is the repository's one JSONL codec: the chaos event log and the
-serve request log go through :func:`write_jsonl` / :func:`load_jsonl` with
+serving request log go through :func:`write_jsonl` / :func:`load_jsonl` with
 their own row validator and error class.
 """
 

@@ -17,7 +17,7 @@ seed; host-specific facts live under the segregated ``rt`` sub-object.
 
 A tracer only records.  Everything downstream is a view of a finished
 job's ``tracer.events`` — the chaos log (``repro.chaos.monitor.chaos_events``),
-the serve SLO windows (``WindowTracker.from_trace``), the rollups of
+a serving cell's SLO windows (``WindowTracker.from_trace``), the rollups of
 ``repro.trace.summary.summarize`` — so the trace is the one account of a run.
 
 A :class:`TraceHub` collects the tracers of a whole multi-job run
@@ -58,7 +58,7 @@ __all__ = [
 
 #: Detail levels: ``"full"`` records the per-op interceptor stream,
 #: ``"lifecycle"`` keeps only session/fault/store/qos events (what the
-#: chaos and serve views read, at near-zero volume).
+#: chaos and SLO views read, at near-zero volume).
 _DETAIL_LEVELS = ("full", "lifecycle")
 
 

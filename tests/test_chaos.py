@@ -83,7 +83,7 @@ def scrub(events: list[dict]) -> list[dict]:
 # Registry introspection
 # ----------------------------------------------------------------------
 def test_chaos_kinds_registered():
-    assert available("scenario") == ("cascade", "correlated", "flaky", "poisson")
+    assert available("scenario") == ("cascade", "correlated", "flaky", "poisson", "single")
     # The recovery axis has one name set, the registry's; the log one flavor.
     for kind in ("monitor", "countermeasure", "delivery"):
         with pytest.raises(KeyError, match="unknown component kind"):
@@ -123,7 +123,7 @@ def test_killplan_disjoint_seeds_disjoint_schedules():
     assert {e.after_ops for e in a}.isdisjoint({e.after_ops for e in b})
 
 
-@pytest.mark.parametrize("name", ["poisson", "correlated", "cascade", "flaky"])
+@pytest.mark.parametrize("name", ["poisson", "correlated", "cascade", "flaky", "single"])
 def test_scenario_same_seed_same_plan(name):
     scenario = make_scenario(name, rate_per_round=1.5)
     plans = [
@@ -134,7 +134,7 @@ def test_scenario_same_seed_same_plan(name):
     assert events[0], f"scenario {name} generated an empty plan at rate 1.5"
 
 
-@pytest.mark.parametrize("name", ["poisson", "correlated", "cascade", "flaky"])
+@pytest.mark.parametrize("name", ["poisson", "correlated", "cascade", "flaky", "single"])
 def test_scenario_disjoint_seeds_differ(name):
     scenario = make_scenario(name, rate_per_round=1.5)
     left, right = np.random.SeedSequence(7).spawn(2)
@@ -155,6 +155,11 @@ def test_flaky_scenario_targets_one_victim():
     assert len({e.rank for e in plan}) == 1
     offsets = [e.after_ops for e in plan]
     assert offsets == sorted(offsets)
+
+
+def test_single_scenario_places_one_node_kill_at_its_fraction():
+    (event,) = make_scenario("single").plan(np.random.SeedSequence(7), **SHAPE)
+    assert event.after_ops == int(0.45 * 1600) and event.kind.value == "node_kill"
 
 
 def test_scenario_rejects_degenerate_shape():

@@ -151,13 +151,12 @@ def test_run_grid_refuses_the_process_executor_while_a_trace_hub_is_active(tmp_p
 
 def test_comparison_grids_reject_an_empty_axis_with_the_engines_own_error():
     from repro.chaos import SoakSpec, run_comparison
-    from repro.errors import ChaosError, ServeError
-    from repro.serve import ServeSpec, run_slo_comparison
+    from repro.errors import ChaosError
 
     with pytest.raises(ChaosError, match="comparison axes must be non-empty"):
         run_comparison(SoakSpec(), recoveries=())
-    with pytest.raises(ServeError, match="comparison axes must be non-empty"):
-        run_slo_comparison(ServeSpec(), stores=())
+    with pytest.raises(ChaosError, match="comparison axes must be non-empty"):
+        run_comparison(SoakSpec(workload="kv_service", scenario="single", rounds=1), stores=())
 
 
 # ----------------------------------------------------------------------
@@ -273,19 +272,31 @@ def test_study_cli_fails_on_a_baseline_without_cells(tmp_path, capsys):
     assert "baseline check passed" not in captured.out
 
 
-def test_serve_cli_fails_cleanly_on_another_schema(tmp_path, capsys):
+def test_serving_cell_cli_fails_cleanly_on_another_schema(tmp_path, capsys):
     # Cells, but no ``meta.engine`` and no ``slo`` in them — this used to die
     # with KeyError: 'slo'.
-    from repro.serve.__main__ import main
+    from repro.chaos.__main__ import main
 
     baseline = tmp_path / "other.json"
     baseline.write_text(json.dumps(
         {"cells": {"sim/memory/global": {"recovery_p99_ms": 86.9, "errors": 0}}}
     ))
-    status = main(["--quick", "--skip-invariants", "--check-baseline", str(baseline)])
+    status = main(["--quick", "--workload", "kv_service", "--scenario", "single",
+                   "--rounds", "1", "--skip-invariants", "--check-baseline", str(baseline)])
     captured = capsys.readouterr()
     assert status == 1
-    assert "REGRESSION: baseline is not a repro.serve report" in captured.err
+    assert "REGRESSION: baseline is not a repro.chaos report" in captured.err
+
+
+def test_a_gated_path_only_a_serving_cell_has_is_optional_on_both_sides_only():
+    served = _report(slo={"p99": 5.0})
+    gate = dict(exact=(), ratio=(("slo.p99", "p99", "{:.1f}ms"),), optional=("slo.p99",))
+    assert baseline_gate(_report(), _report(), **gate) == []
+    assert baseline_gate(served, served, **gate) == []
+    assert baseline_gate(_report(), served, **gate) == [
+        "c0: slo.p99 is absent from the current report"
+    ]
+    assert baseline_gate(served, _report(), **gate) == ["c0: slo.p99 is absent from the baseline"]
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +304,7 @@ def test_serve_cli_fails_cleanly_on_another_schema(tmp_path, capsys):
 # ``--quick`` is a preset that explicit flags refine
 # ----------------------------------------------------------------------
 #: Each engine's spec class, as its ``__main__`` imports it beside ``quick_spec``.
-ENGINE_SPECS = {"study": "CampaignSpec", "chaos": "SoakSpec", "serve": "ServeSpec"}
+ENGINE_SPECS = {"study": "CampaignSpec", "chaos": "SoakSpec"}
 
 
 @pytest.mark.parametrize(
@@ -304,7 +315,6 @@ ENGINE_SPECS = {"study": "CampaignSpec", "chaos": "SoakSpec", "serve": "ServeSpe
         *((engine, ["--quick", "--seed", "5"], {"seed": 5}) for engine in ENGINE_SPECS),
         ("study", ["--quick", "--rates", "0,4"], {"mean_failures": (0.0, 4.0)}),
         ("chaos", ["--rate", "1.5"], {"rate_per_round": 1.5}),
-        ("serve", ["--quick", "--zipf", "0"], {"zipf_s": 0.0}),
     ],
 )
 def test_engine_flags_refine_the_spec_they_default_to(engine, argv, changed):
@@ -320,7 +330,6 @@ def test_engine_flags_refine_the_spec_they_default_to(engine, argv, changed):
     [
         ("study", "(default 2.0)"),
         ("chaos", "(default global,localized,degraded)"),
-        ("serve", "(default global,localized,degraded)"),
     ],
 )
 def test_help_prints_a_tuple_default_as_the_comma_list_its_flag_takes(
@@ -340,10 +349,8 @@ def test_help_prints_a_tuple_default_as_the_comma_list_its_flag_takes(
     [
         ("chaos", ["--workload", "nope"], "unknown workload 'nope' in soak spec"),
         ("study", ["--trials", "0"], "a campaign needs at least one trial per cell"),
-        ("serve", ["--kill-frac", "2"], "kill_frac must be strictly between 0 and 1"),
-        # chaos and serve run their cells serially: there is no executor to pick.
-        *((engine, ["--executor", "serial"], "unrecognized arguments: --executor serial")
-          for engine in ("chaos", "serve")),
+        # chaos runs its cells serially: there is no executor to pick.
+        ("chaos", ["--executor", "serial"], "unrecognized arguments: --executor serial"),
     ],
 )
 def test_a_rejected_flag_or_spec_value_is_a_usage_error(engine, argv, message, capsys):
@@ -361,7 +368,7 @@ def test_a_rejected_flag_or_spec_value_is_a_usage_error(engine, argv, message, c
 # ----------------------------------------------------------------------
 BASELINES = Path(__file__).resolve().parent / "baselines"
 
-#: chaos and serve record ``proc`` cells, which only a host with fork +
+#: The chaos baselines record ``proc`` cells, which only a host with fork +
 #: POSIX shared memory can reproduce.
 PROC_CELLS = pytest.mark.skipif(
     not proc_available(), reason="baseline has proc cells; proc backend unavailable"
@@ -376,7 +383,12 @@ PROC_CELLS = pytest.mark.skipif(
         pytest.param(
             "chaos", ["--backends", "sim,proc"], "metrics.recoveries", marks=PROC_CELLS
         ),
-        pytest.param("serve", ["--backends", "sim,proc"], "recoveries", marks=PROC_CELLS),
+        pytest.param(
+            "chaos_serve",
+            ["--workload", "kv_service", "--scenario", "single", "--rounds", "1",
+             "--interval", "8", "--compression", "1000", "--backends", "sim,proc"],
+            "request_count", marks=PROC_CELLS,
+        ),
     ],
 )
 def test_quick_run_passes_its_checked_in_baseline_and_fails_a_stale_one(
@@ -384,7 +396,8 @@ def test_quick_run_passes_its_checked_in_baseline_and_fails_a_stale_one(
 ):
     # A PR that moves a schedule-shaped quantity must re-record the baseline:
     # a stale one (the PR 5 -> PR 15 study incident) breaks here, not only in CI.
-    main = importlib.import_module(f"repro.{engine}.__main__").main
+    # ``chaos_serve`` is the chaos engine's serving cell, gated by its own file.
+    main = importlib.import_module(f"repro.{engine.partition('_')[0]}.__main__").main
     baseline = BASELINES / f"{engine}.json"
     assert main(["--quick", *axes, "--check-baseline", str(baseline)]) == 0
     assert "baseline check passed" in capsys.readouterr().out

@@ -204,6 +204,23 @@ def test_the_quality_trade_off_has_no_engine_of_its_own():
         importlib.import_module("repro.qos")
 
 
+def test_the_serving_cell_has_no_engine_of_its_own():
+    # A serving cell is a chaos cell of the kv_service workload: repro.serve
+    # keeps the workload, its SLO reduction and the request log only.
+    import repro.serve
+
+    for gone in ("ServeSpec", "ServeResult", "run_service", "run_slo_comparison",
+                 "check_serve_invariants", "check_against_baseline", "render_markdown"):
+        assert not hasattr(repro.serve, gone)
+    for module in ("repro.serve.engine", "repro.serve.__main__"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    ran = subprocess.run([sys.executable, "-m", "repro.serve"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert ran.returncode != 0 and "cannot be directly executed" in ran.stderr
+
+
 # ---------------------------------------------------------------------------
 # (c), (d): the facade contract
 # ---------------------------------------------------------------------------
@@ -250,9 +267,7 @@ def test_type_checking_imports_and_runtime_table_agree(package):
 
 
 def test_spec_instances_pickle_through_the_facades():
-    from repro.serve import ServeSpec
-
-    for spec in (repro.SoakSpec(), repro.CampaignSpec(), ServeSpec()):
+    for spec in (repro.SoakSpec(), repro.CampaignSpec()):
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 

@@ -248,3 +248,22 @@ def test_an_unknown_binary_tag_is_reported_not_skipped():
         assert rt.backend.ping(2)
     finally:
         rt.finalize()
+
+
+def test_a_failed_attach_answers_every_later_request_with_its_error():
+    # An attach asks for no reply, so its failure must not send one: the
+    # worker holds the error, answers each later request with it and applies
+    # nothing (its window ids no longer match the supervisor's).
+    rt = _runtime("proc", w=(8, np.float64))
+    try:
+        rt.backend._workers[0].conn.send(("attach", "psm_no_such_segment", 8, "float64", 4))
+        rt.accumulate_nb(0, 1, "w", 0, [1.0])
+        for _ in range(2):  # the retry must not read a stale OK
+            with pytest.raises(BackendError, match="FileNotFoundError"):
+                rt.flush(0, 1)
+            assert not any(rt.window("w").shm.buf)
+        assert not rt.backend.ping(0)
+        assert rt.backend.ping(1)
+        rt.discard_pending()
+    finally:
+        rt.finalize()

@@ -1,4 +1,5 @@
-"""Tests for the serving layer: shards, traffic, SLO windows, the comparison."""
+"""Tests for the serving workload and the chaos serving cell: shards, traffic,
+SLO windows, the comparison."""
 
 from __future__ import annotations
 
@@ -15,8 +16,18 @@ import pytest
 
 from repro.api.session import launch
 from repro.backends.proc import proc_available
+from repro.chaos import run_comparison, run_soak
+from repro.chaos.__main__ import main as chaos_main, quick_spec
 from repro.chaos.metrics import compute_metrics
-from repro.errors import ServeError, StudyError
+from repro.chaos.report import (
+    check_against_baseline,
+    check_chaos_invariants,
+    render_markdown,
+    report_json,
+)
+from repro.chaos.soak import build_plan
+from repro.errors import ChaosError, ServeError, StudyError
+from repro.ft.inject import KillEvent, KillKind, KillPlan
 from repro.registry import available, render_available
 from repro.serve import (
     STATUS_OK,
@@ -24,24 +35,12 @@ from repro.serve import (
     STATUSES,
     KvService,
     RequestGenerator,
-    ServeSpec,
     ShardMap,
     WindowTracker,
-    check_against_baseline,
-    check_serve_invariants,
     load_requests,
-    render_markdown,
-    report_json,
-    run_service,
-    run_slo_comparison,
     trace_lines,
     write_requests,
 )
-from repro.serve.__main__ import main as serve_main, quick_spec
-from repro.ft.inject import KillEvent, KillPlan
-from repro.serve import engine as serve_engine
-from repro.serve.engine import build_plan
-from repro.serve.report import validate_request_row
 from repro.serve.service import _STATUS_NAMES
 from repro.serve.slo import (
     SEGMENT_CHECKPOINT,
@@ -49,6 +48,7 @@ from repro.serve.slo import (
     SEGMENT_STEADY,
     SEGMENTS,
     build_slo_report,
+    validate_request_row,
 )
 from repro.stats import latency_percentiles, percentile
 from repro.study.workloads import make_workload
@@ -70,10 +70,23 @@ def _trace(seed: int, **shape) -> str:
     return "\n".join(trace_lines(generator.generate()))
 
 
+#: The serving cell CI gates against ``tests/baselines/chaos_serve.json``.
+SERVE_ARGS = ["--quick", "--workload", "kv_service", "--scenario", "single",
+              "--rounds", "1", "--interval", "8", "--compression", "1000"]
+
+
+def serving_spec(**overrides):
+    """The quick serving cell: modest traffic for one round under one node kill."""
+    return replace(
+        quick_spec(), workload="kv_service", scenario="single", rounds=1, interval=8,
+        compression=1000.0, **overrides,
+    )
+
+
 @pytest.fixture(scope="module")
 def comparison():
     """The quick sim comparison every report-level test reads from."""
-    return run_slo_comparison(quick_spec())
+    return run_comparison(serving_spec())
 
 
 def cell(results, recovery: str):
@@ -252,13 +265,14 @@ def test_kv_service_memory_budget():
     assert records <= 1.0 * 2**20, f"a run's records retain {records / 2**20:.2f} MiB"
 
 
-def test_serve_result_memory_budget():
-    # A finished cell keeps columns and references the service's trace; the
-    # request dicts are built only when a writer reads ``rows``.
+def test_served_requests_memory_budget():
+    # A finished serving cell keeps columns and references the service's
+    # trace; the request dicts are built only when a writer reads ``rows``.
+    spec = serving_spec(workload_params={"kv_service": {"steps": 100, "rate_per_step": 40.0}})
     tracemalloc.start()
     try:
-        result = run_service(ServeSpec(nprocs=8, steps=100, rate_per_step=40.0))
-        requests = result.slo["overall"]["requests"]
+        result = run_soak(spec)
+        requests = result.served.slo["overall"]["requests"]
         gc.collect()
         with_result = tracemalloc.get_traced_memory()[0]
         del result
@@ -282,52 +296,46 @@ def test_make_workload_unknown_name_lists_registered():
         make_workload("kv_disservice")
 
 
-def test_serve_spec_unknown_axis_lists_registered():
-    with pytest.raises(ServeError, match="registered recoveries"):
-        ServeSpec(recovery="time-travel")
-    with pytest.raises(ServeError, match="registered backends"):
-        ServeSpec(backend="quantum")
-    with pytest.raises(ServeError, match="pod_kill"):
-        ServeSpec(kill_kind="asteroid")
-
-
-def test_serve_spec_rejects_bad_traffic_shape():
-    with pytest.raises(ServeError, match="rate_per_step"):
-        ServeSpec(rate_per_step=-1.0)
-    with pytest.raises(ServeError, match="steps, key_space and slots"):
-        ServeSpec(steps=0)
-    with pytest.raises(ServeError, match="steps, key_space and slots"):
-        ServeSpec(slots=0)
-    with pytest.raises(ServeError, match="zipf_s"):
-        ServeSpec(zipf_s=-0.5)
-    with pytest.raises(ServeError, match="read_fraction"):
-        ServeSpec(read_fraction=1.5)
+def test_a_serving_cell_checks_its_traffic_shape_when_it_builds_the_service():
+    for params, message in (
+        ({"rate_per_step": -1.0}, "rate_per_step"),
+        ({"steps": 0}, "slots >= 1 and steps >= 1"),
+        ({"slots": 0}, "slots >= 1 and steps >= 1"),
+        ({"zipf_s": -0.5}, "zipf_s"),
+        ({"read_fraction": 1.5}, "read_fraction"),
+    ):
+        with pytest.raises(ServeError, match=message):
+            run_soak(serving_spec(workload_params={"kv_service": params}))
 
 
 def test_cli_list_mentions_kv_service(capsys):
-    assert serve_main(["--list"]) == 0
-    assert "kv_service" in capsys.readouterr().out
+    assert chaos_main(["--list"]) == 0
+    out = capsys.readouterr().out
+    assert "kv_service" in out and "single" in out
 
 
 # ----------------------------------------------------------------------
 # Kill-plan construction
 # ----------------------------------------------------------------------
-def test_build_plan_excludes_comparison_axes():
-    base = quick_spec()
+def test_single_plan_is_identical_across_recovery_backend_and_store():
     plans = [
-        build_plan(replace(base, backend=b, recovery=r), ops_total=4000)
+        build_plan(serving_spec(backend=b, recovery=r, store=s), ops_per_round=102,
+                   steps_per_round=24)
         for b in ("sim", "vector")
         for r in ("global", "localized", "degraded")
+        for s in ("memory", "multilevel")
     ]
-    reference = [(e.after_ops, e.rank, e.kind) for e in plans[0].events]
-    assert all(
-        [(e.after_ops, e.rank, e.kind) for e in plan.events] == reference
-        for plan in plans
-    )
+    reference = [(e.after_ops, e.rank, e.kind) for e in plans[0]]
+    assert reference == [(45, 5, KillKind.NODE_KILL)]  # int(0.45 * 102)
+    assert all([(e.after_ops, e.rank, e.kind) for e in plan] == reference for plan in plans)
 
 
-def test_build_plan_zero_kills_empty():
-    assert not build_plan(replace(quick_spec(), kills=0), ops_total=4000).events
+def test_the_soak_seed_seeds_the_traffic():
+    spec = serving_spec()
+    a, b = run_soak(spec), run_soak(replace(spec, seed=7))
+    assert not np.array_equal(a.served.requests.frac, b.served.requests.frac)
+    again = run_soak(replace(spec, seed=7))
+    assert np.array_equal(b.served.requests.frac, again.served.requests.frac)
 
 
 # ----------------------------------------------------------------------
@@ -378,16 +386,17 @@ def test_window_tracker_finish_closes_open_outage():
 
 @pytest.mark.parametrize("recovery", ["global", "localized", "degraded"])
 def test_windows_are_a_view_of_the_written_trace(tmp_path, recovery):
-    spec = replace(quick_spec(), recovery=recovery)
+    spec = serving_spec(recovery=recovery)
     path = tmp_path / "trace.jsonl"
     with tracing(str(path)):
-        result = run_service(spec)
+        result = run_soak(spec)
     mine = [e for e in load_trace(str(path)) if e["job"] == f"{spec.cell_key}#0"]
     tracker = WindowTracker.from_trace(mine, result.elapsed_s)
-    assert [list(w) for w in tracker.checkpoint_windows] == result.checkpoint_windows
-    assert [list(w) for w in tracker.recovery_windows] == result.recovery_windows
-    assert tracker.kills == result.kills
-    assert result.checkpoint_windows and result.recovery_windows and result.kills
+    windows = result.served.windows
+    assert tracker == windows
+    assert windows.checkpoint_windows and windows.recovery_windows
+    completed = [e for e in mine if e["type"] == "request_completed"]
+    assert [e["rid"] for e in completed] == list(range(result.served.slo["overall"]["requests"]))
 
 
 def test_build_slo_report_empty_segments_are_none():
@@ -423,43 +432,62 @@ def test_chaos_metrics_mttr_percentiles_none_without_outages():
 # ----------------------------------------------------------------------
 # The serving runs: determinism, correctness, invariants
 # ----------------------------------------------------------------------
-def test_run_service_rerun_byte_identical():
-    spec = replace(quick_spec(), recovery="localized")
-    first = json.dumps(run_service(spec).as_dict(), sort_keys=True)
-    second = json.dumps(run_service(spec).as_dict(), sort_keys=True)
-    assert first == second
+def test_a_serving_cell_rerun_is_byte_identical():
+    spec = serving_spec(recovery="localized")
+    first, second = run_soak(spec), run_soak(spec)
+    assert json.dumps(first.as_dict(), sort_keys=True) == json.dumps(
+        second.as_dict(), sort_keys=True
+    )
+    assert first.served.rows == second.served.rows
 
 
 def test_a_kill_of_a_rank_and_its_buddy_aborts_the_cell(monkeypatch):
     # Rank 0 and its buddy (rank 2 with two ranks per node) die together:
     # no copy of rank 0's state survives, and the cell reports it, not raises.
-    def rank_and_buddy(spec, *, ops_total):
-        return KillPlan([KillEvent(ops_total // 2, 0), KillEvent(ops_total // 2, 2)])
+    def rank_and_buddy(spec, *, ops_per_round, steps_per_round):
+        return KillPlan([KillEvent(ops_per_round // 2, 0), KillEvent(ops_per_round // 2, 2)])
 
-    monkeypatch.setattr(serve_engine, "build_plan", rank_and_buddy)
-    result = run_service(quick_spec())
+    monkeypatch.setattr("repro.chaos.soak.build_plan", rank_and_buddy)
+    result = run_soak(serving_spec())
     assert result.aborted == "CatastrophicFailure" and result.digest is None
-    assert result.recoveries == 0 and result.steps_executed < result.spec.steps
-    assert [k["victims"] for k in result.kills] == [[0], [2]]
-    assert f"| {result.spec.cell_key} [CatastrophicFailure] |" in render_markdown([result])
+    assert result.recoveries == 0 and result.steps_executed < 24
+    fired = [e["victims"] for e in result.events if e["type"] == "failure_initiated"]
+    assert fired == [[0], [2]]
+    assert f"| {result.spec.cell_key} [CatastrophicFailure] | steady |" in render_markdown(
+        [result]
+    )
+    assert check_chaos_invariants([result]) == [
+        f"{result.spec.cell_key}: serving cell aborted with CatastrophicFailure"
+    ]
+
+
+def test_a_serving_cell_runs_one_round(capsys):
+    # The service admits requests in its first round only: a second round's
+    # kills would strike after the last request.
+    with pytest.raises(ChaosError, match="kv_service admits requests in its first round only"):
+        replace(quick_spec(), workload="kv_service", scenario="single")
+    with pytest.raises(SystemExit) as exit_:
+        chaos_main(["--quick", "--workload", "kv_service"])
+    assert exit_.value.code == 2 and "pass rounds=1" in capsys.readouterr().err
 
 
 def test_comparison_fires_and_recovers(comparison):
     for result in comparison:
         assert result.aborted is None
-        assert [k for k in result.kills if not k["skipped"]]
+        assert result.metrics.kills_fired == 1
         assert result.recoveries >= 1
-        assert result.recovery_windows
+        assert result.served.windows.recovery_windows
 
 
 def test_comparison_invariants_hold(comparison):
-    assert check_serve_invariants(comparison) == []
+    assert check_chaos_invariants(comparison) == []
 
 
 def test_full_recovery_tables_match_failure_free(comparison):
     # Rollback and replay must restore the exact failure-free table — the
     # digest oracle the study workloads gate on, under serving traffic.
-    service = quick_spec().service()
+    params = serving_spec().workload_params["kv_service"]
+    service = make_workload("kv_service", nprocs=8, seed=2026, **params)
     expected = service.digest(service.expected())
     assert cell(comparison, "global").digest == expected
     assert cell(comparison, "localized").digest == expected
@@ -468,21 +496,23 @@ def test_full_recovery_tables_match_failure_free(comparison):
 
 #: sha256 of each quick cell's rows, recorded while the records were a
 #: ``rid -> (completion, status)`` dict: the record columns reproduce them.
+#: The localized and degraded pins moved when the kill plan became the chaos
+#: ``single`` scenario's (victim rank 1 -> 5); global's rows did not move.
 ROWS_SHA256 = {
     "global": "7c1c63d7240deb2f3d509ac190fcda7f0af85092e810ebfd644fd35770bb04f7",
-    "localized": "c140ddc5e57953112c6f05f52b14363a771f789a08c86386b37391412e1473dc",
-    "degraded": "46bd84f85e6bf11cc3ee618fd83dc7078a3021fdb121d224c00feb7ad81d65fc",
+    "localized": "612ff81f998ea6c1cda0eaafd2bf2767e076aac901c542f9fde040c00a0f139d",
+    "degraded": "c9226b33fa40dbd6781bec38075ce2d2d5a87bbe94ac63827a80ffcd00df126f",
 }
 
 
 def test_statuses_by_protocol(comparison):
     for recovery in ("global", "localized"):
-        statuses = {row["status"] for row in cell(comparison, recovery).rows}
+        statuses = {row["status"] for row in cell(comparison, recovery).served.rows}
         assert statuses == {STATUS_OK}
-    degraded = {row["status"] for row in cell(comparison, "degraded").rows}
+    degraded = {row["status"] for row in cell(comparison, "degraded").served.rows}
     assert degraded == STATUSES  # ok, stale, dropped and never admitted
     for recovery, digest in ROWS_SHA256.items():
-        rows = cell(comparison, recovery).rows
+        rows = cell(comparison, recovery).served.rows
         assert [row["rid"] for row in rows] == list(range(len(rows)))
         for row in rows:
             assert (row["completion_t"] is None) == (row["status"] == STATUS_UNSERVED)
@@ -491,15 +521,15 @@ def test_statuses_by_protocol(comparison):
 
 
 def test_localized_stalls_fewer_requests_than_global(comparison):
-    touched_global = cell(comparison, "global").slo[SEGMENT_RECOVERY]["requests"]
-    touched_localized = cell(comparison, "localized").slo[SEGMENT_RECOVERY]["requests"]
+    touched_global = cell(comparison, "global").served.slo[SEGMENT_RECOVERY]["requests"]
+    touched_localized = cell(comparison, "localized").served.slo[SEGMENT_RECOVERY]["requests"]
     assert 0 < touched_localized < touched_global
 
 
 def test_checkpoint_windows_observed(comparison):
     for result in comparison:
-        assert result.checkpoint_windows
-        for t0, t1, step, demand in result.checkpoint_windows:
+        assert result.served.windows.checkpoint_windows
+        for t0, t1, step, demand in result.served.windows.checkpoint_windows:
             assert 0.0 <= t0 <= t1
             assert isinstance(demand, bool)
 
@@ -511,7 +541,7 @@ def test_request_log_roundtrip(tmp_path, comparison):
     path = tmp_path / "requests.jsonl"
     count = write_requests(comparison, path)
     rows = load_requests(path)
-    assert len(rows) == count == sum(len(r.rows) for r in comparison)
+    assert len(rows) == count == sum(len(r.served.rows) for r in comparison)
     assert {row["cell"] for row in rows} == {r.spec.cell_key for r in comparison}
 
 
@@ -561,7 +591,7 @@ def test_baseline_gate_passes_against_itself(comparison):
 def test_baseline_gate_catches_p99_regression(comparison):
     report = json.loads(report_json(comparison))
     baseline = json.loads(report_json(comparison))
-    key = "sim/memory/global"
+    key = "kv_service/single/sim/memory/global"
     report["cells"][key]["slo"]["overall"]["latency_ms"]["p99"] *= 3.0
     failures = check_against_baseline(report, baseline)
     assert any("p99" in failure for failure in failures)
@@ -570,22 +600,63 @@ def test_baseline_gate_catches_p99_regression(comparison):
 def test_baseline_gate_catches_census_change(comparison):
     report = json.loads(report_json(comparison))
     baseline = json.loads(report_json(comparison))
-    report["cells"]["sim/memory/degraded"]["status_counts"]["ok"] -= 1
+    report["cells"]["kv_service/single/sim/memory/degraded"]["status_counts"]["ok"] -= 1
     failures = check_against_baseline(report, baseline)
     assert any("status_counts" in failure for failure in failures)
+
+
+def _doctored(comparison, recovery: str, edit) -> list:
+    """``comparison`` with ``edit(slo)`` applied to a copy of one cell's SLO."""
+    doctored = []
+    for result in comparison:
+        if result.spec.recovery == recovery:
+            slo = json.loads(json.dumps(result.served.slo))
+            edit(slo)
+            result = replace(result, served=replace(result.served, slo=slo))
+        doctored.append(result)
+    return doctored
 
 
 def test_invariant_catches_slow_localized(comparison):
     # Force the localized recovery-window p99 above global's and make sure
     # the invariant trips.
-    doctored = []
-    for result in comparison:
-        if result.spec.recovery == "localized":
-            slo = json.loads(json.dumps(result.slo))
-            slo[SEGMENT_RECOVERY]["latency_ms"]["p99"] = 1e9
-            result = replace(result, slo=slo)
-        doctored.append(result)
-    assert any("not strictly below" in v for v in check_serve_invariants(doctored))
+    def slow(slo):
+        slo[SEGMENT_RECOVERY]["latency_ms"]["p99"] = 1e9
+
+    doctored = _doctored(comparison, "localized", slow)
+    assert any("not strictly below" in v for v in check_chaos_invariants(doctored))
+
+
+def test_invariant_catches_an_slo_that_differs_across_backends(comparison):
+    # A proc copy of the localized cell whose overall p99 is 2x sim's.
+    sim = cell(comparison, "localized")
+    slo = json.loads(json.dumps(sim.served.slo))
+    slo["overall"]["latency_ms"]["p99"] *= 2
+    proc = replace(
+        sim, spec=replace(sim.spec, backend="proc"), served=replace(sim.served, slo=slo)
+    )
+    assert check_chaos_invariants([*comparison, proc]) == [
+        "kv_service/single/memory/localized: SLO report differs between sim and proc"
+    ]
+
+
+@pytest.mark.parametrize(
+    ("recovery", "edit", "message"),
+    [
+        ("global", lambda slo: slo["overall"].update(errors=3),
+         "3 request errors under global recovery"),
+        ("degraded", lambda slo: slo["overall"].update(error_rate=0.0),
+         "error rate is 0.0 but the excised shard's requests must surface"),
+        ("degraded", lambda slo: slo[SEGMENT_RECOVERY]["latency_ms"].update(p99=1e9),
+         "latency is not flat"),
+    ],
+    ids=["global-errors", "degraded-no-errors", "degraded-not-flat"],
+)
+def test_each_serving_invariant_fails_on_a_cell_edited_to_break_it(
+    comparison, recovery, edit, message
+):
+    (violation,) = check_chaos_invariants(_doctored(comparison, recovery, edit))
+    assert message in violation
 
 
 # ----------------------------------------------------------------------
@@ -595,8 +666,8 @@ def test_cli_quick_writes_artifacts(tmp_path, capsys):
     requests = tmp_path / "requests.jsonl"
     output = tmp_path / "serve.json"
     markdown = tmp_path / "serve.md"
-    status = serve_main([
-        "--quick",
+    status = chaos_main([
+        *SERVE_ARGS,
         "--requests", str(requests),
         "--output", str(output),
         "--markdown", str(markdown),
@@ -605,13 +676,16 @@ def test_cli_quick_writes_artifacts(tmp_path, capsys):
     assert "invariants hold" in capsys.readouterr().out
     assert load_requests(requests)
     document = json.loads(output.read_text())
-    assert document["meta"]["engine"] == "repro.serve"
-    # Byte-identity oracle: re-recorded when survivors began to wait out a
-    # localized replay (only the localized cell moved), and when a checkpoint
-    # inside a recovery window stopped counting as checkpoint time too (only
-    # the global cell's checkpoint and steady window_s and steady rps moved).
+    assert document["meta"]["engine"] == "repro.chaos"
+    # Each cell records the traffic it served: the quick knobs over the defaults.
+    assert {json.dumps(c["traffic"], sort_keys=True) for c in document["cells"].values()} == {
+        json.dumps({"steps": 24, "rate_per_step": 5.0, "slots": 32, "key_space": 256,
+                    "zipf_s": 1.1, "read_fraction": 0.5, "flops_per_request": 50.0},
+                   sort_keys=True)
+    }
+    # Byte-identity oracle: recorded when the serving cell became a chaos cell.
     assert hashlib.sha256(output.read_bytes()).hexdigest() == (
-        "064097504f66bf15ebc8325759512b201f8d058b8fdf862f0ce1e54efdd32189"
+        "68cf23c0b4e88b756fe89dde8c717b11a7a123c22f6a62fcc5e1882bb7c66bfb"
     )
     assert "| overall |" in markdown.read_text()
 
@@ -623,7 +697,9 @@ def test_cli_quick_writes_artifacts(tmp_path, capsys):
 @pytest.mark.parametrize("recovery", ["global", "localized", "degraded"])
 def test_proc_backend_rows_identical_to_sim(comparison, recovery):
     sim = cell(comparison, recovery)
-    proc = run_service(replace(quick_spec(), backend="proc", recovery=recovery))
-    assert proc.rows == sim.rows
-    assert json.dumps(proc.slo, sort_keys=True) == json.dumps(sim.slo, sort_keys=True)
+    proc = run_soak(serving_spec(backend="proc", recovery=recovery))
+    assert proc.served.rows == sim.served.rows
+    assert json.dumps(proc.served.slo, sort_keys=True) == json.dumps(
+        sim.served.slo, sort_keys=True
+    )
     assert proc.digest == sim.digest
