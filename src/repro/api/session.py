@@ -219,15 +219,14 @@ class Job:
         return self.runtime.local_view(rank, window)
 
     def gather(self, window: str, part: slice | None = None) -> np.ndarray:
-        """Concatenate every rank's (sliced) buffer of ``window``, rank-major.
-
-        One copy, read without handing out views: no raw-access stamp moves, so
-        the next checkpoint still trusts the put log."""
-        runtime, sl = self.runtime, part if part is not None else slice(None)
-        win = runtime.window(window)
+        """Every rank's (sliced) row of ``window``, flat: one copy read without handing
+        out views (no raw-access stamp moves: the next checkpoint trusts the put log)."""
+        runtime, win = self.runtime, self.runtime.window(window)
         for rank in range(self.nranks):
             runtime._require_alive(rank, excised_ok=True)  # what ``local`` checks
-        return np.concatenate([win._region(r, 0, win.size)[sl] for r in range(self.nranks)])
+        if win._invalidated:
+            win._check_alive(min(win._invalidated))
+        return win.array[:, part if part is not None else slice(None)].flatten()
 
     # ------------------------------------------------------------------
     # The step loop — transparent fault tolerance lives here

@@ -171,7 +171,7 @@ class Backend(abc.ABC):
         self._pending = [[] for _ in range(nprocs)]
 
     def create_window(self, name: str, size: int, dtype: np.dtype) -> Window:
-        """Allocate one window (a buffer per rank) in backend-owned storage."""
+        """Allocate one window (its ``(nprocs, size)`` array) in backend-owned storage."""
         return self.windows.create(name, size, dtype, self.nprocs)
 
     def invalidate_rank(self, rank: int) -> None:

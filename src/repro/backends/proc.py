@@ -6,7 +6,7 @@ makes the paper's fail-stop model *physical*:
 
 * window storage is allocated in POSIX shared memory
   (:class:`multiprocessing.shared_memory.SharedMemory`): one segment per
-  window holding ``nprocs`` contiguous per-rank slabs, mapped by the
+  window holding its rank-major ``(nprocs, size)`` array, mapped by the
   supervisor and by every worker;
 * each rank gets a **worker**: a forked OS process that owns the rank's
   execution vehicle.  Queued operations of origin ``src`` are shipped to
@@ -133,12 +133,11 @@ def proc_available() -> bool:
 
 
 class SharedWindow(Window):
-    """A :class:`Window` whose per-rank buffers are slabs of one shm segment.
+    """A :class:`Window` whose ``(nprocs, size)`` array is one shm segment.
 
     The segment is owned (created and unlinked) by the supervisor; workers
-    attach by name.  All state transitions write *in place* — replacing a
-    buffer with a fresh private array, as the base class does, would silently
-    detach the supervisor's view from the memory the workers keep writing.
+    attach by name.  Every state transition writes the row in place (as on
+    any window), so the supervisor's view stays the memory the workers write.
     """
 
     def __init__(self, name: str, size: int, dtype: np.dtype, nprocs: int) -> None:
@@ -146,10 +145,9 @@ class SharedWindow(Window):
         self.shm: shared_memory.SharedMemory | None = shared_memory.SharedMemory(
             create=True, size=max(1, size * dtype.itemsize * nprocs)
         )
-        flat = np.frombuffer(self.shm.buf, dtype=dtype, count=size * nprocs)
-        flat[...] = 0
-        buffers = {r: flat[r * size : (r + 1) * size] for r in range(nprocs)}
-        super().__init__(name=name, size=size, dtype=dtype, nprocs=nprocs, buffers=buffers)
+        array = np.frombuffer(self.shm.buf, dtype, size * nprocs).reshape(nprocs, size)
+        array[...] = 0
+        super().__init__(name=name, size=size, dtype=dtype, nprocs=nprocs, array=array)
         #: The window's name on the wire: its position in attach order.
         self.wire_id = -1
 
@@ -160,11 +158,8 @@ class SharedWindow(Window):
             raise WindowError(f"window {self.name!r} detached from shared memory")
         return self.shm.name
 
-    def _fill(self, rank: int, data: np.ndarray | None) -> None:
-        self.buffers[rank][...] = 0 if data is None else data
-
     def detach(self) -> None:
-        """Swap buffers to private copies; close and unlink the segment.
+        """Swap the array for a private copy; close and unlink the segment.
 
         Idempotent.  Results gathered after a session closed keep reading
         the preserved copies.
@@ -172,8 +167,8 @@ class SharedWindow(Window):
         if self.shm is None:
             return
         self.seal()  # a handed-out view must not be what pins the segment
-        for rank in list(self.buffers):
-            self.buffers[rank] = self.buffers[rank].copy()
+        self.array = self.array.copy()
+        self.buffers = list(self.array)
         seg, self.shm = self.shm, None
         _drain_deferred_closes()
         try:
@@ -192,8 +187,9 @@ class SharedWindow(Window):
 
 class _ShmSlab:
     """Worker-side view of one shared window: its flat bytes (what a put run is
-    copied into) and the per-rank buffers :func:`~repro.backends.base.apply_action`
-    needs, no liveness bookkeeping (the supervisor owns that: nothing dies here)."""
+    copied into) and its ``(nprocs, size)`` rows, the buffers
+    :func:`~repro.backends.base.apply_action` needs; no liveness bookkeeping (the
+    supervisor owns that: nothing dies here)."""
 
     __slots__ = ("buffers", "dtype", "flat", "itemsize", "nprocs", "size")
     _invalidated = frozenset()
@@ -201,8 +197,7 @@ class _ShmSlab:
     def __init__(
         self, shm: shared_memory.SharedMemory, size: int, dtype: np.dtype, nprocs: int
     ) -> None:
-        flat = np.frombuffer(shm.buf, dtype=dtype, count=size * nprocs)
-        self.buffers = {r: flat[r * size : (r + 1) * size] for r in range(nprocs)}
+        self.buffers = np.frombuffer(shm.buf, dtype, size * nprocs).reshape(nprocs, size)
         self.dtype, self.itemsize, self.size, self.nprocs = dtype, dtype.itemsize, size, nprocs
         self.flat = memoryview(shm.buf)  # rank r's row starts r * size * itemsize bytes in
 

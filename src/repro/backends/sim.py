@@ -25,22 +25,19 @@ class SimBackend(Backend):
 
     def _apply(self, src: int, batch: list[CommAction]) -> None:
         """Apply a queued batch in issue order, one region access per action; the
-        window, its buffers and its invalidated set are resolved once per run of one,
-        a target slab's byte view once per batch."""
+        window, its invalidated set and its array's bytes are resolved once per run
+        of one."""
         windows, name = self.windows._windows, None
         for op in batch:
             if op.window != name:  # issued against a registered window
                 name, win = op.window, windows[op.window]
-                buffers, invalidated, itemsize = win.buffers, win._invalidated, win.itemsize
-                slabs = {}  # trg -> the slab's bytes, for this window's puts
-            if op.kind is _PUT:  # apply_action's put branch, straight to the slab
+                invalidated, itemsize = win._invalidated, win.itemsize
+                flat, row = memoryview(win.array).cast("B"), win.size * itemsize  # rank-major
+            if op.kind is _PUT:  # apply_action's put branch, straight to the array
                 trg = op.trg
                 if trg in invalidated:
                     win._check_alive(trg)  # Window._region's one check
-                slab = slabs.get(trg)
-                if slab is None:
-                    slabs[trg] = slab = memoryview(buffers[trg]).cast("B")
-                start = op.offset * itemsize
-                slab[start : start + op.nbytes] = op._data
+                start = trg * row + op.offset * itemsize
+                flat[start : start + op.nbytes] = op._data
             else:
                 apply_action(op, win)

@@ -2,8 +2,8 @@
 
 The :class:`CoordinatedCheckpointer` decides *when* a checkpoint is taken —
 collectively, at an epoch boundary, with the Locks scheme's guard (§3.1.2)
-refusing to start while any rank holds a lock — and hands the per-rank window
-snapshots to a pluggable :class:`~repro.ft.stores.CheckpointStore`, which
+refusing to start while any rank holds a lock — and hands the live windows and
+their member ranks to a pluggable :class:`~repro.ft.stores.CheckpointStore`, which
 decides *where* the copies live (in-memory buddies, disk, XOR parity; §3.1,
 §3.3, §5).
 
@@ -226,20 +226,20 @@ class CoordinatedCheckpointer(RmaInterceptor):
                 f"them (flush/unlock/gsync) before checkpointing"
             )
         # Coordination: agree to checkpoint (a barrier), then place.  The
-        # store is handed every member's live buffers — an epoch boundary, so
-        # nothing is in flight, and every member is alive — and copies what it
-        # retains.  Ranks excised by a degraded continuation are no longer
-        # members: they are neither checkpointed nor used as copy holders.
+        # store is handed the live windows and the member ranks whose rows it
+        # places — an epoch boundary, so nothing is in flight, and every member
+        # is alive — and copies what it retains.  Ranks excised by a degraded
+        # continuation are no longer members: they are neither checkpointed
+        # nor used as copy holders.
         cluster.barrier()
         # Local views end here (a store through a kept one now raises, not
         # goes unseen); the checkpoint's own read leaves no stamp.
         runtime.windows.seal()
-        snapshots = {rank: {} for rank in range(cluster.nprocs) if rank not in runtime.excised}
-        for window in runtime.windows.all():
-            for rank, windows in snapshots.items():
-                windows[window.name] = window.buffers[rank]
         version = self.store.prepare(
-            tag=tag, snapshots=snapshots, counter_states=runtime.counters.snapshot()
+            tag=tag,
+            windows=runtime.windows.all(),
+            ranks=[rank for rank in range(cluster.nprocs) if rank not in runtime.excised],
+            counter_states=runtime.counters.snapshot(),
         )
         # The closing barrier confirms every copy completed; only then does
         # the version become restorable and the log dispensable.  A failure

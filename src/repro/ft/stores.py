@@ -28,15 +28,17 @@ ship:
 On the host, every copy kept of a window is a *placement* of its one chain
 (:class:`_Chain`): a rank-major ``(nprocs, size)`` image equal to live as of the
 newest placement, plus what later placements overwrote; each rank's row of it is
-priced as a full copy.  A checkpoint places every rank's row in one pass and pays
-for it in one :meth:`CheckpointStore._account` call.  Redundancy is a rule over
-placements, not more bytes: a version holds one placement number per window
-until eviction, and records whose memory failed since
+priced as a full copy.  The image has the live window's layout
+(:attr:`~repro.rma.window.Window.array`): a checkpoint places every member's row
+in one pass — one flat scatter of the change-set, one row-block assignment of the
+dense rows — and pays in one :meth:`CheckpointStore._account` call.  Redundancy is
+a rule over placements, not more bytes: a version holds one placement number per
+window until eviction, and records whose memory failed since
 (:attr:`CheckpointVersion.lost`); a store lists a rank's copies in the order it
 serves them (:meth:`CheckpointStore._copies`), each naming the ranks whose
-placements it needs, and serves the first whose ranks all still hold theirs.
-The read-only ``(rank, window)`` handles are built only when a copy is read.
-The buddy copy and the parity stripe are priced and counted, never built.
+placements it needs, and serves the first whose ranks all still hold theirs.  The
+read-only ``(rank, window)`` handles are built only when a copy is read.  The
+buddy copy and the parity stripe are priced and counted, never built.
 
 Stores are resolved by name through :data:`STORES` (the same convention as
 ``backend="sim"|"vector"``) and are orthogonal to the
@@ -62,6 +64,7 @@ from repro.registry import register_kind, resolve_component
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.rma.runtime import RmaRuntime
+    from repro.rma.window import Window
 
 __all__ = [
     "CheckpointVersion",
@@ -74,10 +77,6 @@ __all__ = [
     "STORES",
     "make_store",
 ]
-
-#: Per-rank windows handed to a store: ``rank -> window -> data``.  The arrays
-#: are the windows' *live* buffers, not copies (see :meth:`CheckpointStore._place`).
-Snapshots = dict[int, dict[str, np.ndarray]]
 
 #: Fixed dense rule: a row whose change-set covers more than ``1/_DENSE`` of it
 #: keeps its previous values whole in the undo record, not index by index.
@@ -109,22 +108,20 @@ def _union(sets) -> np.ndarray:
     return at if fresh.all() else at[np.append(True, fresh)]  # first, then each new
 
 
-def _spans(logged: dict, name: str, ranks, size: int) -> tuple:
-    """The log's put spans of window ``name`` at ``ranks``, merged per row: the
-    ``(rank, start, end)`` patches and the elements they cover, as ascending
-    flat ``rank * size + i``."""
-    patches, starts, counts = [], [], []
+def _spans(logged: dict, name: str, ranks, size: int) -> np.ndarray:
+    """The elements the log's put spans of window ``name`` at ``ranks`` cover,
+    merged per row, as ascending flat ``rank * size + i``."""
+    starts, counts = [], []
     for rank in ranks:
         spans = logged.get((rank, name), ())
         for offset, count in spans if len(spans) < 2 else _merged(spans):
-            patches.append((rank, offset, offset + count))
             starts.append(rank * size + offset)
             counts.append(count)
     if not counts:
-        return patches, _NONE
+        return _NONE
     if counts.count(count) == len(counts):  # spans of one length: an outer sum
-        return patches, np.add.outer(starts, np.arange(count)).ravel()
-    return patches, np.concatenate([np.arange(s, s + c) for s, c in zip(starts, counts)])
+        return np.add.outer(starts, np.arange(count)).ravel()
+    return np.concatenate([np.arange(s, s + c) for s, c in zip(starts, counts)])
 
 
 def _differ(live: np.ndarray, image: np.ndarray, among=None) -> np.ndarray:
@@ -253,43 +250,40 @@ class _Chain:
     ``pins``: placement -> holders) keeps a record.  A row no placement since
     included (its rank was excised) keeps its bytes."""
 
-    def __init__(self, window: Any, snapshots: Snapshots) -> None:
-        self.image = np.zeros((window.nprocs, window.size), window.dtype)
-        for rank, windows in snapshots.items():
-            self.image[rank] = windows[window.name]
+    def __init__(self, window: Window, ranks: dict) -> None:
+        self.image = window.array.copy()  # the members' rows; a non-member's starts zeroed
+        self.image[[r for r in range(window.nprocs) if r not in ranks]] = 0
         self.size, self.seq, self.rows = window.size, 0, list(self.image)  # row views
         self.edges = np.arange(window.nprocs + 1) * window.size  # the rows' flat bounds
         self.undo: dict[int, tuple] = {}
         self.refs: dict[Any, int] = {}
         self.pins: dict[int, int] = {}
 
-    def place(self, snapshots: Snapshots, name: str, spans: tuple, compare) -> None:
-        """Make the live rows of window ``name`` the newest placement.  A row's
-        change-set is its part of the ``spans`` — ``(rank, start, end)`` patches
-        and the ascending flat indices they cover, of the ranks not in
-        ``compare`` — or, for a rank of ``compare``, where it differs byte-wise.
-        One gather of the old values, then the row scatters."""
-        k, size, rows, (patches, changed) = self.seq, self.size, self.rows, spans
-        found = {rank: _differ(snapshots[rank][name], rows[rank]) for rank in compare}
-        counts = {rank: at.size for rank, at in found.items()}
-        for rank, start, end in patches:
-            counts[rank] = counts.get(rank, 0) + end - start
-        whole = {rank: rows[rank].copy() for rank, n in counts.items() if n * _DENSE > size}
+    def place(self, window: Window, changed: np.ndarray, compare) -> None:
+        """Make the live rows of ``window`` the newest placement.  A row's
+        change-set is its part of ``changed`` — the ascending flat indices of the
+        log's spans at the ranks not in ``compare`` — or, for a rank of
+        ``compare``, where it differs byte-wise.  One gather of the old values,
+        one flat scatter of the new ones and one row-block assignment of the
+        rows past a dense change-set."""
+        k, size, rows = self.seq, self.size, self.rows
+        found = {rank: _differ(window.buffers[rank], rows[rank]) for rank in compare}
+        bounds = changed.searchsorted(self.edges)
+        counts = bounds[1:] - bounds[:-1]  # per row; a compared row's are its differences
+        for rank, at in found.items():
+            counts[rank] = at.size
+        dense = (counts * _DENSE > size).nonzero()[0]  # the rows kept whole in the record
+        whole = {rank: rows[rank].copy() for rank in dense.tolist()}
         if found or whole:  # the flat change-set: no whole row, a compared row's differences
-            bounds = changed.searchsorted(self.edges)
             changed = np.concatenate([_NONE, *[
                 found[r] + r * size if r in found else changed[bounds[r]:bounds[r + 1]]
-                for r in sorted(counts) if r not in whole
+                for r in counts.nonzero()[0].tolist() if r not in whole
             ]])
-        self.undo[k] = changed, self.image.reshape(-1)[changed], whole
-        for rank, start, end in patches:
-            if rank not in whole:
-                rows[rank][start:end] = snapshots[rank][name][start:end]
-        for rank, at in found.items():
-            if rank not in whole:
-                rows[rank][at] = snapshots[rank][name][at]
-        for rank in whole:
-            rows[rank][:] = snapshots[rank][name]
+        flat = self.image.reshape(-1)
+        self.undo[k] = changed, flat[changed], whole
+        flat[changed] = window.array.reshape(-1)[changed]
+        if whole:
+            self.image[dense] = window.array[dense]
         self.seq = k + 1
         if k not in self.pins:
             self._fold(k)
@@ -457,13 +451,14 @@ class CheckpointStore(abc.ABC):
     # Placement (template methods)
     # ------------------------------------------------------------------
     def prepare(
-        self, *, tag: Any, snapshots: Snapshots, counter_states: list
+        self, *, tag: Any, windows: list[Window], ranks: list[int], counter_states: list
     ) -> CheckpointVersion:
-        """Place copies of ``snapshots`` and charge their cost; do not publish."""
+        """Place copies of the member ``ranks``' rows of ``windows`` and charge their
+        cost; do not publish."""
         version = CheckpointVersion(
             version=self._next_version, tag=tag, counter_states=counter_states, buddy_of={}
         )
-        self._place(version, snapshots)
+        self._place(version, windows, dict.fromkeys(ranks))
         return version
 
     def commit(self, version: CheckpointVersion) -> CheckpointVersion:
@@ -476,12 +471,13 @@ class CheckpointStore(abc.ABC):
         return version
 
     @abc.abstractmethod
-    def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
-        """Store every rank's snapshot copies and charge their virtual cost.
+    def _place(self, version: CheckpointVersion, windows: list[Window], ranks: dict) -> None:
+        """Store copies of the member ``ranks``' rows (a dict: ordered, for
+        membership) of every window and charge their virtual cost.
 
-        ``snapshots`` are the windows' live buffers, taken at an epoch
-        boundary: they are *valid only during* ``_place`` — whatever the store
-        retains it copies (:meth:`_retain`), whatever it derives it derives now.
+        The ``windows`` are live, taken at an epoch boundary: their rows are
+        *valid only during* ``_place`` — whatever the store retains it copies
+        (:meth:`_retain`), whatever it derives it derives now.
         """
 
     def _evict(self, version: CheckpointVersion) -> None:
@@ -489,8 +485,8 @@ class CheckpointStore(abc.ABC):
         for chain in self._chains.values():
             chain.release(version.version)
 
-    def _retain(self, version: CheckpointVersion, snapshots: Snapshots) -> _Placed:
-        """Place the live ``snapshots`` on their windows' chains; what ``version`` holds.
+    def _retain(self, version: CheckpointVersion, windows: list[Window], ranks) -> _Placed:
+        """Place the members' live rows on the windows' chains; what ``version`` holds.
 
         A row's change-set is the log's merged put spans when the row is
         *trusted* (a log observes, the rank's raw-access stamp of the window
@@ -500,34 +496,30 @@ class CheckpointStore(abc.ABC):
         records newer than it say*.  A retried checkpoint's placement replaces
         the aborted one's as its version's reference."""
         logged, seen, placed, self.spans = self._logged(), self.seen, {}, {}
-        for window in self._windows(snapshots):
+        for window in windows:
             name, stamps, chain = window.name, window.stamps, self._chains.get(window.name)
             if chain is None:
-                chain = self._chains[name] = _Chain(window, snapshots)
+                chain = self._chains[name] = _Chain(window, ranks)
             elif logged is None:
-                chain.place(snapshots, name, ([], _NONE), list(snapshots))
+                chain.place(window, _NONE, list(ranks))
             else:
                 old = seen.get(name)
                 compare = [] if old == stamps else [
-                    r for r in snapshots if old is None or old[r] != stamps[r]
+                    r for r in ranks if old is None or old[r] != stamps[r]
                 ]
-                trusted = sorted(set(snapshots).difference(compare)) if compare else snapshots
-                spans = _spans(logged, name, trusted, window.size)
-                self.spans[name] = spans, compare
-                chain.place(snapshots, name, spans, compare)
+                trusted = sorted(set(ranks).difference(compare)) if compare else ranks
+                changed = _spans(logged, name, trusted, window.size)
+                self.spans[name] = changed, compare
+                chain.place(window, changed, compare)
             if logged is not None:
                 seen[name] = stamps.copy()
             placed[name] = chain, chain.hold(version.version)
-        return _Placed(dict.fromkeys(snapshots), placed)
-
-    def _windows(self, snapshots: Snapshots) -> list:
-        """The snapshotted windows, looked up once per checkpoint."""
-        return list(map(self._runtime.windows.get, next(iter(snapshots.values()), ())))
+        return _Placed(ranks, placed)
 
     @staticmethod
-    def _sizes(snapshots: Snapshots) -> list[int]:
-        """Each window's bytes per rank (every member's windows have the same sizes)."""
-        return list(map(_NBYTES, next(iter(snapshots.values()), {}).values()))
+    def _sizes(windows: list[Window]) -> list[int]:
+        """Each window's bytes per rank."""
+        return [window.size * window.itemsize for window in windows]
 
     # ------------------------------------------------------------------
     # Retrieval: the first copy whose ranks all still hold their placement
@@ -614,13 +606,13 @@ class MemoryStore(CheckpointStore):
         super().bind(runtime, level=level)
         self.buddies = buddy_assignment(runtime.cluster.placement, level)
 
-    def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
+    def _place(self, version: CheckpointVersion, windows: list[Window], ranks: dict) -> None:
         costs, excised = self._runtime.cluster.costs, self._runtime.excised
-        version.local = self._retain(version, snapshots)
-        version.buddy_of = {r: b for r, b in self.buddies.items() if r in snapshots}
-        copied = sum(self._sizes(snapshots))
+        version.local = self._retain(version, windows, ranks)
+        version.buddy_of = {r: b for r, b in self.buddies.items() if r in ranks}
+        copied = sum(self._sizes(windows))
         copy, send, entries = costs.local_copy(copied), costs.remote_transfer(copied), []
-        for rank in snapshots:
+        for rank in ranks:
             entries.append((rank, copied, "local", ((rank, copy),), False))
             # The buddy copy is served from the same placements; its transfer is
             # charged on both ends.  A buddy removed by a degraded continuation
@@ -675,17 +667,17 @@ class DiskStore(CheckpointStore):
         else:
             self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
-        costs, nprocs, entries = self._runtime.cluster.costs, self._runtime.cluster.nprocs, []
-        for rank, windows in snapshots.items():
+    def _place(self, version: CheckpointVersion, windows: list[Window], ranks: dict) -> None:
+        cluster, rank_bytes, entries = self._runtime.cluster, sum(self._sizes(windows)), []
+        # Every rank writes concurrently; the PFS bandwidth is shared.
+        seconds = cluster.costs.pfs_write(rank_bytes, concurrent_writers=cluster.nprocs)
+        for rank in ranks:
             files = {}
-            for name, data in windows.items():
-                files[name] = _Spilled(self.directory / f"v{version.version}_r{rank}_{name}.npy")
-                np.save(files[name].path, data)
+            for window in windows:
+                path = self.directory / f"v{version.version}_r{rank}_{window.name}.npy"
+                np.save(path, window.buffers[rank])
+                files[window.name] = _Spilled(path)
             self._layout[(version.version, rank)] = files
-            rank_bytes = _total(windows)
-            # Every rank writes concurrently; the PFS bandwidth is shared.
-            seconds = costs.pfs_write(rank_bytes, concurrent_writers=nprocs)
             entries.append((rank, rank_bytes, "pfs", ((rank, seconds),), False))
         self._account(entries)
 
@@ -790,16 +782,16 @@ class ParityStore(CheckpointStore):
                                for i, h in enumerate(self._holders(gidx))]
         return chunks
 
-    def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
-        version.local = self._retain(version, snapshots)
-        sizes = self._sizes(snapshots)
+    def _place(self, version: CheckpointVersion, windows: list[Window], ranks: dict) -> None:
+        version.local = self._retain(version, windows, ranks)
+        sizes = self._sizes(windows)
         costs, rank_bytes = self._runtime.cluster.costs, sum(sizes)
         # The local duplicate plus each rank's contribution to the group-wide
         # XOR reduction (one transfer of its snapshot).
         copy, send = costs.local_copy(rank_bytes), costs.remote_transfer(rank_bytes)
-        entries = [(r, rank_bytes, "local", ((r, copy), (r, send)), False) for r in snapshots]
-        for holder, chunk in self._chunks(snapshots, sizes):
-            if holder in snapshots:  # an excised holder has no memory for it
+        entries = [(r, rank_bytes, "local", ((r, copy), (r, send)), False) for r in ranks]
+        for holder, chunk in self._chunks(ranks, sizes):
+            if holder in ranks:  # an excised holder has no memory for it
                 charges = ((holder, costs.local_copy(chunk)),)
                 entries.append((holder, chunk, "parity", charges, False))
         self._account(entries)
@@ -938,10 +930,10 @@ class MultiLevelStore(CheckpointStore):
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def _place(self, version: CheckpointVersion, snapshots: Snapshots) -> None:
-        self.base._place(version, snapshots)
+    def _place(self, version: CheckpointVersion, windows: list[Window], ranks: dict) -> None:
+        self.base._place(version, windows, ranks)
         if self._chain is self:  # the versions live on disk: only the levels hold placements
-            self._retain(version, snapshots)
+            self._retain(version, windows, ranks)
             for chain in self._chains.values():
                 chain.release(version.version)
         # Cadence counts *committed* checkpoints so that a retried attempt
@@ -950,21 +942,21 @@ class MultiLevelStore(CheckpointStore):
         # ``commit``: an aborted one leaves the mirrors and the dirty spans be
         # (a retry adds its spans again, which the union absorbs).
         logged, slot, spans = self._logged(), self._committed + 1, {}
-        for name, ((_, changed), compare) in self._chain.spans.items():
+        for name, (changed, compare) in self._chain.spans.items():
             if compare:  # a compared row's puts move at a capture too
                 size = self._runtime.windows.get(name).size
-                changed = _union([changed, _spans(logged, name, compare, size)[1]])
+                changed = _union([changed, _spans(logged, name, compare, size)])
             spans[name] = changed
         for lvl in self.levels:
             lvl.staged = None
             for name, changed in spans.items():
                 lvl.dirty.setdefault(name, []).append(changed)
             if slot == 1 or slot % lvl.every == 0:
-                self._capture(lvl, snapshots, logged is not None)
+                self._capture(lvl, windows, ranks, logged is not None)
 
-    def _capture(self, lvl: _Level, snapshots: Snapshots, logged: bool) -> None:
-        moved, placed, seen = [0] * len(snapshots), {}, {}
-        for window in self._windows(snapshots):
+    def _capture(self, lvl: _Level, windows: list[Window], ranks: dict, logged: bool) -> None:
+        moved, placed, seen = [0] * len(ranks), {}, {}
+        for window in windows:
             name, stamps, chain = window.name, window.stamps, self._chain._chains[window.name]
             placed[name] = chain, chain.seq  # a capture moves no host data
             if logged:
@@ -976,29 +968,29 @@ class MultiLevelStore(CheckpointStore):
             dirty = lvl.dirty.get(name) or [_NONE]
             spans = dirty[0] if len(dirty) == 1 else _union(dirty)  # merged, every row's
             bounds = spans.searchsorted(chain.edges).tolist()
-            changed = [bounds[rank + 1] - bounds[rank] for rank in snapshots]
+            changed = [bounds[rank + 1] - bounds[rank] for rank in ranks]
             # Local stores bypass the completion stream: unless the row is
             # trusted (stamp unmoved since this level's last capture), of the
             # elements some placement since changed (all, past a dense one)
             # those outside the spans still differing from the pinned one move.
             old = lvl.seen.get(name) if logged else None
-            for i, rank in enumerate(snapshots if old != stamps else ()):
+            for i, rank in enumerate(ranks if old != stamps else ()):
                 if old is not None and old[rank] == stamps[rank]:
                     continue
-                among, live = chain.since(pinned[1], rank), snapshots[rank][name]
+                among, live = chain.since(pinned[1], rank), window.buffers[rank]
                 extra = _differ(live, chain.values(pinned[1], rank, among), among)
                 done = spans[bounds[rank]:bounds[rank + 1]] - rank * size
                 changed[i] += np.setdiff1d(extra, done, assume_unique=True).size
             moved = [m + c * window.itemsize for m, c in zip(moved, changed)]
-        cluster, full, writers = self._runtime.cluster, sum(self._sizes(snapshots)), len(snapshots)
+        cluster, full, writers = self._runtime.cluster, sum(self._sizes(windows)), len(ranks)
         costs = cluster.costs
         seconds = {m: costs.remote_transfer(m) if lvl.kind == "parity"
                    else costs.pfs_write(m, concurrent_writers=writers) for m in set(moved)}
-        cluster.metrics.incr_ranks("ft.multilevel_moved_bytes", zip(snapshots, moved))
-        cluster.metrics.incr_ranks("ft.multilevel_full_bytes", [(r, full) for r in snapshots])
+        cluster.metrics.incr_ranks("ft.multilevel_moved_bytes", zip(ranks, moved))
+        cluster.metrics.incr_ranks("ft.multilevel_full_bytes", [(r, full) for r in ranks])
         self._account([(r, m, lvl.kind, ((r, seconds[m]),), lvl.captures > 0)
-                       for r, m in zip(snapshots, moved)])
-        lvl.staged = _Placed(dict.fromkeys(snapshots), placed), seen
+                       for r, m in zip(ranks, moved)])
+        lvl.staged = _Placed(ranks, placed), seen
 
     def commit(self, version: CheckpointVersion) -> CheckpointVersion:
         published = [lvl for lvl in self.levels if lvl.staged is not None]

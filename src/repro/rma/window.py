@@ -2,12 +2,17 @@
 
 Following the paper's implementation section (§6) we assume each process
 exposes one (or more) contiguous regions of memory of equal size; in MPI-3
-terms every such region is a *window*.  In the simulator a window is simply a
-numpy array per rank, owned by the runtime, that remote processes read and
-write through :class:`~repro.rma.runtime.RmaRuntime`.
+terms every such region is a *window*.  A window is one C-contiguous
+``(nprocs, size)`` numpy array, rank-major as MPI-3's
+``MPI_Win_allocate_shared`` lays it out: rank ``r``'s buffer is row ``r``, which
+remote processes read and write through :class:`~repro.rma.runtime.RmaRuntime`.
+Every backend keeps this one layout (``proc`` backs it with shared memory), and
+the checkpoint chains mirror it.
 
 A window buffer is *invalidated* when its owner fails (fail-stop: the memory
-content is lost) and *reallocated* when a replacement process is spawned.
+content is lost) and *reallocated* when a replacement process is spawned; both,
+and a restore, rewrite the row in place, so a row view always reads the rank's
+current bytes.
 
 Local views have a lifetime: :meth:`Window.view` hands out views writable until
 the next :meth:`Window.seal` (a job-step boundary, a checkpoint, a buffer swap).
@@ -34,8 +39,12 @@ class Window:
     size: int
     dtype: np.dtype
     nprocs: int
-    buffers: dict[int, np.ndarray] = field(default_factory=dict)
+    #: The window's one C-contiguous ``(nprocs, size)`` array (zeros unless a
+    #: backend passes storage it owns).
+    array: np.ndarray | None = None
     _invalidated: set[int] = field(default_factory=set)
+    #: Rank ``r``'s buffer: row ``r`` of :attr:`array`, a view.
+    buffers: list[np.ndarray] = field(init=False)
     #: Bytes per element.
     itemsize: int = field(init=False)
     #: Per-rank raw-access stamp (monotone).
@@ -51,9 +60,9 @@ class Window:
         self.dtype = np.dtype(self.dtype)
         self.itemsize = int(self.dtype.itemsize)
         self.stamps = [0] * self.nprocs
-        for rank in range(self.nprocs):
-            if rank not in self.buffers:
-                self.buffers[rank] = np.zeros(self.size, dtype=self.dtype)
+        if self.array is None:
+            self.array = np.zeros((self.nprocs, self.size), self.dtype)
+        self.buffers = list(self.array)
 
     # ------------------------------------------------------------------
     # Local access
@@ -122,12 +131,6 @@ class Window:
             self._check_alive(rank)
         return self.buffers[rank][offset : offset + count]
 
-    def snapshot(self, rank: int) -> np.ndarray:
-        """A deep copy of ``rank``'s entire buffer (checkpoint payload)."""
-        self._check_rank(rank)
-        self._check_alive(rank)
-        return self.buffers[rank].copy()
-
     def restore(self, rank: int, data: np.ndarray) -> None:
         """Replace ``rank``'s entire buffer with checkpointed ``data``."""
         data = np.asarray(data, dtype=self.dtype).ravel()
@@ -142,14 +145,11 @@ class Window:
         self._invalidated.discard(rank)
 
     def _swap(self, rank: int, data: np.ndarray | None) -> None:
-        """Replace ``rank``'s whole buffer (``None``: zeros).  Its handed-out
-        views are sealed first, so none keeps writing into a dead array."""
+        """Overwrite ``rank``'s whole row in place (``None``: zeros).  Its handed-out
+        views are sealed first: they keep reading the row, but no longer write it."""
         self.seal(rank)
         self.stamps[rank] += 1
-        self._fill(rank, data)
-
-    def _fill(self, rank: int, data: np.ndarray | None) -> None:
-        self.buffers[rank] = np.zeros(self.size, self.dtype) if data is None else data.copy()
+        self.buffers[rank][...] = 0 if data is None else data
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -229,7 +229,7 @@ class WindowRegistry:
         """Create and register a new window.
 
         ``factory`` lets a backend substitute a :class:`Window` subclass whose
-        buffers live in backend-owned storage (e.g. POSIX shared memory for
+        array lives in backend-owned storage (e.g. POSIX shared memory for
         the real-process backend) while the registry bookkeeping stays common.
         """
         if name in self._windows:

@@ -36,19 +36,21 @@ def store_oracle(request, monkeypatch):
         return
     retain, capture = CheckpointStore._retain, MultiLevelStore._capture
 
-    def checked_retain(self, version, snapshots):
-        retained = retain(self, version, snapshots)
-        for rank, windows in snapshots.items():
-            for name, live in windows.items():
+    def checked_retain(self, version, windows, ranks):
+        retained = retain(self, version, windows, ranks)
+        for rank in ranks:
+            for window in windows:
+                name, live = window.name, window.buffers[rank]
                 assert _same_bytes(retained[rank][name], live), (
                     f"{self.name}: image of rank {rank} window {name!r} differs from live"
                 )
         return retained
 
-    def checked_capture(self, lvl, snapshots, *rest):
-        capture(self, lvl, snapshots, *rest)
-        for rank, windows in snapshots.items():
-            for name, live in windows.items():
+    def checked_capture(self, lvl, windows, ranks, *rest):
+        capture(self, lvl, windows, ranks, *rest)
+        for rank in ranks:
+            for window in windows:
+                name, live = window.name, window.buffers[rank]
                 assert _same_bytes(lvl.staged[0][rank][name], live), (
                     f"{lvl.kind} mirror of rank {rank} window {name!r} differs from live"
                 )

@@ -1,6 +1,6 @@
 """Backends and the nonblocking operation API.
 
-Covers the epoch semantics of :class:`~repro.rma.handles.OpHandle` (buffers
+Covers the epoch semantics of :class:`~repro.rma.actions.OpHandle` (buffers
 materialize only at flush/unlock/gsync), the counter transitions of the
 completion points, the coalescing correctness of the vector backend, and the
 bit-identity of recorded traces between ``SimBackend`` and ``VectorBackend``

@@ -1091,8 +1091,10 @@ def test_buddy_copy_is_a_second_reference_priced_as_a_copy():
 #: every placement charged clocks through ``Cluster.advance`` and looked its
 #: windows up per rank: 451 and 463 / 610 / 559 / 781; with one slab chain per
 #: ``(rank, window)``, its holders, charges and captures paid per slab: 229 and
-#: 239 / 317 / 263 / 419.
-CHECKPOINT_BUDGETS = {"memory": [67] * 4, "multilevel": [76, 101, 85, 125]}
+#: 239 / 317 / 263 / 419; with one rank-major chain per window, its rows placed by
+#: per-row scatters from a ``rank -> window -> buffer`` dict: 67 and 76 / 101 / 85
+#: / 125.
+CHECKPOINT_BUDGETS = {"memory": [64] * 4, "multilevel": [73, 96, 82, 118]}
 #: ... and of the ``gsync`` before it, completing eight one-op batches (247, then
 #: 148 before a settled job completed its ranks without re-deriving membership and
 #: scanned the locks with a list instead of a generator, 100 before a barrier

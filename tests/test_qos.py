@@ -211,12 +211,11 @@ def test_multilevel_upper_level_survives_rank_and_buddy_loss():
 def _prepare_only(stack, tag):
     """A checkpoint whose closing barrier never came: placed, never committed."""
     rt = stack.checkpointer.runtime
-    snapshots = {
-        rank: {w.name: w._region(rank, 0, w.size) for w in rt.windows.all()}
-        for rank in range(rt.nprocs)
-    }
     return stack.store.prepare(
-        tag=tag, snapshots=snapshots, counter_states=rt.counters.snapshot()
+        tag=tag,
+        windows=rt.windows.all(),
+        ranks=range(rt.nprocs),
+        counter_states=rt.counters.snapshot(),
     )
 
 

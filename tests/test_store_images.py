@@ -1,7 +1,7 @@
 """The checkpoint data path: the slab chain never clobbers, its change-sets never miss.
 
-Stores are handed the windows' *live* buffers and place them on one chain per
-``(rank, window)``: an image equal to live as of the newest placement, plus the
+Stores are handed the *live* windows and place every member's row on one chain
+per window: a rank-major image equal to live as of the newest placement, plus the
 values later placements overwrote.  Retained versions and level mirrors are
 handles on placements.  The property held here: whatever a store still serves
 — every retained version, every level mirror at its ``captured_version`` — is

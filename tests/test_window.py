@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.backends.proc import proc_available
 from repro.errors import ProcessFailedError, WindowError
+from repro.rma import RmaRuntime
 from repro.rma.window import Window, WindowRegistry
+from repro.simulator import Cluster
 
 
 @pytest.fixture
@@ -45,7 +48,6 @@ def test_invalidate_loses_content_and_blocks_access(window):
         lambda: window.local(2),
         lambda: window.read(2, 0, 1),
         lambda: window.write(2, 0, [1.0]),
-        lambda: window.snapshot(2),
     ):
         with pytest.raises(ProcessFailedError):
             access()
@@ -64,7 +66,7 @@ def test_reallocate_gives_a_fresh_zeroed_buffer(window):
 def test_restore_repopulates_even_while_invalidated(window):
     checkpoint = np.arange(8.0)
     window.write(0, 0, checkpoint)
-    saved = window.snapshot(0)
+    saved = window.read(0, 0, 8)
     window.invalidate(0)
     window.restore(0, saved)
     assert not window.is_invalidated(0)
@@ -102,3 +104,54 @@ def test_registry_invalidates_and_reallocates_across_all_windows():
     assert a.is_invalidated(1) and b.is_invalidated(1)
     registry.reallocate_rank(1)
     assert not a.is_invalidated(1) and not b.is_invalidated(1)
+
+
+def _assert_one_rank_major_array(window):
+    """Every ``buffers[r]`` is row ``r`` of the window's one C-contiguous
+    ``(nprocs, size)`` array: same memory, same base."""
+    array = window.array
+    assert array.shape == (window.nprocs, window.size) and array.flags.c_contiguous
+    owner = array if array.base is None else array.base  # shm: the segment's flat view
+    assert len(window.buffers) == window.nprocs
+    for rank, row in enumerate(window.buffers):
+        assert row.shape == (window.size,) and row.ctypes.data == array[rank].ctypes.data
+        assert np.shares_memory(row, array) and row.base is owner
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "sim",
+        "vector",
+        pytest.param(
+            "proc",
+            marks=pytest.mark.skipif(not proc_available(), reason="proc needs fork + shm"),
+        ),
+    ],
+)
+@pytest.mark.usefixtures("proc_hygiene")  # cheap on sim/vector; on proc: no leaked segment
+def test_a_window_is_one_rank_major_array_on_every_backend(backend):
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=1), backend=backend)
+    try:
+        window = rt.win_allocate("w", 6)
+        _assert_one_rank_major_array(window)
+        window.write(1, 2, [1.5, 2.5])
+        rt.put(0, 2, "w", 1, np.array([-0.0, 4.0, 8.0]))  # applied by the backend
+        kept = rt.local(3, "w")
+        kept[:] = 7.0
+        _assert_one_rank_major_array(window)
+        window.invalidate(3)
+        assert not kept.any()  # a kept view reads the row's current bytes
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1.0  # sealed before the invalidate: no write reaches the row
+        window.reallocate(3)
+        window.restore(0, np.arange(6.0))
+        _assert_one_rank_major_array(window)
+    finally:
+        rt.finalize()  # on ``proc``: detach into a private copy
+    _assert_one_rank_major_array(window)
+    expected = np.zeros((4, 6))
+    expected[0] = np.arange(6.0)
+    expected[1, 2:4] = [1.5, 2.5]
+    expected[2, 1:4] = [-0.0, 4.0, 8.0]
+    assert window.array.tobytes() == expected.tobytes()
