@@ -111,9 +111,7 @@ class WindowHandle:
             offset, stop, _ = index.indices(size)
             count = stop - offset
             if count <= 0:
-                raise WindowError(
-                    f"zero-length slice {index!r} on {self._where()}"
-                )
+                raise WindowError(f"zero-length slice {index!r} on {self._where()}")
             return offset, count
         offset = self._integral("index", index)
         if offset < 0:

@@ -133,7 +133,7 @@ class ActionLog(RmaInterceptor):
     def truncate(self) -> None:
         """Drop the log (a fresh checkpoint makes replaying it unnecessary)."""
         self.bytes_logged.clear()
-        self.actions.clear()
+        self.actions = []  # a new list: a replay may still read the old one in place
         self.step_marks.clear()
         self.in_closing_sync = False
         self._dirty.clear()

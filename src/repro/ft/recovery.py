@@ -538,7 +538,7 @@ class RecoveryManager:
             gnc = [own.gnc for own in version.counter_states]
             ahead = [own.gnc - gnc[r] for r, own in enumerate(runtime.counters.records)]
             runtime.begin_replay(ReplayCursor(
-                list(log.actions), set(restoring), log.step_marks, gnc, max(ahead), closing
+                log.actions, set(restoring), log.step_marks, gnc, max(ahead), closing
             ))
         cluster.barrier()
         cluster.metrics.incr("ft.recoveries")

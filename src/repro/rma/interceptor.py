@@ -8,9 +8,8 @@ after every communication action and after every synchronization action —
 and, on the same chain, at the session's step, checkpoint and recovery
 events.
 
-Interceptors implement fault tolerance (ftRMA), the message-logging baseline,
-SCR-style checkpointing and instrumentation; applications never see them —
-logging and checkpointing are fully transparent, exactly as in the paper.
+Interceptors implement fault tolerance (ftRMA's put/get log and checkpointer),
+fault injection and tracing; applications never see them, exactly as in the paper.
 """
 
 from __future__ import annotations
@@ -134,7 +133,10 @@ class InterceptorChain:
     """
 
     def __init__(self) -> None:
+        from repro.rma.ordering import OpJournal  # whose recorder imports this module
+
         self._interceptors: list[RmaInterceptor] = []
+        self.journal = OpJournal()  # the streams registered readers read: its ``hooks``
         self._resolve()
 
     def add(self, interceptor: RmaInterceptor, runtime: "RmaRuntime") -> None:
@@ -150,11 +152,12 @@ class InterceptorChain:
             self._resolve()
 
     def _resolve(self) -> None:
-        """Rebind every hook to the registered interceptors that override it."""
+        """Rebind every hook to the interceptors that override it (or to the op journal)."""
+        own = self.journal.hooks(self._interceptors)
         for name, default in vars(RmaInterceptor).items():
             if name.startswith(("on_", "before_", "after_")):
                 per_op = name.endswith(("_comm", "_sync"))
-                hooks = [getattr(i, name) for i in self._interceptors]
+                hooks = [own.get((id(i), name), getattr(i, name)) for i in self._interceptors]
                 hooks = [h for h in hooks if getattr(h, "__func__", None) is not default]
                 if len(hooks) > 1:
                     hooks = [_each(hooks, per_op)]

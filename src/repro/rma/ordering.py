@@ -1,8 +1,10 @@
-"""Recording and querying the RMA orders ``po``, ``so``, ``hb`` and ``co`` (§2.3).
+"""The op journal, and the RMA orders ``po``, ``so``, ``hb`` and ``co`` read from it (§2.3).
 
-An :class:`OrderRecorder` is an interceptor: registered on a runtime
-(``runtime.add_interceptor(OrderRecorder())``) it records every action the
-normal pipeline issues — not the ones a divert resolves — and reconstructs:
+An :class:`OpJournal` is a job's one record of its RMA actions, kept by the
+interceptor chain (``runtime.interceptors.journal``) for the interceptors that
+read it: a full tracer and an :class:`OrderRecorder`.  Registered on a runtime
+(``runtime.add_interceptor(OrderRecorder())``), a recorder reads every action the
+normal pipeline issues — not the ones a divert resolves — and reconstructs, per query:
 
 * the **program order** ``po`` — actions of one process in issue order;
 * the **synchronization order** ``so`` — lock/unlock (and gsync) ordering;
@@ -18,59 +20,109 @@ every action of a run.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 from repro.rma.actions import CommAction, SyncAction, SyncKind
 from repro.rma.interceptor import RmaInterceptor
 
-__all__ = ["OrderRecorder", "RecordedEvent"]
+__all__ = ["OP_COMPLETED", "OP_ISSUED", "SYNC_COMPLETED", "OpJournal", "OrderRecorder"]
+
+#: An entry's ``code``: the stream of ``before_comm``, ``after_comm`` or ``after_sync``.
+OP_ISSUED, OP_COMPLETED, SYNC_COMPLETED = 0, 1, 2
+_NOW = attrgetter("now")
 
 
-@dataclass(frozen=True)
-class RecordedEvent:
-    """A recorded action together with its issue index at its origin."""
+class OpJournal:
+    """One job's op stream: ``code, t, record`` per action, flat in :attr:`entries`.
 
-    index: int
-    action: CommAction | SyncAction
-
-    @property
-    def seq(self) -> int:
-        """Globally unique sequence number of the underlying action."""
-        return self.action.seq
-
-
-class OrderRecorder(RmaInterceptor):
-    """Accumulates actions and answers ordering queries.
-
-    It records a communication action in ``before_comm`` and a synchronization
-    action in ``after_sync`` — once issued, respectively once it completed.
+    ``code`` is the stream, ``record`` the action itself (flat and unchanged
+    after issue).  An interceptor reads streams by naming their codes in its
+    ``reads``; one that also has ``clocks`` has the entries stamped, ``t``
+    being the job's makespan (``cluster.elapsed()``: the largest ``now`` over
+    them), else ``t`` is ``None``.  A reader reads from its registration to its
+    removal; with no reader registered nothing is appended.
     """
 
     def __init__(self) -> None:
-        self.events: list[RecordedEvent] = []
-        self._per_rank: dict[int, list[RecordedEvent]] = {}
-        #: lock acquisition order per (target, structure): list of event seqs.
-        self._lock_chains: dict[tuple[int, str | None], list[RecordedEvent]] = {}
-        #: events per gsync generation, used for the global gsync order.
-        self._gsync_generations: list[int] = []
+        self.entries: list = []
+        self._windows: dict = {}  # reader -> [start, stop or None] into entries
 
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
+    def hooks(self, interceptors: list) -> dict:
+        """The chain's registration rule: opens and closes the readers' windows,
+        and returns ``{(id(reader), hook name): append}``, one per stream a registered
+        interceptor reads.  The append stands in for the stream's first reader's
+        own hook (a reader overrides none), so it runs, and stamps, where that
+        reader sits: a full tracer's after the log's charge, before a kill."""
+        end, own = len(self.entries), {}
+        for reader, window in self._windows.items():
+            if window[1] is None and reader not in interceptors:
+                window[1] = end
+        readers = [i for i in interceptors if getattr(i, "reads", ())]
+        for code, name in enumerate(("before_comm", "after_comm", "after_sync")):
+            streaming = [i for i in readers if code in i.reads]
+            if streaming:
+                clocks = next((i.clocks for i in streaming if hasattr(i, "clocks")), None)
+                own[id(streaming[0]), name] = _journaling(self.entries.extend, code, clocks)
+        for reader in readers:
+            self._windows.setdefault(reader, [end, None])
+        return own
+
+    def span(self, reader) -> tuple[int, int]:
+        """``reader``'s window into :attr:`entries` (all of them, if it never registered)."""
+        start, stop = self._windows.get(reader, (0, None))
+        return start, len(self.entries) if stop is None else stop
+
+    def read(self, reader, *, consume: bool = False) -> Iterator[tuple]:
+        """``(code, t, record)`` of each entry in ``reader``'s window.  ``consume``
+        moves its start past them a chunk at a time and drops the entries no window
+        reads any more, so a reader encoding them never holds both forms of all."""
+        while True:
+            start, stop = self.span(reader)
+            stop = min(stop, start + 3 * 4096) if consume else stop
+            fields = iter(self.entries[start:stop])
+            if consume and start < stop:
+                self._windows[reader][0] = stop
+                drop = min(window[0] for window in self._windows.values())
+                del self.entries[:drop]
+                for window in self._windows.values():
+                    window[:] = [None if at is None else at - drop for at in window]
+            yield from zip(fields, fields, fields)
+            if not consume or start == stop:
+                return
+
+
+def _journaling(extend, code: int, clocks: list | None):
+    """The hook appending ``code`` entries, stamped with the largest ``now`` of ``clocks``."""
+    if clocks is None:
+        return lambda action: extend((code, None, action))
+    return lambda action: extend((code, max(map(_NOW, clocks)), action))
+
+
+class OrderRecorder(RmaInterceptor):
+    """Reads the issued actions and completed syncs and answers ordering queries.
+
+    Registered, it reads the runtime's journal; detached, :meth:`record`
+    appends to a journal of its own.  Its graphs are built per query.
+    """
+
+    reads = (OP_ISSUED, SYNC_COMPLETED)
+
+    def __init__(self) -> None:
+        self._journal = OpJournal()
+
+    def attach(self, runtime) -> None:
+        self._journal = runtime.interceptors.journal
+
     def record(self, action: CommAction | SyncAction) -> None:
-        """Append one action to the recorded trace."""
-        event = RecordedEvent(index=len(self.events), action=action)
-        self.events.append(event)
-        self._per_rank.setdefault(action.src, []).append(event)
-        if isinstance(action, SyncAction):
-            if action.kind in (SyncKind.LOCK, SyncKind.UNLOCK) and action.trg is not None:
-                key = (action.trg, action.structure)
-                self._lock_chains.setdefault(key, []).append(event)
-            if action.kind is SyncKind.GSYNC:
-                self._gsync_generations.append(event.seq)
+        """Append one action to the journal the recorder reads."""
+        code = SYNC_COMPLETED if isinstance(action, SyncAction) else OP_ISSUED
+        self._journal.entries.extend((code, None, action))
 
-    before_comm = after_sync = record
+    @property
+    def events(self) -> list[CommAction | SyncAction]:
+        """The recorded actions, in record order."""
+        return [record for code, _, record in self._journal.read(self) if code in self.reads]
 
     # ------------------------------------------------------------------
     # Orders
@@ -100,19 +152,25 @@ class OrderRecorder(RmaInterceptor):
         a gsync at any process happens-before every event after it — the
         paper's optional global ``hb`` of gsync, §3.1.2).
         """
-        graph: dict[int, set[int]] = {event.seq: set() for event in self.events}
+        events = self.events
+        graph: dict[int, set[int]] = {action.seq: set() for action in events}
+        per_rank: dict[int, list] = {}
+        lock_chains: dict[tuple[int, str | None], list] = {}
+        generations: dict[int, set[int]] = {}
+        for action in events:
+            per_rank.setdefault(action.src, []).append(action)
+            if isinstance(action, SyncAction):
+                if action.kind in (SyncKind.LOCK, SyncKind.UNLOCK) and action.trg is not None:
+                    lock_chains.setdefault((action.trg, action.structure), []).append(action)
+                elif action.kind is SyncKind.GSYNC:
+                    generations.setdefault(action.GNC, set()).add(action.seq)
         # Program order, then synchronization order (lock chains).
-        for chain in (*self._per_rank.values(), *self._lock_chains.values()):
+        for chain in (*per_rank.values(), *lock_chains.values()):
             for earlier, later in zip(chain, chain[1:]):
                 graph[earlier.seq].add(later.seq)
         # Gsync edges: all members of a generation are mutually synchronized;
         # po already links each process's surrounding events to its gsync call.
-        by_generation: dict[int, set[int]] = {}
-        for event in self.events:
-            action = event.action
-            if isinstance(action, SyncAction) and action.kind is SyncKind.GSYNC:
-                by_generation.setdefault(action.GNC, set()).add(event.seq)
-        for members in by_generation.values():
+        for members in generations.values():
             for seq in members:
                 graph[seq] |= members - {seq}
         return graph

@@ -105,6 +105,7 @@ class ReplayCursor:
         # Survivors re-run the crash step unless its kernels had all finished.
         crash_step = len(actions) if closing else marks[-1] if marks else 0
         self._log, self._gnc = actions, gnc  # ``gnc``: every rank's at the checkpoint
+        self._stop = len(actions)  # the log's own list, read in place: it grows meanwhile
         self._epoch, self._joined = 0, joined  # gsyncs replayed / survivors joined
         #: Log positions the re-execution will issue, per ``(src, trg)`` pair:
         #: the restoring ranks' (whose heads bound the walk), the crash step's.
@@ -160,7 +161,7 @@ class ReplayCursor:
     def walk(self, runtime: "RmaRuntime") -> None:
         """Apply the survivors' put-likes towards restoring ranks that precede
         the restoring ranks' first unmatched action, up to the current epoch."""
-        end = min((queue[0] for queue in self._own if queue), default=len(self._log))
+        end = min((queue[0] for queue in self._own if queue), default=self._stop)
         log, restoring, gnc, epoch = self._log, self.restoring, self._gnc, self._epoch
         for i in range(self._walked, end):
             action = log[i]

@@ -15,8 +15,8 @@ TSUBAME2.0 failure history (§7.1).
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,8 +104,7 @@ class FailureSchedule:
     def add(self, event: FailureEvent) -> None:
         """Insert one more event, keeping the schedule sorted."""
         self._validate(event)
-        heapq.heappush(self.events, event)
-        self.events.sort()
+        insort(self.events, event)
 
     def merged_with(self, other: "FailureSchedule") -> "FailureSchedule":
         """Return a new schedule containing the events of both schedules."""

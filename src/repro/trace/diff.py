@@ -32,17 +32,16 @@ class Divergence:
     context: tuple[dict, ...] = field(default_factory=tuple)
 
 
+def _shown(event: dict, key: str) -> str:
+    return repr(event[key]) if key in event else "<absent>"
+
+
 def _field_diffs(left: dict, right: dict) -> list[str]:
-    _MISSING = object()
-    diffs = []
-    for key in sorted(set(left) | set(right)):
-        lval = left.get(key, _MISSING)
-        rval = right.get(key, _MISSING)
-        if lval != rval:
-            lrepr = "<absent>" if lval is _MISSING else repr(lval)
-            rrepr = "<absent>" if rval is _MISSING else repr(rval)
-            diffs.append(f"{key}: {lrepr} != {rrepr}")
-    return diffs
+    return [
+        f"{key}: {_shown(left, key)} != {_shown(right, key)}"
+        for key in sorted(set(left) | set(right))
+        if key not in left or key not in right or left[key] != right[key]
+    ]
 
 
 def first_divergence(

@@ -143,10 +143,6 @@ class TraceWriter:
         self._fh.write("\n")
         self.count += 1
 
-    def write_all(self, events: Iterable[dict]) -> None:
-        for event in events:
-            self.write(event)
-
     def close(self, *, discard: bool = False) -> None:
         """Publish (or discard) the staged trace.  Idempotent."""
         if self._fh is None:
@@ -177,7 +173,8 @@ def write_jsonl(
     before it is staged; the file is published atomically.
     """
     with TraceWriter(path, validate) as writer:
-        writer.write_all(rows)
+        for row in rows:
+            writer.write(row)
         return writer.count
 
 

@@ -8,8 +8,8 @@ fault-tolerance seams send down the same chain: kills (``on_kill``),
 per-level checkpoint bytes (``on_checkpoint_stored``) and drop/stale/repair
 decisions (``on_qos_decision``); and for the session's step/checkpoint/recovery
 spans — and emits schema-validated events stamped with ``cluster.elapsed()``.
-The detail level chooses the interceptor class; a ``"lifecycle"`` tracer's
-one overrides no per-op hook, so it costs an operation nothing.
+The detail level chooses the interceptor class: a ``"full"`` one reads the op
+stream from the chain's op journal, a ``"lifecycle"`` one costs an op nothing.
 Because every seam fires at runtime level (before backend-specific cost
 accounting diverges in wall time), the resulting event stream is
 byte-identical across the sim, vector and proc backends for the same
@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import TraceError
 from repro.rma.interceptor import RmaInterceptor
+from repro.rma.ordering import OP_COMPLETED, OP_ISSUED, SYNC_COMPLETED
 from repro.trace.events import write_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -79,10 +80,13 @@ class Tracer:
         self.detail = detail
         self.job = job
         self.order = order if order is not None else (job, 0)
-        self.events: list[dict] = []
         adapter = _FullTraceInterceptor if detail == "full" else _TraceInterceptor
         self.interceptor = adapter(self)
-        self._seq = 0
+        #: The stream so far: the events :meth:`emit` made, and a full tracer's
+        #: op events up to the last read of :attr:`events`.
+        self._emitted: list[dict] = []
+        self._journal = None  # the job's op journal, once a full tracer is on its chain
+        self._read = 0  # the prefix of ``_emitted`` in its final order
         self._cluster = None
         self._wall_started: float | None = None
 
@@ -109,13 +113,39 @@ class Tracer:
 
     def emit(self, type_: str, t: float, *, rt: dict | None = None, **fields) -> dict:
         """Append one event to the stream and return it."""
-        event = {"type": type_, "t": float(t), "seq": self._seq, "job": self.job}
+        start, stop = (0, 0) if self._journal is None else self._journal.span(self.interceptor)
+        seq = len(self._emitted) + (stop - start) // 3  # after the op events not yet read
+        event = {"type": type_, "t": float(t), "seq": seq, "job": self.job}
         event.update(fields)
         if rt:
             event["rt"] = rt
-        self._seq += 1
-        self.events.append(event)
+        self._emitted.append(event)
         return event
+
+    @property
+    def events(self) -> list[dict]:
+        """The stream.  A full tracer's op events wait in the job's op journal
+        until it is read; then they are encoded into it by ``seq``, once each."""
+        if self._journal is not None:
+            self._absorb()
+        return self._emitted
+
+    def _absorb(self) -> None:
+        events, k, job = self._emitted, 0, self.job
+        tail = events[self._read :]  # emitted since the last read, ``seq`` in order
+        del events[self._read :]
+        for code, t, action in self._journal.read(self.interceptor, consume=True):
+            while k < len(tail) and tail[k]["seq"] == len(events):
+                events.append(tail[k])
+                k += 1
+            event = {"type": _OP_EVENTS[code], "t": float(t), "seq": len(events), "job": job}
+            event.update(kind=action.kind.value, src=action.src, trg=action.trg)
+            if code != SYNC_COMPLETED:  # a communication action's fields, built once
+                offset, count = int(action.offset), int(action.count)
+                event.update(window=action.window, offset=offset, count=count)
+            events.append(event)
+        events.extend(tail[k:])
+        self._read = len(events)
 
     def _emit_job_finished(self) -> None:
         rt = None
@@ -220,7 +250,18 @@ class _TraceInterceptor(RmaInterceptor):
 
 class _FullTraceInterceptor(_TraceInterceptor):
     """A ``"full"`` tracer's adapter: the lifecycle events, plus windows and
-    the per-op issue/completion stream."""
+    the per-op issue/completion stream, which it reads from the job's op
+    journal, stamped with the makespan, instead of encoding it per event."""
+
+    reads = (OP_ISSUED, OP_COMPLETED, SYNC_COMPLETED)
+
+    @property
+    def clocks(self) -> list:
+        cluster = self._tracer._cluster
+        return [cluster.clock(rank) for rank in range(cluster.nprocs)]
+
+    def attach(self, runtime) -> None:
+        self._tracer._journal = runtime.interceptors.journal
 
     def on_window_create(self, window) -> None:
         t = self._tracer
@@ -233,34 +274,8 @@ class _FullTraceInterceptor(_TraceInterceptor):
             nbytes_per_rank=int(window.nbytes_per_rank),
         )
 
-    def before_comm(self, action) -> None:
-        t = self._tracer
-        t.emit("op_issued", t._now(), **_comm_fields(action))
 
-    def after_comm(self, action) -> None:
-        t = self._tracer
-        t.emit("op_completed", t._now(), **_comm_fields(action))
-
-    def after_sync(self, action) -> None:
-        t = self._tracer
-        t.emit(
-            "sync_completed",
-            t._now(),
-            kind=action.kind.value,
-            src=action.src,
-            trg=action.trg,
-        )
-
-
-def _comm_fields(action) -> dict:
-    return {
-        "kind": action.kind.value,
-        "src": action.src,
-        "trg": action.trg,
-        "window": action.window,
-        "offset": int(action.offset),
-        "count": int(action.count),
-    }
+_OP_EVENTS = ("op_issued", "op_completed", "sync_completed")  # by journal code
 
 
 def install_trace(job: Job, tracer: Tracer) -> Tracer:

@@ -217,7 +217,7 @@ def _run_traced(backend, failures=None):
         field = np.stack([job.local(r, "w").copy() for r in range(4)])
         # Strip the globally monotonic seq (last element): it differs between
         # process-wide runs, not between backends within a run.
-        trace = [e.action.determinant()[:-1] for e in recorder.events]
+        trace = [action.determinant()[:-1] for action in recorder.events]
         clocks = [job.runtime.cluster.now(r) for r in range(4)]
     return field, trace, clocks
 

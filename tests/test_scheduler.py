@@ -52,7 +52,7 @@ def _run(failure_schedule: FailureSchedule | None):
         job.run(_kernel, steps=STEPS)
         # Determinants minus the process-global `seq` counter (it keeps
         # growing across runs in the same process).
-        trace = [event.action.determinant()[:-1] for event in recorder.events]
+        trace = [action.determinant()[:-1] for action in recorder.events]
         clocks = [job.cluster.now(rank) for rank in range(NPROCS)]
         field = job.gather("u")
     return trace, clocks, field

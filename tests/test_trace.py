@@ -22,14 +22,18 @@ import repro
 from repro.backends.proc import proc_available
 from repro.errors import TraceError
 from repro.ft.inject import KillEvent, KillKind, KillPlan, install_injector
+from repro.rma import OrderRecorder
 from repro.rma.interceptor import RmaInterceptor
+from repro.rma.ordering import OP_COMPLETED, OP_ISSUED, SYNC_COMPLETED
 from repro.study import make_workload
 from repro.trace import (
     TraceWriter,
     Tracer,
     current_trace_hub,
+    event_line,
     event_lines,
     first_divergence,
+    install_trace,
     load_trace,
     render_divergence,
     render_summary,
@@ -389,6 +393,122 @@ def test_untraced_job_after_a_traced_one_carries_no_trace_seam():
             "on_rank_failed": stack.checkpointer.on_rank_failed,
         }
         assert current_trace_hub() is None
+
+
+# ---------------------------------------------------------------------------
+# The op journal: the put/get log, the order recorder and the tracer read one stream
+# ---------------------------------------------------------------------------
+#: ``(count, sha256)`` of a small full-traced job's canonical op events
+#: (``op_issued``, ``op_completed``, ``sync_completed``; ``rt`` stripped, one JSON
+#: line each) and of its ``OrderRecorder`` determinants (``seq`` counted from the
+#: first recorded action), recorded while the tracer and the recorder each kept
+#: their own copy of the op stream: reading the journal must not move a byte.
+JOURNAL_PINS = {
+    "ops": (245, "63787a2caa827b24dedc8c23dff0dbac85c539c39da51d74fd9798dd2b95e17c"),
+    "determinants": (173, "60474f484c7a85c9d9a0d89f6964a197c80d3774c924d30b3e3fa8731925f8c8"),
+}
+OP_EVENTS = ("op_issued", "op_completed", "sync_completed")
+
+
+def _journal_kernel(ctx, step):
+    n, r = ctx.nranks, ctx.rank
+    ctx.win("w").put_nb((r + 1) % n, r, [float(step + r)])
+    ctx.lock((r + 2) % n)
+    ctx.fetch_and_op((r + 2) % n, "w", n, 1.0)
+    ctx.unlock((r + 2) % n)
+    ctx.get((r + 3) % n, "w", 0, 2)
+    ctx.flush((r + 1) % n)
+
+
+def _sha(lines):
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_the_journal_s_readers_reproduce_the_pinned_trace_and_determinants():
+    """A localized job with a kill and its replay, traced and recorded."""
+    policy = repro.FaultTolerancePolicy(interval=2, store="memory", recovery="localized")
+    tracer, recorder = Tracer(), OrderRecorder()
+    with repro.launch(4, ft=policy, trace=tracer) as job:
+        job.allocate("w", 8)
+        job.runtime.add_interceptor(recorder)
+        install_injector(job, KillPlan.single(rank=1, after_ops=30))
+        job.run(_journal_kernel, steps=6)
+    events = tracer.events
+    assert [e["seq"] for e in events] == list(range(len(events)))
+    assert {"kill_fired", "recovery_completed"} <= {e["type"] for e in events}
+    ops = [event_line(e, canonical=True) for e in events if e["type"] in OP_EVENTS]
+    assert _sha(ops) == JOURNAL_PINS["ops"]
+    actions = recorder.events
+    first = actions[0].seq
+    determinants = [[*a.determinant()[:-1], a.seq - first] for a in actions]
+    digest = hashlib.sha256(json.dumps(determinants).encode()).hexdigest()
+    assert (len(determinants), digest) == JOURNAL_PINS["determinants"]
+    assert tracer.events is events  # encoded once, kept until the stream grows
+
+
+def _stream(chain, since):
+    """``(code, stamped)`` of the journal's entries from flat index ``since``."""
+    entries = chain.journal.entries[since:]
+    return [(code, t is not None) for code, t in zip(entries[::3], entries[1::3])]
+
+
+def test_the_chain_journals_a_stream_only_while_a_reader_reads_it():
+    def kernel(ctx, step):
+        ctx.put((ctx.rank + 1) % ctx.nranks, "w", 0, [float(step)])
+
+    def triad(job):
+        since, ctx = len(job.runtime.interceptors.journal.entries), job.contexts[0]
+        ctx.lock(1)
+        ctx.fetch_and_op(1, "w", 0, 1.0)
+        ctx.unlock(1)
+        return _stream(job.runtime.interceptors, since)
+
+    # Untraced, global or localized: nothing reads the journal, so nothing appends
+    # to it; a localized job's put/get log keeps the completions in its own list.
+    for recovery in ("global", "localized"):
+        policy = repro.FaultTolerancePolicy(interval=2, recovery=recovery)
+        with repro.launch(4, ft=policy) as job:
+            job.allocate("w", 8)
+            chain = job.runtime.interceptors
+            assert (chain.before_comm, chain.after_sync) == (None, None)
+            assert chain.after_comm == job.ft.log.after_comm
+            job.run(kernel, steps=5)
+            assert chain.journal.entries == [] and triad(job) == []
+            assert len(job.ft.log.actions) == (4 + 1 if recovery == "localized" else 0)
+    with repro.launch(4, ft=repro.FaultTolerancePolicy(interval=2)) as job:
+        job.allocate("w", 8)
+        rt, chain = job.runtime, job.runtime.interceptors
+        # An order recorder reads the issue and sync streams, unstamped.
+        unstamped = [(SYNC_COMPLETED, False), (OP_ISSUED, False), (SYNC_COMPLETED, False)]
+        recorder = OrderRecorder()
+        rt.add_interceptor(recorder)
+        assert chain.after_comm == job.ft.log.after_comm
+        assert triad(job) == unstamped
+        # A full tracer adds the completion stream, and every stream is stamped.
+        tracer = install_trace(job, Tracer())
+        assert triad(job) == [
+            (SYNC_COMPLETED, True), (OP_ISSUED, True), (OP_COMPLETED, True),
+            (SYNC_COMPLETED, True),
+        ]
+        assert [e["type"] for e in tracer.events[-4:]] == list(OP_EVENTS[2:] + OP_EVENTS)
+        # Removing it removes them; its events stop where it left.
+        rt.remove_interceptor(tracer.interceptor)
+        assert chain.after_comm == job.ft.log.after_comm
+        traced = len(tracer.events)
+        assert triad(job) == unstamped
+        assert len(tracer.events) == traced and len(recorder.events) == 3 * 3
+        # And with no reader left, nothing appends.
+        rt.remove_interceptor(recorder)
+        assert (chain.before_comm, chain.after_sync) == (None, None) and triad(job) == []
+    # Reading a tracer's events encodes its entries once and drops them from the journal.
+    with repro.launch(4, trace=Tracer()) as job:
+        job.allocate("w", 8)
+        job.run(kernel, steps=2)
+        journal, tracer = job.runtime.interceptors.journal, job.trace
+        held = len(journal.entries) // 3
+        events = tracer.events
+        assert held and journal.entries == [] and tracer.events is events
+        assert sum(e["type"] in OP_EVENTS for e in events) == held
 
 
 # ---------------------------------------------------------------------------
