@@ -24,103 +24,48 @@ The package is layered bottom-up:
   log read off the trace, MTTF/MTBF/MTTR/availability metrics and the cross-config
   comparison CLI (``python -m repro.chaos``).
 
-Applications should program against :mod:`repro.api` (re-exported here);
-the lower layers remain public for protocol work and instrumentation.
+Applications should program against :mod:`repro.api`, whose session names
+are re-exported here; the lower layers remain public, imported from their
+subpackages, for protocol work and instrumentation.
 """
 
 from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 from repro.api import (
-    Collective,
     FaultTolerancePolicy,
     Job,
     JobReport,
-    RankContext,
     SessionObserver,
     Topology,
-    WindowHandle,
     launch,
 )
-from repro.backends import Backend, SimBackend, VectorBackend, make_backend
 from repro.errors import ReproError
-from repro.ft import (
-    CheckpointStore,
-    ContinueDegraded,
-    DiskStore,
-    FaultInjector,
-    GlobalRollback,
-    KillKind,
-    KillPlan,
-    LocalizedReplay,
-    MemoryStore,
-    ParityStore,
-    RecoveryProtocol,
-    install_injector,
-)
-from repro.registry import available
-from repro.rma.actions import OpHandle
+from repro.ft import KillPlan, install_injector
 
 if TYPE_CHECKING:
-    from repro.backends.proc import ProcBackend, proc_available
-    from repro.chaos.metrics import ChaosMetrics, compute_metrics
-    from repro.chaos.soak import (
-        SoakResult,
-        SoakSpec,
-        run_comparison,
-        run_soak,
-        scaled_cost_model,
-    )
+    from repro.backends.proc import proc_available
     from repro.study.campaign import CampaignSpec, run_campaign
-    from repro.study.model import IntervalModel
-    from repro.study.workloads import Workload, WorkloadRun, make_workload
+    from repro.study.workloads import make_workload
 
-# Engine and real-process names (and the subpackages) load on first touch.
+# The names README, the examples and the benchmark use; everything else is
+# imported from its subpackage.  Engine and real-process names (and the
+# subpackages) load on first touch.
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "ProcBackend": "repro.backends.proc",
     "proc_available": "repro.backends.proc",
-    "ChaosMetrics": "repro.chaos.metrics",
-    "compute_metrics": "repro.chaos.metrics",
-    "SoakResult": "repro.chaos.soak",
-    "SoakSpec": "repro.chaos.soak",
-    "run_comparison": "repro.chaos.soak",
-    "run_soak": "repro.chaos.soak",
-    "scaled_cost_model": "repro.chaos.soak",
     "CampaignSpec": "repro.study.campaign",
     "run_campaign": "repro.study.campaign",
-    "IntervalModel": "repro.study.model",
-    "Workload": "repro.study.workloads",
-    "WorkloadRun": "repro.study.workloads",
     "make_workload": "repro.study.workloads",
-}, subpackages=("serve", "trace"))
+}, subpackages=("chaos", "serve", "trace"))
 __all__ += [
-    "available",
-    "SessionObserver",
-    "Collective",
-    "FaultTolerancePolicy",
+    "launch",
     "Job",
     "JobReport",
-    "RankContext",
+    "FaultTolerancePolicy",
     "Topology",
-    "WindowHandle",
-    "launch",
-    "OpHandle",
-    "Backend",
-    "SimBackend",
-    "VectorBackend",
-    "make_backend",
-    "KillKind",
+    "SessionObserver",
     "KillPlan",
-    "FaultInjector",
     "install_injector",
-    "CheckpointStore",
-    "MemoryStore",
-    "DiskStore",
-    "ParityStore",
-    "RecoveryProtocol",
-    "GlobalRollback",
-    "LocalizedReplay",
-    "ContinueDegraded",
     "ReproError",
     "__version__",
 ]

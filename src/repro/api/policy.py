@@ -102,8 +102,8 @@ class FaultTolerancePolicy:
         Checkpoint placement strategy — ``"memory"`` (default; local + buddy
         copies, §3.1/§5), ``"disk"`` (spill to a directory, survives node
         loss), ``"parity"`` (XOR stripe across t-aware groups, §3.3),
-        ``"multilevel"`` (a base store plus parity-/disk-class upper levels
-        mirrored incrementally every n-th checkpoint, §5–§7), or a ready
+        ``"multilevel"`` (the memory store plus parity-/disk-class upper
+        levels mirrored incrementally every n-th checkpoint, §5–§7), or a ready
         :class:`~repro.ft.stores.CheckpointStore` instance.
     recovery:
         Recovery protocol rule — ``"global"`` (default; coordinated

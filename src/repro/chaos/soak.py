@@ -134,7 +134,6 @@ class SoakSpec:
     seed: int = 2026
     nprocs: int = 8
     procs_per_node: int = 2
-    watchdog: float | None = None
     #: Per-workload constructor overrides, e.g. ``{"stencil": {"n_local":
     #: 16}}`` or a serving workload's traffic; a workload without an entry is
     #: built with its defaults.
@@ -222,7 +221,7 @@ class SoakResult:
         }
         document["spec"] = {
             f.name: getattr(self.spec, f.name) for f in fields(self.spec)
-            if f.name not in ("watchdog", "workload_params")
+            if f.name != "workload_params"
         }
         document["metrics"] = self.metrics.as_dict()
         return document | (self.served.as_dict() if self.served is not None else {})
@@ -287,7 +286,6 @@ def run_soak(spec: SoakSpec) -> SoakResult:
         procs_per_node=spec.procs_per_node,
         cost_model=cost,
         kill_plan=plan,
-        watchdog=spec.watchdog,
         steps=spec.rounds * workload.steps,
         trace=tracer,
     )

@@ -107,20 +107,16 @@ class BackendError(RmaError):
 # ---------------------------------------------------------------------------
 
 
-class FaultToleranceError(ReproError):
-    """Generic error in the ftRMA protocol."""
-
-
-class CheckpointError(FaultToleranceError):
+class CheckpointError(ReproError):
     """A checkpoint could not be taken or restored."""
 
 
-class RecoveryError(FaultToleranceError):
+class RecoveryError(ReproError):
     """Causal recovery failed and no coordinated checkpoint is available, or a
     recovery rule was misused (a reused or misconfigured best-effort rule)."""
 
 
-class CatastrophicFailure(FaultToleranceError):
+class CatastrophicFailure(ReproError):
     """More than ``m`` processes of one group failed; the run must restart."""
 
 

@@ -126,10 +126,6 @@ class ActionLog(RmaInterceptor):
         """Largest per-rank logged volume since the last truncation."""
         return max(self.bytes_logged.values(), default=0)
 
-    def total_logged_bytes(self) -> int:
-        """Sum of logged volume over all ranks."""
-        return sum(self.bytes_logged.values())
-
     def truncate(self) -> None:
         """Drop the log (a fresh checkpoint makes replaying it unnecessary)."""
         self.bytes_logged.clear()

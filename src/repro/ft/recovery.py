@@ -378,19 +378,15 @@ PROTOCOLS: dict[str, type[RecoveryProtocol]] = {
 register_kind("recovery", PROTOCOLS)
 
 
-def make_protocol(
-    spec: "str | RecoveryProtocol | None",
-    *,
-    error: type[Exception] = RecoveryError,
-) -> RecoveryProtocol:
+def make_protocol(spec: "str | RecoveryProtocol | None") -> RecoveryProtocol:
     """Resolve a protocol specification into a fresh (or given) instance.
 
     ``None`` means the default (``"global"``); a string is looked up in
-    :data:`PROTOCOLS` (an unknown name raises ``error`` listing the
-    registered choices); a :class:`RecoveryProtocol` instance passes through.
+    :data:`PROTOCOLS` (an unknown name raises :class:`RecoveryError` listing
+    the registered choices); a :class:`RecoveryProtocol` instance passes through.
     """
     return resolve_component(
-        "recovery", spec, PROTOCOLS, RecoveryProtocol, error,
+        "recovery", spec, PROTOCOLS, RecoveryProtocol, RecoveryError,
         default=GlobalRollback.name,
     )
 

@@ -19,11 +19,11 @@ ship:
   group (a different set of failure domains).  ~``1 + 1/k`` memory overhead
   instead of 2x; any single failure per group is reconstructed from the
   survivors plus the parity.
-* :class:`MultiLevelStore` (``"multilevel"``) — a hierarchy (§5–§7): the base
-  child store places every checkpoint, while parity-/disk-class upper levels
-  capture a full mirror, priced *incrementally* (action-log dirty regions),
-  every n-th checkpoint, so rare large failures are covered without paying the
-  far-away placement cost every time.
+* :class:`MultiLevelStore` (``"multilevel"``) — a hierarchy (§5–§7): the
+  memory store's copies at every checkpoint, while parity-/disk-class upper
+  levels capture a full mirror, priced *incrementally* (action-log dirty
+  regions), every n-th checkpoint, so rare large failures are covered without
+  paying the far-away placement cost every time.
 
 On the host, every copy kept of a window is a *placement* of its one chain
 (:class:`_Chain`): a rank-major ``(nprocs, size)`` image equal to live as of the
@@ -392,14 +392,16 @@ class CheckpointStore(abc.ABC):
         #: cleared by an observed failure (its discards and undos bypass the log).
         self.seen: dict[str, list[int]] = {}
 
-    def _account(self, entries: list) -> None:
+    def _account(self, entries: list, store: str | None = None) -> None:
         """Pay for what a placement stored — the single funnel, taking a whole
         checkpoint's ``(rank, nbytes, level, charges, incremental)`` entries:
         ``ft.checkpoint_bytes`` counts each entry's bytes; then, entry by entry,
         each ``(charged rank, seconds)`` of its ``charges`` advances that clock as
         protocol time (in place, as ``VirtualClock.advance`` adds, so each clock
         receives its additions in entry order) and the interceptors'
-        ``on_checkpoint_stored`` see the entry."""
+        ``on_checkpoint_stored`` see the entry as placed by ``store`` (default:
+        this store's name)."""
+        store = store or self.name
         runtime = self._runtime
         clock_of, stored = runtime._clock_of, runtime.interceptors.on_checkpoint_stored
         runtime.cluster.metrics.incr_ranks("ft.checkpoint_bytes", map(_PAID, entries))
@@ -410,7 +412,7 @@ class CheckpointStore(abc.ABC):
                 clock.ticks += 1
                 clock.protocol += seconds
             if stored is not None:
-                stored(self.name, level, rank, nbytes, incremental)
+                stored(store, level, rank, nbytes, incremental)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -620,7 +622,7 @@ class MemoryStore(CheckpointStore):
             if self.buddies[rank] not in excised:
                 charges = ((rank, send), (self.buddies[rank], copy))
                 entries.append((rank, copied, "buddy", charges, False))
-        self._account(entries)
+        self._account(entries, MemoryStore.name)  # a multilevel store's copies too
 
     def _copies(self, version: CheckpointVersion, rank: int):
         yield from super()._copies(version, rank)
@@ -728,9 +730,8 @@ class ParityStore(CheckpointStore):
     #: Upper bound on the automatically-chosen group size.
     DEFAULT_MAX_GROUP = 4
 
-    def __init__(self, keep_versions: int = 2, group_size: int | None = None) -> None:
+    def __init__(self, keep_versions: int = 2) -> None:
         super().__init__(keep_versions)
-        self.group_size = group_size
         self.groups: list[list[int]] = []
         self.group_of: dict[int, int] = {}
 
@@ -740,23 +741,20 @@ class ParityStore(CheckpointStore):
         placement = runtime.cluster.placement
         nprocs = placement.nprocs
         domains = len({placement.element(r, level) for r in range(nprocs)})
-        if self.group_size is not None:
-            k = self.group_size
-        else:
-            k = next(
-                (
-                    cand
-                    for cand in range(min(self.DEFAULT_MAX_GROUP, domains), 1, -1)
-                    if nprocs % cand == 0 and nprocs // cand >= 2
-                ),
-                0,
-            )
-        if k < 2 or nprocs % k != 0 or nprocs // k < 2:
+        k = next(
+            (
+                cand
+                for cand in range(min(self.DEFAULT_MAX_GROUP, domains), 1, -1)
+                if nprocs % cand == 0 and nprocs // cand >= 2
+            ),
+            0,
+        )
+        if not k:
             raise CheckpointError(
                 f"parity checkpointing needs at least two groups of >=2 ranks "
                 f"spread over level-{level} domains; {nprocs} ranks over "
-                f"{domains} domains admit no such grouping (group_size="
-                f"{self.group_size}) — use the 'memory' or 'disk' store"
+                f"{domains} domains admit no such grouping — use the 'memory' or "
+                f"'disk' store"
             )
         self.groups = t_aware_groups(placement, k, level)
         self.group_of = {
@@ -829,7 +827,7 @@ class _Level:
     #: Version number the mirrors correspond to (``None`` before any capture).
     captured_version: int | None = None
     #: Dirty write-set accumulated since the last capture from the action log's
-    #: spans at every base checkpoint: ``window -> [flat indices]`` (:func:`_spans`).
+    #: spans at every checkpoint: ``window -> [flat indices]`` (:func:`_spans`).
     dirty: dict[str, list[np.ndarray]] = field(default_factory=dict)
     #: Each mirrored window's per-rank raw-access stamps at its capture (as the store's).
     seen: dict[str, list[int]] = field(default_factory=dict)
@@ -840,17 +838,18 @@ class _Level:
     staged: tuple | None = None
 
 
-class MultiLevelStore(CheckpointStore):
+class MultiLevelStore(MemoryStore):
     """Hierarchical multi-level checkpointing with incremental upper levels.
 
     The paper's cost model (§5–§7) prices a *hierarchy* of failure domains:
     cheap in-memory copies guard single-node loss, while rarer, larger
     failures (a rank **and** its buddy, a whole domain) need copies placed
     further away — at a cost that would be ruinous to pay every checkpoint.
-    This store composes the existing placements into such a hierarchy:
+    This store is the :class:`MemoryStore` plus such a hierarchy:
 
-    * the **base** child store (default :class:`MemoryStore`) places every
-      coordinated checkpoint exactly as today;
+    * the **memory** copies (local plus buddy) are placed at every coordinated
+      checkpoint exactly as by the memory store, and reported as its
+      placements (store ``"memory"``);
     * each **upper level** (``kind`` ``"parity"`` or ``"disk"``) keeps a full
       mirror of every rank's windows, refreshed only every ``every``-th
       committed checkpoint — and refreshed *incrementally*: the action log's
@@ -860,9 +859,10 @@ class MultiLevelStore(CheckpointStore):
       mirror.  Moved bytes are metered as ``ft.multilevel_moved_bytes`` against
       the ``ft.multilevel_full_bytes`` a non-incremental level would have shipped.
       On the host a mirror is the chain's current placement, pinned: a capture
-      moves no data (with a disk base, this store keeps the chains itself).
+      moves no data.  ``levels`` is the per-level cadence
+      :meth:`~repro.study.model.IntervalModel.multilevel_intervals` produces.
 
-    A version whose base copies were lost (buddy pair failed together — the
+    A version whose memory copies were lost (buddy pair failed together — the
     :class:`MemoryStore`'s catastrophic case) or evicted stays recoverable as
     long as an upper level captured it: evicted captured versions are kept as
     stripped archives (protocol state only, window data served from the
@@ -879,20 +879,14 @@ class MultiLevelStore(CheckpointStore):
     LEVEL_KINDS = ("parity", "disk")
 
     def __init__(
-        self,
-        keep_versions: int = 2,
-        base: "str | CheckpointStore | None" = "memory",
-        levels: "tuple[tuple[str, int], ...] | None" = None,
+        self, keep_versions: int = 2, levels: "tuple[tuple[str, int], ...] | None" = None
     ) -> None:
         super().__init__(keep_versions)
-        self.base = make_store(base, keep_versions=keep_versions)
-        if isinstance(self.base, MultiLevelStore):
-            raise CheckpointError("multilevel stores do not nest")
         specs = tuple(levels) if levels is not None else self.DEFAULT_LEVELS
         if not specs:
             raise CheckpointError(
                 "a multilevel store needs at least one upper level; use the "
-                "base store directly instead"
+                "memory store directly instead"
             )
         self.levels: list[_Level] = []
         for kind, every in specs:
@@ -904,45 +898,23 @@ class MultiLevelStore(CheckpointStore):
             if int(every) < 1:
                 raise CheckpointError("level capture cadence must be at least 1")
             self.levels.append(_Level(kind=kind, every=int(every)))
-        #: Evicted-but-captured versions, stripped of base copies: the upper
+        #: Evicted-but-captured versions, stripped of memory copies: the upper
         #: mirrors still serve their window data.
         self.archived: dict[int, CheckpointVersion] = {}
         self._committed = 0
-        #: The store whose chains the levels pin (a disk base keeps none).
-        self._chain = self if isinstance(self.base, DiskStore) else self.base
-
-    # ------------------------------------------------------------------
-    def bind(self, runtime: "RmaRuntime", *, level: int = 1) -> None:
-        super().bind(runtime, level=level)
-        self.base.bind(runtime, level=level)
-
-    def attach_log(self, log: Any) -> None:
-        super().attach_log(log)
-        self.base.attach_log(log)
-
-    @property
-    def buddies(self) -> dict[int, int]:
-        return getattr(self.base, "buddies", {})
-
-    def close(self) -> None:
-        self.base.close()
 
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
     def _place(self, version: CheckpointVersion, windows: list[Window], ranks: dict) -> None:
-        self.base._place(version, windows, ranks)
-        if self._chain is self:  # the versions live on disk: only the levels hold placements
-            self._retain(version, windows, ranks)
-            for chain in self._chains.values():
-                chain.release(version.version)
+        super()._place(version, windows, ranks)
         # Cadence counts *committed* checkpoints so that a retried attempt
         # (failure between the barriers) makes the same capture decision and
         # the last attempt before the commit wins.  A capture is published in
         # ``commit``: an aborted one leaves the mirrors and the dirty spans be
         # (a retry adds its spans again, which the union absorbs).
         logged, slot, spans = self._logged(), self._committed + 1, {}
-        for name, (changed, compare) in self._chain.spans.items():
+        for name, (changed, compare) in self.spans.items():
             if compare:  # a compared row's puts move at a capture too
                 size = self._runtime.windows.get(name).size
                 changed = _union([changed, _spans(logged, name, compare, size)])
@@ -957,7 +929,7 @@ class MultiLevelStore(CheckpointStore):
     def _capture(self, lvl: _Level, windows: list[Window], ranks: dict, logged: bool) -> None:
         moved, placed, seen = [0] * len(ranks), {}, {}
         for window in windows:
-            name, stamps, chain = window.name, window.stamps, self._chain._chains[window.name]
+            name, stamps, chain = window.name, window.stamps, self._chains[window.name]
             placed[name] = chain, chain.seq  # a capture moves no host data
             if logged:
                 seen[name] = stamps.copy()
@@ -995,7 +967,7 @@ class MultiLevelStore(CheckpointStore):
     def commit(self, version: CheckpointVersion) -> CheckpointVersion:
         published = [lvl for lvl in self.levels if lvl.staged is not None]
         for lvl in published:
-            # Publish before the base evicts: pin each chain's newest placement
+            # Publish before the memory copies are evicted: pin each chain's newest placement
             # (the one staged), drop the mirrors of ranks excised since the
             # previous capture.  The version numbered in ``prepare`` is final.
             (staged, seen), lvl.staged = lvl.staged, None
@@ -1014,10 +986,10 @@ class MultiLevelStore(CheckpointStore):
         return committed
 
     def _evict(self, version: CheckpointVersion) -> None:
-        self.base._evict(version)
+        super()._evict(version)
         if any(lvl.captured_version == version.version for lvl in self.levels):
             # An upper level still serves this version's window data; keep
-            # the protocol state, drop the (already-evicted) base copies.
+            # the protocol state, drop the (already-evicted) memory copies.
             version.local = _Placed({}, {})
             self.archived[version.version] = version
 
@@ -1025,7 +997,7 @@ class MultiLevelStore(CheckpointStore):
     # Retrieval
     # ------------------------------------------------------------------
     def _copies(self, version: CheckpointVersion, rank: int):
-        yield from self.base._copies(version, rank)
+        yield from super()._copies(version, rank)
         # A level mirror lives across the failure domain the level guards: it
         # needs no rank's memory.
         costs = self._runtime.cluster.costs
@@ -1042,11 +1014,8 @@ class MultiLevelStore(CheckpointStore):
     # ------------------------------------------------------------------
     def drop_rank(self, rank: int) -> None:
         super().drop_rank(rank)
-        for holder in (self.base, *self.levels):
-            holder.seen.clear()
-
-    def _held_bytes(self, version: CheckpointVersion) -> int:
-        return self.base._held_bytes(version)
+        for lvl in self.levels:
+            lvl.seen.clear()
 
     def nbytes(self) -> int:
         mirrors = sum(_total(w) for lvl in self.levels for w in lvl.mirrors.values())
@@ -1064,19 +1033,16 @@ register_kind("store", STORES)
 
 
 def make_store(
-    spec: "str | CheckpointStore | None",
-    *,
-    keep_versions: int = 2,
-    error: type[Exception] = CheckpointError,
+    spec: "str | CheckpointStore | None", *, keep_versions: int = 2
 ) -> CheckpointStore:
     """Resolve a store specification into a fresh (or given) instance.
 
     ``None`` means the default (``"memory"``); a string is looked up in
-    :data:`STORES` (an unknown name raises ``error`` listing the registered
-    choices); a :class:`CheckpointStore` instance passes through unchanged,
-    its own configuration winning over ``keep_versions``.
+    :data:`STORES` (an unknown name raises :class:`CheckpointError` listing the
+    registered choices); a :class:`CheckpointStore` instance passes through
+    unchanged, its own configuration winning over ``keep_versions``.
     """
     return resolve_component(
-        "store", spec, STORES, CheckpointStore, error,
+        "store", spec, STORES, CheckpointStore, CheckpointError,
         default=MemoryStore.name, keep_versions=keep_versions,
     )

@@ -98,14 +98,6 @@ def is_registered(kind: str, name: str) -> bool:
     return name in _KINDS.get(kind, ()) or name in available(kind)
 
 
-def _known_names(kind: str, registry: dict[str, type[T]]) -> tuple[str, ...]:
-    """The listing used in error messages: :func:`available` when the seam is
-    registered under ``kind``, the raw registry otherwise (custom seams)."""
-    if _KINDS.get(kind) is registry:
-        return available(kind)
-    return tuple(sorted(registry))
-
-
 def all_kinds() -> tuple[str, ...]:
     """Sorted names of every registered seam kind (imports the built-ins)."""
     _import_builtins()
@@ -152,7 +144,8 @@ def resolve_component(
         ``base`` passed through unchanged (so tests and instrumented runs can
         inject custom implementations).
     registry:
-        The seam's name → class registry.
+        The seam's name → class registry, the one :func:`register_kind`
+        declared for ``kind``.
     base:
         The protocol class instances must satisfy.
     error:
@@ -176,14 +169,14 @@ def resolve_component(
         return spec
     if isinstance(spec, str):
         cls = registry.get(spec)
-        if cls is None and _KINDS.get(kind) is registry:
+        if cls is None:
             # A built-in module of this kind may extend the registry without
             # having been imported yet: load them and look again before
             # declaring the name unknown.
             _import_builtins(kind)
             cls = registry.get(spec)
         if cls is None:
-            known = ", ".join(repr(name) for name in _known_names(kind, registry))
+            known = ", ".join(repr(name) for name in available(kind))
             raise error(
                 f"unknown {kind} {spec!r}; registered {plural(kind)} are: {known} "
                 f"(or pass a {base.__name__} instance)"

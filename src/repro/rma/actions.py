@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -160,10 +160,6 @@ class Counters(NamedTuple):
     gc: int = 0
     sc: int = 0
     gnc: int = 0
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        """``(EC, GC, SC, GNC)``."""
-        return tuple(self)
 
 
 #: A determinant is the action without its data payload (Eq. 2); it is enough
@@ -346,10 +342,6 @@ class CommAction:
             self.kind._value_, self.src, self.trg, self.window, self.offset, self.count,
             self.combine, (self.EC, self.GC, self.SC, self.GNC), self.seq,
         )
-
-    def with_data(self, data: np.ndarray) -> "CommAction":
-        """Return a copy of the action carrying ``data`` as payload."""
-        return replace(self, data=np.array(data, copy=True))
 
     def describe(self) -> str:
         """Short human-readable description, e.g. ``put(3=>7)[off=0,n=4]``."""

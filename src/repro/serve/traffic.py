@@ -34,7 +34,6 @@ import json
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
-from itertools import product
 
 import numpy as np
 
@@ -137,12 +136,6 @@ class RequestGenerator:
         deltas = rng.integers(1, 10, size=count).astype(np.float64)
         deltas[reads] = 0.0
         return _Trace(fracs, keys, deltas, steps=self.steps, nprocs=self.nprocs)
-
-    def by_step_frontend(self, requests: "_Trace | None" = None) -> dict:
-        """The kernel's admission table as views: ``(step, frontend) -> requests``."""
-        trace = requests if requests is not None else self.generate()
-        table = {c: trace.admitted(*c) for c in product(range(self.steps), range(self.nprocs))}
-        return {c: tuple(map(trace.__getitem__, rids)) for c, rids in table.items() if rids}
 
 
 class _Trace(Sequence):

@@ -106,10 +106,6 @@ class FailureSchedule:
         self._validate(event)
         insort(self.events, event)
 
-    def merged_with(self, other: "FailureSchedule") -> "FailureSchedule":
-        """Return a new schedule containing the events of both schedules."""
-        return FailureSchedule(list(self.events) + list(other.events))
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -233,7 +229,3 @@ class FailureInjector:
         """Mark ``rank`` alive again (a replacement process has been spawned)."""
         if rank in self.failed_ranks:
             self._set_failed(self.failed_ranks - {rank})
-
-    def has_pending(self) -> bool:
-        """Whether future failure events remain in the schedule."""
-        return bool(self._pending)

@@ -25,10 +25,6 @@ class MetricsSnapshot:
         """Aggregate value of counter ``name``."""
         return self.totals.get(name, default)
 
-    def rank_value(self, name: str, rank: int, default: float = 0.0) -> float:
-        """Per-rank value of counter ``name``."""
-        return self.per_rank.get(name, {}).get(rank, default)
-
 
 class MetricsRegistry:
     """Mutable collection of named counters, optionally broken down per rank."""

@@ -397,12 +397,6 @@ class IntervalModel:
             mtbf_s=self.mtbf_seconds,
         )
 
-    def overhead_curve(
-        self, intervals_steps: Sequence[int], step_seconds: float
-    ) -> list[float]:
-        """Predicted overhead at each step interval — §5-style store curves."""
-        return [self.predicted_overhead(steps, step_seconds) for steps in intervals_steps]
-
     # ------------------------------------------------------------------
     # Predicted repair time and availability (the chaos layer's yardstick)
     # ------------------------------------------------------------------

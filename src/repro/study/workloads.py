@@ -180,7 +180,6 @@ class Workload(abc.ABC):
         procs_per_node: int = 2,
         cost_model: CostModel | None = None,
         kill_plan: "KillPlan | None" = None,
-        watchdog: float | None = None,
         steps: int | None = None,
         trace: "Tracer | None" = None,
     ) -> WorkloadRun:
@@ -194,7 +193,7 @@ class Workload(abc.ABC):
         simulated fail-stop elsewhere, at identical completion-stream
         positions.  ``steps`` (default :attr:`steps`; a soak runs several
         rounds of the kernel) goes to :meth:`~repro.api.session.Job.run`,
-        ``watchdog`` and ``trace`` to :func:`~repro.api.session.launch`.
+        ``trace`` to :func:`~repro.api.session.launch`.
 
         A fault load the policy cannot carry — a rank lost together with its
         buddy, a failure before any usable checkpoint, or one striking the
@@ -210,7 +209,6 @@ class Workload(abc.ABC):
             failures=failures,
             sync_each_step=self.sync_each_step,
             backend=backend,
-            watchdog=watchdog,
             trace=trace,
         ) as job:
             result = digest = aborted = None

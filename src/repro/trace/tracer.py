@@ -311,7 +311,7 @@ _TLS = threading.local()
 class TraceHub:
     """Collects the tracers of a whole run into one deterministic file.
 
-    Jobs created while a hub is active pull a tracer from it; each
+    Jobs created while a hub is active pull a full-detail tracer from it; each
     tracer is tagged ``(label, index)`` where the label comes from the
     enclosing :func:`trace_label` block (engines use the comparison cell
     key) and the index counts jobs within that label.  The merged stream
@@ -319,9 +319,8 @@ class TraceHub:
     caller's own threads produce the same bytes as serial execution.
     """
 
-    def __init__(self, *, path: str | None = None, detail: str = "full") -> None:
+    def __init__(self, *, path: str | None = None) -> None:
         self.path = path
-        self.detail = detail
         self._lock = threading.Lock()
         self._tracers: list[Tracer] = []
         self._counts: dict[str, int] = {}
@@ -332,9 +331,7 @@ class TraceHub:
         with self._lock:
             index = self._counts.get(label, 0)
             self._counts[label] = index + 1
-            tracer = Tracer(
-                detail=self.detail, job=f"{label}#{index}", order=(label, index)
-            )
+            tracer = Tracer(job=f"{label}#{index}", order=(label, index))
             self._tracers.append(tracer)
         return tracer
 
@@ -358,7 +355,7 @@ def current_trace_hub() -> TraceHub | None:
 
 
 @contextmanager
-def tracing(path: str | None = None, *, detail: str = "full") -> Iterator[TraceHub]:
+def tracing(path: str | None = None) -> Iterator[TraceHub]:
     """Activate a run-wide trace hub; write the merged trace on exit.
 
     The merged file is published even when the block raises — a partial
@@ -366,11 +363,7 @@ def tracing(path: str | None = None, *, detail: str = "full") -> Iterator[TraceH
     staging temp file never outlives the block either way.
     """
     global _ACTIVE_HUB
-    if detail not in _DETAIL_LEVELS:
-        raise TraceError(
-            f"unknown trace detail {detail!r}; expected one of {_DETAIL_LEVELS}"
-        )
-    hub = TraceHub(path=path, detail=detail)
+    hub = TraceHub(path=path)
     with _HUB_LOCK:
         if _ACTIVE_HUB is not None:
             raise TraceError("a trace hub is already active; tracing() does not nest")

@@ -31,8 +31,8 @@ def test_schedule_add_keeps_events_sorted():
 
 
 def test_schedule_merge_combines_both_sides():
-    merged = FailureSchedule.single_rank(0, 2.0).merged_with(
-        FailureSchedule.element(1, 3, 1.0)
+    merged = FailureSchedule(
+        [*FailureSchedule.single_rank(0, 2.0), *FailureSchedule.element(1, 3, 1.0)]
     )
     assert [(ev.time, ev.level) for ev in merged] == [(1.0, 1), (2.0, 0)]
 
@@ -156,7 +156,7 @@ def test_injector_fires_events_once_and_in_time_order():
     # Already-fired events are not reported again.
     assert injector.newly_failed_ranks(3.0) == [5]
     assert injector.failed_ranks == frozenset({1, 5})
-    assert not injector.has_pending()
+    assert not injector._pending  # nothing left to fire
 
 
 def test_node_level_event_kills_every_rank_on_the_node():

@@ -752,7 +752,7 @@ def test_action_size_is_stamped_once_from_the_window(dtype):
     rt.flush(0, 1)
     assert get.action.nbytes == get.action.data.nbytes
     assert rt.cluster.metrics.get("rma.bytes_moved") == 2 * 4 * itemsize
-    assert stack.log.total_logged_bytes() == 2 * 4 * itemsize
+    assert sum(stack.log.bytes_logged.values()) == 2 * 4 * itemsize
 
 
 def test_directly_built_action_takes_its_payload_size_never_a_guess():
@@ -768,10 +768,10 @@ def test_directly_built_action_takes_its_payload_size_never_a_guess():
 # ---------------------------------------------------------------------------
 def test_slotted_actions_pickle_and_replace():
     counters = Counters(ec=1, gnc=3)
-    assert counters == Counters(1, 0, 0, 3) and counters.as_tuple() == (1, 0, 0, 3)
+    assert counters == Counters(1, 0, 0, 3) and tuple(counters) == (1, 0, 0, 3)
     assert Counters() == Counters(ec=0, gc=0, sc=0, gnc=0)
     assert pickle.loads(pickle.dumps(counters)) == counters
-    assert counters._replace(gc=2).as_tuple() == (1, 2, 0, 3)
+    assert tuple(counters._replace(gc=2)) == (1, 2, 0, 3)
 
     comm = CommAction(
         kind=OpKind.ACCUMULATE, src=0, trg=1, window="w", offset=2, count=3,

@@ -152,7 +152,7 @@ def test_proc_backend_registers_on_first_launch_in_a_fresh_interpreter(proc_hygi
         "    field = job.gather('w').tolist()\n"
         "    backend = type(job.runtime.backend).__name__\n"
         "import multiprocessing\n"
-        "print((early, backend, repro.available('backend'), field,"
+        "print((early, backend, repro.registry.available('backend'), field,"
         " len(multiprocessing.active_children()), sorted(shm() - before)))"
     )
     assert early is False and backend == "ProcBackend"
@@ -167,7 +167,8 @@ def test_proc_backend_registers_on_first_launch_in_a_fresh_interpreter(proc_hygi
 def test_registry_listings_and_errors_from_a_fresh_interpreter():
     backends, workloads, made, unknown, stray = fresh(
         _PRELUDE + "import repro\n"
-        "backends, workloads = repro.available('backend'), repro.available('workload')\n"
+        "from repro.registry import available\n"
+        "backends, workloads = available('backend'), available('workload')\n"
         "stray = loaded(['repro.chaos', 'repro.study.campaign', 'repro.experiment'])\n"
         "made = repr(repro.make_workload('kv_service'))\n"
         "try:\n    repro.launch(4, backend='nope')\n"
@@ -267,7 +268,7 @@ def test_type_checking_imports_and_runtime_table_agree(package):
 
 
 def test_spec_instances_pickle_through_the_facades():
-    for spec in (repro.SoakSpec(), repro.CampaignSpec()):
+    for spec in (repro.chaos.SoakSpec(), repro.CampaignSpec()):
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 

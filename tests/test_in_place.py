@@ -24,7 +24,7 @@ import repro
 from repro.backends import apply_action
 from repro.errors import WindowError
 from repro.ft.stack import build_ft_stack
-from repro.rma import AccumulateOp, CommAction, OpKind, RmaInterceptor, RmaRuntime
+from repro.rma import AccumulateOp, CommAction, OpHandle, OpKind, RmaInterceptor, RmaRuntime
 from repro.rma.window import Window
 from repro.simulator import Cluster
 
@@ -131,7 +131,7 @@ def _run(backend: str, dtype, queued: bool) -> dict:
 
 def _value(x):
     """A returned value's type and bits (``None`` for a put's or accumulate's record)."""
-    if isinstance(x, repro.OpHandle):
+    if isinstance(x, OpHandle):
         return None
     return type(x).__name__, np.asarray(x).dtype.str, np.asarray(x).tobytes()
 

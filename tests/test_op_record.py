@@ -243,7 +243,7 @@ def test_the_handle_is_the_issued_action(backend):
             f"its effect was never committed"
         )
         # A completed handle copies and pickles as the plain action it is.
-        patched = get.with_data(np.array([9.0]))
+        patched = dataclasses.replace(get, data=np.array([9.0]))
         moved = dataclasses.replace(get, src=3)
         assert patched.data.tolist() == [9.0] and get.data.tolist() == [7.0]
         assert moved.src == 3 and moved.seq == get.seq == patched.seq

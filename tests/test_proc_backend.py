@@ -24,6 +24,7 @@ from repro.errors import (
     WatchdogError,
     WindowError,
 )
+from repro.registry import available
 from repro.rma import RmaInterceptor, RmaRuntime
 from repro.simulator import Cluster
 
@@ -53,7 +54,7 @@ def _backend(rt) -> ProcBackend:
 # Registry and lifecycle
 # ---------------------------------------------------------------------------
 def test_proc_is_a_registered_backend():
-    assert "proc" in repro.available("backend")
+    assert "proc" in available("backend")
     backend = make_backend("proc")
     assert isinstance(backend, ProcBackend)
     assert repro.proc_available()

@@ -153,8 +153,6 @@ def test_multilevel_store_registered_and_validated():
     assert [
         (lvl.kind, lvl.every) for lvl in store.levels
     ] == list(MultiLevelStore.DEFAULT_LEVELS)
-    with pytest.raises(CheckpointError, match="do not nest"):
-        MultiLevelStore(base="multilevel")
     with pytest.raises(CheckpointError, match="level kind"):
         MultiLevelStore(levels=(("tape", 2),))
     with pytest.raises(CheckpointError, match="cadence"):
@@ -197,7 +195,6 @@ def test_multilevel_upper_level_survives_rank_and_buddy_loss():
     rt.cluster.fail_rank(buddy)
     rt.observe_failures()
     version = store.latest()
-    assert not store.base.available(version, 0)
     assert store.available(version, 0)
     payload = store.fetch(version, 0)
     assert payload.source == "multilevel-parity"

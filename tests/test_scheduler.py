@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api import RankContext
 from repro.rma import OrderRecorder
 from repro.simulator import FailureSchedule
 
@@ -21,7 +22,7 @@ STEPS = 18
 SEED = 5
 
 
-def _kernel(ctx: repro.RankContext, step: int):
+def _kernel(ctx: RankContext, step: int):
     """A mixed workload: halo puts, a collective, atomics, seeded randomness."""
     u = ctx.win("u")
     mine = u.local

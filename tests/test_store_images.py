@@ -30,9 +30,7 @@ STORES = {
     "memory": lambda keep: MemoryStore(keep),
     "parity": lambda keep: ParityStore(keep),
     "disk": lambda keep: DiskStore(keep),
-    "multilevel-memory": lambda keep: MultiLevelStore(keep, base="memory", levels=LEVELS),
-    "multilevel-parity": lambda keep: MultiLevelStore(keep, base="parity", levels=LEVELS),
-    "multilevel-disk": lambda keep: MultiLevelStore(keep, base="disk", levels=LEVELS),
+    "multilevel-memory": lambda keep: MultiLevelStore(keep, levels=LEVELS),
 }
 BACKENDS = [
     "sim",
@@ -117,19 +115,18 @@ class _Harness:
         """Eq. 6 from real bytes: each parity group's stripe, XORed with all
         members but one, is that member's committed bytes; and the stripe's
         chunks whose holders still hold are what ``nbytes`` counts beyond
-        the placements still held (and the level mirrors)."""
+        the placements still held."""
         store = self.store
-        parity = getattr(store, "base", store)
-        if not isinstance(parity, ParityStore):
+        if not isinstance(store, ParityStore):
             return
-        k, held = len(parity.groups[0]), 0
+        k, held = len(store.groups[0]), 0
         for version in store.versions:
             for rank, windows in version.local.items():
                 if version.holds(rank):
                     held += sum(np.asarray(h).nbytes for h in windows.values())
-            for gidx, group in enumerate(parity.groups):
+            for gidx, group in enumerate(store.groups):
                 members = [m for m in group if m in version.local]
-                holders = parity._holders(gidx)
+                holders = store._holders(gidx)
                 for name in version.local[members[0]] if members else ():
                     shares = [np.asarray(version.local[m][name]) for m in members]
                     shares = [share.view(np.uint8) for share in shares]
@@ -141,8 +138,6 @@ class _Harness:
                         assert rebuilt.tobytes() == want, (version.version, member, name)
                     chunks = np.array_split(stripe, k)
                     held += sum(c.nbytes for c, h in zip(chunks, holders) if version.holds(h))
-        for lvl in getattr(store, "levels", ()):
-            held += sum(np.asarray(h).nbytes for m in lvl.mirrors.values() for h in m.values())
         assert store.nbytes() == held
 
     def mutate(self, rng, *, dense_rank=None):
@@ -360,7 +355,7 @@ def test_complex_windows_checkpoint_through_the_byte_row_compare():
 def _holdings(store):
     """Per ``(rank, window)`` row of the store's chains: (row-sized arrays, elements
     of index records that fall in the row)."""
-    for chain in store._chain._chains.values():
+    for chain in store._chains.values():
         records = list(chain.undo.values())
         for row in range(chain.image.shape[0]):
             bounds = (row * chain.size, (row + 1) * chain.size)
@@ -424,11 +419,10 @@ def test_partly_dense_window_keeps_whole_rows_only_for_its_dense_ranks():
     stack.uninstall(rt)
 
 
-@pytest.mark.parametrize("base", ["memory", "disk"])
 @pytest.mark.parametrize("levels", [None, (("parity", 3), ("disk", 10))], ids=["2-4", "3-10"])
 @pytest.mark.parametrize("keep", [1, 2, 3])
-def test_dense_stencil_slab_holds_no_more_than_a_ring_plus_mirrors(keep, levels, base):
-    store = MultiLevelStore(keep, base=base, levels=levels)
+def test_dense_stencil_slab_holds_no_more_than_a_ring_plus_mirrors(keep, levels):
+    store = MultiLevelStore(keep, levels=levels)
     harness = _Harness(store, "float64", "sim")
     try:
         harness.allocate("w")

@@ -15,6 +15,7 @@ from repro.errors import (
 from repro.ft import (
     CoordinatedCheckpointer,
     DiskStore,
+    GlobalRollback,
     MemoryStore,
     ParityStore,
     build_ft_stack,
@@ -61,7 +62,7 @@ def test_policy_rejects_unknown_store_and_recovery_listing_choices():
     with pytest.raises(PolicyError, match=r"'degraded'.*'global'.*'localized'"):
         repro.FaultTolerancePolicy(recovery="optimistic")
     # Instances pass validation.
-    repro.FaultTolerancePolicy(store=MemoryStore(), recovery=repro.GlobalRollback())
+    repro.FaultTolerancePolicy(store=MemoryStore(), recovery=GlobalRollback())
 
 
 def test_launch_rejects_unknown_backend_listing_choices():

@@ -225,7 +225,7 @@ def test_interval_model_resolves_steps_and_curves():
     )
     steps = model.optimal_interval_steps(1e-5, max_steps=100)
     assert steps is not None and 1 <= steps <= 100
-    curve = model.overhead_curve([1, steps, 100], 1e-5)
+    curve = [model.predicted_overhead(s, 1e-5) for s in (1, steps, 100)]
     assert len(curve) == 3
     assert curve[1] == min(curve)  # the resolved interval is (near) the minimum
     # Failure-free: no periodic checkpoints at all.
