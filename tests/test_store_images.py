@@ -31,6 +31,9 @@ STORES = {
     "parity": lambda keep: ParityStore(keep),
     "disk": lambda keep: DiskStore(keep),
     "multilevel-memory": lambda keep: MultiLevelStore(keep, levels=LEVELS),
+    # one upper level each: the memory copies plus only a parity or only a disk level
+    "multilevel-parity": lambda keep: MultiLevelStore(keep, levels=LEVELS[:1]),
+    "multilevel-disk": lambda keep: MultiLevelStore(keep, levels=LEVELS[1:]),
 }
 BACKENDS = [
     "sim",
@@ -419,7 +422,11 @@ def test_partly_dense_window_keeps_whole_rows_only_for_its_dense_ranks():
     stack.uninstall(rt)
 
 
-@pytest.mark.parametrize("levels", [None, (("parity", 3), ("disk", 10))], ids=["2-4", "3-10"])
+@pytest.mark.parametrize(
+    "levels",
+    [None, (("parity", 3), ("disk", 10)), (("parity", 3),), (("disk", 3),)],
+    ids=["2-4", "3-10", "parity-3", "disk-3"],
+)
 @pytest.mark.parametrize("keep", [1, 2, 3])
 def test_dense_stencil_slab_holds_no_more_than_a_ring_plus_mirrors(keep, levels):
     store = MultiLevelStore(keep, levels=levels)
