@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro
-from repro.simulator import FailureSchedule, exponential_schedule
+from repro.ft import exponential_schedule
 from repro.study.workloads import HeatStencil
 
 
@@ -59,14 +59,13 @@ def run_stencil(
     iters: int = 60,
     ckpt_interval: int | str | None = 10,
     procs_per_node: int = 2,
-    failure_schedule: FailureSchedule | None = None,
+    failures: repro.KillPlan | None = None,
     demand_threshold_bytes: int | None = None,
     buddy_level: int = 1,
     backend: str = "sim",
     store: str = "memory",
     recovery: str = "global",
     failure_rates: dict[int, float] | None = None,
-    kill_plan: repro.KillPlan | None = None,
 ) -> StencilResult:
     """Run the catalog stencil to completion; the session recovers failures."""
     workload = HeatStencil(nprocs=nprocs, n_local=n_local, iters=iters)
@@ -80,10 +79,9 @@ def run_stencil(
     )
     run = workload.run(
         ft=policy,
-        failures=failure_schedule,
+        failures=failures,
         backend=backend,
         procs_per_node=procs_per_node,
-        kill_plan=kill_plan,
     )
     return StencilResult(
         field=run.result,
@@ -101,8 +99,8 @@ def main() -> None:
     baseline = run_stencil(nprocs=nprocs, n_local=n_local, iters=iters)
     print(f"failure-free run : {baseline.describe()}")
 
-    # Exponential fail-stop schedule over the failure-free makespan: node-level
-    # events (level 1) drawn from a Poisson process, as in the paper's §7.1.
+    # Exponential fail-stop plan over the failure-free makespan: node-level
+    # kills (level 1) timed by a Poisson process, as in the paper's §7.1.
     schedule = exponential_schedule(
         horizon=baseline.elapsed,
         rates_per_level={1: 2.0 / baseline.elapsed},
@@ -111,7 +109,7 @@ def main() -> None:
     )
     print(f"injected failures: {[ev.describe() for ev in schedule]}")
     recovered = run_stencil(
-        nprocs=nprocs, n_local=n_local, iters=iters, failure_schedule=schedule
+        nprocs=nprocs, n_local=n_local, iters=iters, failures=schedule
     )
     print(f"recovered run    : {recovered.describe()}")
 
@@ -126,7 +124,7 @@ def main() -> None:
         iters=iters,
         ckpt_interval=iters,  # only the initial coordinated checkpoint
         demand_threshold_bytes=256,
-        failure_schedule=schedule,
+        failures=schedule,
     )
     print(f"demand-ckpt run  : {demand.describe()}")
     assert np.array_equal(baseline.field, demand.field)
@@ -139,7 +137,7 @@ def main() -> None:
         nprocs=nprocs, n_local=n_local, iters=iters,
         ckpt_interval="auto",
         failure_rates={1: 2.0 / baseline.elapsed},
-        failure_schedule=schedule,
+        failures=schedule,
     )
     print(f"auto-interval run: {auto.describe()} (resolved interval: {auto.resolved_interval})")
     assert auto.resolved_interval is not None
@@ -151,7 +149,7 @@ def main() -> None:
     for sched, label in ((None, "failure-free"), (schedule, "with failures")):
         vector = run_stencil(
             nprocs=nprocs, n_local=n_local, iters=iters,
-            failure_schedule=sched, backend="vector",
+            failures=sched, backend="vector",
         )
         reference = baseline if sched is None else recovered
         identical = np.array_equal(reference.field, vector.field)
@@ -169,16 +167,16 @@ def main() -> None:
         store_free = run_stencil(
             nprocs=nprocs, n_local=n_local, iters=iters, store=store,
         )
-        store_schedule = FailureSchedule.single_rank(3, store_free.elapsed * 0.6)
+        store_schedule = repro.KillPlan.single(3, time=store_free.elapsed * 0.6)
         for backend in ("sim", "vector"):
             rolled = run_stencil(
                 nprocs=nprocs, n_local=n_local, iters=iters,
-                failure_schedule=store_schedule, backend=backend, store=store,
+                failures=store_schedule, backend=backend, store=store,
                 recovery="global",
             )
             localized = run_stencil(
                 nprocs=nprocs, n_local=n_local, iters=iters,
-                failure_schedule=store_schedule, backend=backend, store=store,
+                failures=store_schedule, backend=backend, store=store,
                 recovery="localized",
             )
             identical = np.array_equal(rolled.field, localized.field) and (
@@ -204,12 +202,12 @@ def main() -> None:
                 simulated = run_stencil(
                     nprocs=nprocs, n_local=n_local, iters=iters,
                     backend="sim", store=store, recovery=recovery,
-                    kill_plan=plan,
+                    failures=plan,
                 )
                 killed = run_stencil(
                     nprocs=nprocs, n_local=n_local, iters=iters,
                     backend="proc", store=store, recovery=recovery,
-                    kill_plan=plan,
+                    failures=plan,
                 )
                 identical = killed.recoveries >= 1 and (
                     np.array_equal(simulated.field, killed.field)
@@ -230,7 +228,7 @@ def main() -> None:
     # the job finishes and the surviving field stays finite.
     degraded = run_stencil(
         nprocs=nprocs, n_local=n_local, iters=iters,
-        failure_schedule=schedule, recovery="degraded",
+        failures=schedule, recovery="degraded",
     )
     print(f"degraded run     : {degraded.describe()}")
     assert degraded.iterations_executed >= iters

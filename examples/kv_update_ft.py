@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro
-from repro.simulator import FailureSchedule
+from repro.ft import KillEvent
 from repro.study.workloads import KvUpdate
 
 SLOTS = 24  # table slots owned by each rank
@@ -68,11 +68,10 @@ def run_kv(
     seed: int = 11,
     demand_threshold_bytes: int = 512,
     procs_per_node: int = 2,
-    failure_schedule: FailureSchedule | None = None,
+    failures: repro.KillPlan | None = None,
     backend: str = "sim",
     store: str = "memory",
     recovery: str = "global",
-    kill_plan: repro.KillPlan | None = None,
 ) -> KvResult:
     """Run the catalog workload; the session recovers injected failures on demand."""
     workload = KvUpdate(
@@ -87,10 +86,9 @@ def run_kv(
     )
     run = workload.run(
         ft=policy,
-        failures=failure_schedule,
+        failures=failures,
         backend=backend,
         procs_per_node=procs_per_node,
-        kill_plan=kill_plan,
     )
     return KvResult(
         table=run.result,
@@ -109,11 +107,12 @@ def main() -> None:
     print(f"failure-free run : {baseline.describe()}")
     assert np.array_equal(baseline.table, expected_table(seed, nprocs, steps))
 
-    schedule = FailureSchedule.ranks(
-        {1: 0.3 * baseline.elapsed, 4: 0.75 * baseline.elapsed}
-    )
+    schedule = repro.KillPlan([
+        KillEvent(time=0.3 * baseline.elapsed, rank=1),
+        KillEvent(time=0.75 * baseline.elapsed, rank=4),
+    ])
     print(f"injected failures: {[ev.describe() for ev in schedule]}")
-    recovered = run_kv(nprocs=nprocs, steps=steps, seed=seed, failure_schedule=schedule)
+    recovered = run_kv(nprocs=nprocs, steps=steps, seed=seed, failures=schedule)
     print(f"recovered run    : {recovered.describe()}")
 
     identical = np.array_equal(baseline.table, recovered.table)
@@ -126,7 +125,7 @@ def main() -> None:
     # backend: every backend must produce the same table, failures included.
     vector = run_kv(
         nprocs=nprocs, steps=steps, seed=seed,
-        failure_schedule=schedule, backend="vector",
+        failures=schedule, backend="vector",
     )
     identical = np.array_equal(recovered.table, vector.table)
     print(f"vector backend with failures: bit-identical to sim = {identical}")
@@ -141,7 +140,7 @@ def main() -> None:
     for backend in ("sim", "vector"):
         localized = run_kv(
             nprocs=nprocs, steps=steps, seed=seed,
-            failure_schedule=schedule, backend=backend, recovery="localized",
+            failures=schedule, backend=backend, recovery="localized",
         )
         identical = np.array_equal(recovered.table, localized.table)
         print(f"localized recovery ({backend}): bit-identical to global = {identical}")
@@ -158,11 +157,11 @@ def main() -> None:
             for recovery in ("global", "localized"):
                 simulated = run_kv(
                     nprocs=nprocs, steps=steps, seed=seed, backend="sim",
-                    store=store, recovery=recovery, kill_plan=plan,
+                    store=store, recovery=recovery, failures=plan,
                 )
                 killed = run_kv(
                     nprocs=nprocs, steps=steps, seed=seed, backend="proc",
-                    store=store, recovery=recovery, kill_plan=plan,
+                    store=store, recovery=recovery, failures=plan,
                 )
                 identical = killed.recoveries >= 1 and (
                     np.array_equal(simulated.table, killed.table)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro
-from repro.simulator import FailureSchedule
+from repro.ft import KillEvent
 from repro.study.workloads import RingAllreduce
 
 CHUNK = 16  # elements per ring chunk
@@ -57,11 +57,10 @@ def run_allreduce(
     nprocs: int = 8,
     ckpt_interval: int | str | None = 4,
     procs_per_node: int = 2,
-    failure_schedule: FailureSchedule | None = None,
+    failures: repro.KillPlan | None = None,
     backend: str = "sim",
     store: str = "memory",
     recovery: str = "global",
-    kill_plan: repro.KillPlan | None = None,
 ) -> AllreduceResult:
     """Run the catalog allreduce; the session recovers injected failures."""
     workload = RingAllreduce(nprocs=nprocs, chunk=CHUNK)
@@ -70,10 +69,9 @@ def run_allreduce(
     )
     run = workload.run(
         ft=policy,
-        failures=failure_schedule,
+        failures=failures,
         backend=backend,
         procs_per_node=procs_per_node,
-        kill_plan=kill_plan,
     )
     return AllreduceResult(
         vectors=run.result,
@@ -95,11 +93,12 @@ def main() -> None:
     # Every rank ends with the same reduced vector, bit-for-bit.
     assert all(np.array_equal(baseline.vectors[0], v) for v in baseline.vectors)
 
-    schedule = FailureSchedule.ranks(
-        {3: 0.35 * baseline.elapsed, 6: 0.7 * baseline.elapsed}
-    )
+    schedule = repro.KillPlan([
+        KillEvent(time=0.35 * baseline.elapsed, rank=3),
+        KillEvent(time=0.7 * baseline.elapsed, rank=6),
+    ])
     print(f"injected failures: {[ev.describe() for ev in schedule]}")
-    recovered = run_allreduce(nprocs=nprocs, failure_schedule=schedule)
+    recovered = run_allreduce(nprocs=nprocs, failures=schedule)
     print(f"recovered run    : {recovered.describe()}")
 
     identical = np.array_equal(baseline.vectors, recovered.vectors)
@@ -113,7 +112,7 @@ def main() -> None:
         (None, baseline, "failure-free"),
         (schedule, recovered, "with failures"),
     ):
-        vector = run_allreduce(nprocs=nprocs, failure_schedule=sched, backend="vector")
+        vector = run_allreduce(nprocs=nprocs, failures=sched, backend="vector")
         identical = np.array_equal(reference.vectors, vector.vectors)
         print(f"vector backend {label}: bit-identical to sim = {identical}")
         if not identical:
@@ -125,7 +124,7 @@ def main() -> None:
     # bit-identical to the global rollback on every backend.
     for backend in ("sim", "vector"):
         localized = run_allreduce(
-            nprocs=nprocs, failure_schedule=schedule, backend=backend,
+            nprocs=nprocs, failures=schedule, backend=backend,
             recovery="localized",
         )
         identical = np.array_equal(recovered.vectors, localized.vectors)
@@ -143,11 +142,11 @@ def main() -> None:
             for recovery in ("global", "localized"):
                 simulated = run_allreduce(
                     nprocs=nprocs, backend="sim", store=store,
-                    recovery=recovery, kill_plan=plan,
+                    recovery=recovery, failures=plan,
                 )
                 killed = run_allreduce(
                     nprocs=nprocs, backend="proc", store=store,
-                    recovery=recovery, kill_plan=plan,
+                    recovery=recovery, failures=plan,
                 )
                 identical = killed.recoveries >= 1 and (
                     np.array_equal(simulated.vectors, killed.vectors)

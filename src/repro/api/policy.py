@@ -27,7 +27,6 @@ from repro.ft.stores import STORES, CheckpointStore
 from repro.registry import resolve_component
 from repro.simulator.cluster import Cluster
 from repro.simulator.costs import CostModel
-from repro.simulator.failures import FailureSchedule
 from repro.simulator.topology import FailureDomainHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -53,9 +52,7 @@ class Topology:
         if self.procs_per_node < 1:
             raise PolicyError("procs_per_node must be at least 1")
 
-    def build(
-        self, nprocs: int, failure_schedule: FailureSchedule | None = None
-    ) -> Cluster:
+    def build(self, nprocs: int) -> Cluster:
         """Instantiate the simulated cluster for an ``nprocs``-process job."""
         if nprocs < 1:
             raise PolicyError("a job needs at least one process")
@@ -63,7 +60,6 @@ class Topology:
             nprocs,
             procs_per_node=self.procs_per_node,
             cost_model=self.cost_model,
-            failure_schedule=failure_schedule,
             fdh=self.fdh,
         )
 
@@ -86,9 +82,9 @@ class FaultTolerancePolicy:
     failure_rates:
         Per-FDH-level exponential failure rates ``{level: failures/second}``
         feeding the ``interval="auto"`` resolution (§7.1).  ``None`` falls
-        back to estimating an aggregate rate from the session's injected
-        :class:`~repro.simulator.failures.FailureSchedule` (zero on a
-        failure-free schedule — "auto" then takes no periodic checkpoints).
+        back to estimating an aggregate rate from the time-triggered kills of
+        the session's :class:`~repro.ft.inject.KillPlan` (zero without any —
+        "auto" then takes no periodic checkpoints).
         Ignored for numeric intervals.
     demand_threshold_bytes:
         Per-rank put/get-log volume that triggers a demand checkpoint (§6.2);

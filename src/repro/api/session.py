@@ -41,12 +41,12 @@ from repro.errors import (
     RecoveryError,
     WatchdogError,
 )
+from repro.ft.inject import KillPlan, install_injector
 from repro.ft.stack import FtStack
 from repro.registry import resolve_component
 from repro.rma.interceptor import RmaInterceptor
 from repro.rma.runtime import RmaRuntime
 from repro.rma.window import Window
-from repro.simulator.failures import FailureSchedule
 from repro.simulator.metrics import MetricsSnapshot
 from repro.trace.tracer import Tracer, current_trace_hub, install_trace
 
@@ -117,7 +117,7 @@ class Job:
         *,
         topology: Topology | None = None,
         ft: FaultTolerancePolicy | None = None,
-        failures: FailureSchedule | None = None,
+        failures: KillPlan | None = None,
         sync_each_step: bool = True,
         backend: str | Backend | None = None,
         watchdog: float | None = None,
@@ -128,7 +128,8 @@ class Job:
         self.watchdog = watchdog
         self.topology = topology or Topology()
         self.policy = ft
-        self.cluster = self.topology.build(nprocs, failure_schedule=failures)
+        self.failures = failures
+        self.cluster = self.topology.build(nprocs)
         # Resolve the backend at the session boundary so a typo fails here,
         # as a PolicyError naming the registered choices, before any cluster
         # state exists.
@@ -165,6 +166,8 @@ class Job:
                 trace = hub.tracer()
         if trace is not None:
             install_trace(self, trace)
+        if failures:  # armed before the set-up, as ``launch`` documents
+            install_injector(self, failures)
 
     def add_observer(self, observer: SessionObserver) -> None:
         """Attach a :class:`SessionObserver` to the step loop's lifecycle
@@ -477,19 +480,16 @@ class Job:
         )
 
     def _estimated_failure_rates(self) -> dict[int, float]:
-        """Aggregate failure rate estimated from the injected schedule.
+        """Aggregate failure rate estimated from the plan's time-triggered kills.
 
-        The event count over the schedule's own horizon — crude, but the
-        right fallback when no fitted per-level rates were declared.  A
-        failure-free schedule estimates rate zero (infinite MTBF).
+        Their count over the latest one's time — crude, but the right
+        fallback when no fitted per-level rates were declared.  A plan
+        without timed kills estimates rate zero (infinite MTBF).
         """
-        events = self.cluster.injector.schedule.events
-        if not events:
+        times = [event.time for event in self.failures or () if event.time is not None]
+        if not times or max(times) <= 0.0:
             return {}
-        horizon = max(event.time for event in events)
-        if horizon <= 0.0:
-            return {}
-        return {0: len(events) / horizon}
+        return {0: len(times) / max(times)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         ft = "ft" if self.ft is not None else "no-ft"
@@ -501,7 +501,7 @@ def launch(
     *,
     topology: Topology | None = None,
     ft: FaultTolerancePolicy | None = None,
-    failures: FailureSchedule | None = None,
+    failures: KillPlan | None = None,
     sync_each_step: bool = True,
     backend: str | Backend | None = None,
     watchdog: float | None = None,
@@ -520,7 +520,8 @@ def launch(
         Declarative fault-tolerance policy.  ``None`` runs unprotected:
         failures propagate out of :meth:`Job.run`.
     failures:
-        Fail-stop schedule to inject (tests, resilience studies).
+        A :class:`~repro.ft.inject.KillPlan` (tests, chaos soaks, resilience
+        studies), armed before the set-up: a timed kill can strike its collectives.
     sync_each_step:
         Close every job step with an implicit ``gsync`` — the BSP-style
         superstep boundary where failures are usually observed.  Disable for

@@ -434,8 +434,8 @@ class ProcBackend(Backend):
         if old is not None:
             self._unwatch(rank)
             if old.process.is_alive():
-                # A *virtually*-failed rank (time-scheduled event, no SIGKILL)
-                # still has a live OS worker; the replacement takes over the
+                # A *virtually*-failed rank (marked with Cluster.fail_rank, no
+                # SIGKILL) still has a live OS worker; the replacement takes over the
                 # rank, so the stale vehicle is terminated rather than joined.
                 old.process.kill()
             old.process.join(timeout=2.0)

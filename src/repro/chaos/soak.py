@@ -285,7 +285,7 @@ def run_soak(spec: SoakSpec) -> SoakResult:
         backend=spec.backend,
         procs_per_node=spec.procs_per_node,
         cost_model=cost,
-        kill_plan=plan,
+        failures=plan,
         steps=spec.rounds * workload.steps,
         trace=tracer,
     )

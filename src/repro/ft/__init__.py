@@ -21,9 +21,10 @@
 * :mod:`~repro.ft.stack` — one-call construction of the whole protocol
   (log + store + checkpointer + recovery) from plain parameters, used by the
   declarative policy of :mod:`repro.api`;
-* :mod:`~repro.ft.inject` — kill injection timed by completion-stream
-  position (backend-portable): real ``SIGKILL`` on the real-process backend,
-  simulated fail-stop elsewhere, with the POD_KILL/NODE_KILL taxonomy.
+* :mod:`~repro.ft.inject` — fail-stop injection: a kill plan names ranks,
+  nodes or hierarchy elements and strikes at completion-stream positions or
+  virtual times (:func:`exponential_schedule` draws the latter); real
+  ``SIGKILL`` on the real-process backend, simulated fail-stop elsewhere.
 """
 
 from repro.ft.checkpoint import (
@@ -38,6 +39,7 @@ from repro.ft.inject import (
     KillEvent,
     KillKind,
     KillPlan,
+    exponential_schedule,
     install_injector,
 )
 from repro.ft.recovery import (
@@ -96,5 +98,6 @@ __all__ = [
     "KillPlan",
     "FiredKill",
     "FaultInjector",
+    "exponential_schedule",
     "install_injector",
 ]

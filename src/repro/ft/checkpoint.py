@@ -107,15 +107,13 @@ class ActionLog(RmaInterceptor):
             clock.protocol += overhead
 
     def forget(self, ranks: list[int]) -> None:
-        """Drop what respawned ``ranks`` logged: a replacement process starts
-        with an empty log (its memory is new).  A localized replay does not
-        call it, since the log is what rebuilds the restored ranks' windows."""
-        # Positions in step_marks go stale with the filtering; the rollback
-        # protocols that take this path truncate the whole log right after.
+        """Drop the logged volume of ``ranks`` repaired in place (best-effort
+        repair): a replacement process starts with an empty log, so only its
+        own traffic counts toward the next demand checkpoint.  The rule never
+        replays, so the log retains no actions to drop; a rollback truncates
+        the whole log instead."""
         for rank in ranks:
             self.bytes_logged.pop(rank, None)
-        self.actions = [a for a in self.actions if a.src not in ranks]
-        self.step_marks = [m for m in self.step_marks if m <= len(self.actions)]
 
     def mark_step(self, *, kernels_only: bool = False) -> None:
         """Record the end of a job step, or of its kernels (``FtStack.end_step``)."""

@@ -505,8 +505,6 @@ class RecoveryManager:
         runtime.discard_pending(restoring if closing else None)
         respawned = [] if degraded else failed
         respawn_ranks(runtime, respawned)
-        if log is not None and not replay:  # a replay keeps what rebuilds its ranks
-            log.forget(respawned)
         for rank in failed if degraded else ():
             runtime.excise_rank(rank)
         if kind == "rollback":

@@ -93,7 +93,7 @@ class _Membership(NamedTuple):
     """Who counts as a member of the job, derived once per change and
     revalidated by readers with one comparison of :attr:`generation`."""
 
-    #: Injector generation the snapshot was built from.
+    #: Failed-set generation (:attr:`Cluster.generation`) the snapshot was built from.
     generation: int
     #: Every failed, not yet replaced rank (excised ones included).
     failed: frozenset[int]
@@ -139,14 +139,13 @@ class RmaRuntime:
         costs = cluster.costs
         self._transfer, self._flop_time = costs.transfer_prices, costs.flop_time
         self._lock_price, self._unlock_price = costs.lock(), costs.unlock()
-        self._injector = cluster.injector
         #: Whether ranks can die behind the injector's back (the backend overrides
         #: ``poll_failures``): then blocking calls, sync actions and collectives poll,
         #: a nonblocking issue reads the backend's set of noted, unreported deaths.
         self._vehicles = type(self.backend).poll_failures is not Backend.poll_failures
         self._noted_dead = self.backend._discovered_dead
         #: Failures already propagated to windows and interceptors, and the
-        #: injector generation at which that propagation was last complete.
+        #: failed-set generation at which that propagation was last complete.
         self._known_failed: set[int] = set()
         self._observed_generation: int | None = None
         #: That generation while its membership is healthy, else ``None``: the
@@ -205,8 +204,8 @@ class RmaRuntime:
         """Failed ranks the tolerant rule suspends (usually empty).
 
         Backend-independent at every point of the program: the failed set
-        only changes at injector-controlled completion-stream positions,
-        which are identical across sim/vector/proc by construction.
+        only changes at injector-controlled completion-stream positions and
+        virtual times, which are identical across sim/vector/proc by construction.
         """
         return self._membership().suspended
 
@@ -360,10 +359,10 @@ class RmaRuntime:
         free, and ``SC_trg`` is fetched but not incremented at a survivor, whose
         crash-time value counts the lock already (:mod:`repro.rma.replay`).
         """
-        injector, n = self._injector, self.nprocs
-        if self._vehicles or self._settled != injector.generation or self._noted_dead or (
+        cluster, n = self.cluster, self.nprocs
+        if self._vehicles or self._settled != cluster.generation or self._noted_dead or (
             not (0 <= src < n and type(trg) is int and 0 <= trg < n)
-            or self._clock_of[src].now >= injector.next_due
+            or self._clock_of[src].now >= cluster.next_due
         ):
             trg = self._pre_sync(src, trg)
         own, divert = self._records[src], self._divert is not None
@@ -402,10 +401,10 @@ class RmaRuntime:
         acquisition was itself dropped unwinds without error, and the pair's
         in-flight operations resolve through the tolerant rule.
         """
-        injector, n = self._injector, self.nprocs
-        if self._vehicles or self._settled != injector.generation or self._noted_dead or (
+        cluster, n = self.cluster, self.nprocs
+        if self._vehicles or self._settled != cluster.generation or self._noted_dead or (
             not (0 <= src < n and type(trg) is int and 0 <= trg < n)
-            or self._clock_of[src].now >= injector.next_due
+            or self._clock_of[src].now >= cluster.next_due
         ):
             trg = self._pre_sync(src, trg)
         own, divert = self._records[src], self._divert is not None
@@ -447,10 +446,10 @@ class RmaRuntime:
         Completes the pair's queued operations at the backend, closes the
         epoch and increments ``GC_src`` (§4.1 B).
         """
-        injector, n = self._injector, self.nprocs
-        if self._vehicles or self._settled != injector.generation or self._noted_dead or (
+        cluster, n = self.cluster, self.nprocs
+        if self._vehicles or self._settled != cluster.generation or self._noted_dead or (
             not (0 <= src < n and type(trg) is int and 0 <= trg < n)
-            or self._clock_of[src].now >= injector.next_due
+            or self._clock_of[src].now >= cluster.next_due
         ):
             trg = self._pre_sync(src, trg)
         if self.backend._pending[src]:
@@ -571,7 +570,7 @@ class RmaRuntime:
         so its charge is suppressed (§4.2).  ``advance`` (not an in-place
         charge) meets a caller's negative ``flops``.
         """
-        if self._settled != self._injector.generation or not 0 <= rank < self.nprocs:
+        if self._settled != self.cluster.generation or not 0 <= rank < self.nprocs:
             self._require_alive(rank)
             self.cluster.clock(rank)  # a rank out of range raises here
         if self._replay is not None and rank not in self._replay.restoring:
@@ -595,29 +594,32 @@ class RmaRuntime:
     # Failure plumbing
     # ------------------------------------------------------------------
     def observe_failures(self, now: float | None = None) -> list[int]:
-        """Fire scheduled failures and propagate them to windows/interceptors.
+        """Fire the time-triggered kills due and propagate failures to windows/interceptors.
 
         Diffing against the runtime's own known-failed set also catches ranks
         killed directly with :meth:`~repro.simulator.cluster.Cluster.fail_rank`:
         their window buffers are invalidated and every interceptor's
         ``on_rank_failed`` fires exactly once.  The diff only runs when the
-        injector's generation moved since the last complete propagation — every
+        cluster's failed-set generation moved since the last complete propagation — every
         writer of the failed set bumps it.
 
         Begins with the sentinel poll (:meth:`_poll_vehicles`): a SIGKILLed worker
-        surfaces like a scheduled failure.  Who gets here on a healthy job, hence
+        surfaces like an injected one.  Who gets here on a healthy job, hence
         polls, once each: a collective (``gsync`` twice: at entry, and after its
         completions may have fired a kill), ``flush_all``, a step boundary and
         :meth:`_pre_action`.
         """
-        cluster, injector = self.cluster, self._injector
+        cluster = self.cluster
         self._poll_vehicles()
-        if injector.next_due < math.inf:
-            cluster.check_failures(cluster.elapsed() if now is None else now)
-        generation = injector.generation
+        if cluster.next_due < math.inf:
+            if now is None:
+                now = cluster.elapsed()
+            if now >= cluster.next_due:
+                cluster.fire_due(now)
+        generation = cluster.generation
         if generation == self._observed_generation:
             return []
-        newly = sorted(injector.failed_ranks - self._known_failed)
+        newly = sorted(cluster.failed - self._known_failed)
         for rank in newly:
             self._known_failed.add(rank)
             self.backend.invalidate_rank(rank)
@@ -759,10 +761,10 @@ class RmaRuntime:
     # Internals
     # ------------------------------------------------------------------
     def _refresh_membership(self) -> _Membership:
-        """Rebuild the membership snapshot: the injector's generation moved
+        """Rebuild the membership snapshot: the failed set's generation moved
         (every reader checks), or :meth:`excise_rank` / :meth:`set_tolerant`
         — the only writers of its other two inputs — ran."""
-        generation, failed = self._injector.generation, self._injector.failed_ranks
+        generation, failed = self.cluster.generation, self.cluster.failed
         suspended = (
             self.tolerant.suspended(self) if self.tolerant is not None else frozenset()
         )
@@ -778,7 +780,7 @@ class RmaRuntime:
     def _membership(self) -> _Membership:
         """The current membership snapshot (rebuilt if the failed set moved)."""
         members = self._members
-        if members.generation != self._injector.generation:
+        if members.generation != self.cluster.generation:
             members = self._refresh_membership()
         return members
 
@@ -837,10 +839,10 @@ class RmaRuntime:
         completion that follows does not poll again), a nonblocking issue only
         after a death is known or noted.
         """
-        injector = self._injector
-        now = self.cluster.clock(src).now
-        stale = self._observed_generation != injector.generation
-        if stale or now >= injector.next_due or self._vehicles:
+        cluster = self.cluster
+        now = cluster.clock(src).now
+        stale = self._observed_generation != cluster.generation
+        if stale or now >= cluster.next_due or self._vehicles:
             self.observe_failures(now)
         members = self._membership()
         if not members.healthy:
@@ -933,9 +935,9 @@ class RmaRuntime:
             ) from None
         if not (0 <= trg < win.nprocs and 0 <= offset and 0 < count <= win.size - offset):
             win.check_access(trg, offset, count)  # raises the precise error
-        injector = self._injector
-        if self._settled != injector.generation or self._noted_dead or (
-            not 0 <= src < self.nprocs or self._clock_of[src].now >= injector.next_due
+        cluster = self.cluster
+        if self._settled != cluster.generation or self._noted_dead or (
+            not 0 <= src < self.nprocs or self._clock_of[src].now >= cluster.next_due
         ):
             self._pre_action(src, trg)
         # The stamp (:meth:`_stamp`) and the open epoch's op count: one record read.
@@ -1034,7 +1036,7 @@ class RmaRuntime:
         resolve through the rule (drop or stale service) instead of applying.
         """
         # Settled: nobody failed.  Else per rank: a completion may have fired a kill.
-        if self._settled != self._injector.generation:
+        if self._settled != self.cluster.generation:
             members = self._membership()
             if src in members.suspended:
                 self._discard_from(src)

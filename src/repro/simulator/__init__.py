@@ -6,19 +6,12 @@ This package provides everything below the RMA programming model:
 * :mod:`~repro.simulator.costs` — LogGP-style cost model of the machine,
 * :mod:`~repro.simulator.topology` — failure-domain hierarchies (FDH, §5),
 * :mod:`~repro.simulator.placement` — process-to-node mappings (the paper's M),
-* :mod:`~repro.simulator.failures` — fail-stop failure injection,
 * :mod:`~repro.simulator.metrics` — counters shared by all layers,
 * :mod:`~repro.simulator.cluster` — the simulated job tying it all together.
 """
 
 from repro.simulator.cluster import Cluster
 from repro.simulator.costs import CostModel, cray_xe6_like, ethernet_cluster_like
-from repro.simulator.failures import (
-    FailureEvent,
-    FailureInjector,
-    FailureSchedule,
-    exponential_schedule,
-)
 from repro.simulator.metrics import MetricsRegistry, MetricsSnapshot
 from repro.simulator.placement import (
     Placement,
@@ -32,10 +25,6 @@ __all__ = [
     "CostModel",
     "cray_xe6_like",
     "ethernet_cluster_like",
-    "FailureEvent",
-    "FailureInjector",
-    "FailureSchedule",
-    "exponential_schedule",
     "MetricsRegistry",
     "MetricsSnapshot",
     "Placement",

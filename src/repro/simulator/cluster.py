@@ -6,7 +6,7 @@ knows nothing about RMA semantics — it only provides:
 
 * per-process virtual clocks and a cost model,
 * a failure-domain hierarchy with a process placement,
-* fail-stop failure injection and detection,
+* the failed set, and the barrier where time-triggered kills are observed,
 * a metrics registry shared by all layers.
 
 Simulated applications are SPMD: the caller iterates over ranks and issues
@@ -18,9 +18,11 @@ paper's evaluation needs.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
+
 from repro.errors import ProcessFailedError, SimulationError
 from repro.simulator.costs import CostModel, cray_xe6_like
-from repro.simulator.failures import FailureInjector, FailureSchedule
 from repro.simulator.metrics import MetricsRegistry
 from repro.simulator.placement import Placement, block_placement
 from repro.simulator.timebase import ClockCollection, VirtualClock
@@ -37,7 +39,6 @@ class Cluster:
         nprocs: int,
         placement: Placement,
         cost_model: CostModel | None = None,
-        failure_schedule: FailureSchedule | None = None,
     ) -> None:
         if nprocs <= 0:
             raise SimulationError("nprocs must be positive")
@@ -54,7 +55,16 @@ class Cluster:
         # be resolved once.
         self._clock_of = [self.clocks.clock(rank) for rank in range(nprocs)]
         self.metrics = MetricsRegistry()
-        self.injector = FailureInjector(failure_schedule or FailureSchedule.none(), placement)
+        #: Ranks that have failed so far (and not been replaced).  Every change
+        #: bumps :attr:`generation`, so consumers cache what they derive from
+        #: the set and revalidate with one comparison.
+        self.failed: frozenset[int] = frozenset()
+        self.generation = 0
+        #: Virtual time of the next time-triggered kill (``inf`` when none is
+        #: pending), and what fires the kills due by a given time: both set by
+        #: the fault injector that holds the plan (:mod:`repro.ft.inject`).
+        self.next_due = math.inf
+        self.fire_due: Callable[[float], None] | None = None
         #: Ranks that crashed and were later replaced; kept for reporting.
         self.recovered_ranks: list[int] = []
 
@@ -68,14 +78,13 @@ class Cluster:
         *,
         procs_per_node: int = 32,
         cost_model: CostModel | None = None,
-        failure_schedule: FailureSchedule | None = None,
         fdh: FailureDomainHierarchy | None = None,
     ) -> "Cluster":
         """Build a cluster with block placement and sensible defaults
         (a flat single-level machine when ``fdh`` is omitted)."""
         fdh = fdh or FailureDomainHierarchy.flat(max(1, -(-nprocs // procs_per_node)))
         placement = block_placement(fdh, nprocs, procs_per_node)
-        return cls(nprocs, placement, cost_model, failure_schedule)
+        return cls(nprocs, placement, cost_model)
 
     # ------------------------------------------------------------------
     # Clock operations
@@ -107,7 +116,7 @@ class Cluster:
         :class:`ProcessFailedError` naming one failed participant (the caller —
         typically the fault-tolerance layer — handles recovery).
         """
-        if ranks is None and not self.injector.failed_ranks:
+        if ranks is None and not self.failed:
             participants, count = None, self.nprocs  # all alive: every clock, no list
         else:
             participants = list(self.alive_ranks() if ranks is None else ranks)
@@ -117,8 +126,9 @@ class Cluster:
         if cost is None:
             cost = self.costs.barrier_prices[count]
         t = self.clocks.synchronize(participants, extra=cost)
-        self.check_failures(t)
-        failed = self.injector.failed_ranks
+        if t >= self.next_due:
+            self.fire_due(t)
+        failed = self.failed
         dead = [r for r in participants or range(count) if r in failed] if failed else ()
         if dead:
             raise ProcessFailedError(dead[0], f"barrier observed failed ranks {dead}")
@@ -127,39 +137,35 @@ class Cluster:
     # ------------------------------------------------------------------
     # Failures
     # ------------------------------------------------------------------
-    def check_failures(self, now: float | None = None) -> list[int]:
-        """Fire scheduled failures up to ``now`` and return newly dead ranks."""
-        if now is None:
-            now = self.elapsed()
-        newly = self.injector.newly_failed_ranks(now)
-        for rank in newly:
-            self.metrics.incr("cluster.failures", rank=rank)
-        return newly
+    def _set_failed(self, ranks: frozenset[int]) -> None:
+        self.failed = ranks
+        self.generation += 1
 
     def fail_rank(self, rank: int) -> None:
         """Explicitly fail ``rank`` at its current virtual time.
 
         Mostly used by tests and examples that want to crash a specific
         process at a specific point of the program rather than relying on a
-        time-based :class:`~repro.simulator.failures.FailureSchedule`.
+        :class:`~repro.ft.inject.KillPlan`, whose injector fires through here.
         """
         self._check_rank(rank)
-        self.injector.fail(rank)
+        if rank not in self.failed:
+            self._set_failed(self.failed | {rank})
         self.metrics.incr("cluster.failures", rank=rank)
 
     def is_alive(self, rank: int) -> bool:
         """Whether ``rank`` is currently alive."""
         self._check_rank(rank)
-        return not self.injector.is_failed(rank)
+        return rank not in self.failed
 
     def alive_ranks(self) -> list[int]:
         """All currently alive ranks, in rank order."""
-        failed = self.injector.failed_ranks
+        failed = self.failed
         return [r for r in range(self.nprocs) if r not in failed]
 
     def failed_ranks(self) -> list[int]:
         """All currently failed (not yet replaced) ranks."""
-        return sorted(self.injector.failed_ranks)
+        return sorted(self.failed)
 
     def respawn_rank(self, rank: int) -> None:
         """Replace a failed rank with a fresh process ``p_new``.
@@ -172,7 +178,7 @@ class Cluster:
         self._check_rank(rank)
         if self.is_alive(rank):
             raise SimulationError(f"rank {rank} is alive; nothing to respawn")
-        self.injector.revive(rank)
+        self._set_failed(self.failed - {rank})
         self.recovered_ranks.append(rank)
         self.clock(rank).synchronize_to(self.elapsed())
         self.metrics.incr("cluster.respawns", rank=rank)
@@ -180,10 +186,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Topology helpers
     # ------------------------------------------------------------------
-    def same_node(self, rank_a: int, rank_b: int) -> bool:
-        """Whether two ranks share a compute node."""
-        return self.placement.node(rank_a) == self.placement.node(rank_b)
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nprocs:
             raise SimulationError(f"rank {rank} out of range 0..{self.nprocs - 1}")

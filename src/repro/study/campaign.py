@@ -3,7 +3,7 @@
 A campaign sweeps the full configuration space the repository exposes —
 ``{workload × backend × store × recovery × failure rate × interval}`` — and
 runs each cell under ``trials`` independently-seeded stochastic
-:func:`~repro.simulator.failures.exponential_schedule` fault loads, exactly
+:func:`~repro.ft.inject.exponential_schedule` fault loads, exactly
 the methodology behind the paper's Figures 10/11: per-level exponential
 failure processes scaled to the configuration's own failure-free makespan,
 survival and bit-identity checked per trial, measured overhead reported next
@@ -36,8 +36,8 @@ from repro.experiment import (
     report_json,
     run_grid,
 )
+from repro.ft.inject import exponential_schedule
 from repro.simulator.costs import cray_xe6_like
-from repro.simulator.failures import exponential_schedule
 from repro.study.model import IntervalModel
 from repro.study.workloads import Workload, make_workload
 from repro.trace.tracer import trace_label
@@ -248,7 +248,7 @@ def _run_trial(args: tuple[CampaignSpec, _Cell, dict, int]) -> dict:
     spec, cell, baseline, trial = args
     workload = _build_workload(spec, cell.workload)
     rates = {int(k): v for k, v in baseline["rates_per_level"].items()}
-    schedule = exponential_schedule(
+    plan = exponential_schedule(
         horizon=baseline["ft_free_elapsed_s"],
         rates_per_level=rates,
         max_index_per_level={1: spec.nnodes} if rates else {},
@@ -256,14 +256,14 @@ def _run_trial(args: tuple[CampaignSpec, _Cell, dict, int]) -> dict:
     )
     record: dict = {
         "trial": trial,
-        "events": [[ev.time, ev.level, ev.index] for ev in schedule],
+        "events": [[ev.time, *ev.element] for ev in plan],
     }
     # Label the session by cell and trial: a run-wide trace hub merges its
     # sessions in label order.
     with trace_label(f"{cell.key}/t{trial}"):
         run = workload.run(
             ft=_policy(cell, rates),
-            failures=schedule,
+            failures=plan,
             backend=cell.backend,
             procs_per_node=spec.procs_per_node,
             cost_model=cray_xe6_like(),

@@ -74,7 +74,7 @@ def system_failure_rate(rates_per_level: Mapping[int, float]) -> float:
 
     ``rates_per_level`` maps FDH levels to the *system-wide* rate of the
     exponential failure process at that level — the same shape
-    :func:`repro.simulator.failures.exponential_schedule` consumes.  An empty
+    :func:`repro.ft.inject.exponential_schedule` consumes.  An empty
     mapping (or all-zero rates) means a failure-free machine: rate ``0.0``,
     infinite MTBF.
     """

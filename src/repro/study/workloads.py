@@ -35,7 +35,6 @@ from repro.errors import CatastrophicFailure, ProcessFailedError, RecoveryError,
 from repro.registry import register_kind, resolve_component
 from repro.rma.actions import OpKind
 from repro.simulator.costs import CostModel
-from repro.simulator.failures import FailureSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.api.scheduler import Kernel
@@ -175,11 +174,10 @@ class Workload(abc.ABC):
         self,
         *,
         ft: FaultTolerancePolicy | None = None,
-        failures: FailureSchedule | None = None,
+        failures: "KillPlan | None" = None,
         backend: "str | Backend" = "sim",
         procs_per_node: int = 2,
         cost_model: CostModel | None = None,
-        kill_plan: "KillPlan | None" = None,
         steps: int | None = None,
         trace: "Tracer | None" = None,
     ) -> WorkloadRun:
@@ -187,11 +185,11 @@ class Workload(abc.ABC):
 
         This is the one session of an engine cell: every probe, reference,
         trial and soak run of :mod:`repro.study` and :mod:`repro.chaos` (a
-        serving cell's included) is one call.  ``kill_plan``
-        installs a :class:`~repro.ft.inject.FaultInjector` for the plan before
-        the step loop starts: real SIGKILLs on the real-process backend,
-        simulated fail-stop elsewhere, at identical completion-stream
-        positions.  ``steps`` (default :attr:`steps`; a soak runs several
+        serving cell's included) is one call.  ``failures`` is the
+        :class:`~repro.ft.inject.KillPlan` :func:`~repro.api.session.launch`
+        arms: real SIGKILLs on the real-process backend, simulated fail-stop
+        elsewhere, at identical completion-stream positions and virtual
+        times.  ``steps`` (default :attr:`steps`; a soak runs several
         rounds of the kernel) goes to :meth:`~repro.api.session.Job.run`,
         ``trace`` to :func:`~repro.api.session.launch`.
 
@@ -214,10 +212,6 @@ class Workload(abc.ABC):
             result = digest = aborted = None
             try:
                 self.setup(job)
-                if kill_plan is not None:
-                    from repro.ft.inject import install_injector
-
-                    install_injector(job, kill_plan)
                 report = job.run(self.kernel(), steps=self.steps if steps is None else steps)
             except (RecoveryError, CatastrophicFailure, ProcessFailedError) as exc:
                 if ft is None:

@@ -165,23 +165,20 @@ class _TraceInterceptor(RmaInterceptor):
     def on_kill(self, record: FiredKill) -> None:
         t = self._tracer
         event = record.event
+        fields = {"rank": event.rank, "kind": event.kind.value, "after_ops": event.after_ops}
+        if event.time is not None:
+            fields["time"] = event.time
+        if event.element is not None:
+            fields["element"] = list(event.element)
         if record.skipped:
-            t.emit(
-                "kill_skipped",
-                t._now(),
-                rank=event.rank,
-                kind=event.kind.value,
-                after_ops=event.after_ops,
-            )
+            t.emit("kill_skipped", t._now(), **fields)
         else:
             t.emit(
                 "kill_fired",
                 t._now(),
-                rank=event.rank,
                 victims=list(record.victims),
-                kind=event.kind.value,
-                after_ops=event.after_ops,
                 rt={"real": bool(record.real)},
+                **fields,
             )
 
     def on_checkpoint_stored(

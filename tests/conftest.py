@@ -1,7 +1,10 @@
-"""Shared fixtures: process/shared-memory hygiene for the real-process tests."""
+"""Shared fixtures: a per-test hang limit, the checkpoint byte-equality oracle, and
+process/shared-memory hygiene for the real-process tests."""
 
+import faulthandler
 import multiprocessing
 import os
+import sys
 import tempfile
 from multiprocessing import shared_memory
 
@@ -11,10 +14,35 @@ import pytest
 from repro.ft.stores import CheckpointStore, MultiLevelStore
 
 
+#: Seconds one test may run before the suite dumps every thread's stack and
+#: exits: ten times the slowest tier-1 test (≈ 6 s, the chaos kv grid on sim and
+#: proc), so a hung rendezvous or a retry loop that never ends fails loudly
+#: instead of stalling the run.  Stdlib only: ``pytest-timeout`` is optional.
+HANG_LIMIT_S = 60.0
+
+#: A duplicate of the terminal's stderr, taken while output capture is suspended:
+#: the dump must not vanish into a test's captured output when the process exits.
+_dump_fd: list[int] = []
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "no_store_oracle: run without the checkpoint byte-equality oracle"
     )
+    _dump_fd.append(os.dup(sys.stderr.fileno()))
+
+
+def pytest_unconfigure(config):
+    if _dump_fd:
+        os.close(_dump_fd.pop())
+
+
+@pytest.fixture(autouse=True)
+def hang_limit():
+    """Exit with every thread's stack when a test outlives :data:`HANG_LIMIT_S`."""
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=_dump_fd[0])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def _same_bytes(held, live):

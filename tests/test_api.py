@@ -22,9 +22,9 @@ from repro.errors import (
     SchedulerError,
     WindowError,
 )
-from repro.ft import FtStack, build_ft_stack
+from repro.ft import FtStack, KillEvent, KillPlan, build_ft_stack
 from repro.rma import RmaRuntime
-from repro.simulator import Cluster, FailureSchedule
+from repro.simulator import Cluster
 from ring_allreduce_ft import CHUNK, _initial_vector, run_allreduce
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
@@ -37,10 +37,11 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 def test_stencil_recovers_bit_identical():
     baseline = run_stencil(nprocs=8, n_local=16, iters=30)
-    schedule = FailureSchedule.ranks(
-        {2: 0.3 * baseline.elapsed, 5: 0.7 * baseline.elapsed}
-    )
-    recovered = run_stencil(nprocs=8, n_local=16, iters=30, failure_schedule=schedule)
+    schedule = KillPlan([
+        KillEvent(time=0.3 * baseline.elapsed, rank=2),
+        KillEvent(time=0.7 * baseline.elapsed, rank=5),
+    ])
+    recovered = run_stencil(nprocs=8, n_local=16, iters=30, failures=schedule)
     assert recovered.recoveries >= 1
     assert recovered.iterations_executed > 30  # some steps were replayed
     assert np.array_equal(baseline.field, recovered.field)
@@ -48,14 +49,14 @@ def test_stencil_recovers_bit_identical():
 
 def test_stencil_demand_checkpoints_recover_bit_identical():
     baseline = run_stencil(nprocs=8, n_local=16, iters=30)
-    schedule = FailureSchedule.single_rank(3, 0.5 * baseline.elapsed)
+    schedule = KillPlan.single(3, time=0.5 * baseline.elapsed)
     demand = run_stencil(
         nprocs=8,
         n_local=16,
         iters=30,
         ckpt_interval=30,  # only the initial periodic checkpoint
         demand_threshold_bytes=128,
-        failure_schedule=schedule,
+        failures=schedule,
     )
     assert demand.recoveries >= 1
     assert np.array_equal(baseline.field, demand.field)
@@ -67,10 +68,11 @@ def test_ring_allreduce_recovers_bit_identical():
     expected = np.sum([_initial_vector(r, nprocs) for r in range(nprocs)], axis=0)
     assert baseline.vectors.shape == (nprocs, nprocs * CHUNK)
     assert np.allclose(baseline.vectors, expected[None, :])
-    schedule = FailureSchedule.ranks(
-        {3: 0.35 * baseline.elapsed, 6: 0.7 * baseline.elapsed}
-    )
-    recovered = run_allreduce(nprocs=nprocs, failure_schedule=schedule)
+    schedule = KillPlan([
+        KillEvent(time=0.35 * baseline.elapsed, rank=3),
+        KillEvent(time=0.7 * baseline.elapsed, rank=6),
+    ])
+    recovered = run_allreduce(nprocs=nprocs, failures=schedule)
     assert recovered.recoveries >= 1
     assert np.array_equal(baseline.vectors, recovered.vectors)
 
@@ -79,11 +81,12 @@ def test_kv_updates_recover_bit_identical():
     nprocs, steps, seed = 8, 16, 11
     baseline = run_kv(nprocs=nprocs, steps=steps, seed=seed)
     assert np.array_equal(baseline.table, expected_table(seed, nprocs, steps))
-    schedule = FailureSchedule.ranks(
-        {1: 0.3 * baseline.elapsed, 4: 0.75 * baseline.elapsed}
-    )
+    schedule = KillPlan([
+        KillEvent(time=0.3 * baseline.elapsed, rank=1),
+        KillEvent(time=0.75 * baseline.elapsed, rank=4),
+    ])
     recovered = run_kv(
-        nprocs=nprocs, steps=steps, seed=seed, failure_schedule=schedule
+        nprocs=nprocs, steps=steps, seed=seed, failures=schedule
     )
     assert recovered.recoveries >= 1
     assert recovered.demand_checkpoints >= 1
@@ -123,7 +126,7 @@ def test_launch_without_ft_propagates_failures():
         ctx.put((ctx.rank + 1) % ctx.nranks, "w", 0, np.ones(2))
         ctx.compute(1e4)
 
-    with repro.launch(4, failures=FailureSchedule.single_rank(2, 1e-5)) as job:
+    with repro.launch(4, failures=KillPlan.single(2, time=1e-5)) as job:
         job.allocate("w", 8)
         with pytest.raises(ProcessFailedError):
             job.run(kernel, steps=50)

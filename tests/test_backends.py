@@ -13,8 +13,9 @@ import pytest
 import repro
 from repro.backends import SimBackend, VectorBackend, make_backend
 from repro.errors import BackendError, EpochError, OpHandleError, WindowError
+from repro.ft import KillEvent, KillPlan
 from repro.rma import OrderRecorder, RmaRuntime
-from repro.simulator import Cluster, FailureSchedule
+from repro.simulator import Cluster
 
 BACKENDS = ["sim", "vector"]
 
@@ -228,10 +229,9 @@ def _run_traced(backend, failures=None):
     ids=["failure-free", "one-failure", "two-failures"],
 )
 def test_traces_fields_and_clocks_bit_identical_across_backends(failures):
-    schedule = FailureSchedule.ranks(failures) if failures else None
-    sim = _run_traced("sim", schedule)
-    schedule = FailureSchedule.ranks(failures) if failures else None
-    vector = _run_traced("vector", schedule)
+    events = [KillEvent(time=t, rank=r) for r, t in (failures or {}).items()]
+    sim = _run_traced("sim", KillPlan(events) if failures else None)
+    vector = _run_traced("vector", KillPlan(events) if failures else None)
     assert np.array_equal(sim[0], vector[0])  # window contents
     assert sim[1] == vector[1]  # recorded determinants
     assert sim[2] == vector[2]  # per-rank virtual clocks

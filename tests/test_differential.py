@@ -62,7 +62,7 @@ def _killed_run(name, backend, store, recovery):
     params, kill, interval = CELLS[name]
     workload = make_workload(name, **params)
     ft = repro.FaultTolerancePolicy(interval=interval, store=store, recovery=recovery)
-    return workload.run(ft=ft, backend=backend, kill_plan=KillPlan.single(**kill))
+    return workload.run(ft=ft, backend=backend, failures=KillPlan.single(**kill))
 
 
 # Failure-free sim references and killed-sim oracle cells, computed once per
@@ -133,7 +133,7 @@ def test_killed_run_trace_matches_sim_event_for_event(backend):
         )
         with tracing() as hub:
             workload.run(
-                ft=ft, backend=on_backend, kill_plan=KillPlan.single(**kill)
+                ft=ft, backend=on_backend, failures=KillPlan.single(**kill)
             )
         return hub.events()
 
@@ -154,7 +154,7 @@ def test_node_kill_takes_out_the_whole_node(backend):
     workload = make_workload("stencil", **params)
     plan = KillPlan.single(rank=2, after_ops=20, kind=KillKind.NODE_KILL)
     ft = repro.FaultTolerancePolicy(interval=interval, store="memory", buddy_level=1)
-    run = workload.run(ft=ft, backend=backend, kill_plan=plan, procs_per_node=2)
+    run = workload.run(ft=ft, backend=backend, failures=plan, procs_per_node=2)
     assert run.report.metrics.total("inject.kills") == 2
     assert run.report.metrics.per_rank["inject.kills"] == {2: 1, 3: 1}
     assert run.report.recoveries >= 1

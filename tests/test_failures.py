@@ -1,58 +1,74 @@
-"""FailureSchedule ordering, exponential sampling determinism, injection."""
+"""Kill plans: event validation and ordering, exponential sampling determinism, timed injection."""
 
 import pytest
 
 from repro.errors import FailureScheduleError, TopologyError
-from repro.simulator.failures import (
-    FailureEvent,
-    FailureInjector,
-    FailureSchedule,
-    exponential_schedule,
-)
-from repro.simulator.placement import block_placement
+from repro.ft.inject import FaultInjector, KillEvent, KillKind, KillPlan, exponential_schedule
+from repro.rma import RmaRuntime
+from repro.simulator import Cluster
 from repro.simulator.topology import FailureDomainHierarchy
 
 
 def test_schedule_sorts_events_on_construction():
     events = [
-        FailureEvent(time=3.0, level=0, index=1),
-        FailureEvent(time=1.0, level=1, index=0),
-        FailureEvent(time=2.0, level=0, index=2),
+        KillEvent(time=3.0, rank=1),
+        KillEvent(time=1.0, element=(1, 0)),
+        KillEvent(time=2.0, rank=2),
     ]
-    schedule = FailureSchedule(events)
+    schedule = KillPlan(events)
     assert [ev.time for ev in schedule] == [1.0, 2.0, 3.0]
 
 
-def test_schedule_add_keeps_events_sorted():
-    schedule = FailureSchedule.single_rank(4, 5.0)
-    schedule.add(FailureEvent(time=1.0, level=0, index=2))
-    assert [ev.time for ev in schedule] == [1.0, 5.0]
-    assert len(schedule) == 2
-
-
 def test_schedule_merge_combines_both_sides():
-    merged = FailureSchedule(
-        [*FailureSchedule.single_rank(0, 2.0), *FailureSchedule.element(1, 3, 1.0)]
+    merged = KillPlan(
+        [*KillPlan.single(0, time=2.0), *KillPlan([KillEvent(time=1.0, element=(1, 3))])]
     )
-    assert [(ev.time, ev.level) for ev in merged] == [(1.0, 1), (2.0, 0)]
+    assert [(ev.time, ev.kind) for ev in merged] == [
+        (1.0, KillKind.ELEMENT_KILL), (2.0, KillKind.POD_KILL)
+    ]
+
+
+def test_a_plan_lists_stream_kills_by_offset_then_timed_kills_by_time():
+    plan = KillPlan([
+        KillEvent(time=1.0, rank=0),
+        KillEvent(after_ops=9, rank=2),
+        KillEvent(after_ops=3, rank=1, kind=KillKind.NODE_KILL),
+    ])
+    assert [(ev.after_ops, ev.time) for ev in plan] == [(3, None), (9, None), (None, 1.0)]
 
 
 @pytest.mark.parametrize(
     "event",
     [
-        FailureEvent(time=-1.0, level=0, index=0),
-        FailureEvent(time=1.0, level=-1, index=0),
-        FailureEvent(time=1.0, level=0, index=-2),
+        dict(time=-1.0, rank=0),
+        dict(time=1.0, element=(-1, 0)),
+        dict(time=1.0, rank=-2),
     ],
 )
 def test_invalid_events_are_rejected(event):
     with pytest.raises(FailureScheduleError):
-        FailureSchedule([event])
+        KillEvent(**event)
 
 
-def test_element_constructor_requires_positive_level():
+@pytest.mark.parametrize(
+    "event",
+    [
+        dict(rank=0),  # no trigger
+        dict(after_ops=5, time=1.0, rank=0),  # two triggers
+        dict(time=1.0),  # no victim
+        dict(time=1.0, rank=0, element=(1, 0)),  # two victims
+        dict(time=1.0, element=(1, 0), kind=KillKind.NODE_KILL),
+        dict(after_ops=0, rank=0),  # before the opening checkpoint
+    ],
+)
+def test_a_kill_has_exactly_one_trigger_and_one_victim(event):
     with pytest.raises(FailureScheduleError):
-        FailureSchedule.element(0, 1, 1.0)
+        KillEvent(**event)
+
+
+def test_naming_an_element_makes_an_element_kill():
+    assert KillEvent(time=1.0, element=(2, 1)).kind is KillKind.ELEMENT_KILL
+    assert KillEvent(after_ops=4, element=(0, 3)).kind is KillKind.ELEMENT_KILL
 
 
 def test_exponential_schedule_is_deterministic_under_fixed_seed():
@@ -68,7 +84,7 @@ def test_exponential_schedule_is_deterministic_under_fixed_seed():
     assert list(a) != list(c)
     assert len(a) > 0
     assert all(0.0 < ev.time <= 1000.0 for ev in a)
-    assert all(ev.index < kwargs["max_index_per_level"][ev.level] for ev in a)
+    assert all(ev.element[1] < kwargs["max_index_per_level"][ev.element[0]] for ev in a)
 
 
 def test_exponential_schedule_different_seeds_are_disjoint():
@@ -125,11 +141,12 @@ def test_exponential_schedule_validates_inputs():
 
 
 def test_a_failure_event_describes_its_time_and_target():
-    assert FailureEvent(time=1.5e-4, level=0, index=3).describe() == (
-        "t=0.000150s: failure of rank 3"
-    )
-    assert FailureEvent(time=2.0, level=1, index=7).describe() == (
+    assert KillEvent(time=1.5e-4, rank=3).describe() == "t=0.000150s: failure of rank 3"
+    assert KillEvent(time=2.0, element=(1, 7)).describe() == (
         "t=2.000000s: failure of level-1 element 7"
+    )
+    assert KillEvent(after_ops=40, rank=2, kind=KillKind.NODE_KILL).describe() == (
+        "op 40: failure of the node of rank 2"
     )
 
 
@@ -143,37 +160,50 @@ def test_an_element_names_itself_in_the_ancestor_errors():
         node.ancestor(3)
 
 
-def _placement(nprocs=8, procs_per_node=2):
-    fdh = FailureDomainHierarchy.flat(nprocs // procs_per_node)
-    return block_placement(fdh, nprocs, procs_per_node)
+def _armed(plan, nprocs=8, procs_per_node=2):
+    """A runtime on a flat machine with an injector for ``plan``."""
+    rt = RmaRuntime(Cluster.simple(nprocs, procs_per_node=procs_per_node))
+    injector = FaultInjector(plan)
+    rt.add_interceptor(injector)
+    return rt, injector
 
 
 def test_injector_fires_events_once_and_in_time_order():
-    schedule = FailureSchedule.ranks({1: 1.0, 5: 2.0})
-    injector = FailureInjector(schedule, _placement())
-    assert injector.newly_failed_ranks(0.5) == []
-    assert injector.newly_failed_ranks(1.5) == [1]
+    rt, injector = _armed(KillPlan([KillEvent(time=1.0, rank=1), KillEvent(time=2.0, rank=5)]))
+    cluster = rt.cluster
+    assert cluster.next_due == 1.0
+    assert rt.observe_failures(0.5) == []
+    assert rt.observe_failures(1.5) == [1]
     # Already-fired events are not reported again.
-    assert injector.newly_failed_ranks(3.0) == [5]
-    assert injector.failed_ranks == frozenset({1, 5})
-    assert not injector._pending  # nothing left to fire
+    assert rt.observe_failures(3.0) == [5]
+    assert cluster.failed == frozenset({1, 5})
+    assert [fired.victims for fired in injector.fired] == [(1,), (5,)]
+    assert cluster.next_due == float("inf")  # nothing left to fire
 
 
 def test_node_level_event_kills_every_rank_on_the_node():
-    schedule = FailureSchedule.element(level=1, index=2, time=1.0)
-    injector = FailureInjector(schedule, _placement(nprocs=8, procs_per_node=2))
-    assert injector.newly_failed_ranks(1.0) == [4, 5]
+    rt, injector = _armed(KillPlan([KillEvent(time=1.0, element=(1, 2))]))
+    assert rt.observe_failures(1.0) == [4, 5]
+    assert rt.cluster.metrics.get("inject.kills") == 2
 
 
 def test_injector_revive_clears_failed_state():
-    injector = FailureInjector(FailureSchedule.single_rank(3, 1.0), _placement())
-    injector.newly_failed_ranks(2.0)
-    assert injector.is_failed(3)
-    injector.revive(3)
-    assert not injector.is_failed(3)
+    rt, _ = _armed(KillPlan.single(3, time=1.0))
+    rt.observe_failures(2.0)
+    assert not rt.cluster.is_alive(3)
+    rt.cluster.respawn_rank(3)
+    assert rt.cluster.is_alive(3)
 
 
 def test_event_targeting_out_of_range_rank_raises():
-    injector = FailureInjector(FailureSchedule.single_rank(99, 1.0), _placement())
+    rt, _ = _armed(KillPlan.single(99, time=1.0))
     with pytest.raises(FailureScheduleError):
-        injector.newly_failed_ranks(2.0)
+        rt.observe_failures(2.0)
+
+
+def test_a_timed_plan_leaves_the_completion_stream_alone():
+    rt, injector = _armed(KillPlan.single(3, time=1.0))
+    assert rt.interceptors.after_comm is None
+    with pytest.raises(FailureScheduleError, match="one plan of time-triggered kills"):
+        rt.add_interceptor(FaultInjector(KillPlan.single(2, time=2.0)))
+    assert list(rt.interceptors) == [injector] and rt.cluster.next_due == 1.0

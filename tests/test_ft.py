@@ -17,14 +17,18 @@ from repro.errors import (
 from repro.ft import (
     ActionLog,
     CoordinatedCheckpointer,
+    FaultInjector,
+    KillEvent,
+    KillPlan,
     MemoryStore,
     RecoveryManager,
     buddy_assignment,
+    exponential_schedule,
     group_spread,
     t_aware_groups,
 )
 from repro.rma import RmaRuntime
-from repro.simulator import Cluster, FailureSchedule, exponential_schedule
+from repro.simulator import Cluster
 from repro.simulator.placement import block_placement
 from repro.simulator.topology import FailureDomainHierarchy
 from repro.study.workloads import make_workload
@@ -82,8 +86,9 @@ def test_t_aware_groups_validate_sizes():
 
 
 def _ft_runtime(nprocs=8, schedule=None, **ck_kwargs):
-    cluster = Cluster.simple(nprocs, procs_per_node=2, failure_schedule=schedule)
-    runtime = RmaRuntime(cluster)
+    runtime = RmaRuntime(Cluster.simple(nprocs, procs_per_node=2))
+    if schedule is not None:
+        runtime.add_interceptor(FaultInjector(schedule))
     checkpointer = CoordinatedCheckpointer(**ck_kwargs)
     if ck_kwargs.get("log") is not None:
         runtime.add_interceptor(ck_kwargs["log"])
@@ -264,7 +269,7 @@ def test_failure_during_checkpoint_commits_nothing():
 
     log = ActionLog()
     runtime, checkpointer, _ = _ft_runtime(
-        nprocs=4, schedule=FailureSchedule.single_rank(2, t_fail), log=log
+        nprocs=4, schedule=KillPlan.single(2, time=t_fail), log=log
     )
     runtime.win_allocate("w", 256)
     runtime.put(0, 1, "w", 0, np.ones(8))
@@ -298,9 +303,9 @@ def test_recovery_truncates_the_action_log():
 def test_stencil_recovers_single_rank_failure_bit_identical():
     baseline = run_stencil(nprocs=6, n_local=8, iters=30, ckpt_interval=5)
     assert baseline.recoveries == 0
-    schedule = FailureSchedule.single_rank(3, baseline.elapsed * 0.5)
+    schedule = KillPlan.single(3, time=baseline.elapsed * 0.5)
     recovered = run_stencil(
-        nprocs=6, n_local=8, iters=30, ckpt_interval=5, failure_schedule=schedule
+        nprocs=6, n_local=8, iters=30, ckpt_interval=5, failures=schedule
     )
     assert recovered.recoveries == 1
     assert np.array_equal(baseline.field, recovered.field)
@@ -312,15 +317,15 @@ def test_stencil_recovers_single_rank_failure_bit_identical():
 def test_stencil_recovers_whole_node_failure_bit_identical():
     baseline = run_stencil(nprocs=8, n_local=8, iters=30, ckpt_interval=5)
     # Node 1 hosts ranks 2 and 3; both die at once mid-run.
-    schedule = FailureSchedule.element(level=1, index=1, time=baseline.elapsed * 0.6)
+    schedule = KillPlan([KillEvent(time=baseline.elapsed * 0.6, element=(1, 1))])
     recovered = run_stencil(
-        nprocs=8, n_local=8, iters=30, ckpt_interval=5, failure_schedule=schedule
+        nprocs=8, n_local=8, iters=30, ckpt_interval=5, failures=schedule
     )
     assert recovered.recoveries == 1
     assert np.array_equal(baseline.field, recovered.field)
 
 
-def _rack_stencil(*, buddy_level: int, failures: FailureSchedule | None = None):
+def _rack_stencil(*, buddy_level: int, failures: KillPlan | None = None):
     """16 ranks, 2 per node, 2 nodes per rack, 4 racks (a level-2 hierarchy)."""
     fdh = FailureDomainHierarchy(("node", "rack"), (2,), 4)
     workload = make_workload("stencil", nprocs=16, n_local=8, iters=12)
@@ -338,7 +343,7 @@ def test_rack_failure_needs_rack_level_buddies():
     # survived with buddies on another rack, and fatal with buddies that only
     # cross node boundaries (ranks 4 and 5 keep theirs on 6 and 7, same rack).
     baseline, report = _rack_stencil(buddy_level=2)
-    rack = FailureSchedule.element(level=2, index=1, time=report.elapsed * 0.6)
+    rack = KillPlan([KillEvent(time=report.elapsed * 0.6, element=(2, 1))])
     recovered, survived = _rack_stencil(buddy_level=2, failures=rack)
     assert survived.recoveries == 1
     assert np.array_equal(baseline, recovered)
@@ -351,9 +356,9 @@ def test_stencil_survives_failures_in_rapid_succession():
     # driver's retry loop must absorb it and still finish bit-identical.
     baseline = run_stencil(nprocs=6, n_local=8, iters=30, ckpt_interval=5)
     t = baseline.elapsed * 0.5
-    schedule = FailureSchedule.ranks({1: t, 4: t + 1e-7})
+    schedule = KillPlan([KillEvent(time=t, rank=1), KillEvent(time=t + 1e-7, rank=4)])
     recovered = run_stencil(
-        nprocs=6, n_local=8, iters=30, ckpt_interval=5, failure_schedule=schedule
+        nprocs=6, n_local=8, iters=30, ckpt_interval=5, failures=schedule
     )
     assert recovered.recoveries >= 1
     assert np.array_equal(baseline.field, recovered.field)
@@ -369,7 +374,7 @@ def test_stencil_survives_exponential_failure_schedule():
     )
     assert len(schedule) > 0
     recovered = run_stencil(
-        nprocs=8, n_local=16, iters=40, ckpt_interval=8, failure_schedule=schedule
+        nprocs=8, n_local=16, iters=40, ckpt_interval=8, failures=schedule
     )
     assert recovered.recoveries >= 1
     assert np.array_equal(baseline.field, recovered.field)

@@ -32,7 +32,7 @@ from repro.backends.sim import SimBackend
 from repro.backends.vector import VectorBackend
 from repro.errors import ProcessFailedError
 from repro.ft.checkpoint import ActionLog
-from repro.ft.inject import KillPlan, install_injector
+from repro.ft.inject import FaultInjector, KillPlan, install_injector
 from repro.ft.stack import build_ft_stack
 from repro.rma import InterceptorChain, RmaInterceptor, RmaRuntime
 from repro.rma.actions import (
@@ -47,7 +47,7 @@ from repro.rma.actions import (
 )
 from repro.rma.replay import ReplayCursor, replay_apply
 from repro.rma.window import Window
-from repro.simulator import Cluster, FailureSchedule
+from repro.simulator import Cluster
 from repro.simulator.costs import cray_xe6_like
 from repro.trace.tracer import Tracer, install_trace
 
@@ -562,10 +562,10 @@ def test_a_hook_is_looked_up_when_the_interceptor_is_added(monkeypatch):
 # ---------------------------------------------------------------------------
 # (b) Disposition transitions
 # ---------------------------------------------------------------------------
-def _runtime(backend: str, **cluster_kwargs) -> RmaRuntime:
-    rt = RmaRuntime(
-        Cluster.simple(4, procs_per_node=2, **cluster_kwargs), backend=backend
-    )
+def _runtime(backend: str, failures: KillPlan | None = None) -> RmaRuntime:
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend=backend)
+    if failures:
+        rt.add_interceptor(FaultInjector(failures))
     rt.win_allocate("w", 16)
     return rt
 
@@ -611,7 +611,7 @@ def test_scheduled_failure_fires_at_the_op_index_the_cost_model_predicts(backend
     start = _runtime(backend).cluster.now(0)  # allocation + barrier, deterministic
     due = start + 2.5 * step_cost
     expected_index = math.ceil((due - start) / step_cost) - 1  # == 2
-    rt = _runtime(backend, failure_schedule=FailureSchedule.single_rank(1, due))
+    rt = _runtime(backend, failures=KillPlan.single(1, time=due))
     issued = 0
     with pytest.raises(ProcessFailedError):
         for _ in range(10):

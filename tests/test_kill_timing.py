@@ -39,7 +39,7 @@ def reference_digest(name, params):
 
 def _killed(name, params, plan, *, interval=3, store="memory", recovery="global"):
     ft = repro.FaultTolerancePolicy(interval=interval, store=store, recovery=recovery)
-    return make_workload(name, **params).run(ft=ft, backend="proc", kill_plan=plan)
+    return make_workload(name, **params).run(ft=ft, backend="proc", failures=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -173,4 +173,4 @@ def test_aborted_session_cleans_up_after_unrecoverable_failure():
     # still reap workers and unlink segments.
     workload = make_workload("stencil", **STENCIL)
     with pytest.raises(repro.ReproError):
-        workload.run(backend="proc", kill_plan=KillPlan.single(rank=1, after_ops=10))
+        workload.run(backend="proc", failures=KillPlan.single(rank=1, after_ops=10))

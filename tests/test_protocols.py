@@ -10,18 +10,20 @@ from repro.errors import CatastrophicFailure, RecoveryError
 from repro.ft import (
     ContinueDegraded,
     GlobalRollback,
+    KillEvent,
+    KillPlan,
     LocalizedReplay,
     RecoveryOutcome,
     build_ft_stack,
     make_protocol,
 )
 from repro.rma import RmaRuntime
-from repro.simulator import Cluster, FailureSchedule
+from repro.simulator import Cluster
 from ring_allreduce_ft import run_allreduce
 
 
-def _runtime(nprocs=8, procs_per_node=2, schedule=None, backend=None):
-    cluster = Cluster.simple(nprocs, procs_per_node=procs_per_node, failure_schedule=schedule)
+def _runtime(nprocs=8, procs_per_node=2, backend=None):
+    cluster = Cluster.simple(nprocs, procs_per_node=procs_per_node)
     return RmaRuntime(cluster, backend=backend)
 
 
@@ -49,14 +51,14 @@ def test_make_protocol_resolves_names_and_instances():
 @pytest.mark.parametrize("backend", ["sim", "vector"])
 def test_stencil_localized_replay_bit_identical(backend):
     baseline = run_stencil(nprocs=8, n_local=8, iters=24, ckpt_interval=6)
-    schedule = FailureSchedule.single_rank(3, baseline.elapsed * 0.55)
+    schedule = KillPlan.single(3, time=baseline.elapsed * 0.55)
     rolled = run_stencil(
         nprocs=8, n_local=8, iters=24, ckpt_interval=6,
-        failure_schedule=schedule, backend=backend, recovery="global",
+        failures=schedule, backend=backend, recovery="global",
     )
     localized = run_stencil(
         nprocs=8, n_local=8, iters=24, ckpt_interval=6,
-        failure_schedule=schedule, backend=backend, recovery="localized",
+        failures=schedule, backend=backend, recovery="localized",
     )
     assert localized.recoveries == 1
     assert np.array_equal(rolled.field, localized.field)
@@ -68,14 +70,15 @@ def test_allreduce_localized_replay_bit_identical(backend):
     # Combining accumulates: the M-flag case a naive log re-application
     # would double-apply on survivors.
     baseline = run_allreduce(nprocs=8)
-    schedule = FailureSchedule.ranks(
-        {3: 0.35 * baseline.elapsed, 6: 0.7 * baseline.elapsed}
-    )
+    schedule = KillPlan([
+        KillEvent(time=0.35 * baseline.elapsed, rank=3),
+        KillEvent(time=0.7 * baseline.elapsed, rank=6),
+    ])
     rolled = run_allreduce(
-        nprocs=8, failure_schedule=schedule, backend=backend, recovery="global"
+        nprocs=8, failures=schedule, backend=backend, recovery="global"
     )
     localized = run_allreduce(
-        nprocs=8, failure_schedule=schedule, backend=backend, recovery="localized"
+        nprocs=8, failures=schedule, backend=backend, recovery="localized"
     )
     assert localized.recoveries >= 1
     assert np.array_equal(rolled.vectors, localized.vectors)
@@ -87,15 +90,16 @@ def test_kv_localized_replay_bit_identical(backend):
     # Blocking lock-protected atomics complete mid-step: the crash leaves a
     # partially-committed batch the replay must suppress exactly.
     baseline = run_kv(nprocs=8, steps=16, seed=11)
-    schedule = FailureSchedule.ranks(
-        {1: 0.3 * baseline.elapsed, 4: 0.75 * baseline.elapsed}
-    )
+    schedule = KillPlan([
+        KillEvent(time=0.3 * baseline.elapsed, rank=1),
+        KillEvent(time=0.75 * baseline.elapsed, rank=4),
+    ])
     rolled = run_kv(
-        nprocs=8, steps=16, seed=11, failure_schedule=schedule,
+        nprocs=8, steps=16, seed=11, failures=schedule,
         backend=backend, recovery="global",
     )
     localized = run_kv(
-        nprocs=8, steps=16, seed=11, failure_schedule=schedule,
+        nprocs=8, steps=16, seed=11, failures=schedule,
         backend=backend, recovery="localized",
     )
     assert localized.recoveries >= 1
@@ -121,7 +125,7 @@ def test_localized_replay_restores_strictly_fewer_bytes(store):
         return field, report
 
     free_field, free = run("global")
-    schedule = FailureSchedule.single_rank(3, free.elapsed * 0.55)
+    schedule = KillPlan.single(3, time=free.elapsed * 0.55)
     rolled_field, rolled = run("global", schedule)
     localized_field, localized = run("localized", schedule)
     assert rolled.recoveries == localized.recoveries == 1
@@ -210,10 +214,10 @@ def test_localized_with_disk_store_survives_rank_and_buddy_loss():
     baseline = rs(nprocs=8, n_local=8, iters=20, ckpt_interval=5, store="disk")
     # Node 1 hosts ranks 2 and 3 — a whole-node loss, including a buddy pair
     # boundary; the disk spill serves both replacements.
-    schedule = FailureSchedule.element(level=1, index=1, time=baseline.elapsed * 0.6)
+    schedule = KillPlan([KillEvent(time=baseline.elapsed * 0.6, element=(1, 1))])
     localized = rs(
         nprocs=8, n_local=8, iters=20, ckpt_interval=5, store="disk",
-        failure_schedule=schedule, recovery="localized",
+        failures=schedule, recovery="localized",
     )
     assert localized.recoveries >= 1
     assert np.array_equal(baseline.field, localized.field)
@@ -227,10 +231,10 @@ def test_localized_with_disk_store_survives_rank_and_buddy_loss():
 @pytest.mark.parametrize("backend", ["sim", "vector"])
 def test_degraded_stencil_finishes_with_excised_ranks(backend):
     baseline = run_stencil(nprocs=8, n_local=8, iters=24, ckpt_interval=6)
-    schedule = FailureSchedule.single_rank(3, baseline.elapsed * 0.5)
+    schedule = KillPlan.single(3, time=baseline.elapsed * 0.5)
     degraded = run_stencil(
         nprocs=8, n_local=8, iters=24, ckpt_interval=6,
-        failure_schedule=schedule, backend=backend, recovery="degraded",
+        failures=schedule, backend=backend, recovery="degraded",
     )
     # The job finished every step on the shrunk membership; the surviving
     # field is finite but not bit-identical (no rollback happened).
@@ -284,10 +288,10 @@ def test_degraded_drop_semantics_low_level():
 def test_degraded_successive_failures_shrink_further():
     baseline = run_stencil(nprocs=8, n_local=8, iters=24, ckpt_interval=6)
     t = baseline.elapsed
-    schedule = FailureSchedule.ranks({2: t * 0.3, 6: t * 0.6})
+    schedule = KillPlan([KillEvent(time=t * 0.3, rank=2), KillEvent(time=t * 0.6, rank=6)])
     degraded = run_stencil(
         nprocs=8, n_local=8, iters=24, ckpt_interval=6,
-        failure_schedule=schedule, recovery="degraded",
+        failures=schedule, recovery="degraded",
     )
     assert degraded.iterations_executed == 24
     assert degraded.recoveries == 2
@@ -332,7 +336,7 @@ def test_ft_stack_uninstall_detaches_recovery_manager():
 
 def test_report_describe_mentions_excised_ranks():
     baseline = run_stencil(nprocs=6, n_local=8, iters=12, ckpt_interval=4)
-    schedule = FailureSchedule.single_rank(2, baseline.elapsed * 0.5)
+    schedule = KillPlan.single(2, time=baseline.elapsed * 0.5)
     policy = repro.FaultTolerancePolicy(interval=4, recovery="degraded")
     with repro.launch(
         6, topology=repro.Topology(procs_per_node=2), ft=policy, failures=schedule,

@@ -9,6 +9,7 @@ import pytest
 
 from repro import launch
 from repro.api.policy import FaultTolerancePolicy
+from repro.api.session import SessionObserver
 from repro.errors import CheckpointError, PolicyError, RecoveryError
 from repro.ft import KillPlan, build_ft_stack, make_store
 from repro.ft.recovery import BestEffort, make_protocol
@@ -16,7 +17,6 @@ from repro.ft.stores import MultiLevelStore, _merged
 from repro.rma import RmaRuntime
 from repro.simulator import Cluster
 from repro.simulator.costs import cray_xe6_like
-from repro.simulator.failures import FailureSchedule
 from repro.stats import latency_percentiles
 from repro.study.model import IntervalModel, level_capture_seconds
 from repro.study.workloads import make_workload
@@ -42,7 +42,7 @@ def test_best_effort_qos_totals_equal_the_trace_rollup():
     with tracing() as hub:
         run = workload.run(
             ft=FaultTolerancePolicy(interval=3, recovery=BestEffort(seed=0)),
-            kill_plan=KillPlan.seeded(0, nprocs=8, max_ops=60, kills=1, min_ops=30),
+            failures=KillPlan.seeded(0, nprocs=8, max_ops=60, kills=1, min_ops=30),
         )
     totals = run.report.metrics.totals
     counted = {
@@ -106,10 +106,42 @@ def test_tolerated_failure_inside_a_checkpoint_is_repaired_and_retried(fraction)
     assert clean.checkpoints == len(checkpoints) == 4
     window = checkpoints[2]
     t_kill = window["t_start"] + fraction * (window["t_end"] - window["t_start"])
-    report, _ = _ring_gsync_run(FailureSchedule.single_rank(3, t_kill))
+    report, _ = _ring_gsync_run(KillPlan.single(3, time=t_kill))
     assert report.recoveries == 0
     assert report.metrics.total("qos.repairs") == 1
     assert report.checkpoints == 4
+
+
+def test_a_repaired_rank_logs_afresh_toward_the_next_demand_checkpoint():
+    # Rank 0 logs 512 B a step, the others 8 B: rank 0 alone trips the 2,048 B
+    # demand threshold every 4 steps.  Killed in step 7, it is repaired at step
+    # 8 with a new (empty) log, so the next demand checkpoint waits for 4 more
+    # steps of its volume; counting the dead process's 1,536 B would move it to
+    # step 8 and add one.
+    def kernel(ctx, step):
+        count = 64 if ctx.rank == 0 else 1
+        ctx.win("w").put_nb((ctx.rank + 1) % ctx.nranks, 0, np.full(count, float(step)))
+        ctx.compute(100.0)
+
+    class Checkpoints(SessionObserver):
+        def __init__(self):
+            self.demand_steps = []
+
+        def on_checkpoint(self, step, t_start, t_end, demand):
+            if demand:
+                self.demand_steps.append(step)
+
+    ft = FaultTolerancePolicy(
+        interval=None, recovery="best_effort", demand_threshold_bytes=2048
+    )
+    seen = Checkpoints()
+    with launch(4, ft=ft, failures=KillPlan.single(0, after_ops=30)) as job:
+        job.add_observer(seen)
+        job.allocate("w", 64)
+        report = job.run(kernel, steps=24)
+    assert report.metrics.total("qos.repairs") == 1
+    assert seen.demand_steps == [4, 12, 16, 20]
+    assert report.demand_checkpoints == 4
 
 
 # ---------------------------------------------------------------------------

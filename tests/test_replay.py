@@ -28,9 +28,8 @@ import pytest
 import repro
 from repro.api.session import SessionObserver
 from repro.backends.proc import proc_available
-from repro.ft.inject import KillPlan, install_injector
+from repro.ft.inject import KillEvent, KillPlan, install_injector
 from repro.rma import AccumulateOp
-from repro.simulator.failures import FailureSchedule
 
 pytestmark = pytest.mark.usefixtures("proc_hygiene")
 
@@ -241,7 +240,7 @@ def test_a_failure_at_any_time_replays_bit_identical(name):
             calls = _Calls()
             digest, report = _run(
                 name, recovery="localized", calls=calls,
-                failures=FailureSchedule.ranks({rank: float(when)}),
+                failures=KillPlan([KillEvent(time=float(when), rank=rank)]),
             )
             assert digest == _reference_digest(name), (rank, when)
             closing += calls.in_closing_sync == [True]
@@ -259,7 +258,9 @@ def test_a_second_failure_inside_a_replay_restores_the_replay_s_ranks_afresh():
             calls = _Calls()
             digest, report = _run(
                 "overwrite", recovery="localized", calls=calls,
-                failures=FailureSchedule.ranks({0: float(first), 1: float(second)}),
+                failures=KillPlan([
+                    KillEvent(time=float(first), rank=0), KillEvent(time=float(second), rank=1)
+                ]),
             )
             assert digest == _reference_digest("overwrite"), (first, second)
             assert report.recoveries == len(calls.failed_at), (first, second)

@@ -8,8 +8,9 @@ import pytest
 import repro
 from repro.chaos import scaled_cost_model
 from repro.errors import LockError, ProcessFailedError, SimulationError, SynchronizationError
+from repro.ft import FaultInjector, KillPlan
 from repro.rma import AccumulateOp, OrderRecorder, RmaInterceptor, RmaRuntime
-from repro.simulator import Cluster, FailureSchedule
+from repro.simulator import Cluster
 from repro.simulator.costs import cray_xe6_like, ethernet_cluster_like
 
 
@@ -160,8 +161,8 @@ def test_cost_model_presets_build_and_price_lookups_equal_calls():
 
 
 def test_scheduled_failure_surfaces_as_process_failed_error():
-    schedule = FailureSchedule.single_rank(2, 0.0)
-    rt = RmaRuntime(Cluster.simple(4, failure_schedule=schedule))
+    rt = RmaRuntime(Cluster.simple(4))
+    rt.add_interceptor(FaultInjector(KillPlan.single(2, time=0.0)))
     with pytest.raises(ProcessFailedError):
         rt.win_allocate("w", 4)
 
@@ -206,8 +207,8 @@ def test_failed_origin_cannot_issue_actions():
 
 def test_gsync_observes_scheduled_failures():
     # Rank 2 dies at t=1s (virtual), long after window allocation completes.
-    schedule = FailureSchedule.single_rank(2, 1.0)
-    rt = RmaRuntime(Cluster.simple(4, failure_schedule=schedule))
+    rt = RmaRuntime(Cluster.simple(4))
+    rt.add_interceptor(FaultInjector(KillPlan.single(2, time=1.0)))
     rt.win_allocate("w", 4)
     rt.cluster.advance(0, 2.0)  # push virtual time past the failure
     with pytest.raises(ProcessFailedError):

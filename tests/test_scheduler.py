@@ -13,8 +13,8 @@ import pytest
 
 import repro
 from repro.api import RankContext
+from repro.ft import KillEvent, KillPlan
 from repro.rma import OrderRecorder
-from repro.simulator import FailureSchedule
 
 NPROCS = 6
 N_LOCAL = 8
@@ -38,12 +38,12 @@ def _kernel(ctx: RankContext, step: int):
     ctx.compute(3.0 * N_LOCAL)
 
 
-def _run(failure_schedule: FailureSchedule | None):
+def _run(failures: KillPlan | None):
     """One recorded run; returns (trace signature, per-rank clocks, field)."""
     with repro.launch(
         NPROCS,
         ft=repro.FaultTolerancePolicy(interval=4, demand_threshold_bytes=4096),
-        failures=failure_schedule,
+        failures=failures,
     ) as job:
         recorder = OrderRecorder()
         job.runtime.add_interceptor(recorder)
@@ -59,13 +59,13 @@ def _run(failure_schedule: FailureSchedule | None):
     return trace, clocks, field
 
 
-def _failure_schedule() -> FailureSchedule:
-    return FailureSchedule.ranks({2: 2.0e-4, 4: 3.5e-4})
+def _failure_plan() -> KillPlan:
+    return KillPlan([KillEvent(time=2.0e-4, rank=2), KillEvent(time=3.5e-4, rank=4)])
 
 
 @pytest.mark.parametrize(
     "schedule_factory",
-    [lambda: None, _failure_schedule],
+    [lambda: None, _failure_plan],
     ids=["failure-free", "with-failures"],
 )
 def test_identical_runs_produce_identical_traces_and_clocks(schedule_factory):
@@ -80,7 +80,7 @@ def test_identical_runs_produce_identical_traces_and_clocks(schedule_factory):
 def test_failure_run_replays_to_the_same_field():
     """Failures change the trace (rollback + replay) but never the answer."""
     trace_free, _, field_free = _run(None)
-    trace_fail, _, field_fail = _run(_failure_schedule())
+    trace_fail, _, field_fail = _run(_failure_plan())
     assert np.array_equal(field_free, field_fail)
     assert len(trace_fail) > len(trace_free)  # replayed actions were recorded
 

@@ -10,9 +10,9 @@ import pytest
 
 import repro
 from repro.backends.proc import proc_available
-from repro.ft import build_ft_stack
+from repro.ft import KillPlan, build_ft_stack
 from repro.rma import RmaRuntime, SyncAction
-from repro.simulator import Cluster, FailureSchedule
+from repro.simulator import Cluster
 
 BACKENDS = ["sim"] + (["proc"] if proc_available() else [])
 
@@ -114,7 +114,7 @@ def _stamps(monkeypatch, recovery, backend):
     )
     with repro.launch(
         4, ft=repro.FaultTolerancePolicy(interval=2, recovery=recovery),
-        failures=FailureSchedule.single_rank(2, KILL_AT), sync_each_step=False,
+        failures=KillPlan.single(2, time=KILL_AT), sync_each_step=False,
         backend=backend,
     ) as job:
         job.allocate("w", 4)

@@ -16,6 +16,7 @@ from repro.ft import (
     CoordinatedCheckpointer,
     DiskStore,
     GlobalRollback,
+    KillPlan,
     MemoryStore,
     ParityStore,
     build_ft_stack,
@@ -322,12 +323,10 @@ def test_session_recovers_with_every_store(store):
     from heat_stencil_ft import run_stencil
 
     baseline = run_stencil(nprocs=8, n_local=8, iters=20, ckpt_interval=5, store=store)
-    from repro.simulator import FailureSchedule
-
-    schedule = FailureSchedule.single_rank(3, baseline.elapsed * 0.5)
+    schedule = KillPlan.single(3, time=baseline.elapsed * 0.5)
     recovered = run_stencil(
         nprocs=8, n_local=8, iters=20, ckpt_interval=5, store=store,
-        failure_schedule=schedule,
+        failures=schedule,
     )
     assert recovered.recoveries == 1
     assert np.array_equal(baseline.field, recovered.field)

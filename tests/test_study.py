@@ -12,7 +12,6 @@ import repro
 from repro.errors import CampaignError, PolicyError, ProcessFailedError, StudyError
 from repro.ft.inject import KillEvent, KillPlan
 from repro.registry import available
-from repro.simulator import FailureSchedule
 from repro.simulator.costs import cray_xe6_like, ethernet_cluster_like
 from repro.study import (
     WORKLOADS,
@@ -107,7 +106,7 @@ def test_kv_workload_matches_local_replay():
 def test_workload_recovers_bit_identical_under_injected_failure():
     wl = HeatStencil(n_local=8, iters=20)
     base = wl.run()
-    schedule = FailureSchedule.single_rank(2, base.report.elapsed * 0.5)
+    schedule = KillPlan.single(2, time=base.report.elapsed * 0.5)
     recovered = wl.run(ft=repro.FaultTolerancePolicy(interval=5), failures=schedule)
     assert recovered.report.recoveries >= 1
     assert recovered.digest == base.digest
@@ -120,7 +119,7 @@ def _rank_and_buddy(after_ops: int) -> KillPlan:
 
 def test_an_unrecoverable_run_is_aborted_with_its_report_so_far():
     wl = HeatStencil(n_local=8, iters=20)
-    run = wl.run(ft=repro.FaultTolerancePolicy(interval=5), kill_plan=_rank_and_buddy(100))
+    run = wl.run(ft=repro.FaultTolerancePolicy(interval=5), failures=_rank_and_buddy(100))
     assert run.aborted == "CatastrophicFailure"
     assert run.result is None and run.digest is None
     assert run.report.recoveries == 0 and 0 < run.report.steps_executed < wl.steps
@@ -129,7 +128,7 @@ def test_an_unrecoverable_run_is_aborted_with_its_report_so_far():
 
 def test_a_failure_during_set_up_aborts_a_protected_run():
     # The window allocation's barrier observes it, before any checkpoint.
-    schedule = FailureSchedule.single_rank(3, 1e-9)
+    schedule = KillPlan.single(3, time=1e-9)
     run = HeatStencil(n_local=8, iters=20).run(
         ft=repro.FaultTolerancePolicy(interval=5), failures=schedule
     )
@@ -139,7 +138,7 @@ def test_a_failure_during_set_up_aborts_a_protected_run():
 
 def test_an_unprotected_run_still_raises_the_failure():
     with pytest.raises(ProcessFailedError):
-        HeatStencil(n_local=8, iters=20).run(kill_plan=_rank_and_buddy(100))
+        HeatStencil(n_local=8, iters=20).run(failures=_rank_and_buddy(100))
 
 
 def test_workload_validation():
@@ -285,7 +284,7 @@ def test_auto_interval_failure_free_means_no_periodic_checkpoints():
 def test_auto_interval_estimates_rates_from_schedule_when_undeclared():
     wl = HeatStencil(n_local=16, iters=24)
     base = wl.run()
-    schedule = FailureSchedule.single_rank(3, base.report.elapsed * 0.6)
+    schedule = KillPlan.single(3, time=base.report.elapsed * 0.6)
     run = wl.run(ft=repro.FaultTolerancePolicy(interval="auto"), failures=schedule)
     assert run.resolved_interval is not None
     assert run.report.recoveries >= 1
@@ -296,7 +295,7 @@ def test_auto_interval_recovers_bit_identical_with_localized_replay():
     wl = HeatStencil(n_local=16, iters=24)
     base = wl.run()
     rate = {1: 2.0 / base.report.elapsed}
-    schedule = FailureSchedule.single_rank(3, base.report.elapsed * 0.6)
+    schedule = KillPlan.single(3, time=base.report.elapsed * 0.6)
     glob = wl.run(
         ft=repro.FaultTolerancePolicy(
             interval="auto", failure_rates=rate, recovery="global"
@@ -320,16 +319,14 @@ def test_repeated_node_failure_during_replay_stays_bit_identical():
     replay used to desynchronize the log's step marks from its actions, so the
     *next* localized recovery restored the survivor snapshot one boundary too
     early and double-applied survivor work."""
-    from repro.simulator.failures import FailureEvent
-
     wl = HeatStencil(n_local=16, iters=36)
     base = wl.run()
     e = base.report.elapsed
-    schedule = FailureSchedule(
+    schedule = KillPlan(
         [
-            FailureEvent(0.16 * e, 1, 2),
-            FailureEvent(0.70 * e, 1, 0),
-            FailureEvent(0.74 * e, 1, 0),
+            KillEvent(time=0.16 * e, element=(1, 2)),
+            KillEvent(time=0.70 * e, element=(1, 0)),
+            KillEvent(time=0.74 * e, element=(1, 0)),
         ]
     )
     run = wl.run(

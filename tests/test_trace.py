@@ -66,7 +66,7 @@ def _traced_run(backend):
         interval=INTERVAL, store="memory", recovery="localized"
     )
     with tracing() as hub:
-        run = workload.run(ft=ft, backend=backend, kill_plan=KillPlan.single(**KILL))
+        run = workload.run(ft=ft, backend=backend, failures=KillPlan.single(**KILL))
     return run, hub.events()
 
 
