@@ -295,6 +295,18 @@ class RankContext:
             self.rank, trg, window, offset, compare, value
         )
 
+    def locked_fetch_and_op(
+        self,
+        trg: int,
+        window: str,
+        offset: int,
+        value: float,
+        op: AccumulateOp = AccumulateOp.SUM,
+    ) -> np.generic:
+        """``lock(trg)``, :meth:`fetch_and_op`, ``unlock(trg)`` in one call (the
+        Locks scheme's update); returns the fetched scalar, as the three would."""
+        return self._runtime.locked_fetch_and_op(self.rank, trg, window, offset, value, op)
+
     # ------------------------------------------------------------------
     # Point-to-point synchronization
     # ------------------------------------------------------------------

@@ -294,7 +294,6 @@ class FaultInjector(RmaInterceptor):
         if self._by_time:
             cluster = runtime.cluster
             if cluster.fire_due is not None:
-                runtime.remove_interceptor(self)
                 raise FailureScheduleError("a job takes one plan of time-triggered kills")
             cluster.next_due, cluster.fire_due = self._by_time[0].time, self._fire_due
 

@@ -140,10 +140,15 @@ class InterceptorChain:
         self._resolve()
 
     def add(self, interceptor: RmaInterceptor, runtime: "RmaRuntime") -> None:
-        """Register ``interceptor`` and notify it of the runtime."""
+        """Register ``interceptor`` and notify it of the runtime; an ``attach``
+        that raises leaves the chain as it was."""
         self._interceptors.append(interceptor)
         self._resolve()
-        interceptor.attach(runtime)
+        try:
+            interceptor.attach(runtime)
+        except BaseException:
+            self.remove(interceptor)
+            raise
 
     def remove(self, interceptor: RmaInterceptor) -> None:
         """Unregister ``interceptor`` (no error if absent)."""

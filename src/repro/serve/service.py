@@ -5,13 +5,14 @@ kernel into a *service*: every rank is simultaneously a *frontend* (it admits
 the open-loop requests pre-assigned to it by the
 :class:`~repro.serve.traffic.RequestGenerator`) and a *shard owner* (it holds
 one :class:`~repro.serve.shard.ShardMap` region of the ``"kv"`` window).
-Writes are lock-protected atomic ``fetch_and_op(SUM)`` on the owner; reads
-are blocking one-sided gets.  On top of the kernel the service records the
-**completion instant and status of every request** on the admitting rank's
-virtual clock — the raw material of the SLO report — in two per-request
-columns indexed by ``rid``.  The kernel builds no object per request: it
-walks each ``(step, rank)``'s rid range over flat lists of pre-resolved
-``(owner, offset)`` placements and small-int deltas.
+Writes are lock-protected atomic ``fetch_and_op(SUM)`` on the owner, one
+``ctx.locked_fetch_and_op`` each; reads are blocking one-sided gets.  On top
+of the kernel the service records the **completion instant and status of
+every request** on the admitting rank's virtual clock — the raw material of
+the SLO report — in two per-request columns indexed by ``rid``.  The kernel
+builds no object per request: it walks each ``(step, rank)``'s rid range
+over flat lists of pre-resolved ``(owner, offset)`` placements and small-int
+deltas.
 
 Recording has to survive the recovery protocols without lying:
 
@@ -158,9 +159,7 @@ class KvService(Workload):
                 owner, offset = place[rid]
                 value = delta[rid]
                 if value:
-                    ctx.lock(owner)
-                    ctx.fetch_and_op(owner, "kv", offset, value)
-                    ctx.unlock(owner)
+                    ctx.locked_fetch_and_op(owner, "kv", offset, value)
                 else:
                     ctx.get(owner, "kv", offset, 1)
                 completed = ctx.compute(flops)

@@ -440,9 +440,7 @@ class KvUpdate(Workload):
 
         def kernel(ctx, step):
             for owner, offset, delta in _kv_updates(*shape, step, ctx.rank):
-                ctx.lock(owner)
-                ctx.fetch_and_op(owner, "table", offset, delta)
-                ctx.unlock(owner)
+                ctx.locked_fetch_and_op(owner, "table", offset, delta)
             ctx.compute(10.0 * updates)
 
         return kernel

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import sys
 import tempfile
+import threading
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -19,6 +20,10 @@ from repro.ft.stores import CheckpointStore, MultiLevelStore
 #: proc), so a hung rendezvous or a retry loop that never ends fails loudly
 #: instead of stalling the run.  Stdlib only: ``pytest-timeout`` is optional.
 HANG_LIMIT_S = 60.0
+
+#: Seconds after :data:`HANG_LIMIT_S` at which faulthandler's own watchdog dumps
+#: and exits instead: the backstop for a thread that never releases the GIL.
+BACKSTOP_S = 15.0
 
 #: A duplicate of the terminal's stderr, taken while output capture is suspended:
 #: the dump must not vanish into a test's captured output when the process exits.
@@ -37,11 +42,27 @@ def pytest_unconfigure(config):
         os.close(_dump_fd.pop())
 
 
+def _dump_and_exit() -> None:
+    """Write every thread's stack to the terminal, then end the run with rc 1.
+
+    Runs on a :class:`threading.Timer`, so the dump holds the GIL: the frames it
+    walks cannot change under it (faulthandler's watchdog thread dumps without
+    the GIL, and a test spinning in Python code could crash that dump)."""
+    fd = _dump_fd[0]
+    os.write(fd, f"\ntest outlived the {HANG_LIMIT_S:.0f} s hang limit\n".encode())
+    faulthandler.dump_traceback(file=fd, all_threads=True)
+    os._exit(1)
+
+
 @pytest.fixture(autouse=True)
 def hang_limit():
     """Exit with every thread's stack when a test outlives :data:`HANG_LIMIT_S`."""
-    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=_dump_fd[0])
+    timer = threading.Timer(HANG_LIMIT_S, _dump_and_exit)
+    timer.daemon = True
+    timer.start()
+    faulthandler.dump_traceback_later(HANG_LIMIT_S + BACKSTOP_S, exit=True, file=_dump_fd[0])
     yield
+    timer.cancel()
     faulthandler.cancel_dump_traceback_later()
 
 

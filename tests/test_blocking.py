@@ -11,15 +11,33 @@
   the pair, so it sees their effects and the stream keeps issue order.
 * **An apply that raises** (a target that died, a worker that died) leaves the
   call queued, and recovery's discard poisons it like any failed completion.
+* **The fused Locks-scheme update** ``locked_fetch_and_op`` is the ``lock`` →
+  ``fetch_and_op`` → ``unlock`` triad, bit for bit: on ``sim``, ``vector`` and
+  ``proc``, over every operator and the edge operands on ``float64``/``float32``/
+  ``int64`` windows, the window bytes, the returned scalars (type and bits), the
+  stamps, every clock, the ``rma.*`` counters, Eq. (1)'s records and the action
+  log; a traced run's canonical trace; and every error the triad raises, with
+  the state it leaves.
 """
+
+import contextlib
+import os
+import signal
+import warnings
+from multiprocessing import connection
 
 import numpy as np
 import pytest
 from programs import make_runtime
+from test_in_place import DTYPES, _counters, _edges, _record, _value
 
 import repro
-from repro.errors import OpHandleError, ProcessFailedError
-from repro.rma import AccumulateOp, RmaInterceptor
+from repro.errors import BackendError, LockError, OpHandleError, ProcessFailedError
+from repro.ft.stack import build_ft_stack
+from repro.rma import AccumulateOp, RmaInterceptor, RmaRuntime
+from repro.simulator import Cluster
+from repro.trace import Tracer, install_trace
+from repro.trace.events import canonical_event
 
 needs_proc = pytest.mark.skipif(
     not repro.proc_available(), reason="proc backend needs fork + POSIX shared memory"
@@ -207,3 +225,253 @@ def test_a_blocking_op_whose_worker_dies_is_left_queued():
         _left_queued_then_poisoned(rt, stream.issued[0], before)
     finally:
         rt.finalize()
+
+
+# ---------------------------------------------------------------------------
+# (d) The fused update is the triad
+# ---------------------------------------------------------------------------
+#: ``(src, trg)`` pairs of the differential program: two origins lock one
+#: target (``SC`` passes between them), one origin locks two.
+PAIRS = [(0, 1), (3, 1), (0, 2)]
+
+
+def _triad(rt, src, trg, window, offset, value, op=AccumulateOp.SUM):
+    rt.lock(src, trg)
+    fetched = rt.fetch_and_op(src, trg, window, offset, value, op)
+    rt.unlock(src, trg)
+    return fetched
+
+
+def _fused(rt, src, trg, window, offset, value, op=AccumulateOp.SUM):
+    return rt.locked_fetch_and_op(src, trg, window, offset, value, op)
+
+
+def _state(rt) -> dict:
+    """Everything observable of a bare runtime but its issue ids."""
+    metrics = rt.cluster.metrics.snapshot()
+    return {
+        "windows": [rt.local(r, "w").tobytes() for r in range(rt.nprocs)],
+        "clocks": [
+            (c.now, c.ticks, c.protocol) for c in map(rt.cluster.clock, range(rt.nprocs))
+        ],
+        "counters": {
+            name: (value, metrics.per_rank.get(name))
+            for name, value in metrics.totals.items()
+            if name.startswith("rma.")
+        },
+        "records": [_counters(own) for own in rt.counters.records],
+        "pending": rt.pending_nb_ops(),
+    }
+
+
+@contextlib.contextmanager
+def _arithmetic(dtype):
+    """The edge operands' arithmetic: NaN and infinities raise IEEE flags (not
+    here), integers wrap silently, as the array path does (no warning)."""
+    if np.dtype(dtype).kind == "f":
+        with np.errstate(all="ignore"):
+            yield
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+
+def _observed(backend: str, dtype, call) -> dict:
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend=backend)
+    try:
+        rt.win_allocate("w", 16, dtype=dtype)
+        stack = build_ft_stack(rt, recovery="localized")  # the action log
+        edges = _edges(dtype)
+        for rank in (1, 2):
+            rt.local(rank, "w")[:] = np.resize(np.array(edges, dtype=dtype), 16)
+        returned = []
+        with _arithmetic(dtype):
+            for k, value in enumerate(edges):
+                for op in AccumulateOp:
+                    for src, trg in PAIRS:
+                        offset = (2 * k + src) % 16
+                        returned.append(call(rt, src, trg, "w", offset, value, op))
+        return {
+            **_state(rt),
+            "returned": [_value(x) for x in returned],
+            "log": [_record(a) for a in stack.log.actions],
+        }
+    finally:
+        rt.finalize()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+def test_the_fused_update_is_the_triad_bit_for_bit(backend, dtype):
+    triad = _observed(backend, dtype, _triad)
+    fused = _observed(backend, dtype, _fused)
+    for key in triad:
+        assert fused[key] == triad[key], key
+    assert len(triad["log"]) == len(_edges(dtype)) * len(AccumulateOp) * len(PAIRS)
+    assert all(r[0] == np.dtype(dtype).type.__name__ for r in triad["returned"])
+    assert triad["counters"]["rma.lock"][0] == len(triad["log"])
+
+
+class _Watch(RmaInterceptor):
+    """One stream as its hook sees it: ``before_comm``, ``after_comm`` or
+    ``after_sync`` (a sync action's kind, pair and stamp: all but its issue id)."""
+
+    def __init__(self) -> None:
+        self.seen: list = []
+
+
+class _Issued(_Watch):
+    def before_comm(self, action) -> None:
+        self.seen.append(action.describe())
+
+
+class _Completed(_Watch):
+    def after_comm(self, action) -> None:
+        self.seen.append(action.describe())
+
+
+class _Synced(_Watch):
+    def after_sync(self, action) -> None:
+        self.seen.append((action.kind, action.src, action.trg, action.counters))
+
+
+@pytest.mark.parametrize(
+    "watch, queued", [(_Issued, False), (_Synced, False), (_Completed, True)],
+    ids=["before_comm", "after_sync", "behind queued ops"],
+)
+def test_the_fused_update_shows_every_stream_and_queue_as_the_triad(watch, queued):
+    """A hook that reads the issue or the sync stream sees the triad's actions;
+    behind queued operations of its origin the atomic completes with the pair."""
+
+    def watched(call):
+        rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend="sim")
+        try:
+            rt.win_allocate("w", 8)
+            watcher = watch()
+            rt.add_interceptor(watcher)
+            returned = []
+            for k in range(6):
+                src, trg = k % 2, 2 + k % 2
+                if queued:
+                    rt.put_nb(src, trg, "w", k, [float(k)])
+                returned.append(call(rt, src, trg, "w", k, 0.5))
+            return {**_state(rt), "returned": returned, "seen": watcher.seen}
+        finally:
+            rt.finalize()
+
+    triad = watched(_triad)
+    assert watched(_fused) == triad and len(triad["seen"]) == 6 * (1 + queued + (watch is _Synced))
+    if queued:
+        assert triad["returned"] == [float(k) for k in range(6)]
+
+
+def _kv_kernel(fused: bool):
+    def kernel(ctx, step):
+        for k in range(3):
+            trg, value = (ctx.rank + k) % ctx.nranks, 0.5 * step + 0.25 * ctx.rank
+            if fused:
+                ctx.locked_fetch_and_op(trg, "w", k, value)
+            else:
+                ctx.lock(trg)
+                ctx.fetch_and_op(trg, "w", k, value)
+                ctx.unlock(trg)
+        yield ctx.gsync()
+
+    return kernel
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_traced_fused_run_traces_as_the_triad(backend):
+    def traced(fused):
+        ft = repro.FaultTolerancePolicy(interval=2, recovery="localized")
+        with repro.launch(4, ft=ft, backend=backend) as job:
+            job.allocate("w", 4)
+            tracer = install_trace(job, Tracer())
+            job.run(_kv_kernel(fused), steps=4)
+            return [canonical_event(e) for e in tracer.events], job.gather("w").tobytes()
+
+    events, table = traced(False)
+    assert traced(True) == (events, table)
+    assert sum(e["type"] == "op_completed" for e in events) == 4 * 4 * 3
+
+
+def _failing_calls() -> list:
+    """``(name, src, trg, window, offset, value, op)``: what each step of the triad refuses."""
+    return [
+        ("held lock", 0, 1, "w", 0, 1.0, AccumulateOp.SUM),
+        ("target no rank", 0, 7, "w", 0, 1.0, AccumulateOp.SUM),
+        ("target not integral", 0, 1.5, "w", 0, 1.0, AccumulateOp.SUM),
+        ("unknown window", 0, 2, "nope", 0, 1.0, AccumulateOp.SUM),
+        ("offset past the end", 0, 2, "w", 8, 1.0, AccumulateOp.SUM),
+        ("negative offset", 0, 2, "w", -1, 1.0, AccumulateOp.SUM),
+        ("offset not integral", 0, 2, "w", 1.5, 1.0, AccumulateOp.SUM),
+        ("array payload", 0, 2, "w", 0, [1.0, 2.0], AccumulateOp.SUM),
+        ("payload not a number", 0, 2, "w", 0, "one", AccumulateOp.SUM),
+        ("no operator", 0, 2, "w", 0, 1.0, "sum"),
+    ]
+
+
+@pytest.mark.parametrize("backend", ["sim", "vector"])
+@pytest.mark.parametrize("case", _failing_calls(), ids=lambda case: case[0])
+def test_a_refused_fused_update_raises_the_triad_s_error_and_leaves_its_state(
+    backend, case
+):
+    def attempt(call):
+        rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend=backend)
+        try:
+            rt.win_allocate("w", 8)
+            call(rt, 0, 2, "w", 3, 2.5)  # settled state to leave as it is
+            rt.lock(0, 1)
+            with pytest.raises(Exception) as raised:
+                call(rt, *case[1:])
+            return type(raised.value), str(raised.value), _state(rt)
+        finally:
+            rt.finalize()
+
+    triad = attempt(_triad)
+    assert attempt(_fused) == triad
+    if case[0] == "held lock":
+        assert triad[0] is LockError
+
+
+@pytest.mark.parametrize("backend", ["sim", "vector"])
+def test_a_fused_update_whose_apply_raises_is_left_queued_as_the_triad_leaves_it(backend):
+    def refuse(action, win):
+        raise BackendError("refused")
+
+    def attempt(call):
+        rt = RmaRuntime(Cluster.simple(4, procs_per_node=2), backend=backend)
+        try:
+            rt.win_allocate("w", 8)
+            rt._apply_one = refuse
+            with pytest.raises(BackendError, match="refused"):
+                call(rt, 0, 1, "w", 0, 1.0)
+            return _state(rt)
+        finally:
+            rt.finalize()
+
+    triad = attempt(_triad)
+    assert attempt(_fused) == triad and triad["pending"] == 1
+
+
+@needs_proc
+def test_a_fused_update_toward_a_silently_killed_worker_fails_as_the_triad():
+    """On ``proc`` the lock's sentinel poll finds a worker killed behind the
+    injector's back, before any counter, clock or lock moves."""
+
+    def attempt(call):
+        rt = make_runtime("proc")
+        try:
+            call(rt, 0, 1, "a", 0, 1.0)
+            worker = rt.backend._workers[1]
+            os.kill(rt.backend.worker_pid(1), signal.SIGKILL)
+            assert connection.wait([worker.process.sentinel], timeout=10.0)
+            with pytest.raises(ProcessFailedError) as raised:
+                call(rt, 0, 1, "a", 1, 1.0)
+            return str(raised.value), rt.counters.records[0].held_locks, rt.cluster.now(0)
+        finally:
+            rt.finalize()
+
+    triad = attempt(_triad)
+    assert attempt(_fused) == triad and triad[1] == {}

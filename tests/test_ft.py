@@ -64,6 +64,15 @@ def test_buddy_assignment_needs_two_domains():
         buddy_assignment(placement, level=1)
 
 
+def test_an_interceptor_whose_attach_raises_leaves_the_chain_as_it_was():
+    rt = RmaRuntime(Cluster.simple(4, procs_per_node=4))  # one node: no buddy domain
+    with pytest.raises(TopologyError):
+        rt.add_interceptor(CoordinatedCheckpointer())
+    assert list(rt.interceptors) == []
+    assert rt.interceptors.on_rank_failed is None
+    assert rt.interceptors.on_window_create is None
+
+
 def test_t_aware_groups_spread_over_distinct_domains():
     placement = _placement(nprocs=8, procs_per_node=2)
     groups = t_aware_groups(placement, group_size=4, level=1)

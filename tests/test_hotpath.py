@@ -135,9 +135,12 @@ def test_blocking_put_call_budget():
 #: (no ``_apply``, ``_retire``, ``result``; a scalar atomic) and a ``lock``/``unlock``
 #: that counts, stamps and charges in its own: the triad 8/9, ``lock``/``unlock``
 #: 4/4, ``get`` 4/5, ``put`` 4/5.  Held at those measured counts; a ``lock``/``unlock``
-#: that checks its target pays no call for it.
+#: that checks its target pays no call for it.  The triad fused into one runtime
+#: call (``locked_fetch_and_op``): 3/4 — its two frames and ``apply_action``, plus
+#: the log's ``after_comm``.
 BLOCKING_BUDGETS = {
     "lock/fetch_and_op/unlock": (8, 9),
+    "locked_fetch_and_op": (3, 4),
     "lock/unlock": (4, 4),
     "get": (4, 5),
     "put": (4, 5),
@@ -159,6 +162,7 @@ def test_blocking_and_lock_call_budgets(name, ft):
             "lock/fetch_and_op/unlock": lambda: (
                 ctx.lock(1), ctx.fetch_and_op(1, "w", 0, 1.0), ctx.unlock(1)
             ),
+            "locked_fetch_and_op": lambda: ctx.locked_fetch_and_op(1, "w", 0, 1.0),
             "lock/unlock": lambda: (ctx.lock(1), ctx.unlock(1)),
             "get": lambda: ctx.get(1, "w", 8, 8),
             "put": lambda: ctx.put(1, "w", 8, data),
@@ -219,7 +223,8 @@ PER_OP_FUNCTIONS = [
         getattr(RmaRuntime, name)
         for name in (
             "put_nb", "get_nb", "accumulate_nb", "put", "get", "accumulate",
-            "get_accumulate", "fetch_and_op", "compare_and_swap", "lock", "unlock",
+            "get_accumulate", "fetch_and_op", "compare_and_swap", "locked_fetch_and_op",
+            "lock", "unlock",
             "flush", "flush_all", "gsync", "_issue", "_issue_sync", "_retire",
             "_complete_rank", "_complete_pair",
         )

@@ -18,6 +18,11 @@ twice), and the survivors' puts still in flight complete at the re-joined
 gsync.  Time-scheduled failures strike that gsync's barrier too, after every
 kernel finished: the halo and overwrite kernels must stay bit-identical at any
 failure time, and when a second failure interrupts a replay.
+
+A fourth kernel is the Locks scheme's update as one call
+(``ctx.locked_fetch_and_op``): a stream kill at every completion offset and a
+timed kill due between a lock's charge and its atomic must recover, by global
+rollback and by localized replay, to the failure-free table.
 """
 
 import hashlib
@@ -26,6 +31,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api.context import RankContext
 from repro.api.session import SessionObserver
 from repro.backends.proc import proc_available
 from repro.ft.inject import KillEvent, KillPlan, install_injector
@@ -73,6 +79,22 @@ def _fold(ctx, step):
     ctx.compute(8.0)
 
 
+def _locked(ctx, step, fused=True):
+    for k in range(3):  # one update of slot k of each other rank
+        trg, value = (ctx.rank + 1 + k) % ctx.nranks, 0.1 * step + 0.01 * ctx.rank
+        if fused:
+            ctx.locked_fetch_and_op(trg, "w", k, value)
+        else:
+            ctx.lock(trg)
+            ctx.fetch_and_op(trg, "w", k, value)
+            ctx.unlock(trg)
+    yield ctx.gsync()
+
+
+def _triad(ctx, step):
+    return _locked(ctx, step, fused=False)
+
+
 def _setup_halo(job):
     job.allocate("u", N + 2)
     for ctx in job.contexts:
@@ -81,6 +103,10 @@ def _setup_halo(job):
 
 def _setup_overwrite(job):
     job.allocate("w", 2)
+
+
+def _setup_locked(job):
+    job.allocate("w", 3)
 
 
 def _setup_fold(job):
@@ -97,6 +123,9 @@ SPECS = {
     "overwrite": (_overwrite, _setup_overwrite, "w", 10, 2, 1),
     # Four blocking gets, then four puts completed by the closing gsync.
     "fold": (_fold, _setup_fold, "w", 10, 2 * 4, 0),
+    # Three fused lock → fetch_and_op → unlock updates per rank and step.
+    "locked": (_locked, _setup_locked, "w", 8, 3 * 4, 1),
+    "triad": (_triad, _setup_locked, "w", 8, 3 * 4, 1),  # the same, as three calls
 }
 #: The kernels every kill offset is checked on: a kill inside ``fold``'s
 #: kernels makes a survivor that had finished the crash step fold twice.
@@ -266,3 +295,67 @@ def test_a_second_failure_inside_a_replay_restores_the_replay_s_ranks_afresh():
             assert report.recoveries == len(calls.failed_at), (first, second)
             where += calls.in_replay[1:]
     assert True in where and False in where  # full steps, crash step
+
+
+class _Kills(_Calls):
+    """Also, per kill: whether it struck between a lock's charge and its atomic
+    (a lock held, no operation issued in its epoch)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.between: list[bool] = []
+
+    def on_kill(self, record):
+        self.between.append(any(
+            own.pending_ops.get(trg, 0) == 0
+            for own in self.job.runtime.counters.records
+            for trg, _ in own.held_locks
+        ))
+
+
+@pytest.mark.parametrize("recovery", ["global", "localized"])
+def test_a_stream_kill_at_every_offset_of_a_fused_update_kernel_recovers(recovery):
+    _, _, _, steps, per_step, victim = SPECS["locked"]
+    for after_ops in range(1, steps * per_step + 1):
+        kill = dict(rank=victim, after_ops=after_ops)
+        digest, report = _run("locked", recovery=recovery, kill=kill)
+        assert report.recoveries == 1, after_ops
+        assert digest == _reference_digest("locked"), f"kill after {after_ops} completions"
+        _, triad = _run("triad", recovery=recovery, kill=kill)
+        assert report.elapsed == triad.elapsed, after_ops
+        assert report.metrics.totals == triad.metrics.totals, after_ops
+
+
+@pytest.mark.parametrize("recovery", ["global", "localized"])
+def test_a_timed_kill_between_a_lock_and_its_atomic_recovers(recovery, monkeypatch):
+    _, _, _, steps, per_step, victim = SPECS["locked"]
+    entered, fused = [], RankContext.locked_fetch_and_op
+
+    def timed(ctx, *args):
+        entered.append((ctx.now(), ctx._runtime.cluster.costs.lock()))
+        return fused(ctx, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RankContext, "locked_fetch_and_op", timed)
+        _run("locked", recovery=recovery)
+    # Due halfway through the lock's charge.  Every rank's k-th update of a step
+    # starts at one time; the first there (rank 0, the scheduler's first) meets
+    # the kill between its lock's charge and its atomic.  Due at the call itself,
+    # the kill strikes before the lock.
+    times = sorted({now + 0.5 * lock for now, lock in entered[per_step:-per_step]})
+    at_entry = sorted({now for now, _ in entered[per_step:-per_step]})
+    landed = 0
+    for when in times + at_entry:
+        kills = _Kills()
+        digest, report = _run(
+            "locked", recovery=recovery, calls=kills,
+            failures=KillPlan([KillEvent(time=when, rank=victim)]),
+        )
+        assert digest == _reference_digest("locked"), when
+        assert report.recoveries == 1, when
+        landed += kills.between == [True]
+        _, triad = _run(
+            "triad", recovery=recovery, failures=KillPlan([KillEvent(time=when, rank=victim)])
+        )
+        assert report.elapsed == triad.elapsed, when
+    assert landed == len(times) == 3 * (steps - 2)
