@@ -296,16 +296,11 @@ class RankContext:
         )
 
     def locked_fetch_and_op(
-        self,
-        trg: int,
-        window: str,
-        offset: int,
-        value: float,
-        op: AccumulateOp = AccumulateOp.SUM,
+        self, trg: int, window: str, offset: int, value: float
     ) -> np.generic:
-        """``lock(trg)``, :meth:`fetch_and_op`, ``unlock(trg)`` in one call (the
+        """``lock(trg)``, a SUM :meth:`fetch_and_op`, ``unlock(trg)`` in one call (the
         Locks scheme's update); returns the fetched scalar, as the three would."""
-        return self._runtime.locked_fetch_and_op(self.rank, trg, window, offset, value, op)
+        return self._runtime.locked_fetch_and_op(self.rank, trg, window, offset, value)
 
     # ------------------------------------------------------------------
     # Point-to-point synchronization

@@ -348,92 +348,55 @@ class RmaRuntime:
         )._data
 
     def locked_fetch_and_op(
-        self, src: int, trg: int, window: str, offset: int, value: float,
-        op: AccumulateOp = _SUM,
+        self, src: int, trg: int, window: str, offset: int, value: float
     ) -> np.generic:
-        """``lock``, :meth:`fetch_and_op`, ``unlock`` toward ``trg`` as one call (the
-        Locks scheme's update, §3.1.2), bit-identical to the three: counters, stamps,
-        charges, metrics, completions, errors and the state an error leaves.
+        """``lock``, a SUM :meth:`fetch_and_op`, ``unlock`` toward ``trg`` as one call
+        (the Locks scheme's update, §3.1.2), bit-identical to the three: counters,
+        stamps, charges, metrics, completions, errors and the state an error leaves.
 
-        Where nothing tells them apart — settled, no vehicles, no divert, idle
-        ``before_comm`` and ``after_sync``, nothing of ``src`` queued, no event due,
-        an operand and address ``_issue`` takes, the lock free — it runs in this frame
-        and builds the atomic's record only (nobody reads a lock's or an unlock's).
-        Otherwise, and from where an event fell due or a kill fired, it is the three.
+        Where nothing tells them apart — settled, no vehicles (so nothing noted
+        dead), no divert, an idle ``after_sync``, no event due, the lock free — the
+        lock and the unlock run in this frame and build no record (nobody reads a
+        lock's or an unlock's); the atomic is ``_issue``'s, which raises what
+        ``fetch_and_op`` raises after the lock.  Otherwise it is the three, and from
+        where a kill fired or an event fell due it is ``unlock``.
         """
-        cluster, chain, n = self.cluster, self.interceptors, self.nprocs
-        win = own = fetched = None
-        done = 0  # how many of the three calls this frame made
-        if not (
-            self._vehicles or self._settled != cluster.generation or self._noted_dead
-            or self._divert is not None or chain.before_comm is not None
-            or chain.after_sync is not None
+        cluster, n = self.cluster, self.nprocs
+        if (
+            self._vehicles or self._settled != cluster.generation
+            or self._divert is not None or self.interceptors.after_sync is not None
             or not (0 <= src < n and type(trg) is int and 0 <= trg < n)
-            or self.backend._pending[src] or self._clock_of[src].now >= cluster.next_due
+            or self._clock_of[src].now >= cluster.next_due
+            or (trg, None) in self._records[src].held_locks
         ):
-            own = self._records[src]
-            try:  # whatever this raises, the slow path's ``_issue`` raises after the lock
-                win = self._windows[window]
-                data, combine = win.dtype.type(value), op.combining
-            except Exception:
-                win = None
-        if win is not None and (
-            type(offset) is int and 0 <= offset < win.size
-            and type(data) is not _ndarray and (trg, None) not in own.held_locks
-        ):
-            target, clock, nbytes = self._records[trg], self._clock_of[src], win.itemsize
-            target.sc_local += 1  # the lock: §4.1 C's fetch-and-increment, charged
-            own.sc_held[trg] = own.held_locks[trg, None] = sc = target.sc_local
-            clock.now += self._lock_price
-            clock.ticks += 1
-            totals, per_rank = self._totals, self._per_rank
-            totals["rma.lock"] += 1
-            per_rank["rma.lock"][src] += 1
-            done = 1
-            if clock.now < cluster.next_due:  # the atomic, as ``_issue`` completes it
-                action = _new_object(CommAction)
-                action.kind, action.src, action.trg = _FETCH_AND_OP, src, trg
-                action.window, action.offset, action.count = win.name, offset, 1
-                action.combine, action.op, action.dtype = combine, op, win.dtype
-                action.EC, action.GC = own.epoch_of_target[trg], own.gc
-                action.SC, action.GNC = sc, own.gnc
-                action._data, action._operand, action.compare = data, None, None
-                action.seq, action.nbytes = next(_SEQ), nbytes
-                action._completed = action._discarded = False
-                own.pending_ops[trg] += 1
-                try:
-                    self._apply_one(action, win)
-                except BaseException:
-                    self.backend.issue(action)  # queued, as ``_issue`` leaves it
-                    raise
-                action._completed = True
-                if chain.after_comm is not None:
-                    chain.after_comm(action)
-                clock.now += self._transfer[nbytes, True]
-                clock.ticks += 1
-                totals["rma.fetch_and_op"] += 1
-                per_rank["rma.fetch_and_op"][src] += 1
-                totals["rma.bytes_moved"] += nbytes
-                per_rank["rma.bytes_moved"][src] += nbytes
-                fetched, done = action._data, 2
-                if not (  # the unlock, unless a kill fired or an event fell due
-                    self._settled != cluster.generation or self._noted_dead
-                    or self._divert is not None or chain.after_sync is not None
-                    or self.backend._pending[src] or clock.now >= cluster.next_due
-                ):
-                    del own.held_locks[trg, None]
-                    clock.now += self._unlock_price
-                    clock.ticks += 1
-                    totals["rma.unlock"] += 1
-                    per_rank["rma.unlock"][src] += 1
-                    own.epoch_of_target[trg] += 1
-                    own.pending_ops[trg] = 0
-                    return fetched
-        if not done:  # the slow path: the three calls, from where this frame stopped
             self.lock(src, trg)
-        if done < 2:
-            fetched = self.fetch_and_op(src, trg, window, offset, value, op)
-        self.unlock(src, trg)
+            fetched = self.fetch_and_op(src, trg, window, offset, value)
+            self.unlock(src, trg)
+            return fetched
+        own, target, clock = self._records[src], self._records[trg], self._clock_of[src]
+        target.sc_local += 1  # the lock: §4.1 C's fetch-and-increment, charged
+        own.sc_held[trg] = own.held_locks[trg, None] = target.sc_local
+        clock.now += self._lock_price
+        clock.ticks += 1
+        totals, per_rank = self._totals, self._per_rank
+        totals["rma.lock"] += 1
+        per_rank["rma.lock"][src] += 1
+        fetched = self._issue(
+            _FETCH_AND_OP, src, trg, window, offset, 1, True, value, op=_SUM, blocking=True
+        )._data
+        # The unlock, unless a kill fired or an event fell due.  Nothing else moves
+        # within the atomic: a divert or a hook comes with recovery or setup, and
+        # the pair's queue is empty, so the unlock would complete nothing.
+        if self._settled != cluster.generation or clock.now >= cluster.next_due:
+            self.unlock(src, trg)
+            return fetched
+        del own.held_locks[trg, None]
+        clock.now += self._unlock_price
+        clock.ticks += 1
+        totals["rma.unlock"] += 1
+        per_rank["rma.unlock"][src] += 1
+        own.epoch_of_target[trg] += 1
+        own.pending_ops[trg] = 0
         return fetched
 
     # ------------------------------------------------------------------

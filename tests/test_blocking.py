@@ -13,8 +13,7 @@
   call queued, and recovery's discard poisons it like any failed completion.
 * **The fused Locks-scheme update** ``locked_fetch_and_op`` is the ``lock`` →
   ``fetch_and_op`` → ``unlock`` triad, bit for bit: on ``sim``, ``vector`` and
-  ``proc``, over every operator and the edge operands on ``float64``/``float32``/
-  ``int64`` windows, the window bytes, the returned scalars (type and bits), the
+  ``proc``, over the edge operands on ``float64``/``float32``/``int64`` windows, the window bytes, the returned scalars (type and bits), the
   stamps, every clock, the ``rma.*`` counters, Eq. (1)'s records and the action
   log; a traced run's canonical trace; and every error the triad raises, with
   the state it leaves.
@@ -235,15 +234,15 @@ def test_a_blocking_op_whose_worker_dies_is_left_queued():
 PAIRS = [(0, 1), (3, 1), (0, 2)]
 
 
-def _triad(rt, src, trg, window, offset, value, op=AccumulateOp.SUM):
+def _triad(rt, src, trg, window, offset, value):
     rt.lock(src, trg)
-    fetched = rt.fetch_and_op(src, trg, window, offset, value, op)
+    fetched = rt.fetch_and_op(src, trg, window, offset, value)
     rt.unlock(src, trg)
     return fetched
 
 
-def _fused(rt, src, trg, window, offset, value, op=AccumulateOp.SUM):
-    return rt.locked_fetch_and_op(src, trg, window, offset, value, op)
+def _fused(rt, src, trg, window, offset, value):
+    return rt.locked_fetch_and_op(src, trg, window, offset, value)
 
 
 def _state(rt) -> dict:
@@ -288,10 +287,9 @@ def _observed(backend: str, dtype, call) -> dict:
         returned = []
         with _arithmetic(dtype):
             for k, value in enumerate(edges):
-                for op in AccumulateOp:
-                    for src, trg in PAIRS:
-                        offset = (2 * k + src) % 16
-                        returned.append(call(rt, src, trg, "w", offset, value, op))
+                for src, trg in PAIRS:
+                    offset = (2 * k + src) % 16
+                    returned.append(call(rt, src, trg, "w", offset, value))
         return {
             **_state(rt),
             "returned": [_value(x) for x in returned],
@@ -308,7 +306,7 @@ def test_the_fused_update_is_the_triad_bit_for_bit(backend, dtype):
     fused = _observed(backend, dtype, _fused)
     for key in triad:
         assert fused[key] == triad[key], key
-    assert len(triad["log"]) == len(_edges(dtype)) * len(AccumulateOp) * len(PAIRS)
+    assert len(triad["log"]) == len(_edges(dtype)) * len(PAIRS)
     assert all(r[0] == np.dtype(dtype).type.__name__ for r in triad["returned"])
     assert triad["counters"]["rma.lock"][0] == len(triad["log"])
 
@@ -397,18 +395,17 @@ def test_a_traced_fused_run_traces_as_the_triad(backend):
 
 
 def _failing_calls() -> list:
-    """``(name, src, trg, window, offset, value, op)``: what each step of the triad refuses."""
+    """``(name, src, trg, window, offset, value)``: what each step of the triad refuses."""
     return [
-        ("held lock", 0, 1, "w", 0, 1.0, AccumulateOp.SUM),
-        ("target no rank", 0, 7, "w", 0, 1.0, AccumulateOp.SUM),
-        ("target not integral", 0, 1.5, "w", 0, 1.0, AccumulateOp.SUM),
-        ("unknown window", 0, 2, "nope", 0, 1.0, AccumulateOp.SUM),
-        ("offset past the end", 0, 2, "w", 8, 1.0, AccumulateOp.SUM),
-        ("negative offset", 0, 2, "w", -1, 1.0, AccumulateOp.SUM),
-        ("offset not integral", 0, 2, "w", 1.5, 1.0, AccumulateOp.SUM),
-        ("array payload", 0, 2, "w", 0, [1.0, 2.0], AccumulateOp.SUM),
-        ("payload not a number", 0, 2, "w", 0, "one", AccumulateOp.SUM),
-        ("no operator", 0, 2, "w", 0, 1.0, "sum"),
+        ("held lock", 0, 1, "w", 0, 1.0),
+        ("target no rank", 0, 7, "w", 0, 1.0),
+        ("target not integral", 0, 1.5, "w", 0, 1.0),
+        ("unknown window", 0, 2, "nope", 0, 1.0),
+        ("offset past the end", 0, 2, "w", 8, 1.0),
+        ("negative offset", 0, 2, "w", -1, 1.0),
+        ("offset not integral", 0, 2, "w", 1.5, 1.0),
+        ("array payload", 0, 2, "w", 0, [1.0, 2.0]),
+        ("payload not a number", 0, 2, "w", 0, "one"),
     ]
 
 

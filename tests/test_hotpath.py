@@ -136,11 +136,11 @@ def test_blocking_put_call_budget():
 #: that counts, stamps and charges in its own: the triad 8/9, ``lock``/``unlock``
 #: 4/4, ``get`` 4/5, ``put`` 4/5.  Held at those measured counts; a ``lock``/``unlock``
 #: that checks its target pays no call for it.  The triad fused into one runtime
-#: call (``locked_fetch_and_op``): 3/4 — its two frames and ``apply_action``, plus
-#: the log's ``after_comm``.
+#: call (``locked_fetch_and_op``): 4/5 — its two frames, the atomic's ``_issue`` and
+#: ``apply_action``, plus the log's ``after_comm``.
 BLOCKING_BUDGETS = {
     "lock/fetch_and_op/unlock": (8, 9),
-    "locked_fetch_and_op": (3, 4),
+    "locked_fetch_and_op": (4, 5),
     "lock/unlock": (4, 4),
     "get": (4, 5),
     "put": (4, 5),

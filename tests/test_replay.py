@@ -21,8 +21,9 @@ failure time, and when a second failure interrupts a replay.
 
 A fourth kernel is the Locks scheme's update as one call
 (``ctx.locked_fetch_and_op``): a stream kill at every completion offset and a
-timed kill due between a lock's charge and its atomic must recover, by global
-rollback and by localized replay, to the failure-free table.
+timed kill due between a lock's charge and its atomic, or between the atomic and
+the unlock, must recover, by global rollback and by localized replay, to the
+failure-free table, striking where it strikes the three calls.
 """
 
 import hashlib
@@ -298,19 +299,20 @@ def test_a_second_failure_inside_a_replay_restores_the_replay_s_ranks_afresh():
 
 
 class _Kills(_Calls):
-    """Also, per kill: whether it struck between a lock's charge and its atomic
-    (a lock held, no operation issued in its epoch)."""
+    """Also, per kill: the operations issued in each held lock's epoch — ``[0]``
+    between a lock's charge and its atomic, ``[1]`` between the atomic and the
+    unlock."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.between: list[bool] = []
+        self.held: list[list[int]] = []
 
     def on_kill(self, record):
-        self.between.append(any(
-            own.pending_ops.get(trg, 0) == 0
+        self.held.append([
+            own.pending_ops.get(trg, 0)
             for own in self.job.runtime.counters.records
             for trg, _ in own.held_locks
-        ))
+        ])
 
 
 @pytest.mark.parametrize("recovery", ["global", "localized"])
@@ -327,35 +329,42 @@ def test_a_stream_kill_at_every_offset_of_a_fused_update_kernel_recovers(recover
 
 
 @pytest.mark.parametrize("recovery", ["global", "localized"])
-def test_a_timed_kill_between_a_lock_and_its_atomic_recovers(recovery, monkeypatch):
+def test_a_timed_kill_inside_a_fused_update_recovers_as_the_triad(recovery, monkeypatch):
     _, _, _, steps, per_step, victim = SPECS["locked"]
     entered, fused = [], RankContext.locked_fetch_and_op
 
     def timed(ctx, *args):
-        entered.append((ctx.now(), ctx._runtime.cluster.costs.lock()))
+        costs = ctx._runtime.cluster.costs
+        entered.append((ctx.now(), costs.lock(), costs.remote_transfer(8, atomic=True)))
         return fused(ctx, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(RankContext, "locked_fetch_and_op", timed)
         _run("locked", recovery=recovery)
-    # Due halfway through the lock's charge.  Every rank's k-th update of a step
-    # starts at one time; the first there (rank 0, the scheduler's first) meets
-    # the kill between its lock's charge and its atomic.  Due at the call itself,
-    # the kill strikes before the lock.
-    times = sorted({now + 0.5 * lock for now, lock in entered[per_step:-per_step]})
-    at_entry = sorted({now for now, _ in entered[per_step:-per_step]})
-    landed = 0
-    for when in times + at_entry:
-        kills = _Kills()
+    # Due halfway through the lock's charge or the atomic's.  Every rank's k-th
+    # update of a step starts at one time; the first there (rank 0, the
+    # scheduler's first) meets the kill between its lock's charge and its
+    # atomic, or between the atomic and its unlock.  Due at the call itself, the
+    # kill strikes before the lock.
+    inner = entered[per_step:-per_step]
+    in_lock = sorted({now + 0.5 * lock for now, lock, _ in inner})
+    in_atomic = sorted({now + lock + 0.5 * atomic for now, lock, atomic in inner})
+    at_entry = sorted({now for now, _, _ in inner})
+    landed = []
+    for when in in_lock + in_atomic + at_entry:
+        kills, triad_kills = _Kills(), _Kills()
         digest, report = _run(
             "locked", recovery=recovery, calls=kills,
             failures=KillPlan([KillEvent(time=when, rank=victim)]),
         )
         assert digest == _reference_digest("locked"), when
         assert report.recoveries == 1, when
-        landed += kills.between == [True]
         _, triad = _run(
-            "triad", recovery=recovery, failures=KillPlan([KillEvent(time=when, rank=victim)])
+            "triad", recovery=recovery, calls=triad_kills,
+            failures=KillPlan([KillEvent(time=when, rank=victim)]),
         )
-        assert report.elapsed == triad.elapsed, when
-    assert landed == len(times) == 3 * (steps - 2)
+        assert (report.elapsed, kills.held) == (triad.elapsed, triad_kills.held), when
+        assert report.metrics.totals == triad.metrics.totals, when
+        landed.append(kills.held)
+    assert len(in_lock) == len(in_atomic) == 3 * (steps - 2)
+    assert landed == [[[0]]] * len(in_lock) + [[[1]]] * len(in_atomic) + [[[]]] * len(at_entry)
