@@ -73,7 +73,7 @@ class WindowHandle:
     @property
     def local(self) -> np.ndarray:
         """View of the origin rank's own buffer, writable until the step ends."""
-        return self._ctx._runtime.local_view(self._ctx.rank, self.name)
+        return self._ctx._runtime.local(self._ctx.rank, self.name)
 
     def _where(self) -> str:
         """Locator suffix used by every handle-level error message."""
@@ -216,7 +216,7 @@ class RankContext:
 
     def local(self, window: str) -> np.ndarray:
         """View of this rank's own buffer of ``window``, writable until the step ends."""
-        return self._runtime.local_view(self.rank, window)
+        return self._runtime.local(self.rank, window)
 
     # ------------------------------------------------------------------
     # Communication (origin = this rank)

@@ -110,8 +110,8 @@ class FaultTolerancePolicy:
         them deterministically drop or serve stale checkpoint data, survivors
         never stall, and the session repairs the suspended ranks at step
         boundaries — result quality traded for makespan), or a ready
-        :class:`~repro.ft.recovery.RecoveryProtocol` instance (e.g.
-        ``BestEffort(seed=7, stale_fraction=0.8)``).
+        :class:`~repro.ft.recovery.RecoveryProtocol` instance (e.g. a fresh
+        ``BestEffort()``: it binds to one job).
     """
 
     interval: int | str | None = 10

@@ -34,13 +34,7 @@ from repro.api.context import RankContext
 from repro.api.policy import FaultTolerancePolicy, Topology
 from repro.api.scheduler import CooperativeScheduler, Kernel
 from repro.backends import BACKENDS, Backend
-from repro.errors import (
-    ApiError,
-    PolicyError,
-    ProcessFailedError,
-    RecoveryError,
-    WatchdogError,
-)
+from repro.errors import ApiError, PolicyError, ProcessFailedError, WatchdogError
 from repro.ft.inject import KillPlan, install_injector
 from repro.ft.stack import FtStack
 from repro.registry import resolve_component
@@ -219,7 +213,7 @@ class Job:
     def local(self, rank: int, window: str) -> np.ndarray:
         """View of ``rank``'s buffer of ``window`` (initialization/IO), writable
         until the next step boundary or checkpoint."""
-        return self.runtime.local_view(rank, window)
+        return self.runtime.local(rank, window)
 
     def gather(self, window: str, part: slice | None = None) -> np.ndarray:
         """Every rank's (sliced) row of ``window``, flat: one copy read without handing
@@ -234,7 +228,7 @@ class Job:
     # ------------------------------------------------------------------
     # The step loop — transparent fault tolerance lives here
     # ------------------------------------------------------------------
-    def run(self, kernel: Kernel, steps: int, *, start_step: int = 0) -> JobReport:
+    def run(self, kernel: Kernel, steps: int) -> JobReport:
         """Drive ``kernel`` for ``steps`` SPMD steps, recovering failures.
 
         Between steps the session takes coordinated checkpoints per the
@@ -246,12 +240,10 @@ class Job:
         at the restored step number, so all cross-step state must live in
         windows (which is what makes the replay bit-identical).
 
-        Every ``run`` call opens with a checkpoint at ``start_step``, so a
-        rollback never crosses back into a previous phase that may have used
-        a different kernel.  Two failure modes are not transparently
-        recoverable and surface to the caller: a failure striking before the
-        phase's first checkpoint has committed, while no usable version from
-        an earlier phase exists either
+        Steps are numbered from 0 on every call, and every call opens with a
+        checkpoint.  Two failure modes are not transparently recoverable and
+        surface to the caller: a failure striking before the first
+        checkpoint has committed, with no usable version at all
         (:class:`~repro.errors.RecoveryError`), and the loss of a rank
         together with its buddy
         (:class:`~repro.errors.CatastrophicFailure`).  Without a
@@ -265,22 +257,21 @@ class Job:
         """
         if steps < 0:
             raise ApiError("steps must be non-negative")
-        # Open the phase with a fresh checkpoint: rollback targets must not
-        # predate start_step, or they would be replayed with this kernel.
+        # Open the run with a fresh checkpoint: the rollback target of its
+        # first steps.
         self._have_checkpoint = False
         # An "auto" interval is re-resolved per run(): the per-step cost is a
-        # property of this phase's kernel, which the previous phase cannot
-        # know.  Until resolution the phase runs on its initial checkpoint.
+        # property of this run's kernel, which the previous run cannot know.
+        # Until resolution the run goes on its initial checkpoint.
         self._auto_pending = self._auto_interval
         if self._auto_interval:
             self._interval = None
-        end = start_step + steps
-        step = start_step
+        step = 0
         ft, runtime, cluster = self.ft, self.runtime, self.cluster
         hooks = runtime.interceptors  # a session hook nobody overrides is None
         arm_watchdog = self._arm_watchdog()
         try:
-            while step < end:
+            while step < steps:
                 arm_watchdog()
                 try:
                     if ft is not None:
@@ -347,16 +338,6 @@ class Job:
                         step = int(outcome.tag)
                     if hooks.on_protocol_applied is not None:
                         hooks.on_protocol_applied(outcome, step, cluster.elapsed())
-                    if step < start_step:
-                        # Only possible when the phase-opening checkpoint itself
-                        # was interrupted: the restored state belongs to an
-                        # earlier phase whose kernel this run() does not know,
-                        # so replaying it here would be silently wrong.
-                        raise RecoveryError(
-                            f"recovery rolled back to step {step}, before this run's "
-                            f"start_step {start_step}; the restored state predates "
-                            f"the current phase and cannot be replayed with its kernel"
-                        )
                     if hooks.on_recovery_completed is not None:
                         hooks.on_recovery_completed(step, cluster.elapsed())
         finally:
@@ -547,9 +528,10 @@ def launch(
         the step loop's events).  ``None`` still joins an active ``tracing()``
         hub — e.g. an engine CLI's ``--trace`` — and is free otherwise.
 
-    To record the §2.3 orders of a run, register an
-    :class:`~repro.rma.ordering.OrderRecorder` on ``job.runtime`` with
-    ``add_interceptor``.
+    The job runs kernels with :meth:`Job.run`; every call numbers its steps
+    from 0 and opens with a checkpoint.  To record the §2.3 orders of a run,
+    register an :class:`~repro.rma.ordering.OrderRecorder` on ``job.runtime``
+    with ``add_interceptor``.
     """
     return Job(
         nprocs,

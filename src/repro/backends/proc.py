@@ -331,6 +331,8 @@ class ProcBackend(Backend):
     #: the job wedged (a real deadlock raises a diagnostic
     #: :class:`~repro.errors.WatchdogError` instead of hanging CI).
     DEFAULT_ACK_TIMEOUT = 60.0
+    #: Seconds :meth:`wait_dead` waits for a killed worker to terminate.
+    DEATH_WAIT_S = 10.0
 
     def __init__(self, *, ack_timeout: float = DEFAULT_ACK_TIMEOUT) -> None:
         if not proc_available():  # pragma: no cover - platform dependent
@@ -454,8 +456,9 @@ class ProcBackend(Backend):
         """OS pid of ``rank``'s current worker (the kill target)."""
         return self._require_worker(rank).process.pid
 
-    def wait_dead(self, rank: int, timeout: float = 10.0) -> bool:
-        """Block until ``rank``'s worker has terminated (sentinel wait).
+    def wait_dead(self, rank: int) -> bool:
+        """Block until ``rank``'s worker has terminated (sentinel wait, at most
+        :attr:`DEATH_WAIT_S` seconds).
 
         A confirmed death is recorded for :meth:`poll_failures`: the sentinel
         can fire microseconds before the process becomes waitable, so a
@@ -463,7 +466,7 @@ class ProcBackend(Backend):
         """
         worker = self._require_worker(rank)
         dead = not worker.process.is_alive() or bool(
-            connection.wait([worker.process.sentinel], timeout)
+            connection.wait([worker.process.sentinel], self.DEATH_WAIT_S)
         )
         if dead:
             self._note_death(rank)

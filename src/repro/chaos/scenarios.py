@@ -159,12 +159,11 @@ class CascadingFailures(Scenario):
     """
 
     name = "cascade"
+    #: Ranks killed per burst: the trigger and its follow-ups.
+    cascade = 3
 
-    def __init__(self, *, rate_per_round: float = 0.4, cascade: int = 3) -> None:
+    def __init__(self, *, rate_per_round: float = 0.4) -> None:
         super().__init__(rate_per_round=rate_per_round)
-        if cascade < 2:
-            raise ChaosError("cascade scenario needs cascade >= 2 ranks per burst")
-        self.cascade = cascade
 
     def plan(self, seed, *, nprocs, ops_per_round, steps_per_round, rounds,
              procs_per_node=2) -> KillPlan:
@@ -204,12 +203,11 @@ class FlakyRank(Scenario):
     """
 
     name = "flaky"
+    #: Times the victim is killed.
+    flaps = 3
 
-    def __init__(self, *, rate_per_round: float = 1.0, flaps: int = 3) -> None:
+    def __init__(self, *, rate_per_round: float = 1.0) -> None:
         super().__init__(rate_per_round=rate_per_round)
-        if flaps < 1:
-            raise ChaosError("flaky scenario needs flaps >= 1")
-        self.flaps = flaps
 
     def plan(self, seed, *, nprocs, ops_per_round, steps_per_round, rounds,
              procs_per_node=2) -> KillPlan:

@@ -73,8 +73,7 @@ __all__ = [
 _TIME_FIELDS = (
     "issue_overhead", "network_latency", "atomic_latency", "memory_latency",
     "barrier_base", "barrier_per_level", "flush_latency", "lock_latency",
-    "lock_contention", "pfs_latency", "flop_time", "hash_time",
-    "log_bookkeeping",
+    "pfs_latency", "flop_time", "hash_time", "log_bookkeeping",
 )
 #: CostModel fields denominated in bytes/second (scaled *down*).
 _BANDWIDTH_FIELDS = ("network_bandwidth", "memory_bandwidth", "pfs_bandwidth")
@@ -82,10 +81,9 @@ _BANDWIDTH_FIELDS = ("network_bandwidth", "memory_bandwidth", "pfs_bandwidth")
 _TOLERATED = ("dropped_puts", "dropped_gets", "stale_reads", "dropped_syncs")
 
 
-def scaled_cost_model(
-    base: CostModel | None = None, *, compression: float
-) -> CostModel:
-    """``base`` with every charge stretched by ``compression``.
+def scaled_cost_model(*, compression: float) -> CostModel:
+    """The default machine (:func:`~repro.simulator.costs.cray_xe6_like`) with
+    every charge stretched by ``compression``.
 
     Multiplying the latencies and dividing the bandwidths by the same factor
     preserves every *relative* cost — the machine is the same machine, its
@@ -95,7 +93,7 @@ def scaled_cost_model(
     """
     if compression <= 0:
         raise ChaosError("time compression must be positive")
-    base = base if base is not None else cray_xe6_like()
+    base = cray_xe6_like()
     overrides: dict = {f: getattr(base, f) * compression for f in _TIME_FIELDS}
     overrides |= {f: getattr(base, f) / compression for f in _BANDWIDTH_FIELDS}
     overrides["name"] = f"{base.name}-x{compression:g}"

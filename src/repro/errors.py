@@ -58,10 +58,8 @@ class RankSuspendedError(ProcessFailedError):
     class, never to silent progress.
     """
 
-    def __init__(self, rank: int, message: str | None = None) -> None:
-        super().__init__(
-            rank, message or f"process {rank} is suspended pending repair"
-        )
+    def __init__(self, rank: int) -> None:
+        super().__init__(rank, f"process {rank} is suspended pending repair")
 
 
 # ---------------------------------------------------------------------------

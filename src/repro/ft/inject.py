@@ -145,12 +145,11 @@ class KillPlan:
         cls,
         rank: int,
         after_ops: int | None = None,
-        kind: KillKind = KillKind.POD_KILL,
         *,
         time: float | None = None,
     ) -> "KillPlan":
-        """Kill one victim at one stream offset or one virtual time."""
-        return cls([KillEvent(after_ops=after_ops, rank=rank, kind=kind, time=time)])
+        """Kill one rank at one stream offset or one virtual time."""
+        return cls([KillEvent(after_ops=after_ops, rank=rank, time=time)])
 
     @classmethod
     def seeded(
@@ -160,10 +159,9 @@ class KillPlan:
         nprocs: int,
         max_ops: int,
         kills: int = 1,
-        node_kill_prob: float = 0.0,
         min_ops: int = 1,
     ) -> "KillPlan":
-        """Draw ``kills`` events uniformly over offsets and victims.
+        """Draw ``kills`` pod kills uniformly over offsets and victims.
 
         Identical seeds yield identical plans, event for event — the property
         the kill-timing sweep and the differential harness rely on to run the
@@ -174,17 +172,9 @@ class KillPlan:
         rng = make_rng(seed)
         events = []
         for _ in range(kills):
-            events.append(
-                KillEvent(
-                    after_ops=int(rng.integers(min_ops, max_ops)),
-                    rank=int(rng.integers(0, nprocs)),
-                    kind=(
-                        KillKind.NODE_KILL
-                        if rng.random() < node_kill_prob
-                        else KillKind.POD_KILL
-                    ),
-                )
-            )
+            after_ops, rank = int(rng.integers(min_ops, max_ops)), int(rng.integers(0, nprocs))
+            rng.random()  # the kind's draw: kept, so every seed's plan stays the same
+            events.append(KillEvent(after_ops=after_ops, rank=rank))
         return cls(events)
 
     def __len__(self) -> int:
@@ -376,14 +366,12 @@ class FaultInjector(RmaInterceptor):
             on_kill(record)
 
 
-def install_injector(
-    job: "Job", plan: KillPlan, *, kill_on_respawn: int | None = None
-) -> FaultInjector:
+def install_injector(job: "Job", plan: KillPlan) -> FaultInjector:
     """Attach a :class:`FaultInjector` for ``plan`` to a launched job.
 
     Every fired and skipped kill reaches the job's interceptors through
     ``on_kill`` — a traced job's tracer among them — with no further wiring.
     """
-    injector = FaultInjector(plan, kill_on_respawn=kill_on_respawn)
+    injector = FaultInjector(plan)
     job.runtime.add_interceptor(injector)
     return injector

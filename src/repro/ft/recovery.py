@@ -230,6 +230,11 @@ _COUNTER_FIELDS = (
 )
 
 
+#: The crc32 of a zero seed word: every drop/stale hash starts from it, so the
+#: decisions stay those the recorded baselines hold.
+_ZERO_SEED_CRC = zlib.crc32(bytes(8))
+
+
 class BestEffort(RecoveryProtocol):
     """Best-effort delivery (Moreno & Ofria): drop or serve stale, never stall.
 
@@ -238,10 +243,10 @@ class BestEffort(RecoveryProtocol):
     turn), puts toward it drop (there is no memory to write), and gets toward
     it deterministically either drop — the origin observes zeros — or are
     served *stale* from the newest checkpoint copy of its window.  The choice
-    hashes ``(seed, GNC, tolerated-op index)`` through crc32, the library's
+    hashes ``(origin, GNC, tolerated-op index)`` through crc32, the library's
     seeded-entropy convention, so sim/vector/proc agree bit-for-bit: the
     suspended set changes only at injector-controlled completion-stream
-    positions.  ``stale_fraction`` is the probability mass given to stale
+    positions.  :attr:`STALE_FRACTION` is the probability mass given to stale
     service (the rest drops); with no usable checkpoint copy a would-be stale
     read drops.  Every tolerated operation is counted once (:meth:`count`) in
     the job's per-rank ``qos.*`` metrics, which a :mod:`repro.chaos` cell
@@ -254,14 +259,10 @@ class BestEffort(RecoveryProtocol):
 
     name = "best_effort"
     tolerates_failures = True
+    #: Share of the reads toward a suspended rank served stale (the rest drop).
+    STALE_FRACTION = 0.5
 
-    def __init__(self, seed: int = 0, stale_fraction: float = 0.5) -> None:
-        if not 0.0 <= stale_fraction <= 1.0:
-            raise RecoveryError(
-                f"stale_fraction must be within [0, 1], got {stale_fraction}"
-            )
-        self.seed = int(seed)
-        self.stale_fraction = float(stale_fraction)
+    def __init__(self) -> None:
         self._runtime: "RmaRuntime | None" = None
         self._store: CheckpointStore | None = None
         #: Per-origin count of tolerated ops (the deterministic op index).
@@ -310,8 +311,8 @@ class BestEffort(RecoveryProtocol):
 
     def _entropy(self, src: int, gnc: int, index: int) -> float:
         """Uniform-ish [0, 1) from the deterministic drop/stale coordinates."""
-        h = 0
-        for part in (self.seed, src, gnc, index):
+        h = _ZERO_SEED_CRC
+        for part in (src, gnc, index):
             h = zlib.crc32(int(part).to_bytes(8, "little", signed=True), h)
         return h / 2**32
 
@@ -345,10 +346,7 @@ class BestEffort(RecoveryProtocol):
         if not action.kind.is_get_like:
             self.count("dropped_puts", src)
             return
-        stale = (
-            self.stale_fraction > 0.0
-            and self._entropy(src, action.GNC, index) < self.stale_fraction
-        )
+        stale = self._entropy(src, action.GNC, index) < self.STALE_FRACTION
         payload = self._stale_payload(action, win) if stale else None
         served = np.zeros(action.count, dtype=win.dtype) if payload is None else payload
         action.data = served[0] if action.kind.is_scalar else served  # FAO/CAS: a scalar
@@ -364,8 +362,6 @@ class BestEffort(RecoveryProtocol):
             kind="comm",
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BestEffort(seed={self.seed}, stale_fraction={self.stale_fraction})"
 
 
 #: Registry of constructable recovery protocols, by name.

@@ -211,7 +211,6 @@ class CommAction:
     counters: InitVar[Counters | None]
     op: AccumulateOp
     data: InitVar[np.ndarray | None]
-    operand: InitVar[np.ndarray | None]
     #: Compare value of a compare-and-swap.
     compare: np.ndarray | None
     #: Unique, monotonically increasing issue id (program order within a run).
@@ -241,8 +240,7 @@ class CommAction:
         self, kind: OpKind, src: int, trg: int, window: str, offset: int, count: int,
         combine: bool, counters: Counters | None = None,
         op: AccumulateOp = AccumulateOp.REPLACE, data: np.ndarray | None = None,
-        operand: np.ndarray | None = None, compare: np.ndarray | None = None,
-        seq: int | None = None, nbytes: int | None = None,
+        compare: np.ndarray | None = None, seq: int | None = None, nbytes: int | None = None,
     ) -> None:
         if src < 0 or trg < 0 or offset < 0 or count <= 0:
             raise RmaError(
@@ -263,7 +261,7 @@ class CommAction:
                 data = data.tobytes()
             elif kind.is_scalar:  # a one-element atomic's operand, held 0-d
                 data = data.reshape(())
-        self._data, self._operand = data, None if kind is _PUT else operand
+        self._data, self._operand = data, None
         self.seq, self.nbytes = next(_SEQ) if seq is None else seq, nbytes
         self._completed = self._discarded = False
 
@@ -365,7 +363,6 @@ class SyncAction:
     src: int
     #: Target rank; ``None`` encodes the paper's "diamond" (all processes).
     trg: int | None
-    counters: InitVar[Counters | None]  # read back through the property, as on CommAction
     #: Optional name of the structure being synchronized (the paper's ``str``).
     structure: str | None
     window: str | None
@@ -375,21 +372,12 @@ class SyncAction:
     SC: int = field(init=False)
     GNC: int = field(init=False)
 
-    def __init__(
-        self, kind: SyncKind, src: int, trg: int | None, counters: Counters | None = None,
-        structure: str | None = None, window: str | None = None, seq: int | None = None,
-    ) -> None:
-        self.kind, self.src, self.trg = kind, src, trg
-        self.EC, self.GC, self.SC, self.GNC = (0, 0, 0, 0) if counters is None else counters
-        self.structure, self.window = structure, window
-        self.seq = next(_SEQ) if seq is None else seq
-
     @classmethod
     def issued(
         cls, kind: SyncKind, src: int, trg: int | None, stamp: tuple[int, int, int, int],
         structure: str | None = None,
     ) -> "SyncAction":
-        """The runtime's constructor: positional, the stamp a plain ``(EC, GC, SC, GNC)``."""
+        """The one constructor: positional, the stamp a plain ``(EC, GC, SC, GNC)``."""
         self = object.__new__(cls)
         self.kind, self.src, self.trg = kind, src, trg
         self.EC, self.GC, self.SC, self.GNC = stamp

@@ -234,29 +234,16 @@ class RmaRuntime:
         return self.windows.get(name)
 
     def local(self, rank: int, window: str) -> np.ndarray:
-        """A view of ``rank``'s window buffer, writable until the next seal.
+        """A view of ``rank``'s window buffer, writable until the next step
+        boundary or checkpoint (:meth:`~repro.rma.window.Window.seal`).
 
-        An excised rank's buffer stays readable (it was reallocated to zeros
-        when the rank was removed), so degraded jobs can still gather results.
+        Per-rank contexts hand kernels these views of their own rows, so local
+        loads/stores need no runtime call.  An excised rank's buffer stays
+        readable (it was reallocated to zeros when the rank was removed), so
+        degraded jobs can still gather results.
         """
         self._require_alive(rank, excised_ok=True)
         return self.windows.get(window).local(rank)
-
-    def local_view(
-        self, rank: int, window: str, offset: int = 0, count: int | None = None
-    ) -> np.ndarray:
-        """A view of ``count`` elements of ``rank``'s own buffer, writable until
-        the next step boundary or checkpoint (:meth:`~repro.rma.window.Window.seal`).
-
-        Context-friendly entry point used by :mod:`repro.api`: per-rank
-        contexts hand kernels numpy views of their own window slice so local
-        loads/stores need no runtime call.  ``count=None``: to the window's end.
-        """
-        self._require_alive(rank, excised_ok=True)
-        win = self.windows.get(window)
-        if count is None:
-            count = win.size - offset
-        return win.view(rank, offset, count)
 
     # ------------------------------------------------------------------
     # Nonblocking communication actions

@@ -70,10 +70,8 @@ class CostModel:
     barrier_per_level: float = 1.0e-6
     #: Cost of a flush towards one target (waiting for remote completion).
     flush_latency: float = 1.2e-6
-    #: Cost of acquiring / releasing a remote lock (uncontended).
+    #: Cost of acquiring / releasing a remote lock.
     lock_latency: float = 2.0e-6
-    #: Extra serialization delay per contending process on a lock.
-    lock_contention: float = 1.0e-6
     #: Aggregate parallel-file-system bandwidth (shared by all writers).
     pfs_bandwidth: float = 20.0 * GiB
     #: Fixed PFS access latency (metadata, open/close).
@@ -155,9 +153,9 @@ class CostModel:
         """Time of a flush completing ``pending_ops`` outstanding operations."""
         return self.flush_latency + 0.1e-6 * pending_ops
 
-    def lock(self, contenders: int = 0) -> float:
-        """Time to acquire a remote lock with ``contenders`` other waiters."""
-        return self.lock_latency + self.lock_contention * max(0, contenders)
+    def lock(self) -> float:
+        """Time to acquire a remote lock."""
+        return self.lock_latency
 
     def unlock(self) -> float:
         """Time to release a remote lock."""
@@ -174,14 +172,14 @@ class CostModel:
         effective = self.pfs_bandwidth / writers
         return self.pfs_latency + nbytes / effective
 
-    def pfs_read(self, nbytes: int, concurrent_readers: int = 1) -> float:
+    def pfs_read(self, nbytes: int) -> float:
         """Time for one process to read ``nbytes`` back from the PFS.
 
         Modelled symmetrically to :meth:`pfs_write` (shared aggregate
         bandwidth, fixed access latency) — restores of disk-spilled
         checkpoints pay this.
         """
-        return self.pfs_write(nbytes, concurrent_writers=concurrent_readers)
+        return self.pfs_write(nbytes)
 
     def compute(self, flops: float) -> float:
         """Time to execute ``flops`` floating point operations."""
@@ -208,7 +206,6 @@ def ethernet_cluster_like() -> CostModel:
         barrier_per_level=10.0e-6,
         flush_latency=20.0e-6,
         lock_latency=30.0e-6,
-        lock_contention=15.0e-6,
         pfs_bandwidth=5.0 * GiB,
         pfs_latency=5.0e-3,
         name="ethernet-cluster-like",

@@ -21,9 +21,9 @@ class MetricsSnapshot:
     totals: dict[str, float] = field(default_factory=dict)
     per_rank: dict[str, dict[int, float]] = field(default_factory=dict)
 
-    def total(self, name: str, default: float = 0.0) -> float:
-        """Aggregate value of counter ``name``."""
-        return self.totals.get(name, default)
+    def total(self, name: str) -> float:
+        """Aggregate value of counter ``name`` (0 if never counted)."""
+        return self.totals.get(name, 0.0)
 
 
 class MetricsRegistry:
@@ -48,14 +48,10 @@ class MetricsRegistry:
             per_rank[rank] += value
         self._totals[name] = total
 
-    def set_max(self, name: str, value: float, rank: int | None = None) -> None:
+    def set_max(self, name: str, value: float) -> None:
         """Keep the maximum value seen for gauge ``name``."""
         if value > self._totals.get(name, float("-inf")):
             self._totals[name] = value
-        if rank is not None:
-            current = self._per_rank[name].get(rank, float("-inf"))
-            if value > current:
-                self._per_rank[name][rank] = value
 
     def get(self, name: str, default: float = 0.0) -> float:
         """Aggregate value of ``name``."""

@@ -101,13 +101,12 @@ class ClockCollection:
         """Return the clock of ``rank``."""
         return self._clocks[rank]
 
-    def max_time(self, ranks: list[int] | None = None) -> float:
-        """Maximum current time over ``ranks`` (all processes by default)."""
-        clocks = self._clocks if ranks is None else [self._clocks[r] for r in ranks]
-        return max(map(_NOW, clocks))
+    def max_time(self) -> float:
+        """Maximum current time over all processes."""
+        return max(map(_NOW, self._clocks))
 
     def synchronize(self, ranks: list[int] | None = None, extra: float = 0.0) -> float:
-        """Synchronize ``ranks`` to ``max_time(ranks) + extra`` and return it.
+        """Synchronize ``ranks`` to their latest clock ``+ extra`` and return it.
 
         Models a barrier among the given ranks whose cost is ``extra`` seconds;
         each clock moves as :meth:`VirtualClock.synchronize_to` moves it.

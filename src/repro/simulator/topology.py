@@ -123,9 +123,9 @@ class FailureDomainHierarchy:
             self._populate_children(child)
 
     @classmethod
-    def flat(cls, num_nodes: int, kind: str = "node") -> "FailureDomainHierarchy":
+    def flat(cls, num_nodes: int) -> "FailureDomainHierarchy":
         """A single-level hierarchy: ``num_nodes`` independent nodes."""
-        return cls((kind,), (), num_nodes)
+        return cls(("node",), (), num_nodes)
 
     # ------------------------------------------------------------------
     # Queries (paper notation: H_j, H_{i,j})

@@ -44,11 +44,8 @@ def percentile(sorted_samples: list[float], q: float) -> float:
     return sorted_samples[max(rank, 1) - 1]
 
 
-def latency_percentiles(
-    samples: Iterable[float],
-    quantiles: tuple[tuple[str, float], ...] = STANDARD_PERCENTILES,
-) -> dict[str, float] | None:
-    """p50/p95/p99 (by default) of ``samples`` with defined edge behavior.
+def latency_percentiles(samples: Iterable[float]) -> dict[str, float] | None:
+    """p50/p95/p99 of ``samples`` with defined edge behavior.
 
     * empty samples → ``None`` (a window with no completed requests has no
       latency distribution — reports render it as "—", gates skip it);
@@ -61,4 +58,4 @@ def latency_percentiles(
         return None
     if any(math.isnan(x) for x in xs):
         raise ValueError("latency samples must not contain NaN")
-    return {key: percentile(xs, q) for key, q in quantiles}
+    return {key: percentile(xs, q) for key, q in STANDARD_PERCENTILES}

@@ -104,12 +104,12 @@ def event_line(event: dict, *, canonical: bool = False) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def event_lines(events: Iterable[dict], *, canonical: bool = False) -> list[str]:
-    """Canonical JSON lines for ``events`` (validated, stable ordering)."""
+def event_lines(events: Iterable[dict]) -> list[str]:
+    """Canonical JSON lines for ``events`` (validated, stable ordering, no ``rt``)."""
     lines = []
     for event in events:
         validate_event(event)
-        lines.append(event_line(event, canonical=canonical))
+        lines.append(event_line(event, canonical=True))
     return lines
 
 

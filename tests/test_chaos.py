@@ -175,7 +175,7 @@ def test_scenario_rejects_degenerate_shape():
 # ----------------------------------------------------------------------
 def test_scaled_cost_model_preserves_relative_costs():
     base = cray_xe6_like()
-    scaled = scaled_cost_model(base, compression=10_000.0)
+    scaled = scaled_cost_model(compression=10_000.0)
     assert scaled.name == f"{base.name}-x10000"
     assert scaled.network_latency == pytest.approx(base.network_latency * 10_000)
     assert scaled.network_bandwidth == pytest.approx(base.network_bandwidth / 10_000)

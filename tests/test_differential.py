@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.backends.proc import proc_available
 from repro.errors import OpHandleError, ProcessFailedError, WatchdogError
-from repro.ft.inject import KillKind, KillPlan, install_injector
+from repro.ft.inject import KillEvent, KillKind, KillPlan, install_injector
 from repro.study import make_workload
 from repro.trace import first_divergence, render_divergence, tracing
 
@@ -152,7 +152,7 @@ def test_node_kill_takes_out_the_whole_node(backend):
     # still recover the run to the failure-free result.
     params, _, interval = CELLS["stencil"]
     workload = make_workload("stencil", **params)
-    plan = KillPlan.single(rank=2, after_ops=20, kind=KillKind.NODE_KILL)
+    plan = KillPlan([KillEvent(after_ops=20, rank=2, kind=KillKind.NODE_KILL)])
     ft = repro.FaultTolerancePolicy(interval=interval, store="memory", buddy_level=1)
     run = workload.run(ft=ft, backend=backend, failures=plan, procs_per_node=2)
     assert run.report.metrics.total("inject.kills") == 2

@@ -715,7 +715,7 @@ def test_best_effort_suspension_diverts_until_the_step_boundary_repair(backend):
         assert job.runtime._divert is not None
         assert job.cluster.metrics.get("qos.dropped_puts") == 1
         assert job.runtime.suspended_ranks() == frozenset({1})
-        job.run(kernel, steps=1, start_step=1)  # boundary repair respawns rank 1
+        job.run(kernel, steps=1)  # boundary repair respawns rank 1
         assert job.cluster.metrics.get("qos.repairs") == 1
         assert job.runtime._divert is None
         job.contexts[0].win("w").put_nb(1, 0, [9.0])
@@ -782,13 +782,13 @@ def test_slotted_actions_pickle_and_replace():
         kind=OpKind.ACCUMULATE, src=0, trg=1, window="w", offset=2, count=3,
         combine=True, counters=counters, op=AccumulateOp.SUM, data=np.arange(3.0),
     )
-    sync = SyncAction(kind=SyncKind.LOCK, src=0, trg=1, counters=counters, structure="s")
+    sync = SyncAction.issued(SyncKind.LOCK, 0, 1, tuple(counters), "s")
     for action in (comm, sync):
         assert not hasattr(action, "__dict__")
         clone = pickle.loads(pickle.dumps(action))
         assert clone.determinant() == action.determinant()
-        moved = dataclasses.replace(action, src=2)
-        assert moved.src == 2 and moved.seq == action.seq
+    moved = dataclasses.replace(comm, src=2)
+    assert moved.src == 2 and moved.seq == comm.seq
     assert np.array_equal(pickle.loads(pickle.dumps(comm)).data, comm.data)
     assert comm.nbytes == 24 and dataclasses.replace(comm, offset=0).nbytes == 24
 

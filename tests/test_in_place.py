@@ -15,6 +15,7 @@ A one-element atomic takes and returns a scalar of the window dtype; an
 operand of more than one element is refused at the call site.
 """
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -92,24 +93,25 @@ def _run(backend: str, dtype, queued: bool) -> dict:
         issued, issue = [], rt.backend.issue
         rt.backend.issue = lambda op: issued.append(op) or issue(op)
         returned = []
-        for index, (method, offset, args) in enumerate(_program(dtype)):
-            # The same operation of the origin toward rank 2: queued ahead of the
-            # call (which then completes with its pair), or issued after it.
-            elsewhere = (0, 2, "w", index % 64, [index])
-            if queued:
-                rt.put_nb(*elsewhere)
-            locked = method == "fetch_and_op"
-            if locked:
-                rt.lock(0, 1)
-            returned.append(getattr(rt, method)(0, 1, "w", offset, *args))
-            if locked:
-                rt.unlock(0, 1)
-            if not queued:
-                rt.put_nb(*elsewhere)
-            rt.flush(0, 2)
+        with _arithmetic(dtype):  # entered once the proc workers are forked
+            for index, (method, offset, args) in enumerate(_program(dtype)):
+                # The same operation of the origin toward rank 2: queued ahead of
+                # the call (which then completes with its pair), or issued after it.
+                elsewhere = (0, 2, "w", index % 64, [index])
+                if queued:
+                    rt.put_nb(*elsewhere)
+                locked = method == "fetch_and_op"
+                if locked:
+                    rt.lock(0, 1)
+                returned.append(getattr(rt, method)(0, 1, "w", offset, *args))
+                if locked:
+                    rt.unlock(0, 1)
+                if not queued:
+                    rt.put_nb(*elsewhere)
+                rt.flush(0, 2)
+            rt.flush_all(0)
         calls = len(returned)
         assert len(issued) == (2 * calls if queued else calls)  # the path taken
-        rt.flush_all(0)
         clocks = [rt.cluster.clock(r) for r in range(4)]
         metrics = rt.cluster.metrics.snapshot()
         return {
@@ -154,18 +156,26 @@ def _counters(own) -> tuple:
     )
 
 
-def _observed(backend, dtype, queued) -> dict:
-    if np.dtype(dtype).kind == "f":  # NaN and infinities raise IEEE flags: not here
+@contextlib.contextmanager
+def _arithmetic(dtype):
+    """The edge operands' arithmetic: NaN and infinities raise IEEE flags (not
+    here), integers wrap silently, as the array path does (no warning).
+
+    Entered only once the runtime is built: with a second thread alive,
+    ``fork()`` of the ``proc`` workers warns on Python 3.12, and the filter
+    would raise that warning."""
+    if np.dtype(dtype).kind == "f":
         with np.errstate(all="ignore"):
-            return _run(backend, dtype, queued)
-    with warnings.catch_warnings():  # integers wrap silently, as the array path does
-        warnings.simplefilter("error")
-        return _run(backend, dtype, queued)
+            yield
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 def test_the_reference_program_exercises_what_it_claims(dtype):
-    observed = _observed("sim", dtype, queued=False)
+    observed = _run("sim", dtype, queued=False)
     fetched = [r for r in observed["returned"] if r is not None]
     scalars = [r for r in fetched if r[0] == np.dtype(dtype).type.__name__]
     assert len(scalars) == 2 * len(_edges(dtype)) + len(AccumulateOp) * len(_edges(dtype))
@@ -195,9 +205,9 @@ def test_an_integer_atomic_wraps_around_silently(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 def test_in_place_equals_the_queued_path(backend, dtype):
-    reference = _observed("sim", dtype, queued=False)
+    reference = _run("sim", dtype, queued=False)
     for queued in [True] if backend == "sim" else [False, True]:
-        observed = _observed(backend, dtype, queued)
+        observed = _run(backend, dtype, queued)
         for key in reference:
             assert observed[key] == reference[key], (key, "queued" if queued else "in place")
 

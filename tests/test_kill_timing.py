@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.backends.proc import ProcBackend, proc_available
 from repro.errors import FailureScheduleError, WatchdogError
-from repro.ft.inject import KillKind, KillPlan, install_injector
+from repro.ft.inject import FaultInjector, KillKind, KillPlan
 from repro.study import make_workload
 
 pytestmark = [
@@ -56,12 +56,10 @@ def test_seeded_kill_sweep_recovers_bit_identical(seed):
 
 
 def test_seeded_plans_are_reproducible():
-    a = KillPlan.seeded(7, nprocs=4, max_ops=50, kills=3, node_kill_prob=0.5)
-    b = KillPlan.seeded(7, nprocs=4, max_ops=50, kills=3, node_kill_prob=0.5)
+    a = KillPlan.seeded(7, nprocs=4, max_ops=50, kills=3)
+    b = KillPlan.seeded(7, nprocs=4, max_ops=50, kills=3)
     assert a.events == b.events
-    assert len(a) == 3
-    all_node = KillPlan.seeded(7, nprocs=4, max_ops=50, kills=4, node_kill_prob=1.0)
-    assert all(e.kind is KillKind.NODE_KILL for e in all_node)
+    assert len(a) == 3 and all(e.kind is KillKind.POD_KILL for e in a)
     with pytest.raises(FailureScheduleError):
         KillPlan.seeded(7, nprocs=0, max_ops=50)
     with pytest.raises(FailureScheduleError):
@@ -111,9 +109,8 @@ def test_kill_during_recovery_is_survived():
         workload.setup(job)
         # First kill mid-run; the second strikes rank 2's *replacement*
         # worker the moment recovery respawns it.
-        injector = install_injector(
-            job, KillPlan.single(rank=2, after_ops=20), kill_on_respawn=1
-        )
+        injector = FaultInjector(KillPlan.single(rank=2, after_ops=20), kill_on_respawn=1)
+        job.runtime.add_interceptor(injector)
         report = job.run(workload.kernel(), steps=workload.steps)
         result = workload.collect(job)
     assert len(injector.fired) == 2

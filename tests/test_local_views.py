@@ -90,7 +90,7 @@ class _Stack:
         rt = self.rt
         if rt.backend.name == "proc":
             os.kill(rt.backend.worker_pid(rank), signal.SIGKILL)
-            assert rt.backend.wait_dead(rank, timeout=10.0)
+            assert rt.backend.wait_dead(rank)
         else:
             rt.cluster.fail_rank(rank)
         with pytest.raises(ProcessFailedError):
@@ -129,7 +129,7 @@ def test_view_kept_across_a_step_boundary_is_read_only_and_reacquiring_works(ft,
 def test_view_kept_across_a_direct_checkpoint_is_read_only(backend):
     with _Stack("memory", backend) as s:
         view = s.rt.local(1, "w")
-        part = s.rt.local_view(2, "w", 4, 8)
+        part = s.rt.local(2, "w")
         view[0] = part[0] = -0.0
         s.checkpoint()
         assert np.signbit(view[0]) and np.signbit(part[0])  # both still read
@@ -306,7 +306,7 @@ def test_gather_moves_no_stamp_and_the_next_run_still_trusts_the_log(backend, co
         assert whole.tobytes() == np.concatenate(rows).tobytes()
         assert part.tobytes() == np.concatenate([row[1:3] for row in rows]).tobytes()
         del compares[:]
-        job.run(kernel, steps=2, start_step=2)
+        job.run(kernel, steps=2)
         assert compares.count(2) == 0  # a view hand-out would cost one compare per rank
 
 

@@ -174,7 +174,7 @@ def test_every_clock_and_counter_equals_the_completion_stream_model(backend, cos
     exercised = Counter()
     for seed in range(6):
         rt = make_runtime(backend, cost_model=COST_MODELS[costs])
-        mode = BestEffort(seed=seed, stale_fraction=0.0)  # drops only: no service cost
+        mode = BestEffort()  # bound to no store: every read toward a suspended rank drops
         mode.bind(rt, None)
         rt.set_tolerant(mode)
         model = _TimeModel(rt)
@@ -560,13 +560,11 @@ def test_directly_built_records_read_back_their_counters_unchanged():
         kind=OpKind.PUT, src=0, trg=1, window="w", offset=2, count=3, combine=False,
         counters=counters, op=AccumulateOp.REPLACE, data=np.arange(3.0), seq=7,
     )
-    sync = SyncAction(
-        kind=SyncKind.LOCK, src=0, trg=1, counters=counters, structure="s", seq=8
-    )
+    sync = SyncAction.issued(SyncKind.LOCK, 0, 1, tuple(counters), "s")
     for action in (comm, sync):
         assert action.counters == counters and type(action.counters) is Counters
         assert (action.EC, action.GC, action.SC, action.GNC) == (1, 2, 3, 4)
     assert comm.determinant() == ("put", 0, 1, "w", 2, 3, False, (1, 2, 3, 4), 7)
-    assert sync.determinant() == ("lock", 0, 1, "s", (1, 2, 3, 4), 8)
+    assert sync.determinant() == ("lock", 0, 1, "s", (1, 2, 3, 4), sync.seq)
     assert comm.data.tolist() == [0.0, 1.0, 2.0] and comm.data.dtype == np.float64
     assert comm.nbytes == 24 and comm.describe().endswith("EC=1,GC=2,SC=3,GNC=4]")

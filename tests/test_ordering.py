@@ -9,7 +9,7 @@ checkpoint marker set.
 
 import pytest
 
-from repro.rma import Counters, OrderRecorder, RmaRuntime, SyncAction, SyncKind
+from repro.rma import OrderRecorder, RmaRuntime, SyncAction, SyncKind
 from repro.simulator import Cluster
 
 
@@ -97,7 +97,7 @@ def test_event_absent_from_the_recorder_is_neither_ordered_nor_not_concurrent(
     runtime, recorder
 ):
     recorded = runtime.put(0, 1, "w", 0, [1.0])
-    stranger = SyncAction(kind=SyncKind.FLUSH, src=0, trg=1, counters=Counters())
+    stranger = SyncAction.issued(SyncKind.FLUSH, 0, 1, (0, 0, 0, 0))
     assert not recorder.happens_before(recorded, stranger)
     assert not recorder.happens_before(stranger, recorded)
     assert recorder.concurrent_hb(recorded, stranger)
@@ -107,9 +107,7 @@ def test_hb_graph_has_one_node_per_event_and_po_so_gsync_successors():
     rec = OrderRecorder()
 
     def sync(kind, src, trg=None, structure=None, gnc=0):
-        action = SyncAction(
-            kind=kind, src=src, trg=trg, counters=Counters(gnc=gnc), structure=structure
-        )
+        action = SyncAction.issued(kind, src, trg, (0, 0, 0, gnc), structure)
         rec.record(action)
         return action
 

@@ -117,7 +117,7 @@ def test_shared_window_transitions_never_detach_the_buffers(rt):
 def test_poll_failures_reports_each_incarnation_once(rt):
     backend = _backend(rt)
     os.kill(backend.worker_pid(1), signal.SIGKILL)
-    assert backend.wait_dead(1, timeout=10.0)
+    assert backend.wait_dead(1)
     assert backend.poll_failures() == [1]
     assert backend.poll_failures() == []  # same incarnation: reported once
     assert "dead" in backend.describe_rank(1)
@@ -127,7 +127,7 @@ def test_respawn_gives_a_fresh_worker_attached_to_existing_windows(rt):
     backend = _backend(rt)
     old_pid = backend.worker_pid(1)
     os.kill(old_pid, signal.SIGKILL)
-    backend.wait_dead(1, timeout=10.0)
+    backend.wait_dead(1)
     backend.poll_failures()
     backend.respawn_rank(1)
     assert backend.worker_pid(1) != old_pid
@@ -141,7 +141,7 @@ def test_respawn_gives_a_fresh_worker_attached_to_existing_windows(rt):
 def test_runtime_folds_worker_death_into_the_cluster(rt):
     backend = _backend(rt)
     os.kill(backend.worker_pid(3), signal.SIGKILL)
-    backend.wait_dead(3, timeout=10.0)
+    backend.wait_dead(3)
     assert rt.cluster.is_alive(3)  # the control plane does not know yet
     rt.observe_failures()
     assert not rt.cluster.is_alive(3)  # ...now it does, via poll_failures
@@ -231,7 +231,7 @@ def test_bad_address_toward_a_silently_dead_rank_is_still_a_window_error(rt, cal
 def test_noted_death_is_raised_by_the_very_next_nonblocking_issue(rt):
     backend = _backend(rt)
     os.kill(backend.worker_pid(1), signal.SIGKILL)
-    assert backend.wait_dead(1, timeout=10.0)  # notes it (what an injector kill does)
+    assert backend.wait_dead(1)  # notes it (what an injector kill does)
     assert rt.cluster.is_alive(1)
     with pytest.raises(ProcessFailedError, match="process 1 has failed"):
         rt.put_nb(0, 1, "w", 0, [1.0])

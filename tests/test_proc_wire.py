@@ -170,7 +170,7 @@ def test_window_ids_survive_a_respawn_and_later_allocations():
         stack = build_ft_stack(rt)
         stack.checkpointer.checkpoint(tag=0)
         os.kill(backend.worker_pid(1), signal.SIGKILL)
-        assert backend.wait_dead(1, timeout=10.0)
+        assert backend.wait_dead(1)
         with pytest.raises(ProcessFailedError):
             rt.put(0, 1, "w1", 0, [1])
         stack.recovery.recover()  # rank 1's new worker attaches w0, w1 from scratch

@@ -41,7 +41,7 @@ def test_best_effort_qos_totals_equal_the_trace_rollup():
     workload = make_workload("kv", nprocs=8, slots=16, updates_per_step=4, steps=12)
     with tracing() as hub:
         run = workload.run(
-            ft=FaultTolerancePolicy(interval=3, recovery=BestEffort(seed=0)),
+            ft=FaultTolerancePolicy(interval=3, recovery=BestEffort()),
             failures=KillPlan.seeded(0, nprocs=8, max_ops=60, kills=1, min_ops=30),
         )
     totals = run.report.metrics.totals
@@ -55,7 +55,7 @@ def test_best_effort_qos_totals_equal_the_trace_rollup():
 
 
 def test_delivery_mode_binds_to_exactly_one_job():
-    mode = BestEffort(seed=7)
+    mode = BestEffort()
     first = _runtime()
     mode.bind(first, None)
     mode.bind(first, None)  # same job again is fine
@@ -77,10 +77,35 @@ def test_best_effort_is_a_recovery_rule():
 
 
 def test_best_effort_entropy_is_deterministic():
-    a, b = BestEffort(seed=11), BestEffort(seed=11)
+    a, b = BestEffort(), BestEffort()
     coords = [(0, 4, 0), (3, 4, 1), (7, 9, 5)]
     assert [a._entropy(*c) for c in coords] == [b._entropy(*c) for c in coords]
     assert all(0.0 <= a._entropy(*c) < 1.0 for c in coords)
+
+
+def test_a_stale_read_is_charged_one_local_copy_of_its_slice():
+    # A read toward a suspended rank is resolved by the rule and never sent: a
+    # dropped read costs its origin what issuing it costs, a read served stale
+    # from the checkpoint replica that plus one local copy of the slice.
+    with launch(4, ft=FaultTolerancePolicy(interval=1, recovery="best_effort")) as job:
+        job.allocate("w", 8)
+        for rank in range(4):
+            job.local(rank, "w")[:] = np.arange(8.0) + 10 * rank
+        job.run(lambda ctx, step: None, steps=1)  # the checkpoint stale reads serve
+        job.cluster.fail_rank(1)
+        clock, metrics = job.cluster.clock(0), job.cluster.metrics
+        copy = job.cluster.costs.local_copy(4 * 8)
+        charged = {}
+        for _ in range(16):
+            before, stale_reads = clock.now, metrics.get("qos.stale_reads")
+            data = job.contexts[0].get(1, "w", 2, 4)
+            stale = metrics.get("qos.stale_reads") > stale_reads
+            assert data.tolist() == ([12.0, 13.0, 14.0, 15.0] if stale else [0.0] * 4)
+            charged.setdefault(stale, []).append(clock.now - before)
+    assert set(charged) == {False, True}  # half the reads are served stale
+    dropped = charged[False][0]
+    assert charged[False] == pytest.approx([dropped] * len(charged[False]), rel=1e-9)
+    assert charged[True] == pytest.approx([dropped + copy] * len(charged[True]), rel=1e-9)
 
 
 def _ring_gsync_run(failures=None):

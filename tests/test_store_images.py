@@ -168,7 +168,7 @@ class _Harness:
         rt = self.rt
         if rt.backend.name == "proc":
             os.kill(rt.backend.worker_pid(rank), signal.SIGKILL)
-            assert rt.backend.wait_dead(rank, timeout=10.0)
+            assert rt.backend.wait_dead(rank)
         else:
             rt.cluster.fail_rank(rank)
         with pytest.raises(ProcessFailedError):

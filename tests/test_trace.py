@@ -89,8 +89,8 @@ def traced_events(backend):
     "backend", ["vector", pytest.param("proc", marks=PROC_SKIP)]
 )
 def test_trace_is_byte_identical_across_backends(backend):
-    reference = event_lines(traced_events("sim"), canonical=True)
-    other = event_lines(traced_events(backend), canonical=True)
+    reference = event_lines(traced_events("sim"))
+    other = event_lines(traced_events(backend))
     assert other == reference
     # The stream is non-trivial: the kill, the recovery and the op traffic
     # all made it in.
@@ -109,9 +109,7 @@ def test_rt_segregates_host_facts_from_identity():
     assert sim_kill["rt"] == {"real": False}
     assert proc_kill["rt"] == {"real": True}
     # The canonical identity does not.
-    assert event_lines([sim_kill], canonical=True) == event_lines(
-        [proc_kill], canonical=True
-    )
+    assert event_lines([sim_kill]) == event_lines([proc_kill])
 
 
 def test_hub_merge_order_is_deterministic_across_executors():
@@ -123,7 +121,7 @@ def test_hub_merge_order_is_deterministic_across_executors():
     with tracing() as hub:
         for label in ("cell-a", "cell-b"):
             run_cell(label)
-    serial = event_lines(hub.events(), canonical=True)
+    serial = event_lines(hub.events())
 
     # Threaded, submitted in *reverse* order and racing each other: the hub
     # orders the merged stream by (label, index), never by arrival.
@@ -136,7 +134,7 @@ def test_hub_merge_order_is_deterministic_across_executors():
             thread.start()
         for thread in threads:
             thread.join()
-    threaded = event_lines(hub.events(), canonical=True)
+    threaded = event_lines(hub.events())
 
     assert threaded == serial
     jobs = {event["job"] for event in hub.events()}
