@@ -34,7 +34,13 @@ from repro.api.context import RankContext
 from repro.api.policy import FaultTolerancePolicy, Topology
 from repro.api.scheduler import CooperativeScheduler, Kernel
 from repro.backends import BACKENDS, Backend
-from repro.errors import ApiError, PolicyError, ProcessFailedError, WatchdogError
+from repro.errors import (
+    ApiError,
+    PolicyError,
+    ProcessFailedError,
+    RecoveryError,
+    WatchdogError,
+)
 from repro.ft.inject import KillPlan, install_injector
 from repro.ft.stack import FtStack
 from repro.registry import resolve_component
@@ -242,9 +248,10 @@ class Job:
 
         Steps are numbered from 0 on every call, and every call opens with a
         checkpoint.  Two failure modes are not transparently recoverable and
-        surface to the caller: a failure striking before the first
-        checkpoint has committed, with no usable version at all
-        (:class:`~repro.errors.RecoveryError`), and the loss of a rank
+        surface to the caller: a failure striking before the call's opening
+        checkpoint has committed, when no stored version is of this call's
+        execution (:class:`~repro.errors.RecoveryError`; a degraded continuation
+        restores none), and the loss of a rank
         together with its buddy
         (:class:`~repro.errors.CatastrophicFailure`).  Without a
         fault-tolerance policy, failures propagate to the caller unchanged.
@@ -335,6 +342,11 @@ class Job:
                     # (a replay suppresses survivors' completed work); a degraded
                     # continuation re-executes the aborted step, shrunk.
                     if outcome.kind != "degraded":
+                        if not self._have_checkpoint:  # the version is an earlier run's
+                            raise RecoveryError(
+                                f"{failure} before this run's opening checkpoint "
+                                f"committed; the newest version is an earlier run's"
+                            ) from failure
                         step = int(outcome.tag)
                     if hooks.on_protocol_applied is not None:
                         hooks.on_protocol_applied(outcome, step, cluster.elapsed())
@@ -353,12 +365,8 @@ class Job:
         """
         lines = []
         for rank in range(self.nranks):
-            if rank in self.runtime.excised:
-                state = "excised"
-            elif self.cluster.is_alive(rank):
-                state = "alive"
-            else:
-                state = "failed"
+            alive = "alive" if self.cluster.is_alive(rank) else "failed"
+            state = "excised" if rank in self.runtime.excised else alive
             lines.append(
                 f"  rank {rank}: {state}, t={self.cluster.now(rank):.6f}s, "
                 f"pending_nb={self.runtime.pending_nb_ops(rank)}, "
@@ -455,10 +463,8 @@ class Job:
             rates_per_level=dict(rates),
         )
         self._interval = model.optimal_interval_steps(step_seconds, max_steps=max_steps)
-        self.cluster.metrics.set_max(
-            "study.auto_interval_steps",
-            float(self._interval) if self._interval is not None else 0.0,
-        )
+        interval = float(self._interval) if self._interval is not None else 0.0
+        self.cluster.metrics.set_max("study.auto_interval_steps", interval)
 
     def _estimated_failure_rates(self) -> dict[int, float]:
         """Aggregate failure rate estimated from the plan's time-triggered kills.
@@ -534,12 +540,6 @@ def launch(
     with ``add_interceptor``.
     """
     return Job(
-        nprocs,
-        topology=topology,
-        ft=ft,
-        failures=failures,
-        sync_each_step=sync_each_step,
-        backend=backend,
-        watchdog=watchdog,
-        trace=trace,
+        nprocs, topology=topology, ft=ft, failures=failures, sync_each_step=sync_each_step,
+        backend=backend, watchdog=watchdog, trace=trace,
     )

@@ -365,7 +365,6 @@ class SyncAction:
     trg: int | None
     #: Optional name of the structure being synchronized (the paper's ``str``).
     structure: str | None
-    window: str | None
     seq: int
     EC: int = field(init=False)
     GC: int = field(init=False)
@@ -381,7 +380,7 @@ class SyncAction:
         self = object.__new__(cls)
         self.kind, self.src, self.trg = kind, src, trg
         self.EC, self.GC, self.SC, self.GNC = stamp
-        self.structure, self.window, self.seq = structure, None, next(_SEQ)
+        self.structure, self.seq = structure, next(_SEQ)
         return self
 
     counters = CommAction.counters

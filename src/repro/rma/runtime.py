@@ -138,7 +138,7 @@ class RmaRuntime:
         #: charge or bump is in place (``now += c; ticks += 1`` is ``advance(c, kind="comm")``).
         self._totals, self._per_rank = cluster.metrics._totals, cluster.metrics._per_rank
         costs = cluster.costs
-        self._transfer, self._flop_time = costs.transfer_prices, costs.flop_time
+        self._transfer, self._flop_time = costs.transfer_prices, float(costs.flop_time)
         self._lock_price, self._unlock_price = costs.lock(), costs.unlock()
         #: Whether ranks can die behind the injector's back (the backend overrides
         #: ``poll_failures``): then blocking calls, sync actions and collectives poll,
@@ -240,8 +240,12 @@ class RmaRuntime:
         Per-rank contexts hand kernels these views of their own rows, so local
         loads/stores need no runtime call.  An excised rank's buffer stays
         readable (it was reallocated to zeros when the rank was removed), so
-        degraded jobs can still gather results.
+        degraded jobs can still gather results.  On a settled job a known
+        window hands the row out with only the rank's range compared, inline.
         """
+        win = self._windows.get(window)
+        if win and self._settled == self.cluster.generation and 0 <= rank < self.nprocs:
+            return win._hand_out(rank)
         self._require_alive(rank, excised_ok=True)
         return self.windows.get(window).local(rank)
 
@@ -419,7 +423,7 @@ class RmaRuntime:
         action.kind, action.src, action.trg = _LOCK, src, trg
         action.EC, action.GC = own.epoch_of_target[trg], own.gc
         action.SC, action.GNC = own.sc_held.get(trg, 0), own.gnc
-        action.structure, action.window, action.seq = structure, None, next(_SEQ)
+        action.structure, action.seq = structure, next(_SEQ)
         if dropped or waits:
             if dropped:
                 self.tolerant.count("dropped_syncs", src)
@@ -463,7 +467,7 @@ class RmaRuntime:
         action.kind, action.src, action.trg = _UNLOCK, src, trg
         action.EC, action.GC = own.epoch_of_target[trg], own.gc
         action.SC, action.GNC = own.sc_held.get(trg, 0), own.gnc
-        action.structure, action.window, action.seq = structure, None, next(_SEQ)
+        action.structure, action.seq = structure, next(_SEQ)
         if waits:
             return action
         if dropped:
@@ -536,6 +540,8 @@ class RmaRuntime:
         closes every epoch at every process and increments every ``GNC``
         (§4.1 E).  Raises :class:`~repro.errors.ProcessFailedError` if any
         participant has failed — this is where failures are usually observed.
+        Returns every alive rank's record when an ``after_sync`` hook reads them,
+        else an empty list: nobody else reads one.
         """
         self._ensure_all_alive("gsync")
         records = self._records
@@ -561,13 +567,13 @@ class RmaRuntime:
         cost = self.cluster.costs.gsync(self.nprocs)
         self._collective_barrier(cost=cost)  # raises on failed participants
         self.counters.on_gsync(moved)
-        actions, interceptors = [], self.interceptors
-        for rank in self.cluster.alive_ranks():  # each stamp built inline, as ``_issue``'s
-            own = records[rank]
-            action = SyncAction.issued(_GSYNC, rank, None, (0, own.gc, 0, own.gnc))
-            if interceptors.after_sync is not None:
-                interceptors.after_sync(action)
-            actions.append(action)
+        actions, after_sync = [], self.interceptors.after_sync
+        if after_sync is not None:  # a record per rank only for a reader
+            for rank in self.cluster.alive_ranks():
+                own = records[rank]
+                action = SyncAction.issued(_GSYNC, rank, None, (0, own.gc, 0, own.gnc))
+                after_sync(action)
+                actions.append(action)
         self.cluster.metrics.incr("rma.gsyncs")
         return actions
 
@@ -607,15 +613,23 @@ class RmaRuntime:
 
         During a log-driven replay only the *restoring* ranks do real work; a
         survivor finishing the crash step re-derives values it already holds,
-        so its charge is suppressed (§4.2).  ``advance`` (not an in-place
-        charge) meets a caller's negative ``flops``.
+        so its charge is suppressed (§4.2).  The charge is a Python float, so a
+        numpy ``flops`` never turns the clock into a numpy scalar; it is charged
+        in place, as ``advance`` charges, and ``advance`` meets a negative one.
         """
         if self._settled != self.cluster.generation or not 0 <= rank < self.nprocs:
             self._require_alive(rank)
             self.cluster.clock(rank)  # a rank out of range raises here
+        clock = self._clock_of[rank]
         if self._replay is not None and rank not in self._replay.restoring:
-            return self._clock_of[rank].now
-        return self._clock_of[rank].advance(flops * self._flop_time)
+            return clock.now
+        charge = float(flops) * self._flop_time
+        if charge < 0:
+            return clock.advance(charge)  # raises
+        clock.now += charge  # ``advance``'s fields, in its order
+        clock.ticks += 1
+        clock.busy += charge
+        return clock.now
 
     def finalize(self) -> None:
         """Finish the run: flush interceptor statistics, release the backend.

@@ -14,10 +14,11 @@ content is lost) and *reallocated* when a replacement process is spawned; both,
 and a restore, rewrite the row in place, so a row view always reads the rank's
 current bytes.
 
-Local views have a lifetime: :meth:`Window.view` hands out views writable until
-the next :meth:`Window.seal` (a job-step boundary, a checkpoint, a buffer swap).
-Every hand-out, and every write outside the completion stream, moves the rank's
-*raw-access stamp*; while it stands still, only logged actions touched the buffer.
+Local views have a lifetime: :meth:`Window.local` and :meth:`Window.view` hand out
+views writable until the next :meth:`Window.seal` (a job-step boundary, a
+checkpoint, a buffer swap).  Every hand-out, and every write outside the
+completion stream, moves the rank's *raw-access stamp*; while it stands still,
+only logged actions touched the buffer.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ class Window:
 
     def local(self, rank: int) -> np.ndarray:
         """A fresh view of ``rank``'s full buffer, writable until the next :meth:`seal`."""
-        return self.view(rank, 0, self.size)
+        self._check_rank(rank)
+        return self._hand_out(rank)
 
     def seal(self, rank: int | None = None) -> None:
         """End the lifetime of the handed-out views (of ``rank``, or all): a store
@@ -108,6 +110,16 @@ class Window:
         self._check_range(rank, offset, count)
         self._check_alive(rank)
         view = self.buffers[rank][offset : offset + count]
+        self._handed.append((rank, view))
+        self.stamps[rank] += 1
+        return view
+
+    def _hand_out(self, rank: int) -> np.ndarray:
+        """:meth:`local` for a ``rank`` known in range (the runtime's settled path
+        checks it inline): like :meth:`_region`, only invalidation is checked."""
+        if rank in self._invalidated:
+            self._check_alive(rank)
+        view = self.buffers[rank][:]
         self._handed.append((rank, view))
         self.stamps[rank] += 1
         return view

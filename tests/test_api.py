@@ -19,6 +19,7 @@ from kv_update_ft import expected_table, run_kv
 from repro.errors import (
     PolicyError,
     ProcessFailedError,
+    RecoveryError,
     SchedulerError,
     WindowError,
 )
@@ -200,6 +201,33 @@ def test_multi_phase_run_never_rolls_back_into_previous_phase():
     assert np.array_equal(baseline, np.full(8, 81.0))  # (0+1+1+1) * 3^3
     recovered = run_phases(fail_in_second=True)
     assert np.array_equal(baseline, recovered)
+
+
+@pytest.mark.parametrize("recovery", ["global", "localized", "degraded"])
+def test_a_failure_between_two_runs_never_restores_the_earlier_run(recovery):
+    """A failure that surfaces before a run's opening checkpoint commits would roll
+    back to the previous run's version: a restoring rule raises instead (the run
+    used to gather 0.0 here, silently); a degraded continuation restores nothing."""
+
+    def add_one(ctx, step):
+        ctx.win("w").local[0] += 1.0
+
+    def triple(ctx, step):
+        ctx.win("w").local[0] *= 3.0
+
+    policy = repro.FaultTolerancePolicy(interval=None, recovery=recovery)
+    with repro.launch(4, ft=policy) as job:
+        job.allocate("w", 1)
+        job.run(add_one, steps=2)
+        job.cluster.fail_rank(2)
+        if recovery == "degraded":
+            assert job.run(triple, steps=2).excised_ranks == 1
+            assert list(job.gather("w")) == [18.0, 18.0, 0.0, 18.0]
+            return
+        with pytest.raises(RecoveryError, match="opening checkpoint") as raised:
+            job.run(triple, steps=2)
+        assert isinstance(raised.value.__cause__, ProcessFailedError)
+        assert raised.value.__cause__.rank == 2
 
 
 def test_session_takes_initial_checkpoint_with_interval_none():

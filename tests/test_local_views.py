@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro.backends.proc import proc_available
-from repro.errors import ProcessFailedError
+from repro.errors import ProcessFailedError, WindowError
 from repro.ft import build_ft_stack, stores
 from repro.rma import RmaRuntime
 from repro.simulator import Cluster
@@ -138,6 +138,65 @@ def test_view_kept_across_a_direct_checkpoint_is_read_only(backend):
                 stale[0] = 1.0
         s.rt.local(1, "w")[0] = 2.0
         s.checkpoint()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_settled_hand_out_behaves_as_the_checked_one(backend, compares, monkeypatch):
+    """On a settled job ``w.local`` hands the row out without the liveness and
+    range checks, and as the checked path does: the stamp moves once per view, the
+    step boundary seals the view, and the next checkpoint compares the row (and
+    only it)."""
+    checked, real = [], RmaRuntime._require_alive
+    monkeypatch.setattr(
+        RmaRuntime, "_require_alive", lambda *a, **k: checked.append(a) or real(*a, **k)
+    )
+    kept, moved = [], []
+
+    def kernel(ctx, step):
+        ctx.put((ctx.rank + 1) % ctx.nranks, "w", 8 + step, [float(step)])
+        if ctx.rank != 1:
+            return
+        window = ctx._runtime.window("w")
+        if step == 1:
+            before = window.stamps[1]
+            kept.extend((ctx.win("w").local, ctx.win("w").local))
+            moved.append(window.stamps[1] - before)
+            kept[0][3] = 7.0
+            assert np.shares_memory(kept[1], window.buffers[1]) and kept[1][3] == 7.0
+        elif step == 2:
+            for view in kept:
+                with pytest.raises(ValueError, match=READ_ONLY):
+                    view[3] = 8.0
+
+    policy = repro.FaultTolerancePolicy(interval=1, store="memory")
+    with repro.launch(NPROCS, ft=policy, backend=backend) as job:
+        job.allocate("w", SIZE)
+        job.run(kernel, steps=4)
+        assert checked == [] and moved == [2]
+        assert compares.count(2) == 1  # rank 1's row, at step 2's checkpoint
+        version = job.ft.checkpointer.checkpoint(tag="final")
+        image = job.ft.store.fetch(version, 1).windows["w"]
+        assert image[3] == 7.0
+        assert image.tobytes() == job.runtime.window("w").read(1, 0, SIZE).tobytes()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_unsettled_or_malformed_hand_out_takes_the_checked_path(backend):
+    rt = RmaRuntime(Cluster.simple(NPROCS, procs_per_node=1), backend=backend)
+    try:
+        rt.win_allocate("w", 8)
+        for rank, window in ((NPROCS, "w"), (-1, "w"), (0, "nowhere")):
+            with pytest.raises(WindowError):
+                rt.local(rank, window)
+        rt.cluster.fail_rank(2)
+        rt.observe_failures()
+        with pytest.raises(ProcessFailedError):
+            rt.local(2, "w")
+        stamp = rt.window("w").stamps[1]
+        rt.local(1, "w")[0] = 1.0  # a survivor's row, through the checks
+        assert rt.window("w").stamps[1] == stamp + 1
+    finally:
+        rt.finalize()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

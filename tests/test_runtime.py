@@ -112,6 +112,51 @@ def test_epoch_and_counter_snapshots_are_independent_of_later_mutation(runtime):
     assert counters[0].epoch_of_target[1] == 0 and own.epoch_of_target[1] == 1
 
 
+def test_gsync_builds_its_records_only_for_a_reader(runtime):
+    syncs = runtime.gsync()  # the fixture's recorder reads them
+    assert [(s.src, s.GNC) for s in syncs] == [(r, 1) for r in range(4)]
+    bare = RmaRuntime(Cluster.simple(4, procs_per_node=2))
+    bare.win_allocate("w", 8)
+    assert bare.gsync() == []
+    assert all(bare.counters.of(r).gnc == 1 for r in range(4))
+
+
+def _charged(flops):
+    """A 4-rank, 200-step job charging ``flops(rank)`` per step: its makespan and
+    the types of every clock's time fields."""
+
+    def kernel(ctx, step):
+        ctx.compute(flops(ctx.rank))
+        yield ctx.gsync()
+
+    with repro.launch(4) as job:
+        job.allocate("w", 1)
+        job.run(kernel, steps=200)
+        clocks = [job.cluster.clock(rank) for rank in range(4)]
+        return job.cluster.elapsed(), {type(c.now) for c in clocks} | {
+            type(c.busy) for c in clocks
+        }
+
+
+@pytest.mark.parametrize("scalar", [float, np.float32, np.int64, np.float64])
+def test_a_numpy_compute_charge_leaves_every_clock_a_python_float(scalar):
+    """A numpy ``flops`` used to make the clock a numpy scalar: a ``float32`` one
+    ended this job at 0.0021058558, ``float64`` ones kept the float's value."""
+    elapsed, types = _charged(lambda rank: scalar(1000 + rank))
+    assert types == {float}
+    assert type(elapsed) is float and elapsed == 0.0021058547203550897
+
+
+def test_a_negative_compute_charge_raises_and_moves_no_clock(runtime):
+    clock = runtime.cluster.clock(0)
+    before = (clock.now, clock.ticks, clock.busy)
+    with pytest.raises(SimulationError, match="negative"):
+        runtime.compute(0, -1.0)
+    assert (clock.now, clock.ticks, clock.busy) == before
+    runtime.compute(0, 1.0)
+    assert (clock.ticks, clock.busy) == (before[1] + 1, before[2] + runtime._flop_time)
+
+
 def test_gsync_while_holding_a_lock_is_illegal(runtime):
     runtime.lock(0, 1)
     with pytest.raises(SynchronizationError):

@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.backends.proc import proc_available
 from repro.ft import KillPlan, build_ft_stack
-from repro.rma import RmaRuntime, SyncAction
+from repro.rma import RmaInterceptor, RmaRuntime, SyncAction
 from repro.simulator import Cluster
 
 BACKENDS = ["sim"] + (["proc"] if proc_available() else [])
@@ -93,13 +93,21 @@ def _kernel(ctx, step):
     ctx.compute(1000.0)
 
 
+class _SyncReader(RmaInterceptor):
+    """A no-op ``after_sync`` reader: a gsync builds its records only for one."""
+
+    def after_sync(self, action):
+        pass
+
+
 def _stamps(monkeypatch, recovery, backend):
     """Run :func:`_kernel` for six steps with one kill; every issued action's stamp.
 
     Every record the runtime issues is made by ``_new_object`` (a communication
     action, a lock, an unlock) or by ``SyncAction.issued`` (the other syncs) and
     stamped once, right there: the records are kept in issue order, without
-    forcing any call off its path, and their stamps read after the run.
+    forcing any call off its path, and their stamps read after the run.  A
+    :class:`_SyncReader` is registered so that every gsync builds its records.
     """
     seen = []
 
@@ -117,6 +125,7 @@ def _stamps(monkeypatch, recovery, backend):
         failures=KillPlan.single(2, time=KILL_AT), sync_each_step=False,
         backend=backend,
     ) as job:
+        job.runtime.add_interceptor(_SyncReader())
         job.allocate("w", 4)
         assert job.run(_kernel, steps=6).recoveries == 1
     return [
